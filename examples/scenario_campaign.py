@@ -120,8 +120,8 @@ def main() -> None:
 
         # 3. + 4. The campaign: 3 scenarios x 2 realizations, streamed in
         #    year-sized chunks, sharded over 4 workers — and bit-identical
-        #    to the serial run because run i always draws from the
-        #    SeedSequence child with spawn_key (i,).
+        #    to the serial run because realization r of every scenario
+        #    always draws from the SeedSequence child with spawn_key (r,).
         campaign_args = dict(n_realizations=2, n_times=4 * 24, seed=2024,
                              collect="global-mean")
         serial = repro.run_campaign(artifact_path, scenario_names, **campaign_args)

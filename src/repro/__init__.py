@@ -61,7 +61,7 @@ Quickstart
 ...     n_realizations=5, max_workers=4)
 """
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 from repro import obs
 from repro.core.config import EmulatorConfig

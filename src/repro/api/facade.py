@@ -124,7 +124,6 @@ def emulate(
     annual_forcing: "np.ndarray | str | ScenarioSpec | None" = None,
     rng: np.random.Generator | None = None,
     include_nugget: bool = True,
-    batch_size: int | None = None,
 ) -> ClimateEnsemble:
     """Generate emulations from a fitted emulator or a saved artifact path.
 
@@ -142,9 +141,7 @@ def emulate(
         ``data`` is ``float64`` of shape
         ``(n_realizations, n_times, ntheta, nphi)``.  Output is a
         deterministic function of the fitted state and ``rng``: the same
-        seeded generator reproduces it bit for bit, and ``batch_size``
-        (the cap on realizations per inverse-SHT pass) never changes a
-        bit — it only bounds the synthesis working set.
+        seeded generator reproduces it bit for bit.
     """
     with span(
         "facade.emulate", n_realizations=n_realizations, n_times=n_times
@@ -155,7 +152,6 @@ def emulate(
             annual_forcing=annual_forcing,
             rng=rng,
             include_nugget=include_nugget,
-            batch_size=batch_size,
         )
         sp.set(bytes=result.data.nbytes, shape=result.data.shape)
     return result
@@ -169,7 +165,6 @@ def emulate_stream(
     rng: np.random.Generator | None = None,
     include_nugget: bool = True,
     chunk_size: int | None = None,
-    batch_size: int | None = None,
 ) -> Iterator[ClimateEnsemble]:
     """Stream emulation chunks from a fitted emulator or artifact path.
 
@@ -185,7 +180,7 @@ def emulate_stream(
         per chunk by default), VAR state carried across chunks.  The
         concatenated stream is a deterministic function of ``rng``:
         with ``chunk_size >= n_times`` the single chunk is bit-exact with
-        :func:`emulate`, and ``batch_size`` never changes any output bit.
+        :func:`emulate`.
     """
     stream = _resolve(source).emulate_stream(
         n_realizations=n_realizations,
@@ -194,7 +189,6 @@ def emulate_stream(
         rng=rng,
         include_nugget=include_nugget,
         chunk_size=chunk_size,
-        batch_size=batch_size,
     )
 
     def _traced() -> Iterator[ClimateEnsemble]:

@@ -273,7 +273,6 @@ class ClimateEmulator:
         annual_forcing: "np.ndarray | str | ScenarioSpec | None" = None,
         rng: np.random.Generator | None = None,
         include_nugget: bool = True,
-        batch_size: int | None = None,
     ) -> ClimateEnsemble:
         """Generate emulations statistically consistent with the training data.
 
@@ -296,11 +295,6 @@ class ClimateEmulator:
             Random generator.
         include_nugget:
             Include the truncation nugget.
-        batch_size:
-            Cap on realizations synthesised per inverse-SHT pass (all at
-            once when ``None``).  A memory/throughput knob only: the
-            output is a deterministic function of ``rng`` and is
-            bit-identical for every ``batch_size``.
         """
         self._require_fit()
         assert self.training_summary is not None
@@ -312,7 +306,6 @@ class ClimateEmulator:
             rng=rng,
             include_nugget=include_nugget,
             start_year=self.training_summary.start_year,
-            batch_size=batch_size,
         )
 
     def emulate_stream(
@@ -323,7 +316,6 @@ class ClimateEmulator:
         rng: np.random.Generator | None = None,
         include_nugget: bool = True,
         chunk_size: int | None = None,
-        batch_size: int | None = None,
     ) -> Iterator[ClimateEnsemble]:
         """Generate an emulation as a stream of bounded-memory time chunks.
 
@@ -335,9 +327,7 @@ class ClimateEmulator:
         of the scenario length, which is what makes century-scale hourly
         runs writable to disk as they are generated.  With ``chunk_size >=
         n_times`` the single yielded chunk is bit-exact with
-        :meth:`emulate` under the same seeded generator.  ``batch_size``
-        additionally caps the realizations per inverse-SHT pass without
-        changing any output bit (see :meth:`emulate`).
+        :meth:`emulate` under the same seeded generator.
         """
         self._require_fit()
         assert self.training_summary is not None
@@ -350,7 +340,6 @@ class ClimateEmulator:
             include_nugget=include_nugget,
             start_year=self.training_summary.start_year,
             chunk_size=chunk_size,
-            batch_size=batch_size,
         )
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.scale import ScaleField
-from repro.core.spectral_model import SpectralStochasticModel, validate_batch_size
+from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.trend import MeanTrendModel, TrendFit
 from repro.data.ensemble import ClimateEnsemble
 from repro.sht.grid import Grid
@@ -61,9 +61,12 @@ class EmulationGenerator:
         rng: np.random.Generator | None = None,
         include_nugget: bool = True,
         start_year: int = 1940,
-        batch_size: int | None = None,
     ) -> ClimateEnsemble:
         """Produce an ensemble of emulated fields.
+
+        The single-chunk case of :meth:`generate_stream`
+        (``chunk_size = n_times``), so the monolithic and streaming
+        outputs cannot drift apart.
 
         Parameters
         ----------
@@ -78,21 +81,11 @@ class EmulationGenerator:
             Random generator (a fresh default generator when omitted).
         include_nugget:
             Add the truncation nugget ``epsilon``.
-        batch_size:
-            Cap on realizations synthesised per inverse-SHT pass; the
-            output is bit-identical for every value (see
-            :meth:`generate_stream`).
 
         Returns
         -------
         ClimateEnsemble
             The emulated ensemble, marked ``metadata["source"] = "emulator"``.
-
-        Notes
-        -----
-        Implemented as the single-chunk case of :meth:`generate_stream`
-        (``chunk_size = n_times``), so the monolithic and streaming paths
-        cannot drift apart.
         """
         annual_forcing = np.asarray(annual_forcing, dtype=np.float64)
         chunk = next(iter(self.generate_stream(
@@ -103,7 +96,6 @@ class EmulationGenerator:
             include_nugget=include_nugget,
             start_year=start_year,
             chunk_size=n_times,
-            batch_size=batch_size,
         )))
         return ClimateEnsemble(
             data=chunk.data,
@@ -123,66 +115,25 @@ class EmulationGenerator:
         include_nugget: bool = True,
         start_year: int = 1940,
         chunk_size: int | None = None,
-        batch_size: int | None = None,
     ) -> Iterator[ClimateEnsemble]:
-        """Yield the emulation as a stream of time chunks.
+        """Stream ``n_realizations`` members drawn from one shared ``rng``.
 
-        Bounded-memory counterpart of :meth:`generate` for long scenario
-        runs: at most ``chunk_size`` time steps are materialised at once.
-        The VAR history is carried across chunks, and the mean trend is
-        evaluated at the absolute time offset of each chunk, so the
-        concatenated chunks form one coherent realisation.  A single chunk
-        covering the whole record (``chunk_size >= n_times``) is bit-exact
-        with :meth:`generate`.
-
-        Parameters
-        ----------
-        n_realizations / n_times / annual_forcing / rng / include_nugget:
-            As in :meth:`generate`.
-        chunk_size:
-            Time steps per yielded chunk (one model year when omitted).
-        batch_size:
-            Cap on realizations synthesised per inverse-SHT pass (all at
-            once when ``None``); random draws are made at full width in a
-            fixed order, so the stream is bit-identical for every value.
-
-        Yields
-        ------
-        ClimateEnsemble
-            Chunks of shape ``(n_realizations, <=chunk_size, ntheta, nphi)``
-            with ``metadata["stream_offset"]`` giving the absolute index of
-            the chunk's first time step.  Each chunk's ``forcing_annual``
-            is re-based to the chunk's first calendar year, so
-            ``forcing_per_step()`` on a chunk is exact whenever chunks
-            align with year boundaries (always true for the default
-            one-year ``chunk_size``); ``metadata["stream_phase"]`` records
-            the intra-year offset otherwise.
+        :meth:`generate_stream_multi` with the same generator in every
+        slot: numpy fills a wide draw sequentially, so the members'
+        consecutive draws are the bits of one ``(n_realizations, ...)``
+        draw per chunk.  See :meth:`generate_stream_multi` for the
+        chunk layout and metadata.
         """
-        # Validate eagerly (this is a plain function returning a generator),
-        # so bad arguments raise at the call site rather than at first next().
-        if n_realizations < 1 or n_times < 1:
-            raise ValueError("n_realizations and n_times must be positive")
-        if chunk_size is None:
-            chunk_size = self.steps_per_year
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        if n_realizations < 1:
+            raise ValueError("n_realizations must be positive")
         rng = rng or np.random.default_rng()
-        annual_forcing = np.asarray(annual_forcing, dtype=np.float64)
-        needed_years = -(-n_times // self.steps_per_year)
-        if len(annual_forcing) < needed_years:
-            # A mid-stream failure would leave consumers with a silently
-            # truncated scenario, so the forcing horizon is checked up front.
-            raise ValueError(
-                f"forcing covers {len(annual_forcing)} years but {n_times} "
-                f"steps require {needed_years}"
-            )
-        batch_size = validate_batch_size(batch_size)
-        stream = self.spectral_model.generate_standardized_stream(
-            rng, n_realizations, n_times, chunk_size,
-            include_nugget=include_nugget, batch_size=batch_size,
-        )
-        return self._wrap_chunks(
-            stream, n_times, annual_forcing, include_nugget, start_year
+        return self.generate_stream_multi(
+            [rng] * n_realizations,
+            n_times=n_times,
+            annual_forcing=annual_forcing,
+            include_nugget=include_nugget,
+            start_year=start_year,
+            chunk_size=chunk_size,
         )
 
     def generate_stream_multi(
@@ -194,25 +145,46 @@ class EmulationGenerator:
         start_year: int = 1940,
         chunk_size: int | None = None,
     ) -> Iterator[ClimateEnsemble]:
-        """Stream ``B = len(rngs)`` independent realisations in one batch.
+        """Yield ``B = len(rngs)`` realisations as a stream of time chunks.
 
-        The campaign hot path: member ``b`` of every yielded chunk draws
-        *only* from ``rngs[b]`` in serial order, so it is bit-identical to
-        ``generate_stream(n_realizations=1, rng=rngs[b], ...)``, while the
-        VAR recursion, the inverse SHT and the trend/scale restore run
-        once on the stacked batch (see
+        The one generation path, bounded in memory for long scenario
+        runs: at most ``chunk_size`` time steps are materialised at once,
+        the VAR history is carried across chunks, and the mean trend is
+        evaluated at the absolute time offset of each chunk, so the
+        concatenated chunks form one coherent realisation per member.
+        Member ``b`` draws *only* from ``rngs[b]``, so it is
+        bit-identical to the batch-of-one stream under ``rngs[b]``,
+        while the VAR recursion, the inverse SHT and the trend/scale
+        restore run once on the stacked batch (see
         :meth:`SpectralStochasticModel.generate_standardized_stream_multi
         <repro.core.spectral_model.SpectralStochasticModel.generate_standardized_stream_multi>`).
-        All batched members share one ``annual_forcing`` (and hence one
-        mean trend), which is why :func:`repro.run_campaign` only batches
+        All members share one ``annual_forcing`` (and hence one mean
+        trend), which is why :func:`repro.run_campaign` only batches
         realizations of the same scenario together.
+
+        Parameters
+        ----------
+        rngs:
+            One generator per member.
+        n_times / annual_forcing / include_nugget / start_year:
+            As in :meth:`generate`.
+        chunk_size:
+            Time steps per yielded chunk (one model year when omitted).
 
         Yields
         ------
         ClimateEnsemble
-            Chunks of shape ``(B, <=chunk_size, ntheta, nphi)`` with the
-            same metadata layout as :meth:`generate_stream`.
+            Chunks of shape ``(B, <=chunk_size, ntheta, nphi)`` with
+            ``metadata["stream_offset"]`` giving the absolute index of
+            the chunk's first time step.  Each chunk's ``forcing_annual``
+            is re-based to the chunk's first calendar year, so
+            ``forcing_per_step()`` on a chunk is exact whenever chunks
+            align with year boundaries (always true for the default
+            one-year ``chunk_size``); ``metadata["stream_phase"]`` records
+            the intra-year offset otherwise.
         """
+        # Validate eagerly (this is a plain function returning a generator),
+        # so bad arguments raise at the call site rather than at first next().
         rngs = list(rngs)
         if not rngs:
             raise ValueError("rngs must contain at least one generator")
@@ -225,6 +197,8 @@ class EmulationGenerator:
         annual_forcing = np.asarray(annual_forcing, dtype=np.float64)
         needed_years = -(-n_times // self.steps_per_year)
         if len(annual_forcing) < needed_years:
+            # A mid-stream failure would leave consumers with a silently
+            # truncated scenario, so the forcing horizon is checked up front.
             raise ValueError(
                 f"forcing covers {len(annual_forcing)} years but {n_times} "
                 f"steps require {needed_years}"

@@ -11,6 +11,7 @@ as white noise when emulations are generated.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,11 @@ __all__ = ["SpectralStochasticModel", "validate_batch_size"]
 def validate_batch_size(batch_size: "int | None") -> "int | None":
     """Validate an SHT working-set cap: ``None`` or a positive integer.
 
-    Shared by every ``batch_size``-accepting entry point (spectral fit
-    and generation, :class:`~repro.core.emulator.ClimateEmulator`, the
-    generator), so the rule cannot drift between them.  Non-integral
-    values are rejected here rather than failing later inside a slice.
+    Shared by every ``batch_size``-accepting fit entry point (the
+    spectral fit and :meth:`ClimateEmulator.fit
+    <repro.core.emulator.ClimateEmulator.fit>`), so the rule cannot
+    drift between them.  Non-integral values are rejected here rather
+    than failing later inside a slice.
     """
     if batch_size is None:
         return None
@@ -85,6 +87,8 @@ class SpectralStochasticModel:
     cholesky: CholeskyResult | None = field(init=False, default=None, repr=False)
     nugget_std: np.ndarray | None = field(init=False, default=None, repr=False)
     initial_state: np.ndarray | None = field(init=False, default=None, repr=False)
+    #: ``(cholesky, weakref to its dense L.T)`` — see :meth:`_lower_t`.
+    _dense_factor: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         # Plans are pure precomputation keyed on (backend, lmax, grid), so
@@ -153,6 +157,28 @@ class SpectralStochasticModel:
             np.asarray(spectral, dtype=np.float64), batch_size
         )
         return standardized - reconstructed
+
+    def _synthesize(self, series: np.ndarray, batch_size: int | None) -> np.ndarray:
+        """Inverse-transform a real coefficient series, blockwise over axis 0.
+
+        ``series`` has shape ``(R, ..., L**2)``; the inverse SHT is
+        applied in axis-0 blocks of at most ``batch_size`` (all at once
+        when ``None``), bounding the synthesis working set without
+        changing the result: the transform is independent per leading
+        slice, so the blocked output is bit-identical to the single-pass
+        output.
+        """
+        batch_size = validate_batch_size(batch_size)
+        n_real = series.shape[0]
+        if batch_size is None or batch_size >= n_real:
+            return self.plan.inverse(complex_from_real(series))
+        fields = np.empty(series.shape[:-1] + self.grid.shape, dtype=np.float64)
+        for start in range(0, n_real, batch_size):
+            block = series[start:start + batch_size]
+            fields[start:start + batch_size] = self.plan.inverse(
+                complex_from_real(block)
+            )
+        return fields
 
     # ------------------------------------------------------------------ #
     # Fitting
@@ -226,104 +252,26 @@ class SpectralStochasticModel:
         z = rng.standard_normal((n_realizations, n_times, k))
         return z @ self.cholesky.lower().T
 
-    def generate_standardized(
-        self,
-        rng: np.random.Generator,
-        n_realizations: int,
-        n_times: int,
-        include_nugget: bool = True,
-        batch_size: int | None = None,
-    ) -> np.ndarray:
-        """Generate standardised stochastic fields ``Z_t`` (Section III-B).
+    def _lower_t(self) -> np.ndarray:
+        """Dense ``L.T`` of the fitted factor, shared by the live streams.
 
-        Implemented as the single-chunk case of
-        :meth:`generate_standardized_stream`, so the two paths cannot
-        drift apart.  Output is ``float64`` of shape
-        ``(n_realizations, n_times, ntheta, nphi)`` and is a deterministic
-        function of ``rng`` alone — ``batch_size`` never changes a bit of
-        it (see :meth:`generate_standardized_stream`).
+        Every stream multiplies its draws by the same ``k x k`` matrix
+        and holds it for its lifetime, so streams alive together (the
+        service parks up to ``max_streams`` paused ones; campaign
+        threads run one each) share one copy instead of pinning one
+        each.  The model keeps only a weak reference, so the copy is
+        freed with its last stream.  Two threads racing on a dead
+        reference build equal arrays, so no lock is needed.
         """
-        stream = self.generate_standardized_stream(
-            rng, n_realizations, n_times, chunk_size=n_times,
-            include_nugget=include_nugget, batch_size=batch_size,
+        cached = self._dense_factor
+        dense = (
+            cached[1]() if cached is not None and cached[0] is self.cholesky
+            else None
         )
-        return next(iter(stream))[1]
-
-    def _synthesize(self, series: np.ndarray, batch_size: int | None) -> np.ndarray:
-        """Inverse-transform a real coefficient series, blockwise over axis 0.
-
-        ``series`` has shape ``(R, ..., L**2)``; the inverse SHT is
-        applied in axis-0 blocks of at most ``batch_size`` (all at once
-        when ``None``), bounding the synthesis working set without
-        changing the result: the transform is independent per leading
-        slice, so the blocked output is bit-identical to the single-pass
-        output.
-        """
-        batch_size = validate_batch_size(batch_size)
-        n_real = series.shape[0]
-        if batch_size is None or batch_size >= n_real:
-            return self.plan.inverse(complex_from_real(series))
-        fields = np.empty(series.shape[:-1] + self.grid.shape, dtype=np.float64)
-        for start in range(0, n_real, batch_size):
-            block = series[start:start + batch_size]
-            fields[start:start + batch_size] = self.plan.inverse(
-                complex_from_real(block)
-            )
-        return fields
-
-    def generate_standardized_stream(
-        self,
-        rng: np.random.Generator,
-        n_realizations: int,
-        n_times: int,
-        chunk_size: int,
-        include_nugget: bool = True,
-        batch_size: int | None = None,
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(t_start, fields)`` chunks of the standardised process.
-
-        Bounded-memory generation: at most ``chunk_size`` time steps are
-        materialised at once, and the VAR history is carried across chunks
-        so the concatenated stream follows the same AR(P) recursion as a
-        single monolithic draw.  :meth:`generate_standardized` is the
-        single-chunk case (``chunk_size = n_times``), so a stream whose
-        first chunk covers the whole record reproduces its output bit for
-        bit.
-
-        ``batch_size`` caps how many realizations the inverse transform
-        synthesises per pass (the ``O(L^3)`` working set); every random
-        draw is made at full ``n_realizations`` width in a fixed order
-        (innovations, then nugget, per chunk), so the output is
-        bit-identical for every ``batch_size`` under the same ``rng``.
-        """
-        if self.cholesky is None or self.nugget_std is None:
-            raise RuntimeError("fit() must be called first")
-        if n_realizations < 1 or n_times < 1:
-            raise ValueError("n_realizations and n_times must be positive")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        batch_size = validate_batch_size(batch_size)
-        p = self.var_order
-        k = self.cholesky.factor.n
-        if p > 0:
-            init = (
-                np.asarray(self.initial_state, dtype=np.float64)
-                if self.initial_state is not None
-                else np.zeros((p, k))
-            )
-            history = np.broadcast_to(init[-p:], (n_realizations, p, k)).copy()
-        else:
-            history = None
-        for t_start in range(0, n_times, chunk_size):
-            nt = min(chunk_size, n_times - t_start)
-            xi = self.sample_innovations(rng, n_realizations, nt)
-            series = self.var.simulate(xi, initial=history)
-            if p > 0:
-                history = np.concatenate([history, series], axis=1)[:, -p:, :]
-            fields = self._synthesize(series, batch_size)
-            if include_nugget:
-                fields = fields + self.nugget_std * rng.standard_normal(fields.shape)
-            yield t_start, fields
+        if dense is None:
+            dense = self.cholesky.lower().T
+            self._dense_factor = (self.cholesky, weakref.ref(dense))
+        return dense
 
     def generate_standardized_stream_multi(
         self,
@@ -332,29 +280,36 @@ class SpectralStochasticModel:
         chunk_size: int,
         include_nugget: bool = True,
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Drive ``B`` independent single-realization streams in one pass.
+        """Generate standardised fields ``Z_t`` (Section III-B), year-chunked.
 
-        The batched synthesis hot path: realization ``b`` consumes random
-        draws *only* from ``rngs[b]``, in exactly the order a serial
-        ``generate_standardized_stream(rngs[b], n_realizations=1, ...)``
-        call would (per chunk: one ``(1, nt, L**2)`` innovation draw, then
-        one ``(1, nt, ntheta, nphi)`` nugget draw), while the expensive
-        data-independent work — the VAR recursion and the inverse SHT —
-        runs once on the stacked ``(B, nt, L**2)`` coefficient block.
-        Both are computed independently per leading slice (elementwise AR
-        update; per-slice einsum/FFT), so chunk ``b`` of the yielded stack
-        is bit-identical to the serial stream under ``rngs[b]``.  This is
-        what lets :func:`repro.run_campaign` vectorise realizations that
-        have per-run ``SeedSequence``-spawned generators without changing
-        a single output bit.
+        The one generation path: ``B = len(rngs)`` realization streams
+        advance together, at most ``chunk_size`` time steps materialised
+        at once, with the VAR history carried across chunks so the
+        concatenated stream follows the same AR(P) recursion as one
+        monolithic draw.  Per chunk, stream ``b`` draws *only* from
+        ``rngs[b]`` — one ``(1, nt, L**2)`` innovation draw, then (after
+        every stream's innovations) one ``(1, nt, ntheta, nphi)`` nugget
+        draw — while the data-independent work, the VAR recursion and
+        the inverse SHT, runs once on the stacked ``(B, nt, L**2)``
+        coefficient block.  Both are computed independently per leading
+        slice (elementwise AR update; per-slice einsum/FFT), so member
+        ``b`` is bit-identical to the batch-of-one stream under
+        ``rngs[b]`` whatever else shares the batch.  Passing one
+        generator ``B`` times (``[rng] * B``) is the shared-generator
+        case: numpy fills a wide draw sequentially, so the ``B``
+        consecutive ``(1, ...)`` draws are the bits of one ``(B, ...)``
+        draw.
 
         Parameters
         ----------
         rngs:
-            One generator per batched stream (``B = len(rngs)``); each is
-            advanced exactly as its serial counterpart would be.
-        n_times / chunk_size / include_nugget:
-            As in :meth:`generate_standardized_stream`.
+            One generator per stream (``B = len(rngs)``).
+        n_times:
+            Total time steps of the record.
+        chunk_size:
+            Time steps per yielded chunk.
+        include_nugget:
+            Add the truncation nugget ``epsilon``.
 
         Yields
         ------
@@ -374,7 +329,7 @@ class SpectralStochasticModel:
         n_batch = len(rngs)
         p = self.var_order
         k = self.cholesky.factor.n
-        lower_t = self.cholesky.lower().T
+        lower_t = self._lower_t()
         if p > 0:
             init = (
                 np.asarray(self.initial_state, dtype=np.float64)
@@ -387,7 +342,7 @@ class SpectralStochasticModel:
         for t_start in range(0, n_times, chunk_size):
             nt = min(chunk_size, n_times - t_start)
             # Per-stream draws, stacked: stream b's generator sees the same
-            # request sequence as a serial n_realizations=1 run.
+            # request sequence as in a batch of one.
             z = np.concatenate(
                 [rng.standard_normal((1, nt, k)) for rng in rngs], axis=0
             )

@@ -9,7 +9,7 @@ A span measures one timed region of the hot path::
 Spans nest: each thread keeps its own stack, so a ``sht.forward`` span
 opened while ``fit.spectral`` is active records ``fit.spectral`` as its
 parent.  Work handed to another thread links explicitly —
-``span("campaign.run", parent=batch_span)`` — because a worker thread's
+``span("campaign.batch", parent=total_span)`` — because a worker thread's
 stack starts empty.
 
 Spans **always measure** (two ``perf_counter`` reads plus a duration

@@ -5,36 +5,32 @@ replayed across many forcing pathways and realisations.  This module turns
 that replay into a single sharded job: :func:`run_campaign` takes a fitted
 emulator (or a saved artifact path) plus ``scenarios x realizations``, and
 
-* assigns every run an independent, reproducible random stream via
-  ``np.random.SeedSequence.spawn`` — run ``i`` always gets the child with
-  ``spawn_key == (i,)``, so a campaign is bit-identical no matter how many
-  workers execute it or in which order they finish;
+* seeds every run by one rule: realization ``r`` of *every* scenario
+  draws from ``np.random.SeedSequence(seed, spawn_key=(r,))`` — the
+  stream :class:`~repro.serving.service.EmulationService` synthesizes
+  from — so a campaign is bit-identical no matter how many workers
+  execute it or in which order they finish;
 * shards the runs across ``concurrent.futures`` workers (threads by
-  default — generation is read-only on the fitted state — or processes);
-* drives :meth:`ClimateEmulator.emulate_stream
-  <repro.core.emulator.ClimateEmulator.emulate_stream>` so peak memory
-  stays at one chunk per worker regardless of scenario length, optionally
-  writing each chunk straight to disk;
-* optionally *batches* realizations of the same scenario
-  (``batch_size > 1``): each batched run keeps its own per-run generator,
-  but the VAR recursion and the inverse spherical-harmonic transform run
-  once on the stacked coefficient block
-  (:meth:`EmulationGenerator.generate_stream_multi
-  <repro.core.generator.EmulationGenerator.generate_stream_multi>`), which
-  amortises the ``O(L^3)`` synthesis over the batch with bit-identical
-  output;
+  default — generation is read-only on the fitted state — or processes)
+  in blocks of up to ``batch_size`` realizations of one scenario;
+* drives every block through the one generation path,
+  :meth:`EmulationGenerator.generate_stream_multi
+  <repro.core.generator.EmulationGenerator.generate_stream_multi>`: each
+  run keeps its own generator, peak memory stays at one chunk per block
+  regardless of scenario length, and the VAR recursion and the
+  ``O(L^3)`` inverse spherical-harmonic transform run once per block
+  with bit-identical output for every block size;
 * emits a :class:`CampaignManifest` recording, per run, the scenario, the
   seed spawn key, the chunk layout and the measured output bytes — the
   numbers :func:`repro.storage.accounting.campaign_storage_report` turns
   into the artifact-to-output "boost factor";
-* optionally lands every chunk in the serving tier's persistent
-  :class:`~repro.storage.chunkstore.ChunkStore` (``store=``): chunks are
-  keyed by the same ``(stream, realization, year)`` content-addresses
-  :class:`~repro.serving.service.EmulationService` uses, and store-backed
-  runs draw realization ``r`` from ``SeedSequence(seed, spawn_key=(r,))``
-  — the service's own stream — so a campaign *pre-warms* serving: every
-  campaign chunk is later served from the store with zero cold synthesis,
-  bit-identical for a lossless (float64) store.
+* optionally lands every chunk in the persistent
+  :class:`~repro.storage.chunkstore.ChunkStore` (``store=``), the one
+  persistence tier: chunks are keyed by the same ``(stream, realization,
+  year)`` content-addresses the service uses, so a campaign *pre-warms*
+  serving — every campaign chunk is later served from the store with
+  zero cold synthesis, bit-identical for a lossless (float64) store —
+  and :func:`iter_chunk_arrays` reads them back manifest-driven.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import re
 import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -71,20 +66,9 @@ __all__ = [
 _COLLECT_MODES = ("global-mean", "fields", "none")
 
 
-def _slug(name: str) -> str:
-    """File-name-safe spelling of a scenario name."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", str(name)).strip("-") or "scenario"
-
-
 @dataclass(frozen=True)
 class CampaignRunPlan:
     """Everything one worker needs to execute one campaign run.
-
-    ``index_width`` / ``chunk_width`` are the zero-padding widths of the
-    output chunk filenames, computed by :func:`plan_campaign` from the
-    campaign's actual run and chunk counts (never below the historical
-    3/4 digits) so lexicographic filename order equals execution order
-    even for campaigns beyond 1000 runs or 10000 chunks.
 
     ``store_root``/``store_encoding``/``stream_address`` are set when the
     campaign writes into a :class:`~repro.storage.chunkstore.ChunkStore`:
@@ -103,9 +87,6 @@ class CampaignRunPlan:
     chunk_size: int
     include_nugget: bool
     collect: str
-    output_dir: str | None
-    index_width: int = 3
-    chunk_width: int = 4
     store_root: str | None = None
     store_encoding: str = "float64"
     stream_address: str | None = None
@@ -127,7 +108,6 @@ class CampaignRunRecord:
     n_times: int
     chunk_sizes: list[int]
     output_bytes: int
-    output_files: list[str] = field(default_factory=list)
     #: Content-addresses of this run's chunks in the campaign's
     #: ``ChunkStore`` (chunk order), empty for store-less campaigns.
     #: These are the exact addresses ``FieldRequest`` serving resolves,
@@ -136,8 +116,8 @@ class CampaignRunRecord:
     chunk_addresses: list[str] = field(default_factory=list)
     collected: np.ndarray | None = None
     #: Measured wall-clock seconds of the run's execution block.  Runs
-    #: batched through ``batch_size > 1`` share one synthesis pass, so
-    #: they report the block's wall time, not a per-run share.  Like
+    #: of one block share one synthesis pass, so they report the block's
+    #: wall time, not a per-run share.  Like
     #: ``collected``, timing is measurement rather than content: it stays
     #: off :meth:`to_dict`, which campaign tests pin bit-identical across
     #: executors and batch sizes (the manifest-level ``timing`` block
@@ -154,7 +134,6 @@ class CampaignRunRecord:
             "n_times": int(self.n_times),
             "chunk_sizes": [int(c) for c in self.chunk_sizes],
             "output_bytes": int(self.output_bytes),
-            "output_files": [str(f) for f in self.output_files],
             "chunk_addresses": [str(a) for a in self.chunk_addresses],
         }
 
@@ -177,13 +156,13 @@ class CampaignManifest:
     #: the last worker), measured by the ``campaign.total`` span.
     total_wall_seconds: float = 0.0
     #: One ``{"scenario", "n_runs", "wall_seconds"}`` entry per executed
-    #: block, in campaign order (sourced from the ``campaign.batch`` /
-    #: ``campaign.run`` spans).
+    #: block, in campaign order (sourced from the ``campaign.batch``
+    #: spans).
     batch_timings: list[dict] = field(default_factory=list)
     #: Persistent-store header when the campaign wrote into a
     #: :class:`~repro.storage.chunkstore.ChunkStore`:
     #: ``{"root", "encoding", "stream_addresses": {scenario: address}}``.
-    #: ``None`` for NPZ-only campaigns.
+    #: ``None`` for store-less campaigns.
     store: "dict | None" = None
     #: Autotuning header when the campaign ran with ``tune="auto"``: the
     #: chosen plan (:meth:`repro.tuning.TuningPlan.to_dict`) plus
@@ -290,25 +269,20 @@ def plan_campaign(
     seed: int = 0,
     include_nugget: bool = True,
     collect: str = "global-mean",
-    output_dir: "str | os.PathLike | None" = None,
     start_level: float = 2.5,
     store_root: "str | None" = None,
     store_encoding: str = "float64",
 ) -> list[CampaignRunPlan]:
     """Expand ``scenarios x realizations`` into per-run execution plans.
 
-    Runs are ordered scenario-major, and run ``i`` is pinned to the
-    ``SeedSequence`` child with ``spawn_key == (i,)`` — the property that
-    makes sharded execution bit-identical to serial execution.
-
-    When ``store_root`` is set (the campaign writes into a
-    :class:`~repro.storage.chunkstore.ChunkStore`), seeding switches to
-    the serving contract instead: realization ``r`` of *every* scenario
-    draws from the child with ``spawn_key == (r,)`` — exactly the stream
-    :class:`~repro.serving.service.EmulationService` synthesizes from —
-    so the chunks a campaign lands under their serving content-addresses
-    are the chunks serving would have produced.  Sharded execution stays
-    bit-identical to serial either way (each run still owns one child).
+    Runs are ordered scenario-major, and realization ``r`` of *every*
+    scenario is pinned to the ``SeedSequence`` child with
+    ``spawn_key == (r,)`` — exactly the stream
+    :class:`~repro.serving.service.EmulationService` synthesizes from.
+    Each run owns one child, which makes sharded execution bit-identical
+    to serial execution, and the chunks a campaign lands under their
+    serving content-addresses (``store_root`` set) are the chunks
+    serving would have produced.
     """
     specs = [resolve_scenario(s, start_level=start_level) for s in scenarios]
     if not specs:
@@ -327,20 +301,9 @@ def plan_campaign(
     if collect not in _COLLECT_MODES:
         raise ValueError(f"collect must be one of {_COLLECT_MODES}, got {collect!r}")
     n_years = -(-int(n_times) // int(steps_per_year))
-    n_runs = len(specs) * n_realizations
-    n_chunks = -(-int(n_times) // int(chunk_size))
-    # Padding widths sized to the campaign (floors keep historical names
-    # stable): a 12000-run or 20000-chunk campaign still sorts correctly.
-    index_width = max(3, len(str(n_runs - 1)))
-    chunk_width = max(4, len(str(n_chunks - 1)))
-    if store_root is None:
-        # Legacy run-indexed seeding: run i draws from spawn_key (i,).
-        children = np.random.SeedSequence(seed).spawn(n_runs)
-    else:
-        # Serving-contract seeding: realization r draws from spawn_key
-        # (r,) whatever its scenario, matching EmulationService.
-        children = np.random.SeedSequence(seed).spawn(n_realizations)
-    out_dir = None if output_dir is None else os.fspath(output_dir)
+    # Realization r draws from spawn_key (r,) whatever its scenario,
+    # matching EmulationService.
+    children = np.random.SeedSequence(seed).spawn(n_realizations)
     plans: list[CampaignRunPlan] = []
     for spec in specs:
         forcing = spec.annual_forcing(n_years)
@@ -352,20 +315,16 @@ def plan_campaign(
                 spec, include_nugget=include_nugget, start_level=start_level
             ).stream_address()
         for realization in range(n_realizations):
-            index = len(plans)
             plans.append(CampaignRunPlan(
-                index=index,
+                index=len(plans),
                 scenario=spec.name,
                 realization=realization,
-                seed=children[index if store_root is None else realization],
+                seed=children[realization],
                 forcing=forcing,
                 n_times=int(n_times),
                 chunk_size=int(chunk_size),
                 include_nugget=include_nugget,
                 collect=collect,
-                output_dir=out_dir,
-                index_width=index_width,
-                chunk_width=chunk_width,
                 store_root=store_root,
                 store_encoding=str(store_encoding),
                 stream_address=stream_address,
@@ -375,11 +334,10 @@ def plan_campaign(
 
 @dataclass
 class _RunAccumulator:
-    """Per-run bookkeeping shared by the serial and batched executors."""
+    """Per-run bookkeeping of one execution block."""
 
     plan: CampaignRunPlan
     chunk_sizes: list[int] = field(default_factory=list)
-    output_files: list[str] = field(default_factory=list)
     collected_parts: "list[np.ndarray]" = field(default_factory=list)
     #: ``address -> float64 chunk`` staged for the campaign's store,
     #: flushed once per execution block through ``put_many`` (one
@@ -389,16 +347,15 @@ class _RunAccumulator:
     output_bytes: int = 0
 
     def add_chunk(
-        self, j: int, t_start: int, member: np.ndarray, global_means: np.ndarray
+        self, t_start: int, member: np.ndarray, global_means: np.ndarray
     ) -> None:
         """Record one chunk of this run.
 
-        ``member`` is the run's ``(1, nt, ntheta, nphi)`` slice of the
+        ``member`` is the run's ``(nt, ntheta, nphi)`` slice of the
         chunk; ``global_means`` its ``(nt,)`` area-weighted mean series.
         """
         plan = self.plan
-        nt = member.shape[1]
-        self.chunk_sizes.append(nt)
+        self.chunk_sizes.append(member.shape[0])
         self.output_bytes += member.size * np.dtype(np.float32).itemsize
         if plan.store_root is not None:
             # One chunk == one model year (run_campaign pins chunk_size
@@ -406,35 +363,18 @@ class _RunAccumulator:
             # serving address is (stream, realization, t_start // spy).
             # The full-precision float64 data is staged — the store's
             # lossless tier preserves the service's bit-exactness
-            # contract, unlike the float32 NPZ shards.
+            # contract.
             address = chunk_address(
                 plan.stream_address, plan.realization, t_start // plan.chunk_size
             )
             self.chunk_addresses.append(address)
             self.store_chunks[address] = np.ascontiguousarray(
-                np.asarray(member[0], dtype=np.float64)
+                np.asarray(member, dtype=np.float64)
             )
         if plan.collect == "global-mean":
             self.collected_parts.append(global_means)
         elif plan.collect == "fields":
-            self.collected_parts.append(member[0])
-        if plan.output_dir is not None:
-            # The run index alone makes the name unique (scenario slugs can
-            # collide after sanitisation; realizations repeat across
-            # scenarios); the slug and realization are readability only.
-            name = (
-                f"run{plan.index:0{plan.index_width}d}_{_slug(plan.scenario)}"
-                f"_r{plan.realization}_chunk{j:0{plan.chunk_width}d}.npz"
-            )
-            path = os.path.join(plan.output_dir, name)
-            np.savez(
-                path,
-                data=member.astype(np.float32),
-                t_start=t_start,
-                scenario=plan.scenario,
-                realization=plan.realization,
-            )
-            self.output_files.append(path)
+            self.collected_parts.append(member)
 
     def record(self) -> CampaignRunRecord:
         """Finish the run and build its manifest record."""
@@ -450,7 +390,6 @@ class _RunAccumulator:
             n_times=self.plan.n_times,
             chunk_sizes=self.chunk_sizes,
             output_bytes=self.output_bytes,
-            output_files=self.output_files,
             chunk_addresses=self.chunk_addresses,
             collected=collected,
         )
@@ -481,58 +420,24 @@ def _flush_store(
     counter_add("campaign.store.bytes", nbytes)
 
 
-def _execute_run(
-    emulator, plan: CampaignRunPlan, parent=None, store: "ChunkStore | None" = None
-) -> CampaignRunRecord:
-    """Stream one run chunk by chunk and record its outcome.
-
-    ``parent`` links this run's span to the campaign-level span even when
-    the run executes on a pool thread (whose span stack starts empty).
-    """
-    sp = span(
-        "campaign.run",
-        parent=parent,
-        index=plan.index,
-        scenario=plan.scenario,
-        realization=plan.realization,
-    )
-    with sp:
-        rng = np.random.default_rng(plan.seed)
-        acc = _RunAccumulator(plan)
-        stream = emulator.emulate_stream(
-            n_realizations=1,
-            n_times=plan.n_times,
-            annual_forcing=plan.forcing,
-            rng=rng,
-            include_nugget=plan.include_nugget,
-            chunk_size=plan.chunk_size,
-        )
-        for j, chunk in enumerate(stream):
-            t_start = chunk.metadata.get("stream_offset", 0)
-            acc.add_chunk(j, t_start, chunk.data, chunk.global_mean_series()[0])
-        _flush_store(store, [acc])
-        record = acc.record()
-        sp.set(output_bytes=record.output_bytes, chunks=len(record.chunk_sizes))
-    record.wall_seconds = sp.seconds
-    return record
-
-
 def _execute_batch(
     emulator, plans: "list[CampaignRunPlan]", parent=None,
     store: "ChunkStore | None" = None,
 ) -> "list[CampaignRunRecord]":
     """Execute a block of same-scenario runs in one vectorized stream.
 
-    Every plan keeps its own ``SeedSequence``-derived generator and
-    consumes it in exactly the serial order, so each returned record is
-    bit-identical to ``_execute_run`` on the same plan; only the shared
-    data-independent work (VAR recursion, inverse SHT, trend/scale
-    restore) is amortised across the block.  Each record's
-    ``wall_seconds`` is the block's wall time (the synthesis is shared,
-    so a per-run share would be fiction).
+    Every plan keeps its own ``SeedSequence``-derived generator, so each
+    returned record is bit-identical whatever else shares the block (a
+    block of one is the same loop); only the shared data-independent
+    work (VAR recursion, inverse SHT, trend/scale restore) is amortised
+    across the block.  Each record's ``wall_seconds`` is the block's
+    wall time (the synthesis is shared, so a per-run share would be
+    fiction).
+
+    ``parent`` links this block's span to the campaign-level span even
+    when the block executes on a pool thread (whose span stack starts
+    empty).
     """
-    if len(plans) == 1:
-        return [_execute_run(emulator, plans[0], parent=parent, store=store)]
     first = plans[0]
     assert all(p.scenario == first.scenario for p in plans), (
         "batched plans must share one scenario (one forcing / mean trend)"
@@ -546,20 +451,19 @@ def _execute_batch(
     with sp:
         rngs = [np.random.default_rng(plan.seed) for plan in plans]
         accs = [_RunAccumulator(plan) for plan in plans]
-        summary = emulator.training_summary
         stream = emulator.generator().generate_stream_multi(
             rngs,
             n_times=first.n_times,
             annual_forcing=first.forcing,
             include_nugget=first.include_nugget,
-            start_year=summary.start_year,
+            start_year=emulator.training_summary.start_year,
             chunk_size=first.chunk_size,
         )
-        for j, chunk in enumerate(stream):
-            t_start = chunk.metadata.get("stream_offset", 0)
+        for chunk in stream:
+            t_start = chunk.metadata["stream_offset"]
             means = chunk.global_mean_series()  # (B, nt)
             for b, acc in enumerate(accs):
-                acc.add_chunk(j, t_start, chunk.data[b:b + 1], means[b])
+                acc.add_chunk(t_start, chunk.data[b], means[b])
         _flush_store(store, accs)
         records = [acc.record() for acc in accs]
     for record in records:
@@ -573,8 +477,8 @@ def _batch_plans(
     """Group plans into same-scenario blocks of at most ``batch_size``.
 
     Plans are scenario-major (see :func:`plan_campaign`), so consecutive
-    runs of one scenario form each block; ``None`` or 1 degenerates to
-    one-run blocks (the per-run serial path).
+    runs of one scenario form each block; ``None`` or 1 gives one-run
+    blocks.
     """
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be positive")
@@ -637,22 +541,21 @@ def _execute_batch_in_process(
     return _execute_batch(emulator, plans, store=store)
 
 
-def _resolve_reader_store(manifest, store) -> "ChunkStore | None":
-    """The :class:`ChunkStore` to read a campaign back from, if any.
+def _resolve_reader_store(manifest, store) -> ChunkStore:
+    """The :class:`ChunkStore` to read a campaign back from.
 
-    ``store=True`` opens the store the manifest records; a path opens
+    ``store=None`` opens the store the manifest records; a path opens
     that root with the manifest's recorded encoding (falling back to
     lossless); a :class:`ChunkStore` instance is used as-is.
     """
-    if store is None or isinstance(store, ChunkStore):
+    if isinstance(store, ChunkStore):
         return store
     header = manifest.get("store") if isinstance(manifest, dict) else manifest.store
-    if store is True:
+    if store is None:
         if not header:
             raise ValueError(
-                "iter_chunk_arrays(store=True) needs a manifest from a "
-                "store-backed campaign (run_campaign(store=...)), but this "
-                "manifest records no store"
+                "the manifest records no chunk_addresses — the campaign "
+                "did not write into a store (run_campaign(store=...))"
             )
         return _store_handle(str(header["root"]), str(header["encoding"]))
     encoding = str(header["encoding"]) if header else "float64"
@@ -660,29 +563,22 @@ def _resolve_reader_store(manifest, store) -> "ChunkStore | None":
 
 
 def iter_chunk_arrays(manifest, *, store=None):
-    """Load the chunk shards of a campaign back, manifest-driven.
+    """Load the stored chunks of a campaign back, manifest-driven.
 
-    Yields ``(run, member)`` for every run that wrote output:
-    ``run`` is the manifest's run entry (a :class:`CampaignRunRecord`,
-    or a plain dict when iterating a JSON-loaded manifest) and
-    ``member`` is the run's reassembled ``float32`` field array of shape
-    ``(n_times, ntheta, nphi)``.
-
-    With ``store=None`` (default) the run's NPZ ``output_files`` are
-    read; with ``store=True`` (the store the manifest records), a store
-    root path, or a :class:`~repro.storage.chunkstore.ChunkStore`, the
-    run's ``chunk_addresses`` are fetched from the persistent store —
-    the same bytes ``FieldRequest`` serving resolves, cast to float32
-    so both paths yield identical arrays for a lossless store.
+    Yields ``(run, member)`` for every run: ``run`` is the manifest's
+    run entry (a :class:`CampaignRunRecord`, or a plain dict when
+    iterating a JSON-loaded manifest) and ``member`` is the run's
+    reassembled ``float32`` field array of shape
+    ``(n_times, ntheta, nphi)``, fetched by the run's
+    ``chunk_addresses`` from the persistent store — the same bytes
+    ``FieldRequest`` serving resolves.
 
     Every chunk is validated against the manifest's recorded layout
     before anything is yielded: chunk count and per-chunk length must
-    match ``chunk_sizes``, ``t_start`` markers must tile the run
-    contiguously, spatial shapes must agree across chunks, and NPZ
-    shards must carry the run's own scenario/realization stamp — a
-    missing, truncated, reordered or foreign shard raises a ``ValueError``
-    naming the run and shard instead of silently yielding a corrupt
-    record.
+    match ``chunk_sizes``, the chunks must tile ``n_times``
+    contiguously and spatial shapes must agree across chunks — a
+    missing, truncated or foreign chunk raises a ``ValueError`` naming
+    the run and chunk instead of silently yielding a corrupt record.
 
     Parameters
     ----------
@@ -690,117 +586,64 @@ def iter_chunk_arrays(manifest, *, store=None):
         A :class:`CampaignManifest`, its :meth:`CampaignManifest.to_dict`
         form, or a JSON-loaded manifest document.
     store:
-        ``None`` (read NPZ files), ``True`` (read the manifest's
-        recorded store), a store root path, or an open
-        :class:`~repro.storage.chunkstore.ChunkStore`.
+        ``None`` (read the store the manifest records), a store root
+        path, or an open :class:`~repro.storage.chunkstore.ChunkStore`.
     """
     reader_store = _resolve_reader_store(manifest, store)
     runs = manifest["runs"] if isinstance(manifest, dict) else manifest.runs
     for run in runs:
-        if isinstance(run, dict):
-            files = [str(f) for f in run.get("output_files", [])]
-            addresses = [str(a) for a in run.get("chunk_addresses", [])]
-            chunk_sizes = [int(c) for c in run["chunk_sizes"]]
-            n_times = int(run["n_times"])
-            scenario = str(run["scenario"])
-            realization = int(run["realization"])
-            label = f"run {run['index']} ({scenario!r}, r{realization})"
-        else:
-            files = list(run.output_files)
-            addresses = list(run.chunk_addresses)
-            chunk_sizes = [int(c) for c in run.chunk_sizes]
-            n_times = int(run.n_times)
-            scenario = str(run.scenario)
-            realization = int(run.realization)
-            label = f"run {run.index} ({scenario!r}, r{realization})"
-        if reader_store is not None:
-            if not addresses:
+        entry = run if isinstance(run, dict) else run.to_dict()
+        addresses = [str(a) for a in entry.get("chunk_addresses", [])]
+        chunk_sizes = [int(c) for c in entry["chunk_sizes"]]
+        n_times = int(entry["n_times"])
+        label = (
+            f"run {entry['index']} ({entry['scenario']!r}, r{entry['realization']})"
+        )
+        if not addresses:
+            raise ValueError(
+                f"{label}: the manifest records no chunk_addresses — "
+                f"the campaign did not write into a store "
+                f"(run_campaign(store=...))"
+            )
+        if len(addresses) != len(chunk_sizes):
+            raise ValueError(
+                f"{label}: the manifest records {len(addresses)} "
+                f"chunk_addresses but {len(chunk_sizes)} chunk_sizes; "
+                f"the manifest is corrupt"
+            )
+        # Addresses are recorded in chunk order, so chunk j starts at the
+        # running offset of the manifest's chunk_sizes.
+        arrays = []
+        offset = 0
+        for j, address in enumerate(addresses):
+            array = reader_store.get(address)
+            if array is None:
                 raise ValueError(
-                    f"{label}: the manifest records no chunk_addresses — "
-                    f"the campaign did not write into a store "
-                    f"(run_campaign(store=...)); read its NPZ files instead"
+                    f"{label}: chunk {j} at t_start={offset} (address "
+                    f"{address[:12]}...) is not in the store at "
+                    f"{reader_store.root}; it was pruned or never committed"
                 )
-            if len(addresses) != len(chunk_sizes):
+            if array.shape[0] != chunk_sizes[j]:
                 raise ValueError(
-                    f"{label}: the manifest records {len(addresses)} "
-                    f"chunk_addresses but {len(chunk_sizes)} chunk_sizes; "
-                    f"the manifest is corrupt"
+                    f"{label}: chunk {j} at t_start={offset} holds "
+                    f"{array.shape[0]} time steps but the manifest records "
+                    f"{chunk_sizes[j]}; the chunk was truncated or rewritten "
+                    f"since the campaign ran"
                 )
-            arrays = []
-            for j, address in enumerate(addresses):
-                array = reader_store.get(address)
-                if array is None:
-                    raise ValueError(
-                        f"{label}: chunk {j} (address {address[:12]}...) is "
-                        f"not in the store at {reader_store.root}; it was "
-                        f"pruned or never committed"
-                    )
-                arrays.append(array)
-            # Addresses are recorded in chunk order; their t_starts are
-            # the manifest layout's running offsets by construction.
-            parts = [
-                (sum(chunk_sizes[:j]), array) for j, array in enumerate(arrays)
-            ]
-            source = f"store {reader_store.root}"
-        else:
-            if not files:
-                continue
-            parts = []
-            for path in files:
-                with np.load(path) as payload:
-                    if "scenario" in payload and str(payload["scenario"]) != scenario:
-                        raise ValueError(
-                            f"{label}: shard {path} belongs to scenario "
-                            f"{str(payload['scenario'])!r}; the manifest and "
-                            f"the files on disk disagree"
-                        )
-                    if (
-                        "realization" in payload
-                        and int(payload["realization"]) != realization
-                    ):
-                        raise ValueError(
-                            f"{label}: shard {path} belongs to realization "
-                            f"r{int(payload['realization'])}; the manifest "
-                            f"and the files on disk disagree"
-                        )
-                    parts.append(
-                        (int(payload["t_start"]), np.asarray(payload["data"][0]))
-                    )
-            parts.sort(key=lambda item: item[0])
-            source = "files"
-        expected = 0
-        for j, (t_start, data) in enumerate(parts):
-            if t_start != expected:
-                raise ValueError(
-                    f"{label}: chunk at t_start={t_start} does not continue "
-                    f"the record (expected t_start={expected}); a shard is "
-                    f"missing or duplicated"
-                )
-            if j < len(chunk_sizes) and data.shape[0] != chunk_sizes[j]:
-                raise ValueError(
-                    f"{label}: chunk {j} holds {data.shape[0]} time steps "
-                    f"but the manifest records {chunk_sizes[j]}; the shard "
-                    f"was truncated or rewritten since the campaign ran"
-                )
-            if data.shape[1:] != parts[0][1].shape[1:]:
+            if arrays and array.shape[1:] != arrays[0].shape[1:]:
                 raise ValueError(
                     f"{label}: chunk {j} has spatial shape "
-                    f"{tuple(data.shape[1:])} but chunk 0 has "
-                    f"{tuple(parts[0][1].shape[1:])}; shards of one run "
+                    f"{tuple(array.shape[1:])} but chunk 0 has "
+                    f"{tuple(arrays[0].shape[1:])}; chunks of one run "
                     f"must share one grid"
                 )
-            expected += data.shape[0]
-        if expected != n_times:
+            arrays.append(array)
+            offset += chunk_sizes[j]
+        if offset != n_times:
             raise ValueError(
-                f"{label}: chunks cover {expected} of {n_times} time steps"
+                f"{label}: chunks cover {offset} of {n_times} time steps"
             )
-        if len(parts) != len(chunk_sizes):
-            raise ValueError(
-                f"{label}: {source} hold {len(parts)} chunks but the "
-                f"manifest records {len(chunk_sizes)}"
-            )
-        member = np.concatenate([data for _, data in parts], axis=0)
-        yield run, np.asarray(member, dtype=np.float32)
+        yield run, np.concatenate(arrays, axis=0).astype(np.float32)
 
 
 class _Heartbeat:
@@ -865,7 +708,6 @@ def run_campaign(
     tune: "str | None" = None,
     include_nugget: bool = True,
     collect: str = "global-mean",
-    output_dir: "str | os.PathLike | None" = None,
     start_level: float = 2.5,
     store: "ChunkStore | str | os.PathLike | None" = None,
     progress=None,
@@ -873,15 +715,14 @@ def run_campaign(
     """Replay a fitted emulator across ``scenarios x realizations`` runs.
 
     Determinism guarantee: every per-run output (the run records, the
-    collected reductions, the NPZ chunks, the stored chunks) is a pure
-    function of ``(source, scenarios, n_realizations, n_times,
-    chunk_size, seed, include_nugget, collect, start_level, store
-    encoding)``.  Run ``i`` always draws from the ``SeedSequence`` child
-    with ``spawn_key == (i,)`` — or, for store-backed campaigns,
-    realization ``r`` draws from the child with ``spawn_key == (r,)``
-    (see below) — so ``max_workers``, ``executor``, ``batch_size`` and
-    ``tune`` are throughput knobs only: any combination produces
-    bit-identical runs.  (The manifest *header* records those execution knobs for
+    collected reductions, the stored chunks) is a pure function of
+    ``(source, scenarios, n_realizations, n_times, chunk_size, seed,
+    include_nugget, collect, start_level, store encoding)``.
+    Realization ``r`` of every scenario always draws from the
+    ``SeedSequence`` child with ``spawn_key == (r,)``, store or no
+    store, so ``max_workers``, ``executor``, ``batch_size`` and ``tune``
+    are throughput knobs only: any combination produces bit-identical
+    runs.  (The manifest *header* records those execution knobs for
     provenance, so whole-manifest JSON differs across them even though
     ``runs`` never does.)
 
@@ -900,8 +741,10 @@ def run_campaign(
     chunk_size:
         Streaming chunk length (one model year by default).
     seed:
-        Root entropy; run ``i`` draws from the ``SeedSequence`` child with
-        ``spawn_key == (i,)``, so results do not depend on ``max_workers``.
+        Root entropy; realization ``r`` draws from the ``SeedSequence``
+        child with ``spawn_key == (r,)`` — the stream
+        :class:`~repro.serving.service.EmulationService` uses under the
+        same seed — so results do not depend on ``max_workers``.
     max_workers:
         Worker count; 1 runs serially.  ``None`` resolves explicitly —
         to the autotuning plan under ``tune="auto"``, else to
@@ -909,10 +752,10 @@ def run_campaign(
         resolved integer, never ``null``.
     batch_size:
         Realizations of one scenario synthesised together per vectorized
-        block (``None`` or 1 keeps the per-run path; under
+        block (``None`` or 1 gives one-run blocks; under
         ``tune="auto"`` an unset value is chosen by the planner).
         Batched runs keep their own per-run generators, so output is
-        bit-identical to the serial path; the VAR recursion and the
+        bit-identical for every block size; the VAR recursion and the
         ``O(L^3)`` inverse SHT run once per block instead of once per
         run.  Work is sharded across workers block-wise, so for small
         campaigns a large ``batch_size`` trades worker parallelism for
@@ -940,9 +783,6 @@ def run_campaign(
         Per-run reduction kept on the manifest: ``"global-mean"`` (the
         area-weighted series, default), ``"fields"`` (the full member —
         unbounded memory, test-sized runs only) or ``"none"``.
-    output_dir:
-        When given, every chunk is written there as an NPZ file as it is
-        generated (bounded-memory streaming to disk).
     start_level:
         Baseline forcing handed to the scenario factories.
     store:
@@ -952,23 +792,17 @@ def run_campaign(
         content-addresses — so an
         :class:`~repro.serving.service.EmulationService` over the same
         root (same seed) serves every campaign chunk with **zero** cold
-        synthesis, bit-identical for a float64 store.  Two contracts
-        change under ``store=``:
-
-        * **seeding** follows the service: realization ``r`` of every
-          scenario draws from ``SeedSequence(seed, spawn_key=(r,))``
-          instead of the run-indexed ``(i,)`` key, so one store root is
-          coherent for one ``(artifact, seed)`` pair across scenarios;
-        * **chunking** is pinned to the canonical year stream:
-          ``chunk_size`` must equal ``steps_per_year`` (the default) and
-          ``n_times`` must be a whole number of years, because serving
-          addresses chunks by model year.
+        synthesis, bit-identical for a float64 store.  Chunking is
+        pinned to the canonical year stream under ``store=``:
+        ``chunk_size`` must equal ``steps_per_year`` (the default) and
+        ``n_times`` must be a whole number of years, because serving
+        addresses chunks by model year.
 
         Chunks are staged per execution block and committed with one
         ``put_many`` transaction per block (multi-process safe; a
         re-run campaign finds its addresses already stored and skips
-        them).  The full float64 data is stored; ``output_dir`` NPZ
-        shards (float32) can be written alongside.
+        them).  The full float64 data is stored;
+        :func:`iter_chunk_arrays` reads it back manifest-driven.
     progress:
         Optional callback for the structured progress heartbeat.  After
         every completed execution block (and once at start) the campaign
@@ -1008,8 +842,6 @@ def run_campaign(
         raise ValueError("batch_size must be positive")
     if max_workers is not None and int(max_workers) < 1:
         raise ValueError("max_workers must be positive")
-    if output_dir is not None:
-        os.makedirs(os.fspath(output_dir), exist_ok=True)
 
     store_obj: "ChunkStore | None" = None
     if store is not None:
@@ -1037,7 +869,7 @@ def run_campaign(
         scenarios, n_realizations,
         n_times=n_times, steps_per_year=summary.steps_per_year,
         chunk_size=chunk_size, seed=seed, include_nugget=include_nugget,
-        collect=collect, output_dir=output_dir, start_level=start_level,
+        collect=collect, start_level=start_level,
         store_root=None if store_obj is None else store_obj.root,
         store_encoding="float64" if store_obj is None else store_obj.encoding,
     )
@@ -1075,7 +907,6 @@ def run_campaign(
                 ntheta=summary.grid.ntheta,
                 nphi=summary.grid.nphi,
                 store=store_obj is not None,
-                writes_output=output_dir is not None,
                 collect=collect,
             )
             plan = plan_campaign_execution(
@@ -1114,16 +945,14 @@ def run_campaign(
         # per-block record lists, so the coordinating thread drains it
         # block by block and beats the progress heartbeat as each block
         # lands — identical records, now observable mid-flight.
-        if workers == 1:
-            batched = (
-                _execute_batch(emulator, block, parent=total_span, store=store_obj)
-                for block in blocks
-            )
-            for block_records in batched:
-                records.extend(block_records)
-                heartbeat.update(len(block_records))
-        elif executor == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+        with contextlib.ExitStack() as stack:
+            if workers == 1:
+                batched = (
+                    _execute_batch(emulator, block, parent=total_span, store=store_obj)
+                    for block in blocks
+                )
+            elif executor == "thread":
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
                 batched = pool.map(
                     partial(
                         _execute_batch, emulator,
@@ -1131,11 +960,7 @@ def run_campaign(
                     ),
                     blocks,
                 )
-                for block_records in batched:
-                    records.extend(block_records)
-                    heartbeat.update(len(block_records))
-        else:
-            with contextlib.ExitStack() as stack:
+            else:
                 worker_source = source
                 if not isinstance(source, (str, os.PathLike)):
                     # Worker processes need a picklable source; an in-memory
@@ -1151,9 +976,9 @@ def run_campaign(
                 batched = pool.map(
                     partial(_execute_batch_in_process, source=worker_source), blocks
                 )
-                for block_records in batched:
-                    records.extend(block_records)
-                    heartbeat.update(len(block_records))
+            for block_records in batched:
+                records.extend(block_records)
+                heartbeat.update(len(block_records))
         if store_obj is not None:
             # Process workers commit through their own handles; one
             # refresh makes their entries visible on the caller's.

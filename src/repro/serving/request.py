@@ -72,8 +72,7 @@ class FieldRequest:
     realization:
         Realization index ``r >= 0``.  The service draws realization
         ``r`` from ``np.random.SeedSequence(seed, spawn_key=(r,))`` — the
-        same stream campaign run ``r`` of a single-scenario campaign
-        would use.
+        same stream realization ``r`` of every campaign scenario uses.
     year_start / year_stop:
         Half-open model-year range ``[year_start, year_stop)`` relative
         to emulation year 0.  ``year_stop=None`` means one year.

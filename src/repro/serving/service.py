@@ -9,20 +9,19 @@ already holds it.  Three tiers answer a request, cheapest first:
    entry per ``(scenario, realization, year)`` content-address);
 2. an optional persistent :class:`~repro.storage.chunkstore.ChunkStore`
    (read-through on miss, write-through on synthesis);
-3. synthesis through :meth:`ClimateEmulator.emulate_stream
-   <repro.core.emulator.ClimateEmulator.emulate_stream>` — with
-   single-flight locking (concurrent identical requests compute once)
-   and request coalescing (same-scenario requests pending while a
-   synthesis is in flight are batched through
+3. synthesis through the one generation path,
    :meth:`EmulationGenerator.generate_stream_multi
-   <repro.core.generator.EmulationGenerator.generate_stream_multi>`).
+   <repro.core.generator.EmulationGenerator.generate_stream_multi>` —
+   with single-flight locking (concurrent identical requests compute
+   once) and request coalescing (same-scenario requests pending while
+   a synthesis is in flight advance together as one batch).
 
 Determinism contract
 --------------------
 Realization ``r`` of a scenario draws from
 ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))``
-— the identical stream campaign run ``r`` of a one-scenario
-:func:`repro.run_campaign` uses — and is synthesized as the **canonical
+— the identical stream realization ``r`` of every
+:func:`repro.run_campaign` scenario uses — and is synthesized as the **canonical
 year-chunked stream**: ``emulate_stream(chunk_size=steps_per_year)``.
 Year ``y`` of that stream depends only on years ``<= y`` (the draw
 schedule is fixed per model year), so chunks are *prefix-compatible*:
@@ -569,96 +568,57 @@ class EmulationService:
     ) -> dict[str, np.ndarray]:
         """Produce every missing chunk implied by ``needs``.
 
-        One realization with a resumable live stream continues from its
-        pause point; everything else synthesizes the canonical stream
-        from year 0.  Multiple realizations are stacked through the
-        batched multi-stream path (one VAR recursion + inverse SHT per
-        chunk for the whole batch), bit-identical per member to the
-        serial stream.
+        The realizations with real gaps advance together through the
+        one generation path (one VAR recursion + inverse SHT per year
+        chunk for the whole batch), each drawing only from its own
+        generator, so every member is bit-identical to its batch-of-one
+        stream.  A batch of one with a resumable live stream continues
+        from its pause point and is parked again afterwards; everything
+        else synthesizes the canonical stream from year 0.
         """
         jobs = self._missing_jobs(stream_addr, needs)
         if not jobs:
             return {}
-        if len(jobs) > 1:
-            return self._synthesize_batch(stream_addr, spec, include_nugget, jobs)
-        (realization, (first_missing, stop)), = jobs.items()
-        return self._synthesize_single(
-            stream_addr, spec, include_nugget, realization, first_missing, stop
-        )
-
-    def _open_stream(self, spec, include_nugget: bool, realization: int, horizon: int):
-        forcing = spec.annual_forcing(horizon)
-        spy = self.steps_per_year
-        iterator = self._emulator.emulate_stream(
-            n_realizations=1,
-            n_times=horizon * spy,
-            annual_forcing=forcing,
-            rng=self._realization_rng(realization),
-            include_nugget=include_nugget,
-            chunk_size=spy,
-        )
-        return _LiveStream(iterator, next_year=0, horizon=horizon)
-
-    def _synthesize_single(
-        self,
-        stream_addr: str,
-        spec,
-        include_nugget: bool,
-        realization: int,
-        first_missing: int,
-        stop: int,
-    ) -> dict[str, np.ndarray]:
-        key = (stream_addr, realization)
-        with self._lock:
-            live = self._streams.pop(key, None)
-        if (
-            live is not None
-            and live.next_year <= first_missing
-            and live.horizon >= stop
-        ):
+        realizations = sorted(jobs)
+        stop = max(job_stop for _, job_stop in jobs.values())
+        # Only a batch of one is parked: its key names the one stream a
+        # follow-up request for later years can resume.
+        key = (stream_addr, realizations[0]) if len(realizations) == 1 else None
+        live = None
+        if key is not None:
+            with self._lock:
+                live = self._streams.pop(key, None)
+            first_missing = jobs[realizations[0]][0]
+            if live is not None and (
+                live.next_year > first_missing or live.horizon < stop
+            ):
+                live = None
+        if live is not None:
             self._metrics.add("serving.synthesis.stream_resumes")
         else:
             horizon = max(stop, self._stream_horizon_years)
-            live = self._open_stream(spec, include_nugget, realization, horizon)
+            spy = self.steps_per_year
+            iterator = self._emulator.generator().generate_stream_multi(
+                [self._realization_rng(r) for r in realizations],
+                n_times=horizon * spy,
+                annual_forcing=spec.annual_forcing(horizon),
+                include_nugget=include_nugget,
+                start_year=self._summary.start_year,
+                chunk_size=spy,
+            )
+            live = _LiveStream(iterator, next_year=0, horizon=horizon)
         results: dict[str, np.ndarray] = {}
         while live.next_year < stop:
             chunk = next(live.iterator)
-            array = np.ascontiguousarray(chunk.data[0])
-            array.setflags(write=False)
-            results[chunk_address(stream_addr, realization, live.next_year)] = array
+            for member, realization in enumerate(realizations):
+                array = np.ascontiguousarray(chunk.data[member])
+                array.setflags(write=False)
+                results[chunk_address(stream_addr, realization, live.next_year)] = array
             live.next_year += 1
-        if live.next_year < live.horizon and self._max_streams > 0:
+        if key is not None and live.next_year < live.horizon and self._max_streams > 0:
             with self._lock:
                 self._streams[key] = live
                 self._streams.move_to_end(key)
                 while len(self._streams) > self._max_streams:
                     self._streams.popitem(last=False)
-        return results
-
-    def _synthesize_batch(
-        self,
-        stream_addr: str,
-        spec,
-        include_nugget: bool,
-        jobs: "dict[int, tuple[int, int]]",
-    ) -> dict[str, np.ndarray]:
-        realizations = sorted(jobs)
-        horizon = max(stop for _, stop in jobs.values())
-        spy = self.steps_per_year
-        forcing = spec.annual_forcing(horizon)
-        rngs = [self._realization_rng(r) for r in realizations]
-        stream = self._emulator.generator().generate_stream_multi(
-            rngs,
-            n_times=horizon * spy,
-            annual_forcing=forcing,
-            include_nugget=include_nugget,
-            start_year=self._summary.start_year,
-            chunk_size=spy,
-        )
-        results: dict[str, np.ndarray] = {}
-        for year, chunk in enumerate(stream):
-            for member, realization in enumerate(realizations):
-                array = np.ascontiguousarray(chunk.data[member])
-                array.setflags(write=False)
-                results[chunk_address(stream_addr, realization, year)] = array
         return results

@@ -135,7 +135,6 @@ class CampaignShape:
     ntheta: int
     nphi: int
     store: bool = False
-    writes_output: bool = False
     collect: str = "global-mean"
 
     @property
@@ -174,9 +173,8 @@ class CampaignShape:
 
     @property
     def written_bytes(self) -> int:
-        """Bytes the campaign actually lands on disk (store and/or NPZ)."""
-        sinks = int(bool(self.store)) + int(bool(self.writes_output))
-        return self.run_output_bytes * self.n_runs * sinks
+        """Bytes the campaign actually lands on disk (the chunk store)."""
+        return self.run_output_bytes * self.n_runs if self.store else 0
 
 
 class CampaignCostModel:
@@ -233,7 +231,7 @@ class CampaignCostModel:
                         metadata={"scenario": s, "width": width},
                     )
                 )
-                if shape.store or shape.writes_output:
+                if shape.store:
                     tasks.append(
                         Task(
                             name=f"commit({block})",
@@ -277,10 +275,7 @@ class CampaignCostModel:
         # Usable parallelism: the pool can never use more lanes than the
         # DAG is wide, and threaded throughput degrades along the
         # measured memory-bandwidth curve.
-        width = max(
-            graph.max_parallelism() if shape.store or shape.writes_output else n_blocks,
-            1,
-        )
+        width = max(graph.max_parallelism() if shape.store else n_blocks, 1)
         usable = min(workers, width, n_blocks)
         efficiency = self.profile.parallel_efficiency(usable)
         if executor == "process":

@@ -173,8 +173,8 @@ class TestEmulateStream:
             1, n_times=n_times, annual_forcing=forcing,
             rng=np.random.default_rng(33), chunk_size=chunk_size,
         ))
-        z_stream = fitted_emulator.spectral_model.generate_standardized_stream(
-            np.random.default_rng(33), 1, n_times, chunk_size, include_nugget=True,
+        z_stream = fitted_emulator.spectral_model.generate_standardized_stream_multi(
+            [np.random.default_rng(33)], n_times, chunk_size, include_nugget=True,
         )
         assert sum(c.n_times for c in chunks) == n_times
         for chunk, (t_start, z) in zip(chunks, z_stream):

@@ -1,13 +1,14 @@
-"""Bit-exactness tests of the batched synthesis and analysis hot paths.
+"""Bit-exactness tests of the one synthesis path and the fit-side batching.
 
 Three independent guarantees are pinned here:
 
-* ``batch_size`` (the inverse-SHT working-set cap on a single shared-rng
-  emulation) never changes an output bit, for any chunk layout;
-* the multi-stream path (one generator per realization, stacked
-  synthesis) is bit-identical to running each generator through the
-  serial single-realization path — across chunk boundaries, including
-  ragged final chunks;
+* the batch width ``B`` of the year-chunked multi-stream never changes
+  an output bit: member ``b`` of a ``B``-stream equals the batch-of-one
+  stream under ``rngs[b]`` for every chunk layout, ragged final chunks
+  included, with the VAR history carried across chunk boundaries;
+* the shared-generator entry points (``emulate`` / ``emulate_stream``
+  with ``n_realizations=R``) are that same stream with one generator in
+  every slot (``[rng] * R``);
 * ``batch_size`` on the *fit* side (the forward-SHT working-set cap on
   the residual analysis) never changes a bit of the fitted state.
 """
@@ -18,54 +19,87 @@ import pytest
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.util.compare import assert_states_bit_identical
 
+SPY = 24  # steps_per_year of the shared fixtures
+BATCH_WIDTHS = (1, 3, 5)
+CHUNK_SIZES = (10, SPY, 3 * SPY)
+
+
+def _standardized(model, rngs, n_times, chunk):
+    chunks = list(model.generate_standardized_stream_multi(rngs, n_times, chunk))
+    assert [t for t, _ in chunks] == list(range(0, n_times, chunk))
+    return np.concatenate([c for _, c in chunks], axis=1)
+
 
 class TestBatchSizeInvariance:
     def test_generate_standardized_stream_batch_sizes_bit_identical(
         self, fitted_emulator
     ):
+        """Member ``b`` never depends on what else shares the batch."""
         model = fitted_emulator.spectral_model
-        n_real, n_times, chunk = 5, 50, 24  # ragged final chunk
-        reference = None
-        for batch_size in (None, 1, 2, 5, 99):
-            rng = np.random.default_rng(77)
-            chunks = list(model.generate_standardized_stream(
-                rng, n_real, n_times, chunk, batch_size=batch_size
-            ))
-            stacked = np.concatenate([c for _, c in chunks], axis=1)
-            assert [t for t, _ in chunks] == [0, 24, 48]
-            assert stacked.shape[:2] == (n_real, n_times)
-            if reference is None:
-                reference = stacked
-            else:
-                np.testing.assert_array_equal(stacked, reference)
+        n_times = 60  # ragged final chunk at SPY, single chunk at 3 * SPY
+        seeds = np.random.SeedSequence(77).spawn(max(BATCH_WIDTHS))
+        for chunk in CHUNK_SIZES:
+            alone = [
+                _standardized(model, [np.random.default_rng(s)], n_times, chunk)[0]
+                for s in seeds
+            ]
+            for width in BATCH_WIDTHS:
+                stacked = _standardized(
+                    model, [np.random.default_rng(s) for s in seeds[:width]],
+                    n_times, chunk,
+                )
+                assert stacked.shape[:2] == (width, n_times)
+                for b in range(width):
+                    np.testing.assert_array_equal(stacked[b], alone[b])
 
     def test_emulate_batch_size_bit_identical(self, fitted_emulator):
-        reference = fitted_emulator.emulate(
-            n_realizations=4, n_times=30, rng=np.random.default_rng(3)
-        )
-        for batch_size in (1, 2, 3):
-            batched = fitted_emulator.emulate(
-                n_realizations=4, n_times=30, rng=np.random.default_rng(3),
-                batch_size=batch_size,
+        """``emulate(R, rng)`` == the single-chunk stream with ``[rng] * R``."""
+        summary = fitted_emulator.training_summary
+        for n_real in BATCH_WIDTHS:
+            monolithic = fitted_emulator.emulate(
+                n_realizations=n_real, n_times=30, rng=np.random.default_rng(3)
             )
-            np.testing.assert_array_equal(batched.data, reference.data)
+            for chunk_size in (30, 99):  # chunk_size >= n_times: one chunk
+                streamed = list(fitted_emulator.emulate_stream(
+                    n_realizations=n_real, n_times=30,
+                    rng=np.random.default_rng(3), chunk_size=chunk_size,
+                ))
+                assert len(streamed) == 1
+                np.testing.assert_array_equal(streamed[0].data, monolithic.data)
+            multi = list(fitted_emulator.generator().generate_stream_multi(
+                [np.random.default_rng(3)] * n_real, 30, summary.forcing_annual,
+                start_year=summary.start_year, chunk_size=30,
+            ))
+            np.testing.assert_array_equal(multi[0].data, monolithic.data)
 
     def test_emulate_stream_batch_size_bit_identical(self, fitted_emulator):
-        def collect(batch_size):
-            stream = fitted_emulator.emulate_stream(
-                n_realizations=3, n_times=40, rng=np.random.default_rng(8),
-                chunk_size=16, batch_size=batch_size,
-            )
-            return np.concatenate([chunk.data for chunk in stream], axis=1)
-
-        reference = collect(None)
-        np.testing.assert_array_equal(collect(2), reference)
+        """``emulate_stream(R, rng)`` == the multi-stream with ``[rng] * R``."""
+        summary = fitted_emulator.training_summary
+        for n_real in BATCH_WIDTHS:
+            for chunk_size in CHUNK_SIZES:
+                shared = fitted_emulator.emulate_stream(
+                    n_realizations=n_real, n_times=60,
+                    rng=np.random.default_rng(8), chunk_size=chunk_size,
+                )
+                rng = np.random.default_rng(8)
+                multi = fitted_emulator.generator().generate_stream_multi(
+                    [rng] * n_real, 60, summary.forcing_annual,
+                    start_year=summary.start_year, chunk_size=chunk_size,
+                )
+                for shared_chunk, multi_chunk in zip(shared, multi, strict=True):
+                    assert shared_chunk.metadata == multi_chunk.metadata
+                    np.testing.assert_array_equal(
+                        shared_chunk.data, multi_chunk.data
+                    )
 
     def test_batch_size_validation(self, fitted_emulator):
-        with pytest.raises(ValueError, match="batch_size"):
-            fitted_emulator.emulate(n_realizations=2, batch_size=0)
-        with pytest.raises(ValueError, match="batch_size"):
-            list(fitted_emulator.emulate_stream(n_realizations=2, batch_size=-1))
+        """A batch needs at least one member; the SHT cap is gone."""
+        with pytest.raises(ValueError, match="n_realizations"):
+            fitted_emulator.emulate(n_realizations=0)
+        with pytest.raises(ValueError, match="n_realizations"):
+            fitted_emulator.emulate_stream(n_realizations=-1)
+        with pytest.raises(TypeError, match="batch_size"):
+            fitted_emulator.emulate(n_realizations=2, batch_size=1)
 
 
 class TestMultiStream:
@@ -75,18 +109,40 @@ class TestMultiStream:
         n_times, chunk = 50, 24
         seeds = np.random.SeedSequence(11).spawn(4)
 
-        multi = list(model.generate_standardized_stream_multi(
-            [np.random.default_rng(s) for s in seeds], n_times, chunk
-        ))
-        stacked = np.concatenate([c for _, c in multi], axis=1)
+        stacked = _standardized(
+            model, [np.random.default_rng(s) for s in seeds], n_times, chunk
+        )
         assert stacked.shape[0] == len(seeds)
-
         for b, seed in enumerate(seeds):
-            serial_chunks = list(model.generate_standardized_stream(
-                np.random.default_rng(seed), 1, n_times, chunk
-            ))
-            serial = np.concatenate([c for _, c in serial_chunks], axis=1)[0]
+            serial = _standardized(
+                model, [np.random.default_rng(seed)], n_times, chunk
+            )[0]
             np.testing.assert_array_equal(stacked[b], serial)
+
+    def test_var_history_carried_across_chunks(self, fitted_emulator):
+        """Every chunking of a record is one AR(P) recursion.
+
+        With the nugget off the draw schedule does not depend on the
+        chunk layout, so a chunked record equals the monolithic one up
+        to GEMM reduction order; a stream that restarted its history at
+        a chunk boundary would be off by O(1).
+        """
+        model = fitted_emulator.spectral_model
+        n_times = 60
+
+        def record(chunk):
+            rngs = [np.random.default_rng(s) for s in (11, 12, 13)]
+            chunks = model.generate_standardized_stream_multi(
+                rngs, n_times, chunk, include_nugget=False
+            )
+            return np.concatenate([c for _, c in chunks], axis=1)
+
+        monolithic = record(n_times)
+        assert monolithic.shape[:2] == (3, n_times)
+        for chunk in CHUNK_SIZES:
+            np.testing.assert_allclose(
+                record(chunk), monolithic, rtol=0.0, atol=1e-10
+            )
 
     def test_generator_multi_stream_matches_serial_chunks(self, fitted_emulator):
         """Full pipeline (trend + scale restored), chunk by chunk."""

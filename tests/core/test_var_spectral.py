@@ -118,9 +118,39 @@ class TestSpectralStochasticModel:
     def test_generated_fields_match_variance(self, fitted):
         model, standardized = fitted
         rng = np.random.default_rng(1)
-        fields = model.generate_standardized(rng, n_realizations=2, n_times=48)
+        (t_start, fields), = model.generate_standardized_stream_multi(
+            [rng] * 2, n_times=48, chunk_size=48
+        )
+        assert t_start == 0
         assert fields.shape == (2, 48) + standardized.shape[2:]
         assert abs(fields.std() - standardized.std()) < 0.35
+
+    def test_live_streams_share_one_dense_factor_until_refit(self, fitted):
+        """Paused streams share the densified factor; a refit must not reuse it."""
+        fitted_model, standardized = fitted
+
+        def fresh():
+            return SpectralStochasticModel(
+                lmax=8, grid=fitted_model.grid, var_order=1, tile_size=16
+            )
+
+        def stream(model):
+            return model.generate_standardized_stream_multi(
+                [np.random.default_rng(5)], n_times=12, chunk_size=6
+            )
+
+        model = fresh()
+        model.fit(standardized)
+        paused = stream(model)
+        next(paused)  # holds the dense factor of the first fit
+        assert model._lower_t() is model._lower_t()
+        model.fit(2.0 * standardized)
+        reference = fresh()
+        reference.fit(2.0 * standardized)
+        for (_, got), (_, expected) in zip(
+            stream(model), stream(reference), strict=True
+        ):
+            np.testing.assert_array_equal(got, expected)
 
     def test_parameter_count_formula(self, fitted):
         model, _ = fitted

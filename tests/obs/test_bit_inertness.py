@@ -108,7 +108,7 @@ class TestBitInertness:
                 assert expected.to_dict() == got.to_dict()
                 assert np.array_equal(expected.collected, got.collected)
         trace_names = {rec["name"] for rec in trace_records()}
-        assert "campaign.run" in trace_names
+        assert "campaign.batch" in trace_names
         assert "campaign.total" in trace_names
 
 

@@ -141,36 +141,31 @@ class TestStoreCampaignValidation:
             run_campaign(fitted_emulator, ["constant"], n_times=SPY + 1,
                          store=tmp_path / "s")
 
-    def test_npz_campaign_seeding_is_unchanged(self, fitted_emulator):
-        manifest = run_campaign(fitted_emulator, SCENARIOS, 2,
-                                n_times=SPY, collect="none")
-        assert [r.spawn_key for r in manifest.runs] == [(i,) for i in range(4)]
-        assert manifest.store is None
-        assert all(r.chunk_addresses == [] for r in manifest.runs)
+    def test_seeding_ignores_the_store(
+        self, fitted_emulator, tmp_path
+    ):
+        """One seeding rule: a store changes where chunks land, not their bits."""
+        def campaign(**kwargs):
+            return run_campaign(fitted_emulator, SCENARIOS, 2, n_times=SPY,
+                                seed=SEED, **kwargs)
+
+        bare = campaign()
+        stored = campaign(store=tmp_path / "s")
+        assert bare.store is None
+        assert all(r.chunk_addresses == [] for r in bare.runs)
+        for bare_run, stored_run in zip(bare.runs, stored.runs, strict=True):
+            assert bare_run.spawn_key == stored_run.spawn_key == (
+                bare_run.realization,
+            )
+            assert np.array_equal(bare_run.collected, stored_run.collected)
 
 
 class TestStoreReader:
-    def test_store_path_matches_npz_path_bit_for_bit(self, fitted_emulator,
-                                                     tmp_path):
-        manifest = run_campaign(
-            fitted_emulator, ["ssp-low"], 2, n_times=N_YEARS * SPY, seed=SEED,
-            store=tmp_path / "store", output_dir=tmp_path / "npz",
-            collect="none",
-        )
-        from_npz = {r.index: m for r, m in iter_chunk_arrays(manifest)}
-        from_store = {
-            r.index: m for r, m in iter_chunk_arrays(manifest, store=True)
-        }
-        assert set(from_npz) == set(from_store)
-        for index, member in from_npz.items():
-            assert member.dtype == from_store[index].dtype == np.float32
-            assert np.array_equal(member, from_store[index])
-
     def test_reader_accepts_json_manifest_and_explicit_roots(
         self, store_manifest, store_root
     ):
         document = json.loads(json.dumps(store_manifest.to_dict()))
-        by_header = list(iter_chunk_arrays(document, store=True))
+        by_header = list(iter_chunk_arrays(document))
         by_path = list(iter_chunk_arrays(store_manifest, store=str(store_root)))
         by_handle = list(iter_chunk_arrays(
             store_manifest, store=ChunkStore(store_root)
@@ -179,11 +174,24 @@ class TestStoreReader:
         for (_, a), (_, b), (_, c) in zip(by_header, by_path, by_handle):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
-    def test_npz_manifest_cannot_be_read_from_a_store(self, fitted_emulator):
+    def test_npz_manifest_cannot_be_read_from_a_store(
+        self, fitted_emulator, store_root
+    ):
+        """No chunk addresses, nothing to read: a named error, never a KeyError."""
         manifest = run_campaign(fitted_emulator, ["constant"], n_times=SPY,
                                 collect="none")
-        with pytest.raises(ValueError, match="store-backed campaign"):
-            list(iter_chunk_arrays(manifest, store=True))
+        # The JSON a pre-store (NPZ-only) campaign left behind: no store
+        # header, no chunk_addresses, its shard files listed instead.
+        legacy = manifest.to_dict()
+        del legacy["store"]
+        for run in legacy["runs"]:
+            del run["chunk_addresses"]
+            run["output_files"] = ["run000_constant_r0_chunk0000.npz"]
+        for document in (manifest, manifest.to_dict(), legacy):
+            with pytest.raises(ValueError, match="records no chunk_addresses"):
+                list(iter_chunk_arrays(document))
+            with pytest.raises(ValueError, match="records no chunk_addresses"):
+                list(iter_chunk_arrays(document, store=str(store_root)))
 
 
 class TestCorruptedOnDiskFixtures:
@@ -225,6 +233,22 @@ class TestCorruptedOnDiskFixtures:
             document["runs"][0]["chunk_addresses"][:1]
         )
         with pytest.raises(ValueError, match="manifest is corrupt"):
+            list(iter_chunk_arrays(document, store=store))
+        # Per-chunk lengths that disagree with the stored chunks.
+        document = manifest.to_dict()
+        document["runs"][0]["chunk_sizes"] = [SPY - 4, SPY + 4]
+        with pytest.raises(ValueError, match="truncated or rewritten"):
+            list(iter_chunk_arrays(document, store=store))
+        # Chunks that do not add up to the recorded run length.
+        document = manifest.to_dict()
+        document["runs"][0]["n_times"] = 3 * SPY
+        with pytest.raises(ValueError, match="cover 48 of 72"):
+            list(iter_chunk_arrays(document, store=store))
+        # A chunk of a foreign grid under one of the run's addresses.
+        store.put("foreign", np.zeros((SPY, 3, 5)))
+        document = manifest.to_dict()
+        document["runs"][0]["chunk_addresses"][1] = "foreign"
+        with pytest.raises(ValueError, match="share one grid"):
             list(iter_chunk_arrays(document, store=store))
 
 

@@ -29,8 +29,9 @@ class TestPlanning:
             "ssp-low", "ssp-low", "ssp-medium", "ssp-medium", "ssp-high", "ssp-high",
         ]
         assert [r.realization for r in runs] == [0, 1, 0, 1, 0, 1]
-        # Run i is pinned to the SeedSequence child with spawn_key (i,).
-        assert [r.spawn_key for r in runs] == [(i,) for i in range(6)]
+        # Realization r of every scenario is pinned to the SeedSequence
+        # child with spawn_key (r,) -- the serving tier's stream.
+        assert [r.spawn_key for r in runs] == [(r.realization,) for r in runs]
 
     def test_plan_campaign_validation(self):
         with pytest.raises(ValueError, match="at least one scenario"):
@@ -160,21 +161,22 @@ class TestBatchedSynthesis:
             assert np.array_equal(serial_run.collected, batched_run.collected)
 
     def test_batched_output_files_bit_identical(self, fitted_emulator, tmp_path):
+        """The chunks a campaign lands in its store never depend on batching."""
         def outputs(batch_size, sub_dir):
             manifest = run_campaign(
-                fitted_emulator, ["ssp-low"], 3, n_times=48, chunk_size=24,
-                seed=7, collect="none", output_dir=tmp_path / sub_dir,
-                batch_size=batch_size,
+                fitted_emulator, ["ssp-low"], 3, n_times=48, seed=7,
+                collect="none", store=tmp_path / sub_dir, batch_size=batch_size,
             )
-            return [f for run in manifest.runs for f in run.output_files]
+            store = repro.ChunkStore(tmp_path / sub_dir)
+            addresses = [a for run in manifest.runs for a in run.chunk_addresses]
+            return addresses, [store.get(address) for address in addresses]
 
-        serial_files = outputs(None, "serial")
-        batched_files = outputs(3, "batched")
-        assert len(serial_files) == len(batched_files) == 6
-        for serial_path, batched_path in zip(serial_files, batched_files):
-            with np.load(serial_path) as a, np.load(batched_path) as b:
-                np.testing.assert_array_equal(a["data"], b["data"])
-                assert int(a["t_start"]) == int(b["t_start"])
+        serial_addresses, serial_chunks = outputs(None, "serial")
+        batched_addresses, batched_chunks = outputs(3, "batched")
+        assert serial_addresses == batched_addresses
+        assert len(set(serial_addresses)) == 6
+        for serial_chunk, batched_chunk in zip(serial_chunks, batched_chunks):
+            np.testing.assert_array_equal(serial_chunk, batched_chunk)
 
     def test_blocks_never_span_scenarios(self):
         from repro.scenarios.campaign import _batch_plans, plan_campaign
@@ -215,7 +217,10 @@ class TestManifest:
         assert loaded["seed"] == 2024
         assert loaded["scenarios"] == SCENARIO_NAMES
         assert loaded["total_output_bytes"] == serial_manifest.total_output_bytes
-        assert [r["spawn_key"] for r in loaded["runs"]] == [[i] for i in range(6)]
+        assert [r["spawn_key"] for r in loaded["runs"]] == [
+            [r["realization"]] for r in loaded["runs"]
+        ]
+        assert "output_files" not in loaded["runs"][0]
 
     def test_run_lookup(self, serial_manifest):
         record = serial_manifest.run("ssp-high", 1)
@@ -243,79 +248,34 @@ class TestManifest:
 
 class TestOutputDir:
     def test_chunks_streamed_to_disk(self, fitted_emulator, tmp_path):
-        out_dir = tmp_path / "campaign-out"
+        """Every chunk lands in the store, year by year, at full precision."""
+        from repro.serving.request import FieldRequest, chunk_address
+
         manifest = run_campaign(
             fitted_emulator, ["ssp-low", "overshoot"], 1, n_times=48,
-            chunk_size=24, seed=11, collect="none", output_dir=out_dir,
+            seed=11, collect="none", store=tmp_path / "campaign-out",
         )
+        store = repro.ChunkStore(tmp_path / "campaign-out")
+        grid = fitted_emulator.training_summary.grid
         for record in manifest.runs:
-            assert len(record.output_files) == len(record.chunk_sizes) == 2
-            for path, expected_steps in zip(record.output_files, record.chunk_sizes):
-                assert os.path.getsize(path) > 0
-                with np.load(path) as payload:
-                    assert payload["data"].shape[1] == expected_steps
-                    assert payload["data"].dtype == np.float32
-                    assert str(payload["scenario"]) == record.scenario
-        offsets = [int(np.load(f)["t_start"]) for f in manifest.runs[0].output_files]
-        assert offsets == [0, 24]
-
-
-class TestChunkFilenames:
-    def test_names_are_unique_and_sorted_in_execution_order(
-        self, fitted_emulator, tmp_path
-    ):
-        manifest = run_campaign(
-            fitted_emulator, ["ssp-low", "ssp-high"], 2, n_times=48,
-            chunk_size=24, seed=3, collect="none", output_dir=tmp_path,
-        )
-        names = [
-            os.path.basename(f) for run in manifest.runs for f in run.output_files
-        ]
-        assert len(names) == len(set(names)) == 8
-        # Lexicographic filename order == campaign execution order.
-        assert sorted(names) == names
-
-    def test_padding_widths_scale_with_campaign_size(self):
-        plans = plan_campaign(
-            ["constant"], 4, n_times=20, steps_per_year=2, chunk_size=2,
-        )
-        # 4 runs / 10 chunks fit the historical 3/4-digit floors.
-        assert plans[0].index_width == 3 and plans[0].chunk_width == 4
-        big = plan_campaign(
-            ["constant"], 1500, n_times=6, steps_per_year=2, chunk_size=2,
-        )
-        assert big[0].index_width == 4  # 1500 runs need 4 digits
-        many_chunks = plan_campaign(
-            ["constant"], 1, n_times=20002, steps_per_year=2, chunk_size=2,
-        )
-        assert many_chunks[0].chunk_width == 5  # 10001 chunks need 5 digits
-
-    def test_slug_collisions_cannot_collide_filenames(
-        self, fitted_emulator, tmp_path
-    ):
-        # Two distinct scenario names that sanitise to the same slug: the
-        # run index keeps every filename unique.
-        colliding = [
-            repro.SCENARIOS.create("constant").rename("box a/b"),
-            repro.SCENARIOS.create("linear-ramp").rename("box a b"),
-        ]
-        manifest = run_campaign(
-            fitted_emulator, colliding, 1, n_times=24, seed=1,
-            collect="none", output_dir=tmp_path,
-        )
-        names = [
-            os.path.basename(f) for run in manifest.runs for f in run.output_files
-        ]
-        assert len(names) == len(set(names)) == 2
+            assert len(record.chunk_addresses) == len(record.chunk_sizes) == 2
+            stream = FieldRequest(record.scenario).stream_address()
+            for year, (address, expected_steps) in enumerate(
+                zip(record.chunk_addresses, record.chunk_sizes)
+            ):
+                assert address == chunk_address(stream, record.realization, year)
+                chunk = store.get(address)
+                assert chunk.shape == (expected_steps,) + grid.shape
+                assert chunk.dtype == np.float64
 
 
 class TestIterChunkArrays:
     @pytest.fixture(scope="class")
     def written_manifest(self, fitted_emulator, tmp_path_factory):
-        out_dir = tmp_path_factory.mktemp("campaign-read-back")
+        root = tmp_path_factory.mktemp("campaign-read-back")
         return run_campaign(
             fitted_emulator, ["ssp-low", "ssp-high"], 2, n_times=48,
-            chunk_size=24, seed=2024, collect="fields", output_dir=out_dir,
+            seed=2024, collect="fields", store=root,
         )
 
     def test_reassembles_every_run_bit_identically(self, written_manifest):
@@ -324,7 +284,7 @@ class TestIterChunkArrays:
         for record, member in loaded:
             assert member.shape[0] == record.n_times == 48
             assert member.dtype == np.float32
-            # The shards are the float32 casts of the collected fields.
+            # The reader yields the float32 casts of the collected fields.
             np.testing.assert_array_equal(
                 member, record.collected.astype(np.float32)
             )
@@ -339,32 +299,28 @@ class TestIterChunkArrays:
                 member, record.collected.astype(np.float32)
             )
 
-    def test_runs_without_files_are_skipped(self, fitted_emulator):
-        manifest = run_campaign(
-            fitted_emulator, ["constant"], 1, n_times=24, collect="none",
-        )
-        assert list(iter_chunk_arrays(manifest)) == []
-
     def test_missing_shard_raises_instead_of_gapping(
         self, fitted_emulator, tmp_path
     ):
         manifest = run_campaign(
-            fitted_emulator, ["constant"], 1, n_times=48, chunk_size=24,
-            collect="none", output_dir=tmp_path, seed=5,
+            fitted_emulator, ["constant"], 1, n_times=48,
+            collect="none", store=tmp_path, seed=5,
         )
-        record = manifest.runs[0]
-        record.output_files.pop(0)  # lose the first chunk
-        with pytest.raises(ValueError, match="missing or duplicated"):
+        store = repro.ChunkStore(tmp_path)
+        first = store.entry(manifest.runs[0].chunk_addresses[0])
+        os.remove(os.path.join(store.root, first["file"]))  # lose the first chunk
+        with pytest.raises(ValueError, match="missing shard"):
             list(iter_chunk_arrays(manifest))
 
     def test_truncated_coverage_raises(self, fitted_emulator, tmp_path):
         manifest = run_campaign(
-            fitted_emulator, ["constant"], 1, n_times=48, chunk_size=24,
-            collect="none", output_dir=tmp_path, seed=6,
+            fitted_emulator, ["constant"], 1, n_times=48,
+            collect="none", store=tmp_path, seed=6,
         )
         record = manifest.runs[0]
-        record.output_files.pop()  # lose the last chunk
-        with pytest.raises(ValueError, match="cover"):
+        record.chunk_addresses.pop()  # lose the last chunk
+        record.chunk_sizes.pop()
+        with pytest.raises(ValueError, match="cover 24 of 48"):
             list(iter_chunk_arrays(manifest))
 
 
