@@ -14,8 +14,7 @@ from benchmarks.conftest import print_table
 from repro.linalg import TiledSymmetricMatrix, generate_cholesky_tasks
 from repro.linalg.policies import VARIANTS
 from repro.runtime import build_task_graph
-from repro.systems import SUMMIT, CholeskyPerformanceModel
-from repro.tuning import scaling_efficiencies
+from repro.systems import SUMMIT, CholeskyPerformanceModel, scaling_efficiencies
 
 WEAK_GPUS = [384, 1536, 3072, 6144, 12288]
 STRONG_GPUS = [3072, 6144, 12288]

@@ -11,9 +11,8 @@ Run with:  python examples/exascale_projection.py
 from __future__ import annotations
 
 from repro.linalg.policies import VARIANTS
-from repro.systems import SYSTEMS, CholeskyPerformanceModel
+from repro.systems import SYSTEMS, CholeskyPerformanceModel, scaling_efficiencies
 from repro.systems.catalog import PAPER_NODE_COUNTS
-from repro.tuning import scaling_efficiencies
 
 
 def table1() -> None:

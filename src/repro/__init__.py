@@ -22,11 +22,10 @@ Using Exascale Climate Emulators" (Abdulah et al., SC 2024):
   a local numerical executor.
 * :mod:`repro.systems` — machine models of Frontier, Alps, Leonardo and
   Summit plus the performance model used by the benchmark harness.
-* :mod:`repro.tuning` — cost-model-driven autotuning: a measured
-  per-host :class:`MachineProfile` and the
-  ``T_compute + T_comm + T_latency`` planner behind
-  ``run_campaign(..., tune="auto")`` and ``serve(...,
-  cache_bytes="auto")`` (see :func:`calibrate_machine`).
+* :mod:`repro.tuning` — autotuning by measurement: the pilot behind
+  ``run_campaign(..., tune="auto")`` (time the campaign's own first
+  blocks, keep the fastest block size) and the memory clamp behind
+  ``serve(..., cache_bytes="auto")`` (see :func:`calibrate_machine`).
 * :mod:`repro.data` — synthetic ERA5-like data generation, radiative
   forcing trajectories and ensembles.
 * :mod:`repro.scenarios` — the scenario engine: composable forcing
@@ -61,7 +60,7 @@ Quickstart
 ...     n_realizations=5, max_workers=4)
 """
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 from repro import obs
 from repro.core.config import EmulatorConfig
@@ -93,7 +92,7 @@ from repro.storage.chunkstore import ChunkStore
 from repro.scenarios.campaign import CampaignManifest, iter_chunk_arrays, run_campaign
 from repro.serving.request import FieldRequest
 from repro.serving.service import EmulationService
-from repro.tuning import MachineProfile, TuningPlan, calibrate_machine
+from repro.tuning import MachineProfile, calibrate_machine
 
 __all__ = [
     "ArtifactError",
@@ -116,7 +115,6 @@ __all__ = [
     "ScenarioSpec",
     "SchemaVersionError",
     "SpatialWindow",
-    "TuningPlan",
     "UnknownBackendError",
     "__version__",
     "calibrate_machine",

@@ -243,10 +243,11 @@ def serve(
     cache_bytes:
         In-memory chunk-cache budget in bytes (default 256 MiB;
         ``None`` for unlimited).  ``"auto"`` sizes the budget from the
-        host's measured :class:`~repro.tuning.MachineProfile` and the
-        artifact's chunk size (:func:`repro.tuning.
-        plan_serving_cache_bytes`) — a pure capacity knob, so served
-        bytes are identical for every setting.
+        artifact's year-chunk size, clamped to ``[64 MiB, physical
+        memory / 4]`` (:func:`repro.tuning.plan_serving_cache_bytes`;
+        it reads the host's memory, measures nothing and writes
+        nothing) — a pure capacity knob, so served bytes are identical
+        for every setting.
     store:
         A :class:`~repro.storage.chunkstore.ChunkStore`, or a directory
         path (opened as a lossless float64 store).
@@ -261,20 +262,18 @@ def serve(
     if store is not None and not isinstance(store, ChunkStore):
         store = ChunkStore(store)
     if cache_bytes == "auto":
-        # Size the cache from the measured machine profile (cached under
-        # the store root when there is one) and this artifact's year-
-        # chunk footprint.  The source is resolved once here and the
-        # resolved emulator handed on, so "auto" costs no second load.
+        # Size the cache from the host's memory and this artifact's
+        # year-chunk footprint.  The source is resolved once here and
+        # the resolved emulator handed on, so "auto" costs no second load.
         from repro.obs import gauge_set
-        from repro.tuning import load_or_calibrate, plan_serving_cache_bytes
+        from repro.tuning import calibrate_machine, plan_serving_cache_bytes
 
         source = _resolve(source)
         summary = source.training_summary
         chunk_bytes = (
             summary.grid.ntheta * summary.grid.nphi * summary.steps_per_year * 8
         )
-        profile = load_or_calibrate(None if store is None else store.root)
-        cache_bytes = plan_serving_cache_bytes(profile, chunk_bytes)
+        cache_bytes = plan_serving_cache_bytes(calibrate_machine(), chunk_bytes)
         gauge_set("tuning.serve.cache_bytes", float(cache_bytes))
     with span("facade.serve", seed=seed):
         return EmulationService(

@@ -1,7 +1,7 @@
 """Unified telemetry: tracing spans + metrics registry for every hot path.
 
-The observability layer the serving gateway and the performance-model
-autotuner read from.  It has two halves:
+The observability layer the serving gateway and the campaign pilot
+(``tune="auto"``) read their timings from.  It has two halves:
 
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters, gauges
   and histograms with dotted lowercase names (``sht.plan_cache.hits``).

@@ -1,4 +1,4 @@
-"""Task-graph substrate for the solver and the tuning layer.
+"""Task-graph substrate for the tile solver.
 
 The paper's solver is expressed as a DAG of tile tasks (POTRF / TRSM /
 SYRK / GEMM) executed by the PaRSEC runtime over thousands of GPUs.  This
@@ -8,9 +8,7 @@ actually runs on:
 * :mod:`repro.runtime.task` — task descriptions (reads/writes, flops,
   compute precision, communication payloads).
 * :mod:`repro.runtime.dag` — dependency analysis: build the task graph from
-  data accesses, critical path, parallelism profile.  The campaign cost
-  model (:mod:`repro.tuning.costmodel`) plans worker counts against these
-  profiles.
+  data accesses, critical path, parallelism profile.
 * :mod:`repro.runtime.executor` — a *local numerical executor* that runs the
   task kernels for real (sequentially, respecting dependencies) against a
   tile store; this is what actually factorises matrices in this package.
@@ -22,8 +20,7 @@ The discrete-event scheduler/simulator layer that once lived here
 (``ListScheduler``, ``DistributedSimulator``, ``CommunicationModel``,
 ``MemoryTracker``) was reachable only from its own tests and was folded
 per ROADMAP item 5: the analytic cost model in
-:mod:`repro.systems.perf_model` and the measured autotuner in
-:mod:`repro.tuning` cover the questions it answered.
+:mod:`repro.systems.perf_model` covers the questions it answered.
 """
 
 from repro.runtime.task import Task

@@ -7,7 +7,7 @@ dense-linear-algebra workloads this package generates (true dependencies
 plus write-after-read and write-after-write ordering).
 
 The resulting :class:`TaskGraph` wraps a :class:`networkx.DiGraph` and
-provides the analyses the benchmarks and the tuning cost model need:
+provides the analyses the solver and the benchmarks need:
 topological order, critical path under a cost model, width (parallelism)
 profile, and per-kind/per-precision flop accounting.
 """

@@ -52,7 +52,7 @@ from repro.scenarios.registry import resolve_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.serving.request import FieldRequest, chunk_address
 from repro.storage.chunkstore import ChunkStore
-from repro.tuning import CampaignShape, load_or_calibrate, plan_campaign_execution
+from repro.tuning import _pilot_batch_size
 
 __all__ = [
     "CampaignManifest",
@@ -164,12 +164,14 @@ class CampaignManifest:
     #: ``{"root", "encoding", "stream_addresses": {scenario: address}}``.
     #: ``None`` for store-less campaigns.
     store: "dict | None" = None
-    #: Autotuning header when the campaign ran with ``tune="auto"``: the
-    #: chosen plan (:meth:`repro.tuning.TuningPlan.to_dict`) plus
-    #: ``actual_seconds``, so predicted-vs-measured wall time is visible
-    #: per campaign.  ``None`` for untuned campaigns.  Like ``timing``,
-    #: this is provenance, not content — ``runs`` stays bit-identical
-    #: tuned or not.
+    #: Autotuning header when the campaign ran with ``tune="auto"``:
+    #: ``executor`` / ``max_workers`` / ``batch_size`` as resolved,
+    #: ``chosen`` (per knob ``"caller"``, ``"default"`` or ``"pilot"``),
+    #: the pilot's ``samples`` (one ``{"batch_size", "seconds_per_run"}``
+    #: per block it timed), and ``predicted_seconds`` next to
+    #: ``actual_seconds``.  ``None`` for untuned campaigns.  Like
+    #: ``timing``, this is provenance, not content — ``runs`` stays
+    #: bit-identical tuned or not.
     tuning: "dict | None" = None
 
     @property
@@ -746,14 +748,13 @@ def run_campaign(
         :class:`~repro.serving.service.EmulationService` uses under the
         same seed — so results do not depend on ``max_workers``.
     max_workers:
-        Worker count; 1 runs serially.  ``None`` resolves explicitly —
-        to the autotuning plan under ``tune="auto"``, else to
-        ``os.cpu_count()`` — and the manifest header always records the
-        resolved integer, never ``null``.
+        Worker count; 1 runs serially.  ``None`` resolves to
+        ``os.cpu_count()``, tuned or not, and the manifest header always
+        records the resolved integer, never ``null``.
     batch_size:
         Realizations of one scenario synthesised together per vectorized
         block (``None`` or 1 gives one-run blocks; under
-        ``tune="auto"`` an unset value is chosen by the planner).
+        ``tune="auto"`` an unset value is chosen by the pilot).
         Batched runs keep their own per-run generators, so output is
         bit-identical for every block size; the VAR recursion and the
         ``O(L^3)`` inverse SHT run once per block instead of once per
@@ -761,22 +762,28 @@ def run_campaign(
         campaigns a large ``batch_size`` trades worker parallelism for
         vectorization.
     executor:
-        ``"thread"`` (the untuned default; generation is read-only on
-        the fitted state) or ``"process"`` (each worker process loads
-        the artifact once; an in-memory emulator source is spilled to a
-        temporary artifact for the pool's lifetime).  ``None`` under
-        ``tune="auto"`` lets the planner choose.
+        ``"thread"`` (the default, tuned or not; generation is
+        read-only on the fitted state) or ``"process"`` (each worker
+        process loads the artifact once; an in-memory emulator source is
+        spilled to a temporary artifact for the pool's lifetime).
     tune:
-        ``"auto"`` plans the execution knobs with the cost-model
-        autotuner (:mod:`repro.tuning`): the host's cached
-        :class:`~repro.tuning.MachineProfile` (measured on first use)
-        prices every ``(executor, max_workers, batch_size)`` candidate
-        for this campaign's shape and the argmin wins.  Knobs passed
-        explicitly are **always** honoured — the planner only fills the
-        ones left unset — and every tuned knob is bit-inert, so tuned
-        and untuned campaigns produce identical runs.  The chosen plan
-        and its predicted-vs-actual seconds land in the manifest's
-        ``tuning`` header and on the ``tuning.campaign.*`` gauges.
+        ``"auto"`` picks an unset ``batch_size`` by a *pilot*
+        (:mod:`repro.tuning`): the coordinating thread runs the plan's
+        first same-scenario blocks itself — ``min(n_realizations, 32)``
+        runs first (twice: a campaign's first block is cold), then half
+        of that, halving only while the halved block is measurably
+        faster per run — and blocks the remaining runs with the winner.
+        Pilot blocks are ordinary blocks (their records and store
+        commits are kept), and block size is bit-inert, so tuned and
+        untuned campaigns produce identical runs.  ``executor`` and
+        ``max_workers`` are not searched.  A ``batch_size`` passed
+        explicitly is **always** honoured; the first block is then
+        timed only for the prediction.  The
+        manifest's ``tuning`` header records the resolved knobs, who
+        chose each, the pilot's per-block samples, and
+        ``predicted_seconds`` (the pilot's elapsed time plus its best
+        seconds-per-run over the runs left) next to ``actual_seconds``;
+        both are mirrored on the ``tuning.campaign.*`` gauges.
     include_nugget:
         Include the truncation nugget in the emulations.
     collect:
@@ -882,74 +889,77 @@ def run_campaign(
     else:
         artifact_bytes = emulator.measured_artifact_bytes()
 
-    # Resolve the execution knobs.  Under ``tune="auto"`` the planner
-    # fills whichever of (executor, max_workers, batch_size) the caller
-    # left unset — explicit kwargs are pinned and always win.  Untuned,
-    # the legacy defaults apply, except that ``max_workers=None`` now
-    # resolves explicitly to the host's CPU count instead of silently
-    # meaning serial: the manifest header records the resolved integer
-    # either way.
-    tuning_header = None
-    if tune == "auto":
-        with span("tuning.plan", n_runs=len(plans)) as plan_span:
-            profile_root = (
-                store_obj.root if store_obj is not None
-                else os.path.dirname(os.fspath(source))
-                if isinstance(source, (str, os.PathLike)) else None
-            )
-            profile = load_or_calibrate(profile_root)
-            shape = CampaignShape(
-                n_scenarios=len({plan.scenario for plan in plans}),
-                n_realizations=int(n_realizations),
-                n_times=n_times,
-                steps_per_year=summary.steps_per_year,
-                lmax=emulator.config.lmax,
-                ntheta=summary.grid.ntheta,
-                nphi=summary.grid.nphi,
-                store=store_obj is not None,
-                collect=collect,
-            )
-            plan = plan_campaign_execution(
-                profile, shape,
-                executor=executor,
-                max_workers=None if max_workers is None else int(max_workers),
-                batch_size=None if batch_size is None else int(batch_size),
-            )
-            plan_span.set(
-                executor=plan.executor,
-                max_workers=plan.max_workers,
-                batch_size=plan.batch_size,
-                candidates=plan.candidates,
-            )
-        executor = plan.executor
-        workers = plan.max_workers
-        batch_size = plan.batch_size
-        tuning_header = plan.to_dict()
-        gauge_set("tuning.campaign.predicted_seconds", plan.predicted_seconds)
-    else:
-        executor = "thread" if executor is None else executor
-        workers = (os.cpu_count() or 1) if max_workers is None else int(max_workers)
+    # Resolve the execution knobs.  ``executor`` and ``max_workers``
+    # resolve the same way tuned or not; ``tune="auto"`` only adds the
+    # pilot below, which picks an unset ``batch_size`` by measurement.
+    chosen = {
+        "executor": "default" if executor is None else "caller",
+        "max_workers": "default" if max_workers is None else "caller",
+        "batch_size": "pilot" if batch_size is None else "caller",
+    }
+    executor = "thread" if executor is None else executor
+    workers = (os.cpu_count() or 1) if max_workers is None else int(max_workers)
 
-    blocks = _batch_plans(plans, batch_size)
     total_span = span(
         "campaign.total",
         n_runs=len(plans),
-        n_blocks=len(blocks),
         executor=executor,
         max_workers=workers,
     )
+    tuning_header = None
     with total_span:
         heartbeat = _Heartbeat(len(plans), total_span, progress)
-        records = []
+        records: "list[CampaignRunRecord]" = []
+        blocks: "list[list[CampaignRunPlan]]" = []
+        if tune == "auto":
+            # The pilot: the plan's first blocks, executed and timed on
+            # this thread.  Their records and store commits are kept, so
+            # it costs only the runs spent at a size that did not win.
+            def time_block(size: int):
+                done = len(records)
+                if done == len(plans):
+                    return None
+                block = _batch_plans(plans[done:done + size], size)[0]
+                block_records = _execute_batch(emulator, block, store=store_obj)
+                blocks.append(block)
+                records.extend(block_records)
+                heartbeat.update(len(block))
+                return len(block), block_records[0].wall_seconds
+
+            with span("tuning.pilot") as pilot_span:
+                batch_size, rate, samples = _pilot_batch_size(
+                    int(n_realizations), time_block, batch_size
+                )
+                pilot_span.set(
+                    candidates=[s["batch_size"] for s in samples],
+                    seconds_per_run=[s["seconds_per_run"] for s in samples],
+                    winner=batch_size,
+                )
+            # An extrapolation of this campaign on this host: what the
+            # pilot took plus its best rate over the runs still to go.
+            predicted = pilot_span.seconds + rate * (len(plans) - len(records))
+            gauge_set("tuning.campaign.predicted_seconds", predicted)
+            tuning_header = {
+                "executor": executor,
+                "max_workers": workers,
+                "batch_size": batch_size,
+                "predicted_seconds": float(predicted),
+                "chosen": chosen,
+                "samples": samples,
+            }
+
+        rest = _batch_plans(plans[len(records):], batch_size)
+        blocks.extend(rest)
+        total_span.set(n_blocks=len(blocks))
         # Every executor hands back an in-order lazy iterable of
         # per-block record lists, so the coordinating thread drains it
         # block by block and beats the progress heartbeat as each block
         # lands — identical records, now observable mid-flight.
         with contextlib.ExitStack() as stack:
-            if workers == 1:
+            if workers == 1 or not rest:
                 batched = (
                     _execute_batch(emulator, block, parent=total_span, store=store_obj)
-                    for block in blocks
+                    for block in rest
                 )
             elif executor == "thread":
                 pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
@@ -958,7 +968,7 @@ def run_campaign(
                         _execute_batch, emulator,
                         parent=total_span, store=store_obj,
                     ),
-                    blocks,
+                    rest,
                 )
             else:
                 worker_source = source
@@ -974,7 +984,7 @@ def run_campaign(
                     )
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 batched = pool.map(
-                    partial(_execute_batch_in_process, source=worker_source), blocks
+                    partial(_execute_batch_in_process, source=worker_source), rest
                 )
             for block_records in batched:
                 records.extend(block_records)

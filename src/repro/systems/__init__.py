@@ -7,9 +7,9 @@ available here, so the benchmark harness combines
 * :mod:`repro.systems.catalog` — machine descriptions assembled from the
   paper's Section IV-D and public hardware specifications, and
 * :mod:`repro.systems.perf_model` — a calibrated analytic performance model
-  of the tile mixed-precision Cholesky, returning the same
-  :class:`~repro.tuning.costmodel.CostEstimate` currency the local
-  autotuning planner uses,
+  of the tile mixed-precision Cholesky, returning
+  :class:`CostEstimate` values normalised by
+  :func:`scaling_efficiencies`,
 
 to regenerate the *shape* of Figures 5-8 and Table I: which precision
 variant wins, by what factor, how weak/strong scaling behaves and where the
@@ -24,14 +24,20 @@ from repro.systems.catalog import (
     SYSTEMS,
     get_system,
 )
-from repro.systems.perf_model import CholeskyPerformanceModel
+from repro.systems.perf_model import (
+    CholeskyPerformanceModel,
+    CostEstimate,
+    scaling_efficiencies,
+)
 
 __all__ = [
     "ALPS",
     "CholeskyPerformanceModel",
+    "CostEstimate",
     "FRONTIER",
     "LEONARDO",
     "SUMMIT",
     "SYSTEMS",
     "get_system",
+    "scaling_efficiencies",
 ]

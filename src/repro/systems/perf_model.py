@@ -26,14 +26,15 @@ DP/SP/HP < DP/HP, the ~2x / ~3x / ~5x Summit speedups, flat weak scaling,
 strong-scaling efficiency ordering, and the cross-system ranking of
 Table I) within a reasonable margin.
 
-Estimates are returned as the shared
-:class:`~repro.tuning.costmodel.CostEstimate` currency (``workers`` =
-GPUs here), so paper-scale projections and local campaign tuning speak
-one prediction type; scaling series are plain estimate lists normalised
-by :func:`~repro.tuning.costmodel.scaling_efficiencies`.
+Estimates are returned as :class:`CostEstimate` values (``workers`` =
+GPUs), one per configuration with the three terms kept apart; scaling
+series are plain estimate lists normalised by
+:func:`scaling_efficiencies`.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,12 +42,70 @@ from repro.linalg.flops import cholesky_flops
 from repro.linalg.policies import variant_policy
 from repro.linalg.precision import Precision
 from repro.runtime.machine import CollectivePriority, ConversionSide, MachineSpec
-from repro.tuning.costmodel import CostEstimate
 
 __all__ = [
     "CholeskyPerformanceModel",
+    "CostEstimate",
     "band_flop_fraction",
+    "scaling_efficiencies",
 ]
+
+
+@dataclass(frozen=True)
+class CostEstimate:
+    """Predicted wall time of one configuration, split into the three terms.
+
+    ``workers`` is the allocation's GPU count and ``label`` says what
+    was priced (system, variant, matrix order).
+    """
+
+    label: str
+    workers: int
+    compute_s: float
+    comm_s: float
+    latency_s: float
+    flops: float
+
+    @property
+    def total_s(self) -> float:
+        """Predicted wall seconds (the sum of the three terms)."""
+        return self.compute_s + self.comm_s + self.latency_s
+
+    @property
+    def flops_per_s(self) -> float:
+        """Achieved Flop/s implied by the prediction."""
+        return self.flops / self.total_s if self.total_s > 0 else 0.0
+
+    @property
+    def pflops(self) -> float:
+        """Achieved PFlop/s."""
+        return self.flops_per_s / 1.0e15
+
+    @property
+    def eflops(self) -> float:
+        """Achieved EFlop/s."""
+        return self.flops_per_s / 1.0e18
+
+    @property
+    def tflops_per_worker(self) -> float:
+        """Achieved TFlop/s per worker (Table I's normalised metric)."""
+        return self.flops_per_s / 1.0e12 / self.workers if self.workers else 0.0
+
+
+def scaling_efficiencies(
+    estimates: "list[CostEstimate]", baseline_index: int = 0
+) -> "list[float]":
+    """Per-worker efficiency of a scaling series relative to a baseline.
+
+    The standard weak/strong-scaling normalisation: each point's
+    TFlop/s-per-worker divided by the baseline point's.  1.0 everywhere
+    means perfect scaling.
+    """
+    per_worker = [e.tflops_per_worker for e in estimates]
+    if not per_worker:
+        return []
+    base = per_worker[baseline_index]
+    return [p / base if base else 0.0 for p in per_worker]
 
 
 def band_flop_fraction(n_tiles: int, band_tiles: float) -> float:
@@ -188,7 +247,7 @@ class CholeskyPerformanceModel:
     ) -> CostEstimate:
         """Predict the factorisation performance for one configuration.
 
-        Returns a :class:`~repro.tuning.costmodel.CostEstimate` whose
+        Returns a :class:`CostEstimate` whose
         ``workers`` is the allocation's GPU count and whose label names
         the system, variant and matrix order.
         """
@@ -282,7 +341,7 @@ class CholeskyPerformanceModel:
         """Constant-memory-per-GPU scaling series (paper Fig. 7 left).
 
         One estimate per GPU count; normalise with
-        :func:`~repro.tuning.costmodel.scaling_efficiencies`.
+        :func:`scaling_efficiencies`.
         """
         if elements_per_gpu is None:
             per_gpu_bytes = self.machine.node.gpu.memory_gb * 1.0e9 * 0.5
@@ -304,7 +363,7 @@ class CholeskyPerformanceModel:
         """Fixed-problem-size scaling series (paper Fig. 7 right).
 
         One estimate per GPU count; normalise with
-        :func:`~repro.tuning.costmodel.scaling_efficiencies`.
+        :func:`scaling_efficiencies`.
         """
         estimates = []
         for g in gpu_counts:

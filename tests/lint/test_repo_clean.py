@@ -10,12 +10,14 @@ back: PR 5's float-sqrt band-limit recovery and an unlocked mutation of
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
 from tools.reprolint import Baseline, lint_paths, lint_source
 from tools.reprolint.cli import DEFAULT_BASELINE, DEFAULT_PATHS
 from tools.reprolint.deadsymbols import dead_symbol_report, render_report
+from tools.reprolint.rules.layering import EXCEPTIONS, LAYERS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -29,10 +31,10 @@ class TestRepoTreeIsClean:
         assert report.ok, f"reprolint findings on the tree:\n{rendered}"
 
     def test_tuning_package_lints_clean_without_baseline(self):
-        """The new package gets no grandfathered findings: it must pass
-        every rule with no baseline at all."""
-        report = lint_paths(REPO_ROOT, ["src/repro/tuning"])
-        assert report.scanned >= 4  # __init__, profile, costmodel, planner
+        """``repro.tuning`` (one module since PR 13) gets no grandfathered
+        findings: it must pass every rule with no baseline at all."""
+        report = lint_paths(REPO_ROOT, ["src/repro/tuning.py"])
+        assert report.scanned == 1
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"reprolint findings on repro.tuning:\n{rendered}"
 
@@ -43,8 +45,9 @@ class TestRepoTreeIsClean:
         package."""
         report = dead_symbol_report(
             REPO_ROOT,
-            ["src/repro/runtime", "src/repro/systems", "src/repro/tuning"],
+            ["src/repro/runtime", "src/repro/systems", "src/repro/tuning.py"],
         )
+        assert len(report["packages"]["src/repro/tuning.py"]["symbols"]) == 3
         unused = {
             package: [
                 symbol
@@ -56,6 +59,30 @@ class TestRepoTreeIsClean:
         assert all(not symbols for symbols in unused.values()), (
             "fully-unused public exports:\n" + render_report(report)
         )
+
+    def test_layering_table_mirrors_the_architecture_doc(self):
+        """One table, two spellings: the rows of docs/architecture.md's
+        layering table are exactly ``LAYERS``, every ``src/repro`` layer
+        has a row, and every exception carries a reason."""
+        text = (REPO_ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", text, flags=re.MULTILINE)
+        documented = {
+            layer: tuple(re.findall(r"`(\w+)`", cell)) for layer, cell in rows
+        }
+        assert documented == LAYERS
+        on_disk = {
+            path.stem if path.is_file() else path.name
+            for path in (REPO_ROOT / "src" / "repro").iterdir()
+            if path.name not in ("__init__.py", "__pycache__")
+        }
+        assert on_disk == set(LAYERS)
+        assert all(reason.strip() for reason in EXCEPTIONS.values())
+
+    def test_stale_layering_exception_is_a_finding(self, monkeypatch):
+        monkeypatch.setitem(EXCEPTIONS, ("util", "repro.serving"), "made up")
+        report = lint_paths(REPO_ROOT, ["src"], rules=["import-layering"])
+        assert [f.rule for f in report.findings] == ["import-layering"]
+        assert "matches no import any more" in report.findings[0].message
 
     def test_baseline_stays_minimal_and_justified(self):
         """Every baseline entry must carry a reason; staleness is enforced

@@ -767,3 +767,84 @@ class TestManifestCommit:
             relpath="src/repro/storage/example.py",
             rules=["manifest-commit"],
         ) == []
+
+
+# --------------------------------------------------------------------- #
+# import-layering
+# --------------------------------------------------------------------- #
+class TestImportLayering:
+    def test_upward_import_at_module_level_fires(self):
+        findings = run(
+            "from repro.scenarios.campaign import run_campaign\n",
+            relpath="src/repro/sht/example.py",
+            rules=["import-layering"],
+        )
+        assert rule_ids(findings) == ["import-layering"]
+        assert "`repro.sht` imports `repro.scenarios.campaign`" in findings[0].message
+
+    def test_allowed_same_layer_and_lazy_imports_are_clean(self):
+        source = """
+            from typing import TYPE_CHECKING
+
+            from repro.obs import span
+            from repro.sht.grid import Grid
+
+            if TYPE_CHECKING:
+                from repro.serving.service import EmulationService
+
+            def late():
+                from repro.api.facade import load
+                return load
+        """
+        assert run(
+            source, relpath="src/repro/sht/example.py", rules=["import-layering"]
+        ) == []
+
+    def test_guarded_module_level_import_still_fires(self):
+        source = """
+            try:
+                import repro.serving.service
+            except ImportError:
+                pass
+        """
+        findings = run(
+            source, relpath="src/repro/storage/example.py", rules=["import-layering"]
+        )
+        assert rule_ids(findings) == ["import-layering"]
+
+    def test_layer_without_a_row_may_import_nothing(self):
+        findings = run(
+            "from repro import obs\n",
+            relpath="src/repro/newlayer/example.py",
+            rules=["import-layering"],
+        )
+        assert rule_ids(findings) == ["import-layering"]
+        assert "allows only nothing" in findings[0].message
+
+    def test_listed_exception_is_quiet_but_only_for_its_module(self):
+        assert run(
+            "from repro.linalg.flops import sht_contraction_flops\n",
+            relpath="src/repro/sht/transform.py",
+            rules=["import-layering"],
+        ) == []
+        findings = run(
+            "from repro.linalg.cholesky import MixedPrecisionCholesky\n",
+            relpath="src/repro/sht/transform.py",
+            rules=["import-layering"],
+        )
+        assert rule_ids(findings) == ["import-layering"]
+
+    def test_files_outside_src_are_out_of_scope(self):
+        # (The root src/repro/__init__.py, which re-exports every layer,
+        # is covered by the clean-tree test.)
+        source = "from repro.serving.service import EmulationService\n"
+        assert run(source, relpath="benchmarks/example.py", rules=["import-layering"]) == []
+
+    def test_pragma_with_reason_suppresses(self):
+        source = (
+            "# reprolint: allow[import-layering] fixture: deliberate upward edge\n"
+            "from repro.serving.service import EmulationService\n"
+        )
+        assert run(
+            source, relpath="src/repro/core/example.py", rules=["import-layering"]
+        ) == []

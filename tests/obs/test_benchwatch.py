@@ -203,7 +203,7 @@ class TestWatchlist:
         defended = {watched.benchmark for watched in WATCHLIST}
         assert defended == {
             "serving", "fit", "batched_synthesis", "storage",
-            "telemetry_overhead", "autotune",
+            "telemetry_overhead",
         }
 
     def test_keys_are_unique(self):

@@ -11,11 +11,12 @@ from repro.systems import (
     SUMMIT,
     SYSTEMS,
     CholeskyPerformanceModel,
+    CostEstimate,
     get_system,
+    scaling_efficiencies,
 )
 from repro.systems.catalog import PAPER_NODE_COUNTS
 from repro.systems.perf_model import band_flop_fraction
-from repro.tuning import scaling_efficiencies
 
 
 class TestCatalog:
@@ -103,6 +104,26 @@ class TestPerformanceModel:
         }
         assert rates["frontier"] > rates["alps"] > rates["summit"] > rates["leonardo"]
         assert rates["frontier"] > 900.0  # near-exascale
+
+    def test_estimate_terms_and_rates(self):
+        est = CholeskyPerformanceModel(SUMMIT).estimate(1_000_000, 64, "DP/HP")
+        assert est.total_s == pytest.approx(
+            est.compute_s + est.comm_s + est.latency_s
+        )
+        assert est.total_s > 0 and est.flops_per_s > 0
+        assert est.tflops_per_worker == pytest.approx(
+            est.pflops * 1.0e3 / est.workers
+        )
+
+    def test_scaling_efficiencies_normalises(self):
+        series = [
+            CostEstimate("a", 1, 1.0, 0.0, 0.0, 100.0),
+            CostEstimate("b", 2, 1.0, 0.0, 0.0, 150.0),
+        ]
+        eff = scaling_efficiencies(series)
+        assert eff[0] == pytest.approx(1.0)
+        assert eff[1] == pytest.approx(0.75)
+        assert scaling_efficiencies([]) == []
 
     def test_weak_scaling_roughly_flat(self):
         model = CholeskyPerformanceModel(SUMMIT)

@@ -122,12 +122,6 @@ WATCHLIST = (
     WatchedMetric(
         "storage", "cross_tier.cross_tier_boost_factor", higher_is_better=True
     ),
-    # The tuned/default ratio's healthy value sits near 1.0; the absolute
-    # slack absorbs wall-clock weather around parity so only a real slide
-    # (the planner picking a genuinely bad plan) trips the gate.
-    WatchedMetric(
-        "autotune", "campaign.speedup", higher_is_better=True, abs_slack=0.2
-    ),
     # disabled_overhead is a fraction that hovers around 0.0 (and is
     # legitimately negative under timer noise): the absolute slack is
     # the real gate, the relative term contributes nothing at 0.

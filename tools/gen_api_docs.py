@@ -111,10 +111,7 @@ def generate() -> str:
     from repro.storage.chunkstore import ChunkStore
     from repro.tuning import (
         MachineProfile,
-        TuningPlan,
         calibrate_machine,
-        load_or_calibrate,
-        plan_campaign_execution,
         plan_serving_cache_bytes,
     )
     from repro.util.registry import BackendRegistry, UnknownBackendError
@@ -211,23 +208,16 @@ def generate() -> str:
 
     parts.append("## Tuning\n")
     parts.append(
-        "Cost-model-driven autotuning (`repro.tuning`): a measured\n"
-        "per-host `MachineProfile` feeds a `T_compute + T_comm +\n"
-        "T_latency` cost model, and the planner picks the execution knobs\n"
-        "behind `run_campaign(..., tune=\"auto\")` and `serve(...,\n"
-        "cache_bytes=\"auto\")`.  Tuning only moves bit-inert knobs, so\n"
-        "tuned output is bit-identical to untuned.  See\n"
-        "[`tuning.md`](tuning.md) for the tour.\n"
+        "Autotuning by measurement (`repro.tuning`):\n"
+        "`run_campaign(..., tune=\"auto\")` times the campaign's own first\n"
+        "blocks to pick `batch_size` (see its `tune` parameter above), and\n"
+        "`serve(..., cache_bytes=\"auto\")` clamps the chunk cache to the\n"
+        "host's memory.  Block size is bit-inert, so tuned output is\n"
+        "bit-identical to untuned.  See [`tuning.md`](tuning.md).\n"
     )
-    parts.append(_entry("repro.MachineProfile", MachineProfile,
-                        methods=("state_dict", "from_state", "save", "load",
-                                 "gemm_rate_gflops", "parallel_efficiency")))
-    parts.append(_entry("repro.TuningPlan", TuningPlan,
-                        methods=("to_dict",)))
     for qualname, obj in (
+        ("repro.MachineProfile", MachineProfile),
         ("repro.calibrate_machine", calibrate_machine),
-        ("repro.tuning.load_or_calibrate", load_or_calibrate),
-        ("repro.tuning.plan_campaign_execution", plan_campaign_execution),
         ("repro.tuning.plan_serving_cache_bytes", plan_serving_cache_bytes),
     ):
         parts.append(_entry(qualname, obj))

@@ -1,8 +1,9 @@
 """Dead/unused-public-symbol report.
 
-For a package directory (say ``src/repro/runtime``), read the
-``__all__`` of its ``__init__.py`` and classify every public symbol by
-where — outside the package itself — its name is actually referenced:
+For a package directory (say ``src/repro/runtime``) or a single module
+(``src/repro/tuning.py``), read the ``__all__`` of its ``__init__.py``
+(or of the module) and classify every public symbol by where — outside
+the package itself — its name is actually referenced:
 
 * ``src``      — referenced from production code (other ``src`` files);
 * ``tests``    — referenced only from the test-suite;
@@ -87,8 +88,13 @@ def dead_symbol_report(
     report: dict = {"packages": {}}
     for package in packages:
         package_dir = (root / package).resolve()
-        init_path = package_dir / "__init__.py"
-        relprefix = package_dir.relative_to(root).as_posix() + "/"
+        if package_dir.suffix == ".py":
+            # A single-module layer: its own file is "the package".
+            init_path = package_dir
+            relprefix = package_dir.relative_to(root).as_posix()
+        else:
+            init_path = package_dir / "__init__.py"
+            relprefix = package_dir.relative_to(root).as_posix() + "/"
         symbols = _public_symbols(init_path) if init_path.exists() else []
         entries = {}
         for symbol in symbols:

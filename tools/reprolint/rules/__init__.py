@@ -11,6 +11,7 @@ from tools.reprolint.rules import (  # noqa: F401  (imported for registration)
     api_hygiene,
     determinism,
     indexing,
+    layering,
     locking,
     manifest,
     protocol,
@@ -21,6 +22,7 @@ from tools.reprolint.rules import (  # noqa: F401  (imported for registration)
 from tools.reprolint.rules.api_hygiene import ApiHygieneRule
 from tools.reprolint.rules.determinism import DeterminismRule
 from tools.reprolint.rules.indexing import IndexRecoveryRule
+from tools.reprolint.rules.layering import ImportLayeringRule
 from tools.reprolint.rules.locking import LockDisciplineRule
 from tools.reprolint.rules.manifest import ManifestCommitRule
 from tools.reprolint.rules.protocol import StateProtocolRule
@@ -32,6 +34,7 @@ __all__ = [
     "ApiHygieneRule",
     "BareExceptRule",
     "DeterminismRule",
+    "ImportLayeringRule",
     "IndexRecoveryRule",
     "LockDisciplineRule",
     "ManifestCommitRule",
