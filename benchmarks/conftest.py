@@ -64,4 +64,6 @@ def bench_emulator(bench_simulations):
 @pytest.fixture(scope="session")
 def bench_covariance(bench_emulator) -> np.ndarray:
     """The fitted innovation covariance (144 x 144), used by solver benches."""
+    # Fit-time attribute: ``bench_emulator`` is fitted in this process; a
+    # loaded artifact carries the factor, not the covariance.
     return np.asarray(bench_emulator.spectral_model.covariance)

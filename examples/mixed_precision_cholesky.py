@@ -31,6 +31,8 @@ def fitted_covariance(lmax: int = 14) -> np.ndarray:
     ).generate()
     emulator = ClimateEmulator(EmulatorConfig(lmax=lmax, var_order=2, tile_size=49))
     emulator.fit(sims)
+    # Fit-time attribute: present because this emulator was fitted in this
+    # process; a loaded artifact carries the factor, not the covariance.
     return np.asarray(emulator.spectral_model.covariance)
 
 

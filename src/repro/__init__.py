@@ -60,7 +60,7 @@ Quickstart
 ...     n_realizations=5, max_workers=4)
 """
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 from repro import obs
 from repro.core.config import EmulatorConfig

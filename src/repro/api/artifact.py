@@ -3,10 +3,12 @@
 The paper's headline claim is that a fitted emulator's *parameters* replace
 petabytes of raw ensemble output.  :class:`EmulatorArtifact` makes that
 durable: it captures :meth:`ClimateEmulator.state_dict` — every fitted
-pipeline stage (trend, scale, VAR, innovation covariance, mixed-precision
-Cholesky factor, nugget) plus the training summary and configuration — in a
-single compressed ``.npz`` file with a JSON metadata block and an explicit
-schema version.
+pipeline stage (trend, scale, VAR, mixed-precision Cholesky factor, nugget)
+plus the training summary and configuration — in a single ``.npz`` file
+with a JSON metadata block and an explicit schema version.  The factor *is*
+the stored model: the innovation covariance it came from is not persisted.
+Members are stored, not deflated (zlib over float64 noise saved ~5 % of the
+bytes for most of the save time).
 
 Round trips are bit-exact: a loaded emulator driven by the same seeded
 random generator reproduces the original's ``emulate()`` output exactly.
@@ -18,10 +20,15 @@ theoretical parameter counts.
 File layout
 -----------
 One NPZ member per array, named by its ``/``-joined path in the nested
-state dict (e.g. ``spectral_model/cholesky/lower``); one ``uint8`` member
-(:data:`META_KEY`) holding the UTF-8 JSON metadata: schema version, library
-version, and the non-array part of the state tree.  ``allow_pickle`` is
-never used, so artifacts are safe to load from untrusted sources.
+state dict (e.g. ``spectral_model/cholesky/tiles_fp64``); one ``uint8``
+member (:data:`META_KEY`) holding the UTF-8 JSON metadata: schema version,
+library version, and the non-array part of the state tree.  ``allow_pickle``
+is never used, so artifacts are safe to load from untrusted sources.
+
+Schema 1 stored the dense ``spectral_model/covariance`` beside one deflated
+``spectral_model/cholesky/tiles/<i>_<j>`` member per tile; schema 2, the only
+one written, drops the covariance and packs the tiles into one buffer per
+precision.  :meth:`EmulatorArtifact.load` reads both.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import __version__
+from repro.api.registry import UnknownBackendError
 from repro.core.emulator import ClimateEmulator
 
 __all__ = [
@@ -46,8 +54,14 @@ __all__ = [
     "SchemaVersionError",
 ]
 
-#: Current artifact schema version; bumped on incompatible layout changes.
-SCHEMA_VERSION = 1
+#: Artifact schema version written; bumped on incompatible layout changes.
+SCHEMA_VERSION = 2
+
+#: Schema versions :meth:`EmulatorArtifact.load` reads.
+_READABLE_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
+
+#: The one version-1 member no reader uses (8 L^4 bytes, deflated).
+_SCHEMA_1_COVARIANCE = "spectral_model/covariance"
 
 #: NPZ member holding the JSON metadata block.
 META_KEY = "__repro_artifact__"
@@ -107,8 +121,21 @@ class EmulatorArtifact:
         return cls(state=emulator.state_dict())
 
     def to_emulator(self) -> ClimateEmulator:
-        """Rebuild the fitted emulator this artifact snapshots."""
-        return ClimateEmulator.from_state(self.state)
+        """Rebuild the fitted emulator this artifact snapshots.
+
+        Raises
+        ------
+        ArtifactError
+            When a member is missing or disagrees with the shapes the
+            metadata declares (truncated or hand-edited artifact); the
+            message names the member.
+        """
+        try:
+            return ClimateEmulator.from_state(self.state)
+        except UnknownBackendError:
+            raise  # a well-formed artifact naming a backend this build lacks
+        except (KeyError, ValueError) as exc:
+            raise ArtifactError(f"artifact state is not a fitted emulator: {exc}") from exc
 
     # ------------------------------------------------------------------ #
     # Flattening
@@ -161,7 +188,7 @@ class EmulatorArtifact:
         payload = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
-        np.savez_compressed(fh, **arrays, **{META_KEY: payload})
+        np.savez(fh, **arrays, **{META_KEY: payload})
 
     def save(self, path: "str | os.PathLike") -> str:
         """Write the artifact to ``path`` (exact path, no ``.npz`` appended)."""
@@ -189,8 +216,9 @@ class EmulatorArtifact:
         ArtifactError
             When the file is not an emulator artifact.
         SchemaVersionError
-            When the artifact's schema version differs from
-            :data:`SCHEMA_VERSION`.
+            When the artifact's schema version is neither
+            :data:`SCHEMA_VERSION` nor the older version 1, which is
+            still read (its unused ``covariance`` member is skipped).
         """
         path = Path(path)
         # Open the file ourselves: np.load(path) can leak its file handle
@@ -224,17 +252,22 @@ class EmulatorArtifact:
                     f"expected {FORMAT_NAME!r}"
                 )
             version = int(meta.get("schema_version", -1))
-            if version != SCHEMA_VERSION:
+            if version not in _READABLE_SCHEMA_VERSIONS:
                 raise SchemaVersionError(
                     f"{path} uses artifact schema version {version}, but this "
-                    f"build reads version {SCHEMA_VERSION}; re-save the emulator "
-                    f"with a matching repro version"
+                    f"build reads versions {_READABLE_SCHEMA_VERSIONS} (it writes "
+                    f"{SCHEMA_VERSION}); re-save the emulator with a matching "
+                    f"repro version"
                 )
-            arrays = {
-                key: np.asarray(archive[key])
-                for key in archive.files
-                if key != META_KEY
-            }
+            try:
+                arrays = {
+                    key: np.asarray(archive[key])
+                    for key in archive.files
+                    if key not in (META_KEY, _SCHEMA_1_COVARIANCE)
+                }
+            except (OSError, ValueError, zipfile.BadZipFile) as exc:
+                # Stored members are CRC-checked as they are read.
+                raise ArtifactError(f"{path} has a damaged member: {exc}") from exc
         state = cls._unflatten(arrays, meta.get("state", {}))
         return cls(
             state=state,

@@ -54,7 +54,8 @@ def fit(
         Emulator configuration; defaults to ``EmulatorConfig()``.
     batch_size:
         Cap on ensemble members per SHT pass during the spectral fit
-        (all at once when ``None``).  A memory knob only: the fitted
+        (when ``None``: the analysis all at once, the nugget
+        reconstruction one member per pass).  A memory knob only: the fitted
         state is bit-identical for every value, because the forward and
         inverse transforms are independent per leading slice.
     **overrides:
@@ -86,8 +87,12 @@ def fit(
 def save(emulator: ClimateEmulator, path: "str | os.PathLike") -> str:
     """Persist a fitted emulator as an NPZ artifact; returns the path.
 
-    All fitted arrays are stored at full ``float64`` precision, so a
-    :func:`load` round trip rebuilds a bit-exactly equivalent emulator.
+    Every array is stored losslessly at the dtype it is held in —
+    ``float64`` throughout, except the Cholesky factor's tiles, which
+    keep their storage precision (``float32`` / ``float16`` tiles under
+    the mixed-precision variants) — so a :func:`load` round trip
+    rebuilds an emulator that emulates bit-exactly as this one.  The
+    innovation covariance is not stored: the factor is the model.
     """
     with span("facade.save"):
         return emulator.save(path)

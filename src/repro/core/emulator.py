@@ -163,8 +163,9 @@ class ClimateEmulator:
         batch_size:
             Cap on ensemble members per SHT pass during the spectral fit
             (forward analysis of the residuals and the inverse
-            reconstruction behind the nugget); all at once when
-            ``None``.  A memory knob only: the fitted state is
+            reconstruction behind the nugget).  When ``None`` the
+            analysis takes all members at once and the reconstruction
+            one per pass.  A memory knob only: the fitted state is
             bit-identical for every value (pinned by tests).
         """
         cfg = self.config
@@ -349,10 +350,12 @@ class ClimateEmulator:
         """Nested state of every fitted pipeline stage.
 
         The layout mirrors the pipeline: ``config``, ``trend_model``,
-        ``trend_fit``, ``scale``, ``spectral_model`` (VAR, covariance,
-        Cholesky factor, nugget) and ``training`` (the
-        :class:`TrainingSummary`).  :meth:`from_state` rebuilds a
-        bit-exactly equivalent emulator from it.
+        ``trend_fit``, ``scale``, ``spectral_model`` (VAR, nugget, and
+        under ``cholesky`` the factor's tiles packed per storage
+        precision — the innovation covariance itself is not part of the
+        state) and ``training`` (the :class:`TrainingSummary`).
+        :meth:`from_state` rebuilds an emulator that emulates bit-exactly
+        as this one; calling this on that rebuilt emulator works too.
         """
         self._require_fit()
         assert self.trend_model is not None and self.trend_fit is not None

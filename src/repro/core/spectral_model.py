@@ -11,7 +11,6 @@ as white noise when emulations are generated.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,11 +82,13 @@ class SpectralStochasticModel:
 
     plan: object = field(init=False, repr=False)
     var: DiagonalVAR = field(init=False, repr=False)
+    #: Innovation covariance ``U`` — fit-time only: the factor is what is
+    #: persisted, so this is ``None`` on a model rebuilt by :meth:`from_state`.
     covariance: np.ndarray | None = field(init=False, default=None, repr=False)
     cholesky: CholeskyResult | None = field(init=False, default=None, repr=False)
     nugget_std: np.ndarray | None = field(init=False, default=None, repr=False)
     initial_state: np.ndarray | None = field(init=False, default=None, repr=False)
-    #: ``(cholesky, weakref to its dense L.T)`` — see :meth:`_lower_t`.
+    #: ``(cholesky, its dense L.T)`` — see :meth:`_lower_t`.
     _dense_factor: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -193,7 +194,11 @@ class SpectralStochasticModel:
         behind the nugget) materialises at once — the ``O(L^3)`` working
         set of the fit hot path.  A memory/throughput knob only: both
         transforms are independent per leading slice, so the fitted
-        state is bit-identical for every ``batch_size``.
+        state is bit-identical for every ``batch_size``.  Unset, the
+        analysis runs in one pass and the reconstruction one member per
+        pass: it only feeds a variance, runs while the covariance and
+        the factor are already resident (the fit's memory peak), and is
+        no slower blocked.
         """
         standardized = np.asarray(standardized, dtype=np.float64)
         if standardized.ndim == 3:
@@ -234,7 +239,7 @@ class SpectralStochasticModel:
         ):
             self.cholesky = solver.factorize(cov)
 
-        truncation = self.truncation_residual(standardized, spectral, batch_size)
+        truncation = self.truncation_residual(standardized, spectral, batch_size or 1)
         self.nugget_std = truncation.std(axis=(0, 1), ddof=1)
         self.initial_state = spectral[:, -max(self.var_order, 1):, :].mean(axis=0)
         return self
@@ -250,28 +255,21 @@ class SpectralStochasticModel:
             raise RuntimeError("fit() must be called first")
         k = self.cholesky.factor.n
         z = rng.standard_normal((n_realizations, n_times, k))
-        return z @ self.cholesky.lower().T
+        return z @ self._lower_t()
 
     def _lower_t(self) -> np.ndarray:
-        """Dense ``L.T`` of the fitted factor, shared by the live streams.
+        """Dense ``L.T`` of the fitted factor, densified once per factor.
 
-        Every stream multiplies its draws by the same ``k x k`` matrix
-        and holds it for its lifetime, so streams alive together (the
-        service parks up to ``max_streams`` paused ones; campaign
-        threads run one each) share one copy instead of pinning one
-        each.  The model keeps only a weak reference, so the copy is
-        freed with its last stream.  Two threads racing on a dead
-        reference build equal arrays, so no lock is needed.
+        Every draw multiplies by the same ``k x k`` matrix, so the model
+        holds it for as long as ``self.cholesky`` is the factor it was
+        built from (a refit installs a new factor and the next draw
+        rebuilds).  Two threads racing on a stale entry build equal
+        arrays, so no lock is needed.
         """
         cached = self._dense_factor
-        dense = (
-            cached[1]() if cached is not None and cached[0] is self.cholesky
-            else None
-        )
-        if dense is None:
-            dense = self.cholesky.lower().T
-            self._dense_factor = (self.cholesky, weakref.ref(dense))
-        return dense
+        if cached is None or cached[0] is not self.cholesky:
+            cached = self._dense_factor = (self.cholesky, self.cholesky.lower().T)
+        return cached[1]
 
     def generate_standardized_stream_multi(
         self,
@@ -362,7 +360,7 @@ class SpectralStochasticModel:
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict:
         """Arrays and metadata from which :meth:`from_state` rebuilds the model."""
-        if self.covariance is None or self.cholesky is None or self.nugget_std is None:
+        if self.cholesky is None or self.nugget_std is None:
             raise RuntimeError("fit() must be called before state_dict()")
         return {
             "lmax": int(self.lmax),
@@ -372,7 +370,6 @@ class SpectralStochasticModel:
             "precision_variant": str(self.precision_variant),
             "covariance_jitter": float(self.covariance_jitter),
             "sht_method": str(self.sht_method),
-            "covariance": np.asarray(self.covariance, dtype=np.float64),
             "nugget_std": np.asarray(self.nugget_std, dtype=np.float64),
             "initial_state": (
                 np.asarray(self.initial_state, dtype=np.float64)
@@ -397,7 +394,6 @@ class SpectralStochasticModel:
             sht_method=str(state.get("sht_method", "fast")),
         )
         model.var = DiagonalVAR.from_state(state["var"])
-        model.covariance = np.asarray(state["covariance"], dtype=np.float64)
         model.nugget_std = np.asarray(state["nugget_std"], dtype=np.float64)
         initial_state = state.get("initial_state")
         if initial_state is not None:
@@ -410,9 +406,9 @@ class SpectralStochasticModel:
     # ------------------------------------------------------------------ #
     def parameter_count(self) -> int:
         """Number of stored model parameters (drives the storage savings)."""
-        if self.covariance is None or self.nugget_std is None:
+        if self.cholesky is None or self.nugget_std is None:
             raise RuntimeError("fit() must be called first")
-        k = self.covariance.shape[0]
+        k = self.cholesky.factor.n
         cov_params = k * (k + 1) // 2
         var_params = self.var_order * k
         nugget_params = int(np.prod(self.nugget_std.shape))

@@ -247,8 +247,8 @@ class CholeskyResult:
     n_tasks: int
 
     def lower(self) -> np.ndarray:
-        """Dense lower-triangular factor in float64."""
-        return np.tril(self.factor.to_dense(lower_only=True))
+        """Dense lower-triangular factor in float64 (C order, a fresh array)."""
+        return self.factor.to_dense(lower_only=True)
 
     def reconstruction(self) -> np.ndarray:
         """``L @ L.T`` of the computed factor."""
@@ -278,18 +278,23 @@ class CholeskyResult:
     def state_dict(self) -> dict:
         """Arrays and metadata from which :meth:`from_state` rebuilds the result.
 
-        Each lower-triangle tile is stored *at its native precision* (fp64 /
-        fp32 / fp16 all serialise losslessly to NPZ), so the round trip is
-        bit-exact and the on-disk artifact genuinely reflects the
-        mixed-precision storage savings rather than re-inflating every tile
-        to float64.
+        The lower-triangle tiles are packed *at their native precision*, in
+        row-major ``(i, j)`` order, into one contiguous buffer per storage
+        dtype (``tiles_fp64`` / ``tiles_fp32`` / ``tiles_fp16``; only the
+        precisions in use appear), with ``tile_precision`` holding each
+        tile's index into :data:`PRECISIONS`.  The round trip is bit-exact
+        and the artifact carries the mixed-precision storage saving instead
+        of re-inflating every tile to float64.
         """
-        tiles = {
-            f"{i}_{j}": tile.data for (i, j), tile in self.factor.tiles.items()
-        }
-        return {
-            "tiles": tiles,
-            "n": int(self.factor.n),
+        factor = self.factor
+        order = _tile_order(factor.n_tiles)
+        codes = np.array(
+            [PRECISIONS.index(factor.tiles[key].precision) for key in order],
+            dtype=np.uint8,
+        )
+        state = {
+            "tile_precision": codes,
+            "n": int(factor.n),
             "variant": str(self.variant),
             "tile_size": int(self.tile_size),
             "flops_by_precision": {k: float(v) for k, v in self.flops_by_precision.items()},
@@ -299,26 +304,33 @@ class CholeskyResult:
             "conversions": int(self.conversions),
             "n_tasks": int(self.n_tasks),
         }
+        for code, precision in enumerate(PRECISIONS):
+            members = [
+                factor.tiles[key].data.ravel()
+                for key, tile_code in zip(order, codes) if tile_code == code
+            ]
+            if members:
+                state[f"tiles_{precision.value}"] = np.concatenate(members)
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "CholeskyResult":
-        """Rebuild a factorisation result from :meth:`state_dict` output."""
-        dtype_to_precision = {p.dtype: p for p in PRECISIONS}
-        tiles: dict[tuple[int, int], Tile] = {}
-        for key, data in state["tiles"].items():
-            i, j = (int(part) for part in key.split("_"))
-            data = np.asarray(data)
-            precision = dtype_to_precision.get(data.dtype)
-            if precision is None:
-                raise ValueError(f"tile ({i}, {j}) has unsupported dtype {data.dtype}")
-            tiles[(i, j)] = Tile(data=data, precision=precision)
-        factor = TiledSymmetricMatrix(
-            n=int(state["n"]), tile_size=int(state["tile_size"]), tiles=tiles
-        )
+        """Rebuild a factorisation result from :meth:`state_dict` output.
+
+        Also reads the schema-1 layout (a ``tiles`` dict of one array per
+        tile).  Packed tiles are zero-copy views of their buffer; a buffer
+        or code array that disagrees with ``n`` / ``tile_size`` raises
+        ``ValueError`` naming the member.
+        """
+        factor = TiledSymmetricMatrix(n=int(state["n"]), tile_size=int(state["tile_size"]))
+        if "tiles" in state:
+            factor.tiles = _tiles_from_members(state["tiles"])
+        else:
+            factor.tiles = _tiles_from_packed(state, factor)
         return cls(
             factor=factor,
             variant=str(state["variant"]),
-            tile_size=int(state["tile_size"]),
+            tile_size=factor.tile_size,
             flops_by_precision={str(k): float(v) for k, v in state["flops_by_precision"].items()},
             total_flops=float(state["total_flops"]),
             storage_bytes=int(state["storage_bytes"]),
@@ -326,6 +338,62 @@ class CholeskyResult:
             conversions=int(state["conversions"]),
             n_tasks=int(state["n_tasks"]),
         )
+
+
+def _tile_order(n_tiles: int) -> list[tuple[int, int]]:
+    """Lower-triangle tile keys in the packed (row-major) order."""
+    return [(i, j) for i in range(n_tiles) for j in range(i + 1)]
+
+
+def _tiles_from_members(members: dict) -> dict[tuple[int, int], Tile]:
+    """Schema-1 layout: one ``"<i>_<j>"`` array per tile, dtype = precision."""
+    dtype_to_precision = {p.dtype: p for p in PRECISIONS}
+    tiles: dict[tuple[int, int], Tile] = {}
+    for key, data in members.items():
+        i, j = (int(part) for part in key.split("_"))
+        data = np.asarray(data)
+        precision = dtype_to_precision.get(data.dtype)
+        if precision is None:
+            raise ValueError(f"tile ({i}, {j}) has unsupported dtype {data.dtype}")
+        tiles[(i, j)] = Tile(data=data, precision=precision)
+    return tiles
+
+
+def _tiles_from_packed(
+    state: dict, factor: TiledSymmetricMatrix
+) -> dict[tuple[int, int], Tile]:
+    """Slice the per-precision buffers into tile views, validating each member."""
+    order = _tile_order(factor.n_tiles)
+    shapes = [(factor.tile_rows(i), factor.tile_rows(j)) for i, j in order]
+    sizes = np.array([rows * cols for rows, cols in shapes], dtype=np.int64)
+    layout = f"n={factor.n}, tile_size={factor.tile_size}"
+    codes = np.asarray(state["tile_precision"])
+    if codes.shape != sizes.shape or codes.dtype != np.uint8 or np.any(
+        codes >= len(PRECISIONS)
+    ):
+        raise ValueError(
+            f"'tile_precision' must hold {len(order)} uint8 codes below "
+            f"{len(PRECISIONS)} for {layout}; got {codes.dtype} of shape {codes.shape}"
+        )
+    tiles: dict[tuple[int, int], Tile] = {}
+    for code, precision in enumerate(PRECISIONS):
+        member = f"tiles_{precision.value}"
+        mine = np.flatnonzero(codes == code)
+        buffer = np.asarray(state.get(member, np.empty(0, precision.dtype)))
+        needed = int(sizes[mine].sum())
+        if buffer.dtype != precision.dtype or buffer.shape != (needed,):
+            raise ValueError(
+                f"{member!r} must be a flat {precision.dtype} buffer of {needed} "
+                f"values ({mine.size} tiles of {layout}); got {buffer.dtype} of "
+                f"shape {buffer.shape}"
+            )
+        stops = np.cumsum(sizes[mine])
+        for t, stop in zip(mine.tolist(), stops.tolist()):
+            tiles[order[t]] = Tile(
+                data=buffer[stop - sizes[t]: stop].reshape(shapes[t]),
+                precision=precision,
+            )
+    return {key: tiles[key] for key in order}
 
 
 @dataclass

@@ -36,7 +36,9 @@ class Tile:
     conversions: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
-        self.data = np.asarray(self.data).astype(self.precision.dtype)
+        # No copy when the dtype already matches: loaded factors hand in
+        # views of one packed buffer per precision.
+        self.data = np.asarray(self.data).astype(self.precision.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
     @property

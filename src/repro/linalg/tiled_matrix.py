@@ -97,15 +97,20 @@ class TiledSymmetricMatrix:
     # Conversions and accounting
     # ------------------------------------------------------------------ #
     def to_dense(self, lower_only: bool = False) -> np.ndarray:
-        """Reassemble a dense float64 matrix (symmetrised unless asked not to)."""
+        """Reassemble a dense float64 matrix in one pass over the tiles.
+
+        Symmetrised by default; ``lower_only`` returns the lower triangle
+        alone, exact zeros above the diagonal (``np.tril`` touches only the
+        diagonal tiles, so no second ``n x n`` copy is made).
+        """
         out = np.zeros((self.n, self.n), dtype=np.float64)
         nb = self.tile_size
         for (i, j), tile in self.tiles.items():
             ri = slice(i * nb, i * nb + tile.shape[0])
             cj = slice(j * nb, j * nb + tile.shape[1])
-            out[ri, cj] = tile.as_float64()
+            out[ri, cj] = np.tril(tile.data) if i == j else tile.data
         if not lower_only:
-            out = np.tril(out) + np.tril(out, -1).T
+            out = out + np.tril(out, -1).T
         return out
 
     def storage_bytes(self) -> int:

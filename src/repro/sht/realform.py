@@ -18,17 +18,31 @@ preserved between the two representations.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from repro.sht.transform import (
-    bandlimit_from_coeff_count,
-    coeff_index,
-    degrees_and_orders,
-)
+from repro.sht.transform import bandlimit_from_coeff_count, degrees_and_orders
 
 __all__ = ["real_from_complex", "complex_from_real", "real_basis_labels"]
 
 _SQRT2 = np.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the ``m = 0``, ``m > 0`` and mirrored ``-m`` entries,
+    and ``(-1)**m`` for the ``m > 0`` ones (read-only: shared by every caller)."""
+    _, ms = degrees_and_orders(lmax)
+    index = np.arange(lmax * lmax)
+    positive = ms > 0
+    tables = (
+        index[ms == 0], index[positive], index[positive] - 2 * ms[positive],
+        (-1) ** ms[positive],
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def real_from_complex(coeffs: np.ndarray) -> np.ndarray:
@@ -47,13 +61,12 @@ def real_from_complex(coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs)
     lmax = bandlimit_from_coeff_count(coeffs.shape[-1])
+    zero, pos, neg, _ = _tables(lmax)
     out = np.empty(coeffs.shape[:-1] + (lmax * lmax,), dtype=np.float64)
-    for ell in range(lmax):
-        out[..., coeff_index(ell, 0)] = coeffs[..., coeff_index(ell, 0)].real
-        for m in range(1, ell + 1):
-            c = coeffs[..., coeff_index(ell, m)]
-            out[..., coeff_index(ell, m)] = _SQRT2 * c.real
-            out[..., coeff_index(ell, -m)] = _SQRT2 * c.imag
+    out[..., zero] = coeffs[..., zero].real
+    c = coeffs[..., pos]
+    out[..., pos] = _SQRT2 * c.real
+    out[..., neg] = _SQRT2 * c.imag
     return out
 
 
@@ -65,15 +78,12 @@ def complex_from_real(real_coeffs: np.ndarray) -> np.ndarray:
     """
     real_coeffs = np.asarray(real_coeffs, dtype=np.float64)
     lmax = bandlimit_from_coeff_count(real_coeffs.shape[-1])
-    out = np.zeros(real_coeffs.shape[:-1] + (lmax * lmax,), dtype=np.complex128)
-    for ell in range(lmax):
-        out[..., coeff_index(ell, 0)] = real_coeffs[..., coeff_index(ell, 0)]
-        for m in range(1, ell + 1):
-            re = real_coeffs[..., coeff_index(ell, m)] / _SQRT2
-            im = real_coeffs[..., coeff_index(ell, -m)] / _SQRT2
-            value = re + 1j * im
-            out[..., coeff_index(ell, m)] = value
-            out[..., coeff_index(ell, -m)] = ((-1) ** m) * np.conj(value)
+    zero, pos, neg, sign = _tables(lmax)
+    out = np.empty(real_coeffs.shape[:-1] + (lmax * lmax,), dtype=np.complex128)
+    out[..., zero] = real_coeffs[..., zero]
+    value = real_coeffs[..., pos] / _SQRT2 + 1j * (real_coeffs[..., neg] / _SQRT2)
+    out[..., pos] = value
+    out[..., neg] = sign * np.conj(value)
     return out
 
 

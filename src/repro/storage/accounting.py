@@ -162,8 +162,9 @@ def measured_artifact_report(emulator) -> dict:
     ``savings_report`` and :func:`emulator_parameter_bytes` count parameter
     *values*; this report serialises a fitted
     :class:`~repro.core.emulator.ClimateEmulator` to its NPZ artifact in
-    memory and reports what the bytes actually come out to, including
-    format overhead and compression — the honest version of the
+    memory and reports what the bytes actually come out to — format
+    overhead included, and the factor's tiles at their storage precision
+    (members are stored, not compressed) — the honest version of the
     petabyte-savings arithmetic.
     """
     measured = emulator.measured_artifact_bytes()

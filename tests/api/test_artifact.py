@@ -1,9 +1,14 @@
 """Tests of the EmulatorArtifact save/load round trip and its error paths."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
+import repro
 from repro.api.artifact import (
+    META_KEY,
     SCHEMA_VERSION,
     ArtifactError,
     EmulatorArtifact,
@@ -11,6 +16,7 @@ from repro.api.artifact import (
 )
 from repro.api.registry import UnknownBackendError
 from repro.core import ClimateEmulator, EmulatorConfig
+from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.storage import measured_artifact_report
 
 
@@ -82,6 +88,160 @@ class TestRoundTrip:
         assert path.exists()
 
 
+def write_schema_1(emulator: ClimateEmulator, path) -> None:
+    """Write ``emulator`` in the layout every release before 1.13 wrote.
+
+    Schema 1: the dense ``covariance`` beside one member per tile, all
+    deflated.  Needs an emulator fitted in-process (the covariance is a
+    fit-time attribute).
+    """
+    state = emulator.state_dict()
+    model = emulator.spectral_model
+    state["spectral_model"]["covariance"] = np.asarray(model.covariance)
+    cholesky = {
+        k: v for k, v in state["spectral_model"]["cholesky"].items()
+        if not isinstance(v, np.ndarray)
+    }
+    cholesky["tiles"] = {
+        f"{i}_{j}": tile.data for (i, j), tile in model.cholesky.factor.tiles.items()
+    }
+    state["spectral_model"]["cholesky"] = cholesky
+    arrays, meta_tree = EmulatorArtifact(state=state)._flatten()
+    meta = {
+        "format": "repro-emulator-artifact", "schema_version": 1,
+        "source_version": "1.12.0", "state": meta_tree,
+    }
+    payload = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays, **{META_KEY: payload})
+
+
+@pytest.fixture(scope="module", params=["DP", "DP/SP/HP"])
+def variant_emulator(request, small_ensemble):
+    return repro.fit(
+        small_ensemble, lmax=8, var_order=1, tile_size=16, rho_grid=(0.5,),
+        precision_variant=request.param, covariance_jitter=1e-4,
+    )
+
+
+class TestSchemas:
+    def test_every_way_in_emulates_the_same_bits(self, variant_emulator, tmp_path):
+        fitted = variant_emulator
+        repro.save(fitted, tmp_path / "v2.npz")
+        write_schema_1(fitted, tmp_path / "v1.npz")
+        from_v2 = repro.load(tmp_path / "v2.npz")
+        from_v1 = repro.load(tmp_path / "v1.npz")
+        repro.save(from_v1, tmp_path / "v1_resaved.npz")
+        repro.save(from_v2, tmp_path / "v2_resaved.npz")
+        # Re-saving a schema-1 load writes exactly the schema-2 artifact.
+        written, resaved = (
+            EmulatorArtifact.load(tmp_path / name) for name in ("v2.npz", "v1_resaved.npz")
+        )
+        assert resaved.schema_version == SCHEMA_VERSION
+        (arrays, meta), (re_arrays, re_meta) = written._flatten(), resaved._flatten()
+        assert meta == re_meta and arrays.keys() == re_arrays.keys()
+        for key, array in arrays.items():
+            assert array.dtype == re_arrays[key].dtype
+            assert np.array_equal(array, re_arrays[key])
+        emulators = [
+            fitted, from_v2, from_v1,
+            repro.load(tmp_path / "v1_resaved.npz"), repro.load(tmp_path / "v2_resaved.npz"),
+        ]
+        reference, *others = [
+            em.emulate(2, n_times=30, rng=np.random.default_rng(7)).data for em in emulators
+        ]
+        for other in others:
+            assert np.array_equal(other, reference)
+
+    def test_schema_1_file_is_what_the_helper_claims(self, variant_emulator, tmp_path):
+        write_schema_1(variant_emulator, tmp_path / "v1.npz")
+        with zipfile.ZipFile(tmp_path / "v1.npz") as archive:
+            names = [info.filename for info in archive.infolist()]
+            assert all(info.compress_type == zipfile.ZIP_DEFLATED for info in archive.infolist())
+        assert "spectral_model/covariance.npy" in names
+        assert sum(n.startswith("spectral_model/cholesky/tiles/") for n in names) == 4 * 5 // 2
+        artifact = EmulatorArtifact.load(tmp_path / "v1.npz")
+        assert artifact.schema_version == 1
+        assert "covariance" not in artifact.state["spectral_model"]  # never inflated
+
+    def test_covariance_is_fit_time_only(self, variant_emulator, tmp_path):
+        repro.save(variant_emulator, tmp_path / "v2.npz")
+        loaded = repro.load(tmp_path / "v2.npz")
+        assert variant_emulator.spectral_model.covariance is not None
+        assert loaded.spectral_model.covariance is None
+        assert loaded.parameter_count() == variant_emulator.parameter_count()
+        assert loaded.storage_summary() == variant_emulator.storage_summary()
+
+    def test_saved_layout_is_stored_lean_and_packed(self, tmp_path):
+        """The structural gate behind the load-time claim; no timing involved."""
+        ensemble = Era5LikeGenerator(
+            Era5LikeConfig(lmax=16, n_years=2, steps_per_year=12, n_ensemble=2), seed=1
+        ).generate()
+        emulator = repro.fit(
+            ensemble, lmax=16, var_order=1, tile_size=32, rho_grid=(0.5,),
+            precision_variant="DP/SP/HP", covariance_jitter=1e-3,
+        )
+        repro.save(emulator, tmp_path / "l16.npz")
+        with zipfile.ZipFile(tmp_path / "l16.npz") as archive:
+            infos = archive.infolist()
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
+        stems = [info.filename.removesuffix(".npy") for info in infos]
+        assert not any(stem.endswith("covariance") for stem in stems)
+        factor = [s for s in stems if s.startswith("spectral_model/cholesky/")]
+        assert 2 <= len(factor) <= 4  # <= 3 precision buffers + the codes
+        assert len(emulator.spectral_model.cholesky.factor.tiles) == 8 * 9 // 2
+
+
+def rewrite_member(source, target, member: str, change) -> None:
+    """Copy an artifact with one array member replaced by ``change(array)``."""
+    with np.load(source) as archive:
+        arrays = {key: archive[key] for key in archive.files}
+    arrays[member] = change(arrays[member])
+    with open(target, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestCorruptFactor:
+    @pytest.mark.parametrize(
+        "member, change",
+        [
+            ("tiles_fp64", lambda a: a[: a.size // 2]),
+            ("tiles_fp64", lambda a: a.astype(np.float32)),
+            ("tile_precision", lambda a: a[:-1]),
+            ("tile_precision", lambda a: np.full_like(a, 9)),
+        ],
+    )
+    def test_inconsistent_factor_member_is_an_artifact_error(
+        self, fitted_emulator, tmp_path, member, change
+    ):
+        fitted_emulator.save(tmp_path / "whole.npz")
+        rewrite_member(
+            tmp_path / "whole.npz", tmp_path / "edited.npz",
+            f"spectral_model/cholesky/{member}", change,
+        )
+        with pytest.raises(ArtifactError, match=member):
+            repro.load(tmp_path / "edited.npz")
+
+    def test_flipped_payload_byte_is_an_artifact_error(self, fitted_emulator, tmp_path):
+        fitted_emulator.save(tmp_path / "whole.npz")
+        damaged = bytearray((tmp_path / "whole.npz").read_bytes())
+        with zipfile.ZipFile(tmp_path / "whole.npz") as archive:
+            info = archive.getinfo("spectral_model/cholesky/tiles_fp64.npy")
+        damaged[info.header_offset + 4096] ^= 0xFF  # inside the factor's payload
+        (tmp_path / "damaged.npz").write_bytes(damaged)
+        with pytest.raises(ArtifactError, match="tiles_fp64"):
+            repro.load(tmp_path / "damaged.npz")
+
+    def test_missing_member_is_an_artifact_error(self, fitted_emulator, tmp_path):
+        fitted_emulator.save(tmp_path / "whole.npz")
+        with np.load(tmp_path / "whole.npz") as archive:
+            arrays = {k: archive[k] for k in archive.files if not k.endswith("nugget_std")}
+        with open(tmp_path / "edited.npz", "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ArtifactError, match="nugget_std"):
+            repro.load(tmp_path / "edited.npz")
+
+
 class TestMeasurement:
     def test_storage_summary_measured_bytes(self, fitted_emulator, tmp_path):
         summary = fitted_emulator.storage_summary()
@@ -117,6 +277,14 @@ class TestErrorPaths:
             EmulatorArtifact.load(path)
         message = str(excinfo.value)
         assert str(SCHEMA_VERSION) in message and str(SCHEMA_VERSION + 1) in message
+
+    def test_only_schemas_1_and_2_are_read(self, fitted_emulator, tmp_path):
+        assert SCHEMA_VERSION == 2
+        artifact = fitted_emulator.to_artifact()
+        artifact.schema_version = 0
+        artifact.save(tmp_path / "ancient.npz")
+        with pytest.raises(SchemaVersionError):
+            EmulatorArtifact.load(tmp_path / "ancient.npz")
 
     def test_plain_npz_is_rejected(self, tmp_path):
         path = tmp_path / "random.npz"

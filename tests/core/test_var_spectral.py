@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.var import DiagonalVAR
+from repro.linalg.cholesky import CholeskyResult
 
 
 class TestDiagonalVAR:
@@ -125,9 +126,15 @@ class TestSpectralStochasticModel:
         assert fields.shape == (2, 48) + standardized.shape[2:]
         assert abs(fields.std() - standardized.std()) < 0.35
 
-    def test_live_streams_share_one_dense_factor_until_refit(self, fitted):
-        """Paused streams share the densified factor; a refit must not reuse it."""
+    def test_live_streams_share_one_dense_factor_until_refit(self, fitted, monkeypatch):
+        """The factor is densified once per fit, whatever draws from it."""
         fitted_model, standardized = fitted
+        densified = []
+        lower = CholeskyResult.lower
+        monkeypatch.setattr(
+            CholeskyResult, "lower",
+            lambda self: densified.append(id(self)) or lower(self),
+        )
 
         def fresh():
             return SpectralStochasticModel(
@@ -141,9 +148,13 @@ class TestSpectralStochasticModel:
 
         model = fresh()
         model.fit(standardized)
+        first_factor = model.cholesky
         paused = stream(model)
-        next(paused)  # holds the dense factor of the first fit
-        assert model._lower_t() is model._lower_t()
+        next(paused)
+        for _ in range(2):  # sequential streams and direct draws, one build
+            list(stream(model))
+            model.sample_innovations(np.random.default_rng(0), 1, 3)
+        assert densified == [id(first_factor)]
         model.fit(2.0 * standardized)
         reference = fresh()
         reference.fit(2.0 * standardized)
@@ -151,6 +162,8 @@ class TestSpectralStochasticModel:
             stream(model), stream(reference), strict=True
         ):
             np.testing.assert_array_equal(got, expected)
+        model.sample_innovations(np.random.default_rng(0), 1, 3)
+        assert densified == [id(first_factor), id(model.cholesky), id(reference.cholesky)]
 
     def test_parameter_count_formula(self, fitted):
         model, _ = fitted

@@ -10,6 +10,7 @@ from repro.linalg import (
     dense_cholesky,
     generate_cholesky_tasks,
 )
+from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
 from repro.runtime import build_task_graph
 
@@ -129,3 +130,99 @@ class TestFactorizationAccuracy:
     def test_invalid_tile_size(self):
         with pytest.raises(ValueError):
             MixedPrecisionCholesky(tile_size=0)
+
+
+class TestPackedState:
+    """``state_dict`` packs the tiles per precision; ``from_state`` slices views."""
+
+    @pytest.mark.parametrize("variant", ["DP", "DP/SP/HP"])
+    @pytest.mark.parametrize("tile_size", [16, 24])  # 24 leaves a ragged last tile
+    def test_round_trip_is_bit_exact(self, spd_matrix, variant, tile_size):
+        result = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(spd_matrix)
+        state = result.state_dict()
+        restored = CholeskyResult.from_state(state)
+        assert restored.factor.tiles.keys() == result.factor.tiles.keys()
+        for key, tile in result.factor.tiles.items():
+            other = restored.factor.tiles[key]
+            assert other.precision is tile.precision
+            assert other.data.dtype == tile.data.dtype
+            assert np.array_equal(other.data, tile.data)
+        assert np.array_equal(restored.lower(), result.lower())
+        # A restored result serialises to the same state (load -> save -> load).
+        again = restored.state_dict()
+        assert again.keys() == state.keys()
+        for key, value in state.items():
+            assert np.array_equal(again[key], value) if isinstance(value, np.ndarray) else again[key] == value
+
+    def test_state_holds_one_buffer_per_precision_in_use(self, spd_matrix):
+        solver = MixedPrecisionCholesky(tile_size=16, variant="DP/SP/HP")
+        state = solver.factorize(spd_matrix).state_dict()
+        arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"tile_precision", "tiles_fp64", "tiles_fp32", "tiles_fp16"}
+        assert arrays["tile_precision"].dtype == np.uint8
+        assert arrays["tile_precision"].shape == (4 * 5 // 2,)
+        assert sum(a.size for k, a in arrays.items() if k != "tile_precision") == 10 * 16 * 16
+        dp_only = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
+        assert "tiles_fp32" not in dp_only.state_dict()
+
+    def test_restored_tiles_are_views_of_the_packed_buffer(self, spd_matrix):
+        state = MixedPrecisionCholesky(tile_size=16, variant="DP/SP").factorize(spd_matrix).state_dict()
+        restored = CholeskyResult.from_state(state)
+        for tile in restored.factor.tiles.values():
+            assert np.shares_memory(tile.data, state[f"tiles_{tile.precision.value}"])
+
+    @pytest.mark.parametrize(
+        "member, corrupt, named",
+        [
+            ("tiles_fp64", lambda a: a[:-1], "tiles_fp64"),
+            ("tiles_fp64", lambda a: np.concatenate([a, a[:3]]), "tiles_fp64"),
+            ("tiles_fp32", lambda a: a.astype(np.float64), "tiles_fp32"),
+            ("tiles_fp32", lambda a: a.reshape(-1, 16), "tiles_fp32"),
+            ("tile_precision", lambda a: a[:-1], "tile_precision"),
+            ("tile_precision", lambda a: a.astype(np.int64), "tile_precision"),
+            ("tile_precision", lambda a: np.where(a == 1, 7, a).astype(np.uint8), "tile_precision"),
+            # Re-labelling tiles moves their values out of a buffer's budget.
+            ("tile_precision", lambda a: np.zeros_like(a), "tiles_fp64"),
+        ],
+    )
+    def test_inconsistent_member_is_refused_by_name(self, spd_matrix, member, corrupt, named):
+        state = MixedPrecisionCholesky(tile_size=16, variant="DP/SP").factorize(spd_matrix).state_dict()
+        intact = state[member]
+        state[member] = corrupt(intact)
+        with pytest.raises(ValueError, match=f"'{named}'"):
+            CholeskyResult.from_state(state)
+        del state[member]
+        with pytest.raises((KeyError, ValueError), match=f"'{member}'"):
+            CholeskyResult.from_state(state)
+        state[member] = intact
+        CholeskyResult.from_state(state)
+
+    def test_reads_the_schema_1_per_tile_layout(self, spd_matrix):
+        result = MixedPrecisionCholesky(tile_size=16, variant="DP/HP").factorize(spd_matrix)
+        state = {
+            k: v for k, v in result.state_dict().items()
+            if not k.startswith("tile")
+        } | {"tile_size": 16}
+        state["tiles"] = {f"{i}_{j}": t.data for (i, j), t in result.factor.tiles.items()}
+        assert np.array_equal(CholeskyResult.from_state(state).lower(), result.lower())
+
+
+def test_one_pass_dense_assembly_matches_the_two_copy_construction(spd_matrix):
+    """``lower()`` / ``to_dense`` equal the assemble-then-``np.tril`` code they replaced."""
+    for variant, tile_size in (("DP", 16), ("DP/SP/HP", 24)):
+        result = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(spd_matrix)
+        # Put junk above the diagonal of a diagonal tile: it must be dropped.
+        result.factor.tiles[(1, 1)].data[0, -1] = 3.0
+        assembled = np.zeros((result.factor.n,) * 2)
+        for (i, j), tile in result.factor.tiles.items():
+            rows, cols = tile.shape
+            assembled[
+                i * tile_size: i * tile_size + rows, j * tile_size: j * tile_size + cols
+            ] = tile.as_float64()
+        lower = result.lower()
+        assert lower.flags.c_contiguous and lower.dtype == np.float64
+        assert np.array_equal(lower, np.tril(assembled))
+        assert not np.signbit(lower[np.triu_indices_from(lower, 1)]).any()
+        assert np.array_equal(
+            result.factor.to_dense(), np.tril(assembled) + np.tril(assembled, -1).T
+        )
