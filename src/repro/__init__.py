@@ -57,10 +57,10 @@ Quickstart
 >>> emulations = repro.emulate("emulator.npz", 5)          # doctest: +SKIP
 >>> manifest = repro.run_campaign(                         # doctest: +SKIP
 ...     "emulator.npz", ["ssp-low", "ssp-medium", "ssp-high"],
-...     n_realizations=5, max_workers=4)
+...     n_realizations=5)
 """
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 from repro import obs
 from repro.core.config import EmulatorConfig

@@ -42,11 +42,6 @@ from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["ForcingScenario", "historical_forcing", "scenario_forcing", "expand_to_resolution"]
 
-# Backwards-compatible aliases: the eruption dataclass used to be the
-# module-private ``_Volcano`` with these exact default parameters.
-_Volcano = VolcanicEruption
-_HISTORICAL_VOLCANOES = HISTORICAL_VOLCANOES
-
 
 class ForcingScenario(str, Enum):
     """Legacy enum of the original five scenarios.

@@ -30,7 +30,7 @@ Published gauges (all prefixed ``resource.``):
 plus a ``resource.samples`` counter (one per sweep).
 
 Sampling is *per process*: the registry is process-wide but not shared
-across forks, so under campaign process workers each worker that wants
+across forks, so each worker process that wants
 resource gauges starts its own sampler (cheap — one daemon thread) and
 ``resource.pid`` tells a scraper whose numbers it is reading.  Sampling
 only reads OS counters and cache statistics — it never touches emitter

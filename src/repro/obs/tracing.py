@@ -30,7 +30,7 @@ Two contracts the test-suite pins:
 
 Trace records are ``{"name", "span_id", "parent_id", "thread", "pid",
 "start", "seconds", "attrs"}`` with ``start`` measured from the process
-trace epoch.  Child processes (campaign process workers) write to
+trace epoch.  Child processes (forked workers) write to
 ``<path>.<pid>`` so concurrent workers never interleave one file.
 """
 
@@ -169,7 +169,7 @@ def enable(trace_path: "str | os.PathLike | None" = None) -> None:
     Without ``trace_path`` records only accumulate in the in-memory
     buffer (:func:`trace_records`).  With a path, each span appends one
     line as it closes (line-buffered, so a crashed process still leaves
-    a usable trace).  In a child process (campaign process workers) the
+    a usable trace).  In a child process (a forked worker) the
     file is opened as ``<path>.<pid>`` so workers never share a file.
     Calling :func:`enable` again replaces the previous sink.
     """

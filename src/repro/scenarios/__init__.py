@@ -31,7 +31,6 @@ from __future__ import annotations
 from repro.scenarios.components import (
     FORCING_COMPONENTS,
     AerosolOffset,
-    ForcingComponent,
     GHGRamp,
     SolarCycle,
     Stabilisation,
@@ -50,10 +49,7 @@ from repro.scenarios.registry import (
 __all__ = [
     "AerosolOffset",
     "CampaignManifest",
-    "CampaignRunPlan",
-    "CampaignRunRecord",
     "FORCING_COMPONENTS",
-    "ForcingComponent",
     "GHGRamp",
     "SCENARIOS",
     "ScenarioSpec",
@@ -72,8 +68,6 @@ __all__ = [
 
 _CAMPAIGN_EXPORTS = {
     "CampaignManifest",
-    "CampaignRunPlan",
-    "CampaignRunRecord",
     "iter_chunk_arrays",
     "plan_campaign",
     "run_campaign",

@@ -10,9 +10,10 @@ emulator (or a saved artifact path) plus ``scenarios x realizations``, and
   stream :class:`~repro.serving.service.EmulationService` synthesizes
   from — so a campaign is bit-identical no matter how many workers
   execute it or in which order they finish;
-* shards the runs across ``concurrent.futures`` workers (threads by
-  default — generation is read-only on the fitted state — or processes)
-  in blocks of up to ``batch_size`` realizations of one scenario;
+* executes the runs in blocks of up to ``batch_size`` realizations of
+  one scenario, on the calling thread by default or (``max_workers > 1``)
+  sharded across a thread pool — generation is read-only on the fitted
+  state;
 * drives every block through the one generation path,
   :meth:`EmulationGenerator.generate_stream_multi
   <repro.core.generator.EmulationGenerator.generate_stream_multi>`: each
@@ -38,16 +39,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from repro.api.facade import _resolve as _resolve_emulator
-from repro.obs import counter_add, gauge_set, span
+from repro.obs import counter_add, gauge_set, reset_metrics, span
 from repro.scenarios.registry import resolve_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.serving.request import FieldRequest, chunk_address
@@ -70,10 +69,8 @@ _COLLECT_MODES = ("global-mean", "fields", "none")
 class CampaignRunPlan:
     """Everything one worker needs to execute one campaign run.
 
-    ``store_root``/``store_encoding``/``stream_address`` are set when the
-    campaign writes into a :class:`~repro.storage.chunkstore.ChunkStore`:
-    plain strings rather than a store handle, so plans stay picklable for
-    process pools (each worker opens its own handle, cached per process).
+    ``store_root`` / ``stream_address`` are set when the campaign writes
+    into a :class:`~repro.storage.chunkstore.ChunkStore`;
     ``stream_address`` is the run's scenario-stream content-address from
     :meth:`repro.serving.request.FieldRequest.stream_address`.
     """
@@ -88,7 +85,6 @@ class CampaignRunPlan:
     include_nugget: bool
     collect: str
     store_root: str | None = None
-    store_encoding: str = "float64"
     stream_address: str | None = None
 
     @property
@@ -117,11 +113,10 @@ class CampaignRunRecord:
     collected: np.ndarray | None = None
     #: Measured wall-clock seconds of the run's execution block.  Runs
     #: of one block share one synthesis pass, so they report the block's
-    #: wall time, not a per-run share.  Like
-    #: ``collected``, timing is measurement rather than content: it stays
-    #: off :meth:`to_dict`, which campaign tests pin bit-identical across
-    #: executors and batch sizes (the manifest-level ``timing`` block
-    #: carries it instead).
+    #: wall time, not a per-run share.  Like ``collected``, timing is
+    #: measurement rather than content: it stays off :meth:`to_dict`,
+    #: which campaign tests pin bit-identical across worker counts and
+    #: batch sizes (the manifest-level ``timing`` block carries it).
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -239,7 +234,7 @@ class CampaignManifest:
             "runs": [record.to_dict() for record in self.runs],
             # Timing sits in the header, next to max_workers/executor:
             # like those knobs it is provenance, not content — the
-            # ``runs`` entries stay bit-identical across executors.
+            # ``runs`` entries stay bit-identical across worker counts.
             "timing": {
                 "total_wall_seconds": float(self.total_wall_seconds),
                 "runs_per_second": float(self.runs_per_second),
@@ -273,7 +268,6 @@ def plan_campaign(
     collect: str = "global-mean",
     start_level: float = 2.5,
     store_root: "str | None" = None,
-    store_encoding: str = "float64",
 ) -> list[CampaignRunPlan]:
     """Expand ``scenarios x realizations`` into per-run execution plans.
 
@@ -328,7 +322,6 @@ def plan_campaign(
                 include_nugget=include_nugget,
                 collect=collect,
                 store_root=store_root,
-                store_encoding=str(store_encoding),
                 stream_address=stream_address,
             ))
     return plans
@@ -498,51 +491,6 @@ def _batch_plans(
     return blocks
 
 
-# Per-worker caches, shared by the thread path (the lock makes them
-# thread-safe) and re-populated per process by pool workers: each
-# ProcessPoolExecutor worker loads the artifact / opens the store once
-# and replays every block assigned to it from the same handles.
-# Workers die with the pool, so entries never go stale; store handles
-# pick up foreign commits through the store's own refresh protocol.
-_WORKER_LOCK = threading.Lock()
-_WORKER_EMULATORS: dict[str, object] = {}
-_WORKER_STORES: dict[tuple[str, str], ChunkStore] = {}
-
-
-def _store_handle(root: str, encoding: str) -> ChunkStore:
-    """This process's store handle for ``root`` (opened once, cached)."""
-    key = (os.fspath(root), str(encoding))
-    with _WORKER_LOCK:
-        store = _WORKER_STORES.get(key)
-        if store is None:
-            store = _WORKER_STORES[key] = ChunkStore(key[0], key[1])
-        return store
-
-
-def _execute_batch_in_process(
-    plans: "list[CampaignRunPlan]", source
-) -> "list[CampaignRunRecord]":
-    """Process-pool entry point: resolve the emulator once per worker.
-
-    Loading through :func:`repro.api.facade.load` warms the worker's own
-    SHT plan cache, so every block the worker executes reuses one set of
-    precomputed transform tables.
-    """
-    key = os.fspath(source)
-    with _WORKER_LOCK:
-        emulator = _WORKER_EMULATORS.get(key)
-    if emulator is None:
-        emulator = _resolve_emulator(source)
-        with _WORKER_LOCK:
-            emulator = _WORKER_EMULATORS.setdefault(key, emulator)
-    first = plans[0]
-    store = (
-        _store_handle(first.store_root, first.store_encoding)
-        if first.store_root is not None else None
-    )
-    return _execute_batch(emulator, plans, store=store)
-
-
 def _resolve_reader_store(manifest, store) -> ChunkStore:
     """The :class:`ChunkStore` to read a campaign back from.
 
@@ -553,15 +501,13 @@ def _resolve_reader_store(manifest, store) -> ChunkStore:
     if isinstance(store, ChunkStore):
         return store
     header = manifest.get("store") if isinstance(manifest, dict) else manifest.store
-    if store is None:
-        if not header:
-            raise ValueError(
-                "the manifest records no chunk_addresses — the campaign "
-                "did not write into a store (run_campaign(store=...))"
-            )
-        return _store_handle(str(header["root"]), str(header["encoding"]))
-    encoding = str(header["encoding"]) if header else "float64"
-    return _store_handle(os.fspath(store), encoding)
+    if store is None and not header:
+        raise ValueError(
+            "the manifest records no chunk_addresses — the campaign "
+            "did not write into a store (run_campaign(store=...))"
+        )
+    root = header["root"] if store is None else os.fspath(store)
+    return ChunkStore(str(root), str(header["encoding"]) if header else "float64")
 
 
 def iter_chunk_arrays(manifest, *, store=None):
@@ -658,9 +604,9 @@ class _Heartbeat:
     endpoint): ``campaign.progress.runs_done`` / ``runs_total`` /
     ``runs_per_second`` / ``eta_seconds``.
 
-    Updates happen only on the coordinating thread (workers hand
-    finished blocks back through the in-order ``pool.map`` iterable),
-    so the counter needs no lock; timing reads the open
+    Updates happen only on the coordinating thread (it drains the
+    finished blocks in plan order, whether it executed them itself or a
+    pool thread did), so the counter needs no lock; timing reads the open
     ``campaign.total`` span's clock, so the heartbeat adds no timer of
     its own and stays inside the telemetry layer's hygiene contract.
     """
@@ -670,6 +616,9 @@ class _Heartbeat:
         self._clock = clock_span
         self._callback = callback
         self._done = 0
+        # ``eta_seconds`` is published only once a rate exists: drop the
+        # previous campaign's final 0.0 so it never sits by ``runs_done = 0``.
+        reset_metrics("campaign.progress")
         self._publish()
 
     def update(self, n_completed: int) -> None:
@@ -748,9 +697,13 @@ def run_campaign(
         :class:`~repro.serving.service.EmulationService` uses under the
         same seed — so results do not depend on ``max_workers``.
     max_workers:
-        Worker count; 1 runs serially.  ``None`` resolves to
-        ``os.cpu_count()``, tuned or not, and the manifest header always
-        records the resolved integer, never ``null``.
+        Block-level worker threads.  ``None`` resolves to 1, tuned or
+        not: blocks run one after another on the calling thread, and the
+        parallelism is the BLAS threads inside a block (on the 2-core
+        host of ``docs/tuning.md`` one worker wins every row of the
+        sweep).  ``N > 1`` shards the blocks across a pool of ``N``
+        threads.  The manifest header always records the resolved
+        integer, never ``null``.
     batch_size:
         Realizations of one scenario synthesised together per vectorized
         block (``None`` or 1 gives one-run blocks; under
@@ -758,14 +711,15 @@ def run_campaign(
         Batched runs keep their own per-run generators, so output is
         bit-identical for every block size; the VAR recursion and the
         ``O(L^3)`` inverse SHT run once per block instead of once per
-        run.  Work is sharded across workers block-wise, so for small
-        campaigns a large ``batch_size`` trades worker parallelism for
-        vectorization.
+        run.  With ``max_workers > 1`` work is sharded across the
+        workers block-wise, so for small campaigns a large
+        ``batch_size`` trades worker parallelism for vectorization.
     executor:
-        ``"thread"`` (the default, tuned or not; generation is
-        read-only on the fitted state) or ``"process"`` (each worker
-        process loads the artifact once; an in-memory emulator source is
-        spilled to a temporary artifact for the pool's lifetime).
+        ``None`` or ``"thread"``, which mean the same thing: blocks run
+        on threads of this process (generation is read-only on the
+        fitted state).  The ``"process"`` executor was removed — it lost
+        every row of the sweep in ``docs/tuning.md`` — and is refused
+        with a ``ValueError``.
     tune:
         ``"auto"`` picks an unset ``batch_size`` by a *pilot*
         (:mod:`repro.tuning`): the coordinating thread runs the plan's
@@ -775,12 +729,11 @@ def run_campaign(
         faster per run — and blocks the remaining runs with the winner.
         Pilot blocks are ordinary blocks (their records and store
         commits are kept), and block size is bit-inert, so tuned and
-        untuned campaigns produce identical runs.  ``executor`` and
-        ``max_workers`` are not searched.  A ``batch_size`` passed
-        explicitly is **always** honoured; the first block is then
-        timed only for the prediction.  The
-        manifest's ``tuning`` header records the resolved knobs, who
-        chose each, the pilot's per-block samples, and
+        untuned campaigns produce identical runs.  ``max_workers`` is
+        not searched.  A ``batch_size`` passed explicitly is **always**
+        honoured; the first block is then timed only for the
+        prediction.  The manifest's ``tuning`` header records the
+        resolved knobs, who chose each, the pilot's per-block samples, and
         ``predicted_seconds`` (the pilot's elapsed time plus its best
         seconds-per-run over the runs left) next to ``actual_seconds``;
         both are mirrored on the ``tuning.campaign.*`` gauges.
@@ -806,10 +759,11 @@ def run_campaign(
         addresses chunks by model year.
 
         Chunks are staged per execution block and committed with one
-        ``put_many`` transaction per block (multi-process safe; a
-        re-run campaign finds its addresses already stored and skips
-        them).  The full float64 data is stored;
-        :func:`iter_chunk_arrays` reads it back manifest-driven.
+        ``put_many`` transaction per block (safe against other
+        processes writing the same root; a re-run campaign finds its
+        addresses already stored and skips them).  The full float64
+        data is stored; :func:`iter_chunk_arrays` reads it back
+        manifest-driven.
     progress:
         Optional callback for the structured progress heartbeat.  After
         every completed execution block (and once at start) the campaign
@@ -829,8 +783,11 @@ def run_campaign(
         Per-run scenario, seed spawn key, chunk layout, chunk store
         addresses, measured output bytes and the collected reduction.
     """
-    if executor is not None and executor not in ("thread", "process"):
-        raise ValueError(f"executor must be 'thread' or 'process', got {executor!r}")
+    if executor not in (None, "thread"):
+        raise ValueError(
+            f"executor must be None or 'thread', got {executor!r}: the process "
+            f"executor was removed; pass max_workers=N to run blocks on N threads"
+        )
     if tune not in (None, "auto"):
         raise ValueError(f"tune must be None or 'auto', got {tune!r}")
     emulator = _resolve_emulator(source)
@@ -878,7 +835,6 @@ def run_campaign(
         chunk_size=chunk_size, seed=seed, include_nugget=include_nugget,
         collect=collect, start_level=start_level,
         store_root=None if store_obj is None else store_obj.root,
-        store_encoding="float64" if store_obj is None else store_obj.encoding,
     )
 
     # The measured artifact size: for a path source the on-disk file is the
@@ -889,16 +845,16 @@ def run_campaign(
     else:
         artifact_bytes = emulator.measured_artifact_bytes()
 
-    # Resolve the execution knobs.  ``executor`` and ``max_workers``
-    # resolve the same way tuned or not; ``tune="auto"`` only adds the
-    # pilot below, which picks an unset ``batch_size`` by measurement.
+    # Resolve the execution knobs.  ``max_workers`` resolves the same
+    # way tuned or not; ``tune="auto"`` only adds the pilot below, which
+    # picks an unset ``batch_size`` by measurement.
     chosen = {
         "executor": "default" if executor is None else "caller",
         "max_workers": "default" if max_workers is None else "caller",
         "batch_size": "pilot" if batch_size is None else "caller",
     }
-    executor = "thread" if executor is None else executor
-    workers = (os.cpu_count() or 1) if max_workers is None else int(max_workers)
+    executor = "thread"
+    workers = 1 if max_workers is None else int(max_workers)
 
     total_span = span(
         "campaign.total",
@@ -951,48 +907,22 @@ def run_campaign(
         rest = _batch_plans(plans[len(records):], batch_size)
         blocks.extend(rest)
         total_span.set(n_blocks=len(blocks))
-        # Every executor hands back an in-order lazy iterable of
-        # per-block record lists, so the coordinating thread drains it
-        # block by block and beats the progress heartbeat as each block
-        # lands — identical records, now observable mid-flight.
+        # Serial or pooled, the blocks come back as an in-order lazy
+        # iterable of per-block record lists, so the coordinating thread
+        # drains it block by block and beats the progress heartbeat as
+        # each block lands.
+        execute = partial(
+            _execute_batch, emulator, parent=total_span, store=store_obj
+        )
         with contextlib.ExitStack() as stack:
             if workers == 1 or not rest:
-                batched = (
-                    _execute_batch(emulator, block, parent=total_span, store=store_obj)
-                    for block in rest
-                )
-            elif executor == "thread":
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-                batched = pool.map(
-                    partial(
-                        _execute_batch, emulator,
-                        parent=total_span, store=store_obj,
-                    ),
-                    rest,
-                )
+                batched = map(execute, rest)
             else:
-                worker_source = source
-                if not isinstance(source, (str, os.PathLike)):
-                    # Worker processes need a picklable source; an in-memory
-                    # emulator is spilled to a temporary artifact for the
-                    # lifetime of the pool.
-                    tmp_dir = stack.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-campaign-")
-                    )
-                    worker_source = emulator.save(
-                        os.path.join(tmp_dir, "emulator.npz")
-                    )
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                batched = pool.map(
-                    partial(_execute_batch_in_process, source=worker_source), rest
-                )
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+                batched = pool.map(execute, rest)
             for block_records in batched:
                 records.extend(block_records)
                 heartbeat.update(len(block_records))
-        if store_obj is not None:
-            # Process workers commit through their own handles; one
-            # refresh makes their entries visible on the caller's.
-            store_obj.refresh()
 
     # Per-block timing, reassembled by slicing the (order-preserving)
     # flattened records back into the planned blocks.  Records of one

@@ -5,8 +5,8 @@ synthesis hot path: the Wigner-d tables alone are ``O(L^3)`` values, and
 at ERA5 scale (``L = 720``) constructing them dwarfs the cost of a single
 inverse transform.  Before this cache every consumer that instantiated a
 :class:`~repro.core.spectral_model.SpectralStochasticModel` — each
-``repro.load`` of the same artifact, each campaign worker process — paid
-that cost again.
+``repro.load`` of the same artifact, each campaign run — paid that cost
+again.
 
 :func:`get_plan` memoises plans per process, keyed on
 ``(backend, lmax, grid)``:
@@ -19,12 +19,12 @@ that cost again.
 * **lmax / grid** pin the band-limit and the ``(ntheta, nphi)`` shape.
 
 The cache is *per process* by construction (module state is never shared
-across ``fork``/``spawn`` boundaries at the Python level), which is what
-makes it safe under :func:`repro.run_campaign`'s process executor: each
-worker process warms its own cache on first use and every run that worker
-executes reuses the same tables.  Within a process, access is guarded by a
-lock, and a plan under concurrent construction is built at most once per
-key (the first finished build wins; see :func:`get_plan`).
+across ``fork``/``spawn`` boundaries at the Python level): a process that
+imports :mod:`repro` warms its own cache on first use and every run it
+executes reuses the same tables.  Within a process — the thread workers
+of :func:`repro.run_campaign`, the service's request threads — access is
+guarded by a lock, and a plan under concurrent construction is built at
+most once per key (the first finished build wins; see :func:`get_plan`).
 
 Cached plans are shared, so they must be treated as **read-only**; the
 built-in backends never mutate a plan after construction, and custom
@@ -214,8 +214,8 @@ def clear_plan_cache() -> None:
 def plan_cache_stats() -> dict:
     """Cache observability: size, bytes, hit/miss/eviction counters.
 
-    ``pid`` makes per-process warm-up visible in campaign workers (each
-    worker process reports its own counters); ``keys`` lists the cached
+    ``pid`` says which process's cache this is (each process reports
+    its own counters); ``keys`` lists the cached
     ``(backend, revision, lmax, ntheta, nphi)`` tuples in LRU-to-MRU
     order; ``bytes`` is the measured ndarray footprint of every cached
     plan and ``limit_bytes``/``evictions`` describe the optional budget

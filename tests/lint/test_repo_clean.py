@@ -41,11 +41,12 @@ class TestRepoTreeIsClean:
     def test_runtime_systems_tuning_have_no_unused_exports(self):
         """The PR-6 fold promise, kept: after deleting the tests-only
         scheduler/simulator half, every public symbol of the runtime,
-        systems and tuning packages has a caller outside its own
-        package."""
+        systems, tuning and scenarios packages has a caller outside its
+        own package."""
         report = dead_symbol_report(
             REPO_ROOT,
-            ["src/repro/runtime", "src/repro/systems", "src/repro/tuning.py"],
+            ["src/repro/runtime", "src/repro/systems", "src/repro/tuning.py",
+             "src/repro/scenarios"],
         )
         assert len(report["packages"]["src/repro/tuning.py"]["symbols"]) == 3
         unused = {

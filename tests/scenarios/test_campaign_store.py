@@ -115,22 +115,6 @@ class TestCampaignWritesTheServingTier:
             r.chunk_addresses for r in store_manifest.runs
         ]
 
-    def test_process_pool_campaign_lands_the_same_chunks(
-        self, fitted_emulator, store_manifest, tmp_path
-    ):
-        manifest = run_campaign(
-            fitted_emulator, SCENARIOS, N_REALIZATIONS,
-            n_times=N_YEARS * SPY, seed=SEED, store=tmp_path / "pstore",
-            collect="none", executor="process", max_workers=2,
-        )
-        store = ChunkStore(tmp_path / "pstore")
-        assert sorted(store.addresses()) == sorted(
-            a for run in store_manifest.runs for a in run.chunk_addresses
-        )
-        for run in manifest.runs:
-            for address in run.chunk_addresses:
-                assert store.get(address) is not None
-
 
 class TestStoreCampaignValidation:
     def test_non_canonical_chunking_is_rejected(self, fitted_emulator, tmp_path):

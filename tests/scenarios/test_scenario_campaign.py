@@ -46,8 +46,11 @@ class TestPlanning:
                           steps_per_year=5, chunk_size=5)
 
     def test_run_campaign_validation(self, fitted_emulator):
-        with pytest.raises(ValueError, match="executor"):
-            run_campaign(fitted_emulator, ["constant"], executor="carrier-pigeon")
+        for executor in ("carrier-pigeon", "process"):
+            with pytest.raises(
+                ValueError, match=r"process executor was removed.*max_workers=N"
+            ):
+                run_campaign(fitted_emulator, ["constant"], executor=executor)
         with pytest.raises(ValueError, match="n_times"):
             run_campaign(fitted_emulator, ["constant"], n_times=0)
         with pytest.raises(ValueError, match="max_workers"):
@@ -107,24 +110,6 @@ class TestDeterminism:
         for a, b in zip(serial_manifest.runs, from_disk.runs):
             assert np.array_equal(a.collected, b.collected)
 
-    def test_process_executor_bit_identical(self, fitted_emulator, serial_manifest,
-                                            tmp_path):
-        path = repro.save(fitted_emulator, tmp_path / "emulator.npz")
-        sharded = run_campaign(path, SCENARIO_NAMES, 2, n_times=48, chunk_size=24,
-                               seed=2024, collect="fields", max_workers=2,
-                               executor="process")
-        for a, b in zip(serial_manifest.runs, sharded.runs):
-            assert np.array_equal(a.collected, b.collected)
-
-    def test_process_executor_accepts_in_memory_emulator(self, fitted_emulator,
-                                                         serial_manifest):
-        """An emulator source is spilled to a temp artifact for the pool."""
-        sharded = run_campaign(fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
-                               chunk_size=24, seed=2024, collect="fields",
-                               max_workers=2, executor="process")
-        for a, b in zip(serial_manifest.runs, sharded.runs):
-            assert np.array_equal(a.collected, b.collected)
-
 
 class TestBatchedSynthesis:
     """``batch_size > 1`` vectorises same-scenario runs, bit-identically."""
@@ -150,33 +135,36 @@ class TestBatchedSynthesis:
             assert serial_run.to_dict() == batched_run.to_dict()
             assert np.array_equal(serial_run.collected, batched_run.collected)
 
-    def test_batched_process_executor(self, fitted_emulator, serial_manifest,
-                                      tmp_path):
-        path = repro.save(fitted_emulator, tmp_path / "emulator.npz")
-        batched = run_campaign(
-            path, SCENARIO_NAMES, 2, n_times=48, chunk_size=24, seed=2024,
-            collect="fields", batch_size=2, max_workers=2, executor="process",
-        )
-        for serial_run, batched_run in zip(serial_manifest.runs, batched.runs):
-            assert np.array_equal(serial_run.collected, batched_run.collected)
-
     def test_batched_output_files_bit_identical(self, fitted_emulator, tmp_path):
-        """The chunks a campaign lands in its store never depend on batching."""
-        def outputs(batch_size, sub_dir):
+        """Run records, collected series and the chunks a campaign lands in
+        its store never depend on worker count, batching or tuning."""
+        def outputs(sub_dir, **knobs):
             manifest = run_campaign(
-                fitted_emulator, ["ssp-low"], 3, n_times=48, seed=7,
-                collect="none", store=tmp_path / sub_dir, batch_size=batch_size,
+                fitted_emulator, ["ssp-low", "ssp-high"], 3, n_times=48, seed=7,
+                store=tmp_path / sub_dir, **knobs,
             )
             store = repro.ChunkStore(tmp_path / sub_dir)
-            addresses = [a for run in manifest.runs for a in run.chunk_addresses]
-            return addresses, [store.get(address) for address in addresses]
+            # The chunk addresses are part of each run's to_dict().
+            records = [run.to_dict() for run in manifest.runs]
+            chunks = [store.get(a) for r in records for a in r["chunk_addresses"]]
+            return manifest, records, manifest.collected(), chunks
 
-        serial_addresses, serial_chunks = outputs(None, "serial")
-        batched_addresses, batched_chunks = outputs(3, "batched")
-        assert serial_addresses == batched_addresses
-        assert len(set(serial_addresses)) == 6
-        for serial_chunk, batched_chunk in zip(serial_chunks, batched_chunks):
-            np.testing.assert_array_equal(serial_chunk, batched_chunk)
+        default, records, collected, chunks = outputs("default")
+        assert default.max_workers == 1 and default.executor == "thread"
+        assert len(chunks) == 12 and len(collected) == 6
+        for i, knobs in enumerate([
+            {"max_workers": 1}, {"max_workers": 3}, {"batch_size": 1},
+            {"batch_size": 2}, {"batch_size": 3}, {"tune": "auto"},
+            {"max_workers": 3, "batch_size": 2, "executor": "thread"},
+        ]):
+            _, other_records, other_collected, other_chunks = outputs(f"other{i}", **knobs)
+            assert other_records == records, knobs
+            assert other_collected.keys() == collected.keys()
+            for key, series in collected.items():
+                np.testing.assert_array_equal(other_collected[key], series)
+            assert len(other_chunks) == len(chunks)
+            for chunk, other_chunk in zip(chunks, other_chunks):
+                np.testing.assert_array_equal(other_chunk, chunk)
 
     def test_blocks_never_span_scenarios(self):
         from repro.scenarios.campaign import _batch_plans, plan_campaign
@@ -377,9 +365,22 @@ class TestProgressHeartbeat:
         assert gauges["campaign.progress.runs_per_second"] > 0
         assert gauges["campaign.progress.eta_seconds"] == pytest.approx(0.0)
 
-    def test_heartbeat_works_across_executors(self, fitted_emulator):
-        for kwargs in ({"max_workers": 2},
-                       {"max_workers": 2, "executor": "thread"}):
+        # A second campaign's first beat has no rate yet, so it must not
+        # show the finished campaign's ETA of 0.0 next to runs_done = 0.
+        first_beat_gauges = []
+        run_campaign(
+            fitted_emulator, ["ssp-low"], 2, n_times=8, seed=3,
+            progress=lambda beat: first_beat_gauges.append(
+                (beat, metrics_snapshot()["gauges"])
+            ),
+        )
+        beat, gauges = first_beat_gauges[0]
+        assert beat["runs_done"] == 0 and beat["eta_seconds"] is None
+        assert gauges["campaign.progress.runs_done"] == 0.0
+        assert "campaign.progress.eta_seconds" not in gauges
+
+    def test_heartbeat_with_one_or_n_threads(self, fitted_emulator):
+        for kwargs in ({"max_workers": 1}, {"max_workers": 3}):
             beats = []
             run_campaign(fitted_emulator, ["ssp-low"], 2, n_times=8, seed=3,
                          progress=beats.append, **kwargs)

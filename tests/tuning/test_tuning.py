@@ -155,13 +155,14 @@ class TestPlanner:
         }
 
     def test_plan_respects_host_limits(self, emulator):
-        """Unset executor / max_workers resolve exactly as they do untuned,
-        identically on every call; the batch stays within the candidates."""
+        """An unset max_workers is one worker whatever the host's core count,
+        tuned and untuned; the batch stays within the candidates."""
         plain = run_campaign(emulator, SCENARIOS, 4)
-        tuned = [run_campaign(emulator, SCENARIOS, 4, tune="auto") for _ in range(3)]
-        for manifest in tuned:
-            assert manifest.executor == plain.executor == "thread"
-            assert manifest.max_workers == plain.max_workers == (os.cpu_count() or 1)
+        assert plain.executor == "thread" and plain.max_workers == 1
+        for _ in range(3):
+            manifest = run_campaign(emulator, SCENARIOS, 4, tune="auto")
+            assert manifest.executor == "thread" and manifest.max_workers == 1
+            assert manifest.tuning["max_workers"] == 1
             assert 1 <= manifest.batch_size <= 4
             assert manifest.tuning["chosen"]["executor"] == "default"
             assert manifest.tuning["chosen"]["max_workers"] == "default"

@@ -15,7 +15,7 @@ Usage::
     PYTHONPATH=src python tools/tracereport.py trace.jsonl --sort total
     PYTHONPATH=src python tools/tracereport.py trace.jsonl --json
 
-Campaign process workers write sibling files (``trace.jsonl.<pid>``);
+Forked worker processes write sibling files (``trace.jsonl.<pid>``);
 the report discovers and merges them automatically, attributing child
 time within each process (span ids are only unique per process).
 """
