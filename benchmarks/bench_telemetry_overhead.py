@@ -7,8 +7,8 @@ benchmark pin together:
   or toggled mid-run (hard-asserted here against a span-free
   re-composition of the same arithmetic);
 * **near-free when disabled** — the instrumented batched synthesis path
-  (the ``bench_batched_synthesis`` workload: a stacked
-  runs x times coefficient batch through :meth:`SHTPlan.inverse`) costs
+  (a stacked runs x times coefficient batch through
+  :meth:`SHTPlan.inverse`) costs
   at most ``MAX_DISABLED_OVERHEAD`` more than the identical arithmetic
   with no spans at all.
 
@@ -43,7 +43,7 @@ try:
 except ImportError:  # run as a script with benchmarks/ as sys.path[0]
     from _report import emit_summary, soft_gate, write_report
 
-LMAX = 48                 # the bench_batched_synthesis workload scale
+LMAX = 48                 # the fit_L48 ledger workload's band-limit
 N_RUNS = 16               # realizations in the stacked batch
 N_TIMES = 24              # one model year of the benchmark calendar
 SEED = 2024
@@ -65,16 +65,16 @@ def _baseline_inverse(plan: SHTPlan, coeffs: np.ndarray) -> np.ndarray:
     the output is bit-identical and the timed difference is spans alone.
     """
     c = plan.wigner_contraction_inverse(np.asarray(coeffs, dtype=np.complex128))
-    lead = c.shape[:-2]
-    n_flat = int(np.prod(lead)) if lead else 1
+    lead = c.shape[2:-1]  # the stage array is (L, 2, ..., W)
+    n_flat = int(np.prod(lead))
     if n_flat <= transform._SYNTHESIS_BLOCK:
-        return plan.synthesis_from_fourier(c, real=True)
-    flat = c.reshape((n_flat,) + c.shape[-2:])
+        return plan.synthesis_from_fourier(c)
+    flat = c.reshape(c.shape[:2] + (n_flat,) + c.shape[-1:])
     out = np.empty((n_flat,) + plan.grid.shape, dtype=np.float64)
     for start in range(0, n_flat, transform._SYNTHESIS_BLOCK):
-        block = flat[start:start + transform._SYNTHESIS_BLOCK]
+        block = flat[:, :, start:start + transform._SYNTHESIS_BLOCK]
         out[start:start + transform._SYNTHESIS_BLOCK] = (
-            plan.synthesis_from_fourier(block, real=True)
+            plan.synthesis_from_fourier(block)
         )
     return out.reshape(lead + plan.grid.shape)
 

@@ -53,13 +53,17 @@ def gemm_flops_mnk(m: int, n: int, k: int) -> float:
 def sht_contraction_flops(lmax: int, n_slices: int = 1) -> float:
     """Flops of one Wigner/GEMM contraction stage at band-limit ``lmax``.
 
-    Summed over signed orders ``m``, each order multiplies ``n_slices``
-    rows against an ``ntheta x (lmax - |m|)`` operator for every of the
-    ``2 lmax - 1`` orders; with ``ntheta = 2 lmax - 1`` the closed form
-    is ``2 * n_slices * (2 lmax - 1) * lmax^2`` — the per-call attribute
-    the SHT spans report so a trace carries its own roofline numbers.
+    The plan executes the orders ``0 <= m < lmax`` only: order ``m``
+    multiplies ``n_slices`` complex rows of ``lmax - m`` degrees against
+    a *real* operator with ``lmax`` columns (the colatitude orders
+    ``m' >= 0``), ``lmax^2 (lmax + 1) / 2`` multiply-adds per slice.
+    One complex multiply-add counts 2, as it always has here, so the
+    figure stays comparable with the complex GEMM the benchmark harness
+    times as the roofline; the zero padding of the operators is not
+    counted.  This is the per-call attribute the SHT spans report, so a
+    trace carries its own roofline numbers.
     """
-    return 2.0 * float(n_slices) * float(2 * lmax - 1) * float(lmax) ** 2
+    return float(n_slices) * float(lmax) ** 2 * float(lmax + 1)
 
 
 def cholesky_flops(n: int) -> float:

@@ -13,8 +13,10 @@ climate emulator (paper Section III-A.1/III-A.2):
 * :mod:`repro.sht.grid` — equiangular latitude/longitude grids (ERA5-like)
   and the extended-colatitude construction of Eq. (6).
 * :mod:`repro.sht.transform` — the fast forward and inverse transforms of
-  Eqs. (4)-(8): FFT along longitude, FFT along the extended colatitude, and
-  the Wigner-d contraction, with an explicit precomputed plan.
+  Eqs. (4)-(8) for real fields: real FFT along longitude, cosine / sine
+  transform along colatitude (Eq. 6's extension, folded), and the
+  Wigner-d contraction as one real GEMM per order ``m >= 0``, with an
+  explicit precomputed plan.
 * :mod:`repro.sht.direct` — slow direct transforms used for validation.
 * :mod:`repro.sht.plancache` — the process-safe cache of precomputed plans
   shared by every model and campaign worker in a process.

@@ -1,9 +1,10 @@
 """Process-safe cache of precomputed SHT plans.
 
 Building a transform plan is the expensive, data-independent part of the
-synthesis hot path: the Wigner-d tables alone are ``O(L^3)`` values, and
-at ERA5 scale (``L = 720``) constructing them dwarfs the cost of a single
-inverse transform.  Before this cache every consumer that instantiated a
+synthesis hot path: the per-order operators are ``O(L^3)`` values built
+from the Wigner-d tables, and at ERA5 scale (``L = 720``) constructing
+them dwarfs the cost of a single inverse transform.  Before this cache
+every consumer that instantiated a
 :class:`~repro.core.spectral_model.SpectralStochasticModel` — each
 ``repro.load`` of the same artifact, each campaign run — paid that cost
 again.
@@ -68,26 +69,29 @@ _METRIC_PREFIX = "sht.plan_cache"
 
 
 def _plan_nbytes(plan) -> int:
-    """Resident bytes of a plan: its reachable ndarrays.
+    """Resident bytes of a plan: the buffers its ndarrays keep alive.
 
-    Walks the plan's ``__dict__`` one container level deep (arrays plus
-    lists/tuples/dicts of arrays), which covers every table the built-in
-    plans hold — the Wigner-d list, the integral matrix, and the
-    per-order synthesis/analysis operator lists.  All of them are built
-    eagerly in ``SHTPlan.__post_init__``, so a plan's measured size is
-    fixed from the moment it enters the cache.
+    Walks the plan's ``__dict__`` through any nesting of lists, tuples
+    and dicts and follows every array to the buffer that owns its memory
+    (``.base``), counting each owning buffer once at its full size — a
+    hundred operator views of one packed buffer cost that buffer, not a
+    hundred times it, and a small view pins its whole base.  Every table
+    is built eagerly in ``SHTPlan.__post_init__``, so a plan's measured
+    size is fixed from the moment it enters the cache.
     """
-    total = 0
-    for value in vars(plan).values():
+    owners: dict[int, int] = {}
+    pending = [vars(plan)]
+    while pending:
+        value = pending.pop()
         if isinstance(value, np.ndarray):
-            total += value.nbytes
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value.nbytes
         elif isinstance(value, dict):
-            total += sum(
-                v.nbytes for v in value.values() if isinstance(v, np.ndarray)
-            )
+            pending.extend(value.values())
         elif isinstance(value, (list, tuple)):
-            total += sum(v.nbytes for v in value if isinstance(v, np.ndarray))
-    return total
+            pending.extend(value)
+    return sum(owners.values())
 
 
 def _evict_over_limit_locked(keep: "tuple | None") -> None:
@@ -150,7 +154,7 @@ def plan_cache_key(sht_method: str, lmax: int, grid: Grid) -> tuple:
 def get_plan(sht_method: str, lmax: int, grid: Grid):
     """The shared plan for ``(sht_method, lmax, grid)``, built at most once.
 
-    On a hit the *same object* (same Wigner/Legendre/quadrature tables) is
+    On a hit the *same object* (same operator tables) is
     returned to every caller in the process; on a miss the backend factory
     runs outside the lock (plan construction is ``O(L^3)`` and must not
     serialise unrelated lookups) and the first finished build is kept —

@@ -1,30 +1,40 @@
-"""Fast spherical harmonic transform (Eqs. 4-8 of the paper).
+"""Fast spherical harmonic transform (Eqs. 4-8 of the paper), real fields.
 
-The forward (analysis) transform of a field ``Z(theta_i, phi_j)`` sampled on
-an equiangular grid proceeds in four steps:
+Every field the emulator analyses or synthesises is real, so the plan
+works on the orders ``0 <= m < L`` only — ``f_{l,-m} = (-1)**m
+conj(f_{l,m})`` supplies the rest — and in real arithmetic throughout.
+The forward (analysis) transform of ``Z(theta_i, phi_j)`` on an
+equiangular grid proceeds in three stages:
 
-1. an FFT along longitude produces
+1. a real FFT along longitude produces
    ``G_m(theta_i) = integral Z(theta_i, phi) exp(-i m phi) dphi``,
-2. ``G_m`` is extended to colatitudes in ``(pi, 2*pi)`` through
-   ``G_m(2*pi - theta) = (-1)**m G_m(theta)`` and an FFT along the extended
-   colatitude yields the Fourier coefficients ``K_{m, m'}`` of Eq. (6),
-3. the closed-form integrals ``I(m' + m'')`` of Eq. (8) contract ``K`` into
-   ``W_{m, m''} = sum_{m'} K_{m, m'} I(m' + m'')``,
-4. the Wigner-d matrices at ``pi/2`` assemble the coefficients
-   ``f_{l,m} = sum_{m''} S_{l, m, m''} W_{m, m''}`` with
-   ``S_{l, m, m''} = i^{-m} sqrt((2l+1)/(4*pi)) Delta^l_{m'', 0}
-   Delta^l_{m'', m}`` (Eq. 7).
+2. Eq. (6) extends ``G_m`` to colatitudes in ``(pi, 2*pi)`` through
+   ``G_m(2*pi - theta) = (-1)**m G_m(theta)``; the Fourier coefficients
+   ``K_{m, m'}`` of that extension therefore obey ``K_{m,-m'} = (-1)**m
+   K_{m,m'}`` and are a type-I cosine transform over colatitude for even
+   ``m``, ``-i`` times a type-I sine transform for odd ``m`` — two real
+   transforms of half the extended length, applied to the real and
+   imaginary parts of ``G_m`` and kept for ``m' >= 0`` only,
+3. one real GEMM per order assembles ``f_{l,m} = sum_{m'} K_{m,m'}
+   A_m[m', l]``, where ``A_m`` holds the closed-form integrals
+   ``I(m' + m'')`` of Eq. (8) contracted with ``S_{l,m,m''} = i^{-m}
+   sqrt((2l+1)/(4*pi)) Delta^l_{m'',0} Delta^l_{m'',m}`` (Eq. 7) and
+   folded onto ``m' >= 0``.  The fold cancels the imaginary part of
+   ``I`` exactly, and the remaining ``i^{-m}`` (times the sine
+   transform's ``-i``) is a sign, so ``A_m`` is a real matrix.
 
 The inverse (synthesis) transform runs the same factorisation backwards:
-Wigner-d contraction to the colatitude Fourier coefficients, FFT to
-``G_m(theta_i)``, FFT to the field.  Both directions cost
-``O(L^3 + L^2 log L)`` per time slice and are embarrassingly parallel over
-time slices (paper Section III-A.2); the batched implementations below
-vectorise over an arbitrary number of leading axes.
+one real GEMM per order to the colatitude Fourier coefficients
+``C_{m,m'}`` (``m' >= 0``; ``C_{m,-m'} = (-1)**m C_{m,m'}``), a cosine /
+sine transform to ``H_m(theta_i)``, an inverse real FFT to the field.
+Complex data is two real transforms (:meth:`SHTPlan.forward` /
+:meth:`SHTPlan.inverse`); there is no complex code path.  Both directions
+cost ``O(L^3 + L^2 log L)`` per time slice and are embarrassingly
+parallel over time slices (paper Section III-A.2); every stage vectorises
+over the leading axes and is independent per leading slice.
 
-All data-independent quantities (Wigner-d matrices, the ``I`` matrix, FFT
-frequency bookkeeping) live in :class:`SHTPlan` and are computed once, which
-is the pre-computation strategy the paper describes.
+All data-independent quantities live in :class:`SHTPlan` and are computed
+once, which is the pre-computation strategy the paper describes.
 """
 
 from __future__ import annotations
@@ -33,11 +43,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as _fft
 
 from repro.linalg.flops import sht_contraction_flops
 from repro.obs import span
 from repro.sht.grid import Grid
-from repro.sht.quadrature import integral_matrix
+from repro.sht.quadrature import exponential_sine_integral
 from repro.sht.wigner import wigner_d_pi2_all
 
 __all__ = [
@@ -51,18 +62,16 @@ __all__ = [
 ]
 
 #: Leading slices synthesised per FFT pass in :meth:`SHTPlan.inverse`.  The
-#: inverse FFTs are memory-bound; keeping the per-pass working set at
-#: ``~block * (2L-1) * (2*ntheta-2) * 16`` bytes (a few MB) preserves cache
-#: locality on large stacked batches.  Blocking never changes results: the
-#: FFTs are independent per leading slice.
+#: colatitude and longitude transforms are memory-bound; keeping the
+#: per-pass working set at ``~block * L * ntheta * 40`` bytes (a few MB)
+#: preserves cache locality on large stacked batches.  Blocking never
+#: changes results: the transforms are independent per leading slice.
 _SYNTHESIS_BLOCK = 32
 
 #: Leading slices analysed per FFT pass in :meth:`SHTPlan.forward` — the
-#: analysis counterpart of :data:`_SYNTHESIS_BLOCK`.  The two forward FFT
-#: stages materialise an extended-colatitude complex intermediate of
-#: ``(2*ntheta-2) * (2L-1) * 16`` bytes per slice; blocking bounds the
-#: peak working set on stacked ``(R, T, ntheta, nphi)`` ensembles (the
-#: `fit` hot path) instead of allocating it for the whole record at
+#: analysis counterpart of :data:`_SYNTHESIS_BLOCK`, bounding the peak
+#: working set on stacked ``(R, T, ntheta, nphi)`` ensembles (the `fit`
+#: hot path) instead of holding the intermediates of the whole record at
 #: once.  Blocking never changes results: every stage is independent per
 #: leading slice.
 _ANALYSIS_BLOCK = 32
@@ -143,9 +152,26 @@ def degrees_and_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------- #
 # Transform plan
 # --------------------------------------------------------------------------- #
+#: Operator column counts are rounded up to a multiple of this.  BLAS
+#: computes a GEMM in register tiles and finishes a ragged edge with other
+#: kernels, whose rounding can differ from the full tiles'; which rows of
+#: a stack meet an edge kernel depends on the stack's height.  With the
+#: column count a multiple of the widest SIMD vector (8 doubles) there is
+#: no ragged edge along the columns, and a row's product no longer depends
+#: on how many rows were stacked with it — the per-slice bit-identity
+#: contract of :meth:`SHTPlan.forward` / :meth:`SHTPlan.inverse` (probed on
+#: OpenBLAS 0.3.31 / AVX-512, where ``dgemm`` breaks it at other widths;
+#: pinned by the slice-vs-batch property tests).
+_GEMM_COLUMN_MULTIPLE = 8
+
+
+def _round_up(n, multiple: int = _GEMM_COLUMN_MULTIPLE):
+    return -(-n // multiple) * multiple
+
+
 @dataclass
 class SHTPlan:
-    """Precomputed operators for the fast transform at a fixed band-limit.
+    """Precomputed real operators for the fast transform at a fixed band-limit.
 
     Parameters
     ----------
@@ -157,219 +183,223 @@ class SHTPlan:
 
     Notes
     -----
-    The plan stores the Wigner-d matrices at ``pi/2`` for every degree
-    (``O(L^3)`` memory, as in the paper's pre-computation strategy), the
-    ``(2L-1) x (2L-1)`` matrix ``I(m' + m'')``, index maps between FFT
-    bins and signed orders, and per-signed-order GEMM operators for both
-    transform directions (:meth:`_synthesis_operators` /
-    :meth:`_analysis_operators`, built eagerly so shared cached plans
-    stay immutable).
+    The plan stores, for every order ``0 <= m < L``, one ``float64``
+    synthesis operator (``L - m`` degrees by ``L`` colatitude orders
+    ``m' >= 0``) and one ``float64`` analysis operator of the transposed
+    shape — about ``L^3`` values together, each shape's GEMM column count
+    zero-padded to a multiple of :data:`_GEMM_COLUMN_MULTIPLE` — plus
+    the ``O(L^2)`` index maps between the flat ``(l, m)`` coefficient
+    vector and the order-major ``m >= 0`` packing the GEMMs read.  The
+    Wigner-d tables the operators are built from are released when
+    ``__post_init__`` returns; everything is built eagerly, so shared
+    cached plans stay immutable.
     """
 
     lmax: int
     grid: Grid
-    _delta: list[np.ndarray] = field(init=False, repr=False)
-    _imat: np.ndarray = field(init=False, repr=False)
-    _syn_cols: "list[np.ndarray] | None" = field(init=False, default=None, repr=False)
-    _syn_ops: "list[np.ndarray] | None" = field(init=False, default=None, repr=False)
-    _ana_ops: "list[np.ndarray] | None" = field(init=False, default=None, repr=False)
+    _pack: np.ndarray = field(init=False, repr=False)
+    _unpack: np.ndarray = field(init=False, repr=False)
+    _sign: np.ndarray = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
+    _syn_ops: list[np.ndarray] = field(init=False, repr=False)
+    _ana_ops: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.lmax < 1:
+        lmax = self.lmax
+        if lmax < 1:
             raise ValueError("lmax must be >= 1")
-        if not self.grid.supports_bandlimit(self.lmax):
+        if not self.grid.supports_bandlimit(lmax):
             raise ValueError(
-                f"grid {self.grid.shape} cannot support band-limit {self.lmax}: "
-                f"requires ntheta >= {self.lmax + 1} and nphi >= {2 * self.lmax - 1}"
+                f"grid {self.grid.shape} cannot support band-limit {lmax}: "
+                f"requires ntheta >= {lmax + 1} and nphi >= {2 * lmax - 1}"
             )
-        self._delta = wigner_d_pi2_all(self.lmax)
-        self._imat = integral_matrix(self.lmax)
+        # Order-major packing of the m >= 0 half: order m owns the slots
+        # offsets[m]:offsets[m+1] — its degrees l = m .. L-1 ascending, then
+        # padding up to the GEMM column multiple.  Padding slots read
+        # coefficient 0 and meet zero operator rows; nothing reads them back.
+        blocks = _round_up(lmax - np.arange(lmax))
+        self._offsets = np.concatenate(([0], np.cumsum(blocks)))
+        orders = np.repeat(np.arange(lmax), blocks)
+        degrees = np.arange(orders.size) - self._offsets[orders] + orders
+        used = degrees < lmax
+        positive = np.where(used, degrees * degrees + degrees + orders, 0)
+        negative = np.where(used, positive - 2 * orders, 0)
+        # `_pack` gathers the (l, m) then the (l, -m) of every slot from the
+        # flat vector; `_unpack` is the inverse map from [slots | mirrored
+        # slots] (written last for m >= 0, so m = 0 reads the first half).
+        self._pack = np.concatenate((positive, negative))
+        slots = np.flatnonzero(used)
+        self._unpack = np.empty(lmax * lmax, dtype=np.intp)
+        self._unpack[negative[slots]] = orders.size + slots
+        self._unpack[positive[slots]] = slots
+        self._sign = np.where(orders % 2 == 0, 1.0, -1.0)
         # Built eagerly: plans are shared process-wide through the plan
         # cache and must be immutable after construction (a lazy build
         # would race under concurrent forward()/inverse() calls from
         # campaign worker threads).
-        self._synthesis_operators()
-        self._analysis_operators()
+        self._syn_ops, self._ana_ops = self._build_operators()
+
+    def _build_operators(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The per-order real GEMM operators of both directions.
+
+        ``table[m, l, m'] = sqrt((2l+1)/(4*pi)) Delta^l_{m',0}
+        Delta^l_{m',m}`` for ``m, m' >= 0`` is Eq. (7)'s ``S`` without its
+        phase; ``S_{l,m,-m'} = (-1)**m S_{l,m,m'}`` covers the rest.
+
+        *Synthesis*, order ``m``: ``C_{m,m'} = i^{-m} sum_l f_{l,m}
+        table[m, l, m']``, and ``H_m(theta) = sum_{m'} C_{m,m'} exp(i m'
+        theta)`` is the cosine series ``C_{m,0} + 2 sum_{m'>0} C_{m,m'}
+        cos(m' theta)`` for even ``m`` and ``i`` times the sine series
+        ``2 sum_{m'>0} C_{m,m'} sin(m' theta)`` for odd ``m`` — what a
+        type-I DCT / DST evaluates on the grid's colatitudes.  With the
+        sine series' ``i`` the phase is the sign ``(-1)**(m // 2)``, folded
+        into the stored operator ``table[m, m:]``.
+
+        *Analysis*, order ``m``: ``A_m = I @ S_m.T`` (the integrals of
+        Eq. 8 contracted in) folded onto ``m' >= 0`` through ``K_{m,-m'} =
+        (-1)**m K_{m,m'}`` and onto ``m'' >= 0`` through the symmetry of ``S``:
+        ``A_m[m', l] = i^{-m} w_{m'} sum_{m''>=0} J[m', m''] table[m, l,
+        m'']`` with ``J[m', m''] = Re I(m'+m'') + (-1)**m Re I(m'-m'')``
+        (halved at ``m'' = 0``) and ``w = 1, 2, 2, ...``.  The imaginary
+        part of ``I`` (``q = +-1`` only) cancels in the fold.  The
+        cosine / sine transforms return ``N K_{m,m'}`` resp. ``i N
+        K_{m,m'}`` (``N`` the extended length) of ``G_m / 2 pi``, so the
+        stored operator also carries ``2 pi / N`` and, for odd ``m``, the
+        ``-i`` that turns ``i^{-m}`` into the sign ``(-1)**((m+1) // 2)``.
+
+        An odd order has no ``m' = 0`` term: that column of its synthesis
+        operator and that row of its analysis operator are exact zeros.
+        """
+        lmax = self.lmax
+        blocks = np.diff(self._offsets)  # slots per order, padding included
+        table = np.zeros((lmax, lmax, lmax))
+        for ell, delta in enumerate(wigner_d_pi2_all(lmax)):
+            quadrant = delta[ell:, ell:]  # [m', m] for m', m >= 0
+            norm = np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi))
+            table[:ell + 1, ell, :ell + 1] = (norm * quadrant[:, :1] * quadrant).T
+        index = np.arange(lmax)
+        plus = exponential_sine_integral(index[:, None] + index[None, :]).real
+        minus = exponential_sine_integral(index[:, None] - index[None, :]).real
+        weight = np.where(index == 0, 1.0, 2.0)[:, None] * (
+            2.0 * np.pi / (2 * self.grid.ntheta - 2)
+        )
+        fold = []
+        for parity_sign in (1.0, -1.0):
+            j = plus + parity_sign * minus
+            j[:, 0] *= 0.5
+            fold.append(weight * j)
+        syn_ops, ana_ops = [], []
+        for m in range(lmax):
+            syn = np.zeros((blocks[m], _round_up(lmax)))
+            syn[:lmax - m, :lmax] = table[m, m:]
+            ana = np.zeros((lmax, blocks[m]))
+            ana[:, :lmax - m] = fold[m % 2] @ table[m, m:].T
+            syn_ops.append(-syn if (m // 2) % 2 else syn)
+            ana_ops.append(-ana if ((m + 1) // 2) % 2 else ana)
+        return syn_ops, ana_ops
 
     # -- derived sizes ----------------------------------------------------- #
-    @property
-    def n_orders(self) -> int:
-        """Number of signed orders, ``2L - 1``."""
-        return 2 * self.lmax - 1
-
     @property
     def n_coeffs(self) -> int:
         """Length of the coefficient vector, ``L**2``."""
         return num_coeffs(self.lmax)
 
-    @property
-    def ntheta_ext(self) -> int:
-        """Length of the extended colatitude grid, ``2*ntheta - 2``."""
-        return 2 * self.grid.ntheta - 2
-
-    @property
-    def wigner(self) -> list[np.ndarray]:
-        """Wigner-d matrices at ``pi/2`` for degrees ``0 .. L-1``."""
-        return self._delta
-
-    @property
-    def integral(self) -> np.ndarray:
-        """Matrix ``I(m' + m'')`` of Eq. (8)."""
-        return self._imat
-
-    def orders(self) -> np.ndarray:
-        """Signed orders ``-(L-1) .. L-1`` in ascending order."""
-        return np.arange(-(self.lmax - 1), self.lmax)
-
-    # -- internal helpers --------------------------------------------------- #
-    def _fft_bins_for_orders(self, nfft: int) -> np.ndarray:
-        """FFT bin index for each signed order on a length-``nfft`` FFT."""
-        m = self.orders()
-        return np.where(m >= 0, m, nfft + m)
-
     # ------------------------------------------------------------------ #
     # Forward (analysis)
     # ------------------------------------------------------------------ #
     def longitude_fourier(self, data: np.ndarray) -> np.ndarray:
-        """Step 1: ``G_m(theta)`` for all signed orders.
+        """Stage 1: ``G_m(theta) / 2 pi`` for the orders ``0 <= m < L``.
 
         Parameters
         ----------
         data:
-            Real or complex field(s) of shape ``(..., ntheta, nphi)``.
+            Real field(s) of shape ``(..., ntheta, nphi)``.
 
         Returns
         -------
         numpy.ndarray
-            ``G`` of shape ``(..., ntheta, 2L-1)`` with the order axis in
-            ascending signed order.
+            ``complex128`` of shape ``(..., ntheta, L)``: the real FFT
+            along longitude, normalised by ``1 / nphi`` (the ``2 pi`` of
+            the longitude integral is folded into the analysis
+            operators).
         """
-        nphi = self.grid.nphi
-        spec = np.fft.fft(data, axis=-1) * (2.0 * np.pi / nphi)
-        bins = self._fft_bins_for_orders(nphi)
-        return spec[..., bins]
+        data = np.asarray(data, dtype=np.float64)
+        return _fft.rfft(data, axis=-1, norm="forward")[..., :self.lmax]
 
     def colatitude_fourier(self, g: np.ndarray) -> np.ndarray:
-        """Steps 2: extended-colatitude FFT producing ``K_{m, m'}``.
+        """Stage 2: the colatitude Fourier coefficients ``K_{m, m'}``, ``m' >= 0``.
 
         Parameters
         ----------
         g:
-            ``G_m(theta_i)`` of shape ``(..., ntheta, 2L-1)``.
+            :meth:`longitude_fourier` output, ``(..., ntheta, L)``.
 
         Returns
         -------
         numpy.ndarray
-            ``K`` of shape ``(..., 2L-1, 2L-1)`` indexed ``[..., m, m']``.
+            ``float64`` of shape ``(L, 2, ..., L)`` indexed
+            ``[m, part, ..., m']``: the real (``part = 0``) and imaginary
+            planes of the type-I cosine (even ``m``) / sine (odd ``m``)
+            transform of ``G_m`` over colatitude — ``K_{m,m'}`` up to the
+            constants folded into the analysis operators (see
+            :meth:`_build_operators`).  ``m' = 0`` of an odd order is
+            zero.
         """
-        ntheta = self.grid.ntheta
-        next_ = self.ntheta_ext
-        m = self.orders()
-        parity = np.where(m % 2 == 0, 1.0, -1.0)
-
-        shape = g.shape[:-2] + (next_, self.n_orders)
-        g_ext = np.empty(shape, dtype=np.complex128)
-        g_ext[..., :ntheta, :] = g
-        # G_m(2*pi - theta) = (-1)**m G_m(theta); extended index i maps back
-        # to ntheta-grid index (next - i) for i in [ntheta, next).
-        mirror = g[..., ntheta - 2:0:-1, :]
-        g_ext[..., ntheta:, :] = parity * mirror
-
-        k_full = np.fft.fft(g_ext, axis=-2) / next_
-        bins = self._fft_bins_for_orders(next_)
-        k = k_full[..., bins, :]
-        # axes currently (..., m', m); transpose to (..., m, m')
-        return np.swapaxes(k, -1, -2)
-
-    def _analysis_operators(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-order analysis operators, built once in ``__post_init__``.
-
-        The adjoint view of :meth:`_synthesis_operators`: for each signed
-        order ``m`` the Eq. (7)-(8) assembly reduces to
-        ``f[cols_m] = K_{m, :} @ A_m`` with ``A_m = I @ S_m.T`` — the
-        transpose of the synthesis operator (same Wigner tables, same
-        folded ``i^{-m}`` phase) with the closed-form integral matrix
-        ``I(m' + m'')`` of Eq. (8) folded in, so the whole forward
-        contraction runs as exactly ``2L-1`` BLAS GEMMs over the
-        flattened batch, with no separate ``W = K @ I`` intermediate.
-        ``cols_m`` is shared with the synthesis side; folding ``I``
-        changes only the association order of the degree sum (pinned
-        ``<= 1e-12`` of the per-degree reference by tests).
-        """
-        if self._ana_ops is None:
-            _, syn_ops = self._synthesis_operators()
-            self._ana_ops = [
-                np.ascontiguousarray(self._imat @ op.T) for op in syn_ops
-            ]
-        return self._syn_cols, self._ana_ops
+        lmax, ntheta = self.lmax, self.grid.ntheta
+        lead = g.shape[:-2]
+        flat = g.reshape((-1, ntheta, lmax))
+        # Real and imaginary planes, order axis first for the transforms
+        # along colatitude.  The planes' rows are padded to an odd length:
+        # the transposing reads below stride over whole rows, and rows of
+        # a power-of-two size (L = 64, 128, ...) would all map to the same
+        # few cache sets.
+        planes = np.empty((2, flat.shape[0], ntheta, lmax | 1))
+        planes[0, ..., :lmax] = flat.real
+        planes[1, ..., :lmax] = flat.imag
+        by_order = planes.transpose(3, 0, 1, 2)
+        k = np.empty((lmax, 2, flat.shape[0], lmax))
+        even = np.ascontiguousarray(by_order[0:lmax:2])
+        k[0::2] = _fft.dct(even, type=1, axis=-1, overwrite_x=True)[..., :lmax]
+        if lmax > 1:
+            # The odd extension vanishes at both poles by construction.
+            odd = np.ascontiguousarray(by_order[1:lmax:2, ..., 1:-1])
+            k[1::2, ..., 0] = 0.0
+            sines = _fft.dst(odd, type=1, axis=-1, overwrite_x=True)
+            k[1::2, ..., 1:] = sines[..., :lmax - 1]
+        return k.reshape((lmax, 2) + lead + (lmax,))
 
     def wigner_contraction_forward(self, k: np.ndarray) -> np.ndarray:
-        """Steps 3-4: contract ``K`` into the coefficient vector (Eq. 7).
+        """Stage 3: contract ``K`` into the coefficient vector (Eq. 7).
 
-        Implemented as one GEMM per signed order against the precomputed
-        operators of :meth:`_analysis_operators`, with all leading batch
-        axes flattened into the GEMM row dimension — the same ``O(L^3)``
-        arithmetic as the per-degree reference
-        (:meth:`wigner_contraction_forward_reference`, matched to within
-        reassociation error; the degree loop becomes the GEMM column
-        dimension) but an order of magnitude faster and per-slice
-        independent, so batched and per-slice calls agree bit for bit.
-        """
-        k = np.asarray(k, dtype=np.complex128)
-        cols, ops = self._analysis_operators()
-        lead = k.shape[:-2]
-        flat = np.ascontiguousarray(k.reshape((-1,) + k.shape[-2:]))
-        n_rows = flat.shape[0]
-        if n_rows == 1:
-            # Same gemv-vs-gemm guard as the inverse contraction: BLAS
-            # hands single-row products to gemv, whose reduction order can
-            # differ from the gemm kernels used for taller stacks.
-            # Duplicating the row keeps every batch height on the same
-            # kernel family, so per-slice results do not depend on how
-            # many slices were stacked together.
-            flat = np.concatenate([flat, flat], axis=0)
-        coeffs = np.empty((flat.shape[0], self.n_coeffs), dtype=np.complex128)
-        for mi in range(self.n_orders):
-            coeffs[:, cols[mi]] = flat[:, mi, :] @ ops[mi]
-        return coeffs[:n_rows].reshape(lead + (self.n_coeffs,))
-
-    def wigner_contraction_forward_reference(self, k: np.ndarray) -> np.ndarray:
-        """Literal per-degree assembly of Eq. (7) (validation reference).
-
-        Kept as the readable transcription of the paper's analysis
-        contraction; the production :meth:`wigner_contraction_forward`
-        must match it to within floating-point reassociation error
-        (pinned by the test-suite).
+        One real GEMM per order ``m >= 0`` against the analysis operators
+        of :meth:`_build_operators`, the real and imaginary planes of all
+        leading slices stacked into the GEMM row dimension (never fewer
+        than two rows, so BLAS never switches to its gemv kernels; see
+        :data:`_GEMM_COLUMN_MULTIPLE` for why per-slice results do not
+        depend on the batch height).  Returns ``complex128``
+        ``(..., L**2)`` with the negative orders filled by ``f_{l,-m} =
+        (-1)**m conj(f_{l,m})``.
         """
         lmax = self.lmax
-        w = k @ self._imat  # (..., m, m'')
-        out_shape = k.shape[:-2] + (self.n_coeffs,)
-        coeffs = np.zeros(out_shape, dtype=np.complex128)
-        centre = lmax - 1  # index of order 0 on the signed-order axis
-        m_all = self.orders()
-        i_pow_neg_m = (1j) ** (-m_all)
-        for ell in range(lmax):
-            delta = self._delta[ell]  # (2l+1, 2l+1) indexed [m''+l, m+l]
-            norm = np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi))
-            sl = slice(centre - ell, centre + ell + 1)
-            # W restricted to |m| <= l and |m''| <= l
-            w_sub = w[..., sl, sl]  # (..., m, m'')
-            delta0 = delta[:, ell]  # Delta^l_{m'', 0}
-            weighted = w_sub * delta0  # broadcast over m''
-            # sum over m'': result (..., m)
-            summed = np.einsum("...ab,ba->...a", weighted, delta)
-            phases = i_pow_neg_m[centre - ell: centre + ell + 1]
-            block = norm * phases * summed
-            start = ell * ell
-            coeffs[..., start:start + 2 * ell + 1] = block
-        return coeffs
+        lead = k.shape[2:-1]
+        flat = k.reshape((lmax, -1, lmax))
+        n_rows = flat.shape[1] // 2
+        n_half = self._sign.size
+        packed = np.empty((flat.shape[1], n_half))
+        for m, op in enumerate(self._ana_ops):
+            np.matmul(flat[m], op, out=packed[:, self._offsets[m]:self._offsets[m + 1]])
+        both = np.empty((n_rows, 2 * n_half), dtype=np.complex128)
+        both.real[:, :n_half] = packed[:n_rows]
+        both.imag[:, :n_half] = packed[n_rows:]
+        np.multiply(packed[:n_rows], self._sign, out=both.real[:, n_half:])
+        np.multiply(packed[n_rows:], -self._sign, out=both.imag[:, n_half:])
+        return np.take(both, self._unpack, axis=1).reshape(lead + (self.n_coeffs,))
 
     def _analyze_block(self, data: np.ndarray) -> np.ndarray:
         """One unblocked analysis pass: FFT stages plus GEMM contraction."""
         with span("sht.forward.fft"):
-            g = self.longitude_fourier(data)
-            k = self.colatitude_fourier(g)
-        n_slices = int(np.prod(k.shape[:-2])) if k.shape[:-2] else 1
+            k = self.colatitude_fourier(self.longitude_fourier(data))
+        n_slices = int(np.prod(k.shape[2:-1]))
         with span(
             "sht.forward.contraction",
             flops=sht_contraction_flops(self.lmax, n_slices),
@@ -382,14 +412,14 @@ class SHTPlan:
         Parameters
         ----------
         data:
-            Real or complex field(s) of shape ``(..., ntheta, nphi)``;
-            any leading batch shape is transformed independently per
-            leading slice.  Stacked batches — e.g. a whole training
+            Field(s) of shape ``(..., ntheta, nphi)``; any leading batch
+            shape is transformed independently per leading slice.  Real
+            input takes the real path directly; complex input is analysed
+            as two real fields, ``forward(x + iy) = forward(x) + i
+            forward(y)``.  Stacked batches — e.g. a whole training
             ensemble ``(R, T, ntheta, nphi)``, the `fit` hot path — are
-            analysed in internally blocked passes of
-            :data:`_ANALYSIS_BLOCK` leading slices, so peak memory is
-            bounded by the block instead of the full extended-colatitude
-            complex intermediate of the whole record.
+            analysed in blocks of :data:`_ANALYSIS_BLOCK` leading slices,
+            so peak memory is bounded by the block, not the record.
 
         Returns
         -------
@@ -399,16 +429,18 @@ class SHTPlan:
             batch-invariant: the same input always yields bit-identical
             coefficients, and ``plan.forward(stacked)[b]`` is
             bit-identical to ``plan.forward(stacked[b])`` — every stage
-            (both FFTs, the per-order GEMM contraction) operates
-            independently per leading slice.
+            (the real FFT, the cosine / sine transforms, the per-order
+            GEMMs) operates independently per leading slice.
         """
         data = np.asarray(data)
         if data.shape[-2:] != self.grid.shape:
             raise ValueError(
                 f"field shape {data.shape[-2:]} does not match grid {self.grid.shape}"
             )
+        if np.iscomplexobj(data):
+            return self.forward(data.real) + 1j * self.forward(data.imag)
         lead = data.shape[:-2]
-        n_flat = int(np.prod(lead)) if lead else 1
+        n_flat = int(np.prod(lead))
         with span("sht.forward", lmax=self.lmax, slices=n_flat, bytes=data.nbytes):
             if n_flat <= _ANALYSIS_BLOCK:
                 return self._analyze_block(data)
@@ -422,144 +454,80 @@ class SHTPlan:
     # ------------------------------------------------------------------ #
     # Inverse (synthesis)
     # ------------------------------------------------------------------ #
-    def _synthesis_operators(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-order synthesis operators, built once in ``__post_init__``.
-
-        For each signed order ``m`` the contraction of Eq. (7) reduces to a
-        dense matrix product over the degrees carrying that order:
-        ``C_{m, :} = f[cols_m] @ S_m`` with
-        ``S_m[l, m'] = i^{-m} sqrt((2l+1)/(4*pi)) Delta^l_{m', 0}
-        Delta^l_{m', m}`` and ``cols_m`` the flat coefficient indices of
-        ``(l, m)`` for ``l = |m| .. L-1``.  Casting the contraction this
-        way turns the per-degree accumulation loop into ``2L-1`` BLAS
-        GEMMs over the (flattened) batch — the batched synthesis hot path.
-        Total operator storage is ``L**2 * (2L-1)`` complex values, the
-        same order as the Wigner tables themselves.
-        """
-        if self._syn_cols is None:
-            lmax = self.lmax
-            centre = lmax - 1
-            i_pow_neg_m = (1j) ** (-self.orders())
-            cols: list[np.ndarray] = []
-            ops: list[np.ndarray] = []
-            for mi in range(self.n_orders):
-                m = mi - centre
-                ells = np.arange(abs(m), lmax)
-                cols.append(ells * ells + ells + m)
-                op = np.zeros((len(ells), self.n_orders))
-                for row, ell in enumerate(ells):
-                    delta = self._delta[ell]
-                    norm = np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi))
-                    op[row, centre - ell: centre + ell + 1] = (
-                        norm * delta[:, ell] * delta[:, m + ell]
-                    )
-                # The i^{-m} phase is one of {1, i, -1, -i}: folding it into
-                # the operator is exact (sign flips / real-imag swaps only).
-                ops.append(i_pow_neg_m[mi] * op.astype(np.complex128))
-            self._syn_ops = ops
-            self._syn_cols = cols
-        return self._syn_cols, self._syn_ops
-
     def wigner_contraction_inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Map coefficients to colatitude Fourier coefficients ``C_{m, m'}``.
 
-        ``H_m(theta) = sum_l f_{l,m} Y_{l,m}(theta, 0)
-                     = sum_{m'} C_{m, m'} exp(i m' theta)``.
+        ``H_m(theta) = sum_l g_{l,m} Y_{l,m}(theta, 0)
+                     = sum_{m'} C_{m, m'} exp(i m' theta)``
 
-        Implemented as one GEMM per signed order against the precomputed
-        operators of :meth:`_synthesis_operators`, with all leading batch
-        axes flattened into the GEMM row dimension — same ``O(L^3)``
-        arithmetic as the per-degree reference
-        (:meth:`wigner_contraction_inverse_reference`, equal to within a
-        few ULPs; the degree sum runs inside the dot product instead of
-        as a Python accumulation loop) but an order of magnitude faster
-        and per-slice independent, so batched and per-slice calls agree
-        bit for bit.
+        for the orders ``m >= 0`` of the *real part* of the field:
+        ``g_{l,m} = (f_{l,m} + (-1)**m conj(f_{l,-m})) / 2``, which is
+        ``f_{l,m}`` itself, bit for bit, when ``coeffs`` already carries
+        the conjugate symmetry of a real field.  One real GEMM per order
+        against the synthesis operators of :meth:`_build_operators`, the
+        real and imaginary parts of all leading slices stacked into the
+        GEMM row dimension (never fewer than two rows, so BLAS never
+        switches to its gemv kernels; see :data:`_GEMM_COLUMN_MULTIPLE`
+        for why per-slice results do not depend on the batch height).
+
+        Returns ``float64`` of shape ``(L, 2, ..., W)`` indexed ``[m,
+        part, ..., m']`` with ``m' >= 0``: the real and imaginary planes of
+        ``C_{m,m'}`` for even ``m`` and of ``i C_{m,m'}`` for odd ``m``.
+        ``W`` is ``L`` rounded up to the GEMM column multiple; columns
+        ``m' >= L``, and ``m' = 0`` of an odd order, are zero.
         """
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        cols, ops = self._synthesis_operators()
-        lead = coeffs.shape[:-1]
-        flat = np.ascontiguousarray(coeffs.reshape(-1, coeffs.shape[-1]))
-        n_rows = flat.shape[0]
-        if n_rows == 1:
-            # BLAS hands single-row products to gemv, whose reduction order
-            # can differ from the gemm kernels used for taller stacks;
-            # duplicating the row keeps every batch height on the same
-            # kernel family, so per-slice results do not depend on how many
-            # slices were stacked together.
-            flat = np.concatenate([flat, flat], axis=0)
-        c = np.empty((flat.shape[0], self.n_orders, self.n_orders), dtype=np.complex128)
-        for mi in range(self.n_orders):
-            np.matmul(flat[:, cols[mi]], ops[mi], out=c[:, mi, :])
-        return c[:n_rows].reshape(lead + (self.n_orders, self.n_orders))
-
-    def wigner_contraction_inverse_reference(self, coeffs: np.ndarray) -> np.ndarray:
-        """Literal per-degree accumulation of Eq. (7) (validation reference).
-
-        Kept as the readable transcription of the paper's synthesis
-        contraction; the production :meth:`wigner_contraction_inverse`
-        must match it to within floating-point reassociation error
-        (pinned by the test-suite).
-        """
         lmax = self.lmax
-        centre = lmax - 1
-        shape = coeffs.shape[:-1] + (self.n_orders, self.n_orders)
-        c = np.zeros(shape, dtype=np.complex128)
-        m_all = self.orders()
-        i_pow_neg_m = (1j) ** (-m_all)
-        for ell in range(lmax):
-            delta = self._delta[ell]
-            norm = np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi))
-            start = ell * ell
-            f_l = coeffs[..., start:start + 2 * ell + 1]  # (..., m)
-            delta0 = delta[:, ell]  # (m'',)
-            # S_{l, m, m'} = i^{-m} norm * Delta_{m', 0} * Delta_{m', m}
-            # C_{m, m'} += f_{l,m} S_{l,m,m'}
-            contrib = np.einsum("...a,ba->...ab", f_l, delta * delta0[:, None])
-            phases = i_pow_neg_m[centre - ell: centre + ell + 1]
-            contrib = norm * contrib * phases[:, None]
-            sl = slice(centre - ell, centre + ell + 1)
-            c[..., sl, sl] += contrib
-        return c
+        lead = coeffs.shape[:-1]
+        flat = coeffs.reshape(-1, coeffs.shape[-1])
+        n_rows = flat.shape[0]
+        n_half = self._sign.size
+        both = np.take(flat, self._pack, axis=1).view(np.float64)
+        both = both.reshape(n_rows, 2 * n_half, 2)
+        packed = np.empty((2 * n_rows, n_half))
+        np.multiply(both[:, n_half:, 0], self._sign, out=packed[:n_rows])
+        np.multiply(both[:, n_half:, 1], -self._sign, out=packed[n_rows:])
+        packed[:n_rows] += both[:, :n_half, 0]
+        packed[n_rows:] += both[:, :n_half, 1]
+        packed *= 0.5
+        c = np.empty((lmax, 2 * n_rows, _round_up(lmax)))
+        for m, op in enumerate(self._syn_ops):
+            np.matmul(packed[:, self._offsets[m]:self._offsets[m + 1]], op, out=c[m])
+        return c.reshape((lmax, 2) + lead + c.shape[-1:])
 
-    def synthesis_from_fourier(self, c: np.ndarray, real: bool = True) -> np.ndarray:
-        """Evaluate the field from colatitude Fourier coefficients ``C``.
+    def synthesis_from_fourier(self, c: np.ndarray) -> np.ndarray:
+        """Evaluate the real field from :meth:`wigner_contraction_inverse` output.
 
         Parameters
         ----------
         c:
-            ``complex128`` coefficients of shape ``(..., 2L-1, 2L-1)``
-            indexed ``[..., m, m']``.  Any leading batch shape is allowed
-            — stacked inputs (e.g. ``(n_batch, T, 2L-1, 2L-1)``) are
-            synthesised in single vectorised FFT passes, and each leading
-            slice of the output is bit-identical to transforming that
-            slice alone.
-        real:
-            Return ``float64`` (the real part) instead of ``complex128``.
+            ``float64`` of shape ``(L, 2, ..., W)``.  Any leading batch
+            shape is allowed — stacked inputs are synthesised in single
+            vectorised passes, and each leading slice of the output is
+            bit-identical to transforming that slice alone.
 
         Returns
         -------
         numpy.ndarray
-            Field(s) of shape ``(..., ntheta, nphi)``.
+            ``float64`` field(s) of shape ``(..., ntheta, nphi)``.
         """
-        ntheta = self.grid.ntheta
-        nphi = self.grid.nphi
-        next_ = self.ntheta_ext
-
-        # H_m(theta_i) for the extended grid via inverse FFT over m'.
-        full = np.zeros(c.shape[:-1] + (next_,), dtype=np.complex128)
-        bins = self._fft_bins_for_orders(next_)
-        full[..., bins] = c
-        h_ext = np.fft.ifft(full, axis=-1) * next_
-        h = h_ext[..., :ntheta]  # (..., m, theta)
-        h = np.swapaxes(h, -1, -2)  # (..., theta, m)
-
-        # Z(theta_i, phi_j) = sum_m H_m(theta_i) exp(i m phi_j)
-        full_phi = np.zeros(h.shape[:-1] + (nphi,), dtype=np.complex128)
-        bins_phi = self._fft_bins_for_orders(nphi)
-        full_phi[..., bins_phi] = h
-        z = np.fft.ifft(full_phi, axis=-1) * nphi
-        return np.real(z) if real else z
+        lmax = self.lmax
+        ntheta, nphi = self.grid.shape
+        lead = c.shape[2:-1]
+        flat = c.reshape((lmax, 2, -1, c.shape[-1]))
+        # H_m(theta_i): cosine series for even m, i * sine series (zero at
+        # both poles) for odd m; the i is folded into the operators.
+        h = np.zeros((flat.shape[2], ntheta, lmax), dtype=np.complex128)
+        even = _fft.dct(flat[0::2], type=1, n=ntheta, axis=-1)
+        h.real[:, :, 0::2] = even[:, 0].transpose(1, 2, 0)
+        h.imag[:, :, 0::2] = even[:, 1].transpose(1, 2, 0)
+        if lmax > 1:
+            odd = _fft.dst(flat[1::2, ..., 1:], type=1, n=ntheta - 2, axis=-1)
+            h.real[:, 1:-1, 1::2] = odd[:, 0].transpose(1, 2, 0)
+            h.imag[:, 1:-1, 1::2] = odd[:, 1].transpose(1, 2, 0)
+        # Z(theta_i, phi_j) = sum_m H_m(theta_i) exp(i m phi_j), H_-m = conj H_m
+        z = _fft.irfft(h, n=nphi, axis=-1, norm="forward")
+        return z.reshape(lead + self.grid.shape)
 
     def inverse(self, coeffs: np.ndarray, real: bool = True) -> np.ndarray:
         """Full synthesis: spectral coefficients to grid field(s).
@@ -570,13 +538,18 @@ class SHTPlan:
             Complex coefficients of shape ``(..., L**2)`` in flat
             ``(l, m)`` order (cast to ``complex128``).  Any leading batch
             shape is allowed: a stacked ``(n_batch, L**2)`` (or
-            ``(n_batch, T, L**2)``) array is synthesised in one
-            einsum/FFT pass per step rather than per slice — this is the
-            batched hot path of emulation synthesis.
+            ``(n_batch, T, L**2)``) array goes through one GEMM per order
+            for the whole stack and through the transforms in blocks of
+            :data:`_SYNTHESIS_BLOCK` slices — the batched hot path of
+            emulation synthesis.
         real:
-            Return only the real part as ``float64`` (appropriate for
-            real fields whose coefficients satisfy the conjugate
-            symmetry); otherwise ``complex128``.
+            Return the real part of the synthesised field as ``float64``
+            — for *every* input: coefficients without the conjugate
+            symmetry of a real field are symmetrised first, an
+            ``O(L^2)`` pass.  With ``real=False`` the ``complex128``
+            field is assembled from two real syntheses, of ``coeffs``
+            and of ``-i * coeffs`` (whose real part is the field's
+            imaginary part).
 
         Returns
         -------
@@ -586,40 +559,37 @@ class SHTPlan:
         Notes
         -----
         Deterministic and batch-invariant: the transform involves no
-        randomness, and every arithmetic step (Wigner contraction, both
-        FFTs) operates independently per leading slice, so
-        ``plan.inverse(stacked)[b]`` is bit-identical to
-        ``plan.inverse(stacked[b])``.  The batched-emulation machinery
-        (:func:`repro.run_campaign` with ``batch_size > 1``) relies on
-        this guarantee.
+        randomness, and every arithmetic step (the per-order GEMMs, the
+        cosine / sine transforms, the real FFT) operates independently
+        per leading slice, so ``plan.inverse(stacked)[b]`` is
+        bit-identical to ``plan.inverse(stacked[b])``.  The
+        batched-emulation machinery (:func:`repro.run_campaign` with
+        ``batch_size > 1``) relies on this guarantee.
         """
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape[-1] != self.n_coeffs:
             raise ValueError(
                 f"expected {self.n_coeffs} coefficients, got {coeffs.shape[-1]}"
             )
-        lead_in = coeffs.shape[:-1]
-        n_slices = int(np.prod(lead_in)) if lead_in else 1
-        with span("sht.inverse", lmax=self.lmax, slices=n_slices, bytes=coeffs.nbytes):
+        if not real:
+            return self.inverse(coeffs) + 1j * self.inverse(-1j * coeffs)
+        lead = coeffs.shape[:-1]
+        n_flat = int(np.prod(lead))
+        with span("sht.inverse", lmax=self.lmax, slices=n_flat, bytes=coeffs.nbytes):
             with span(
                 "sht.inverse.contraction",
-                flops=sht_contraction_flops(self.lmax, n_slices),
+                flops=sht_contraction_flops(self.lmax, n_flat),
             ):
                 c = self.wigner_contraction_inverse(coeffs)
-            lead = c.shape[:-2]
-            n_flat = int(np.prod(lead)) if lead else 1
             with span("sht.inverse.fft", slices=n_flat):
                 if n_flat <= _SYNTHESIS_BLOCK:
-                    return self.synthesis_from_fourier(c, real=real)
-                flat = c.reshape((n_flat,) + c.shape[-2:])
-                out = np.empty(
-                    (n_flat,) + self.grid.shape,
-                    dtype=np.float64 if real else np.complex128,
-                )
+                    return self.synthesis_from_fourier(c)
+                flat = c.reshape((self.lmax, 2, n_flat, c.shape[-1]))
+                out = np.empty((n_flat,) + self.grid.shape)
                 for start in range(0, n_flat, _SYNTHESIS_BLOCK):
-                    block = flat[start:start + _SYNTHESIS_BLOCK]
-                    out[start:start + _SYNTHESIS_BLOCK] = self.synthesis_from_fourier(
-                        block, real=real
+                    block = flat[:, :, start:start + _SYNTHESIS_BLOCK]
+                    out[start:start + _SYNTHESIS_BLOCK] = (
+                        self.synthesis_from_fourier(block)
                     )
                 return out.reshape(lead + self.grid.shape)
 

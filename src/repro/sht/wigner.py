@@ -103,27 +103,15 @@ def _seed_matrix(ell: int, lmax: int) -> np.ndarray:
     if ell > lmax:
         raise ValueError("ell exceeds lmax")
     top = _seed_top_row(ell)  # d^l_{l, n}, n = -l..l
-
-    def top_val(n: int) -> float:
-        return float(top[n + ell])
-
-    for m1 in range(-ell, ell + 1):
-        for m2 in range(-ell, ell + 1):
-            if max(abs(m1), abs(m2)) != ell:
-                continue
-            if abs(m1) >= abs(m2):
-                if m1 >= 0:
-                    val = top_val(m2)
-                else:
-                    # d_{m1,m2} = (-1)^(m1-m2) d_{-m1,-m2}
-                    val = ((-1.0) ** (m1 - m2)) * top_val(-m2)
-            else:
-                # d_{m1,m2} = (-1)^(m1-m2) d_{m2,m1}
-                if m2 >= 0:
-                    val = ((-1.0) ** (m1 - m2)) * top_val(m1)
-                else:
-                    val = top_val(-m1)
-            out[m1 + lmax, m2 + lmax] = val
+    n = np.arange(-ell, ell + 1)
+    alternating = np.where((ell + n) % 2 == 0, 1.0, -1.0)  # (-1)^(l - n)
+    lo, hi = lmax - ell, lmax + ell
+    # The border of the degree-l block; the rows (|m1| >= |m2|) are written
+    # last so they own the corners.
+    out[lo:hi + 1, hi] = alternating * top        # d_{m1,l} = (-1)^(m1-l) d_{l,m1}
+    out[lo:hi + 1, lo] = top[::-1]                # d_{m1,-l} = d_{l,-m1}
+    out[hi, lo:hi + 1] = top                      # d_{l,m2}
+    out[lo, lo:hi + 1] = alternating * top[::-1]  # d_{-l,m2} = (-1)^(l+m2) d_{l,-m2}
     return out
 
 

@@ -27,7 +27,10 @@ all-zero payload with ``offset = nan``), while the bit-lossless
 
 A store has one encoding for its whole lifetime (recorded in the
 manifest; reopening with a different one raises) and decodes every
-``get`` back to ``float64``.
+``get`` back to ``float64``.  The manifest also records the
+:data:`~repro.util.numerics.NUMERICS_REVISION` of the code that wrote
+it; a store holding chunks of another revision refuses to open, because
+its bits are not what this code synthesises for the same addresses.
 
 Concurrency — the commit protocol
 ---------------------------------
@@ -81,6 +84,7 @@ import zipfile
 import numpy as np
 
 from repro.obs import counter_add, span
+from repro.util.numerics import NUMERICS_REVISION
 
 __all__ = ["ChunkStore", "CHUNK_ENCODINGS"]
 
@@ -379,7 +383,20 @@ class ChunkStore:
                 f"{manifest.get('encoding')!r}; reopen with that encoding "
                 f"instead of {self.encoding!r}"
             )
-        return dict(manifest.get("chunks", {}))
+        chunks = dict(manifest.get("chunks", {}))
+        # Absent = written before the stamp existed.  An empty store has
+        # no bits to answer for: it adopts the current revision with its
+        # next commit.
+        stored = manifest.get("numerics_revision", 0)
+        if chunks and stored != NUMERICS_REVISION:
+            raise ValueError(
+                f"store at {self.root} holds chunks computed under numerics "
+                f"revision {stored!r}, but this code is numerics revision "
+                f"{NUMERICS_REVISION}: the stored fields are not the bits this "
+                f"code synthesises for the same requests — write to a fresh "
+                f"root, or read this one with the code that wrote it"
+            )
+        return chunks
 
     def _dump_manifest_locked(self, chunks: "dict[str, dict]") -> None:
         """Atomically replace ``manifest.json`` (temp file + ``os.replace``).
@@ -391,6 +408,7 @@ class ChunkStore:
         manifest = {
             "schema": _MANIFEST_SCHEMA,
             "encoding": self.encoding,
+            "numerics_revision": NUMERICS_REVISION,
             "chunks": chunks,
         }
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".manifest-")

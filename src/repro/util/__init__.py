@@ -10,6 +10,9 @@ not import from any other ``repro`` subpackage.
 * :mod:`repro.util.compare` — bit-exact ``state_dict`` tree comparison,
   shared by the test-suite and the benchmark harness to pin the
   determinism contracts.
+* :mod:`repro.util.numerics` — ``NUMERICS_REVISION``, the stamp a
+  persistent tier records so it never answers for another revision's
+  output bits.
 """
 
 from repro.util.compare import assert_states_bit_identical

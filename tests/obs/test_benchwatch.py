@@ -20,11 +20,16 @@ from tools.benchwatch import (
 )
 
 
-def _fit_report(speedup, schema=2):
+#: The exemplar watched metric the history / gate / CLI tests drive.
+_BENCHMARK = "storage"
+_PATH = "cross_tier.cross_tier_boost_factor"
+
+
+def _report(boost, schema=2):
     report = {
         "schema": schema,
-        "benchmark": "fit",
-        "summary": {"speedup": speedup},
+        "benchmark": _BENCHMARK,
+        "summary": {"cross_tier": {"cross_tier_boost_factor": boost}},
     }
     if schema >= 2:
         report["git"] = {"sha": "f" * 40, "branch": "main"}
@@ -34,7 +39,7 @@ def _fit_report(speedup, schema=2):
 
 def _seed_history(history_dir, values):
     for value in values:
-        append_history(str(history_dir), _fit_report(value))
+        append_history(str(history_dir), _report(value))
 
 
 class TestMetricValue:
@@ -75,52 +80,52 @@ class TestRegressionGate:
 class TestHistory:
     def test_append_and_load_round_trip(self, tmp_path):
         _seed_history(tmp_path, [2.0, 2.1])
-        entries = load_history(str(tmp_path), "fit")
-        assert [entry["metrics"]["speedup"] for entry in entries] == [2.0, 2.1]
+        entries = load_history(str(tmp_path), _BENCHMARK)
+        assert [entry["metrics"][_PATH] for entry in entries] == [2.0, 2.1]
         assert entries[0]["git"]["branch"] == "main"
 
     def test_v1_reports_are_tolerated(self, tmp_path):
-        append_history(str(tmp_path), _fit_report(2.0, schema=1))
-        (entry,) = load_history(str(tmp_path), "fit")
+        append_history(str(tmp_path), _report(2.0, schema=1))
+        (entry,) = load_history(str(tmp_path), _BENCHMARK)
         assert entry["git"] is None
         assert entry["timestamp"] is None
-        assert entry["metrics"]["speedup"] == 2.0
+        assert entry["metrics"][_PATH] == 2.0
 
     def test_torn_history_line_is_skipped(self, tmp_path):
         _seed_history(tmp_path, [2.0])
-        with open(tmp_path / "fit.jsonl", "a", encoding="utf-8") as handle:
+        with open(tmp_path / f"{_BENCHMARK}.jsonl", "a", encoding="utf-8") as handle:
             handle.write('{"torn": ')
-        assert len(load_history(str(tmp_path), "fit")) == 1
+        assert len(load_history(str(tmp_path), _BENCHMARK)) == 1
 
 
 class TestCheckReport:
     def test_warming_up_never_fails(self, tmp_path):
         _seed_history(tmp_path, [2.0] * (MIN_HISTORY - 1))
-        history = load_history(str(tmp_path), "fit")
-        regressions, lines = check_report(_fit_report(0.1), history)
+        history = load_history(str(tmp_path), _BENCHMARK)
+        regressions, lines = check_report(_report(0.1), history)
         assert regressions == []
         assert any("warming up" in line for line in lines)
 
     def test_healthy_run_passes(self, tmp_path):
         _seed_history(tmp_path, [2.0, 2.1, 1.9, 2.05])
-        history = load_history(str(tmp_path), "fit")
-        regressions, _ = check_report(_fit_report(1.95), history)
+        history = load_history(str(tmp_path), _BENCHMARK)
+        regressions, _ = check_report(_report(1.95), history)
         assert regressions == []
 
     def test_seeded_regression_names_the_metric(self, tmp_path):
         _seed_history(tmp_path, [2.0, 2.1, 1.9, 2.05])
-        history = load_history(str(tmp_path), "fit")
-        regressions, _ = check_report(_fit_report(0.5), history)
+        history = load_history(str(tmp_path), _BENCHMARK)
+        regressions, _ = check_report(_report(0.5), history)
         (message,) = regressions
-        assert "fit:speedup" in message
+        assert f"{_BENCHMARK}:{_PATH}" in message
         assert "REGRESSION" in message
 
     def test_window_limits_the_median(self, tmp_path):
         # Ancient slow history outside the window must not mask a
         # regression against the recent fast plateau.
         _seed_history(tmp_path, [0.5] * 10 + [2.0] * 5)
-        history = load_history(str(tmp_path), "fit")
-        regressions, _ = check_report(_fit_report(0.6), history, window=5)
+        history = load_history(str(tmp_path), _BENCHMARK)
+        regressions, _ = check_report(_report(0.6), history, window=5)
         assert len(regressions) == 1
 
 
@@ -132,45 +137,45 @@ class TestCli:
     def test_check_passes_on_healthy_report(self, tmp_path):
         hist = tmp_path / "hist"
         _seed_history(hist, [2.0, 2.1, 1.9, 2.05])
-        report_path = tmp_path / "BENCH_fit.json"
-        self._write(report_path, _fit_report(2.0))
+        report_path = tmp_path / "BENCH_storage.json"
+        self._write(report_path, _report(2.0))
         assert main(["--check", "--history", str(hist), str(report_path)]) == 0
 
     def test_check_fails_nonzero_and_names_metric(self, tmp_path, capsys):
         hist = tmp_path / "hist"
         _seed_history(hist, [2.0, 2.1, 1.9, 2.05])
-        report_path = tmp_path / "BENCH_fit.json"
-        self._write(report_path, _fit_report(0.5))
+        report_path = tmp_path / "BENCH_storage.json"
+        self._write(report_path, _report(0.5))
         assert main(["--check", "--history", str(hist), str(report_path)]) == 1
         out = capsys.readouterr().out
-        assert "fit:speedup" in out
+        assert f"{_BENCHMARK}:{_PATH}" in out
         assert "REGRESSION" in out
 
     def test_without_check_regressions_only_warn(self, tmp_path):
         hist = tmp_path / "hist"
         _seed_history(hist, [2.0, 2.1, 1.9, 2.05])
-        report_path = tmp_path / "BENCH_fit.json"
-        self._write(report_path, _fit_report(0.5))
+        report_path = tmp_path / "BENCH_storage.json"
+        self._write(report_path, _report(0.5))
         assert main(["--history", str(hist), "--no-append", str(report_path)]) == 0
 
     def test_append_records_after_judging(self, tmp_path):
         hist = tmp_path / "hist"
         _seed_history(hist, [2.0, 2.1, 1.9])
-        report_path = tmp_path / "BENCH_fit.json"
-        self._write(report_path, _fit_report(0.5))
+        report_path = tmp_path / "BENCH_storage.json"
+        self._write(report_path, _report(0.5))
         # The bad run fails --check (judged against pre-append history)
         # but is still recorded for forensics.
         assert main(["--check", "--history", str(hist), str(report_path)]) == 1
-        entries = load_history(str(hist), "fit")
-        assert entries[-1]["metrics"]["speedup"] == 0.5
+        entries = load_history(str(hist), _BENCHMARK)
+        assert entries[-1]["metrics"][_PATH] == 0.5
 
     def test_no_append_leaves_history_untouched(self, tmp_path):
         hist = tmp_path / "hist"
         _seed_history(hist, [2.0, 2.1, 1.9])
-        report_path = tmp_path / "BENCH_fit.json"
-        self._write(report_path, _fit_report(2.0))
+        report_path = tmp_path / "BENCH_storage.json"
+        self._write(report_path, _report(2.0))
         main(["--no-append", "--history", str(hist), str(report_path)])
-        assert len(load_history(str(hist), "fit")) == 3
+        assert len(load_history(str(hist), _BENCHMARK)) == 3
 
     def test_no_reports_is_a_clean_exit(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -184,8 +189,8 @@ class TestCli:
 
     def test_end_to_end_with_real_report_writer(self, tmp_path, monkeypatch):
         """write_report -> benchwatch: the real v2 artifact flows through."""
-        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path / "BENCH_fit.json"))
-        path = write_report("fit", {"speedup": 2.0})
+        monkeypatch.setenv("REPRO_BENCH_OUT", str(tmp_path / "BENCH_storage.json"))
+        path = write_report(_BENCHMARK, {"cross_tier": {"cross_tier_boost_factor": 2.0}})
         with open(path, encoding="utf-8") as handle:
             report = json.load(handle)
         assert report["schema"] == 2
@@ -194,7 +199,7 @@ class TestCli:
         for _ in range(MIN_HISTORY):
             append_history(str(hist), report)
         assert main(["--check", "--history", str(hist), path]) == 0
-        entries = load_history(str(hist), "fit")
+        entries = load_history(str(hist), _BENCHMARK)
         assert entries[-1]["repro_version"] == report["repro_version"]
 
 
@@ -202,8 +207,7 @@ class TestWatchlist:
     def test_every_ci_benchmark_is_defended(self):
         defended = {watched.benchmark for watched in WATCHLIST}
         assert defended == {
-            "serving", "fit", "batched_synthesis", "storage",
-            "telemetry_overhead",
+            "serving", "storage", "telemetry_overhead",
         }
 
     def test_keys_are_unique(self):

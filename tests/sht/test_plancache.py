@@ -43,10 +43,10 @@ class TestCacheHits:
         plan = get_plan("fast", 6, grid)
         again = get_plan("fast", 6, grid)
         fresh = SHTPlan(lmax=6, grid=grid)
-        for ell in range(6):
-            assert again.wigner[ell] is plan.wigner[ell]
-            np.testing.assert_array_equal(again.wigner[ell], fresh.wigner[ell])
-        np.testing.assert_array_equal(again.integral, fresh.integral)
+        for m in range(6):
+            assert again._syn_ops[m] is plan._syn_ops[m]
+            np.testing.assert_array_equal(again._syn_ops[m], fresh._syn_ops[m])
+            np.testing.assert_array_equal(again._ana_ops[m], fresh._ana_ops[m])
 
     def test_aliases_share_one_entry(self):
         grid = Grid.for_bandlimit(5)
@@ -134,7 +134,7 @@ class TestBytesLimit:
         get_plan("fast", 8, Grid.for_bandlimit(8))
         rebuilt = get_plan("fast", 6, grid)
         assert rebuilt is not first
-        np.testing.assert_array_equal(rebuilt.integral, first.integral)
+        np.testing.assert_array_equal(rebuilt._ana_ops[0], first._ana_ops[0])
         assert plan_cache_stats()["evictions"] >= 1
 
     def test_single_oversized_plan_still_serves(self):
@@ -165,8 +165,8 @@ class TestBytesLimit:
         """Plans are built eagerly: using one never grows its footprint.
 
         The bytes-limit eviction measures each plan once per pass on the
-        premise that every table (Wigner, integral, per-order synthesis
-        and analysis operators) exists from ``__post_init__`` — pinned
+        premise that every table (index maps, per-order synthesis and
+        analysis operators) exists from ``__post_init__`` — pinned
         here by exercising both transform directions and checking the
         measured cache bytes do not move.
         """
@@ -182,6 +182,36 @@ class TestBytesLimit:
         set_plan_cache_limit(123456)
         clear_plan_cache()
         assert plan_cache_stats()["limit_bytes"] == 123456
+
+    def test_plan_bytes_count_each_owning_buffer_once(self):
+        """``sht.plan_bytes`` is what the plan keeps alive, however it is held.
+
+        The same operators packed as views of one buffer, as a list of
+        lists, and as a dict of tuples measure the same bytes: views are
+        followed to their base and counted once, containers are walked at
+        any depth, and a small view pins its whole base.
+        """
+        from types import SimpleNamespace
+
+        from repro.sht.plancache import _plan_nbytes
+
+        shapes = [(5, 4), (3, 4), (2, 7)]
+        sizes = [rows * cols for rows, cols in shapes]
+        buffer = np.arange(float(sum(sizes)))
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        views = [
+            buffer[start:start + size].reshape(shape)
+            for start, size, shape in zip(starts, sizes, shapes)
+        ]
+        owned = [view.copy() for view in views]
+        expected = buffer.nbytes
+        assert _plan_nbytes(SimpleNamespace(ops=views)) == expected
+        assert _plan_nbytes(SimpleNamespace(ops=views, again=views[1].T)) == expected
+        assert _plan_nbytes(SimpleNamespace(ops=[owned[:1], owned[1:]])) == expected
+        assert _plan_nbytes(SimpleNamespace(ops={"a": (owned[0],), "b": tuple(owned[1:])})) == expected
+        assert _plan_nbytes(SimpleNamespace(ops=owned, twice=owned)) == expected
+        assert _plan_nbytes(SimpleNamespace(corner=buffer[:2])) == expected
+        assert _plan_nbytes(SimpleNamespace(lmax=6, name="x", nothing=None)) == 0
 
 
 class TestConcurrency:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
+from reference_transform import (  # tests/sht is on sys.path (rootdir layout)
+    colatitude_fourier_reference,
+    signed_from_stage,
+    synthesis_from_fourier_reference,
+    wigner_contraction_forward_reference,
+    wigner_contraction_inverse_reference,
+)
 from repro.sht import (
+    DirectSHTPlan,
     Grid,
     SHTPlan,
     coeff_index,
@@ -100,8 +108,44 @@ class TestPlanValidation:
 
     def test_plan_sizes(self, small_plan, small_lmax):
         assert small_plan.n_coeffs == small_lmax ** 2
-        assert small_plan.n_orders == 2 * small_lmax - 1
-        assert len(small_plan.wigner) == small_lmax
+        assert len(small_plan._syn_ops) == len(small_plan._ana_ops) == small_lmax
+
+    @pytest.mark.parametrize("lmax", [8, 11])
+    def test_one_real_operator_pair_per_nonnegative_order(self, lmax):
+        """Orders m >= 0 only, float64, m' >= 0 only — and no Wigner tables kept."""
+        plan = SHTPlan(lmax=lmax, grid=Grid.for_bandlimit(lmax))
+        width = -(-lmax // 8) * 8  # GEMM column counts are multiples of 8
+        for m, (syn, ana) in enumerate(zip(plan._syn_ops, plan._ana_ops)):
+            assert syn.dtype == ana.dtype == np.float64
+            block = -(-(lmax - m) // 8) * 8
+            assert syn.shape == (block, width) and ana.shape == (lmax, block)
+            # Zero beyond the L - m degrees and L colatitude orders, and no
+            # m' = 0 term in an odd order.
+            assert not syn[lmax - m:].any() and not syn[:, lmax:].any()
+            assert not ana[:, lmax - m:].any()
+            if m % 2:
+                assert not syn[:, 0].any() and not ana[0].any()
+        arrays = [
+            array for value in vars(plan).values()
+            for array in (value if isinstance(value, list) else [value])
+            if isinstance(array, np.ndarray)
+        ]
+        # Two operators per order plus O(L^2) index maps: nothing of the
+        # size of the (2l+1)^2 Wigner-d tables survives __post_init__.
+        operators = sum(op.nbytes for op in plan._syn_ops + plan._ana_ops)
+        assert operators <= 2 * 8 * width * sum(-(-(lmax - m) // 8) * 8 for m in range(lmax))
+        assert sum(a.nbytes for a in arrays) - operators <= 8 * 8 * width ** 2
+        assert all(a.dtype != np.complex128 for a in arrays)
+
+    def test_contraction_flops_count_the_executed_orders(self):
+        """One complex multiply-add = 2, over orders m >= 0 and m' >= 0 only."""
+        from repro.linalg.flops import sht_contraction_flops
+
+        for lmax in (1, 8, 11, 128):
+            macs = sum((lmax - m) * lmax for m in range(lmax))
+            assert sht_contraction_flops(lmax, 3) == 2.0 * 3 * macs
+        # A quarter of the signed-order complex contraction it replaces.
+        assert sht_contraction_flops(128) < 0.26 * 2.0 * (2 * 128 - 1) * 128 ** 2
 
     def test_shape_mismatch_raises(self, small_plan):
         with pytest.raises(ValueError):
@@ -135,6 +179,73 @@ class TestRoundTrip:
         plan = SHTPlan(lmax=lmax, grid=grid)
         coeffs = plan.random_coefficients(rng)
         assert np.max(np.abs(plan.forward(plan.inverse(coeffs)) - coeffs)) < 1e-10
+
+
+GRIDS = {
+    "minimal-odd-nphi": lambda lmax: Grid.for_bandlimit(lmax),
+    "minimal-even-nphi": lambda lmax: Grid(ntheta=lmax + 1, nphi=2 * lmax),
+    "oversampled-odd-nphi": lambda lmax: Grid(ntheta=2 * lmax + 3, nphi=4 * lmax + 1),
+    "oversampled-even-nphi": lambda lmax: Grid(ntheta=2 * lmax + 2, nphi=4 * lmax),
+}
+
+
+@pytest.mark.parametrize("lmax", [4, 9, 16])
+@pytest.mark.parametrize("grid_kind", sorted(GRIDS))
+class TestRealPathAgainstDirectBackend:
+    """Both directions within 1e-10 of the explicit-summation backend."""
+
+    def test_inverse(self, lmax, grid_kind):
+        grid = GRIDS[grid_kind](lmax)
+        plan = SHTPlan(lmax=lmax, grid=grid)
+        coeffs = plan.random_coefficients(np.random.default_rng(lmax), shape=(3,))
+        direct = DirectSHTPlan(lmax=lmax, grid=grid).inverse(coeffs)
+        assert np.max(np.abs(plan.inverse(coeffs) - direct)) < 1e-10
+
+    def test_forward(self, lmax, grid_kind):
+        grid = GRIDS[grid_kind](lmax)
+        plan = SHTPlan(lmax=lmax, grid=grid)
+        coeffs = plan.random_coefficients(np.random.default_rng(lmax + 100), shape=(3,))
+        fields = direct_inverse(coeffs, grid)
+        # The quadrature backend is exact from ntheta >= 2L; below that the
+        # least-squares projection is the exact direct analysis.
+        method = "quadrature" if grid.ntheta >= 2 * lmax else "lstsq"
+        direct = DirectSHTPlan(lmax=lmax, grid=grid, method=method).forward(fields)
+        assert np.max(np.abs(plan.forward(fields) - direct)) < 1e-10
+        assert np.max(np.abs(plan.forward(fields) - coeffs)) < 1e-10
+
+
+class TestComplexData:
+    """Complex data is two real transforms; ``real=True`` is always the real part."""
+
+    def test_real_part_of_a_non_symmetric_synthesis(self, small_plan):
+        coeffs = small_plan.random_coefficients(
+            np.random.default_rng(5), real_field=False, shape=(3,)
+        )
+        full = small_plan.inverse(coeffs, real=False)
+        assert full.dtype == np.complex128 and np.abs(full.imag).max() > 0.1
+        assert np.max(np.abs(small_plan.inverse(coeffs, real=True) - full.real)) < 1e-12
+        direct = direct_inverse(coeffs, small_plan.grid, real=False)
+        assert np.max(np.abs(full - direct)) < 1e-10
+
+    def test_symmetric_input_is_untouched_by_the_symmetrisation(self, small_plan):
+        """For a real field's coefficients g = (f + f) / 2 is f bit for bit,
+        and the same g is reached from 2 f on m > 0 with m < 0 dropped."""
+        coeffs = small_plan.random_coefficients(np.random.default_rng(6), shape=(2,))
+        _, ms = degrees_and_orders(small_plan.lmax)
+        one_sided = np.where(ms > 0, 2.0, 1.0) * coeffs
+        one_sided[:, ms < 0] = 0.0
+        np.testing.assert_array_equal(
+            small_plan.inverse(one_sided), small_plan.inverse(coeffs)
+        )
+
+    def test_complex_field_round_trips(self, small_plan):
+        coeffs = small_plan.random_coefficients(
+            np.random.default_rng(7), real_field=False, shape=(2, 3)
+        )
+        fields = small_plan.inverse(coeffs, real=False)
+        assert np.max(np.abs(small_plan.forward(fields) - coeffs)) < 1e-10
+        recombined = small_plan.forward(fields.real) + 1j * small_plan.forward(fields.imag)
+        np.testing.assert_array_equal(small_plan.forward(fields), recombined)
 
 
 class TestAgainstDirectTransform:
@@ -224,12 +335,32 @@ class TestConvenienceWrappers:
 class TestBatchedInverse:
     """The GEMM-based synthesis contraction and its blocked batch path."""
 
-    def test_contraction_matches_reference(self, small_plan, rng):
+    def test_contraction_matches_reference(self, small_plan, small_lmax, rng):
         coeffs = small_plan.random_coefficients(rng, shape=(3, 4))
-        fast = small_plan.wigner_contraction_inverse(coeffs)
-        reference = small_plan.wigner_contraction_inverse_reference(coeffs)
+        stage = small_plan.wigner_contraction_inverse(coeffs)
+        assert stage.shape == (small_lmax, 2, 3, 4, small_lmax)  # 8 | L: no padding
+        assert stage.dtype == np.float64
+        # The planes hold C_{m,m'} (even m) and i C_{m,m'} (odd m), m' >= 0.
+        fast = signed_from_stage(stage, odd_factor=-1j)
+        reference = wigner_contraction_inverse_reference(coeffs, small_lmax)
         assert fast.shape == reference.shape
         assert np.max(np.abs(fast - reference)) < 1e-12
+
+    @pytest.mark.parametrize("lmax", [8, 11])
+    def test_synthesis_matches_reference(self, lmax):
+        """The whole inverse against the literal per-degree / two-iFFT path
+        (at L = 11 the stage array carries 5 zero padding columns)."""
+        plan = SHTPlan(lmax=lmax, grid=Grid.for_bandlimit(lmax))
+        coeffs = plan.random_coefficients(np.random.default_rng(3), shape=(5,))
+        c_reference = wigner_contraction_inverse_reference(coeffs, lmax)
+        stage = plan.wigner_contraction_inverse(coeffs)
+        assert stage.shape == (lmax, 2, 5, -(-lmax // 8) * 8)
+        assert not stage[..., lmax:].any()
+        fast = signed_from_stage(stage[..., :lmax], odd_factor=-1j)
+        assert np.max(np.abs(fast - c_reference)) < 1e-12
+        reference = synthesis_from_fourier_reference(c_reference, *plan.grid.shape)
+        assert np.max(np.abs(reference.imag)) < 1e-12
+        assert np.max(np.abs(plan.inverse(coeffs) - reference.real)) < 1e-12
 
     def test_batched_inverse_bit_identical_per_slice(self, small_plan, rng):
         coeffs = small_plan.random_coefficients(rng, shape=(7,))
@@ -278,23 +409,29 @@ class TestBatchedForward:
     def _fields(self, plan, rng, shape):
         return plan.inverse(plan.random_coefficients(rng, shape=shape))
 
-    def test_contraction_matches_reference(self, small_plan, rng):
-        fields = self._fields(small_plan, rng, (3, 4))
-        k = small_plan.colatitude_fourier(small_plan.longitude_fourier(fields))
-        fast = small_plan.wigner_contraction_forward(k)
-        reference = small_plan.wigner_contraction_forward_reference(k)
+    def _assert_stages_match_reference(self, plan, fields):
+        """Stage 2 against Eq. (6)'s literal extension FFT, stage 3 against
+        the per-degree assembly of Eq. (7) applied to that literal ``K``."""
+        k = plan.colatitude_fourier(plan.longitude_fourier(fields))
+        assert k.shape == (plan.lmax, 2) + fields.shape[:-2] + (plan.lmax,)
+        assert k.dtype == np.float64
+        k_reference = colatitude_fourier_reference(fields, plan.lmax)
+        # The planes hold N K_{m,m'} / 2 pi (even m) and i times that (odd m).
+        scale = 2.0 * np.pi / (2 * plan.grid.ntheta - 2)
+        assert np.max(np.abs(scale * signed_from_stage(k, odd_factor=-1j) - k_reference)) < 1e-12
+        fast = plan.wigner_contraction_forward(k)
+        reference = wigner_contraction_forward_reference(k_reference, plan.lmax)
         assert fast.shape == reference.shape
         assert np.max(np.abs(fast - reference)) < 1e-12
+
+    def test_contraction_matches_reference(self, small_plan, rng):
+        self._assert_stages_match_reference(small_plan, self._fields(small_plan, rng, (3, 4)))
 
     def test_contraction_matches_reference_at_higher_bandlimit(self, rng):
         """Parity pinned where the operators are big enough to matter."""
         lmax = 24
         plan = SHTPlan(lmax=lmax, grid=Grid.for_bandlimit(lmax))
-        fields = self._fields(plan, rng, (6,))
-        k = plan.colatitude_fourier(plan.longitude_fourier(fields))
-        fast = plan.wigner_contraction_forward(k)
-        reference = plan.wigner_contraction_forward_reference(k)
-        assert np.max(np.abs(fast - reference)) < 1e-12
+        self._assert_stages_match_reference(plan, self._fields(plan, rng, (6,)))
 
     def test_batched_forward_bit_identical_per_slice(self, small_plan, rng):
         fields = self._fields(small_plan, rng, (7,))
@@ -338,10 +475,16 @@ class TestBatchedForward:
         np.testing.assert_array_equal(recovered[1], small_plan.forward(fields[1]))
         assert np.max(np.abs(recovered - coeffs)) < 1e-10
 
-    def test_analysis_operators_are_synthesis_adjoints(self, small_plan):
-        """A_m is the integral matrix applied to the synthesis transpose."""
-        cols_s, ops_s = small_plan._synthesis_operators()
-        cols_a, ops_a = small_plan._analysis_operators()
-        assert cols_a is cols_s  # shared column index lists
-        for op_s, op_a in zip(ops_s, ops_a):
-            np.testing.assert_array_equal(op_a, small_plan.integral @ op_s.T)
+    def test_analysis_operators_invert_the_synthesis_operators(self, small_plan):
+        """Per order, synthesis -> cosine/sine transform pair -> analysis is
+        the identity: two type-I transforms of the extended length N in a
+        row multiply by N, so ``N * S_m @ A_m = I`` — the fold of Eq. (8)'s
+        integrals onto ``m', m'' >= 0`` loses nothing."""
+        n_ext = 2 * small_plan.grid.ntheta - 2
+        lmax = small_plan.lmax
+        for m, (syn, ana) in enumerate(zip(small_plan._syn_ops, small_plan._ana_ops)):
+            identity = np.zeros((syn.shape[0],) * 2)  # zero on the padding
+            identity[:lmax - m, :lmax - m] = np.eye(lmax - m)
+            np.testing.assert_allclose(
+                n_ext * syn[:, :lmax] @ ana, identity, rtol=0, atol=1e-12
+            )

@@ -6,7 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import repro
+from repro.storage import chunkstore
 from repro.storage.chunkstore import CHUNK_ENCODINGS, ChunkStore
+from repro.util.numerics import NUMERICS_REVISION
 
 
 @pytest.fixture()
@@ -92,6 +95,7 @@ class TestManifest:
             manifest = json.load(handle)
         assert manifest["schema"] == 1
         assert manifest["encoding"] == "int16"
+        assert manifest["numerics_revision"] == NUMERICS_REVISION
         entry = manifest["chunks"]["aa11"]
         assert entry["shape"] == list(payload.shape)
         assert "scale" in entry and "offset" in entry
@@ -102,6 +106,75 @@ class TestManifest:
             json.dump({"schema": 99}, handle)
         with pytest.raises(ValueError, match="schema"):
             ChunkStore(tmp_path)
+
+
+class TestNumericsRevision:
+    """A store answers only for the numerics revision that wrote its chunks."""
+
+    CHUNK = np.linspace(250.0, 320.0, 24).reshape(2, 3, 4)
+
+    def _manifest(self, root) -> dict:
+        with open(os.path.join(str(root), "manifest.json")) as handle:
+            return json.load(handle)
+
+    def _expect_refusal(self, root, stored, current, open_store):
+        with pytest.raises(ValueError) as refusal:
+            open_store()
+        message = str(refusal.value)
+        assert str(root) in message
+        assert f"numerics revision {stored}" in message
+        assert f"numerics revision {current}" in message
+
+    def test_store_of_another_revision_is_refused_everywhere(
+        self, tmp_path, monkeypatch, fitted_emulator
+    ):
+        root = tmp_path / "store"
+        ChunkStore(root).put("aa11", self.CHUNK)
+        assert self._manifest(root)["numerics_revision"] == NUMERICS_REVISION
+        path = repro.save(fitted_emulator, tmp_path / "emulator.npz")
+        bumped = NUMERICS_REVISION + 1
+        monkeypatch.setattr(chunkstore, "NUMERICS_REVISION", bumped)
+        for open_store in (
+            lambda: ChunkStore(root),
+            lambda: repro.run_campaign(path, ["ssp-medium"], 1, n_times=24, store=root),
+            lambda: repro.serve(path, store=root),
+        ):
+            self._expect_refusal(root, NUMERICS_REVISION, bumped, open_store)
+        # Nothing was written over it: the old code still reads its store.
+        monkeypatch.undo()
+        assert np.array_equal(ChunkStore(root).get("aa11"), self.CHUNK)
+
+    def test_open_handle_refuses_to_commit_over_a_foreign_revision(
+        self, tmp_path, monkeypatch
+    ):
+        store = ChunkStore(tmp_path)
+        store.put("aa11", self.CHUNK)
+        monkeypatch.setattr(chunkstore, "NUMERICS_REVISION", NUMERICS_REVISION + 1)
+        with pytest.raises(ValueError, match="numerics revision"):
+            store.put("bb22", self.CHUNK)
+        assert sorted(self._manifest(tmp_path)["chunks"]) == ["aa11"]
+
+    def test_unstamped_manifest_with_chunks_is_revision_zero(self, tmp_path):
+        entry = ChunkStore(tmp_path).put("aa11", self.CHUNK)
+        manifest = {"schema": 1, "encoding": "float64", "chunks": {"aa11": entry}}
+        with open(os.path.join(str(tmp_path), "manifest.json"), "w") as handle:
+            json.dump(manifest, handle)
+        self._expect_refusal(
+            tmp_path, 0, NUMERICS_REVISION, lambda: ChunkStore(tmp_path)
+        )
+
+    def test_empty_store_adopts_the_current_revision(self, tmp_path):
+        ChunkStore(tmp_path)  # an empty root, stamped by the code that made it
+        for stale in ({"numerics_revision": NUMERICS_REVISION + 7}, {}):
+            manifest = {"schema": 1, "encoding": "float64", "chunks": {}, **stale}
+            with open(os.path.join(str(tmp_path), "manifest.json"), "w") as handle:
+                json.dump(manifest, handle)
+            store = ChunkStore(tmp_path)  # nothing stored, nothing to refuse
+            assert len(store) == 0
+            store.put("aa11", self.CHUNK)
+            assert self._manifest(tmp_path)["numerics_revision"] == NUMERICS_REVISION
+            store.prune(max_bytes=0)
+            assert len(ChunkStore(tmp_path)) == 0
 
 
 class TestPutMany:

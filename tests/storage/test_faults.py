@@ -82,8 +82,11 @@ class TestTornWrites:
         # Restoring the manifest (entries are content-addressed) heals
         # the store; the aborted put's shard is orphan residue.
         import json
+
+        from repro.util.numerics import NUMERICS_REVISION
         manifest = {
             "schema": 1, "encoding": "float64",
+            "numerics_revision": NUMERICS_REVISION,
             "chunks": {"aa11": store.entry("aa11"), "bb22": store.entry("bb22")},
         }
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))

@@ -17,7 +17,7 @@ from repro.linalg import MixedPrecisionCholesky, variant_policy
 from repro.linalg.precision import Precision
 from repro.runtime import build_task_graph
 from repro.runtime.task import Task
-from repro.sht import Grid, SHTPlan
+from repro.sht import Grid, SHTPlan, transform
 from repro.sht.quadrature import exponential_sine_integral
 from repro.sht.realform import complex_from_real, real_from_complex
 from repro.sht.spectrum import angular_power_spectrum
@@ -29,6 +29,19 @@ _SETTINGS = settings(
 )
 
 _PLAN = SHTPlan(lmax=6, grid=Grid.for_bandlimit(6))
+
+#: Band-limits on both sides of the GEMM column multiple (8), one on an
+#: oversampled even-nphi grid.
+_BATCH_PLANS = {
+    6: _PLAN,
+    11: SHTPlan(lmax=11, grid=Grid(ntheta=14, nphi=24)),
+    16: SHTPlan(lmax=16, grid=Grid.for_bandlimit(16)),
+}
+_BATCH_HEIGHTS = (
+    1, 2,
+    min(transform._SYNTHESIS_BLOCK, transform._ANALYSIS_BLOCK) - 1,
+    max(transform._SYNTHESIS_BLOCK, transform._ANALYSIS_BLOCK) + 3,
+)
 
 
 @st.composite
@@ -51,6 +64,24 @@ class TestSHTProperties:
         lhs = _PLAN.inverse(alpha * ca + beta * cb)
         rhs = alpha * _PLAN.inverse(ca) + beta * _PLAN.inverse(cb)
         assert np.allclose(lhs, rhs, atol=1e-8)
+
+    @_SETTINGS
+    @given(
+        st.sampled_from(sorted(_BATCH_PLANS)),
+        st.sampled_from(_BATCH_HEIGHTS),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_slices_do_not_depend_on_the_batch_height(self, lmax, height, seed):
+        """``plan.inverse(stacked)[b]`` is ``plan.inverse(stacked[b])`` bit for
+        bit, and the same for ``forward`` — for a batch of one, of two, one
+        short of the internal block and three past it."""
+        plan = _BATCH_PLANS[lmax]
+        coeffs = plan.random_coefficients(np.random.default_rng(seed), shape=(height,))
+        fields = plan.inverse(coeffs)
+        recovered = plan.forward(fields)
+        for b in range(height):
+            np.testing.assert_array_equal(fields[b], plan.inverse(coeffs[b]))
+            np.testing.assert_array_equal(recovered[b], plan.forward(fields[b]))
 
     @_SETTINGS
     @given(real_coefficients())

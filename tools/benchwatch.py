@@ -14,7 +14,7 @@ Usage::
 
     python tools/benchwatch.py                  # append BENCH_*.json to history
     python tools/benchwatch.py --check          # also fail on regressions
-    python tools/benchwatch.py --check --no-append BENCH_fit.json
+    python tools/benchwatch.py --check --no-append BENCH_serving.json
 
 Design points:
 
@@ -111,13 +111,6 @@ WATCHLIST = (
     WatchedMetric("serving", "latency.speedup", higher_is_better=True),
     WatchedMetric(
         "serving", "throughput.requests_per_second", higher_is_better=True
-    ),
-    WatchedMetric("fit", "speedup", higher_is_better=True),
-    WatchedMetric(
-        "batched_synthesis", "synthesis.speedup", higher_is_better=True
-    ),
-    WatchedMetric(
-        "batched_synthesis", "campaign.speedup", higher_is_better=True
     ),
     WatchedMetric(
         "storage", "cross_tier.cross_tier_boost_factor", higher_is_better=True

@@ -37,7 +37,7 @@ LAYERS: "dict[str, tuple[str, ...]]" = {
     "systems": ("linalg", "runtime"),
     "data": ("sht",),
     "stats": ("data", "sht"),
-    "storage": ("obs", "sht"),
+    "storage": ("obs", "sht", "util"),
     "core": ("data", "linalg", "obs", "sht"),
     "api": ("core", "data", "obs", "util"),
     "scenarios": ("api", "core", "obs", "storage", "tuning", "util"),
