@@ -13,7 +13,7 @@ benchmark pin together:
   with no spans at all.
 
 The baseline re-composes :meth:`SHTPlan.inverse` from the plan's own
-un-instrumented pieces (Wigner contraction + blocked synthesis FFTs), so
+un-instrumented pieces (per-order GEMMs + blocked longitude FFTs), so
 the *only* difference between the timed paths is the telemetry layer:
 span bookkeeping plus the always-on duration histograms.  Tracing
 *enabled* (in-memory sink) is measured and reported too, but only the
@@ -60,16 +60,17 @@ def _coefficients(plan: SHTPlan) -> np.ndarray:
 def _baseline_inverse(plan: SHTPlan, coeffs: np.ndarray) -> np.ndarray:
     """The exact arithmetic of :meth:`SHTPlan.inverse`, with no telemetry.
 
-    Mirrors the production method step for step (contraction, then
-    blocked synthesis FFTs over ``_SYNTHESIS_BLOCK`` leading slices) so
-    the output is bit-identical and the timed difference is spans alone.
+    Mirrors the production method step for step (the GEMMs to the
+    colatitude samples, then the reorder + ``irfft`` over blocks of
+    ``_SYNTHESIS_BLOCK`` leading slices) so the output is bit-identical
+    and the timed difference is spans alone.
     """
-    c = plan.wigner_contraction_inverse(np.asarray(coeffs, dtype=np.complex128))
-    lead = c.shape[2:-1]  # the stage array is (L, 2, ..., W)
+    h = plan.wigner_contraction_inverse(np.asarray(coeffs, dtype=np.complex128))
+    lead = h.shape[2:-1]  # the stage array is (L, 2, ..., W): [m, part, ..., theta]
     n_flat = int(np.prod(lead))
     if n_flat <= transform._SYNTHESIS_BLOCK:
-        return plan.synthesis_from_fourier(c)
-    flat = c.reshape(c.shape[:2] + (n_flat,) + c.shape[-1:])
+        return plan.synthesis_from_fourier(h)
+    flat = h.reshape(h.shape[:2] + (n_flat,) + h.shape[-1:])
     out = np.empty((n_flat,) + plan.grid.shape, dtype=np.float64)
     for start in range(0, n_flat, transform._SYNTHESIS_BLOCK):
         block = flat[:, :, start:start + transform._SYNTHESIS_BLOCK]

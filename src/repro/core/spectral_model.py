@@ -290,8 +290,8 @@ class SpectralStochasticModel:
         draw — while the data-independent work, the VAR recursion and
         the inverse SHT, runs once on the stacked ``(B, nt, L**2)``
         coefficient block.  Both are computed independently per leading
-        slice (elementwise AR update; the transform's per-order GEMMs,
-        cosine / sine transforms and real FFT), so member
+        slice (elementwise AR update; the transform's per-order GEMMs
+        and real FFT), so member
         ``b`` is bit-identical to the batch-of-one stream under
         ``rngs[b]`` whatever else shares the batch.  Passing one
         generator ``B`` times (``[rng] * B``) is the shared-generator

@@ -50,20 +50,22 @@ def gemm_flops_mnk(m: int, n: int, k: int) -> float:
     return 2.0 * float(m) * float(n) * float(k)
 
 
-def sht_contraction_flops(lmax: int, n_slices: int = 1) -> float:
-    """Flops of one Wigner/GEMM contraction stage at band-limit ``lmax``.
+def sht_contraction_flops(lmax: int, n_slices: int = 1, ntheta: int | None = None) -> float:
+    """Flops of one GEMM contraction stage at band-limit ``lmax``.
 
     The plan executes the orders ``0 <= m < lmax`` only: order ``m``
     multiplies ``n_slices`` complex rows of ``lmax - m`` degrees against
-    a *real* operator with ``lmax`` columns (the colatitude orders
-    ``m' >= 0``), ``lmax^2 (lmax + 1) / 2`` multiply-adds per slice.
-    One complex multiply-add counts 2, as it always has here, so the
-    figure stays comparable with the complex GEMM the benchmark harness
-    times as the roofline; the zero padding of the operators is not
-    counted.  This is the per-call attribute the SHT spans report, so a
-    trace carries its own roofline numbers.
+    a *real* operator with ``ntheta`` columns (the grid's colatitudes;
+    default ``lmax + 1``, the minimal grid), ``lmax (lmax + 1) ntheta /
+    2`` multiply-adds per slice.  One complex multiply-add counts 2, as
+    it always has here, so the figure stays comparable with the complex
+    GEMM the benchmark harness times as the roofline; the zero padding
+    of the operators is not counted.  This is the per-call attribute the
+    SHT spans report, so a trace carries its own roofline numbers.
     """
-    return float(n_slices) * float(lmax) ** 2 * float(lmax + 1)
+    if ntheta is None:
+        ntheta = lmax + 1
+    return float(n_slices) * float(lmax) * float(lmax + 1) * float(ntheta)
 
 
 def cholesky_flops(n: int) -> float:

@@ -13,10 +13,10 @@ climate emulator (paper Section III-A.1/III-A.2):
 * :mod:`repro.sht.grid` — equiangular latitude/longitude grids (ERA5-like)
   and the extended-colatitude construction of Eq. (6).
 * :mod:`repro.sht.transform` — the fast forward and inverse transforms of
-  Eqs. (4)-(8) for real fields: real FFT along longitude, cosine / sine
-  transform along colatitude (Eq. 6's extension, folded), and the
-  Wigner-d contraction as one real GEMM per order ``m >= 0``, with an
-  explicit precomputed plan.
+  Eqs. (4)-(8) for real fields: real FFT along longitude and one real
+  GEMM per order ``m >= 0`` whose precomputed operator holds both the
+  Wigner-d contraction and the cosine / sine transform along colatitude
+  (Eq. 6's extension, folded), with an explicit precomputed plan.
 * :mod:`repro.sht.direct` — slow direct transforms used for validation.
 * :mod:`repro.sht.plancache` — the process-safe cache of precomputed plans
   shared by every model and campaign worker in a process.
@@ -27,7 +27,7 @@ by ``idx = l*l + l + m`` for degree ``0 <= l < L`` and order ``-l <= m <= l``
 (see :func:`repro.sht.transform.coeff_index`).
 """
 
-from repro.sht.grid import Grid, extended_colatitude_length
+from repro.sht.grid import Grid
 from repro.sht.legendre import legendre_normalized, ylm_theta0
 from repro.sht.quadrature import exponential_sine_integral, integral_matrix
 from repro.sht.transform import (
@@ -61,7 +61,6 @@ __all__ = [
     "direct_forward",
     "direct_inverse",
     "exponential_sine_integral",
-    "extended_colatitude_length",
     "get_plan",
     "integral_matrix",
     "legendre_normalized",

@@ -4,29 +4,36 @@ Every field the emulator analyses or synthesises is real, so the plan
 works on the orders ``0 <= m < L`` only — ``f_{l,-m} = (-1)**m
 conj(f_{l,m})`` supplies the rest — and in real arithmetic throughout.
 The forward (analysis) transform of ``Z(theta_i, phi_j)`` on an
-equiangular grid proceeds in three stages:
+equiangular grid proceeds in two stages:
 
 1. a real FFT along longitude produces
    ``G_m(theta_i) = integral Z(theta_i, phi) exp(-i m phi) dphi``,
-2. Eq. (6) extends ``G_m`` to colatitudes in ``(pi, 2*pi)`` through
-   ``G_m(2*pi - theta) = (-1)**m G_m(theta)``; the Fourier coefficients
-   ``K_{m, m'}`` of that extension therefore obey ``K_{m,-m'} = (-1)**m
-   K_{m,m'}`` and are a type-I cosine transform over colatitude for even
-   ``m``, ``-i`` times a type-I sine transform for odd ``m`` — two real
-   transforms of half the extended length, applied to the real and
-   imaginary parts of ``G_m`` and kept for ``m' >= 0`` only,
-3. one real GEMM per order assembles ``f_{l,m} = sum_{m'} K_{m,m'}
-   A_m[m', l]``, where ``A_m`` holds the closed-form integrals
-   ``I(m' + m'')`` of Eq. (8) contracted with ``S_{l,m,m''} = i^{-m}
-   sqrt((2l+1)/(4*pi)) Delta^l_{m'',0} Delta^l_{m'',m}`` (Eq. 7) and
-   folded onto ``m' >= 0``.  The fold cancels the imaginary part of
-   ``I`` exactly, and the remaining ``i^{-m}`` (times the sine
-   transform's ``-i``) is a sign, so ``A_m`` is a real matrix.
+2. one real GEMM per order assembles ``f_{l,m} = sum_i G_m(theta_i)
+   A_m[i, l]``.
+
+``A_m`` is the paper's Eqs. (6)-(8) multiplied out at plan build.  Eq.
+(6) extends ``G_m`` to ``(pi, 2*pi)`` through ``G_m(2*pi - theta) =
+(-1)**m G_m(theta)``, so the Fourier coefficients ``K_{m,m'}`` of the
+extension are a type-I cosine transform of the ``ntheta`` samples for
+even ``m`` and ``-i`` times a type-I sine transform for odd ``m`` — one
+fixed real matrix per order parity.  Eq. (7) assembles ``f_{l,m}`` from
+``K_{m,m'}`` through the closed-form integrals ``I(m' + m'')`` of Eq. (8)
+contracted with ``S_{l,m,m''} = i^{-m} sqrt((2l+1)/(4*pi))
+Delta^l_{m'',0} Delta^l_{m'',m}`` and folded onto ``m' >= 0``; the fold
+cancels the imaginary part of ``I`` exactly, and ``i^{-m}`` (times the
+sine transform's ``-i``) is a sign.  ``A_m`` is the product of the two.
 
 The inverse (synthesis) transform runs the same factorisation backwards:
-one real GEMM per order to the colatitude Fourier coefficients
-``C_{m,m'}`` (``m' >= 0``; ``C_{m,-m'} = (-1)**m C_{m,m'}``), a cosine /
-sine transform to ``H_m(theta_i)``, an inverse real FFT to the field.
+one real GEMM per order to ``H_m(theta_i) = sum_l f_{l,m} S_m[l, i]``,
+an inverse real FFT to the field.  ``S_m`` is Eq. (7)'s table contracted
+with the colatitude Fourier series (a cosine / sine series, by the same
+symmetry): its rows are the sampled harmonics ``Y_{l,m}(theta_i, 0)`` —
+built from the Wigner-d tables, with the Legendre recursion kept as the
+tests' independent oracle — and ``A_m`` is their exact-quadrature dual.
+Folded, the operators are the size they were (``ntheta = L + 1`` columns
+on the minimal grid instead of ``L``), so the colatitude transform is
+free at run time.
+
 Complex data is two real transforms (:meth:`SHTPlan.forward` /
 :meth:`SHTPlan.inverse`); there is no complex code path.  Both directions
 cost ``O(L^3 + L^2 log L)`` per time slice and are embarrassingly
@@ -47,7 +54,7 @@ from scipy import fft as _fft
 
 from repro.linalg.flops import sht_contraction_flops
 from repro.obs import span
-from repro.sht.grid import Grid
+from repro.sht.grid import Grid, extended_colatitude_length
 from repro.sht.quadrature import exponential_sine_integral
 from repro.sht.wigner import wigner_d_pi2_all
 
@@ -62,7 +69,7 @@ __all__ = [
 ]
 
 #: Leading slices synthesised per FFT pass in :meth:`SHTPlan.inverse`.  The
-#: colatitude and longitude transforms are memory-bound; keeping the
+#: reorder and the longitude transform are memory-bound; keeping the
 #: per-pass working set at ``~block * L * ntheta * 40`` bytes (a few MB)
 #: preserves cache locality on large stacked batches.  Blocking never
 #: changes results: the transforms are independent per leading slice.
@@ -184,10 +191,10 @@ class SHTPlan:
     Notes
     -----
     The plan stores, for every order ``0 <= m < L``, one ``float64``
-    synthesis operator (``L - m`` degrees by ``L`` colatitude orders
-    ``m' >= 0``) and one ``float64`` analysis operator of the transposed
-    shape — about ``L^3`` values together, each shape's GEMM column count
-    zero-padded to a multiple of :data:`_GEMM_COLUMN_MULTIPLE` — plus
+    synthesis operator (``L - m`` degrees by ``ntheta`` colatitudes) and
+    one ``float64`` analysis operator of the transposed shape — about
+    ``L^2 ntheta`` values together, both dimensions zero-padded to a
+    multiple of :data:`_GEMM_COLUMN_MULTIPLE` — plus
     the ``O(L^2)`` index maps between the flat ``(l, m)`` coefficient
     vector and the order-major ``m >= 0`` packing the GEMMs read.  The
     Wigner-d tables the operators are built from are released when
@@ -251,26 +258,30 @@ class SHTPlan:
         theta)`` is the cosine series ``C_{m,0} + 2 sum_{m'>0} C_{m,m'}
         cos(m' theta)`` for even ``m`` and ``i`` times the sine series
         ``2 sum_{m'>0} C_{m,m'} sin(m' theta)`` for odd ``m`` — what a
-        type-I DCT / DST evaluates on the grid's colatitudes.  With the
-        sine series' ``i`` the phase is the sign ``(-1)**(m // 2)``, folded
-        into the stored operator ``table[m, m:]``.
+        type-I DCT / DST evaluates on the grid's colatitudes.  Applied to
+        the rows of ``table[m, m:]`` it leaves ``Y_{l,m}(theta_i, 0)`` in
+        row ``l``; with the sine series' ``i`` the phase is the sign
+        ``(-1)**(m // 2)``.  A sine series vanishes at both poles: those
+        columns of an odd order are exact zeros.
 
-        *Analysis*, order ``m``: ``A_m = I @ S_m.T`` (the integrals of
-        Eq. 8 contracted in) folded onto ``m' >= 0`` through ``K_{m,-m'} =
-        (-1)**m K_{m,m'}`` and onto ``m'' >= 0`` through the symmetry of ``S``:
-        ``A_m[m', l] = i^{-m} w_{m'} sum_{m''>=0} J[m', m''] table[m, l,
-        m'']`` with ``J[m', m''] = Re I(m'+m'') + (-1)**m Re I(m'-m'')``
-        (halved at ``m'' = 0``) and ``w = 1, 2, 2, ...``.  The imaginary
-        part of ``I`` (``q = +-1`` only) cancels in the fold.  The
-        cosine / sine transforms return ``N K_{m,m'}`` resp. ``i N
-        K_{m,m'}`` (``N`` the extended length) of ``G_m / 2 pi``, so the
-        stored operator also carries ``2 pi / N`` and, for odd ``m``, the
-        ``-i`` that turns ``i^{-m}`` into the sign ``(-1)**((m+1) // 2)``.
-
-        An odd order has no ``m' = 0`` term: that column of its synthesis
-        operator and that row of its analysis operator are exact zeros.
+        *Analysis*, order ``m``: ``I @ S_m.T`` (the integrals of Eq. 8
+        contracted in) folded onto ``m' >= 0`` through ``K_{m,-m'} =
+        (-1)**m K_{m,m'}`` and onto ``m'' >= 0`` through the symmetry of ``S``
+        is ``i^{-m} w_{m'} sum_{m''>=0} J[m', m''] table[m, l, m'']`` with
+        ``J[m', m''] = Re I(m'+m'') + (-1)**m Re I(m'-m'')`` (halved at
+        ``m'' = 0``) and ``w = 1, 2, 2, ...``; the imaginary part of ``I``
+        (``q = +-1`` only) cancels in the fold.  ``N K_{m,m'}`` (``N`` the
+        extended length) is the type-I cosine transform ``T`` of ``G_m``
+        over the grid's colatitudes for even ``m`` and ``-i`` times the
+        sine transform for odd ``m``.  ``T``, ``w J`` and the ``2 pi / N``
+        (the data is ``G_m / 2 pi``) do not depend on the order, so their
+        product is formed once per parity and an order costs one GEMM
+        with ``table[m, m:].T``.  For odd ``m`` the ``-i`` turns
+        ``i^{-m}`` into the sign ``(-1)**((m+1) // 2)`` and the pole rows
+        are exact zeros.
         """
-        lmax = self.lmax
+        lmax, ntheta = self.lmax, self.grid.ntheta
+        width = _round_up(ntheta)
         blocks = np.diff(self._offsets)  # slots per order, padding included
         table = np.zeros((lmax, lmax, lmax))
         for ell, delta in enumerate(wigner_d_pi2_all(lmax)):
@@ -281,19 +292,28 @@ class SHTPlan:
         plus = exponential_sine_integral(index[:, None] + index[None, :]).real
         minus = exponential_sine_integral(index[:, None] - index[None, :]).real
         weight = np.where(index == 0, 1.0, 2.0)[:, None] * (
-            2.0 * np.pi / (2 * self.grid.ntheta - 2)
+            2.0 * np.pi / extended_colatitude_length(ntheta)
         )
+        # [i, m']: the weight of G_m(theta_i) in output m' of the transform.
+        cosine = _fft.dct(np.eye(ntheta), type=1, axis=0)[:lmax].T
+        sine = np.zeros((ntheta, lmax))
+        if lmax > 1:  # L = 1 has no odd order (and ntheta = 2 no interior row)
+            sine[1:-1, 1:] = _fft.dst(np.eye(ntheta - 2), type=1, axis=0)[:lmax - 1].T
         fold = []
-        for parity_sign in (1.0, -1.0):
+        for parity_sign, transform in ((1.0, cosine), (-1.0, sine)):
             j = plus + parity_sign * minus
             j[:, 0] *= 0.5
-            fold.append(weight * j)
+            fold.append(transform @ (weight * j))
         syn_ops, ana_ops = [], []
         for m in range(lmax):
-            syn = np.zeros((blocks[m], _round_up(lmax)))
-            syn[:lmax - m, :lmax] = table[m, m:]
-            ana = np.zeros((lmax, blocks[m]))
-            ana[:, :lmax - m] = fold[m % 2] @ table[m, m:].T
+            rows = table[m, m:]
+            syn = np.zeros((blocks[m], width))
+            ana = np.zeros((width, blocks[m]))
+            if m % 2:
+                syn[:lmax - m, 1:ntheta - 1] = _fft.dst(rows[:, 1:], type=1, n=ntheta - 2, axis=-1)
+            else:
+                syn[:lmax - m, :ntheta] = _fft.dct(rows, type=1, n=ntheta, axis=-1)
+            ana[:ntheta, :lmax - m] = fold[m % 2] @ rows.T
             syn_ops.append(-syn if (m // 2) % 2 else syn)
             ana_ops.append(-ana if ((m + 1) // 2) % 2 else ana)
         return syn_ops, ana_ops
@@ -308,7 +328,7 @@ class SHTPlan:
     # Forward (analysis)
     # ------------------------------------------------------------------ #
     def longitude_fourier(self, data: np.ndarray) -> np.ndarray:
-        """Stage 1: ``G_m(theta) / 2 pi`` for the orders ``0 <= m < L``.
+        """Stage 1: ``G_m(theta_i) / 2 pi`` for the orders ``0 <= m < L``.
 
         Parameters
         ----------
@@ -327,62 +347,47 @@ class SHTPlan:
         return _fft.rfft(data, axis=-1, norm="forward")[..., :self.lmax]
 
     def colatitude_fourier(self, g: np.ndarray) -> np.ndarray:
-        """Stage 2: the colatitude Fourier coefficients ``K_{m, m'}``, ``m' >= 0``.
+        """Reorder :meth:`longitude_fourier` output to the planes the GEMMs read.
 
-        Parameters
-        ----------
-        g:
-            :meth:`longitude_fourier` output, ``(..., ntheta, L)``.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``float64`` of shape ``(L, 2, ..., L)`` indexed
-            ``[m, part, ..., m']``: the real (``part = 0``) and imaginary
-            planes of the type-I cosine (even ``m``) / sine (odd ``m``)
-            transform of ``G_m`` over colatitude — ``K_{m,m'}`` up to the
-            constants folded into the analysis operators (see
-            :meth:`_build_operators`).  ``m' = 0`` of an odd order is
-            zero.
+        No arithmetic, despite the name (kept for the callers that chain
+        the stages): the cosine / sine transform over colatitude lives in
+        the analysis operators (:meth:`_build_operators`).  ``g`` is
+        ``(..., ntheta, L)``; the result is ``float64`` ``(L, 2, ..., W)``
+        indexed ``[m, part, ..., i]`` — the real (``part = 0``) and
+        imaginary planes of the colatitude *samples* ``G_m(theta_i) / 2
+        pi``, the values of ``g`` bit for bit.  ``W`` is ``ntheta`` rounded
+        up to the GEMM column multiple; columns ``i >= ntheta`` are zero.
         """
         lmax, ntheta = self.lmax, self.grid.ntheta
         lead = g.shape[:-2]
         flat = g.reshape((-1, ntheta, lmax))
-        # Real and imaginary planes, order axis first for the transforms
-        # along colatitude.  The planes' rows are padded to an odd length:
-        # the transposing reads below stride over whole rows, and rows of
-        # a power-of-two size (L = 64, 128, ...) would all map to the same
-        # few cache sets.
-        planes = np.empty((2, flat.shape[0], ntheta, lmax | 1))
-        planes[0, ..., :lmax] = flat.real
-        planes[1, ..., :lmax] = flat.imag
-        by_order = planes.transpose(3, 0, 1, 2)
-        k = np.empty((lmax, 2, flat.shape[0], lmax))
-        even = np.ascontiguousarray(by_order[0:lmax:2])
-        k[0::2] = _fft.dct(even, type=1, axis=-1, overwrite_x=True)[..., :lmax]
-        if lmax > 1:
-            # The odd extension vanishes at both poles by construction.
-            odd = np.ascontiguousarray(by_order[1:lmax:2, ..., 1:-1])
-            k[1::2, ..., 0] = 0.0
-            sines = _fft.dst(odd, type=1, axis=-1, overwrite_x=True)
-            k[1::2, ..., 1:] = sines[..., :lmax - 1]
-        return k.reshape((lmax, 2) + lead + (lmax,))
+        k = np.empty((lmax, 2, flat.shape[0], _round_up(ntheta)))
+        k[..., ntheta:] = 0.0
+        # One slice at a time, so its (ntheta, L) rows stay in cache while
+        # the 2 L planes are gathered from them: over a whole block, rows of
+        # a power-of-two size (L = 64, 128, ...) put every colatitude of an
+        # order in the same few cache sets and each read misses.
+        for b, rows in enumerate(flat):
+            k[:, 0, b, :ntheta] = rows.real.T
+            k[:, 1, b, :ntheta] = rows.imag.T
+        return k.reshape((lmax, 2) + lead + k.shape[-1:])
 
     def wigner_contraction_forward(self, k: np.ndarray) -> np.ndarray:
-        """Stage 3: contract ``K`` into the coefficient vector (Eq. 7).
+        """Stage 2: contract :meth:`colatitude_fourier` output into coefficients.
 
         One real GEMM per order ``m >= 0`` against the analysis operators
-        of :meth:`_build_operators`, the real and imaginary planes of all
-        leading slices stacked into the GEMM row dimension (never fewer
-        than two rows, so BLAS never switches to its gemv kernels; see
-        :data:`_GEMM_COLUMN_MULTIPLE` for why per-slice results do not
-        depend on the batch height).  Returns ``complex128``
-        ``(..., L**2)`` with the negative orders filled by ``f_{l,-m} =
-        (-1)**m conj(f_{l,m})``.
+        of :meth:`_build_operators` — Eq. (6)'s colatitude transform and
+        Eq. (7)'s contraction in one product — the real and imaginary
+        planes of all leading slices stacked into the GEMM row dimension
+        (never fewer than two rows, so BLAS never switches to its gemv
+        kernels; see :data:`_GEMM_COLUMN_MULTIPLE` for why per-slice
+        results do not depend on the batch height).  Returns
+        ``complex128`` ``(..., L**2)`` with the negative orders filled by
+        ``f_{l,-m} = (-1)**m conj(f_{l,m})``.
         """
         lmax = self.lmax
         lead = k.shape[2:-1]
-        flat = k.reshape((lmax, -1, lmax))
+        flat = k.reshape((lmax, -1, k.shape[-1]))
         n_rows = flat.shape[1] // 2
         n_half = self._sign.size
         packed = np.empty((flat.shape[1], n_half))
@@ -396,13 +401,13 @@ class SHTPlan:
         return np.take(both, self._unpack, axis=1).reshape(lead + (self.n_coeffs,))
 
     def _analyze_block(self, data: np.ndarray) -> np.ndarray:
-        """One unblocked analysis pass: FFT stages plus GEMM contraction."""
+        """One unblocked analysis pass: longitude FFT plus GEMM contraction."""
         with span("sht.forward.fft"):
             k = self.colatitude_fourier(self.longitude_fourier(data))
         n_slices = int(np.prod(k.shape[2:-1]))
         with span(
             "sht.forward.contraction",
-            flops=sht_contraction_flops(self.lmax, n_slices),
+            flops=sht_contraction_flops(self.lmax, n_slices, self.grid.ntheta),
         ):
             return self.wigner_contraction_forward(k)
 
@@ -429,8 +434,8 @@ class SHTPlan:
             batch-invariant: the same input always yields bit-identical
             coefficients, and ``plan.forward(stacked)[b]`` is
             bit-identical to ``plan.forward(stacked[b])`` — every stage
-            (the real FFT, the cosine / sine transforms, the per-order
-            GEMMs) operates independently per leading slice.
+            (the real FFT, the reorder, the per-order GEMMs) operates
+            independently per leading slice.
         """
         data = np.asarray(data)
         if data.shape[-2:] != self.grid.shape:
@@ -455,26 +460,25 @@ class SHTPlan:
     # Inverse (synthesis)
     # ------------------------------------------------------------------ #
     def wigner_contraction_inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Map coefficients to colatitude Fourier coefficients ``C_{m, m'}``.
+        """Map coefficients to the colatitude samples ``H_m(theta_i)``.
 
-        ``H_m(theta) = sum_l g_{l,m} Y_{l,m}(theta, 0)
-                     = sum_{m'} C_{m, m'} exp(i m' theta)``
+        ``H_m(theta_i) = sum_l g_{l,m} Y_{l,m}(theta_i, 0)``
 
         for the orders ``m >= 0`` of the *real part* of the field:
         ``g_{l,m} = (f_{l,m} + (-1)**m conj(f_{l,-m})) / 2``, which is
         ``f_{l,m}`` itself, bit for bit, when ``coeffs`` already carries
         the conjugate symmetry of a real field.  One real GEMM per order
-        against the synthesis operators of :meth:`_build_operators`, the
-        real and imaginary parts of all leading slices stacked into the
-        GEMM row dimension (never fewer than two rows, so BLAS never
-        switches to its gemv kernels; see :data:`_GEMM_COLUMN_MULTIPLE`
-        for why per-slice results do not depend on the batch height).
+        against the synthesis operators of :meth:`_build_operators` —
+        Eq. (7)'s contraction and the colatitude Fourier series in one
+        product — with the rows stacked as in
+        :meth:`wigner_contraction_forward`.
 
         Returns ``float64`` of shape ``(L, 2, ..., W)`` indexed ``[m,
-        part, ..., m']`` with ``m' >= 0``: the real and imaginary planes of
-        ``C_{m,m'}`` for even ``m`` and of ``i C_{m,m'}`` for odd ``m``.
-        ``W`` is ``L`` rounded up to the GEMM column multiple; columns
-        ``m' >= L``, and ``m' = 0`` of an odd order, are zero.
+        part, ..., i]``: the real and imaginary planes of ``H_m`` at the
+        grid's colatitudes — samples, not the Fourier coefficients
+        ``C_{m,m'}`` the next stage's name suggests.  ``W`` is ``ntheta``
+        rounded up to the GEMM column multiple; columns ``i >= ntheta``,
+        and the poles of an odd order, are zero.
         """
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         lmax = self.lmax
@@ -490,21 +494,23 @@ class SHTPlan:
         packed[:n_rows] += both[:, :n_half, 0]
         packed[n_rows:] += both[:, :n_half, 1]
         packed *= 0.5
-        c = np.empty((lmax, 2 * n_rows, _round_up(lmax)))
+        h = np.empty((lmax, 2 * n_rows, _round_up(self.grid.ntheta)))
         for m, op in enumerate(self._syn_ops):
-            np.matmul(packed[:, self._offsets[m]:self._offsets[m + 1]], op, out=c[m])
-        return c.reshape((lmax, 2) + lead + c.shape[-1:])
+            np.matmul(packed[:, self._offsets[m]:self._offsets[m + 1]], op, out=h[m])
+        return h.reshape((lmax, 2) + lead + h.shape[-1:])
 
-    def synthesis_from_fourier(self, c: np.ndarray) -> np.ndarray:
+    def synthesis_from_fourier(self, h: np.ndarray) -> np.ndarray:
         """Evaluate the real field from :meth:`wigner_contraction_inverse` output.
 
         Parameters
         ----------
-        c:
-            ``float64`` of shape ``(L, 2, ..., W)``.  Any leading batch
-            shape is allowed — stacked inputs are synthesised in single
-            vectorised passes, and each leading slice of the output is
-            bit-identical to transforming that slice alone.
+        h:
+            ``float64`` colatitude samples ``(L, 2, ..., W)`` — no
+            Fourier coefficients, despite the name (kept for the callers
+            that chain the stages).  Any leading batch shape is allowed —
+            stacked inputs are synthesised in single vectorised passes,
+            and each leading slice of the output is bit-identical to
+            transforming that slice alone.
 
         Returns
         -------
@@ -513,20 +519,13 @@ class SHTPlan:
         """
         lmax = self.lmax
         ntheta, nphi = self.grid.shape
-        lead = c.shape[2:-1]
-        flat = c.reshape((lmax, 2, -1, c.shape[-1]))
-        # H_m(theta_i): cosine series for even m, i * sine series (zero at
-        # both poles) for odd m; the i is folded into the operators.
-        h = np.zeros((flat.shape[2], ntheta, lmax), dtype=np.complex128)
-        even = _fft.dct(flat[0::2], type=1, n=ntheta, axis=-1)
-        h.real[:, :, 0::2] = even[:, 0].transpose(1, 2, 0)
-        h.imag[:, :, 0::2] = even[:, 1].transpose(1, 2, 0)
-        if lmax > 1:
-            odd = _fft.dst(flat[1::2, ..., 1:], type=1, n=ntheta - 2, axis=-1)
-            h.real[:, 1:-1, 1::2] = odd[:, 0].transpose(1, 2, 0)
-            h.imag[:, 1:-1, 1::2] = odd[:, 1].transpose(1, 2, 0)
+        lead = h.shape[2:-1]
+        flat = h.reshape((lmax, 2, -1, h.shape[-1]))
+        spectrum = np.empty((flat.shape[2], ntheta, lmax), dtype=np.complex128)
+        spectrum.real = flat[:, 0, :, :ntheta].transpose(1, 2, 0)
+        spectrum.imag = flat[:, 1, :, :ntheta].transpose(1, 2, 0)
         # Z(theta_i, phi_j) = sum_m H_m(theta_i) exp(i m phi_j), H_-m = conj H_m
-        z = _fft.irfft(h, n=nphi, axis=-1, norm="forward")
+        z = _fft.irfft(spectrum, n=nphi, axis=-1, norm="forward")
         return z.reshape(lead + self.grid.shape)
 
     def inverse(self, coeffs: np.ndarray, real: bool = True) -> np.ndarray:
@@ -560,8 +559,7 @@ class SHTPlan:
         -----
         Deterministic and batch-invariant: the transform involves no
         randomness, and every arithmetic step (the per-order GEMMs, the
-        cosine / sine transforms, the real FFT) operates independently
-        per leading slice, so ``plan.inverse(stacked)[b]`` is
+        real FFT) operates independently per leading slice, so ``plan.inverse(stacked)[b]`` is
         bit-identical to ``plan.inverse(stacked[b])``.  The
         batched-emulation machinery (:func:`repro.run_campaign` with
         ``batch_size > 1``) relies on this guarantee.
@@ -578,13 +576,13 @@ class SHTPlan:
         with span("sht.inverse", lmax=self.lmax, slices=n_flat, bytes=coeffs.nbytes):
             with span(
                 "sht.inverse.contraction",
-                flops=sht_contraction_flops(self.lmax, n_flat),
+                flops=sht_contraction_flops(self.lmax, n_flat, self.grid.ntheta),
             ):
-                c = self.wigner_contraction_inverse(coeffs)
+                h = self.wigner_contraction_inverse(coeffs)
             with span("sht.inverse.fft", slices=n_flat):
                 if n_flat <= _SYNTHESIS_BLOCK:
-                    return self.synthesis_from_fourier(c)
-                flat = c.reshape((self.lmax, 2, n_flat, c.shape[-1]))
+                    return self.synthesis_from_fourier(h)
+                flat = h.reshape((self.lmax, 2, n_flat, h.shape[-1]))
                 out = np.empty((n_flat,) + self.grid.shape)
                 for start in range(0, n_flat, _SYNTHESIS_BLOCK):
                     block = flat[:, :, start:start + _SYNTHESIS_BLOCK]

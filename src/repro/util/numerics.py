@@ -17,7 +17,8 @@ from __future__ import annotations
 
 __all__ = ["NUMERICS_REVISION"]
 
-#: 1 — the real-field transform (orders ``m >= 0``, real operators,
-#: cosine / sine transforms over colatitude).  Stores written before the
-#: stamp existed read as revision 0.
-NUMERICS_REVISION = 1
+#: Revision log (stores written before the stamp existed read as 0):
+#: 1 — the real-field transform: orders ``m >= 0``, real operators, a
+#: run-time cosine / sine transform over colatitude;
+#: 2 — the colatitude transform folded into the operators at plan build.
+NUMERICS_REVISION = 2

@@ -7,6 +7,8 @@ explicitly extended colatitude, the full complex ``I(m' + m'')`` matrix,
 and a per-degree Python loop over the Wigner-d tables — the readable form
 of the paper's equations, slow and only ever run by the tests, which pin
 the plan's stages to them within reassociation error (``<= 1e-12``).
+The plan's GEMMs land on (start from) colatitude *samples*, so its stages
+are compared after (before) the oracle's colatitude transform.
 
 All arrays carry the signed orders ``-(L-1) .. L-1`` ascending on their
 ``m`` / ``m'`` axes, so order ``m`` sits at index ``m + L - 1``.
@@ -78,35 +80,33 @@ def wigner_contraction_inverse_reference(coeffs: np.ndarray, lmax: int) -> np.nd
     return c
 
 
-def synthesis_from_fourier_reference(c: np.ndarray, ntheta: int, nphi: int) -> np.ndarray:
-    """The complex field ``(..., ntheta, nphi)`` from ``C_{m, m'}``: two full iFFTs."""
+def colatitude_synthesis_reference(c: np.ndarray, ntheta: int) -> np.ndarray:
+    """``H_m(theta_i)`` of all signed orders, ``(..., ntheta, 2L-1)``, from ``C_{m, m'}``:
+    a full iFFT over the extended colatitude, its first ``ntheta`` points kept."""
     lmax = (c.shape[-1] + 1) // 2
     next_ = 2 * ntheta - 2
     full = np.zeros(c.shape[:-1] + (next_,), dtype=np.complex128)
     full[..., _fft_bins(lmax, next_)] = c
-    h = np.swapaxes((np.fft.ifft(full, axis=-1) * next_)[..., :ntheta], -1, -2)
+    return np.swapaxes((np.fft.ifft(full, axis=-1) * next_)[..., :ntheta], -1, -2)
+
+
+def synthesis_from_fourier_reference(c: np.ndarray, ntheta: int, nphi: int) -> np.ndarray:
+    """The complex field ``(..., ntheta, nphi)`` from ``C_{m, m'}``: two full iFFTs."""
+    lmax = (c.shape[-1] + 1) // 2
+    h = colatitude_synthesis_reference(c, ntheta)
     full_phi = np.zeros(h.shape[:-1] + (nphi,), dtype=np.complex128)
     full_phi[..., _fft_bins(lmax, nphi)] = h
     return np.fft.ifft(full_phi, axis=-1) * nphi
 
 
-def signed_from_stage(stage: np.ndarray, odd_factor: complex) -> np.ndarray:
-    """Expand a plan stage array to the oracle's ``(..., 2L-1, 2L-1)`` layout.
+def samples_from_stage(stage: np.ndarray, ntheta: int) -> np.ndarray:
+    """A plan stage array as the oracle's ``(..., ntheta, L)`` complex samples.
 
-    ``stage`` is ``(L, 2, ..., L)`` real/imaginary planes for ``m, m' >=
-    0`` as the plan's contraction / colatitude stages exchange them, of a
-    *real* field.  ``odd_factor`` undoes the unit the plan folds into odd
-    orders (``1`` for even orders).  The rest follows from the symmetries
-    ``X_{m,-m'} = (-1)**m X_{m,m'}`` and ``X_{-m,m'} = (-1)**m
-    conj(X_{m,m'})`` (a real field).
+    ``stage`` is ``(L, 2, ..., W)`` real / imaginary planes of ``H_m`` or
+    ``G_m`` at the grid's colatitudes for the orders ``m >= 0``, as the
+    plan's contraction and FFT stages exchange them; the ``W - ntheta``
+    padding columns must be exact zeros.  Order ``m`` of the oracle's
+    signed-order arrays sits at index ``m + L - 1``.
     """
-    lmax = stage.shape[0]
-    half = np.moveaxis(stage[:, 0] + 1j * stage[:, 1], 0, -2)  # (..., m, m')
-    sign = np.where(np.arange(lmax) % 2 == 0, 1.0, -1.0)[:, None]
-    half = half * np.where(sign > 0, 1.0, odd_factor)
-    centre = lmax - 1
-    full = np.empty(half.shape[:-2] + (2 * lmax - 1, 2 * lmax - 1), dtype=np.complex128)
-    full[..., centre:, centre:] = half
-    full[..., centre:, :centre] = (sign * half)[..., :, :0:-1]
-    full[..., :centre, :] = (sign * np.conj(full[..., centre:, :]))[..., :0:-1, :]
-    return full
+    assert stage.dtype == np.float64 and not stage[..., ntheta:].any()
+    return np.moveaxis(stage[:, 0, ..., :ntheta] + 1j * stage[:, 1, ..., :ntheta], 0, -1)

@@ -5,7 +5,8 @@ import pytest
 
 from reference_transform import (  # tests/sht is on sys.path (rootdir layout)
     colatitude_fourier_reference,
-    signed_from_stage,
+    colatitude_synthesis_reference,
+    samples_from_stage,
     synthesis_from_fourier_reference,
     wigner_contraction_forward_reference,
     wigner_contraction_inverse_reference,
@@ -18,6 +19,8 @@ from repro.sht import (
     coeff_lm,
     direct_forward,
     direct_inverse,
+    get_plan,
+    legendre_normalized,
     num_coeffs,
     sht_forward,
     sht_inverse,
@@ -112,19 +115,20 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("lmax", [8, 11])
     def test_one_real_operator_pair_per_nonnegative_order(self, lmax):
-        """Orders m >= 0 only, float64, m' >= 0 only — and no Wigner tables kept."""
+        """Orders m >= 0 only, float64, degrees by colatitudes — and no Wigner tables kept."""
         plan = SHTPlan(lmax=lmax, grid=Grid.for_bandlimit(lmax))
-        width = -(-lmax // 8) * 8  # GEMM column counts are multiples of 8
+        ntheta = plan.grid.ntheta
+        width = -(-ntheta // 8) * 8  # GEMM column counts are multiples of 8
         for m, (syn, ana) in enumerate(zip(plan._syn_ops, plan._ana_ops)):
             assert syn.dtype == ana.dtype == np.float64
             block = -(-(lmax - m) // 8) * 8
-            assert syn.shape == (block, width) and ana.shape == (lmax, block)
-            # Zero beyond the L - m degrees and L colatitude orders, and no
-            # m' = 0 term in an odd order.
-            assert not syn[lmax - m:].any() and not syn[:, lmax:].any()
-            assert not ana[:, lmax - m:].any()
+            assert syn.shape == (block, width) and ana.shape == (width, block)
+            # Zero beyond the L - m degrees and the ntheta colatitudes, and
+            # exactly zero at both poles in an odd order.
+            assert not syn[lmax - m:].any() and not syn[:, ntheta:].any()
+            assert not ana[:, lmax - m:].any() and not ana[ntheta:].any()
             if m % 2:
-                assert not syn[:, 0].any() and not ana[0].any()
+                assert not syn[:, [0, ntheta - 1]].any() and not ana[[0, ntheta - 1]].any()
         arrays = [
             array for value in vars(plan).values()
             for array in (value if isinstance(value, list) else [value])
@@ -138,14 +142,38 @@ class TestPlanValidation:
         assert all(a.dtype != np.complex128 for a in arrays)
 
     def test_contraction_flops_count_the_executed_orders(self):
-        """One complex multiply-add = 2, over orders m >= 0 and m' >= 0 only."""
+        """One complex multiply-add = 2: order m >= 0 multiplies L - m degrees
+        against the grid's ntheta colatitudes (L + 1 when not given)."""
         from repro.linalg.flops import sht_contraction_flops
 
         for lmax in (1, 8, 11, 128):
-            macs = sum((lmax - m) * lmax for m in range(lmax))
-            assert sht_contraction_flops(lmax, 3) == 2.0 * 3 * macs
+            for ntheta in (lmax + 1, 2 * lmax + 3):
+                macs = sum((lmax - m) * ntheta for m in range(lmax))
+                assert sht_contraction_flops(lmax, 3, ntheta) == 2.0 * 3 * macs
+            assert sht_contraction_flops(lmax, 3) == sht_contraction_flops(lmax, 3, lmax + 1)
         # A quarter of the signed-order complex contraction it replaces.
         assert sht_contraction_flops(128) < 0.26 * 2.0 * (2 * 128 - 1) * 128 ** 2
+
+    def test_contraction_spans_report_the_grid_s_colatitudes(self):
+        """The spans count the GEMM the plan runs on *its* grid."""
+        from repro.linalg.flops import sht_contraction_flops
+        from repro.obs import clear_trace, trace_records, tracing
+
+        lmax, grid = 6, Grid(ntheta=15, nphi=24)
+        plan = SHTPlan(lmax=lmax, grid=grid)
+        coeffs = plan.random_coefficients(np.random.default_rng(0), shape=(3,))
+        clear_trace()
+        with tracing():
+            plan.forward(plan.inverse(coeffs))
+        flops = {
+            record["name"]: record["attrs"]["flops"] for record in trace_records()
+            if record["name"].endswith(".contraction")
+        }
+        clear_trace()
+        assert flops == dict.fromkeys(
+            ("sht.inverse.contraction", "sht.forward.contraction"),
+            sht_contraction_flops(lmax, 3, grid.ntheta),
+        )
 
     def test_shape_mismatch_raises(self, small_plan):
         with pytest.raises(ValueError):
@@ -336,28 +364,33 @@ class TestBatchedInverse:
     """The GEMM-based synthesis contraction and its blocked batch path."""
 
     def test_contraction_matches_reference(self, small_plan, small_lmax, rng):
+        """The GEMM lands on H_m(theta_i): the per-degree accumulation of
+        Eq. (7) followed by the literal iFFT over the extended colatitude."""
         coeffs = small_plan.random_coefficients(rng, shape=(3, 4))
+        ntheta = small_plan.grid.ntheta
         stage = small_plan.wigner_contraction_inverse(coeffs)
-        assert stage.shape == (small_lmax, 2, 3, 4, small_lmax)  # 8 | L: no padding
-        assert stage.dtype == np.float64
-        # The planes hold C_{m,m'} (even m) and i C_{m,m'} (odd m), m' >= 0.
-        fast = signed_from_stage(stage, odd_factor=-1j)
-        reference = wigner_contraction_inverse_reference(coeffs, small_lmax)
-        assert fast.shape == reference.shape
+        assert stage.shape == (small_lmax, 2, 3, 4, 16)  # ntheta = 9, padded to 16
+        fast = samples_from_stage(stage, ntheta)
+        reference = colatitude_synthesis_reference(
+            wigner_contraction_inverse_reference(coeffs, small_lmax), ntheta
+        )[..., small_lmax - 1:]
+        assert fast.shape == reference.shape == (3, 4, ntheta, small_lmax)
         assert np.max(np.abs(fast - reference)) < 1e-12
+        # The sine series of an odd order vanishes at both poles, exactly.
+        assert not stage[1::2, ..., [0, ntheta - 1]].any()
 
     @pytest.mark.parametrize("lmax", [8, 11])
     def test_synthesis_matches_reference(self, lmax):
         """The whole inverse against the literal per-degree / two-iFFT path
-        (at L = 11 the stage array carries 5 zero padding columns)."""
+        (the stage array carries 7 resp. 4 zero padding columns)."""
         plan = SHTPlan(lmax=lmax, grid=Grid.for_bandlimit(lmax))
+        ntheta = plan.grid.ntheta
         coeffs = plan.random_coefficients(np.random.default_rng(3), shape=(5,))
         c_reference = wigner_contraction_inverse_reference(coeffs, lmax)
         stage = plan.wigner_contraction_inverse(coeffs)
-        assert stage.shape == (lmax, 2, 5, -(-lmax // 8) * 8)
-        assert not stage[..., lmax:].any()
-        fast = signed_from_stage(stage[..., :lmax], odd_factor=-1j)
-        assert np.max(np.abs(fast - c_reference)) < 1e-12
+        assert stage.shape == (lmax, 2, 5, -(-ntheta // 8) * 8)
+        h_reference = colatitude_synthesis_reference(c_reference, ntheta)[..., lmax - 1:]
+        assert np.max(np.abs(samples_from_stage(stage, ntheta) - h_reference)) < 1e-12
         reference = synthesis_from_fourier_reference(c_reference, *plan.grid.shape)
         assert np.max(np.abs(reference.imag)) < 1e-12
         assert np.max(np.abs(plan.inverse(coeffs) - reference.real)) < 1e-12
@@ -410,15 +443,16 @@ class TestBatchedForward:
         return plan.inverse(plan.random_coefficients(rng, shape=shape))
 
     def _assert_stages_match_reference(self, plan, fields):
-        """Stage 2 against Eq. (6)'s literal extension FFT, stage 3 against
-        the per-degree assembly of Eq. (7) applied to that literal ``K``."""
+        """The FFT stage is the reorder of the longitude real FFT, exactly;
+        the GEMM on it against Eq. (6)'s literal extension FFT followed by
+        the per-degree assembly of Eq. (7)."""
+        ntheta, nphi = plan.grid.shape
         k = plan.colatitude_fourier(plan.longitude_fourier(fields))
-        assert k.shape == (plan.lmax, 2) + fields.shape[:-2] + (plan.lmax,)
-        assert k.dtype == np.float64
+        assert k.shape == (plan.lmax, 2) + fields.shape[:-2] + (-(-ntheta // 8) * 8,)
+        np.testing.assert_array_equal(
+            samples_from_stage(k, ntheta), (np.fft.rfft(fields, axis=-1) / nphi)[..., :plan.lmax]
+        )
         k_reference = colatitude_fourier_reference(fields, plan.lmax)
-        # The planes hold N K_{m,m'} / 2 pi (even m) and i times that (odd m).
-        scale = 2.0 * np.pi / (2 * plan.grid.ntheta - 2)
-        assert np.max(np.abs(scale * signed_from_stage(k, odd_factor=-1j) - k_reference)) < 1e-12
         fast = plan.wigner_contraction_forward(k)
         reference = wigner_contraction_forward_reference(k_reference, plan.lmax)
         assert fast.shape == reference.shape
@@ -475,16 +509,92 @@ class TestBatchedForward:
         np.testing.assert_array_equal(recovered[1], small_plan.forward(fields[1]))
         assert np.max(np.abs(recovered - coeffs)) < 1e-10
 
+    def test_stages_compose_to_the_whole_transform_bit_for_bit(self, small_plan):
+        """What the benchmark harness chains is what ``inverse`` / ``forward`` run."""
+        coeffs = small_plan.random_coefficients(np.random.default_rng(8), shape=(2, 3))
+        fields = small_plan.synthesis_from_fourier(small_plan.wigner_contraction_inverse(coeffs))
+        np.testing.assert_array_equal(fields, small_plan.inverse(coeffs))
+        back = small_plan.wigner_contraction_forward(
+            small_plan.colatitude_fourier(small_plan.longitude_fourier(fields))
+        )
+        np.testing.assert_array_equal(back, small_plan.forward(fields))
+
     def test_analysis_operators_invert_the_synthesis_operators(self, small_plan):
-        """Per order, synthesis -> cosine/sine transform pair -> analysis is
-        the identity: two type-I transforms of the extended length N in a
-        row multiply by N, so ``N * S_m @ A_m = I`` — the fold of Eq. (8)'s
-        integrals onto ``m', m'' >= 0`` loses nothing."""
-        n_ext = 2 * small_plan.grid.ntheta - 2
-        lmax = small_plan.lmax
-        for m, (syn, ana) in enumerate(zip(small_plan._syn_ops, small_plan._ana_ops)):
-            identity = np.zeros((syn.shape[0],) * 2)  # zero on the padding
-            identity[:lmax - m, :lmax - m] = np.eye(lmax - m)
-            np.testing.assert_allclose(
-                n_ext * syn[:, :lmax] @ ana, identity, rtol=0, atol=1e-12
-            )
+        _assert_operators_are_mutual_inverses(small_plan)
+
+
+def _assert_operators_are_mutual_inverses(plan):
+    """Per order, samples of a band-limited ``H_m`` analyse back to its
+    coefficients: ``S_m @ A_m = I`` on the true degrees (zero on the
+    padding) — folding Eq. (8)'s integrals and the colatitude transform
+    into one matrix loses nothing."""
+    lmax = plan.lmax
+    for m, (syn, ana) in enumerate(zip(plan._syn_ops, plan._ana_ops)):
+        identity = np.zeros((syn.shape[0],) * 2)
+        identity[:lmax - m, :lmax - m] = np.eye(lmax - m)
+        np.testing.assert_allclose(syn @ ana, identity, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lmax", [4, 9, 16])
+@pytest.mark.parametrize("grid_kind", sorted(GRIDS))
+class TestOperatorsAgainstLegendre:
+    """The folded operators against the three-term Legendre recursion, which
+    shares nothing with the Wigner-d tables and transforms they are built from."""
+
+    def test_synthesis_rows_are_sampled_harmonics(self, lmax, grid_kind):
+        """Row ``l`` of order ``m`` is ``Y_{l,m}(theta_i, 0)``, Condon-Shortley
+        phase included — no residual sign."""
+        grid = GRIDS[grid_kind](lmax)
+        plan = SHTPlan(lmax=lmax, grid=grid)
+        pbar = legendre_normalized(lmax - 1, np.cos(grid.colatitudes))  # [l, m, i]
+        for m, syn in enumerate(plan._syn_ops):
+            assert np.max(np.abs(syn[:lmax - m, :grid.ntheta] - pbar[m:, m])) < 1e-12
+
+    def test_operators_are_mutual_inverses_on_the_true_degrees(self, lmax, grid_kind):
+        _assert_operators_are_mutual_inverses(SHTPlan(lmax=lmax, grid=GRIDS[grid_kind](lmax)))
+
+
+class TestEdgeBandlimits:
+    """``L = 1`` (``ntheta = 2``: no odd order, an empty sine transform),
+    ``L = 2`` (one odd order with a single interior colatitude) and empty
+    batches."""
+
+    @pytest.mark.parametrize("lmax", [1, 2])
+    @pytest.mark.parametrize("oversample", [1.0, 2.5])
+    def test_smallest_bandlimits_round_trip_and_match_direct(self, lmax, oversample):
+        grid = Grid.for_bandlimit(lmax, oversample=oversample)
+        plan = SHTPlan(lmax=lmax, grid=grid)
+        coeffs = plan.random_coefficients(np.random.default_rng(lmax), shape=(3,))
+        fields = plan.inverse(coeffs)
+        assert fields.shape == (3,) + grid.shape
+        assert np.max(np.abs(fields - direct_inverse(coeffs, grid))) < 1e-13
+        assert np.max(np.abs(plan.forward(fields) - coeffs)) < 1e-13
+        np.testing.assert_array_equal(fields[1], plan.inverse(coeffs[1]))
+        np.testing.assert_array_equal(plan.forward(fields)[1], plan.forward(fields[1]))
+
+    @pytest.mark.parametrize("lmax", [1, 2, 8])
+    def test_empty_batches(self, lmax):
+        plan = SHTPlan(lmax=lmax, grid=Grid.for_bandlimit(lmax))
+        fields = plan.inverse(np.zeros((0, lmax * lmax), dtype=complex))
+        assert fields.shape == (0,) + plan.grid.shape and fields.dtype == np.float64
+        coeffs = plan.forward(fields)
+        assert coeffs.shape == (0, lmax * lmax) and coeffs.dtype == np.complex128
+        assert plan.forward(np.zeros((2, 0) + plan.grid.shape)).shape == (2, 0, lmax * lmax)
+
+
+class TestSliceIdentityAtBenchmarkSize:
+    def test_slices_do_not_depend_on_the_batch_height_at_L128(self):
+        """The per-slice bit contract where the GEMMs are big enough for BLAS
+        to pick other kernels than at the property tests' ``L <= 16``: a batch
+        of one, of two, one short of the block and three past it."""
+        lmax = 128
+        plan = get_plan("fast", lmax, Grid.for_bandlimit(lmax))
+        coeffs = plan.random_coefficients(np.random.default_rng(128), shape=(35,))
+        fields = plan.inverse(coeffs)
+        recovered = plan.forward(fields)
+        assert np.max(np.abs(recovered - coeffs)) < 1e-10
+        for height in (1, 2, 31):
+            for start in (0, 35 - height):
+                rows = slice(start, start + height)
+                np.testing.assert_array_equal(plan.inverse(coeffs[rows]), fields[rows])
+                np.testing.assert_array_equal(plan.forward(fields[rows]), recovered[rows])
