@@ -23,7 +23,7 @@ from repro.linalg.flops import cholesky_flops
 from repro.obs import span
 from repro.sht.grid import Grid
 from repro.sht.plancache import get_plan
-from repro.sht.realform import complex_from_real, real_from_complex
+from repro.sht.realform import real_from_complex
 
 __all__ = ["SpectralStochasticModel", "validate_batch_size"]
 
@@ -88,8 +88,6 @@ class SpectralStochasticModel:
     cholesky: CholeskyResult | None = field(init=False, default=None, repr=False)
     nugget_std: np.ndarray | None = field(init=False, default=None, repr=False)
     initial_state: np.ndarray | None = field(init=False, default=None, repr=False)
-    #: ``(cholesky, its dense L.T)`` — see :meth:`_lower_t`.
-    _dense_factor: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         # Plans are pure precomputation keyed on (backend, lmax, grid), so
@@ -172,13 +170,11 @@ class SpectralStochasticModel:
         batch_size = validate_batch_size(batch_size)
         n_real = series.shape[0]
         if batch_size is None or batch_size >= n_real:
-            return self.plan.inverse(complex_from_real(series))
+            return self.plan.inverse_realform(series)
         fields = np.empty(series.shape[:-1] + self.grid.shape, dtype=np.float64)
         for start in range(0, n_real, batch_size):
             block = series[start:start + batch_size]
-            fields[start:start + batch_size] = self.plan.inverse(
-                complex_from_real(block)
-            )
+            fields[start:start + batch_size] = self.plan.inverse_realform(block)
         return fields
 
     # ------------------------------------------------------------------ #
@@ -223,7 +219,8 @@ class SpectralStochasticModel:
         if n_samples < k or self.covariance_jitter > 0:
             # "minor perturbation along the diagonal ... to ensure it
             # remains positive definite" (Section III-A.3).
-            cov = cov + np.eye(k) * self.covariance_jitter * float(np.mean(np.diag(cov)) or 1.0)
+            ridge = self.covariance_jitter * float(np.mean(np.diag(cov)) or 1.0)
+            cov[np.diag_indices(k)] += ridge  # in place: no k x k temporaries
         self.covariance = cov
 
         solver = MixedPrecisionCholesky(
@@ -250,26 +247,10 @@ class SpectralStochasticModel:
     def sample_innovations(
         self, rng: np.random.Generator, n_realizations: int, n_times: int
     ) -> np.ndarray:
-        """Draw ``xi_t ~ N(0, U)`` using the mixed-precision factor."""
+        """Draw ``xi_t ~ N(0, U)`` through the mixed-precision factor's panels."""
         if self.cholesky is None:
             raise RuntimeError("fit() must be called first")
-        k = self.cholesky.factor.n
-        z = rng.standard_normal((n_realizations, n_times, k))
-        return z @ self._lower_t()
-
-    def _lower_t(self) -> np.ndarray:
-        """Dense ``L.T`` of the fitted factor, densified once per factor.
-
-        Every draw multiplies by the same ``k x k`` matrix, so the model
-        holds it for as long as ``self.cholesky`` is the factor it was
-        built from (a refit installs a new factor and the next draw
-        rebuilds).  Two threads racing on a stale entry build equal
-        arrays, so no lock is needed.
-        """
-        cached = self._dense_factor
-        if cached is None or cached[0] is not self.cholesky:
-            cached = self._dense_factor = (self.cholesky, self.cholesky.lower().T)
-        return cached[1]
+        return self.cholesky.sample(rng, (n_realizations, n_times))
 
     def generate_standardized_stream_multi(
         self,
@@ -285,19 +266,18 @@ class SpectralStochasticModel:
         at once, with the VAR history carried across chunks so the
         concatenated stream follows the same AR(P) recursion as one
         monolithic draw.  Per chunk, stream ``b`` draws *only* from
-        ``rngs[b]`` — one ``(1, nt, L**2)`` innovation draw, then (after
-        every stream's innovations) one ``(1, nt, ntheta, nphi)`` nugget
-        draw — while the data-independent work, the VAR recursion and
-        the inverse SHT, runs once on the stacked ``(B, nt, L**2)``
-        coefficient block.  Both are computed independently per leading
-        slice (elementwise AR update; the transform's per-order GEMMs
-        and real FFT), so member
-        ``b`` is bit-identical to the batch-of-one stream under
-        ``rngs[b]`` whatever else shares the batch.  Passing one
-        generator ``B`` times (``[rng] * B``) is the shared-generator
-        case: numpy fills a wide draw sequentially, so the ``B``
-        consecutive ``(1, ...)`` draws are the bits of one ``(B, ...)``
-        draw.
+        ``rngs[b]`` — its innovation normals, then (after every stream's
+        innovations) its nugget normals — while the data-independent work
+        runs once on the stacked block: the factor multiply on the ``(B *
+        nt, L**2)`` normals (:meth:`CholeskyResult.correlate
+        <repro.linalg.cholesky.CholeskyResult.correlate>`), the VAR
+        recursion, and the inverse SHT entered from the real form.  Each
+        computes a row independently of the rows stacked with it, so
+        member ``b`` is bit-identical to the batch-of-one stream under
+        ``rngs[b]`` whatever else shares the batch.  Passing one generator
+        ``B`` times (``[rng] * B``) is the shared-generator case: numpy
+        fills a wide draw sequentially, so the ``B`` consecutive draws are
+        the bits of one ``(B, ...)`` draw.
 
         Parameters
         ----------
@@ -328,7 +308,6 @@ class SpectralStochasticModel:
         n_batch = len(rngs)
         p = self.var_order
         k = self.cholesky.factor.n
-        lower_t = self._lower_t()
         if p > 0:
             init = (
                 np.asarray(self.initial_state, dtype=np.float64)
@@ -342,14 +321,12 @@ class SpectralStochasticModel:
             nt = min(chunk_size, n_times - t_start)
             # Per-stream draws, stacked: stream b's generator sees the same
             # request sequence as in a batch of one.
-            z = np.concatenate(
-                [rng.standard_normal((1, nt, k)) for rng in rngs], axis=0
-            )
-            xi = z @ lower_t
+            z = np.concatenate([rng.standard_normal((nt, k)) for rng in rngs])
+            xi = self.cholesky.correlate(z).reshape(n_batch, nt, k)
             series = self.var.simulate(xi, initial=history)
             if p > 0:
                 history = np.concatenate([history, series], axis=1)[:, -p:, :]
-            fields = self.plan.inverse(complex_from_real(series))
+            fields = self.plan.inverse_realform(series)
             if include_nugget:
                 for b, rng in enumerate(rngs):
                     noise = rng.standard_normal((1, nt) + self.grid.shape)

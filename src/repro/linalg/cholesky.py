@@ -245,10 +245,39 @@ class CholeskyResult:
     dense_bytes: int
     conversions: int
     n_tasks: int
+    panels: list = field(init=False, repr=False)  #: see :func:`_row_panels`
+
+    def __post_init__(self) -> None:
+        self.panels = _row_panels(self.factor)
 
     def lower(self) -> np.ndarray:
         """Dense lower-triangular factor in float64 (C order, a fresh array)."""
-        return self.factor.to_dense(lower_only=True)
+        out = np.zeros((self.factor.n, self.factor.n))
+        for rows, parts in self.panels:
+            for cols, panel in parts:
+                out[rows, cols] += panel[:rows.stop - rows.start]
+        return out
+
+    def correlate(self, z: np.ndarray) -> np.ndarray:
+        """``z @ L.T`` for the rows of ``z`` ``(m, n)``, without a dense ``L``.
+
+        One GEMM per row panel and stored precision over the whole stack
+        (float32 panels multiply ``z`` rounded to float32), summed in float64.
+        A row's bits do not depend on what is stacked with it — BLAS picks
+        other kernels for short stacks, hence the zero rows up to the floor.
+        """
+        m, n = z.shape
+        if m < _ROW_FLOOR:
+            z = np.concatenate((z, np.zeros((_ROW_FLOOR - m, n))))
+        z_as = {z.dtype: z}
+        out = np.zeros((m, n))
+        for rows, parts in self.panels:
+            for cols, panel in parts:
+                if panel.dtype not in z_as:
+                    z_as[panel.dtype] = z.astype(panel.dtype)
+                product = z_as[panel.dtype][:, cols] @ panel.T
+                out[:, rows] += product[:m, :rows.stop - rows.start]
+        return out
 
     def reconstruction(self) -> np.ndarray:
         """``L @ L.T`` of the computed factor."""
@@ -270,7 +299,7 @@ class CholeskyResult:
         n = self.factor.n
         shape = (size,) if isinstance(size, int) else tuple(size)
         z = rng.standard_normal(shape + (n,))
-        return z @ self.lower().T
+        return self.correlate(z.reshape(-1, n)).reshape(z.shape)
 
     # ------------------------------------------------------------------ #
     # Serialisation
@@ -338,6 +367,56 @@ class CholeskyResult:
             conversions=int(state["conversions"]),
             n_tasks=int(state["n_tasks"]),
         )
+
+
+#: Least rows of a panel (tile rows are grouped); a sixteenth of the order
+#: when that is more, which keeps the zeros above the diagonal near 3 %.
+_PANEL_MIN_ROWS = 64
+#: :meth:`CholeskyResult.correlate` pads shorter stacks with zero rows.
+_ROW_FLOOR = 32
+#: Panels are zero-padded to a multiple of this many rows: a ragged GEMM
+#: edge takes kernels that round differently (as for the SHT operators).
+_PANEL_ROW_MULTIPLE = 8
+
+
+def _row_panels(factor: TiledSymmetricMatrix) -> list:
+    """The factor as contiguous lower row panels, one array per stored precision.
+
+    ``[(rows, [(cols, panel), ...]), ...]``: per group of tile rows (the last
+    takes the remainder) and precision, one C-ordered array from the first to
+    the last tile column of that precision, zero where a tile has another;
+    half-precision tiles are held as float32.  Tiles of a matching dtype become
+    views of their panel, so the buffers they were loaded from can be released.
+    """
+    nb, n = factor.tile_size, factor.n
+    group = -(-max(_PANEL_MIN_ROWS, n // 16) // nb)
+    starts = list(range(0, factor.n_tiles, group))[:max(1, n // (group * nb))]
+    panels = []
+    for first, last in zip(starts, starts[1:] + [factor.n_tiles]):
+        r0, r1 = first * nb, min(last * nb, n)
+        parts = []
+        for precision in PRECISIONS:
+            keys = [
+                (i, j) for i in range(first, last) for j in range(i + 1)
+                if factor.tiles[(i, j)].precision is precision
+            ]
+            if not keys:
+                continue
+            c0 = min(j for _, j in keys) * nb
+            c1 = min(max(j for _, j in keys) * nb + nb, n)
+            panel = np.zeros(
+                (r1 - r0 + (r0 - r1) % _PANEL_ROW_MULTIPLE, c1 - c0),
+                dtype=np.float32 if precision is Precision.HALF else precision.dtype,
+            )
+            for i, j in keys:
+                tile = factor.tiles[(i, j)]
+                view = panel[i * nb - r0:, j * nb - c0:][:tile.shape[0], :tile.shape[1]]
+                view[...] = np.tril(tile.data) if i == j else tile.data
+                if view.dtype == tile.data.dtype:
+                    tile.data = view
+            parts.append((slice(c0, c1), panel))
+        panels.append((slice(r0, r1), parts))
+    return panels
 
 
 def _tile_order(n_tiles: int) -> list[tuple[int, int]]:

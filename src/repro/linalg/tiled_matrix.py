@@ -96,22 +96,15 @@ class TiledSymmetricMatrix:
     # ------------------------------------------------------------------ #
     # Conversions and accounting
     # ------------------------------------------------------------------ #
-    def to_dense(self, lower_only: bool = False) -> np.ndarray:
-        """Reassemble a dense float64 matrix in one pass over the tiles.
-
-        Symmetrised by default; ``lower_only`` returns the lower triangle
-        alone, exact zeros above the diagonal (``np.tril`` touches only the
-        diagonal tiles, so no second ``n x n`` copy is made).
-        """
+    def to_dense(self) -> np.ndarray:
+        """Reassemble the dense symmetric float64 matrix in one pass over the tiles."""
         out = np.zeros((self.n, self.n), dtype=np.float64)
         nb = self.tile_size
         for (i, j), tile in self.tiles.items():
             ri = slice(i * nb, i * nb + tile.shape[0])
             cj = slice(j * nb, j * nb + tile.shape[1])
             out[ri, cj] = np.tril(tile.data) if i == j else tile.data
-        if not lower_only:
-            out = out + np.tril(out, -1).T
-        return out
+        return out + np.tril(out, -1).T
 
     def storage_bytes(self) -> int:
         """Total bytes of the tiled (mixed-precision) representation."""

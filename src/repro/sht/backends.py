@@ -1,8 +1,8 @@
 """Named spherical-harmonic-transform backends.
 
 The spectral stochastic model needs one thing from the SHT layer: a *plan*
-object exposing ``forward(fields) -> coeffs`` and ``inverse(coeffs) ->
-fields`` at a fixed band-limit and grid.  Two implementations exist — the
+object exposing ``forward(fields) -> coeffs``, ``inverse(coeffs) -> fields``
+and ``inverse_realform(series) -> fields`` at a fixed band-limit and grid.  Two implementations exist — the
 production FFT/Wigner plan of :mod:`repro.sht.transform` and the explicit
 summation reference of :mod:`repro.sht.direct` — and this module makes them
 interchangeable through the shared :class:`~repro.util.registry.BackendRegistry`
@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.sht.direct import direct_forward, direct_inverse
 from repro.sht.grid import Grid
+from repro.sht.realform import complex_from_real
 from repro.sht.transform import SHTPlan, num_coeffs
 from repro.util.registry import BackendRegistry
 
@@ -89,6 +90,10 @@ class DirectSHTPlan:
                 f"expected {self.n_coeffs} coefficients, got {coeffs.shape[-1]}"
             )
         return direct_inverse(coeffs, self.grid, real=real)
+
+    def inverse_realform(self, series: np.ndarray) -> np.ndarray:
+        """Synthesis from the real packing of :mod:`repro.sht.realform`."""
+        return self.inverse(complex_from_real(series))
 
 
 #: Registry of SHT implementations selectable by name (see module docstring).

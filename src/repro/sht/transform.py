@@ -481,7 +481,6 @@ class SHTPlan:
         and the poles of an odd order, are zero.
         """
         coeffs = np.asarray(coeffs, dtype=np.complex128)
-        lmax = self.lmax
         lead = coeffs.shape[:-1]
         flat = coeffs.reshape(-1, coeffs.shape[-1])
         n_rows = flat.shape[0]
@@ -494,10 +493,29 @@ class SHTPlan:
         packed[:n_rows] += both[:, :n_half, 0]
         packed[n_rows:] += both[:, :n_half, 1]
         packed *= 0.5
-        h = np.empty((lmax, 2 * n_rows, _round_up(self.grid.ntheta)))
+        return self._order_gemms(packed, lead)
+
+    def _contraction_from_realform(self, series: np.ndarray) -> np.ndarray:
+        """:meth:`wigner_contraction_inverse` of ``complex_from_real(series)``, bit
+        for bit: the real form holds ``sqrt(2) Re f_{l,m}`` and ``sqrt(2) Im
+        f_{l,m}`` at the flat indices of ``(l, m)`` and ``(l, -m)`` — the halves
+        of ``_pack`` — so the packed rows are one gather and the same division."""
+        flat = series.reshape(-1, series.shape[-1])
+        n_rows = flat.shape[0]
+        n_half = self._sign.size
+        packed = np.empty((2 * n_rows, n_half))
+        np.take(flat, self._pack[:n_half], axis=1, out=packed[:n_rows], mode="clip")
+        np.take(flat, self._pack[n_half:], axis=1, out=packed[n_rows:], mode="clip")
+        packed[:, self._offsets[1]:] /= np.sqrt(2.0)
+        packed[n_rows:, :self._offsets[1]] = 0.0  # f_{l,0} is real
+        return self._order_gemms(packed, series.shape[:-1])
+
+    def _order_gemms(self, packed: np.ndarray, lead: tuple) -> np.ndarray:
+        """One synthesis GEMM per order on the packed ``[re rows | im rows]``."""
+        h = np.empty((self.lmax, packed.shape[0], _round_up(self.grid.ntheta)))
         for m, op in enumerate(self._syn_ops):
             np.matmul(packed[:, self._offsets[m]:self._offsets[m + 1]], op, out=h[m])
-        return h.reshape((lmax, 2) + lead + h.shape[-1:])
+        return h.reshape((self.lmax, 2) + lead + h.shape[-1:])
 
     def synthesis_from_fourier(self, h: np.ndarray) -> np.ndarray:
         """Evaluate the real field from :meth:`wigner_contraction_inverse` output.
@@ -565,12 +583,26 @@ class SHTPlan:
         ``batch_size > 1``) relies on this guarantee.
         """
         coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if not real:
+            return self.inverse(coeffs) + 1j * self.inverse(-1j * coeffs)
+        return self._synthesize(self.wigner_contraction_inverse, coeffs)
+
+    def inverse_realform(self, series: np.ndarray) -> np.ndarray:
+        """``inverse(complex_from_real(series))``, bit for bit, from the real form.
+
+        ``series`` is ``float64`` ``(..., L**2)`` in the packing of
+        :mod:`repro.sht.realform`, as the emulator's VAR carries it; all but
+        the packing of the GEMM rows is :meth:`inverse`'s own code.
+        """
+        series = np.asarray(series, dtype=np.float64)
+        return self._synthesize(self._contraction_from_realform, series)
+
+    def _synthesize(self, contraction, coeffs: np.ndarray) -> np.ndarray:
+        """``contraction(coeffs)`` then the longitude FFT, blocked, under spans."""
         if coeffs.shape[-1] != self.n_coeffs:
             raise ValueError(
                 f"expected {self.n_coeffs} coefficients, got {coeffs.shape[-1]}"
             )
-        if not real:
-            return self.inverse(coeffs) + 1j * self.inverse(-1j * coeffs)
         lead = coeffs.shape[:-1]
         n_flat = int(np.prod(lead))
         with span("sht.inverse", lmax=self.lmax, slices=n_flat, bytes=coeffs.nbytes):
@@ -578,7 +610,7 @@ class SHTPlan:
                 "sht.inverse.contraction",
                 flops=sht_contraction_flops(self.lmax, n_flat, self.grid.ntheta),
             ):
-                h = self.wigner_contraction_inverse(coeffs)
+                h = contraction(coeffs)
             with span("sht.inverse.fft", slices=n_flat):
                 if n_flat <= _SYNTHESIS_BLOCK:
                     return self.synthesis_from_fourier(h)
@@ -618,24 +650,28 @@ class SHTPlan:
         shape:
             Extra leading batch shape.
         """
-        n = self.n_coeffs
-        out = np.zeros(shape + (n,), dtype=np.complex128)
-        for ell in range(self.lmax):
-            scale = 1.0 if power is None else np.sqrt(max(power[ell], 0.0))
-            # m = 0: real
-            out[..., coeff_index(ell, 0)] = rng.standard_normal(shape) * scale
-            for m in range(1, ell + 1):
-                re = rng.standard_normal(shape)
-                im = rng.standard_normal(shape)
-                val = (re + 1j * im) / np.sqrt(2.0) * scale
-                out[..., coeff_index(ell, m)] = val
-                if real_field:
-                    out[..., coeff_index(ell, -m)] = ((-1) ** m) * np.conj(val)
-                else:
-                    re2 = rng.standard_normal(shape)
-                    im2 = rng.standard_normal(shape)
-                    out[..., coeff_index(ell, -m)] = (re2 + 1j * im2) / np.sqrt(2.0) * scale
-        return out
+        ells, ms = degrees_and_orders(self.lmax)
+        # One draw for the whole call, in the order a loop over (l, m) asks:
+        # degree l has its m = 0 value at `base`, then per order m = 1 .. l
+        # the (re, im) of m and, for a complex field, the (re, im) of -m.
+        per_order = 2 if real_field else 4
+        base = ells + per_order * (ells * (ells - 1) // 2)
+        pos = np.flatnonzero(ms > 0)
+        first = base[pos] + per_order * (ms[pos] - 1) + 1
+        draws = np.moveaxis(
+            rng.standard_normal((self.lmax + per_order * pos.size,) + shape), 0, -1
+        )
+        out = np.zeros(shape + (self.n_coeffs,), dtype=np.complex128)
+        out[..., ms == 0] = draws[..., base[ms == 0]]
+        value = (draws[..., first] + 1j * draws[..., first + 1]) / np.sqrt(2.0)
+        out[..., pos] = value
+        if real_field:
+            mirror = ((-1) ** ms[pos]) * np.conj(value)
+        else:
+            mirror = (draws[..., first + 2] + 1j * draws[..., first + 3]) / np.sqrt(2.0)
+        out[..., pos - 2 * ms[pos]] = mirror
+        scale = 1.0 if power is None else np.sqrt(np.maximum(power, 0.0))[ells]
+        return out * scale
 
 
 # --------------------------------------------------------------------------- #

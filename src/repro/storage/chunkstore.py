@@ -414,7 +414,8 @@ class ChunkStore:
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".manifest-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, sort_keys=True)
+                # dumps, not dump: the C encoder, the same bytes.
+                handle.write(json.dumps(manifest, sort_keys=True))
             os.replace(tmp, self._manifest_path)
         except BaseException:
             if os.path.exists(tmp):

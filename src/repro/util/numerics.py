@@ -20,5 +20,6 @@ __all__ = ["NUMERICS_REVISION"]
 #: Revision log (stores written before the stamp existed read as 0):
 #: 1 — the real-field transform: orders ``m >= 0``, real operators, a
 #: run-time cosine / sine transform over colatitude;
-#: 2 — the colatitude transform folded into the operators at plan build.
-NUMERICS_REVISION = 2
+#: 2 — the colatitude transform folded into the operators at plan build;
+#: 3 — innovations drawn through the factor's row panels, per stored precision.
+NUMERICS_REVISION = 3

@@ -1,6 +1,7 @@
 """Tests of the EmulatorArtifact save/load round trip and its error paths."""
 
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -190,6 +191,40 @@ class TestSchemas:
         factor = [s for s in stems if s.startswith("spectral_model/cholesky/")]
         assert 2 <= len(factor) <= 4  # <= 3 precision buffers + the codes
         assert len(emulator.spectral_model.cholesky.factor.tiles) == 8 * 9 // 2
+
+
+def test_load_to_first_chunk_never_holds_a_dense_factor(tmp_path):
+    """Traced from ``repro.load`` through one generated chunk at L = 32.
+
+    ``dense`` is the ``8 k^2`` bytes of a float64 ``k x k`` array.  What stays
+    resident is the factor's lower row panels (0.53) plus the rest of the
+    artifact; the load transiently holds the schema-2 packed buffer beside
+    them (two half-size arrays, never a square one); the first chunk adds its
+    own working set and nothing of the factor's size.
+    """
+    ensemble = Era5LikeGenerator(
+        Era5LikeConfig(lmax=32, n_years=2, steps_per_year=12, n_ensemble=2), seed=1
+    ).generate()
+    fitted = repro.fit(ensemble, lmax=32, var_order=1, tile_size=64, rho_grid=(0.5,))
+    repro.save(fitted, tmp_path / "l32.npz")
+    del fitted, ensemble
+    dense = 8 * 1024 ** 2
+    tracemalloc.start()
+    try:
+        loaded = repro.load(tmp_path / "l32.npz")
+        resident, load_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        chunk = next(iter(loaded.emulate_stream(
+            1, n_times=4, chunk_size=4, rng=np.random.default_rng(0)
+        )))
+        _, chunk_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    factor = loaded.spectral_model.cholesky
+    assert sum(p.nbytes for _, parts in factor.panels for _, p in parts) <= 0.55 * dense
+    assert resident < 0.6 * dense
+    assert load_peak < 1.15 * dense
+    assert chunk_peak < resident + 0.1 * dense + chunk.data.nbytes
 
 
 def rewrite_member(source, target, member: str, change) -> None:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.var import DiagonalVAR
-from repro.linalg.cholesky import CholeskyResult
+from repro.linalg.cholesky import CholeskyResult, MixedPrecisionCholesky
+from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 
 
 class TestDiagonalVAR:
@@ -110,6 +112,19 @@ class TestSpectralStochasticModel:
         # that level rather than to machine precision.
         assert rel < 1e-5
 
+    def test_in_place_jitter_is_the_out_of_place_covariance(self, fitted):
+        """``cov[diag] += ...`` leaves the bits ``cov + eye * ...`` produced,
+        so the factor's bits are unchanged too."""
+        model, standardized = fitted
+        flat = model.var.innovations(model.spectral_series(standardized)).reshape(-1, 64)
+        cov = flat.T @ flat / flat.shape[0]
+        expected = cov + np.eye(64) * model.covariance_jitter * float(np.mean(np.diag(cov)))
+        assert np.array_equal(model.covariance, expected)
+        refactored = MixedPrecisionCholesky(
+            tile_size=16, variant="DP", jitter=model.covariance_jitter
+        ).factorize(expected)
+        assert np.array_equal(model.cholesky.lower(), refactored.lower())
+
     def test_nugget_nonnegative_and_small(self, fitted):
         model, standardized = fitted
         assert model.nugget_std.shape == standardized.shape[2:]
@@ -126,44 +141,25 @@ class TestSpectralStochasticModel:
         assert fields.shape == (2, 48) + standardized.shape[2:]
         assert abs(fields.std() - standardized.std()) < 0.35
 
-    def test_live_streams_share_one_dense_factor_until_refit(self, fitted, monkeypatch):
-        """The factor is densified once per fit, whatever draws from it."""
-        fitted_model, standardized = fitted
-        densified = []
-        lower = CholeskyResult.lower
-        monkeypatch.setattr(
-            CholeskyResult, "lower",
-            lambda self: densified.append(id(self)) or lower(self),
+    def test_generation_never_densifies_the_factor(
+        self, fitted_emulator, tmp_path, monkeypatch
+    ):
+        """A campaign and a cold service request run with ``lower()`` raising."""
+        fitted_emulator.save(tmp_path / "emulator.npz")
+
+        def densified(self, *args, **kwargs):
+            raise AssertionError("the generation path densified the factor")
+
+        monkeypatch.setattr(CholeskyResult, "lower", densified)
+        monkeypatch.setattr(TiledSymmetricMatrix, "to_dense", densified)
+        manifest = repro.run_campaign(
+            tmp_path / "emulator.npz", ["ssp-low"], n_realizations=2, n_times=24,
+            seed=3, collect="none", store=tmp_path / "store",
         )
-
-        def fresh():
-            return SpectralStochasticModel(
-                lmax=8, grid=fitted_model.grid, var_order=1, tile_size=16
-            )
-
-        def stream(model):
-            return model.generate_standardized_stream_multi(
-                [np.random.default_rng(5)], n_times=12, chunk_size=6
-            )
-
-        model = fresh()
-        model.fit(standardized)
-        first_factor = model.cholesky
-        paused = stream(model)
-        next(paused)
-        for _ in range(2):  # sequential streams and direct draws, one build
-            list(stream(model))
-            model.sample_innovations(np.random.default_rng(0), 1, 3)
-        assert densified == [id(first_factor)]
-        model.fit(2.0 * standardized)
-        reference = fresh()
-        reference.fit(2.0 * standardized)
-        for (_, got), (_, expected) in zip(
-            stream(model), stream(reference), strict=True
-        ):
-            np.testing.assert_array_equal(got, expected)
-        model.sample_innovations(np.random.default_rng(0), 1, 3)
-        assert densified == [id(first_factor), id(model.cholesky), id(reference.cholesky)]
+        assert len(manifest.runs) == 2
+        service = repro.serve(tmp_path / "emulator.npz", seed=3)
+        assert service.get(repro.FieldRequest("ssp-low")).shape[0] == 24
+        assert service.stats()["synthesis"]["flights"] == 1
 
     def test_parameter_count_formula(self, fitted):
         model, _ = fitted

@@ -165,11 +165,14 @@ class TestPackedState:
         dp_only = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
         assert "tiles_fp32" not in dp_only.state_dict()
 
-    def test_restored_tiles_are_views_of_the_packed_buffer(self, spd_matrix):
+    def test_restored_tiles_are_views_of_the_row_panels(self, spd_matrix):
+        """... and no longer of the packed buffers, which a loader can release."""
         state = MixedPrecisionCholesky(tile_size=16, variant="DP/SP").factorize(spd_matrix).state_dict()
         restored = CholeskyResult.from_state(state)
+        panels = [panel for _, parts in restored.panels for _, panel in parts]
         for tile in restored.factor.tiles.values():
-            assert np.shares_memory(tile.data, state[f"tiles_{tile.precision.value}"])
+            assert not np.shares_memory(tile.data, state[f"tiles_{tile.precision.value}"])
+            assert sum(np.shares_memory(tile.data, panel) for panel in panels) == 1
 
     @pytest.mark.parametrize(
         "member, corrupt, named",
@@ -207,22 +210,93 @@ class TestPackedState:
         assert np.array_equal(CholeskyResult.from_state(state).lower(), result.lower())
 
 
-def test_one_pass_dense_assembly_matches_the_two_copy_construction(spd_matrix):
-    """``lower()`` / ``to_dense`` equal the assemble-then-``np.tril`` code they replaced."""
+def test_dense_assembly_matches_the_tile_by_tile_construction(spd_matrix):
+    """``lower()`` (from the row panels) and ``to_dense`` (from the tiles) equal
+    the assemble-then-``np.tril`` code they replaced."""
     for variant, tile_size in (("DP", 16), ("DP/SP/HP", 24)):
-        result = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(spd_matrix)
+        tiled = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(
+            spd_matrix
+        ).factor
         # Put junk above the diagonal of a diagonal tile: it must be dropped.
-        result.factor.tiles[(1, 1)].data[0, -1] = 3.0
-        assembled = np.zeros((result.factor.n,) * 2)
-        for (i, j), tile in result.factor.tiles.items():
+        junk = tiled.tiles[(1, 1)].data.copy()
+        junk[0, -1] = 3.0
+        tiled.tiles[(1, 1)].data = junk
+        assembled = np.zeros((tiled.n,) * 2)
+        for (i, j), tile in tiled.tiles.items():
             rows, cols = tile.shape
             assembled[
                 i * tile_size: i * tile_size + rows, j * tile_size: j * tile_size + cols
             ] = tile.as_float64()
+        assert assembled[tile_size, 2 * tile_size - 1] == 3.0
+        assert np.array_equal(
+            tiled.to_dense(), np.tril(assembled) + np.tril(assembled, -1).T
+        )
+        result = CholeskyResult(
+            factor=tiled, variant=variant, tile_size=tile_size, flops_by_precision={},
+            total_flops=0.0, storage_bytes=0, dense_bytes=0, conversions=0, n_tasks=0,
+        )
         lower = result.lower()
         assert lower.flags.c_contiguous and lower.dtype == np.float64
         assert np.array_equal(lower, np.tril(assembled))
         assert not np.signbit(lower[np.triu_indices_from(lower, 1)]).any()
-        assert np.array_equal(
-            result.factor.to_dense(), np.tril(assembled) + np.tril(assembled, -1).T
+
+
+class TestRowPanels:
+    """``correlate`` multiplies by the factor as stored: row panels per precision."""
+
+    @staticmethod
+    def covariance(n, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 2 * n))
+        decay = np.exp(-np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / (n / 5))
+        return x @ x.T / (2 * n) * decay + 0.5 * np.eye(n)
+
+    @pytest.mark.parametrize("n, tile_size", [(64, 16), (200, 24), (289, 64), (30, 64)])
+    def test_double_precision_draw_is_the_dense_product(self, n, tile_size):
+        result = MixedPrecisionCholesky(tile_size=tile_size, variant="DP").factorize(
+            self.covariance(n)
         )
+        for m in (1, 7, 40):
+            z = np.random.default_rng(m).standard_normal((m, n))
+            assert np.max(np.abs(result.correlate(z) - z @ result.lower().T)) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["DP/SP", "DP/SP/HP", "DP/HP"])
+    @pytest.mark.parametrize("n, tile_size", [(200, 24), (289, 16)])
+    def test_mixed_draw_is_within_the_factors_own_error(self, variant, n, tile_size):
+        """Multiplying reduced-precision tiles in float32 costs what storing
+        them in single precision did (both round at 6e-8; the draw rounds
+        ``z`` and the partial sums as well), and far less than half-precision
+        storage: against the dense float64 product the draw stays within a
+        small multiple of the factor's distance from the covariance."""
+        cov = self.covariance(n)
+        result = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(cov)
+        z = np.random.default_rng(1).standard_normal((48, n))
+        dense = z @ result.lower().T
+        error = np.linalg.norm(result.correlate(z) - dense) / np.linalg.norm(dense)
+        assert 0 < error < 3.0 * result.relative_error(cov)
+
+    def test_panels_hold_the_lower_triangle_once_at_stored_width(self):
+        n, tile_size = 1024, 64
+        lower = np.tril(np.random.default_rng(0).standard_normal((n, n)))
+
+        def panels_of(variant):
+            tiled = TiledSymmetricMatrix.from_dense(lower, tile_size, variant)
+            return CholeskyResult(
+                factor=tiled, variant=variant, tile_size=tile_size, flops_by_precision={},
+                total_flops=0.0, storage_bytes=0, dense_bytes=0, conversions=0, n_tasks=0,
+            ).panels
+
+        double = panels_of("DP")
+        assert all(rows.stop - rows.start >= 64 for rows, _ in double)
+        assert all(panel.flags.c_contiguous for _, parts in double for _, panel in parts)
+        assert sum(p.nbytes for _, parts in double for _, p in parts) <= 0.55 * 8 * n * n
+        mixed = panels_of("DP/SP/HP")
+        dtypes = {panel.dtype for _, parts in mixed for _, panel in parts}
+        assert dtypes == {np.dtype(np.float64), np.dtype(np.float32)}  # fp16 multiplies as fp32
+        assert sum(p.nbytes for _, parts in mixed for _, p in parts) <= 0.35 * 8 * n * n
+
+    def test_sample_draws_through_the_panels(self, spd_matrix):
+        result = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
+        z = np.random.default_rng(9).standard_normal((2, 5, 64))
+        sample = result.sample(np.random.default_rng(9), size=(2, 5))
+        assert np.array_equal(sample, result.correlate(z.reshape(10, 64)).reshape(2, 5, 64))

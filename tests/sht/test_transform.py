@@ -25,6 +25,7 @@ from repro.sht import (
     sht_forward,
     sht_inverse,
 )
+from repro.sht.realform import complex_from_real
 from repro.sht.transform import degrees_and_orders
 
 
@@ -598,3 +599,28 @@ class TestSliceIdentityAtBenchmarkSize:
                 rows = slice(start, start + height)
                 np.testing.assert_array_equal(plan.inverse(coeffs[rows]), fields[rows])
                 np.testing.assert_array_equal(plan.forward(fields[rows]), recovered[rows])
+
+
+class TestRealformEntry:
+    """``inverse_realform`` is ``inverse(complex_from_real(.))`` without the detour."""
+
+    @pytest.mark.parametrize("lmax", [1, 2, 8, 33, 64])
+    def test_same_bits_as_the_complex_path(self, lmax):
+        plan = get_plan("fast", lmax, Grid.for_bandlimit(lmax))
+        rng = np.random.default_rng(lmax)
+        for lead in ((), (1,), (4, 9), (37,), (0,)):  # 37 > the synthesis block
+            series = rng.standard_normal(lead + (lmax * lmax,))
+            fields = plan.inverse_realform(series)
+            expected = plan.inverse(complex_from_real(series))
+            assert fields.dtype == np.float64 and fields.shape == expected.shape
+            np.testing.assert_array_equal(fields, expected)
+
+    def test_direct_backend_and_validation(self, small_grid):
+        series = np.random.default_rng(0).standard_normal((3, 64))
+        direct = DirectSHTPlan(lmax=8, grid=small_grid)
+        np.testing.assert_array_equal(
+            direct.inverse_realform(series), direct.inverse(complex_from_real(series))
+        )
+        for plan in (direct, get_plan("fast", 8, small_grid)):
+            with pytest.raises(ValueError, match="coefficient"):
+                plan.inverse_realform(series[:, :63])

@@ -1,5 +1,6 @@
 """Tests of the persistent quantized chunk store."""
 
+import io
 import json
 import os
 
@@ -99,6 +100,18 @@ class TestManifest:
         entry = manifest["chunks"]["aa11"]
         assert entry["shape"] == list(payload.shape)
         assert "scale" in entry and "offset" in entry
+
+    def test_manifest_bytes_are_what_json_dump_writes(self, tmp_path):
+        """``handle.write(json.dumps(...))`` is the C encoder, not a new format:
+        the file is byte for byte what streaming ``json.dump`` produced."""
+        store = ChunkStore(tmp_path, encoding="int16")
+        payload = 280.0 + 10.0 * np.random.default_rng(0).standard_normal((6, 9, 15))
+        for i in range(5):
+            store.put(f"{i:04x}", payload + i)
+        written = (tmp_path / "manifest.json").read_bytes()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed, sort_keys=True)
+        assert written == streamed.getvalue().encode("utf-8")
 
     def test_corrupt_schema_raises(self, tmp_path):
         ChunkStore(tmp_path)

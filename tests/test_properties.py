@@ -6,6 +6,8 @@ orthogonality, Cholesky correctness over random SPD matrices, precision
 policy totality, distributed-lag boundedness and storage monotonicity.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +16,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.trend import distributed_lag_series
 from repro.linalg import MixedPrecisionCholesky, variant_policy
+from repro.linalg.cholesky import CholeskyResult
+from repro.linalg.policies import VARIANTS
 from repro.linalg.precision import Precision
+from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.runtime import build_task_graph
 from repro.runtime.task import Task
 from repro.sht import Grid, SHTPlan, transform
@@ -114,7 +119,39 @@ class TestSHTProperties:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _random_factor(n: int, tile_size: int, variant: str) -> CholeskyResult:
+    """A random lower-triangular matrix tiled as ``variant`` stores a factor."""
+    lower = np.tril(np.random.default_rng(n + tile_size).standard_normal((n, n)))
+    tiled = TiledSymmetricMatrix.from_dense(lower, tile_size, variant)
+    return CholeskyResult(
+        factor=tiled, variant=variant, tile_size=tile_size, flops_by_precision={},
+        total_flops=0.0, storage_bytes=tiled.storage_bytes(), dense_bytes=8 * n * n,
+        conversions=0, n_tasks=0,
+    )
+
+
 class TestLinalgProperties:
+    @settings(_SETTINGS, max_examples=80)
+    @given(
+        st.sampled_from([81, 289, 1024]),  # L = 9, 17, 32: ragged and whole panels
+        st.sampled_from([16, 32, 64]),
+        st.sampled_from(VARIANTS),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_stacked_draw_does_not_depend_on_the_batch(
+        self, n, tile_size, variant, n_batch, n_times, seed
+    ):
+        """Member ``b`` of a stacked draw is its batch-of-one draw, bit for bit:
+        the contract ``generate_standardized_stream_multi`` builds on."""
+        factor = _random_factor(n, tile_size, variant)
+        z = np.random.default_rng(seed).standard_normal((n_batch, n_times, n))
+        stacked = factor.correlate(z.reshape(-1, n)).reshape(z.shape)
+        for b in range(n_batch):
+            np.testing.assert_array_equal(stacked[b], factor.correlate(z[b]))
+
     @_SETTINGS
     @given(
         st.integers(min_value=6, max_value=28),
