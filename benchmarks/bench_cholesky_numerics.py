@@ -1,10 +1,11 @@
 """E9 — real mixed-precision Cholesky execution (accuracy and throughput).
 
 Unlike the machine-scale figures (which use the calibrated performance
-model), this benchmark runs the tile Cholesky *for real* through the local
-runtime executor on the fitted covariance, measuring wall-clock time,
-per-variant accuracy, storage, task counts and DAG parallelism — the
-quantities that do not need a supercomputer to verify.
+model), this benchmark runs the tile Cholesky *for real* — the blocked
+loop of ``MixedPrecisionCholesky.factorize`` — on the fitted covariance,
+measuring wall-clock time, per-variant accuracy and storage, and prices the
+task list the paper's runtime would execute: task counts and DAG
+parallelism — the quantities that do not need a supercomputer to verify.
 """
 
 import numpy as np
@@ -36,8 +37,8 @@ def test_real_mixed_precision_cholesky(benchmark, variant, bench_covariance):
         ["variant", "tasks", "||LL^T-U||/||U||", "tiled bytes", "conversions"],
         rows,
     )
-    # The DP bound reflects the 1e-6 diagonal jitter applied inside POTRF,
-    # not the factorisation accuracy itself.
+    # The DP bound reflects the 1e-6 diagonal jitter applied before each
+    # POTRF, not the factorisation accuracy itself.
     tolerance = {"DP": 1e-5, "DP/SP": 1e-4, "DP/SP/HP": 5e-2, "DP/HP": 5e-2}[variant]
     assert result.relative_error(bench_covariance) < tolerance
 

@@ -63,7 +63,10 @@ def bench_emulator(bench_simulations):
 
 @pytest.fixture(scope="session")
 def bench_covariance(bench_emulator) -> np.ndarray:
-    """The fitted innovation covariance (144 x 144), used by solver benches."""
-    # Fit-time attribute: ``bench_emulator`` is fitted in this process; a
-    # loaded artifact carries the factor, not the covariance.
-    return np.asarray(bench_emulator.spectral_model.covariance)
+    """The fitted innovation covariance (144 x 144), used by solver benches.
+
+    The fit factors the covariance in place and keeps only the factor, so
+    this is ``L L^T``: symmetric positive definite, and the covariance up to
+    the factorisation's diagonal jitter.
+    """
+    return bench_emulator.spectral_model.cholesky.reconstruction()

@@ -24,16 +24,19 @@ from repro.systems import SUMMIT, CholeskyPerformanceModel
 
 
 def fitted_covariance(lmax: int = 14) -> np.ndarray:
-    """Fit a small emulator and return its innovation covariance."""
+    """Fit a small emulator and return its innovation covariance.
+
+    The fit factors the covariance in place and keeps only the factor, so
+    the covariance is rebuilt as ``L L^T`` — equal to it up to the
+    factorisation's diagonal jitter.
+    """
     sims = Era5LikeGenerator(
         Era5LikeConfig(lmax=lmax, n_years=4, steps_per_year=24, n_ensemble=2),
         seed=3,
     ).generate()
     emulator = ClimateEmulator(EmulatorConfig(lmax=lmax, var_order=2, tile_size=49))
     emulator.fit(sims)
-    # Fit-time attribute: present because this emulator was fitted in this
-    # process; a loaded artifact carries the factor, not the covariance.
-    return np.asarray(emulator.spectral_model.covariance)
+    return emulator.spectral_model.cholesky.reconstruction()
 
 
 def main() -> None:

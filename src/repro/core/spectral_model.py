@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError
+from scipy.linalg.blas import dsyrk
 
 from typing import Iterator
 
@@ -82,9 +84,6 @@ class SpectralStochasticModel:
 
     plan: object = field(init=False, repr=False)
     var: DiagonalVAR = field(init=False, repr=False)
-    #: Innovation covariance ``U`` — fit-time only: the factor is what is
-    #: persisted, so this is ``None`` on a model rebuilt by :meth:`from_state`.
-    covariance: np.ndarray | None = field(init=False, default=None, repr=False)
     cholesky: CholeskyResult | None = field(init=False, default=None, repr=False)
     nugget_std: np.ndarray | None = field(init=False, default=None, repr=False)
     initial_state: np.ndarray | None = field(init=False, default=None, repr=False)
@@ -185,6 +184,9 @@ class SpectralStochasticModel:
     ) -> "SpectralStochasticModel":
         """Fit the VAR, innovation covariance, Cholesky factor and nugget.
 
+        ``U`` is one SYRK into a ``k x k`` buffer that the factorisation
+        overwrites and the fit then drops (with the row panels, the peak).
+
         ``batch_size`` caps how many ensemble members each SHT pass (the
         forward analysis of the residuals and the inverse reconstruction
         behind the nugget) materialises at once — the ``O(L^3)`` working
@@ -192,9 +194,8 @@ class SpectralStochasticModel:
         transforms are independent per leading slice, so the fitted
         state is bit-identical for every ``batch_size``.  Unset, the
         analysis runs in one pass and the reconstruction one member per
-        pass: it only feeds a variance, runs while the covariance and
-        the factor are already resident (the fit's memory peak), and is
-        no slower blocked.
+        pass: it only feeds a variance, runs beside the factor, and is no
+        slower blocked.
         """
         standardized = np.asarray(standardized, dtype=np.float64)
         if standardized.ndim == 3:
@@ -208,20 +209,21 @@ class SpectralStochasticModel:
             "fit.analysis", lmax=self.lmax, n_ensemble=n_ens, n_times=n_times
         ):
             spectral = self.spectral_series(standardized, batch_size)  # (R, T, K)
-        self.var.fit(spectral)
-        innovations = self.var.innovations(spectral)           # (R, T-P, K)
+        with span("fit.var", var_order=self.var_order):
+            self.var.fit(spectral)
+            innovations = self.var.innovations(spectral)       # (R, T-P, K)
 
         # Empirical innovation covariance (Eq. 9), pooled over ensembles.
         flat = innovations.reshape(-1, innovations.shape[-1])
-        n_samples = flat.shape[0]
-        cov = flat.T @ flat / max(n_samples, 1)
-        k = cov.shape[0]
-        if n_samples < k or self.covariance_jitter > 0:
+        n_samples, k = flat.shape
+        with span("fit.covariance", order=k, n_samples=n_samples, flops=n_samples * k * (k + 1)):
+            # SYRK (half a GEMM's flops): the Fortran-ordered upper triangle
+            # is the lower triangle of the C-ordered transpose.
+            work = dsyrk(1.0 / max(n_samples, 1), flat.T, lower=0).T
             # "minor perturbation along the diagonal ... to ensure it
             # remains positive definite" (Section III-A.3).
-            ridge = self.covariance_jitter * float(np.mean(np.diag(cov)) or 1.0)
-            cov[np.diag_indices(k)] += ridge  # in place: no k x k temporaries
-        self.covariance = cov
+            ridge = self.covariance_jitter * float(np.mean(np.diag(work)) or 1.0)
+            work[np.diag_indices(k)] += ridge
 
         solver = MixedPrecisionCholesky(
             tile_size=self.tile_size,
@@ -234,10 +236,22 @@ class SpectralStochasticModel:
             variant=self.precision_variant,
             flops=cholesky_flops(k),
         ):
-            self.cholesky = solver.factorize(cov)
+            try:
+                self.cholesky = solver.factorize_in_place(work)
+            except LinAlgError as error:
+                tiles = solver.policy.precision_map(-(-k // self.tile_size)).values()
+                raise LinAlgError(
+                    f"the {self.precision_variant} factorisation of the k = {k} innovation "
+                    f"covariance from {n_samples} samples failed with covariance_jitter="
+                    f"{self.covariance_jitter:g}: {error}; the ridge must outweigh the tiles' "
+                    f"rounding, so raise covariance_jitter to {max(p.epsilon for p in tiles):.1e} "
+                    "(the variant's lowest-precision unit roundoff) or more"
+                ) from error
+        del work  # the factor lives in its row panels now
 
-        truncation = self.truncation_residual(standardized, spectral, batch_size or 1)
-        self.nugget_std = truncation.std(axis=(0, 1), ddof=1)
+        with span("fit.truncation", batch_size=batch_size or 1):
+            truncation = self.truncation_residual(standardized, spectral, batch_size or 1)
+            self.nugget_std = truncation.std(axis=(0, 1), ddof=1)
         self.initial_state = spectral[:, -max(self.var_order, 1):, :].mean(axis=0)
         return self
 

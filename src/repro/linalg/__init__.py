@@ -5,7 +5,7 @@ The emulator's heaviest kernel is the Cholesky factorisation of the
 with a tile algorithm whose tiles are stored and computed at different
 precisions (double, single, half) according to a band policy, executed as a
 task DAG by PaRSEC.  This subpackage reproduces the numerical side of that
-machinery with NumPy:
+machinery with NumPy and SciPy:
 
 * :mod:`repro.linalg.precision` — the precision descriptors (fp64 / fp32 /
   fp16), conversion helpers and byte accounting.
@@ -15,10 +15,11 @@ machinery with NumPy:
 * :mod:`repro.linalg.policies` — the precision-assignment policies: DP,
   DP/SP, DP/SP/HP, DP/HP band variants plus a data-adaptive (tile-centric)
   policy.
-* :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: task
-  generation (POTRF / TRSM / SYRK / GEMM), real mixed-precision execution
-  through the local runtime executor, sender- versus receiver-side
-  conversion accounting, and dense reference algorithms.
+* :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: one
+  left-looking blocked loop in place (real mixed-precision execution),
+  the right-looking POTRF / TRSM / SYRK / GEMM task list the performance
+  model prices, sender- versus receiver-side conversion accounting, and
+  the dense reference algorithm.
 """
 
 from repro.linalg.precision import Precision, PRECISIONS
@@ -40,7 +41,6 @@ from repro.linalg.policies import (
 from repro.linalg.tile import Tile
 from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.linalg.cholesky import (
-    CholeskyPlan,
     MixedPrecisionCholesky,
     dense_cholesky,
     generate_cholesky_tasks,
@@ -48,7 +48,6 @@ from repro.linalg.cholesky import (
 
 __all__ = [
     "CHOLESKY_VARIANTS",
-    "CholeskyPlan",
     "MixedPrecisionCholesky",
     "PRECISIONS",
     "Precision",

@@ -2,41 +2,42 @@
 
 This is the numerical heart of the emulator's HPC layer: the covariance
 matrix of the spectral innovations is tiled, each tile is assigned a storage
-precision by a :class:`~repro.linalg.policies.PrecisionPolicy`, and the
-right-looking tile Cholesky is expressed as a DAG of POTRF / TRSM / SYRK /
-GEMM tasks executed by the runtime.  Kernels accumulate in double precision
-but read and write tiles at their storage precision, so the reduced-
-precision variants genuinely lose the corresponding mantissa bits — the
-accuracy ablations (paper Fig. 4) measure exactly that loss.
+precision by a :class:`~repro.linalg.policies.PrecisionPolicy`, and one
+left-looking blocked loop factors it in place (:func:`_factor_in_place`).
+Updates accumulate in double precision but read tiles rounded to their
+storage precision, so the reduced-precision variants genuinely lose the
+corresponding mantissa bits — the accuracy ablations (paper Fig. 4) measure
+exactly that loss.
 
-Communication metadata (who broadcasts which tile to how many consumers,
-and where precision conversions happen) is attached to the tasks so the
-analytic performance model can price the sender-side versus
-receiver-side conversion strategies of Section V-A.
+:func:`generate_cholesky_tasks` is the paper's right-looking task DAG of the
+same factorisation, with the communication metadata (broadcast fan-out,
+precision conversions) the analytic performance model prices for the
+sender- versus receiver-side strategies of Section V-A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
+from scipy.linalg import LinAlgError, solve_triangular
 from scipy.linalg import cholesky as scipy_cholesky
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm
 
-from repro.linalg.flops import gemm_flops, potrf_flops, syrk_flops, trsm_flops
+from repro.linalg.flops import (
+    cholesky_tile_counts, gemm_flops, potrf_flops, syrk_flops, trsm_flops,
+)
 from repro.linalg.policies import PrecisionPolicy, variant_policy
 from repro.linalg.precision import PRECISIONS, Precision
 from repro.linalg.tile import Tile
 from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.runtime.machine import ConversionSide
-from repro.runtime.dag import TaskGraph, build_task_graph
-from repro.runtime.executor import LocalExecutor, TileStore
 from repro.runtime.task import Task
 
 __all__ = [
     "dense_cholesky",
     "generate_cholesky_tasks",
-    "CholeskyPlan",
     "CholeskyResult",
     "MixedPrecisionCholesky",
 ]
@@ -56,79 +57,127 @@ def dense_cholesky(matrix: np.ndarray, jitter: float = 0.0) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Kernel factories
+# The factorisation: one blocked loop, in place
 # --------------------------------------------------------------------------- #
-def _store_write(store: TileStore, key, values: np.ndarray) -> None:
-    store[key] = np.asarray(values).astype(store[key].dtype)
+def _factor_in_place(
+    w: np.ndarray, tile_size: int, policy: PrecisionPolicy, jitter: float
+) -> dict[tuple[int, int], Precision]:
+    """Overwrite the lower triangle of ``w`` (float64, ``(n, n)``) with its factor.
 
+    Per tile column ``b``: one GEMM against the columns to its left, the
+    diagonal tile's POTRF (with the relative ``jitter`` on its diagonal),
+    one TRSM for the tiles below, then each tile not stored in double is
+    rounded to its precision in place, so later GEMMs read stored-precision
+    values and accumulate them in float64.  Returns the policy's precision
+    of every lower tile, row-major.
 
-def _potrf_kernel(label: str, k: int, jitter: float):
-    def kernel(store: TileStore) -> None:
-        a = store[(label, k, k)].astype(np.float64)
-        a = 0.5 * (a + a.T)
+    Every BLAS / LAPACK call goes through ``scipy.linalg``: numpy and scipy
+    each bundle an OpenBLAS with its own thread pool, and alternating the
+    two leaves both pools spinning (k = 2,304 on 2 cores: 0.277 s mixed,
+    0.114 s all scipy).  ``tests/lint/test_one_blas.py`` guards this.
+    """
+    n, nb = w.shape[0], tile_size
+    n_tiles = -(-n // nb)
+    precisions = policy.precision_map(n_tiles)
+    # The scipy wrappers take Fortran-ordered operands: slices of the
+    # transposed view reach them as column copies, not transposing ones.
+    wt = w.T
+    for b in range(n_tiles):
+        c0, c1 = b * nb, min(b * nb + nb, n)
+        if c0:
+            # w[c0:, c0:c1] -= w[c0:, :c0] @ w[c0:c1, :c0].T
+            wt[c0:c1, c0:] = dgemm(
+                -1.0, wt[:c0, c0:c1], wt[:c0, c0:], 1.0, wt[c0:c1, c0:], trans_a=1
+            )
+        # POTRF of the diagonal tile, symmetrised from its lower triangle.
+        a = np.tril(w[c0:c1, c0:c1])
+        a = a + np.tril(a, -1).T
         if jitter > 0:
-            a = a + np.eye(a.shape[0]) * jitter * float(np.mean(np.diag(a)))
+            a = a + np.eye(c1 - c0) * jitter * float(np.mean(np.diag(a)))
         scale = float(np.mean(np.abs(np.diag(a)))) or 1.0
-        # Reduced-precision updates can push a trailing diagonal block
-        # slightly indefinite; retry with an escalating ridge (the paper's
-        # "minor perturbation along the diagonal" safeguard).
+        # Reduced-precision updates can push a diagonal tile slightly
+        # indefinite; retry with an escalating ridge (the paper's "minor
+        # perturbation along the diagonal" safeguard).
         for ridge in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
             try:
-                l = scipy_cholesky(a + np.eye(a.shape[0]) * ridge * scale, lower=True)
+                l = scipy_cholesky(a + np.eye(c1 - c0) * ridge * scale, lower=True)
                 break
-            except np.linalg.LinAlgError:
+            except LinAlgError:
                 continue
-        else:  # pragma: no cover - pathological inputs only
-            raise np.linalg.LinAlgError(
-                f"diagonal tile {k} is not positive definite even with a 1e-2 ridge"
+        else:
+            raise LinAlgError(f"diagonal tile {b} is not positive definite even with a 1e-2 ridge")
+        w[c0:c1, c0:c1] = l.astype(precisions[(b, b)].dtype)
+        if c1 < n:
+            # w[c1:, c0:c1] = w[c1:, c0:c1] @ inv(l).T
+            wt[c0:c1, c1:] = solve_triangular(
+                w[c0:c1, c0:c1], wt[c0:c1, c1:], lower=True
             )
-        _store_write(store, (label, k, k), np.tril(l))
-    return kernel
+        for precision, rows in groupby(range(b + 1, n_tiles), lambda i: precisions[(i, b)]):
+            if precision is not Precision.DOUBLE:
+                rows = list(rows)
+                block = wt[c0:c1, rows[0] * nb:rows[-1] * nb + nb]
+                block[...] = block.astype(precision.dtype)
+    return precisions
 
 
-def _trsm_kernel(label: str, i: int, k: int):
-    def kernel(store: TileStore) -> None:
-        l_kk = np.tril(store[(label, k, k)].astype(np.float64))
-        a_ik = store[(label, i, k)].astype(np.float64)
-        # Solve X * L_kk^T = A_ik  =>  X = A_ik * L_kk^{-T}
-        x = solve_triangular(l_kk, a_ik.T, lower=True, trans="N").T
-        _store_write(store, (label, i, k), x)
-    return kernel
+def _accounting(
+    precisions: dict[tuple[int, int], Precision], n: int, tile_size: int, side: ConversionSide
+) -> tuple[dict[str, float], int, int]:
+    """``(flops_by_precision, conversions, n_tasks)``: the totals of
+    :func:`generate_cholesky_tasks`, in closed form from the precision map.
 
+    Tile ``(i, i)`` takes POTRF(i) and ``i`` SYRKs, tile ``(i, j)`` TRSM(i, j)
+    and ``j`` GEMMs.  POTRF(k) broadcasts to column ``k`` below the diagonal;
+    TRSM(i, k) to row ``i`` right of ``k`` and to column ``i`` below the
+    diagonal.
+    """
+    nb, nt = tile_size, -(-n // tile_size)
+    codes = np.full((nt, nt), -1)
+    for key, precision in precisions.items():
+        codes[key] = PRECISIONS.index(precision)
+    onehot = codes == np.arange(len(PRECISIONS))[:, None, None]  # [c, i, j]
+    rows = np.minimum(nb, n - nb * np.arange(nt)) / nb
+    i, j = np.tril_indices(nt, -1)
+    flops = np.zeros((nt, nt))
+    flops[i, j] = trsm_flops(nb) * rows[i] + j * gemm_flops(nb) * rows[i] * rows[j]
+    flops[np.diag_indices(nt)] = [
+        potrf_flops(r * nb) + k * syrk_flops(r * nb) for k, r in enumerate(rows)
+    ]
+    by_precision = (onehot * flops).sum(axis=(1, 2))
+    # Consumers per precision: strictly below each diagonal tile in its
+    # column, and strictly right of each tile in its row.
+    below = onehot.sum(axis=1) - onehot[:, np.arange(nt), np.arange(nt)]
+    right = np.cumsum(onehot[:, :, ::-1], axis=2)[:, :, ::-1] - onehot
 
-def _syrk_kernel(label: str, i: int, k: int):
-    def kernel(store: TileStore) -> None:
-        a_ik = store[(label, i, k)].astype(np.float64)
-        a_ii = store[(label, i, i)].astype(np.float64)
-        _store_write(store, (label, i, i), a_ii - a_ik @ a_ik.T)
-    return kernel
+    def converted(counts: np.ndarray, source: np.ndarray) -> int:
+        other = np.arange(len(PRECISIONS))[:, None] != source
+        per_target = counts if side is ConversionSide.RECEIVER else counts > 0
+        return int((per_target * other).sum())
 
-
-def _gemm_kernel(label: str, i: int, j: int, k: int):
-    def kernel(store: TileStore) -> None:
-        a_ik = store[(label, i, k)].astype(np.float64)
-        a_jk = store[(label, j, k)].astype(np.float64)
-        a_ij = store[(label, i, j)].astype(np.float64)
-        _store_write(store, (label, i, j), a_ij - a_ik @ a_jk.T)
-    return kernel
+    conversions = converted(below, np.diag(codes)) + converted(
+        right[:, i, j] + below[:, i], codes[i, j]
+    )
+    flops_by_precision = {p.value: float(f) for p, f in zip(PRECISIONS, by_precision) if f}
+    return flops_by_precision, conversions, sum(cholesky_tile_counts(nt).values())
 
 
 # --------------------------------------------------------------------------- #
-# Task generation
+# Task generation (the performance model's view of the same factorisation)
 # --------------------------------------------------------------------------- #
 def generate_cholesky_tasks(
     tiled: TiledSymmetricMatrix,
     label: str = "A",
     conversion: ConversionSide | str = ConversionSide.SENDER,
-    jitter: float = 0.0,
 ) -> list[Task]:
     """Generate the right-looking tile Cholesky task list for ``tiled``.
 
-    The returned tasks carry real kernels (so the local executor produces
-    the factor), per-kernel flop counts, the compute precision taken from
-    the output tile's storage precision, and communication metadata
+    The tasks carry per-kernel flop counts, the compute precision taken
+    from the output tile's storage precision, and communication metadata
     (broadcast fan-out and conversion counts under the chosen conversion
-    side).
+    side) — what the performance model and the DAG analysis price.  They
+    carry no kernels: :meth:`MixedPrecisionCholesky.factorize` computes the
+    factor with a blocked loop, and its accounting equals this list's
+    totals.
     """
     side = ConversionSide(conversion)
     nt = tiled.n_tiles
@@ -151,7 +200,6 @@ def generate_cholesky_tasks(
                 writes=((label, k, k),),
                 flops=potrf_flops(tiled.tile_rows(k)),
                 precision=tile_precision(k, k).value,
-                func=_potrf_kernel(label, k, jitter),
                 priority=panel_priority + 1,
                 metadata={
                     "panel": k,
@@ -174,7 +222,6 @@ def generate_cholesky_tasks(
                     writes=((label, i, k),),
                     flops=trsm_flops(nb) * (tiled.tile_rows(i) / nb),
                     precision=tile_precision(i, k).value,
-                    func=_trsm_kernel(label, i, k),
                     priority=panel_priority,
                     metadata={
                         "panel": k,
@@ -192,7 +239,6 @@ def generate_cholesky_tasks(
                     writes=((label, i, i),),
                     flops=syrk_flops(tiled.tile_rows(i)),
                     precision=tile_precision(i, i).value,
-                    func=_syrk_kernel(label, i, k),
                     priority=panel_priority - 1,
                     metadata={"panel": k},
                 )
@@ -208,7 +254,6 @@ def generate_cholesky_tasks(
                         * (tiled.tile_rows(i) / nb)
                         * (tiled.tile_rows(j) / nb),
                         precision=tile_precision(i, j).value,
-                        func=_gemm_kernel(label, i, j, k),
                         priority=panel_priority - 2,
                         metadata={"panel": k},
                     )
@@ -475,30 +520,6 @@ def _tiles_from_packed(
     return {key: tiles[key] for key in order}
 
 
-@dataclass
-class CholeskyPlan:
-    """A tiled matrix together with its factorisation task graph."""
-
-    tiled: TiledSymmetricMatrix
-    tasks: list[Task]
-    label: str = "A"
-    graph: TaskGraph = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.graph = build_task_graph(self.tasks)
-
-    def execute(self, validate: bool = True) -> TiledSymmetricMatrix:
-        """Run the kernels locally; the tiled matrix becomes its factor."""
-        store = self.tiled.as_tile_store(self.label)
-        LocalExecutor(validate=validate).run(self.graph, store)
-        self.tiled.adopt_store(store, self.label)
-        return self.tiled
-
-    def tile_bytes(self) -> dict[tuple, float]:
-        """Store-key to byte-size mapping (communication-volume accounting)."""
-        return self.tiled.tile_bytes_map(self.label)
-
-
 class MixedPrecisionCholesky:
     """High-level mixed-precision Cholesky driver.
 
@@ -510,10 +531,12 @@ class MixedPrecisionCholesky:
         One of ``"DP"``, ``"DP/SP"``, ``"DP/SP/HP"``, ``"DP/HP"`` or a
         custom :class:`PrecisionPolicy`.
     conversion:
-        ``"sender"`` or ``"receiver"`` precision-conversion placement.
+        ``"sender"`` or ``"receiver"`` precision-conversion placement (it
+        changes the ``conversions`` count, not the factor).
     jitter:
-        Relative diagonal ridge applied inside POTRF kernels (stabilises the
-        aggressive half-precision variants and rank-deficient covariances).
+        Relative diagonal ridge added to each diagonal tile before its
+        POTRF (stabilises the aggressive half-precision variants and
+        rank-deficient covariances).
     """
 
     def __init__(
@@ -530,33 +553,35 @@ class MixedPrecisionCholesky:
         self.conversion = ConversionSide(conversion)
         self.jitter = jitter
 
-    def plan(self, matrix: np.ndarray) -> CholeskyPlan:
-        """Tile ``matrix`` and build the factorisation task graph."""
-        tiled = TiledSymmetricMatrix.from_dense(matrix, self.tile_size, self.policy)
-        tasks = generate_cholesky_tasks(
-            tiled, conversion=self.conversion, jitter=self.jitter
-        )
-        return CholeskyPlan(tiled=tiled, tasks=tasks)
-
     def factorize(self, matrix: np.ndarray) -> CholeskyResult:
-        """Factorise ``matrix`` and return the result with accounting."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        plan = self.plan(matrix)
-        dense_bytes = matrix.shape[0] * matrix.shape[0] * 8
-        flops_by_precision: dict[str, float] = {}
-        conversions = 0
-        for t in plan.tasks:
-            flops_by_precision[t.precision] = flops_by_precision.get(t.precision, 0.0) + t.flops
-            conversions += int(t.metadata.get("conversions", 0))
-        factor = plan.execute()
+        """Factorise the symmetric ``matrix`` (its lower triangle is read)."""
+        return self.factorize_in_place(np.tril(np.asarray(matrix, dtype=np.float64)))
+
+    def factorize_in_place(self, work: np.ndarray) -> CholeskyResult:
+        """Factorise the matrix whose lower triangle ``work`` holds, overwriting ``work``.
+
+        ``work`` is a square float64 array, fastest in C order; the result
+        stops referencing it once its row panels are built, so the caller
+        releases the buffer by dropping it.
+        """
+        if work.dtype != np.float64 or work.ndim != 2 or work.shape[0] != work.shape[1]:
+            raise ValueError(f"matrix must be square float64, got {work.dtype} {work.shape}")
+        n, nb = work.shape[0], self.tile_size
+        precisions = _factor_in_place(work, nb, self.policy, self.jitter)
+        factor = TiledSymmetricMatrix(n=n, tile_size=nb, policy=self.policy)
+        factor.tiles = {
+            (i, j): Tile(data=work[i * nb:i * nb + nb, j * nb:j * nb + nb], precision=precision)
+            for (i, j), precision in precisions.items()
+        }
+        flops_by_precision, conversions, n_tasks = _accounting(precisions, n, nb, self.conversion)
         return CholeskyResult(
             factor=factor,
             variant=self.policy.name,
-            tile_size=self.tile_size,
+            tile_size=nb,
             flops_by_precision=flops_by_precision,
             total_flops=sum(flops_by_precision.values()),
             storage_bytes=factor.storage_bytes(),
-            dense_bytes=dense_bytes,
+            dense_bytes=n * n * 8,
             conversions=conversions,
-            n_tasks=len(plan.tasks),
+            n_tasks=n_tasks,
         )

@@ -3,9 +3,7 @@
 Tiles are the unit of data in the tile-based algorithms: an ``nb x nb``
 block of the matrix stored at one of the three precisions.  Values are kept
 in their native dtype so that reduced-precision tiles really do lose the
-corresponding mantissa bits (the accuracy ablations depend on this), and
-are promoted to float64 on demand when a kernel accumulates in double
-precision.
+corresponding mantissa bits (the accuracy ablations depend on this).
 """
 
 from __future__ import annotations
@@ -52,25 +50,13 @@ class Tile:
         return int(self.data.nbytes)
 
     def as_float64(self) -> np.ndarray:
-        """The tile values promoted to float64 (used inside kernels)."""
+        """The tile values promoted to float64."""
         return self.data.astype(np.float64)
-
-    def set_from_float64(self, values: np.ndarray) -> None:
-        """Store float64 values, rounding to the tile's precision."""
-        self.data = np.asarray(values).astype(self.precision.dtype)
 
     def convert_to(self, precision: Precision) -> "Tile":
         """Return a copy of the tile at another precision."""
         return Tile(data=self.data.astype(precision.dtype), precision=precision,
                     conversions=self.conversions + 1)
-
-    def round_trip_error(self) -> float:
-        """Max abs difference between the tile and its float64 promotion.
-
-        Zero by construction (the stored values *are* the rounded values);
-        provided for symmetry with :meth:`quantisation_error`.
-        """
-        return float(np.max(np.abs(self.as_float64() - self.data.astype(np.float64)))) if self.data.size else 0.0
 
     def quantisation_error(self, reference: np.ndarray) -> float:
         """Max abs difference between the tile and a float64 reference."""

@@ -4,9 +4,8 @@ The covariance matrix ``U`` of the emulator's spectral innovations is
 symmetric positive definite; only its lower triangle is stored, partitioned
 into square tiles whose individual storage precision is dictated by a
 :class:`~repro.linalg.policies.PrecisionPolicy`.  The container provides
-conversion to and from dense float64 matrices, per-precision byte
-accounting (the memory-saving side of mixed precision), and the tile store
-consumed by the runtime executor.
+conversion to and from dense float64 matrices, and per-precision byte
+accounting (the memory-saving side of mixed precision).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from repro.linalg.policies import PrecisionPolicy, variant_policy
 from repro.linalg.precision import Precision
 from repro.linalg.tile import Tile
-from repro.runtime.executor import TileStore
 
 __all__ = ["TiledSymmetricMatrix"]
 
@@ -141,26 +139,3 @@ class TiledSymmetricMatrix:
             key = tile.precision.short_name
             out[key] = out.get(key, 0) + 1
         return out
-
-    # ------------------------------------------------------------------ #
-    # Runtime integration
-    # ------------------------------------------------------------------ #
-    def as_tile_store(self, label: str = "A") -> TileStore:
-        """A runtime tile store viewing the tiles as ``(label, i, j)`` keys.
-
-        The store holds the *same* arrays as the tiles, so kernels executed
-        by the runtime mutate this matrix in place.
-        """
-        store = TileStore()
-        for (i, j), tile in self.tiles.items():
-            store[(label, i, j)] = tile.data
-        return store
-
-    def adopt_store(self, store: TileStore, label: str = "A") -> None:
-        """Re-bind tile arrays from a store (after kernels replaced them)."""
-        for (i, j), tile in self.tiles.items():
-            tile.data = np.asarray(store[(label, i, j)]).astype(tile.precision.dtype)
-
-    def tile_bytes_map(self, label: str = "A") -> dict[tuple, float]:
-        """Mapping from store keys to tile sizes in bytes (byte accounting)."""
-        return {(label, i, j): float(t.nbytes) for (i, j), t in self.tiles.items()}

@@ -2,16 +2,15 @@
 
 The paper's solver is expressed as a DAG of tile tasks (POTRF / TRSM /
 SYRK / GEMM) executed by the PaRSEC runtime over thousands of GPUs.  This
-subpackage keeps the pieces of that machinery the rest of the package
-actually runs on:
+subpackage keeps the pieces of that machinery the performance model prices
+(``linalg`` computes the factor with a blocked loop of its own):
 
 * :mod:`repro.runtime.task` — task descriptions (reads/writes, flops,
   compute precision, communication payloads).
 * :mod:`repro.runtime.dag` — dependency analysis: build the task graph from
   data accesses, critical path, parallelism profile.
-* :mod:`repro.runtime.executor` — a *local numerical executor* that runs the
-  task kernels for real (sequentially, respecting dependencies) against a
-  tile store; this is what actually factorises matrices in this package.
+* :mod:`repro.runtime.executor` — a local executor that runs attached task
+  kernels sequentially, in dependency order, against a tile store.
 * :mod:`repro.runtime.machine` — descriptions of GPUs, nodes and machines
   (per-precision peak rates, memory, interconnect) plus the collective-
   priority and conversion-side policy enums of Sections III-C and V-A.
@@ -24,7 +23,7 @@ per ROADMAP item 5: the analytic cost model in
 """
 
 from repro.runtime.task import Task
-from repro.runtime.dag import TaskGraph, build_task_graph
+from repro.runtime.dag import build_task_graph
 from repro.runtime.executor import LocalExecutor, TileStore
 from repro.runtime.machine import (
     CollectivePriority,
@@ -42,7 +41,6 @@ __all__ = [
     "MachineSpec",
     "NodeSpec",
     "Task",
-    "TaskGraph",
     "TileStore",
     "build_task_graph",
 ]

@@ -1,8 +1,8 @@
 """Local numerical execution of task DAGs.
 
-The :class:`LocalExecutor` is the piece of the runtime that actually
-computes: it walks a task graph in dependency order and applies each task's
-kernel to a :class:`TileStore`.  On the single-node Python substrate the
+The :class:`LocalExecutor` walks a task graph in dependency order and
+applies each task's kernel, if it carries one (the Cholesky task model
+does not), to a :class:`TileStore`.  On the single-node Python substrate the
 execution is sequential, but the executor still verifies that the order it
 follows respects the DAG (exactly what a dataflow runtime guarantees) and
 records an execution trace that the tests cross-check.

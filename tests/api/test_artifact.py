@@ -93,12 +93,12 @@ def write_schema_1(emulator: ClimateEmulator, path) -> None:
     """Write ``emulator`` in the layout every release before 1.13 wrote.
 
     Schema 1: the dense ``covariance`` beside one member per tile, all
-    deflated.  Needs an emulator fitted in-process (the covariance is a
-    fit-time attribute).
+    deflated.  The fit keeps no covariance; ``L L^T`` stands in for it (the
+    loader skips the member either way).
     """
     state = emulator.state_dict()
     model = emulator.spectral_model
-    state["spectral_model"]["covariance"] = np.asarray(model.covariance)
+    state["spectral_model"]["covariance"] = model.cholesky.reconstruction()
     cholesky = {
         k: v for k, v in state["spectral_model"]["cholesky"].items()
         if not isinstance(v, np.ndarray)
@@ -165,11 +165,18 @@ class TestSchemas:
         assert artifact.schema_version == 1
         assert "covariance" not in artifact.state["spectral_model"]  # never inflated
 
-    def test_covariance_is_fit_time_only(self, variant_emulator, tmp_path):
+    def test_covariance_is_fit_time_only(
+        self, variant_emulator, innovation_covariance, tmp_path
+    ):
+        """Neither the fitted nor the loaded model holds ``U``; both factors
+        reconstruct the ``U`` recomputed from the training innovations."""
         repro.save(variant_emulator, tmp_path / "v2.npz")
         loaded = repro.load(tmp_path / "v2.npz")
-        assert variant_emulator.spectral_model.covariance is not None
-        assert loaded.spectral_model.covariance is None
+        covariance = innovation_covariance(variant_emulator)
+        for model in (variant_emulator.spectral_model, loaded.spectral_model):
+            assert not hasattr(model, "covariance")
+            # ~1e-4: the factorisation's own diagonal jitter
+            assert model.cholesky.relative_error(covariance) < 1e-3
         assert loaded.parameter_count() == variant_emulator.parameter_count()
         assert loaded.storage_summary() == variant_emulator.storage_summary()
 

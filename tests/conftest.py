@@ -64,6 +64,35 @@ def small_ensemble():
 
 
 @pytest.fixture(scope="session")
+def innovation_covariance():
+    """``U`` as a fit defines it (Eq. 9 plus the diagonal ridge), recomputed.
+
+    The fit factors ``U`` in place and keeps only the factor, so tests that
+    need ``U`` rebuild it in float64 from the training innovations.  Call
+    with a fitted ``ClimateEmulator``, or with a fitted
+    ``SpectralStochasticModel`` and the standardised residuals it was
+    fitted on.
+    """
+
+    def compute(fitted, standardized=None) -> np.ndarray:
+        model = fitted
+        if standardized is None:
+            ensemble = fitted.training
+            residuals = fitted.trend_model.residuals(
+                ensemble.data, ensemble.forcing_annual, fitted.trend_fit
+            )
+            standardized = fitted.scale.standardize(residuals)
+            model = fitted.spectral_model
+        innovations = model.var.innovations(model.spectral_series(standardized))
+        flat = innovations.reshape(-1, innovations.shape[-1])
+        cov = flat.T @ flat / flat.shape[0]
+        ridge = model.covariance_jitter * float(np.mean(np.diag(cov)))
+        return cov + np.eye(len(cov)) * ridge
+
+    return compute
+
+
+@pytest.fixture(scope="session")
 def fitted_emulator(small_ensemble):
     """An emulator fitted on the small ensemble (shared, read-only)."""
     emulator = ClimateEmulator(

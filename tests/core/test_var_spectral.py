@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsyrk
 
 import repro
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.var import DiagonalVAR
+from repro.linalg import VARIANTS
 from repro.linalg.cholesky import CholeskyResult, MixedPrecisionCholesky
 from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 
@@ -98,31 +100,35 @@ class TestSpectralStochasticModel:
         assert series.shape == standardized.shape[:2] + (64,)
         assert series.dtype == np.float64
 
-    def test_covariance_is_spd(self, fitted):
-        model, _ = fitted
-        eigenvalues = np.linalg.eigvalsh(model.covariance)
+    def test_covariance_is_spd(self, fitted, innovation_covariance):
+        eigenvalues = np.linalg.eigvalsh(innovation_covariance(*fitted))
         assert eigenvalues.min() > 0
 
-    def test_cholesky_reconstructs_covariance(self, fitted):
-        model, _ = fitted
-        l = model.cholesky.lower()
-        rel = np.linalg.norm(l @ l.T - model.covariance) / np.linalg.norm(model.covariance)
-        # The factorisation applies the configured relative jitter (1e-6)
-        # inside the diagonal kernels, so the reconstruction is accurate to
-        # that level rather than to machine precision.
-        assert rel < 1e-5
-
-    def test_in_place_jitter_is_the_out_of_place_covariance(self, fitted):
-        """``cov[diag] += ...`` leaves the bits ``cov + eye * ...`` produced,
-        so the factor's bits are unchanged too."""
+    def test_cholesky_reconstructs_covariance(self, fitted, innovation_covariance):
         model, standardized = fitted
+        # The factorisation applies the configured relative jitter (1e-6)
+        # to the diagonal tiles, so the reconstruction is accurate to that
+        # level rather than to machine precision.
+        assert model.cholesky.relative_error(innovation_covariance(model, standardized)) < 1e-5
+        assert not hasattr(model, "covariance")  # factored in place, not kept
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fit_factor_is_factorize_of_the_syrk_covariance(self, fitted, variant):
+        """One factorisation path: the fit's in-place factor is, bit for bit,
+        what ``factorize`` makes of the symmetrised SYRK covariance."""
+        _, standardized = fitted
+        model = SpectralStochasticModel(
+            lmax=8, grid=fitted[0].grid, var_order=1, tile_size=16,
+            precision_variant=variant, covariance_jitter=1e-4,
+        ).fit(standardized)
         flat = model.var.innovations(model.spectral_series(standardized)).reshape(-1, 64)
-        cov = flat.T @ flat / flat.shape[0]
-        expected = cov + np.eye(64) * model.covariance_jitter * float(np.mean(np.diag(cov)))
-        assert np.array_equal(model.covariance, expected)
+        upper = dsyrk(1.0 / flat.shape[0], flat.T, lower=0)
+        covariance = np.triu(upper) + np.triu(upper, 1).T
+        covariance[np.diag_indices(64)] += 1e-4 * float(np.mean(np.diag(covariance)))
         refactored = MixedPrecisionCholesky(
-            tile_size=16, variant="DP", jitter=model.covariance_jitter
-        ).factorize(expected)
+            tile_size=16, variant=variant, jitter=1e-4
+        ).factorize(covariance)
+        assert model.cholesky.factor.precision_counts() == refactored.factor.precision_counts()
         assert np.array_equal(model.cholesky.lower(), refactored.lower())
 
     def test_nugget_nonnegative_and_small(self, fitted):
@@ -173,6 +179,28 @@ class TestSpectralStochasticModel:
             model.sample_innovations(np.random.default_rng(), 1, 4)
         with pytest.raises(RuntimeError):
             model.parameter_count()
+
+    @pytest.mark.parametrize("variant", ["DP/SP/HP", "DP/HP"])
+    def test_rank_deficient_half_precision_fit_is_refused_actionably(
+        self, small_ensemble, variant
+    ):
+        """15 samples for k = 64: a 1e-6 ridge is below half-precision
+        rounding, and the refusal says so — and what to raise."""
+        standardized = np.random.default_rng(0).standard_normal((1, 16) + small_ensemble.grid.shape)
+
+        def fit(jitter):
+            return SpectralStochasticModel(
+                lmax=8, grid=small_ensemble.grid, var_order=1, tile_size=16,
+                precision_variant=variant, covariance_jitter=jitter,
+            ).fit(standardized)
+
+        with pytest.raises(np.linalg.LinAlgError) as refused:
+            fit(1e-6)
+        message = str(refused.value)
+        for part in (variant, "k = 64", "15 samples", "covariance_jitter=1e-06",
+                     "not positive definite", "raise covariance_jitter to 9.8e-04"):
+            assert part in message
+        assert fit(1e-3).cholesky.factor.n == 64
 
     def test_record_too_short_raises(self, small_ensemble):
         model = SpectralStochasticModel(lmax=8, grid=small_ensemble.grid, var_order=3)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
+import repro.linalg.cholesky as cholesky_module
 from repro.linalg import (
     MixedPrecisionCholesky,
     TiledSymmetricMatrix,
@@ -12,7 +14,7 @@ from repro.linalg import (
 )
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
-from repro.runtime import build_task_graph
+from repro.runtime import Task, build_task_graph
 
 
 class TestDenseReference:
@@ -130,6 +132,68 @@ class TestFactorizationAccuracy:
     def test_invalid_tile_size(self):
         with pytest.raises(ValueError):
             MixedPrecisionCholesky(tile_size=0)
+
+    @pytest.mark.parametrize("n, tile_size", [(300, 24), (300, 64), (40, 64)])
+    def test_dense_cholesky_is_the_dp_oracle(self, n, tile_size):
+        """Ragged last tiles, several GEMM widths, a single tile."""
+        cov = TestRowPanels.covariance(n, seed=n)
+        result = MixedPrecisionCholesky(tile_size=tile_size, variant="DP").factorize(cov)
+        assert result.factor_error(dense_cholesky(cov)) < 1e-12
+
+    def test_only_the_lower_triangle_is_read(self, spd_matrix):
+        junk = spd_matrix + np.triu(np.full_like(spd_matrix, 7.0), 1)
+        solver = MixedPrecisionCholesky(tile_size=24, variant="DP/SP")
+        assert np.array_equal(
+            solver.factorize(junk).lower(), solver.factorize(spd_matrix).lower()
+        )
+
+    def test_factorize_in_place_overwrites_the_buffer(self, spd_matrix):
+        """The buffer ends up holding the factor, which the result no longer
+        references once its row panels are built."""
+        work = np.tril(spd_matrix)
+        result = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize_in_place(work)
+        assert np.array_equal(np.tril(work), result.lower())
+        assert not any(np.shares_memory(t.data, work) for t in result.factor.tiles.values())
+        with pytest.raises(ValueError, match="must be square float64"):
+            MixedPrecisionCholesky(tile_size=16).factorize_in_place(work.astype(np.float32))
+
+    def test_no_task_list_on_the_factorisation_path(self, small_ensemble, monkeypatch):
+        """``factorize`` and ``repro.fit`` run with the task model disabled."""
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("the factorisation built the task list")
+
+        monkeypatch.setattr(cholesky_module, "generate_cholesky_tasks", disabled)
+        monkeypatch.setattr(Task, "__init__", disabled)
+        spd = TestRowPanels.covariance(100)
+        result = MixedPrecisionCholesky(tile_size=16, variant="DP/SP/HP").factorize(spd)
+        assert result.n_tasks == sum(cholesky_tile_counts(7).values())
+        emulator = repro.fit(
+            small_ensemble, lmax=8, var_order=1, tile_size=16, rho_grid=(0.5,),
+            precision_variant="DP/SP",
+        )
+        assert emulator.spectral_model.cholesky.factor.n == 64
+
+
+@pytest.mark.parametrize("conversion", ["sender", "receiver"])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("tile_size", [16, 24, 64])
+@pytest.mark.parametrize("n", [64, 100, 300])
+def test_closed_form_accounting_is_the_task_lists_totals(n, tile_size, variant, conversion):
+    """``flops_by_precision`` / ``conversions`` / ``n_tasks`` of a factorisation
+    equal the sums over the task list the performance model prices."""
+    spd = TestRowPanels.covariance(n)
+    result = MixedPrecisionCholesky(tile_size, variant, conversion).factorize(spd)
+    tasks = generate_cholesky_tasks(
+        TiledSymmetricMatrix.from_dense(spd, tile_size, variant), conversion=conversion
+    )
+    flops = {}
+    for task in tasks:
+        flops[task.precision] = flops.get(task.precision, 0.0) + task.flops
+    assert result.flops_by_precision == pytest.approx(flops, rel=1e-12)
+    assert result.total_flops == pytest.approx(sum(flops.values()), rel=1e-12)
+    assert result.conversions == sum(t.metadata.get("conversions", 0) for t in tasks)
+    assert result.n_tasks == len(tasks)
 
 
 class TestPackedState:
@@ -263,17 +327,20 @@ class TestRowPanels:
     @pytest.mark.parametrize("variant", ["DP/SP", "DP/SP/HP", "DP/HP"])
     @pytest.mark.parametrize("n, tile_size", [(200, 24), (289, 16)])
     def test_mixed_draw_is_within_the_factors_own_error(self, variant, n, tile_size):
-        """Multiplying reduced-precision tiles in float32 costs what storing
-        them in single precision did (both round at 6e-8; the draw rounds
-        ``z`` and the partial sums as well), and far less than half-precision
-        storage: against the dense float64 product the draw stays within a
-        small multiple of the factor's distance from the covariance."""
+        """Multiplying reduced-precision tiles in float32 costs about what
+        storing them in single precision did (both round at 6e-8; the draw
+        rounds ``z`` and the partial sums as well), and far less than
+        half-precision storage: against the dense float64 product the draw
+        stays within a small multiple of the factor's distance from the
+        covariance, or of float32's unit roundoff where that is larger (a
+        DP/SP factor, rounded once per tile, reconstructs these matrices to
+        4e-9)."""
         cov = self.covariance(n)
         result = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(cov)
         z = np.random.default_rng(1).standard_normal((48, n))
         dense = z @ result.lower().T
         error = np.linalg.norm(result.correlate(z) - dense) / np.linalg.norm(dense)
-        assert 0 < error < 3.0 * result.relative_error(cov)
+        assert 0 < error < 3.0 * max(result.relative_error(cov), 2.0 ** -24)
 
     def test_panels_hold_the_lower_triangle_once_at_stored_width(self):
         n, tile_size = 1024, 64

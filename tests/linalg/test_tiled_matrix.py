@@ -65,20 +65,6 @@ class TestPrecisionAccounting:
 
 
 class TestRuntimeIntegration:
-    def test_tile_store_shares_memory_semantics(self, spd_matrix):
-        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 16, "DP")
-        store = tiled.as_tile_store()
-        assert set(store) == {("A", i, j) for i in range(4) for j in range(i + 1)}
-        store[("A", 0, 0)] = np.zeros((16, 16))
-        tiled.adopt_store(store)
-        assert np.allclose(tiled.tile(0, 0).as_float64(), 0.0)
-
-    def test_tile_bytes_map(self, spd_matrix):
-        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 16, "DP/HP")
-        bytes_map = tiled.tile_bytes_map()
-        assert bytes_map[("A", 0, 0)] == 16 * 16 * 8
-        assert bytes_map[("A", 3, 0)] == 16 * 16 * 2
-
     def test_custom_policy_object(self, spd_matrix):
         policy = variant_policy("DP/SP")
         tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 16, policy)

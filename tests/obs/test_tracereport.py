@@ -178,6 +178,20 @@ class TestRendering:
 
 
 class TestLayerCoverage:
+    def test_a_traced_fit_names_every_stage(self, small_ensemble, tmp_path):
+        """Every stage of the spectral fit is a system-owned span nested
+        under ``fit.spectral``, so the report attributes the fit's time."""
+        trace = tmp_path / "fit.jsonl"
+        with tracing(trace):
+            repro.fit(small_ensemble, lmax=8, var_order=1, tile_size=16, rho_grid=(0.5,))
+        records = load_trace(trace)
+        (spectral,) = [r for r in records if r["name"] == "fit.spectral"]
+        stages = ("fit.analysis", "fit.var", "fit.covariance", "fit.cholesky", "fit.truncation")
+        nested = {r["name"] for r in records if r["parent_id"] == spectral["span_id"]}
+        assert set(stages) <= nested
+        names = {row["name"] for row in aggregate(records)}
+        assert set(stages) | {"fit.trend", "fit.scale", "facade.fit"} <= names
+
     def test_one_traced_workload_profiles_every_layer(
         self, fitted_emulator, small_grid, tmp_path, capsys
     ):

@@ -14,7 +14,7 @@ from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.data.forcing import scenario_forcing
 from repro.linalg import MixedPrecisionCholesky
-from repro.runtime import LocalExecutor, build_task_graph
+from repro.runtime import LocalExecutor, TileStore, build_task_graph
 from repro.stats import consistency_report
 from repro.storage import StorageScenario, savings_report
 from repro.systems import SUMMIT, CholeskyPerformanceModel
@@ -101,25 +101,26 @@ class TestFullPipeline:
 
 
 class TestCovarianceSolverIntegration:
-    def test_emulator_covariance_through_all_precision_variants(self, pipeline):
+    def test_emulator_covariance_through_all_precision_variants(
+        self, pipeline, innovation_covariance
+    ):
         """Factorising the fitted covariance with every variant stays accurate."""
         _, emulator, _ = pipeline
-        cov = emulator.spectral_model.covariance
+        cov = innovation_covariance(emulator)
         reference = MixedPrecisionCholesky(tile_size=25, variant="DP").factorize(cov)
         for variant, tol in (("DP/SP", 1e-4), ("DP/SP/HP", 0.1), ("DP/HP", 0.1)):
             result = MixedPrecisionCholesky(tile_size=25, variant=variant, jitter=1e-6).factorize(cov)
             assert result.factor_error(reference.lower()) < tol
 
-    def test_runtime_execution_of_emulator_cholesky(self, pipeline):
-        """The covariance factorisation DAG executes through the runtime."""
+    def test_runtime_execution_of_emulator_cholesky(self, pipeline, innovation_covariance):
+        """The covariance factorisation's task model schedules through the runtime."""
         from repro.linalg import TiledSymmetricMatrix, generate_cholesky_tasks
 
         _, emulator, _ = pipeline
-        cov = emulator.spectral_model.covariance
-        tiled = TiledSymmetricMatrix.from_dense(cov, 25, "DP/HP")
+        tiled = TiledSymmetricMatrix.from_dense(innovation_covariance(emulator), 25, "DP/HP")
         tasks = generate_cholesky_tasks(tiled)
         graph = build_task_graph(tasks)
-        trace = LocalExecutor().run(graph, tiled.as_tile_store())
+        trace = LocalExecutor().run(graph, TileStore())
         assert trace.order == [t.name for t in graph.topological_order()]
         assert len(trace.order) == len(tasks)
         assert graph.max_parallelism() >= 1
