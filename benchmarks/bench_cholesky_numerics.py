@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.linalg import MixedPrecisionCholesky, TiledSymmetricMatrix, generate_cholesky_tasks
+from repro.linalg import MixedPrecisionCholesky, generate_cholesky_tasks
 from repro.linalg.flops import cholesky_flops
 from repro.linalg.policies import VARIANTS
 from repro.runtime import build_task_graph
@@ -46,8 +46,7 @@ def test_real_mixed_precision_cholesky(benchmark, variant, bench_covariance):
 @pytest.mark.benchmark(group="cholesky-real")
 def test_cholesky_dag_structure(benchmark, bench_covariance):
     """DAG statistics: counts, flops, critical path and average parallelism."""
-    tiled = TiledSymmetricMatrix.from_dense(bench_covariance, 18, "DP/HP")
-    tasks = generate_cholesky_tasks(tiled)
+    tasks = generate_cholesky_tasks(len(bench_covariance), 18, "DP/HP")
 
     graph = benchmark(build_task_graph, tasks)
 

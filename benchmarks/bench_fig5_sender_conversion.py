@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.linalg import TiledSymmetricMatrix, generate_cholesky_tasks
+from repro.linalg import generate_cholesky_tasks
 from repro.systems import SUMMIT, CholeskyPerformanceModel
 
 SIZES = [660_000, 860_000, 1_060_000, 1_270_000]
@@ -65,8 +65,7 @@ def test_fig5_conversion_counts_from_task_generator(benchmark, bench_covariance)
     """Sender-side conversion performs strictly fewer conversions."""
 
     def build(side):
-        tiled = TiledSymmetricMatrix.from_dense(bench_covariance, 24, "DP/HP")
-        tasks = generate_cholesky_tasks(tiled, conversion=side)
+        tasks = generate_cholesky_tasks(len(bench_covariance), 24, "DP/HP", conversion=side)
         return sum(t.metadata.get("conversions", 0) for t in tasks)
 
     sender = benchmark(build, "sender")

@@ -11,7 +11,7 @@ runtime's dependency analysis (Brent's bound on a real covariance DAG).
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.linalg import TiledSymmetricMatrix, generate_cholesky_tasks
+from repro.linalg import generate_cholesky_tasks
 from repro.linalg.policies import VARIANTS
 from repro.runtime import build_task_graph
 from repro.systems import SUMMIT, CholeskyPerformanceModel, scaling_efficiencies
@@ -82,8 +82,7 @@ def test_fig7_dag_bound_cross_check(benchmark, bench_covariance):
     adding workers stops helping and efficiency falls — the structural
     cause of the strong-scaling roll-off in Fig. 7 (right).
     """
-    tiled = TiledSymmetricMatrix.from_dense(bench_covariance, 18, "DP/HP")
-    tasks = generate_cholesky_tasks(tiled)
+    tasks = generate_cholesky_tasks(len(bench_covariance), 18, "DP/HP")
     graph = benchmark(lambda: build_task_graph(tasks))
 
     total = graph.total_flops()

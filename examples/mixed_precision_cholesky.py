@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
-from repro.linalg import MixedPrecisionCholesky, TiledSymmetricMatrix, generate_cholesky_tasks
+from repro.linalg import MixedPrecisionCholesky, generate_cholesky_tasks
 from repro.linalg.policies import VARIANTS
 from repro.storage import format_bytes
 from repro.systems import SUMMIT, CholeskyPerformanceModel
@@ -60,8 +60,7 @@ def main() -> None:
 
     print("\nSender- vs receiver-side conversion (DP/HP policy):")
     for side in ("sender", "receiver"):
-        tiled = TiledSymmetricMatrix.from_dense(cov, 49, "DP/HP")
-        tasks = generate_cholesky_tasks(tiled, conversion=side)
+        tasks = generate_cholesky_tasks(n, 49, "DP/HP", conversion=side)
         conversions = sum(t.metadata.get("conversions", 0) for t in tasks)
         print(f"  {side:9s}: {conversions} conversions across {len(tasks)} tasks")
 

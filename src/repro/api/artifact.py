@@ -93,6 +93,28 @@ def _jsonable(value):
     return value
 
 
+def _split(node: dict, prefix: str, arrays: dict[str, np.ndarray]) -> dict:
+    """The metadata tree of ``node``; its arrays go into ``arrays`` by path.
+
+    A module-level function, not a closure: a recursive closure is a
+    reference cycle, and through it every array of a saved state would wait
+    for the cycle collector to be freed.
+    """
+    meta: dict = {}
+    for key, value in node.items():
+        key = str(key)
+        if "/" in key:
+            raise ArtifactError(f"state key {key!r} may not contain '/'")
+        path = f"{prefix}{key}"
+        if isinstance(value, np.ndarray):
+            arrays[path] = value
+        elif isinstance(value, dict):
+            meta[key] = _split(value, f"{path}/", arrays)
+        else:
+            meta[key] = _jsonable(value)
+    return meta
+
+
 @dataclass
 class EmulatorArtifact:
     """A serialisable snapshot of a fitted :class:`ClimateEmulator`.
@@ -143,24 +165,7 @@ class EmulatorArtifact:
     def _flatten(self) -> tuple[dict[str, np.ndarray], dict]:
         """Split the nested state into NPZ arrays and a JSON metadata tree."""
         arrays: dict[str, np.ndarray] = {}
-
-        def walk(node: dict, prefix: str) -> dict:
-            meta: dict = {}
-            for key, value in node.items():
-                key = str(key)
-                if "/" in key:
-                    raise ArtifactError(f"state key {key!r} may not contain '/'")
-                path = f"{prefix}{key}"
-                if isinstance(value, np.ndarray):
-                    arrays[path] = value
-                elif isinstance(value, dict):
-                    meta[key] = walk(value, f"{path}/")
-                else:
-                    meta[key] = _jsonable(value)
-            return meta
-
-        meta_tree = walk(self.state, "")
-        return arrays, meta_tree
+        return arrays, _split(self.state, "", arrays)
 
     @staticmethod
     def _unflatten(arrays: dict[str, np.ndarray], meta_tree: dict) -> dict:

@@ -321,7 +321,7 @@ class SpectralStochasticModel:
             raise ValueError("chunk_size must be positive")
         n_batch = len(rngs)
         p = self.var_order
-        k = self.cholesky.factor.n
+        k = self.cholesky.n
         if p > 0:
             init = (
                 np.asarray(self.initial_state, dtype=np.float64)
@@ -400,7 +400,7 @@ class SpectralStochasticModel:
         """Number of stored model parameters (drives the storage savings)."""
         if self.cholesky is None or self.nugget_std is None:
             raise RuntimeError("fit() must be called first")
-        k = self.cholesky.factor.n
+        k = self.cholesky.n
         cov_params = k * (k + 1) // 2
         var_params = self.var_order * k
         nugget_params = int(np.prod(self.nugget_std.shape))

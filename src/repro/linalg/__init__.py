@@ -10,16 +10,15 @@ machinery with NumPy and SciPy:
 * :mod:`repro.linalg.precision` — the precision descriptors (fp64 / fp32 /
   fp16), conversion helpers and byte accounting.
 * :mod:`repro.linalg.flops` — kernel and factorisation flop counts.
-* :mod:`repro.linalg.tile` / :mod:`repro.linalg.tiled_matrix` — tile storage
-  and the tiled symmetric matrix container.
 * :mod:`repro.linalg.policies` — the precision-assignment policies: DP,
   DP/SP, DP/SP/HP, DP/HP band variants plus a data-adaptive (tile-centric)
   policy.
 * :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: one
-  left-looking blocked loop in place (real mixed-precision execution),
-  the right-looking POTRF / TRSM / SYRK / GEMM task list the performance
-  model prices, sender- versus receiver-side conversion accounting, and
-  the dense reference algorithm.
+  left-looking blocked loop in place (real mixed-precision execution), a
+  factor held as lower row panels per stored precision, the right-looking
+  POTRF / TRSM / SYRK / GEMM task list the performance model prices,
+  sender- versus receiver-side conversion accounting, and the dense
+  reference algorithm.
 """
 
 from repro.linalg.precision import Precision, PRECISIONS
@@ -38,8 +37,6 @@ from repro.linalg.policies import (
     band_policy,
     variant_policy,
 )
-from repro.linalg.tile import Tile
-from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.linalg.cholesky import (
     MixedPrecisionCholesky,
     dense_cholesky,
@@ -52,8 +49,6 @@ __all__ = [
     "PRECISIONS",
     "Precision",
     "PrecisionPolicy",
-    "Tile",
-    "TiledSymmetricMatrix",
     "VARIANTS",
     "adaptive_policy",
     "band_policy",

@@ -9,16 +9,21 @@ storage precision, so the reduced-precision variants genuinely lose the
 corresponding mantissa bits — the accuracy ablations (paper Fig. 4) measure
 exactly that loss.
 
-:func:`generate_cholesky_tasks` is the paper's right-looking task DAG of the
-same factorisation, with the communication metadata (broadcast fan-out,
-precision conversions) the analytic performance model prices for the
-sender- versus receiver-side strategies of Section V-A.
+The factor is held in the one layout the draw computes with: lower row
+panels per stored precision (:func:`_row_panels`), filled straight from the
+fit's buffer or from an artifact's buffers, plus one precision code per
+tile.  :func:`generate_cholesky_tasks` is the paper's right-looking task DAG
+of the same factorisation, with the communication metadata (broadcast
+fan-out, precision conversions) the analytic performance model prices for
+the sender- versus receiver-side strategies of Section V-A.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_triangular
@@ -30,8 +35,6 @@ from repro.linalg.flops import (
 )
 from repro.linalg.policies import PrecisionPolicy, variant_policy
 from repro.linalg.precision import PRECISIONS, Precision
-from repro.linalg.tile import Tile
-from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.runtime.machine import ConversionSide
 from repro.runtime.task import Task
 
@@ -56,20 +59,40 @@ def dense_cholesky(matrix: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     return scipy_cholesky(matrix, lower=True)
 
 
+def _tile_rows(n: int, tile_size: int) -> np.ndarray:
+    """Rows of each tile row (the last one may be short)."""
+    return np.minimum(tile_size, n - tile_size * np.arange(-(-n // tile_size)))
+
+
+def _tile_sizes(n: int, tile_size: int) -> np.ndarray:
+    """Values in each lower tile, row-major."""
+    heights = _tile_rows(n, tile_size)
+    i, j = np.tril_indices(len(heights))
+    return heights[i] * heights[j]
+
+
+def _code_grid(codes: np.ndarray) -> np.ndarray:
+    """``(n_tiles, n_tiles)`` precision codes from the row-major lower-tile
+    codes, ``-1`` above the diagonal."""
+    n_tiles = math.isqrt(2 * len(codes))
+    grid = np.full((n_tiles, n_tiles), -1)
+    grid[np.tril_indices(n_tiles)] = codes
+    return grid
+
+
 # --------------------------------------------------------------------------- #
 # The factorisation: one blocked loop, in place
 # --------------------------------------------------------------------------- #
 def _factor_in_place(
-    w: np.ndarray, tile_size: int, policy: PrecisionPolicy, jitter: float
-) -> dict[tuple[int, int], Precision]:
+    w: np.ndarray, tile_size: int, codes: np.ndarray, jitter: float
+) -> None:
     """Overwrite the lower triangle of ``w`` (float64, ``(n, n)``) with its factor.
 
     Per tile column ``b``: one GEMM against the columns to its left, the
     diagonal tile's POTRF (with the relative ``jitter`` on its diagonal),
     one TRSM for the tiles below, then each tile not stored in double is
-    rounded to its precision in place, so later GEMMs read stored-precision
-    values and accumulate them in float64.  Returns the policy's precision
-    of every lower tile, row-major.
+    rounded to its precision (``codes``, row-major) in place, so later
+    GEMMs read stored-precision values and accumulate them in float64.
 
     Every BLAS / LAPACK call goes through ``scipy.linalg``: numpy and scipy
     each bundle an OpenBLAS with its own thread pool, and alternating the
@@ -78,7 +101,7 @@ def _factor_in_place(
     """
     n, nb = w.shape[0], tile_size
     n_tiles = -(-n // nb)
-    precisions = policy.precision_map(n_tiles)
+    grid = _code_grid(codes)
     # The scipy wrappers take Fortran-ordered operands: slices of the
     # transposed view reach them as column copies, not transposing ones.
     wt = w.T
@@ -106,37 +129,34 @@ def _factor_in_place(
                 continue
         else:
             raise LinAlgError(f"diagonal tile {b} is not positive definite even with a 1e-2 ridge")
-        w[c0:c1, c0:c1] = l.astype(precisions[(b, b)].dtype)
+        w[c0:c1, c0:c1] = l.astype(PRECISIONS[grid[b, b]].dtype)
         if c1 < n:
             # w[c1:, c0:c1] = w[c1:, c0:c1] @ inv(l).T
             wt[c0:c1, c1:] = solve_triangular(
                 w[c0:c1, c0:c1], wt[c0:c1, c1:], lower=True
             )
-        for precision, rows in groupby(range(b + 1, n_tiles), lambda i: precisions[(i, b)]):
-            if precision is not Precision.DOUBLE:
+        for code, rows in groupby(range(b + 1, n_tiles), lambda i: grid[i, b]):
+            if PRECISIONS[code] is not Precision.DOUBLE:
                 rows = list(rows)
                 block = wt[c0:c1, rows[0] * nb:rows[-1] * nb + nb]
-                block[...] = block.astype(precision.dtype)
-    return precisions
+                block[...] = block.astype(PRECISIONS[code].dtype)
 
 
 def _accounting(
-    precisions: dict[tuple[int, int], Precision], n: int, tile_size: int, side: ConversionSide
+    codes: np.ndarray, n: int, tile_size: int, side: ConversionSide
 ) -> tuple[dict[str, float], int, int]:
     """``(flops_by_precision, conversions, n_tasks)``: the totals of
-    :func:`generate_cholesky_tasks`, in closed form from the precision map.
+    :func:`generate_cholesky_tasks`, in closed form from the precision codes.
 
     Tile ``(i, i)`` takes POTRF(i) and ``i`` SYRKs, tile ``(i, j)`` TRSM(i, j)
     and ``j`` GEMMs.  POTRF(k) broadcasts to column ``k`` below the diagonal;
     TRSM(i, k) to row ``i`` right of ``k`` and to column ``i`` below the
     diagonal.
     """
-    nb, nt = tile_size, -(-n // tile_size)
-    codes = np.full((nt, nt), -1)
-    for key, precision in precisions.items():
-        codes[key] = PRECISIONS.index(precision)
-    onehot = codes == np.arange(len(PRECISIONS))[:, None, None]  # [c, i, j]
-    rows = np.minimum(nb, n - nb * np.arange(nt)) / nb
+    nb, grid = tile_size, _code_grid(codes)
+    nt = len(grid)
+    onehot = grid == np.arange(len(PRECISIONS))[:, None, None]  # [c, i, j]
+    rows = _tile_rows(n, nb) / nb
     i, j = np.tril_indices(nt, -1)
     flops = np.zeros((nt, nt))
     flops[i, j] = trsm_flops(nb) * rows[i] + j * gemm_flops(nb) * rows[i] * rows[j]
@@ -154,8 +174,8 @@ def _accounting(
         per_target = counts if side is ConversionSide.RECEIVER else counts > 0
         return int((per_target * other).sum())
 
-    conversions = converted(below, np.diag(codes)) + converted(
-        right[:, i, j] + below[:, i], codes[i, j]
+    conversions = converted(below, np.diag(grid)) + converted(
+        right[:, i, j] + below[:, i], grid[i, j]
     )
     flops_by_precision = {p.value: float(f) for p, f in zip(PRECISIONS, by_precision) if f}
     return flops_by_precision, conversions, sum(cholesky_tile_counts(nt).values())
@@ -165,41 +185,46 @@ def _accounting(
 # Task generation (the performance model's view of the same factorisation)
 # --------------------------------------------------------------------------- #
 def generate_cholesky_tasks(
-    tiled: TiledSymmetricMatrix,
+    n: int,
+    tile_size: int,
+    variant: str | PrecisionPolicy,
     label: str = "A",
     conversion: ConversionSide | str = ConversionSide.SENDER,
 ) -> list[Task]:
-    """Generate the right-looking tile Cholesky task list for ``tiled``.
+    """Generate the right-looking tile Cholesky task list of an order-``n`` matrix.
 
-    The tasks carry per-kernel flop counts, the compute precision taken
-    from the output tile's storage precision, and communication metadata
-    (broadcast fan-out and conversion counts under the chosen conversion
-    side) — what the performance model and the DAG analysis price.  They
-    carry no kernels: :meth:`MixedPrecisionCholesky.factorize` computes the
-    factor with a blocked loop, and its accounting equals this list's
-    totals.
+    Tile ``(i, j)`` is stored at the precision that ``variant`` (a policy or
+    a registered name) assigns it.  The tasks carry per-kernel flop counts,
+    the compute precision taken from the output tile's storage precision,
+    and communication metadata (broadcast fan-out and conversion counts
+    under the chosen conversion side) — what the performance model and the
+    DAG analysis price.  They carry no kernels:
+    :meth:`MixedPrecisionCholesky.factorize` computes the factor with a
+    blocked loop, and its accounting equals this list's totals.
     """
+    if tile_size < 1:
+        raise ValueError("tile_size must be positive")
     side = ConversionSide(conversion)
-    nt = tiled.n_tiles
-    nb = tiled.tile_size
+    policy = variant if isinstance(variant, PrecisionPolicy) else variant_policy(variant)
+    nb = tile_size
+    rows = _tile_rows(n, nb).tolist()
+    nt = len(rows)
+    precision = policy.precision_map(nt)
     tasks: list[Task] = []
-
-    def tile_precision(i: int, j: int) -> Precision:
-        return tiled.tiles[(i, j)].precision
 
     for k in range(nt):
         panel_priority = 2 * (nt - k)
         # POTRF on the diagonal tile.
-        consumers = [tile_precision(i, k) for i in range(k + 1, nt)]
-        conversions = _conversion_count(tile_precision(k, k), consumers, side)
+        consumers = [precision[i, k] for i in range(k + 1, nt)]
+        conversions = _conversion_count(precision[k, k], consumers, side)
         tasks.append(
             Task(
                 name=f"POTRF({k})",
                 kind="POTRF",
                 reads=(),
                 writes=((label, k, k),),
-                flops=potrf_flops(tiled.tile_rows(k)),
-                precision=tile_precision(k, k).value,
+                flops=potrf_flops(rows[k]),
+                precision=precision[k, k].value,
                 priority=panel_priority + 1,
                 metadata={
                     "panel": k,
@@ -210,18 +235,18 @@ def generate_cholesky_tasks(
         )
         for i in range(k + 1, nt):
             # TRSM: panel update of tile (i, k); consumed by GEMM/SYRK tasks.
-            gemm_consumers = [tile_precision(i, j) for j in range(k + 1, i)]
-            gemm_consumers += [tile_precision(r, i) for r in range(i + 1, nt)]
-            gemm_consumers += [tile_precision(i, i)]
-            conversions = _conversion_count(tile_precision(i, k), gemm_consumers, side)
+            gemm_consumers = [precision[i, j] for j in range(k + 1, i)]
+            gemm_consumers += [precision[r, i] for r in range(i + 1, nt)]
+            gemm_consumers += [precision[i, i]]
+            conversions = _conversion_count(precision[i, k], gemm_consumers, side)
             tasks.append(
                 Task(
                     name=f"TRSM({i},{k})",
                     kind="TRSM",
                     reads=((label, k, k),),
                     writes=((label, i, k),),
-                    flops=trsm_flops(nb) * (tiled.tile_rows(i) / nb),
-                    precision=tile_precision(i, k).value,
+                    flops=trsm_flops(nb) * (rows[i] / nb),
+                    precision=precision[i, k].value,
                     priority=panel_priority,
                     metadata={
                         "panel": k,
@@ -237,8 +262,8 @@ def generate_cholesky_tasks(
                     kind="SYRK",
                     reads=((label, i, k),),
                     writes=((label, i, i),),
-                    flops=syrk_flops(tiled.tile_rows(i)),
-                    precision=tile_precision(i, i).value,
+                    flops=syrk_flops(rows[i]),
+                    precision=precision[i, i].value,
                     priority=panel_priority - 1,
                     metadata={"panel": k},
                 )
@@ -250,10 +275,8 @@ def generate_cholesky_tasks(
                         kind="GEMM",
                         reads=((label, i, k), (label, j, k)),
                         writes=((label, i, j),),
-                        flops=gemm_flops(nb)
-                        * (tiled.tile_rows(i) / nb)
-                        * (tiled.tile_rows(j) / nb),
-                        precision=tile_precision(i, j).value,
+                        flops=gemm_flops(nb) * (rows[i] / nb) * (rows[j] / nb),
+                        precision=precision[i, j].value,
                         priority=panel_priority - 2,
                         metadata={"panel": k},
                     )
@@ -275,29 +298,41 @@ def _conversion_count(
 
 
 # --------------------------------------------------------------------------- #
-# Plans and results
+# Results
 # --------------------------------------------------------------------------- #
 @dataclass
 class CholeskyResult:
-    """Outcome of a mixed-precision factorisation."""
+    """Outcome of a mixed-precision factorisation: the factor *is* its panels.
 
-    factor: TiledSymmetricMatrix
-    variant: str
+    ``tile_precision`` gives every lower tile's index into
+    :data:`PRECISIONS`, row-major (``(0, 0), (1, 0), (1, 1), ...``);
+    ``panels`` holds the factor's values (see :func:`_row_panels`).
+    """
+
+    n: int
     tile_size: int
+    tile_precision: np.ndarray = field(repr=False)
+    panels: list = field(repr=False)
+    variant: str
     flops_by_precision: dict[str, float]
     total_flops: float
-    storage_bytes: int
-    dense_bytes: int
     conversions: int
     n_tasks: int
-    panels: list = field(init=False, repr=False)  #: see :func:`_row_panels`
 
-    def __post_init__(self) -> None:
-        self.panels = _row_panels(self.factor)
+    @property
+    def storage_bytes(self) -> int:
+        """Bytes of the lower-triangle tiles at their stored precision."""
+        width = np.array([p.bytes_per_element for p in PRECISIONS])
+        return int((_tile_sizes(self.n, self.tile_size) * width[self.tile_precision]).sum())
+
+    @property
+    def dense_bytes(self) -> int:
+        """Bytes of the dense float64 ``n x n`` matrix."""
+        return 8 * self.n * self.n
 
     def lower(self) -> np.ndarray:
         """Dense lower-triangular factor in float64 (C order, a fresh array)."""
-        out = np.zeros((self.factor.n, self.factor.n))
+        out = np.zeros((self.n, self.n))
         for rows, parts in self.panels:
             for cols, panel in parts:
                 out[rows, cols] += panel[:rows.stop - rows.start]
@@ -341,7 +376,7 @@ class CholeskyResult:
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] = 1) -> np.ndarray:
         """Draw ``N(0, L L^T)`` samples using the computed factor."""
-        n = self.factor.n
+        n = self.n
         shape = (size,) if isinstance(size, int) else tuple(size)
         z = rng.standard_normal(shape + (n,))
         return self.correlate(z.reshape(-1, n)).reshape(z.shape)
@@ -360,55 +395,69 @@ class CholeskyResult:
         and the artifact carries the mixed-precision storage saving instead
         of re-inflating every tile to float64.
         """
-        factor = self.factor
-        order = _tile_order(factor.n_tiles)
-        codes = np.array(
-            [PRECISIONS.index(factor.tiles[key].precision) for key in order],
-            dtype=np.uint8,
-        )
         state = {
-            "tile_precision": codes,
-            "n": int(factor.n),
+            "tile_precision": self.tile_precision.copy(),
+            "n": int(self.n),
             "variant": str(self.variant),
             "tile_size": int(self.tile_size),
             "flops_by_precision": {k: float(v) for k, v in self.flops_by_precision.items()},
             "total_flops": float(self.total_flops),
-            "storage_bytes": int(self.storage_bytes),
-            "dense_bytes": int(self.dense_bytes),
+            "storage_bytes": self.storage_bytes,
+            "dense_bytes": self.dense_bytes,
             "conversions": int(self.conversions),
             "n_tasks": int(self.n_tasks),
         }
-        for code, precision in enumerate(PRECISIONS):
-            members = [
-                factor.tiles[key].data.ravel()
-                for key, tile_code in zip(order, codes) if tile_code == code
-            ]
-            if members:
-                state[f"tiles_{precision.value}"] = np.concatenate(members)
+        sizes = _tile_sizes(self.n, self.tile_size)
+        buffers = {
+            code: np.empty(int(sizes[self.tile_precision == code].sum()), PRECISIONS[code].dtype)
+            for code in np.unique(self.tile_precision).tolist()
+        }
+        filled = dict.fromkeys(buffers, 0)
+        for code, tile in self._tiles():
+            start = filled[code]
+            filled[code] += tile.size
+            # float16 tiles multiply as float32; narrowing them back is exact.
+            buffers[code][start:filled[code]].reshape(tile.shape)[...] = tile
+        for code, buffer in buffers.items():
+            state[f"tiles_{PRECISIONS[code].value}"] = buffer
         return state
+
+    def _tiles(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(code, view)`` of every lower tile, row-major, as views of its panel."""
+        nb, grid = self.tile_size, _code_grid(self.tile_precision)
+        heights = _tile_rows(self.n, nb).tolist()
+        for rows, parts in self.panels:
+            first, last = rows.start // nb, -(-rows.stop // nb)
+            in_use = [c for c in range(len(PRECISIONS)) if (grid[first:last] == c).any()]
+            by_code = dict(zip(in_use, parts))
+            for i in range(first, last):
+                for j in range(i + 1):
+                    cols, panel = by_code[grid[i, j]]
+                    r0, c0 = i * nb - rows.start, j * nb - cols.start
+                    yield int(grid[i, j]), panel[r0:r0 + heights[i], c0:c0 + heights[j]]
 
     @classmethod
     def from_state(cls, state: dict) -> "CholeskyResult":
         """Rebuild a factorisation result from :meth:`state_dict` output.
 
         Also reads the schema-1 layout (a ``tiles`` dict of one array per
-        tile).  Packed tiles are zero-copy views of their buffer; a buffer
-        or code array that disagrees with ``n`` / ``tile_size`` raises
-        ``ValueError`` naming the member.
+        tile).  The panels are filled straight from the state's arrays and
+        share no memory with them; a buffer or code array that disagrees
+        with ``n`` / ``tile_size`` raises ``ValueError`` naming the member.
         """
-        factor = TiledSymmetricMatrix(n=int(state["n"]), tile_size=int(state["tile_size"]))
+        n, nb = int(state["n"]), int(state["tile_size"])
         if "tiles" in state:
-            factor.tiles = _tiles_from_members(state["tiles"])
+            codes, tile = _member_tiles(state["tiles"], n, nb)
         else:
-            factor.tiles = _tiles_from_packed(state, factor)
+            codes, tile = _packed_tiles(state, n, nb)
         return cls(
-            factor=factor,
+            n=n,
+            tile_size=nb,
+            tile_precision=codes,
+            panels=_row_panels(n, nb, codes, tile),
             variant=str(state["variant"]),
-            tile_size=factor.tile_size,
             flops_by_precision={str(k): float(v) for k, v in state["flops_by_precision"].items()},
             total_flops=float(state["total_flops"]),
-            storage_bytes=int(state["storage_bytes"]),
-            dense_bytes=int(state["dense_bytes"]),
             conversions=int(state["conversions"]),
             n_tasks=int(state["n_tasks"]),
         )
@@ -423,101 +472,91 @@ _ROW_FLOOR = 32
 #: edge takes kernels that round differently (as for the SHT operators).
 _PANEL_ROW_MULTIPLE = 8
 
+#: ``tile(i, j)`` -> the values of lower tile ``(i, j)``, in any float dtype
+#: that holds its stored precision exactly.
+_TileAccessor = Callable[[int, int], np.ndarray]
 
-def _row_panels(factor: TiledSymmetricMatrix) -> list:
+
+def _row_panels(n: int, tile_size: int, codes: np.ndarray, tile: _TileAccessor) -> list:
     """The factor as contiguous lower row panels, one array per stored precision.
 
     ``[(rows, [(cols, panel), ...]), ...]``: per group of tile rows (the last
-    takes the remainder) and precision, one C-ordered array from the first to
-    the last tile column of that precision, zero where a tile has another;
-    half-precision tiles are held as float32.  Tiles of a matching dtype become
-    views of their panel, so the buffers they were loaded from can be released.
+    takes the remainder) and precision in use, one C-ordered array from the
+    first to the last tile column of that precision, zero where a tile has
+    another and above the diagonal; half-precision tiles are held as
+    float32.  Each tile is copied once, from ``tile`` into its panel.
     """
-    nb, n = factor.tile_size, factor.n
+    nb, grid = tile_size, _code_grid(codes)
+    n_tiles = len(grid)
     group = -(-max(_PANEL_MIN_ROWS, n // 16) // nb)
-    starts = list(range(0, factor.n_tiles, group))[:max(1, n // (group * nb))]
+    starts = list(range(0, n_tiles, group))[:max(1, n // (group * nb))]
     panels = []
-    for first, last in zip(starts, starts[1:] + [factor.n_tiles]):
+    for first, last in zip(starts, starts[1:] + [n_tiles]):
         r0, r1 = first * nb, min(last * nb, n)
         parts = []
-        for precision in PRECISIONS:
-            keys = [
-                (i, j) for i in range(first, last) for j in range(i + 1)
-                if factor.tiles[(i, j)].precision is precision
-            ]
-            if not keys:
+        for code, precision in enumerate(PRECISIONS):
+            rows, cols = np.nonzero(grid[first:last] == code)
+            if not rows.size:
                 continue
-            c0 = min(j for _, j in keys) * nb
-            c1 = min(max(j for _, j in keys) * nb + nb, n)
+            c0, c1 = int(cols.min()) * nb, min(int(cols.max()) * nb + nb, n)
             panel = np.zeros(
                 (r1 - r0 + (r0 - r1) % _PANEL_ROW_MULTIPLE, c1 - c0),
                 dtype=np.float32 if precision is Precision.HALF else precision.dtype,
             )
-            for i, j in keys:
-                tile = factor.tiles[(i, j)]
-                view = panel[i * nb - r0:, j * nb - c0:][:tile.shape[0], :tile.shape[1]]
-                view[...] = np.tril(tile.data) if i == j else tile.data
-                if view.dtype == tile.data.dtype:
-                    tile.data = view
+            for i, j in zip((rows + first).tolist(), cols.tolist()):
+                values = tile(i, j)
+                view = panel[i * nb - r0:, j * nb - c0:][:values.shape[0], :values.shape[1]]
+                view[...] = np.tril(values) if i == j else values
             parts.append((slice(c0, c1), panel))
         panels.append((slice(r0, r1), parts))
     return panels
 
 
-def _tile_order(n_tiles: int) -> list[tuple[int, int]]:
-    """Lower-triangle tile keys in the packed (row-major) order."""
-    return [(i, j) for i in range(n_tiles) for j in range(i + 1)]
-
-
-def _tiles_from_members(members: dict) -> dict[tuple[int, int], Tile]:
+def _member_tiles(members: dict, n: int, tile_size: int) -> tuple[np.ndarray, _TileAccessor]:
     """Schema-1 layout: one ``"<i>_<j>"`` array per tile, dtype = precision."""
-    dtype_to_precision = {p.dtype: p for p in PRECISIONS}
-    tiles: dict[tuple[int, int], Tile] = {}
-    for key, data in members.items():
-        i, j = (int(part) for part in key.split("_"))
-        data = np.asarray(data)
-        precision = dtype_to_precision.get(data.dtype)
-        if precision is None:
-            raise ValueError(f"tile ({i}, {j}) has unsupported dtype {data.dtype}")
-        tiles[(i, j)] = Tile(data=data, precision=precision)
-    return tiles
+    code_of = {p.dtype: code for code, p in enumerate(PRECISIONS)}
+    codes = []
+    for i, j in zip(*np.tril_indices(len(_tile_rows(n, tile_size)))):
+        dtype = np.asarray(members[f"{i}_{j}"]).dtype
+        if dtype not in code_of:
+            raise ValueError(f"tile ({i}, {j}) has unsupported dtype {dtype}")
+        codes.append(code_of[dtype])
+    return np.array(codes, dtype=np.uint8), lambda i, j: np.asarray(members[f"{i}_{j}"])
 
 
-def _tiles_from_packed(
-    state: dict, factor: TiledSymmetricMatrix
-) -> dict[tuple[int, int], Tile]:
-    """Slice the per-precision buffers into tile views, validating each member."""
-    order = _tile_order(factor.n_tiles)
-    shapes = [(factor.tile_rows(i), factor.tile_rows(j)) for i, j in order]
-    sizes = np.array([rows * cols for rows, cols in shapes], dtype=np.int64)
-    layout = f"n={factor.n}, tile_size={factor.tile_size}"
+def _packed_tiles(state: dict, n: int, tile_size: int) -> tuple[np.ndarray, _TileAccessor]:
+    """Schema-2 layout: validate the per-precision buffers, and slice tiles from them."""
+    heights = _tile_rows(n, tile_size).tolist()
+    sizes = _tile_sizes(n, tile_size)
+    layout = f"n={n}, tile_size={tile_size}"
     codes = np.asarray(state["tile_precision"])
     if codes.shape != sizes.shape or codes.dtype != np.uint8 or np.any(
         codes >= len(PRECISIONS)
     ):
         raise ValueError(
-            f"'tile_precision' must hold {len(order)} uint8 codes below "
+            f"'tile_precision' must hold {sizes.size} uint8 codes below "
             f"{len(PRECISIONS)} for {layout}; got {codes.dtype} of shape {codes.shape}"
         )
-    tiles: dict[tuple[int, int], Tile] = {}
+    buffers, starts = [], np.zeros_like(sizes)
     for code, precision in enumerate(PRECISIONS):
         member = f"tiles_{precision.value}"
-        mine = np.flatnonzero(codes == code)
+        mine = codes == code
         buffer = np.asarray(state.get(member, np.empty(0, precision.dtype)))
         needed = int(sizes[mine].sum())
         if buffer.dtype != precision.dtype or buffer.shape != (needed,):
             raise ValueError(
                 f"{member!r} must be a flat {precision.dtype} buffer of {needed} "
-                f"values ({mine.size} tiles of {layout}); got {buffer.dtype} of "
+                f"values ({int(mine.sum())} tiles of {layout}); got {buffer.dtype} of "
                 f"shape {buffer.shape}"
             )
-        stops = np.cumsum(sizes[mine])
-        for t, stop in zip(mine.tolist(), stops.tolist()):
-            tiles[order[t]] = Tile(
-                data=buffer[stop - sizes[t]: stop].reshape(shapes[t]),
-                precision=precision,
-            )
-    return {key: tiles[key] for key in order}
+        starts[mine] = np.cumsum(sizes[mine]) - sizes[mine]
+        buffers.append(buffer)
+
+    def tile(i: int, j: int) -> np.ndarray:
+        t = i * (i + 1) // 2 + j
+        return buffers[codes[t]][starts[t]:starts[t] + sizes[t]].reshape(heights[i], heights[j])
+
+    return codes.copy(), tile
 
 
 class MixedPrecisionCholesky:
@@ -560,28 +599,29 @@ class MixedPrecisionCholesky:
     def factorize_in_place(self, work: np.ndarray) -> CholeskyResult:
         """Factorise the matrix whose lower triangle ``work`` holds, overwriting ``work``.
 
-        ``work`` is a square float64 array, fastest in C order; the result
-        stops referencing it once its row panels are built, so the caller
+        ``work`` is a square float64 array, fastest in C order; the row
+        panels are filled from it and do not reference it, so the caller
         releases the buffer by dropping it.
         """
         if work.dtype != np.float64 or work.ndim != 2 or work.shape[0] != work.shape[1]:
             raise ValueError(f"matrix must be square float64, got {work.dtype} {work.shape}")
         n, nb = work.shape[0], self.tile_size
-        precisions = _factor_in_place(work, nb, self.policy, self.jitter)
-        factor = TiledSymmetricMatrix(n=n, tile_size=nb, policy=self.policy)
-        factor.tiles = {
-            (i, j): Tile(data=work[i * nb:i * nb + nb, j * nb:j * nb + nb], precision=precision)
-            for (i, j), precision in precisions.items()
-        }
-        flops_by_precision, conversions, n_tasks = _accounting(precisions, n, nb, self.conversion)
+        codes = np.array(
+            [PRECISIONS.index(p) for p in self.policy.precision_map(-(-n // nb)).values()],
+            dtype=np.uint8,
+        )
+        _factor_in_place(work, nb, codes, self.jitter)
+        flops_by_precision, conversions, n_tasks = _accounting(codes, n, nb, self.conversion)
         return CholeskyResult(
-            factor=factor,
-            variant=self.policy.name,
+            n=n,
             tile_size=nb,
+            tile_precision=codes,
+            panels=_row_panels(
+                n, nb, codes, lambda i, j: work[i * nb:i * nb + nb, j * nb:j * nb + nb]
+            ),
+            variant=self.policy.name,
             flops_by_precision=flops_by_precision,
             total_flops=sum(flops_by_precision.values()),
-            storage_bytes=factor.storage_bytes(),
-            dense_bytes=n * n * 8,
             conversions=conversions,
             n_tasks=n_tasks,
         )

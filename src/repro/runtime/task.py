@@ -16,8 +16,8 @@ import numpy as np
 
 __all__ = ["Task"]
 
-# A tile reference is an arbitrary hashable key; tiled matrices use
-# ("A", i, j) style tuples so several operands can coexist in one store.
+# A tile reference is an arbitrary hashable key; the Cholesky task list
+# uses ("A", i, j) style tuples so several operands can coexist in one store.
 TileRef = tuple
 
 

@@ -1,11 +1,14 @@
 """Tests of the EmulatorArtifact save/load round trip and its error paths."""
 
+import gc
 import json
 import tracemalloc
+import weakref
 import zipfile
 
 import numpy as np
 import pytest
+from factor_state import tile_members  # tests/ is on sys.path (rootdir layout)
 
 import repro
 from repro.api.artifact import (
@@ -18,6 +21,7 @@ from repro.api.artifact import (
 from repro.api.registry import UnknownBackendError
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
+from repro.linalg import PRECISIONS, Precision
 from repro.storage import measured_artifact_report
 
 
@@ -54,8 +58,8 @@ class TestRoundTrip:
         assert np.array_equal(original.lower(), restored.lower())
         assert original.variant == restored.variant
         assert original.flops_by_precision == restored.flops_by_precision
-        assert original.factor.precision_counts() == restored.factor.precision_counts()
-        assert original.factor.storage_bytes() == restored.factor.storage_bytes()
+        assert np.array_equal(original.tile_precision, restored.tile_precision)
+        assert original.storage_bytes == restored.storage_bytes
 
     def test_mixed_precision_round_trip(self, small_ensemble, tmp_path):
         emulator = ClimateEmulator(
@@ -70,8 +74,8 @@ class TestRoundTrip:
         a = emulator.emulate(1, rng=np.random.default_rng(5))
         b = loaded.emulate(1, rng=np.random.default_rng(5))
         assert np.array_equal(a.data, b.data)
-        counts = loaded.spectral_model.cholesky.factor.precision_counts()
-        assert counts.get("HP", 0) > 0  # reduced-precision tiles survived
+        codes = loaded.spectral_model.cholesky.tile_precision
+        assert (codes == PRECISIONS.index(Precision.HALF)).any()  # reduced-precision tiles survived
 
     def test_streaming_from_loaded_emulator(self, fitted_emulator, tmp_path):
         path = tmp_path / "emulator.npz"
@@ -81,6 +85,21 @@ class TestRoundTrip:
                                             rng=np.random.default_rng(0)))
         assert [c.n_times for c in chunks] == [12, 12, 6]
         assert [c.metadata["stream_offset"] for c in chunks] == [0, 12, 24]
+
+    def test_a_saved_state_is_freed_without_the_cycle_collector(self, fitted_emulator, tmp_path):
+        """Writing holds no reference cycle: with the collector off, the factor
+        buffer is freed as soon as its state is dropped, not at the
+        collector's next pass — which can come after the next fit."""
+        state = fitted_emulator.state_dict()
+        probe = weakref.ref(state["spectral_model"]["cholesky"]["tiles_fp64"])
+        gc.collect()
+        gc.disable()
+        try:
+            EmulatorArtifact(state=state).save(tmp_path / "emulator.npz")
+            del state
+            assert probe() is None
+        finally:
+            gc.enable()
 
     def test_save_returns_exact_path(self, fitted_emulator, tmp_path):
         path = tmp_path / "artifact-without-extension"
@@ -97,15 +116,10 @@ def write_schema_1(emulator: ClimateEmulator, path) -> None:
     loader skips the member either way).
     """
     state = emulator.state_dict()
-    model = emulator.spectral_model
-    state["spectral_model"]["covariance"] = model.cholesky.reconstruction()
-    cholesky = {
-        k: v for k, v in state["spectral_model"]["cholesky"].items()
-        if not isinstance(v, np.ndarray)
-    }
-    cholesky["tiles"] = {
-        f"{i}_{j}": tile.data for (i, j), tile in model.cholesky.factor.tiles.items()
-    }
+    state["spectral_model"]["covariance"] = emulator.spectral_model.cholesky.reconstruction()
+    packed = state["spectral_model"]["cholesky"]
+    cholesky = {k: v for k, v in packed.items() if not isinstance(v, np.ndarray)}
+    cholesky["tiles"] = tile_members(packed)
     state["spectral_model"]["cholesky"] = cholesky
     arrays, meta_tree = EmulatorArtifact(state=state)._flatten()
     meta = {
@@ -197,7 +211,7 @@ class TestSchemas:
         assert not any(stem.endswith("covariance") for stem in stems)
         factor = [s for s in stems if s.startswith("spectral_model/cholesky/")]
         assert 2 <= len(factor) <= 4  # <= 3 precision buffers + the codes
-        assert len(emulator.spectral_model.cholesky.factor.tiles) == 8 * 9 // 2
+        assert len(emulator.spectral_model.cholesky.tile_precision) == 8 * 9 // 2
 
 
 def test_load_to_first_chunk_never_holds_a_dense_factor(tmp_path):

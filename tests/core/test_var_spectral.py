@@ -9,7 +9,6 @@ from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.var import DiagonalVAR
 from repro.linalg import VARIANTS
 from repro.linalg.cholesky import CholeskyResult, MixedPrecisionCholesky
-from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 
 
 class TestDiagonalVAR:
@@ -128,7 +127,7 @@ class TestSpectralStochasticModel:
         refactored = MixedPrecisionCholesky(
             tile_size=16, variant=variant, jitter=1e-4
         ).factorize(covariance)
-        assert model.cholesky.factor.precision_counts() == refactored.factor.precision_counts()
+        assert np.array_equal(model.cholesky.tile_precision, refactored.tile_precision)
         assert np.array_equal(model.cholesky.lower(), refactored.lower())
 
     def test_nugget_nonnegative_and_small(self, fitted):
@@ -157,7 +156,6 @@ class TestSpectralStochasticModel:
             raise AssertionError("the generation path densified the factor")
 
         monkeypatch.setattr(CholeskyResult, "lower", densified)
-        monkeypatch.setattr(TiledSymmetricMatrix, "to_dense", densified)
         manifest = repro.run_campaign(
             tmp_path / "emulator.npz", ["ssp-low"], n_realizations=2, n_times=24,
             seed=3, collect="none", store=tmp_path / "store",
@@ -200,7 +198,7 @@ class TestSpectralStochasticModel:
         for part in (variant, "k = 64", "15 samples", "covariance_jitter=1e-06",
                      "not positive definite", "raise covariance_jitter to 9.8e-04"):
             assert part in message
-        assert fit(1e-3).cholesky.factor.n == 64
+        assert fit(1e-3).cholesky.n == 64
 
     def test_record_too_short_raises(self, small_ensemble):
         model = SpectralStochasticModel(lmax=8, grid=small_ensemble.grid, var_order=3)

@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from factor_state import packed_state, tile_members  # tests/ is on sys.path (rootdir layout)
 
 import repro
 import repro.linalg.cholesky as cholesky_module
 from repro.linalg import (
+    PRECISIONS,
     MixedPrecisionCholesky,
-    TiledSymmetricMatrix,
     VARIANTS,
     dense_cholesky,
     generate_cholesky_tasks,
+    variant_policy,
 )
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
@@ -32,48 +34,52 @@ class TestDenseReference:
 
 
 class TestTaskGeneration:
-    def test_task_counts_match_formula(self, spd_matrix):
-        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 16, "DP")
-        tasks = generate_cholesky_tasks(tiled)
-        counts = cholesky_tile_counts(tiled.n_tiles)
+    def test_task_counts_match_formula(self):
+        tasks = generate_cholesky_tasks(64, 16, "DP")
+        counts = cholesky_tile_counts(4)
         by_kind = {}
         for t in tasks:
             by_kind[t.kind] = by_kind.get(t.kind, 0) + 1
         assert by_kind == counts
 
-    def test_flops_sum_close_to_dense_count(self, spd_matrix):
-        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 8, "DP")
-        tasks = generate_cholesky_tasks(tiled)
+    def test_flops_sum_close_to_dense_count(self):
+        tasks = generate_cholesky_tasks(64, 8, "DP")
         total = sum(t.flops for t in tasks)
         assert total == pytest.approx(cholesky_flops(64), rel=0.1)
 
-    def test_dag_is_acyclic_with_expected_dependencies(self, spd_matrix):
-        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 16, "DP")
-        graph = build_task_graph(generate_cholesky_tasks(tiled))
+    def test_dag_is_acyclic_with_expected_dependencies(self):
+        graph = build_task_graph(generate_cholesky_tasks(64, 16, "DP"))
         # First POTRF has no predecessors; last POTRF depends on earlier work.
         assert not graph.predecessors(graph.tasks[0])
-        last_potrf = [t for t in graph.tasks if t.name == f"POTRF({tiled.n_tiles - 1})"][0]
+        last_potrf = [t for t in graph.tasks if t.name == "POTRF(3)"][0]
         assert graph.predecessors(last_potrf)
 
-    def test_precision_assignment_follows_policy(self, spd_matrix):
-        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 8, "DP/HP")
-        tasks = generate_cholesky_tasks(tiled)
+    def test_precision_assignment_follows_policy(self):
+        tasks = generate_cholesky_tasks(64, 8, "DP/HP")
         potrf = [t for t in tasks if t.kind == "POTRF"]
         gemm_far = [t for t in tasks if t.kind == "GEMM" and t.name == "GEMM(7,1,0)"]
         assert all(t.precision == "fp64" for t in potrf)
         assert gemm_far and gemm_far[0].precision == "fp16"
 
-    def test_sender_conversion_counts_fewer_than_receiver(self, spd_matrix):
-        tiled = TiledSymmetricMatrix.from_dense(spd_matrix, 8, "DP/HP")
+    def test_sender_conversion_counts_fewer_than_receiver(self):
         sender = sum(
             t.metadata.get("conversions", 0)
-            for t in generate_cholesky_tasks(tiled, conversion="sender")
+            for t in generate_cholesky_tasks(64, 8, "DP/HP", conversion="sender")
         )
         receiver = sum(
             t.metadata.get("conversions", 0)
-            for t in generate_cholesky_tasks(tiled, conversion="receiver")
+            for t in generate_cholesky_tasks(64, 8, "DP/HP", conversion="receiver")
         )
         assert sender < receiver
+
+    def test_a_policy_object_is_taken_as_is(self):
+        policy = variant_policy("DP/SP")
+        solver = MixedPrecisionCholesky(tile_size=16, variant=policy)
+        assert solver.policy is policy
+        by_name = generate_cholesky_tasks(64, 16, "DP/SP")
+        assert [t.precision for t in generate_cholesky_tasks(64, 16, policy)] == [
+            t.precision for t in by_name
+        ]
 
 
 class TestFactorizationAccuracy:
@@ -109,9 +115,16 @@ class TestFactorizationAccuracy:
     def test_result_accounting(self, spd_matrix):
         result = MixedPrecisionCholesky(tile_size=16, variant="DP/HP").factorize(spd_matrix)
         assert result.total_flops == pytest.approx(sum(result.flops_by_precision.values()))
-        assert result.storage_bytes < result.dense_bytes
+        assert result.storage_bytes < result.dense_bytes == 64 * 64 * 8
         assert "fp16" in result.flops_by_precision
         assert result.variant == "DP/HP"
+
+    def test_half_precision_tiles_store_fewer_bytes(self, spd_matrix):
+        dp, hp = (
+            MixedPrecisionCholesky(tile_size=8, variant=v).factorize(spd_matrix)
+            for v in ("DP", "DP/HP")
+        )
+        assert hp.storage_bytes < dp.storage_bytes == 8 * (8 * 9 // 2) * 8 * 8
 
     def test_sampling_covariance(self, spd_matrix):
         result = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
@@ -133,6 +146,10 @@ class TestFactorizationAccuracy:
         with pytest.raises(ValueError):
             MixedPrecisionCholesky(tile_size=0)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="must be square"):
+            MixedPrecisionCholesky(tile_size=2).factorize(np.zeros((4, 6)))
+
     @pytest.mark.parametrize("n, tile_size", [(300, 24), (300, 64), (40, 64)])
     def test_dense_cholesky_is_the_dp_oracle(self, n, tile_size):
         """Ragged last tiles, several GEMM widths, a single tile."""
@@ -148,12 +165,12 @@ class TestFactorizationAccuracy:
         )
 
     def test_factorize_in_place_overwrites_the_buffer(self, spd_matrix):
-        """The buffer ends up holding the factor, which the result no longer
-        references once its row panels are built."""
+        """The buffer ends up holding the factor, which the result's row
+        panels copy and do not reference."""
         work = np.tril(spd_matrix)
         result = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize_in_place(work)
         assert np.array_equal(np.tril(work), result.lower())
-        assert not any(np.shares_memory(t.data, work) for t in result.factor.tiles.values())
+        assert not any(np.shares_memory(p, work) for _, parts in result.panels for _, p in parts)
         with pytest.raises(ValueError, match="must be square float64"):
             MixedPrecisionCholesky(tile_size=16).factorize_in_place(work.astype(np.float32))
 
@@ -172,7 +189,7 @@ class TestFactorizationAccuracy:
             small_ensemble, lmax=8, var_order=1, tile_size=16, rho_grid=(0.5,),
             precision_variant="DP/SP",
         )
-        assert emulator.spectral_model.cholesky.factor.n == 64
+        assert emulator.spectral_model.cholesky.n == 64
 
 
 @pytest.mark.parametrize("conversion", ["sender", "receiver"])
@@ -181,12 +198,11 @@ class TestFactorizationAccuracy:
 @pytest.mark.parametrize("n", [64, 100, 300])
 def test_closed_form_accounting_is_the_task_lists_totals(n, tile_size, variant, conversion):
     """``flops_by_precision`` / ``conversions`` / ``n_tasks`` of a factorisation
-    equal the sums over the task list the performance model prices."""
+    equal the sums over the task list the performance model prices, and
+    ``storage_bytes`` the sum over its tiles at stored width."""
     spd = TestRowPanels.covariance(n)
     result = MixedPrecisionCholesky(tile_size, variant, conversion).factorize(spd)
-    tasks = generate_cholesky_tasks(
-        TiledSymmetricMatrix.from_dense(spd, tile_size, variant), conversion=conversion
-    )
+    tasks = generate_cholesky_tasks(n, tile_size, variant, conversion=conversion)
     flops = {}
     for task in tasks:
         flops[task.precision] = flops.get(task.precision, 0.0) + task.flops
@@ -194,10 +210,34 @@ def test_closed_form_accounting_is_the_task_lists_totals(n, tile_size, variant, 
     assert result.total_flops == pytest.approx(sum(flops.values()), rel=1e-12)
     assert result.conversions == sum(t.metadata.get("conversions", 0) for t in tasks)
     assert result.n_tasks == len(tasks)
+    rows = [min(tile_size, n - i * tile_size) for i in range(-(-n // tile_size))]
+    assert result.storage_bytes == sum(
+        rows[i] * rows[j] * precision.bytes_per_element
+        for (i, j), precision in variant_policy(variant).precision_map(len(rows)).items()
+    )
+
+
+def _arrays_in(obj, seen=None) -> list:
+    """Every array reachable from ``obj`` through containers and attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [array for child in children for array in _arrays_in(child, seen)]
 
 
 class TestPackedState:
-    """``state_dict`` packs the tiles per precision; ``from_state`` slices views."""
+    """``state_dict`` packs the tiles per precision; ``from_state`` fills panels."""
 
     @pytest.mark.parametrize("variant", ["DP", "DP/SP/HP"])
     @pytest.mark.parametrize("tile_size", [16, 24])  # 24 leaves a ragged last tile
@@ -205,12 +245,13 @@ class TestPackedState:
         result = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(spd_matrix)
         state = result.state_dict()
         restored = CholeskyResult.from_state(state)
-        assert restored.factor.tiles.keys() == result.factor.tiles.keys()
-        for key, tile in result.factor.tiles.items():
-            other = restored.factor.tiles[key]
-            assert other.precision is tile.precision
-            assert other.data.dtype == tile.data.dtype
-            assert np.array_equal(other.data, tile.data)
+        assert np.array_equal(restored.tile_precision, result.tile_precision)
+        assert len(restored.panels) == len(result.panels)
+        for (rows, parts), (other_rows, other_parts) in zip(result.panels, restored.panels):
+            assert rows == other_rows and len(parts) == len(other_parts)
+            for (cols, panel), (other_cols, other) in zip(parts, other_parts):
+                assert cols == other_cols and panel.dtype == other.dtype
+                assert np.array_equal(panel, other)
         assert np.array_equal(restored.lower(), result.lower())
         # A restored result serialises to the same state (load -> save -> load).
         again = restored.state_dict()
@@ -229,14 +270,19 @@ class TestPackedState:
         dp_only = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
         assert "tiles_fp32" not in dp_only.state_dict()
 
-    def test_restored_tiles_are_views_of_the_row_panels(self, spd_matrix):
-        """... and no longer of the packed buffers, which a loader can release."""
-        state = MixedPrecisionCholesky(tile_size=16, variant="DP/SP").factorize(spd_matrix).state_dict()
-        restored = CholeskyResult.from_state(state)
-        panels = [panel for _, parts in restored.panels for _, panel in parts]
-        for tile in restored.factor.tiles.values():
-            assert not np.shares_memory(tile.data, state[f"tiles_{tile.precision.value}"])
-            assert sum(np.shares_memory(tile.data, panel) for panel in panels) == 1
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_result_holds_its_panels_and_nothing_else(self, spd_matrix, variant):
+        """After a fit and after a load, every array a result reaches (bar its
+        tile codes) lies in its panels — no tile is held a second time, at
+        half precision either — and no panel keeps the loaded buffers alive."""
+        fitted = MixedPrecisionCholesky(tile_size=16, variant=variant).factorize(spd_matrix)
+        state = fitted.state_dict()
+        buffers = [value for value in state.values() if isinstance(value, np.ndarray)]
+        for result in (fitted, CholeskyResult.from_state(state)):
+            panels = [panel for _, parts in result.panels for _, panel in parts]
+            held = [a for a in _arrays_in(vars(result)) if a is not result.tile_precision]
+            assert held and all(any(np.shares_memory(a, p) for p in panels) for a in held)
+            assert not any(np.shares_memory(p, b) for p in panels for b in buffers)
 
     @pytest.mark.parametrize(
         "member, corrupt, named",
@@ -266,40 +312,79 @@ class TestPackedState:
 
     def test_reads_the_schema_1_per_tile_layout(self, spd_matrix):
         result = MixedPrecisionCholesky(tile_size=16, variant="DP/HP").factorize(spd_matrix)
-        state = {
-            k: v for k, v in result.state_dict().items()
-            if not k.startswith("tile")
-        } | {"tile_size": 16}
-        state["tiles"] = {f"{i}_{j}": t.data for (i, j), t in result.factor.tiles.items()}
-        assert np.array_equal(CholeskyResult.from_state(state).lower(), result.lower())
+        packed = result.state_dict()
+        state = {k: v for k, v in packed.items() if not k.startswith("tile")} | {"tile_size": 16}
+        state["tiles"] = tile_members(packed)
+        loaded = CholeskyResult.from_state(state)
+        assert np.array_equal(loaded.tile_precision, result.tile_precision)
+        assert np.array_equal(loaded.lower(), result.lower())
+
+
+class TestStoredTiles:
+    """What the factor stores per lower tile, and what reading it back gives."""
+
+    def test_from_dense_roundtrip_dp(self, spd_matrix):
+        lower = np.tril(spd_matrix)
+        state = packed_state(lower, 16, "DP")
+        assert len(state["tile_precision"]) == 4 * 5 // 2
+        assert np.array_equal(CholeskyResult.from_state(state).lower(), lower)
+
+    def test_uneven_tiling(self, spd_matrix):
+        lower = np.tril(spd_matrix)
+        restored = CholeskyResult.from_state(packed_state(lower, 24, "DP"))
+        assert len(restored.tile_precision) == 3 * 4 // 2
+        assert restored.storage_bytes == 8 * (3 * 24 * 24 + 2 * 24 * 16 + 16 * 16)
+        assert np.array_equal(restored.lower(), lower)
+
+    def test_rejects_bad_tile_size(self):
+        with pytest.raises(ValueError, match="tile_size"):
+            generate_cholesky_tasks(64, 0, "DP")
+
+    def test_only_lower_triangle_stored(self, spd_matrix):
+        result = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
+        state = result.state_dict()
+        assert state["tiles_fp64"].shape == (4 * 5 // 2 * 16 * 16,)
+        assert result.storage_bytes == state["tiles_fp64"].nbytes < result.dense_bytes
+
+    def test_bytes_by_precision(self, spd_matrix):
+        result = MixedPrecisionCholesky(tile_size=8, variant="DP/SP").factorize(spd_matrix)
+        state = result.state_dict()
+        buffers = [state[f"tiles_{p.value}"] for p in PRECISIONS if f"tiles_{p.value}" in state]
+        assert [b.dtype for b in buffers] == [np.float64, np.float32]
+        assert sum(b.nbytes for b in buffers) == result.storage_bytes
+
+    def test_storage_dtype_follows_precision(self, spd_matrix):
+        result = MixedPrecisionCholesky(tile_size=4, variant="DP/SP/HP").factorize(spd_matrix)
+        state = result.state_dict()
+        for precision in PRECISIONS:
+            assert state[f"tiles_{precision.value}"].dtype == precision.dtype
+        # Half-precision tiles multiply as float32.
+        dtypes = {panel.dtype for _, parts in result.panels for _, panel in parts}
+        assert dtypes == {np.dtype(np.float64), np.dtype(np.float32)}
+
+    def test_reduced_precision_loses_accuracy_boundedly(self, spd_matrix):
+        lower = np.tril(spd_matrix)
+        restored = CholeskyResult.from_state(packed_state(lower, 8, "DP/HP"))
+        err = np.max(np.abs(restored.lower() - lower))
+        assert 0 < err < 1e-2
 
 
 def test_dense_assembly_matches_the_tile_by_tile_construction(spd_matrix):
-    """``lower()`` (from the row panels) and ``to_dense`` (from the tiles) equal
-    the assemble-then-``np.tril`` code they replaced."""
+    """``lower()`` (from the row panels) equals the assemble-then-``np.tril``
+    code it replaced."""
     for variant, tile_size in (("DP", 16), ("DP/SP/HP", 24)):
-        tiled = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(
+        factor = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(
             spd_matrix
-        ).factor
+        ).lower()
         # Put junk above the diagonal of a diagonal tile: it must be dropped.
-        junk = tiled.tiles[(1, 1)].data.copy()
-        junk[0, -1] = 3.0
-        tiled.tiles[(1, 1)].data = junk
-        assembled = np.zeros((tiled.n,) * 2)
-        for (i, j), tile in tiled.tiles.items():
-            rows, cols = tile.shape
-            assembled[
-                i * tile_size: i * tile_size + rows, j * tile_size: j * tile_size + cols
-            ] = tile.as_float64()
+        factor[tile_size, 2 * tile_size - 1] = 3.0
+        state = packed_state(factor, tile_size, variant)
+        assembled = np.zeros_like(factor)
+        for key, tile in tile_members(state).items():
+            i, j = (int(part) * tile_size for part in key.split("_"))
+            assembled[i:i + tile.shape[0], j:j + tile.shape[1]] = tile
         assert assembled[tile_size, 2 * tile_size - 1] == 3.0
-        assert np.array_equal(
-            tiled.to_dense(), np.tril(assembled) + np.tril(assembled, -1).T
-        )
-        result = CholeskyResult(
-            factor=tiled, variant=variant, tile_size=tile_size, flops_by_precision={},
-            total_flops=0.0, storage_bytes=0, dense_bytes=0, conversions=0, n_tasks=0,
-        )
-        lower = result.lower()
+        lower = CholeskyResult.from_state(state).lower()
         assert lower.flags.c_contiguous and lower.dtype == np.float64
         assert np.array_equal(lower, np.tril(assembled))
         assert not np.signbit(lower[np.triu_indices_from(lower, 1)]).any()
@@ -347,11 +432,7 @@ class TestRowPanels:
         lower = np.tril(np.random.default_rng(0).standard_normal((n, n)))
 
         def panels_of(variant):
-            tiled = TiledSymmetricMatrix.from_dense(lower, tile_size, variant)
-            return CholeskyResult(
-                factor=tiled, variant=variant, tile_size=tile_size, flops_by_precision={},
-                total_flops=0.0, storage_bytes=0, dense_bytes=0, conversions=0, n_tasks=0,
-            ).panels
+            return CholeskyResult.from_state(packed_state(lower, tile_size, variant)).panels
 
         double = panels_of("DP")
         assert all(rows.stop - rows.start >= 64 for rows, _ in double)

@@ -1,4 +1,4 @@
-"""Tests of precision descriptors, tiles, flop counts and policies."""
+"""Tests of precision descriptors, flop counts and policies."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.linalg import (
     PRECISIONS,
     Precision,
-    Tile,
     adaptive_policy,
     band_policy,
     cholesky_flops,
@@ -87,27 +86,6 @@ class TestFlops:
         assert total == pytest.approx(cholesky_flops(nb * nt), rel=0.05)
 
 
-class TestTile:
-    def test_storage_dtype_follows_precision(self):
-        data = np.eye(4)
-        tile = Tile(data=data, precision=Precision.SINGLE)
-        assert tile.data.dtype == np.float32
-        assert tile.nbytes == 4 * 16
-        assert tile.shape == (4, 4)
-
-    def test_as_float64_promotion(self):
-        tile = Tile(data=np.full((2, 2), 1.1), precision=Precision.HALF)
-        promoted = tile.as_float64()
-        assert promoted.dtype == np.float64
-        assert tile.quantisation_error(np.full((2, 2), 1.1)) < 1e-2
-
-    def test_convert_to_counts_conversions(self):
-        tile = Tile(data=np.ones((3, 3)), precision=Precision.DOUBLE)
-        converted = tile.convert_to(Precision.HALF)
-        assert converted.precision is Precision.HALF
-        assert converted.conversions == 1
-
-
 class TestPolicies:
     def test_dp_variant_is_all_double(self):
         policy = variant_policy("DP")
@@ -118,6 +96,11 @@ class TestPolicies:
         pm = policy.precision_map(6)
         assert pm[(3, 3)] is Precision.DOUBLE
         assert pm[(5, 0)] is Precision.HALF
+
+    def test_dp_hp_keeps_only_the_diagonal_in_double(self):
+        precisions = list(variant_policy("DP/HP").precision_map(8).values())
+        assert precisions.count(Precision.DOUBLE) == 8
+        assert precisions.count(Precision.HALF) == 8 * 9 // 2 - 8
 
     def test_dp_sp_hp_has_three_levels(self):
         policy = variant_policy("DP/SP/HP")

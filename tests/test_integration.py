@@ -114,11 +114,10 @@ class TestCovarianceSolverIntegration:
 
     def test_runtime_execution_of_emulator_cholesky(self, pipeline, innovation_covariance):
         """The covariance factorisation's task model schedules through the runtime."""
-        from repro.linalg import TiledSymmetricMatrix, generate_cholesky_tasks
+        from repro.linalg import generate_cholesky_tasks
 
         _, emulator, _ = pipeline
-        tiled = TiledSymmetricMatrix.from_dense(innovation_covariance(emulator), 25, "DP/HP")
-        tasks = generate_cholesky_tasks(tiled)
+        tasks = generate_cholesky_tasks(len(innovation_covariance(emulator)), 25, "DP/HP")
         graph = build_task_graph(tasks)
         trace = LocalExecutor().run(graph, TileStore())
         assert trace.order == [t.name for t in graph.topological_order()]

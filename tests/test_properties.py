@@ -10,6 +10,7 @@ import functools
 
 import numpy as np
 import pytest
+from factor_state import packed_state  # tests/ is on sys.path (rootdir layout)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,7 +20,6 @@ from repro.linalg import MixedPrecisionCholesky, variant_policy
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.policies import VARIANTS
 from repro.linalg.precision import Precision
-from repro.linalg.tiled_matrix import TiledSymmetricMatrix
 from repro.runtime import build_task_graph
 from repro.runtime.task import Task
 from repro.sht import Grid, SHTPlan, transform
@@ -121,14 +121,10 @@ class TestSHTProperties:
 
 @functools.lru_cache(maxsize=None)
 def _random_factor(n: int, tile_size: int, variant: str) -> CholeskyResult:
-    """A random lower-triangular matrix tiled as ``variant`` stores a factor."""
+    """A random lower-triangular matrix stored as ``variant`` stores a factor,
+    loaded the way an artifact is."""
     lower = np.tril(np.random.default_rng(n + tile_size).standard_normal((n, n)))
-    tiled = TiledSymmetricMatrix.from_dense(lower, tile_size, variant)
-    return CholeskyResult(
-        factor=tiled, variant=variant, tile_size=tile_size, flops_by_precision={},
-        total_flops=0.0, storage_bytes=tiled.storage_bytes(), dense_bytes=8 * n * n,
-        conversions=0, n_tasks=0,
-    )
+    return CholeskyResult.from_state(packed_state(lower, tile_size, variant))
 
 
 class TestLinalgProperties:

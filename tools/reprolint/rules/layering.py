@@ -53,7 +53,8 @@ EXCEPTIONS: "dict[tuple[str, str], str]" = {
     ),
     ("data", "repro.scenarios"): (
         "data.forcing is the legacy spelling of the scenario registry "
-        "(PR 3 moved the pathways up); folding it is ROADMAP item 4"
+        "(the pathways now live in repro.scenarios); folding it is ROADMAP "
+        "item 7(iii)"
     ),
     ("scenarios", "repro.serving.request"): (
         "campaign chunks are keyed by the serving tier's own "
