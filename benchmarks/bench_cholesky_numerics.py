@@ -15,7 +15,7 @@ from benchmarks.conftest import print_table
 from repro.linalg import MixedPrecisionCholesky, generate_cholesky_tasks
 from repro.linalg.flops import cholesky_flops
 from repro.linalg.policies import VARIANTS
-from repro.runtime import build_task_graph
+from repro.linalg.tasks import build_task_graph
 
 
 @pytest.mark.benchmark(group="cholesky-real")

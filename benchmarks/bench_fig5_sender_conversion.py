@@ -66,7 +66,7 @@ def test_fig5_conversion_counts_from_task_generator(benchmark, bench_covariance)
 
     def build(side):
         tasks = generate_cholesky_tasks(len(bench_covariance), 24, "DP/HP", conversion=side)
-        return sum(t.metadata.get("conversions", 0) for t in tasks)
+        return sum(t.conversions for t in tasks)
 
     sender = benchmark(build, "sender")
     receiver = build("receiver")

@@ -5,7 +5,7 @@ Paper results: weak scaling holds 92-111% per-GPU efficiency from 384 to
 12,288 GPUs retains ~55% (DP), ~72% (DP/SP), ~60% (DP/SP/HP) and ~56%
 (DP/HP) per-GPU efficiency.  This benchmark regenerates both studies with
 the performance model and adds a small real-DAG cross-check using the
-runtime's dependency analysis (Brent's bound on a real covariance DAG).
+task model's dependency analysis (Brent's bound on a real covariance DAG).
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from benchmarks.conftest import print_table
 from repro.linalg import generate_cholesky_tasks
 from repro.linalg.policies import VARIANTS
-from repro.runtime import build_task_graph
+from repro.linalg.tasks import build_task_graph
 from repro.systems import SUMMIT, CholeskyPerformanceModel, scaling_efficiencies
 
 WEAK_GPUS = [384, 1536, 3072, 6144, 12288]
@@ -73,7 +73,7 @@ def test_fig7_strong_scaling(benchmark):
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_dag_bound_cross_check(benchmark, bench_covariance):
-    """The runtime's DAG analysis shows the same qualitative behaviour:
+    """The task DAG analysis shows the same qualitative behaviour:
     per-worker efficiency degrades when the same DAG is spread over more
     workers (strong scaling), for a real (small) covariance DAG.
 

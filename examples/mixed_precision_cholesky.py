@@ -61,7 +61,7 @@ def main() -> None:
     print("\nSender- vs receiver-side conversion (DP/HP policy):")
     for side in ("sender", "receiver"):
         tasks = generate_cholesky_tasks(n, 49, "DP/HP", conversion=side)
-        conversions = sum(t.metadata.get("conversions", 0) for t in tasks)
+        conversions = sum(t.conversions for t in tasks)
         print(f"  {side:9s}: {conversions} conversions across {len(tasks)} tasks")
 
     print("\nProjected time-to-solution on Summit (performance model), 8.39M covariance:")

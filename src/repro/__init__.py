@@ -16,10 +16,8 @@ Using Exascale Climate Emulators" (Abdulah et al., SC 2024):
   trend, spectral stochastic model with a diagonal VAR, innovation
   covariance and Cholesky factorisation, and emulation generation.
 * :mod:`repro.linalg` — tile-based mixed-precision dense linear algebra
-  (DP / DP-SP / DP-SP-HP / DP-HP Cholesky variants).
-* :mod:`repro.runtime` — a PaRSEC-like task runtime: DAG construction
-  and analysis (critical path, parallelism profile), machine specs, and
-  a local numerical executor.
+  (DP / DP-SP / DP-SP-HP / DP-HP Cholesky variants) and the task model
+  of the tile Cholesky (critical path, parallelism profile).
 * :mod:`repro.systems` — machine models of Frontier, Alps, Leonardo and
   Summit plus the performance model used by the benchmark harness.
 * :mod:`repro.tuning` — autotuning by measurement: the pilot behind

@@ -12,13 +12,14 @@ machinery with NumPy and SciPy:
 * :mod:`repro.linalg.flops` — kernel and factorisation flop counts.
 * :mod:`repro.linalg.policies` — the precision-assignment policies: DP,
   DP/SP, DP/SP/HP, DP/HP band variants plus a data-adaptive (tile-centric)
-  policy.
+  policy, and the sender- / receiver-side conversion choice.
 * :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: one
   left-looking blocked loop in place (real mixed-precision execution), a
-  factor held as lower row panels per stored precision, the right-looking
-  POTRF / TRSM / SYRK / GEMM task list the performance model prices,
-  sender- versus receiver-side conversion accounting, and the dense
-  reference algorithm.
+  factor held as lower row panels per stored precision, its closed-form
+  flop and conversion accounting, and the dense reference algorithm.
+* :mod:`repro.linalg.tasks` — the right-looking POTRF / TRSM / SYRK / GEMM
+  task list of the same factorisation and its dependency analysis
+  (critical path, width profile), which the performance figures price.
 """
 
 from repro.linalg.precision import Precision, PRECISIONS
@@ -31,24 +32,21 @@ from repro.linalg.flops import (
 )
 from repro.linalg.policies import (
     CHOLESKY_VARIANTS,
-    PrecisionPolicy,
+    ConversionSide,
     VARIANTS,
     adaptive_policy,
     band_policy,
     variant_policy,
 )
-from repro.linalg.cholesky import (
-    MixedPrecisionCholesky,
-    dense_cholesky,
-    generate_cholesky_tasks,
-)
+from repro.linalg.cholesky import MixedPrecisionCholesky, dense_cholesky
+from repro.linalg.tasks import generate_cholesky_tasks
 
 __all__ = [
     "CHOLESKY_VARIANTS",
+    "ConversionSide",
     "MixedPrecisionCholesky",
     "PRECISIONS",
     "Precision",
-    "PrecisionPolicy",
     "VARIANTS",
     "adaptive_policy",
     "band_policy",

@@ -12,10 +12,9 @@ exactly that loss.
 The factor is held in the one layout the draw computes with: lower row
 panels per stored precision (:func:`_row_panels`), filled straight from the
 fit's buffer or from an artifact's buffers, plus one precision code per
-tile.  :func:`generate_cholesky_tasks` is the paper's right-looking task DAG
-of the same factorisation, with the communication metadata (broadcast
-fan-out, precision conversions) the analytic performance model prices for
-the sender- versus receiver-side strategies of Section V-A.
+tile.  The factorisation's flop and precision-conversion totals are the
+closed form (:func:`_accounting`) of the paper's right-looking task list,
+:func:`repro.linalg.tasks.generate_cholesky_tasks`.
 """
 
 from __future__ import annotations
@@ -33,14 +32,11 @@ from scipy.linalg.blas import dgemm
 from repro.linalg.flops import (
     cholesky_tile_counts, gemm_flops, potrf_flops, syrk_flops, trsm_flops,
 )
-from repro.linalg.policies import PrecisionPolicy, variant_policy
+from repro.linalg.policies import ConversionSide, PrecisionPolicy, variant_policy
 from repro.linalg.precision import PRECISIONS, Precision
-from repro.runtime.machine import ConversionSide
-from repro.runtime.task import Task
 
 __all__ = [
     "dense_cholesky",
-    "generate_cholesky_tasks",
     "CholeskyResult",
     "MixedPrecisionCholesky",
 ]
@@ -146,7 +142,8 @@ def _accounting(
     codes: np.ndarray, n: int, tile_size: int, side: ConversionSide
 ) -> tuple[dict[str, float], int, int]:
     """``(flops_by_precision, conversions, n_tasks)``: the totals of
-    :func:`generate_cholesky_tasks`, in closed form from the precision codes.
+    :func:`~repro.linalg.tasks.generate_cholesky_tasks`, in closed form from
+    the precision codes.
 
     Tile ``(i, i)`` takes POTRF(i) and ``i`` SYRKs, tile ``(i, j)`` TRSM(i, j)
     and ``j`` GEMMs.  POTRF(k) broadcasts to column ``k`` below the diagonal;
@@ -179,122 +176,6 @@ def _accounting(
     )
     flops_by_precision = {p.value: float(f) for p, f in zip(PRECISIONS, by_precision) if f}
     return flops_by_precision, conversions, sum(cholesky_tile_counts(nt).values())
-
-
-# --------------------------------------------------------------------------- #
-# Task generation (the performance model's view of the same factorisation)
-# --------------------------------------------------------------------------- #
-def generate_cholesky_tasks(
-    n: int,
-    tile_size: int,
-    variant: str | PrecisionPolicy,
-    label: str = "A",
-    conversion: ConversionSide | str = ConversionSide.SENDER,
-) -> list[Task]:
-    """Generate the right-looking tile Cholesky task list of an order-``n`` matrix.
-
-    Tile ``(i, j)`` is stored at the precision that ``variant`` (a policy or
-    a registered name) assigns it.  The tasks carry per-kernel flop counts,
-    the compute precision taken from the output tile's storage precision,
-    and communication metadata (broadcast fan-out and conversion counts
-    under the chosen conversion side) — what the performance model and the
-    DAG analysis price.  They carry no kernels:
-    :meth:`MixedPrecisionCholesky.factorize` computes the factor with a
-    blocked loop, and its accounting equals this list's totals.
-    """
-    if tile_size < 1:
-        raise ValueError("tile_size must be positive")
-    side = ConversionSide(conversion)
-    policy = variant if isinstance(variant, PrecisionPolicy) else variant_policy(variant)
-    nb = tile_size
-    rows = _tile_rows(n, nb).tolist()
-    nt = len(rows)
-    precision = policy.precision_map(nt)
-    tasks: list[Task] = []
-
-    for k in range(nt):
-        panel_priority = 2 * (nt - k)
-        # POTRF on the diagonal tile.
-        consumers = [precision[i, k] for i in range(k + 1, nt)]
-        conversions = _conversion_count(precision[k, k], consumers, side)
-        tasks.append(
-            Task(
-                name=f"POTRF({k})",
-                kind="POTRF",
-                reads=(),
-                writes=((label, k, k),),
-                flops=potrf_flops(rows[k]),
-                precision=precision[k, k].value,
-                priority=panel_priority + 1,
-                metadata={
-                    "panel": k,
-                    "broadcast_fanout": len(consumers),
-                    "conversions": conversions,
-                },
-            )
-        )
-        for i in range(k + 1, nt):
-            # TRSM: panel update of tile (i, k); consumed by GEMM/SYRK tasks.
-            gemm_consumers = [precision[i, j] for j in range(k + 1, i)]
-            gemm_consumers += [precision[r, i] for r in range(i + 1, nt)]
-            gemm_consumers += [precision[i, i]]
-            conversions = _conversion_count(precision[i, k], gemm_consumers, side)
-            tasks.append(
-                Task(
-                    name=f"TRSM({i},{k})",
-                    kind="TRSM",
-                    reads=((label, k, k),),
-                    writes=((label, i, k),),
-                    flops=trsm_flops(nb) * (rows[i] / nb),
-                    precision=precision[i, k].value,
-                    priority=panel_priority,
-                    metadata={
-                        "panel": k,
-                        "broadcast_fanout": len(gemm_consumers),
-                        "conversions": conversions,
-                    },
-                )
-            )
-        for i in range(k + 1, nt):
-            tasks.append(
-                Task(
-                    name=f"SYRK({i},{k})",
-                    kind="SYRK",
-                    reads=((label, i, k),),
-                    writes=((label, i, i),),
-                    flops=syrk_flops(rows[i]),
-                    precision=precision[i, i].value,
-                    priority=panel_priority - 1,
-                    metadata={"panel": k},
-                )
-            )
-            for j in range(k + 1, i):
-                tasks.append(
-                    Task(
-                        name=f"GEMM({i},{j},{k})",
-                        kind="GEMM",
-                        reads=((label, i, k), (label, j, k)),
-                        writes=((label, i, j),),
-                        flops=gemm_flops(nb) * (rows[i] / nb) * (rows[j] / nb),
-                        precision=precision[i, j].value,
-                        priority=panel_priority - 2,
-                        metadata={"panel": k},
-                    )
-                )
-    return tasks
-
-
-def _conversion_count(
-    source: Precision, consumers: list[Precision], side: ConversionSide
-) -> int:
-    """Number of precision conversions implied by a broadcast."""
-    needing = [c for c in consumers if c != source]
-    if not needing:
-        return 0
-    if side is ConversionSide.SENDER:
-        # one conversion per distinct target precision at the producer
-        return len({c for c in needing})
-    return len(needing)
 
 
 # --------------------------------------------------------------------------- #

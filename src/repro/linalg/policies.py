@@ -18,11 +18,15 @@ a tile) decays away from the diagonal, so distant tiles tolerate lower
 precision.  A data-adaptive (tile-centric) policy is also provided, which
 inspects tile norms instead of positions, mirroring the adaptive approach
 of the authors' earlier work cited in Section III-D.
+
+Where a tile produced at one precision and consumed at another is
+converted is the :class:`ConversionSide` policy of Section V-A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -32,12 +36,27 @@ from repro.util.registry import BackendRegistry
 
 __all__ = [
     "CHOLESKY_VARIANTS",
+    "ConversionSide",
     "PrecisionPolicy",
     "band_policy",
     "variant_policy",
     "adaptive_policy",
     "VARIANTS",
 ]
+
+
+class ConversionSide(str, Enum):
+    """Where a precision conversion of a communicated tile happens.
+
+    When a tile is produced at one precision and consumed at a lower
+    one, converting at the sender shrinks the message (and performs the
+    conversion once), whereas converting at the receiver ships the
+    full-precision tile and repeats the conversion per consumer
+    (Section V-A).
+    """
+
+    SENDER = "sender"
+    RECEIVER = "receiver"
 
 
 @dataclass(frozen=True)

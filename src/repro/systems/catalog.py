@@ -10,7 +10,7 @@ performance model.
 
 from __future__ import annotations
 
-from repro.runtime.machine import GPUSpec, MachineSpec, NodeSpec
+from repro.systems.machine import GPUSpec, MachineSpec, NodeSpec
 
 __all__ = [
     "V100",

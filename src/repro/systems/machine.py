@@ -1,23 +1,22 @@
-"""Machine models: GPUs, nodes, full systems, and communication policies.
+"""Machine models: GPUs, nodes, full systems, and the collective policy.
 
 The performance studies in the paper run on four systems (Frontier, Alps,
 Leonardo, Summit) whose relevant attributes are the per-GPU peak rates at
 double, single and half precision, the GPU memory capacity, the number of
 GPUs per node, and the interconnect bandwidth/latency.  This module defines
 the dataclasses consumed by the analytic performance model
-(:mod:`repro.systems.perf_model`) and the two communication policy enums
-the paper's Sections III-C and V-A turn on; the concrete catalogue of the
-four systems lives in :mod:`repro.systems.catalog`.
+(:mod:`repro.systems.perf_model`) and the collective-priority enum of the
+paper's Section III-C; the concrete catalogue of the four systems lives in
+:mod:`repro.systems.catalog`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
     "CollectivePriority",
-    "ConversionSide",
     "GPUSpec",
     "MachineSpec",
     "NodeSpec",
@@ -36,20 +35,6 @@ class CollectivePriority(str, Enum):
 
     BANDWIDTH = "bandwidth"
     LATENCY = "latency"
-
-
-class ConversionSide(str, Enum):
-    """Where a precision conversion of a communicated tile happens.
-
-    When a tile is produced at one precision and consumed at a lower
-    one, converting at the sender shrinks the message (and performs the
-    conversion once), whereas converting at the receiver ships the
-    full-precision tile and repeats the conversion per consumer
-    (Section V-A).
-    """
-
-    SENDER = "sender"
-    RECEIVER = "receiver"
 
 
 @dataclass(frozen=True)

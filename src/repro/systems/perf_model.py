@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.linalg.flops import cholesky_flops
-from repro.linalg.policies import variant_policy
+from repro.linalg.policies import ConversionSide, variant_policy
 from repro.linalg.precision import Precision
-from repro.runtime.machine import CollectivePriority, ConversionSide, MachineSpec
+from repro.systems.machine import CollectivePriority, MachineSpec
 
 __all__ = [
     "CholeskyPerformanceModel",

@@ -5,7 +5,6 @@ import pytest
 from factor_state import packed_state, tile_members  # tests/ is on sys.path (rootdir layout)
 
 import repro
-import repro.linalg.cholesky as cholesky_module
 from repro.linalg import (
     PRECISIONS,
     MixedPrecisionCholesky,
@@ -16,7 +15,8 @@ from repro.linalg import (
 )
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
-from repro.runtime import Task, build_task_graph
+from repro.linalg import tasks as tasks_module
+from repro.linalg.tasks import Task, build_task_graph
 
 
 class TestDenseReference:
@@ -50,9 +50,9 @@ class TestTaskGeneration:
     def test_dag_is_acyclic_with_expected_dependencies(self):
         graph = build_task_graph(generate_cholesky_tasks(64, 16, "DP"))
         # First POTRF has no predecessors; last POTRF depends on earlier work.
-        assert not graph.predecessors(graph.tasks[0])
-        last_potrf = [t for t in graph.tasks if t.name == "POTRF(3)"][0]
-        assert graph.predecessors(last_potrf)
+        assert graph.predecessors[0] == []
+        last_potrf = [t.name for t in graph.tasks].index("POTRF(3)")
+        assert [graph.tasks[i].name for i in graph.predecessors[last_potrf]] == ["SYRK(3,2)"]
 
     def test_precision_assignment_follows_policy(self):
         tasks = generate_cholesky_tasks(64, 8, "DP/HP")
@@ -62,13 +62,9 @@ class TestTaskGeneration:
         assert gemm_far and gemm_far[0].precision == "fp16"
 
     def test_sender_conversion_counts_fewer_than_receiver(self):
-        sender = sum(
-            t.metadata.get("conversions", 0)
-            for t in generate_cholesky_tasks(64, 8, "DP/HP", conversion="sender")
-        )
-        receiver = sum(
-            t.metadata.get("conversions", 0)
-            for t in generate_cholesky_tasks(64, 8, "DP/HP", conversion="receiver")
+        sender, receiver = (
+            sum(t.conversions for t in generate_cholesky_tasks(64, 8, "DP/HP", conversion=side))
+            for side in ("sender", "receiver")
         )
         assert sender < receiver
 
@@ -180,7 +176,7 @@ class TestFactorizationAccuracy:
         def disabled(*args, **kwargs):
             raise AssertionError("the factorisation built the task list")
 
-        monkeypatch.setattr(cholesky_module, "generate_cholesky_tasks", disabled)
+        monkeypatch.setattr(tasks_module, "generate_cholesky_tasks", disabled)
         monkeypatch.setattr(Task, "__init__", disabled)
         spd = TestRowPanels.covariance(100)
         result = MixedPrecisionCholesky(tile_size=16, variant="DP/SP/HP").factorize(spd)
@@ -208,7 +204,7 @@ def test_closed_form_accounting_is_the_task_lists_totals(n, tile_size, variant, 
         flops[task.precision] = flops.get(task.precision, 0.0) + task.flops
     assert result.flops_by_precision == pytest.approx(flops, rel=1e-12)
     assert result.total_flops == pytest.approx(sum(flops.values()), rel=1e-12)
-    assert result.conversions == sum(t.metadata.get("conversions", 0) for t in tasks)
+    assert result.conversions == sum(t.conversions for t in tasks)
     assert result.n_tasks == len(tasks)
     rows = [min(tile_size, n - i * tile_size) for i in range(-(-n // tile_size))]
     assert result.storage_bytes == sum(

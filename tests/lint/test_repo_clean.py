@@ -38,14 +38,12 @@ class TestRepoTreeIsClean:
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"reprolint findings on repro.tuning:\n{rendered}"
 
-    def test_runtime_systems_tuning_have_no_unused_exports(self):
-        """The PR-6 fold promise, kept: after deleting the tests-only
-        scheduler/simulator half, every public symbol of the runtime,
-        systems, tuning and scenarios packages has a caller outside its
-        own package."""
+    def test_linalg_systems_tuning_have_no_unused_exports(self):
+        """Every public symbol of the linalg, systems, tuning and scenarios
+        packages has a caller outside its own package."""
         report = dead_symbol_report(
             REPO_ROOT,
-            ["src/repro/runtime", "src/repro/systems", "src/repro/tuning.py",
+            ["src/repro/linalg", "src/repro/systems", "src/repro/tuning.py",
              "src/repro/scenarios"],
         )
         assert len(report["packages"]["src/repro/tuning.py"]["symbols"]) == 3

@@ -13,8 +13,8 @@ import pytest
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.data.forcing import scenario_forcing
-from repro.linalg import MixedPrecisionCholesky
-from repro.runtime import LocalExecutor, TileStore, build_task_graph
+from repro.linalg import MixedPrecisionCholesky, generate_cholesky_tasks
+from repro.linalg.tasks import build_task_graph
 from repro.stats import consistency_report
 from repro.storage import StorageScenario, savings_report
 from repro.systems import SUMMIT, CholeskyPerformanceModel
@@ -112,17 +112,22 @@ class TestCovarianceSolverIntegration:
             result = MixedPrecisionCholesky(tile_size=25, variant=variant, jitter=1e-6).factorize(cov)
             assert result.factor_error(reference.lower()) < tol
 
-    def test_runtime_execution_of_emulator_cholesky(self, pipeline, innovation_covariance):
-        """The covariance factorisation's task model schedules through the runtime."""
-        from repro.linalg import generate_cholesky_tasks
-
+    def test_dag_analysis_of_emulator_cholesky(self, pipeline, innovation_covariance):
+        """The task model of the covariance factorisation: its DAG analysis
+        agrees with the factorisation's own accounting."""
         _, emulator, _ = pipeline
-        tasks = generate_cholesky_tasks(len(innovation_covariance(emulator)), 25, "DP/HP")
-        graph = build_task_graph(tasks)
-        trace = LocalExecutor().run(graph, TileStore())
-        assert trace.order == [t.name for t in graph.topological_order()]
-        assert len(trace.order) == len(tasks)
-        assert graph.max_parallelism() >= 1
+        n = len(innovation_covariance(emulator))  # 100: 4 x 4 tiles of 25
+        result = emulator.spectral_model.cholesky
+        graph = build_task_graph(generate_cholesky_tasks(n, 25, "DP/SP"))
+        assert graph.n_tasks == result.n_tasks == 20
+        assert graph.total_flops() == pytest.approx(result.total_flops, rel=1e-12)
+        length, path = graph.critical_path(cost=lambda t: 1.0)
+        # POTRF -> TRSM -> SYRK per panel, then the last POTRF.
+        assert (length, path[:3], path[-1]) == (
+            10.0, ["POTRF(0)", "TRSM(1,0)", "SYRK(1,0)"], "POTRF(3)"
+        )
+        assert graph.parallelism_profile() == [1, 3, 6, 1, 2, 3, 1, 1, 1, 1]
+        assert 1.0 < graph.average_parallelism() < graph.max_parallelism() == 6
 
     def test_performance_model_for_paper_scale_covariance(self):
         """L = 5219 gives a ~27.2M-order covariance, the paper's largest run."""

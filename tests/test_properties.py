@@ -20,8 +20,7 @@ from repro.linalg import MixedPrecisionCholesky, variant_policy
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.policies import VARIANTS
 from repro.linalg.precision import Precision
-from repro.runtime import build_task_graph
-from repro.runtime.task import Task
+from repro.linalg.tasks import Task, build_task_graph
 from repro.sht import Grid, SHTPlan, transform
 from repro.sht.quadrature import exponential_sine_integral
 from repro.sht.realform import complex_from_real, real_from_complex
@@ -180,26 +179,52 @@ class TestLinalgProperties:
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
-class TestRuntimeProperties:
+def _brute_force_edges(tasks: list) -> set:
+    """``(i, j)``, ``i < j``, wherever task ``j`` must follow task ``i``: it
+    reads or writes what ``i`` last wrote before it (RAW / WAW), or writes
+    what ``i`` read since that tile's last write (WAR)."""
+    edges = set()
+    for j, later in enumerate(tasks):
+        for ref in (*later.reads, *later.writes):
+            writers = [i for i in range(j) if ref in tasks[i].writes]
+            if writers:
+                edges.add((writers[-1], j))
+            if ref in later.writes:
+                since = writers[-1] + 1 if writers else 0
+                edges.update((i, j) for i in range(since, j) if ref in tasks[i].reads)
+    return edges
+
+
+class TestTaskGraphProperties:
     @_SETTINGS
-    @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=25))
-    def test_task_graph_is_acyclic_and_complete(self, keys):
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+                st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=2),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_task_graph_points_backward_and_is_complete(self, accesses):
         tasks = [
             Task(
                 name=f"t{i}",
                 kind="W",
-                reads=((("x", k - 1),) if k > 0 else ()),
-                writes=(("x", k),),
+                reads=tuple(("x", k) for k in reads),
+                writes=tuple(("x", k) for k in writes),
                 flops=1.0,
             )
-            for i, k in enumerate(keys)
+            for i, (reads, writes) in enumerate(accesses)
         ]
         graph = build_task_graph(tasks)
         assert graph.n_tasks == len(tasks)
-        order = [t.name for t in graph.topological_order()]
-        position = {name: i for i, name in enumerate(order)}
-        for u, v in graph.graph.edges:
-            assert position[u] < position[v]
+        for j, preds in enumerate(graph.predecessors):
+            assert preds == sorted(set(preds)) and all(i < j for i in preds)
+        edges = {(i, j) for j, preds in enumerate(graph.predecessors) for i in preds}
+        assert edges == _brute_force_edges(tasks)
+        assert graph.n_edges == len(edges)
 
 
 class TestModelProperties:

@@ -6,7 +6,7 @@ Usage::
                               [--output FILE] [--baseline FILE]
                               [--no-baseline] [--rule ID ...]
                               [--list-rules]
-    python -m tools.reprolint --dead-public src/repro/runtime src/repro/systems
+    python -m tools.reprolint --dead-public src/repro/linalg src/repro/systems
 
 Default paths are ``src tools benchmarks`` (tests are deliberately out
 of scope: they exercise hostile inputs on purpose).  Exit status is 0
@@ -41,8 +41,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "the lock-discipline race checker (see docs/analysis.md).",
     )
     parser.add_argument(
-        "paths", nargs="*", default=list(DEFAULT_PATHS),
-        help="files or directories to analyze (default: src tools benchmarks)",
+        "paths", nargs="*",
+        help="files or directories to analyze (default: src tools benchmarks; "
+        "with --dead-public: src/repro/linalg src/repro/systems)",
     )
     parser.add_argument(
         "--root", default=str(REPO_ROOT),
@@ -77,7 +78,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--dead-public", action="store_true",
         help="instead of linting, report dead/unused public symbols of the "
-        "given package directories (e.g. src/repro/runtime)",
+        "given package directories (e.g. src/repro/linalg)",
     )
     args = parser.parse_args(argv)
 
@@ -89,7 +90,7 @@ def main(argv: "list[str] | None" = None) -> int:
     root = Path(args.root).resolve()
 
     if args.dead_public:
-        packages = args.paths or ["src/repro/runtime", "src/repro/systems"]
+        packages = args.paths or ["src/repro/linalg", "src/repro/systems"]
         report = dead_symbol_report(root, packages)
         if args.output:
             Path(args.output).write_text(
@@ -105,7 +106,9 @@ def main(argv: "list[str] | None" = None) -> int:
     baseline = None
     if not args.no_baseline:
         baseline = Baseline.load(Path(args.baseline), root)
-    report = lint_paths(root, args.paths, rules=args.rule, baseline=baseline)
+    report = lint_paths(
+        root, args.paths or DEFAULT_PATHS, rules=args.rule, baseline=baseline
+    )
 
     if args.output:
         Path(args.output).write_text(

@@ -1,6 +1,6 @@
 """Dead/unused-public-symbol report.
 
-For a package directory (say ``src/repro/runtime``) or a single module
+For a package directory (say ``src/repro/systems``) or a single module
 (``src/repro/tuning.py``), read the ``__all__`` of its ``__init__.py``
 (or of the module) and classify every public symbol by where — outside
 the package itself — its name is actually referenced:
@@ -12,9 +12,9 @@ the package itself — its name is actually referenced:
 
 References are collected from the AST (bare names and attribute
 accesses), so string mentions in docs don't count and renames can't
-hide.  The report is evidence, not a verdict — ROADMAP item 5 uses it
-to decide what `repro.runtime`/`repro.systems` machinery earns its
-keep — and is exposed as ``python -m tools.reprolint --dead-public``.
+hide.  The report is evidence, not a verdict — ROADMAP item 7 uses it
+to decide which public names earn their keep — and is exposed as
+``python -m tools.reprolint --dead-public``.
 """
 
 from __future__ import annotations

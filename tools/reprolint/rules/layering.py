@@ -30,11 +30,10 @@ __all__ = ["EXCEPTIONS", "ImportLayeringRule", "LAYERS"]
 LAYERS: "dict[str, tuple[str, ...]]" = {
     "util": (),
     "obs": (),
-    "runtime": (),
     "tuning": (),
     "sht": ("obs", "util"),
-    "linalg": ("runtime", "util"),
-    "systems": ("linalg", "runtime"),
+    "linalg": ("util",),
+    "systems": ("linalg",),
     "data": ("sht",),
     "stats": ("data", "sht"),
     "storage": ("obs", "sht", "util"),
