@@ -17,76 +17,34 @@ This script is the scenario-engine counterpart of the quickstart:
 6. stand up the on-demand serving tier over the same artifact — an
    ``EmulationService`` backed by a persistent ``ChunkStore`` — and show
    a request served cold (synthesized + stored) then hot (from cache),
-7. run the whole thing *observed*: a live ``/metrics`` endpoint
-   (Prometheus text exposition + ``/healthz`` + ``/readyz``), a
-   background ``ResourceSampler`` publishing ``resource.*`` gauges, a
-   campaign progress heartbeat, and the serving SLO report.
+7. report where the serving time went: the service's own counters
+   (``service.stats()``) and the ``serve.get`` latency percentiles from
+   the metrics registry (``repro.obs.metrics_snapshot()``).
 
 Run with:  PYTHONPATH=src python examples/scenario_campaign.py
 
 Tracing: set ``REPRO_TRACE=trace.jsonl`` to record every span this
 script opens (fit, SHT, plan cache, campaign runs, serving, chunk
 store) and profile it with ``python tools/tracereport.py trace.jsonl``.
-
-Live scraping (what CI does): set ``REPRO_METRICS_PORT=9464`` to bind
-the metrics server to a fixed port, and ``REPRO_METRICS_HOLD=60`` to
-keep the process (and the endpoint) alive for up to that many seconds
-after the workload finishes so an external scraper can hit
-``/metrics``.  Touching the file named by ``REPRO_METRICS_RELEASE``
-releases the hold early.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-import time
 
 import numpy as np
 
 import repro
-from repro.obs import DEFAULT_SERVING_SLOS, ResourceSampler, start_metrics_server
+from repro.obs import metrics_snapshot
 from repro.scenarios import GHGRamp, Stabilisation
 from repro.storage import campaign_storage_report, format_bytes
-
-
-def _hold_for_scrapers(server) -> None:
-    """Keep the metrics endpoint alive for an external scraper (CI).
-
-    Waits up to ``REPRO_METRICS_HOLD`` seconds (default: no hold), or
-    until the sentinel file named by ``REPRO_METRICS_RELEASE`` appears —
-    whichever comes first.
-    """
-    hold_seconds = float(os.environ.get("REPRO_METRICS_HOLD", "0"))
-    if hold_seconds <= 0:
-        return
-    release = os.environ.get("REPRO_METRICS_RELEASE")
-    deadline = time.monotonic() + hold_seconds
-    print(f"\nHolding metrics endpoint at {server.url} "
-          f"for up to {hold_seconds:.0f}s"
-          + (f" (touch {release} to release)" if release else ""))
-    while time.monotonic() < deadline:
-        if release and os.path.exists(release):
-            print("  release sentinel observed — continuing")
-            return
-        time.sleep(0.2)
-    print("  hold expired — continuing")
 
 
 def main() -> None:
     print("=" * 70)
     print("Exascale climate emulator reproduction — scenario campaign")
     print("=" * 70)
-
-    # 7. Operational observability: everything below runs *watched*.
-    #    The server and sampler are read-only consumers of the metrics
-    #    registry — outputs stay bit-identical with them on or off.
-    port = int(os.environ.get("REPRO_METRICS_PORT", "0"))
-    server = start_metrics_server(port, slos=DEFAULT_SERVING_SLOS)
-    sampler = ResourceSampler(interval_seconds=1.0)
-    sampler.start()
-    print(f"\nMetrics server: {server.url}/metrics "
-          f"(health: /healthz, readiness: /readyz)")
 
     # 1. Fit once, save the artifact: the campaign replays the artifact,
     #    never the training data.
@@ -187,36 +145,19 @@ def main() -> None:
         print(f"  chunk store:       {stats['store']['n_chunks']} chunks, "
               f"{format_bytes(stats['store']['encoded_bytes'])} on disk")
 
-        # 7b. Watch the service against the sampler: attach the service
-        #     so cache/store footprints are sampled too, then report the
-        #     serving SLOs over the latency actually recorded above.
-        sampler.stop()
-        watched = ResourceSampler(interval_seconds=1.0, service=service)
-        values = watched.sample_once()
-        print("\nResource watchdog (one sample):")
-        print(f"  rss:               {format_bytes(int(values['resource.rss_bytes']))}")
-        print(f"  open fds:          {int(values['resource.open_fds'])}, "
-              f"threads: {int(values['resource.threads'])}")
-        print(f"  chunk cache:       "
-              f"{format_bytes(int(values['resource.chunk_cache_bytes']))}, "
-              f"store: {format_bytes(int(values['resource.store_bytes']))}")
-
-        slo = service.slo_report()
-        print("\nServing SLO report:")
-        for entry in slo["slos"]:
-            for stat, detail in entry["objectives"].items():
-                status = "OK " if detail["ok"] else "VIOLATED"
-                observed = ("n/a" if detail["observed"] is None
-                            else f"{detail['observed'] * 1e3:.2f} ms")
-                print(f"  {entry['name']} {stat} <= "
-                      f"{detail['target'] * 1e3:.1f} ms: {status} "
-                      f"(observed {observed})")
-        if not slo["ok"]:
-            print("  (SLO violations are informational in this toy run)")
-
-        _hold_for_scrapers(server)
-
-    server.stop()
+        # 7. Where the serving time went: the service's own counters and
+        #    the request latency the ``serve.get`` span recorded.
+        latency = metrics_snapshot()["histograms"]["serve.get.seconds"]
+        print("\nServing telemetry:")
+        print(f"  chunk cache:       {stats['chunk_cache']['hits']} hits, "
+              f"{stats['chunk_cache']['misses']} misses, "
+              f"{format_bytes(stats['chunk_cache']['bytes'])} held")
+        print(f"  synthesis:         {stats['synthesis']['flights']} flights, "
+              f"{stats['synthesis']['chunks']} chunks, "
+              f"{stats['synthesis']['seconds']:.3f} s")
+        print(f"  serve.get latency: p50 {latency['p50'] * 1e3:.2f} ms, "
+              f"p99 {latency['p99'] * 1e3:.2f} ms "
+              f"over {latency['count']} requests")
 
 
 if __name__ == "__main__":

@@ -6,24 +6,14 @@ The observability layer the serving gateway and the campaign pilot
 * :mod:`repro.obs.metrics` — a thread-safe registry of counters, gauges
   and histograms with dotted lowercase names (``sht.plan_cache.hits``).
   Always on; `EmulationService.stats()` and ``plan_cache_stats()`` are
-  back-compat views over it.
+  back-compat views over it, and :func:`metrics_snapshot` is how anyone
+  else reads the numbers (latency percentiles included: every span feeds
+  a ``<name>.seconds`` histogram).
 * :mod:`repro.obs.tracing` — hierarchical spans
   (``with span("fit.analysis", lmax=48):``) that nest per thread, link
   across threads via ``parent=``, carry structured attributes (bytes,
   shapes, cache outcomes, flop estimates) and export JSON-lines traces
   for :mod:`tools.tracereport`.
-
-On top sits the *operational* half:
-
-* :mod:`repro.obs.export` — Prometheus/JSON rendering of registry
-  snapshots and :func:`start_metrics_server` serving ``/metrics``,
-  ``/healthz`` and ``/readyz`` from a daemon thread;
-* :mod:`repro.obs.sampler` — :class:`ResourceSampler`, a background
-  resource watchdog publishing ``resource.*`` gauges (RSS, open fds,
-  threads, cache and store footprints) on an interval;
-* :mod:`repro.obs.slo` — :class:`SLO` objectives over named latency
-  histograms, evaluated by :func:`evaluate_slos` and surfaced as
-  ``EmulationService.slo_report()``.
 
 Telemetry is contractually **bit-inert** (arrays are bit-identical with
 tracing on, off, or toggled mid-run) and **near-free when disabled**
@@ -45,18 +35,7 @@ process without touching its code, then summarise the file with
 
 from __future__ import annotations
 
-from repro.obs.export import (
-    MetricsServer,
-    clear_readiness,
-    components_ready,
-    mark_ready,
-    readiness,
-    render_json,
-    render_prometheus,
-    start_metrics_server,
-)
 from repro.obs.metrics import (
-    METRIC_NAME_RE,
     MetricsRegistry,
     counter_add,
     gauge_set,
@@ -65,10 +44,7 @@ from repro.obs.metrics import (
     observe,
     reset_metrics,
 )
-from repro.obs.sampler import ResourceSampler
-from repro.obs.slo import DEFAULT_SERVING_SLOS, SLO, evaluate_slos
 from repro.obs.tracing import (
-    Span,
     clear_trace,
     current_span,
     disable,
@@ -80,33 +56,19 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "DEFAULT_SERVING_SLOS",
-    "METRIC_NAME_RE",
     "MetricsRegistry",
-    "MetricsServer",
-    "ResourceSampler",
-    "SLO",
-    "Span",
-    "clear_readiness",
     "clear_trace",
-    "components_ready",
     "counter_add",
     "current_span",
     "disable",
     "enable",
     "enabled",
-    "evaluate_slos",
     "gauge_set",
     "get_registry",
-    "mark_ready",
     "metrics_snapshot",
     "observe",
-    "readiness",
-    "render_json",
-    "render_prometheus",
     "reset_metrics",
     "span",
-    "start_metrics_server",
     "trace_records",
     "tracing",
 ]

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 #: Instrument names are dotted lowercase with at least two segments.
-METRIC_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
+METRIC_NAME_RE = re.compile(r"[a-z0-9_]+(\.[a-z0-9_]+)+")
 
 #: Retained samples per histogram; percentiles summarise this window.
 HISTOGRAM_WINDOW = 4096
@@ -143,7 +143,7 @@ class MetricsRegistry:
     def _check_kind_locked(self, name: str, own_table: dict) -> None:
         """Validate the name and reject cross-kind reuse (lock held)."""
         if name not in own_table:
-            if not METRIC_NAME_RE.match(name):
+            if not METRIC_NAME_RE.fullmatch(name):
                 raise ValueError(
                     f"metric name {name!r} is not dotted lowercase "
                     "(expected e.g. 'sht.plan_cache.hits')"

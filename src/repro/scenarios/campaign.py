@@ -46,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from repro.api.facade import _resolve as _resolve_emulator
-from repro.obs import counter_add, gauge_set, reset_metrics, span
+from repro.obs import counter_add, gauge_set, span
 from repro.scenarios.registry import resolve_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.serving.request import FieldRequest, chunk_address
@@ -595,18 +595,12 @@ def iter_chunk_arrays(manifest, *, store=None):
 
 
 class _Heartbeat:
-    """Structured campaign progress: live gauges plus an optional callback.
+    """The ``progress=`` callback's beats: once at start, then after every
+    completed execution block.
 
-    Long campaigns were only observable post-hoc through the manifest's
-    ``timing`` block; the heartbeat publishes progress *while* the
-    campaign runs, after every completed execution block, as gauges on
-    the process-wide registry (and so onto any live ``/metrics``
-    endpoint): ``campaign.progress.runs_done`` / ``runs_total`` /
-    ``runs_per_second`` / ``eta_seconds``.
-
-    Updates happen only on the coordinating thread (it drains the
-    finished blocks in plan order, whether it executed them itself or a
-    pool thread did), so the counter needs no lock; timing reads the open
+    Beats happen only on the coordinating thread (it drains the finished
+    blocks in plan order, whether it executed them itself or a pool
+    thread did), so the counter needs no lock; timing reads the open
     ``campaign.total`` span's clock, so the heartbeat adds no timer of
     its own and stays inside the telemetry layer's hygiene contract.
     """
@@ -616,33 +610,25 @@ class _Heartbeat:
         self._clock = clock_span
         self._callback = callback
         self._done = 0
-        # ``eta_seconds`` is published only once a rate exists: drop the
-        # previous campaign's final 0.0 so it never sits by ``runs_done = 0``.
-        reset_metrics("campaign.progress")
-        self._publish()
+        self._beat()
 
     def update(self, n_completed: int) -> None:
-        """Record ``n_completed`` more finished runs and re-publish."""
+        """Record ``n_completed`` more finished runs and beat."""
         self._done += int(n_completed)
-        self._publish()
+        self._beat()
 
-    def _publish(self) -> None:
+    def _beat(self) -> None:
+        if self._callback is None:
+            return
         elapsed = float(self._clock.elapsed())
         rate = self._done / elapsed if elapsed > 0.0 else 0.0
-        eta = (self._n_runs - self._done) / rate if rate > 0.0 else None
-        gauge_set("campaign.progress.runs_done", float(self._done))
-        gauge_set("campaign.progress.runs_total", float(self._n_runs))
-        gauge_set("campaign.progress.runs_per_second", rate)
-        if eta is not None:
-            gauge_set("campaign.progress.eta_seconds", eta)
-        if self._callback is not None:
-            self._callback({
-                "runs_done": self._done,
-                "runs_total": self._n_runs,
-                "elapsed_seconds": elapsed,
-                "runs_per_second": rate,
-                "eta_seconds": eta,
-            })
+        self._callback({
+            "runs_done": self._done,
+            "runs_total": self._n_runs,
+            "elapsed_seconds": elapsed,
+            "runs_per_second": rate,
+            "eta_seconds": (self._n_runs - self._done) / rate if rate > 0.0 else None,
+        })
 
 
 def run_campaign(
@@ -765,14 +751,10 @@ def run_campaign(
         data is stored; :func:`iter_chunk_arrays` reads it back
         manifest-driven.
     progress:
-        Optional callback for the structured progress heartbeat.  After
-        every completed execution block (and once at start) the campaign
-        publishes ``campaign.progress.runs_done`` / ``runs_total`` /
-        ``runs_per_second`` / ``eta_seconds`` gauges to the process-wide
-        registry — visible live on a
-        :func:`repro.obs.start_metrics_server` endpoint — and, when
-        given, calls ``progress(info)`` from the coordinating thread
-        with ``info = {"runs_done", "runs_total", "elapsed_seconds",
+        Optional callback for the structured progress heartbeat.  Once
+        at start and after every completed execution block the campaign
+        calls ``progress(info)`` from the coordinating thread with
+        ``info = {"runs_done", "runs_total", "elapsed_seconds",
         "runs_per_second", "eta_seconds"}`` (``eta_seconds`` is ``None``
         until a rate exists).  The heartbeat never touches run output:
         results stay bit-identical with or without it.

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro.api.facade import _resolve as _resolve_emulator
 from repro.core.emulator import ClimateEmulator
-from repro.obs import DEFAULT_SERVING_SLOS, MetricsRegistry, evaluate_slos, mark_ready, span
+from repro.obs import MetricsRegistry, span
 from repro.serving.request import FieldRequest, chunk_address
 from repro.storage.chunkstore import ChunkStore
 
@@ -245,9 +245,6 @@ class EmulationService:
         self._cache = _ChunkCache(cache_bytes, self._metrics)
         self._flights: dict[str, _Flight] = {}
         self._streams: "OrderedDict[tuple[str, int], _LiveStream]" = OrderedDict()
-        # A constructed service can answer requests, so the process's
-        # /readyz (repro.obs.export) flips to ready here.
-        mark_ready("serving")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -318,20 +315,6 @@ class EmulationService:
         store = self._store
         summary["store"] = store.stats() if store is not None else None
         return summary
-
-    def slo_report(self, slos=None) -> dict:
-        """Evaluate serving SLOs against recorded latency histograms.
-
-        ``slos`` defaults to :data:`repro.obs.DEFAULT_SERVING_SLOS`
-        (p99 of ``serve.get.seconds`` under 50 ms).  Span histograms
-        live in the process-wide registry — ``serve.get.seconds`` is
-        recorded by the ``serve.get`` span around every :meth:`get` —
-        so the report is evaluated there, not against this instance's
-        counter registry.  Returns the
-        :func:`repro.obs.evaluate_slos` report
-        (``{"ok", "violations", "slos"}``).
-        """
-        return evaluate_slos(DEFAULT_SERVING_SLOS if slos is None else slos)
 
     # ------------------------------------------------------------------ #
     # Serving

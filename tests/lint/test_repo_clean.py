@@ -38,13 +38,13 @@ class TestRepoTreeIsClean:
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"reprolint findings on repro.tuning:\n{rendered}"
 
-    def test_linalg_systems_tuning_have_no_unused_exports(self):
-        """Every public symbol of the linalg, systems, tuning and scenarios
-        packages has a caller outside its own package."""
+    def test_linalg_systems_tuning_scenarios_obs_have_no_unused_exports(self):
+        """Every public symbol of the linalg, systems, tuning, scenarios
+        and obs packages has a caller outside its own package."""
         report = dead_symbol_report(
             REPO_ROOT,
             ["src/repro/linalg", "src/repro/systems", "src/repro/tuning.py",
-             "src/repro/scenarios"],
+             "src/repro/scenarios", "src/repro/obs"],
         )
         assert len(report["packages"]["src/repro/tuning.py"]["symbols"]) == 3
         unused = {

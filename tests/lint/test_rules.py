@@ -527,6 +527,23 @@ class TestTelemetryHygiene:
         assert rule_ids(findings) == ["telemetry-hygiene"] * 2
         assert all("outside the telemetry layer" in f.message for f in findings)
 
+    @pytest.mark.parametrize(
+        "timer",
+        ["perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns",
+         "process_time"],
+    )
+    def test_every_clock_read_fires(self, timer):
+        source = f"import time\nt = time.{timer}()\n"
+        findings = lint_source(source, "src/repro/scenarios/example.py",
+                               rules=["telemetry-hygiene"])
+        assert rule_ids(findings) == ["telemetry-hygiene"]
+        assert f"time.{timer}()" in findings[0].message
+
+    def test_wall_clock_stamps_are_not_timers(self):
+        source = "import time\nstamp = time.time()\ntime.sleep(0)\n"
+        assert lint_source(source, "src/repro/scenarios/example.py",
+                           rules=["telemetry-hygiene"]) == []
+
     def test_obs_package_and_non_src_trees_are_exempt(self):
         source = "import time\nt = time.perf_counter()\n"
         assert lint_source(source, "src/repro/obs/tracing.py",
@@ -534,47 +551,18 @@ class TestTelemetryHygiene:
         assert lint_source(source, "benchmarks/bench_example.py",
                            rules=["telemetry-hygiene"]) == []
 
-    def test_raw_resource_probe_fires_outside_the_layer(self):
-        source = """
-            import os
-            import resource
-
-            def watch():
-                rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                load = os.getloadavg()
-                cpu = os.times()
-                return rss, load, cpu
-        """
-        findings = run(source, rules=["telemetry-hygiene"])
-        assert rule_ids(findings) == ["telemetry-hygiene"] * 3
-        assert all("probes process resources" in f.message for f in findings)
-        assert all("ResourceSampler" in f.message for f in findings)
-
     def test_operational_obs_modules_are_inside_the_layer(self):
-        # The exporter/sampler/SLO modules are the telemetry layer too:
-        # raw timers and resource probes are their implementation.
+        # The metrics and tracing modules are the telemetry layer: raw
+        # timers are their implementation.
         source = """
-            import resource
             import time
 
             def sample():
-                t = time.perf_counter()
-                rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                return t, rss
+                return time.perf_counter()
         """
-        for relpath in ("src/repro/obs/sampler.py", "src/repro/obs/export.py",
-                        "src/repro/obs/slo.py"):
+        for relpath in ("src/repro/obs/tracing.py", "src/repro/obs/metrics.py"):
             assert lint_source(textwrap.dedent(source), relpath,
                                rules=["telemetry-hygiene"]) == [], relpath
-
-    def test_resource_probe_outside_obs_in_src_fires(self):
-        source = "import resource\nr = resource.getrusage(0)\n"
-        findings = lint_source(source, "src/repro/serving/service.py",
-                               rules=["telemetry-hygiene"])
-        assert rule_ids(findings) == ["telemetry-hygiene"]
-        # ...but the same probe outside src/repro is not this rule's job.
-        assert lint_source(source, "tools/watcher.py",
-                           rules=["telemetry-hygiene"]) == []
 
     @pytest.mark.parametrize(
         "stmt",
@@ -583,6 +571,10 @@ class TestTelemetryHygiene:
             'gauge_set("Serving.Queue.depth", 2)',
             'metrics.observe("CamelName", 1.0)',
             'with span("Serve.Get"):\n    pass',
+            'counter_add("docs.demo\\n")',
+            'observe(".leading.dot", 1.0)',
+            'get_registry().add("double..dot")',
+            'with repro.obs.span("Upper.case"):\n    pass',
         ],
     )
     def test_malformed_instrument_name_fires(self, stmt):
@@ -603,6 +595,28 @@ class TestTelemetryHygiene:
 
             def f():
                 counter_add(f"{_PREFIX}.hits")
+        """
+        assert run(source, rules=["telemetry-hygiene"]) == []
+
+    def test_module_prefix_fstring_resolving_to_a_bad_name_fires(self):
+        source = """
+            from repro.obs import counter_add
+
+            _PREFIX = "sht.plan_cache"
+
+            def f():
+                counter_add(f"{_PREFIX}.Hits")
+        """
+        findings = run(source, rules=["telemetry-hygiene"])
+        assert rule_ids(findings) == ["telemetry-hygiene"]
+        assert "'sht.plan_cache.Hits'" in findings[0].message
+
+    def test_unresolvable_fstrings_are_left_to_the_runtime(self):
+        source = """
+            from repro.obs import counter_add
+
+            def f(component):
+                counter_add(f"{component}.Hits")
         """
         assert run(source, rules=["telemetry-hygiene"]) == []
 

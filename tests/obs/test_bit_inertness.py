@@ -112,89 +112,6 @@ class TestBitInertness:
         assert "campaign.total" in trace_names
 
 
-class TestOperationalBitInertness:
-    """The exporter and sampler are covered by the same contract: a
-    live scrape endpoint and a running resource watchdog never change
-    an emitted array — on, off, or toggled mid-run."""
-
-    def test_emulate_with_exporter_and_sampler_live(self, fitted_emulator):
-        from urllib.request import urlopen
-
-        from repro.obs import ResourceSampler, start_metrics_server
-
-        baseline = repro.emulate(fitted_emulator, n_realizations=2, n_times=8,
-                                 rng=np.random.default_rng(21))
-        with start_metrics_server() as server, ResourceSampler(0.01):
-            with urlopen(f"{server.url}/metrics") as response:
-                response.read()
-            observed = repro.emulate(fitted_emulator, n_realizations=2,
-                                     n_times=8, rng=np.random.default_rng(21))
-            with urlopen(f"{server.url}/metrics") as response:
-                response.read()
-        assert np.array_equal(baseline.data, observed.data)
-
-    def test_stream_survives_exporter_sampler_toggles_mid_run(
-        self, fitted_emulator
-    ):
-        from urllib.request import urlopen
-
-        from repro.obs import ResourceSampler, start_metrics_server
-
-        def chunks():
-            return repro.emulate_stream(fitted_emulator, n_times=24,
-                                        chunk_size=6,
-                                        rng=np.random.default_rng(31))
-
-        baseline = [chunk.data for chunk in chunks()]
-        toggled = []
-        sampler = ResourceSampler(0.01)
-        server = None
-        try:
-            # exporter+sampler start mid-stream, stop mid-stream: the
-            # chunks keep their bits either way.
-            for index, chunk in enumerate(chunks()):
-                toggled.append(chunk.data)
-                if index == 0:
-                    server = start_metrics_server()
-                    sampler.start()
-                elif index == 2:
-                    sampler.stop()
-                    with urlopen(f"{server.url}/metrics") as response:
-                        response.read()
-                    server.stop()
-                    server = None
-        finally:
-            sampler.stop()
-            if server is not None:
-                server.stop()
-        assert len(baseline) == len(toggled) == 4
-        for expected, got in zip(baseline, toggled):
-            assert np.array_equal(expected, got)
-
-    def test_campaign_with_heartbeat_sampler_and_scrapes(self, fitted_emulator):
-        from urllib.request import urlopen
-
-        from repro.obs import ResourceSampler, start_metrics_server
-
-        def campaign(**kwargs):
-            return run_campaign(fitted_emulator, ["ssp-low"], 2,
-                                n_times=8, seed=17, collect="global-mean",
-                                **kwargs)
-
-        baseline = campaign()
-        beats = []
-        with start_metrics_server() as server, ResourceSampler(0.01):
-            observed = campaign(progress=beats.append)
-            with urlopen(f"{server.url}/metrics") as response:
-                body = response.read().decode("utf-8")
-        assert beats[-1]["runs_done"] == baseline.n_runs
-        assert "campaign_progress_runs_done" in body
-        assert "resource_rss_bytes" in body
-        for expected, got in zip(baseline.runs, observed.runs):
-            assert expected.to_dict() == got.to_dict()
-            assert np.array_equal(expected.collected, got.collected)
-
-
 class TestBackCompatPinning:
     def test_plan_cache_stats_keys_and_values(self, small_grid):
         clear_plan_cache()

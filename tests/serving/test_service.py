@@ -181,6 +181,33 @@ class TestCacheManagement:
         assert stats["synthesis"]["chunks"] == 1
 
 
+class TestTelemetry:
+    def test_every_get_feeds_the_latency_histogram(self, service):
+        def summary():
+            return repro.obs.metrics_snapshot()["histograms"].get(
+                "serve.get.seconds", {"count": 0})
+
+        before = summary()["count"]
+        request = FieldRequest("ssp-low", realization=0)
+        service.get(request)
+        service.get(request)
+        service.get(FieldRequest("ssp-high", realization=1))
+        after = summary()
+        assert after["count"] == before + 3
+        assert 0.0 < after["p50"] <= after["p99"] <= after["max"]
+
+    def test_services_count_in_their_own_registries(self, fitted_emulator):
+        first = repro.serve(fitted_emulator, seed=0)
+        second = repro.serve(fitted_emulator, seed=0)
+        first.get(FieldRequest("ssp-low"))
+        first.get(FieldRequest("ssp-low"))
+        second.get(FieldRequest("ssp-low"))
+        assert first.stats()["requests"] == 2
+        assert second.stats()["requests"] == 1
+        assert first.metrics is not second.metrics
+        assert "serving.requests" not in repro.obs.metrics_snapshot()["counters"]
+
+
 class TestPersistentTier:
     def test_write_through_then_read_through(self, fitted_emulator, tmp_path):
         request = FieldRequest("ssp-high", realization=1, year_start=0, year_stop=2)

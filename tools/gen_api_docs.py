@@ -138,7 +138,7 @@ def generate() -> str:
                         methods=("address", "stream_address",
                                  "chunk_addresses", "resolve_spec")))
     parts.append(_entry("repro.EmulationService", EmulationService,
-                        methods=("get", "stats", "slo_report")))
+                        methods=("get", "stats")))
     parts.append(_entry("repro.SpatialWindow", SpatialWindow,
                         methods=("from_degrees", "extract", "validate_for")))
     parts.append(_entry("repro.ChunkStore", ChunkStore,
@@ -226,8 +226,10 @@ def generate() -> str:
     parts.append(
         "The unified observability layer (`repro.obs`): a process-wide\n"
         "metrics registry plus hierarchical tracing spans over every hot\n"
-        "path.  Telemetry is bit-inert — emitted arrays are bit-identical\n"
-        "with tracing on, off, or toggled mid-run.  See\n"
+        "path.  Every span feeds a `<name>.seconds` histogram, so latency\n"
+        "percentiles (`serve.get.seconds`, ...) are read from\n"
+        "`metrics_snapshot()`.  Telemetry is bit-inert — emitted arrays are\n"
+        "bit-identical with tracing on, off, or toggled mid-run.  See\n"
         "[`observability.md`](observability.md) for the tour and\n"
         "`tools/tracereport.py` for trace aggregation.\n"
     )
@@ -239,26 +241,6 @@ def generate() -> str:
                  "current_span", "trace_records", "clear_trace",
                  "metrics_snapshot", "counter_add", "gauge_set", "observe",
                  "reset_metrics", "get_registry"):
-        parts.append(_entry(f"repro.obs.{name}", getattr(repro.obs, name)))
-
-    parts.append("## Operations\n")
-    parts.append(
-        "The operational half of `repro.obs`: live Prometheus/JSON export\n"
-        "with health and readiness endpoints, a background resource\n"
-        "watchdog, and service-level objectives over recorded latency\n"
-        "histograms.  `tools/benchwatch.py` defends the benchmark\n"
-        "trajectory in CI.  See the Operations section of\n"
-        "[`observability.md`](observability.md).\n"
-    )
-    parts.append(_entry("repro.obs.MetricsServer", repro.obs.MetricsServer,
-                        methods=("stop",)))
-    parts.append(_entry("repro.obs.ResourceSampler", repro.obs.ResourceSampler,
-                        methods=("sample_once", "start", "stop")))
-    parts.append(_entry("repro.obs.SLO", repro.obs.SLO,
-                        methods=("objectives",)))
-    for name in ("start_metrics_server", "render_prometheus", "render_json",
-                 "evaluate_slos", "mark_ready", "readiness",
-                 "components_ready", "clear_readiness"):
         parts.append(_entry(f"repro.obs.{name}", getattr(repro.obs, name)))
 
     parts.append("## Cholesky precision variants\n")

@@ -4,18 +4,15 @@ The observability layer only stays trustworthy if it is the *single*
 timing surface inside ``src/repro`` and its instrument namespace stays
 machine-comparable.  Two properties, both statically checkable:
 
-* **no ad-hoc timers or resource probes** — ``time.perf_counter``/
-  ``monotonic``/``process_time`` calls inside ``src/repro`` (outside
-  ``repro/obs`` itself) mean a hot path is being timed outside the span
-  layer, so the measurement never reaches traces, histograms or
-  ``tracereport``.  Time the region with ``repro.obs.span`` instead
-  (the span's ``seconds``/``elapsed()`` replace the manual delta).
-  Likewise raw OS resource probes (``resource.getrusage``,
-  ``os.times``, ``os.getloadavg``) belong to
-  ``repro.obs.sampler.ResourceSampler``, which publishes them as
-  ``resource.*`` gauges — everything under ``src/repro/obs/`` (metrics,
-  tracing, export, sampler, slo) is *inside* the layer and exempt.
-  Legitimate exceptions go through the pragma mechanism.
+* **no ad-hoc timers** — ``time.perf_counter``/``monotonic``/
+  ``process_time`` calls inside ``src/repro`` (outside ``repro/obs``
+  itself) mean a hot path is being timed outside the span layer, so the
+  measurement never reaches traces, histograms or ``tracereport``.
+  Time the region with ``repro.obs.span`` instead (the span's
+  ``seconds``/``elapsed()`` replace the manual delta).  Everything
+  under ``src/repro/obs/`` (``metrics.py``, ``tracing.py``) is *inside*
+  the layer and exempt.  Legitimate exceptions go through the pragma
+  mechanism.
 
 * **well-formed, collision-free instrument names** — every literal name
   handed to ``span(...)``, ``counter_add``/``gauge_set``/``observe`` or
@@ -41,21 +38,13 @@ from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_na
 
 __all__ = ["TelemetryHygieneRule"]
 
-#: Mirrors ``repro.obs.METRIC_NAME_RE`` (kept literal so the linter
-#: never imports the package it analyses).
-_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
+#: Mirrors ``repro.obs.metrics.METRIC_NAME_RE`` (kept literal so the
+#: linter never imports the package it analyses); use with ``fullmatch``.
+_NAME_RE = re.compile(r"[a-z0-9_]+(\.[a-z0-9_]+)+")
 
 _TIMER_CALLS = {
     "time.perf_counter", "time.perf_counter_ns",
     "time.monotonic", "time.monotonic_ns", "time.process_time",
-}
-
-#: Raw OS resource probes.  Like the timers, these belong inside the
-#: telemetry layer: ``repro.obs.sampler`` publishes RSS/fd/thread
-#: gauges for the whole process, so an ad-hoc ``getrusage`` elsewhere
-#: in ``src/repro`` is a measurement that never reaches ``/metrics``.
-_RESOURCE_CALLS = {
-    "resource.getrusage", "os.times", "os.getloadavg",
 }
 
 #: Module-level helpers of ``repro.obs`` -> instrument kind.
@@ -158,10 +147,8 @@ class TelemetryHygieneRule(Rule):
         self, unit: ModuleUnit, ctx: ProjectContext
     ) -> Iterable[Finding]:
         findings: list[Finding] = []
-        # Everything under src/repro/obs/ *is* the telemetry layer —
-        # metrics/tracing and the operational half (export, sampler,
-        # slo) alike — so raw timers and OS resource probes are its
-        # implementation there and banned everywhere else.
+        # Everything under src/repro/obs/ *is* the telemetry layer, so
+        # raw timers are its implementation there and banned elsewhere.
         if not unit.relpath.startswith("src/repro/obs/"):
             for node in ast.walk(unit.tree):
                 if isinstance(node, ast.Call):
@@ -175,20 +162,8 @@ class TelemetryHygieneRule(Rule):
                                 f"reaches traces or histograms; {self.hint}",
                             )
                         )
-                    elif callee in _RESOURCE_CALLS:
-                        findings.append(
-                            unit.finding(
-                                self.id, node,
-                                f"`{callee}()` probes process resources "
-                                f"outside the telemetry layer, so the "
-                                f"measurement never reaches the resource.* "
-                                f"gauges or /metrics; publish it through "
-                                f"repro.obs.ResourceSampler instead; "
-                                f"{self.hint}",
-                            )
-                        )
         for name, kind, node in _instruments(unit):
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 findings.append(
                     unit.finding(
                         self.id, node,
@@ -213,7 +188,7 @@ class TelemetryHygieneRule(Rule):
             ):
                 if kind == "span":
                     name, kind = f"{name}.seconds", "histogram"
-                if not _NAME_RE.match(name):
+                if not _NAME_RE.fullmatch(name):
                     continue  # already reported by check_module
                 prior = seen.setdefault(name, (kind, unit.relpath, node.lineno))
                 if prior[0] != kind:
