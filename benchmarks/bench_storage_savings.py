@@ -6,50 +6,16 @@ parameters, and the resulting savings in petabytes and dollars per year at
 NCAR's $45/TB/year rate.
 """
 
-import os
-import tempfile
+import pytest
 
-import numpy as np
-
-try:
-    import pytest
-    from benchmarks.conftest import print_table
-except ImportError:
-    # Script mode (CI runs `python benchmarks/bench_storage_savings.py`
-    # without pytest installed): shim the mark decorator and the table
-    # printer so the module imports; only __main__ runs in that mode.
-    class _MarkShim:
-        @staticmethod
-        def benchmark(**_kwargs):
-            return lambda func: func
-
-    class _PytestShim:
-        mark = _MarkShim()
-
-    pytest = _PytestShim()
-
-    def print_table(title, headers, rows):
-        print(f"\n=== {title} ===")
-        print("  ".join(str(h) for h in headers))
-        for row in rows:
-            print("  ".join(str(v) for v in row))
-from repro.scenarios.campaign import run_campaign
-from repro.serving.request import FieldRequest
-from repro.serving.service import EmulationService
+from benchmarks.conftest import print_table
 from repro.sht.grid import Grid
 from repro.storage import (
     CMIP6_ARCHIVE,
-    ChunkStore,
     StorageScenario,
-    cross_tier_storage_report,
     format_bytes,
     savings_report,
 )
-
-try:
-    from benchmarks._report import emit_summary, write_report
-except ImportError:  # run as a script with benchmarks/ as sys.path[0]
-    from _report import emit_summary, write_report
 
 SCENARIOS = [
     # (name, grid, years, steps/yr, members, variables, lmax, full covariance)
@@ -97,73 +63,6 @@ def test_storage_savings_report(benchmark):
     assert all(r["annual_savings_usd"] > 0 for r in reports)
 
 
-def run_cross_tier_benchmark(emulator, root) -> dict:
-    """E10b — one store root, both tiers: campaign pre-warms serving.
-
-    A store-backed campaign lands its chunks under serving addresses,
-    an ``EmulationService`` over the same root serves them back with
-    zero synthesis, and the cross-tier report measures the combined
-    artifact-to-output boost.
-    """
-    scenarios = ["ssp-low", "ssp-high"]
-    n_realizations, n_years, spy, seed = 2, 2, 24, 7
-
-    manifest = run_campaign(
-        emulator, scenarios, n_realizations,
-        n_times=n_years * spy, seed=seed, store=root, collect="none",
-    )
-    service = EmulationService(emulator, seed=seed, store=ChunkStore(root))
-    for scenario in scenarios:
-        for realization in range(n_realizations):
-            field = service.get(FieldRequest(
-                scenario, realization=realization,
-                year_start=0, year_stop=n_years,
-            ))
-            assert np.isfinite(field).all()
-    report = cross_tier_storage_report(manifest, service)
-
-    print_table(
-        "E10b — cross-tier boost (campaign store pre-warms serving)",
-        ["artifact", "campaign out", "served", "store shards",
-         "boost", "prewarmed"],
-        [[format_bytes(report["artifact_bytes"]),
-          format_bytes(report["campaign_output_bytes"]),
-          format_bytes(report["served_bytes"]),
-          format_bytes(report["store_encoded_bytes"]),
-          f"{report['cross_tier_boost_factor']:.1f}x",
-          f"{report['prewarmed_fraction']:.2f}"]],
-    )
-
-    # The whole point: the campaign pre-warmed every chunk, so serving
-    # synthesized nothing and the store stayed bit-lossless.
-    assert report["synthesized_chunks"] == 0
-    assert report["prewarmed_fraction"] == 1.0
-    assert report["store_lossless"] and report["store_max_abs_error"] == 0.0
-    assert report["cross_tier_boost_factor"] > 1.0
-
-    return {
-        "scenarios": scenarios,
-        "n_realizations": n_realizations,
-        "n_years": n_years,
-        "cross_tier": report,
-    }
-
-
-@pytest.mark.benchmark(group="storage")
-def test_cross_tier_boost_factor(benchmark, bench_emulator, tmp_path):
-    """Pytest entry: the cross-tier flow against a fresh root each round."""
-    roots = iter(range(10_000))
-
-    def flow():
-        return run_cross_tier_benchmark(
-            bench_emulator, tmp_path / f"store-{next(roots)}"
-        )
-
-    summary = benchmark.pedantic(flow, rounds=1, iterations=1)
-    emit_summary(summary)
-    write_report("storage", summary)
-
-
 @pytest.mark.benchmark(group="storage")
 def test_fitted_emulator_storage_summary(benchmark, bench_emulator):
     """The fitted (small) emulator reports the same accounting on real objects."""
@@ -176,31 +75,3 @@ def test_fitted_emulator_storage_summary(benchmark, bench_emulator):
           f"{summary['compression_factor']:.2f}x"]],
     )
     assert summary["compression_factor"] > 1.0
-
-
-def _fit_script_emulator():
-    """The same small fitted emulator the session fixtures use."""
-    from repro.core import ClimateEmulator, EmulatorConfig
-    from repro.data import Era5LikeConfig, Era5LikeGenerator
-
-    sims = Era5LikeGenerator(
-        Era5LikeConfig(lmax=12, n_years=4, steps_per_year=24, n_ensemble=2,
-                       diurnal_amplitude_k=1.5, forcing_growth=1.0),
-        seed=7,
-    ).generate()
-    emulator = ClimateEmulator(EmulatorConfig(
-        lmax=12, n_harmonics=2, var_order=2, tile_size=36,
-        precision_variant="DP", rho_grid=(0.3, 0.7),
-    ))
-    emulator.fit(sims)
-    return emulator
-
-
-if __name__ == "__main__":
-    emulator = _fit_script_emulator()
-    with tempfile.TemporaryDirectory() as scratch:
-        summary = run_cross_tier_benchmark(
-            emulator, os.path.join(scratch, "store")
-        )
-    emit_summary(summary)
-    write_report("storage", summary)

@@ -1,13 +1,16 @@
-"""Shared fixtures and reporting helpers for the benchmark harness.
+"""Shared fixtures and the table printer for the paper-model benches.
 
-Every benchmark module regenerates one table or figure of the paper's
+Every ``bench_*.py`` module reproduces one table or figure of the paper's
 evaluation section: it computes the same rows/series the paper reports
 (via real small-scale execution where possible and the calibrated
 performance model for machine-scale numbers), prints them so the run log
 doubles as the reproduction record, and times a representative kernel with
-``pytest-benchmark``.
+``pytest-benchmark``.  They reproduce the paper; they are not the
+repository's performance record, which is the end-to-end ledger
+(``python3 -m benchmarks.e2e``, declared in ``BENCHMARK.json``).
 
-Run with ``pytest benchmarks/ --benchmark-only``.
+Run with ``pytest benchmarks/bench_*.py`` (add ``--benchmark-disable``
+to check the tables and assertions without timing rounds).
 """
 
 from __future__ import annotations

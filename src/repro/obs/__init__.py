@@ -15,10 +15,11 @@ The observability layer the serving gateway and the campaign pilot
   shapes, cache outcomes, flop estimates) and export JSON-lines traces
   for :mod:`tools.tracereport`.
 
-Telemetry is contractually **bit-inert** (arrays are bit-identical with
-tracing on, off, or toggled mid-run) and **near-free when disabled**
-(<2% on the batched-synthesis path, gated by
-``benchmarks/bench_telemetry_overhead.py``).
+Telemetry is **bit-inert**: arrays are bit-identical with tracing on,
+off, or toggled mid-run, pinned by ``tests/obs/``.  What tracing costs
+is measured, not promised: the end-to-end ledger reports
+``obs.enabled_overhead_share`` under ``python3 -m benchmarks.e2e
+--trace 1``.
 
 Quick start::
 

@@ -77,6 +77,19 @@ class TestRepoTreeIsClean:
         assert on_disk == set(LAYERS)
         assert all(reason.strip() for reason in EXCEPTIONS.values())
 
+    def test_ci_runs_every_example_and_the_paper_benches(self):
+        """A new example or bench is run by CI, not only by its author."""
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(
+            encoding="utf-8"
+        )
+        examples_job = workflow.split("\n  examples:\n", 1)[1]
+        scripts = sorted(path.name for path in (REPO_ROOT / "examples").glob("*.py"))
+        assert len(scripts) >= 7
+        missing = [name for name in scripts
+                   if f"python examples/{name}" not in examples_job]
+        assert not missing, f"examples CI never runs: {missing}"
+        assert "pytest benchmarks/bench_*.py --benchmark-disable" in workflow
+
     def test_stale_layering_exception_is_a_finding(self, monkeypatch):
         monkeypatch.setitem(EXCEPTIONS, ("util", "repro.serving"), "made up")
         report = lint_paths(REPO_ROOT, ["src"], rules=["import-layering"])

@@ -2,9 +2,9 @@
 
 Two contracts from the observability layer's charter:
 
-* **bit-inert** — every emitted array (fit state, emulated fields,
-  served fields, campaign outputs) is bit-identical with tracing off,
-  on, or toggled mid-run;
+* **bit-inert** — every emitted array (fit state, transformed fields and
+  coefficients, emulated fields, served fields, campaign outputs) is
+  bit-identical with tracing off, on, or toggled mid-run;
 * **back-compat** — ``EmulationService.stats()`` and
   ``plan_cache_stats()`` keep their exact pre-telemetry keys and values
   now that the numbers come from metrics registries.
@@ -22,6 +22,7 @@ from repro.obs import clear_trace, disable, enable, trace_records, tracing
 from repro.scenarios.campaign import run_campaign
 from repro.serving.request import FieldRequest
 from repro.serving.service import EmulationService
+from repro.sht.grid import Grid
 from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
 from repro.util.compare import assert_states_bit_identical
 
@@ -48,13 +49,20 @@ class TestBitInertness:
         assert trace_records(), "tracing produced no spans for fit"
         assert_states_bit_identical(baseline.state_dict(), traced.state_dict())
 
-    def test_emulate_is_bit_inert(self, fitted_emulator):
-        baseline = repro.emulate(fitted_emulator, n_realizations=2, n_times=8,
-                                 rng=np.random.default_rng(11))
+    # 2 x 24 = 48 slices take the inverse SHT's blocked path (more than
+    # one synthesis block of 32); 2 x 8 = 16 take the single-block path.
+    @pytest.mark.parametrize("n_times", [8, 24])
+    def test_emulate_is_bit_inert(self, fitted_emulator, n_times):
+        def emulate():
+            return repro.emulate(fitted_emulator, n_realizations=2,
+                                 n_times=n_times, rng=np.random.default_rng(11))
+
+        baseline = emulate()
         with tracing():
-            traced = repro.emulate(fitted_emulator, n_realizations=2, n_times=8,
-                                   rng=np.random.default_rng(11))
+            traced = emulate()
+        toggled = emulate()
         assert np.array_equal(baseline.data, traced.data)
+        assert np.array_equal(baseline.data, toggled.data)
 
     def test_emulate_stream_survives_mid_run_toggles(self, fitted_emulator):
         def chunks():
@@ -74,6 +82,33 @@ class TestBitInertness:
         assert len(baseline) == len(toggled) == 4
         for expected, got in zip(baseline, toggled):
             assert np.array_equal(expected, got)
+
+    # Leading batch shapes around the 32-slice FFT block of both
+    # directions: one slice, exactly one block, one slice past it, and a
+    # stacked runs x times batch of many blocks.
+    @pytest.mark.parametrize("batch", [(), (32,), (33,), (16, 24)],
+                             ids=["single", "one-block", "past-block", "stacked"])
+    @pytest.mark.parametrize("direction",
+                             ["forward", "inverse", "inverse_realform"])
+    def test_sht_transform_is_bit_inert(self, direction, batch):
+        plan = get_plan("fast", 16, Grid.for_bandlimit(16))
+        rng = np.random.default_rng(2024)
+        if direction == "forward":
+            operand = rng.standard_normal(batch + plan.grid.shape)
+        elif direction == "inverse":
+            operand = plan.random_coefficients(rng, shape=batch)
+        else:
+            operand = rng.standard_normal(batch + (plan.n_coeffs,))
+        transform = getattr(plan, direction)
+
+        baseline = transform(operand)
+        with tracing():
+            traced = transform(operand)
+        toggled = transform(operand)
+        assert np.array_equal(baseline, traced)
+        assert np.array_equal(baseline, toggled)
+        span_name = "sht.forward" if direction == "forward" else "sht.inverse"
+        assert span_name in {rec["name"] for rec in trace_records()}
 
     def test_serving_is_bit_inert(self, fitted_emulator):
         request = FieldRequest("ssp-high", realization=1, year_start=0,

@@ -96,6 +96,7 @@ class TestCampaignWritesTheServingTier:
                     fitted_emulator, scenario, realization, N_YEARS
                 )
                 assert np.array_equal(served, reference)  # bit-identical
+                assert np.isfinite(served).all()
         stats = service.stats()
         assert stats["synthesis"]["flights"] == 0  # zero cold synthesis
         assert stats["store_chunk_hits"] == (

@@ -48,13 +48,25 @@ class TestBitExactness:
         assert served.shape == (3 * SPY,) + fitted_emulator.training_summary.grid.shape
         assert np.array_equal(served, reference)
 
-    def test_cached_path_is_bit_identical_to_cold(self, service):
+    def test_cached_path_is_bit_identical_to_cold(self, fitted_emulator, service):
         request = FieldRequest("ssp-low", realization=1, year_start=0, year_stop=2)
         cold = service.get(request)
         hot = service.get(request)
         assert np.array_equal(cold, hot)
+        assert np.array_equal(hot, canonical_stream(fitted_emulator, "ssp-low", 1, 2))
         stats = service.stats()
         assert stats["request_hits"] == 1 and stats["request_misses"] == 1
+
+    @pytest.mark.parametrize("scenario", repro.SCENARIOS.names())
+    def test_every_scenario_serves_its_canonical_stream(self, fitted_emulator,
+                                                        service, scenario):
+        request = FieldRequest(scenario, realization=1, year_start=0, year_stop=2)
+        reference = canonical_stream(fitted_emulator, scenario, 1, 2)
+        assert np.array_equal(service.get(request), reference)  # cold
+        assert np.array_equal(service.get(request), reference)  # hot
+        stats = service.stats()
+        assert stats["request_hits"] == 1
+        assert stats["synthesis"]["chunks"] == 2
 
     def test_single_year_request_equals_direct_emulate(self, fitted_emulator, service):
         request = FieldRequest("ssp-high", realization=5)
@@ -331,6 +343,55 @@ class TestConcurrency:
         reference = canonical_stream(fitted_emulator, "ssp-high", 0, 3)
         for output in outputs:
             assert np.array_equal(output, reference)
+
+    def test_warm_service_serves_concurrent_mixed_requests_from_cache(
+        self, fitted_emulator
+    ):
+        service = repro.serve(fitted_emulator, seed=0)
+        scenarios = ["ssp-low", "ssp-medium", "ssp-high"]
+        requests = [
+            FieldRequest(scenario, realization=r, year_start=year,
+                         year_stop=year + 1)
+            for scenario in scenarios
+            for r in range(2)
+            for year in range(3)
+        ]
+        for request in requests:  # warm every chunk once
+            service.get(request)
+        warm = service.stats()
+        n_threads, per_thread = 8, 24
+        barrier = threading.Barrier(n_threads)
+        served = [[] for _ in range(n_threads)]
+
+        def worker(i):
+            order = np.random.default_rng(i).permutation(len(requests))
+            barrier.wait()
+            for k in range(per_thread):
+                index = int(order[k % len(order)])
+                served[i].append((index, service.get(requests[index])))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        stats = service.stats()
+        assert stats["synthesis"] == warm["synthesis"]  # nothing re-synthesized
+        assert stats["request_hits"] == warm["request_hits"] + n_threads * per_thread
+        references = {
+            (scenario, r): canonical_stream(fitted_emulator, scenario, r, 3)
+            for scenario in scenarios
+            for r in range(2)
+        }
+        for outputs in served:
+            assert len(outputs) == per_thread
+            for index, output in outputs:
+                request = requests[index]
+                expected = references[(request.scenario, request.realization)]
+                assert np.array_equal(
+                    output,
+                    expected[request.year_start * SPY:request.year_stop * SPY],
+                )
 
     def test_same_scenario_requests_coalesce_into_batches(self, fitted_emulator):
         service = repro.serve(fitted_emulator, seed=0)
