@@ -8,9 +8,9 @@ This script is the scenario-engine counterpart of the quickstart:
 2. list the registered forcing pathways and compose a *new* one from
    components — registered with zero edits to the core,
 3. ``repro.run_campaign`` the artifact across 3 scenarios x 2
-   realizations, sharded over 4 workers, streaming chunks with bounded
-   memory,
-4. verify the sharded campaign is bit-identical to the serial run (every
+   realizations, both realizations of a scenario synthesised in one
+   block, streaming chunks with bounded memory,
+4. verify the batched campaign is bit-identical to one-run blocks (every
    run is pinned to its own ``SeedSequence.spawn`` stream),
 5. print the campaign manifest and the storage "boost factor": how many
    bytes of archive-equivalent output one small artifact emitted,
@@ -56,7 +56,7 @@ def main() -> None:
                          tile_size=36, rho_grid=(0.3, 0.7))
 
     # 2. The scenario catalogue, and a new composed pathway.  Registering
-    #    it touches neither repro/data/forcing.py nor repro/core.
+    #    it touches neither repro/scenarios/registry.py nor repro/core.
     print("\nRegistered forcing pathways:")
     for name, description in sorted(repro.list_scenarios().items()):
         print(f"  {name:16s} {description}")
@@ -77,16 +77,17 @@ def main() -> None:
         print(f"\nSaved artifact: {format_bytes(os.path.getsize(artifact_path))}")
 
         # 3. + 4. The campaign: 3 scenarios x 2 realizations, streamed in
-        #    year-sized chunks, sharded over 4 workers — and bit-identical
-        #    to the serial run because realization r of every scenario
-        #    always draws from the SeedSequence child with spawn_key (r,).
+        #    year-sized chunks, two realizations per block — and
+        #    bit-identical to one-run blocks because realization r of every
+        #    scenario always draws from the SeedSequence child with
+        #    spawn_key (r,).
         campaign_args = dict(n_realizations=2, n_times=4 * 24, seed=2024,
                              collect="global-mean")
         serial = repro.run_campaign(artifact_path, scenario_names, **campaign_args)
 
         beats: list[dict] = []
-        sharded = repro.run_campaign(artifact_path, scenario_names,
-                                     max_workers=4, progress=beats.append,
+        batched = repro.run_campaign(artifact_path, scenario_names,
+                                     batch_size=2, progress=beats.append,
                                      **campaign_args)
         final_beat = beats[-1]
         print(f"\nProgress heartbeat: {len(beats)} beats, last = "
@@ -94,27 +95,27 @@ def main() -> None:
               f"{final_beat['runs_per_second']:.1f} runs/s")
         identical = all(
             np.array_equal(a.collected, b.collected)
-            for a, b in zip(serial.runs, sharded.runs)
+            for a, b in zip(serial.runs, batched.runs)
         )
-        print(f"\nCampaign: {sharded.n_runs} runs "
+        print(f"\nCampaign: {batched.n_runs} runs "
               f"({len(scenario_names)} scenarios x 2 realizations), "
-              f"4 workers, chunks of {sharded.chunk_size} steps")
-        print(f"  sharded == serial (bit-identical): {identical}")
+              f"blocks of {batched.batch_size}, chunks of {batched.chunk_size} steps")
+        print(f"  batched == one-run blocks (bit-identical): {identical}")
         if not identical:
-            raise SystemExit("sharded campaign diverged from the serial run")
+            raise SystemExit("batched campaign diverged from one-run blocks")
 
         print("\n  run  scenario          r  seed-key  chunks        mean[K]")
-        for record in sharded.runs:
+        for record in batched.runs:
             mean_k = float(record.collected.mean())
             print(f"  {record.index:3d}  {record.scenario:16s} "
                   f"{record.realization}  {str(record.spawn_key):8s} "
                   f"{str(record.chunk_sizes):12s}  {mean_k:8.2f}")
 
-        manifest_path = sharded.save(os.path.join(tmp_dir, "manifest.json"))
+        manifest_path = batched.save(os.path.join(tmp_dir, "manifest.json"))
         print(f"\nManifest written: {os.path.basename(manifest_path)}")
 
         # 5. The boost factor: emitted output volume per artifact byte.
-        report = campaign_storage_report(sharded)
+        report = campaign_storage_report(batched)
         print("\nStorage accounting (the 'boosting' direction):")
         print(f"  artifact:          {format_bytes(report['artifact_bytes'])}")
         print(f"  campaign output:   {format_bytes(report['campaign_output_bytes'])} "

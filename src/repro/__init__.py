@@ -22,13 +22,12 @@ Using Exascale Climate Emulators" (Abdulah et al., SC 2024):
   Summit plus the performance model used by the benchmark harness.
 * :mod:`repro.tuning` — autotuning by measurement: the pilot behind
   ``run_campaign(..., tune="auto")`` (time the campaign's own first
-  blocks, keep the fastest block size) and the memory clamp behind
-  ``serve(..., cache_bytes="auto")`` (see :func:`calibrate_machine`).
-* :mod:`repro.data` — synthetic ERA5-like data generation, radiative
-  forcing trajectories and ensembles.
+  blocks, keep the fastest block size) and :func:`calibrate_machine`.
+* :mod:`repro.data` — synthetic ERA5-like data generation and
+  ensembles.
 * :mod:`repro.scenarios` — the scenario engine: composable forcing
   components summed into named :class:`ScenarioSpec` pathways (resolved
-  through the :data:`SCENARIOS` registry) and the sharded
+  through the :data:`SCENARIOS` registry) and the batched
   multi-scenario, multi-realization campaign runner :func:`run_campaign`.
 * :mod:`repro.serving` — the on-demand emulation service: content-addressed
   :class:`FieldRequest` objects served by :class:`EmulationService` from
@@ -68,12 +67,7 @@ from repro.data.ensemble import ClimateEnsemble
 from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
 from repro.linalg.policies import CHOLESKY_VARIANTS
 from repro.sht.backends import SHT_BACKENDS
-from repro.sht.plancache import (
-    clear_plan_cache,
-    get_plan,
-    plan_cache_stats,
-    set_plan_cache_limit,
-)
+from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
 from repro.api.registry import BackendRegistry, UnknownBackendError
 from repro.api.artifact import (
     SCHEMA_VERSION,
@@ -130,5 +124,4 @@ __all__ = [
     "run_campaign",
     "save",
     "serve",
-    "set_plan_cache_limit",
 ]

@@ -39,7 +39,6 @@ __all__ = ["emulate", "emulate_stream", "fit", "load", "save", "serve"]
 def fit(
     ensemble: ClimateEnsemble,
     config: EmulatorConfig | None = None,
-    batch_size: int | None = None,
     **overrides,
 ) -> ClimateEmulator:
     """Fit a :class:`ClimateEmulator` on a simulation ensemble.
@@ -52,12 +51,6 @@ def fit(
         band-limit (``ntheta >= lmax + 1``, ``nphi >= 2*lmax - 1``).
     config:
         Emulator configuration; defaults to ``EmulatorConfig()``.
-    batch_size:
-        Cap on ensemble members per SHT pass during the spectral fit
-        (when ``None``: the analysis all at once, the nugget
-        reconstruction one member per pass).  A memory knob only: the fitted
-        state is bit-identical for every value, because the forward and
-        inverse transforms are independent per leading slice.
     **overrides:
         Individual :class:`EmulatorConfig` fields overriding ``config``
         (e.g. ``fit(ensemble, lmax=16, precision_variant="DP/SP")``).
@@ -67,8 +60,7 @@ def fit(
     ClimateEmulator
         The fitted emulator.  Fitting is deterministic: the same ensemble
         and configuration always produce bit-identical fitted state (no
-        hidden randomness anywhere in the pipeline), and ``batch_size``
-        never changes a bit of it.
+        hidden randomness anywhere in the pipeline).
     """
     if config is None:
         config = EmulatorConfig(**overrides)
@@ -81,7 +73,7 @@ def fit(
         n_times=ensemble.data.shape[1],
         bytes=ensemble.data.nbytes,
     ):
-        return ClimateEmulator(config).fit(ensemble, batch_size=batch_size)
+        return ClimateEmulator(config).fit(ensemble)
 
 
 def save(emulator: ClimateEmulator, path: "str | os.PathLike") -> str:
@@ -224,9 +216,8 @@ def serve(
     # the default does not force an import of the serving layer; pinned
     # equal by tests).  None means unlimited, exactly as it does on
     # EmulationService.
-    cache_bytes: "int | str | None" = 256 * 2**20,
+    cache_bytes: "int | None" = 256 * 2**20,
     store: "ChunkStore | str | os.PathLike | None" = None,
-    **kwargs,
 ) -> "EmulationService":
     """Build an on-demand :class:`EmulationService` over a fitted emulator.
 
@@ -246,19 +237,12 @@ def serve(
     seed:
         Root entropy of the service.
     cache_bytes:
-        In-memory chunk-cache budget in bytes (default 256 MiB;
-        ``None`` for unlimited).  ``"auto"`` sizes the budget from the
-        artifact's year-chunk size, clamped to ``[64 MiB, physical
-        memory / 4]`` (:func:`repro.tuning.plan_serving_cache_bytes`;
-        it reads the host's memory, measures nothing and writes
-        nothing) — a pure capacity knob, so served bytes are identical
-        for every setting.
+        In-memory chunk-cache budget in bytes (default 256 MiB; ``None``
+        for unlimited) — a pure capacity knob, so served bytes are
+        identical for every setting.
     store:
         A :class:`~repro.storage.chunkstore.ChunkStore`, or a directory
         path (opened as a lossless float64 store).
-    **kwargs:
-        Remaining :class:`~repro.serving.service.EmulationService`
-        options (``stream_horizon_years``, ``max_streams``).
     """
     # Imported lazily: the serving layer sits above the facade.
     from repro.serving.service import EmulationService
@@ -266,25 +250,5 @@ def serve(
 
     if store is not None and not isinstance(store, ChunkStore):
         store = ChunkStore(store)
-    if cache_bytes == "auto":
-        # Size the cache from the host's memory and this artifact's
-        # year-chunk footprint.  The source is resolved once here and
-        # the resolved emulator handed on, so "auto" costs no second load.
-        from repro.obs import gauge_set
-        from repro.tuning import calibrate_machine, plan_serving_cache_bytes
-
-        source = _resolve(source)
-        summary = source.training_summary
-        chunk_bytes = (
-            summary.grid.ntheta * summary.grid.nphi * summary.steps_per_year * 8
-        )
-        cache_bytes = plan_serving_cache_bytes(calibrate_machine(), chunk_bytes)
-        gauge_set("tuning.serve.cache_bytes", float(cache_bytes))
     with span("facade.serve", seed=seed):
-        return EmulationService(
-            source,
-            seed=seed,
-            cache_bytes=cache_bytes,
-            store=store,
-            **kwargs,
-        )
+        return EmulationService(source, seed=seed, cache_bytes=cache_bytes, store=store)

@@ -28,22 +28,19 @@ Modules
 """
 
 from repro.core.config import EmulatorConfig
-from repro.core.trend import MeanTrendModel, TrendFit
+from repro.core.trend import MeanTrendModel
 from repro.core.scale import ScaleField
 from repro.core.var import DiagonalVAR
 from repro.core.spectral_model import SpectralStochasticModel
-from repro.core.generator import EmulationGenerator
 from repro.core.emulator import ClimateEmulator
 from repro.core.window import SpatialWindow
 
 __all__ = [
     "ClimateEmulator",
     "DiagonalVAR",
-    "EmulationGenerator",
     "EmulatorConfig",
     "MeanTrendModel",
     "ScaleField",
     "SpatialWindow",
     "SpectralStochasticModel",
-    "TrendFit",
 ]

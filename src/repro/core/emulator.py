@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.config import EmulatorConfig
 from repro.core.generator import EmulationGenerator
 from repro.core.scale import ScaleField
-from repro.core.spectral_model import SpectralStochasticModel, validate_batch_size
+from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.trend import MeanTrendModel, TrendFit
 from repro.data.ensemble import ClimateEnsemble
 from repro.obs import span
@@ -150,9 +150,7 @@ class ClimateEmulator:
     # ------------------------------------------------------------------ #
     # Fitting
     # ------------------------------------------------------------------ #
-    def fit(
-        self, ensemble: ClimateEnsemble, batch_size: int | None = None
-    ) -> "ClimateEmulator":
+    def fit(self, ensemble: ClimateEnsemble) -> "ClimateEmulator":
         """Train the emulator on a simulation ensemble.
 
         Parameters
@@ -160,22 +158,12 @@ class ClimateEmulator:
         ensemble:
             Training ensemble; ``ensemble.data`` has shape
             ``(R, T, ntheta, nphi)``.
-        batch_size:
-            Cap on ensemble members per SHT pass during the spectral fit
-            (forward analysis of the residuals and the inverse
-            reconstruction behind the nugget).  When ``None`` the
-            analysis takes all members at once and the reconstruction
-            one per pass.  A memory knob only: the fitted state is
-            bit-identical for every value (pinned by tests).
         """
         cfg = self.config
         if not ensemble.grid.supports_bandlimit(cfg.lmax):
             raise ValueError(
                 f"grid {ensemble.grid.shape} cannot support band-limit {cfg.lmax}"
             )
-        # Validated before the trend fit so a bad knob fails fast instead
-        # of after the expensive per-location regression.
-        batch_size = validate_batch_size(batch_size)
         self.training = ensemble
         self.training_summary = TrainingSummary.from_ensemble(ensemble)
         self._artifact_nbytes = None
@@ -208,7 +196,7 @@ class ClimateEmulator:
             sht_method=cfg.sht_method,
         )
         with span("fit.spectral", lmax=cfg.lmax, var_order=cfg.var_order):
-            self.spectral_model.fit(standardized, batch_size=batch_size)
+            self.spectral_model.fit(standardized)
         return self
 
     @property

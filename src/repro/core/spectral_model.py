@@ -27,29 +27,7 @@ from repro.sht.grid import Grid
 from repro.sht.plancache import get_plan
 from repro.sht.realform import real_from_complex
 
-__all__ = ["SpectralStochasticModel", "validate_batch_size"]
-
-
-def validate_batch_size(batch_size: "int | None") -> "int | None":
-    """Validate an SHT working-set cap: ``None`` or a positive integer.
-
-    Shared by every ``batch_size``-accepting fit entry point (the
-    spectral fit and :meth:`ClimateEmulator.fit
-    <repro.core.emulator.ClimateEmulator.fit>`), so the rule cannot
-    drift between them.  Non-integral values are rejected here rather
-    than failing later inside a slice.
-    """
-    if batch_size is None:
-        return None
-    if isinstance(batch_size, bool) or not isinstance(
-        batch_size, (int, np.integer)
-    ):
-        raise ValueError(
-            f"batch_size must be a positive integer or None, got {batch_size!r}"
-        )
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    return int(batch_size)
+__all__ = ["SpectralStochasticModel"]
 
 
 @dataclass
@@ -98,20 +76,16 @@ class SpectralStochasticModel:
     # ------------------------------------------------------------------ #
     # Forward modelling of the training residuals
     # ------------------------------------------------------------------ #
-    def spectral_series(
-        self, standardized: np.ndarray, batch_size: int | None = None
-    ) -> np.ndarray:
+    def spectral_series(self, standardized: np.ndarray) -> np.ndarray:
         """Real spectral coefficient series ``f_t`` for each ensemble member.
+
+        One forward-SHT pass over every member (the transform itself
+        works in blocks of slices).
 
         Parameters
         ----------
         standardized:
             Standardised residual fields of shape ``(R, T, ntheta, nphi)``.
-        batch_size:
-            Cap on ensemble members analysed per forward-SHT pass (all at
-            once when ``None``).  A memory knob only: the forward
-            transform is independent per leading slice, so the result is
-            bit-identical for every value.
 
         Returns
         -------
@@ -121,86 +95,44 @@ class SpectralStochasticModel:
         standardized = np.asarray(standardized, dtype=np.float64)
         if standardized.ndim == 3:
             standardized = standardized[None, ...]
-        batch_size = validate_batch_size(batch_size)
-        n_real = standardized.shape[0]
-        if batch_size is None or batch_size >= n_real:
-            coeffs = self.plan.forward(standardized)
-            return real_from_complex(coeffs)
-        spectral = np.empty(
-            standardized.shape[:2] + (self.plan.n_coeffs,), dtype=np.float64
-        )
-        for start in range(0, n_real, batch_size):
-            block = standardized[start:start + batch_size]
-            spectral[start:start + batch_size] = real_from_complex(
-                self.plan.forward(block)
-            )
-        return spectral
+        return real_from_complex(self.plan.forward(standardized))
 
     def truncation_residual(
-        self,
-        standardized: np.ndarray,
-        spectral: np.ndarray,
-        batch_size: int | None = None,
+        self, standardized: np.ndarray, spectral: np.ndarray
     ) -> np.ndarray:
         """Grid-space residual unexplained by the band-limited expansion.
 
-        ``batch_size`` caps the ensemble members reconstructed per
-        inverse-SHT pass (all at once when ``None``); the residual is
-        bit-identical for every value.
+        The reconstruction runs one ensemble member per inverse-SHT pass:
+        it only feeds a variance and runs beside the factor, so it keeps
+        one member's fields resident rather than the whole ensemble's.
+        The transform is independent per slice, so the result equals a
+        one-pass reconstruction bit for bit.
         """
         standardized = np.asarray(standardized, dtype=np.float64)
         if standardized.ndim == 3:
             standardized = standardized[None, ...]
-        reconstructed = self._synthesize(
-            np.asarray(spectral, dtype=np.float64), batch_size
+        spectral = np.asarray(spectral, dtype=np.float64).reshape(
+            standardized.shape[:2] + (-1,)
         )
-        return standardized - reconstructed
-
-    def _synthesize(self, series: np.ndarray, batch_size: int | None) -> np.ndarray:
-        """Inverse-transform a real coefficient series, blockwise over axis 0.
-
-        ``series`` has shape ``(R, ..., L**2)``; the inverse SHT is
-        applied in axis-0 blocks of at most ``batch_size`` (all at once
-        when ``None``), bounding the synthesis working set without
-        changing the result: the transform is independent per leading
-        slice, so the blocked output is bit-identical to the single-pass
-        output.
-        """
-        batch_size = validate_batch_size(batch_size)
-        n_real = series.shape[0]
-        if batch_size is None or batch_size >= n_real:
-            return self.plan.inverse_realform(series)
-        fields = np.empty(series.shape[:-1] + self.grid.shape, dtype=np.float64)
-        for start in range(0, n_real, batch_size):
-            block = series[start:start + batch_size]
-            fields[start:start + batch_size] = self.plan.inverse_realform(block)
-        return fields
+        residual = np.empty_like(standardized)
+        for member in range(len(residual)):
+            residual[member] = standardized[member] - self.plan.inverse_realform(
+                spectral[member:member + 1]
+            )[0]
+        return residual
 
     # ------------------------------------------------------------------ #
     # Fitting
     # ------------------------------------------------------------------ #
-    def fit(
-        self, standardized: np.ndarray, batch_size: int | None = None
-    ) -> "SpectralStochasticModel":
+    def fit(self, standardized: np.ndarray) -> "SpectralStochasticModel":
         """Fit the VAR, innovation covariance, Cholesky factor and nugget.
 
         ``U`` is one SYRK into a ``k x k`` buffer that the factorisation
         overwrites and the fit then drops (with the row panels, the peak).
-
-        ``batch_size`` caps how many ensemble members each SHT pass (the
-        forward analysis of the residuals and the inverse reconstruction
-        behind the nugget) materialises at once — the ``O(L^3)`` working
-        set of the fit hot path.  A memory/throughput knob only: both
-        transforms are independent per leading slice, so the fitted
-        state is bit-identical for every ``batch_size``.  Unset, the
-        analysis runs in one pass and the reconstruction one member per
-        pass: it only feeds a variance, runs beside the factor, and is no
-        slower blocked.
         """
         standardized = np.asarray(standardized, dtype=np.float64)
         if standardized.ndim == 3:
             standardized = standardized[None, ...]
-        batch_size = validate_batch_size(batch_size)
         n_ens, n_times = standardized.shape[:2]
         if n_times <= self.var_order + 1:
             raise ValueError("record too short for the requested VAR order")
@@ -208,7 +140,7 @@ class SpectralStochasticModel:
         with span(
             "fit.analysis", lmax=self.lmax, n_ensemble=n_ens, n_times=n_times
         ):
-            spectral = self.spectral_series(standardized, batch_size)  # (R, T, K)
+            spectral = self.spectral_series(standardized)  # (R, T, K)
         with span("fit.var", var_order=self.var_order):
             self.var.fit(spectral)
             innovations = self.var.innovations(spectral)       # (R, T-P, K)
@@ -249,8 +181,8 @@ class SpectralStochasticModel:
                 ) from error
         del work  # the factor lives in its row panels now
 
-        with span("fit.truncation", batch_size=batch_size or 1):
-            truncation = self.truncation_residual(standardized, spectral, batch_size or 1)
+        with span("fit.truncation"):
+            truncation = self.truncation_residual(standardized, spectral)
             self.nugget_std = truncation.std(axis=(0, 1), ddof=1)
         self.initial_state = spectral[:, -max(self.var_order, 1):, :].mean(axis=0)
         return self

@@ -1,4 +1,4 @@
-"""Climate data substrate: synthetic ERA5-like simulations and forcing.
+"""Climate data substrate: synthetic ERA5-like simulations.
 
 The paper trains its emulator on ERA5 2-metre temperature (hourly, 35
 years; daily, 83 years).  ERA5 is not available offline, so this subpackage
@@ -13,22 +13,16 @@ known ground truth — something the real ERA5 would not permit.
 
 Modules
 -------
-* :mod:`repro.data.forcing` — radiative-forcing trajectories, a thin
-  layer over the :data:`repro.scenarios.SCENARIOS` registry (historical
-  reconstruction, idealised curves, SSP-like pathways).
 * :mod:`repro.data.landsea` — a smooth synthetic land/sea mask used to
   induce longitudinal (anisotropic) structure.
 * :mod:`repro.data.era5_like` — the gridded temperature-field generator.
 * :mod:`repro.data.ensemble` — the ensemble container consumed by the
   emulator (data plus coordinates plus forcing).
+
+Forcing pathways live in :mod:`repro.scenarios`
+(``resolve_scenario(name).annual_forcing(n_years)``).
 """
 
-from repro.data.forcing import (
-    ForcingScenario,
-    expand_to_resolution,
-    historical_forcing,
-    scenario_forcing,
-)
 from repro.data.landsea import land_fraction
 from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
 from repro.data.ensemble import ClimateEnsemble
@@ -37,9 +31,5 @@ __all__ = [
     "ClimateEnsemble",
     "Era5LikeConfig",
     "Era5LikeGenerator",
-    "ForcingScenario",
-    "expand_to_resolution",
-    "historical_forcing",
     "land_fraction",
-    "scenario_forcing",
 ]

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.ensemble import ClimateEnsemble
-from repro.data.forcing import historical_forcing
 from repro.data.landsea import land_fraction
 from repro.sht.grid import Grid
 from repro.sht.spectrum import red_spectrum
@@ -232,9 +231,16 @@ class Era5LikeGenerator:
     # ------------------------------------------------------------------ #
     def generate(self, dtype: np.dtype | str = np.float64) -> ClimateEnsemble:
         """Generate the full ensemble described by the configuration."""
+        # The scenario layer sits above data; importing inside the body is
+        # the layering rule's sanctioned upward reference.
+        from repro.scenarios.components import historical_pathway
+        from repro.scenarios.spec import ScenarioSpec
+
         cfg = self.config
         rng = np.random.default_rng(self.seed)
-        forcing = historical_forcing(cfg.n_years, growth=cfg.forcing_growth)
+        forcing = ScenarioSpec(
+            "historical", historical_pathway(growth=cfg.forcing_growth)
+        ).annual_forcing(cfg.n_years)
         forcing_per_step = np.repeat(forcing, cfg.steps_per_year)
 
         mean = self.mean_field(forcing_per_step)

@@ -10,8 +10,8 @@ The observability layer the serving gateway and the campaign pilot
   else reads the numbers (latency percentiles included: every span feeds
   a ``<name>.seconds`` histogram).
 * :mod:`repro.obs.tracing` — hierarchical spans
-  (``with span("fit.analysis", lmax=48):``) that nest per thread, link
-  across threads via ``parent=``, carry structured attributes (bytes,
+  (``with span("fit.analysis", lmax=48):``) that nest per thread, carry
+  structured attributes (bytes,
   shapes, cache outcomes, flop estimates) and export JSON-lines traces
   for :mod:`tools.tracereport`.
 

@@ -8,9 +8,7 @@ A span measures one timed region of the hot path::
 
 Spans nest: each thread keeps its own stack, so a ``sht.forward`` span
 opened while ``fit.spectral`` is active records ``fit.spectral`` as its
-parent.  Work handed to another thread links explicitly —
-``span("campaign.batch", parent=total_span)`` — because a worker thread's
-stack starts empty.
+parent, and a span opened on a fresh thread is a root.
 
 Spans **always measure** (two ``perf_counter`` reads plus a duration
 histogram in the process-wide metrics registry, so ``sp.seconds`` and
@@ -107,11 +105,11 @@ class Span:
 
     __slots__ = ("name", "attrs", "span_id", "parent_id", "seconds", "start", "_t0")
 
-    def __init__(self, name: str, parent_id: "int | None", attrs: dict):
+    def __init__(self, name: str, attrs: dict):
         self.name = name
         self.attrs = attrs
         self.span_id = next(_IDS)
-        self.parent_id = parent_id
+        self.parent_id: "int | None" = None
         self.seconds = 0.0
         self.start = 0.0
         self._t0 = 0.0
@@ -127,7 +125,7 @@ class Span:
 
     def __enter__(self) -> "Span":
         stack = _stack()
-        if self.parent_id is None and stack:
+        if stack:
             self.parent_id = stack[-1].span_id
         stack.append(self)
         self._t0 = time.perf_counter()
@@ -146,15 +144,14 @@ class Span:
             _record(self)
 
 
-def span(name: str, parent: "Span | None" = None, **attrs) -> Span:
+def span(name: str, **attrs) -> Span:
     """Open a span named ``name`` with the given attributes.
 
-    ``parent`` links a span to one opened in *another* thread; within a
-    thread, nesting is automatic via the per-thread span stack.  Names
-    follow the metric convention (dotted lowercase); every span feeds a
+    Its parent is the innermost open span on this thread.  Names follow
+    the metric convention (dotted lowercase); every span feeds a
     ``<name>.seconds`` duration histogram in the process-wide registry.
     """
-    return Span(name, None if parent is None else parent.span_id, attrs)
+    return Span(name, attrs)
 
 
 def current_span() -> "Span | None":

@@ -12,18 +12,17 @@ that replay layer:
   protocol; accepted directly by ``repro.emulate`` in place of a forcing
   array;
 * :mod:`repro.scenarios.registry` — the named pathway registry
-  (:data:`SCENARIOS`), pre-populated with the five legacy scenarios and
+  (:data:`SCENARIOS`), pre-populated with the five original scenarios and
   SSP-like low / medium / high / overshoot pathways; registering a new
   pathway needs no core edits;
-* :mod:`repro.scenarios.campaign` — :func:`run_campaign`, the sharded
+* :mod:`repro.scenarios.campaign` — :func:`run_campaign`, the
   multi-scenario, multi-realization runner with per-run
   ``SeedSequence``-spawned streams and a :class:`CampaignManifest`.
 
 ``campaign`` imports the API facade and is therefore loaded lazily here:
-this package's lower layers (components/spec/registry) are imported by
-:mod:`repro.data.forcing` while the core package is still initialising,
-and an eager campaign import would close an import cycle through
-``repro.api``.
+the lower layers (components/spec/registry) are imported from inside
+``repro.core`` and ``repro.data`` function bodies, and resolving a
+scenario must not pull in ``repro.api``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Parallel ensemble-campaign runner: fit once, replay across many futures.
+"""Ensemble-campaign runner: fit once, replay across many futures.
 
 The storage story of the paper only pays off when one fitted emulator is
 replayed across many forcing pathways and realisations.  This module turns
-that replay into a single sharded job: :func:`run_campaign` takes a fitted
+that replay into a single batched job: :func:`run_campaign` takes a fitted
 emulator (or a saved artifact path) plus ``scenarios x realizations``, and
 
 * seeds every run by one rule: realization ``r`` of *every* scenario
@@ -11,9 +11,8 @@ emulator (or a saved artifact path) plus ``scenarios x realizations``, and
   from — so a campaign is bit-identical no matter how many workers
   execute it or in which order they finish;
 * executes the runs in blocks of up to ``batch_size`` realizations of
-  one scenario, on the calling thread by default or (``max_workers > 1``)
-  sharded across a thread pool — generation is read-only on the fitted
-  state;
+  one scenario, one block after another on the calling thread (the
+  parallelism is the BLAS threads inside a block);
 * drives every block through the one generation path,
   :meth:`EmulationGenerator.generate_stream_multi
   <repro.core.generator.EmulationGenerator.generate_stream_multi>`: each
@@ -36,12 +35,9 @@ emulator (or a saved artifact path) plus ``scenarios x realizations``, and
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -115,8 +111,8 @@ class CampaignRunRecord:
     #: of one block share one synthesis pass, so they report the block's
     #: wall time, not a per-run share.  Like ``collected``, timing is
     #: measurement rather than content: it stays off :meth:`to_dict`,
-    #: which campaign tests pin bit-identical across worker counts and
-    #: batch sizes (the manifest-level ``timing`` block carries it).
+    #: which campaign tests pin bit-identical across batch sizes (the
+    #: manifest-level ``timing`` block carries it).
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -148,7 +144,7 @@ class CampaignManifest:
     runs: list[CampaignRunRecord] = field(default_factory=list)
     batch_size: int = 1
     #: Wall-clock seconds of the whole execution phase (planning through
-    #: the last worker), measured by the ``campaign.total`` span.
+    #: the last block), measured by the ``campaign.total`` span.
     total_wall_seconds: float = 0.0
     #: One ``{"scenario", "n_runs", "wall_seconds"}`` entry per executed
     #: block, in campaign order (sourced from the ``campaign.batch``
@@ -232,9 +228,9 @@ class CampaignManifest:
             "store": None if self.store is None else dict(self.store),
             "tuning": None if self.tuning is None else dict(self.tuning),
             "runs": [record.to_dict() for record in self.runs],
-            # Timing sits in the header, next to max_workers/executor:
-            # like those knobs it is provenance, not content — the
-            # ``runs`` entries stay bit-identical across worker counts.
+            # Timing sits in the header, next to batch_size: like that
+            # knob it is provenance, not content — the ``runs`` entries
+            # stay bit-identical across block sizes.
             "timing": {
                 "total_wall_seconds": float(self.total_wall_seconds),
                 "runs_per_second": float(self.runs_per_second),
@@ -275,8 +271,8 @@ def plan_campaign(
     scenario is pinned to the ``SeedSequence`` child with
     ``spawn_key == (r,)`` — exactly the stream
     :class:`~repro.serving.service.EmulationService` synthesizes from.
-    Each run owns one child, which makes sharded execution bit-identical
-    to serial execution, and the chunks a campaign lands under their
+    Each run owns one child, which makes batched execution bit-identical
+    to one-run blocks, and the chunks a campaign lands under their
     serving content-addresses (``store_root`` set) are the chunks
     serving would have produced.
     """
@@ -416,8 +412,7 @@ def _flush_store(
 
 
 def _execute_batch(
-    emulator, plans: "list[CampaignRunPlan]", parent=None,
-    store: "ChunkStore | None" = None,
+    emulator, plans: "list[CampaignRunPlan]", store: "ChunkStore | None" = None,
 ) -> "list[CampaignRunRecord]":
     """Execute a block of same-scenario runs in one vectorized stream.
 
@@ -428,22 +423,12 @@ def _execute_batch(
     across the block.  Each record's ``wall_seconds`` is the block's
     wall time (the synthesis is shared, so a per-run share would be
     fiction).
-
-    ``parent`` links this block's span to the campaign-level span even
-    when the block executes on a pool thread (whose span stack starts
-    empty).
     """
     first = plans[0]
     assert all(p.scenario == first.scenario for p in plans), (
         "batched plans must share one scenario (one forcing / mean trend)"
     )
-    sp = span(
-        "campaign.batch",
-        parent=parent,
-        scenario=first.scenario,
-        n_runs=len(plans),
-    )
-    with sp:
+    with span("campaign.batch", scenario=first.scenario, n_runs=len(plans)) as sp:
         rngs = [np.random.default_rng(plan.seed) for plan in plans]
         accs = [_RunAccumulator(plan) for plan in plans]
         stream = emulator.generator().generate_stream_multi(
@@ -466,6 +451,23 @@ def _execute_batch(
     return records
 
 
+def _checked_batch_size(batch_size) -> "int | None":
+    """``None`` or a positive integer; anything else raises.
+
+    A float or a ``bool`` is refused rather than truncated: ``2.5``
+    would silently run blocks of 2, and ``True`` blocks of 1.
+    """
+    if batch_size is None:
+        return None
+    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)):
+        raise ValueError(
+            f"batch_size must be a positive integer or None, got {batch_size!r}"
+        )
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    return int(batch_size)
+
+
 def _batch_plans(
     plans: "list[CampaignRunPlan]", batch_size: int | None
 ) -> "list[list[CampaignRunPlan]]":
@@ -475,9 +477,7 @@ def _batch_plans(
     runs of one scenario form each block; ``None`` or 1 gives one-run
     blocks.
     """
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    size = 1 if batch_size is None else int(batch_size)
+    size = 1 if batch_size is None else batch_size
     blocks: list[list[CampaignRunPlan]] = []
     for plan in plans:
         if (
@@ -598,9 +598,8 @@ class _Heartbeat:
     """The ``progress=`` callback's beats: once at start, then after every
     completed execution block.
 
-    Beats happen only on the coordinating thread (it drains the finished
-    blocks in plan order, whether it executed them itself or a pool
-    thread did), so the counter needs no lock; timing reads the open
+    Beats happen on the calling thread, which executes every block in
+    plan order, so the counter needs no lock; timing reads the open
     ``campaign.total`` span's clock, so the heartbeat adds no timer of
     its own and stays inside the telemetry layer's hygiene contract.
     """
@@ -657,11 +656,10 @@ def run_campaign(
     include_nugget, collect, start_level, store encoding)``.
     Realization ``r`` of every scenario always draws from the
     ``SeedSequence`` child with ``spawn_key == (r,)``, store or no
-    store, so ``max_workers``, ``executor``, ``batch_size`` and ``tune``
-    are throughput knobs only: any combination produces bit-identical
-    runs.  (The manifest *header* records those execution knobs for
-    provenance, so whole-manifest JSON differs across them even though
-    ``runs`` never does.)
+    store, so ``batch_size`` and ``tune`` are throughput knobs only: any
+    combination produces bit-identical runs.  (The manifest *header*
+    records them for provenance, so whole-manifest JSON differs across
+    them even though ``runs`` never does.)
 
     Parameters
     ----------
@@ -681,15 +679,15 @@ def run_campaign(
         Root entropy; realization ``r`` draws from the ``SeedSequence``
         child with ``spawn_key == (r,)`` — the stream
         :class:`~repro.serving.service.EmulationService` uses under the
-        same seed — so results do not depend on ``max_workers``.
-    max_workers:
-        Block-level worker threads.  ``None`` resolves to 1, tuned or
-        not: blocks run one after another on the calling thread, and the
-        parallelism is the BLAS threads inside a block (on the 2-core
-        host of ``docs/tuning.md`` one worker wins every row of the
-        sweep).  ``N > 1`` shards the blocks across a pool of ``N``
-        threads.  The manifest header always records the resolved
-        integer, never ``null``.
+        same seed — so results do not depend on ``batch_size``.
+    max_workers / executor:
+        Accepted only as ``None`` or ``1`` and ``None`` or ``"thread"``:
+        blocks always run one after another on the calling thread, and
+        the parallelism is the BLAS threads inside a block.  The block
+        thread pool and the process executor were removed because one
+        worker won every row of the sweep in ``docs/tuning.md``; any
+        other value raises ``ValueError``.  The manifest header records
+        ``1`` and ``"thread"``.
     batch_size:
         Realizations of one scenario synthesised together per vectorized
         block (``None`` or 1 gives one-run blocks; under
@@ -697,27 +695,18 @@ def run_campaign(
         Batched runs keep their own per-run generators, so output is
         bit-identical for every block size; the VAR recursion and the
         ``O(L^3)`` inverse SHT run once per block instead of once per
-        run.  With ``max_workers > 1`` work is sharded across the
-        workers block-wise, so for small campaigns a large
-        ``batch_size`` trades worker parallelism for vectorization.
-    executor:
-        ``None`` or ``"thread"``, which mean the same thing: blocks run
-        on threads of this process (generation is read-only on the
-        fitted state).  The ``"process"`` executor was removed — it lost
-        every row of the sweep in ``docs/tuning.md`` — and is refused
-        with a ``ValueError``.
+        run.  A float or a ``bool`` is refused, not truncated.
     tune:
         ``"auto"`` picks an unset ``batch_size`` by a *pilot*
-        (:mod:`repro.tuning`): the coordinating thread runs the plan's
-        first same-scenario blocks itself — ``min(n_realizations, 32)``
-        runs first (twice: a campaign's first block is cold), then half
-        of that, halving only while the halved block is measurably
-        faster per run — and blocks the remaining runs with the winner.
-        Pilot blocks are ordinary blocks (their records and store
-        commits are kept), and block size is bit-inert, so tuned and
-        untuned campaigns produce identical runs.  ``max_workers`` is
-        not searched.  A ``batch_size`` passed explicitly is **always**
-        honoured; the first block is then timed only for the
+        (:mod:`repro.tuning`): it times the plan's first same-scenario
+        blocks — ``min(n_realizations, 32)`` runs first (twice: a
+        campaign's first block is cold), then half of that, halving only
+        while the halved block is measurably faster per run — and blocks
+        the remaining runs with the winner.  Pilot blocks are ordinary
+        blocks (their records and store commits are kept), and block
+        size is bit-inert, so tuned and untuned campaigns produce
+        identical runs.  A ``batch_size`` passed explicitly is
+        **always** honoured; the first block is then timed only for the
         prediction.  The manifest's ``tuning`` header records the
         resolved knobs, who chose each, the pilot's per-block samples, and
         ``predicted_seconds`` (the pilot's elapsed time plus its best
@@ -753,7 +742,7 @@ def run_campaign(
     progress:
         Optional callback for the structured progress heartbeat.  Once
         at start and after every completed execution block the campaign
-        calls ``progress(info)`` from the coordinating thread with
+        calls ``progress(info)`` from the calling thread with
         ``info = {"runs_done", "runs_total", "elapsed_seconds",
         "runs_per_second", "eta_seconds"}`` (``eta_seconds`` is ``None``
         until a rate exists).  The heartbeat never touches run output:
@@ -765,10 +754,14 @@ def run_campaign(
         Per-run scenario, seed spawn key, chunk layout, chunk store
         addresses, measured output bytes and the collected reduction.
     """
-    if executor not in (None, "thread"):
+    pooled = max_workers not in (None, 1) or isinstance(max_workers, bool)
+    if pooled or executor not in (None, "thread"):
         raise ValueError(
-            f"executor must be None or 'thread', got {executor!r}: the process "
-            f"executor was removed; pass max_workers=N to run blocks on N threads"
+            f"executor must be None or 'thread' and max_workers None or 1, got "
+            f"executor={executor!r}, max_workers={max_workers!r}: blocks run on "
+            f"the calling thread; the block thread pool and the process executor "
+            f"were removed because one worker won every row of the sweep in "
+            f"docs/tuning.md"
         )
     if tune not in (None, "auto"):
         raise ValueError(f"tune must be None or 'auto', got {tune!r}")
@@ -784,10 +777,7 @@ def run_campaign(
     chunk_size = int(chunk_size) if chunk_size is not None else summary.steps_per_year
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    if batch_size is not None and int(batch_size) < 1:
-        raise ValueError("batch_size must be positive")
-    if max_workers is not None and int(max_workers) < 1:
-        raise ValueError("max_workers must be positive")
+    batch_size = _checked_batch_size(batch_size)
 
     store_obj: "ChunkStore | None" = None
     if store is not None:
@@ -827,42 +817,44 @@ def run_campaign(
     else:
         artifact_bytes = emulator.measured_artifact_bytes()
 
-    # Resolve the execution knobs.  ``max_workers`` resolves the same
-    # way tuned or not; ``tune="auto"`` only adds the pilot below, which
-    # picks an unset ``batch_size`` by measurement.
+    # ``tune="auto"`` adds the pilot below, which picks an unset
+    # ``batch_size`` by measurement; ``chosen`` records who set each knob.
     chosen = {
         "executor": "default" if executor is None else "caller",
         "max_workers": "default" if max_workers is None else "caller",
         "batch_size": "pilot" if batch_size is None else "caller",
     }
-    executor = "thread"
-    workers = 1 if max_workers is None else int(max_workers)
 
-    total_span = span(
-        "campaign.total",
-        n_runs=len(plans),
-        executor=executor,
-        max_workers=workers,
-    )
+    total_span = span("campaign.total", n_runs=len(plans))
     tuning_header = None
     with total_span:
         heartbeat = _Heartbeat(len(plans), total_span, progress)
         records: "list[CampaignRunRecord]" = []
-        blocks: "list[list[CampaignRunPlan]]" = []
+        batch_timings: list[dict] = []
+
+        def execute(block: "list[CampaignRunPlan]") -> float:
+            """Run one block, record it, beat; returns its wall time."""
+            block_records = _execute_batch(emulator, block, store=store_obj)
+            records.extend(block_records)
+            seconds = float(block_records[0].wall_seconds)
+            batch_timings.append({
+                "scenario": block[0].scenario,
+                "n_runs": len(block),
+                "wall_seconds": seconds,
+            })
+            heartbeat.update(len(block))
+            return seconds
+
         if tune == "auto":
-            # The pilot: the plan's first blocks, executed and timed on
-            # this thread.  Their records and store commits are kept, so
-            # it costs only the runs spent at a size that did not win.
+            # The pilot: the plan's first blocks, executed and timed like
+            # any other.  Their records and store commits are kept, so it
+            # costs only the runs spent at a size that did not win.
             def time_block(size: int):
                 done = len(records)
                 if done == len(plans):
                     return None
                 block = _batch_plans(plans[done:done + size], size)[0]
-                block_records = _execute_batch(emulator, block, store=store_obj)
-                blocks.append(block)
-                records.extend(block_records)
-                heartbeat.update(len(block))
-                return len(block), block_records[0].wall_seconds
+                return len(block), execute(block)
 
             with span("tuning.pilot") as pilot_span:
                 batch_size, rate, samples = _pilot_batch_size(
@@ -878,8 +870,8 @@ def run_campaign(
             predicted = pilot_span.seconds + rate * (len(plans) - len(records))
             gauge_set("tuning.campaign.predicted_seconds", predicted)
             tuning_header = {
-                "executor": executor,
-                "max_workers": workers,
+                "executor": "thread",
+                "max_workers": 1,
                 "batch_size": batch_size,
                 "predicted_seconds": float(predicted),
                 "chosen": chosen,
@@ -887,41 +879,9 @@ def run_campaign(
             }
 
         rest = _batch_plans(plans[len(records):], batch_size)
-        blocks.extend(rest)
-        total_span.set(n_blocks=len(blocks))
-        # Serial or pooled, the blocks come back as an in-order lazy
-        # iterable of per-block record lists, so the coordinating thread
-        # drains it block by block and beats the progress heartbeat as
-        # each block lands.
-        execute = partial(
-            _execute_batch, emulator, parent=total_span, store=store_obj
-        )
-        with contextlib.ExitStack() as stack:
-            if workers == 1 or not rest:
-                batched = map(execute, rest)
-            else:
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-                batched = pool.map(execute, rest)
-            for block_records in batched:
-                records.extend(block_records)
-                heartbeat.update(len(block_records))
-
-    # Per-block timing, reassembled by slicing the (order-preserving)
-    # flattened records back into the planned blocks.  Records of one
-    # block share its wall time, so the block entry reads it from any
-    # member.
-    batch_timings: list[dict] = []
-    offset = 0
-    for block in blocks:
-        block_records = records[offset:offset + len(block)]
-        offset += len(block)
-        batch_timings.append({
-            "scenario": block[0].scenario,
-            "n_runs": len(block),
-            "wall_seconds": float(
-                max(rec.wall_seconds for rec in block_records)
-            ),
-        })
+        total_span.set(n_blocks=len(batch_timings) + len(rest))
+        for block in rest:
+            execute(block)
 
     if tuning_header is not None:
         tuning_header["actual_seconds"] = float(total_span.seconds)
@@ -945,11 +905,11 @@ def run_campaign(
         steps_per_year=summary.steps_per_year,
         chunk_size=chunk_size,
         collect=collect,
-        max_workers=workers,
-        executor=executor,
+        max_workers=1,
+        executor="thread",
         artifact_bytes=artifact_bytes,
         runs=records,
-        batch_size=1 if batch_size is None else int(batch_size),
+        batch_size=batch_size or 1,
         total_wall_seconds=total_span.seconds,
         batch_timings=batch_timings,
         store=store_header,

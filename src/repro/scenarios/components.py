@@ -246,7 +246,8 @@ def historical_pathway(
     """Components of the historical-like reconstruction.
 
     A slowly accelerating greenhouse-gas ramp plus the three canonical
-    eruptions; :func:`repro.data.forcing.historical_forcing` sums exactly
-    these components.
+    eruptions; the registered ``"historical"`` scenario and
+    :class:`~repro.data.era5_like.Era5LikeGenerator` sum exactly these
+    components.
     """
     return (GHGRamp(base=base, rate=growth, acceleration=acceleration), *volcanoes)

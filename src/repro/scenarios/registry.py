@@ -1,13 +1,10 @@
 """The named forcing-scenario registry.
 
-Scenario lookup used to be a hardcoded five-member enum with if/else
-dispatch in :mod:`repro.data.forcing`; it is now a
-:class:`~repro.util.registry.BackendRegistry` of factories producing
-:class:`~repro.scenarios.spec.ScenarioSpec` objects.  The five legacy
-names remain registered with bit-identical trajectories, joined by
-SSP-like low / medium / high / overshoot pathways, and
-``scenario_forcing`` is a thin lookup over this table — registering a new
-pathway needs no edits to :mod:`repro.data.forcing` or ``repro.core``.
+A :class:`~repro.util.registry.BackendRegistry` of factories producing
+:class:`~repro.scenarios.spec.ScenarioSpec` objects: five original
+pathways (historical, constant, linear-ramp, high-emissions,
+stabilisation) joined by SSP-like low / medium / high / overshoot
+pathways.  Registering a new pathway needs no edits to ``repro.core``.
 
 Every factory takes ``start_level`` (the year-0 greenhouse-gas level in
 W m^-2, default 2.5) so one registered shape serves any baseline; an
@@ -65,7 +62,7 @@ def register_scenario(
 
 
 def resolve_scenario(scenario, start_level: float = 2.5) -> ScenarioSpec:
-    """Resolve a scenario given by spec, name or legacy enum member.
+    """Resolve a scenario given by spec or registered name (or alias).
 
     Raises
     ------
@@ -75,11 +72,10 @@ def resolve_scenario(scenario, start_level: float = 2.5) -> ScenarioSpec:
     """
     if isinstance(scenario, ScenarioSpec):
         return scenario
-    name = getattr(scenario, "value", scenario)  # accept ForcingScenario members
-    spec = SCENARIOS.create(name, start_level=start_level)
+    spec = SCENARIOS.create(scenario, start_level=start_level)
     if not isinstance(spec, ScenarioSpec):
         raise TypeError(
-            f"scenario factory {name!r} returned {type(spec).__name__}, "
+            f"scenario factory {scenario!r} returned {type(spec).__name__}, "
             f"expected ScenarioSpec"
         )
     return spec
@@ -106,13 +102,13 @@ def list_scenarios() -> dict[str, str]:
 
 
 # --------------------------------------------------------------------- #
-# The five legacy scenarios (trajectories bit-identical to the old enum
-# dispatch; pinned by tests/data/test_data.py).
+# The five original scenarios (trajectories pinned by
+# tests/scenarios/test_scenario_registry.py).
 # --------------------------------------------------------------------- #
 @register_scenario("historical", description="historical-like reconstruction: accelerating GHG ramp + three eruptions")
 def _historical(start_level: float = 2.5) -> ScenarioSpec:
     # The reconstruction pins its own 1940-like baseline; start_level is
-    # ignored to preserve the legacy scenario_forcing contract.
+    # ignored.
     return ScenarioSpec(
         "historical", historical_pathway(),
         description="historical-like reconstruction (GHG ramp + volcanic dips)",

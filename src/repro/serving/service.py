@@ -66,6 +66,16 @@ __all__ = ["EmulationService", "DEFAULT_CACHE_BYTES"]
 #: Default in-memory chunk-cache budget (bytes).
 DEFAULT_CACHE_BYTES = 256 * 2**20
 
+#: Minimum horizon, in model years, a synthesis stream is opened with.
+#: Opening longer than requested costs nothing (streams are lazy) and
+#: lets a follow-up request for later years *resume* instead of
+#: restarting from year 0.  Output bits never depend on it.
+_STREAM_HORIZON = 32
+
+#: How many paused streams stay resumable (least recently parked first
+#: out).
+_LIVE_STREAMS = 8
+
 
 def _service_registry() -> MetricsRegistry:
     """A fresh per-instance metrics registry.
@@ -87,8 +97,15 @@ class _ChunkCache:
     """
 
     def __init__(self, max_bytes: "int | None", metrics: MetricsRegistry):
-        if max_bytes is not None and int(max_bytes) < 0:
-            raise ValueError("cache_bytes must be >= 0 (or None for unlimited)")
+        if max_bytes is not None and (
+            isinstance(max_bytes, bool)
+            or not isinstance(max_bytes, (int, np.integer))
+            or max_bytes < 0
+        ):
+            raise ValueError(
+                f"cache_bytes must be a non-negative integer or None for "
+                f"unlimited, got {max_bytes!r}"
+            )
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.bytes = 0
@@ -190,14 +207,6 @@ class EmulationService:
         preserves bit-exactness across processes; a quantized store
         trades that for 4x smaller shards and reports its measured
         ``max_abs_error``.
-    stream_horizon_years:
-        Minimum horizon synthesis streams are opened with.  Opening
-        longer than requested costs nothing (streams are lazy) and lets
-        a follow-up request for later years *resume* instead of
-        restarting from year 0.  Output bits never depend on it.
-    max_streams:
-        How many paused streams to keep resumable (LRU; 0 disables
-        resumption — every extension restarts from year 0).
 
     Examples
     --------
@@ -214,24 +223,16 @@ class EmulationService:
         seed: int = 0,
         cache_bytes: "int | None" = DEFAULT_CACHE_BYTES,
         store: "ChunkStore | None" = None,
-        stream_horizon_years: int = 32,
-        max_streams: int = 8,
     ):
         emulator = _resolve_emulator(source)
         if not emulator.is_fitted or emulator.training_summary is None:
             raise RuntimeError("EmulationService needs a fitted emulator")
         if store is not None and not isinstance(store, ChunkStore):
             raise TypeError(f"store must be a ChunkStore, got {type(store).__name__}")
-        if int(stream_horizon_years) < 0:
-            raise ValueError("stream_horizon_years must be >= 0")
-        if int(max_streams) < 0:
-            raise ValueError("max_streams must be >= 0")
         self._emulator = emulator
         self._summary = emulator.training_summary
         self._seed = int(seed)
         self._store = store
-        self._stream_horizon_years = int(stream_horizon_years)
-        self._max_streams = int(max_streams)
         if isinstance(source, (str, os.PathLike)):
             self._artifact_bytes = os.path.getsize(os.fspath(source))
         else:
@@ -579,7 +580,7 @@ class EmulationService:
         if live is not None:
             self._metrics.add("serving.synthesis.stream_resumes")
         else:
-            horizon = max(stop, self._stream_horizon_years)
+            horizon = max(stop, _STREAM_HORIZON)
             spy = self.steps_per_year
             iterator = self._emulator.generator().generate_stream_multi(
                 [self._realization_rng(r) for r in realizations],
@@ -598,10 +599,10 @@ class EmulationService:
                 array.setflags(write=False)
                 results[chunk_address(stream_addr, realization, live.next_year)] = array
             live.next_year += 1
-        if key is not None and live.next_year < live.horizon and self._max_streams > 0:
+        if key is not None and live.next_year < live.horizon:
             with self._lock:
                 self._streams[key] = live
                 self._streams.move_to_end(key)
-                while len(self._streams) > self._max_streams:
+                while len(self._streams) > _LIVE_STREAMS:
                     self._streams.popitem(last=False)
         return results

@@ -19,7 +19,7 @@ climate emulator (paper Section III-A.1/III-A.2):
   (Eq. 6's extension, folded), with an explicit precomputed plan.
 * :mod:`repro.sht.direct` — slow direct transforms used for validation.
 * :mod:`repro.sht.plancache` — the process-safe cache of precomputed plans
-  shared by every model and campaign worker in a process.
+  shared by every model and campaign block in a process.
 * :mod:`repro.sht.spectrum` — angular power spectra and spectral utilities.
 
 Coefficients are stored in a flat complex vector of length ``L**2`` indexed

@@ -22,22 +22,19 @@ again.
 The cache is *per process* by construction (module state is never shared
 across ``fork``/``spawn`` boundaries at the Python level): a process that
 imports :mod:`repro` warms its own cache on first use and every run it
-executes reuses the same tables.  Within a process — the thread workers
-of :func:`repro.run_campaign`, the service's request threads — access is
-guarded by a lock, and a plan under concurrent construction is built at
-most once per key (the first finished build wins; see :func:`get_plan`).
+executes reuses the same tables.  Within a process — the service's
+request threads, say — access is guarded by a lock, and a plan under
+concurrent construction is kept at most once per key (the first
+finished build wins; see :func:`get_plan`).
 
 Cached plans are shared, so they must be treated as **read-only**; the
 built-in backends never mutate a plan after construction, and custom
 backends registered with ``SHT_BACKENDS.register`` must follow the same
-contract to be cacheable.  The cache is unlimited by default — the key
-space (backends x band-limits x grids actually in use) is tiny in
-practice — but long-lived serving processes that touch many band-limits
-can cap it: :func:`set_plan_cache_limit` installs a bytes budget under
-which least-recently-used plans are evicted (eviction counts surface in
-:func:`plan_cache_stats`), and :func:`clear_plan_cache` empties the
-cache explicitly (tests, memory-pressure handling).  An evicted plan is
-simply rebuilt on next use; nothing holds dangling references.
+contract to be cacheable.  The cache is unbounded — the key space
+(backends x band-limits x grids actually in use) is tiny in practice —
+and :func:`clear_plan_cache` empties it explicitly (tests,
+memory-pressure handling).  A dropped plan is simply rebuilt on next
+use; nothing holds dangling references.
 """
 
 from __future__ import annotations
@@ -56,15 +53,13 @@ __all__ = [
     "get_plan",
     "plan_cache_key",
     "plan_cache_stats",
-    "set_plan_cache_limit",
 ]
 
 _LOCK = threading.Lock()
 _CACHE: dict[tuple, object] = {}
-_LIMIT_BYTES: "int | None" = None
 
-#: Registry prefix for the cache's counters (hits/misses/evictions live
-#: on the process-wide metrics registry; ``plan_cache_stats`` is a view).
+#: Registry prefix for the cache's counters (hits/misses live on the
+#: process-wide metrics registry; ``plan_cache_stats`` is a view).
 _METRIC_PREFIX = "sht.plan_cache"
 
 
@@ -92,49 +87,6 @@ def _plan_nbytes(plan) -> int:
         elif isinstance(value, (list, tuple)):
             pending.extend(value)
     return sum(owners.values())
-
-
-def _evict_over_limit_locked(keep: "tuple | None") -> None:
-    """Drop least-recently-used plans until the cache fits the limit.
-
-    ``keep`` (the key just served) is never evicted — even when it alone
-    exceeds the whole budget — so the caller's plan is not churned out
-    by its own insertion.  Plans are immutable after construction
-    (every table is built eagerly in ``SHTPlan.__post_init__``), so each
-    plan's size is measured once per eviction pass; cache contents can
-    only grow through insertions, which all route through here.
-    """
-    if _LIMIT_BYTES is None:
-        return
-    sizes = {key: _plan_nbytes(plan) for key, plan in _CACHE.items()}
-    total = sum(sizes.values())
-    for key in list(_CACHE):
-        if total <= _LIMIT_BYTES:
-            return
-        if key == keep:
-            continue
-        del _CACHE[key]
-        total -= sizes[key]
-        get_registry().add(f"{_METRIC_PREFIX}.evictions")
-
-
-def set_plan_cache_limit(max_bytes: "int | None") -> None:
-    """Install (or remove) a bytes budget on the plan cache.
-
-    ``None`` (the default) keeps the cache unlimited — existing
-    behaviour is unchanged unless a limit is set.  With a limit,
-    least-recently-used plans are evicted whenever the measured total
-    (see :func:`plan_cache_stats` ``"bytes"``) exceeds the budget; the
-    most-recently-served plan survives even if it alone is over budget,
-    so a single oversized plan still serves.  Eviction counts accumulate
-    in :func:`plan_cache_stats` ``"evictions"``.
-    """
-    global _LIMIT_BYTES
-    if max_bytes is not None and int(max_bytes) < 0:
-        raise ValueError(f"max_bytes must be >= 0 or None, got {max_bytes}")
-    with _LOCK:
-        _LIMIT_BYTES = None if max_bytes is None else int(max_bytes)
-        _evict_over_limit_locked(keep=None)
 
 
 def plan_cache_key(sht_method: str, lmax: int, grid: Grid) -> tuple:
@@ -182,33 +134,23 @@ def get_plan(sht_method: str, lmax: int, grid: Grid):
         plan = _CACHE.get(key)
         if plan is not None:
             get_registry().add(f"{_METRIC_PREFIX}.hits")
-            # Dicts preserve insertion order; re-inserting keeps the
-            # cache LRU-ordered for the bytes-limit eviction policy.
-            # No budget re-check here: plans are immutable after
-            # construction, so a hit cannot change the cache's byte
-            # total — only insertions (the miss path) can.
-            del _CACHE[key]
-            _CACHE[key] = plan
             return plan
     with span(f"{_METRIC_PREFIX}.build", backend=key[0], lmax=int(lmax)):
         built = SHT_BACKENDS.resolve(sht_method).factory(lmax=lmax, grid=grid)
     with _LOCK:
         plan = _CACHE.setdefault(key, built)
-        if plan is built:
-            get_registry().add(f"{_METRIC_PREFIX}.misses")
-            _evict_over_limit_locked(keep=key)
-        else:
-            get_registry().add(f"{_METRIC_PREFIX}.hits")
+        get_registry().add(
+            f"{_METRIC_PREFIX}.misses" if plan is built else f"{_METRIC_PREFIX}.hits"
+        )
     return plan
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset the hit/miss/eviction counters.
+    """Drop every cached plan and reset the hit/miss counters.
 
-    The bytes limit installed by :func:`set_plan_cache_limit` is
-    configuration, not contents: it survives a clear.  The counters live
-    on the process-wide metrics registry under ``sht.plan_cache.``;
-    resetting that prefix leaves every other component's metrics alone.
+    The counters live on the process-wide metrics registry under
+    ``sht.plan_cache.``; resetting that prefix leaves every other
+    component's metrics alone.
     """
     with _LOCK:
         _CACHE.clear()
@@ -216,15 +158,13 @@ def clear_plan_cache() -> None:
 
 
 def plan_cache_stats() -> dict:
-    """Cache observability: size, bytes, hit/miss/eviction counters.
+    """Cache observability: size, bytes, hit/miss counters.
 
     ``pid`` says which process's cache this is (each process reports
     its own counters); ``keys`` lists the cached
-    ``(backend, revision, lmax, ntheta, nphi)`` tuples in LRU-to-MRU
+    ``(backend, revision, lmax, ntheta, nphi)`` tuples in insertion
     order; ``bytes`` is the measured ndarray footprint of every cached
-    plan and ``limit_bytes``/``evictions`` describe the optional budget
-    (see :func:`set_plan_cache_limit`; ``limit_bytes`` is ``None`` when
-    unlimited).
+    plan.
     """
     registry = get_registry()
     with _LOCK:
@@ -233,8 +173,6 @@ def plan_cache_stats() -> dict:
             "bytes": sum(_plan_nbytes(plan) for plan in _CACHE.values()),
             "hits": int(registry.counter(f"{_METRIC_PREFIX}.hits")),
             "misses": int(registry.counter(f"{_METRIC_PREFIX}.misses")),
-            "evictions": int(registry.counter(f"{_METRIC_PREFIX}.evictions")),
-            "limit_bytes": _LIMIT_BYTES,
             "pid": os.getpid(),
             "keys": list(_CACHE),
         }

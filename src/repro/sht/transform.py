@@ -243,7 +243,7 @@ class SHTPlan:
         # Built eagerly: plans are shared process-wide through the plan
         # cache and must be immutable after construction (a lazy build
         # would race under concurrent forward()/inverse() calls from
-        # campaign worker threads).
+        # serving request threads).
         self._syn_ops, self._ana_ops = self._build_operators()
 
     def _build_operators(self) -> tuple[list[np.ndarray], list[np.ndarray]]:

@@ -14,11 +14,10 @@ from repro.stats.moments import (
     pointwise_moment_fields,
     temporal_autocorrelation,
 )
-from repro.stats.consistency import ConsistencyReport, consistency_report
+from repro.stats.consistency import consistency_report
 from repro.stats.distributions import quantile_table, ks_distance
 
 __all__ = [
-    "ConsistencyReport",
     "consistency_report",
     "field_moments",
     "global_mean_series",

@@ -2,10 +2,10 @@
 
 The paper schedules its solver against a machine model because a wrong
 guess at exascale costs node-hours.  Locally the only knob that moves
-campaign wall time is ``batch_size`` (worker count is flat and process
-pools always lose on the sizes this package runs; ``docs/tuning.md`` has
-the sweep), and every candidate value is bit-inert — so instead of
-modelling the host, ``run_campaign(..., tune="auto")`` *pilots*: it runs
+campaign wall time is ``batch_size`` (one worker beat every thread and
+process pool on the sizes this package runs, so the pools are gone;
+``docs/tuning.md`` has the sweep), and every candidate value is
+bit-inert — so instead of modelling the host, ``run_campaign(..., tune="auto")`` *pilots*: it runs
 the plan's first same-scenario blocks at the largest candidate size
 (twice: the first block of a campaign is cold), then at half of it, and
 so on while halving is measurably faster per run.  The blocks are real
@@ -13,10 +13,10 @@ work whose records and store commits are kept, so the pilot costs
 nothing but the runs spent at a non-winning size.
 
 This module holds the search (:func:`_pilot_batch_size`; the campaign
-runner supplies the callback that executes and times a block), the
-serving-cache clamp behind ``serve(..., cache_bytes="auto")``, and
-:func:`calibrate_machine`, which reads the host facts the clamp needs.
-Nothing here spawns a worker, writes a file or imports another layer.
+runner supplies the callback that executes and times a block) and
+:func:`calibrate_machine`, which reads the host's identity, core count
+and physical memory.  Nothing here spawns a worker, writes a file or
+imports another layer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import socket
 from dataclasses import dataclass
 
-__all__ = ["MachineProfile", "calibrate_machine", "plan_serving_cache_bytes"]
+__all__ = ["MachineProfile", "calibrate_machine"]
 
 #: Largest block the pilot starts from: past this the stacked synthesis
 #: stops gaining from batching while peak memory keeps growing linearly.
@@ -36,20 +36,10 @@ _MAX_PILOT_BATCH = 32
 #: sample, so a win inside timer noise must not shrink the batch.
 _FASTER_SHARE = 0.9
 
-#: Serving-cache clamp: never below 64 MiB (a handful of chunks), never
-#: above a quarter of physical memory.
-_MIN_CACHE_BYTES = 64 * 2**20
-_CACHE_MEMORY_FRACTION = 4
-
-#: Working set the "auto" cache is sized for: this many concurrently
-#: served streams, each with this many hot year-chunks.
-_EXPECTED_STREAMS = 4
-_CHUNKS_PER_STREAM = 16
-
 
 @dataclass(frozen=True)
 class MachineProfile:
-    """The host facts tuning reads: identity, core count, physical memory.
+    """The host facts: identity, core count, physical memory.
 
     ``memory_bytes`` is 0 when the OS will not say.
     """
@@ -70,22 +60,6 @@ def calibrate_machine() -> MachineProfile:
         cpu_count=os.cpu_count() or 1,
         memory_bytes=memory,
     )
-
-
-def plan_serving_cache_bytes(profile: MachineProfile, chunk_bytes: int) -> int:
-    """Serving chunk-cache budget for ``chunk_bytes``-sized year chunks.
-
-    The expected working set (4 streams x 16 hot chunks), clamped
-    between 64 MiB and a quarter of ``profile.memory_bytes`` — the
-    guardrails a human operator would apply.
-    """
-    working_set = max(int(chunk_bytes), 1) * _EXPECTED_STREAMS * _CHUNKS_PER_STREAM
-    ceiling = (
-        profile.memory_bytes // _CACHE_MEMORY_FRACTION
-        if profile.memory_bytes > 0
-        else _MIN_CACHE_BYTES * 16
-    )
-    return int(min(max(working_set, _MIN_CACHE_BYTES), max(ceiling, _MIN_CACHE_BYTES)))
 
 
 def _pilot_batch_size(

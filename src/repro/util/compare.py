@@ -1,7 +1,7 @@
 """Bit-exact comparison of nested ``state_dict`` trees.
 
-The library's determinism contracts ("``batch_size`` never changes the
-fitted state", "sharded campaigns equal serial ones") are pinned by
+The library's determinism contracts ("``save`` / ``load`` round-trips
+the fitted state", "batched campaigns equal one-run blocks") are pinned by
 comparing whole ``state_dict()`` trees bit for bit.  The recursive walk
 lives here — a dependency-free leaf — so the test-suite and the
 benchmark harness share one implementation instead of drifting copies.

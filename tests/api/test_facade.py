@@ -216,14 +216,12 @@ class TestScenarioForcingArguments:
     """emulate/emulate_stream accept scenario names and ScenarioSpec objects."""
 
     def test_emulate_accepts_scenario_name(self, fitted_emulator):
-        from repro.data.forcing import scenario_forcing
-
         spy = fitted_emulator.training_summary.steps_per_year
         by_name = fitted_emulator.emulate(1, n_times=3 * spy,
                                           annual_forcing="stabilisation",
                                           rng=np.random.default_rng(8))
         by_array = fitted_emulator.emulate(1, n_times=3 * spy,
-                                           annual_forcing=scenario_forcing("stabilisation", 3),
+                                           annual_forcing=repro.SCENARIOS.create("stabilisation").annual_forcing(3),
                                            rng=np.random.default_rng(8))
         assert np.array_equal(by_name.data, by_array.data)
 

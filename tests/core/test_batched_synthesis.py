@@ -1,4 +1,4 @@
-"""Bit-exactness tests of the one synthesis path and the fit-side batching.
+"""Bit-exactness tests of the one synthesis path and the fit's transforms.
 
 Three independent guarantees are pinned here:
 
@@ -9,14 +9,15 @@ Three independent guarantees are pinned here:
 * the shared-generator entry points (``emulate`` / ``emulate_stream``
   with ``n_realizations=R``) are that same stream with one generator in
   every slot (``[rng] * R``);
-* ``batch_size`` on the *fit* side (the forward-SHT working-set cap on
-  the residual analysis) never changes a bit of the fitted state.
+* the fit's analysis (one forward pass over the ensemble) and its
+  truncation residual (one inverse pass per member) equal the per-member
+  and one-pass transforms bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import ClimateEmulator, EmulatorConfig
+import repro
 from repro.util.compare import assert_states_bit_identical
 
 SPY = 24  # steps_per_year of the shared fixtures
@@ -189,72 +190,45 @@ class TestMultiStream:
                     serial_chunk.global_mean_series()[0],
                 )
 
-    def test_fit_batch_size_state_bit_identical(self, small_ensemble):
-        """The tentpole contract: batch_size never changes the fitted state."""
-        def fitted_state(batch_size):
-            emulator = ClimateEmulator(EmulatorConfig(
-                lmax=8, n_harmonics=2, var_order=1, tile_size=16,
-                precision_variant="DP", rho_grid=(0.3, 0.7),
-            ))
-            emulator.fit(small_ensemble, batch_size=batch_size)
-            return emulator.state_dict()
-
-        reference = fitted_state(None)
-        for batch_size in (1, 2, 99):
-            assert_states_bit_identical(reference, fitted_state(batch_size))
-
-    def test_facade_fit_accepts_batch_size(self, small_ensemble):
-        import repro
-
-        reference = repro.fit(small_ensemble, lmax=8, var_order=1,
-                              tile_size=16, n_harmonics=2, rho_grid=(0.3, 0.7))
-        batched = repro.fit(small_ensemble, lmax=8, var_order=1,
-                            tile_size=16, n_harmonics=2, rho_grid=(0.3, 0.7),
-                            batch_size=1)
-        assert_states_bit_identical(reference.state_dict(), batched.state_dict())
-
-    def test_spectral_series_batch_sizes_bit_identical(self, fitted_emulator, rng):
+    @pytest.mark.parametrize("n_members, n_times", [(1, 6), (5, 6), (3, 40)])
+    def test_spectral_series_is_per_member(self, fitted_emulator, rng,
+                                           n_members, n_times):
+        """One pass over the ensemble == each member analysed alone, also
+        when the pass crosses the transform's 32-slice analysis blocks."""
         model = fitted_emulator.spectral_model
         standardized = rng.standard_normal(
-            (5, 6) + fitted_emulator.training_summary.grid.shape
+            (n_members, n_times) + fitted_emulator.training_summary.grid.shape
         )
-        reference = model.spectral_series(standardized)
-        for batch_size in (1, 2, 5, 99):
+        series = model.spectral_series(standardized)
+        for member in range(len(standardized)):
             np.testing.assert_array_equal(
-                model.spectral_series(standardized, batch_size), reference
+                model.spectral_series(standardized[member:member + 1])[0],
+                series[member],
             )
 
-    def test_truncation_residual_batch_sizes_bit_identical(
-        self, fitted_emulator, rng
+    @pytest.mark.parametrize("n_members, n_times", [(1, 5), (4, 5), (3, 40)])
+    def test_truncation_residual_equals_one_pass_reconstruction(
+        self, fitted_emulator, rng, n_members, n_times
     ):
+        """The member-by-member reconstruction == one inverse pass."""
         model = fitted_emulator.spectral_model
         standardized = rng.standard_normal(
-            (4, 5) + fitted_emulator.training_summary.grid.shape
+            (n_members, n_times) + fitted_emulator.training_summary.grid.shape
         )
         spectral = model.spectral_series(standardized)
-        reference = model.truncation_residual(standardized, spectral)
-        for batch_size in (1, 3, 99):
-            np.testing.assert_array_equal(
-                model.truncation_residual(standardized, spectral, batch_size),
-                reference,
-            )
-
-    def test_fit_batch_size_validation(self, small_ensemble, fitted_emulator):
-        emulator = ClimateEmulator(EmulatorConfig(
-            lmax=8, n_harmonics=2, var_order=1, tile_size=16,
-            rho_grid=(0.3, 0.7),
-        ))
-        with pytest.raises(ValueError, match="batch_size"):
-            emulator.fit(small_ensemble, batch_size=0)
-        from repro.core.spectral_model import SpectralStochasticModel
-
-        model = SpectralStochasticModel(
-            lmax=8, grid=small_ensemble.grid, var_order=1, tile_size=16,
+        np.testing.assert_array_equal(
+            model.truncation_residual(standardized, spectral),
+            standardized - model.plan.inverse_realform(spectral),
         )
-        with pytest.raises(ValueError, match="batch_size"):
-            model.spectral_series(small_ensemble.data, batch_size=-1)
-        with pytest.raises(ValueError, match="batch_size"):
-            model.fit(small_ensemble.data, batch_size=0)
+
+    def test_facade_fit_state_equals_the_emulator_fit(self, small_ensemble,
+                                                      fitted_emulator):
+        """``repro.fit`` with keyword overrides is the class fit, bit for bit."""
+        facade = repro.fit(small_ensemble, lmax=8, var_order=1, tile_size=16,
+                           n_harmonics=2, precision_variant="DP",
+                           rho_grid=(0.3, 0.7))
+        assert_states_bit_identical(fitted_emulator.state_dict(),
+                                    facade.state_dict())
 
     def test_multi_stream_validation(self, fitted_emulator):
         model = fitted_emulator.spectral_model

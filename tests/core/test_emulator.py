@@ -12,7 +12,7 @@ from repro.core.complexity import (
     cost_landscape,
     resolution_factor,
 )
-from repro.data.forcing import scenario_forcing
+from repro.scenarios import resolve_scenario
 from repro.stats import consistency_report
 
 
@@ -85,8 +85,8 @@ class TestEmulation:
         out = fitted_emulator.emulate(n_realizations=2, rng=np.random.default_rng(1))
         assert not np.allclose(out.data[0], out.data[1])
 
-    def test_custom_length_and_scenario_forcing(self, fitted_emulator):
-        forcing = scenario_forcing("high-emissions", 5)
+    def test_custom_length_and_scenario_pathway(self, fitted_emulator):
+        forcing = resolve_scenario("high-emissions").annual_forcing(5)
         out = fitted_emulator.emulate(
             n_realizations=1, n_times=36, annual_forcing=forcing,
             rng=np.random.default_rng(2),
@@ -94,7 +94,7 @@ class TestEmulation:
         assert out.n_times == 36
         assert np.array_equal(out.forcing_annual, forcing)
 
-    def test_scenario_forcing_changes_mean_level(self, fitted_emulator):
+    def test_forcing_level_changes_mean_level(self, fitted_emulator):
         rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
         low = fitted_emulator.emulate(1, n_times=48, annual_forcing=np.full(2, 0.0), rng=rng1)
         high = fitted_emulator.emulate(1, n_times=48, annual_forcing=np.full(2, 8.0), rng=rng2)

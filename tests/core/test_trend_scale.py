@@ -5,12 +5,16 @@ import pytest
 
 from repro.core.scale import ScaleField
 from repro.core.trend import MeanTrendModel, distributed_lag_series
-from repro.data.forcing import historical_forcing
+from repro.scenarios import resolve_scenario
+
+
+def historical(n_years: int) -> np.ndarray:
+    return resolve_scenario("historical").annual_forcing(n_years)
 
 
 class TestDistributedLag:
     def test_recursion_matches_direct_sum(self):
-        x = historical_forcing(20)
+        x = historical(20)
         rho = 0.6
         d = distributed_lag_series(x, rho)
         # Direct evaluation of (1-rho) sum_{s>=1} rho^{s-1} x_{y-s} with the
@@ -35,7 +39,7 @@ class TestDistributedLag:
 class TestMeanTrendModel:
     def _synthetic(self, rng, n_space=30, n_years=6, steps=12):
         """Per-location synthetic data with known coefficients."""
-        forcing = historical_forcing(n_years)
+        forcing = historical(n_years)
         model = MeanTrendModel(steps_per_year=steps, n_harmonics=1,
                                rho_grid=(0.5,), use_distributed_lag=False)
         design = model.design_matrix(n_years * steps, forcing, 0.5)

@@ -1,5 +1,7 @@
 """Tests of the climate data substrate: forcing, land mask, generator, ensemble."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,73 +9,78 @@ from repro.data import (
     ClimateEnsemble,
     Era5LikeConfig,
     Era5LikeGenerator,
-    ForcingScenario,
-    historical_forcing,
     land_fraction,
-    scenario_forcing,
 )
-from repro.data.forcing import expand_to_resolution
+from repro.scenarios import ScenarioSpec, resolve_scenario
+from repro.scenarios.components import historical_pathway
 from repro.sht.grid import Grid
+
+ORIGINAL_SCENARIOS = ["historical", "constant", "linear-ramp", "high-emissions", "stabilisation"]
+
+
+def forcing(name: str, n_years: int) -> np.ndarray:
+    return resolve_scenario(name).annual_forcing(n_years)
 
 
 class TestForcing:
     def test_historical_trend_and_volcanoes(self):
-        rf = historical_forcing(83)
+        rf = forcing("historical", 83)
         assert rf.shape == (83,)
         assert rf[-1] > rf[0]
         # Volcanic years dip below the smooth trend.
-        smooth = historical_forcing(83, volcanoes=())
+        smooth = ScenarioSpec("smooth", historical_pathway(volcanoes=())).annual_forcing(83)
         assert np.min(rf - smooth) < -1.0
         assert np.max(rf - smooth) <= 1e-12
 
-    @pytest.mark.parametrize("scenario", list(ForcingScenario))
+    @pytest.mark.parametrize("scenario", ORIGINAL_SCENARIOS)
     def test_scenarios_have_right_length(self, scenario):
-        rf = scenario_forcing(scenario, 50)
+        rf = forcing(scenario, 50)
         assert rf.shape == (50,)
         assert np.all(np.isfinite(rf))
 
     def test_high_emissions_exceeds_stabilisation(self):
-        high = scenario_forcing("high-emissions", 80)
-        stab = scenario_forcing("stabilisation", 80)
+        high = forcing("high-emissions", 80)
+        stab = forcing("stabilisation", 80)
         assert high[-1] > stab[-1]
 
     def test_unknown_scenario_error_lists_available(self):
         """An unknown name must name the alternatives, not just reject."""
         with pytest.raises(ValueError) as excinfo:
-            scenario_forcing("rcp-bogus", 10)
+            forcing("rcp-bogus", 10)
         message = str(excinfo.value)
         for name in ("historical", "stabilisation", "ssp-low", "ssp-high"):
             assert name in message
 
-    def test_scenario_forcing_accepts_registered_ssp_names(self):
+    def test_registered_ssp_names_resolve(self):
         for name in ("ssp-low", "ssp-medium", "ssp-high", "overshoot"):
-            rf = scenario_forcing(name, 60)
+            rf = forcing(name, 60)
             assert rf.shape == (60,)
             assert np.all(np.isfinite(rf))
 
-    def test_expand_to_resolution(self):
-        annual = np.array([1.0, 2.0, 3.0])
-        per_step = expand_to_resolution(annual, 12)
-        assert per_step.shape == (36,)
-        assert np.all(per_step[:12] == 1.0) and np.all(per_step[-12:] == 3.0)
-
-    def test_expand_to_resolution_rejects_scalar(self):
-        with pytest.raises(ValueError, match="1-D"):
-            expand_to_resolution(np.float64(2.5), 12)
-
-    def test_expand_to_resolution_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            expand_to_resolution(np.ones((3, 2)), 12)
-
-    def test_expand_to_resolution_rejects_empty(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            expand_to_resolution(np.array([]), 12)
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            historical_forcing(0)
-        with pytest.raises(ValueError):
-            expand_to_resolution(np.array([1.0]), 0)
+            forcing("historical", 0)
+
+    @pytest.mark.parametrize("growth, n_years, digest", [
+        (0.035, 83, "d87914955d58ed96"),
+        (1.0, 3, "4146e962c1249dd4"),
+        (0.25, 40, "e792dbc64888a8bf"),
+    ])
+    def test_generator_forcing_is_pinned(self, growth, n_years, digest):
+        """The generator's historical forcing, per ``forcing_growth``, keeps
+        the bits it had when the data layer built it itself (the sha256
+        prefix of its float64 bytes), so ensemble digests do not move."""
+        sims = Era5LikeGenerator(
+            Era5LikeConfig(lmax=4, n_years=n_years, steps_per_year=2,
+                           n_ensemble=1, forcing_growth=growth),
+            seed=5,
+        ).generate()
+        assert hashlib.sha256(sims.forcing_annual.tobytes()).hexdigest()[:16] == digest
+        np.testing.assert_array_equal(
+            sims.forcing_annual,
+            ScenarioSpec("historical", historical_pathway(growth=growth))
+            .annual_forcing(n_years),
+        )
 
 
 class TestLandFraction:

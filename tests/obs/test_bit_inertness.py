@@ -7,7 +7,8 @@ Two contracts from the observability layer's charter:
   bit-identical with tracing off, on, or toggled mid-run;
 * **back-compat** — ``EmulationService.stats()`` and
   ``plan_cache_stats()`` keep their exact pre-telemetry keys and values
-  now that the numbers come from metrics registries.
+  now that the numbers come from metrics registries (bar the plan
+  cache's ``evictions`` / ``limit_bytes``, which went with its byte cap).
 """
 
 from __future__ import annotations
@@ -154,14 +155,10 @@ class TestBackCompatPinning:
         again = get_plan("fast", 8, small_grid)
         assert again is plan
         stats = plan_cache_stats()
-        assert list(stats) == [
-            "size", "bytes", "hits", "misses", "evictions", "limit_bytes",
-            "pid", "keys",
-        ]
+        assert list(stats) == ["size", "bytes", "hits", "misses", "pid", "keys"]
         assert stats["size"] == 1
         assert stats["hits"] == 1
         assert stats["misses"] == 1
-        assert stats["evictions"] == 0
         assert stats["pid"] == os.getpid()
         assert stats["bytes"] > 0
         assert len(stats["keys"]) == 1

@@ -1,4 +1,4 @@
-"""Tracing spans: nesting, cross-thread linking, sinks, toggle safety."""
+"""Tracing spans: per-thread nesting, sinks, toggle safety."""
 
 from __future__ import annotations
 
@@ -47,18 +47,6 @@ class TestNesting:
         assert records["test_trace.inner"]["parent_id"] == outer.span_id
         assert records["test_trace.outer"]["parent_id"] is None
 
-    def test_explicit_parent_links_across_threads(self):
-        enable()
-        with span("test_trace.batch") as batch:
-            def work():
-                with span("test_trace.run", parent=batch):
-                    pass
-            thread = threading.Thread(target=work)
-            thread.start()
-            thread.join()
-        child = next(r for r in trace_records() if r["name"] == "test_trace.run")
-        assert child["parent_id"] == batch.span_id
-
     def test_8_thread_nesting_keeps_parent_chains_thread_local(self):
         n_threads = 8
         enable()
@@ -91,15 +79,26 @@ class TestNesting:
                 assert child["parent_id"] == root["span_id"]
                 assert child["thread"] == root["thread"]
 
-    def test_explicit_parent_wins_over_the_enclosing_span(self):
+    def test_a_span_on_another_thread_is_a_root(self):
+        """A thread's stack starts empty: a span it opens while the
+        caller's span is open has no parent, and the caller's nesting
+        carries on unaffected."""
         enable()
-        with span("test_trace.anchor") as anchor:
-            pass
-        with span("test_trace.enclosing"):
-            with span("test_trace.linked", parent=anchor):
+
+        def work():
+            with span("test_trace.worker"):
+                pass
+
+        with span("test_trace.caller") as caller:
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+            with span("test_trace.after"):
                 pass
         records = {rec["name"]: rec for rec in trace_records()}
-        assert records["test_trace.linked"]["parent_id"] == anchor.span_id
+        assert records["test_trace.worker"]["parent_id"] is None
+        assert records["test_trace.worker"]["thread"] != records["test_trace.caller"]["thread"]
+        assert records["test_trace.after"]["parent_id"] == caller.span_id
 
     def test_child_interval_lies_inside_its_parent(self):
         enable()

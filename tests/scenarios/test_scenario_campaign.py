@@ -1,13 +1,15 @@
-"""Tests of the sharded ensemble-campaign runner and its manifest."""
+"""Tests of the ensemble-campaign runner and its manifest."""
 
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 import repro
 from repro.scenarios.campaign import iter_chunk_arrays, plan_campaign, run_campaign
+from repro.scenarios.registry import resolve_scenario
 from repro.storage.accounting import campaign_storage_report
 
 SCENARIO_NAMES = ["ssp-low", "ssp-medium", "ssp-high"]
@@ -45,32 +47,26 @@ class TestPlanning:
             plan_campaign(["constant", "ssp-low", "constant"], 1, n_times=10,
                           steps_per_year=5, chunk_size=5)
 
+    @pytest.mark.parametrize("knobs", [
+        {"executor": "carrier-pigeon"}, {"executor": "process"},
+        {"max_workers": 0}, {"max_workers": 2}, {"max_workers": 3},
+        {"max_workers": True}, {"max_workers": 1, "executor": "process"},
+    ], ids=repr)
+    def test_removed_pool_values_are_refused(self, fitted_emulator, knobs):
+        """Only the one-worker values stay; the error says why."""
+        with pytest.raises(
+            ValueError, match=r"max_workers.*thread pool .*were removed"
+        ):
+            run_campaign(fitted_emulator, ["constant"], **knobs)
+
     def test_run_campaign_validation(self, fitted_emulator):
-        for executor in ("carrier-pigeon", "process"):
-            with pytest.raises(
-                ValueError, match=r"process executor was removed.*max_workers=N"
-            ):
-                run_campaign(fitted_emulator, ["constant"], executor=executor)
         with pytest.raises(ValueError, match="n_times"):
             run_campaign(fitted_emulator, ["constant"], n_times=0)
-        with pytest.raises(ValueError, match="max_workers"):
-            run_campaign(fitted_emulator, ["constant"], max_workers=0)
         with pytest.raises(RuntimeError, match="fitted"):
             run_campaign(repro.ClimateEmulator(), ["constant"])
 
 
 class TestDeterminism:
-    def test_sharded_threads_bit_identical_to_serial(self, fitted_emulator,
-                                                     serial_manifest):
-        sharded = run_campaign(
-            fitted_emulator, SCENARIO_NAMES, 2, n_times=48, chunk_size=24,
-            seed=2024, collect="fields", max_workers=4,
-        )
-        assert sharded.n_runs == serial_manifest.n_runs == 6
-        for serial_run, sharded_run in zip(serial_manifest.runs, sharded.runs):
-            assert serial_run.to_dict() == sharded_run.to_dict()
-            assert np.array_equal(serial_run.collected, sharded_run.collected)
-
     def test_runs_reproducible_and_seed_sensitive(self, fitted_emulator,
                                                   serial_manifest):
         again = run_campaign(fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
@@ -89,10 +85,8 @@ class TestDeterminism:
     def test_run_matches_direct_emulate_stream(self, fitted_emulator,
                                                serial_manifest):
         """A campaign run is exactly emulate_stream under the spawned seed."""
-        from repro.data.forcing import scenario_forcing
-
         record = serial_manifest.run("ssp-medium", 1)
-        forcing = scenario_forcing("ssp-medium", 2)
+        forcing = resolve_scenario("ssp-medium").annual_forcing(2)
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=2024, spawn_key=record.spawn_key)
         )
@@ -126,18 +120,9 @@ class TestBatchedSynthesis:
                 assert serial_run.to_dict() == batched_run.to_dict()
                 assert np.array_equal(serial_run.collected, batched_run.collected)
 
-    def test_batched_and_sharded_combined(self, fitted_emulator, serial_manifest):
-        batched = run_campaign(
-            fitted_emulator, SCENARIO_NAMES, 2, n_times=48, chunk_size=24,
-            seed=2024, collect="fields", batch_size=2, max_workers=3,
-        )
-        for serial_run, batched_run in zip(serial_manifest.runs, batched.runs):
-            assert serial_run.to_dict() == batched_run.to_dict()
-            assert np.array_equal(serial_run.collected, batched_run.collected)
-
     def test_batched_output_files_bit_identical(self, fitted_emulator, tmp_path):
         """Run records, collected series and the chunks a campaign lands in
-        its store never depend on worker count, batching or tuning."""
+        its store never depend on batching or tuning."""
         def outputs(sub_dir, **knobs):
             manifest = run_campaign(
                 fitted_emulator, ["ssp-low", "ssp-high"], 3, n_times=48, seed=7,
@@ -153,9 +138,9 @@ class TestBatchedSynthesis:
         assert default.max_workers == 1 and default.executor == "thread"
         assert len(chunks) == 12 and len(collected) == 6
         for i, knobs in enumerate([
-            {"max_workers": 1}, {"max_workers": 3}, {"batch_size": 1},
+            {"max_workers": 1}, {"batch_size": 1},
             {"batch_size": 2}, {"batch_size": 3}, {"tune": "auto"},
-            {"max_workers": 3, "batch_size": 2, "executor": "thread"},
+            {"max_workers": 1, "batch_size": 2, "executor": "thread"},
         ]):
             _, other_records, other_collected, other_chunks = outputs(f"other{i}", **knobs)
             assert other_records == records, knobs
@@ -178,9 +163,43 @@ class TestBatchedSynthesis:
         # Flattened blocks preserve campaign run order.
         assert [p.index for b in blocks for p in b] == list(range(6))
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [{}, {"max_workers": 1}, {"executor": "thread"},
+         {"max_workers": 1, "executor": "thread"}],
+        ids=["defaults", "max_workers", "executor", "both"],
+    )
+    def test_blocks_run_on_the_calling_thread(self, fitted_emulator,
+                                              serial_manifest, knobs):
+        """Every accepted ``max_workers`` / ``executor`` value runs each
+        block on the caller's thread, with the serial campaign's bits."""
+        repro.obs.clear_trace()
+        try:
+            with repro.obs.tracing():
+                manifest = run_campaign(
+                    fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
+                    chunk_size=24, seed=2024, collect="fields", batch_size=2,
+                    **knobs,
+                )
+            records = repro.obs.trace_records()
+        finally:
+            repro.obs.clear_trace()
+        assert manifest.max_workers == 1 and manifest.executor == "thread"
+        (total,) = [r for r in records if r["name"] == "campaign.total"]
+        batches = [r for r in records if r["name"] == "campaign.batch"]
+        assert len(batches) == 3
+        for batch in batches:
+            assert batch["thread"] == threading.current_thread().name
+            assert batch["parent_id"] == total["span_id"]
+        for serial_run, run in zip(serial_manifest.runs, manifest.runs):
+            assert serial_run.to_dict() == run.to_dict()
+            assert np.array_equal(serial_run.collected, run.collected)
+
     def test_batch_size_validation(self, fitted_emulator):
-        with pytest.raises(ValueError, match="batch_size"):
-            run_campaign(fitted_emulator, ["constant"], batch_size=0)
+        """A float or a bool is refused, not truncated into a block size."""
+        for batch_size in (0, 2.5, True):
+            with pytest.raises(ValueError, match="batch_size"):
+                run_campaign(fitted_emulator, ["constant"], batch_size=batch_size)
 
 
 class TestManifest:
@@ -354,6 +373,26 @@ class TestProgressHeartbeat:
                      batch_size=2, progress=beats.append)
         assert [beat["runs_done"] for beat in beats] == [0, 2, 4]
 
+    @pytest.mark.parametrize("knobs", [
+        {}, {"batch_size": 2}, {"batch_size": 3}, {"tune": "auto"},
+        {"max_workers": 1, "executor": "thread"},
+    ], ids=repr)
+    def test_heartbeat_beats_once_per_block_on_the_calling_thread(
+        self, fitted_emulator, knobs
+    ):
+        beats, threads = [], []
+
+        def progress(info):
+            beats.append(info["runs_done"])
+            threads.append(threading.current_thread().name)
+
+        manifest = run_campaign(fitted_emulator, ["ssp-low", "ssp-high"], 3,
+                                n_times=8, seed=3, progress=progress, **knobs)
+        blocks = [block["n_runs"] for block in manifest.batch_timings]
+        assert beats == [0] + np.cumsum(blocks).tolist()
+        assert beats[-1] == manifest.n_runs == 6
+        assert set(threads) == {threading.current_thread().name}
+
     def test_heartbeat_publishes_no_gauges(self, fitted_emulator):
         from repro.obs import metrics_snapshot
 
@@ -364,13 +403,6 @@ class TestProgressHeartbeat:
         assert beats[-1]["runs_done"] == 2
         assert not [name for name in metrics_snapshot()["gauges"]
                     if name.startswith("campaign.progress")]
-
-    def test_heartbeat_with_one_or_n_threads(self, fitted_emulator):
-        for kwargs in ({"max_workers": 1}, {"max_workers": 3}):
-            beats = []
-            run_campaign(fitted_emulator, ["ssp-low"], 2, n_times=8, seed=3,
-                         progress=beats.append, **kwargs)
-            assert beats[-1]["runs_done"] == 2
 
 
 class TestFacade:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.forcing import historical_forcing
+from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.scenarios import (
     FORCING_COMPONENTS,
     AerosolOffset,
@@ -13,6 +13,7 @@ from repro.scenarios import (
     Stabilisation,
     VolcanicEruption,
     component_from_state,
+    resolve_scenario,
 )
 from repro.scenarios.components import HISTORICAL_VOLCANOES, historical_pathway
 from repro.util.registry import UnknownBackendError
@@ -167,14 +168,21 @@ class TestScenarioSpec:
 
 
 class TestHistoricalPathway:
-    def test_components_reproduce_historical_forcing_bit_exactly(self):
-        """The registry pathway and historical_forcing must never drift."""
-        spec = ScenarioSpec("historical", historical_pathway())
-        np.testing.assert_array_equal(spec.annual_forcing(83), historical_forcing(83))
+    def test_curve_is_the_sum_of_its_components(self):
+        """The registered pathway and the generator's forcing never drift
+        from the component sum."""
+        total = sum(component.annual_series(83) for component in historical_pathway())
+        np.testing.assert_array_equal(
+            resolve_scenario("historical").annual_forcing(83), total
+        )
+        sims = Era5LikeGenerator(
+            Era5LikeConfig(lmax=4, n_years=83, steps_per_year=1, n_ensemble=1)
+        ).generate()
+        np.testing.assert_array_equal(sims.forcing_annual, total)
 
     def test_volcano_years_dip(self):
-        rf = historical_forcing(83)
-        smooth = historical_forcing(83, volcanoes=())
+        rf = resolve_scenario("historical").annual_forcing(83)
+        smooth = ScenarioSpec("smooth", historical_pathway(volcanoes=())).annual_forcing(83)
         for volcano in HISTORICAL_VOLCANOES:
             # The dip equals the magnitude up to the (tiny) decay tails of
             # the preceding eruptions.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.data.forcing import ForcingScenario, historical_forcing, scenario_forcing
 from repro.scenarios import (
     SCENARIOS,
     GHGRamp,
@@ -14,10 +13,15 @@ from repro.scenarios import (
     register_scenario,
     resolve_scenario,
 )
+from repro.scenarios.components import historical_pathway
 from repro.util.registry import UnknownBackendError
 
 LEGACY_NAMES = ["historical", "constant", "linear-ramp", "high-emissions", "stabilisation"]
 SSP_NAMES = ["ssp-low", "ssp-medium", "ssp-high", "overshoot"]
+
+
+def forcing(name: str, n_years: int, start_level: float = 2.5) -> np.ndarray:
+    return resolve_scenario(name, start_level=start_level).annual_forcing(n_years)
 
 
 class TestRegistryContents:
@@ -36,7 +40,7 @@ class TestRegistryContents:
         for alias, name in [("ssp1-2.6", "ssp-low"), ("ssp2-4.5", "ssp-medium"),
                             ("ssp5-8.5", "ssp-high"), ("ssp-overshoot", "overshoot")]:
             np.testing.assert_array_equal(
-                scenario_forcing(alias, 30), scenario_forcing(name, 30)
+                forcing(alias, 30), forcing(name, 30)
             )
 
 
@@ -44,50 +48,52 @@ class TestLegacyEquivalence:
     """The five original scenarios must stay bit-identical to the old dispatch."""
 
     def test_historical(self):
-        np.testing.assert_array_equal(scenario_forcing("historical", 60),
-                                      historical_forcing(60))
+        np.testing.assert_array_equal(
+            forcing("historical", 60),
+            ScenarioSpec("historical", historical_pathway()).annual_forcing(60),
+        )
 
     def test_constant(self):
-        np.testing.assert_array_equal(scenario_forcing("constant", 50, start_level=1.75),
+        np.testing.assert_array_equal(forcing("constant", 50, start_level=1.75),
                                       np.full(50, 1.75))
 
     def test_linear_ramp(self):
         years = np.arange(50, dtype=np.float64)
-        np.testing.assert_array_equal(scenario_forcing("linear-ramp", 50),
+        np.testing.assert_array_equal(forcing("linear-ramp", 50),
                                       2.5 + 0.05 * years)
 
     def test_high_emissions(self):
         years = np.arange(50, dtype=np.float64)
-        np.testing.assert_array_equal(scenario_forcing("high-emissions", 50),
+        np.testing.assert_array_equal(forcing("high-emissions", 50),
                                       2.5 + 0.085 * years * (1.0 + 0.01 * years))
 
     def test_stabilisation(self):
         years = np.arange(50, dtype=np.float64)
-        np.testing.assert_array_equal(scenario_forcing("stabilisation", 50),
+        np.testing.assert_array_equal(forcing("stabilisation", 50),
                                       2.5 + 2.5 * (1.0 - np.exp(-years / 30.0)))
 
-    @pytest.mark.parametrize("scenario", list(ForcingScenario))
-    def test_enum_members_still_resolve(self, scenario):
-        rf = scenario_forcing(scenario, 40)
+    @pytest.mark.parametrize("scenario", LEGACY_NAMES)
+    def test_original_names_resolve(self, scenario):
+        rf = forcing(scenario, 40)
         assert rf.shape == (40,)
         assert np.all(np.isfinite(rf))
 
 
 class TestSspPathwayShapes:
     def test_relative_ordering_at_horizon(self):
-        low = scenario_forcing("ssp-low", 80)
-        medium = scenario_forcing("ssp-medium", 80)
-        high = scenario_forcing("ssp-high", 80)
+        low = forcing("ssp-low", 80)
+        medium = forcing("ssp-medium", 80)
+        high = forcing("ssp-high", 80)
         assert high[-1] > medium[-1] > low[-1]
 
     def test_low_pathway_peaks_then_declines(self):
-        low = scenario_forcing("ssp-low", 100)
+        low = forcing("ssp-low", 100)
         peak = int(np.argmax(low))
         assert 0 < peak < 60
         assert low[-1] < low[peak] - 0.3
 
     def test_overshoot_peaks_then_draws_down(self):
-        overshoot = scenario_forcing("overshoot", 100)
+        overshoot = forcing("overshoot", 100)
         peak = int(np.argmax(overshoot))
         assert 20 < peak < 70
         assert overshoot[-1] < overshoot[peak] - 0.5
@@ -120,7 +126,7 @@ class TestResolutionAndRegistration:
         try:
             # start_level is irrelevant for a pinned spec
             np.testing.assert_array_equal(
-                scenario_forcing("frozen-level", 5, start_level=99.0), np.full(5, 4.0)
+                forcing("frozen-level", 5, start_level=99.0), np.full(5, 4.0)
             )
         finally:
             SCENARIOS.unregister("frozen-level")
@@ -144,7 +150,7 @@ class TestResolutionAndRegistration:
             )
             expected = fitted_emulator.emulate(
                 1, n_times=2 * spy,
-                annual_forcing=scenario_forcing("test-drawdown", 2),
+                annual_forcing=forcing("test-drawdown", 2),
                 rng=np.random.default_rng(0),
             )
             np.testing.assert_array_equal(out.data, expected.data)

@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.core.window import SpatialWindow
 from repro.serving.request import FieldRequest
-from repro.serving.service import EmulationService
+from repro.serving.service import _LIVE_STREAMS, _STREAM_HORIZON, EmulationService
 from repro.storage.chunkstore import ChunkStore
 
 SPY = 24  # steps_per_year of the shared fixture ensemble
@@ -145,6 +145,48 @@ class TestBitExactness:
         assert not np.array_equal(first, again)
 
 
+class TestLiveStreams:
+    """Paused streams: opened for ``_STREAM_HORIZON`` years at least, and
+    at most ``_LIVE_STREAMS`` kept, least recently parked out first."""
+
+    def test_live_streams_are_capped_least_recently_parked_first(
+        self, fitted_emulator, service
+    ):
+        for realization in range(_LIVE_STREAMS + 2):
+            service.get(FieldRequest("ssp-low", realization=realization))
+        synthesis = service.stats()["synthesis"]
+        assert synthesis["live_streams"] == _LIVE_STREAMS
+        assert synthesis["stream_resumes"] == 0
+        newest, evicted = _LIVE_STREAMS + 1, 0
+        for realization, resumes in ((newest, 1), (evicted, 1)):
+            served = service.get(FieldRequest("ssp-low", realization=realization,
+                                              year_start=1, year_stop=2))
+            reference = canonical_stream(fitted_emulator, "ssp-low", realization, 2)
+            assert np.array_equal(served, reference[SPY:])
+            assert service.stats()["synthesis"]["stream_resumes"] == resumes
+
+    def test_a_request_past_the_horizon_restarts_bit_identically(
+        self, fitted_emulator, service
+    ):
+        def get(year_start, year_stop):
+            return service.get(FieldRequest("ssp-low", realization=0,
+                                            year_start=year_start,
+                                            year_stop=year_stop))
+
+        get(0, 1)
+        assert service.stats()["synthesis"]["live_streams"] == 1
+        get(1, _STREAM_HORIZON)  # resumes and runs the stream to its end
+        synthesis = service.stats()["synthesis"]
+        assert synthesis["stream_resumes"] == 1 and synthesis["live_streams"] == 0
+        past = get(_STREAM_HORIZON, _STREAM_HORIZON + 1)
+        synthesis = service.stats()["synthesis"]
+        assert synthesis["stream_resumes"] == 1 and synthesis["live_streams"] == 0
+        reference = canonical_stream(fitted_emulator, "ssp-low", 0,
+                                     _STREAM_HORIZON + 1)
+        assert np.array_equal(past, reference[_STREAM_HORIZON * SPY:])
+        assert np.array_equal(get(0, _STREAM_HORIZON + 1), reference)
+
+
 class TestCacheManagement:
     def test_tiny_cache_stays_correct(self, fitted_emulator):
         # A cache smaller than one chunk evicts everything immediately;
@@ -170,6 +212,12 @@ class TestCacheManagement:
         assert stats["bytes"] <= 2 * chunk_bytes
         assert stats["entries"] == 2
         assert stats["evictions"] == 2
+        # A budget is None or a non-negative int; nothing is truncated.
+        for bad in (-1, 1.5, "auto", True):
+            with pytest.raises(ValueError, match="cache_bytes"):
+                EmulationService(fitted_emulator, cache_bytes=bad)
+        with pytest.raises(ValueError, match="cache_bytes"):
+            repro.serve(fitted_emulator, cache_bytes="auto")
 
     def test_rejects_unfitted_emulator(self):
         with pytest.raises(RuntimeError, match="fitted"):

@@ -13,7 +13,6 @@ from repro.sht.plancache import (
     get_plan,
     plan_cache_key,
     plan_cache_stats,
-    set_plan_cache_limit,
 )
 from repro.sht.transform import SHTPlan
 from repro.util.registry import UnknownBackendError
@@ -21,11 +20,9 @@ from repro.util.registry import UnknownBackendError
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Each test observes its own hit/miss history and an unlimited cache."""
-    set_plan_cache_limit(None)
+    """Each test observes its own hit/miss history."""
     clear_plan_cache()
     yield
-    set_plan_cache_limit(None)
     clear_plan_cache()
 
 
@@ -101,70 +98,33 @@ class TestCacheKeys:
             SHT_BACKENDS.unregister("cache-test")
 
 
-class TestBytesLimit:
-    def test_unlimited_by_default(self):
+class TestPlanBytes:
+    def test_every_key_stays_cached(self):
         for lmax in (4, 5, 6, 7, 8):
             get_plan("fast", lmax, Grid.for_bandlimit(lmax))
         stats = plan_cache_stats()
-        assert stats["limit_bytes"] is None
-        assert stats["size"] == 5 and stats["evictions"] == 0
+        assert stats["size"] == 5 and stats["misses"] == 5
         assert stats["bytes"] > 0
 
-    def test_limit_evicts_least_recently_used(self):
-        plans = {
-            lmax: get_plan("fast", lmax, Grid.for_bandlimit(lmax))
-            for lmax in (4, 6, 8)
-        }
-        get_plan("fast", 4, Grid.for_bandlimit(4))  # refresh lmax=4 to MRU
-        total = plan_cache_stats()["bytes"]
-        # Budget for roughly the two smaller plans: the LRU entry (lmax=6)
-        # must go first.
-        set_plan_cache_limit(total - 1)
-        stats = plan_cache_stats()
-        assert stats["evictions"] >= 1
-        assert stats["bytes"] <= total - 1
-        keys = {key[2] for key in stats["keys"]}
-        assert 8 in keys  # most recently inserted survives
-        assert plans  # keep references alive; evicted plans rebuild on demand
+    def test_hits_keep_insertion_order(self):
+        a = get_plan("fast", 4, Grid.for_bandlimit(4))
+        get_plan("fast", 6, Grid.for_bandlimit(6))
+        assert get_plan("fast", 4, Grid.for_bandlimit(4)) is a
+        assert [key[2] for key in plan_cache_stats()["keys"]] == [4, 6]
 
-    def test_evicted_plan_rebuilds_on_next_use(self):
+    def test_cleared_plan_rebuilds_on_next_use(self):
         grid = Grid.for_bandlimit(6)
         first = get_plan("fast", 6, grid)
-        set_plan_cache_limit(0)  # evicts on every insert beyond the newest
-        get_plan("fast", 8, Grid.for_bandlimit(8))
+        clear_plan_cache()
         rebuilt = get_plan("fast", 6, grid)
         assert rebuilt is not first
         np.testing.assert_array_equal(rebuilt._ana_ops[0], first._ana_ops[0])
-        assert plan_cache_stats()["evictions"] >= 1
-
-    def test_single_oversized_plan_still_serves(self):
-        set_plan_cache_limit(1)  # smaller than any plan
-        grid = Grid.for_bandlimit(6)
-        plan = get_plan("fast", 6, grid)
-        # The most recently served plan survives its own insertion ...
-        assert plan_cache_stats()["size"] == 1
-        # ... and a subsequent distinct plan replaces it.
-        get_plan("fast", 8, Grid.for_bandlimit(8))
-        stats = plan_cache_stats()
-        assert stats["size"] == 1 and stats["keys"][0][2] == 8
-
-    def test_hits_refresh_recency(self):
-        set_plan_cache_limit(None)
-        a = get_plan("fast", 4, Grid.for_bandlimit(4))
-        get_plan("fast", 6, Grid.for_bandlimit(6))
-        get_plan("fast", 4, Grid.for_bandlimit(4))  # hit: lmax=4 becomes MRU
-        stats = plan_cache_stats()
-        assert [key[2] for key in stats["keys"]] == [6, 4]
-        assert a is get_plan("fast", 4, Grid.for_bandlimit(4))
-
-    def test_rejects_negative_limit(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            set_plan_cache_limit(-1)
+        assert plan_cache_stats()["misses"] == 1
 
     def test_plan_bytes_are_fixed_at_insertion(self):
         """Plans are built eagerly: using one never grows its footprint.
 
-        The bytes-limit eviction measures each plan once per pass on the
+        ``sht.plan_bytes`` reads the cache right after the build on the
         premise that every table (index maps, per-order synthesis and
         analysis operators) exists from ``__post_init__`` — pinned
         here by exercising both transform directions and checking the
@@ -177,11 +137,6 @@ class TestBytesLimit:
         coeffs = plan.random_coefficients(np.random.default_rng(0), shape=(3,))
         plan.forward(plan.inverse(coeffs))
         assert plan_cache_stats()["bytes"] == before
-
-    def test_limit_survives_clear(self):
-        set_plan_cache_limit(123456)
-        clear_plan_cache()
-        assert plan_cache_stats()["limit_bytes"] == 123456
 
     def test_plan_bytes_count_each_owning_buffer_once(self):
         """``sht.plan_bytes`` is what the plan keeps alive, however it is held.
@@ -271,10 +226,12 @@ class TestConcurrency:
         # serves every subsequent lookup.
         assert sum(1 for k in stats["keys"] if k == key) == 1
 
-    def test_concurrent_get_under_bytes_limit_stays_consistent(self):
-        """Eviction churn under threads must never serve a wrong plan."""
+    def test_concurrent_gets_of_many_keys_stay_consistent(self):
+        """Threads racing over four keys each get the right plan, and the
+        cache ends with one entry per key whose bytes are those plans'."""
+        from repro.sht.plancache import _plan_nbytes
+
         grids = {lmax: Grid.for_bandlimit(lmax) for lmax in (4, 5, 6, 7)}
-        set_plan_cache_limit(1)  # every insert evicts the rest: maximum churn
         errors = []
 
         def worker(i):
@@ -282,15 +239,20 @@ class TestConcurrency:
             try:
                 plan = get_plan("fast", lmax, grids[lmax])
                 assert plan.lmax == lmax and plan.grid == grids[lmax]
+                return plan
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
-            list(pool.map(worker, range(64)))
+            plans = list(pool.map(worker, range(64)))
         assert not errors
+        for i, plan in enumerate(plans):
+            assert plan is plans[i % 4]
         stats = plan_cache_stats()
-        assert stats["size"] == 1
-        assert stats["evictions"] > 0
+        assert stats["size"] == 4
+        assert sorted(key[2] for key in stats["keys"]) == [4, 5, 6, 7]
+        assert stats["hits"] + stats["misses"] == 64 and stats["misses"] == 4
+        assert stats["bytes"] == sum(_plan_nbytes(plans[i]) for i in range(4))
 
     def test_process_workers_warm_independently(self):
         """Each worker process builds its own cache (module state is per-process)."""

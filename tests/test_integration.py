@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
-from repro.data.forcing import scenario_forcing
+from repro.scenarios import resolve_scenario
 from repro.linalg import MixedPrecisionCholesky, generate_cholesky_tasks
 from repro.linalg.tasks import build_task_graph
 from repro.stats import consistency_report
@@ -77,7 +77,7 @@ class TestFullPipeline:
         cancels and only the forced response differs.
         """
         _, emulator, _ = pipeline
-        strong = scenario_forcing("high-emissions", 4) + 6.0
+        strong = resolve_scenario("high-emissions").annual_forcing(4) + 6.0
         projection = emulator.emulate(1, annual_forcing=strong, rng=np.random.default_rng(2))
         baseline = emulator.emulate(1, annual_forcing=np.zeros(4), rng=np.random.default_rng(2))
         assert projection.data.mean() > baseline.data.mean()

@@ -1,4 +1,4 @@
-"""Tests of ``tune="auto"`` / ``cache_bytes="auto"``: the contract, not a model.
+"""Tests of ``tune="auto"``: the contract, not a model.
 
 Tuning may move only bit-inert knobs, must never override the caller,
 must leave nothing behind on disk, and its prediction must be an
@@ -16,12 +16,7 @@ import repro
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.obs import get_registry
 from repro.scenarios.campaign import run_campaign
-from repro.tuning import (
-    MachineProfile,
-    _pilot_batch_size,
-    calibrate_machine,
-    plan_serving_cache_bytes,
-)
+from repro.tuning import _pilot_batch_size, calibrate_machine
 
 SCENARIOS = ["ssp-low", "ssp-high"]
 
@@ -145,9 +140,9 @@ class TestPlanner:
 
     def test_explicit_knobs_are_pinned(self, emulator):
         manifest = run_campaign(
-            emulator, SCENARIOS, 4, tune="auto", executor="thread", max_workers=3
+            emulator, SCENARIOS, 4, tune="auto", executor="thread", max_workers=1
         )
-        assert manifest.executor == "thread" and manifest.max_workers == 3
+        assert manifest.executor == "thread" and manifest.max_workers == 1
         assert manifest.tuning["chosen"] == {
             "executor": "caller",
             "max_workers": "caller",
@@ -167,15 +162,6 @@ class TestPlanner:
             assert manifest.tuning["chosen"]["executor"] == "default"
             assert manifest.tuning["chosen"]["max_workers"] == "default"
 
-    def test_serving_cache_clamps(self):
-        profile = MachineProfile("host", 2, 8 * 2**30)
-        assert plan_serving_cache_bytes(profile, 1) == 64 * 2**20
-        assert plan_serving_cache_bytes(profile, 2**40) == 2 * 2**30
-        assert plan_serving_cache_bytes(profile, 4 * 2**20) == 256 * 2**20
-        # Unknown memory still clamps; tiny hosts never go below the floor.
-        assert plan_serving_cache_bytes(MachineProfile("h", 1, 0), 2**40) == 2**30
-        assert plan_serving_cache_bytes(MachineProfile("h", 1, 2**20), 2**40) == 64 * 2**20
-
     def test_calibrate_machine_reads_the_host(self):
         profile = calibrate_machine()
         assert profile == calibrate_machine()  # nothing timed, nothing random
@@ -186,17 +172,24 @@ class TestPlanner:
 class TestTunedEqualsUntuned:
     """Run records, ``collected`` and every stored chunk, across the grid."""
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize(
+        "pool",
+        [{}, {"max_workers": 1, "executor": "thread"}],
+        ids=["default", "explicit"],
+    )
     @pytest.mark.parametrize("with_store", [False, True])
     @pytest.mark.parametrize("n_realizations", [1, 3, 4, 16])
-    def test_same_bits(self, emulator, tmp_path, n_realizations, with_store, max_workers):
+    def test_same_bits(self, emulator, tmp_path, n_realizations, with_store, pool):
+        """Tuned with the default or the explicitly passed one-worker
+        values equals an untuned fixed-block campaign."""
         def campaign(label, **knobs):
             store = os.fspath(tmp_path / label) if with_store else None
             return run_campaign(
                 emulator, SCENARIOS, n_realizations, seed=7, store=store, **knobs
             )
 
-        tuned = campaign("tuned", tune="auto", max_workers=max_workers)
+        tuned = campaign("tuned", tune="auto", **pool)
+        assert tuned.max_workers == 1 and tuned.executor == "thread"
         plain = campaign("plain", max_workers=1, batch_size=2)
         assert [r.to_dict() for r in tuned.runs] == [r.to_dict() for r in plain.runs]
         tc, pc = tuned.collected(), plain.collected()
@@ -214,7 +207,7 @@ class TestTunedEqualsUntuned:
     def test_all_knobs_pinned_still_times_the_first_block(self, emulator):
         manifest = run_campaign(
             emulator, SCENARIOS, 3, tune="auto",
-            executor="thread", max_workers=2, batch_size=2,
+            executor="thread", max_workers=1, batch_size=2,
         )
         plain = run_campaign(emulator, SCENARIOS, 3)
         assert [r.to_dict() for r in manifest.runs] == [r.to_dict() for r in plain.runs]
@@ -241,10 +234,10 @@ class TestCampaignIntegration:
     def test_explicit_kwargs_override_tune_auto(self, emulator):
         manifest = run_campaign(
             emulator, ["ssp-low"], 2, tune="auto",
-            executor="thread", max_workers=3, batch_size=2,
+            executor="thread", max_workers=1, batch_size=2,
         )
         assert manifest.executor == "thread"
-        assert manifest.max_workers == 3
+        assert manifest.max_workers == 1
         assert manifest.batch_size == 2
         assert manifest.tuning["chosen"] == {
             "executor": "caller",
@@ -330,17 +323,6 @@ class TestCampaignIntegration:
         with pytest.raises(ValueError, match="tune"):
             run_campaign(emulator, ["ssp-low"], 1, tune="always")
 
-    def test_serve_cache_bytes_auto(self, emulator):
-        service = repro.serve(emulator, cache_bytes="auto")
-        reference = repro.serve(emulator)
-        request = repro.FieldRequest("ssp-low", realization=0, year_start=0)
-        np.testing.assert_array_equal(
-            service.get(request), reference.get(request)
-        )
-        budget = get_registry().snapshot()["gauges"]["tuning.serve.cache_bytes"]
-        memory = calibrate_machine().memory_bytes
-        assert 64 * 2**20 <= budget <= max(memory // 4, 64 * 2**20)
-
 
 class TestTuningLeavesNothingBehind:
     """Edge defects of the profile cache this replaced; each failed before."""
@@ -369,12 +351,12 @@ class TestTuningLeavesNothingBehind:
         run_campaign(emulator, SCENARIOS, 3, store=tmp_path / "plain")
         assert tree(tmp_path / "tuned") == tree(tmp_path / "plain")
         request = repro.FieldRequest("ssp-low", realization=0, year_start=0)
-        repro.serve(emulator, store=tmp_path / "tuned", cache_bytes="auto").get(request)
+        repro.serve(emulator, store=tmp_path / "tuned").get(request)
         repro.serve(emulator, store=tmp_path / "plain").get(request)
         assert tree(tmp_path / "tuned") == tree(tmp_path / "plain")
         assert tree(cwd) == [] and tree(self.tempdir) == []
 
     def test_storeless_callers_share_no_temp_cache(self, emulator):
         run_campaign(emulator, ["ssp-low"], 2, tune="auto")
-        repro.serve(emulator, cache_bytes="auto")
+        repro.serve(emulator)
         assert tree(self.tempdir) == []

@@ -98,22 +98,13 @@ def generate() -> str:
     from repro.scenarios.spec import ScenarioSpec
     from repro.serving.request import FieldRequest
     from repro.serving.service import EmulationService
-    from repro.sht.plancache import (
-        clear_plan_cache,
-        get_plan,
-        plan_cache_stats,
-        set_plan_cache_limit,
-    )
+    from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
     from repro.storage.accounting import (
         campaign_storage_report,
         serving_storage_report,
     )
     from repro.storage.chunkstore import ChunkStore
-    from repro.tuning import (
-        MachineProfile,
-        calibrate_machine,
-        plan_serving_cache_bytes,
-    )
+    from repro.tuning import MachineProfile, calibrate_machine
     from repro.util.registry import BackendRegistry, UnknownBackendError
 
     parts = [HEADER]
@@ -189,7 +180,6 @@ def generate() -> str:
     for qualname, obj in (
         ("repro.get_plan", get_plan),
         ("repro.plan_cache_stats", plan_cache_stats),
-        ("repro.set_plan_cache_limit", set_plan_cache_limit),
         ("repro.clear_plan_cache", clear_plan_cache),
     ):
         parts.append(_entry(qualname, obj))
@@ -210,15 +200,13 @@ def generate() -> str:
     parts.append(
         "Autotuning by measurement (`repro.tuning`):\n"
         "`run_campaign(..., tune=\"auto\")` times the campaign's own first\n"
-        "blocks to pick `batch_size` (see its `tune` parameter above), and\n"
-        "`serve(..., cache_bytes=\"auto\")` clamps the chunk cache to the\n"
-        "host's memory.  Block size is bit-inert, so tuned output is\n"
-        "bit-identical to untuned.  See [`tuning.md`](tuning.md).\n"
+        "blocks to pick `batch_size` (see its `tune` parameter above).\n"
+        "Block size is bit-inert, so tuned output is bit-identical to\n"
+        "untuned.  See [`tuning.md`](tuning.md).\n"
     )
     for qualname, obj in (
         ("repro.MachineProfile", MachineProfile),
         ("repro.calibrate_machine", calibrate_machine),
-        ("repro.tuning.plan_serving_cache_bytes", plan_serving_cache_bytes),
     ):
         parts.append(_entry(qualname, obj))
 

@@ -50,11 +50,6 @@ EXCEPTIONS: "dict[tuple[str, str], str]" = {
         "benchmarks/e2e harness imports the same module, so moving it is "
         "a benchmark-archetype change"
     ),
-    ("data", "repro.scenarios"): (
-        "data.forcing is the legacy spelling of the scenario registry "
-        "(the pathways now live in repro.scenarios); folding it is ROADMAP "
-        "item 7(iii)"
-    ),
     ("scenarios", "repro.serving.request"): (
         "campaign chunks are keyed by the serving tier's own "
         "FieldRequest canonicalisation so the two addresses cannot drift"
