@@ -57,7 +57,7 @@ Quickstart
 ...     n_realizations=5)
 """
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 from repro import obs
 from repro.core.config import EmulatorConfig

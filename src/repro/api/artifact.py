@@ -20,15 +20,21 @@ theoretical parameter counts.
 File layout
 -----------
 One NPZ member per array, named by its ``/``-joined path in the nested
-state dict (e.g. ``spectral_model/cholesky/tiles_fp64``); one ``uint8``
-member (:data:`META_KEY`) holding the UTF-8 JSON metadata: schema version,
-library version, and the non-array part of the state tree.  ``allow_pickle``
-is never used, so artifacts are safe to load from untrusted sources.
+state dict; one ``uint8`` member (:data:`META_KEY`) holding the UTF-8 JSON
+metadata: schema version, library version, and the non-array part of the
+state tree.  The factor is stored per row panel beside its
+``tile_precision`` codes: a panel of double-precision tiles as it is held
+(``spectral_model/cholesky/panel_<p>_fp64``, a matrix a load adopts), a
+mixed panel as its tiles per stored precision
+(``panel_<p>_<fp64|fp32|fp16>``, flat, which a load unpacks).
+``allow_pickle`` is never used, so artifacts are safe to load from
+untrusted sources.
 
 Schema 1 stored the dense ``spectral_model/covariance`` beside one deflated
-``spectral_model/cholesky/tiles/<i>_<j>`` member per tile; schema 2, the only
-one written, drops the covariance and packs the tiles into one buffer per
-precision.  :meth:`EmulatorArtifact.load` reads both.
+``spectral_model/cholesky/tiles/<i>_<j>`` member per tile; schema 2 dropped
+the covariance and packed the tiles into one ``tiles_<precision>`` buffer
+per precision; schema 3, the only one written, stores the panels.
+:meth:`EmulatorArtifact.load` reads all three.
 """
 
 from __future__ import annotations
@@ -55,10 +61,10 @@ __all__ = [
 ]
 
 #: Artifact schema version written; bumped on incompatible layout changes.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Schema versions :meth:`EmulatorArtifact.load` reads.
-_READABLE_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
+_READABLE_SCHEMA_VERSIONS = (1, 2, SCHEMA_VERSION)
 
 #: The one version-1 member no reader uses (8 L^4 bytes, deflated).
 _SCHEMA_1_COVARIANCE = "spectral_model/covariance"
@@ -113,6 +119,67 @@ def _split(node: dict, prefix: str, arrays: dict[str, np.ndarray]) -> dict:
         else:
             meta[key] = _jsonable(value)
     return meta
+
+
+class _ByteCounter(io.RawIOBase):
+    """A seekable sink that keeps only the size of what is written to it."""
+
+    position = size = 0
+
+    def write(self, data) -> int:
+        self.position += memoryview(data).nbytes
+        self.size = max(self.size, self.position)
+        return memoryview(data).nbytes
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        self.position = offset + (0, self.position, self.size)[whence]
+        return self.position
+
+
+def _npy_header(member) -> tuple:
+    """``(shape, fortran_order, dtype)`` of an ``.npy`` stream, left at its data."""
+    version = np.lib.format.read_magic(member)
+    if version == (1, 0):
+        return np.lib.format.read_array_header_1_0(member)
+    return np.lib.format.read_array_header_2_0(member)
+
+
+def _read_arrays(archive: np.lib.npyio.NpzFile, keys: list, adopted: bool) -> dict:
+    """The arrays of ``keys``, read CRC-checked.
+
+    With ``adopted`` (the schema written now), matrices, which a load keeps
+    as they are (the factor's double-precision panels among them), are
+    views of one block: with a buffer each, scattered through the heap, the
+    panels cost a ``campaign_L64`` round ~25 k page faults where one block
+    costs ~8 k.  Every other member has a buffer of its own, so what a load
+    unpacks (a mixed-precision panel's tiles, every tile of schemas 1 and
+    2) is freed once it is.
+    """
+    headers = {}
+    for key in keys:
+        with archive.zip.open(f"{key}.npy") as member:
+            shape, fortran, dtype = _npy_header(member)
+        if dtype.hasobject:
+            raise ValueError(f"{key!r} holds Python objects")
+        size = int(np.prod(shape)) * dtype.itemsize
+        headers[key] = shape, fortran, dtype, size, adopted and len(shape) > 1
+    pad = lambda size: -(-size // 64) * 64  # noqa: E731
+    block = np.empty(sum(pad(h[3]) for h in headers.values() if h[4]), np.uint8)
+    arrays, offset = {}, 0
+    for key, (shape, fortran, dtype, size, in_block) in headers.items():
+        if in_block:
+            raw, offset = block[offset:offset + size], offset + pad(size)
+        else:
+            raw = np.empty(size, np.uint8)
+        with archive.zip.open(f"{key}.npy") as member:
+            _npy_header(member)
+            for start in range(0, size, 1 << 18):
+                chunk = memoryview(raw)[start:start + (1 << 18)]
+                if member.readinto(chunk) < len(chunk):
+                    raise ValueError(f"{key!r} is truncated")
+        array = raw.view(dtype)
+        arrays[key] = array.reshape(shape[::-1]).T if fortran else array.reshape(shape)
+    return arrays
 
 
 @dataclass
@@ -182,7 +249,7 @@ class EmulatorArtifact:
     # ------------------------------------------------------------------ #
     # I/O
     # ------------------------------------------------------------------ #
-    def _write(self, fh) -> None:
+    def _write(self, fh):
         arrays, meta_tree = self._flatten()
         meta = {
             "format": FORMAT_NAME,
@@ -194,6 +261,7 @@ class EmulatorArtifact:
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
         np.savez(fh, **arrays, **{META_KEY: payload})
+        return fh
 
     def save(self, path: "str | os.PathLike") -> str:
         """Write the artifact to ``path`` (exact path, no ``.npz`` appended)."""
@@ -204,13 +272,12 @@ class EmulatorArtifact:
 
     def tobytes(self) -> bytes:
         """The serialised artifact as an in-memory byte string."""
-        buffer = io.BytesIO()
-        self._write(buffer)
-        return buffer.getvalue()
+        return self._write(io.BytesIO()).getvalue()
 
     def nbytes(self) -> int:
-        """Measured size in bytes of the serialised artifact."""
-        return len(self.tobytes())
+        """Measured size in bytes of the serialised artifact, written to a
+        sink that only counts (and seeks, so the layout is a file's)."""
+        return self._write(_ByteCounter()).size
 
     @classmethod
     def load(cls, path: "str | os.PathLike") -> "EmulatorArtifact":
@@ -222,8 +289,9 @@ class EmulatorArtifact:
             When the file is not an emulator artifact.
         SchemaVersionError
             When the artifact's schema version is neither
-            :data:`SCHEMA_VERSION` nor the older version 1, which is
-            still read (its unused ``covariance`` member is skipped).
+            :data:`SCHEMA_VERSION` nor the older versions 1 and 2, which
+            are still read (version 1's unused ``covariance`` member is
+            skipped).
         """
         path = Path(path)
         # Open the file ourselves: np.load(path) can leak its file handle
@@ -265,11 +333,9 @@ class EmulatorArtifact:
                     f"repro version"
                 )
             try:
-                arrays = {
-                    key: np.asarray(archive[key])
-                    for key in archive.files
-                    if key not in (META_KEY, _SCHEMA_1_COVARIANCE)
-                }
+                arrays = _read_arrays(archive, [
+                    key for key in archive.files if key not in (META_KEY, _SCHEMA_1_COVARIANCE)
+                ], adopted=version == SCHEMA_VERSION)
             except (OSError, ValueError, zipfile.BadZipFile) as exc:
                 # Stored members are CRC-checked as they are read.
                 raise ArtifactError(f"{path} has a damaged member: {exc}") from exc

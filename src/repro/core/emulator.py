@@ -185,6 +185,7 @@ class ClimateEmulator:
         with span("fit.scale"):
             self.scale = ScaleField.from_residuals(residuals)
             standardized = self.scale.standardize(residuals)
+        del residuals
 
         self.spectral_model = SpectralStochasticModel(
             lmax=cfg.lmax,
@@ -339,9 +340,9 @@ class ClimateEmulator:
 
         The layout mirrors the pipeline: ``config``, ``trend_model``,
         ``trend_fit``, ``scale``, ``spectral_model`` (VAR, nugget, and
-        under ``cholesky`` the factor's tiles packed per storage
-        precision — the innovation covariance itself is not part of the
-        state) and ``training`` (the :class:`TrainingSummary`).
+        under ``cholesky`` the factor's row panels per stored precision —
+        the innovation covariance itself is not part of the state) and
+        ``training`` (the :class:`TrainingSummary`).
         :meth:`from_state` rebuilds an emulator that emulates bit-exactly
         as this one; calling this on that rebuilt emulator works too.
         """

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.blas import dsyrk
 
 from typing import Iterator
 
@@ -127,8 +126,8 @@ class SpectralStochasticModel:
     def fit(self, standardized: np.ndarray) -> "SpectralStochasticModel":
         """Fit the VAR, innovation covariance, Cholesky factor and nugget.
 
-        ``U`` is one SYRK into a ``k x k`` buffer that the factorisation
-        overwrites and the fit then drops (with the row panels, the peak).
+        ``U`` is filled panel by panel into the factor's float64 row panels,
+        which the factorisation overwrites: no ``k x k`` array is formed.
         """
         standardized = np.asarray(standardized, dtype=np.float64)
         if standardized.ndim == 3:
@@ -148,20 +147,16 @@ class SpectralStochasticModel:
         # Empirical innovation covariance (Eq. 9), pooled over ensembles.
         flat = innovations.reshape(-1, innovations.shape[-1])
         n_samples, k = flat.shape
-        with span("fit.covariance", order=k, n_samples=n_samples, flops=n_samples * k * (k + 1)):
-            # SYRK (half a GEMM's flops): the Fortran-ordered upper triangle
-            # is the lower triangle of the C-ordered transpose.
-            work = dsyrk(1.0 / max(n_samples, 1), flat.T, lower=0).T
-            # "minor perturbation along the diagonal ... to ensure it
-            # remains positive definite" (Section III-A.3).
-            ridge = self.covariance_jitter * float(np.mean(np.diag(work)) or 1.0)
-            work[np.diag_indices(k)] += ridge
-
         solver = MixedPrecisionCholesky(
             tile_size=self.tile_size,
             variant=self.precision_variant,
             jitter=self.covariance_jitter,
         )
+        with span("fit.covariance", order=k, n_samples=n_samples, flops=n_samples * k * (k + 1)):
+            # "minor perturbation along the diagonal ... to ensure it
+            # remains positive definite" (Section III-A.3).
+            work = solver.covariance_panels(flat, ridge=self.covariance_jitter)
+        del innovations, flat
         with span(
             "fit.cholesky",
             order=k,
@@ -169,7 +164,7 @@ class SpectralStochasticModel:
             flops=cholesky_flops(k),
         ):
             try:
-                self.cholesky = solver.factorize_in_place(work)
+                self.cholesky = solver.factorize_panels(work)
             except LinAlgError as error:
                 tiles = solver.policy.precision_map(-(-k // self.tile_size)).values()
                 raise LinAlgError(
@@ -179,7 +174,6 @@ class SpectralStochasticModel:
                     f"rounding, so raise covariance_jitter to {max(p.epsilon for p in tiles):.1e} "
                     "(the variant's lowest-precision unit roundoff) or more"
                 ) from error
-        del work  # the factor lives in its row panels now
 
         with span("fit.truncation"):
             truncation = self.truncation_residual(standardized, spectral)

@@ -3,17 +3,19 @@
 This is the numerical heart of the emulator's HPC layer: the covariance
 matrix of the spectral innovations is tiled, each tile is assigned a storage
 precision by a :class:`~repro.linalg.policies.PrecisionPolicy`, and one
-left-looking blocked loop factors it in place (:func:`_factor_in_place`).
+left-looking blocked loop factors it in place (:func:`_factor_panels`).
 Updates accumulate in double precision but read tiles rounded to their
 storage precision, so the reduced-precision variants genuinely lose the
 corresponding mantissa bits — the accuracy ablations (paper Fig. 4) measure
 exactly that loss.
 
-The factor is held in the one layout the draw computes with: lower row
-panels per stored precision (:func:`_row_panels`), filled straight from the
-fit's buffer or from an artifact's buffers, plus one precision code per
-tile.  The factorisation's flop and precision-conversion totals are the
-closed form (:func:`_accounting`) of the paper's right-looking task list,
+The factor has one layout from fit to disk to load: lower row panels per
+stored precision (:func:`_panel_bounds`), plus one precision code per tile.
+The fit fills float64 panels with the covariance and factors them in place;
+an artifact stores a double-precision panel as it is, which a load adopts,
+and a mixed panel's tiles at their stored precision.  The
+factorisation's flop and precision-conversion totals are the closed form
+(:func:`_accounting`) of the paper's right-looking task list,
 :func:`repro.linalg.tasks.generate_cholesky_tasks`.
 """
 
@@ -22,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_triangular
 from scipy.linalg import cholesky as scipy_cholesky
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dsyrk
 
 from repro.linalg.flops import (
     cholesky_tile_counts, gemm_flops, potrf_flops, syrk_flops, trsm_flops,
@@ -77,39 +79,136 @@ def _code_grid(codes: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# The factorisation: one blocked loop, in place
+# The layout: lower row panels per stored precision
 # --------------------------------------------------------------------------- #
-def _factor_in_place(
-    w: np.ndarray, tile_size: int, codes: np.ndarray, jitter: float
-) -> None:
-    """Overwrite the lower triangle of ``w`` (float64, ``(n, n)``) with its factor.
+#: Least rows of a panel (tile rows are grouped); a sixteenth of the order
+#: when that is more, which keeps the zeros above the diagonal near 3 %.
+_PANEL_MIN_ROWS = 64
+#: :meth:`CholeskyResult.correlate` pads shorter stacks with zero rows.
+_ROW_FLOOR = 32
+#: Panels are zero-padded to a multiple of this many rows: a ragged GEMM
+#: edge takes kernels that round differently (as for the SHT operators).
+_PANEL_ROW_MULTIPLE = 8
 
-    Per tile column ``b``: one GEMM against the columns to its left, the
-    diagonal tile's POTRF (with the relative ``jitter`` on its diagonal),
-    one TRSM for the tiles below, then each tile not stored in double is
-    rounded to its precision (``codes``, row-major) in place, so later
-    GEMMs read stored-precision values and accumulate them in float64.
+#: ``tile(i, j)`` -> the values of lower tile ``(i, j)``, in any float dtype
+#: that holds its stored precision exactly.
+_TileAccessor = Callable[[int, int], np.ndarray]
 
-    Every BLAS / LAPACK call goes through ``scipy.linalg``: numpy and scipy
-    each bundle an OpenBLAS with its own thread pool, and alternating the
-    two leaves both pools spinning (k = 2,304 on 2 cores: 0.277 s mixed,
-    0.114 s all scipy).  ``tests/lint/test_one_blas.py`` guards this.
+
+def _panel_bounds(n: int, tile_size: int) -> list[tuple[int, int, slice]]:
+    """``(first, last, rows)`` of each row panel: its tile rows and factor rows.
+
+    Tile rows are grouped until a panel has at least :data:`_PANEL_MIN_ROWS`
+    rows (``n / 16`` when that is more); the last group takes the remainder.
     """
-    n, nb = w.shape[0], tile_size
-    n_tiles = -(-n // nb)
-    grid = _code_grid(codes)
-    # The scipy wrappers take Fortran-ordered operands: slices of the
-    # transposed view reach them as column copies, not transposing ones.
-    wt = w.T
-    for b in range(n_tiles):
-        c0, c1 = b * nb, min(b * nb + nb, n)
+    n_tiles = -(-n // tile_size)
+    group = -(-max(_PANEL_MIN_ROWS, n // 16) // tile_size)
+    starts = list(range(0, n_tiles, group))[:max(1, n // (group * tile_size))]
+    return [
+        (first, last, slice(first * tile_size, min(last * tile_size, n)))
+        for first, last in zip(starts, starts[1:] + [n_tiles])
+    ]
+
+
+def _height(rows: slice) -> int:
+    """A panel's row count: its factor rows, zero-padded."""
+    return rows.stop - rows.start + (rows.start - rows.stop) % _PANEL_ROW_MULTIPLE
+
+
+def _part_columns(grid: np.ndarray, first: int, last: int, n: int, nb: int) -> list:
+    """``[(code, cols), ...]`` of the precisions in use in tile rows
+    ``first:last``, in :data:`PRECISIONS` order: from its first to its last tile."""
+    used = [np.nonzero((grid[first:last] == c).any(axis=0))[0] for c in range(len(PRECISIONS))]
+    return [
+        (code, slice(int(cols[0]) * nb, min(int(cols[-1] + 1) * nb, n)))
+        for code, cols in enumerate(used) if cols.size
+    ]
+
+
+def _all_double(grid: np.ndarray, first: int, last: int) -> bool:
+    """Whether every lower tile of tile rows ``first:last`` is double precision."""
+    codes = grid[first:last]
+    return bool(np.all(codes[codes >= 0] == PRECISIONS.index(Precision.DOUBLE)))
+
+
+def _tiles_of(grid: np.ndarray, first: int, last: int, code: int) -> list:
+    """``[(i, j), ...]`` of the tiles of precision ``code`` in tile rows
+    ``first:last``, row-major."""
+    return [(first + int(i), int(j)) for i, j in zip(*np.nonzero(grid[first:last] == code))]
+
+
+def _parts(grid: np.ndarray, bound: tuple, n: int, nb: int, tile: _TileAccessor) -> list:
+    """``[(cols, part), ...]`` of one row panel (``bound`` from
+    :func:`_panel_bounds`): per precision in use, a zeroed array from its
+    first to its last tile column with its tiles copied in from ``tile``
+    (half precision held as float32).  A panel of double-precision tiles is
+    one array in the double-precision layout."""
+    first, last, rows = bound
+    parts = []
+    for code, cols in _part_columns(grid, first, last, n, nb):
+        held = np.float32 if PRECISIONS[code] is Precision.HALF else PRECISIONS[code].dtype
+        part = np.zeros((_height(rows), cols.stop - cols.start), held)
+        for i, j in _tiles_of(grid, first, last, code):
+            values = tile(i, j)
+            view = part[i * nb - rows.start:, j * nb - cols.start:][:values.shape[0], :values.shape[1]]
+            view[...] = np.tril(values) if i == j else values
+        parts.append((cols, part))
+    return parts
+
+
+def _split(grid: np.ndarray, bound: tuple, n: int, nb: int, panel: np.ndarray) -> list:
+    """The parts of a finished float64 panel in the double-precision layout:
+    the panel itself when all its tiles are double."""
+    first, last, rows = bound
+    if _all_double(grid, first, last):
+        return [(slice(0, rows.stop), panel)]
+    return _parts(grid, bound, n, nb, lambda i, j: panel[i * nb - rows.start:, j * nb:][:nb, :nb])
+
+
+def _working_panels(n: int, tile_size: int) -> list:
+    """Zeroed float64 ``[(rows, panel), ...]``: each panel spans the columns
+    from the first to its last diagonal tile (the double-precision layout)."""
+    bounds = _panel_bounds(n, tile_size)
+    return [(rows, np.zeros((_height(rows), rows.stop))) for _, _, rows in bounds]
+
+
+# --------------------------------------------------------------------------- #
+# The factorisation: one blocked loop over the row panels, in place
+# --------------------------------------------------------------------------- #
+def _factor_panels(work: list, tile_size: int, codes: np.ndarray, jitter: float) -> list:
+    """Overwrite the float64 row panels ``work`` with the factor; returns its panels.
+
+    Per tile column ``b``: per panel from tile row ``b`` down, one GEMM
+    against the columns to the left; the diagonal tile's POTRF (with the
+    relative ``jitter`` on its diagonal); per panel one TRSM for the tiles
+    below; then each tile not stored in double is rounded to its precision
+    (``codes``, row-major) in place, so later GEMMs read stored-precision
+    values and accumulate them in float64.  A panel is final after its last
+    tile column: it leaves ``work`` then, split by precision (:func:`_split`).
+
+    Every BLAS / LAPACK call goes through ``scipy.linalg``: numpy's and
+    scipy's OpenBLAS pools spin against each other when calls alternate
+    (``tests/lint/test_one_blas.py``).
+    """
+    nb, grid, n = tile_size, _code_grid(codes), work[-1][0].stop
+    bounds = _panel_bounds(n, nb)
+    owner = [p for p, (first, last, _) in enumerate(bounds) for _ in range(first, last)]
+    factor = []
+    for b in range(len(grid)):
+        c0, c1, p = b * nb, min(b * nb + nb, n), owner[b]
+        rows, panel = work[p]
+        tile_row = panel[c0 - rows.start:c1 - rows.start]
+        # The scipy wrappers take Fortran-ordered operands: slices of a
+        # panel's transpose reach them as column copies, not transposing ones.
+        below = [(rows_q, panel_q.T) for rows_q, panel_q in work[p:]]
         if c0:
-            # w[c0:, c0:c1] -= w[c0:, :c0] @ w[c0:c1, :c0].T
-            wt[c0:c1, c0:] = dgemm(
-                -1.0, wt[:c0, c0:c1], wt[:c0, c0:], 1.0, wt[c0:c1, c0:], trans_a=1
-            )
+            left = np.asfortranarray(tile_row.T[:c0])  # copied once, not per panel
+            for rows_q, wt in below:
+                r = slice(max(c0, rows_q.start) - rows_q.start, rows_q.stop - rows_q.start)
+                # panel_q[r, c0:c1] -= panel_q[r, :c0] @ tile_row[:, :c0].T
+                wt[c0:c1, r] = dgemm(-1.0, left, wt[:c0, r], 1.0, wt[c0:c1, r], trans_a=1)
         # POTRF of the diagonal tile, symmetrised from its lower triangle.
-        a = np.tril(w[c0:c1, c0:c1])
+        a = np.tril(tile_row[:, c0:c1])
         a = a + np.tril(a, -1).T
         if jitter > 0:
             a = a + np.eye(c1 - c0) * jitter * float(np.mean(np.diag(a)))
@@ -125,17 +224,21 @@ def _factor_in_place(
                 continue
         else:
             raise LinAlgError(f"diagonal tile {b} is not positive definite even with a 1e-2 ridge")
-        w[c0:c1, c0:c1] = l.astype(PRECISIONS[grid[b, b]].dtype)
-        if c1 < n:
-            # w[c1:, c0:c1] = w[c1:, c0:c1] @ inv(l).T
-            wt[c0:c1, c1:] = solve_triangular(
-                w[c0:c1, c0:c1], wt[c0:c1, c1:], lower=True
-            )
-        for code, rows in groupby(range(b + 1, n_tiles), lambda i: grid[i, b]):
+        tile_row[:, c0:c1] = l.astype(PRECISIONS[grid[b, b]].dtype)
+        for rows_q, wt in below:
+            r = slice(max(c1, rows_q.start) - rows_q.start, rows_q.stop - rows_q.start)
+            if r.start < r.stop:
+                # panel_q[r, c0:c1] = panel_q[r, c0:c1] @ inv(l).T
+                wt[c0:c1, r] = solve_triangular(tile_row[:, c0:c1], wt[c0:c1, r], lower=True)
+        for (q, code), run in groupby(range(b + 1, len(grid)), lambda i: (owner[i], grid[i, b])):
             if PRECISIONS[code] is not Precision.DOUBLE:
-                rows = list(rows)
-                block = wt[c0:c1, rows[0] * nb:rows[-1] * nb + nb]
-                block[...] = block.astype(PRECISIONS[code].dtype)
+                run, (rows_q, panel_q) = list(run), work[q]
+                block = panel_q[run[0] * nb - rows_q.start:(run[-1] + 1) * nb - rows_q.start]
+                block[:, c0:c1] = block[:, c0:c1].astype(PRECISIONS[code].dtype)
+        if c1 == rows.stop:  # the panel is final
+            factor.append((rows, _split(grid, bounds[p], n, nb, panel)))
+            work[p] = None
+    return factor
 
 
 def _accounting(
@@ -186,8 +289,13 @@ class CholeskyResult:
     """Outcome of a mixed-precision factorisation: the factor *is* its panels.
 
     ``tile_precision`` gives every lower tile's index into
-    :data:`PRECISIONS`, row-major (``(0, 0), (1, 0), (1, 1), ...``);
-    ``panels`` holds the factor's values (see :func:`_row_panels`).
+    :data:`PRECISIONS`, row-major (``(0, 0), (1, 0), (1, 1), ...``).
+    ``panels`` holds the factor's values as ``[(rows, [(cols, panel), ...]),
+    ...]``: per group of tile rows (:func:`_panel_bounds`) and precision in
+    use, one C-ordered array from the first to the last tile column of that
+    precision, zero where a tile has another precision and above the
+    diagonal, its rows zero-padded to a multiple of 8; half-precision tiles
+    are held as float32.
     """
 
     n: int
@@ -268,13 +376,13 @@ class CholeskyResult:
     def state_dict(self) -> dict:
         """Arrays and metadata from which :meth:`from_state` rebuilds the result.
 
-        The lower-triangle tiles are packed *at their native precision*, in
-        row-major ``(i, j)`` order, into one contiguous buffer per storage
-        dtype (``tiles_fp64`` / ``tiles_fp32`` / ``tiles_fp16``; only the
-        precisions in use appear), with ``tile_precision`` holding each
-        tile's index into :data:`PRECISIONS`.  The round trip is bit-exact
-        and the artifact carries the mixed-precision storage saving instead
-        of re-inflating every tile to float64.
+        Beside ``tile_precision``, each tile's index into :data:`PRECISIONS`,
+        the factor is stored per row panel.  A panel of double-precision tiles
+        only is its own member ``panel_<p>_fp64``, a read-only view, not a
+        copy.  A mixed panel stores per precision in use the tiles it holds
+        at that precision, row-major and each flattened, at their stored
+        width (``panel_<p>_<fp64|fp32|fp16>``), so a mixed-precision factor
+        takes its :attr:`storage_bytes` on disk.  The round trip is bit-exact.
         """
         state = {
             "tile_precision": self.tile_precision.copy(),
@@ -288,54 +396,58 @@ class CholeskyResult:
             "conversions": int(self.conversions),
             "n_tasks": int(self.n_tasks),
         }
-        sizes = _tile_sizes(self.n, self.tile_size)
-        buffers = {
-            code: np.empty(int(sizes[self.tile_precision == code].sum()), PRECISIONS[code].dtype)
-            for code in np.unique(self.tile_precision).tolist()
-        }
-        filled = dict.fromkeys(buffers, 0)
-        for code, tile in self._tiles():
-            start = filled[code]
-            filled[code] += tile.size
-            # float16 tiles multiply as float32; narrowing them back is exact.
-            buffers[code][start:filled[code]].reshape(tile.shape)[...] = tile
-        for code, buffer in buffers.items():
-            state[f"tiles_{PRECISIONS[code].value}"] = buffer
+        n, nb, grid = self.n, self.tile_size, _code_grid(self.tile_precision)
+        heights = _tile_rows(n, nb)
+        for p, ((first, last, rows), (_, parts)) in enumerate(zip(_panel_bounds(n, nb), self.panels)):
+            if _all_double(grid, first, last):
+                stored = parts[0][1].view()
+                stored.flags.writeable = False
+                state[f"panel_{p}_fp64"] = stored
+                continue
+            for (code, _), (cols, part) in zip(_part_columns(grid, first, last, n, nb), parts):
+                tiles = [
+                    part[i * nb - rows.start:, j * nb - cols.start:][:heights[i], :heights[j]].ravel()
+                    for i, j in _tiles_of(grid, first, last, code)
+                ]
+                state[f"panel_{p}_{PRECISIONS[code].value}"] = np.concatenate(
+                    tiles, dtype=PRECISIONS[code].dtype
+                )
         return state
-
-    def _tiles(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``(code, view)`` of every lower tile, row-major, as views of its panel."""
-        nb, grid = self.tile_size, _code_grid(self.tile_precision)
-        heights = _tile_rows(self.n, nb).tolist()
-        for rows, parts in self.panels:
-            first, last = rows.start // nb, -(-rows.stop // nb)
-            in_use = [c for c in range(len(PRECISIONS)) if (grid[first:last] == c).any()]
-            by_code = dict(zip(in_use, parts))
-            for i in range(first, last):
-                for j in range(i + 1):
-                    cols, panel = by_code[grid[i, j]]
-                    r0, c0 = i * nb - rows.start, j * nb - cols.start
-                    yield int(grid[i, j]), panel[r0:r0 + heights[i], c0:c0 + heights[j]]
 
     @classmethod
     def from_state(cls, state: dict) -> "CholeskyResult":
         """Rebuild a factorisation result from :meth:`state_dict` output.
 
-        Also reads the schema-1 layout (a ``tiles`` dict of one array per
-        tile).  The panels are filled straight from the state's arrays and
-        share no memory with them; a buffer or code array that disagrees
-        with ``n`` / ``tile_size`` raises ``ValueError`` naming the member.
+        A double-precision panel member is adopted as that panel; a mixed
+        panel's tiles, like schema 2's ``tiles_<precision>`` buffers and
+        schema 1's ``tiles`` dict, are copied tile by tile into new panels.
+        A member or code array that disagrees with ``n`` / ``tile_size``
+        raises ``ValueError`` naming it.
         """
         n, nb = int(state["n"]), int(state["tile_size"])
         if "tiles" in state:
             codes, tile = _member_tiles(state["tiles"], n, nb)
         else:
-            codes, tile = _packed_tiles(state, n, nb)
+            codes, sizes = np.asarray(state["tile_precision"]), _tile_sizes(n, nb)
+            n_codes = len(PRECISIONS)
+            if codes.shape != sizes.shape or codes.dtype != np.uint8 or np.any(codes >= n_codes):
+                raise ValueError(
+                    f"'tile_precision' must hold {sizes.size} uint8 codes below {n_codes} for "
+                    f"n={n}, tile_size={nb}; got {codes.dtype} of shape {codes.shape}"
+                )
+            codes = codes.copy()
+            old = any(str(key).startswith("tiles_") for key in state)
+            tile = _packed_tiles(state, n, nb, codes) if old else None
+        if tile is None:
+            panels = _stored_panels(state, n, nb, codes)
+        else:
+            grid = _code_grid(codes)
+            panels = [(b[2], _parts(grid, b, n, nb, tile)) for b in _panel_bounds(n, nb)]
         return cls(
             n=n,
             tile_size=nb,
             tile_precision=codes,
-            panels=_row_panels(n, nb, codes, tile),
+            panels=panels,
             variant=str(state["variant"]),
             flops_by_precision={str(k): float(v) for k, v in state["flops_by_precision"].items()},
             total_flops=float(state["total_flops"]),
@@ -344,52 +456,29 @@ class CholeskyResult:
         )
 
 
-#: Least rows of a panel (tile rows are grouped); a sixteenth of the order
-#: when that is more, which keeps the zeros above the diagonal near 3 %.
-_PANEL_MIN_ROWS = 64
-#: :meth:`CholeskyResult.correlate` pads shorter stacks with zero rows.
-_ROW_FLOOR = 32
-#: Panels are zero-padded to a multiple of this many rows: a ragged GEMM
-#: edge takes kernels that round differently (as for the SHT operators).
-_PANEL_ROW_MULTIPLE = 8
-
-#: ``tile(i, j)`` -> the values of lower tile ``(i, j)``, in any float dtype
-#: that holds its stored precision exactly.
-_TileAccessor = Callable[[int, int], np.ndarray]
-
-
-def _row_panels(n: int, tile_size: int, codes: np.ndarray, tile: _TileAccessor) -> list:
-    """The factor as contiguous lower row panels, one array per stored precision.
-
-    ``[(rows, [(cols, panel), ...]), ...]``: per group of tile rows (the last
-    takes the remainder) and precision in use, one C-ordered array from the
-    first to the last tile column of that precision, zero where a tile has
-    another and above the diagonal; half-precision tiles are held as
-    float32.  Each tile is copied once, from ``tile`` into its panel.
-    """
-    nb, grid = tile_size, _code_grid(codes)
-    n_tiles = len(grid)
-    group = -(-max(_PANEL_MIN_ROWS, n // 16) // nb)
-    starts = list(range(0, n_tiles, group))[:max(1, n // (group * nb))]
-    panels = []
-    for first, last in zip(starts, starts[1:] + [n_tiles]):
-        r0, r1 = first * nb, min(last * nb, n)
-        parts = []
-        for code, precision in enumerate(PRECISIONS):
-            rows, cols = np.nonzero(grid[first:last] == code)
-            if not rows.size:
-                continue
-            c0, c1 = int(cols.min()) * nb, min(int(cols.max()) * nb + nb, n)
-            panel = np.zeros(
-                (r1 - r0 + (r0 - r1) % _PANEL_ROW_MULTIPLE, c1 - c0),
-                dtype=np.float32 if precision is Precision.HALF else precision.dtype,
-            )
-            for i, j in zip((rows + first).tolist(), cols.tolist()):
-                values = tile(i, j)
-                view = panel[i * nb - r0:, j * nb - c0:][:values.shape[0], :values.shape[1]]
-                view[...] = np.tril(values) if i == j else values
-            parts.append((slice(c0, c1), panel))
-        panels.append((slice(r0, r1), parts))
+def _stored_panels(state: dict, n: int, tile_size: int, codes: np.ndarray) -> list:
+    """Schema-3 layout: adopt a double-precision panel's ``panel_<p>_fp64``
+    member, and fill a mixed panel from its per-precision tiles."""
+    grid, layout, panels, expected = _code_grid(codes), f"n={n}, tile_size={tile_size}", [], set()
+    for p, (first, last, rows) in enumerate(_panel_bounds(n, tile_size)):
+        if _all_double(grid, first, last):
+            member, shape = f"panel_{p}_fp64", (_height(rows), rows.stop)
+            panel = np.asarray(state.get(member, np.empty(0)))
+            if panel.dtype != np.float64 or panel.shape != shape:
+                raise ValueError(
+                    f"{member!r} must be a float64 array of shape {shape} for "
+                    f"{layout}; got {panel.dtype} of shape {panel.shape}"
+                )
+            panels.append((rows, [(slice(0, rows.stop), np.ascontiguousarray(panel))]))
+            expected.add(member)
+            continue
+        tiles = slice(first * (first + 1) // 2, last * (last + 1) // 2)
+        tile = _packed_tiles(state, n, tile_size, codes, f"panel_{p}_{{}}", tiles)
+        panels.append((rows, _parts(grid, (first, last, rows), n, tile_size, tile)))
+        expected.update(f"panel_{p}_{precision.value}" for precision in PRECISIONS)
+    stray = sorted(str(k) for k in state if str(k).startswith("panel_") and k not in expected)
+    if stray:
+        raise ValueError(f"{stray[0]!r} is not a panel 'tile_precision' describes for {layout}")
     return panels
 
 
@@ -405,30 +494,27 @@ def _member_tiles(members: dict, n: int, tile_size: int) -> tuple[np.ndarray, _T
     return np.array(codes, dtype=np.uint8), lambda i, j: np.asarray(members[f"{i}_{j}"])
 
 
-def _packed_tiles(state: dict, n: int, tile_size: int) -> tuple[np.ndarray, _TileAccessor]:
-    """Schema-2 layout: validate the per-precision buffers, and slice tiles from them."""
+def _packed_tiles(
+    state: dict, n: int, tile_size: int, codes: np.ndarray,
+    name: str = "tiles_{}", tiles: slice = slice(None),
+) -> _TileAccessor:
+    """Validate the buffers that pack the ``tiles`` (row-major lower-tile
+    indices) per precision, each the member ``name`` formatted with its
+    precision, and slice tiles from them: schema 2 packs the whole factor,
+    schema 3 each mixed panel."""
     heights = _tile_rows(n, tile_size).tolist()
     sizes = _tile_sizes(n, tile_size)
-    layout = f"n={n}, tile_size={tile_size}"
-    codes = np.asarray(state["tile_precision"])
-    if codes.shape != sizes.shape or codes.dtype != np.uint8 or np.any(
-        codes >= len(PRECISIONS)
-    ):
-        raise ValueError(
-            f"'tile_precision' must hold {sizes.size} uint8 codes below "
-            f"{len(PRECISIONS)} for {layout}; got {codes.dtype} of shape {codes.shape}"
-        )
     buffers, starts = [], np.zeros_like(sizes)
     for code, precision in enumerate(PRECISIONS):
-        member = f"tiles_{precision.value}"
-        mine = codes == code
+        member, mine = name.format(precision.value), np.zeros(len(codes), bool)
+        mine[tiles] = codes[tiles] == code
         buffer = np.asarray(state.get(member, np.empty(0, precision.dtype)))
         needed = int(sizes[mine].sum())
         if buffer.dtype != precision.dtype or buffer.shape != (needed,):
             raise ValueError(
                 f"{member!r} must be a flat {precision.dtype} buffer of {needed} "
-                f"values ({int(mine.sum())} tiles of {layout}); got {buffer.dtype} of "
-                f"shape {buffer.shape}"
+                f"values ({int(mine.sum())} tiles of n={n}, tile_size={tile_size}); got "
+                f"{buffer.dtype} of shape {buffer.shape}"
             )
         starts[mine] = np.cumsum(sizes[mine]) - sizes[mine]
         buffers.append(buffer)
@@ -437,7 +523,7 @@ def _packed_tiles(state: dict, n: int, tile_size: int) -> tuple[np.ndarray, _Til
         t = i * (i + 1) // 2 + j
         return buffers[codes[t]][starts[t]:starts[t] + sizes[t]].reshape(heights[i], heights[j])
 
-    return codes.copy(), tile
+    return tile
 
 
 class MixedPrecisionCholesky:
@@ -475,31 +561,51 @@ class MixedPrecisionCholesky:
 
     def factorize(self, matrix: np.ndarray) -> CholeskyResult:
         """Factorise the symmetric ``matrix`` (its lower triangle is read)."""
-        return self.factorize_in_place(np.tril(np.asarray(matrix, dtype=np.float64)))
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {matrix.shape}")
+        work = _working_panels(len(matrix), self.tile_size)
+        for rows, panel in work:
+            panel[:rows.stop - rows.start] = np.tril(matrix[rows, :rows.stop], rows.start)
+        return self.factorize_panels(work)
 
-    def factorize_in_place(self, work: np.ndarray) -> CholeskyResult:
-        """Factorise the matrix whose lower triangle ``work`` holds, overwriting ``work``.
+    def covariance_panels(self, samples: np.ndarray, ridge: float = 0.0) -> list:
+        """Row panels of ``U = samples.T @ samples / len(samples)`` plus ``ridge
+        * mean(diag U)`` on its diagonal, for :meth:`factorize_panels`.
 
-        ``work`` is a square float64 array, fastest in C order; the row
-        panels are filled from it and do not reference it, so the caller
-        releases the buffer by dropping it.
+        Per panel one ``dsyrk`` and one ``dgemm``: with tile sizes a multiple
+        of 16, the lower triangle of one ``dsyrk`` bit for bit (OpenBLAS 0.3.31).
         """
-        if work.dtype != np.float64 or work.ndim != 2 or work.shape[0] != work.shape[1]:
-            raise ValueError(f"matrix must be square float64, got {work.dtype} {work.shape}")
-        n, nb = work.shape[0], self.tile_size
+        samples = np.asarray(samples, dtype=np.float64)
+        alpha, a = 1.0 / max(len(samples), 1), samples.T
+        work = _working_panels(samples.shape[1], self.tile_size)
+        for rows, panel in work:
+            # A Fortran-ordered upper triangle is the C-ordered lower one.
+            panel[:rows.stop - rows.start, rows] = dsyrk(alpha, a[rows], lower=0).T
+            if rows.start:
+                panel[:rows.stop - rows.start, :rows.start] = dgemm(
+                    alpha, a[:rows.start], a[rows], trans_b=1
+                ).T
+        mean = float(np.mean(np.concatenate([np.diagonal(p, r.start) for r, p in work])) or 1.0)
+        for rows, panel in work:
+            panel[:, rows][np.diag_indices(rows.stop - rows.start)] += ridge * mean
+        return work
+
+    def factorize_panels(self, work: list) -> CholeskyResult:
+        """Factorise the matrix whose lower triangle the float64 row panels
+        ``work`` hold (:meth:`covariance_panels`) in place; each panel leaves
+        ``work`` as it finishes, split by precision unless all double."""
+        n, nb = work[-1][0].stop, self.tile_size
         codes = np.array(
             [PRECISIONS.index(p) for p in self.policy.precision_map(-(-n // nb)).values()],
             dtype=np.uint8,
         )
-        _factor_in_place(work, nb, codes, self.jitter)
         flops_by_precision, conversions, n_tasks = _accounting(codes, n, nb, self.conversion)
         return CholeskyResult(
             n=n,
             tile_size=nb,
             tile_precision=codes,
-            panels=_row_panels(
-                n, nb, codes, lambda i, j: work[i * nb:i * nb + nb, j * nb:j * nb + nb]
-            ),
+            panels=_factor_panels(work, nb, codes, self.jitter),
             variant=self.policy.name,
             flops_by_precision=flops_by_precision,
             total_flops=sum(flops_by_precision.values()),

@@ -1,14 +1,16 @@
 """Tests of the EmulatorArtifact save/load round trip and its error paths."""
 
 import gc
+import hashlib
 import json
 import tracemalloc
 import weakref
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from factor_state import tile_members  # tests/ is on sys.path (rootdir layout)
+from factor_state import schema_2_state, tile_members  # tests/ is on sys.path (rootdir layout)
 
 import repro
 from repro.api.artifact import (
@@ -87,17 +89,19 @@ class TestRoundTrip:
         assert [c.metadata["stream_offset"] for c in chunks] == [0, 12, 24]
 
     def test_a_saved_state_is_freed_without_the_cycle_collector(self, fitted_emulator, tmp_path):
-        """Writing holds no reference cycle: with the collector off, the factor
-        buffer is freed as soon as its state is dropped, not at the
+        """Writing holds no reference cycle: with the collector off, the arrays
+        a state creates are freed as soon as it is dropped, not at the
         collector's next pass — which can come after the next fit."""
         state = fitted_emulator.state_dict()
-        probe = weakref.ref(state["spectral_model"]["cholesky"]["tiles_fp64"])
+        cholesky = state["spectral_model"]["cholesky"]
+        probes = [weakref.ref(cholesky[key]) for key in ("tile_precision", "panel_0_fp64")]
+        del cholesky
         gc.collect()
         gc.disable()
         try:
             EmulatorArtifact(state=state).save(tmp_path / "emulator.npz")
             del state
-            assert probe() is None
+            assert [probe() for probe in probes] == [None, None]
         finally:
             gc.enable()
 
@@ -106,6 +110,28 @@ class TestRoundTrip:
         returned = fitted_emulator.save(path)
         assert returned == str(path)
         assert path.exists()
+
+
+def _write_old_schema(state: dict, path, schema: int, source_version: str, save) -> None:
+    arrays, meta_tree = EmulatorArtifact(state=state)._flatten()
+    meta = {
+        "format": "repro-emulator-artifact", "schema_version": schema,
+        "source_version": source_version, "state": meta_tree,
+    }
+    payload = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        save(fh, **arrays, **{META_KEY: payload})
+
+
+def write_schema_2(emulator: ClimateEmulator, path) -> None:
+    """Write ``emulator`` in the layout releases 1.13 to 1.18 wrote.
+
+    Schema 2: stored members, the factor's tiles packed into one buffer per
+    precision.
+    """
+    state = emulator.state_dict()
+    state["spectral_model"]["cholesky"] = schema_2_state(emulator.spectral_model.cholesky)
+    _write_old_schema(state, path, 2, "1.18.0", np.savez)
 
 
 def write_schema_1(emulator: ClimateEmulator, path) -> None:
@@ -117,18 +143,22 @@ def write_schema_1(emulator: ClimateEmulator, path) -> None:
     """
     state = emulator.state_dict()
     state["spectral_model"]["covariance"] = emulator.spectral_model.cholesky.reconstruction()
-    packed = state["spectral_model"]["cholesky"]
+    packed = schema_2_state(emulator.spectral_model.cholesky)
     cholesky = {k: v for k, v in packed.items() if not isinstance(v, np.ndarray)}
     cholesky["tiles"] = tile_members(packed)
     state["spectral_model"]["cholesky"] = cholesky
-    arrays, meta_tree = EmulatorArtifact(state=state)._flatten()
-    meta = {
-        "format": "repro-emulator-artifact", "schema_version": 1,
-        "source_version": "1.12.0", "state": meta_tree,
-    }
-    payload = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays, **{META_KEY: payload})
+    _write_old_schema(state, path, 1, "1.12.0", np.savez_compressed)
+
+
+def members(path) -> dict[str, bytes]:
+    """Every member of an NPZ archive, by name, as the bytes it stores."""
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+#: An artifact written by repro 1.18.0 (schema 2, L = 4, DP/SP/HP) and the
+#: sha256 of what it emulated there (see the .json beside it).
+SCHEMA_2_FILE = Path(__file__).parent / "data" / "schema2_L4_dpsphp.npz"
 
 
 @pytest.fixture(scope="module", params=["DP", "DP/SP/HP"])
@@ -142,31 +172,38 @@ def variant_emulator(request, small_ensemble):
 class TestSchemas:
     def test_every_way_in_emulates_the_same_bits(self, variant_emulator, tmp_path):
         fitted = variant_emulator
-        repro.save(fitted, tmp_path / "v2.npz")
+        repro.save(fitted, tmp_path / "v3.npz")
+        write_schema_2(fitted, tmp_path / "v2.npz")
         write_schema_1(fitted, tmp_path / "v1.npz")
-        from_v2 = repro.load(tmp_path / "v2.npz")
-        from_v1 = repro.load(tmp_path / "v1.npz")
-        repro.save(from_v1, tmp_path / "v1_resaved.npz")
-        repro.save(from_v2, tmp_path / "v2_resaved.npz")
-        # Re-saving a schema-1 load writes exactly the schema-2 artifact.
-        written, resaved = (
-            EmulatorArtifact.load(tmp_path / name) for name in ("v2.npz", "v1_resaved.npz")
-        )
-        assert resaved.schema_version == SCHEMA_VERSION
-        (arrays, meta), (re_arrays, re_meta) = written._flatten(), resaved._flatten()
-        assert meta == re_meta and arrays.keys() == re_arrays.keys()
-        for key, array in arrays.items():
-            assert array.dtype == re_arrays[key].dtype
-            assert np.array_equal(array, re_arrays[key])
-        emulators = [
-            fitted, from_v2, from_v1,
-            repro.load(tmp_path / "v1_resaved.npz"), repro.load(tmp_path / "v2_resaved.npz"),
-        ]
+        loads = [repro.load(tmp_path / f"v{schema}.npz") for schema in (3, 2, 1)]
+        for schema, loaded in zip((3, 2, 1), loads):
+            repro.save(loaded, tmp_path / f"v{schema}_resaved.npz")
+        # Re-saving a load of any schema writes exactly the fresh schema-3 artifact.
+        written = members(tmp_path / "v3.npz")
+        assert EmulatorArtifact.load(tmp_path / "v1_resaved.npz").schema_version == SCHEMA_VERSION == 3
+        for schema in (3, 2, 1):
+            assert members(tmp_path / f"v{schema}_resaved.npz") == written
+        emulators = [fitted, *loads, repro.load(tmp_path / "v2_resaved.npz")]
         reference, *others = [
             em.emulate(2, n_times=30, rng=np.random.default_rng(7)).data for em in emulators
         ]
         for other in others:
             assert np.array_equal(other, reference)
+
+    def test_a_schema_2_file_from_1_18_emulates_its_recorded_bits(self, tmp_path):
+        """Real old bytes: what 1.18.0 wrote loads, emulates the bits 1.18.0
+        emulated from it, and re-saves as schema 3 without moving them."""
+        recorded = json.loads(SCHEMA_2_FILE.with_suffix(".json").read_text())
+        assert EmulatorArtifact.load(SCHEMA_2_FILE).schema_version == 2
+        repro.save(repro.load(SCHEMA_2_FILE), tmp_path / "v3.npz")
+        assert EmulatorArtifact.load(tmp_path / "v3.npz").schema_version == SCHEMA_VERSION
+        run = recorded["emulate"]
+        for path in (SCHEMA_2_FILE, tmp_path / "v3.npz"):
+            data = repro.load(path).emulate(
+                run["n_realizations"], n_times=run["n_times"],
+                rng=np.random.default_rng(run["seed"]),
+            ).data
+            assert hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest() == recorded["sha256"]
 
     def test_schema_1_file_is_what_the_helper_claims(self, variant_emulator, tmp_path):
         write_schema_1(variant_emulator, tmp_path / "v1.npz")
@@ -194,7 +231,7 @@ class TestSchemas:
         assert loaded.parameter_count() == variant_emulator.parameter_count()
         assert loaded.storage_summary() == variant_emulator.storage_summary()
 
-    def test_saved_layout_is_stored_lean_and_packed(self, tmp_path):
+    def test_saved_layout_is_the_stored_panels(self, tmp_path):
         """The structural gate behind the load-time claim; no timing involved."""
         ensemble = Era5LikeGenerator(
             Era5LikeConfig(lmax=16, n_years=2, steps_per_year=12, n_ensemble=2), seed=1
@@ -209,43 +246,125 @@ class TestSchemas:
         assert all(info.compress_type == zipfile.ZIP_STORED for info in infos)
         stems = [info.filename.removesuffix(".npy") for info in infos]
         assert not any(stem.endswith("covariance") for stem in stems)
-        factor = [s for s in stems if s.startswith("spectral_model/cholesky/")]
-        assert 2 <= len(factor) <= 4  # <= 3 precision buffers + the codes
-        assert len(emulator.spectral_model.cholesky.tile_precision) == 8 * 9 // 2
+        factor = emulator.spectral_model.cholesky
+        assert len(factor.tile_precision) == 8 * 9 // 2 and len(factor.panels) == 4
+        # The codes, then one member per panel and precision it holds.
+        names = [s.removeprefix("spectral_model/cholesky/") for s in stems if "/cholesky/" in s]
+        assert names[0] == "tile_precision" and len(names) == 1 + sum(
+            len(parts) for _, parts in factor.panels
+        )
+        with np.load(tmp_path / "l16.npz") as archive:
+            for name in names[1:]:
+                stored = archive[f"spectral_model/cholesky/{name}"]
+                assert name.startswith("panel_") and stored.dtype.name == {
+                    "fp64": "float64", "fp32": "float32", "fp16": "float16",
+                }[name[-4:]]
 
 
-def test_load_to_first_chunk_never_holds_a_dense_factor(tmp_path):
-    """Traced from ``repro.load`` through one generated chunk at L = 32.
+class TestMemory:
+    """Traced with tracemalloc at L = 32 (no timing): from fit to disk to load
+    the factor is its row panels, never a ``k x k`` array.  ``dense`` is the
+    ``8 k^2`` bytes of a float64 ``k x k`` array; the panels are 0.53 of it."""
 
-    ``dense`` is the ``8 k^2`` bytes of a float64 ``k x k`` array.  What stays
-    resident is the factor's lower row panels (0.53) plus the rest of the
-    artifact; the load transiently holds the schema-2 packed buffer beside
-    them (two half-size arrays, never a square one); the first chunk adds its
-    own working set and nothing of the factor's size.
-    """
-    ensemble = Era5LikeGenerator(
-        Era5LikeConfig(lmax=32, n_years=2, steps_per_year=12, n_ensemble=2), seed=1
-    ).generate()
-    fitted = repro.fit(ensemble, lmax=32, var_order=1, tile_size=64, rho_grid=(0.5,))
-    repro.save(fitted, tmp_path / "l32.npz")
-    del fitted, ensemble
-    dense = 8 * 1024 ** 2
-    tracemalloc.start()
-    try:
-        loaded = repro.load(tmp_path / "l32.npz")
-        resident, load_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        chunk = next(iter(loaded.emulate_stream(
-            1, n_times=4, chunk_size=4, rng=np.random.default_rng(0)
-        )))
-        _, chunk_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    factor = loaded.spectral_model.cholesky
-    assert sum(p.nbytes for _, parts in factor.panels for _, p in parts) <= 0.55 * dense
-    assert resident < 0.6 * dense
-    assert load_peak < 1.15 * dense
-    assert chunk_peak < resident + 0.1 * dense + chunk.data.nbytes
+    DENSE = 8 * 1024 ** 2
+
+    @pytest.fixture(scope="class")
+    def l32_ensemble(self):
+        # A short record: the fields the fit keeps beside the factor stay
+        # well below the quarter of ``dense`` the fit gate allows them.
+        return Era5LikeGenerator(
+            Era5LikeConfig(lmax=32, n_years=2, steps_per_year=6, n_ensemble=2), seed=1
+        ).generate()
+
+    @staticmethod
+    def fit(ensemble, **config):
+        return repro.fit(ensemble, lmax=32, var_order=1, tile_size=64, rho_grid=(0.5,), **config)
+
+    @staticmethod
+    def panel_bytes(emulator) -> int:
+        factor = emulator.spectral_model.cholesky
+        return sum(p.nbytes for _, parts in factor.panels for _, p in parts)
+
+    def test_fit_never_holds_a_dense_factor(self, l32_ensemble):
+        """The covariance is filled into the panels the factorisation
+        overwrites: the fit's peak is the panels plus a quarter of ``dense``
+        for everything else (the plan is already cached)."""
+        self.fit(l32_ensemble)
+        tracemalloc.start()
+        try:
+            fitted = self.fit(l32_ensemble)
+            _, fit_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert self.panel_bytes(fitted) <= 0.55 * self.DENSE
+        assert fit_peak <= self.panel_bytes(fitted) + 0.25 * self.DENSE
+
+    def test_save_never_copies_the_factor(self, l32_ensemble, tmp_path):
+        """The state stores views of the panels, and each is streamed into
+        the archive: nothing of the factor's size is allocated."""
+        fitted = self.fit(l32_ensemble)
+        repro.save(fitted, tmp_path / "warm.npz")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            repro.save(fitted, tmp_path / "l32.npz")
+            _, save_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert save_peak - before <= 0.1 * self.DENSE
+
+    # Half precision on this short record needs a ridge above its roundoff.
+    @pytest.mark.parametrize("variant, jitter", [("DP", 1e-6), ("DP/SP/HP", 1e-2)])
+    def test_load_to_first_chunk_never_holds_a_dense_factor(self, l32_ensemble, tmp_path, variant, jitter):
+        """Traced from ``repro.load`` through one generated chunk.  A DP load
+        adopts the matrices it reads as the panels, views of one block; a
+        mixed-precision load fills new panels from the tiles it reads and
+        keeps none of them, float16 or other.  Either way what stays resident
+        is the panels plus the rest of the artifact, and the first chunk adds
+        its own working set and nothing of the factor's size.
+        """
+        fitted = self.fit(l32_ensemble, precision_variant=variant, covariance_jitter=jitter)
+        repro.save(fitted, tmp_path / "l32.npz")
+        del fitted
+        tracemalloc.start()
+        try:
+            loaded = repro.load(tmp_path / "l32.npz")
+            resident, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            chunk = next(iter(loaded.emulate_stream(
+                1, n_times=4, chunk_size=4, rng=np.random.default_rng(0)
+            )))
+            _, chunk_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        roots = {}
+        for _, parts in loaded.spectral_model.cholesky.panels:
+            for _, panel in parts:
+                while panel.base is not None:
+                    panel = panel.base
+                roots[id(panel)] = panel
+        if variant == "DP":
+            assert len(roots) == 1  # one block, not one buffer each
+        # The panels keep nothing else alive: no tile they were filled from
+        # (float16 or other), only the block's few small non-factor matrices.
+        assert sum(root.nbytes for root in roots.values()) < self.panel_bytes(loaded) + 0.05 * self.DENSE
+        assert self.panel_bytes(loaded) <= 0.55 * self.DENSE
+        assert resident < self.panel_bytes(loaded) + 0.05 * self.DENSE
+        assert load_peak <= 0.65 * self.DENSE
+        assert chunk_peak < resident + 0.1 * self.DENSE + chunk.data.nbytes
+
+    @pytest.mark.parametrize("write", [write_schema_1, write_schema_2])
+    def test_an_older_schema_load_keeps_one_copy_of_the_factor(self, l32_ensemble, tmp_path, write):
+        """Schemas 1 and 2 store tiles, which a load copies into new panels:
+        nothing it read of the factor stays resident beside them."""
+        write(self.fit(l32_ensemble), tmp_path / "old.npz")
+        tracemalloc.start()
+        try:
+            loaded = repro.load(tmp_path / "old.npz")
+            resident, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resident < self.panel_bytes(loaded) + 0.05 * self.DENSE
 
 
 def rewrite_member(source, target, member: str, change) -> None:
@@ -261,8 +380,10 @@ class TestCorruptFactor:
     @pytest.mark.parametrize(
         "member, change",
         [
-            ("tiles_fp64", lambda a: a[: a.size // 2]),
-            ("tiles_fp64", lambda a: a.astype(np.float32)),
+            ("panel_0_fp64", lambda a: a[: len(a) // 2]),
+            ("panel_0_fp64", lambda a: a.astype(np.float32)),
+            ("panel_0_fp64", lambda a: a.reshape(-1, 2 * a.shape[1])),
+            ("panel_0_fp64", lambda a: a.astype(object)),
             ("tile_precision", lambda a: a[:-1]),
             ("tile_precision", lambda a: np.full_like(a, 9)),
         ],
@@ -282,19 +403,20 @@ class TestCorruptFactor:
         fitted_emulator.save(tmp_path / "whole.npz")
         damaged = bytearray((tmp_path / "whole.npz").read_bytes())
         with zipfile.ZipFile(tmp_path / "whole.npz") as archive:
-            info = archive.getinfo("spectral_model/cholesky/tiles_fp64.npy")
+            info = archive.getinfo("spectral_model/cholesky/panel_0_fp64.npy")
         damaged[info.header_offset + 4096] ^= 0xFF  # inside the factor's payload
         (tmp_path / "damaged.npz").write_bytes(damaged)
-        with pytest.raises(ArtifactError, match="tiles_fp64"):
+        with pytest.raises(ArtifactError, match="panel_0_fp64"):
             repro.load(tmp_path / "damaged.npz")
 
-    def test_missing_member_is_an_artifact_error(self, fitted_emulator, tmp_path):
+    @pytest.mark.parametrize("suffix", ["nugget_std", "cholesky/panel_0_fp64"])
+    def test_missing_member_is_an_artifact_error(self, fitted_emulator, tmp_path, suffix):
         fitted_emulator.save(tmp_path / "whole.npz")
         with np.load(tmp_path / "whole.npz") as archive:
-            arrays = {k: archive[k] for k in archive.files if not k.endswith("nugget_std")}
+            arrays = {k: archive[k] for k in archive.files if not k.endswith(suffix)}
         with open(tmp_path / "edited.npz", "wb") as fh:
             np.savez(fh, **arrays)
-        with pytest.raises(ArtifactError, match="nugget_std"):
+        with pytest.raises(ArtifactError, match=suffix.rpartition("/")[2]):
             repro.load(tmp_path / "edited.npz")
 
 
@@ -313,6 +435,12 @@ class TestMeasurement:
         assert report["parameter_bytes"] == fitted_emulator.parameter_bytes()
         assert report["raw_bytes_float32"] > 0
         assert report["format_overhead_factor"] > 0
+
+    def test_nbytes_is_the_size_a_file_gets(self, variant_emulator, tmp_path):
+        """Counted through a seekable sink, without holding the archive."""
+        artifact = variant_emulator.to_artifact()
+        path = artifact.save(tmp_path / "emulator.npz")
+        assert artifact.nbytes() == len(artifact.tobytes()) == Path(path).stat().st_size
 
     def test_artifact_summary(self, fitted_emulator):
         artifact = fitted_emulator.to_artifact()
@@ -334,8 +462,8 @@ class TestErrorPaths:
         message = str(excinfo.value)
         assert str(SCHEMA_VERSION) in message and str(SCHEMA_VERSION + 1) in message
 
-    def test_only_schemas_1_and_2_are_read(self, fitted_emulator, tmp_path):
-        assert SCHEMA_VERSION == 2
+    def test_only_schemas_1_to_3_are_read(self, fitted_emulator, tmp_path):
+        assert SCHEMA_VERSION == 3
         artifact = fitted_emulator.to_artifact()
         artifact.schema_version = 0
         artifact.save(tmp_path / "ancient.npz")

@@ -1,8 +1,9 @@
-"""Factor states written by hand, the way ``CholeskyResult.state_dict`` writes them.
+"""Factor states in the older layouts ``CholeskyResult.from_state`` still reads.
 
 ``CholeskyResult.from_state`` is the one way to hold a factor that no
 factorisation computed, so tests that need a given factor pack a schema-2
-state here and load it through the production path.
+state here and load it through the production path; the schema tests write
+schema-2 and schema-1 states of a fitted factor with the same helpers.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ def packed_state(lower: np.ndarray, tile_size: int, variant: str) -> dict:
         if tiles:
             state[f"tiles_{precision.value}"] = np.concatenate(tiles)
     return state
+
+
+def schema_2_state(result) -> dict:
+    """The schema-2 state of a ``CholeskyResult``: its ``state_dict`` metadata
+    and codes, with the tiles packed per precision instead of the panels."""
+    state = {k: v for k, v in result.state_dict().items() if not k.startswith("panel_")}
+    packed = packed_state(result.lower(), result.tile_size, result.variant)
+    assert np.array_equal(packed["tile_precision"], state["tile_precision"])
+    return state | {k: v for k, v in packed.items() if k.startswith("tiles_")}
 
 
 def tile_members(state: dict) -> dict[str, np.ndarray]:

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
-from factor_state import packed_state, tile_members  # tests/ is on sys.path (rootdir layout)
+from factor_state import (  # tests/ is on sys.path (rootdir layout)
+    packed_state, schema_2_state, tile_members,
+)
+from scipy.linalg.blas import dsyrk
 
 import repro
 from repro.linalg import (
     PRECISIONS,
     MixedPrecisionCholesky,
+    Precision,
     VARIANTS,
+    band_policy,
     dense_cholesky,
     generate_cholesky_tasks,
     variant_policy,
@@ -160,15 +165,43 @@ class TestFactorizationAccuracy:
             solver.factorize(junk).lower(), solver.factorize(spd_matrix).lower()
         )
 
-    def test_factorize_in_place_overwrites_the_buffer(self, spd_matrix):
-        """The buffer ends up holding the factor, which the result's row
-        panels copy and do not reference."""
-        work = np.tril(spd_matrix)
-        result = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize_in_place(work)
-        assert np.array_equal(np.tril(work), result.lower())
-        assert not any(np.shares_memory(p, work) for _, parts in result.panels for _, p in parts)
-        with pytest.raises(ValueError, match="must be square float64"):
-            MixedPrecisionCholesky(tile_size=16).factorize_in_place(work.astype(np.float32))
+    @pytest.mark.parametrize("n, tile_size", [(64, 16), (300, 48), (1089, 64)])
+    def test_covariance_panels_are_the_lower_triangle_of_one_syrk(self, n, tile_size):
+        """Filled a panel at a time, ``U`` is bit for bit the lower triangle
+        of one ``dsyrk`` over the whole matrix, ridge included, with zeros
+        above the diagonal and in the padding rows.  (Panels that start off
+        a multiple of 16 rows, as 24-wide tiles make, move the low bits of
+        a few near-diagonal values.)"""
+        samples = np.random.default_rng(n).standard_normal((40, n))
+        upper = dsyrk(1.0 / 40, samples.T, lower=0)
+        covariance = upper.T.copy()
+        covariance[np.diag_indices(n)] += 1e-3 * float(np.mean(np.diag(covariance)))
+        solver = MixedPrecisionCholesky(tile_size=tile_size)
+        work = solver.covariance_panels(samples, ridge=1e-3)
+        assert [rows for rows, _ in work] == [rows for rows, _ in solver.factorize(np.eye(n)).panels]
+        assembled = np.zeros((n, n))
+        for rows, panel in work:
+            assert panel.dtype == np.float64 and panel.flags.c_contiguous
+            assert panel.shape == (-(-(rows.stop - rows.start) // 8) * 8, rows.stop)
+            assert not panel[rows.stop - rows.start:].any()
+            assembled[rows, :rows.stop] = panel[:rows.stop - rows.start]
+        assert np.array_equal(assembled, np.tril(covariance))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_factorize_panels_adopts_or_releases_them(self, spd_matrix, variant):
+        """A panel of double-precision tiles becomes the result's own array;
+        a mixed one is split into its precisions.  Either way the work list
+        lets go of it."""
+        solver = MixedPrecisionCholesky(tile_size=8, variant=variant)
+        work = solver.covariance_panels(np.random.default_rng(0).standard_normal((200, 64)))
+        arrays = [panel for _, panel in work]
+        result = solver.factorize_panels(work)
+        held = [panel for _, parts in result.panels for _, panel in parts]
+        assert work == [None] * len(arrays)
+        if variant == "DP":
+            assert all(any(a is p for p in held) for a in arrays)
+        else:
+            assert not any(np.shares_memory(a, p) for a in arrays for p in held)
 
     def test_no_task_list_on_the_factorisation_path(self, small_ensemble, monkeypatch):
         """``factorize`` and ``repro.fit`` run with the task model disabled."""
@@ -232,8 +265,15 @@ def _arrays_in(obj, seen=None) -> list:
     return [array for child in children for array in _arrays_in(child, seen)]
 
 
-class TestPackedState:
-    """``state_dict`` packs the tiles per precision; ``from_state`` fills panels."""
+def _panel_members(state: dict) -> list:
+    """The ``panel_<p>_<precision>`` members of a state, in panel order."""
+    return [value for key, value in state.items() if key.startswith("panel_")]
+
+
+class TestPanelState:
+    """``state_dict`` stores a double-precision panel as it is and a mixed
+    panel's tiles per precision; ``from_state`` adopts the first, fills the
+    second, and still fills panels from the older layouts."""
 
     @pytest.mark.parametrize("variant", ["DP", "DP/SP/HP"])
     @pytest.mark.parametrize("tile_size", [16, 24])  # 24 leaves a ragged last tile
@@ -255,47 +295,111 @@ class TestPackedState:
         for key, value in state.items():
             assert np.array_equal(again[key], value) if isinstance(value, np.ndarray) else again[key] == value
 
-    def test_state_holds_one_buffer_per_precision_in_use(self, spd_matrix):
-        solver = MixedPrecisionCholesky(tile_size=16, variant="DP/SP/HP")
-        state = solver.factorize(spd_matrix).state_dict()
+    def test_state_holds_one_member_per_panel_and_precision(self):
+        """A mixed panel stores, per precision in use, its tiles of that
+        precision at their stored width, so the members take the factor's
+        ``storage_bytes``; a double-precision panel is a read-only view of
+        itself."""
+        result = MixedPrecisionCholesky(tile_size=24, variant="DP/SP/HP").factorize(
+            TestRowPanels.covariance(300)
+        )
+        state = result.state_dict()
         arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
-        assert set(arrays) == {"tile_precision", "tiles_fp64", "tiles_fp32", "tiles_fp16"}
-        assert arrays["tile_precision"].dtype == np.uint8
-        assert arrays["tile_precision"].shape == (4 * 5 // 2,)
-        assert sum(a.size for k, a in arrays.items() if k != "tile_precision") == 10 * 16 * 16
-        dp_only = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
-        assert "tiles_fp32" not in dp_only.state_dict()
+        assert arrays.pop("tile_precision").shape == (13 * 14 // 2,)
+        assert len(result.panels) == 4  # 72-row panels, the last one 84 rows
+        names = [
+            f"panel_{p}_{precision.value}"
+            for p, (_, parts) in enumerate(result.panels)
+            for precision in PRECISIONS
+            if f"panel_{p}_{precision.value}" in arrays
+        ]
+        assert list(arrays) == names and len(names) == sum(len(parts) for _, parts in result.panels)
+        held = [panel for _, parts in result.panels for _, panel in parts]
+        for (name, member), panel in zip(arrays.items(), held):
+            assert member.dtype.name == {"fp64": "float64", "fp32": "float32", "fp16": "float16"}[name[-4:]]
+            assert member.ndim == 1 and not np.shares_memory(member, panel)
+        assert sum(member.nbytes for member in arrays.values()) == result.storage_bytes
+        dp_only = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(TestRowPanels.covariance(300))
+        dp_state = dp_only.state_dict()
+        assert [k for k in dp_state if k.startswith("panel_")] == [
+            f"panel_{p}_fp64" for p in range(len(dp_only.panels))
+        ]
+        for member, (_, [(_, panel)]) in zip(_panel_members(dp_state), dp_only.panels):
+            assert member.base is panel and not member.flags.writeable
+
+    def test_a_factor_of_double_and_mixed_panels_round_trips(self):
+        """With a six-tile double band, the first two 72-row panels hold double
+        precision only and the last two mix in single: a load adopts the
+        first two members and fills the other two panels."""
+        policy = band_policy("wide", ((6, Precision.DOUBLE),), Precision.SINGLE)
+        result = MixedPrecisionCholesky(tile_size=24, variant=policy).factorize(
+            TestRowPanels.covariance(300)
+        )
+        state = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in result.state_dict().items()}
+        assert [k for k in state if k.startswith("panel_")] == [
+            "panel_0_fp64", "panel_1_fp64", "panel_2_fp64", "panel_2_fp32", "panel_3_fp64", "panel_3_fp32",
+        ]
+        assert [state[f"panel_{p}_fp64"].ndim for p in range(4)] == [2, 2, 1, 1]
+        loaded = CholeskyResult.from_state(state)
+        assert [parts[0][1] is state[f"panel_{p}_fp64"] for p, (_, parts) in enumerate(loaded.panels)] == [
+            True, True, False, False,
+        ]
+        assert np.array_equal(loaded.lower(), result.lower())
+        z = np.random.default_rng(0).standard_normal((40, 300))
+        assert np.array_equal(loaded.correlate(z), result.correlate(z))
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_a_result_holds_its_panels_and_nothing_else(self, spd_matrix, variant):
-        """After a fit and after a load, every array a result reaches (bar its
-        tile codes) lies in its panels — no tile is held a second time, at
-        half precision either — and no panel keeps the loaded buffers alive."""
+        """After a fit and after a load of either layout, every array a result
+        reaches (bar its tile codes) lies in its panels — no tile is held a
+        second time, at half precision either.  A schema-3 load adopts a
+        double-precision panel's member and keeps nothing of a mixed panel's;
+        a schema-2 load keeps nothing of its buffers."""
         fitted = MixedPrecisionCholesky(tile_size=16, variant=variant).factorize(spd_matrix)
-        state = fitted.state_dict()
-        buffers = [value for value in state.values() if isinstance(value, np.ndarray)]
-        for result in (fitted, CholeskyResult.from_state(state)):
+        # Fresh writable arrays, as np.load returns them.
+        state = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in fitted.state_dict().items()}
+        old = schema_2_state(fitted)
+        loaded, from_old = CholeskyResult.from_state(state), CholeskyResult.from_state(old)
+        for result in (fitted, loaded, from_old):
             panels = [panel for _, parts in result.panels for _, panel in parts]
             held = [a for a in _arrays_in(vars(result)) if a is not result.tile_precision]
             assert held and all(any(np.shares_memory(a, p) for p in panels) for a in held)
-            assert not any(np.shares_memory(p, b) for p in panels for b in buffers)
+        members = _panel_members(state)
+        adopted = [panel for _, parts in loaded.panels for _, panel in parts]
+        if variant == "DP":
+            assert len(members) == len(adopted) == 1 and members[0] is adopted[0]
+        else:
+            assert not any(np.shares_memory(p, m) for p in adopted for m in members)
+        buffers = [v for k, v in old.items() if k.startswith("tiles_")]
+        assert not any(
+            np.shares_memory(p, b) for _, parts in from_old.panels for _, p in parts for b in buffers
+        )
 
     @pytest.mark.parametrize(
-        "member, corrupt, named",
+        "schema, member, corrupt, named",
         [
-            ("tiles_fp64", lambda a: a[:-1], "tiles_fp64"),
-            ("tiles_fp64", lambda a: np.concatenate([a, a[:3]]), "tiles_fp64"),
-            ("tiles_fp32", lambda a: a.astype(np.float64), "tiles_fp32"),
-            ("tiles_fp32", lambda a: a.reshape(-1, 16), "tiles_fp32"),
-            ("tile_precision", lambda a: a[:-1], "tile_precision"),
-            ("tile_precision", lambda a: a.astype(np.int64), "tile_precision"),
-            ("tile_precision", lambda a: np.where(a == 1, 7, a).astype(np.uint8), "tile_precision"),
+            (3, "panel_0_fp64", lambda a: a[:-8], "panel_0_fp64"),
+            (3, "panel_0_fp64", lambda a: a.reshape(-1, 16), "panel_0_fp64"),
+            (3, "panel_0_fp32", lambda a: a.astype(np.float64), "panel_0_fp32"),
+            (3, "panel_0_fp32", lambda a: np.concatenate([a, a[:3]]), "panel_0_fp32"),
+            (3, "tile_precision", lambda a: a[:-1], "tile_precision"),
+            (3, "tile_precision", lambda a: a.astype(np.int64), "tile_precision"),
+            (3, "tile_precision", lambda a: np.where(a == 1, 7, a).astype(np.uint8), "tile_precision"),
+            # Re-labelling tiles moves their values out of a member's budget.
+            (3, "tile_precision", lambda a: np.where(a == 1, 2, a).astype(np.uint8), "panel_0_fp32"),
+            # ... or makes the panel a double-precision one, held as a matrix.
+            (3, "tile_precision", lambda a: np.zeros_like(a), "panel_0_fp64"),
+            (2, "tiles_fp64", lambda a: a[:-1], "tiles_fp64"),
+            (2, "tiles_fp64", lambda a: np.concatenate([a, a[:3]]), "tiles_fp64"),
+            (2, "tiles_fp32", lambda a: a.astype(np.float64), "tiles_fp32"),
+            (2, "tiles_fp32", lambda a: a.reshape(-1, 16), "tiles_fp32"),
             # Re-labelling tiles moves their values out of a buffer's budget.
-            ("tile_precision", lambda a: np.zeros_like(a), "tiles_fp64"),
+            (2, "tile_precision", lambda a: np.zeros_like(a), "tiles_fp64"),
         ],
     )
-    def test_inconsistent_member_is_refused_by_name(self, spd_matrix, member, corrupt, named):
-        state = MixedPrecisionCholesky(tile_size=16, variant="DP/SP").factorize(spd_matrix).state_dict()
+    def test_inconsistent_member_is_refused_by_name(self, spd_matrix, schema, member, corrupt, named):
+        result = MixedPrecisionCholesky(tile_size=16, variant="DP/SP").factorize(spd_matrix)
+        state = result.state_dict() if schema == 3 else schema_2_state(result)
         intact = state[member]
         state[member] = corrupt(intact)
         with pytest.raises(ValueError, match=f"'{named}'"):
@@ -306,9 +410,15 @@ class TestPackedState:
         state[member] = intact
         CholeskyResult.from_state(state)
 
+    def test_a_member_no_code_describes_is_refused_by_name(self, spd_matrix):
+        state = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix).state_dict()
+        state["panel_0_fp32"] = np.zeros(4, np.float32)
+        with pytest.raises(ValueError, match="'panel_0_fp32' is not a panel"):
+            CholeskyResult.from_state(state)
+
     def test_reads_the_schema_1_per_tile_layout(self, spd_matrix):
         result = MixedPrecisionCholesky(tile_size=16, variant="DP/HP").factorize(spd_matrix)
-        packed = result.state_dict()
+        packed = schema_2_state(result)
         state = {k: v for k, v in packed.items() if not k.startswith("tile")} | {"tile_size": 16}
         state["tiles"] = tile_members(packed)
         loaded = CholeskyResult.from_state(state)
@@ -336,24 +446,39 @@ class TestStoredTiles:
         with pytest.raises(ValueError, match="tile_size"):
             generate_cholesky_tasks(64, 0, "DP")
 
-    def test_only_lower_triangle_stored(self, spd_matrix):
-        result = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(spd_matrix)
-        state = result.state_dict()
-        assert state["tiles_fp64"].shape == (4 * 5 // 2 * 16 * 16,)
-        assert result.storage_bytes == state["tiles_fp64"].nbytes < result.dense_bytes
+    def test_only_lower_triangle_stored(self):
+        """The members are the lower triangle plus the zeros of its staircase
+        and of the padding rows; ``storage_bytes`` counts the tiles alone."""
+        result = MixedPrecisionCholesky(tile_size=24, variant="DP").factorize(
+            TestRowPanels.covariance(300)
+        )
+        members = _panel_members(result.state_dict())
+        assembled = np.zeros((300, 300))
+        for (rows, _), member in zip(result.panels, members):
+            assert member.shape == (-(-(rows.stop - rows.start) // 8) * 8, rows.stop)
+            assert not member[rows.stop - rows.start:].any()
+            assembled[rows, :rows.stop] = member[:rows.stop - rows.start]
+        assert np.array_equal(assembled, result.lower())
+        assert np.array_equal(assembled, np.tril(assembled))
+        assert result.storage_bytes < sum(m.nbytes for m in members) < 0.65 * result.dense_bytes
 
-    def test_bytes_by_precision(self, spd_matrix):
-        result = MixedPrecisionCholesky(tile_size=8, variant="DP/SP").factorize(spd_matrix)
-        state = result.state_dict()
-        buffers = [state[f"tiles_{p.value}"] for p in PRECISIONS if f"tiles_{p.value}" in state]
-        assert [b.dtype for b in buffers] == [np.float64, np.float32]
-        assert sum(b.nbytes for b in buffers) == result.storage_bytes
+    @pytest.mark.parametrize("variant", ["DP/SP", "DP/SP/HP", "DP/HP"])
+    def test_bytes_by_precision(self, variant):
+        """On disk a mixed-precision factor takes its ``storage_bytes``: each
+        tile at its stored width, none of the panels' zeros."""
+        lower = np.tril(np.random.default_rng(0).standard_normal((1024, 1024)))
+        result = CholeskyResult.from_state(packed_state(lower, 64, variant))
+        members = _panel_members(result.state_dict())
+        assert sum(m.nbytes for m in members) == result.storage_bytes
+        assert {m.dtype for m in members} == {
+            p.dtype for p in PRECISIONS if p.short_name in variant.split("/")
+        }
 
     def test_storage_dtype_follows_precision(self, spd_matrix):
         result = MixedPrecisionCholesky(tile_size=4, variant="DP/SP/HP").factorize(spd_matrix)
         state = result.state_dict()
         for precision in PRECISIONS:
-            assert state[f"tiles_{precision.value}"].dtype == precision.dtype
+            assert state[f"panel_0_{precision.value}"].dtype == precision.dtype
         # Half-precision tiles multiply as float32.
         dtypes = {panel.dtype for _, parts in result.panels for _, panel in parts}
         assert dtypes == {np.dtype(np.float64), np.dtype(np.float32)}

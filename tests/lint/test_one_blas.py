@@ -1,16 +1,20 @@
-"""The factorisation loop calls one BLAS, and cannot start calling two.
+"""The fit's covariance fill and factorisation loop call one BLAS, and cannot
+start calling two.
 
 numpy and scipy each bundle their own OpenBLAS with its own thread pool.
-``repro.linalg.cholesky._factor_in_place`` makes every GEMM, POTRF and
-TRSM call through ``scipy.linalg``; one numpy product in that loop puts the
-second pool back and the two spin against each other (k = 2,304 on 2 cores:
-0.277 s mixed against 0.114 s all through scipy).
+``repro.linalg.cholesky._factor_panels`` makes every GEMM, POTRF and TRSM
+call, and ``MixedPrecisionCholesky.covariance_panels`` every SYRK and GEMM
+of the panel fill before it, through ``scipy.linalg``; one numpy product in
+either puts the second pool back and the two spin against each other
+(k = 2,304 on 2 cores: 0.277 s mixed against 0.114 s all through scipy).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CHOLESKY = REPO_ROOT / "src" / "repro" / "linalg" / "cholesky.py"
@@ -53,6 +57,7 @@ def test_detector_sees_the_calls_it_guards_against():
     assert calls("return np.tril(a) + np.eye(3)") == []
 
 
-def test_the_factorisation_loop_uses_only_scipy_blas():
-    lines = numpy_blas_calls(CHOLESKY.read_text(encoding="utf-8"), "_factor_in_place")
-    assert not lines, f"numpy BLAS in the factorisation loop at {CHOLESKY.name} lines {lines}"
+@pytest.mark.parametrize("function", ["covariance_panels", "_factor_panels"])
+def test_the_fit_uses_only_scipy_blas(function):
+    lines = numpy_blas_calls(CHOLESKY.read_text(encoding="utf-8"), function)
+    assert not lines, f"numpy BLAS in {function} at {CHOLESKY.name} lines {lines}"
