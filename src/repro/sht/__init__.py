@@ -13,7 +13,7 @@ climate emulator (paper Section III-A.1/III-A.2):
 * :mod:`repro.sht.grid` — equiangular latitude/longitude grids (ERA5-like)
   and the extended-colatitude construction of Eq. (6).
 * :mod:`repro.sht.transform` — the fast forward and inverse transforms of
-  Eqs. (4)-(8) for real fields: real FFT along longitude and one real
+  Eqs. (4)-(8) for real fields: a longitude FFT or GEMM and one real
   GEMM per order ``m >= 0`` whose precomputed operator holds both the
   Wigner-d contraction and the cosine / sine transform along colatitude
   (Eq. 6's extension, folded), with an explicit precomputed plan.

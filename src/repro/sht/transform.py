@@ -6,8 +6,12 @@ conj(f_{l,m})`` supplies the rest — and in real arithmetic throughout.
 The forward (analysis) transform of ``Z(theta_i, phi_j)`` on an
 equiangular grid proceeds in two stages:
 
-1. a real FFT along longitude produces
-   ``G_m(theta_i) = integral Z(theta_i, phi) exp(-i m phi) dphi``,
+1. a real Fourier transform along longitude produces
+   ``G_m(theta_i) = integral Z(theta_i, phi) exp(-i m phi) dphi`` — a
+   real FFT, or one GEMM per slice against a ``nphi x 2L`` real Fourier
+   operator where a fixed rule of ``(L, nphi)`` says that is cheaper
+   (:func:`_longitude_by_gemm`: a prime ``nphi``, e.g. the default
+   grid's 127 at ``L = 64``, has no fast FFT radix),
 2. one real GEMM per order assembles ``f_{l,m} = sum_i G_m(theta_i)
    A_m[i, l]``.
 
@@ -25,7 +29,8 @@ sine transform's ``-i``) is a sign.  ``A_m`` is the product of the two.
 
 The inverse (synthesis) transform runs the same factorisation backwards:
 one real GEMM per order to ``H_m(theta_i) = sum_l f_{l,m} S_m[l, i]``,
-an inverse real FFT to the field.  ``S_m`` is Eq. (7)'s table contracted
+an inverse real FFT (or the GEMM against the ``2L x nphi`` operator) to
+the field.  ``S_m`` is Eq. (7)'s table contracted
 with the colatitude Fourier series (a cosine / sine series, by the same
 symmetry): its rows are the sampled harmonics ``Y_{l,m}(theta_i, 0)`` —
 built from the Wigner-d tables, with the Legendre recursion kept as the
@@ -36,7 +41,9 @@ free at run time.
 
 Complex data is two real transforms (:meth:`SHTPlan.forward` /
 :meth:`SHTPlan.inverse`); there is no complex code path.  Both directions
-cost ``O(L^3 + L^2 log L)`` per time slice and are embarrassingly
+cost ``O(L^3)`` per time slice — the per-order GEMMs ``O(L^3)``, the
+longitude stage ``O(L^2 log L)`` as an FFT and ``O(L^2 nphi)`` as a GEMM,
+taken only where its constant makes it cheaper — and are embarrassingly
 parallel over time slices (paper Section III-A.2); every stage vectorises
 over the leading axes and is independent per leading slice.
 
@@ -176,6 +183,39 @@ def _round_up(n, multiple: int = _GEMM_COLUMN_MULTIPLE):
     return -(-n // multiple) * multiple
 
 
+#: The longitude stage is a GEMM against a ``2L``-wide Fourier operator when
+#: ``4 L < _FOURIER_GEMM_KAPPA * _fft_cost(nphi)`` (:func:`_longitude_by_gemm`).
+#: 16 puts every grid measured (one OpenBLAS thread, 32-slice blocks) on its
+#: faster side: ``nphi = 2L - 1`` = 63, 95, 127, 191 (L = 32 .. 96) on the
+#: GEMM; 255 (L = 128), 128, 256 and ERA5's 1440 on the FFT.
+_FOURIER_GEMM_KAPPA = 16
+
+
+def _fft_cost(n: int) -> float:
+    """Per-point FFT cost of length ``n`` after pocketfft's own guess: the
+    sum of its prime factors, those above 5 weighted 1.1."""
+    cost, p = 0.0, 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        while n % p == 0:
+            cost += p if p <= 5 else 1.1 * p
+            n //= p
+        p += 1
+    return cost
+
+
+def _longitude_by_gemm(lmax: int, nphi: int) -> bool:
+    """Whether the plan runs its longitude stage as a GEMM, not an FFT.
+
+    A fixed rule of the plan's shape, never a timing, so a field's bits
+    depend on *(artifact, seed, request)* alone on every host.  The GEMM
+    costs ``4L`` flops a point, the FFT a multiple of ``_fft_cost(nphi)``;
+    ``nphi = 1`` costs nothing and stays on the FFT.
+    """
+    return 4 * lmax < _FOURIER_GEMM_KAPPA * _fft_cost(nphi)
+
+
 @dataclass
 class SHTPlan:
     """Precomputed real operators for the fast transform at a fixed band-limit.
@@ -196,10 +236,14 @@ class SHTPlan:
     ``L^2 ntheta`` values together, both dimensions zero-padded to a
     multiple of :data:`_GEMM_COLUMN_MULTIPLE` — plus
     the ``O(L^2)`` index maps between the flat ``(l, m)`` coefficient
-    vector and the order-major ``m >= 0`` packing the GEMMs read.  The
-    Wigner-d tables the operators are built from are released when
-    ``__post_init__`` returns; everything is built eagerly, so shared
-    cached plans stay immutable.
+    vector and the order-major ``m >= 0`` packing the GEMMs read.  On
+    the GEMM side of :func:`_longitude_by_gemm` it also holds the
+    longitude stage's real Fourier pair, ``2L x nphi`` for synthesis and
+    ``nphi x 2L`` for analysis (``2 * 2L * nphi * 8`` bytes, 0.26 MB at
+    ``L = 64``); on the FFT side nothing.  The Wigner-d tables the
+    operators are built from are released when ``__post_init__``
+    returns; everything is built eagerly, so shared cached plans stay
+    immutable.
     """
 
     lmax: int
@@ -210,6 +254,8 @@ class SHTPlan:
     _offsets: np.ndarray = field(init=False, repr=False)
     _syn_ops: list[np.ndarray] = field(init=False, repr=False)
     _ana_ops: list[np.ndarray] = field(init=False, repr=False)
+    _lon_syn: np.ndarray | None = field(init=False, repr=False)
+    _lon_ana: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         lmax = self.lmax
@@ -245,6 +291,17 @@ class SHTPlan:
         # would race under concurrent forward()/inverse() calls from
         # serving request threads).
         self._syn_ops, self._ana_ops = self._build_operators()
+        self._lon_syn = self._lon_ana = None
+        nphi = self.grid.nphi
+        if _longitude_by_gemm(lmax, nphi):
+            # Row / column (m, part) holds (cos, -sin)(m phi_j): times 1, 2, 2,
+            # ... for synthesis, the irfft's sum over +-m; over nphi for
+            # analysis, so `data @ _lon_ana` viewed as complex is the rfft.
+            angle = np.outer(np.arange(lmax), np.arange(nphi)) % nphi * (2.0 * np.pi / nphi)
+            wave = np.stack((np.cos(angle), -np.sin(angle)), axis=1)  # [m, part, j]
+            self._lon_syn = (np.where(np.arange(lmax) == 0, 1.0, 2.0)[:, None, None]
+                             * wave).reshape(2 * lmax, nphi)
+            self._lon_ana = np.ascontiguousarray(wave.reshape(2 * lmax, nphi).T / nphi)
 
     def _build_operators(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The per-order real GEMM operators of both directions.
@@ -324,6 +381,11 @@ class SHTPlan:
         """Length of the coefficient vector, ``L**2``."""
         return num_coeffs(self.lmax)
 
+    @property
+    def _longitude_method(self) -> str:
+        """``"gemm"`` or ``"fft"``: how the longitude stage runs (span attribute)."""
+        return "fft" if self._lon_syn is None else "gemm"
+
     # ------------------------------------------------------------------ #
     # Forward (analysis)
     # ------------------------------------------------------------------ #
@@ -338,13 +400,19 @@ class SHTPlan:
         Returns
         -------
         numpy.ndarray
-            ``complex128`` of shape ``(..., ntheta, L)``: the real FFT
-            along longitude, normalised by ``1 / nphi`` (the ``2 pi`` of
-            the longitude integral is folded into the analysis
-            operators).
+            ``complex128`` of shape ``(..., ntheta, L)``: the real Fourier
+            transform along longitude, normalised by ``1 / nphi`` (the
+            ``2 pi`` of the longitude integral is folded into the analysis
+            operators).  Where :func:`_longitude_by_gemm` says it is
+            cheaper it is one GEMM per slice against the plan's ``nphi x
+            2L`` operator, viewed as complex without a copy; elsewhere a
+            real FFT.
         """
-        data = np.asarray(data, dtype=np.float64)
-        return _fft.rfft(data, axis=-1, norm="forward")[..., :self.lmax]
+        if self._lon_ana is None:
+            data = np.asarray(data, dtype=np.float64)
+            return _fft.rfft(data, axis=-1, norm="forward")[..., :self.lmax]
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        return np.matmul(data, self._lon_ana).view(np.complex128)
 
     def colatitude_fourier(self, g: np.ndarray) -> np.ndarray:
         """Reorder :meth:`longitude_fourier` output to the planes the GEMMs read.
@@ -401,8 +469,8 @@ class SHTPlan:
         return np.take(both, self._unpack, axis=1).reshape(lead + (self.n_coeffs,))
 
     def _analyze_block(self, data: np.ndarray) -> np.ndarray:
-        """One unblocked analysis pass: longitude FFT plus GEMM contraction."""
-        with span("sht.forward.fft"):
+        """One unblocked analysis pass: longitude stage plus GEMM contraction."""
+        with span("sht.forward.fft", method=self._longitude_method):
             k = self.colatitude_fourier(self.longitude_fourier(data))
         n_slices = int(np.prod(k.shape[2:-1]))
         with span(
@@ -434,7 +502,7 @@ class SHTPlan:
             batch-invariant: the same input always yields bit-identical
             coefficients, and ``plan.forward(stacked)[b]`` is
             bit-identical to ``plan.forward(stacked[b])`` — every stage
-            (the real FFT, the reorder, the per-order GEMMs) operates
+            (the longitude stage, the reorder, the per-order GEMMs) operates
             independently per leading slice.
         """
         data = np.asarray(data)
@@ -533,11 +601,19 @@ class SHTPlan:
         Returns
         -------
         numpy.ndarray
-            ``float64`` field(s) of shape ``(..., ntheta, nphi)``.
+            ``float64`` field(s) of shape ``(..., ntheta, nphi)``: where
+            :func:`_longitude_by_gemm` says it is cheaper, one GEMM per
+            slice of its ``(ntheta, 2L)`` samples, read from ``h`` in
+            place, against the plan's ``2L x nphi`` operator; elsewhere an
+            inverse real FFT.
         """
         lmax = self.lmax
         ntheta, nphi = self.grid.shape
         lead = h.shape[2:-1]
+        if self._lon_syn is not None:
+            rows = h.reshape((2 * lmax, -1, h.shape[-1]))[..., :ntheta]
+            z = np.matmul(rows.transpose(1, 2, 0), self._lon_syn)
+            return z.reshape(lead + self.grid.shape)
         flat = h.reshape((lmax, 2, -1, h.shape[-1]))
         spectrum = np.empty((flat.shape[2], ntheta, lmax), dtype=np.complex128)
         spectrum.real = flat[:, 0, :, :ntheta].transpose(1, 2, 0)
@@ -577,7 +653,7 @@ class SHTPlan:
         -----
         Deterministic and batch-invariant: the transform involves no
         randomness, and every arithmetic step (the per-order GEMMs, the
-        real FFT) operates independently per leading slice, so ``plan.inverse(stacked)[b]`` is
+        longitude stage) operates independently per leading slice, so ``plan.inverse(stacked)[b]`` is
         bit-identical to ``plan.inverse(stacked[b])``.  The
         batched-emulation machinery (:func:`repro.run_campaign` with
         ``batch_size > 1``) relies on this guarantee.
@@ -598,7 +674,7 @@ class SHTPlan:
         return self._synthesize(self._contraction_from_realform, series)
 
     def _synthesize(self, contraction, coeffs: np.ndarray) -> np.ndarray:
-        """``contraction(coeffs)`` then the longitude FFT, blocked, under spans."""
+        """``contraction(coeffs)`` then the longitude stage, blocked, under spans."""
         if coeffs.shape[-1] != self.n_coeffs:
             raise ValueError(
                 f"expected {self.n_coeffs} coefficients, got {coeffs.shape[-1]}"
@@ -611,7 +687,7 @@ class SHTPlan:
                 flops=sht_contraction_flops(self.lmax, n_flat, self.grid.ntheta),
             ):
                 h = contraction(coeffs)
-            with span("sht.inverse.fft", slices=n_flat):
+            with span("sht.inverse.fft", slices=n_flat, method=self._longitude_method):
                 if n_flat <= _SYNTHESIS_BLOCK:
                     return self.synthesis_from_fourier(h)
                 flat = h.reshape((self.lmax, 2, n_flat, h.shape[-1]))

@@ -21,5 +21,7 @@ __all__ = ["NUMERICS_REVISION"]
 #: 1 — the real-field transform: orders ``m >= 0``, real operators, a
 #: run-time cosine / sine transform over colatitude;
 #: 2 — the colatitude transform folded into the operators at plan build;
-#: 3 — innovations drawn through the factor's row panels, per stored precision.
-NUMERICS_REVISION = 3
+#: 3 — innovations drawn through the factor's row panels, per stored precision;
+#: 4 — the longitude stage a GEMM against a real Fourier operator where a fixed
+#: rule of ``(L, nphi)`` says it is cheaper than the FFT (e.g. prime ``nphi``).
+NUMERICS_REVISION = 4

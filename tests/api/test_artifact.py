@@ -25,6 +25,7 @@ from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.linalg import PRECISIONS, Precision
 from repro.storage import measured_artifact_report
+from repro.util.numerics import NUMERICS_REVISION
 
 
 class TestRoundTrip:
@@ -191,9 +192,13 @@ class TestSchemas:
             assert np.array_equal(other, reference)
 
     def test_a_schema_2_file_from_1_18_emulates_its_recorded_bits(self, tmp_path):
-        """Real old bytes: what 1.18.0 wrote loads, emulates the bits 1.18.0
-        emulated from it, and re-saves as schema 3 without moving them."""
+        """Real old bytes: what 1.18.0 wrote loads, emulates the bits recorded
+        at this numerics revision, and re-saves as schema 3 without moving them."""
         recorded = json.loads(SCHEMA_2_FILE.with_suffix(".json").read_text())
+        assert recorded["numerics_revision"] == NUMERICS_REVISION, (
+            "NUMERICS_REVISION moved: re-record the emulate sha256 and "
+            f"numerics_revision in {SCHEMA_2_FILE.with_suffix('.json').name}"
+        )
         assert EmulatorArtifact.load(SCHEMA_2_FILE).schema_version == 2
         repro.save(repro.load(SCHEMA_2_FILE), tmp_path / "v3.npz")
         assert EmulatorArtifact.load(tmp_path / "v3.npz").schema_version == SCHEMA_VERSION

@@ -135,10 +135,15 @@ class TestPlanValidation:
             for array in (value if isinstance(value, list) else [value])
             if isinstance(array, np.ndarray)
         ]
-        # Two operators per order plus O(L^2) index maps: nothing of the
-        # size of the (2l+1)^2 Wigner-d tables survives __post_init__.
+        # The longitude stage's Fourier pair (on the GEMM side at these sizes).
+        nphi = plan.grid.nphi
+        assert plan._lon_syn.shape == (2 * lmax, nphi) and plan._lon_ana.shape == (nphi, 2 * lmax)
+        # Two operators per order, the Fourier pair, and O(L^2) index maps:
+        # nothing of the size of the (2l+1)^2 Wigner-d tables survives __post_init__.
         operators = sum(op.nbytes for op in plan._syn_ops + plan._ana_ops)
         assert operators <= 2 * 8 * width * sum(-(-(lmax - m) // 8) * 8 for m in range(lmax))
+        operators += plan._lon_syn.nbytes + plan._lon_ana.nbytes
+        assert plan._lon_syn.nbytes + plan._lon_ana.nbytes == 2 * 2 * lmax * nphi * 8
         assert sum(a.nbytes for a in arrays) - operators <= 8 * 8 * width ** 2
         assert all(a.dtype != np.complex128 for a in arrays)
 
@@ -443,30 +448,14 @@ class TestBatchedForward:
     def _fields(self, plan, rng, shape):
         return plan.inverse(plan.random_coefficients(rng, shape=shape))
 
-    def _assert_stages_match_reference(self, plan, fields):
-        """The FFT stage is the reorder of the longitude real FFT, exactly;
-        the GEMM on it against Eq. (6)'s literal extension FFT followed by
-        the per-degree assembly of Eq. (7)."""
-        ntheta, nphi = plan.grid.shape
-        k = plan.colatitude_fourier(plan.longitude_fourier(fields))
-        assert k.shape == (plan.lmax, 2) + fields.shape[:-2] + (-(-ntheta // 8) * 8,)
-        np.testing.assert_array_equal(
-            samples_from_stage(k, ntheta), (np.fft.rfft(fields, axis=-1) / nphi)[..., :plan.lmax]
-        )
-        k_reference = colatitude_fourier_reference(fields, plan.lmax)
-        fast = plan.wigner_contraction_forward(k)
-        reference = wigner_contraction_forward_reference(k_reference, plan.lmax)
-        assert fast.shape == reference.shape
-        assert np.max(np.abs(fast - reference)) < 1e-12
-
     def test_contraction_matches_reference(self, small_plan, rng):
-        self._assert_stages_match_reference(small_plan, self._fields(small_plan, rng, (3, 4)))
+        _assert_forward_stages_match_reference(small_plan, self._fields(small_plan, rng, (3, 4)))
 
     def test_contraction_matches_reference_at_higher_bandlimit(self, rng):
         """Parity pinned where the operators are big enough to matter."""
         lmax = 24
         plan = SHTPlan(lmax=lmax, grid=Grid.for_bandlimit(lmax))
-        self._assert_stages_match_reference(plan, self._fields(plan, rng, (6,)))
+        _assert_forward_stages_match_reference(plan, self._fields(plan, rng, (6,)))
 
     def test_batched_forward_bit_identical_per_slice(self, small_plan, rng):
         fields = self._fields(small_plan, rng, (7,))
@@ -524,6 +513,27 @@ class TestBatchedForward:
         _assert_operators_are_mutual_inverses(small_plan)
 
 
+def _assert_forward_stages_match_reference(plan, fields):
+    """The FFT stage is the reorder of the longitude transform, exactly,
+    and that transform the real FFT (bit for bit on the FFT side); the
+    GEMM on it against Eq. (6)'s literal extension FFT followed by the
+    per-degree assembly of Eq. (7)."""
+    ntheta, nphi = plan.grid.shape
+    g = plan.longitude_fourier(fields)
+    k = plan.colatitude_fourier(g)
+    assert k.shape == (plan.lmax, 2) + fields.shape[:-2] + (-(-ntheta // 8) * 8,)
+    np.testing.assert_array_equal(samples_from_stage(k, ntheta), g)
+    rfft = (np.fft.rfft(fields, axis=-1) / nphi)[..., :plan.lmax]
+    if plan._longitude_method == "fft":
+        np.testing.assert_array_equal(g, rfft)
+    assert np.max(np.abs(g - rfft)) < 1e-12
+    k_reference = colatitude_fourier_reference(fields, plan.lmax)
+    fast = plan.wigner_contraction_forward(k)
+    reference = wigner_contraction_forward_reference(k_reference, plan.lmax)
+    assert fast.shape == reference.shape
+    assert np.max(np.abs(fast - reference)) < 1e-12
+
+
 def _assert_operators_are_mutual_inverses(plan):
     """Per order, samples of a band-limited ``H_m`` analyse back to its
     coefficients: ``S_m @ A_m = I`` on the true degrees (zero on the
@@ -565,6 +575,8 @@ class TestEdgeBandlimits:
     def test_smallest_bandlimits_round_trip_and_match_direct(self, lmax, oversample):
         grid = Grid.for_bandlimit(lmax, oversample=oversample)
         plan = SHTPlan(lmax=lmax, grid=grid)
+        # One longitude (L = 1 on the minimal grid) has no operator to multiply by.
+        assert plan._longitude_method == ("fft" if grid.nphi == 1 else "gemm")
         coeffs = plan.random_coefficients(np.random.default_rng(lmax), shape=(3,))
         fields = plan.inverse(coeffs)
         assert fields.shape == (3,) + grid.shape
@@ -599,6 +611,88 @@ class TestSliceIdentityAtBenchmarkSize:
                 rows = slice(start, start + height)
                 np.testing.assert_array_equal(plan.inverse(coeffs[rows]), fields[rows])
                 np.testing.assert_array_equal(plan.forward(fields[rows]), recovered[rows])
+
+    def test_slices_do_not_depend_on_the_batch_height_at_L64(self):
+        """The same contract on the GEMM side of the longitude stage (``nphi =
+        127``: ragged GEMM columns, one GEMM per slice), at heights on both
+        sides of the FFT-stage blocks, and blocked equal to single-pass."""
+        from repro.sht import transform
+
+        lmax, total = 64, 35
+        plan = get_plan("fast", lmax, Grid.for_bandlimit(lmax))
+        assert plan._longitude_method == "gemm"
+        assert total > max(transform._SYNTHESIS_BLOCK, transform._ANALYSIS_BLOCK)
+        coeffs = plan.random_coefficients(np.random.default_rng(64), shape=(total,))
+        fields = plan.inverse(coeffs)
+        recovered = plan.forward(fields)
+        np.testing.assert_array_equal(
+            fields, plan.synthesis_from_fourier(plan.wigner_contraction_inverse(coeffs))
+        )
+        np.testing.assert_array_equal(recovered, plan._analyze_block(fields))
+        for height in (1, 2, 31, 33, 35):
+            for start in (0, total - height):
+                rows = slice(start, start + height)
+                np.testing.assert_array_equal(plan.inverse(coeffs[rows]), fields[rows])
+                np.testing.assert_array_equal(plan.forward(fields[rows]), recovered[rows])
+
+
+class TestLongitudeStage:
+    """The longitude stage is a GEMM or an FFT by a fixed rule of ``(L, nphi)``;
+    each side is checked at sizes the rule sends there."""
+
+    @pytest.mark.parametrize("lmax, nphi, gemm", [
+        (32, 63, True), (48, 95, True), (64, 127, True), (96, 191, True),
+        (128, 255, False), (64, 128, False), (128, 256, False), (720, 1440, False),
+    ])
+    def test_the_rule_sends_each_grid_to_its_faster_side(self, lmax, nphi, gemm):
+        from repro.sht.transform import _longitude_by_gemm
+
+        assert _longitude_by_gemm(lmax, nphi) is gemm
+
+    def test_the_cost_is_pocketfft_s_factor_sum(self):
+        from repro.sht.transform import _fft_cost
+
+        assert [_fft_cost(n) for n in (1, 2, 3, 4, 5)] == [0.0, 2.0, 3.0, 4.0, 5.0]
+        assert _fft_cost(127) == pytest.approx(1.1 * 127)
+        assert _fft_cost(255) == pytest.approx(3 + 5 + 1.1 * 17)
+        assert _fft_cost(1440) == pytest.approx(5 * 2 + 2 * 3 + 5)
+
+    @pytest.mark.parametrize("lmax, nphi, method", [
+        (64, 127, "gemm"), (64, 128, "fft"), (128, 255, "fft"),
+    ])
+    def test_each_side_against_the_reference_and_round_trip(self, lmax, nphi, method):
+        plan = get_plan("fast", lmax, Grid(ntheta=lmax + 1, nphi=nphi))
+        assert plan._longitude_method == method
+        coeffs = plan.random_coefficients(
+            np.random.default_rng(nphi), power=np.full(lmax, 1.0 / lmax), shape=(2,)
+        )
+        fields = plan.inverse(coeffs)
+        reference = synthesis_from_fourier_reference(
+            wigner_contraction_inverse_reference(coeffs, lmax), *plan.grid.shape
+        )
+        assert np.max(np.abs(fields - reference.real)) < 1e-12
+        _assert_forward_stages_match_reference(plan, fields)
+        assert np.max(np.abs(plan.forward(fields) - coeffs)) < 1e-10
+
+    def test_the_fft_spans_say_which_side_ran(self):
+        from repro.obs import clear_trace, trace_records, tracing
+
+        methods = {}
+        for lmax in (64, 128):
+            plan = get_plan("fast", lmax, Grid.for_bandlimit(lmax))
+            coeffs = plan.random_coefficients(np.random.default_rng(lmax), shape=(2,))
+            clear_trace()
+            with tracing():
+                plan.forward(plan.inverse(coeffs))
+            methods[lmax] = {
+                record["name"]: record["attrs"]["method"] for record in trace_records()
+                if record["name"].endswith(".fft")
+            }
+        clear_trace()
+        assert methods == {
+            64: dict.fromkeys(("sht.inverse.fft", "sht.forward.fft"), "gemm"),
+            128: dict.fromkeys(("sht.inverse.fft", "sht.forward.fft"), "fft"),
+        }
 
 
 class TestRealformEntry:
