@@ -8,7 +8,6 @@ quantitative consistency diagnostics for a "winter" day and a "summer" day
 (the seasonal extremes of the synthetic calendar) plus the whole record.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
@@ -18,10 +17,8 @@ from repro.stats.distributions import quantile_table
 
 @pytest.mark.benchmark(group="fig2")
 def test_fig2_hourly_emulation_consistency(benchmark, bench_simulations, bench_emulator):
-    rng = np.random.default_rng(19)
-
     emulations = benchmark(
-        bench_emulator.emulate, 2, bench_simulations.n_times, None, rng
+        bench_emulator.emulate, 2, bench_simulations.n_times, None, 19
     )
 
     report = consistency_report(bench_simulations, emulations, lmax=12)

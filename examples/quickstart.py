@@ -67,7 +67,7 @@ def main() -> None:
 
     # 3. Emulate and check statistical consistency.
     print("\nGenerating 3 emulation members ...")
-    emulations = repro.emulate(emulator, 3, rng=np.random.default_rng(7))
+    emulations = repro.emulate(emulator, 3, rng=7)
     report = consistency_report(simulations, emulations, lmax=16)
     print("  consistency with the simulations:")
     for key, value in report.as_dict().items():

@@ -99,7 +99,7 @@ def main() -> None:
         )
         print(f"\nCampaign: {batched.n_runs} runs "
               f"({len(scenario_names)} scenarios x 2 realizations), "
-              f"blocks of {batched.batch_size}, chunks of {batched.chunk_size} steps")
+              f"blocks of {batched.batch_size}, chunks of {batched.steps_per_year} steps")
         print(f"  batched == one-run blocks (bit-identical): {identical}")
         if not identical:
             raise SystemExit("batched campaign diverged from one-run blocks")

@@ -119,7 +119,7 @@ def emulate(
     n_realizations: int = 1,
     n_times: int | None = None,
     annual_forcing: "np.ndarray | str | ScenarioSpec | None" = None,
-    rng: np.random.Generator | None = None,
+    rng: "int | np.random.Generator | None" = None,
     include_nugget: bool = True,
 ) -> ClimateEnsemble:
     """Generate emulations from a fitted emulator or a saved artifact path.
@@ -137,8 +137,9 @@ def emulate(
     ClimateEnsemble
         ``data`` is ``float64`` of shape
         ``(n_realizations, n_times, ntheta, nphi)``.  Output is a
-        deterministic function of the fitted state and ``rng``: the same
-        seeded generator reproduces it bit for bit.
+        deterministic function of the fitted state and an int ``rng``:
+        member ``r`` is realization ``r`` of :func:`serve` and
+        :func:`repro.run_campaign` under that seed, bit for bit.
     """
     with span(
         "facade.emulate", n_realizations=n_realizations, n_times=n_times
@@ -159,9 +160,8 @@ def emulate_stream(
     n_realizations: int = 1,
     n_times: int | None = None,
     annual_forcing: "np.ndarray | str | ScenarioSpec | None" = None,
-    rng: np.random.Generator | None = None,
+    rng: "int | np.random.Generator | None" = None,
     include_nugget: bool = True,
-    chunk_size: int | None = None,
 ) -> Iterator[ClimateEnsemble]:
     """Stream emulation chunks from a fitted emulator or artifact path.
 
@@ -172,12 +172,10 @@ def emulate_stream(
     Yields
     ------
     ClimateEnsemble
-        Consecutive chunks with ``float64`` ``data`` of shape
-        ``(n_realizations, <=chunk_size, ntheta, nphi)`` (one model year
-        per chunk by default), VAR state carried across chunks.  The
-        concatenated stream is a deterministic function of ``rng``:
-        with ``chunk_size >= n_times`` the single chunk is bit-exact with
-        :func:`emulate`.
+        Consecutive one-model-year chunks with ``float64`` ``data`` of
+        shape ``(n_realizations, <=steps_per_year, ntheta, nphi)``, VAR
+        state carried across chunks.  Concatenated, they are
+        :func:`emulate`'s output under the same ``rng``, bit for bit.
     """
     stream = _resolve(source).emulate_stream(
         n_realizations=n_realizations,
@@ -185,7 +183,6 @@ def emulate_stream(
         annual_forcing=annual_forcing,
         rng=rng,
         include_nugget=include_nugget,
-        chunk_size=chunk_size,
     )
 
     def _traced() -> Iterator[ClimateEnsemble]:

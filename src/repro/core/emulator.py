@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.core.config import EmulatorConfig
-from repro.core.generator import EmulationGenerator
+from repro.core.generator import EmulationGenerator, _member_rngs
 from repro.core.scale import ScaleField
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.trend import MeanTrendModel, TrendFit
@@ -261,10 +261,16 @@ class ClimateEmulator:
         n_realizations: int = 1,
         n_times: int | None = None,
         annual_forcing: "np.ndarray | str | ScenarioSpec | None" = None,
-        rng: np.random.Generator | None = None,
+        rng: "int | np.random.Generator | None" = None,
         include_nugget: bool = True,
     ) -> ClimateEnsemble:
         """Generate emulations statistically consistent with the training data.
+
+        The concatenated :meth:`emulate_stream`: member ``r`` is
+        bit-identical to realization ``r`` of :func:`repro.run_campaign`
+        and :func:`repro.serve` under the same int seed, and
+        ``emulate(n_times=T)`` is a prefix of ``emulate(n_times=T2)`` for
+        ``T <= T2``.
 
         Parameters
         ----------
@@ -282,20 +288,23 @@ class ClimateEmulator:
             (``start_level=2.5``); for another baseline pass the spec,
             e.g. ``repro.SCENARIOS.create("ssp-high", start_level=3.0)``.
         rng:
-            Random generator.
+            An int seed (member ``r`` draws from ``SeedSequence(rng,
+            spawn_key=(r,))``), ``None`` for fresh entropy under the same
+            rule, or a ``numpy.random.Generator`` for a one-member call.
         include_nugget:
             Include the truncation nugget.
         """
-        self._require_fit()
-        assert self.training_summary is not None
-        n_times, forcing = self._resolve_emulation_args(n_times, annual_forcing)
-        return self.generator().generate(
-            n_realizations=n_realizations,
-            n_times=n_times,
-            annual_forcing=forcing,
-            rng=rng,
-            include_nugget=include_nugget,
-            start_year=self.training_summary.start_year,
+        chunks = list(self.emulate_stream(
+            n_realizations, n_times, annual_forcing, rng, include_nugget
+        ))
+        first = chunks[0]
+        return ClimateEnsemble(
+            data=np.concatenate([chunk.data for chunk in chunks], axis=1),
+            grid=first.grid,
+            forcing_annual=first.forcing_annual,
+            steps_per_year=first.steps_per_year,
+            start_year=first.start_year,
+            metadata={"source": "emulator", "include_nugget": include_nugget},
         )
 
     def emulate_stream(
@@ -303,30 +312,28 @@ class ClimateEmulator:
         n_realizations: int = 1,
         n_times: int | None = None,
         annual_forcing: "np.ndarray | str | ScenarioSpec | None" = None,
-        rng: np.random.Generator | None = None,
+        rng: "int | np.random.Generator | None" = None,
         include_nugget: bool = True,
         chunk_size: int | None = None,
     ) -> Iterator[ClimateEnsemble]:
-        """Generate an emulation as a stream of bounded-memory time chunks.
+        """Generate an emulation as a stream of one-model-year chunks.
 
-        Same statistical model as :meth:`emulate`, but the realisation is
+        Same draws as :meth:`emulate` (which concatenates this stream),
         yielded as consecutive :class:`~repro.data.ensemble.ClimateEnsemble`
-        chunks of at most ``chunk_size`` time steps (one model year by
-        default), with the VAR state carried across chunks.  This keeps
-        peak memory at ``O(R * chunk_size * N_theta * N_phi)`` regardless
-        of the scenario length, which is what makes century-scale hourly
-        runs writable to disk as they are generated.  With ``chunk_size >=
-        n_times`` the single yielded chunk is bit-exact with
-        :meth:`emulate` under the same seeded generator.
+        chunks of one model year each, with the VAR state carried across
+        chunks.  This keeps peak memory at ``O(R * steps_per_year *
+        N_theta * N_phi)`` regardless of the scenario length, which is
+        what makes century-scale hourly runs writable to disk as they are
+        generated.  ``rng`` is as in :meth:`emulate`; ``chunk_size`` is
+        accepted only as ``None`` or ``steps_per_year``.
         """
         self._require_fit()
         assert self.training_summary is not None
         n_times, forcing = self._resolve_emulation_args(n_times, annual_forcing)
-        return self.generator().generate_stream(
-            n_realizations=n_realizations,
+        return self.generator().generate_stream_multi(
+            _member_rngs(rng, range(n_realizations)),
             n_times=n_times,
             annual_forcing=forcing,
-            rng=rng,
             include_nugget=include_nugget,
             start_year=self.training_summary.start_year,
             chunk_size=chunk_size,

@@ -10,6 +10,13 @@ Given a fitted emulator, new realisations are produced by
 4. adding the truncation nugget ``epsilon_t ~ N(0, v^2)``,
 5. re-applying the scale field ``sigma`` and the mean trend ``m_t``
    (Eq. 1), optionally under a different forcing scenario.
+
+There is one draw schedule, :meth:`EmulationGenerator.generate_stream_multi`
+(one model year at a time), and one seeding rule, :func:`_member_seeds`
+(member ``r`` of seed ``s`` draws from ``SeedSequence(s, spawn_key=(r,))``).
+Every entry point — ``emulate``, ``emulate_stream``,
+:func:`repro.run_campaign` and :func:`repro.serve` — goes through both, so
+a field is a pure function of (artifact, seed, request).
 """
 
 from __future__ import annotations
@@ -26,6 +33,56 @@ from repro.data.ensemble import ClimateEnsemble
 from repro.sht.grid import Grid
 
 __all__ = ["EmulationGenerator"]
+
+
+def _member_seeds(seed: "int | None", realizations) -> "list[np.random.SeedSequence]":
+    """The one seeding rule: member ``r`` draws from ``SeedSequence(seed, spawn_key=(r,))``.
+
+    ``emulate`` / ``emulate_stream`` with an int ``rng``, the campaign
+    planner and the serving tier all seed here, so member ``r`` of a seed
+    is one stream whichever entry point draws it.  ``None`` takes fresh
+    entropy and applies the same rule to it.
+    """
+    if seed is None:
+        seed = np.random.SeedSequence().entropy
+    return [np.random.SeedSequence(seed, spawn_key=(int(r),)) for r in realizations]
+
+
+def _member_rngs(rng, realizations) -> "list[np.random.Generator]":
+    """One generator per realization from a single ``rng`` argument.
+
+    The only place a seed becomes a generator: an int seeds realization
+    ``r`` by :func:`_member_seeds`, ``None`` does the same from fresh
+    entropy, and a ``Generator`` is taken as is for a one-member call
+    only: shared by several members it would correlate them, and its
+    draws would depend on how many shared it.
+    """
+    realizations = list(realizations)
+    if not realizations:
+        raise ValueError("n_realizations must be positive")
+    if isinstance(rng, np.random.Generator):
+        if len(realizations) != 1:
+            raise ValueError(
+                f"a Generator seeds one member, not {len(realizations)}: pass an "
+                f"int seed, rng=<int>, and member r draws from "
+                f"SeedSequence(seed, spawn_key=(r,))"
+            )
+        return [rng]
+    if rng is not None and (isinstance(rng, bool) or not isinstance(rng, (int, np.integer))):
+        raise TypeError(
+            f"rng must be an int seed, None or (for one member) a Generator, "
+            f"got {type(rng).__name__}"
+        )
+    return [np.random.default_rng(seq) for seq in _member_seeds(rng, realizations)]
+
+
+def _check_chunk_size(chunk_size: "int | None", steps_per_year: int) -> None:
+    """Refuse a ``chunk_size`` other than ``None`` / ``steps_per_year``."""
+    if chunk_size is not None and chunk_size != steps_per_year:
+        raise ValueError(
+            f"chunk_size must be None or steps_per_year={steps_per_year} (a chunk "
+            f"is one model year), got {chunk_size}"
+        )
 
 
 @dataclass
@@ -53,89 +110,6 @@ class EmulationGenerator:
     grid: Grid
     steps_per_year: int
 
-    def generate(
-        self,
-        n_realizations: int,
-        n_times: int,
-        annual_forcing: np.ndarray,
-        rng: np.random.Generator | None = None,
-        include_nugget: bool = True,
-        start_year: int = 1940,
-    ) -> ClimateEnsemble:
-        """Produce an ensemble of emulated fields.
-
-        The single-chunk case of :meth:`generate_stream`
-        (``chunk_size = n_times``), so the monolithic and streaming
-        outputs cannot drift apart.
-
-        Parameters
-        ----------
-        n_realizations:
-            Number of emulation members to draw.
-        n_times:
-            Number of time steps to emulate.
-        annual_forcing:
-            Annual forcing trajectory driving the mean trend (may be a new
-            scenario; must cover ``ceil(n_times / steps_per_year)`` years).
-        rng:
-            Random generator (a fresh default generator when omitted).
-        include_nugget:
-            Add the truncation nugget ``epsilon``.
-
-        Returns
-        -------
-        ClimateEnsemble
-            The emulated ensemble, marked ``metadata["source"] = "emulator"``.
-        """
-        annual_forcing = np.asarray(annual_forcing, dtype=np.float64)
-        chunk = next(iter(self.generate_stream(
-            n_realizations=n_realizations,
-            n_times=n_times,
-            annual_forcing=annual_forcing,
-            rng=rng,
-            include_nugget=include_nugget,
-            start_year=start_year,
-            chunk_size=n_times,
-        )))
-        return ClimateEnsemble(
-            data=chunk.data,
-            grid=self.grid,
-            forcing_annual=annual_forcing,
-            steps_per_year=self.steps_per_year,
-            start_year=start_year,
-            metadata={"source": "emulator", "include_nugget": include_nugget},
-        )
-
-    def generate_stream(
-        self,
-        n_realizations: int,
-        n_times: int,
-        annual_forcing: np.ndarray,
-        rng: np.random.Generator | None = None,
-        include_nugget: bool = True,
-        start_year: int = 1940,
-        chunk_size: int | None = None,
-    ) -> Iterator[ClimateEnsemble]:
-        """Stream ``n_realizations`` members drawn from one shared ``rng``.
-
-        :meth:`generate_stream_multi` with the same generator in every
-        slot: numpy fills a wide draw sequentially, so the members'
-        consecutive draws are the bits of one ``(n_realizations, ...)``
-        draw per chunk.  See :meth:`generate_stream_multi` for the
-        chunk layout and metadata.
-        """
-        if n_realizations < 1:
-            raise ValueError("n_realizations must be positive")
-        rng = rng or np.random.default_rng()
-        return self.generate_stream_multi(
-            [rng] * n_realizations,
-            n_times=n_times,
-            annual_forcing=annual_forcing,
-            include_nugget=include_nugget,
-            start_year=start_year,
-            chunk_size=chunk_size,
-        )
-
     def generate_stream_multi(
         self,
         rngs: "list[np.random.Generator]",
@@ -145,98 +119,107 @@ class EmulationGenerator:
         start_year: int = 1940,
         chunk_size: int | None = None,
     ) -> Iterator[ClimateEnsemble]:
-        """Yield ``B = len(rngs)`` realisations as a stream of time chunks.
+        """Yield ``B = len(rngs)`` realisations, one model year per chunk.
 
-        The one generation path, bounded in memory for long scenario
-        runs: at most ``chunk_size`` time steps are materialised at once,
-        the VAR history is carried across chunks, and the mean trend is
-        evaluated at the absolute time offset of each chunk, so the
-        concatenated chunks form one coherent realisation per member.
-        Member ``b`` draws *only* from ``rngs[b]``, so it is
-        bit-identical to the batch-of-one stream under ``rngs[b]``,
-        while the VAR recursion, the inverse SHT and the trend/scale
+        The one draw schedule.  Each model year, member ``b`` draws that
+        year's innovations and then that year's nugget from ``rngs[b]``
+        and from nothing else, so year ``y`` depends only on years
+        ``<= y``: a record of any length is a prefix of every longer one,
+        and a record that is not a whole number of years is the leading
+        steps of its last whole year.  The VAR history is carried across
+        years and the mean trend is evaluated at each year's absolute
+        offset.  The VAR recursion, the inverse SHT and the trend/scale
         restore run once on the stacked batch (see
         :meth:`SpectralStochasticModel.generate_standardized_stream_multi
-        <repro.core.spectral_model.SpectralStochasticModel.generate_standardized_stream_multi>`).
-        All members share one ``annual_forcing`` (and hence one mean
-        trend), which is why :func:`repro.run_campaign` only batches
-        realizations of the same scenario together.
+        <repro.core.spectral_model.SpectralStochasticModel.generate_standardized_stream_multi>`),
+        and member ``b`` is bit-identical to the batch-of-one stream under
+        ``rngs[b]``.  All members share one ``annual_forcing`` (and hence
+        one mean trend), which is why :func:`repro.run_campaign` only
+        batches realizations of the same scenario together.
 
         Parameters
         ----------
         rngs:
-            One generator per member.
-        n_times / annual_forcing / include_nugget / start_year:
-            As in :meth:`generate`.
+            One distinct generator per member; one ``Generator`` object in
+            two slots raises ``ValueError``.
+        n_times:
+            Time steps of the record.
+        annual_forcing:
+            Annual forcing trajectory driving the mean trend (may be a new
+            scenario; must cover ``ceil(n_times / steps_per_year)`` years).
+        include_nugget:
+            Add the truncation nugget ``epsilon``.
+        start_year:
+            Calendar year of the first step.
         chunk_size:
-            Time steps per yielded chunk (one model year when omitted).
+            Accepted only as ``None`` or ``steps_per_year``: a chunk is
+            always one model year.
 
         Yields
         ------
         ClimateEnsemble
-            Chunks of shape ``(B, <=chunk_size, ntheta, nphi)`` with
-            ``metadata["stream_offset"]`` giving the absolute index of
-            the chunk's first time step.  Each chunk's ``forcing_annual``
-            is re-based to the chunk's first calendar year, so
-            ``forcing_per_step()`` on a chunk is exact whenever chunks
-            align with year boundaries (always true for the default
-            one-year ``chunk_size``); ``metadata["stream_phase"]`` records
-            the intra-year offset otherwise.
+            Chunks of shape ``(B, steps_per_year, ntheta, nphi)`` (the
+            last one shorter when ``n_times`` ends mid-year) with
+            ``metadata["stream_offset"]`` giving the absolute index of the
+            chunk's first step; ``forcing_annual`` and ``start_year``
+            start at the chunk's year.
         """
         # Validate eagerly (this is a plain function returning a generator),
         # so bad arguments raise at the call site rather than at first next().
         rngs = list(rngs)
         if not rngs:
             raise ValueError("rngs must contain at least one generator")
+        if len({id(rng) for rng in rngs}) != len(rngs):
+            raise ValueError(
+                "one Generator fills two slots of rngs, which would correlate "
+                "those members: give each member its own generator"
+            )
         if n_times < 1:
             raise ValueError("n_times must be positive")
-        if chunk_size is None:
-            chunk_size = self.steps_per_year
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        spy = self.steps_per_year
+        _check_chunk_size(chunk_size, spy)
         annual_forcing = np.asarray(annual_forcing, dtype=np.float64)
-        needed_years = -(-n_times // self.steps_per_year)
-        if len(annual_forcing) < needed_years:
+        n_years = -(-n_times // spy)
+        if len(annual_forcing) < n_years:
             # A mid-stream failure would leave consumers with a silently
             # truncated scenario, so the forcing horizon is checked up front.
             raise ValueError(
                 f"forcing covers {len(annual_forcing)} years but {n_times} "
-                f"steps require {needed_years}"
+                f"steps require {n_years}"
             )
-        stream = self.spectral_model.generate_standardized_stream_multi(
-            rngs, n_times, chunk_size, include_nugget=include_nugget
+        years = self.spectral_model.generate_standardized_stream_multi(
+            rngs, n_years, spy, include_nugget=include_nugget
         )
-        return self._wrap_chunks(
-            stream, n_times, annual_forcing, include_nugget, start_year
+        return self._wrap_years(
+            years, n_times, annual_forcing, include_nugget, start_year
         )
 
-    def _wrap_chunks(
+    def _wrap_years(
         self,
-        stream: Iterator[tuple[int, np.ndarray]],
+        years: Iterator[np.ndarray],
         n_times: int,
         annual_forcing: np.ndarray,
         include_nugget: bool,
         start_year: int,
     ) -> Iterator[ClimateEnsemble]:
-        """Restore trend and scale, and wrap raw chunks as ensembles."""
-        for t_start, z in stream:
-            nt = z.shape[1]
+        """Restore trend and scale on whole years, then cut the record's steps."""
+        spy = self.steps_per_year
+        for year, z in enumerate(years):
+            t_start = year * spy
             mean = self.trend_model.predict(
-                nt, annual_forcing, self.trend_fit, t_start=t_start
+                spy, annual_forcing, self.trend_fit, t_start=t_start
             )
             fields = mean[None, ...] + self.scale.unstandardize(z)
-            year_offset = t_start // self.steps_per_year
             yield ClimateEnsemble(
-                data=fields,
+                data=fields[:, :n_times - t_start],
                 grid=self.grid,
-                forcing_annual=annual_forcing[year_offset:],
-                steps_per_year=self.steps_per_year,
-                start_year=start_year + year_offset,
+                forcing_annual=annual_forcing[year:],
+                steps_per_year=spy,
+                start_year=start_year + year,
                 metadata={
                     "source": "emulator",
                     "include_nugget": include_nugget,
                     "stream_offset": t_start,
-                    "stream_phase": t_start % self.steps_per_year,
                     "stream_total_times": n_times,
                 },
             )

@@ -195,57 +195,51 @@ class SpectralStochasticModel:
     def generate_standardized_stream_multi(
         self,
         rngs: "list[np.random.Generator]",
-        n_times: int,
-        chunk_size: int,
+        n_years: int,
+        steps_per_year: int,
         include_nugget: bool = True,
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Generate standardised fields ``Z_t`` (Section III-B), year-chunked.
+    ) -> Iterator[np.ndarray]:
+        """Generate standardised fields ``Z_t`` (Section III-B), one model year at a time.
 
-        The one generation path: ``B = len(rngs)`` realization streams
-        advance together, at most ``chunk_size`` time steps materialised
-        at once, with the VAR history carried across chunks so the
-        concatenated stream follows the same AR(P) recursion as one
-        monolithic draw.  Per chunk, stream ``b`` draws *only* from
-        ``rngs[b]`` — its innovation normals, then (after every stream's
-        innovations) its nugget normals — while the data-independent work
-        runs once on the stacked block: the factor multiply on the ``(B *
-        nt, L**2)`` normals (:meth:`CholeskyResult.correlate
+        The one draw schedule: ``B = len(rngs)`` realization streams
+        advance together one year of ``steps_per_year`` steps per
+        iteration, with the VAR history carried across years so the
+        concatenated years follow one AR(P) recursion.  Each year, stream
+        ``b`` draws *only* from ``rngs[b]``: that year's innovation
+        normals, then that year's nugget normals.  The data-independent
+        work runs once on the stacked block: the factor multiply on the
+        ``(B * steps_per_year, L**2)`` normals
+        (:meth:`CholeskyResult.correlate
         <repro.linalg.cholesky.CholeskyResult.correlate>`), the VAR
         recursion, and the inverse SHT entered from the real form.  Each
         computes a row independently of the rows stacked with it, so
         member ``b`` is bit-identical to the batch-of-one stream under
-        ``rngs[b]`` whatever else shares the batch.  Passing one generator
-        ``B`` times (``[rng] * B``) is the shared-generator case: numpy
-        fills a wide draw sequentially, so the ``B`` consecutive draws are
-        the bits of one ``(B, ...)`` draw.
+        ``rngs[b]`` whatever else shares the batch.
 
         Parameters
         ----------
         rngs:
             One generator per stream (``B = len(rngs)``).
-        n_times:
-            Total time steps of the record.
-        chunk_size:
-            Time steps per yielded chunk.
+        n_years / steps_per_year:
+            Model years to draw, and time steps per year.
         include_nugget:
             Add the truncation nugget ``epsilon``.
 
         Yields
         ------
-        tuple[int, numpy.ndarray]
-            ``(t_start, fields)`` with ``fields`` of dtype ``float64`` and
-            shape ``(B, <=chunk_size, ntheta, nphi)``.
+        numpy.ndarray
+            ``float64`` fields of shape ``(B, steps_per_year, ntheta,
+            nphi)``, one array per year, ``n_years`` in all.
         """
         if self.cholesky is None or self.nugget_std is None:
             raise RuntimeError("fit() must be called first")
         rngs = list(rngs)
         if not rngs:
             raise ValueError("rngs must contain at least one generator")
-        if n_times < 1:
-            raise ValueError("n_times must be positive")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
+        if n_years < 1:
+            raise ValueError("n_years must be positive")
         n_batch = len(rngs)
+        nt = int(steps_per_year)
         p = self.var_order
         k = self.cholesky.n
         if p > 0:
@@ -257,8 +251,7 @@ class SpectralStochasticModel:
             history = np.broadcast_to(init[-p:], (n_batch, p, k)).copy()
         else:
             history = None
-        for t_start in range(0, n_times, chunk_size):
-            nt = min(chunk_size, n_times - t_start)
+        for _ in range(n_years):
             # Per-stream draws, stacked: stream b's generator sees the same
             # request sequence as in a batch of one.
             z = np.concatenate([rng.standard_normal((nt, k)) for rng in rngs])
@@ -271,7 +264,7 @@ class SpectralStochasticModel:
                 for b, rng in enumerate(rngs):
                     noise = rng.standard_normal((1, nt) + self.grid.shape)
                     fields[b] = fields[b] + self.nugget_std * noise[0]
-            yield t_start, fields
+            yield fields
 
     # ------------------------------------------------------------------ #
     # Serialisation

@@ -5,19 +5,19 @@ replayed across many forcing pathways and realisations.  This module turns
 that replay into a single batched job: :func:`run_campaign` takes a fitted
 emulator (or a saved artifact path) plus ``scenarios x realizations``, and
 
-* seeds every run by one rule: realization ``r`` of *every* scenario
-  draws from ``np.random.SeedSequence(seed, spawn_key=(r,))`` — the
-  stream :class:`~repro.serving.service.EmulationService` synthesizes
-  from — so a campaign is bit-identical no matter how many workers
-  execute it or in which order they finish;
+* seeds every run by the one seeding rule: realization ``r`` of *every*
+  scenario draws from ``np.random.SeedSequence(seed, spawn_key=(r,))`` —
+  the stream ``emulate(rng=seed)`` member ``r`` and
+  :class:`~repro.serving.service.EmulationService` draw — so a campaign
+  is bit-identical however its runs are blocked;
 * executes the runs in blocks of up to ``batch_size`` realizations of
   one scenario, one block after another on the calling thread (the
   parallelism is the BLAS threads inside a block);
 * drives every block through the one generation path,
   :meth:`EmulationGenerator.generate_stream_multi
   <repro.core.generator.EmulationGenerator.generate_stream_multi>`: each
-  run keeps its own generator, peak memory stays at one chunk per block
-  regardless of scenario length, and the VAR recursion and the
+  run keeps its own generator, peak memory stays at one model year per
+  block regardless of scenario length, and the VAR recursion and the
   ``O(L^3)`` inverse spherical-harmonic transform run once per block
   with bit-identical output for every block size;
 * emits a :class:`CampaignManifest` recording, per run, the scenario, the
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.facade import _resolve as _resolve_emulator
+from repro.core.generator import _check_chunk_size, _member_rngs, _member_seeds
 from repro.obs import counter_add, gauge_set, span
 from repro.scenarios.registry import resolve_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -77,7 +78,6 @@ class CampaignRunPlan:
     seed: np.random.SeedSequence
     forcing: np.ndarray
     n_times: int
-    chunk_size: int
     include_nugget: bool
     collect: str
     store_root: str | None = None
@@ -136,7 +136,6 @@ class CampaignManifest:
     seed: int
     n_times: int
     steps_per_year: int
-    chunk_size: int
     collect: str
     max_workers: int
     executor: str
@@ -216,7 +215,8 @@ class CampaignManifest:
             "seed": int(self.seed),
             "n_times": int(self.n_times),
             "steps_per_year": int(self.steps_per_year),
-            "chunk_size": int(self.chunk_size),
+            # Every chunk is one model year; the key keeps the format.
+            "chunk_size": int(self.steps_per_year),
             "collect": str(self.collect),
             "max_workers": int(self.max_workers),
             "executor": str(self.executor),
@@ -258,7 +258,7 @@ def plan_campaign(
     *,
     n_times: int,
     steps_per_year: int,
-    chunk_size: int,
+    chunk_size: "int | None" = None,
     seed: int = 0,
     include_nugget: bool = True,
     collect: str = "global-mean",
@@ -274,8 +274,10 @@ def plan_campaign(
     Each run owns one child, which makes batched execution bit-identical
     to one-run blocks, and the chunks a campaign lands under their
     serving content-addresses (``store_root`` set) are the chunks
-    serving would have produced.
+    serving would have produced.  ``chunk_size`` is accepted only as
+    ``None`` or ``steps_per_year``: every chunk is one model year.
     """
+    _check_chunk_size(chunk_size, steps_per_year)
     specs = [resolve_scenario(s, start_level=start_level) for s in scenarios]
     if not specs:
         raise ValueError("a campaign needs at least one scenario")
@@ -293,9 +295,8 @@ def plan_campaign(
     if collect not in _COLLECT_MODES:
         raise ValueError(f"collect must be one of {_COLLECT_MODES}, got {collect!r}")
     n_years = -(-int(n_times) // int(steps_per_year))
-    # Realization r draws from spawn_key (r,) whatever its scenario,
-    # matching EmulationService.
-    children = np.random.SeedSequence(seed).spawn(n_realizations)
+    # Realization r draws by the one seeding rule whatever its scenario.
+    children = _member_seeds(seed, range(n_realizations))
     plans: list[CampaignRunPlan] = []
     for spec in specs:
         forcing = spec.annual_forcing(n_years)
@@ -314,7 +315,6 @@ def plan_campaign(
                 seed=children[realization],
                 forcing=forcing,
                 n_times=int(n_times),
-                chunk_size=int(chunk_size),
                 include_nugget=include_nugget,
                 collect=collect,
                 store_root=store_root,
@@ -338,9 +338,9 @@ class _RunAccumulator:
     output_bytes: int = 0
 
     def add_chunk(
-        self, t_start: int, member: np.ndarray, global_means: np.ndarray
+        self, year: int, member: np.ndarray, global_means: np.ndarray
     ) -> None:
-        """Record one chunk of this run.
+        """Record model year ``year`` of this run.
 
         ``member`` is the run's ``(nt, ntheta, nphi)`` slice of the
         chunk; ``global_means`` its ``(nt,)`` area-weighted mean series.
@@ -349,15 +349,11 @@ class _RunAccumulator:
         self.chunk_sizes.append(member.shape[0])
         self.output_bytes += member.size * np.dtype(np.float32).itemsize
         if plan.store_root is not None:
-            # One chunk == one model year (run_campaign pins chunk_size
-            # to steps_per_year for store campaigns), so the chunk's
-            # serving address is (stream, realization, t_start // spy).
-            # The full-precision float64 data is staged — the store's
+            # The full-precision float64 data is staged under the
+            # serving address (stream, realization, year) — the store's
             # lossless tier preserves the service's bit-exactness
             # contract.
-            address = chunk_address(
-                plan.stream_address, plan.realization, t_start // plan.chunk_size
-            )
+            address = chunk_address(plan.stream_address, plan.realization, year)
             self.chunk_addresses.append(address)
             self.store_chunks[address] = np.ascontiguousarray(
                 np.asarray(member, dtype=np.float64)
@@ -429,7 +425,10 @@ def _execute_batch(
         "batched plans must share one scenario (one forcing / mean trend)"
     )
     with span("campaign.batch", scenario=first.scenario, n_runs=len(plans)) as sp:
-        rngs = [np.random.default_rng(plan.seed) for plan in plans]
+        # Every plan's seed is SeedSequence(seed, spawn_key=(realization,)).
+        rngs = _member_rngs(
+            int(first.seed.entropy), [plan.realization for plan in plans]
+        )
         accs = [_RunAccumulator(plan) for plan in plans]
         stream = emulator.generator().generate_stream_multi(
             rngs,
@@ -437,13 +436,11 @@ def _execute_batch(
             annual_forcing=first.forcing,
             include_nugget=first.include_nugget,
             start_year=emulator.training_summary.start_year,
-            chunk_size=first.chunk_size,
         )
-        for chunk in stream:
-            t_start = chunk.metadata["stream_offset"]
+        for year, chunk in enumerate(stream):
             means = chunk.global_mean_series()  # (B, nt)
             for b, acc in enumerate(accs):
-                acc.add_chunk(t_start, chunk.data[b], means[b])
+                acc.add_chunk(year, chunk.data[b], means[b])
         _flush_store(store, accs)
         records = [acc.record() for acc in accs]
     for record in records:
@@ -636,7 +633,6 @@ def run_campaign(
     n_realizations: int = 1,
     *,
     n_times: int | None = None,
-    chunk_size: int | None = None,
     seed: int = 0,
     max_workers: int | None = None,
     executor: "str | None" = None,
@@ -652,8 +648,10 @@ def run_campaign(
 
     Determinism guarantee: every per-run output (the run records, the
     collected reductions, the stored chunks) is a pure function of
-    ``(source, scenarios, n_realizations, n_times, chunk_size, seed,
-    include_nugget, collect, start_level, store encoding)``.
+    ``(source, scenarios, n_realizations, n_times, seed, include_nugget,
+    collect, start_level, store encoding)``, and run ``(scenario, r)`` is
+    member ``r`` of ``emulate(n_realizations=..., rng=seed)`` under the
+    scenario's forcing.
     Realization ``r`` of every scenario always draws from the
     ``SeedSequence`` child with ``spawn_key == (r,)``, store or no
     store, so ``batch_size`` and ``tune`` are throughput knobs only: any
@@ -672,9 +670,8 @@ def run_campaign(
     n_realizations:
         Realisations generated per scenario.
     n_times:
-        Steps per run (training length by default).
-    chunk_size:
-        Streaming chunk length (one model year by default).
+        Steps per run (training length by default).  Runs stream one
+        model year per chunk.
     seed:
         Root entropy; realization ``r`` draws from the ``SeedSequence``
         child with ``spawn_key == (r,)`` — the stream
@@ -727,11 +724,9 @@ def run_campaign(
         content-addresses — so an
         :class:`~repro.serving.service.EmulationService` over the same
         root (same seed) serves every campaign chunk with **zero** cold
-        synthesis, bit-identical for a float64 store.  Chunking is
-        pinned to the canonical year stream under ``store=``:
-        ``chunk_size`` must equal ``steps_per_year`` (the default) and
-        ``n_times`` must be a whole number of years, because serving
-        addresses chunks by model year.
+        synthesis, bit-identical for a float64 store.  ``n_times`` must
+        then be a whole number of years, because serving addresses
+        chunks by model year.
 
         Chunks are staged per execution block and committed with one
         ``put_many`` transaction per block (safe against other
@@ -774,9 +769,6 @@ def run_campaign(
     n_times = int(n_times)
     if n_times < 1:
         raise ValueError(f"n_times must be >= 1, got {n_times}")
-    chunk_size = int(chunk_size) if chunk_size is not None else summary.steps_per_year
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     batch_size = _checked_batch_size(batch_size)
 
     store_obj: "ChunkStore | None" = None
@@ -785,15 +777,6 @@ def run_campaign(
             store if isinstance(store, ChunkStore)
             else ChunkStore(os.fspath(store))
         )
-        # Serving addresses chunks by model year of the canonical
-        # year-chunked stream; any other layout would land chunks the
-        # service can never resolve.
-        if chunk_size != summary.steps_per_year:
-            raise ValueError(
-                f"store-backed campaigns must use the canonical year "
-                f"chunking: chunk_size={chunk_size} != steps_per_year="
-                f"{summary.steps_per_year} (leave chunk_size unset)"
-            )
         if n_times % summary.steps_per_year != 0:
             raise ValueError(
                 f"store-backed campaigns must cover whole model years: "
@@ -804,7 +787,7 @@ def run_campaign(
     plans = plan_campaign(
         scenarios, n_realizations,
         n_times=n_times, steps_per_year=summary.steps_per_year,
-        chunk_size=chunk_size, seed=seed, include_nugget=include_nugget,
+        seed=seed, include_nugget=include_nugget,
         collect=collect, start_level=start_level,
         store_root=None if store_obj is None else store_obj.root,
     )
@@ -903,7 +886,6 @@ def run_campaign(
         seed=int(seed),
         n_times=n_times,
         steps_per_year=summary.steps_per_year,
-        chunk_size=chunk_size,
         collect=collect,
         max_workers=1,
         executor="thread",

@@ -19,28 +19,18 @@ already holds it.  Three tiers answer a request, cheapest first:
 Determinism contract
 --------------------
 Realization ``r`` of a scenario draws from
-``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))``
-— the identical stream realization ``r`` of every
-:func:`repro.run_campaign` scenario uses — and is synthesized as the **canonical
-year-chunked stream**: ``emulate_stream(chunk_size=steps_per_year)``.
-Year ``y`` of that stream depends only on years ``<= y`` (the draw
-schedule is fixed per model year), so chunks are *prefix-compatible*:
-the same year served from a short request, a long request, a resumed
-stream or a coalesced batch is bit-identical.  Consequently
-``service.get(request)``:
+``np.random.SeedSequence(seed, spawn_key=(r,))`` — the one seeding rule,
+which ``emulate(rng=seed)`` member ``r`` and realization ``r`` of every
+:func:`repro.run_campaign` scenario follow too — through the one draw
+schedule, one model year at a time.  Year ``y`` depends only on years
+``<= y``, so chunks are *prefix-compatible*: the same year served from a
+short request, a long request, a resumed stream or a coalesced batch is
+bit-identical.  Consequently ``service.get(request)``:
 
-* equals ``emulator.emulate(...)`` **bit for bit** for any single-year
-  request and for any request with ``include_nugget=False``;
-* equals the concatenated ``emulator.emulate_stream(...)`` year chunks
-  bit for bit for every request;
+* equals member ``r`` of ``emulator.emulate(..., rng=seed)`` (and the
+  concatenated ``emulate_stream``) **bit for bit**, for every request;
 * is identical on the cold and cached paths (the cache stores exactly
   what synthesis produced, at full float64).
-
-(The monolithic ``emulate`` call draws its nugget *after* all
-innovations, so for multi-year nuggeted records its bits depend on the
-total length — no chunk-cached server can match that shape and still
-share chunks across requests; the year-chunked stream is the canonical
-schedule, and it is what campaigns already write.)
 
 A lossy (quantized) chunk store is the one opt-out: chunks served from
 an ``int16``/``float32`` store carry that tier's measured
@@ -57,6 +47,7 @@ import numpy as np
 
 from repro.api.facade import _resolve as _resolve_emulator
 from repro.core.emulator import ClimateEmulator
+from repro.core.generator import _member_rngs
 from repro.obs import MetricsRegistry, span
 from repro.serving.request import FieldRequest, chunk_address
 from repro.storage.chunkstore import ChunkStore
@@ -330,8 +321,7 @@ class EmulationService:
             nlon)`` — the windowed shape when the request carries a
             window, the full grid otherwise.  A fresh array the caller
             may mutate freely.  Bit-identical on cold and cached paths;
-            see the module docstring for the exact ``emulate``
-            equivalences.
+            see the module docstring for the ``emulate`` equivalence.
         """
         if not isinstance(request, FieldRequest):
             raise TypeError(
@@ -523,10 +513,6 @@ class EmulationService:
     # ------------------------------------------------------------------ #
     # Synthesis
     # ------------------------------------------------------------------ #
-    def _realization_rng(self, realization: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(self._seed, spawn_key=(int(realization),))
-        return np.random.default_rng(seq)
-
     def _missing_jobs(
         self, stream_addr: str, needs: dict[int, int]
     ) -> "dict[int, tuple[int, int]]":
@@ -583,12 +569,11 @@ class EmulationService:
             horizon = max(stop, _STREAM_HORIZON)
             spy = self.steps_per_year
             iterator = self._emulator.generator().generate_stream_multi(
-                [self._realization_rng(r) for r in realizations],
+                _member_rngs(self._seed, realizations),
                 n_times=horizon * spy,
                 annual_forcing=spec.annual_forcing(horizon),
                 include_nugget=include_nugget,
                 start_year=self._summary.start_year,
-                chunk_size=spy,
             )
             live = _LiveStream(iterator, next_year=0, horizon=horizon)
         results: dict[str, np.ndarray] = {}

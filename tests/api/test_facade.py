@@ -70,26 +70,23 @@ class TestNTimesValidation:
 
 
 class TestEmulateStream:
-    def test_single_chunk_matches_emulate_bit_exactly(self, fitted_emulator):
-        full = fitted_emulator.emulate(2, rng=np.random.default_rng(9))
-        chunks = list(fitted_emulator.emulate_stream(
-            2, rng=np.random.default_rng(9),
-            chunk_size=fitted_emulator.training_summary.n_times,
-        ))
-        assert len(chunks) == 1
-        assert np.array_equal(chunks[0].data, full.data)
+    def test_concatenated_stream_matches_emulate_bit_exactly(self, fitted_emulator):
+        full = fitted_emulator.emulate(2, rng=9)
+        chunks = list(fitted_emulator.emulate_stream(2, rng=9))
+        assert len(chunks) == 3
+        assert np.array_equal(np.concatenate([c.data for c in chunks], axis=1), full.data)
 
     def test_chunks_cover_the_record(self, fitted_emulator):
-        n_times = fitted_emulator.training_summary.n_times
-        chunks = list(fitted_emulator.emulate_stream(
-            1, rng=np.random.default_rng(2), chunk_size=7,
-        ))
-        assert sum(c.n_times for c in chunks) == n_times
+        spy = fitted_emulator.training_summary.steps_per_year
+        n_times = 2 * spy + 7
+        chunks = list(fitted_emulator.emulate_stream(1, n_times=n_times, rng=2))
+        assert [c.n_times for c in chunks] == [spy, spy, 7]
         offsets = [c.metadata["stream_offset"] for c in chunks]
-        assert offsets == list(np.cumsum([0] + [c.n_times for c in chunks[:-1]]))
+        assert offsets == [0, spy, 2 * spy]
         for chunk in chunks:
             assert chunk.data.shape[2:] == fitted_emulator.training_summary.grid.shape
             assert chunk.metadata["source"] == "emulator"
+            assert "stream_phase" not in chunk.metadata
 
     def test_default_chunk_is_one_model_year(self, fitted_emulator):
         chunks = list(fitted_emulator.emulate_stream(1, rng=np.random.default_rng(2)))
@@ -97,7 +94,7 @@ class TestEmulateStream:
         assert all(c.n_times == spy for c in chunks[:-1])
 
     def test_chunk_forcing_is_rebased_to_chunk_year(self, fitted_emulator):
-        """Each chunk's forcing_per_step must match the monolithic run's."""
+        """Each chunk's forcing_per_step must match the whole record's."""
         spy = fitted_emulator.training_summary.steps_per_year
         n_years = 4
         forcing = np.linspace(1.0, 5.0, n_years)
@@ -111,83 +108,72 @@ class TestEmulateStream:
         )
         for chunk in chunks:
             offset = chunk.metadata["stream_offset"]
-            assert chunk.metadata["stream_phase"] == 0
             np.testing.assert_array_equal(
                 chunk.forcing_per_step(),
                 reference[offset:offset + chunk.n_times],
             )
+            np.testing.assert_array_equal(chunk.data, full.data[:, offset:offset + chunk.n_times])
             assert chunk.start_year == full.start_year + offset // spy
 
-    def test_streamed_statistics_match_monolithic(self, fitted_emulator):
-        """Chunked generation follows the same process as one-shot generation."""
-        full = fitted_emulator.emulate(2, rng=np.random.default_rng(21))
-        streamed = np.concatenate(
-            [c.data for c in fitted_emulator.emulate_stream(
-                2, rng=np.random.default_rng(21), chunk_size=5)],
-            axis=1,
-        )
-        assert streamed.shape == full.data.shape
-        # Different draw order => different realisations, same distribution.
-        assert abs(streamed.mean() - full.data.mean()) < 1.0
-        assert abs(streamed.std() / full.data.std() - 1.0) < 0.2
-
-    def test_single_chunk_with_custom_forcing_matches_emulate_bit_exactly(
+    def test_concatenated_stream_with_custom_forcing_matches_emulate_bit_exactly(
             self, fitted_emulator):
-        """The bit-exact single-chunk guarantee must hold off the training forcing."""
+        """The bit-exact guarantee must hold off the training forcing."""
         spy = fitted_emulator.training_summary.steps_per_year
         n_times = 4 * spy
         forcing = np.array([1.0, 6.0, 2.0, 9.0])
-        full = fitted_emulator.emulate(2, n_times=n_times, annual_forcing=forcing,
-                                       rng=np.random.default_rng(17))
+        full = fitted_emulator.emulate(2, n_times=n_times, annual_forcing=forcing, rng=17)
         chunks = list(fitted_emulator.emulate_stream(
-            2, n_times=n_times, annual_forcing=forcing,
-            rng=np.random.default_rng(17), chunk_size=n_times,
+            2, n_times=n_times, annual_forcing=forcing, rng=17,
         ))
-        assert len(chunks) == 1
-        assert np.array_equal(chunks[0].data, full.data)
+        assert len(chunks) == 4
+        assert np.array_equal(np.concatenate([c.data for c in chunks], axis=1), full.data)
 
     def test_stream_forcing_indexed_by_absolute_time_across_chunks(
             self, fitted_emulator):
-        """Chunks crossing year boundaries must see the monolithic trend.
+        """Every year chunk must see the whole record's trend.
 
-        The stochastic draws are chunk-local, so the reference is built
-        from the *monolithic* trend prediction (absolute time) plus the
-        same chunk-local standardized stream — bit-exact equality proves
-        the streamed mean indexes the forcing by absolute step, not by
-        per-chunk time.
+        The reference is the trend predicted over the whole record in one
+        call (absolute time) plus the standardized year stream:
+        bit-exact equality proves each chunk indexes the forcing by
+        absolute step, not by per-chunk time.
         """
         spy = fitted_emulator.training_summary.steps_per_year
         n_years = 5
         n_times = n_years * spy
-        # Strong year-to-year jumps make any per-chunk re-indexing visible;
-        # chunk_size=9 does not divide steps_per_year=24, so chunks
-        # straddle year boundaries.
+        # Strong year-to-year jumps make any per-chunk re-indexing visible.
         forcing = np.array([1.0, 8.0, 2.0, 9.0, 3.0])
-        chunk_size = 9
-        assert spy % chunk_size != 0
 
         mean_full = fitted_emulator.trend_model.predict(
             n_times, forcing, fitted_emulator.trend_fit
         )
         chunks = list(fitted_emulator.emulate_stream(
             1, n_times=n_times, annual_forcing=forcing,
-            rng=np.random.default_rng(33), chunk_size=chunk_size,
+            rng=np.random.default_rng(33),
         ))
         z_stream = fitted_emulator.spectral_model.generate_standardized_stream_multi(
-            [np.random.default_rng(33)], n_times, chunk_size, include_nugget=True,
+            [np.random.default_rng(33)], n_years, spy, include_nugget=True,
         )
-        assert sum(c.n_times for c in chunks) == n_times
-        for chunk, (t_start, z) in zip(chunks, z_stream):
+        assert len(chunks) == n_years
+        for year, (chunk, z) in enumerate(zip(chunks, z_stream)):
+            t_start = year * spy
             assert chunk.metadata["stream_offset"] == t_start
             reference = (
-                mean_full[t_start:t_start + chunk.n_times][None, ...]
+                mean_full[t_start:t_start + spy][None, ...]
                 + fitted_emulator.scale.unstandardize(z)
             )
             assert np.array_equal(chunk.data, reference)
 
     def test_stream_bad_chunk_size(self, fitted_emulator):
-        with pytest.raises(ValueError, match="chunk_size"):
-            list(fitted_emulator.emulate_stream(1, chunk_size=0))
+        """A chunk is one model year: any other chunk_size is refused."""
+        spy = fitted_emulator.training_summary.steps_per_year
+        for chunk_size in (0, 5, spy + 1):
+            with pytest.raises(ValueError, match="chunk_size"):
+                fitted_emulator.emulate_stream(1, chunk_size=chunk_size)
+        chunks = list(fitted_emulator.emulate_stream(1, rng=3, chunk_size=spy))
+        assert np.array_equal(
+            np.concatenate([c.data for c in chunks], axis=1),
+            fitted_emulator.emulate(1, rng=3).data,
+        )
 
     def test_stream_validates_eagerly_at_call_site(self, fitted_emulator):
         """Bad arguments must raise when the stream is created, not at next()."""
@@ -207,9 +193,11 @@ class TestEmulateStream:
     def test_facade_stream(self, fitted_emulator, tmp_path):
         path = tmp_path / "emulator.npz"
         repro.save(fitted_emulator, path)
-        chunks = list(repro.emulate_stream(path, 1, n_times=10, chunk_size=4,
-                                           rng=np.random.default_rng(1)))
-        assert [c.n_times for c in chunks] == [4, 4, 2]
+        spy = fitted_emulator.training_summary.steps_per_year
+        chunks = list(repro.emulate_stream(path, 1, n_times=spy + 2, rng=1))
+        assert [c.n_times for c in chunks] == [spy, 2]
+        with pytest.raises(TypeError, match="chunk_size"):
+            repro.emulate_stream(path, 1, chunk_size=spy)
 
 
 class TestScenarioForcingArguments:

@@ -2,13 +2,13 @@
 
 Three independent guarantees are pinned here:
 
-* the batch width ``B`` of the year-chunked multi-stream never changes
+* the batch width ``B`` of the year-by-year multi-stream never changes
   an output bit: member ``b`` of a ``B``-stream equals the batch-of-one
-  stream under ``rngs[b]`` for every chunk layout, ragged final chunks
-  included, with the VAR history carried across chunk boundaries;
-* the shared-generator entry points (``emulate`` / ``emulate_stream``
-  with ``n_realizations=R``) are that same stream with one generator in
-  every slot (``[rng] * R``);
+  stream under ``rngs[b]``, ragged final years included, with the VAR
+  history carried across years;
+* the seeded entry points (``emulate`` / ``emulate_stream`` with
+  ``n_realizations=R`` and an int ``rng``) are that same stream with
+  member ``r`` seeded by ``SeedSequence(rng, spawn_key=(r,))``;
 * the fit's analysis (one forward pass over the ensemble) and its
   truncation residual (one inverse pass per member) equal the per-member
   and one-pass transforms bit for bit.
@@ -22,13 +22,21 @@ from repro.util.compare import assert_states_bit_identical
 
 SPY = 24  # steps_per_year of the shared fixtures
 BATCH_WIDTHS = (1, 3, 5)
-CHUNK_SIZES = (10, SPY, 3 * SPY)
 
 
-def _standardized(model, rngs, n_times, chunk):
-    chunks = list(model.generate_standardized_stream_multi(rngs, n_times, chunk))
-    assert [t for t, _ in chunks] == list(range(0, n_times, chunk))
-    return np.concatenate([c for _, c in chunks], axis=1)
+def _standardized(model, rngs, n_years, include_nugget=True):
+    years = list(model.generate_standardized_stream_multi(
+        rngs, n_years, SPY, include_nugget=include_nugget
+    ))
+    assert len(years) == n_years
+    return np.concatenate(years, axis=1)
+
+
+def _member_rngs(seed, n_members):
+    return [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        for r in range(n_members)
+    ]
 
 
 class TestBatchSizeInvariance:
@@ -37,61 +45,52 @@ class TestBatchSizeInvariance:
     ):
         """Member ``b`` never depends on what else shares the batch."""
         model = fitted_emulator.spectral_model
-        n_times = 60  # ragged final chunk at SPY, single chunk at 3 * SPY
         seeds = np.random.SeedSequence(77).spawn(max(BATCH_WIDTHS))
-        for chunk in CHUNK_SIZES:
+        for n_years in (1, 3):
             alone = [
-                _standardized(model, [np.random.default_rng(s)], n_times, chunk)[0]
+                _standardized(model, [np.random.default_rng(s)], n_years)[0]
                 for s in seeds
             ]
             for width in BATCH_WIDTHS:
                 stacked = _standardized(
-                    model, [np.random.default_rng(s) for s in seeds[:width]],
-                    n_times, chunk,
+                    model, [np.random.default_rng(s) for s in seeds[:width]], n_years,
                 )
-                assert stacked.shape[:2] == (width, n_times)
+                assert stacked.shape[:2] == (width, n_years * SPY)
                 for b in range(width):
                     np.testing.assert_array_equal(stacked[b], alone[b])
 
     def test_emulate_batch_size_bit_identical(self, fitted_emulator):
-        """``emulate(R, rng)`` == the single-chunk stream with ``[rng] * R``."""
+        """``emulate(R, rng=s)`` member ``r`` == the one-member call seeded
+        ``SeedSequence(s, spawn_key=(r,))`` == the multi-stream."""
         summary = fitted_emulator.training_summary
+        alone = [
+            fitted_emulator.emulate(1, n_times=30, rng=rng).data[0]
+            for rng in _member_rngs(3, max(BATCH_WIDTHS))
+        ]
         for n_real in BATCH_WIDTHS:
-            monolithic = fitted_emulator.emulate(
-                n_realizations=n_real, n_times=30, rng=np.random.default_rng(3)
-            )
-            for chunk_size in (30, 99):  # chunk_size >= n_times: one chunk
-                streamed = list(fitted_emulator.emulate_stream(
-                    n_realizations=n_real, n_times=30,
-                    rng=np.random.default_rng(3), chunk_size=chunk_size,
-                ))
-                assert len(streamed) == 1
-                np.testing.assert_array_equal(streamed[0].data, monolithic.data)
+            batch = fitted_emulator.emulate(n_realizations=n_real, n_times=30, rng=3)
+            for r in range(n_real):
+                np.testing.assert_array_equal(batch.data[r], alone[r])
             multi = list(fitted_emulator.generator().generate_stream_multi(
-                [np.random.default_rng(3)] * n_real, 30, summary.forcing_annual,
-                start_year=summary.start_year, chunk_size=30,
+                _member_rngs(3, n_real), 30, summary.forcing_annual,
+                start_year=summary.start_year, chunk_size=SPY,
             ))
-            np.testing.assert_array_equal(multi[0].data, monolithic.data)
+            np.testing.assert_array_equal(
+                np.concatenate([c.data for c in multi], axis=1), batch.data
+            )
 
     def test_emulate_stream_batch_size_bit_identical(self, fitted_emulator):
-        """``emulate_stream(R, rng)`` == the multi-stream with ``[rng] * R``."""
+        """``emulate_stream(R, rng=s)`` == the multi-stream under the member seeds."""
         summary = fitted_emulator.training_summary
         for n_real in BATCH_WIDTHS:
-            for chunk_size in CHUNK_SIZES:
-                shared = fitted_emulator.emulate_stream(
-                    n_realizations=n_real, n_times=60,
-                    rng=np.random.default_rng(8), chunk_size=chunk_size,
-                )
-                rng = np.random.default_rng(8)
-                multi = fitted_emulator.generator().generate_stream_multi(
-                    [rng] * n_real, 60, summary.forcing_annual,
-                    start_year=summary.start_year, chunk_size=chunk_size,
-                )
-                for shared_chunk, multi_chunk in zip(shared, multi, strict=True):
-                    assert shared_chunk.metadata == multi_chunk.metadata
-                    np.testing.assert_array_equal(
-                        shared_chunk.data, multi_chunk.data
-                    )
+            seeded = fitted_emulator.emulate_stream(n_realizations=n_real, n_times=60, rng=8)
+            multi = fitted_emulator.generator().generate_stream_multi(
+                _member_rngs(8, n_real), 60, summary.forcing_annual,
+                start_year=summary.start_year,
+            )
+            for seeded_chunk, multi_chunk in zip(seeded, multi, strict=True):
+                assert seeded_chunk.metadata == multi_chunk.metadata
+                np.testing.assert_array_equal(seeded_chunk.data, multi_chunk.data)
 
     def test_batch_size_validation(self, fitted_emulator):
         """A batch needs at least one member; the SHT cap is gone."""
@@ -107,60 +106,53 @@ class TestMultiStream:
     def test_multi_stream_bit_identical_to_serial_streams(self, fitted_emulator):
         """Member b of the stacked stream == a serial run under rngs[b]."""
         model = fitted_emulator.spectral_model
-        n_times, chunk = 50, 24
         seeds = np.random.SeedSequence(11).spawn(4)
 
-        stacked = _standardized(
-            model, [np.random.default_rng(s) for s in seeds], n_times, chunk
-        )
+        stacked = _standardized(model, [np.random.default_rng(s) for s in seeds], 3)
         assert stacked.shape[0] == len(seeds)
         for b, seed in enumerate(seeds):
-            serial = _standardized(
-                model, [np.random.default_rng(seed)], n_times, chunk
-            )[0]
+            serial = _standardized(model, [np.random.default_rng(seed)], 3)[0]
             np.testing.assert_array_equal(stacked[b], serial)
 
     def test_var_history_carried_across_chunks(self, fitted_emulator):
-        """Every chunking of a record is one AR(P) recursion.
+        """The years of a record are one AR(P) recursion.
 
-        With the nugget off the draw schedule does not depend on the
-        chunk layout, so a chunked record equals the monolithic one up
-        to GEMM reduction order; a stream that restarted its history at
-        a chunk boundary would be off by O(1).
+        With the nugget off a stream draws nothing but its innovations,
+        so its years equal one VAR simulation over the whole record's
+        normals up to GEMM reduction order; a stream that restarted its
+        history at a year boundary would be off by O(1).
         """
         model = fitted_emulator.spectral_model
-        n_times = 60
-
-        def record(chunk):
-            rngs = [np.random.default_rng(s) for s in (11, 12, 13)]
-            chunks = model.generate_standardized_stream_multi(
-                rngs, n_times, chunk, include_nugget=False
-            )
-            return np.concatenate([c for _, c in chunks], axis=1)
-
-        monolithic = record(n_times)
-        assert monolithic.shape[:2] == (3, n_times)
-        for chunk in CHUNK_SIZES:
-            np.testing.assert_allclose(
-                record(chunk), monolithic, rtol=0.0, atol=1e-10
-            )
+        n_years, k = 3, model.cholesky.n
+        seeds = (11, 12, 13)
+        streamed = _standardized(
+            model, [np.random.default_rng(s) for s in seeds], n_years, include_nugget=False
+        )
+        z = np.stack([np.random.default_rng(s).standard_normal((n_years * SPY, k)) for s in seeds])
+        xi = model.cholesky.correlate(z.reshape(-1, k)).reshape(z.shape)
+        p = model.var_order
+        initial = np.broadcast_to(model.initial_state[-p:], (len(seeds), p, k))
+        whole = model.plan.inverse_realform(model.var.simulate(xi, initial=initial))
+        assert streamed.shape[:2] == (len(seeds), n_years * SPY)
+        np.testing.assert_allclose(streamed, whole, rtol=0.0, atol=1e-10)
 
     def test_generator_multi_stream_matches_serial_chunks(self, fitted_emulator):
-        """Full pipeline (trend + scale restored), chunk by chunk."""
+        """Full pipeline (trend + scale restored), year by year."""
         generator = fitted_emulator.generator()
         summary = fitted_emulator.training_summary
         forcing = summary.forcing_annual
-        n_times, chunk = 40, 16
+        n_times = 40
         seeds = np.random.SeedSequence(23).spawn(3)
 
         multi = list(generator.generate_stream_multi(
             [np.random.default_rng(s) for s in seeds], n_times, forcing,
-            start_year=summary.start_year, chunk_size=chunk,
+            start_year=summary.start_year,
         ))
+        assert [c.n_times for c in multi] == [SPY, n_times - SPY]
         for b, seed in enumerate(seeds):
-            serial = list(generator.generate_stream(
-                1, n_times, forcing, rng=np.random.default_rng(seed),
-                start_year=summary.start_year, chunk_size=chunk,
+            serial = list(generator.generate_stream_multi(
+                [np.random.default_rng(seed)], n_times, forcing,
+                start_year=summary.start_year,
             ))
             assert len(serial) == len(multi)
             for serial_chunk, multi_chunk in zip(serial, multi):
@@ -180,8 +172,8 @@ class TestMultiStream:
             summary.forcing_annual, start_year=summary.start_year,
         ))
         for b, seed in enumerate(seeds):
-            serial = list(generator.generate_stream(
-                1, 24, summary.forcing_annual, rng=np.random.default_rng(seed),
+            serial = list(generator.generate_stream_multi(
+                [np.random.default_rng(seed)], 24, summary.forcing_annual,
                 start_year=summary.start_year,
             ))
             for serial_chunk, multi_chunk in zip(serial, multi):
@@ -233,7 +225,7 @@ class TestMultiStream:
     def test_multi_stream_validation(self, fitted_emulator):
         model = fitted_emulator.spectral_model
         with pytest.raises(ValueError, match="at least one generator"):
-            list(model.generate_standardized_stream_multi([], 10, 5))
+            list(model.generate_standardized_stream_multi([], 1, SPY))
         generator = fitted_emulator.generator()
         with pytest.raises(ValueError, match="at least one generator"):
             generator.generate_stream_multi(
@@ -242,5 +234,14 @@ class TestMultiStream:
         with pytest.raises(ValueError, match="forcing covers"):
             generator.generate_stream_multi(
                 [np.random.default_rng(0)], 10_000,
+                fitted_emulator.training_summary.forcing_annual,
+            )
+
+    def test_one_generator_in_two_slots_is_refused(self, fitted_emulator):
+        """``[rng] * B`` would correlate the members, so it raises."""
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="two slots"):
+            fitted_emulator.generator().generate_stream_multi(
+                [rng, np.random.default_rng(1), rng], 10,
                 fitted_emulator.training_summary.forcing_annual,
             )

@@ -68,13 +68,13 @@ class TestClimateEmulatorFit:
 
 class TestEmulation:
     def test_emulation_shapes_and_defaults(self, fitted_emulator, small_ensemble):
-        out = fitted_emulator.emulate(n_realizations=2, rng=np.random.default_rng(0))
+        out = fitted_emulator.emulate(n_realizations=2, rng=0)
         assert out.data.shape == (2, small_ensemble.n_times) + small_ensemble.grid.shape
         assert out.metadata["source"] == "emulator"
         assert out.steps_per_year == small_ensemble.steps_per_year
 
     def test_statistical_consistency_with_training(self, fitted_emulator, small_ensemble):
-        out = fitted_emulator.emulate(n_realizations=2, rng=np.random.default_rng(7))
+        out = fitted_emulator.emulate(n_realizations=2, rng=7)
         report = consistency_report(small_ensemble, out, lmax=8)
         assert abs(report.global_mean_diff_k) < 1.0
         assert abs(report.global_std_ratio - 1.0) < 0.2
@@ -82,7 +82,7 @@ class TestEmulation:
         assert report.is_consistent()
 
     def test_emulations_differ_across_realizations(self, fitted_emulator):
-        out = fitted_emulator.emulate(n_realizations=2, rng=np.random.default_rng(1))
+        out = fitted_emulator.emulate(n_realizations=2, rng=1)
         assert not np.allclose(out.data[0], out.data[1])
 
     def test_custom_length_and_scenario_pathway(self, fitted_emulator):
@@ -109,7 +109,30 @@ class TestEmulation:
     def test_generator_argument_validation(self, fitted_emulator):
         generator = fitted_emulator.generator()
         with pytest.raises(ValueError):
-            generator.generate(0, 10, np.ones(1))
+            generator.generate_stream_multi([], 10, np.ones(1))
+        with pytest.raises(ValueError, match="n_times"):
+            generator.generate_stream_multi([np.random.default_rng(0)], 0, np.ones(1))
+
+    def test_rng_zero_is_seed_zero(self, fitted_emulator):
+        """``rng=0`` is the seed 0, not fresh entropy."""
+        first = fitted_emulator.emulate(2, n_times=8, rng=0)
+        again = fitted_emulator.emulate(2, n_times=8, rng=np.int64(0))
+        assert np.array_equal(first.data, again.data)
+        member_1 = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(1,)))
+        assert np.array_equal(
+            first.data[1], fitted_emulator.emulate(1, n_times=8, rng=member_1).data[0]
+        )
+        fresh = fitted_emulator.emulate(2, n_times=8, rng=None)
+        assert not np.array_equal(first.data, fresh.data)
+
+    def test_a_generator_seeds_one_member_only(self, fitted_emulator):
+        """A shared Generator is refused for several members, naming the int form."""
+        with pytest.raises(ValueError, match="int seed"):
+            fitted_emulator.emulate(2, n_times=8, rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="int seed"):
+            fitted_emulator.emulate_stream(2, n_times=8, rng=np.random.default_rng(3))
+        with pytest.raises(TypeError, match="rng"):
+            fitted_emulator.emulate(1, n_times=8, rng=2.5)
 
 
 class TestMixedPrecisionEmulator:

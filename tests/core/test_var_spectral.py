@@ -138,11 +138,10 @@ class TestSpectralStochasticModel:
 
     def test_generated_fields_match_variance(self, fitted):
         model, standardized = fitted
-        rng = np.random.default_rng(1)
-        (t_start, fields), = model.generate_standardized_stream_multi(
-            [rng] * 2, n_times=48, chunk_size=48
-        )
-        assert t_start == 0
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        fields = np.concatenate(list(model.generate_standardized_stream_multi(
+            rngs, n_years=2, steps_per_year=24
+        )), axis=1)
         assert fields.shape == (2, 48) + standardized.shape[2:]
         assert abs(fields.std() - standardized.std()) < 0.35
 

@@ -118,10 +118,7 @@ class TestCampaignWritesTheServingTier:
 
 
 class TestStoreCampaignValidation:
-    def test_non_canonical_chunking_is_rejected(self, fitted_emulator, tmp_path):
-        with pytest.raises(ValueError, match="canonical year chunking"):
-            run_campaign(fitted_emulator, ["constant"], n_times=2 * SPY,
-                         chunk_size=SPY // 2, store=tmp_path / "s")
+    def test_store_campaigns_cover_whole_years(self, fitted_emulator, tmp_path):
         with pytest.raises(ValueError, match="whole model years"):
             run_campaign(fitted_emulator, ["constant"], n_times=SPY + 1,
                          store=tmp_path / "s")

@@ -19,7 +19,7 @@ SCENARIO_NAMES = ["ssp-low", "ssp-medium", "ssp-high"]
 def serial_manifest(fitted_emulator):
     """A 3-scenario x 2-realization campaign executed serially."""
     return run_campaign(
-        fitted_emulator, SCENARIO_NAMES, 2, n_times=48, chunk_size=24,
+        fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
         seed=2024, collect="fields",
     )
 
@@ -46,6 +46,9 @@ class TestPlanning:
         with pytest.raises(ValueError, match="duplicate"):
             plan_campaign(["constant", "ssp-low", "constant"], 1, n_times=10,
                           steps_per_year=5, chunk_size=5)
+        with pytest.raises(ValueError, match="chunk_size"):
+            plan_campaign(["constant"], 1, n_times=10, steps_per_year=5, chunk_size=2)
+        assert plan_campaign(["constant"], 2, n_times=10, steps_per_year=5)[1].spawn_key == (1,)
 
     @pytest.mark.parametrize("knobs", [
         {"executor": "carrier-pigeon"}, {"executor": "process"},
@@ -62,6 +65,8 @@ class TestPlanning:
     def test_run_campaign_validation(self, fitted_emulator):
         with pytest.raises(ValueError, match="n_times"):
             run_campaign(fitted_emulator, ["constant"], n_times=0)
+        with pytest.raises(TypeError, match="chunk_size"):
+            run_campaign(fitted_emulator, ["constant"], chunk_size=24)
         with pytest.raises(RuntimeError, match="fitted"):
             run_campaign(repro.ClimateEmulator(), ["constant"])
 
@@ -70,9 +75,9 @@ class TestDeterminism:
     def test_runs_reproducible_and_seed_sensitive(self, fitted_emulator,
                                                   serial_manifest):
         again = run_campaign(fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
-                             chunk_size=24, seed=2024, collect="fields")
+                             seed=2024, collect="fields")
         other = run_campaign(fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
-                             chunk_size=24, seed=99, collect="fields")
+                             seed=99, collect="fields")
         for a, b, c in zip(serial_manifest.runs, again.runs, other.runs):
             assert np.array_equal(a.collected, b.collected)
             assert not np.array_equal(a.collected, c.collected)
@@ -84,7 +89,8 @@ class TestDeterminism:
 
     def test_run_matches_direct_emulate_stream(self, fitted_emulator,
                                                serial_manifest):
-        """A campaign run is exactly emulate_stream under the spawned seed."""
+        """A campaign run is exactly emulate_stream under the spawned seed,
+        and member r of emulate under the campaign's seed."""
         record = serial_manifest.run("ssp-medium", 1)
         forcing = resolve_scenario("ssp-medium").annual_forcing(2)
         rng = np.random.default_rng(
@@ -95,12 +101,14 @@ class TestDeterminism:
         )
         direct = np.concatenate([chunk.data[0] for chunk in chunks], axis=0)
         assert np.array_equal(record.collected, direct)
+        seeded = fitted_emulator.emulate(2, n_times=48, annual_forcing=forcing, rng=2024)
+        assert np.array_equal(record.collected, seeded.data[1])
 
     def test_artifact_path_source_matches_in_memory(self, fitted_emulator,
                                                     serial_manifest, tmp_path):
         path = repro.save(fitted_emulator, tmp_path / "emulator.npz")
         from_disk = run_campaign(path, SCENARIO_NAMES, 2, n_times=48,
-                                 chunk_size=24, seed=2024, collect="fields")
+                                 seed=2024, collect="fields")
         for a, b in zip(serial_manifest.runs, from_disk.runs):
             assert np.array_equal(a.collected, b.collected)
 
@@ -112,7 +120,7 @@ class TestBatchedSynthesis:
                                              serial_manifest):
         for batch_size in (2, 3):
             batched = run_campaign(
-                fitted_emulator, SCENARIO_NAMES, 2, n_times=48, chunk_size=24,
+                fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
                 seed=2024, collect="fields", batch_size=batch_size,
             )
             assert batched.batch_size == batch_size
@@ -178,7 +186,7 @@ class TestBatchedSynthesis:
             with repro.obs.tracing():
                 manifest = run_campaign(
                     fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
-                    chunk_size=24, seed=2024, collect="fields", batch_size=2,
+                    seed=2024, collect="fields", batch_size=2,
                     **knobs,
                 )
             records = repro.obs.trace_records()
@@ -240,7 +248,7 @@ class TestManifest:
 
     def test_collect_global_mean_series(self, fitted_emulator):
         manifest = run_campaign(fitted_emulator, ["constant"], 1, n_times=48,
-                                chunk_size=24, seed=5)
+                                seed=5)
         record = manifest.runs[0]
         assert record.collected.shape == (48,)
         # Area-weighted global means of temperature fields are O(280 K).

@@ -1,10 +1,9 @@
 """Tests of the on-demand emulation service.
 
 The bit-exactness contract (see :mod:`repro.serving.service`): served
-fields equal the canonical year-chunked stream
-(``emulate_stream(chunk_size=steps_per_year)``) bit for bit on every
-path — and therefore equal direct ``emulate`` for single-year requests
-and for any nugget-free request.
+fields equal the year-by-year stream of realization ``r`` (the
+concatenated ``emulate_stream``) bit for bit on every path — and
+therefore member ``r`` of direct ``emulate(rng=seed)`` for every request.
 """
 
 import threading
@@ -30,7 +29,7 @@ def canonical_stream(emulator, scenario, realization, n_years, seed=0,
     )
     chunks = emulator.emulate_stream(
         n_realizations=1, n_times=n_years * SPY, annual_forcing=scenario,
-        rng=rng, chunk_size=SPY, include_nugget=include_nugget,
+        rng=rng, include_nugget=include_nugget,
     )
     return np.concatenate([c.data for c in chunks], axis=1)[0]
 
@@ -75,6 +74,11 @@ class TestBitExactness:
             1, n_times=SPY, annual_forcing="ssp-high", rng=rng
         )
         assert np.array_equal(service.get(request), direct.data[0])
+
+    def test_multi_year_nuggeted_request_equals_direct_emulate(self, fitted_emulator, service):
+        request = FieldRequest("ssp-high", realization=2, year_start=0, year_stop=3)
+        direct = fitted_emulator.emulate(3, n_times=3 * SPY, annual_forcing="ssp-high", rng=0)
+        assert np.array_equal(service.get(request), direct.data[2])
 
     def test_nugget_free_request_equals_direct_emulate(self, fitted_emulator, service):
         request = FieldRequest("ssp-high", realization=2, year_start=0,
@@ -490,6 +494,83 @@ class TestConcurrency:
         for realization, output in enumerate(outputs):
             reference = canonical_stream(fitted_emulator, "ssp-low", realization, 2)
             assert np.array_equal(output, reference)
+
+    def test_a_failed_leader_fails_its_waiters_and_hands_over(self, fitted_emulator):
+        """A leader raises while identical waiters are parked and another
+        realization has pooled into the successor flight: each waiter gets
+        a RuntimeError chained to the cause, the successor still serves
+        canonical bits, no flight is left behind, and the next identical
+        request leads a fresh flight."""
+
+        class SynthesisFault(Exception):
+            pass
+
+        service = repro.serve(fitted_emulator, seed=0)
+        failed = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
+        pooled = FieldRequest("ssp-low", realization=1, year_start=0, year_stop=2)
+        stream_addr = failed.stream_address()
+        synthesize = service._synthesize
+        release = threading.Event()
+        calls = []
+
+        def fail_first_flight(addr, spec, include_nugget, needs):
+            calls.append(dict(needs))
+            if len(calls) == 1:
+                assert release.wait(30.0)
+                raise SynthesisFault("synthesis fault")
+            return synthesize(addr, spec, include_nugget, needs)
+
+        service._synthesize = fail_first_flight
+        outcomes = {}
+
+        def worker(name, request):
+            try:
+                outcomes[name] = service.get(request)
+            except BaseException as error:
+                outcomes[name] = error
+
+        def wait_until(condition):
+            deadline = time.monotonic() + 30.0
+            while not condition():
+                assert time.monotonic() < deadline, "the flights never reached the state"
+                time.sleep(0.001)
+
+        def head():
+            with service._lock:
+                return service._flights.get(stream_addr)
+
+        threads = [threading.Thread(target=worker, args=("leader", failed))]
+        threads[0].start()
+        wait_until(lambda: head() is not None and head().running)
+        for name in ("waiter-1", "waiter-2"):
+            threads.append(threading.Thread(target=worker, args=(name, failed)))
+            threads[-1].start()
+        wait_until(lambda: service.metrics.counter("serving.synthesis.coalesced_waits") == 2)
+        threads.append(threading.Thread(target=worker, args=("successor", pooled)))
+        threads[-1].start()
+        wait_until(lambda: head().next is not None)
+        release.set()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+
+        assert isinstance(outcomes["leader"], SynthesisFault)
+        for name in ("waiter-1", "waiter-2"):
+            assert isinstance(outcomes[name], RuntimeError), outcomes[name]
+            assert outcomes[name].__cause__ is outcomes["leader"]
+        assert calls == [{0: 2}, {1: 2}]
+        assert np.array_equal(
+            outcomes["successor"], canonical_stream(fitted_emulator, "ssp-low", 1, 2)
+        )
+        assert service._flights == {}
+
+        flights = service.stats()["synthesis"]["flights"]
+        assert np.array_equal(
+            service.get(failed), canonical_stream(fitted_emulator, "ssp-low", 0, 2)
+        )
+        assert service.stats()["synthesis"]["flights"] == flights + 1
+        assert calls[-1] == {0: 2}
+        assert service._flights == {}
 
     def test_stress_mixed_hit_miss_inflight(self, fitted_emulator):
         """Many threads, mixed request shapes, pinned against serial emulate."""

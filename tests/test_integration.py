@@ -35,7 +35,7 @@ def pipeline():
         )
     )
     emulator.fit(sims)
-    emulations = emulator.emulate(n_realizations=3, rng=np.random.default_rng(5))
+    emulations = emulator.emulate(n_realizations=3, rng=5)
     return sims, emulator, emulations
 
 

@@ -3,10 +3,12 @@
 These cover the mathematical invariants that must hold for *any* input, not
 just the fixtures: SHT linearity and Parseval consistency, real-packing
 orthogonality, Cholesky correctness over random SPD matrices, precision
-policy totality, distributed-lag boundedness and storage monotonicity.
+policy totality, distributed-lag boundedness, storage monotonicity, and
+the one draw schedule: a field's bits never depend on how it was asked for.
 """
 
 import functools
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro
 from repro.core.trend import distributed_lag_series
 from repro.linalg import MixedPrecisionCholesky, variant_policy
 from repro.linalg.cholesky import CholeskyResult
@@ -246,3 +249,91 @@ class TestModelProperties:
         small = StorageScenario("s", grid, years, steps, members)
         bigger = StorageScenario("b", grid, years + 1, steps, members)
         assert archive_bytes(bigger) > archive_bytes(small)
+
+
+def _campaign_fields(emulator, n_realizations, n_times, seed, batch_size,
+                     include_nugget, store=None):
+    manifest = repro.run_campaign(
+        emulator, ["ssp-high"], n_realizations, n_times=n_times, seed=seed,
+        batch_size=batch_size, include_nugget=include_nugget, collect="fields",
+        store=store,
+    )
+    return {run.realization: run.collected for run in manifest.runs}
+
+
+class TestDrawScheduleProperties:
+    """Member ``r`` under seed ``s`` is one field, however it is asked for."""
+
+    @_SETTINGS
+    @given(
+        n_times=st.integers(1, 60),
+        realizations=st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True),
+        batch_size=st.integers(1, 4),
+        include_nugget=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_member_r_is_one_field_whichever_way_it_is_asked_for(
+        self, fitted_emulator, n_times, realizations, batch_size, include_nugget, seed
+    ):
+        emulator = fitted_emulator
+        spy = emulator.training_summary.steps_per_year
+        n_years = -(-n_times // spy)
+        n_members = max(realizations) + 1
+        common = dict(annual_forcing="ssp-high", rng=seed, include_nugget=include_nugget)
+        reference = emulator.emulate(n_members, n_times=n_times, **common).data
+        assert reference.shape[:2] == (n_members, n_times)
+
+        streamed = np.concatenate(
+            [c.data for c in emulator.emulate_stream(n_members, n_times=n_times, **common)], axis=1
+        )
+        longer = emulator.emulate(n_members, n_times=n_years * spy + spy, **common).data
+        # Batch composition: the requested members alone, in request order.
+        members = emulator.generator().generate_stream_multi(
+            [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+             for r in realizations],
+            n_times, repro.SCENARIOS.create("ssp-high").annual_forcing(n_years),
+            include_nugget=include_nugget,
+        )
+        subset = np.concatenate([c.data for c in members], axis=1)
+        service = repro.serve(emulator, seed=seed)
+        campaign = _campaign_fields(emulator, n_members, n_times, seed, batch_size, include_nugget)
+        with tempfile.TemporaryDirectory() as root:
+            stored = _campaign_fields(
+                emulator, n_members, n_years * spy, seed, batch_size, include_nugget, store=root
+            )
+        for i, r in enumerate(realizations):
+            expected = reference[r]
+            served = service.get(repro.FieldRequest(
+                "ssp-high", realization=r, year_start=0, year_stop=n_years,
+                include_nugget=include_nugget,
+            ))
+            assert np.array_equal(streamed[r], expected)
+            assert np.array_equal(longer[r, :n_times], expected)  # a prefix
+            assert np.array_equal(subset[i], expected)
+            assert np.array_equal(served[:n_times], expected)
+            assert np.array_equal(campaign[r], expected)
+            assert np.array_equal(stored[r][:n_times], expected)
+
+    def test_requests_that_used_to_differ_now_agree_or_are_refused(self, fitted_emulator):
+        """Each pair of requests that used to differ by 10-14 K."""
+        emulator = fitted_emulator
+        spy = emulator.training_summary.steps_per_year
+        # emulate against the year stream: one field.
+        whole = emulator.emulate(1, n_times=2 * spy, rng=3).data
+        years = [c.data for c in emulator.emulate_stream(1, n_times=2 * spy, rng=3)]
+        assert np.array_equal(np.concatenate(years, axis=1), whole)
+        # A chunk_size other than one year: refused.
+        with pytest.raises(ValueError, match="chunk_size"):
+            emulator.emulate_stream(1, n_times=2 * spy, rng=3, chunk_size=5)
+        # Member 1 against spawn key (1,): one field under an int seed; a
+        # shared Generator is refused.
+        member_1 = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(1,)))
+        assert np.array_equal(
+            emulator.emulate(2, n_times=2 * spy, rng=3).data[1],
+            emulator.emulate(1, n_times=2 * spy, rng=member_1).data[0],
+        )
+        with pytest.raises(ValueError, match="int seed"):
+            emulator.emulate(2, n_times=2 * spy, rng=np.random.default_rng(3))
+        # A campaign's chunk_size: gone.
+        with pytest.raises(TypeError, match="chunk_size"):
+            repro.run_campaign(emulator, ["ssp-high"], 1, n_times=2 * spy, chunk_size=5)
