@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.linalg import MixedPrecisionCholesky, generate_cholesky_tasks
+from benchmarks.paper_model.tasks import build_task_graph, generate_cholesky_tasks
+from repro.linalg import MixedPrecisionCholesky
 from repro.linalg.flops import cholesky_flops
 from repro.linalg.policies import VARIANTS
-from repro.linalg.tasks import build_task_graph
 
 
 @pytest.mark.benchmark(group="cholesky-real")

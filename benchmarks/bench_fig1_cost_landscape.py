@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.core.complexity import (
+from benchmarks.paper_model.complexity import (
     EXISTING_EMULATORS,
     THIS_WORK,
     cost_landscape,

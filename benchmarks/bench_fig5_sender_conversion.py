@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.linalg import generate_cholesky_tasks
-from repro.systems import SUMMIT, CholeskyPerformanceModel
+from benchmarks.paper_model.machines import SUMMIT
+from benchmarks.paper_model.perf_model import CholeskyPerformanceModel
+from benchmarks.paper_model.tasks import generate_cholesky_tasks
 
 SIZES = [660_000, 860_000, 1_060_000, 1_270_000]
 NODES = 128

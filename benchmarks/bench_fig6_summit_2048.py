@@ -9,8 +9,9 @@ This benchmark regenerates the four curves with the performance model.
 import pytest
 
 from benchmarks.conftest import print_table
+from benchmarks.paper_model.machines import SUMMIT
+from benchmarks.paper_model.perf_model import CholeskyPerformanceModel
 from repro.linalg.policies import VARIANTS
-from repro.systems import SUMMIT, CholeskyPerformanceModel
 
 NODES = 2_048
 SIZES = [2_100_000, 3_150_000, 4_190_000, 5_240_000, 6_290_000, 7_340_000, 8_390_000]

@@ -11,10 +11,10 @@ task model's dependency analysis (Brent's bound on a real covariance DAG).
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.linalg import generate_cholesky_tasks
+from benchmarks.paper_model.machines import SUMMIT
+from benchmarks.paper_model.perf_model import CholeskyPerformanceModel, scaling_efficiencies
+from benchmarks.paper_model.tasks import build_task_graph, generate_cholesky_tasks
 from repro.linalg.policies import VARIANTS
-from repro.linalg.tasks import build_task_graph
-from repro.systems import SUMMIT, CholeskyPerformanceModel, scaling_efficiencies
 
 WEAK_GPUS = [384, 1536, 3072, 6144, 12288]
 STRONG_GPUS = [3072, 6144, 12288]

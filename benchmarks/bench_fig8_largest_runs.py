@@ -10,7 +10,8 @@ regenerates the whole figure with the performance model.
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.systems import SYSTEMS, CholeskyPerformanceModel
+from benchmarks.paper_model.machines import SYSTEMS
+from benchmarks.paper_model.perf_model import CholeskyPerformanceModel
 
 #: (system, nodes, matrix size, paper EFlop/s)
 RUNS = [

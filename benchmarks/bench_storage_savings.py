@@ -9,13 +9,9 @@ NCAR's $45/TB/year rate.
 import pytest
 
 from benchmarks.conftest import print_table
+from benchmarks.paper_model.archive import CMIP6_ARCHIVE, StorageScenario, savings_report
 from repro.sht.grid import Grid
-from repro.storage import (
-    CMIP6_ARCHIVE,
-    StorageScenario,
-    format_bytes,
-    savings_report,
-)
+from repro.storage import format_bytes
 
 SCENARIOS = [
     # (name, grid, years, steps/yr, members, variables, lmax, full covariance)

@@ -8,7 +8,8 @@ Leonardo 243.1 (57.2), Summit 153.6 (25.0); GH200 outperforms MI250X by
 import pytest
 
 from benchmarks.conftest import print_table
-from repro.systems import SYSTEMS, CholeskyPerformanceModel
+from benchmarks.paper_model.machines import SYSTEMS
+from benchmarks.paper_model.perf_model import CholeskyPerformanceModel
 
 #: system -> (matrix size from Table I, paper PFlop/s, paper TFlop/s per GPU)
 TABLE1 = {

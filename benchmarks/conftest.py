@@ -2,9 +2,10 @@
 
 Every ``bench_*.py`` module reproduces one table or figure of the paper's
 evaluation section: it computes the same rows/series the paper reports
-(via real small-scale execution where possible and the calibrated
-performance model for machine-scale numbers), prints them so the run log
-doubles as the reproduction record, and times a representative kernel with
+(via real small-scale execution of ``repro`` where possible, and for
+machine-scale numbers the calibrated cost model in
+:mod:`benchmarks.paper_model`), prints them so the run log doubles as the
+reproduction record, and times a representative kernel with
 ``pytest-benchmark``.  They reproduce the paper; they are not the
 repository's performance record, which is the end-to-end ledger
 (``python3 -m benchmarks.e2e``, declared in ``BENCHMARK.json``).

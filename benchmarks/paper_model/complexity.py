@@ -23,20 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sht.grid import bandlimit_to_resolution, resolution_to_bandlimit
-
-__all__ = [
-    "EmulatorDesignPoint",
-    "EXISTING_EMULATORS",
-    "THIS_WORK",
-    "axisymmetric_cost",
-    "anisotropic_cost",
-    "design_cost",
-    "resolution_factor",
-    "cost_landscape",
-]
+from repro.sht.grid import resolution_to_bandlimit
 
 KM_PER_DEGREE = 111.19
+
+#: Record length, in years, a design's cost is priced for.
+_RECORD_YEARS = 35.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +39,6 @@ class EmulatorDesignPoint:
     spatial_resolution_km: float
     temporal_points_per_year: float
     axisymmetric: bool
-    reference: str = ""
 
     @property
     def spatial_resolution_deg(self) -> float:
@@ -59,29 +50,27 @@ class EmulatorDesignPoint:
         """Spherical-harmonic band-limit matching the spatial resolution."""
         return resolution_to_bandlimit(self.spatial_resolution_deg)
 
-    def cost(self, n_years: float = 35.0) -> float:
-        """Design cost in floating-point operations for an ``n_years`` record."""
-        t = self.temporal_points_per_year * n_years
+    def cost(self) -> float:
+        """Design cost in floating-point operations for a 35-year record."""
+        t = self.temporal_points_per_year * _RECORD_YEARS
         return design_cost(self.bandlimit, t, axisymmetric=self.axisymmetric)
 
 
 #: Emulators reviewed in Fig. 1 (resolutions/temporal scales as reported in
-#: the paper's Section II-A review; references are the paper's citation
+#: the paper's Section II-A review; the comments are the paper's citation
 #: numbers).
 EXISTING_EMULATORS: tuple[EmulatorDesignPoint, ...] = (
-    EmulatorDesignPoint("Castruccio & Stein 2013", 500.0, 1.0, True, "[16]"),
-    EmulatorDesignPoint("Castruccio et al. 2014", 250.0, 1.0, False, "[17]"),
-    EmulatorDesignPoint("Holden et al. 2015", 500.0, 1.0, False, "[18]"),
-    EmulatorDesignPoint("Link et al. 2019 (fldgen)", 250.0, 1.0, False, "[19]"),
-    EmulatorDesignPoint("Jeong et al. 2019", 200.0, 12.0, True, "[21]"),
-    EmulatorDesignPoint("Huang et al. 2023", 100.0, 12.0, True, "[22]"),
-    EmulatorDesignPoint("Song et al. 2024", 100.0, 365.0, True, "[23]"),
+    EmulatorDesignPoint("Castruccio & Stein 2013", 500.0, 1.0, True),  # [16]
+    EmulatorDesignPoint("Castruccio et al. 2014", 250.0, 1.0, False),  # [17]
+    EmulatorDesignPoint("Holden et al. 2015", 500.0, 1.0, False),  # [18]
+    EmulatorDesignPoint("Link et al. 2019 (fldgen)", 250.0, 1.0, False),  # [19]
+    EmulatorDesignPoint("Jeong et al. 2019", 200.0, 12.0, True),  # [21]
+    EmulatorDesignPoint("Huang et al. 2023", 100.0, 12.0, True),  # [22]
+    EmulatorDesignPoint("Song et al. 2024", 100.0, 365.0, True),  # [23]
 )
 
 #: The proposed emulator: 3.5 km, hourly, longitudinally anisotropic.
-THIS_WORK = EmulatorDesignPoint(
-    "This work (exascale emulator)", 3.5, 8760.0, False, "SC24"
-)
+THIS_WORK = EmulatorDesignPoint("This work (exascale emulator)", 3.5, 8760.0, False)
 
 
 def axisymmetric_cost(lmax: int, n_time: float) -> float:
@@ -105,19 +94,15 @@ def design_cost(lmax: int, n_time: float, axisymmetric: bool) -> float:
     )
 
 
-def resolution_factor(
-    new: EmulatorDesignPoint = THIS_WORK,
-    baseline_spatial_km: float = 100.0,
-    baseline_temporal_per_year: float = 1.0,
-) -> dict:
+def resolution_factor() -> dict:
     """Spatio-temporal resolution improvement factors (the 245,280 figure).
 
-    The paper compares 3.5 km hourly against the best published 100 km
-    daily/annual emulators: 28x spatially and 8,760x temporally (hourly
-    versus annual).
+    The paper compares :data:`THIS_WORK`'s 3.5 km hourly against the best
+    published 100 km daily/annual emulators: 28x spatially and 8,760x
+    temporally (hourly versus annual).
     """
-    spatial = baseline_spatial_km / new.spatial_resolution_km
-    temporal = new.temporal_points_per_year / baseline_temporal_per_year
+    spatial = 100.0 / THIS_WORK.spatial_resolution_km
+    temporal = THIS_WORK.temporal_points_per_year
     return {
         "spatial_factor": spatial,
         "temporal_factor": temporal,
@@ -147,8 +132,3 @@ def cost_landscape(
         "anisotropic_flops": np.array([anisotropic_cost(l, t) for l in bandlimits]),
         "n_time": t,
     }
-
-
-def bandlimit_resolution_km(lmax: int) -> float:
-    """Approximate spatial resolution in km for a band-limit."""
-    return bandlimit_to_resolution(lmax) * KM_PER_DEGREE

@@ -35,20 +35,28 @@ series are plain estimate lists normalised by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
+from benchmarks.paper_model.machines import MachineSpec
 from repro.linalg.flops import cholesky_flops
-from repro.linalg.policies import ConversionSide, variant_policy
+from repro.linalg.policies import ConversionSide
 from repro.linalg.precision import Precision
-from repro.systems.machine import CollectivePriority, MachineSpec
 
-__all__ = [
-    "CholeskyPerformanceModel",
-    "CostEstimate",
-    "band_flop_fraction",
-    "scaling_efficiencies",
-]
+
+class CollectivePriority(str, Enum):
+    """Collective-communication scheduling policy (Section III-C).
+
+    PaRSEC originally maximised aggregate bandwidth by letting many
+    collectives progress concurrently, which at scale produced
+    starvation; the fix prioritised the latency of individual
+    collectives.  ``BANDWIDTH`` models the original mode (start-up
+    latency inflated by contention), ``LATENCY`` the improved one.
+    """
+
+    BANDWIDTH = "bandwidth"
+    LATENCY = "latency"
 
 
 @dataclass(frozen=True)
@@ -92,19 +100,17 @@ class CostEstimate:
         return self.flops_per_s / 1.0e12 / self.workers if self.workers else 0.0
 
 
-def scaling_efficiencies(
-    estimates: "list[CostEstimate]", baseline_index: int = 0
-) -> "list[float]":
-    """Per-worker efficiency of a scaling series relative to a baseline.
+def scaling_efficiencies(estimates: "list[CostEstimate]") -> "list[float]":
+    """Per-worker efficiency of a scaling series relative to its first point.
 
     The standard weak/strong-scaling normalisation: each point's
-    TFlop/s-per-worker divided by the baseline point's.  1.0 everywhere
+    TFlop/s-per-worker divided by the first point's.  1.0 everywhere
     means perfect scaling.
     """
     per_worker = [e.tflops_per_worker for e in estimates]
     if not per_worker:
         return []
-    base = per_worker[baseline_index]
+    base = per_worker[0]
     return [p / base if base else 0.0 for p in per_worker]
 
 
@@ -127,15 +133,6 @@ def band_flop_fraction(n_tiles: int, band_tiles: float) -> float:
     return float(inner[:w].sum() / total)
 
 
-#: Fraction of peak a tuned tile kernel achieves at each precision.  Half-
-#: precision tensor-core kernels have a far higher peak but need very large
-#: tiles to approach it, hence the lower efficiency.
-DEFAULT_KERNEL_EFFICIENCY: dict[Precision, float] = {
-    Precision.DOUBLE: 0.80,
-    Precision.SINGLE: 0.80,
-    Precision.HALF: 0.30,
-}
-
 #: Per-GPU-family calibration of the reduced-precision kernel efficiencies.
 #: The values are chosen so the DP/HP per-GPU rates of Table I are matched
 #: (V100 ~25, A100 ~57, GH200 ~94, MI250X ~55 TFlop/s per GPU): newer, wider
@@ -146,7 +143,6 @@ GPU_FAMILY_EFFICIENCY: dict[str, dict[Precision, float]] = {
     "V100": {Precision.DOUBLE: 0.80, Precision.SINGLE: 0.80, Precision.HALF: 0.30},
     "A100": {Precision.DOUBLE: 0.80, Precision.SINGLE: 0.35, Precision.HALF: 0.22},
     "GH200": {Precision.DOUBLE: 0.80, Precision.SINGLE: 0.16, Precision.HALF: 0.105},
-    "H100": {Precision.DOUBLE: 0.80, Precision.SINGLE: 0.16, Precision.HALF: 0.105},
     "MI250X": {Precision.DOUBLE: 0.80, Precision.SINGLE: 0.55, Precision.HALF: 0.16},
 }
 
@@ -156,7 +152,27 @@ def _family_efficiency(gpu_name: str) -> dict[Precision, float]:
     for family, table in GPU_FAMILY_EFFICIENCY.items():
         if family.lower() in gpu_name.lower():
             return dict(table)
-    return dict(DEFAULT_KERNEL_EFFICIENCY)
+    raise KeyError(f"no kernel-efficiency calibration for {gpu_name!r}")
+
+
+#: Tile edge length ``nb`` of the modelled runs (the paper uses O(1000)-sized
+#: tiles).
+_TILE_SIZE = 2048
+
+#: Dimensionless calibration constants of the communication volume and of
+#: the number of panel-broadcast start-ups per tile column.
+_COMM_VOLUME_FACTOR = 0.7
+_LATENCY_MESSAGES_FACTOR = 3.0
+
+#: GPU count at which bisection contention doubles the per-GPU
+#: communication time.
+_BISECTION_CONTENTION_GPUS = 20_000.0
+
+#: Share of the allocation's GPU memory the matrix may fill (the rest holds
+#: runtime buffers and workspace), and the stored bytes per element of the
+#: lower triangle (most tiles at reduced precision under DP/HP).
+_MEMORY_FILL_FRACTION = 0.8
+_MEMORY_BYTES_PER_ELEMENT = 2.5
 
 
 class CholeskyPerformanceModel:
@@ -166,49 +182,34 @@ class CholeskyPerformanceModel:
     ----------
     machine:
         Target system.
-    tile_size:
-        Tile edge length ``nb`` (the paper uses O(1000)-sized tiles).
-    kernel_efficiency:
-        Per-precision fraction-of-peak factors; defaults to
-        :data:`DEFAULT_KERNEL_EFFICIENCY`.
     conversion:
         Sender- or receiver-side precision conversion (affects wire bytes).
     collective_priority:
         Latency-first (the paper's improved mode) or bandwidth-first
         collective handling (affects the latency term).
-    comm_volume_factor / latency_messages_factor:
-        Dimensionless calibration constants of the communication terms.
     """
 
     def __init__(
         self,
         machine: MachineSpec,
-        tile_size: int = 2048,
-        kernel_efficiency: dict[Precision, float] | None = None,
         conversion: ConversionSide | str = ConversionSide.SENDER,
         collective_priority: CollectivePriority | str = CollectivePriority.LATENCY,
-        comm_volume_factor: float = 0.7,
-        latency_messages_factor: float = 3.0,
-        bisection_contention_gpus: float = 20_000.0,
     ) -> None:
         self.machine = machine
-        self.tile_size = int(tile_size)
         self.kernel_efficiency = _family_efficiency(machine.node.gpu.name)
-        if kernel_efficiency:
-            self.kernel_efficiency.update(kernel_efficiency)
         self.conversion = ConversionSide(conversion)
         self.collective_priority = CollectivePriority(collective_priority)
-        self.comm_volume_factor = comm_volume_factor
-        self.latency_messages_factor = latency_messages_factor
-        self.bisection_contention_gpus = bisection_contention_gpus
 
     # ------------------------------------------------------------------ #
     # Precision bookkeeping
     # ------------------------------------------------------------------ #
     def flop_fractions(self, matrix_size: int, variant: str) -> dict[Precision, float]:
-        """Fraction of factorisation flops executed at each precision."""
-        n_tiles = max(int(np.ceil(matrix_size / self.tile_size)), 1)
-        policy = variant_policy(variant)
+        """Fraction of factorisation flops executed at each precision.
+
+        Only the paper's four variants (DP, DP/SP, DP/SP/HP, DP/HP) are
+        priced; any other name raises :class:`ValueError`.
+        """
+        n_tiles = max(int(np.ceil(matrix_size / _TILE_SIZE)), 1)
         key = variant.strip().upper().replace(" ", "")
         if key == "DP":
             return {Precision.DOUBLE: 1.0}
@@ -224,19 +225,9 @@ class CholeskyPerformanceModel:
                 Precision.SINGLE: max(sp_frac, 0.0),
                 Precision.HALF: max(1.0 - dp_frac - sp_frac, 0.0),
             }
-        # Custom policies: fall back to tile fractions of the policy.
-        fractions = policy.fractions(n_tiles)
-        return {p: f for p, f in fractions.items() if f > 0}
-
-    def wire_bytes_per_element(self, matrix_size: int, variant: str) -> float:
-        """Average bytes per communicated element under the conversion mode."""
-        fractions = self.flop_fractions(matrix_size, variant)
-        if self.conversion is ConversionSide.RECEIVER:
-            # Panels are produced in (mostly) double precision and shipped
-            # unconverted.
-            return float(Precision.DOUBLE.bytes_per_element)
-        return float(
-            sum(p.bytes_per_element * f for p, f in fractions.items())
+        raise ValueError(
+            f"no flop split for precision variant {variant!r}; "
+            "the model prices DP, DP/SP, DP/SP/HP and DP/HP"
         )
 
     # ------------------------------------------------------------------ #
@@ -265,7 +256,15 @@ class CholeskyPerformanceModel:
             rate = gpu.rate(precision.value) * 1.0e9 * self.kernel_efficiency[precision]
             compute += total_flops * fraction / (rate * gpus)
 
-        bytes_per_element = self.wire_bytes_per_element(matrix_size, variant)
+        # Bytes per communicated element: panels travel at their stored
+        # precision after a sender-side conversion, and (mostly) in double
+        # precision, unconverted, under the receiver-side one.
+        if self.conversion is ConversionSide.RECEIVER:
+            bytes_per_element = float(Precision.DOUBLE.bytes_per_element)
+        else:
+            bytes_per_element = float(
+                sum(p.bytes_per_element * f for p, f in fractions.items())
+            )
         injection_per_gpu = (
             allocation.node.injection_bandwidth_gbs
             * 1.0e9
@@ -274,18 +273,18 @@ class CholeskyPerformanceModel:
         # At very large GPU counts the global traffic of the panel
         # broadcasts starts contending for bisection bandwidth; the achieved
         # per-GPU bandwidth degrades accordingly.
-        contention = 1.0 + gpus / self.bisection_contention_gpus
+        contention = 1.0 + gpus / _BISECTION_CONTENTION_GPUS
         comm_volume_per_gpu = (
-            self.comm_volume_factor * n * n * bytes_per_element / np.sqrt(gpus)
+            _COMM_VOLUME_FACTOR * n * n * bytes_per_element / np.sqrt(gpus)
         )
         comm = comm_volume_per_gpu * contention / injection_per_gpu
 
-        n_tiles = max(int(np.ceil(matrix_size / self.tile_size)), 1)
+        n_tiles = max(int(np.ceil(matrix_size / _TILE_SIZE)), 1)
         alpha = allocation.network_latency_us * 1.0e-6
         if self.collective_priority is CollectivePriority.BANDWIDTH:
             alpha *= 4.0
         latency = (
-            self.latency_messages_factor * n_tiles * np.log2(max(gpus, 2)) * alpha
+            _LATENCY_MESSAGES_FACTOR * n_tiles * np.log2(max(gpus, 2)) * alpha
         )
 
         return CostEstimate(
@@ -297,55 +296,35 @@ class CholeskyPerformanceModel:
             flops=total_flops,
         )
 
-    def fraction_of_dp_peak(self, estimate: CostEstimate) -> float:
-        """An estimate's achieved rate as a fraction of its allocation's DP peak.
-
-        The allocation is recovered from the estimate's worker (GPU)
-        count; GPU counts produced by :meth:`estimate` are always whole
-        node multiples.
-        """
-        nodes = max(
-            int(np.ceil(estimate.workers / self.machine.node.gpus_per_node)), 1
-        )
-        peak = self.machine.subset(nodes).theoretical_peak_pflops("fp64")
-        return estimate.pflops / peak if peak > 0 else 0.0
-
     # ------------------------------------------------------------------ #
     # Derived studies
     # ------------------------------------------------------------------ #
-    def memory_bound_matrix_size(
-        self,
-        nodes: int,
-        fill_fraction: float = 0.8,
-        bytes_per_element: float = 2.5,
-    ) -> int:
+    def memory_bound_matrix_size(self, nodes: int) -> int:
         """Largest matrix order fitting the allocation's GPU memory.
 
         The paper sizes its largest runs by maxing out device memory
         including runtime buffers.  Only the lower triangle is stored and
         most tiles sit at reduced precision under the DP/HP policy, hence
-        the default of ~2.5 bytes per element of the triangle;
-        ``fill_fraction`` accounts for runtime buffers and workspace.
+        ~2.5 bytes per element of the triangle; 80 % of the memory is
+        left to the matrix, the rest to runtime buffers and workspace.
         """
         allocation = self.machine.subset(nodes)
-        usable = allocation.total_gpu_memory_gb() * 1.0e9 * fill_fraction
+        usable = allocation.total_gpu_memory_gb() * 1.0e9 * _MEMORY_FILL_FRACTION
         # reprolint: allow[index-recovery] analytic sizing heuristic on floats, not an exact index/band-limit recovery
-        return int(np.sqrt(2.0 * usable / bytes_per_element))
+        return int(np.sqrt(2.0 * usable / _MEMORY_BYTES_PER_ELEMENT))
 
     def weak_scaling(
         self,
         gpu_counts: list[int],
         variant: str = "DP/HP",
-        elements_per_gpu: float | None = None,
     ) -> list[CostEstimate]:
-        """Constant-memory-per-GPU scaling series (paper Fig. 7 left).
+        """Constant-memory-per-GPU scaling series (paper Fig. 7 left): half of
+        each GPU's memory in double-precision elements.
 
         One estimate per GPU count; normalise with
         :func:`scaling_efficiencies`.
         """
-        if elements_per_gpu is None:
-            per_gpu_bytes = self.machine.node.gpu.memory_gb * 1.0e9 * 0.5
-            elements_per_gpu = per_gpu_bytes / 8.0
+        elements_per_gpu = self.machine.node.gpu.memory_gb * 1.0e9 * 0.5 / 8.0
         estimates = []
         for g in gpu_counts:
             nodes = max(1, int(np.ceil(g / self.machine.node.gpus_per_node)))

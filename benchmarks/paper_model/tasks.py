@@ -3,7 +3,7 @@
 In the paper (Section III-A.3) the mixed-precision tile Cholesky runs as a
 DAG of POTRF / TRSM / SYRK / GEMM tile tasks.  Here one blocked loop
 computes the factor (:mod:`repro.linalg.cholesky`), and this module keeps
-the task view of the same factorisation for the performance figures:
+the task view of the same factorisation for the paper's figures:
 :func:`generate_cholesky_tasks` lists the tasks in program order with
 their flop counts, compute precisions and precision-conversion counts, and
 :func:`build_task_graph` derives their dependencies.
@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.linalg.cholesky import _tile_rows
 from repro.linalg.flops import gemm_flops, potrf_flops, syrk_flops, trsm_flops
 from repro.linalg.policies import ConversionSide, PrecisionPolicy, variant_policy
 from repro.linalg.precision import Precision
-
-__all__ = ["Task", "TaskGraph", "build_task_graph", "generate_cholesky_tasks"]
 
 # A tile reference is any hashable key; the Cholesky tasks use (i, j).
 TileRef = tuple
@@ -178,8 +175,8 @@ def generate_cholesky_tasks(
     side = ConversionSide(conversion)
     policy = variant if isinstance(variant, PrecisionPolicy) else variant_policy(variant)
     nb = tile_size
-    rows = _tile_rows(n, nb).tolist()
-    nt = len(rows)
+    nt = -(-n // nb)
+    rows = [min(nb, n - k * nb) for k in range(nt)]
     precision = policy.precision_map(nt)
     tasks: list[Task] = []
 

@@ -5,14 +5,15 @@ Reproduces the shape of the paper's machine-scale results with the
 calibrated analytic performance model: Table I (1,024 nodes of each system),
 the largest runs of Fig. 8, and the Summit weak/strong scaling of Fig. 7.
 
-Run with:  python examples/exascale_projection.py
+Run from the repository root with:
+    PYTHONPATH=src:. python examples/exascale_projection.py
 """
 
 from __future__ import annotations
 
+from benchmarks.paper_model.machines import PAPER_NODE_COUNTS, SYSTEMS
+from benchmarks.paper_model.perf_model import CholeskyPerformanceModel, scaling_efficiencies
 from repro.linalg.policies import VARIANTS
-from repro.systems import SYSTEMS, CholeskyPerformanceModel, scaling_efficiencies
-from repro.systems.catalog import PAPER_NODE_COUNTS
 
 
 def table1() -> None:

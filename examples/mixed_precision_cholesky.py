@@ -6,7 +6,8 @@ four precision variants (DP, DP/SP, DP/SP/HP, DP/HP), their factor accuracy,
 their storage footprint, the sender- versus receiver-side conversion counts,
 and a projected time-to-solution on Summit using the performance model.
 
-Run with:  python examples/mixed_precision_cholesky.py
+Run from the repository root with:
+    PYTHONPATH=src:. python examples/mixed_precision_cholesky.py
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ import time
 
 import numpy as np
 
+from benchmarks.paper_model.machines import SUMMIT
+from benchmarks.paper_model.perf_model import CholeskyPerformanceModel
+from benchmarks.paper_model.tasks import generate_cholesky_tasks
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
-from repro.linalg import MixedPrecisionCholesky, generate_cholesky_tasks
+from repro.linalg import MixedPrecisionCholesky
 from repro.linalg.policies import VARIANTS
 from repro.storage import format_bytes
-from repro.systems import SUMMIT, CholeskyPerformanceModel
 
 
 def fitted_covariance(lmax: int = 14) -> np.ndarray:

@@ -6,18 +6,15 @@ figures, the size of hourly/kilometre-scale archives, the footprint of the
 emulator parameters that can regenerate statistically consistent members on
 demand, and the dollar savings at NCAR's $45/TB/year storage cost.
 
-Run with:  python examples/storage_savings.py
+Run from the repository root with:
+    PYTHONPATH=src:. python examples/storage_savings.py
 """
 
 from __future__ import annotations
 
+from benchmarks.paper_model.archive import CMIP6_ARCHIVE, StorageScenario, savings_report
 from repro.sht.grid import Grid
-from repro.storage import (
-    CMIP6_ARCHIVE,
-    StorageScenario,
-    format_bytes,
-    savings_report,
-)
+from repro.storage import format_bytes
 
 
 def main() -> None:

@@ -1,8 +1,11 @@
 """repro — reproduction of the SC 2024 exascale climate emulator.
 
-This package reimplements, in pure Python/NumPy, the system described in
+This package reimplements, in pure Python/NumPy, the emulator described in
 "Boosting Earth System Model Outputs And Saving PetaBytes in Their Storage
-Using Exascale Climate Emulators" (Abdulah et al., SC 2024):
+Using Exascale Climate Emulators" (Abdulah et al., SC 2024) as one
+pipeline: :func:`fit` → artifact → :func:`run_campaign` / :func:`serve` →
+chunk store.  ``import repro`` loads every module below except
+:mod:`repro.stats`, the diagnostics a caller imports on demand.
 
 * :mod:`repro.api` — the public API layer: the versioned
   :class:`EmulatorArtifact` persistence format, the backend registries
@@ -15,11 +18,9 @@ Using Exascale Climate Emulators" (Abdulah et al., SC 2024):
 * :mod:`repro.core` — the climate emulator itself: distributed-lag mean
   trend, spectral stochastic model with a diagonal VAR, innovation
   covariance and Cholesky factorisation, and emulation generation.
-* :mod:`repro.linalg` — tile-based mixed-precision dense linear algebra
-  (DP / DP-SP / DP-SP-HP / DP-HP Cholesky variants) and the task model
-  of the tile Cholesky (critical path, parallelism profile).
-* :mod:`repro.systems` — machine models of Frontier, Alps, Leonardo and
-  Summit plus the performance model used by the benchmark harness.
+* :mod:`repro.linalg` — tile-based mixed-precision dense linear algebra:
+  the DP / DP-SP / DP-SP-HP / DP-HP Cholesky variants whose factor is the
+  stored emulator.
 * :mod:`repro.tuning` — autotuning by measurement: the pilot behind
   ``run_campaign(..., tune="auto")`` (time the campaign's own first
   blocks, keep the fastest block size) and :func:`calibrate_machine`.
@@ -34,8 +35,9 @@ Using Exascale Climate Emulators" (Abdulah et al., SC 2024):
   a bytes-capped chunk cache, an optional persistent
   :class:`ChunkStore`, or coalesced batched synthesis
   (built via :func:`serve`).
-* :mod:`repro.storage` — storage accounting behind the "saving petabytes"
-  claims, plus the persistent quantizable :class:`ChunkStore` tier.
+* :mod:`repro.storage` — the chunk store and measured reports: the
+  persistent quantizable :class:`ChunkStore` tier and the measured
+  artifact / campaign / serving storage reports.
 * :mod:`repro.stats` — statistical-consistency diagnostics between
   simulations and emulations.
 * :mod:`repro.obs` — the unified telemetry layer: a thread-safe metrics
@@ -43,6 +45,10 @@ Using Exascale Climate Emulators" (Abdulah et al., SC 2024):
   (fit, both SHT directions, the plan cache, serving, chunk-store I/O
   and campaigns), exported as JSON-lines traces for
   ``tools/tracereport.py``.
+
+The paper's machine-scale cost model (Frontier, Alps, Leonardo, Summit)
+and its archive arithmetic are not part of the pipeline; the paper benches
+price them with ``benchmarks/paper_model/``.
 
 Quickstart
 ----------

@@ -23,21 +23,17 @@ Modules
 * :mod:`repro.core.emulator` — the end-to-end :class:`ClimateEmulator` API.
 * :mod:`repro.core.window` — windowed (lat/lon) extraction from emulated
   chunks, used by the serving layer.
-* :mod:`repro.core.complexity` — the emulator-design cost model behind
-  Fig. 1.
 """
 
 from repro.core.config import EmulatorConfig
 from repro.core.trend import MeanTrendModel
 from repro.core.scale import ScaleField
-from repro.core.var import DiagonalVAR
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.emulator import ClimateEmulator
 from repro.core.window import SpatialWindow
 
 __all__ = [
     "ClimateEmulator",
-    "DiagonalVAR",
     "EmulatorConfig",
     "MeanTrendModel",
     "ScaleField",

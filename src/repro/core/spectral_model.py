@@ -18,7 +18,7 @@ from scipy.linalg import LinAlgError
 
 from typing import Iterator
 
-from repro.core.var import DiagonalVAR
+from repro.core.var import _DiagonalVAR
 from repro.linalg.cholesky import CholeskyResult, MixedPrecisionCholesky
 from repro.linalg.flops import cholesky_flops
 from repro.obs import span
@@ -60,7 +60,7 @@ class SpectralStochasticModel:
     sht_method: str = "fast"
 
     plan: object = field(init=False, repr=False)
-    var: DiagonalVAR = field(init=False, repr=False)
+    var: _DiagonalVAR = field(init=False, repr=False)
     cholesky: CholeskyResult | None = field(init=False, default=None, repr=False)
     nugget_std: np.ndarray | None = field(init=False, default=None, repr=False)
     initial_state: np.ndarray | None = field(init=False, default=None, repr=False)
@@ -70,7 +70,7 @@ class SpectralStochasticModel:
         # every model in the process shares one set of Wigner/quadrature
         # tables instead of rebuilding O(L^3) values per instance.
         self.plan = get_plan(self.sht_method, lmax=self.lmax, grid=self.grid)
-        self.var = DiagonalVAR(order=self.var_order)
+        self.var = _DiagonalVAR(order=self.var_order)
 
     # ------------------------------------------------------------------ #
     # Forward modelling of the training residuals
@@ -304,7 +304,7 @@ class SpectralStochasticModel:
             covariance_jitter=float(state["covariance_jitter"]),
             sht_method=str(state.get("sht_method", "fast")),
         )
-        model.var = DiagonalVAR.from_state(state["var"])
+        model.var = _DiagonalVAR.from_state(state["var"])
         model.nugget_std = np.asarray(state["nugget_std"], dtype=np.float64)
         initial_state = state.get("initial_state")
         if initial_state is not None:

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DiagonalVAR"]
+__all__: list[str] = []
 
 
 @dataclass
-class DiagonalVAR:
+class _DiagonalVAR:
     """AR(P) model applied coefficient-wise to a multivariate series.
 
     Parameters
@@ -41,7 +41,7 @@ class DiagonalVAR:
     # ------------------------------------------------------------------ #
     # Fitting
     # ------------------------------------------------------------------ #
-    def fit(self, series: np.ndarray) -> "DiagonalVAR":
+    def fit(self, series: np.ndarray) -> "_DiagonalVAR":
         """Estimate the diagonal AR coefficients.
 
         Parameters
@@ -52,7 +52,7 @@ class DiagonalVAR:
 
         Returns
         -------
-        DiagonalVAR
+        _DiagonalVAR
             ``self`` with ``coefficients`` of shape ``(P, K)``; lag ``p``
             coefficient of component ``k`` is ``coefficients[p-1, k]``.
         """
@@ -211,7 +211,7 @@ class DiagonalVAR:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "DiagonalVAR":
+    def from_state(cls, state: dict) -> "_DiagonalVAR":
         """Rebuild a VAR from :meth:`state_dict` output."""
         var = cls(order=int(state["order"]), ridge=float(state["ridge"]))
         coefficients = state.get("coefficients")

@@ -17,12 +17,9 @@ machinery with NumPy and SciPy:
   left-looking blocked loop in place (real mixed-precision execution), a
   factor held as lower row panels per stored precision, its closed-form
   flop and conversion accounting, and the dense reference algorithm.
-* :mod:`repro.linalg.tasks` — the right-looking POTRF / TRSM / SYRK / GEMM
-  task list of the same factorisation and its dependency analysis
-  (critical path, width profile), which the performance figures price.
 """
 
-from repro.linalg.precision import Precision, PRECISIONS
+from repro.linalg.precision import Precision
 from repro.linalg.flops import (
     cholesky_flops,
     gemm_flops,
@@ -39,13 +36,11 @@ from repro.linalg.policies import (
     variant_policy,
 )
 from repro.linalg.cholesky import MixedPrecisionCholesky, dense_cholesky
-from repro.linalg.tasks import generate_cholesky_tasks
 
 __all__ = [
     "CHOLESKY_VARIANTS",
     "ConversionSide",
     "MixedPrecisionCholesky",
-    "PRECISIONS",
     "Precision",
     "VARIANTS",
     "adaptive_policy",
@@ -53,7 +48,6 @@ __all__ = [
     "cholesky_flops",
     "dense_cholesky",
     "gemm_flops",
-    "generate_cholesky_tasks",
     "potrf_flops",
     "syrk_flops",
     "trsm_flops",

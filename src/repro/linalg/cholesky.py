@@ -16,7 +16,7 @@ an artifact stores a double-precision panel as it is, which a load adopts,
 and a mixed panel's tiles at their stored precision.  The
 factorisation's flop and precision-conversion totals are the closed form
 (:func:`_accounting`) of the paper's right-looking task list,
-:func:`repro.linalg.tasks.generate_cholesky_tasks`.
+``generate_cholesky_tasks`` in ``benchmarks/paper_model/tasks.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.linalg.flops import (
     cholesky_tile_counts, gemm_flops, potrf_flops, syrk_flops, trsm_flops,
 )
 from repro.linalg.policies import ConversionSide, PrecisionPolicy, variant_policy
-from repro.linalg.precision import PRECISIONS, Precision
+from repro.linalg.precision import _PRECISIONS, Precision
 
 __all__ = [
     "dense_cholesky",
@@ -117,8 +117,8 @@ def _height(rows: slice) -> int:
 
 def _part_columns(grid: np.ndarray, first: int, last: int, n: int, nb: int) -> list:
     """``[(code, cols), ...]`` of the precisions in use in tile rows
-    ``first:last``, in :data:`PRECISIONS` order: from its first to its last tile."""
-    used = [np.nonzero((grid[first:last] == c).any(axis=0))[0] for c in range(len(PRECISIONS))]
+    ``first:last``, in :data:`_PRECISIONS` order: from its first to its last tile."""
+    used = [np.nonzero((grid[first:last] == c).any(axis=0))[0] for c in range(len(_PRECISIONS))]
     return [
         (code, slice(int(cols[0]) * nb, min(int(cols[-1] + 1) * nb, n)))
         for code, cols in enumerate(used) if cols.size
@@ -128,7 +128,7 @@ def _part_columns(grid: np.ndarray, first: int, last: int, n: int, nb: int) -> l
 def _all_double(grid: np.ndarray, first: int, last: int) -> bool:
     """Whether every lower tile of tile rows ``first:last`` is double precision."""
     codes = grid[first:last]
-    return bool(np.all(codes[codes >= 0] == PRECISIONS.index(Precision.DOUBLE)))
+    return bool(np.all(codes[codes >= 0] == _PRECISIONS.index(Precision.DOUBLE)))
 
 
 def _tiles_of(grid: np.ndarray, first: int, last: int, code: int) -> list:
@@ -146,7 +146,7 @@ def _parts(grid: np.ndarray, bound: tuple, n: int, nb: int, tile: _TileAccessor)
     first, last, rows = bound
     parts = []
     for code, cols in _part_columns(grid, first, last, n, nb):
-        held = np.float32 if PRECISIONS[code] is Precision.HALF else PRECISIONS[code].dtype
+        held = np.float32 if _PRECISIONS[code] is Precision.HALF else _PRECISIONS[code].dtype
         part = np.zeros((_height(rows), cols.stop - cols.start), held)
         for i, j in _tiles_of(grid, first, last, code):
             values = tile(i, j)
@@ -224,17 +224,17 @@ def _factor_panels(work: list, tile_size: int, codes: np.ndarray, jitter: float)
                 continue
         else:
             raise LinAlgError(f"diagonal tile {b} is not positive definite even with a 1e-2 ridge")
-        tile_row[:, c0:c1] = l.astype(PRECISIONS[grid[b, b]].dtype)
+        tile_row[:, c0:c1] = l.astype(_PRECISIONS[grid[b, b]].dtype)
         for rows_q, wt in below:
             r = slice(max(c1, rows_q.start) - rows_q.start, rows_q.stop - rows_q.start)
             if r.start < r.stop:
                 # panel_q[r, c0:c1] = panel_q[r, c0:c1] @ inv(l).T
                 wt[c0:c1, r] = solve_triangular(tile_row[:, c0:c1], wt[c0:c1, r], lower=True)
         for (q, code), run in groupby(range(b + 1, len(grid)), lambda i: (owner[i], grid[i, b])):
-            if PRECISIONS[code] is not Precision.DOUBLE:
+            if _PRECISIONS[code] is not Precision.DOUBLE:
                 run, (rows_q, panel_q) = list(run), work[q]
                 block = panel_q[run[0] * nb - rows_q.start:(run[-1] + 1) * nb - rows_q.start]
-                block[:, c0:c1] = block[:, c0:c1].astype(PRECISIONS[code].dtype)
+                block[:, c0:c1] = block[:, c0:c1].astype(_PRECISIONS[code].dtype)
         if c1 == rows.stop:  # the panel is final
             factor.append((rows, _split(grid, bounds[p], n, nb, panel)))
             work[p] = None
@@ -244,9 +244,10 @@ def _factor_panels(work: list, tile_size: int, codes: np.ndarray, jitter: float)
 def _accounting(
     codes: np.ndarray, n: int, tile_size: int, side: ConversionSide
 ) -> tuple[dict[str, float], int, int]:
-    """``(flops_by_precision, conversions, n_tasks)``: the totals of
-    :func:`~repro.linalg.tasks.generate_cholesky_tasks`, in closed form from
-    the precision codes.
+    """``(flops_by_precision, conversions, n_tasks)``: the totals of the
+    paper's task list (``generate_cholesky_tasks`` in
+    ``benchmarks/paper_model/tasks.py``), in closed form from the precision
+    codes; ``tests/paper_model/test_tasks.py`` pins the two equal.
 
     Tile ``(i, i)`` takes POTRF(i) and ``i`` SYRKs, tile ``(i, j)`` TRSM(i, j)
     and ``j`` GEMMs.  POTRF(k) broadcasts to column ``k`` below the diagonal;
@@ -255,7 +256,7 @@ def _accounting(
     """
     nb, grid = tile_size, _code_grid(codes)
     nt = len(grid)
-    onehot = grid == np.arange(len(PRECISIONS))[:, None, None]  # [c, i, j]
+    onehot = grid == np.arange(len(_PRECISIONS))[:, None, None]  # [c, i, j]
     rows = _tile_rows(n, nb) / nb
     i, j = np.tril_indices(nt, -1)
     flops = np.zeros((nt, nt))
@@ -270,14 +271,14 @@ def _accounting(
     right = np.cumsum(onehot[:, :, ::-1], axis=2)[:, :, ::-1] - onehot
 
     def converted(counts: np.ndarray, source: np.ndarray) -> int:
-        other = np.arange(len(PRECISIONS))[:, None] != source
+        other = np.arange(len(_PRECISIONS))[:, None] != source
         per_target = counts if side is ConversionSide.RECEIVER else counts > 0
         return int((per_target * other).sum())
 
     conversions = converted(below, np.diag(grid)) + converted(
         right[:, i, j] + below[:, i], grid[i, j]
     )
-    flops_by_precision = {p.value: float(f) for p, f in zip(PRECISIONS, by_precision) if f}
+    flops_by_precision = {p.value: float(f) for p, f in zip(_PRECISIONS, by_precision) if f}
     return flops_by_precision, conversions, sum(cholesky_tile_counts(nt).values())
 
 
@@ -289,7 +290,7 @@ class CholeskyResult:
     """Outcome of a mixed-precision factorisation: the factor *is* its panels.
 
     ``tile_precision`` gives every lower tile's index into
-    :data:`PRECISIONS`, row-major (``(0, 0), (1, 0), (1, 1), ...``).
+    :data:`_PRECISIONS`, row-major (``(0, 0), (1, 0), (1, 1), ...``).
     ``panels`` holds the factor's values as ``[(rows, [(cols, panel), ...]),
     ...]``: per group of tile rows (:func:`_panel_bounds`) and precision in
     use, one C-ordered array from the first to the last tile column of that
@@ -311,7 +312,7 @@ class CholeskyResult:
     @property
     def storage_bytes(self) -> int:
         """Bytes of the lower-triangle tiles at their stored precision."""
-        width = np.array([p.bytes_per_element for p in PRECISIONS])
+        width = np.array([p.bytes_per_element for p in _PRECISIONS])
         return int((_tile_sizes(self.n, self.tile_size) * width[self.tile_precision]).sum())
 
     @property
@@ -376,7 +377,7 @@ class CholeskyResult:
     def state_dict(self) -> dict:
         """Arrays and metadata from which :meth:`from_state` rebuilds the result.
 
-        Beside ``tile_precision``, each tile's index into :data:`PRECISIONS`,
+        Beside ``tile_precision``, each tile's index into :data:`_PRECISIONS`,
         the factor is stored per row panel.  A panel of double-precision tiles
         only is its own member ``panel_<p>_fp64``, a read-only view, not a
         copy.  A mixed panel stores per precision in use the tiles it holds
@@ -409,8 +410,8 @@ class CholeskyResult:
                     part[i * nb - rows.start:, j * nb - cols.start:][:heights[i], :heights[j]].ravel()
                     for i, j in _tiles_of(grid, first, last, code)
                 ]
-                state[f"panel_{p}_{PRECISIONS[code].value}"] = np.concatenate(
-                    tiles, dtype=PRECISIONS[code].dtype
+                state[f"panel_{p}_{_PRECISIONS[code].value}"] = np.concatenate(
+                    tiles, dtype=_PRECISIONS[code].dtype
                 )
         return state
 
@@ -429,7 +430,7 @@ class CholeskyResult:
             codes, tile = _member_tiles(state["tiles"], n, nb)
         else:
             codes, sizes = np.asarray(state["tile_precision"]), _tile_sizes(n, nb)
-            n_codes = len(PRECISIONS)
+            n_codes = len(_PRECISIONS)
             if codes.shape != sizes.shape or codes.dtype != np.uint8 or np.any(codes >= n_codes):
                 raise ValueError(
                     f"'tile_precision' must hold {sizes.size} uint8 codes below {n_codes} for "
@@ -475,7 +476,7 @@ def _stored_panels(state: dict, n: int, tile_size: int, codes: np.ndarray) -> li
         tiles = slice(first * (first + 1) // 2, last * (last + 1) // 2)
         tile = _packed_tiles(state, n, tile_size, codes, f"panel_{p}_{{}}", tiles)
         panels.append((rows, _parts(grid, (first, last, rows), n, tile_size, tile)))
-        expected.update(f"panel_{p}_{precision.value}" for precision in PRECISIONS)
+        expected.update(f"panel_{p}_{precision.value}" for precision in _PRECISIONS)
     stray = sorted(str(k) for k in state if str(k).startswith("panel_") and k not in expected)
     if stray:
         raise ValueError(f"{stray[0]!r} is not a panel 'tile_precision' describes for {layout}")
@@ -484,7 +485,7 @@ def _stored_panels(state: dict, n: int, tile_size: int, codes: np.ndarray) -> li
 
 def _member_tiles(members: dict, n: int, tile_size: int) -> tuple[np.ndarray, _TileAccessor]:
     """Schema-1 layout: one ``"<i>_<j>"`` array per tile, dtype = precision."""
-    code_of = {p.dtype: code for code, p in enumerate(PRECISIONS)}
+    code_of = {p.dtype: code for code, p in enumerate(_PRECISIONS)}
     codes = []
     for i, j in zip(*np.tril_indices(len(_tile_rows(n, tile_size)))):
         dtype = np.asarray(members[f"{i}_{j}"]).dtype
@@ -505,7 +506,7 @@ def _packed_tiles(
     heights = _tile_rows(n, tile_size).tolist()
     sizes = _tile_sizes(n, tile_size)
     buffers, starts = [], np.zeros_like(sizes)
-    for code, precision in enumerate(PRECISIONS):
+    for code, precision in enumerate(_PRECISIONS):
         member, mine = name.format(precision.value), np.zeros(len(codes), bool)
         mine[tiles] = codes[tiles] == code
         buffer = np.asarray(state.get(member, np.empty(0, precision.dtype)))
@@ -597,7 +598,7 @@ class MixedPrecisionCholesky:
         ``work`` as it finishes, split by precision unless all double."""
         n, nb = work[-1][0].stop, self.tile_size
         codes = np.array(
-            [PRECISIONS.index(p) for p in self.policy.precision_map(-(-n // nb)).values()],
+            [_PRECISIONS.index(p) for p in self.policy.precision_map(-(-n // nb)).values()],
             dtype=np.uint8,
         )
         flops_by_precision, conversions, n_tasks = _accounting(codes, n, nb, self.conversion)

@@ -84,16 +84,6 @@ class PrecisionPolicy:
             for j in range(i + 1)
         }
 
-    def fractions(self, n_tiles: int) -> dict[Precision, float]:
-        """Fraction of lower-triangular tiles at each precision."""
-        counts: dict[Precision, int] = {p: 0 for p in Precision}
-        total = 0
-        for i in range(n_tiles):
-            for j in range(i + 1):
-                counts[self.assign(i, j, n_tiles)] += 1
-                total += 1
-        return {p: c / total for p, c in counts.items() if total}
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 

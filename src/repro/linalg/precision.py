@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["Precision", "PRECISIONS", "parse_precision"]
+__all__ = ["Precision", "parse_precision"]
 
 
 class Precision(str, Enum):
@@ -72,7 +72,7 @@ class Precision(str, Enum):
 
 
 #: All precisions ordered from most to least accurate.
-PRECISIONS: tuple[Precision, ...] = (
+_PRECISIONS: tuple[Precision, ...] = (
     Precision.DOUBLE,
     Precision.SINGLE,
     Precision.HALF,

@@ -6,8 +6,7 @@ climate emulator (paper Section III-A.1/III-A.2):
 * :mod:`repro.sht.legendre` — normalised associated Legendre functions with
   stable three-term recursions (the ``Y_{l,m}(theta, 0)`` factors).
 * :mod:`repro.sht.wigner` — Wigner small-d matrices evaluated at ``pi/2``
-  (the ``Delta`` matrices), both an explicit reference implementation and a
-  vectorised degree recursion used in production.
+  (the ``Delta`` matrices) by a vectorised degree recursion.
 * :mod:`repro.sht.quadrature` — the exact integrals ``I(q)`` of Eq. (8) and
   colatitude quadrature weights derived from them.
 * :mod:`repro.sht.grid` — equiangular latitude/longitude grids (ERA5-like)
@@ -29,15 +28,7 @@ by ``idx = l*l + l + m`` for degree ``0 <= l < L`` and order ``-l <= m <= l``
 
 from repro.sht.grid import Grid
 from repro.sht.legendre import legendre_normalized, ylm_theta0
-from repro.sht.quadrature import exponential_sine_integral, integral_matrix
-from repro.sht.transform import (
-    SHTPlan,
-    coeff_index,
-    coeff_lm,
-    num_coeffs,
-    sht_forward,
-    sht_inverse,
-)
+from repro.sht.transform import SHTPlan, coeff_index
 from repro.sht.direct import direct_forward, direct_inverse
 from repro.sht.backends import SHT_BACKENDS, DirectSHTPlan
 from repro.sht.plancache import (
@@ -47,7 +38,7 @@ from repro.sht.plancache import (
     plan_cache_stats,
 )
 from repro.sht.spectrum import angular_power_spectrum, spectrum_from_grid
-from repro.sht.wigner import wigner_d_pi2, wigner_d_pi2_all, wigner_d_explicit
+from repro.sht.wigner import wigner_d_pi2, wigner_d_pi2_all
 
 __all__ = [
     "DirectSHTPlan",
@@ -57,20 +48,13 @@ __all__ = [
     "angular_power_spectrum",
     "clear_plan_cache",
     "coeff_index",
-    "coeff_lm",
     "direct_forward",
     "direct_inverse",
-    "exponential_sine_integral",
     "get_plan",
-    "integral_matrix",
     "legendre_normalized",
-    "num_coeffs",
     "plan_cache_key",
     "plan_cache_stats",
-    "sht_forward",
-    "sht_inverse",
     "spectrum_from_grid",
-    "wigner_d_explicit",
     "wigner_d_pi2",
     "wigner_d_pi2_all",
     "ylm_theta0",

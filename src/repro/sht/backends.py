@@ -31,7 +31,7 @@ import numpy as np
 from repro.sht.direct import direct_forward, direct_inverse
 from repro.sht.grid import Grid
 from repro.sht.realform import complex_from_real
-from repro.sht.transform import SHTPlan, num_coeffs
+from repro.sht.transform import SHTPlan, _num_coeffs
 from repro.util.registry import BackendRegistry
 
 __all__ = ["SHT_BACKENDS", "DirectSHTPlan"]
@@ -70,7 +70,7 @@ class DirectSHTPlan:
     @property
     def n_coeffs(self) -> int:
         """Length of the coefficient vector, ``L**2``."""
-        return num_coeffs(self.lmax)
+        return _num_coeffs(self.lmax)
 
     def forward(self, data: np.ndarray) -> np.ndarray:
         """Analysis: field(s) ``(..., ntheta, nphi)`` to coefficients."""

@@ -30,7 +30,7 @@ from repro.sht.quadrature import colatitude_weights
 from repro.sht.transform import (
     bandlimit_from_coeff_count,
     degrees_and_orders,
-    num_coeffs,
+    _num_coeffs,
 )
 
 __all__ = ["synthesis_matrix", "direct_forward", "direct_inverse"]
@@ -49,7 +49,7 @@ def synthesis_matrix(lmax: int, grid: Grid) -> np.ndarray:
     phase = np.exp(1j * ms[:, None] * phi[None, :])  # (L^2, nphi)
     # Y[(l,m), i, j] = ylm0[(l,m), i] * exp(i m phi_j)
     full = ylm0[:, :, None] * phase[:, None, :]
-    return full.reshape(num_coeffs(lmax), grid.npoints).T
+    return full.reshape(_num_coeffs(lmax), grid.npoints).T
 
 
 def direct_inverse(coeffs: np.ndarray, grid: Grid, real: bool = True) -> np.ndarray:
@@ -99,7 +99,7 @@ def direct_forward(
         mat = synthesis_matrix(lmax, grid)
         flat = data.reshape(-1, grid.npoints).astype(np.complex128)
         sol, *_ = np.linalg.lstsq(mat, flat.T, rcond=None)
-        return sol.T.reshape(data.shape[:-2] + (num_coeffs(lmax),))
+        return sol.T.reshape(data.shape[:-2] + (_num_coeffs(lmax),))
 
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
@@ -121,8 +121,8 @@ def direct_forward(
     # reflection-even and the even-parity weights apply for every order.
     w = colatitude_weights(grid.ntheta, parity=+1)
 
-    out = np.zeros(data.shape[:-2] + (num_coeffs(lmax),), dtype=np.complex128)
-    for idx in range(num_coeffs(lmax)):
+    out = np.zeros(data.shape[:-2] + (_num_coeffs(lmax),), dtype=np.complex128)
+    for idx in range(_num_coeffs(lmax)):
         m = ms[idx]
         g_m = g[..., lmax - 1 + m]  # (..., ntheta)
         integrand = g_m * ylm0[idx][..., :]

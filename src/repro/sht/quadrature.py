@@ -11,11 +11,11 @@ colatitude integral to the closed-form quantity
       \\dfrac{2}{1 - q^2} & q \\text{ even},
    \\end{cases}
 
-(Eq. 8).  This module evaluates :math:`I(q)`, assembles the matrix
-``I(m' + m'')`` needed by the contraction in Eq. (7), and derives exact
-colatitude quadrature weights on the equiangular grid and its periodic
-extension.  The weights are used by the slow reference transform in
-:mod:`repro.sht.direct` and by the quadrature tests.
+(Eq. 8).  This module evaluates :math:`I(q)`, the quantity contracted
+against ``K_{m, m'}`` in Eq. (7), and derives exact colatitude quadrature
+weights on the equiangular grid and its periodic extension.  The weights
+are used by the slow reference transform in :mod:`repro.sht.direct` and
+by the quadrature tests.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "exponential_sine_integral",
-    "integral_matrix",
     "extended_colatitude_weights",
     "colatitude_weights",
 ]
 
 
-def exponential_sine_integral(q: np.ndarray | int) -> np.ndarray:
+def _exponential_sine_integral(q: np.ndarray | int) -> np.ndarray:
     """Evaluate ``I(q) = integral_0^pi exp(i q theta) sin(theta) dtheta``.
 
     Accepts scalars or integer arrays and returns complex values following
@@ -46,19 +44,6 @@ def exponential_sine_integral(q: np.ndarray | int) -> np.ndarray:
     qe = q[even].astype(np.float64)
     out[even] = 2.0 / (1.0 - qe * qe)
     return out if out.shape else out[()]
-
-
-def integral_matrix(lmax: int) -> np.ndarray:
-    """Matrix ``I[m' + lmax - 1, m'' + lmax - 1] = I(m' + m'')``.
-
-    Both ``m'`` and ``m''`` range over ``-(lmax - 1) .. (lmax - 1)``, giving
-    a ``(2*lmax - 1, 2*lmax - 1)`` complex matrix.  This is the quantity
-    contracted against ``K_{m, m'}`` in Eq. (7).
-    """
-    if lmax < 1:
-        raise ValueError("lmax must be >= 1")
-    m = np.arange(-(lmax - 1), lmax)
-    return exponential_sine_integral(m[:, None] + m[None, :])
 
 
 def extended_colatitude_weights(ntheta: int) -> np.ndarray:
@@ -77,7 +62,7 @@ def extended_colatitude_weights(ntheta: int) -> np.ndarray:
         raise ValueError("ntheta must be >= 2")
     next_ = 2 * ntheta - 2
     q = np.rint(np.fft.fftfreq(next_, d=1.0 / next_)).astype(np.int64)
-    iq = exponential_sine_integral(q)
+    iq = _exponential_sine_integral(q)
     # w_i = (1/next) sum_q I(q) exp(-i q theta_i)  ==  fft(I)[i] / next
     w_ext = np.fft.fft(iq) / next_
     return np.real(w_ext)

@@ -62,17 +62,13 @@ from scipy import fft as _fft
 from repro.linalg.flops import sht_contraction_flops
 from repro.obs import span
 from repro.sht.grid import Grid, extended_colatitude_length
-from repro.sht.quadrature import exponential_sine_integral
+from repro.sht.quadrature import _exponential_sine_integral
 from repro.sht.wigner import wigner_d_pi2_all
 
 __all__ = [
     "bandlimit_from_coeff_count",
     "coeff_index",
-    "coeff_lm",
-    "num_coeffs",
     "SHTPlan",
-    "sht_forward",
-    "sht_inverse",
 ]
 
 #: Leading slices synthesised per FFT pass in :meth:`SHTPlan.inverse`.  The
@@ -94,7 +90,7 @@ _ANALYSIS_BLOCK = 32
 # --------------------------------------------------------------------------- #
 # Coefficient indexing
 # --------------------------------------------------------------------------- #
-def num_coeffs(lmax: int) -> int:
+def _num_coeffs(lmax: int) -> int:
     """Number of spherical-harmonic coefficients below band-limit ``lmax``.
 
     Degrees ``0 .. lmax - 1`` with orders ``-l .. l`` give ``lmax**2``
@@ -109,7 +105,7 @@ def num_coeffs(lmax: int) -> int:
 def bandlimit_from_coeff_count(n: int) -> int:
     """The band-limit ``L`` whose coefficient vector has length ``n``.
 
-    The exact inverse of :func:`num_coeffs`: ``n`` must be a perfect
+    The exact inverse of :func:`_num_coeffs`: ``n`` must be a perfect
     square ``L**2`` (a full ``(l, m)`` set), anything else raises
     ``ValueError``.  Recovery uses :func:`math.isqrt`, never a rounded
     float square root — ``round(sqrt(n))`` silently truncates or
@@ -134,22 +130,6 @@ def coeff_index(ell: int, m: int) -> int:
     return ell * ell + ell + m
 
 
-def coeff_lm(index: int) -> tuple[int, int]:
-    """Inverse of :func:`coeff_index`: returns ``(l, m)`` for a flat index.
-
-    Exact for every non-negative integer: the degree is recovered with
-    :func:`math.isqrt` rather than a float square root, whose rounding
-    near large perfect squares (e.g. ``index = (2**27)**2 - 1``) would
-    otherwise produce an invalid ``m < -l`` pair.
-    """
-    index = int(index)
-    if index < 0:
-        raise ValueError("index must be non-negative")
-    ell = math.isqrt(index)
-    m = index - ell * ell - ell
-    return ell, m
-
-
 def degrees_and_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays of degree and order for every flat coefficient index.
 
@@ -158,7 +138,7 @@ def degrees_and_orders(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     is involved.
     """
     ells = np.repeat(np.arange(lmax), 2 * np.arange(lmax) + 1)
-    idx = np.arange(num_coeffs(lmax))
+    idx = np.arange(_num_coeffs(lmax))
     ms = idx - ells * ells - ells
     return ells, ms
 
@@ -346,8 +326,8 @@ class SHTPlan:
             norm = np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi))
             table[:ell + 1, ell, :ell + 1] = (norm * quadrant[:, :1] * quadrant).T
         index = np.arange(lmax)
-        plus = exponential_sine_integral(index[:, None] + index[None, :]).real
-        minus = exponential_sine_integral(index[:, None] - index[None, :]).real
+        plus = _exponential_sine_integral(index[:, None] + index[None, :]).real
+        minus = _exponential_sine_integral(index[:, None] - index[None, :]).real
         weight = np.where(index == 0, 1.0, 2.0)[:, None] * (
             2.0 * np.pi / extended_colatitude_length(ntheta)
         )
@@ -379,7 +359,7 @@ class SHTPlan:
     @property
     def n_coeffs(self) -> int:
         """Length of the coefficient vector, ``L**2``."""
-        return num_coeffs(self.lmax)
+        return _num_coeffs(self.lmax)
 
     @property
     def _longitude_method(self) -> str:
@@ -748,26 +728,3 @@ class SHTPlan:
         out[..., pos - 2 * ms[pos]] = mirror
         scale = 1.0 if power is None else np.sqrt(np.maximum(power, 0.0))[ells]
         return out * scale
-
-
-# --------------------------------------------------------------------------- #
-# Convenience wrappers
-# --------------------------------------------------------------------------- #
-def sht_forward(data: np.ndarray, lmax: int, grid: Grid | None = None) -> np.ndarray:
-    """One-shot forward transform (builds a throw-away plan)."""
-    data = np.asarray(data)
-    if grid is None:
-        grid = Grid(ntheta=data.shape[-2], nphi=data.shape[-1])
-    return SHTPlan(lmax=lmax, grid=grid).forward(data)
-
-
-def sht_inverse(coeffs: np.ndarray, grid: Grid, real: bool = True) -> np.ndarray:
-    """One-shot inverse transform (builds a throw-away plan).
-
-    The trailing axis must hold a full coefficient set, i.e. its length
-    must be a perfect square ``L**2``; anything else raises
-    ``ValueError`` (see :func:`bandlimit_from_coeff_count`).
-    """
-    coeffs = np.asarray(coeffs)
-    lmax = bandlimit_from_coeff_count(coeffs.shape[-1])
-    return SHTPlan(lmax=lmax, grid=grid).inverse(coeffs, real=real)

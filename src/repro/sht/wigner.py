@@ -11,12 +11,9 @@ Fourier representation of the Wigner small-d function,
    \\qquad \\Delta^\\ell_{m',m} \\equiv d^\\ell_{m',m}(\\pi/2).
 
 Only the :math:`\\Delta` matrices are therefore needed, and only at the
-fixed argument :math:`\\pi/2`.  Three implementations are provided:
-
-``wigner_d_explicit``
-    The textbook Wigner sum formula with exact integer factorials.  It is
-    O(l) per element and numerically exact for small degrees; it is used as
-    the reference in the test-suite.
+fixed argument :math:`\\pi/2`.  Two implementations are provided (the
+textbook sum formula they are tested against lives with the tests, in
+``tests/sht/reference_transform.py``):
 
 ``wigner_d_pi2``
     The full ``(2l+1) x (2l+1)`` matrix for a single degree via the stable
@@ -31,56 +28,14 @@ fixed argument :math:`\\pi/2`.  Three implementations are provided:
 
 from __future__ import annotations
 
-from math import comb, factorial
-
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "wigner_d_explicit",
     "wigner_d_pi2",
     "wigner_d_pi2_all",
     "wigner_d_from_pi2",
 ]
-
-
-def wigner_d_explicit(ell: int, beta: float) -> np.ndarray:
-    """Wigner small-d matrix ``d^l_{m1,m2}(beta)`` by the explicit sum.
-
-    Returns an array of shape ``(2*ell + 1, 2*ell + 1)`` indexed by
-    ``[m1 + ell, m2 + ell]``.  Exact (up to floating point rounding of the
-    trigonometric factors) but O(l^3) per matrix with large intermediate
-    factorials, so intended for validation at small degree only.
-    """
-    if ell < 0:
-        raise ValueError("degree must be non-negative")
-    size = 2 * ell + 1
-    out = np.zeros((size, size), dtype=np.float64)
-    c = np.cos(beta / 2.0)
-    s = np.sin(beta / 2.0)
-    for m1 in range(-ell, ell + 1):
-        for m2 in range(-ell, ell + 1):
-            pref = np.sqrt(
-                float(factorial(ell + m1))
-                * float(factorial(ell - m1))
-                * float(factorial(ell + m2))
-                * float(factorial(ell - m2))
-            )
-            smin = max(0, m2 - m1)
-            smax = min(ell + m2, ell - m1)
-            total = 0.0
-            for k in range(smin, smax + 1):
-                denom = (
-                    float(factorial(ell + m2 - k))
-                    * float(factorial(k))
-                    * float(factorial(m1 - m2 + k))
-                    * float(factorial(ell - m1 - k))
-                )
-                power_c = 2 * ell + m2 - m1 - 2 * k
-                power_s = m1 - m2 + 2 * k
-                total += ((-1.0) ** (m1 - m2 + k)) * (c ** power_c) * (s ** power_s) / denom
-            out[m1 + ell, m2 + ell] = pref * total
-    return out
 
 
 def _seed_top_row(j: int) -> np.ndarray:

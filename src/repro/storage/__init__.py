@@ -1,40 +1,32 @@
-"""Storage accounting: the "saving petabytes" analysis.
+"""The chunk store and measured reports.
 
-The paper motivates the emulator by the storage cost of CMIP-class archives
-(CMIP6: ~28 PB across centres; NCAR's contribution alone: 2 PB at ~$45 per
-TB per year) and of kilometre-scale runs (SCREAM: ~4.5 TB per simulated
-day).  :mod:`repro.storage.accounting` reproduces that arithmetic: the raw
-size of a simulation archive at a given resolution/length/ensemble size,
-the footprint of the fitted emulator parameters that can regenerate
-statistically consistent members, and the resulting savings in bytes and
-dollars.
+* :mod:`repro.storage.chunkstore` — :class:`ChunkStore`, the persistent,
+  crash-safe and optionally quantized tier every campaign writes and every
+  service reads.
+* :mod:`repro.storage.accounting` — reports over the pipeline's own
+  objects: a fitted emulator's measured artifact bytes against its
+  training data, and the bytes a campaign or a service emits per artifact
+  byte.
+
+The paper's archive arithmetic (CMIP-class archive sizes, dollars per TB
+per year) is not part of the pipeline; the benches price it in
+``benchmarks/paper_model/archive.py``.
 """
 
 from repro.storage.accounting import (
-    CMIP6_ARCHIVE,
-    StorageScenario,
-    archive_bytes,
     campaign_storage_report,
     cross_tier_storage_report,
-    emulator_parameter_bytes,
     format_bytes,
     measured_artifact_report,
-    savings_report,
     serving_storage_report,
 )
-from repro.storage.chunkstore import CHUNK_ENCODINGS, ChunkStore
+from repro.storage.chunkstore import ChunkStore
 
 __all__ = [
-    "CHUNK_ENCODINGS",
-    "CMIP6_ARCHIVE",
     "ChunkStore",
-    "StorageScenario",
-    "archive_bytes",
     "campaign_storage_report",
     "cross_tier_storage_report",
-    "emulator_parameter_bytes",
     "format_bytes",
     "measured_artifact_report",
-    "savings_report",
     "serving_storage_report",
 ]

@@ -86,10 +86,10 @@ import numpy as np
 from repro.obs import counter_add, span
 from repro.util.numerics import NUMERICS_REVISION
 
-__all__ = ["ChunkStore", "CHUNK_ENCODINGS"]
+__all__ = ["ChunkStore"]
 
 #: Supported chunk encodings, lossless first.
-CHUNK_ENCODINGS = ("float64", "float32", "int16")
+_CHUNK_ENCODINGS = ("float64", "float32", "int16")
 
 _MANIFEST_SCHEMA = 1
 
@@ -189,7 +189,7 @@ def _encode(array: np.ndarray, encoding: str, *, validated: bool = False):
         err = float(np.max(np.abs(decoded - array))) if array.size else 0.0
         return encoded, scale, offset, err
     raise ValueError(
-        f"unknown chunk encoding {encoding!r}; expected one of {CHUNK_ENCODINGS}"
+        f"unknown chunk encoding {encoding!r}; expected one of {_CHUNK_ENCODINGS}"
     )
 
 
@@ -209,7 +209,7 @@ class ChunkStore:
         Directory of the store (created if missing).  Holds
         ``manifest.json`` plus shard files under ``chunks/``.
     encoding:
-        One of :data:`CHUNK_ENCODINGS`.  ``"float64"`` is lossless;
+        One of ``"float64"``, ``"float32"`` or ``"int16"``.  ``"float64"`` is lossless;
         ``"int16"`` is the opt-in quantized tier (4x smaller, measured
         ``max_abs_error`` recorded per chunk).  Reopening an existing
         store with a different encoding raises ``ValueError``.
@@ -241,9 +241,9 @@ class ChunkStore:
         lock_timeout: float = 10.0,
         stale_lock_seconds: float = 30.0,
     ):
-        if encoding not in CHUNK_ENCODINGS:
+        if encoding not in _CHUNK_ENCODINGS:
             raise ValueError(
-                f"unknown chunk encoding {encoding!r}; expected one of {CHUNK_ENCODINGS}"
+                f"unknown chunk encoding {encoding!r}; expected one of {_CHUNK_ENCODINGS}"
             )
         self.root = os.fspath(root)
         self.encoding = str(encoding)

@@ -23,7 +23,8 @@ from repro.api.artifact import (
 from repro.api.registry import UnknownBackendError
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
-from repro.linalg import PRECISIONS, Precision
+from repro.linalg import Precision
+from repro.linalg.precision import _PRECISIONS
 from repro.storage import measured_artifact_report
 from repro.util.numerics import NUMERICS_REVISION
 
@@ -78,7 +79,7 @@ class TestRoundTrip:
         b = loaded.emulate(1, rng=np.random.default_rng(5))
         assert np.array_equal(a.data, b.data)
         codes = loaded.spectral_model.cholesky.tile_precision
-        assert (codes == PRECISIONS.index(Precision.HALF)).any()  # reduced-precision tiles survived
+        assert (codes == _PRECISIONS.index(Precision.HALF)).any()  # reduced-precision tiles survived
 
     def test_streaming_from_loaded_emulator(self, fitted_emulator, tmp_path):
         path = tmp_path / "emulator.npz"

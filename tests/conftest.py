@@ -107,3 +107,23 @@ def fitted_emulator(small_ensemble):
     )
     emulator.fit(small_ensemble)
     return emulator
+
+
+@pytest.fixture(scope="session")
+def pipeline():
+    """A full fit/emulate cycle at lmax=10 with the DP/SP variant (shared,
+    read-only): ``(simulations, emulator, emulations)``."""
+    sims = Era5LikeGenerator(
+        Era5LikeConfig(lmax=10, n_years=4, steps_per_year=24, n_ensemble=2,
+                       forcing_growth=1.0),
+        seed=11,
+    ).generate()
+    emulator = ClimateEmulator(
+        EmulatorConfig(
+            lmax=10, n_harmonics=2, var_order=2, tile_size=25,
+            precision_variant="DP/SP", rho_grid=(0.3, 0.7),
+        )
+    )
+    emulator.fit(sims)
+    emulations = emulator.emulate(n_realizations=3, rng=5)
+    return sims, emulator, emulations

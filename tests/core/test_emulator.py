@@ -1,17 +1,9 @@
-"""Tests of the end-to-end emulator, the generator, config and complexity model."""
+"""Tests of the end-to-end emulator, the generator and config."""
 
 import numpy as np
 import pytest
 
 from repro.core import ClimateEmulator, EmulatorConfig
-from repro.core.complexity import (
-    EXISTING_EMULATORS,
-    THIS_WORK,
-    anisotropic_cost,
-    axisymmetric_cost,
-    cost_landscape,
-    resolution_factor,
-)
 from repro.scenarios import resolve_scenario
 from repro.stats import consistency_report
 
@@ -147,28 +139,3 @@ class TestMixedPrecisionEmulator:
         out = emulator.emulate(n_realizations=1, rng=np.random.default_rng(0))
         report = consistency_report(small_ensemble, out, lmax=8)
         assert report.is_consistent(mean_tol_k=1.5, std_ratio_tol=0.3, ks_tol=0.2)
-
-
-class TestComplexityModel:
-    def test_anisotropic_costs_more(self):
-        assert anisotropic_cost(100, 1000) > axisymmetric_cost(100, 1000)
-
-    def test_cost_landscape_monotone_in_resolution(self):
-        landscape = cost_landscape([400.0, 100.0, 25.0, 3.5])
-        assert np.all(np.diff(landscape["anisotropic_flops"]) > 0)
-        assert np.all(np.diff(landscape["bandlimit"]) > 0)
-
-    def test_this_work_resolution_factor(self):
-        factors = resolution_factor()
-        assert factors["spatial_factor"] == pytest.approx(28.6, rel=0.05)
-        assert factors["temporal_factor"] == pytest.approx(8760.0)
-        assert factors["combined_factor"] == pytest.approx(245_280, rel=0.1)
-
-    def test_this_work_dominates_existing_designs(self):
-        assert THIS_WORK.cost() > max(p.cost() for p in EXISTING_EMULATORS)
-        assert THIS_WORK.bandlimit > max(p.bandlimit for p in EXISTING_EMULATORS)
-
-    def test_existing_catalogue_is_plausible(self):
-        for point in EXISTING_EMULATORS:
-            assert point.spatial_resolution_km >= 100.0
-            assert point.temporal_points_per_year <= 365.0

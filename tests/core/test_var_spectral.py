@@ -6,7 +6,7 @@ from scipy.linalg.blas import dsyrk
 
 import repro
 from repro.core.spectral_model import SpectralStochasticModel
-from repro.core.var import DiagonalVAR
+from repro.core.var import _DiagonalVAR
 from repro.linalg import VARIANTS
 from repro.linalg.cholesky import CholeskyResult, MixedPrecisionCholesky
 
@@ -21,20 +21,20 @@ class TestDiagonalVAR:
     def test_recovers_ar1_coefficients(self, rng):
         phi = np.array([0.8, 0.3, -0.5, 0.0])
         series = self._simulate_ar(rng, phi)
-        var = DiagonalVAR(order=1).fit(series)
+        var = _DiagonalVAR(order=1).fit(series)
         assert np.max(np.abs(var.coefficients[0] - phi)) < 0.1
 
     def test_innovations_are_whitened(self, rng):
         phi = np.array([0.9, 0.7])
         series = self._simulate_ar(rng, phi, n_comp=2)
-        var = DiagonalVAR(order=1).fit(series)
+        var = _DiagonalVAR(order=1).fit(series)
         innov = var.innovations(series)
         assert innov.shape == (series.shape[0] - 1, 2)
         lag1 = np.corrcoef(innov[1:, 0], innov[:-1, 0])[0, 1]
         assert abs(lag1) < 0.1
 
     def test_simulate_then_innovate_roundtrip(self, rng):
-        var = DiagonalVAR(order=2)
+        var = _DiagonalVAR(order=2)
         series = rng.standard_normal((2, 60, 5))
         var.fit(series)
         innov = rng.standard_normal((40, 5))
@@ -44,7 +44,7 @@ class TestDiagonalVAR:
         assert np.allclose(recovered[5:], innov[2 + 5:], atol=1e-10)
 
     def test_order_zero_passthrough(self, rng):
-        var = DiagonalVAR(order=0).fit(rng.standard_normal((30, 3)))
+        var = _DiagonalVAR(order=0).fit(rng.standard_normal((30, 3)))
         series = rng.standard_normal((10, 3))
         assert np.allclose(var.innovations(series), series)
         assert np.allclose(var.simulate(series), series)
@@ -52,26 +52,26 @@ class TestDiagonalVAR:
     def test_ensemble_pooling(self, rng):
         phi = np.array([0.6, -0.2, 0.4])
         members = np.stack([self._simulate_ar(rng, phi, 300, 3) for _ in range(3)])
-        var = DiagonalVAR(order=1).fit(members)
+        var = _DiagonalVAR(order=1).fit(members)
         assert np.max(np.abs(var.coefficients[0] - phi)) < 0.12
 
     def test_spectral_radius_stationary(self, rng):
         phi = np.array([0.5, 0.9])
         series = self._simulate_ar(rng, phi, 500, 2)
-        var = DiagonalVAR(order=1).fit(series)
+        var = _DiagonalVAR(order=1).fit(series)
         radii = var.spectral_radius()
         assert np.all(radii < 1.0)
 
     def test_errors(self, rng):
         with pytest.raises(RuntimeError):
-            DiagonalVAR(order=1).innovations(rng.standard_normal((10, 2)))
+            _DiagonalVAR(order=1).innovations(rng.standard_normal((10, 2)))
         with pytest.raises(ValueError):
-            DiagonalVAR(order=5).fit(rng.standard_normal((4, 2)))
+            _DiagonalVAR(order=5).fit(rng.standard_normal((4, 2)))
         with pytest.raises(ValueError):
-            DiagonalVAR(order=1).fit(rng.standard_normal((4,)))
+            _DiagonalVAR(order=1).fit(rng.standard_normal((4,)))
 
     def test_predict_one_step(self, rng):
-        var = DiagonalVAR(order=2)
+        var = _DiagonalVAR(order=2)
         var.fit(rng.standard_normal((1, 50, 3)))
         history = rng.standard_normal((6, 3))
         pred = var.predict_one_step(history)

@@ -4,13 +4,24 @@
 factorisation computed, so tests that need a given factor pack a schema-2
 state here and load it through the production path; the schema tests write
 schema-2 and schema-1 states of a fitted factor with the same helpers.
+:func:`decaying_covariance` is the SPD matrix the factorisation tests
+factor at any order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import PRECISIONS, variant_policy
+from repro.linalg import variant_policy
+from repro.linalg.precision import _PRECISIONS
+
+
+def decaying_covariance(n: int, seed: int = 0) -> np.ndarray:
+    """An order-``n`` SPD covariance whose correlations decay off the diagonal."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2 * n))
+    decay = np.exp(-np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / (n / 5))
+    return x @ x.T / (2 * n) * decay + 0.5 * np.eye(n)
 
 
 def packed_state(lower: np.ndarray, tile_size: int, variant: str) -> dict:
@@ -23,11 +34,11 @@ def packed_state(lower: np.ndarray, tile_size: int, variant: str) -> dict:
     state = {
         "n": n, "tile_size": nb, "variant": variant,
         "tile_precision": np.array(
-            [PRECISIONS.index(p) for p in precisions.values()], dtype=np.uint8
+            [_PRECISIONS.index(p) for p in precisions.values()], dtype=np.uint8
         ),
         "flops_by_precision": {}, "total_flops": 0.0, "conversions": 0, "n_tasks": 0,
     }
-    for precision in PRECISIONS:
+    for precision in _PRECISIONS:
         tiles = [
             lower[i * nb:i * nb + nb, j * nb:j * nb + nb].astype(precision.dtype).ravel()
             for (i, j), p in precisions.items() if p is precision
@@ -51,11 +62,11 @@ def tile_members(state: dict) -> dict[str, np.ndarray]:
     n, nb = int(state["n"]), int(state["tile_size"])
     rows = [min(nb, n - i * nb) for i in range(-(-n // nb))]
     keys = [(i, j) for i in range(len(rows)) for j in range(i + 1)]
-    offsets = dict.fromkeys(range(len(PRECISIONS)), 0)
+    offsets = dict.fromkeys(range(len(_PRECISIONS)), 0)
     members = {}
     for (i, j), code in zip(keys, state["tile_precision"].tolist()):
         size = rows[i] * rows[j]
-        buffer = state[f"tiles_{PRECISIONS[code].value}"]
+        buffer = state[f"tiles_{_PRECISIONS[code].value}"]
         members[f"{i}_{j}"] = buffer[offsets[code]:offsets[code] + size].reshape(rows[i], rows[j])
         offsets[code] += size
     return members

@@ -3,25 +3,19 @@
 import numpy as np
 import pytest
 from factor_state import (  # tests/ is on sys.path (rootdir layout)
-    packed_state, schema_2_state, tile_members,
+    decaying_covariance, packed_state, schema_2_state, tile_members,
 )
 from scipy.linalg.blas import dsyrk
 
-import repro
 from repro.linalg import (
-    PRECISIONS,
     MixedPrecisionCholesky,
     Precision,
     VARIANTS,
     band_policy,
     dense_cholesky,
-    generate_cholesky_tasks,
-    variant_policy,
 )
 from repro.linalg.cholesky import CholeskyResult
-from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
-from repro.linalg import tasks as tasks_module
-from repro.linalg.tasks import Task, build_task_graph
+from repro.linalg.precision import _PRECISIONS
 
 
 class TestDenseReference:
@@ -36,51 +30,6 @@ class TestDenseReference:
             dense_cholesky(a)
         l = dense_cholesky(a, jitter=1e-6)
         assert np.all(np.isfinite(l))
-
-
-class TestTaskGeneration:
-    def test_task_counts_match_formula(self):
-        tasks = generate_cholesky_tasks(64, 16, "DP")
-        counts = cholesky_tile_counts(4)
-        by_kind = {}
-        for t in tasks:
-            by_kind[t.kind] = by_kind.get(t.kind, 0) + 1
-        assert by_kind == counts
-
-    def test_flops_sum_close_to_dense_count(self):
-        tasks = generate_cholesky_tasks(64, 8, "DP")
-        total = sum(t.flops for t in tasks)
-        assert total == pytest.approx(cholesky_flops(64), rel=0.1)
-
-    def test_dag_is_acyclic_with_expected_dependencies(self):
-        graph = build_task_graph(generate_cholesky_tasks(64, 16, "DP"))
-        # First POTRF has no predecessors; last POTRF depends on earlier work.
-        assert graph.predecessors[0] == []
-        last_potrf = [t.name for t in graph.tasks].index("POTRF(3)")
-        assert [graph.tasks[i].name for i in graph.predecessors[last_potrf]] == ["SYRK(3,2)"]
-
-    def test_precision_assignment_follows_policy(self):
-        tasks = generate_cholesky_tasks(64, 8, "DP/HP")
-        potrf = [t for t in tasks if t.kind == "POTRF"]
-        gemm_far = [t for t in tasks if t.kind == "GEMM" and t.name == "GEMM(7,1,0)"]
-        assert all(t.precision == "fp64" for t in potrf)
-        assert gemm_far and gemm_far[0].precision == "fp16"
-
-    def test_sender_conversion_counts_fewer_than_receiver(self):
-        sender, receiver = (
-            sum(t.conversions for t in generate_cholesky_tasks(64, 8, "DP/HP", conversion=side))
-            for side in ("sender", "receiver")
-        )
-        assert sender < receiver
-
-    def test_a_policy_object_is_taken_as_is(self):
-        policy = variant_policy("DP/SP")
-        solver = MixedPrecisionCholesky(tile_size=16, variant=policy)
-        assert solver.policy is policy
-        by_name = generate_cholesky_tasks(64, 16, "DP/SP")
-        assert [t.precision for t in generate_cholesky_tasks(64, 16, policy)] == [
-            t.precision for t in by_name
-        ]
 
 
 class TestFactorizationAccuracy:
@@ -154,7 +103,7 @@ class TestFactorizationAccuracy:
     @pytest.mark.parametrize("n, tile_size", [(300, 24), (300, 64), (40, 64)])
     def test_dense_cholesky_is_the_dp_oracle(self, n, tile_size):
         """Ragged last tiles, several GEMM widths, a single tile."""
-        cov = TestRowPanels.covariance(n, seed=n)
+        cov = decaying_covariance(n, seed=n)
         result = MixedPrecisionCholesky(tile_size=tile_size, variant="DP").factorize(cov)
         assert result.factor_error(dense_cholesky(cov)) < 1e-12
 
@@ -202,49 +151,6 @@ class TestFactorizationAccuracy:
             assert all(any(a is p for p in held) for a in arrays)
         else:
             assert not any(np.shares_memory(a, p) for a in arrays for p in held)
-
-    def test_no_task_list_on_the_factorisation_path(self, small_ensemble, monkeypatch):
-        """``factorize`` and ``repro.fit`` run with the task model disabled."""
-
-        def disabled(*args, **kwargs):
-            raise AssertionError("the factorisation built the task list")
-
-        monkeypatch.setattr(tasks_module, "generate_cholesky_tasks", disabled)
-        monkeypatch.setattr(Task, "__init__", disabled)
-        spd = TestRowPanels.covariance(100)
-        result = MixedPrecisionCholesky(tile_size=16, variant="DP/SP/HP").factorize(spd)
-        assert result.n_tasks == sum(cholesky_tile_counts(7).values())
-        emulator = repro.fit(
-            small_ensemble, lmax=8, var_order=1, tile_size=16, rho_grid=(0.5,),
-            precision_variant="DP/SP",
-        )
-        assert emulator.spectral_model.cholesky.n == 64
-
-
-@pytest.mark.parametrize("conversion", ["sender", "receiver"])
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("tile_size", [16, 24, 64])
-@pytest.mark.parametrize("n", [64, 100, 300])
-def test_closed_form_accounting_is_the_task_lists_totals(n, tile_size, variant, conversion):
-    """``flops_by_precision`` / ``conversions`` / ``n_tasks`` of a factorisation
-    equal the sums over the task list the performance model prices, and
-    ``storage_bytes`` the sum over its tiles at stored width."""
-    spd = TestRowPanels.covariance(n)
-    result = MixedPrecisionCholesky(tile_size, variant, conversion).factorize(spd)
-    tasks = generate_cholesky_tasks(n, tile_size, variant, conversion=conversion)
-    flops = {}
-    for task in tasks:
-        flops[task.precision] = flops.get(task.precision, 0.0) + task.flops
-    assert result.flops_by_precision == pytest.approx(flops, rel=1e-12)
-    assert result.total_flops == pytest.approx(sum(flops.values()), rel=1e-12)
-    assert result.conversions == sum(t.conversions for t in tasks)
-    assert result.n_tasks == len(tasks)
-    rows = [min(tile_size, n - i * tile_size) for i in range(-(-n // tile_size))]
-    assert result.storage_bytes == sum(
-        rows[i] * rows[j] * precision.bytes_per_element
-        for (i, j), precision in variant_policy(variant).precision_map(len(rows)).items()
-    )
-
 
 def _arrays_in(obj, seen=None) -> list:
     """Every array reachable from ``obj`` through containers and attributes."""
@@ -301,7 +207,7 @@ class TestPanelState:
         ``storage_bytes``; a double-precision panel is a read-only view of
         itself."""
         result = MixedPrecisionCholesky(tile_size=24, variant="DP/SP/HP").factorize(
-            TestRowPanels.covariance(300)
+            decaying_covariance(300)
         )
         state = result.state_dict()
         arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
@@ -310,7 +216,7 @@ class TestPanelState:
         names = [
             f"panel_{p}_{precision.value}"
             for p, (_, parts) in enumerate(result.panels)
-            for precision in PRECISIONS
+            for precision in _PRECISIONS
             if f"panel_{p}_{precision.value}" in arrays
         ]
         assert list(arrays) == names and len(names) == sum(len(parts) for _, parts in result.panels)
@@ -319,7 +225,7 @@ class TestPanelState:
             assert member.dtype.name == {"fp64": "float64", "fp32": "float32", "fp16": "float16"}[name[-4:]]
             assert member.ndim == 1 and not np.shares_memory(member, panel)
         assert sum(member.nbytes for member in arrays.values()) == result.storage_bytes
-        dp_only = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(TestRowPanels.covariance(300))
+        dp_only = MixedPrecisionCholesky(tile_size=16, variant="DP").factorize(decaying_covariance(300))
         dp_state = dp_only.state_dict()
         assert [k for k in dp_state if k.startswith("panel_")] == [
             f"panel_{p}_fp64" for p in range(len(dp_only.panels))
@@ -333,7 +239,7 @@ class TestPanelState:
         first two members and fills the other two panels."""
         policy = band_policy("wide", ((6, Precision.DOUBLE),), Precision.SINGLE)
         result = MixedPrecisionCholesky(tile_size=24, variant=policy).factorize(
-            TestRowPanels.covariance(300)
+            decaying_covariance(300)
         )
         state = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in result.state_dict().items()}
         assert [k for k in state if k.startswith("panel_")] == [
@@ -442,15 +348,11 @@ class TestStoredTiles:
         assert restored.storage_bytes == 8 * (3 * 24 * 24 + 2 * 24 * 16 + 16 * 16)
         assert np.array_equal(restored.lower(), lower)
 
-    def test_rejects_bad_tile_size(self):
-        with pytest.raises(ValueError, match="tile_size"):
-            generate_cholesky_tasks(64, 0, "DP")
-
     def test_only_lower_triangle_stored(self):
         """The members are the lower triangle plus the zeros of its staircase
         and of the padding rows; ``storage_bytes`` counts the tiles alone."""
         result = MixedPrecisionCholesky(tile_size=24, variant="DP").factorize(
-            TestRowPanels.covariance(300)
+            decaying_covariance(300)
         )
         members = _panel_members(result.state_dict())
         assembled = np.zeros((300, 300))
@@ -471,13 +373,13 @@ class TestStoredTiles:
         members = _panel_members(result.state_dict())
         assert sum(m.nbytes for m in members) == result.storage_bytes
         assert {m.dtype for m in members} == {
-            p.dtype for p in PRECISIONS if p.short_name in variant.split("/")
+            p.dtype for p in _PRECISIONS if p.short_name in variant.split("/")
         }
 
     def test_storage_dtype_follows_precision(self, spd_matrix):
         result = MixedPrecisionCholesky(tile_size=4, variant="DP/SP/HP").factorize(spd_matrix)
         state = result.state_dict()
-        for precision in PRECISIONS:
+        for precision in _PRECISIONS:
             assert state[f"panel_0_{precision.value}"].dtype == precision.dtype
         # Half-precision tiles multiply as float32.
         dtypes = {panel.dtype for _, parts in result.panels for _, panel in parts}
@@ -514,17 +416,10 @@ def test_dense_assembly_matches_the_tile_by_tile_construction(spd_matrix):
 class TestRowPanels:
     """``correlate`` multiplies by the factor as stored: row panels per precision."""
 
-    @staticmethod
-    def covariance(n, seed=0):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, 2 * n))
-        decay = np.exp(-np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / (n / 5))
-        return x @ x.T / (2 * n) * decay + 0.5 * np.eye(n)
-
     @pytest.mark.parametrize("n, tile_size", [(64, 16), (200, 24), (289, 64), (30, 64)])
     def test_double_precision_draw_is_the_dense_product(self, n, tile_size):
         result = MixedPrecisionCholesky(tile_size=tile_size, variant="DP").factorize(
-            self.covariance(n)
+            decaying_covariance(n)
         )
         for m in (1, 7, 40):
             z = np.random.default_rng(m).standard_normal((m, n))
@@ -541,7 +436,7 @@ class TestRowPanels:
         covariance, or of float32's unit roundoff where that is larger (a
         DP/SP factor, rounded once per tile, reconstructs these matrices to
         4e-9)."""
-        cov = self.covariance(n)
+        cov = decaying_covariance(n)
         result = MixedPrecisionCholesky(tile_size=tile_size, variant=variant).factorize(cov)
         z = np.random.default_rng(1).standard_normal((48, n))
         dense = z @ result.lower().T

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.linalg import (
-    PRECISIONS,
     Precision,
     adaptive_policy,
     band_policy,
@@ -16,7 +15,7 @@ from repro.linalg import (
     variant_policy,
 )
 from repro.linalg.flops import cholesky_tile_counts
-from repro.linalg.precision import parse_precision
+from repro.linalg.precision import _PRECISIONS, parse_precision
 
 
 class TestPrecision:
@@ -24,7 +23,7 @@ class TestPrecision:
         assert Precision.DOUBLE.dtype == np.float64
         assert Precision.SINGLE.dtype == np.float32
         assert Precision.HALF.dtype == np.float16
-        assert [p.bytes_per_element for p in PRECISIONS] == [8, 4, 2]
+        assert [p.bytes_per_element for p in _PRECISIONS] == [8, 4, 2]
 
     def test_epsilon_ordering(self):
         assert Precision.DOUBLE.epsilon < Precision.SINGLE.epsilon < Precision.HALF.epsilon
@@ -103,11 +102,10 @@ class TestPolicies:
         assert precisions.count(Precision.HALF) == 8 * 9 // 2 - 8
 
     def test_dp_sp_hp_has_three_levels(self):
-        policy = variant_policy("DP/SP/HP")
-        fractions = policy.fractions(40)
-        assert fractions[Precision.DOUBLE] > 0
-        assert fractions[Precision.SINGLE] > 0
-        assert fractions[Precision.HALF] > 0.5
+        precisions = list(variant_policy("DP/SP/HP").precision_map(40).values())
+        assert precisions.count(Precision.DOUBLE) > 0
+        assert precisions.count(Precision.SINGLE) > 0
+        assert precisions.count(Precision.HALF) > 0.5 * len(precisions)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -127,8 +125,3 @@ class TestPolicies:
         pm = policy.precision_map(4)
         assert pm[(0, 0)] is Precision.DOUBLE
         assert pm[(3, 0)] in (Precision.SINGLE, Precision.HALF)
-
-    def test_fractions_sum_to_one(self):
-        for variant in ("DP", "DP/SP", "DP/SP/HP", "DP/HP"):
-            fractions = variant_policy(variant).fractions(12)
-            assert sum(fractions.values()) == pytest.approx(1.0)

@@ -79,7 +79,7 @@ def test_import_repro_needs_nothing_else():
 
         sys.meta_path.insert(0, Refuse())
         import repro
-        import repro.systems
+        import repro.stats
     """)
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},

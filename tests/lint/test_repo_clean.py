@@ -10,16 +10,27 @@ back: PR 5's float-sqrt band-limit recovery and an unlocked mutation of
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 from tools.reprolint import Baseline, lint_paths, lint_source
-from tools.reprolint.cli import DEFAULT_BASELINE, DEFAULT_PATHS
+from tools.reprolint.cli import DEFAULT_BASELINE, DEFAULT_PATHS, default_packages
 from tools.reprolint.deadsymbols import dead_symbol_report, render_report
 from tools.reprolint.rules.layering import EXCEPTIONS, LAYERS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: ``src/repro`` packages a plain ``import repro`` leaves unloaded, and why.
+NOT_LOADED_BY_IMPORT = {
+    "repro.stats": (
+        "simulation-vs-emulation diagnostics: callers import them on demand, "
+        "and the pipeline never calls them"
+    ),
+}
 
 
 class TestRepoTreeIsClean:
@@ -41,11 +52,7 @@ class TestRepoTreeIsClean:
     def test_every_package_has_no_unused_exports(self):
         """Every public symbol of every ``src/repro`` package has a caller
         outside its own package."""
-        packages = sorted(
-            f"src/repro/{path.name}"
-            for path in (REPO_ROOT / "src" / "repro").iterdir()
-            if path.name not in ("__init__.py", "__pycache__")
-        )
+        packages = default_packages(REPO_ROOT)
         report = dead_symbol_report(REPO_ROOT, packages)
         assert set(report["packages"]) == set(packages)
         assert len(report["packages"]["src/repro/tuning.py"]["symbols"]) == 2
@@ -60,6 +67,28 @@ class TestRepoTreeIsClean:
         assert all(not symbols for symbols in unused.values()), (
             "fully-unused public exports:\n" + render_report(report)
         )
+
+    def test_import_repro_loads_every_module_it_ships(self):
+        """No ``src/repro`` module is reached only from benchmarks, examples
+        or tests: a fresh ``import repro`` loads each one, bar the packages
+        in :data:`NOT_LOADED_BY_IMPORT` (and their submodules)."""
+        src = REPO_ROOT / "src"
+        on_disk = {
+            ".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__")
+            for path in (src / "repro").rglob("*.py")
+        }
+        loaded = set(subprocess.run(
+            [sys.executable, "-c", "import sys, repro; print(*sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        ).stdout.split())
+        for package in NOT_LOADED_BY_IMPORT:
+            assert package in on_disk and package not in loaded, f"stale: {package}"
+        missing = sorted(
+            module for module in on_disk - loaded
+            if not any(module == p or module.startswith(p + ".") for p in NOT_LOADED_BY_IMPORT)
+        )
+        assert not missing, f"modules `import repro` never loads: {missing}"
 
     def test_layering_table_mirrors_the_architecture_doc(self):
         """One table, two spellings: the rows of docs/architecture.md's

@@ -1,31 +1,27 @@
 """Tests of the machine catalogue and the analytic performance model."""
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.linalg.precision import Precision
-from repro.systems import (
+from benchmarks.paper_model.machines import (
     ALPS,
     FRONTIER,
     LEONARDO,
+    PAPER_NODE_COUNTS,
     SUMMIT,
     SYSTEMS,
+)
+from benchmarks.paper_model.perf_model import (
     CholeskyPerformanceModel,
     CostEstimate,
-    get_system,
+    band_flop_fraction,
     scaling_efficiencies,
 )
-from repro.systems.catalog import PAPER_NODE_COUNTS
-from repro.systems.perf_model import band_flop_fraction
+from repro.linalg.precision import Precision
 
 
 class TestCatalog:
-    def test_lookup(self):
-        assert get_system("Frontier") is FRONTIER
-        assert get_system("summit") is SUMMIT
-        with pytest.raises(KeyError):
-            get_system("fugaku")
-
     def test_paper_gpu_counts(self):
         assert SUMMIT.node.gpus_per_node == 6
         assert SUMMIT.subset(3072).total_gpus == 18_432
@@ -60,6 +56,12 @@ class TestBandFlopFraction:
         assert values == sorted(values)
         assert values[0] < 0.05
 
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=1, max_value=200), st.floats(0, 1))
+    def test_band_flop_fraction_bounds(self, n_tiles, frac):
+        value = band_flop_fraction(n_tiles, frac * n_tiles)
+        assert 0.0 <= value <= 1.0 + 1e-12
+
 
 class TestPerformanceModel:
     def test_variant_ordering_matches_paper(self):
@@ -75,7 +77,7 @@ class TestPerformanceModel:
     def test_dp_fraction_of_peak_reasonable(self):
         model = CholeskyPerformanceModel(SUMMIT)
         estimate = model.estimate(8_390_000, 2048, "DP")
-        frac = model.fraction_of_dp_peak(estimate)
+        frac = estimate.pflops / SUMMIT.subset(2048).theoretical_peak_pflops("fp64")
         assert 0.4 < frac < 0.75  # paper: 61.7%
 
     def test_table1_cross_system_ordering(self):
@@ -168,11 +170,29 @@ class TestPerformanceModel:
             assert sum(fractions.values()) == pytest.approx(1.0)
 
     def test_custom_efficiency_override(self):
-        model = CholeskyPerformanceModel(SUMMIT, kernel_efficiency={Precision.HALF: 0.1})
+        model = CholeskyPerformanceModel(SUMMIT)
+        model.kernel_efficiency = {**model.kernel_efficiency, Precision.HALF: 0.1}
         slower = model.estimate(4_000_000, 256, "DP/HP")
         faster = CholeskyPerformanceModel(SUMMIT).estimate(4_000_000, 256, "DP/HP")
         assert slower.pflops < faster.pflops
 
+    def test_efficiency_edit_stays_with_its_model(self):
+        """An in-place edit recalibrates one model, not its GPU family."""
+        CholeskyPerformanceModel(SUMMIT).kernel_efficiency[Precision.HALF] = 0.1
+        assert CholeskyPerformanceModel(SUMMIT).kernel_efficiency[Precision.HALF] == 0.30
+
+    def test_unknown_variant_is_not_priced(self):
+        with pytest.raises(ValueError, match="DP/HP"):
+            CholeskyPerformanceModel(SUMMIT).flop_fractions(1_000_000, "custom")
+
     def test_invalid_nodes(self):
         with pytest.raises(ValueError):
             CholeskyPerformanceModel(SUMMIT).estimate(1_000_000, 0)
+
+    def test_performance_model_for_paper_scale_covariance(self):
+        """L = 5219 gives a ~27.2M-order covariance, the paper's largest run."""
+        lmax = 5219
+        matrix_size = lmax * lmax
+        assert matrix_size == pytest.approx(27_240_000, rel=0.01)
+        estimate = CholeskyPerformanceModel(SUMMIT).estimate(matrix_size, 3072, "DP/HP")
+        assert estimate.pflops > 100.0

@@ -12,14 +12,113 @@ are compared after (before) the oracle's colatitude transform.
 
 All arrays carry the signed orders ``-(L-1) .. L-1`` ascending on their
 ``m`` / ``m'`` axes, so order ``m`` sits at index ``m + L - 1``.
+
+The textbook oracles the production code is checked against live here
+too: :func:`wigner_d_explicit` (the Wigner sum formula with exact integer
+factorials), :func:`integral_matrix` (the full ``I(m' + m'')`` matrix) and
+:func:`coeff_lm` (the inverse of ``coeff_index``), next to the one-shot
+wrappers :func:`sht_forward` / :func:`sht_inverse` (a throw-away plan per
+call).
 """
 
 from __future__ import annotations
 
+from math import factorial, isqrt
+
 import numpy as np
 
-from repro.sht.quadrature import integral_matrix
+from repro.sht.grid import Grid
+from repro.sht.quadrature import _exponential_sine_integral
+from repro.sht.transform import SHTPlan, bandlimit_from_coeff_count
 from repro.sht.wigner import wigner_d_pi2_all
+
+
+def wigner_d_explicit(ell: int, beta: float) -> np.ndarray:
+    """Wigner small-d matrix ``d^l_{m1,m2}(beta)`` by the explicit sum.
+
+    Returns an array of shape ``(2*ell + 1, 2*ell + 1)`` indexed by
+    ``[m1 + ell, m2 + ell]``.  Exact (up to floating point rounding of the
+    trigonometric factors) but O(l^3) per matrix with large intermediate
+    factorials, so intended for validation at small degree only.
+    """
+    if ell < 0:
+        raise ValueError("degree must be non-negative")
+    size = 2 * ell + 1
+    out = np.zeros((size, size), dtype=np.float64)
+    c = np.cos(beta / 2.0)
+    s = np.sin(beta / 2.0)
+    for m1 in range(-ell, ell + 1):
+        for m2 in range(-ell, ell + 1):
+            pref = np.sqrt(
+                float(factorial(ell + m1))
+                * float(factorial(ell - m1))
+                * float(factorial(ell + m2))
+                * float(factorial(ell - m2))
+            )
+            smin = max(0, m2 - m1)
+            smax = min(ell + m2, ell - m1)
+            total = 0.0
+            for k in range(smin, smax + 1):
+                denom = (
+                    float(factorial(ell + m2 - k))
+                    * float(factorial(k))
+                    * float(factorial(m1 - m2 + k))
+                    * float(factorial(ell - m1 - k))
+                )
+                power_c = 2 * ell + m2 - m1 - 2 * k
+                power_s = m1 - m2 + 2 * k
+                total += ((-1.0) ** (m1 - m2 + k)) * (c ** power_c) * (s ** power_s) / denom
+            out[m1 + ell, m2 + ell] = pref * total
+    return out
+
+
+def integral_matrix(lmax: int) -> np.ndarray:
+    """Matrix ``I[m' + lmax - 1, m'' + lmax - 1] = I(m' + m'')``.
+
+    Both ``m'`` and ``m''`` range over ``-(lmax - 1) .. (lmax - 1)``, giving
+    a ``(2*lmax - 1, 2*lmax - 1)`` complex matrix.  This is the quantity
+    contracted against ``K_{m, m'}`` in Eq. (7).
+    """
+    if lmax < 1:
+        raise ValueError("lmax must be >= 1")
+    m = np.arange(-(lmax - 1), lmax)
+    return _exponential_sine_integral(m[:, None] + m[None, :])
+
+
+def coeff_lm(index: int) -> tuple[int, int]:
+    """Inverse of ``repro.sht.coeff_index``: returns ``(l, m)`` for a flat index.
+
+    Exact for every non-negative integer: the degree is recovered with
+    :func:`math.isqrt` rather than a float square root, whose rounding
+    near large perfect squares (e.g. ``index = (2**27)**2 - 1``) would
+    otherwise produce an invalid ``m < -l`` pair.
+    """
+    index = int(index)
+    if index < 0:
+        raise ValueError("index must be non-negative")
+    ell = isqrt(index)
+    m = index - ell * ell - ell
+    return ell, m
+
+
+def sht_forward(data: np.ndarray, lmax: int, grid: Grid | None = None) -> np.ndarray:
+    """One-shot forward transform (builds a throw-away plan)."""
+    data = np.asarray(data)
+    if grid is None:
+        grid = Grid(ntheta=data.shape[-2], nphi=data.shape[-1])
+    return SHTPlan(lmax=lmax, grid=grid).forward(data)
+
+
+def sht_inverse(coeffs: np.ndarray, grid: Grid, real: bool = True) -> np.ndarray:
+    """One-shot inverse transform (builds a throw-away plan).
+
+    The trailing axis must hold a full coefficient set, i.e. its length
+    must be a perfect square ``L**2``; anything else raises
+    ``ValueError`` (see ``bandlimit_from_coeff_count``).
+    """
+    coeffs = np.asarray(coeffs)
+    lmax = bandlimit_from_coeff_count(coeffs.shape[-1])
+    return SHTPlan(lmax=lmax, grid=grid).inverse(coeffs, real=real)
 
 
 def _orders(lmax: int) -> np.ndarray:

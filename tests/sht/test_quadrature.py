@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference_transform import integral_matrix  # tests/sht is on sys.path (rootdir layout)
 from repro.sht.quadrature import (
     colatitude_weights,
-    exponential_sine_integral,
+    _exponential_sine_integral,
     extended_colatitude_weights,
-    integral_matrix,
 )
 
 
@@ -17,20 +17,20 @@ class TestExponentialSineIntegral:
     def test_matches_numerical_integration(self, q):
         real_part = quad(lambda t: np.cos(q * t) * np.sin(t), 0, np.pi)[0]
         imag_part = quad(lambda t: np.sin(q * t) * np.sin(t), 0, np.pi)[0]
-        value = exponential_sine_integral(q)
+        value = _exponential_sine_integral(q)
         assert value.real == pytest.approx(real_part, abs=1e-12)
         assert value.imag == pytest.approx(imag_part, abs=1e-12)
 
     def test_closed_form_cases(self):
-        assert exponential_sine_integral(0) == pytest.approx(2.0)
-        assert exponential_sine_integral(1) == pytest.approx(1j * np.pi / 2)
-        assert exponential_sine_integral(-1) == pytest.approx(-1j * np.pi / 2)
-        assert exponential_sine_integral(2) == pytest.approx(-2.0 / 3.0)
-        assert exponential_sine_integral(3) == pytest.approx(0.0)
+        assert _exponential_sine_integral(0) == pytest.approx(2.0)
+        assert _exponential_sine_integral(1) == pytest.approx(1j * np.pi / 2)
+        assert _exponential_sine_integral(-1) == pytest.approx(-1j * np.pi / 2)
+        assert _exponential_sine_integral(2) == pytest.approx(-2.0 / 3.0)
+        assert _exponential_sine_integral(3) == pytest.approx(0.0)
 
     def test_vectorised(self):
         q = np.array([0, 1, 2, 5])
-        values = exponential_sine_integral(q)
+        values = _exponential_sine_integral(q)
         assert values.shape == (4,)
         assert values[3] == pytest.approx(0.0)
 
@@ -62,7 +62,7 @@ class TestColatitudeWeights:
         w = extended_colatitude_weights(ntheta)
         for p in range(-(ntheta - 2), ntheta - 1):
             value = np.sum(w * np.exp(1j * p * theta))
-            assert value == pytest.approx(complex(exponential_sine_integral(p)), abs=1e-12)
+            assert value == pytest.approx(complex(_exponential_sine_integral(p)), abs=1e-12)
 
     @pytest.mark.parametrize("parity", [1, -1])
     def test_folded_weights_respect_parity(self, parity):
@@ -71,7 +71,7 @@ class TestColatitudeWeights:
         w = colatitude_weights(ntheta, parity)
         for p in range(0, ntheta - 1):
             f = np.exp(1j * p * theta) + parity * np.exp(-1j * p * theta)
-            expected = exponential_sine_integral(p) + parity * exponential_sine_integral(-p)
+            expected = _exponential_sine_integral(p) + parity * _exponential_sine_integral(-p)
             assert np.sum(w * f) == pytest.approx(complex(expected), abs=1e-11)
 
     def test_even_weights_sum_to_sphere_measure(self):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from reference_transform import (  # tests/sht is on sys.path (rootdir layout)
+    coeff_lm,
     colatitude_fourier_reference,
     colatitude_synthesis_reference,
     samples_from_stage,
+    sht_forward,
+    sht_inverse,
     synthesis_from_fourier_reference,
     wigner_contraction_forward_reference,
     wigner_contraction_inverse_reference,
@@ -16,24 +19,20 @@ from repro.sht import (
     Grid,
     SHTPlan,
     coeff_index,
-    coeff_lm,
     direct_forward,
     direct_inverse,
     get_plan,
     legendre_normalized,
-    num_coeffs,
-    sht_forward,
-    sht_inverse,
 )
 from repro.sht.realform import complex_from_real
-from repro.sht.transform import degrees_and_orders
+from repro.sht.transform import degrees_and_orders, _num_coeffs
 
 
 class TestCoefficientIndexing:
     def test_num_coeffs(self):
-        assert num_coeffs(1) == 1
-        assert num_coeffs(8) == 64
-        assert num_coeffs(720) == 518_400
+        assert _num_coeffs(1) == 1
+        assert _num_coeffs(8) == 64
+        assert _num_coeffs(720) == 518_400
 
     def test_index_roundtrip(self):
         for ell in range(6):
@@ -83,15 +82,15 @@ class TestCoefficientIndexing:
             coeff_lm(-1)
 
     def test_bandlimit_from_coeff_count(self):
-        """The shared exact inverse of num_coeffs, used at every
-        band-limit recovery site (sht_inverse, realform, direct,
-        spectrum) instead of a rounded float sqrt."""
+        """The shared exact inverse of _num_coeffs, used at every
+        band-limit recovery site (realform, direct, spectrum) instead
+        of a rounded float sqrt."""
         from repro.sht.realform import complex_from_real
         from repro.sht.spectrum import angular_power_spectrum
         from repro.sht.transform import bandlimit_from_coeff_count
 
         for lmax in (1, 8, 2**27):
-            assert bandlimit_from_coeff_count(num_coeffs(lmax)) == lmax
+            assert bandlimit_from_coeff_count(_num_coeffs(lmax)) == lmax
         for bad in (0, -4, 5, 63, (2**27) ** 2 - 1):
             with pytest.raises(ValueError):
                 bandlimit_from_coeff_count(bad)

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sht.wigner import (
-    wigner_d_explicit,
-    wigner_d_from_pi2,
-    wigner_d_pi2,
-    wigner_d_pi2_all,
-)
+from reference_transform import wigner_d_explicit  # tests/sht is on sys.path (rootdir layout)
+from repro.sht.wigner import wigner_d_from_pi2, wigner_d_pi2, wigner_d_pi2_all
 
 
 class TestExplicitFormula:

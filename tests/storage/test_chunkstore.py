@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.storage import chunkstore
-from repro.storage.chunkstore import CHUNK_ENCODINGS, ChunkStore
+from repro.storage.chunkstore import _CHUNK_ENCODINGS, ChunkStore
 from repro.util.numerics import NUMERICS_REVISION
 
 
@@ -80,7 +80,7 @@ class TestManifest:
     def test_unknown_encoding_raises(self, tmp_path):
         with pytest.raises(ValueError, match="encoding"):
             ChunkStore(tmp_path, encoding="int8")
-        assert "int8" not in CHUNK_ENCODINGS
+        assert "int8" not in _CHUNK_ENCODINGS
 
     def test_put_is_idempotent(self, tmp_path, payload):
         store = ChunkStore(tmp_path)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.storage.chunkstore import CHUNK_ENCODINGS, ChunkStore
+from repro.storage.chunkstore import _CHUNK_ENCODINGS, ChunkStore
 
 _COUNTER = itertools.count()
 
@@ -209,7 +209,7 @@ class TestIdempotentPut:
             elements=st.floats(min_value=-1e38, max_value=1e38,
                                allow_nan=False, allow_infinity=False),
         ),
-        encoding=st.sampled_from(CHUNK_ENCODINGS),
+        encoding=st.sampled_from(_CHUNK_ENCODINGS),
     )
     def test_second_put_returns_the_committed_entry(self, tmp_path, array,
                                                     encoding):

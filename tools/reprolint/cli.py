@@ -6,10 +6,12 @@ Usage::
                               [--output FILE] [--baseline FILE]
                               [--no-baseline] [--rule ID ...]
                               [--list-rules]
-    python -m tools.reprolint --dead-public src/repro/linalg src/repro/systems
+    python -m tools.reprolint --dead-public [packages ...]
 
 Default paths are ``src tools benchmarks`` (tests are deliberately out
-of scope: they exercise hostile inputs on purpose).  Exit status is 0
+of scope: they exercise hostile inputs on purpose); with
+``--dead-public`` they are every package under ``src/repro`` plus
+``src/repro/tuning.py``.  Exit status is 0
 when no non-baselined finding survives, 1 otherwise — which is what the
 tier-1 pytest wrapper and the CI ``lint`` job gate on.  ``--output``
 writes the report to a file *as well as* honouring ``--format`` on
@@ -34,6 +36,17 @@ DEFAULT_PATHS = ("src", "tools", "benchmarks")
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 
+def default_packages(root: Path) -> "list[str]":
+    """Every package directory under ``src/repro``, plus ``tuning.py``."""
+    package_root = root / "src" / "repro"
+    packages = [
+        path.relative_to(root).as_posix()
+        for path in sorted(package_root.iterdir())
+        if (path / "__init__.py").exists()
+    ]
+    return packages + ["src/repro/tuning.py"]
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.reprolint",
@@ -43,7 +56,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "paths", nargs="*",
         help="files or directories to analyze (default: src tools benchmarks; "
-        "with --dead-public: src/repro/linalg src/repro/systems)",
+        "with --dead-public: every package under src/repro plus tuning.py)",
     )
     parser.add_argument(
         "--root", default=str(REPO_ROOT),
@@ -90,7 +103,7 @@ def main(argv: "list[str] | None" = None) -> int:
     root = Path(args.root).resolve()
 
     if args.dead_public:
-        packages = args.paths or ["src/repro/linalg", "src/repro/systems"]
+        packages = args.paths or default_packages(root)
         report = dead_symbol_report(root, packages)
         if args.output:
             Path(args.output).write_text(

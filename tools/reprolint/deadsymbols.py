@@ -1,6 +1,6 @@
 """Dead/unused-public-symbol report.
 
-For a package directory (say ``src/repro/systems``) or a single module
+For a package directory (say ``src/repro/linalg``) or a single module
 (``src/repro/tuning.py``), read the ``__all__`` of its ``__init__.py``
 (or of the module) and classify every public symbol by where — outside
 the package itself — its name is actually referenced:

@@ -33,10 +33,9 @@ LAYERS: "dict[str, tuple[str, ...]]" = {
     "tuning": (),
     "sht": ("obs", "util"),
     "linalg": ("util",),
-    "systems": ("linalg",),
     "data": ("sht",),
     "stats": ("data", "sht"),
-    "storage": ("obs", "sht", "util"),
+    "storage": ("obs", "util"),
     "core": ("data", "linalg", "obs", "sht"),
     "api": ("core", "data", "obs", "util"),
     "scenarios": ("api", "core", "obs", "storage", "tuning", "util"),
