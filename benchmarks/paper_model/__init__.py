@@ -11,7 +11,9 @@ pipeline in ``src/repro`` never imports:
 * :mod:`benchmarks.paper_model.perf_model` — the calibrated analytic
   performance model of the tile Cholesky (Figs. 5-8, Table I);
 * :mod:`benchmarks.paper_model.tasks` — the right-looking POTRF / TRSM /
-  SYRK / GEMM task list PaRSEC would run, and its dependency analysis;
+  SYRK / GEMM task list PaRSEC would run, its tile-kernel flops, its
+  sender- or receiver-side precision conversions (Section V-A) and its
+  dependency analysis;
 * :mod:`benchmarks.paper_model.complexity` — the emulator-design cost
   landscape (Fig. 1);
 * :mod:`benchmarks.paper_model.archive` — raw-archive versus

@@ -40,8 +40,8 @@ from enum import Enum
 import numpy as np
 
 from benchmarks.paper_model.machines import MachineSpec
+from benchmarks.paper_model.tasks import ConversionSide
 from repro.linalg.flops import cholesky_flops
-from repro.linalg.policies import ConversionSide
 from repro.linalg.precision import Precision
 
 

@@ -5,7 +5,8 @@ DAG of POTRF / TRSM / SYRK / GEMM tile tasks.  Here one blocked loop
 computes the factor (:mod:`repro.linalg.cholesky`), and this module keeps
 the task view of the same factorisation for the paper's figures:
 :func:`generate_cholesky_tasks` lists the tasks in program order with
-their flop counts, compute precisions and precision-conversion counts, and
+their flop counts (the tile-kernel counts below), compute precisions and
+precision-conversion counts (:class:`ConversionSide`), and
 :func:`build_task_graph` derives their dependencies.
 
 Because the list is in program order, every dependency points backward: a
@@ -17,14 +18,68 @@ pass over it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Iterable
 
-from repro.linalg.flops import gemm_flops, potrf_flops, syrk_flops, trsm_flops
-from repro.linalg.policies import ConversionSide, PrecisionPolicy, variant_policy
-from repro.linalg.precision import Precision
+from repro.linalg.policies import tile_codes
+from repro.linalg.precision import _PRECISIONS, Precision
 
 # A tile reference is any hashable key; the Cholesky tasks use (i, j).
 TileRef = tuple
+
+
+class ConversionSide(str, Enum):
+    """Where a precision conversion of a communicated tile happens.
+
+    When a tile is produced at one precision and consumed at a lower
+    one, converting at the sender shrinks the message (and performs the
+    conversion once), whereas converting at the receiver ships the
+    full-precision tile and repeats the conversion per consumer
+    (Section V-A).
+    """
+
+    SENDER = "sender"
+    RECEIVER = "receiver"
+
+
+def potrf_flops(nb: int) -> float:
+    """Flops of a Cholesky factorisation of an ``nb x nb`` tile (~nb^3/3)."""
+    n = float(nb)
+    return n ** 3 / 3.0 + n ** 2 / 2.0 + n / 6.0
+
+
+def trsm_flops(nb: int) -> float:
+    """Flops of a triangular solve update of an ``nb x nb`` tile (~nb^3)."""
+    n = float(nb)
+    return n ** 3
+
+
+def syrk_flops(nb: int) -> float:
+    """Flops of a symmetric rank-``nb`` update of an ``nb x nb`` tile (~nb^3)."""
+    n = float(nb)
+    return n ** 3 + n ** 2
+
+
+def gemm_flops(nb: int) -> float:
+    """Flops of an ``nb x nb x nb`` matrix multiply-accumulate (2 nb^3)."""
+    n = float(nb)
+    return 2.0 * n ** 3
+
+
+def cholesky_tile_counts(n_tiles: int) -> dict[str, int]:
+    """Number of tasks of each kind in a tiled Cholesky with ``n_tiles`` tiles.
+
+    ``POTRF``: one per diagonal tile; ``TRSM``: one per sub-diagonal tile of
+    each panel; ``SYRK``: one per diagonal update; ``GEMM``: the strictly
+    lower-triangular updates.
+    """
+    t = n_tiles
+    return {
+        "POTRF": t,
+        "TRSM": t * (t - 1) // 2,
+        "SYRK": t * (t - 1) // 2,
+        "GEMM": t * (t - 1) * (t - 2) // 6,
+    }
 
 
 @dataclass
@@ -157,27 +212,26 @@ def build_task_graph(tasks: Iterable[Task]) -> TaskGraph:
 def generate_cholesky_tasks(
     n: int,
     tile_size: int,
-    variant: str | PrecisionPolicy,
+    variant: str,
     conversion: ConversionSide | str = ConversionSide.SENDER,
 ) -> list[Task]:
     """Generate the right-looking tile Cholesky task list of an order-``n`` matrix.
 
-    Tile ``(i, j)`` is stored at the precision that ``variant`` (a policy or
-    a registered name) assigns it; a task computes at its output tile's
-    precision and counts the conversions its broadcast implies under
-    ``conversion``.  The tasks carry no kernels:
+    Tile ``(i, j)`` is stored at the precision that ``variant``, one of the
+    paper's four (:func:`~repro.linalg.policies.tile_codes`), assigns it; a
+    task computes at its output tile's precision and counts the conversions
+    its broadcast implies under ``conversion``.  The tasks carry no kernels:
     :meth:`~repro.linalg.cholesky.MixedPrecisionCholesky.factorize` computes
-    the factor with a blocked loop, and its accounting equals this list's
-    totals.
+    the factor with a blocked loop.
     """
     if tile_size < 1:
         raise ValueError("tile_size must be positive")
     side = ConversionSide(conversion)
-    policy = variant if isinstance(variant, PrecisionPolicy) else variant_policy(variant)
     nb = tile_size
     nt = -(-n // nb)
     rows = [min(nb, n - k * nb) for k in range(nt)]
-    precision = policy.precision_map(nt)
+    codes = iter(tile_codes(variant, nt).tolist())
+    precision = {(i, j): _PRECISIONS[next(codes)] for i in range(nt) for j in range(i + 1)}
     tasks: list[Task] = []
 
     for k in range(nt):

@@ -7,7 +7,7 @@ laptop-friendly configuration, using the top-level facade API:
 1. generate a synthetic ERA5-like simulation ensemble,
 2. ``repro.fit`` the spherical-harmonic emulator (distributed-lag trend,
    scale field, diagonal VAR, innovation covariance + mixed-precision
-   Cholesky, all compute backends resolved by name through the registries),
+   Cholesky, the SHT backend and the precision variant both named),
 3. draw emulations with ``repro.emulate`` and compare them statistically
    with the simulations,
 4. stream a longer scenario run chunk by chunk with ``emulate_stream``,
@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 import repro
+from repro.linalg import VARIANTS
 from repro.stats import consistency_report, field_moments
 from repro.storage import format_bytes
 
@@ -47,11 +48,11 @@ def main() -> None:
     print(f"  global mean temperature: {stats['mean']:.2f} K, "
           f"std: {stats['std']:.2f} K, {simulations.n_data_points:,} data points")
 
-    # 2. Fit through the facade.  The SHT implementation and the Cholesky
-    #    precision policy are both named backends resolved from the shared
-    #    registries; list them to see what is available.
+    # 2. Fit through the facade.  The SHT implementation is a named backend
+    #    of a registry, the Cholesky precision one of the paper's four
+    #    variants; list both to see what is available.
     print(f"\nAvailable SHT backends:      {repro.SHT_BACKENDS.names()}")
-    print(f"Available Cholesky variants: {repro.CHOLESKY_VARIANTS.names()}")
+    print(f"Available Cholesky variants: {list(VARIANTS)}")
     emulator = repro.fit(
         simulations,
         lmax=16,

@@ -8,8 +8,8 @@ chunk store.  ``import repro`` loads every module below except
 :mod:`repro.stats`, the diagnostics a caller imports on demand.
 
 * :mod:`repro.api` — the public API layer: the versioned
-  :class:`EmulatorArtifact` persistence format, the backend registries
-  behind the named SHT and Cholesky-precision variants, and the
+  :class:`EmulatorArtifact` persistence format, the backend registry
+  behind the named SHT backends, and the
   :func:`fit` / :func:`save` / :func:`load` / :func:`emulate` /
   :func:`emulate_stream` facade re-exported here.
 * :mod:`repro.sht` — spherical harmonic transform substrate (Eqs. 3-8),
@@ -63,7 +63,7 @@ Quickstart
 ...     n_realizations=5)
 """
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 from repro import obs
 from repro.core.config import EmulatorConfig
@@ -71,10 +71,9 @@ from repro.core.emulator import ClimateEmulator
 from repro.core.window import SpatialWindow
 from repro.data.ensemble import ClimateEnsemble
 from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
-from repro.linalg.policies import CHOLESKY_VARIANTS
 from repro.sht.backends import SHT_BACKENDS
 from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
-from repro.api.registry import BackendRegistry, UnknownBackendError
+from repro.util.registry import BackendRegistry, UnknownBackendError
 from repro.api.artifact import (
     SCHEMA_VERSION,
     ArtifactError,
@@ -95,7 +94,6 @@ from repro.tuning import MachineProfile, calibrate_machine
 __all__ = [
     "ArtifactError",
     "BackendRegistry",
-    "CHOLESKY_VARIANTS",
     "CampaignManifest",
     "ChunkStore",
     "ClimateEmulator",

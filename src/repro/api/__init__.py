@@ -2,10 +2,9 @@
 
 This subpackage hosts the three pillars of the emulator's public surface:
 
-* :mod:`repro.api.registry` — the public spelling of the
-  :class:`BackendRegistry` mechanism behind the named SHT and
-  Cholesky-precision backends (implementation in the dependency-free
-  :mod:`repro.util.registry`).
+* the :class:`BackendRegistry` mechanism behind the named SHT backends,
+  scenarios and forcing components, re-exported from the dependency-free
+  :mod:`repro.util.registry`.
 * :mod:`repro.api.artifact` — the versioned, NPZ-backed
   :class:`EmulatorArtifact` that persists a fitted emulator (the
   "parameters replace petabytes" story made durable).
@@ -20,7 +19,7 @@ returns a nested dict of arrays and JSON-able metadata, and the classmethod
 
 from __future__ import annotations
 
-from repro.api.registry import BackendRegistry, BackendSpec, UnknownBackendError
+from repro.util.registry import BackendRegistry, BackendSpec, UnknownBackendError
 from repro.api.artifact import (
     SCHEMA_VERSION,
     ArtifactError,

@@ -33,8 +33,10 @@ untrusted sources.
 Schema 1 stored the dense ``spectral_model/covariance`` beside one deflated
 ``spectral_model/cholesky/tiles/<i>_<j>`` member per tile; schema 2 dropped
 the covariance and packed the tiles into one ``tiles_<precision>`` buffer
-per precision; schema 3, the only one written, stores the panels.
-:meth:`EmulatorArtifact.load` reads all three.
+per precision; schema 3 stored the panels, and beside them the factor's
+flop, conversion and task totals; schema 4, the only one written, stores
+the panels and codes alone.  :meth:`EmulatorArtifact.load` reads all four
+(what a schema-3 factor carries beyond schema 4 is not read).
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from repro import __version__
-from repro.api.registry import UnknownBackendError
 from repro.core.emulator import ClimateEmulator
+from repro.util.registry import UnknownBackendError
 
 __all__ = [
     "ArtifactError",
@@ -61,10 +63,10 @@ __all__ = [
 ]
 
 #: Artifact schema version written; bumped on incompatible layout changes.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Schema versions :meth:`EmulatorArtifact.load` reads.
-_READABLE_SCHEMA_VERSIONS = (1, 2, SCHEMA_VERSION)
+_READABLE_SCHEMA_VERSIONS = (1, 2, 3, SCHEMA_VERSION)
 
 #: The one version-1 member no reader uses (8 L^4 bytes, deflated).
 _SCHEMA_1_COVARIANCE = "spectral_model/covariance"
@@ -147,11 +149,11 @@ def _npy_header(member) -> tuple:
 def _read_arrays(archive: np.lib.npyio.NpzFile, keys: list, adopted: bool) -> dict:
     """The arrays of ``keys``, read CRC-checked.
 
-    With ``adopted`` (the schema written now), matrices, which a load keeps
-    as they are (the factor's double-precision panels among them), are
-    views of one block: with a buffer each, scattered through the heap, the
-    panels cost a ``campaign_L64`` round ~25 k page faults where one block
-    costs ~8 k.  Every other member has a buffer of its own, so what a load
+    With ``adopted`` (schemas 3 and 4, which store the panels), matrices,
+    which a load keeps as they are (the factor's double-precision panels
+    among them), are views of one block: with a buffer each, scattered
+    through the heap, the panels cost a ``campaign_L64`` round ~25 k page
+    faults where one block costs ~8 k.  Every other member has a buffer of its own, so what a load
     unpacks (a mixed-precision panel's tiles, every tile of schemas 1 and
     2) is freed once it is.
     """
@@ -289,7 +291,7 @@ class EmulatorArtifact:
             When the file is not an emulator artifact.
         SchemaVersionError
             When the artifact's schema version is neither
-            :data:`SCHEMA_VERSION` nor the older versions 1 and 2, which
+            :data:`SCHEMA_VERSION` nor the older versions 1 to 3, which
             are still read (version 1's unused ``covariance`` member is
             skipped).
         """
@@ -335,7 +337,7 @@ class EmulatorArtifact:
             try:
                 arrays = _read_arrays(archive, [
                     key for key in archive.files if key not in (META_KEY, _SCHEMA_1_COVARIANCE)
-                ], adopted=version == SCHEMA_VERSION)
+                ], adopted=version >= 3)
             except (OSError, ValueError, zipfile.BadZipFile) as exc:
                 # Stored members are CRC-checked as they are read.
                 raise ArtifactError(f"{path} has a damaged member: {exc}") from exc

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from repro.linalg.policies import tile_codes
+
 __all__ = ["EmulatorConfig"]
 
 
@@ -33,11 +35,10 @@ class EmulatorConfig:
         Tile edge length of the mixed-precision Cholesky factorisation of
         the innovation covariance.
     precision_variant:
-        ``"DP"``, ``"DP/SP"``, ``"DP/SP/HP"`` or ``"DP/HP"`` — the tile
-        precision policy used for the covariance factorisation.  Resolved
-        by name through
-        :data:`repro.linalg.policies.CHOLESKY_VARIANTS`, so any policy
-        registered there is accepted.
+        ``"DP"``, ``"DP/SP"``, ``"DP/SP/HP"`` or ``"DP/HP"``, in any case —
+        the tile precision variant of the covariance factorisation
+        (:data:`repro.linalg.policies.VARIANTS`).  Any other name is
+        refused here, before a fit starts.
     sht_method:
         Name of the spherical-harmonic-transform backend, resolved through
         :data:`repro.sht.backends.SHT_BACKENDS` (``"fast"`` is the paper's
@@ -73,6 +74,7 @@ class EmulatorConfig:
             raise ValueError("tile_size must be >= 1")
         if not all(0.0 <= r < 1.0 for r in self.rho_grid):
             raise ValueError("rho values must lie in [0, 1)")
+        tile_codes(self.precision_variant, 0)  # an unknown name raises, listing the four
 
     @property
     def n_coeffs(self) -> int:

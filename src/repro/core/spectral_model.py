@@ -21,6 +21,8 @@ from typing import Iterator
 from repro.core.var import _DiagonalVAR
 from repro.linalg.cholesky import CholeskyResult, MixedPrecisionCholesky
 from repro.linalg.flops import cholesky_flops
+from repro.linalg.policies import tile_codes
+from repro.linalg.precision import _PRECISIONS
 from repro.obs import span
 from repro.sht.grid import Grid
 from repro.sht.plancache import get_plan
@@ -43,8 +45,8 @@ class SpectralStochasticModel:
         Diagonal VAR order ``P``.
     tile_size / precision_variant / covariance_jitter:
         Parameters of the mixed-precision Cholesky of the innovation
-        covariance.  ``precision_variant`` is resolved by name through
-        :data:`repro.linalg.policies.CHOLESKY_VARIANTS`.
+        covariance.  ``precision_variant`` names one of
+        :data:`repro.linalg.policies.VARIANTS`.
     sht_method:
         Name of the SHT backend, resolved through
         :data:`repro.sht.backends.SHT_BACKENDS` (``"fast"`` or
@@ -166,12 +168,12 @@ class SpectralStochasticModel:
             try:
                 self.cholesky = solver.factorize_panels(work)
             except LinAlgError as error:
-                tiles = solver.policy.precision_map(-(-k // self.tile_size)).values()
+                codes = tile_codes(self.precision_variant, -(-k // self.tile_size))
                 raise LinAlgError(
                     f"the {self.precision_variant} factorisation of the k = {k} innovation "
                     f"covariance from {n_samples} samples failed with covariance_jitter="
                     f"{self.covariance_jitter:g}: {error}; the ridge must outweigh the tiles' "
-                    f"rounding, so raise covariance_jitter to {max(p.epsilon for p in tiles):.1e} "
+                    f"rounding, so raise covariance_jitter to {_PRECISIONS[codes.max()].epsilon:.1e} "
                     "(the variant's lowest-precision unit roundoff) or more"
                 ) from error
 

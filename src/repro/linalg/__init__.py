@@ -9,47 +9,30 @@ machinery with NumPy and SciPy:
 
 * :mod:`repro.linalg.precision` — the precision descriptors (fp64 / fp32 /
   fp16), conversion helpers and byte accounting.
-* :mod:`repro.linalg.flops` — kernel and factorisation flop counts.
-* :mod:`repro.linalg.policies` — the precision-assignment policies: DP,
-  DP/SP, DP/SP/HP, DP/HP band variants plus a data-adaptive (tile-centric)
-  policy, and the sender- / receiver-side conversion choice.
+* :mod:`repro.linalg.flops` — the factorisation and GEMM flop counts the
+  trace spans report.
+* :mod:`repro.linalg.policies` — the paper's four tile-precision variants,
+  DP, DP/SP, DP/SP/HP and DP/HP, as one closed table.
 * :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: one
   left-looking blocked loop in place (real mixed-precision execution), a
-  factor held as lower row panels per stored precision, its closed-form
-  flop and conversion accounting, and the dense reference algorithm.
+  factor held as lower row panels per stored precision, and the dense
+  reference algorithm.
+
+The task view of the same factorisation — kernel flops, sender- or
+receiver-side conversions — is the paper model's
+(``benchmarks/paper_model/tasks.py``).
 """
 
 from repro.linalg.precision import Precision
-from repro.linalg.flops import (
-    cholesky_flops,
-    gemm_flops,
-    potrf_flops,
-    syrk_flops,
-    trsm_flops,
-)
-from repro.linalg.policies import (
-    CHOLESKY_VARIANTS,
-    ConversionSide,
-    VARIANTS,
-    adaptive_policy,
-    band_policy,
-    variant_policy,
-)
+from repro.linalg.flops import cholesky_flops
+from repro.linalg.policies import VARIANTS, tile_codes
 from repro.linalg.cholesky import MixedPrecisionCholesky, dense_cholesky
 
 __all__ = [
-    "CHOLESKY_VARIANTS",
-    "ConversionSide",
     "MixedPrecisionCholesky",
     "Precision",
     "VARIANTS",
-    "adaptive_policy",
-    "band_policy",
     "cholesky_flops",
     "dense_cholesky",
-    "gemm_flops",
-    "potrf_flops",
-    "syrk_flops",
-    "trsm_flops",
-    "variant_policy",
+    "tile_codes",
 ]

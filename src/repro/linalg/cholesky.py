@@ -2,8 +2,9 @@
 
 This is the numerical heart of the emulator's HPC layer: the covariance
 matrix of the spectral innovations is tiled, each tile is assigned a storage
-precision by a :class:`~repro.linalg.policies.PrecisionPolicy`, and one
-left-looking blocked loop factors it in place (:func:`_factor_panels`).
+precision by one of the paper's four variants
+(:func:`~repro.linalg.policies.tile_codes`), and one left-looking blocked
+loop factors it in place (:func:`_factor_panels`).
 Updates accumulate in double precision but read tiles rounded to their
 storage precision, so the reduced-precision variants genuinely lose the
 corresponding mantissa bits — the accuracy ablations (paper Fig. 4) measure
@@ -13,10 +14,9 @@ The factor has one layout from fit to disk to load: lower row panels per
 stored precision (:func:`_panel_bounds`), plus one precision code per tile.
 The fit fills float64 panels with the covariance and factors them in place;
 an artifact stores a double-precision panel as it is, which a load adopts,
-and a mixed panel's tiles at their stored precision.  The
-factorisation's flop and precision-conversion totals are the closed form
-(:func:`_accounting`) of the paper's right-looking task list,
-``generate_cholesky_tasks`` in ``benchmarks/paper_model/tasks.py``.
+and a mixed panel's tiles at their stored precision.  The task view of the
+same factorisation (kernel flops per precision, conversions) is the paper
+model's, ``generate_cholesky_tasks`` in ``benchmarks/paper_model/tasks.py``.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ from scipy.linalg import LinAlgError, solve_triangular
 from scipy.linalg import cholesky as scipy_cholesky
 from scipy.linalg.blas import dgemm, dsyrk
 
-from repro.linalg.flops import (
-    cholesky_tile_counts, gemm_flops, potrf_flops, syrk_flops, trsm_flops,
-)
-from repro.linalg.policies import ConversionSide, PrecisionPolicy, variant_policy
+from repro.linalg.policies import _variant, tile_codes
 from repro.linalg.precision import _PRECISIONS, Precision
 
 __all__ = [
@@ -241,47 +238,6 @@ def _factor_panels(work: list, tile_size: int, codes: np.ndarray, jitter: float)
     return factor
 
 
-def _accounting(
-    codes: np.ndarray, n: int, tile_size: int, side: ConversionSide
-) -> tuple[dict[str, float], int, int]:
-    """``(flops_by_precision, conversions, n_tasks)``: the totals of the
-    paper's task list (``generate_cholesky_tasks`` in
-    ``benchmarks/paper_model/tasks.py``), in closed form from the precision
-    codes; ``tests/paper_model/test_tasks.py`` pins the two equal.
-
-    Tile ``(i, i)`` takes POTRF(i) and ``i`` SYRKs, tile ``(i, j)`` TRSM(i, j)
-    and ``j`` GEMMs.  POTRF(k) broadcasts to column ``k`` below the diagonal;
-    TRSM(i, k) to row ``i`` right of ``k`` and to column ``i`` below the
-    diagonal.
-    """
-    nb, grid = tile_size, _code_grid(codes)
-    nt = len(grid)
-    onehot = grid == np.arange(len(_PRECISIONS))[:, None, None]  # [c, i, j]
-    rows = _tile_rows(n, nb) / nb
-    i, j = np.tril_indices(nt, -1)
-    flops = np.zeros((nt, nt))
-    flops[i, j] = trsm_flops(nb) * rows[i] + j * gemm_flops(nb) * rows[i] * rows[j]
-    flops[np.diag_indices(nt)] = [
-        potrf_flops(r * nb) + k * syrk_flops(r * nb) for k, r in enumerate(rows)
-    ]
-    by_precision = (onehot * flops).sum(axis=(1, 2))
-    # Consumers per precision: strictly below each diagonal tile in its
-    # column, and strictly right of each tile in its row.
-    below = onehot.sum(axis=1) - onehot[:, np.arange(nt), np.arange(nt)]
-    right = np.cumsum(onehot[:, :, ::-1], axis=2)[:, :, ::-1] - onehot
-
-    def converted(counts: np.ndarray, source: np.ndarray) -> int:
-        other = np.arange(len(_PRECISIONS))[:, None] != source
-        per_target = counts if side is ConversionSide.RECEIVER else counts > 0
-        return int((per_target * other).sum())
-
-    conversions = converted(below, np.diag(grid)) + converted(
-        right[:, i, j] + below[:, i], grid[i, j]
-    )
-    flops_by_precision = {p.value: float(f) for p, f in zip(_PRECISIONS, by_precision) if f}
-    return flops_by_precision, conversions, sum(cholesky_tile_counts(nt).values())
-
-
 # --------------------------------------------------------------------------- #
 # Results
 # --------------------------------------------------------------------------- #
@@ -304,10 +260,6 @@ class CholeskyResult:
     tile_precision: np.ndarray = field(repr=False)
     panels: list = field(repr=False)
     variant: str
-    flops_by_precision: dict[str, float]
-    total_flops: float
-    conversions: int
-    n_tasks: int
 
     @property
     def storage_bytes(self) -> int:
@@ -390,12 +342,6 @@ class CholeskyResult:
             "n": int(self.n),
             "variant": str(self.variant),
             "tile_size": int(self.tile_size),
-            "flops_by_precision": {k: float(v) for k, v in self.flops_by_precision.items()},
-            "total_flops": float(self.total_flops),
-            "storage_bytes": self.storage_bytes,
-            "dense_bytes": self.dense_bytes,
-            "conversions": int(self.conversions),
-            "n_tasks": int(self.n_tasks),
         }
         n, nb, grid = self.n, self.tile_size, _code_grid(self.tile_precision)
         heights = _tile_rows(n, nb)
@@ -450,15 +396,11 @@ class CholeskyResult:
             tile_precision=codes,
             panels=panels,
             variant=str(state["variant"]),
-            flops_by_precision={str(k): float(v) for k, v in state["flops_by_precision"].items()},
-            total_flops=float(state["total_flops"]),
-            conversions=int(state["conversions"]),
-            n_tasks=int(state["n_tasks"]),
         )
 
 
 def _stored_panels(state: dict, n: int, tile_size: int, codes: np.ndarray) -> list:
-    """Schema-3 layout: adopt a double-precision panel's ``panel_<p>_fp64``
+    """Schema-3 and -4 layout: adopt a double-precision panel's ``panel_<p>_fp64``
     member, and fill a mixed panel from its per-precision tiles."""
     grid, layout, panels, expected = _code_grid(codes), f"n={n}, tile_size={tile_size}", [], set()
     for p, (first, last, rows) in enumerate(_panel_bounds(n, tile_size)):
@@ -502,7 +444,7 @@ def _packed_tiles(
     """Validate the buffers that pack the ``tiles`` (row-major lower-tile
     indices) per precision, each the member ``name`` formatted with its
     precision, and slice tiles from them: schema 2 packs the whole factor,
-    schema 3 each mixed panel."""
+    schemas 3 and 4 each mixed panel."""
     heights = _tile_rows(n, tile_size).tolist()
     sizes = _tile_sizes(n, tile_size)
     buffers, starts = [], np.zeros_like(sizes)
@@ -535,11 +477,8 @@ class MixedPrecisionCholesky:
     tile_size:
         Tile edge length.
     variant:
-        One of ``"DP"``, ``"DP/SP"``, ``"DP/SP/HP"``, ``"DP/HP"`` or a
-        custom :class:`PrecisionPolicy`.
-    conversion:
-        ``"sender"`` or ``"receiver"`` precision-conversion placement (it
-        changes the ``conversions`` count, not the factor).
+        One of ``"DP"``, ``"DP/SP"``, ``"DP/SP/HP"``, ``"DP/HP"``
+        (:data:`~repro.linalg.policies.VARIANTS`), in any case.
     jitter:
         Relative diagonal ridge added to each diagonal tile before its
         POTRF (stabilises the aggressive half-precision variants and
@@ -549,15 +488,13 @@ class MixedPrecisionCholesky:
     def __init__(
         self,
         tile_size: int,
-        variant: str | PrecisionPolicy = "DP",
-        conversion: ConversionSide | str = ConversionSide.SENDER,
+        variant: str = "DP",
         jitter: float = 0.0,
     ) -> None:
         if tile_size < 1:
             raise ValueError("tile_size must be positive")
         self.tile_size = tile_size
-        self.policy = variant if isinstance(variant, PrecisionPolicy) else variant_policy(variant)
-        self.conversion = ConversionSide(conversion)
+        self.variant = _variant(variant)
         self.jitter = jitter
 
     def factorize(self, matrix: np.ndarray) -> CholeskyResult:
@@ -597,19 +534,11 @@ class MixedPrecisionCholesky:
         ``work`` hold (:meth:`covariance_panels`) in place; each panel leaves
         ``work`` as it finishes, split by precision unless all double."""
         n, nb = work[-1][0].stop, self.tile_size
-        codes = np.array(
-            [_PRECISIONS.index(p) for p in self.policy.precision_map(-(-n // nb)).values()],
-            dtype=np.uint8,
-        )
-        flops_by_precision, conversions, n_tasks = _accounting(codes, n, nb, self.conversion)
+        codes = tile_codes(self.variant, -(-n // nb))
         return CholeskyResult(
             n=n,
             tile_size=nb,
             tile_precision=codes,
             panels=_factor_panels(work, nb, codes, self.jitter),
-            variant=self.policy.name,
-            flops_by_precision=flops_by_precision,
-            total_flops=sum(flops_by_precision.values()),
-            conversions=conversions,
-            n_tasks=n_tasks,
+            variant=self.variant,
         )

@@ -1,48 +1,15 @@
-"""Floating-point operation counts for tile kernels and factorisations.
+"""Floating-point operation counts of the factorisation and the SHT GEMMs.
 
 The performance figures in the paper are reported as achieved Flop/s for a
 Cholesky factorisation, using the standard ``n^3 / 3`` operation count.
-These helpers provide the per-kernel counts used to weight tasks in the DAG
-and the closed-form totals used by the analytic performance model and the
-benchmark harness.
+These are the totals the trace spans, the analytic performance model and
+the benchmark harness report; the per-tile-kernel counts that weight the
+tasks of the DAG are the paper model's (``benchmarks/paper_model/tasks.py``).
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "potrf_flops",
-    "trsm_flops",
-    "syrk_flops",
-    "gemm_flops",
-    "gemm_flops_mnk",
-    "sht_contraction_flops",
-    "cholesky_flops",
-    "cholesky_tile_counts",
-]
-
-
-def potrf_flops(nb: int) -> float:
-    """Flops of a Cholesky factorisation of an ``nb x nb`` tile (~nb^3/3)."""
-    n = float(nb)
-    return n ** 3 / 3.0 + n ** 2 / 2.0 + n / 6.0
-
-
-def trsm_flops(nb: int) -> float:
-    """Flops of a triangular solve update of an ``nb x nb`` tile (~nb^3)."""
-    n = float(nb)
-    return n ** 3
-
-
-def syrk_flops(nb: int) -> float:
-    """Flops of a symmetric rank-``nb`` update of an ``nb x nb`` tile (~nb^3)."""
-    n = float(nb)
-    return n ** 3 + n ** 2
-
-
-def gemm_flops(nb: int) -> float:
-    """Flops of an ``nb x nb x nb`` matrix multiply-accumulate (2 nb^3)."""
-    n = float(nb)
-    return 2.0 * n ** 3
+__all__ = ["gemm_flops_mnk", "sht_contraction_flops", "cholesky_flops"]
 
 
 def gemm_flops_mnk(m: int, n: int, k: int) -> float:
@@ -72,19 +39,3 @@ def cholesky_flops(n: int) -> float:
     """Total flops of a dense Cholesky factorisation of order ``n``."""
     nf = float(n)
     return nf ** 3 / 3.0 + nf ** 2 / 2.0 + nf / 6.0
-
-
-def cholesky_tile_counts(n_tiles: int) -> dict[str, int]:
-    """Number of tasks of each kind in a tiled Cholesky with ``n_tiles`` tiles.
-
-    ``POTRF``: one per diagonal tile; ``TRSM``: one per sub-diagonal tile of
-    each panel; ``SYRK``: one per diagonal update; ``GEMM``: the strictly
-    lower-triangular updates.
-    """
-    t = n_tiles
-    return {
-        "POTRF": t,
-        "TRSM": t * (t - 1) // 2,
-        "SYRK": t * (t - 1) // 2,
-        "GEMM": t * (t - 1) * (t - 2) // 6,
-    }

@@ -5,8 +5,8 @@ leaf packages :mod:`repro.sht` and :mod:`repro.linalg`) and must therefore
 not import from any other ``repro`` subpackage.
 
 * :mod:`repro.util.registry` — the :class:`BackendRegistry` mechanism
-  behind the named SHT and Cholesky-precision backends (re-exported through
-  :mod:`repro.api.registry` for the public API).
+  behind the named SHT backends, scenarios and forcing components
+  (re-exported by :mod:`repro` and :mod:`repro.api`).
 * :mod:`repro.util.compare` — bit-exact ``state_dict`` tree comparison,
   shared by the test-suite and the benchmark harness to pin the
   determinism contracts.

@@ -1,27 +1,23 @@
 """Named, self-describing backend registries.
 
-Compute-kernel selection in the emulator — which spherical-harmonic
-transform implementation to use, which precision policy the tile Cholesky
-factorises under — used to be scattered ``if name == ...`` string dispatch.
-This module provides the single mechanism that replaces it: a
-:class:`BackendRegistry` maps a case-insensitive name to a factory, carries
-a one-line description per backend, and raises an error that *lists the
-available names* when a lookup fails.
+A :class:`BackendRegistry` maps a case-insensitive name to a factory,
+carries a one-line description per entry, and raises an error that *lists
+the available names* when a lookup fails.  Registering a new entry
+requires no edits to its consumers.  The packages that own the entries
+populate four registries:
 
-Two registries are populated by the packages that own the backends:
-
-* :data:`repro.sht.backends.SHT_BACKENDS` — ``"fast"`` (FFT/Wigner plan)
-  and ``"direct"`` (explicit-summation reference);
-* :data:`repro.linalg.policies.CHOLESKY_VARIANTS` — the ``DP``, ``DP/SP``,
-  ``DP/SP/HP`` and ``DP/HP`` precision policies.
-
-Registering a new backend requires no edits to the consumers: any name the
-registry resolves can be placed in :class:`~repro.core.config.EmulatorConfig`.
+* :data:`repro.sht.backends.SHT_BACKENDS` — the spherical-harmonic
+  transform backends (``"fast"``, the FFT/Wigner plan, and ``"direct"``,
+  the explicit-summation reference), named by
+  :class:`~repro.core.config.EmulatorConfig`'s ``sht_method``;
+* :data:`repro.scenarios.registry.SCENARIOS` — the named forcing pathways;
+* :data:`repro.scenarios.components.FORCING_COMPONENTS` — the forcing
+  components a scenario sums;
+* ``LINT_RULES`` in ``tools/reprolint/rulebase.py`` — the analyzer's rules.
 
 This module is a dependency-free leaf (it imports nothing from ``repro``),
-so every layer — including :mod:`repro.sht` and :mod:`repro.linalg` — can
-use it without touching the API layer; :mod:`repro.api.registry` re-exports
-it as the public spelling.
+so every layer — including :mod:`repro.sht` — can use it without touching
+the API layer; :mod:`repro` and :mod:`repro.api` re-export it.
 """
 
 from __future__ import annotations

@@ -20,13 +20,13 @@ from repro.api.artifact import (
     EmulatorArtifact,
     SchemaVersionError,
 )
-from repro.api.registry import UnknownBackendError
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.linalg import Precision
 from repro.linalg.precision import _PRECISIONS
 from repro.storage import measured_artifact_report
 from repro.util.numerics import NUMERICS_REVISION
+from repro.util.registry import UnknownBackendError
 
 
 class TestRoundTrip:
@@ -61,7 +61,6 @@ class TestRoundTrip:
         restored = loaded.spectral_model.cholesky
         assert np.array_equal(original.lower(), restored.lower())
         assert original.variant == restored.variant
-        assert original.flops_by_precision == restored.flops_by_precision
         assert np.array_equal(original.tile_precision, restored.tile_precision)
         assert original.storage_bytes == restored.storage_bytes
 
@@ -160,6 +159,24 @@ def members(path) -> dict[str, bytes]:
 #: An artifact written by repro 1.18.0 (schema 2, L = 4, DP/SP/HP) and the
 #: sha256 of what it emulated there (see the .json beside it).
 SCHEMA_2_FILE = Path(__file__).parent / "data" / "schema2_L4_dpsphp.npz"
+#: An artifact written by repro 1.19.0 (schema 3, L = 12, DP/SP/HP, 64-wide
+#: tiles), likewise.
+SCHEMA_3_FILE = Path(__file__).parent / "data" / "schema3_L12_dpsphp.npz"
+
+
+def _recorded(path: Path) -> dict:
+    """The record beside a checked-in artifact, its numerics revision checked."""
+    recorded = json.loads(path.with_suffix(".json").read_text())
+    assert recorded["numerics_revision"] == NUMERICS_REVISION, (
+        "NUMERICS_REVISION moved: re-record the emulate sha256 and "
+        f"numerics_revision in {path.with_suffix('.json').name}"
+    )
+    return recorded
+
+
+def _emulated_sha256(emulator: ClimateEmulator, run: dict) -> str:
+    data = emulator.emulate(run["n_realizations"], n_times=run["n_times"], rng=run["rng"]).data
+    return hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module", params=["DP", "DP/SP/HP"])
@@ -173,16 +190,16 @@ def variant_emulator(request, small_ensemble):
 class TestSchemas:
     def test_every_way_in_emulates_the_same_bits(self, variant_emulator, tmp_path):
         fitted = variant_emulator
-        repro.save(fitted, tmp_path / "v3.npz")
+        repro.save(fitted, tmp_path / "v4.npz")
         write_schema_2(fitted, tmp_path / "v2.npz")
         write_schema_1(fitted, tmp_path / "v1.npz")
-        loads = [repro.load(tmp_path / f"v{schema}.npz") for schema in (3, 2, 1)]
-        for schema, loaded in zip((3, 2, 1), loads):
+        loads = [repro.load(tmp_path / f"v{schema}.npz") for schema in (4, 2, 1)]
+        for schema, loaded in zip((4, 2, 1), loads):
             repro.save(loaded, tmp_path / f"v{schema}_resaved.npz")
-        # Re-saving a load of any schema writes exactly the fresh schema-3 artifact.
-        written = members(tmp_path / "v3.npz")
-        assert EmulatorArtifact.load(tmp_path / "v1_resaved.npz").schema_version == SCHEMA_VERSION == 3
-        for schema in (3, 2, 1):
+        # Re-saving a load of any schema writes exactly the fresh schema-4 artifact.
+        written = members(tmp_path / "v4.npz")
+        assert EmulatorArtifact.load(tmp_path / "v1_resaved.npz").schema_version == SCHEMA_VERSION == 4
+        for schema in (4, 2, 1):
             assert members(tmp_path / f"v{schema}_resaved.npz") == written
         emulators = [fitted, *loads, repro.load(tmp_path / "v2_resaved.npz")]
         reference, *others = [
@@ -193,21 +210,44 @@ class TestSchemas:
 
     def test_a_schema_2_file_from_1_18_emulates_its_recorded_bits(self, tmp_path):
         """Real old bytes: what 1.18.0 wrote loads, emulates the bits recorded
-        at this numerics revision, and re-saves as schema 3 without moving them."""
-        recorded = json.loads(SCHEMA_2_FILE.with_suffix(".json").read_text())
-        assert recorded["numerics_revision"] == NUMERICS_REVISION, (
-            "NUMERICS_REVISION moved: re-record the emulate sha256 and "
-            f"numerics_revision in {SCHEMA_2_FILE.with_suffix('.json').name}"
-        )
+        at this numerics revision, and re-saves as schema 4 without moving them."""
+        recorded = _recorded(SCHEMA_2_FILE)
         assert EmulatorArtifact.load(SCHEMA_2_FILE).schema_version == 2
-        repro.save(repro.load(SCHEMA_2_FILE), tmp_path / "v3.npz")
-        assert EmulatorArtifact.load(tmp_path / "v3.npz").schema_version == SCHEMA_VERSION
-        run = recorded["emulate"]
-        for path in (SCHEMA_2_FILE, tmp_path / "v3.npz"):
-            data = repro.load(path).emulate(
-                run["n_realizations"], n_times=run["n_times"], rng=run["rng"],
-            ).data
-            assert hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest() == recorded["sha256"]
+        repro.save(repro.load(SCHEMA_2_FILE), tmp_path / "v4.npz")
+        assert EmulatorArtifact.load(tmp_path / "v4.npz").schema_version == SCHEMA_VERSION
+        for path in (SCHEMA_2_FILE, tmp_path / "v4.npz"):
+            assert _emulated_sha256(repro.load(path), recorded["emulate"]) == recorded["sha256"]
+
+    def test_a_schema_3_file_from_1_19_emulates_its_recorded_bits(self, tmp_path):
+        """Real old bytes: what 1.19.0 wrote, with its factor's flop,
+        conversion and task totals, loads with its all-double panel adopted
+        as read (no copy), emulates the bits recorded at this numerics
+        revision, and re-saves as schema 4 without the totals or moving them."""
+        recorded = _recorded(SCHEMA_3_FILE)
+        artifact = EmulatorArtifact.load(SCHEMA_3_FILE)
+        assert artifact.schema_version == 3
+        stored = artifact.state["spectral_model"]["cholesky"]
+        assert {"flops_by_precision", "total_flops", "conversions", "n_tasks"} <= set(stored)
+        matrices = {k: v for k, v in stored.items() if k.startswith("panel_") and v.ndim == 2}
+        assert list(matrices) == ["panel_0_fp64"]
+        # Read as schema 4 is: the matrices are views of one block.
+        root, coefficients = matrices["panel_0_fp64"], artifact.state["trend_fit"]["coefficients"]
+        while root.base is not None:
+            root = root.base
+        assert np.shares_memory(root, coefficients) and root.nbytes > matrices["panel_0_fp64"].nbytes
+        loaded = artifact.to_emulator()
+        factor = loaded.spectral_model.cholesky
+        assert [len(parts) for _, parts in factor.panels] == [1, 3]
+        assert factor.panels[0][1][0][1] is matrices["panel_0_fp64"]
+        assert _emulated_sha256(loaded, recorded["emulate"]) == recorded["sha256"]
+        repro.save(loaded, tmp_path / "v4.npz")
+        resaved = EmulatorArtifact.load(tmp_path / "v4.npz")
+        assert resaved.schema_version == SCHEMA_VERSION
+        assert set(resaved.state["spectral_model"]["cholesky"]) == {
+            "n", "tile_size", "variant", "tile_precision",
+            "panel_0_fp64", "panel_1_fp64", "panel_1_fp32", "panel_1_fp16",
+        }
+        assert _emulated_sha256(repro.load(tmp_path / "v4.npz"), recorded["emulate"]) == recorded["sha256"]
 
     def test_schema_1_file_is_what_the_helper_claims(self, variant_emulator, tmp_path):
         write_schema_1(variant_emulator, tmp_path / "v1.npz")
@@ -466,8 +506,8 @@ class TestErrorPaths:
         message = str(excinfo.value)
         assert str(SCHEMA_VERSION) in message and str(SCHEMA_VERSION + 1) in message
 
-    def test_only_schemas_1_to_3_are_read(self, fitted_emulator, tmp_path):
-        assert SCHEMA_VERSION == 3
+    def test_only_schemas_1_to_4_are_read(self, fitted_emulator, tmp_path):
+        assert SCHEMA_VERSION == 4
         artifact = fitted_emulator.to_artifact()
         artifact.schema_version = 0
         artifact.save(tmp_path / "ancient.npz")

@@ -1,13 +1,13 @@
-"""Tests of the backend registry mechanism and its two populated registries."""
+"""Tests of the backend registry mechanism and the SHT backends it holds."""
 
 import numpy as np
 import pytest
 
-from repro.api.registry import BackendRegistry, UnknownBackendError
 from repro.core.spectral_model import SpectralStochasticModel
-from repro.linalg.policies import CHOLESKY_VARIANTS, variant_policy
+from repro.linalg import tile_codes
 from repro.sht import Grid, SHTPlan
 from repro.sht.backends import SHT_BACKENDS, DirectSHTPlan
+from repro.util.registry import BackendRegistry, UnknownBackendError
 
 
 class TestBackendRegistry:
@@ -129,17 +129,16 @@ class TestShtBackends:
         assert "'fast'" in message and "'direct'" in message
 
     def test_unknown_name_errors_point_at_the_docs(self):
-        """SHT / scenario / Cholesky lookups cross-reference docs/api.md."""
-        from repro.linalg.policies import CHOLESKY_VARIANTS
+        """SHT / scenario / Cholesky-variant lookups cross-reference docs/api.md."""
         from repro.scenarios.registry import SCENARIOS
 
-        for registry, bad_name in (
-            (SHT_BACKENDS, "nonexistent"),
-            (SCENARIOS, "rcp-11.0"),
-            (CHOLESKY_VARIANTS, "DP/QP"),
+        for lookup in (
+            lambda: SHT_BACKENDS.resolve("nonexistent"),
+            lambda: SCENARIOS.resolve("rcp-11.0"),
+            lambda: tile_codes("DP/QP", 4),
         ):
             with pytest.raises(UnknownBackendError) as excinfo:
-                registry.resolve(bad_name)
+                lookup()
             assert "see docs/api.md" in str(excinfo.value)
 
     def test_new_backend_usable_without_core_edits(self):
@@ -163,37 +162,3 @@ class TestShtBackends:
         finally:
             SHT_BACKENDS.unregister("fast-test-alias")
 
-
-class TestCholeskyVariants:
-    def test_builtin_names(self):
-        assert set(CHOLESKY_VARIANTS.names()) == {"DP", "DP/SP", "DP/SP/HP", "DP/HP"}
-
-    def test_variant_policy_resolves_through_registry(self):
-        assert variant_policy("dp/hp").name == "DP/HP"
-
-    def test_unknown_variant_lists_available(self):
-        with pytest.raises(ValueError) as excinfo:
-            variant_policy("DP/QP")
-        assert "'DP/SP'" in str(excinfo.value)
-
-    def test_registered_variant_flows_to_emulator(self, small_ensemble):
-        """A registry-only policy works via EmulatorConfig.precision_variant."""
-        from repro.core import ClimateEmulator, EmulatorConfig
-        from repro.linalg.policies import band_policy
-        from repro.linalg.precision import Precision
-
-        CHOLESKY_VARIANTS.register(
-            "SP-TEST",
-            lambda: band_policy("SP-TEST", (), Precision.SINGLE),
-            description="test-only all-single policy",
-            overwrite=True,
-        )
-        try:
-            emulator = ClimateEmulator(
-                EmulatorConfig(lmax=4, var_order=1, tile_size=8,
-                               precision_variant="SP-TEST", rho_grid=(0.5,))
-            )
-            emulator.fit(small_ensemble)
-            assert emulator.spectral_model.cholesky.variant == "SP-TEST"
-        finally:
-            CHOLESKY_VARIANTS.unregister("SP-TEST")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ClimateEmulator, EmulatorConfig
+from repro.linalg import VARIANTS
 from repro.scenarios import resolve_scenario
 from repro.stats import consistency_report
 
@@ -23,6 +25,23 @@ class TestEmulatorConfig:
             EmulatorConfig(rho_grid=(1.5,))
         with pytest.raises(ValueError):
             EmulatorConfig(tile_size=0)
+
+    def test_an_unknown_precision_variant_is_refused_with_the_four_names(self):
+        with pytest.raises(ValueError) as excinfo:
+            EmulatorConfig(precision_variant="DP/QP")
+        message = str(excinfo.value)
+        assert "'DP/QP'" in message and all(f"'{v}'" in message for v in VARIANTS)
+        for variant in VARIANTS:
+            assert EmulatorConfig(precision_variant=variant.lower()).precision_variant == variant.lower()
+
+    def test_an_unknown_precision_variant_fails_before_the_fit_starts(self, small_ensemble):
+        """The name is checked when the config is built, not in the
+        factorisation after the trend, scale, analysis and VAR fits."""
+        repro.obs.clear_trace()
+        with repro.obs.tracing():
+            with pytest.raises(ValueError, match="'DP/QP'"):
+                repro.fit(small_ensemble, lmax=8, precision_variant="DP/QP")
+        assert not [r["name"] for r in repro.obs.trace_records() if r["name"].startswith("fit.")]
 
     def test_describe(self):
         desc = EmulatorConfig(lmax=4).describe()

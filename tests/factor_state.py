@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg import variant_policy
+from repro.linalg import tile_codes
 from repro.linalg.precision import _PRECISIONS
 
 
@@ -30,18 +30,12 @@ def packed_state(lower: np.ndarray, tile_size: int, variant: str) -> dict:
     the diagonal is for the loader to drop."""
     lower = np.asarray(lower, dtype=np.float64)
     n, nb = len(lower), tile_size
-    precisions = variant_policy(variant).precision_map(-(-n // nb))
-    state = {
-        "n": n, "tile_size": nb, "variant": variant,
-        "tile_precision": np.array(
-            [_PRECISIONS.index(p) for p in precisions.values()], dtype=np.uint8
-        ),
-        "flops_by_precision": {}, "total_flops": 0.0, "conversions": 0, "n_tasks": 0,
-    }
-    for precision in _PRECISIONS:
+    codes = tile_codes(variant, -(-n // nb))
+    state = {"n": n, "tile_size": nb, "variant": variant, "tile_precision": codes}
+    for code, precision in enumerate(_PRECISIONS):
         tiles = [
             lower[i * nb:i * nb + nb, j * nb:j * nb + nb].astype(precision.dtype).ravel()
-            for (i, j), p in precisions.items() if p is precision
+            for i, j, c in zip(*np.tril_indices(-(-n // nb)), codes) if c == code
         ]
         if tiles:
             state[f"tiles_{precision.value}"] = np.concatenate(tiles)

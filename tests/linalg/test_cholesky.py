@@ -7,15 +7,9 @@ from factor_state import (  # tests/ is on sys.path (rootdir layout)
 )
 from scipy.linalg.blas import dsyrk
 
-from repro.linalg import (
-    MixedPrecisionCholesky,
-    Precision,
-    VARIANTS,
-    band_policy,
-    dense_cholesky,
-)
+from repro.linalg import MixedPrecisionCholesky, VARIANTS, dense_cholesky, tile_codes
 from repro.linalg.cholesky import CholeskyResult
-from repro.linalg.precision import _PRECISIONS
+from repro.linalg.precision import _PRECISIONS, Precision
 
 
 class TestDenseReference:
@@ -60,14 +54,34 @@ class TestFactorizationAccuracy:
         spd = a @ a.T + 8 * np.eye(8)
         result = MixedPrecisionCholesky(tile_size=8, variant="DP").factorize(spd)
         assert result.relative_error(spd) < 1e-13
-        assert result.n_tasks == 1
+        assert result.tile_precision.tolist() == [0]
 
     def test_result_accounting(self, spd_matrix):
         result = MixedPrecisionCholesky(tile_size=16, variant="DP/HP").factorize(spd_matrix)
-        assert result.total_flops == pytest.approx(sum(result.flops_by_precision.values()))
         assert result.storage_bytes < result.dense_bytes == 64 * 64 * 8
-        assert "fp16" in result.flops_by_precision
+        assert _PRECISIONS.index(Precision.HALF) in result.tile_precision
         assert result.variant == "DP/HP"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("tile_size", [16, 24, 64])
+    @pytest.mark.parametrize("n", [64, 100, 300])
+    def test_storage_bytes_is_the_tiles_at_their_stored_width(self, n, tile_size, variant):
+        """``storage_bytes`` sums the lower tiles, ragged edges included, each
+        at the width of the precision the variant assigns it."""
+        result = MixedPrecisionCholesky(tile_size, variant).factorize(decaying_covariance(n))
+        rows = [min(tile_size, n - i * tile_size) for i in range(-(-n // tile_size))]
+        codes = tile_codes(variant, len(rows))
+        assert np.array_equal(result.tile_precision, codes)
+        assert result.storage_bytes == sum(
+            rows[i] * rows[j] * _PRECISIONS[c].bytes_per_element
+            for i, j, c in zip(*np.tril_indices(len(rows)), codes)
+        )
+
+    def test_variant_names_match_in_any_case_and_unknown_ones_fail_early(self, spd_matrix):
+        solver = MixedPrecisionCholesky(tile_size=16, variant="dp/sp/hp")
+        assert solver.variant == solver.factorize(spd_matrix).variant == "DP/SP/HP"
+        with pytest.raises(ValueError, match="'DP/SP/HP'"):
+            MixedPrecisionCholesky(tile_size=16, variant="DP/QP")
 
     def test_half_precision_tiles_store_fewer_bytes(self, spd_matrix):
         dp, hp = (
@@ -234,21 +248,21 @@ class TestPanelState:
             assert member.base is panel and not member.flags.writeable
 
     def test_a_factor_of_double_and_mixed_panels_round_trips(self):
-        """With a six-tile double band, the first two 72-row panels hold double
-        precision only and the last two mix in single: a load adopts the
-        first two members and fills the other two panels."""
-        policy = band_policy("wide", ((6, Precision.DOUBLE),), Precision.SINGLE)
-        result = MixedPrecisionCholesky(tile_size=24, variant=policy).factorize(
+        """With 64-wide tiles a panel is one tile row: the first, tile (0, 0)
+        alone, holds double precision only and the other three mix in
+        single.  A load adopts the first member and fills the other panels."""
+        result = MixedPrecisionCholesky(tile_size=64, variant="DP/SP").factorize(
             decaying_covariance(300)
         )
         state = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in result.state_dict().items()}
         assert [k for k in state if k.startswith("panel_")] == [
-            "panel_0_fp64", "panel_1_fp64", "panel_2_fp64", "panel_2_fp32", "panel_3_fp64", "panel_3_fp32",
+            "panel_0_fp64", "panel_1_fp64", "panel_1_fp32", "panel_2_fp64", "panel_2_fp32",
+            "panel_3_fp64", "panel_3_fp32",
         ]
-        assert [state[f"panel_{p}_fp64"].ndim for p in range(4)] == [2, 2, 1, 1]
+        assert [state[f"panel_{p}_fp64"].ndim for p in range(4)] == [2, 1, 1, 1]
         loaded = CholeskyResult.from_state(state)
         assert [parts[0][1] is state[f"panel_{p}_fp64"] for p, (_, parts) in enumerate(loaded.panels)] == [
-            True, True, False, False,
+            True, False, False, False,
         ]
         assert np.array_equal(loaded.lower(), result.lower())
         z = np.random.default_rng(0).standard_normal((40, 300))

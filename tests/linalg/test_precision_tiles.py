@@ -1,20 +1,10 @@
-"""Tests of precision descriptors, flop counts and policies."""
+"""Tests of precision descriptors, the factorisation flop count and the
+tile-precision variants."""
 
 import numpy as np
 import pytest
 
-from repro.linalg import (
-    Precision,
-    adaptive_policy,
-    band_policy,
-    cholesky_flops,
-    gemm_flops,
-    potrf_flops,
-    syrk_flops,
-    trsm_flops,
-    variant_policy,
-)
-from repro.linalg.flops import cholesky_tile_counts
+from repro.linalg import VARIANTS, Precision, cholesky_flops, tile_codes
 from repro.linalg.precision import _PRECISIONS, parse_precision
 
 
@@ -58,70 +48,64 @@ class TestPrecision:
 
 
 class TestFlops:
-    def test_asymptotic_ratios(self):
-        nb = 256
-        assert gemm_flops(nb) == pytest.approx(2 * nb ** 3)
-        assert trsm_flops(nb) == pytest.approx(nb ** 3)
-        assert syrk_flops(nb) == pytest.approx(nb ** 3, rel=1e-2)
-        assert potrf_flops(nb) == pytest.approx(nb ** 3 / 3, rel=1e-2)
-
     def test_cholesky_total(self):
         assert cholesky_flops(1000) == pytest.approx(1000 ** 3 / 3, rel=1e-2)
 
-    def test_tile_counts(self):
-        counts = cholesky_tile_counts(4)
-        assert counts == {"POTRF": 4, "TRSM": 6, "SYRK": 6, "GEMM": 4}
 
-    def test_tile_counts_match_total_flops(self):
-        """Summing per-kernel flops over the tile counts approximates n^3/3."""
-        nb, nt = 64, 8
-        counts = cholesky_tile_counts(nt)
-        total = (
-            counts["POTRF"] * potrf_flops(nb)
-            + counts["TRSM"] * trsm_flops(nb)
-            + counts["SYRK"] * syrk_flops(nb)
-            + counts["GEMM"] * gemm_flops(nb)
-        )
-        assert total == pytest.approx(cholesky_flops(nb * nt), rel=0.05)
+def _grid(variant: str, n_tiles: int) -> dict:
+    """``{(i, j): Precision}`` of the lower tiles ``variant`` assigns."""
+    codes = tile_codes(variant, n_tiles)
+    return {(int(i), int(j)): _PRECISIONS[c] for i, j, c in zip(*np.tril_indices(n_tiles), codes)}
 
 
-class TestPolicies:
+class TestVariants:
+    def test_the_four_variants(self):
+        assert VARIANTS == ("DP", "DP/SP", "DP/SP/HP", "DP/HP")
+
     def test_dp_variant_is_all_double(self):
-        policy = variant_policy("DP")
-        assert all(p is Precision.DOUBLE for p in policy.precision_map(6).values())
+        assert all(p is Precision.DOUBLE for p in _grid("DP", 6).values())
 
     def test_dp_hp_band_structure(self):
-        policy = variant_policy("DP/HP")
-        pm = policy.precision_map(6)
-        assert pm[(3, 3)] is Precision.DOUBLE
-        assert pm[(5, 0)] is Precision.HALF
+        grid = _grid("DP/HP", 6)
+        assert grid[(3, 3)] is Precision.DOUBLE
+        assert grid[(5, 0)] is Precision.HALF
 
     def test_dp_hp_keeps_only_the_diagonal_in_double(self):
-        precisions = list(variant_policy("DP/HP").precision_map(8).values())
+        precisions = list(_grid("DP/HP", 8).values())
         assert precisions.count(Precision.DOUBLE) == 8
         assert precisions.count(Precision.HALF) == 8 * 9 // 2 - 8
 
+    def test_dp_sp_keeps_only_the_diagonal_in_double(self):
+        precisions = list(_grid("DP/SP", 8).values())
+        assert precisions.count(Precision.DOUBLE) == 8
+        assert precisions.count(Precision.SINGLE) == 8 * 9 // 2 - 8
+
     def test_dp_sp_hp_has_three_levels(self):
-        precisions = list(variant_policy("DP/SP/HP").precision_map(40).values())
+        precisions = list(_grid("DP/SP/HP", 40).values())
         assert precisions.count(Precision.DOUBLE) > 0
         assert precisions.count(Precision.SINGLE) > 0
         assert precisions.count(Precision.HALF) > 0.5 * len(precisions)
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            variant_policy("DP/QP")
+    @pytest.mark.parametrize("n_tiles, widest", [(1, 0), (19, 1), (20, 1), (21, 2), (40, 2), (41, 3)])
+    def test_dp_sp_hp_single_band_is_the_nearest_5_percent(self, n_tiles, widest):
+        """Off-diagonal distance ``d`` is single while ``d < 1 + 0.05 n_tiles``."""
+        grid = _grid("DP/SP/HP", n_tiles)
+        single = [i - j for (i, j), p in grid.items() if p is Precision.SINGLE]
+        assert max(single, default=0) == widest
+        assert all(p is Precision.HALF for (i, j), p in grid.items() if i - j > widest)
 
-    def test_band_policy_fractional_width(self):
-        policy = band_policy("custom", ((0.5, Precision.SINGLE),), Precision.HALF)
-        pm = policy.precision_map(10)
-        assert pm[(2, 0)] is Precision.SINGLE
-        assert pm[(9, 0)] is Precision.HALF
+    def test_codes_are_row_major_uint8(self):
+        codes = tile_codes("DP/SP", 3)  # (0,0) (1,0) (1,1) (2,0) (2,1) (2,2)
+        assert codes.dtype == np.uint8 and codes.tolist() == [0, 1, 0, 1, 1, 0]
+        assert tile_codes("DP", 0).shape == (0,)
 
-    def test_adaptive_policy_tracks_magnitude(self):
-        n = 32
-        idx = np.arange(n)
-        matrix = np.exp(-np.abs(np.subtract.outer(idx, idx)) / 2.0) + np.eye(n)
-        policy = adaptive_policy(matrix, tile_size=8, sp_threshold=0.5, hp_threshold=1e-3)
-        pm = policy.precision_map(4)
-        assert pm[(0, 0)] is Precision.DOUBLE
-        assert pm[(3, 0)] in (Precision.SINGLE, Precision.HALF)
+    @pytest.mark.parametrize("spelling", ["dp/hp", "Dp/Hp", " DP/HP ", "dp / hp"])
+    def test_names_match_in_any_case(self, spelling):
+        assert np.array_equal(tile_codes(spelling, 7), tile_codes("DP/HP", 7))
+
+    def test_unknown_variant_lists_the_four(self):
+        with pytest.raises(ValueError) as excinfo:
+            tile_codes("DP/QP", 4)
+        message = str(excinfo.value)
+        assert "'DP/QP'" in message and all(f"'{v}'" in message for v in VARIANTS)
+        assert "see docs/api.md#cholesky-precision-variants" in message

@@ -68,6 +68,21 @@ class TestRepoTreeIsClean:
             "fully-unused public exports:\n" + render_report(report)
         )
 
+    def test_pipeline_packages_export_nothing_only_tests_use(self):
+        """``api``, ``core``, ``linalg`` and ``tuning`` keep no public name
+        whose only callers are tests."""
+        packages = ["src/repro/api", "src/repro/core", "src/repro/linalg", "src/repro/tuning.py"]
+        report = dead_symbol_report(REPO_ROOT, packages)
+        tests_only = {
+            package: sorted(
+                symbol for symbol, entry in data["symbols"].items()
+                if entry["status"] == "tests-only"
+            )
+            for package, data in report["packages"].items()
+        }
+        assert set(tests_only) == set(packages)
+        assert not any(tests_only.values()), f"tests-only exports: {tests_only}"
+
     def test_import_repro_loads_every_module_it_ships(self):
         """No ``src/repro`` module is reached only from benchmarks, examples
         or tests: a fresh ``import repro`` loads each one, bar the packages

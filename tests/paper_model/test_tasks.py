@@ -1,9 +1,5 @@
-"""Tests of the tile Cholesky task model and its dependency analysis.
-
-The task list is also the oracle of ``repro.linalg.cholesky._accounting``:
-a factorisation's flop, conversion and task totals are its closed form,
-pinned equal here.
-"""
+"""Tests of the tile Cholesky task model: its tile-kernel flops, task
+list and dependency analysis."""
 
 import hashlib
 import os
@@ -12,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from factor_state import decaying_covariance  # tests/ is on sys.path (rootdir layout)
 from hypothesis import HealthCheck, given, settings
@@ -19,9 +16,19 @@ from hypothesis import strategies as st
 
 import repro
 from benchmarks.paper_model import tasks as tasks_module
-from benchmarks.paper_model.tasks import Task, build_task_graph, generate_cholesky_tasks
-from repro.linalg import VARIANTS, MixedPrecisionCholesky, variant_policy
-from repro.linalg.flops import cholesky_flops, cholesky_tile_counts
+from benchmarks.paper_model.tasks import (
+    Task,
+    build_task_graph,
+    cholesky_tile_counts,
+    gemm_flops,
+    generate_cholesky_tasks,
+    potrf_flops,
+    syrk_flops,
+    trsm_flops,
+)
+from repro.linalg import VARIANTS, MixedPrecisionCholesky, tile_codes
+from repro.linalg.flops import cholesky_flops
+from repro.linalg.precision import _PRECISIONS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -36,6 +43,43 @@ def _edges(graph):
         (graph.tasks[p].name, task.name)
         for task, preds in zip(graph.tasks, graph.predecessors)
         for p in preds
+    }
+
+
+class TestKernelFlops:
+    def test_asymptotic_ratios(self):
+        nb = 256
+        assert gemm_flops(nb) == pytest.approx(2 * nb ** 3)
+        assert trsm_flops(nb) == pytest.approx(nb ** 3)
+        assert syrk_flops(nb) == pytest.approx(nb ** 3, rel=1e-2)
+        assert potrf_flops(nb) == pytest.approx(nb ** 3 / 3, rel=1e-2)
+
+    def test_tile_counts(self):
+        assert cholesky_tile_counts(4) == {"POTRF": 4, "TRSM": 6, "SYRK": 6, "GEMM": 4}
+
+    def test_tile_counts_match_total_flops(self):
+        """Summing per-kernel flops over the tile counts approximates n^3/3."""
+        nb, nt = 64, 8
+        counts = cholesky_tile_counts(nt)
+        total = (
+            counts["POTRF"] * potrf_flops(nb)
+            + counts["TRSM"] * trsm_flops(nb)
+            + counts["SYRK"] * syrk_flops(nb)
+            + counts["GEMM"] * gemm_flops(nb)
+        )
+        assert total == pytest.approx(cholesky_flops(nb * nt), rel=0.05)
+
+
+def _output_precisions(tasks: list) -> dict:
+    """``{(i, j): precision}`` of each tile a POTRF or TRSM finishes."""
+    return {t.writes[0]: t.precision for t in tasks if t.kind in ("POTRF", "TRSM")}
+
+
+def _code_precisions(codes, n_tiles: int) -> dict:
+    """``{(i, j): precision}`` of row-major lower-tile codes."""
+    return {
+        (int(i), int(j)): _PRECISIONS[c].value
+        for i, j, c in zip(*np.tril_indices(n_tiles), codes)
     }
 
 
@@ -191,14 +235,16 @@ class TestTaskGeneration:
         )
         assert sender < receiver
 
-    def test_a_policy_object_is_taken_as_is(self):
-        policy = variant_policy("DP/SP")
-        solver = MixedPrecisionCholesky(tile_size=16, variant=policy)
-        assert solver.policy is policy
-        by_name = generate_cholesky_tasks(64, 16, "DP/SP")
-        assert [t.precision for t in generate_cholesky_tasks(64, 16, policy)] == [
-            t.precision for t in by_name
-        ]
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_tasks_compute_at_the_variants_tile_precisions(self, variant):
+        """Each tile's finishing task computes at the precision
+        ``tile_codes`` assigns the tile, a name in any case."""
+        tasks = generate_cholesky_tasks(300, 24, variant.lower())
+        assert _output_precisions(tasks) == _code_precisions(tile_codes(variant, 13), 13)
+
+    def test_unknown_variant_lists_the_four(self):
+        with pytest.raises(ValueError, match="'DP/SP/HP'"):
+            generate_cholesky_tasks(64, 16, "DP/QP")
 
     def test_rejects_bad_tile_size(self):
         with pytest.raises(ValueError, match="tile_size"):
@@ -214,7 +260,7 @@ class TestTaskGeneration:
         monkeypatch.setattr(Task, "__init__", disabled)
         spd = decaying_covariance(100)
         result = MixedPrecisionCholesky(tile_size=16, variant="DP/SP/HP").factorize(spd)
-        assert result.n_tasks == sum(cholesky_tile_counts(7).values())
+        assert len(result.tile_precision) == 7 * 8 // 2
         emulator = repro.fit(
             small_ensemble, lmax=8, var_order=1, tile_size=16, rho_grid=(0.5,),
             precision_variant="DP/SP",
@@ -222,40 +268,94 @@ class TestTaskGeneration:
         assert emulator.spectral_model.cholesky.n == 64
 
 
+#: ``(variant, conversion) -> (flops per compute precision, conversions)``
+#: of the order-300 task list in 24-wide tiles (455 tasks), as the
+#: factorisation's closed-form accounting computed them when it kept one.
+TOTALS = {
+    ("DP", "receiver"): ({"fp64": 9022586.0}, 0),
+    ("DP", "sender"): ({"fp64": 9022586.0}, 0),
+    ("DP/HP", "receiver"): ({"fp64": 1032314.0, "fp16": 7990272.0}, 156),
+    ("DP/HP", "sender"): ({"fp64": 1032314.0, "fp16": 7990272.0}, 90),
+    ("DP/SP", "receiver"): ({"fp64": 1032314.0, "fp32": 7990272.0}, 156),
+    ("DP/SP", "sender"): ({"fp64": 1032314.0, "fp32": 7990272.0}, 90),
+    ("DP/SP/HP", "receiver"): ({"fp64": 1032314.0, "fp32": 1831680.0, "fp16": 6158592.0}, 332),
+    ("DP/SP/HP", "sender"): ({"fp64": 1032314.0, "fp32": 1831680.0, "fp16": 6158592.0}, 177),
+}
+
+
+@pytest.mark.parametrize("variant, conversion", sorted(TOTALS))
+def test_task_list_totals_are_pinned(variant, conversion):
+    tasks = generate_cholesky_tasks(300, 24, variant, conversion=conversion)
+    flops = {}
+    for task in tasks:
+        flops[task.precision] = flops.get(task.precision, 0.0) + task.flops
+    pinned_flops, conversions = TOTALS[variant, conversion]
+    assert flops == pytest.approx(pinned_flops, rel=1e-12)
+    assert sum(t.conversions for t in tasks) == conversions and len(tasks) == 455
+
+
+def _closed_form_totals(n: int, tile_size: int, grid: dict, receiver: bool):
+    """``(flops by precision, conversions, task count)`` of the task list, in
+    closed form from the tile precisions ``grid`` (``{(i, j): precision}``).
+
+    Tile ``(i, i)`` takes POTRF(i) and ``i`` SYRKs, tile ``(i, j)`` TRSM(i, j)
+    and ``j`` GEMMs.  POTRF(k) broadcasts to column ``k`` below the diagonal;
+    TRSM(i, k) to row ``i`` right of ``k`` and to column ``i`` below the
+    diagonal.
+    """
+    nb = tile_size
+    nt = -(-n // nb)
+    r = [min(nb, n - k * nb) / nb for k in range(nt)]
+    flops: dict = {}
+    conversions = 0
+    for (i, j), precision in grid.items():
+        if i == j:
+            work = potrf_flops(r[i] * nb) + i * syrk_flops(r[i] * nb)
+            consumers = [grid[row, i] for row in range(i + 1, nt)]
+        else:
+            work = trsm_flops(nb) * r[i] + j * gemm_flops(nb) * r[i] * r[j]
+            consumers = [grid[i, col] for col in range(j + 1, i + 1)]
+            consumers += [grid[row, i] for row in range(i + 1, nt)]
+        flops[precision] = flops.get(precision, 0.0) + work
+        needing = [c for c in consumers if c != precision]
+        conversions += len(needing) if receiver else len(set(needing))
+    return flops, conversions, sum(cholesky_tile_counts(nt).values())
+
+
 @pytest.mark.parametrize("conversion", ["sender", "receiver"])
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("tile_size", [16, 24, 64])
 @pytest.mark.parametrize("n", [64, 100, 300])
 def test_closed_form_accounting_is_the_task_lists_totals(n, tile_size, variant, conversion):
-    """``flops_by_precision`` / ``conversions`` / ``n_tasks`` of a factorisation
-    equal the sums over the task list the performance model prices, and
-    ``storage_bytes`` the sum over its tiles at stored width."""
-    spd = decaying_covariance(n)
-    result = MixedPrecisionCholesky(tile_size, variant, conversion).factorize(spd)
+    """The task list the performance model prices, summed, equals the closed
+    form over the tile precisions of the factor it models: flops per
+    precision, conversions and task count, ragged last tile included."""
+    result = MixedPrecisionCholesky(tile_size, variant).factorize(decaying_covariance(n))
+    nt = -(-n // tile_size)
+    grid = _code_precisions(result.tile_precision, nt)
     tasks = generate_cholesky_tasks(n, tile_size, variant, conversion=conversion)
     flops = {}
     for task in tasks:
         flops[task.precision] = flops.get(task.precision, 0.0) + task.flops
-    assert result.flops_by_precision == pytest.approx(flops, rel=1e-12)
-    assert result.total_flops == pytest.approx(sum(flops.values()), rel=1e-12)
-    assert result.conversions == sum(t.conversions for t in tasks)
-    assert result.n_tasks == len(tasks)
-    rows = [min(tile_size, n - i * tile_size) for i in range(-(-n // tile_size))]
-    assert result.storage_bytes == sum(
-        rows[i] * rows[j] * precision.bytes_per_element
-        for (i, j), precision in variant_policy(variant).precision_map(len(rows)).items()
+    closed_flops, conversions, n_tasks = _closed_form_totals(
+        n, tile_size, grid, conversion == "receiver"
     )
+    assert flops == pytest.approx(closed_flops, rel=1e-12)
+    assert sum(t.conversions for t in tasks) == conversions
+    assert len(tasks) == n_tasks
 
 
 def test_dag_analysis_of_emulator_cholesky(pipeline, innovation_covariance):
-    """The task model of the covariance factorisation: its DAG analysis
-    agrees with the factorisation's own accounting."""
+    """The task model of the covariance factorisation: its tasks compute at
+    the fitted factor's tile precisions, and its DAG analysis is pinned."""
     _, emulator, _ = pipeline
     n = len(innovation_covariance(emulator))  # 100: 4 x 4 tiles of 25
     result = emulator.spectral_model.cholesky
-    graph = build_task_graph(generate_cholesky_tasks(n, 25, "DP/SP"))
-    assert graph.n_tasks == result.n_tasks == 20
-    assert graph.total_flops() == pytest.approx(result.total_flops, rel=1e-12)
+    tasks = generate_cholesky_tasks(n, 25, result.variant)
+    assert _output_precisions(tasks) == _code_precisions(result.tile_precision, 4)
+    graph = build_task_graph(tasks)
+    assert graph.n_tasks == sum(cholesky_tile_counts(4).values()) == 20
+    assert graph.total_flops() == pytest.approx(cholesky_flops(n), rel=0.1)
     length, path = graph.critical_path(cost=lambda t: 1.0)
     # POTRF -> TRSM -> SYRK per panel, then the last POTRF.
     assert (length, path[:3], path[-1]) == (

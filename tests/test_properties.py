@@ -18,10 +18,10 @@ from hypothesis.extra import numpy as hnp
 
 import repro
 from repro.core.trend import distributed_lag_series
-from repro.linalg import MixedPrecisionCholesky, variant_policy
+from repro.linalg import MixedPrecisionCholesky, tile_codes
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.policies import VARIANTS
-from repro.linalg.precision import Precision
+from repro.linalg.precision import _PRECISIONS, Precision
 from repro.sht import Grid, SHTPlan, transform
 from repro.sht.quadrature import _exponential_sine_integral
 from repro.sht.realform import complex_from_real, real_from_complex
@@ -166,10 +166,10 @@ class TestLinalgProperties:
     @_SETTINGS
     @given(st.integers(min_value=1, max_value=40), st.sampled_from(["DP", "DP/SP", "DP/SP/HP", "DP/HP"]))
     def test_policy_total_and_diagonal_double(self, n_tiles, variant):
-        policy = variant_policy(variant)
-        pm = policy.precision_map(n_tiles)
-        assert len(pm) == n_tiles * (n_tiles + 1) // 2
-        assert all(pm[(i, i)] is Precision.DOUBLE for i in range(n_tiles))
+        codes = tile_codes(variant, n_tiles)
+        assert codes.shape == (n_tiles * (n_tiles + 1) // 2,) and codes.dtype == np.uint8
+        diagonal = np.arange(n_tiles) * (np.arange(n_tiles) + 3) // 2  # (i, i), row-major
+        assert all(_PRECISIONS[c] is Precision.DOUBLE for c in codes[diagonal])
 
 
 class TestModelProperties:

@@ -87,7 +87,7 @@ def generate() -> str:
     from repro.api.artifact import EmulatorArtifact
     from repro.core.window import SpatialWindow
     from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
-    from repro.linalg.policies import CHOLESKY_VARIANTS
+    from repro.linalg import VARIANTS, policies, tile_codes
     from repro.scenarios.campaign import (
         CampaignManifest,
         iter_chunk_arrays,
@@ -233,11 +233,13 @@ def generate() -> str:
 
     parts.append("## Cholesky precision variants\n")
     parts.append(
-        "Precision policies for the tile Cholesky of the innovation\n"
-        "covariance, selected via `EmulatorConfig.precision_variant` and\n"
-        "resolved through `repro.CHOLESKY_VARIANTS`.\n"
+        "The tile precision of the innovation covariance's Cholesky factor,\n"
+        "selected via `EmulatorConfig.precision_variant` (in any case) from\n"
+        f"the closed table `repro.linalg.VARIANTS`: {', '.join(f'`{v}`' for v in VARIANTS)}.\n"
+        "Any other name is refused when the config is built.\n"
     )
-    parts.append(_catalogue(CHOLESKY_VARIANTS) + "\n")
+    parts.append(f"```text\n{_doc(policies)}\n```\n")
+    parts.append(_entry("repro.linalg.tile_codes", tile_codes))
 
     text = "\n".join(parts)
     return textwrap.dedent(text).rstrip() + "\n"
