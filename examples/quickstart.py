@@ -48,10 +48,8 @@ def main() -> None:
     print(f"  global mean temperature: {stats['mean']:.2f} K, "
           f"std: {stats['std']:.2f} K, {simulations.n_data_points:,} data points")
 
-    # 2. Fit through the facade.  The SHT implementation is a named backend
-    #    of a registry, the Cholesky precision one of the paper's four
-    #    variants; list both to see what is available.
-    print(f"\nAvailable SHT backends:      {repro.SHT_BACKENDS.names()}")
+    # 2. Fit through the facade.  The SHT is the paper's one transform, the
+    #    Cholesky precision one of the paper's four variants.
     print(f"Available Cholesky variants: {list(VARIANTS)}")
     emulator = repro.fit(
         simulations,
@@ -60,7 +58,7 @@ def main() -> None:
         var_order=2,
         tile_size=64,
         precision_variant="DP/SP",   # mixed-precision covariance factorisation
-        sht_method="fast",           # the paper's FFT/Wigner transform
+        sht_method="fast",           # the paper's FFT/Wigner transform, the only one
     )
     print(f"\nFitted: {emulator.config.describe()}")
     print(f"  spectral state size L^2 = {emulator.config.n_coeffs}, "

@@ -71,7 +71,6 @@ from repro.core.emulator import ClimateEmulator
 from repro.core.window import SpatialWindow
 from repro.data.ensemble import ClimateEnsemble
 from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
-from repro.sht.backends import SHT_BACKENDS
 from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
 from repro.util.registry import BackendRegistry, UnknownBackendError
 from repro.api.artifact import (
@@ -107,7 +106,6 @@ __all__ = [
     "MachineProfile",
     "SCENARIOS",
     "SCHEMA_VERSION",
-    "SHT_BACKENDS",
     "ScenarioSpec",
     "SchemaVersionError",
     "SpatialWindow",

@@ -97,7 +97,7 @@ def load(path: "str | os.PathLike") -> ClimateEmulator:
     bit-exactly equivalent to the emulator that was saved: under the same
     seeded generator both produce identical output.  Loading reuses the
     process-wide SHT plan cache (:func:`repro.sht.plancache.get_plan`),
-    so repeated loads of artifacts sharing ``(sht_method, lmax, grid)``
+    so repeated loads of artifacts sharing ``(lmax, grid)``
     rebuild the transform tables only once per process.
     """
     with span("facade.load"):

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from repro.linalg.policies import tile_codes
+from repro.sht.plancache import _check_sht_method
 
 __all__ = ["EmulatorConfig"]
 
@@ -40,9 +41,9 @@ class EmulatorConfig:
         (:data:`repro.linalg.policies.VARIANTS`).  Any other name is
         refused here, before a fit starts.
     sht_method:
-        Name of the spherical-harmonic-transform backend, resolved through
-        :data:`repro.sht.backends.SHT_BACKENDS` (``"fast"`` is the paper's
-        FFT/Wigner transform; ``"direct"`` the summation reference).
+        ``"fast"``, in any case: the paper's FFT + Wigner-d transform
+        (Eqs. 4-8), the one transform there is.  Any other name is
+        refused here, before a fit starts.
     covariance_jitter:
         Relative ridge added to the empirical covariance when
         ``R (T - P) < L^2`` leaves it rank deficient (paper Section
@@ -75,6 +76,7 @@ class EmulatorConfig:
         if not all(0.0 <= r < 1.0 for r in self.rho_grid):
             raise ValueError("rho values must lie in [0, 1)")
         tile_codes(self.precision_variant, 0)  # an unknown name raises, listing the four
+        _check_sht_method(self.sht_method)
 
     @property
     def n_coeffs(self) -> int:

@@ -48,9 +48,8 @@ class SpectralStochasticModel:
         covariance.  ``precision_variant`` names one of
         :data:`repro.linalg.policies.VARIANTS`.
     sht_method:
-        Name of the SHT backend, resolved through
-        :data:`repro.sht.backends.SHT_BACKENDS` (``"fast"`` or
-        ``"direct"``; any registered name works).
+        ``"fast"``, the one transform (:func:`repro.sht.plancache.get_plan`
+        refuses any other name).
     """
 
     lmax: int
@@ -68,7 +67,7 @@ class SpectralStochasticModel:
     initial_state: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # Plans are pure precomputation keyed on (backend, lmax, grid), so
+        # Plans are pure precomputation keyed on (lmax, grid), so
         # every model in the process shares one set of Wigner/quadrature
         # tables instead of rebuilding O(L^3) values per instance.
         self.plan = get_plan(self.sht_method, lmax=self.lmax, grid=self.grid)

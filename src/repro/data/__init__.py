@@ -23,7 +23,6 @@ Forcing pathways live in :mod:`repro.scenarios`
 (``resolve_scenario(name).annual_forcing(n_years)``).
 """
 
-from repro.data.landsea import land_fraction
 from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
 from repro.data.ensemble import ClimateEnsemble
 
@@ -31,5 +30,4 @@ __all__ = [
     "ClimateEnsemble",
     "Era5LikeConfig",
     "Era5LikeGenerator",
-    "land_fraction",
 ]

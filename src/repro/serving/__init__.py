@@ -12,10 +12,9 @@ call.
 """
 
 from repro.serving.request import FieldRequest, chunk_address
-from repro.serving.service import DEFAULT_CACHE_BYTES, EmulationService
+from repro.serving.service import EmulationService
 
 __all__ = [
-    "DEFAULT_CACHE_BYTES",
     "EmulationService",
     "FieldRequest",
     "chunk_address",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "extended_colatitude_length", "resolution_to_bandlimit", "bandlimit_to_resolution"]
+__all__ = ["Grid", "extended_colatitude_length", "resolution_to_bandlimit"]
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -41,13 +41,6 @@ def resolution_to_bandlimit(resolution_deg: float) -> int:
     if resolution_deg <= 0:
         raise ValueError("resolution must be positive")
     return int(round(180.0 / resolution_deg))
-
-
-def bandlimit_to_resolution(lmax: int) -> float:
-    """Approximate grid spacing in degrees for a band-limit ``L``."""
-    if lmax < 1:
-        raise ValueError("lmax must be >= 1")
-    return 180.0 / lmax
 
 
 @dataclass(frozen=True)

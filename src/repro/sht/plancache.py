@@ -9,15 +9,10 @@ every consumer that instantiated a
 ``repro.load`` of the same artifact, each campaign run — paid that cost
 again.
 
-:func:`get_plan` memoises plans per process, keyed on
-``(backend, lmax, grid)``:
-
-* **backend** is resolved through
-  :data:`repro.sht.backends.SHT_BACKENDS`, so aliases share one entry
-  (``"fft"`` and ``"fast"`` hit the same plan) and re-registering a name
-  (``overwrite=True``) starts a fresh entry rather than serving a stale
-  plan (the registry stamps every registration with a revision counter);
-* **lmax / grid** pin the band-limit and the ``(ntheta, nphi)`` shape.
+:func:`get_plan` memoises the one transform, the FFT + Wigner-d
+:class:`~repro.sht.transform.SHTPlan` of paper Eqs. 4-8, per process,
+keyed on ``(lmax, ntheta, nphi)``.  Its ``sht_method`` argument names
+that transform, ``"fast"``, and nothing else.
 
 The cache is *per process* by construction (module state is never shared
 across ``fork``/``spawn`` boundaries at the Python level): a process that
@@ -27,11 +22,9 @@ request threads, say — access is guarded by a lock, and a plan under
 concurrent construction is kept at most once per key (the first
 finished build wins; see :func:`get_plan`).
 
-Cached plans are shared, so they must be treated as **read-only**; the
-built-in backends never mutate a plan after construction, and custom
-backends registered with ``SHT_BACKENDS.register`` must follow the same
-contract to be cacheable.  The cache is unbounded — the key space
-(backends x band-limits x grids actually in use) is tiny in practice —
+Cached plans are shared, so they must be treated as **read-only**; a
+plan never mutates itself after construction.  The cache is unbounded —
+the key space (band-limits x grids actually in use) is tiny in practice —
 and :func:`clear_plan_cache` empties it explicitly (tests,
 memory-pressure handling).  A dropped plan is simply rebuilt on next
 use; nothing holds dangling references.
@@ -45,18 +38,14 @@ import threading
 import numpy as np
 
 from repro.obs import get_registry, span
-from repro.sht.backends import SHT_BACKENDS
 from repro.sht.grid import Grid
+from repro.sht.transform import SHTPlan
+from repro.util.registry import UnknownBackendError
 
-__all__ = [
-    "clear_plan_cache",
-    "get_plan",
-    "plan_cache_key",
-    "plan_cache_stats",
-]
+__all__ = ["clear_plan_cache", "get_plan", "plan_cache_stats"]
 
 _LOCK = threading.Lock()
-_CACHE: dict[tuple, object] = {}
+_CACHE: dict[tuple, SHTPlan] = {}
 
 #: Registry prefix for the cache's counters (hits/misses live on the
 #: process-wide metrics registry; ``plan_cache_stats`` is a view).
@@ -89,26 +78,22 @@ def _plan_nbytes(plan) -> int:
     return sum(owners.values())
 
 
-def plan_cache_key(sht_method: str, lmax: int, grid: Grid) -> tuple:
-    """The cache key for a plan request: ``(name, revision, lmax, ntheta, nphi)``.
-
-    The backend name is canonicalised through the registry (aliases map to
-    the primary name, lookup is case-insensitive) and carries the
-    registration revision, so a re-registered backend never answers from a
-    stale entry.  Raises
-    :class:`~repro.util.registry.UnknownBackendError` for names the
-    registry does not know.
-    """
-    spec = SHT_BACKENDS.resolve(sht_method)
-    return (spec.name, spec.revision, int(lmax), int(grid.ntheta), int(grid.nphi))
+def _check_sht_method(sht_method: str) -> None:
+    """Refuse any ``sht_method`` but ``"fast"`` (matched in any case,
+    ignoring spaces), naming it."""
+    if str(sht_method).strip().lower().replace(" ", "") != "fast":
+        raise UnknownBackendError(
+            f"unknown SHT method {str(sht_method)!r}; the one transform is 'fast', "
+            "the FFT + Wigner-d plan of paper Eqs. 4-8 (see docs/api.md#sht-plans)"
+        )
 
 
-def get_plan(sht_method: str, lmax: int, grid: Grid):
-    """The shared plan for ``(sht_method, lmax, grid)``, built at most once.
+def get_plan(sht_method: str, lmax: int, grid: Grid) -> SHTPlan:
+    """The shared plan for ``(lmax, grid)``, built at most once.
 
     On a hit the *same object* (same operator tables) is
-    returned to every caller in the process; on a miss the backend factory
-    runs outside the lock (plan construction is ``O(L^3)`` and must not
+    returned to every caller in the process; on a miss the plan is built
+    outside the lock (plan construction is ``O(L^3)`` and must not
     serialise unrelated lookups) and the first finished build is kept —
     a concurrent duplicate build of the same key is discarded, so all
     callers still converge on one shared plan.
@@ -116,27 +101,29 @@ def get_plan(sht_method: str, lmax: int, grid: Grid):
     Parameters
     ----------
     sht_method:
-        Registered backend name or alias (``"fast"``, ``"direct"``, ...).
+        ``"fast"``, in any case; any other name raises
+        :class:`~repro.util.registry.UnknownBackendError`.
     lmax:
         Band-limit ``L``.
     grid:
         Equiangular grid; must support the band-limit (enforced by the
-        backend's own constructor).
+        plan's constructor).
 
     Returns
     -------
-    object
-        A plan exposing ``forward`` / ``inverse`` at the requested
-        band-limit and grid.  Treat it as read-only: it is shared.
+    SHTPlan
+        The plan at the requested band-limit and grid.  Treat it as
+        read-only: it is shared.
     """
-    key = plan_cache_key(sht_method, lmax, grid)
+    _check_sht_method(sht_method)
+    key = (int(lmax), int(grid.ntheta), int(grid.nphi))
     with _LOCK:
         plan = _CACHE.get(key)
         if plan is not None:
             get_registry().add(f"{_METRIC_PREFIX}.hits")
             return plan
-    with span(f"{_METRIC_PREFIX}.build", backend=key[0], lmax=int(lmax)):
-        built = SHT_BACKENDS.resolve(sht_method).factory(lmax=lmax, grid=grid)
+    with span(f"{_METRIC_PREFIX}.build", lmax=int(lmax)):
+        built = SHTPlan(lmax=lmax, grid=grid)
     with _LOCK:
         plan = _CACHE.setdefault(key, built)
         get_registry().add(
@@ -161,10 +148,9 @@ def plan_cache_stats() -> dict:
     """Cache observability: size, bytes, hit/miss counters.
 
     ``pid`` says which process's cache this is (each process reports
-    its own counters); ``keys`` lists the cached
-    ``(backend, revision, lmax, ntheta, nphi)`` tuples in insertion
-    order; ``bytes`` is the measured ndarray footprint of every cached
-    plan.
+    its own counters); ``keys`` lists the cached ``(lmax, ntheta, nphi)``
+    tuples in insertion order; ``bytes`` is the measured ndarray
+    footprint of every cached plan.
     """
     registry = get_registry()
     with _LOCK:

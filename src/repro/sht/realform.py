@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.sht.transform import bandlimit_from_coeff_count, degrees_and_orders
 
-__all__ = ["real_from_complex", "complex_from_real", "real_basis_labels"]
+__all__ = ["real_from_complex", "complex_from_real"]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -85,17 +85,3 @@ def complex_from_real(real_coeffs: np.ndarray) -> np.ndarray:
     out[..., pos] = value
     out[..., neg] = sign * np.conj(value)
     return out
-
-
-def real_basis_labels(lmax: int) -> list[str]:
-    """Human-readable labels of the real-basis components (for reports)."""
-    ells, ms = degrees_and_orders(lmax)
-    labels = []
-    for ell, m in zip(ells, ms):
-        if m == 0:
-            labels.append(f"l={ell} m=0")
-        elif m > 0:
-            labels.append(f"l={ell} m={m} (re)")
-        else:
-            labels.append(f"l={ell} m={-m} (im)")
-    return labels

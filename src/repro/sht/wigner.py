@@ -11,19 +11,12 @@ Fourier representation of the Wigner small-d function,
    \\qquad \\Delta^\\ell_{m',m} \\equiv d^\\ell_{m',m}(\\pi/2).
 
 Only the :math:`\\Delta` matrices are therefore needed, and only at the
-fixed argument :math:`\\pi/2`.  Two implementations are provided (the
-textbook sum formula they are tested against lives with the tests, in
-``tests/sht/reference_transform.py``):
-
-``wigner_d_pi2``
-    The full ``(2l+1) x (2l+1)`` matrix for a single degree via the stable
-    degree recursion (vectorised over both orders).
-
-``wigner_d_pi2_all``
-    All degrees ``0 .. L-1`` in one sweep of the degree recursion, reusing
-    the two previous degrees.  This is the production path; its cost is
-    O(L^3) and matches the pre-computation strategy described in the paper
-    (Section III-A.2).
+fixed argument :math:`\\pi/2`.  :func:`wigner_d_pi2_all` builds all
+degrees ``0 .. L-1`` in one sweep of the stable degree recursion, reusing
+the two previous degrees; its cost is O(L^3) and matches the
+pre-computation strategy described in the paper (Section III-A.2).  The
+textbook sum formula and the Fourier form above, which it is tested
+against, live with the tests, in ``tests/sht/reference_transform.py``.
 """
 
 from __future__ import annotations
@@ -31,11 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = [
-    "wigner_d_pi2",
-    "wigner_d_pi2_all",
-    "wigner_d_from_pi2",
-]
+__all__ = ["wigner_d_pi2_all"]
 
 
 def _seed_top_row(j: int) -> np.ndarray:
@@ -148,27 +137,3 @@ def wigner_d_pi2_all(lmax: int) -> list[np.ndarray]:
         results.append(cur[lo:hi, lo:hi].copy())
         prev2, prev1 = prev1, cur
     return results
-
-
-def wigner_d_pi2(ell: int) -> np.ndarray:
-    """Wigner small-d matrix at ``pi/2`` for a single degree ``ell``."""
-    if ell < 0:
-        raise ValueError("degree must be non-negative")
-    return wigner_d_pi2_all(ell + 1)[ell]
-
-
-def wigner_d_from_pi2(ell: int, beta: float, delta: np.ndarray | None = None) -> np.ndarray:
-    """Reconstruct ``d^l(beta)`` from the ``pi/2`` matrices (Fourier form).
-
-    Implements ``d^l_{m,n}(beta) = i^{m-n} sum_{m'} Delta_{m',m} Delta_{m',n}
-    exp(-i m' beta)``; mainly used to validate the Fourier representation
-    that underpins the fast transform.
-    """
-    if delta is None:
-        delta = wigner_d_pi2(ell)
-    mprime = np.arange(-ell, ell + 1)
-    phases = np.exp(-1j * mprime * beta)[:, None, None]
-    m = np.arange(-ell, ell + 1)
-    ipow = (1j) ** (m[:, None] - m[None, :])
-    total = np.einsum("pm,pn,pmn->mn", delta, delta, np.broadcast_to(phases, (2 * ell + 1, 2 * ell + 1, 2 * ell + 1)))
-    return np.real(ipow * total)

@@ -4,32 +4,24 @@ A :class:`BackendRegistry` maps a case-insensitive name to a factory,
 carries a one-line description per entry, and raises an error that *lists
 the available names* when a lookup fails.  Registering a new entry
 requires no edits to its consumers.  The packages that own the entries
-populate four registries:
+populate three registries:
 
-* :data:`repro.sht.backends.SHT_BACKENDS` — the spherical-harmonic
-  transform backends (``"fast"``, the FFT/Wigner plan, and ``"direct"``,
-  the explicit-summation reference), named by
-  :class:`~repro.core.config.EmulatorConfig`'s ``sht_method``;
 * :data:`repro.scenarios.registry.SCENARIOS` — the named forcing pathways;
 * :data:`repro.scenarios.components.FORCING_COMPONENTS` — the forcing
   components a scenario sums;
 * ``LINT_RULES`` in ``tools/reprolint/rulebase.py`` — the analyzer's rules.
 
 This module is a dependency-free leaf (it imports nothing from ``repro``),
-so every layer — including :mod:`repro.sht` — can use it without touching
-the API layer; :mod:`repro` and :mod:`repro.api` re-export it.
+so every layer can use it without touching the API layer; :mod:`repro`
+and :mod:`repro.api` re-export it.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 __all__ = ["BackendRegistry", "BackendSpec", "UnknownBackendError"]
-
-#: Monotone stamp handed to each registration (see BackendSpec.revision).
-_REVISIONS = itertools.count(1)
 
 
 class UnknownBackendError(ValueError):
@@ -47,19 +39,12 @@ def _canonical(name: str) -> str:
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """A registered backend: display name, factory and documentation.
-
-    ``revision`` is a process-wide monotone stamp assigned at registration
-    time; caches keyed on a backend (e.g. the SHT plan cache) include it
-    so that re-registering a name under ``overwrite=True`` invalidates
-    entries built from the replaced factory.
-    """
+    """A registered backend: display name, factory and documentation."""
 
     name: str
     factory: Callable[..., Any]
     description: str = ""
     aliases: tuple[str, ...] = ()
-    revision: int = 0
 
 
 class BackendRegistry:
@@ -69,7 +54,7 @@ class BackendRegistry:
     ----------
     kind:
         Human-readable description of what the registry holds (e.g.
-        ``"SHT backend"``); used in error messages.
+        ``"scenario"``); used in error messages.
     doc_hint:
         Optional pointer to the documentation page cataloguing the
         registered backends (e.g. ``"docs/api.md"``); appended to
@@ -146,7 +131,7 @@ class BackendRegistry:
 
         spec = BackendSpec(
             name=str(name), factory=factory, description=description,
-            aliases=tuple(str(a) for a in aliases), revision=next(_REVISIONS),
+            aliases=tuple(str(a) for a in aliases),
         )
         # A stale alias pointing elsewhere would shadow the new spec at
         # resolve() time (aliases are consulted first), so retire it.

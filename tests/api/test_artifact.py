@@ -21,6 +21,7 @@ from repro.api.artifact import (
     SchemaVersionError,
 )
 from repro.core import ClimateEmulator, EmulatorConfig
+from repro.core.spectral_model import SpectralStochasticModel
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.linalg import Precision
 from repro.linalg.precision import _PRECISIONS
@@ -546,7 +547,20 @@ class TestErrorPaths:
         with pytest.raises(UnknownBackendError) as excinfo:
             EmulatorArtifact(state=state).to_emulator()
         message = str(excinfo.value)
-        assert "'warp-drive'" in message and "'fast'" in message and "'direct'" in message
+        assert "'warp-drive'" in message and "'fast'" in message
+
+    @pytest.mark.parametrize("where", ["config", "spectral_model"])
+    def test_a_state_naming_the_direct_oracle_is_refused(self, fitted_emulator, where):
+        """``"direct"`` is a test oracle, not a transform the pipeline runs:
+        a state carrying it, in the config or in the spectral model's own
+        state, fails loudly and names the one transform."""
+        state = fitted_emulator.state_dict()
+        state[where]["sht_method"] = "direct"
+        with pytest.raises(UnknownBackendError, match="'direct'.*'fast'"):
+            EmulatorArtifact(state=state).to_emulator()
+        if where == "spectral_model":
+            with pytest.raises(UnknownBackendError, match="'direct'.*'fast'"):
+                SpectralStochasticModel.from_state(state[where])
 
     def test_unfitted_emulator_has_no_state(self):
         with pytest.raises(RuntimeError):

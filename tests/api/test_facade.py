@@ -13,7 +13,7 @@ class TestTopLevelExports:
         assert repro.EmulatorConfig is EmulatorConfig
         for name in ("Era5LikeGenerator", "Era5LikeConfig", "ClimateEnsemble",
                      "EmulatorArtifact", "fit", "load", "save", "emulate",
-                     "emulate_stream", "SHT_BACKENDS"):
+                     "emulate_stream", "get_plan"):
             assert hasattr(repro, name), name
 
     def test_api_subpackage_exports(self):

@@ -1,12 +1,10 @@
-"""Tests of the backend registry mechanism and the SHT backends it holds."""
+"""Tests of the backend registry mechanism and the unknown-name errors."""
 
-import numpy as np
 import pytest
 
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.linalg import tile_codes
-from repro.sht import Grid, SHTPlan
-from repro.sht.backends import SHT_BACKENDS, DirectSHTPlan
+from repro.sht import Grid, get_plan
 from repro.util.registry import BackendRegistry, UnknownBackendError
 
 
@@ -99,26 +97,7 @@ class TestBackendRegistry:
 
 
 class TestShtBackends:
-    def test_builtin_names(self):
-        names = SHT_BACKENDS.names()
-        assert "fast" in names and "direct" in names
-        descriptions = SHT_BACKENDS.describe()
-        assert all(descriptions[name] for name in names)
-
-    def test_fast_backend_is_plan(self, small_lmax, small_grid):
-        plan = SHT_BACKENDS.create("fast", lmax=small_lmax, grid=small_grid)
-        assert isinstance(plan, SHTPlan)
-
-    def test_direct_backend_round_trip(self):
-        lmax = 4
-        grid = Grid.for_bandlimit(lmax)
-        plan = SHT_BACKENDS.create("direct-lstsq", lmax=lmax, grid=grid)
-        assert isinstance(plan, DirectSHTPlan)
-        reference = SHTPlan(lmax=lmax, grid=grid)
-        coeffs = reference.random_coefficients(np.random.default_rng(101))
-        fields = plan.inverse(coeffs)
-        recovered = plan.forward(fields)
-        np.testing.assert_allclose(recovered, coeffs, atol=1e-8)
+    """Unknown SHT method names, beside the registries' unknown names."""
 
     def test_unknown_sht_method_raises_with_names(self, small_grid, small_lmax):
         with pytest.raises(UnknownBackendError) as excinfo:
@@ -126,39 +105,17 @@ class TestShtBackends:
                 lmax=small_lmax, grid=small_grid, sht_method="nonexistent"
             )
         message = str(excinfo.value)
-        assert "'fast'" in message and "'direct'" in message
+        assert "'nonexistent'" in message and "'fast'" in message
 
     def test_unknown_name_errors_point_at_the_docs(self):
         """SHT / scenario / Cholesky-variant lookups cross-reference docs/api.md."""
         from repro.scenarios.registry import SCENARIOS
 
         for lookup in (
-            lambda: SHT_BACKENDS.resolve("nonexistent"),
+            lambda: get_plan("nonexistent", 4, Grid.for_bandlimit(4)),
             lambda: SCENARIOS.resolve("rcp-11.0"),
             lambda: tile_codes("DP/QP", 4),
         ):
             with pytest.raises(UnknownBackendError) as excinfo:
                 lookup()
             assert "see docs/api.md" in str(excinfo.value)
-
-    def test_new_backend_usable_without_core_edits(self):
-        """Registering a name makes it work through the spectral model."""
-        SHT_BACKENDS.register(
-            "fast-test-alias",
-            lambda lmax, grid: SHTPlan(lmax=lmax, grid=grid),
-            description="test-only registration",
-            overwrite=True,
-        )
-        try:
-            lmax = 4
-            grid = Grid.for_bandlimit(lmax)
-            model = SpectralStochasticModel(
-                lmax=lmax, grid=grid, var_order=1, tile_size=8,
-                sht_method="fast-test-alias",
-            )
-            standardized = np.random.default_rng(102).standard_normal((1, 12) + grid.shape)
-            model.fit(standardized)
-            assert model.cholesky is not None
-        finally:
-            SHT_BACKENDS.unregister("fast-test-alias")
-

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.util.compare import assert_states_bit_identical
+from factor_state import assert_states_bit_identical  # tests/ is on sys.path (rootdir layout)
 
 SPY = 24  # steps_per_year of the shared fixtures
 BATCH_WIDTHS = (1, 3, 5)

@@ -43,6 +43,19 @@ class TestEmulatorConfig:
                 repro.fit(small_ensemble, lmax=8, precision_variant="DP/QP")
         assert not [r["name"] for r in repro.obs.trace_records() if r["name"].startswith("fit.")]
 
+    @pytest.mark.parametrize("name", ["direct", "direct-lstsq", "fft", "fsat"])
+    def test_an_sht_method_other_than_fast_is_refused(self, name):
+        with pytest.raises(ValueError, match=f"'{name}'.*'fast'"):
+            EmulatorConfig(sht_method=name)
+        assert EmulatorConfig(sht_method="FAST").sht_method == "FAST"
+
+    def test_an_unknown_sht_method_fails_before_the_fit_starts(self, small_ensemble):
+        repro.obs.clear_trace()
+        with repro.obs.tracing():
+            with pytest.raises(ValueError, match="'direct'"):
+                repro.fit(small_ensemble, lmax=8, sht_method="direct")
+        assert not [r["name"] for r in repro.obs.trace_records() if r["name"].startswith("fit.")]
+
     def test_describe(self):
         desc = EmulatorConfig(lmax=4).describe()
         assert desc["lmax"] == 4 and desc["n_coeffs"] == 16

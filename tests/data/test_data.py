@@ -5,12 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.data import (
-    ClimateEnsemble,
-    Era5LikeConfig,
-    Era5LikeGenerator,
-    land_fraction,
-)
+from repro.data import ClimateEnsemble, Era5LikeConfig, Era5LikeGenerator
+from repro.data.landsea import land_fraction
 from repro.scenarios import ScenarioSpec, resolve_scenario
 from repro.scenarios.components import historical_pathway
 from repro.sht.grid import Grid

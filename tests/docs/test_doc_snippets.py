@@ -53,6 +53,6 @@ class TestDocSnippets:
         assert "docs/architecture.md" in readme and "docs/api.md" in readme
         api = (REPO_ROOT / "docs" / "api.md").read_text(encoding="utf-8")
         # The anchors UnknownBackendError messages point at must exist.
-        for heading in ("## SHT backends", "## Scenarios",
+        for heading in ("## SHT plans", "## Scenarios",
                         "## Cholesky precision variants"):
             assert heading in api, heading

@@ -5,7 +5,8 @@ factorisation computed, so tests that need a given factor pack a schema-2
 state here and load it through the production path; the schema tests write
 schema-2 and schema-1 states of a fitted factor with the same helpers.
 :func:`decaying_covariance` is the SPD matrix the factorisation tests
-factor at any order.
+factor at any order, and :func:`assert_states_bit_identical` compares two
+whole ``state_dict()`` trees bit for bit.
 """
 
 from __future__ import annotations
@@ -64,3 +65,24 @@ def tile_members(state: dict) -> dict[str, np.ndarray]:
         members[f"{i}_{j}"] = buffer[offsets[code]:offsets[code] + size].reshape(rows[i], rows[j])
         offsets[code] += size
     return members
+
+
+def assert_states_bit_identical(a, b, path: str = "") -> None:
+    """Raise ``AssertionError`` unless two state trees are bit-identical.
+
+    Walks nested dicts; array leaves must compare equal under
+    :func:`numpy.testing.assert_array_equal`, any other leaf under ``==``.
+    The failing ``path`` (e.g. ``/spectral_model/nugget_std``) is in the
+    error.
+    """
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys(), (
+            f"state keys differ at {path or '/'}"
+        )
+        for key in a:
+            assert_states_bit_identical(a[key], b[key], f"{path}/{key}")
+    elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        np.testing.assert_array_equal(np.asarray(a), np.asarray(b),
+                                      err_msg=path or "/")
+    else:
+        assert a == b, f"state leaves differ at {path or '/'}: {a!r} != {b!r}"

@@ -69,9 +69,13 @@ class TestRepoTreeIsClean:
         )
 
     def test_pipeline_packages_export_nothing_only_tests_use(self):
-        """``api``, ``core``, ``linalg`` and ``tuning`` keep no public name
-        whose only callers are tests."""
-        packages = ["src/repro/api", "src/repro/core", "src/repro/linalg", "src/repro/tuning.py"]
+        """``api``, ``core``, ``data``, ``linalg``, ``serving``, ``sht``,
+        ``tuning`` and ``util`` keep no public name whose only callers are
+        tests."""
+        packages = [
+            "src/repro/api", "src/repro/core", "src/repro/data", "src/repro/linalg",
+            "src/repro/serving", "src/repro/sht", "src/repro/tuning.py", "src/repro/util",
+        ]
         report = dead_symbol_report(REPO_ROOT, packages)
         tests_only = {
             package: sorted(

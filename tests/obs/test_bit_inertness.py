@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 
 import repro
+from factor_state import assert_states_bit_identical  # tests/ is on sys.path (rootdir layout)
 from repro.obs import clear_trace, disable, enable, trace_records, tracing
 from repro.scenarios.campaign import run_campaign
 from repro.serving.request import FieldRequest
 from repro.serving.service import EmulationService
 from repro.sht.grid import Grid
 from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
-from repro.util.compare import assert_states_bit_identical
 
 
 @pytest.fixture(autouse=True)

@@ -15,7 +15,8 @@ All arrays carry the signed orders ``-(L-1) .. L-1`` ascending on their
 
 The textbook oracles the production code is checked against live here
 too: :func:`wigner_d_explicit` (the Wigner sum formula with exact integer
-factorials), :func:`integral_matrix` (the full ``I(m' + m'')`` matrix) and
+factorials), :func:`wigner_d_from_pi2` (its Fourier form from the ``pi/2``
+tables), :func:`integral_matrix` (the full ``I(m' + m'')`` matrix) and
 :func:`coeff_lm` (the inverse of ``coeff_index``), next to the one-shot
 wrappers :func:`sht_forward` / :func:`sht_inverse` (a throw-away plan per
 call).
@@ -70,6 +71,17 @@ def wigner_d_explicit(ell: int, beta: float) -> np.ndarray:
                 total += ((-1.0) ** (m1 - m2 + k)) * (c ** power_c) * (s ** power_s) / denom
             out[m1 + ell, m2 + ell] = pref * total
     return out
+
+
+def wigner_d_from_pi2(ell: int, beta: float) -> np.ndarray:
+    """``d^l(beta)`` rebuilt from the recursion's ``pi/2`` matrices by the
+    Fourier form ``d^l_{m,n}(beta) = i^{m-n} sum_{m'} Delta_{m',m}
+    Delta_{m',n} exp(-i m' beta)`` that underpins the fast transform."""
+    delta = wigner_d_pi2_all(ell + 1)[ell]
+    mprime = np.arange(-ell, ell + 1)
+    phases = np.exp(-1j * mprime * beta)
+    ipow = (1j) ** (mprime[:, None] - mprime[None, :])
+    return np.real(ipow * np.einsum("pm,pn,p->mn", delta, delta, phases))
 
 
 def integral_matrix(lmax: int) -> np.ndarray:

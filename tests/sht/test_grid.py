@@ -5,7 +5,6 @@ import pytest
 
 from repro.sht.grid import (
     Grid,
-    bandlimit_to_resolution,
     extended_colatitude_length,
     resolution_to_bandlimit,
 )
@@ -86,7 +85,6 @@ class TestGridAreas:
 class TestResolutionHelpers:
     def test_resolution_bandlimit_roundtrip(self):
         assert resolution_to_bandlimit(0.25) == 720
-        assert bandlimit_to_resolution(720) == pytest.approx(0.25)
 
     def test_paper_ultra_high_resolution(self):
         """0.034 degrees (~3.5 km) corresponds to a band-limit near 5,219."""
@@ -105,5 +103,3 @@ class TestResolutionHelpers:
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
             resolution_to_bandlimit(0.0)
-        with pytest.raises(ValueError):
-            bandlimit_to_resolution(0)

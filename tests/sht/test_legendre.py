@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sht.legendre import legendre_normalized, ylm_matrix_theta0, ylm_theta0
+from direct_transform import (  # tests/sht is on sys.path (rootdir layout)
+    legendre_normalized,
+    ylm_matrix_theta0,
+    ylm_theta0,
+)
 
 
 class TestLegendreNormalized:

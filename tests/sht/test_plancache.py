@@ -6,14 +6,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.sht.backends import SHT_BACKENDS
 from repro.sht.grid import Grid
-from repro.sht.plancache import (
-    clear_plan_cache,
-    get_plan,
-    plan_cache_key,
-    plan_cache_stats,
-)
+from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
 from repro.sht.transform import SHTPlan
 from repro.util.registry import UnknownBackendError
 
@@ -45,14 +39,10 @@ class TestCacheHits:
             np.testing.assert_array_equal(again._syn_ops[m], fresh._syn_ops[m])
             np.testing.assert_array_equal(again._ana_ops[m], fresh._ana_ops[m])
 
-    def test_aliases_share_one_entry(self):
-        grid = Grid.for_bandlimit(5)
-        assert get_plan("fast", 5, grid) is get_plan("fft", 5, grid)
-        assert plan_cache_stats()["size"] == 1
-
     def test_lookup_is_case_insensitive(self):
         grid = Grid.for_bandlimit(5)
         assert get_plan("fast", 5, grid) is get_plan("FAST", 5, grid)
+        assert get_plan(" Fast ", 5, grid) is get_plan("fast", 5, grid)
 
 
 class TestCacheKeys:
@@ -63,39 +53,27 @@ class TestCacheKeys:
             "fast-6": get_plan("fast", 6, grid6),
             "fast-8": get_plan("fast", 8, grid8),
             "fast-6-oversampled": get_plan("fast", 6, grid8),
-            "direct-6": get_plan("direct", 6, grid6),
         }
         assert len({id(p) for p in plans.values()}) == len(plans)
         assert plan_cache_stats()["size"] == len(plans)
         assert plans["fast-6"].lmax == 6 and plans["fast-8"].lmax == 8
         assert plans["fast-6-oversampled"].grid == grid8
 
-    def test_key_canonicalises_backend_name(self):
-        grid = Grid.for_bandlimit(4)
-        assert plan_cache_key("FFT", 4, grid) == plan_cache_key("fast", 4, grid)
-        assert plan_cache_key("fast", 4, grid) != plan_cache_key("direct", 4, grid)
+    def test_key_is_the_bandlimit_and_grid_shape(self):
+        """The method name is not part of the key: every spelling of
+        "fast" shares the one entry of its ``(lmax, ntheta, nphi)``."""
+        grid = Grid(ntheta=9, nphi=13)
+        plans = [get_plan(name, 6, grid) for name in ("fast", "FAST", " Fast ")]
+        assert plans[0] is plans[1] is plans[2]
+        assert plan_cache_stats()["keys"] == [(6, 9, 13)]
 
     def test_unknown_backend_raises_listing_names(self):
-        with pytest.raises(UnknownBackendError, match="'fast'"):
-            get_plan("nonexistent", 4, Grid.for_bandlimit(4))
-
-    def test_reregistered_backend_misses_stale_entry(self):
-        """overwrite=True registration must not serve the old factory's plan."""
-        grid = Grid.for_bandlimit(4)
-        SHT_BACKENDS.register(
-            "cache-test", lambda lmax, grid: SHTPlan(lmax=lmax, grid=grid),
-            description="test-only", overwrite=True,
-        )
-        try:
-            stale = get_plan("cache-test", 4, grid)
-            SHT_BACKENDS.register(
-                "cache-test", lambda lmax, grid: SHTPlan(lmax=lmax, grid=grid),
-                description="test-only v2", overwrite=True,
-            )
-            fresh = get_plan("cache-test", 4, grid)
-            assert fresh is not stale
-        finally:
-            SHT_BACKENDS.unregister("cache-test")
+        """Only "fast" names the transform; the retired oracle names and
+        alias are refused like any other, and nothing is built."""
+        for name in ("nonexistent", "direct", "direct-lstsq", "fft"):
+            with pytest.raises(UnknownBackendError, match=f"'{name}'.*'fast'"):
+                get_plan(name, 4, Grid.for_bandlimit(4))
+        assert plan_cache_stats()["size"] == 0
 
 
 class TestPlanBytes:
@@ -110,7 +88,7 @@ class TestPlanBytes:
         a = get_plan("fast", 4, Grid.for_bandlimit(4))
         get_plan("fast", 6, Grid.for_bandlimit(6))
         assert get_plan("fast", 4, Grid.for_bandlimit(4)) is a
-        assert [key[2] for key in plan_cache_stats()["keys"]] == [4, 6]
+        assert plan_cache_stats()["keys"] == [(4, 5, 7), (6, 7, 11)]
 
     def test_cleared_plan_rebuilds_on_next_use(self):
         grid = Grid.for_bandlimit(6)
@@ -216,11 +194,8 @@ class TestConcurrency:
         for output in outputs:
             np.testing.assert_array_equal(output.data, serial.data)
         stats = plan_cache_stats()
-        key = plan_cache_key(
-            fitted_emulator.config.sht_method,
-            fitted_emulator.config.lmax,
-            fitted_emulator.training_summary.grid,
-        )
+        grid = fitted_emulator.training_summary.grid
+        key = (fitted_emulator.config.lmax, grid.ntheta, grid.nphi)
         assert stats["keys"].count(key) == 1
         # Duplicate concurrent builds may race, but exactly one entry
         # serves every subsequent lookup.
@@ -250,7 +225,7 @@ class TestConcurrency:
             assert plan is plans[i % 4]
         stats = plan_cache_stats()
         assert stats["size"] == 4
-        assert sorted(key[2] for key in stats["keys"]) == [4, 5, 6, 7]
+        assert sorted(key[0] for key in stats["keys"]) == [4, 5, 6, 7]
         assert stats["hits"] + stats["misses"] == 64 and stats["misses"] == 4
         assert stats["bytes"] == sum(_plan_nbytes(plans[i]) for i in range(4))
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference_transform import integral_matrix  # tests/sht is on sys.path (rootdir layout)
-from repro.sht.quadrature import (
+from direct_transform import (  # tests/sht is on sys.path (rootdir layout)
     colatitude_weights,
-    _exponential_sine_integral,
     extended_colatitude_weights,
 )
+from reference_transform import integral_matrix
+from repro.sht.quadrature import _exponential_sine_integral
 
 
 class TestExponentialSineIntegral:

@@ -14,18 +14,10 @@ from reference_transform import (  # tests/sht is on sys.path (rootdir layout)
     wigner_contraction_forward_reference,
     wigner_contraction_inverse_reference,
 )
-from repro.sht import (
-    DirectSHTPlan,
-    Grid,
-    SHTPlan,
-    coeff_index,
-    direct_forward,
-    direct_inverse,
-    get_plan,
-    legendre_normalized,
-)
+from direct_transform import direct_forward, direct_inverse, legendre_normalized
+from repro.sht import Grid, SHTPlan, get_plan
 from repro.sht.realform import complex_from_real
-from repro.sht.transform import degrees_and_orders, _num_coeffs
+from repro.sht.transform import coeff_index, degrees_and_orders, _num_coeffs
 
 
 class TestCoefficientIndexing:
@@ -231,7 +223,7 @@ class TestRealPathAgainstDirectBackend:
         grid = GRIDS[grid_kind](lmax)
         plan = SHTPlan(lmax=lmax, grid=grid)
         coeffs = plan.random_coefficients(np.random.default_rng(lmax), shape=(3,))
-        direct = DirectSHTPlan(lmax=lmax, grid=grid).inverse(coeffs)
+        direct = direct_inverse(coeffs, grid)
         assert np.max(np.abs(plan.inverse(coeffs) - direct)) < 1e-10
 
     def test_forward(self, lmax, grid_kind):
@@ -242,7 +234,7 @@ class TestRealPathAgainstDirectBackend:
         # The quadrature backend is exact from ntheta >= 2L; below that the
         # least-squares projection is the exact direct analysis.
         method = "quadrature" if grid.ntheta >= 2 * lmax else "lstsq"
-        direct = DirectSHTPlan(lmax=lmax, grid=grid, method=method).forward(fields)
+        direct = direct_forward(fields, lmax, grid, method=method)
         assert np.max(np.abs(plan.forward(fields) - direct)) < 1e-10
         assert np.max(np.abs(plan.forward(fields) - coeffs)) < 1e-10
 
@@ -710,10 +702,8 @@ class TestRealformEntry:
 
     def test_direct_backend_and_validation(self, small_grid):
         series = np.random.default_rng(0).standard_normal((3, 64))
-        direct = DirectSHTPlan(lmax=8, grid=small_grid)
-        np.testing.assert_array_equal(
-            direct.inverse_realform(series), direct.inverse(complex_from_real(series))
-        )
-        for plan in (direct, get_plan("fast", 8, small_grid)):
-            with pytest.raises(ValueError, match="coefficient"):
-                plan.inverse_realform(series[:, :63])
+        plan = get_plan("fast", 8, small_grid)
+        direct = direct_inverse(complex_from_real(series), small_grid)
+        assert np.max(np.abs(plan.inverse_realform(series) - direct)) < 1e-10
+        with pytest.raises(ValueError, match="coefficient"):
+            plan.inverse_realform(series[:, :63])

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from reference_transform import wigner_d_explicit  # tests/sht is on sys.path (rootdir layout)
-from repro.sht.wigner import wigner_d_from_pi2, wigner_d_pi2, wigner_d_pi2_all
+from reference_transform import (  # tests/sht is on sys.path (rootdir layout)
+    wigner_d_explicit,
+    wigner_d_from_pi2,
+)
+from repro.sht.wigner import wigner_d_pi2_all
 
 
 class TestExplicitFormula:
@@ -34,7 +37,7 @@ class TestExplicitFormula:
 class TestRecursionAtPiOver2:
     @pytest.mark.parametrize("ell", [0, 1, 2, 3, 5, 8, 12, 16])
     def test_matches_explicit(self, ell):
-        recursive = wigner_d_pi2(ell)
+        recursive = wigner_d_pi2_all(ell + 1)[ell]
         explicit = wigner_d_explicit(ell, np.pi / 2)
         assert np.max(np.abs(recursive - explicit)) < 1e-10
 
@@ -47,13 +50,13 @@ class TestRecursionAtPiOver2:
 
     def test_orthogonality_large_degree(self):
         ell = 20
-        d = wigner_d_pi2(ell)
+        d = wigner_d_pi2_all(ell + 1)[ell]
         assert np.allclose(d @ d.T, np.eye(2 * ell + 1), atol=1e-9)
 
     def test_symmetry_relations(self):
         """d_{m',m} = (-1)^{m'-m} d_{m,m'} and d_{m',m} = d_{-m,-m'}."""
         ell = 7
-        d = wigner_d_pi2(ell)
+        d = wigner_d_pi2_all(ell + 1)[ell]
         for m1 in range(-ell, ell + 1):
             for m2 in range(-ell, ell + 1):
                 a = d[m1 + ell, m2 + ell]

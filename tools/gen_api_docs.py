@@ -2,14 +2,14 @@
 
 The reference is *generated, not written*: every entry is the live
 signature plus the live docstring of the exported object, and the
-backend/scenario catalogues are read out of the registries themselves —
+scenario catalogue is read out of its registry itself —
 so the document cannot drift from the code.  CI runs ``--check`` to fail
 when ``docs/api.md`` is stale; regenerate with::
 
     PYTHONPATH=src python tools/gen_api_docs.py
 
 Section anchors are stable on purpose: ``UnknownBackendError`` messages
-point users at ``docs/api.md#sht-backends``, ``#scenarios`` and
+point users at ``docs/api.md#sht-plans``, ``#scenarios`` and
 ``#cholesky-precision-variants``.
 """
 
@@ -169,14 +169,13 @@ def generate() -> str:
                                  "describe")))
     parts.append(_entry("repro.UnknownBackendError", UnknownBackendError))
 
-    parts.append("## SHT backends\n")
+    parts.append("## SHT plans\n")
     parts.append(
-        "Named spherical-harmonic-transform implementations, selected via\n"
-        "`EmulatorConfig.sht_method` and resolved through\n"
-        "`repro.SHT_BACKENDS`.  Unknown names raise `UnknownBackendError`\n"
-        "listing this catalogue.\n"
+        "The one spherical-harmonic transform, the FFT + Wigner-d plan of\n"
+        "paper Eqs. 4-8, built once per `(lmax, grid)` per process.\n"
+        "`EmulatorConfig.sht_method` and `get_plan` accept `\"fast\"` (in any\n"
+        "case) and nothing else; any other name raises `UnknownBackendError`.\n"
     )
-    parts.append(_catalogue(repro.SHT_BACKENDS) + "\n")
     for qualname, obj in (
         ("repro.get_plan", get_plan),
         ("repro.plan_cache_stats", plan_cache_stats),
