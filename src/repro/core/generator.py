@@ -7,9 +7,12 @@ Given a fitted emulator, new realisations are produced by
 2. rolling the diagonal VAR forward to obtain the coefficient series
    ``f_t``,
 3. inverse spherical harmonic transform to the grid (``O(L^3 T)``),
-4. adding the truncation nugget ``epsilon_t ~ N(0, v^2)``,
+4. adding the truncation nugget ``epsilon_t ~ N(0, v^2)`` in place,
 5. re-applying the scale field ``sigma`` and the mean trend ``m_t``
-   (Eq. 1), optionally under a different forcing scenario.
+   (Eq. 1) in place, optionally under a different forcing scenario.
+
+Each step runs under a ``generate.*`` span (step 3: ``sht.inverse``).  Only
+the normals and the nugget reuse scratch: callers keep each year's array.
 
 There is one draw schedule, :meth:`EmulationGenerator.generate_stream_multi`
 (one model year at a time), and one seeding rule, :func:`_member_seeds`
@@ -30,6 +33,7 @@ from repro.core.scale import ScaleField
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.trend import MeanTrendModel, TrendFit
 from repro.data.ensemble import ClimateEnsemble
+from repro.obs import span
 from repro.sht.grid import Grid
 
 __all__ = ["EmulationGenerator"]
@@ -202,16 +206,14 @@ class EmulationGenerator:
         include_nugget: bool,
         start_year: int,
     ) -> Iterator[ClimateEnsemble]:
-        """Restore trend and scale on whole years, then cut the record's steps."""
+        """Restore trend and scale on whole years, then cut the record's steps.
+        No name here (nor ``enumerate``'s cached tuple) holds a yielded year,
+        so a paused stream keeps no reference to it."""
         spy = self.steps_per_year
-        for year, z in enumerate(years):
+        for year in range(-(-n_times // spy)):
             t_start = year * spy
-            mean = self.trend_model.predict(
-                spy, annual_forcing, self.trend_fit, t_start=t_start
-            )
-            fields = mean[None, ...] + self.scale.unstandardize(z)
             yield ClimateEnsemble(
-                data=fields[:, :n_times - t_start],
+                data=self._restore(next(years), annual_forcing, t_start)[:, :n_times - t_start],
                 grid=self.grid,
                 forcing_annual=annual_forcing[year:],
                 steps_per_year=spy,
@@ -223,3 +225,14 @@ class EmulationGenerator:
                     "stream_total_times": n_times,
                 },
             )
+
+    def _restore(self, z: np.ndarray, annual_forcing: np.ndarray, t_start: int) -> np.ndarray:
+        """``z * sigma + m_t`` in place, member by member: IEEE addition
+        commutes, so these are the bits of ``m_t + z * sigma``."""
+        with span("generate.restore", t_start=t_start):
+            spy, fit = self.steps_per_year, self.trend_fit
+            mean = self.trend_model.predict(spy, annual_forcing, fit, t_start=t_start)
+            for b in range(len(z)):
+                z[b] *= self.scale.sigma
+                z[b] += mean
+        return z

@@ -217,6 +217,11 @@ class SpectralStochasticModel:
         member ``b`` is bit-identical to the batch-of-one stream under
         ``rngs[b]`` whatever else shares the batch.
 
+        The normals and the nugget go into two scratch buffers reused every
+        year: a paused serving stream (``B = 1``; up to ``_LIVE_STREAMS``)
+        holds ``(nt * k + nt * ntheta * nphi) * 8`` bytes of them and its VAR
+        history, and no reference to the fresh array of a year.
+
         Parameters
         ----------
         rngs:
@@ -252,20 +257,34 @@ class SpectralStochasticModel:
             history = np.broadcast_to(init[-p:], (n_batch, p, k)).copy()
         else:
             history = None
+        z = np.empty((n_batch * nt, k))
+        noise = np.empty((nt,) + self.grid.shape) if include_nugget else None
         for _ in range(n_years):
-            # Per-stream draws, stacked: stream b's generator sees the same
-            # request sequence as in a batch of one.
-            z = np.concatenate([rng.standard_normal((nt, k)) for rng in rngs])
-            xi = self.cholesky.correlate(z).reshape(n_batch, nt, k)
+            yield self._draw_year(rngs, z, noise, history)
+
+    def _draw_year(self, rngs, z, noise, history) -> np.ndarray:
+        """One year in a fresh array; normals and nugget go into the scratch ``z``
+        and ``noise``, and ``history`` (``None`` if ``P = 0``) advances in place."""
+        # Per-stream draws, stacked: stream b's generator sees the same
+        # request sequence as in a batch of one.
+        with span("generate.draw", rows=len(z)):
+            for rng, rows in zip(rngs, np.split(z, len(rngs))):
+                rng.standard_normal(out=rows)
+        with span("generate.correlate", rows=len(z)):
+            xi = self.cholesky.correlate(z).reshape(len(rngs), -1, z.shape[1])
+        with span("generate.var", var_order=self.var_order):
             series = self.var.simulate(xi, initial=history)
-            if p > 0:
-                history = np.concatenate([history, series], axis=1)[:, -p:, :]
-            fields = self.plan.inverse_realform(series)
-            if include_nugget:
+            if history is not None:
+                p = self.var_order
+                history[...] = np.concatenate((history, series[:, -p:]), axis=1)[:, -p:]
+        fields = self.plan.inverse_realform(series)
+        if noise is not None:
+            with span("generate.nugget"):
                 for b, rng in enumerate(rngs):
-                    noise = rng.standard_normal((1, nt) + self.grid.shape)
-                    fields[b] = fields[b] + self.nugget_std * noise[0]
-            yield fields
+                    rng.standard_normal(out=noise)
+                    noise *= self.nugget_std
+                    fields[b] += noise
+        return fields
 
     # ------------------------------------------------------------------ #
     # Serialisation

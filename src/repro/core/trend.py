@@ -21,6 +21,7 @@ profile maximum-likelihood estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,17 @@ class TrendFit:
     rho: np.ndarray
     residual_variance: np.ndarray
     regressor_names: list[str]
+
+    @cached_property
+    def rho_groups(self) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+        """Distinct ``rho`` values, each one's ``coefficients[rho == value]``
+        block, and the permutation back from the concatenated blocks to
+        flat location order; built once per fit."""
+        rho = self.rho.reshape(-1)
+        order = np.argsort(rho, kind="stable")
+        values, starts = np.unique(rho[order], return_index=True)
+        coeffs = self.coefficients.reshape(rho.size, -1)
+        return values, [coeffs[index] for index in np.split(order, starts[1:])], np.argsort(order)
 
     @property
     def intercept(self) -> np.ndarray:
@@ -249,23 +261,20 @@ class MeanTrendModel:
     ) -> np.ndarray:
         """Evaluate ``m_t`` for every location, shape ``(T, ntheta, nphi)``.
 
-        The per-location ``rho`` values are grouped so each distinct value
-        triggers one design-matrix evaluation.  ``t_start`` evaluates the
-        trend for absolute steps ``t_start .. t_start + n_times - 1``
-        (chunked/streaming generation).
+        Each distinct ``rho`` (:attr:`TrendFit.rho_groups`) costs one design
+        matrix and one product with its coefficient block; one gather restores
+        location order.  ``t_start`` evaluates the trend for absolute steps
+        ``t_start .. t_start + n_times - 1`` (chunked/streaming generation).
         """
         fit = fit or self.fit_result
         if fit is None:
             raise RuntimeError("fit() must be called before predict()")
-        space_shape = fit.rho.shape
-        coeffs = fit.coefficients.reshape(-1, fit.coefficients.shape[-1])
-        rho_flat = fit.rho.reshape(-1)
-        out = np.empty((n_times, coeffs.shape[0]), dtype=np.float64)
-        for rho in np.unique(rho_flat):
-            design = self.design_matrix(n_times, annual_forcing, float(rho), t_start=t_start)
-            mask = rho_flat == rho
-            out[:, mask] = design @ coeffs[mask].T
-        return out.reshape((n_times,) + space_shape)
+        values, blocks, inverse = fit.rho_groups
+        grouped = np.concatenate([
+            self.design_matrix(n_times, annual_forcing, float(rho), t_start=t_start) @ block.T
+            for rho, block in zip(values, blocks)
+        ], axis=1)
+        return np.take(grouped, inverse, axis=1).reshape((n_times,) + fit.rho.shape)
 
     def residuals(
         self,

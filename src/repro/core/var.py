@@ -142,12 +142,13 @@ class _DiagonalVAR:
         innovations: np.ndarray,
         initial: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Roll the AR recursion forward over a sequence of innovations.
+        """Roll the AR recursion forward over a sequence of innovations, in place.
 
         Parameters
         ----------
         innovations:
-            ``(T, K)`` or ``(R, T, K)`` innovations ``xi_t``.
+            ``(T, K)`` or ``(R, T, K)`` innovations ``xi_t``; a ``float64``
+            array is overwritten by the series (pass a copy to keep it).
         initial:
             Optional initial history of shape ``(..., P, K)``; zeros when
             omitted.
@@ -164,20 +165,18 @@ class _DiagonalVAR:
             innovations = innovations[None, ...]
         n_ens, n_times, n_comp = innovations.shape
         p = self.order
-        out = np.zeros_like(innovations)
         if initial is None:
             history = np.zeros((n_ens, p, n_comp))
         else:
             history = np.broadcast_to(
                 np.asarray(initial, dtype=np.float64), (n_ens, p, n_comp)
-            ).copy()
+            )
+        # Step t reads its lags from rows already written, or from the initial history.
+        out = innovations
         for t in range(n_times):
-            value = innovations[:, t].copy()
             for q in range(p):
-                value += coeffs[q] * history[:, -q - 1, :]
-            out[:, t] = value
-            if p > 0:
-                history = np.concatenate([history[:, 1:], value[:, None, :]], axis=1)
+                lag = t - q - 1
+                out[:, t] += coeffs[q] * (out[:, lag] if lag >= 0 else history[:, p + lag])
         return out[0] if squeeze else out
 
     # ------------------------------------------------------------------ #

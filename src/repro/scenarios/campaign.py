@@ -338,13 +338,13 @@ class _RunAccumulator:
     output_bytes: int = 0
 
     def add_chunk(
-        self, year: int, member: np.ndarray, global_means: np.ndarray
+        self, year: int, member: np.ndarray, global_means: "np.ndarray | None"
     ) -> None:
         """Record model year ``year`` of this run.
 
         ``member`` is the run's ``(nt, ntheta, nphi)`` slice of the
-        chunk; ``global_means`` its ``(nt,)`` area-weighted mean series.
-        """
+        chunk; ``global_means`` its ``(nt,)`` area-weighted mean series or,
+        unless the block collects global means, ``None``."""
         plan = self.plan
         self.chunk_sizes.append(member.shape[0])
         self.output_bytes += member.size * np.dtype(np.float32).itemsize
@@ -438,9 +438,9 @@ def _execute_batch(
             start_year=emulator.training_summary.start_year,
         )
         for year, chunk in enumerate(stream):
-            means = chunk.global_mean_series()  # (B, nt)
+            means = chunk.global_mean_series() if first.collect == "global-mean" else None
             for b, acc in enumerate(accs):
-                acc.add_chunk(year, chunk.data[b], means[b])
+                acc.add_chunk(year, chunk.data[b], None if means is None else means[b])
         _flush_store(store, accs)
         records = [acc.record() for acc in accs]
     for record in records:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.scale import ScaleField
-from repro.core.trend import MeanTrendModel, distributed_lag_series
+from repro.core.trend import MeanTrendModel, TrendFit, distributed_lag_series
 from repro.scenarios import resolve_scenario
 
 
@@ -112,6 +112,65 @@ class TestMeanTrendModel:
         mask = truth > 2.0
         rel_err = np.abs(fitted[mask] - truth[mask]) / truth[mask]
         assert np.median(rel_err) < 0.35
+
+
+def _predict_oracle(model, n_times, forcing, fit, t_start=0):
+    """The trend as one masked design-matrix product per distinct ``rho``."""
+    coeffs = fit.coefficients.reshape(-1, fit.coefficients.shape[-1])
+    rho_flat = fit.rho.reshape(-1)
+    out = np.empty((n_times, coeffs.shape[0]), dtype=np.float64)
+    for rho in np.unique(rho_flat):
+        design = model.design_matrix(n_times, forcing, float(rho), t_start=t_start)
+        mask = rho_flat == rho
+        out[:, mask] = design @ coeffs[mask].T
+    return out.reshape((n_times,) + fit.rho.shape)
+
+
+class TestPredictOracle:
+    """``predict`` groups the locations by ``rho`` once per fit: the same
+    GEMM per ``rho`` as the masked loop, so the same bits."""
+
+    RHO_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+    def _fit(self, rho_map):
+        local = np.random.default_rng(31)
+        model = MeanTrendModel(steps_per_year=12, n_harmonics=2, rho_grid=self.RHO_GRID)
+        n_params = len(model.regressor_names())
+        fit = TrendFit(
+            coefficients=local.standard_normal(rho_map.shape + (n_params,)),
+            rho=rho_map,
+            residual_variance=np.ones(rho_map.shape),
+            regressor_names=model.regressor_names(),
+        )
+        return model, fit
+
+    @pytest.mark.parametrize("rho_map", ["one", "all_distinct", "random"])
+    @pytest.mark.parametrize("t_start", [0, 30])
+    def test_equals_the_masked_loop(self, rho_map, t_start):
+        local = np.random.default_rng(32)
+        shape = (5, 7)
+        rho = {
+            "one": np.full(shape, 0.5),
+            "all_distinct": local.permutation(np.linspace(0.0, 0.95, 35)).reshape(shape),
+            "random": local.choice(self.RHO_GRID, size=shape),
+        }[rho_map]
+        model, fit = self._fit(rho)
+        forcing = historical(8)
+        for _ in range(2):  # the groups are built once, then reused
+            assert np.array_equal(
+                model.predict(20, forcing, fit, t_start=t_start),
+                _predict_oracle(model, 20, forcing, fit, t_start=t_start),
+            )
+
+    def test_a_fitted_trend_equals_the_masked_loop(self, small_ensemble):
+        model = MeanTrendModel(steps_per_year=small_ensemble.steps_per_year)
+        fit = model.fit(small_ensemble.data, small_ensemble.forcing_annual)
+        assert len(np.unique(fit.rho)) > 1
+        forcing = small_ensemble.forcing_annual
+        assert np.array_equal(
+            model.predict(24, forcing, fit, t_start=24),
+            _predict_oracle(model, 24, forcing, fit, t_start=24),
+        )
 
 
 class TestScaleField:

@@ -38,7 +38,7 @@ class TestDiagonalVAR:
         series = rng.standard_normal((2, 60, 5))
         var.fit(series)
         innov = rng.standard_normal((40, 5))
-        simulated = var.simulate(innov)
+        simulated = var.simulate(innov.copy())
         recovered = var.innovations(simulated)
         # Innovations after the warm-up window must match what we fed in.
         assert np.allclose(recovered[5:], innov[2 + 5:], atol=1e-10)
@@ -47,7 +47,7 @@ class TestDiagonalVAR:
         var = _DiagonalVAR(order=0).fit(rng.standard_normal((30, 3)))
         series = rng.standard_normal((10, 3))
         assert np.allclose(var.innovations(series), series)
-        assert np.allclose(var.simulate(series), series)
+        assert np.allclose(var.simulate(series.copy()), series)
 
     def test_ensemble_pooling(self, rng):
         phi = np.array([0.6, -0.2, 0.4])
@@ -76,6 +76,54 @@ class TestDiagonalVAR:
         history = rng.standard_normal((6, 3))
         pred = var.predict_one_step(history)
         assert pred.shape == (3,)
+
+
+def _simulate_oracle(coeffs, innovations, initial=None):
+    """The AR recursion as a history window rolled by ``np.concatenate``."""
+    innovations = np.asarray(innovations, dtype=np.float64)
+    squeeze = innovations.ndim == 2
+    if squeeze:
+        innovations = innovations[None, ...]
+    n_ens, n_times, n_comp = innovations.shape
+    p = len(coeffs)
+    out = np.zeros_like(innovations)
+    if initial is None:
+        history = np.zeros((n_ens, p, n_comp))
+    else:
+        history = np.broadcast_to(
+            np.asarray(initial, dtype=np.float64), (n_ens, p, n_comp)
+        ).copy()
+    for t in range(n_times):
+        value = innovations[:, t].copy()
+        for q in range(p):
+            value += coeffs[q] * history[:, -q - 1, :]
+        out[:, t] = value
+        if p > 0:
+            history = np.concatenate([history[:, 1:], value[:, None, :]], axis=1)
+    return out[0] if squeeze else out
+
+
+class TestSimulateOracle:
+    """``simulate`` reads its own earlier rows: the same products, in the
+    same order, as the rolled-window recursion, so the same bits."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("with_initial", [False, True])
+    def test_equals_the_rolled_window(self, order, batched, with_initial):
+        local = np.random.default_rng(100 + order)
+        var = _DiagonalVAR(order=order).fit(local.standard_normal((2, 40, 6)))
+        shape = (3, 17, 6) if batched else (17, 6)
+        innovations = local.standard_normal(shape)
+        initial = local.standard_normal(shape[:-2] + (order, 6)) if with_initial else None
+        expected = _simulate_oracle(var.coefficients, innovations, initial)
+        # A record shorter than the order reads only the initial history.
+        short = innovations[..., : max(order - 1, 1), :].copy()
+        expected_short = _simulate_oracle(var.coefficients, short, initial)
+        simulated = var.simulate(innovations, initial=initial)
+        assert np.array_equal(simulated, expected)
+        assert np.shares_memory(simulated, innovations)  # in place, no copy
+        assert np.array_equal(var.simulate(short, initial=initial), expected_short)
 
 
 class TestSpectralStochasticModel:
