@@ -1,73 +1,59 @@
-"""Persistent, manifest-indexed store of content-addressed field chunks.
+"""Persistent, journal-indexed store of content-addressed field chunks.
 
-The system's single persistence layer: a directory of NPZ shards keyed
-by chunk content-address, indexed by one ``manifest.json``.  The serving
-tier reads and write-throughs it, and campaigns (``run_campaign(store=...)``)
-write straight into it, so a chunk written once is served forever without
-re-synthesis — across processes and restarts.
-
-Three encodings trade bytes for fidelity:
+The system's single persistence layer.  The serving tier reads and
+write-throughs it, and campaigns (``run_campaign(store=...)``) write
+straight into it, so a chunk written once is served forever without
+re-synthesis — across processes and restarts.  Three encodings trade
+bytes for fidelity, and every ``get`` decodes back to ``float64``:
 
 * ``"float64"`` (default) — bit-lossless: ``get`` returns exactly the
-  array that was ``put``, preserving the service's bit-exactness
-  contract through the persistent tier.
-* ``"float32"`` — half the bytes; round-trip error is float32 rounding
-  (measured per chunk and recorded in the manifest).
-* ``"int16"`` — opt-in quantized tier: values are stored as
-  ``int16`` with a per-chunk ``scale``/``offset`` (midrange/halfrange
-  affine map), a quarter of the float64 bytes.  The *measured* maximum
-  absolute reconstruction error of every chunk is recorded in the
-  manifest, so consumers can report exactly how lossy the tier is.
+  array that was ``put``.
+* ``"float32"`` — half the bytes; the rounding error is measured per
+  chunk and recorded in its entry.
+* ``"int16"`` — opt-in quantized tier: a per-chunk ``scale``/``offset``
+  (midrange/halfrange affine map), a quarter of the bytes, the measured
+  maximum absolute error recorded per chunk.
 
-Lossy encodings reject non-finite input: a ``put`` of a chunk holding
-NaN/Inf under ``"float32"``/``"int16"`` raises ``ValueError`` before any
-shard is written (quantising against a NaN midrange would store an
-all-zero payload with ``offset = nan``), while the bit-lossless
-``"float64"`` tier accepts any bit pattern.
+Lossy encodings reject NaN/Inf with ``ValueError`` before any shard is
+written.  A store has one encoding for life, and refuses to open if it
+holds chunks of another :data:`~repro.util.numerics.NUMERICS_REVISION`
+(not the bits this code synthesises for the same addresses) or if it is
+a schema-1 root (NPZ shards indexed by one rewritten manifest).
 
-A store has one encoding for its whole lifetime (recorded in the
-manifest; reopening with a different one raises) and decodes every
-``get`` back to ``float64``.  The manifest also records the
-:data:`~repro.util.numerics.NUMERICS_REVISION` of the code that wrote
-it; a store holding chunks of another revision refuses to open, because
-its bits are not what this code synthesises for the same addresses.
+On disk (schema 2): ``chunks/<ab>/<address>.bin`` holds a shard's raw
+C-order payload bytes, and its entry records ``shape``, ``dtype`` and
+``crc32``, so ``get`` is one ``np.empty`` and one unbuffered
+``readinto`` (a short file, a byte past the end or a CRC mismatch
+raises).  ``manifest.json`` is the header: ``schema``, ``encoding``,
+``numerics_revision``, the name of the live ``journal`` and a compacted
+``chunks`` snapshot.  ``journal-*.jsonl`` holds one ``{"put": {address:
+entry, ...}}`` line per committed transaction.
 
 Concurrency — the commit protocol
 ---------------------------------
-Within a process one ``threading.Lock`` guards the in-memory manifest
-view.  Across processes, every manifest mutation is a *transaction*
-guarded by a ``manifest.lock`` file acquired with
-``O_CREAT | O_EXCL`` (atomic on every platform the repo targets):
+One ``threading.Lock`` guards the in-memory view.  Across processes
+every mutation is a *transaction* under a ``manifest.lock`` file
+acquired with ``O_CREAT | O_EXCL`` (bounded wait, stale-lock breaking):
+it catches up (the header again if a compaction replaced it, else only
+the journal bytes past the handle's offset), so foreign commits are
+never lost and foreign prunes never resurrected; applies the mutation
+(content-addressed entries: first writer wins); and publishes it with
+one fsync'd append of a complete journal line — or a *compaction*: a
+new empty journal, then a header naming it and holding every live
+entry, ``os.replace``d over the old one, so readers see either the old
+pair or the new.  Compaction happens on :meth:`ChunkStore.prune`, on
+:meth:`ChunkStore.sweep_orphans`, and when a commit would leave more
+entries in the journal than in the snapshot: each rewrites at most
+twice the entries appended since the last, so a commit's cost does not
+grow with the store.
 
-1. acquire ``manifest.lock`` (bounded wait, stale-lock breaking);
-2. re-read ``manifest.json`` — the on-disk copy is authoritative while
-   the lock is held, so entries committed by other processes are never
-   lost and entries pruned by other processes are never resurrected;
-3. apply the mutation (entries are content-addressed and immutable, so
-   first-writer-wins ``setdefault`` is always safe);
-4. atomically replace ``manifest.json`` (temp file + ``os.replace``,
-   so lock-free readers always observe a complete manifest);
-5. release the lock.
-
-Shard files are written *before* the transaction (content-addressed
-writes are idempotent and need no lock) and each writer re-checks its
-shard file still exists inside the transaction, which closes the race
-against a concurrent ``prune``.  A crash between shard write and
-manifest commit therefore leaves only an unreferenced shard — never a
-manifest entry pointing at a missing shard — and
-:meth:`ChunkStore.sweep_orphans` reclaims such shards after a grace
-window.  A lock left behind by a killed process is broken after
-``stale_lock_seconds``.
-
-:meth:`ChunkStore.refresh` picks up foreign commits without reopening
-(cheap: one ``stat`` compares the manifest's ``(mtime_ns, size)``
-token), and ``get``/``in`` auto-refresh on a miss, so N campaign
-workers and an ``EmulationService`` can share one store root live.
-GC is explicit: :meth:`ChunkStore.prune` drops entries by age and/or a
-byte budget (manifest entries are removed durably *before* their shard
-files are unlinked, so a crash mid-prune strands shards, never
-entries), and :meth:`ChunkStore.sweep_orphans` removes unreferenced
-shards and stale temp files.
+Readers ignore a torn last line; the next writer truncates it.  Shards
+are written lock-free *before* their record and re-checked inside the
+transaction against a concurrent ``prune``, and ``prune`` compacts
+before it unlinks, so a crash leaves only orphans (shards, retired or
+unpublished journals, temp files) for :meth:`ChunkStore.sweep_orphans`,
+never an entry pointing at a missing shard.  :meth:`ChunkStore.refresh`
+(and ``get``/``in`` on a miss) picks up foreign commits live.
 """
 
 from __future__ import annotations
@@ -79,7 +65,7 @@ import os
 import tempfile
 import threading
 import time
-import zipfile
+import zlib
 
 import numpy as np
 
@@ -91,7 +77,7 @@ __all__ = ["ChunkStore"]
 #: Supported chunk encodings, lossless first.
 _CHUNK_ENCODINGS = ("float64", "float32", "int16")
 
-_MANIFEST_SCHEMA = 1
+_MANIFEST_SCHEMA = 2
 
 #: Seconds between lock-acquisition attempts while another process
 #: holds ``manifest.lock``.
@@ -123,14 +109,11 @@ def _deadline_clock() -> float:
 def _require_finite(array: np.ndarray, encoding: str) -> None:
     """Reject non-finite chunks for lossy encodings, before anything is written.
 
-    An ``int16`` encode of a chunk containing NaN/Inf would silently
-    quantise against a non-finite midrange — NaN casts to 0, so the
-    stored payload is all zeros with ``offset = nan`` and the manifest
-    records ``max_abs_error: nan`` — irrecoverable corruption dressed as
-    a stored chunk.  A ``float32`` encode keeps the non-finite values
-    but its measured round-trip error degenerates to NaN, poisoning the
-    manifest's error accounting the same way.  The lossless ``float64``
-    encoding round-trips any bit pattern and stays permissive.
+    An ``int16`` encode of NaN/Inf would quantise against a non-finite
+    midrange (an all-zero payload behind ``offset = nan``), and a
+    ``float32`` encode's measured error would degenerate to NaN: both
+    are corruption dressed as a stored chunk.  ``float64`` round-trips
+    any bit pattern and stays permissive.
     """
     if encoding != "float64" and not np.isfinite(array).all():
         raise ValueError(
@@ -153,13 +136,9 @@ def _require_finite(array: np.ndarray, encoding: str) -> None:
 def _encode(array: np.ndarray, encoding: str, *, validated: bool = False):
     """Encode a float64 array; returns ``(payload, scale, offset, max_abs_error)``.
 
-    Raises ``ValueError`` for non-finite input under a lossy encoding —
-    callers invoke this before any shard file is created, so a rejected
-    chunk leaves neither a shard nor a manifest entry behind.
-    ``validated=True`` skips the finiteness scan for callers that
-    already ran :func:`_require_finite` on the exact same array
-    (the batched ``put_many`` pre-validation), so no chunk is scanned
-    twice.
+    Raises ``ValueError`` for non-finite input under a lossy encoding,
+    before any shard file is created.  ``validated=True`` skips the scan
+    for callers that already ran :func:`_require_finite` on the array.
     """
     array = np.asarray(array, dtype=np.float64)
     if not validated:
@@ -194,10 +173,10 @@ def _encode(array: np.ndarray, encoding: str, *, validated: bool = False):
 
 
 def _decode(payload: np.ndarray, scale, offset) -> np.ndarray:
-    """Decode a stored payload back to float64."""
+    """Decode a stored payload to float64; a float64 payload is returned as is."""
     if payload.dtype == np.int16:
         return payload.astype(np.float64) * float(scale) + float(offset)
-    return payload.astype(np.float64)
+    return payload.astype(np.float64, copy=False)
 
 
 class ChunkStore:
@@ -206,23 +185,21 @@ class ChunkStore:
     Parameters
     ----------
     root:
-        Directory of the store (created if missing).  Holds
-        ``manifest.json`` plus shard files under ``chunks/``.
+        Directory of the store (created if missing).  Holds the
+        ``manifest.json`` header, its journal and shard files under
+        ``chunks/``.
     encoding:
         One of ``"float64"``, ``"float32"`` or ``"int16"``.  ``"float64"`` is lossless;
         ``"int16"`` is the opt-in quantized tier (4x smaller, measured
         ``max_abs_error`` recorded per chunk).  Reopening an existing
         store with a different encoding raises ``ValueError``.
     lock_timeout:
-        Seconds a manifest transaction waits for ``manifest.lock``
-        before raising ``TimeoutError``.  Transactions are one JSON
-        round-trip, so contention is short; the default outlasts any
-        realistic writer burst.
+        Seconds a transaction waits for ``manifest.lock`` before
+        raising ``TimeoutError``.
     stale_lock_seconds:
         Age after which a ``manifest.lock`` left behind by a killed
         process is broken.  Must exceed the longest plausible
-        transaction (a manifest read + write); breaking is a
-        crash-recovery path, not a scheduling mechanism.
+        transaction (a compaction).
 
     Examples
     --------
@@ -253,16 +230,22 @@ class ChunkStore:
         self._manifest_path = os.path.join(self.root, "manifest.json")
         self._lock_path = os.path.join(self.root, "manifest.lock")
         os.makedirs(os.path.join(self.root, "chunks"), exist_ok=True)
+        # The view: the live entries, and how far it has read which
+        # header and journal.
         self._chunks: dict[str, dict] = {}
         self._manifest_token: "tuple | None" = None
+        self._revision = NUMERICS_REVISION
+        self._journal = ""
+        self._journal_offset = 0
+        self._journal_entries = 0
         with self._lock:
-            if os.path.exists(self._manifest_path):
-                self._refresh_locked(count=False)
-            else:
-                # Create the empty manifest through the same transaction
-                # path as every other mutation, so two processes racing
-                # to initialise one root serialise cleanly.
-                self._commit_locked(lambda chunks: None)
+            if not os.path.exists(self._manifest_path):
+                # Two processes racing to initialise one root serialise
+                # on the lock; the loser finds the winner's header.
+                with self._flock_locked():
+                    if not os.path.exists(self._manifest_path):
+                        self._dump_manifest_locked({})
+            self._refresh_locked()
 
     # ------------------------------------------------------------------ #
     # Properties
@@ -282,7 +265,7 @@ class ChunkStore:
             if address in self._chunks:
                 return True
             # A miss may just mean another process committed since our
-            # last load; one cheap stat settles it.
+            # last catch-up; the new journal bytes settle it.
             self._refresh_locked()
             return address in self._chunks
 
@@ -295,52 +278,49 @@ class ChunkStore:
     # The cross-process commit protocol
     # ------------------------------------------------------------------ #
     def _shard_path(self, address: str) -> str:
-        return os.path.join(self.root, "chunks", address[:2], f"{address}.npz")
+        return os.path.join(self.root, "chunks", address[:2], f"{address}.bin")
 
     @contextlib.contextmanager
     def _flock_locked(self):
         """Hold ``manifest.lock`` (O_CREAT|O_EXCL) for one transaction.
 
-        Bounded wait: raises ``TimeoutError`` after ``lock_timeout``
-        seconds.  A lock older than ``stale_lock_seconds`` is treated as
-        abandoned by a killed process and broken (counted on the
-        ``chunkstore.lock_breaks`` counter).  Caller holds the thread
-        lock, so one process never contends with itself.
+        One ``chunkstore.commit`` span covers the wait and the
+        transaction; it records the live entries (``n_entries``) and the
+        journal length (``journal_bytes``) left behind.  Raises
+        ``TimeoutError`` after ``lock_timeout``; a lock older than
+        ``stale_lock_seconds`` is broken.  Caller holds the thread lock.
         """
-        deadline = _deadline_clock() + self.lock_timeout
-        while True:
+        with span("chunkstore.commit") as sp:
+            deadline = _deadline_clock() + self.lock_timeout
+            while True:
+                try:
+                    fd = os.open(self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                    break
+                except FileExistsError:
+                    if self._break_stale_lock_locked():
+                        continue
+                    if _deadline_clock() >= deadline:
+                        raise TimeoutError(
+                            f"timed out after {self.lock_timeout:.1f}s waiting for "
+                            f"chunk-store lock {self._lock_path}; if its holder is "
+                            f"dead it will be broken once it is "
+                            f"{self.stale_lock_seconds:.1f}s old"
+                        )
+                    time.sleep(_LOCK_POLL_SECONDS)
             try:
-                fd = os.open(
-                    self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                )
-                break
-            except FileExistsError:
-                if self._break_stale_lock_locked():
-                    continue
-                if _deadline_clock() >= deadline:
-                    raise TimeoutError(
-                        f"timed out after {self.lock_timeout:.1f}s waiting for "
-                        f"chunk-store lock {self._lock_path}; if its holder is "
-                        f"dead it will be broken once it is "
-                        f"{self.stale_lock_seconds:.1f}s old"
-                    )
-                time.sleep(_LOCK_POLL_SECONDS)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(f"{os.getpid()}\n")
-            yield
-        finally:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self._lock_path)
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(f"{os.getpid()}\n")
+                yield
+            finally:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(self._lock_path)
+                sp.set(n_entries=len(self._chunks), journal_bytes=self._journal_offset)
 
     def _break_stale_lock_locked(self) -> bool:
         """Remove ``manifest.lock`` if its holder looks dead; True if removed.
 
-        Staleness is mtime age: live holders create-and-release within a
-        single JSON round-trip, so a lock older than
-        ``stale_lock_seconds`` belongs to a killed process.  The unlink
-        races other breakers benignly (``FileNotFoundError`` means
-        someone else already broke it).
+        Staleness is mtime age.  The unlink races other breakers
+        benignly (``FileNotFoundError``: someone else broke it).
         """
         try:
             age = _now() - os.stat(self._lock_path).st_mtime
@@ -353,127 +333,176 @@ class ChunkStore:
         counter_add("chunkstore.lock_breaks")
         return True
 
-    def _load_chunks_locked(self) -> "dict[str, dict]":
-        """The on-disk chunk mapping, strictly validated.
-
-        A manifest that fails to parse raises — silently treating it as
-        empty would let the next commit overwrite it and drop every
-        entry another process had committed (dangling shards dressed as
-        a clean store).
-        """
-        if not os.path.exists(self._manifest_path):
-            return {}
+    def _header_token(self, fd: "int | None" = None) -> "tuple | None":
+        """Change token of the header (or of its open ``fd``): compaction replaces it."""
         try:
-            with open(self._manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
+            st = os.stat(self._manifest_path) if fd is None else os.fstat(fd)
+        except FileNotFoundError:
+            return None
+        return (st.st_ino, st.st_mtime_ns, st.st_size)
+
+    def _read_header_locked(self) -> int:
+        """Reset the view to the header's snapshot; returns the bytes read.
+
+        A header that fails to parse raises: treating it as empty would
+        let the next compaction drop every entry it held.
+        """
+        try:
+            with open(self._manifest_path, "rb") as handle:
+                token = self._header_token(handle.fileno())
+                raw = handle.read()
+        except FileNotFoundError as exc:
+            raise ValueError(f"chunk-store header {self._manifest_path} is missing") from exc
+        try:
+            header = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(
                 f"corrupt chunk-store manifest at {self._manifest_path}: {exc}; "
                 f"refusing to merge over it — restore the manifest from the "
                 f"shard files (entries are content-addressed) or move it aside"
             ) from exc
-        if manifest.get("schema") != _MANIFEST_SCHEMA:
+        if header.get("schema") != _MANIFEST_SCHEMA:
             raise ValueError(
-                f"unsupported chunk-store manifest schema "
-                f"{manifest.get('schema')!r} at {self._manifest_path}"
+                f"store at {self.root} is chunk-store schema "
+                f"{header.get('schema')!r}, but this code reads schema "
+                f"{_MANIFEST_SCHEMA} only (raw shards, a header and a journal; "
+                f"schema 1 was NPZ shards and one manifest): write to a fresh "
+                f"root, or read this one with the code that wrote it"
             )
-        if manifest.get("encoding") != self.encoding:
+        if header.get("encoding") != self.encoding:
             raise ValueError(
                 f"store at {self.root} was created with encoding "
-                f"{manifest.get('encoding')!r}; reopen with that encoding "
+                f"{header.get('encoding')!r}; reopen with that encoding "
                 f"instead of {self.encoding!r}"
             )
-        chunks = dict(manifest.get("chunks", {}))
-        # Absent = written before the stamp existed.  An empty store has
-        # no bits to answer for: it adopts the current revision with its
-        # next commit.
-        stored = manifest.get("numerics_revision", 0)
-        if chunks and stored != NUMERICS_REVISION:
+        self._chunks = dict(header["chunks"])
+        self._manifest_token = token
+        # Absent = written before the stamp existed.
+        self._revision = header.get("numerics_revision", 0)
+        self._journal = os.path.join(self.root, header["journal"])
+        self._journal_offset = 0
+        self._journal_entries = 0
+        return len(raw)
+
+    def _refresh_locked(self, *, writer: bool = False) -> int:
+        """Catch the view up with the disk; returns the newly visible addresses.
+
+        One ``stat`` of the header: if a compaction (or a foreign prune)
+        replaced it, the header and its whole journal are read; else
+        only the journal bytes past this handle's offset.  A torn last
+        line is left unread; a ``writer`` (holding ``manifest.lock``, so
+        no append is in flight) truncates it.
+        """
+        known = self._chunks
+        read = 0
+        while True:
+            if self._header_token() != self._manifest_token:
+                read += self._read_header_locked()
+            try:
+                with open(self._journal, "rb") as handle:
+                    handle.seek(self._journal_offset)
+                    tail = handle.read()
+                break
+            except FileNotFoundError as exc:
+                # A compaction retired (and a sweep removed) the journal
+                # after our stat: the new header names the live one.
+                if self._header_token() == self._manifest_token:
+                    raise ValueError(
+                        f"chunk-store journal {self._journal} named by "
+                        f"{self._manifest_path} is missing"
+                    ) from exc
+        end = tail.rfind(b"\n") + 1
+        added = 0
+        for line in tail[:end].splitlines():
+            try:
+                record = json.loads(line)["put"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"corrupt chunk-store journal {self._journal} at byte "
+                    f"{self._journal_offset}: {exc}; refusing to merge over it"
+                ) from exc
+            for address, entry in record.items():
+                if address not in self._chunks:
+                    self._chunks[address] = entry
+                    added += 1
+            self._journal_entries += len(record)
+            self._journal_offset += len(line) + 1
+        if writer and end < len(tail):
+            os.truncate(self._journal, self._journal_offset)
+        if self._chunks and self._revision != NUMERICS_REVISION:
             raise ValueError(
                 f"store at {self.root} holds chunks computed under numerics "
-                f"revision {stored!r}, but this code is numerics revision "
+                f"revision {self._revision!r}, but this code is numerics revision "
                 f"{NUMERICS_REVISION}: the stored fields are not the bits this "
                 f"code synthesises for the same requests — write to a fresh "
                 f"root, or read this one with the code that wrote it"
             )
-        return chunks
+        read += len(tail)
+        if self._chunks is not known:
+            added = sum(1 for address in self._chunks if address not in known)
+        if read:
+            counter_add("chunkstore.refreshes")
+            counter_add("chunkstore.catch_up_bytes", read)
+        return added
 
     def _dump_manifest_locked(self, chunks: "dict[str, dict]") -> None:
-        """Atomically replace ``manifest.json`` (temp file + ``os.replace``).
+        """Compact: a new empty journal, then the header naming it.
 
-        Lock-free readers therefore always observe a complete manifest;
-        a crash mid-write leaves at worst a ``.manifest-*`` temp file,
-        reclaimed by :meth:`sweep_orphans`.
+        Journals are numbered; the new one follows the live one, so a
+        file of its number can only be a crashed compaction's orphan and
+        is truncated.  The header is fsync'd in a temp file and
+        ``os.replace``d over ``manifest.json``.  A crash before the
+        replace leaves the new journal (and a ``.manifest-*`` temp) as
+        orphans; after it, the retired journal is one.
         """
-        manifest = {
+        live = os.path.basename(self._journal).removeprefix("journal-")
+        name = f"journal-{int(live.removesuffix('.jsonl') or 0) + 1:06d}.jsonl"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+        os.close(os.open(os.path.join(self.root, name), flags, 0o666))
+        header = {
             "schema": _MANIFEST_SCHEMA,
             "encoding": self.encoding,
             "numerics_revision": NUMERICS_REVISION,
+            "journal": name,
             "chunks": chunks,
         }
         fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".manifest-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 # dumps, not dump: the C encoder, the same bytes.
-                handle.write(json.dumps(manifest, sort_keys=True))
+                handle.write(json.dumps(header, sort_keys=True))
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, self._manifest_path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-    def _stat_token_locked(self) -> "tuple | None":
-        """Change token of the on-disk manifest: ``(st_mtime_ns, st_size)``."""
-        try:
-            st = os.stat(self._manifest_path)
-        except FileNotFoundError:
-            return None
-        return (st.st_mtime_ns, st.st_size)
-
-    def _commit_locked(self, mutate):
-        """Run one manifest transaction; returns ``mutate``'s result.
-
-        Caller holds the thread lock.  Acquires the cross-process
-        lockfile, re-reads the on-disk manifest (authoritative while the
-        lock is held — foreign commits are unioned in, foreign prunes
-        stay pruned), lets ``mutate`` edit the mapping in place,
-        atomically writes the result and installs it as this handle's
-        in-memory view.
-        """
-        with self._flock_locked():
-            chunks = self._load_chunks_locked()
-            result = mutate(chunks)
-            self._dump_manifest_locked(chunks)
-            self._chunks = chunks
-            self._manifest_token = self._stat_token_locked()
-        return result
-
-    def _refresh_locked(self, *, count: bool = True) -> int:
-        """Reload the manifest if its stat token moved; returns new addresses.
-
-        The token is stat'ed *before* the read, so a replace that lands
-        between the two at worst marks the view one commit old — the
-        next refresh reloads.  Foreign prunes are honoured: the on-disk
-        mapping replaces (not merges into) the in-memory view.
-        """
-        token = self._stat_token_locked()
-        if count and token == self._manifest_token:
-            return 0
-        chunks = self._load_chunks_locked()
-        added = sum(1 for address in chunks if address not in self._chunks)
         self._chunks = chunks
-        self._manifest_token = token
-        if count:
-            counter_add("chunkstore.refreshes")
-        return added
+        self._manifest_token = self._header_token()
+        self._revision = NUMERICS_REVISION
+        self._journal = os.path.join(self.root, name)
+        self._journal_offset = 0
+        self._journal_entries = 0
+
+    def _append_journal_locked(self, record: "dict[str, dict]") -> None:
+        """Commit ``record`` with one fsync'd append of one complete line."""
+        line = (json.dumps({"put": record}, sort_keys=True) + "\n").encode("utf-8")
+        fd = os.open(self._journal, os.O_WRONLY | os.O_APPEND)
+        with os.fdopen(fd, "ab") as handle:
+            handle.write(line)
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._chunks.update(record)
+        self._journal_offset += len(line)
+        self._journal_entries += len(record)
 
     def refresh(self) -> int:
         """Pick up chunks other processes committed since our last load.
 
-        Cheap no-op (one ``stat``) when nothing changed.  Returns the
-        number of addresses that became visible.  ``get`` and ``in``
-        already call this on a miss; explicit refresh is for bulk
-        readers that iterate :meth:`addresses`.
+        Cheap when nothing changed: one ``stat`` and an empty journal
+        read.  Returns the number of addresses that became visible.
+        ``get`` and ``in`` already call this on a miss.
         """
         with self._lock:
             return self._refresh_locked()
@@ -484,25 +513,22 @@ class ChunkStore:
     def _write_shard(
         self, address: str, array: np.ndarray, *, validated: bool = False
     ) -> dict:
-        """Encode and write one shard file; returns its manifest entry.
+        """Encode and write one raw shard file; returns its entry.
 
-        Encoding (including the non-finite rejection, unless the caller
-        pre-``validated`` the array) runs before any file is created, so
-        a rejected chunk leaves nothing on disk.
+        Encoding (and the non-finite rejection) runs before any file is
+        created, so a rejected chunk leaves nothing on disk.
         """
         array = np.asarray(array, dtype=np.float64)
         payload, scale, offset, err = _encode(
             array, self.encoding, validated=validated
         )
+        payload = np.ascontiguousarray(payload)
         path = self._shard_path(address)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".shard-")
         try:
             with os.fdopen(fd, "wb") as handle:
-                if scale is None:
-                    np.savez(handle, data=payload)
-                else:
-                    np.savez(handle, data=payload, scale=scale, offset=offset)
+                handle.write(payload)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -511,6 +537,8 @@ class ChunkStore:
         entry = {
             "file": os.path.relpath(path, self.root),
             "shape": [int(s) for s in array.shape],
+            "dtype": payload.dtype.str,
+            "crc32": zlib.crc32(payload),
             "encoding": self.encoding,
             "encoded_bytes": int(payload.nbytes),
             "decoded_bytes": int(array.nbytes),
@@ -526,37 +554,39 @@ class ChunkStore:
         """Transactionally add staged ``{address: (entry, float64 array)}``.
 
         First-writer-wins against foreign commits.  Each surviving entry
-        re-checks its shard file inside the transaction and rewrites it
-        if a concurrent ``prune``/``sweep_orphans`` unlinked it between
-        our (lock-free) shard write and this commit — shards are only
-        ever removed under the lock, so the re-check closes that race.
-        Returns the number of entries this handle added.
+        re-checks its shard inside the transaction and rewrites it if a
+        concurrent ``prune``/``sweep_orphans`` unlinked it.  The record
+        is one journal line, unless the journal would then hold more
+        entries than the snapshot: then the commit compacts.  Returns
+        the number of entries this handle added.
         """
-
-        def mutate(chunks: "dict[str, dict]") -> int:
-            written = 0
+        with self._flock_locked():
+            self._refresh_locked(writer=True)
+            record: dict[str, dict] = {}
             for address, (entry, array) in staged.items():
-                if address in chunks:
+                if address in self._chunks:
                     continue  # a foreign writer of the same content won
                 if not os.path.exists(self._shard_path(address)):
                     entry = self._write_shard(address, array, validated=True)
-                chunks[address] = entry
-                written += 1
-            return written
-
-        return self._commit_locked(mutate)
+                record[address] = entry
+            snapshot = len(self._chunks) - self._journal_entries
+            if self._journal_entries + len(record) > snapshot:
+                self._dump_manifest_locked({**self._chunks, **record})
+            elif record:
+                self._append_journal_locked(record)
+        return len(record)
 
     def put(self, address: str, array: np.ndarray) -> dict:
-        """Persist one chunk; returns its manifest entry.
+        """Persist one chunk; returns its entry.
 
-        Idempotent: an address already in the store is left untouched
-        (content addresses make re-encoding pointless), so concurrent
-        writers of the same chunk cannot corrupt each other.  For many
-        chunks at once prefer :meth:`put_many`, which commits the
-        manifest a single time.
+        Idempotent: an address already in the store is left untouched,
+        so concurrent writers of the same chunk cannot corrupt each
+        other.  For many chunks prefer :meth:`put_many`.
         """
         address = str(address)
         with self._lock:
+            if address in self._chunks:
+                self._refresh_locked()  # a foreign prune may have dropped it
             entry = self._chunks.get(address)
             if entry is not None:
                 return dict(entry)
@@ -570,15 +600,15 @@ class ChunkStore:
             return dict(self._chunks[address])
 
     def put_many(self, chunks: "dict[str, np.ndarray]") -> int:
-        """Persist a batch of chunks with one manifest transaction.
+        """Persist a batch of chunks with one transaction (one journal line).
 
-        The manifest is O(stored chunks) to serialise, so per-chunk
-        commits would cost O(N^2) over a store's lifetime; the serving
-        write-through path and the campaign store writer land every
-        batch through this form instead.  Returns the number of chunks
+        The serving write-through and the campaign store writer land
+        every batch through this form.  Returns the number of chunks
         actually written (addresses already present are skipped).
         """
         with self._lock:
+            if any(str(address) in self._chunks for address in chunks):
+                self._refresh_locked()  # a foreign prune may have dropped some
             pending = {
                 str(address): array
                 for address, array in chunks.items()
@@ -586,11 +616,8 @@ class ChunkStore:
             }
         if not pending:
             return 0
-        # Validate the whole batch before writing anything: a non-finite
-        # chunk under a lossy encoding must not leave earlier chunks of
-        # the same batch behind as orphan shards.  The float64 view is
-        # kept and the shard writes are marked pre-validated, so no
-        # chunk is converted or scanned a second time.
+        # Validate the whole batch before writing anything, so a
+        # non-finite chunk leaves no sibling behind as an orphan shard.
         pending = {
             address: np.asarray(array, dtype=np.float64)
             for address, array in pending.items()
@@ -598,17 +625,10 @@ class ChunkStore:
         for array in pending.values():
             _require_finite(array, self.encoding)
         batch_bytes = sum(array.nbytes for array in pending.values())
-        with span(
-            "chunkstore.put_many",
-            n_chunks=len(pending),
-            bytes=batch_bytes,
-            encoding=self.encoding,
-        ):
+        with span("chunkstore.put_many", n_chunks=len(pending),
+                  bytes=batch_bytes, encoding=self.encoding):
             staged = {
-                address: (
-                    self._write_shard(address, array, validated=True),
-                    array,
-                )
+                address: (self._write_shard(address, array, validated=True), array)
                 for address, array in pending.items()
             }
         counter_add("chunkstore.writes", len(pending))
@@ -619,10 +639,10 @@ class ChunkStore:
     def get(self, address: str) -> "np.ndarray | None":
         """The decoded ``float64`` chunk, or ``None`` if absent.
 
-        The decoded payload is validated against the manifest entry
-        (shape) before it is returned; a missing, truncated or
-        wrong-shape shard raises ``ValueError`` naming the shard instead
-        of handing corrupt bytes to the caller.
+        The shard is read with one ``readinto`` into an array of the
+        entry's shape and dtype (a ``float64`` store returns that
+        buffer).  A missing shard, a short or overlong file or a CRC-32
+        mismatch raises ``ValueError`` naming the shard.
         """
         address = str(address)
         with self._lock:
@@ -632,48 +652,52 @@ class ChunkStore:
                 entry = self._chunks.get(address)
             if entry is None:
                 return None
-            entry = dict(entry)
         path = os.path.join(self.root, entry["file"])
         with span("chunkstore.get", encoding=self.encoding) as sp:
+            payload = np.empty(entry["shape"], entry["dtype"])
+            flat = payload.reshape(-1).view(np.uint8)
+            filled = 0
             try:
-                # Own the file handle: np.load(path) leaks its descriptor
-                # when the zip directory is corrupt (it raises before the
-                # NpzFile that would close it exists).
-                with open(path, "rb") as handle, np.load(handle) as payload:
-                    decoded = _decode(
-                        payload["data"],
-                        payload["scale"] if "scale" in payload else None,
-                        payload["offset"] if "offset" in payload else None,
-                    )
+                with open(path, "rb", buffering=0) as handle:
+                    while count := handle.readinto(flat[filled:]):  # reads stop at 2 GiB
+                        filled += count
+                    overrun = handle.read(1)
             except FileNotFoundError as exc:
+                with self._lock:
+                    self._refresh_locked()
+                    if address not in self._chunks:
+                        return None  # a foreign prune removed it meanwhile
                 raise ValueError(
-                    f"manifest entry for chunk {address!r} points at missing "
+                    f"entry for chunk {address!r} points at missing "
                     f"shard {entry['file']!r} under {self.root}; the store "
                     f"was corrupted outside the commit protocol (shards are "
                     f"only unlinked after their entries are removed)"
                 ) from exc
-            except (zipfile.BadZipFile, OSError, KeyError) as exc:
+            except OSError as exc:
                 raise ValueError(
                     f"shard {entry['file']!r} for chunk {address!r} under "
                     f"{self.root} is unreadable ({exc}); the file is "
                     f"truncated or corrupt — remove the entry and re-put "
                     f"the chunk"
                 ) from exc
+            short = filled != flat.size or overrun
+            if short or zlib.crc32(payload) != entry["crc32"]:
+                raise ValueError(
+                    f"shard {entry['file']!r} for chunk {address!r} under "
+                    f"{self.root} " + (
+                        f"holds {filled}{'+' if overrun else ''} bytes, not "
+                        f"{flat.size}" if short else "fails its CRC-32"
+                    ) + "; the file is truncated or corrupt — remove the "
+                    "entry and re-put the chunk"
+                )
+            decoded = _decode(payload, entry.get("scale"), entry.get("offset"))
             sp.set(bytes=decoded.nbytes)
-        expected = tuple(int(s) for s in entry["shape"])
-        if decoded.shape != expected:
-            raise ValueError(
-                f"shard {entry['file']!r} for chunk {address!r} decodes to "
-                f"shape {tuple(decoded.shape)} but its manifest entry "
-                f"records {expected}; the shard and manifest disagree — "
-                f"remove the entry and re-put the chunk"
-            )
         counter_add("chunkstore.reads")
         counter_add("chunkstore.read_bytes", decoded.nbytes)
         return decoded
 
     def entry(self, address: str) -> "dict | None":
-        """The manifest entry of a chunk (shape, bytes, error), or ``None``."""
+        """The entry of a chunk (shape, bytes, error), or ``None``."""
         with self._lock:
             entry = self._chunks.get(str(address))
             return dict(entry) if entry is not None else None
@@ -691,18 +715,13 @@ class ChunkStore:
         """Drop stored chunks by age and/or an encoded-byte budget.
 
         ``max_age`` removes every chunk whose ``stored_at`` timestamp is
-        more than that many seconds before ``now`` (entries written by
-        pre-GC stores carry no timestamp and count as infinitely old).
-        ``max_bytes`` then evicts oldest-first — deterministically, ties
-        broken by address — until the surviving encoded bytes fit the
-        budget.  ``now`` defaults to the wall clock; tests pass it
-        explicitly.
+        more than that many seconds before ``now`` (default: the wall
+        clock).  ``max_bytes`` then evicts oldest-first, ties broken by
+        address, until the surviving encoded bytes fit the budget.
 
-        One transaction: the shrunk manifest is committed durably
-        *before* any shard file is unlinked, and the unlinks happen
-        while the cross-process lock is still held — a crash mid-prune
-        strands orphan shards (reclaimed by :meth:`sweep_orphans`),
-        never a manifest entry pointing at a missing shard.
+        One transaction: the shrunk view is compacted durably *before*
+        any shard is unlinked, under the lock, so a crash mid-prune
+        strands orphan shards, never an entry pointing at a missing one.
 
         Returns ``{"pruned_chunks", "pruned_bytes", "remaining_chunks",
         "remaining_bytes"}``.
@@ -712,7 +731,8 @@ class ChunkStore:
         if now is None:
             now = _now()
         with self._lock, self._flock_locked():
-            chunks = self._load_chunks_locked()
+            self._refresh_locked(writer=True)
+            chunks = self._chunks
             doomed: dict[str, dict] = {}
             if max_age is not None:
                 cutoff = float(now) - float(max_age)
@@ -725,34 +745,21 @@ class ChunkStore:
                     for address, entry in chunks.items()
                     if address not in doomed
                 ]
-                total = sum(
-                    int(chunks[address]["encoded_bytes"])
-                    for _, address in survivors
-                )
+                total = sum(int(chunks[a]["encoded_bytes"]) for _, a in survivors)
                 for _, address in sorted(survivors):
                     if total <= int(max_bytes):
                         break
                     doomed[address] = chunks[address]
                     total -= int(chunks[address]["encoded_bytes"])
-            kept = {
-                address: entry
-                for address, entry in chunks.items()
-                if address not in doomed
-            }
+            kept = {a: e for a, e in chunks.items() if a not in doomed}
             self._dump_manifest_locked(kept)
-            self._chunks = kept
-            self._manifest_token = self._stat_token_locked()
             # Entries are durably gone; now the shards. Still under the
             # lock, so no writer can commit against a path mid-unlink.
             for entry in doomed.values():
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(os.path.join(self.root, entry["file"]))
-            remaining_bytes = sum(
-                int(entry["encoded_bytes"]) for entry in kept.values()
-            )
-        pruned_bytes = sum(
-            int(entry["encoded_bytes"]) for entry in doomed.values()
-        )
+            remaining_bytes = sum(int(e["encoded_bytes"]) for e in kept.values())
+        pruned_bytes = sum(int(e["encoded_bytes"]) for e in doomed.values())
         counter_add("chunkstore.pruned_chunks", len(doomed))
         counter_add("chunkstore.pruned_bytes", pruned_bytes)
         return {
@@ -763,40 +770,43 @@ class ChunkStore:
         }
 
     def sweep_orphans(self, *, grace_seconds: float = 3600.0) -> int:
-        """Reclaim unreferenced shards and stale temp files; returns count.
+        """Reclaim unreferenced shards, retired journals and stale temps.
 
-        Orphans are the deliberate crash residue of the commit protocol:
-        a shard written whose commit never happened, a shard stranded by
-        a crash mid-``prune``, or a ``.manifest-*``/``.shard-*`` temp
-        file from a torn write.  Only files older than ``grace_seconds``
-        (mtime) are touched — the grace window must exceed the longest
-        gap between a writer's shard write and its manifest commit,
-        which is why the default is generous.  Runs as one transaction
-        under the cross-process lock, against the authoritative on-disk
-        manifest.
+        Orphans are the commit protocol's crash residue: a shard whose
+        commit never happened or whose prune died mid-unlink, a journal
+        a compaction retired (or created and died before publishing),
+        or a ``.manifest-*``/``.shard-*`` temp file.  Only files older
+        than ``grace_seconds`` (mtime) are touched: the window must
+        outlast a writer's gap between shard and commit, and a reader's
+        between header and journal.  One transaction, which first
+        compacts a non-empty journal.
         """
         removed = 0
         cutoff = _now() - float(grace_seconds)
         with self._lock, self._flock_locked():
-            chunks = self._load_chunks_locked()
-            self._chunks = chunks
-            self._manifest_token = self._stat_token_locked()
+            self._refresh_locked(writer=True)
+            if self._journal_offset:
+                self._dump_manifest_locked(dict(self._chunks))
             referenced = {
                 os.path.normpath(os.path.join(self.root, entry["file"]))
-                for entry in chunks.values()
+                for entry in self._chunks.values()
             }
             keep = {
                 os.path.normpath(self._manifest_path),
                 os.path.normpath(self._lock_path),
+                os.path.normpath(self._journal),
             }
             for dirpath, _, filenames in os.walk(self.root):
                 for filename in filenames:
                     path = os.path.normpath(os.path.join(dirpath, filename))
                     if path in referenced or path in keep:
                         continue
-                    is_shard = filename.endswith(".npz")
+                    is_shard = filename.endswith(".bin")
+                    is_journal = filename.startswith("journal-") and (
+                        os.path.dirname(path) == os.path.normpath(self.root)
+                    )
                     is_tmp = filename.startswith((".shard-", ".manifest-"))
-                    if not (is_shard or is_tmp):
+                    if not (is_shard or is_journal or is_tmp):
                         continue
                     try:
                         if os.stat(path).st_mtime >= cutoff:
@@ -812,14 +822,10 @@ class ChunkStore:
     # Reporting
     # ------------------------------------------------------------------ #
     def _max_abs_error_locked(self) -> float:
-        """Deterministic maximum over per-chunk errors, NaN included.
+        """Maximum over per-chunk errors; NaN if any entry's is NaN.
 
-        ``max()`` over floats is order-dependent in the presence of NaN
-        (``max(1.0, nan) == 1.0`` but ``max(nan, 1.0)`` is NaN), and a
-        manifest written before non-finite chunks were rejected can
-        carry ``max_abs_error: nan`` entries.  Any NaN entry makes the
-        store-wide error unknown, so NaN is returned — deterministically,
-        whatever the manifest iteration order.
+        ``max()`` is order-dependent under NaN (``max(1.0, nan) == 1.0``
+        but ``max(nan, 1.0)`` is NaN), so NaN is checked for first.
         """
         errors = [float(e["max_abs_error"]) for e in self._chunks.values()]
         if not errors:
@@ -832,22 +838,15 @@ class ChunkStore:
         """Largest measured reconstruction error across stored chunks.
 
         Exactly ``0.0`` for a lossless (float64) store; the quantized
-        tier's honest error bound otherwise.  NaN — deterministically,
-        regardless of manifest order — when a pre-existing manifest
-        carries a corrupt ``max_abs_error: nan`` entry (written before
-        non-finite chunks were rejected): the store-wide bound is then
-        unknown, and pretending otherwise would hide the corruption.
+        tier's honest error bound otherwise.  NaN, whatever the entry
+        order, when an entry carries a corrupt ``max_abs_error: nan``:
+        the store-wide bound is then unknown.
         """
         with self._lock:
             return self._max_abs_error_locked()
 
     def stats(self) -> dict:
-        """Store observability: chunk count, byte totals, encoding, error.
-
-        ``max_abs_error`` follows :meth:`max_abs_error`'s NaN contract:
-        a corrupt pre-existing manifest entry yields NaN, never an
-        order-dependent value.
-        """
+        """Chunk count, byte totals, encoding and :meth:`max_abs_error`."""
         with self._lock:
             encoded = sum(int(e["encoded_bytes"]) for e in self._chunks.values())
             decoded = sum(int(e["decoded_bytes"]) for e in self._chunks.values())

@@ -296,6 +296,54 @@ class TestNonFiniteWrite:
         assert run(source, relpath="src/repro/storage/example.py",
                    rules=["nonfinite-write"]) == []
 
+    @pytest.mark.parametrize("write", [
+        "with open(path, 'wb') as handle:\n        handle.write(payload)",
+        "fd = os.open(path, os.O_WRONLY)\n    os.write(fd, payload)",
+        "payload.tofile(path)",
+        "with open(path, 'wb') as handle:\n        handle.writelines([payload])",
+    ])
+    def test_unvalidated_raw_array_write_fires(self, write):
+        source = (
+            "import os\n\n"
+            f"def write_shard(path, payload):\n    {write}\n"
+        )
+        findings = lint_source(source, "src/repro/storage/example.py",
+                               rules=["nonfinite-write"])
+        assert rule_ids(findings) == ["nonfinite-write"]
+
+    def test_transitively_validated_raw_write_is_clean(self):
+        source = """
+            import numpy as np
+
+            def _require_finite(arr):
+                if not np.isfinite(arr).all():
+                    raise ValueError("non-finite payload")
+
+            def write_shard(path, arr):
+                _require_finite(arr)
+                payload = np.ascontiguousarray(arr)
+                with open(path, "wb") as handle:
+                    handle.write(payload)
+        """
+        assert run(source, relpath="src/repro/storage/example.py",
+                   rules=["nonfinite-write"]) == []
+
+    def test_text_writes_are_not_array_writes(self):
+        source = """
+            import json
+            import os
+
+            def append(path, record, fd):
+                line = (json.dumps({"put": record}) + "\\n").encode("utf-8")
+                with open(path, "ab") as handle:
+                    handle.write(line)
+                    handle.write(json.dumps(record))
+                    handle.write(f"{os.getpid()}\\n")
+                os.write(fd, b"pid")
+        """
+        assert run(source, relpath="src/repro/storage/example.py",
+                   rules=["nonfinite-write"]) == []
+
     def test_rule_is_scoped_to_storage(self):
         source = "import numpy as np\n\ndef dump(p, a):\n    np.savez(p, a=a)\n"
         assert lint_source(source, "src/repro/core/example.py",
@@ -747,6 +795,58 @@ class TestManifestCommit:
         )
         assert rule_ids(findings) == ["manifest-commit", "manifest-commit"]
         assert "self._chunks.update()" in findings[0].message
+
+    def test_journal_append_outside_protocol_fires(self):
+        source = STORE_INSIDE_PROTOCOL + """
+        def _append_journal_locked(self, record):
+            pass
+
+        def add(self, record):
+            self._append_journal_locked(record)
+"""
+        findings = run(
+            source,
+            relpath="src/repro/storage/example.py",
+            rules=["manifest-commit"],
+        )
+        assert rule_ids(findings) == ["manifest-commit"]
+        assert "_append_journal_locked" in findings[0].message
+
+    @pytest.mark.parametrize("attr", [
+        "_journal", "_journal_offset", "_journal_entries", "_revision",
+    ])
+    def test_journal_position_mutation_outside_protocol_fires(self, attr):
+        source = STORE_INSIDE_PROTOCOL + f"""
+        def rewind(self):
+            self.{attr} = 0
+"""
+        findings = run(
+            source,
+            relpath="src/repro/storage/example.py",
+            rules=["manifest-commit"],
+        )
+        assert rule_ids(findings) == ["manifest-commit"]
+        assert f"self.{attr}" in findings[0].message
+
+    def test_journal_append_inside_a_transaction_is_clean(self):
+        source = """
+            class Store:
+                def _flock_locked(self):
+                    pass
+
+                def _append_journal_locked(self, record):
+                    self._journal_offset += 1
+
+                def add(self, record):
+                    with self._flock_locked():
+                        self._append_journal_locked(record)
+                        self._journal_entries += len(record)
+        """
+        assert run(
+            source,
+            relpath="src/repro/storage/example.py",
+            rules=["manifest-commit"],
+        ) == []
 
     def test_out_of_scope_paths_and_manifestless_classes_are_clean(self):
         # Same source outside src/repro/storage/ is out of scope...

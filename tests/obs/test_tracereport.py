@@ -215,7 +215,8 @@ class TestLayerCoverage:
         names = {row["name"] for row in rows}
         for expected in ("facade.emulate", "sht.inverse",
                          "sht.plan_cache.build", "serve.get",
-                         "chunkstore.put", "chunkstore.get"):
+                         "chunkstore.put", "chunkstore.get",
+                         "chunkstore.commit"):
             assert expected in names, f"missing {expected} in {sorted(names)}"
         # sht.inverse nests under the facade/serving spans, so the
         # parents' self time excludes it.

@@ -1,12 +1,12 @@
 """Fault-injection utilities for the chunk-store crash/consistency suite.
 
 The commit protocol's whole claim is about *residue*: whatever syscall a
-writer dies at, the store must come back with no manifest entry pointing
-at a missing or corrupt shard, and nothing but sweepable orphans on
-disk.  These helpers simulate the deaths — a process killed at a chosen
-``os.replace``/``os.unlink``, a torn (truncated) file landing on disk, a
-lockfile left behind — and :func:`assert_store_consistent` states the
-invariant every test ends on.
+writer dies at, the store must come back with no entry pointing at a
+missing or corrupt shard, and nothing but sweepable orphans on disk.
+These helpers simulate the deaths — a process killed at a chosen
+``os.open``/``os.replace``/``os.unlink``, a torn (truncated) file landing
+on disk, a lockfile left behind — and :func:`assert_store_consistent`
+states the invariant every test ends on.
 
 ``SimulatedCrash`` derives from ``BaseException`` on purpose: nothing in
 the production code may swallow it with ``except Exception`` and carry
@@ -20,6 +20,7 @@ case.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "SimulatedCrash",
     "age_file",
     "assert_store_consistent",
+    "crash_on_open",
     "crash_on_replace",
     "crash_on_unlink",
     "payload_for",
@@ -48,7 +50,7 @@ def _crash_hook(module_attr: str, match: str, nth: int):
     state = {"hits": 0}
 
     def hook(*args, **kwargs):
-        # replace(src, dst) dies on dst; unlink(path) dies on path.
+        # replace(src, dst) dies on dst; open/unlink(path) die on path.
         path = os.fspath(args[-1] if module_attr == "replace" else args[0])
         if match in os.path.basename(path) or match in path:
             state["hits"] += 1
@@ -63,12 +65,22 @@ def _crash_hook(module_attr: str, match: str, nth: int):
         setattr(os, module_attr, real)
 
 
+def crash_on_open(match: str, *, nth: int = 1):
+    """Die at the ``nth`` ``os.open`` whose path matches.
+
+    ``match="journal-"`` models a writer killed between its shard write
+    and its commit: a commit opens the journal to append its record, and
+    a compaction creates its new journal, before anything is published.
+    """
+    return _crash_hook("open", match, nth)
+
+
 def crash_on_replace(match: str, *, nth: int = 1):
     """Die at the ``nth`` ``os.replace`` whose destination matches.
 
-    ``match="manifest.json"`` models a writer killed between its shard
-    write and its manifest commit; ``match=".npz"`` one killed mid shard
-    publish.
+    ``match="manifest.json"`` models a compaction killed between creating
+    its new journal and publishing the header that names it;
+    ``match=".bin"`` a writer killed mid shard publish.
     """
     return _crash_hook("replace", match, nth)
 
@@ -76,8 +88,8 @@ def crash_on_replace(match: str, *, nth: int = 1):
 def crash_on_unlink(match: str, *, nth: int = 1):
     """Die at the ``nth`` ``os.unlink`` whose path matches.
 
-    ``match=".npz"`` models a prune killed after its manifest commit,
-    mid shard deletion — the crash window that strands orphan shards.
+    ``match=".bin"`` models a prune killed after its compaction, mid
+    shard deletion — the crash window that strands orphan shards.
     """
     return _crash_hook("unlink", match, nth)
 
@@ -104,11 +116,13 @@ def age_file(path: "str | os.PathLike", seconds: float) -> None:
 def assert_store_consistent(root, encoding: str = "float64") -> ChunkStore:
     """The post-crash invariant: reopen, verify, sweep, nothing dangles.
 
-    * a fresh handle loads the manifest (it is never torn by a crash);
-    * every manifest entry decodes to its recorded shape — no entry
-      points at a missing or corrupt shard;
+    * a fresh handle loads the header and its journal (a crash never
+      tears the header; a torn journal tail is ignored);
+    * every entry decodes to its recorded shape — no entry points at a
+      missing or corrupt shard;
     * after ``sweep_orphans(grace_seconds=0)`` every file left under the
-      root is the manifest, a referenced shard, or a live lockfile.
+      root is the header, its live journal, a referenced shard, or a
+      live lockfile.
 
     Returns the verified store handle for follow-on assertions.
     """
@@ -119,6 +133,8 @@ def assert_store_consistent(root, encoding: str = "float64") -> ChunkStore:
         assert chunk.shape == tuple(store.entry(address)["shape"])
     store.sweep_orphans(grace_seconds=0.0)
     root = os.fspath(root)
+    with open(os.path.join(root, "manifest.json"), encoding="utf-8") as handle:
+        journal = json.load(handle)["journal"]
     referenced = {
         os.path.normpath(os.path.join(root, store.entry(address)["file"]))
         for address in store.addresses()
@@ -126,7 +142,7 @@ def assert_store_consistent(root, encoding: str = "float64") -> ChunkStore:
     for dirpath, _, filenames in os.walk(root):
         for filename in filenames:
             path = os.path.normpath(os.path.join(dirpath, filename))
-            if filename in ("manifest.json", "manifest.lock"):
+            if filename in ("manifest.json", "manifest.lock", journal):
                 continue
             assert path in referenced, f"unswept orphan file: {path}"
     return store

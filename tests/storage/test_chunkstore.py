@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.obs import get_registry, trace_records, tracing
 from repro.storage import chunkstore
 from repro.storage.chunkstore import _CHUNK_ENCODINGS, ChunkStore
 from repro.util.numerics import NUMERICS_REVISION
@@ -94,12 +95,17 @@ class TestManifest:
         store.put("aa11", payload)
         with open(os.path.join(str(tmp_path), "manifest.json")) as handle:
             manifest = json.load(handle)
-        assert manifest["schema"] == 1
+        assert manifest["schema"] == 2
         assert manifest["encoding"] == "int16"
         assert manifest["numerics_revision"] == NUMERICS_REVISION
-        entry = manifest["chunks"]["aa11"]
+        assert os.path.isfile(tmp_path / manifest["journal"])
+        entry = manifest["chunks"]["aa11"]  # the first put compacts
         assert entry["shape"] == list(payload.shape)
+        assert entry["dtype"] == "<i2" and isinstance(entry["crc32"], int)
         assert "scale" in entry and "offset" in entry
+        # The shard is the payload's raw bytes and nothing else.
+        shard = (tmp_path / entry["file"]).read_bytes()
+        assert len(shard) == entry["encoded_bytes"] == payload.size * 2
 
     def test_manifest_bytes_are_what_json_dump_writes(self, tmp_path):
         """``handle.write(json.dumps(...))`` is the C encoder, not a new format:
@@ -168,8 +174,9 @@ class TestNumericsRevision:
         assert sorted(self._manifest(tmp_path)["chunks"]) == ["aa11"]
 
     def test_unstamped_manifest_with_chunks_is_revision_zero(self, tmp_path):
-        entry = ChunkStore(tmp_path).put("aa11", self.CHUNK)
-        manifest = {"schema": 1, "encoding": "float64", "chunks": {"aa11": entry}}
+        ChunkStore(tmp_path).put("aa11", self.CHUNK)
+        manifest = self._manifest(tmp_path)
+        del manifest["numerics_revision"]
         with open(os.path.join(str(tmp_path), "manifest.json"), "w") as handle:
             json.dump(manifest, handle)
         self._expect_refusal(
@@ -179,7 +186,10 @@ class TestNumericsRevision:
     def test_empty_store_adopts_the_current_revision(self, tmp_path):
         ChunkStore(tmp_path)  # an empty root, stamped by the code that made it
         for stale in ({"numerics_revision": NUMERICS_REVISION + 7}, {}):
-            manifest = {"schema": 1, "encoding": "float64", "chunks": {}, **stale}
+            manifest = {
+                "schema": 2, "encoding": "float64", "chunks": {},
+                "journal": self._manifest(tmp_path)["journal"], **stale,
+            }
             with open(os.path.join(str(tmp_path), "manifest.json"), "w") as handle:
                 json.dump(manifest, handle)
             store = ChunkStore(tmp_path)  # nothing stored, nothing to refuse
@@ -217,6 +227,56 @@ class TestPutMany:
         assert reopened.addresses() == ["aa11", "bb22", "cc33"]
         assert np.array_equal(reopened.get("aa11"), payload)
         assert np.array_equal(reopened.get("cc33"), payload + 2.0)
+
+
+class TestCommitCost:
+    """A commit's disk work does not grow with the store (no clocks)."""
+
+    def test_a_put_at_10k_entries_appends_one_line_and_nothing_else(
+        self, tmp_path
+    ):
+        entry = ChunkStore(tmp_path).put("0" * 64, np.ones(3))
+        header_path = tmp_path / "manifest.json"
+        header = json.loads(header_path.read_text())
+        header["chunks"] = {f"{i:064x}": entry for i in range(10_000)}
+        header_path.write_text(json.dumps(header))
+        writer, reader = ChunkStore(tmp_path), ChunkStore(tmp_path)
+        assert len(writer) == len(reader) == 10_000
+        journal = tmp_path / header["journal"]
+        before, committed = os.stat(header_path), journal.read_bytes()
+
+        writer.put("new", np.zeros(3))
+        after = os.stat(header_path)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        grown = journal.read_bytes()
+        line = grown[len(committed):]
+        assert grown.startswith(committed)
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+
+        # The second handle catches up by reading exactly that line.
+        read = get_registry().counter("chunkstore.catch_up_bytes")
+        assert reader.refresh() == 1 and "new" in reader
+        assert get_registry().counter("chunkstore.catch_up_bytes") - read == len(line)
+        assert reader.refresh() == 0
+
+
+class TestCommitSpan:
+    def test_every_transaction_is_one_commit_span(self, tmp_path):
+        with tracing():
+            store = ChunkStore(tmp_path)
+            store.put("aa11", np.ones(3))  # into an empty store: compacts
+            store.put("bb22", np.zeros(3))  # one journal line
+            store.put_many({"cc33": np.ones(2), "dd44": np.zeros(2)})
+            store.prune(max_bytes=0)
+            store.sweep_orphans()
+            records = trace_records()
+        commits = [r["attrs"] for r in records if r["name"] == "chunkstore.commit"]
+        # create, put, put, put_many (the journal outgrows the snapshot:
+        # it compacts), prune, sweep
+        assert [c["n_entries"] for c in commits] == [0, 1, 2, 4, 0, 0]
+        journal_bytes = [c["journal_bytes"] for c in commits]
+        assert journal_bytes[2] > 0
+        assert journal_bytes[:2] + journal_bytes[3:] == [0] * 5
 
 
 class TestNonFiniteRejection:
@@ -289,17 +349,22 @@ class TestNonFiniteRejection:
         manifest_path = os.path.join(str(tmp_path), "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        corrupt = dict(manifest["chunks"]["good"], max_abs_error=float("nan"))
-        entries = list(manifest["chunks"].items())
-        if nan_position == "first":
-            entries.insert(0, ("aaaa", corrupt))
-        else:
-            entries.append(("zzzz", corrupt))
-        manifest["chunks"] = dict(entries)
+        # Both entries go through journal records, in the chosen order.
+        good = manifest["chunks"].pop("good")
+        records = [
+            {"put": {"bad": dict(good, max_abs_error=float("nan"))}},
+            {"put": {"good": good}},
+        ]
+        if nan_position == "last":
+            records.reverse()
         with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)  # allow_nan writes a NaN literal
+            json.dump(manifest, handle)
+        with open(os.path.join(str(tmp_path), manifest["journal"]), "w") as handle:
+            for record in records:  # allow_nan writes a NaN literal
+                handle.write(json.dumps(record) + "\n")
 
         reopened = ChunkStore(tmp_path, encoding="int16")
+        assert len(reopened) == 2
         assert math.isnan(reopened.max_abs_error())
         assert math.isnan(reopened.stats()["max_abs_error"])
 

@@ -64,6 +64,16 @@ def tree(root):
     )
 
 
+def store_tree(root):
+    """``tree(root)`` of a store root, its journals aside.
+
+    A store's journal files are numbered by compaction, and how often a
+    store compacts depends on how its commits were batched, which the
+    tuner chooses; every other path is the same for the same chunks.
+    """
+    return [path for path in tree(root) if not path.startswith("journal-")]
+
+
 class TestPlanner:
     """The pilot's search (what plans the block size), on scripted timings."""
 
@@ -349,11 +359,11 @@ class TestTuningLeavesNothingBehind:
         monkeypatch.chdir(cwd)
         run_campaign(emulator, SCENARIOS, 3, store=tmp_path / "tuned", tune="auto")
         run_campaign(emulator, SCENARIOS, 3, store=tmp_path / "plain")
-        assert tree(tmp_path / "tuned") == tree(tmp_path / "plain")
+        assert store_tree(tmp_path / "tuned") == store_tree(tmp_path / "plain")
         request = repro.FieldRequest("ssp-low", realization=0, year_start=0)
         repro.serve(emulator, store=tmp_path / "tuned").get(request)
         repro.serve(emulator, store=tmp_path / "plain").get(request)
-        assert tree(tmp_path / "tuned") == tree(tmp_path / "plain")
+        assert store_tree(tmp_path / "tuned") == store_tree(tmp_path / "plain")
         assert tree(cwd) == [] and tree(self.tempdir) == []
 
     def test_storeless_callers_share_no_temp_cache(self, emulator):

@@ -2,21 +2,25 @@
 the commit protocol.
 
 ``ChunkStore``'s multi-writer safety rests on one invariant: every
-mutation of the manifest view (``self._chunks``, ``self._manifest_token``)
-and every on-disk manifest write (``self._dump_manifest_locked``) happens
-either in a ``*_locked`` method (whose caller owns both locks) or
-lexically inside ``with self._flock_locked():`` — the cross-process
-lockfile transaction.  A mutation outside that protocol is exactly the
+mutation of the view (the entries ``self._chunks``; the header token
+``self._manifest_token`` and ``self._revision``; the journal position
+``self._journal``, ``self._journal_offset`` and
+``self._journal_entries``) and every on-disk publish (the header /
+snapshot write ``self._dump_manifest_locked`` and the journal append
+``self._append_journal_locked``) happens either in a ``*_locked``
+method (whose caller owns both locks) or lexically inside
+``with self._flock_locked():`` — the cross-process lockfile
+transaction.  A mutation outside that protocol is exactly the
 lost-update bug the commit protocol exists to prevent: it can overwrite
-entries a foreign process committed, or resurrect entries a foreign
-process pruned.
+entries a foreign process committed, resurrect entries a foreign
+process pruned, or append a record at an offset another writer moved.
 
 Scope: classes under ``src/repro/storage/`` that define a
-``_dump_manifest*`` method (i.e. they own a manifest).  ``__init__``
-binding the initial empty view is fine; reads are fine — the rule
-polices writes and commits only, complementing ``lock-discipline``
-(which covers the in-process thread lock but cannot see the
-cross-process file lock).
+``_dump_manifest*`` or ``_append_journal*`` method (i.e. they own a
+manifest).  ``__init__`` binding the initial empty view is fine; reads
+are fine — the rule polices writes and commits only, complementing
+``lock-discipline`` (which covers the in-process thread lock but cannot
+see the cross-process file lock).
 """
 
 from __future__ import annotations
@@ -30,7 +34,12 @@ from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_na
 __all__ = ["ManifestCommitRule"]
 
 #: Instance attributes that make up the manifest view.
-_MANIFEST_ATTRS = {"_chunks", "_manifest_token"}
+_MANIFEST_ATTRS = {
+    "_chunks", "_manifest_token", "_revision",
+    "_journal", "_journal_offset", "_journal_entries",
+}
+#: Method-name prefixes of the on-disk publishers.
+_PUBLISHERS = ("_dump_manifest", "_append_journal")
 #: Methods on the manifest mapping that mutate it in place.
 _MUTATOR_CALLS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__"}
 _INIT_METHODS = {"__init__", "__post_init__", "__new__"}
@@ -119,7 +128,7 @@ class ManifestCommitRule(Rule):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         owns_manifest = any(
-            method.name.startswith("_dump_manifest") for method in methods
+            method.name.startswith(_PUBLISHERS) for method in methods
         )
         if not owns_manifest:
             return
@@ -140,7 +149,7 @@ class ManifestCommitRule(Rule):
                 if isinstance(node, ast.Call):
                     name = dotted_name(node.func)
                     head, _, tail = name.rpartition(".")
-                    if head == "self" and tail.startswith("_dump_manifest"):
+                    if head == "self" and tail.startswith(_PUBLISHERS):
                         yield unit.finding(
                             self.id, node,
                             f"{cls.name}.{method.name} writes the manifest "
