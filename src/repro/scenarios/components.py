@@ -66,8 +66,15 @@ class ForcingComponent:
         raise NotImplementedError
 
     def state_dict(self) -> dict:
-        """JSON-able parameters plus the ``kind`` tag for re-dispatch."""
-        return {"kind": self.kind, **dataclasses.asdict(self)}
+        """JSON-able parameters plus the ``kind`` tag for re-dispatch.
+
+        The fields are scalars, so a shallow dict of them is what
+        ``dataclasses.asdict`` would build, without its recursive copy.
+        """
+        state = {"kind": self.kind}
+        for spec in dataclasses.fields(self):
+            state[spec.name] = getattr(self, spec.name)
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "ForcingComponent":

@@ -9,9 +9,19 @@ pathways.  Registering a new pathway needs no edits to ``repro.core``.
 Every factory takes ``start_level`` (the year-0 greenhouse-gas level in
 W m^-2, default 2.5) so one registered shape serves any baseline; an
 unknown name raises an error listing every registered scenario.
+
+The registry also names synthesis streams: :func:`stream_address` is the
+content-address of a resolved scenario plus the nugget flag, the key a
+campaign files its chunks under and a request looks them up by.  For a
+registered name it is remembered per ``(name, start_level,
+include_nugget)`` and registry version, so a served request that the
+cache or store answers never runs the scenario's factory, and a name
+registered again (or removed) is never answered from the memo.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.scenarios.components import (
     AerosolOffset,
@@ -21,6 +31,7 @@ from repro.scenarios.components import (
     historical_pathway,
 )
 from repro.scenarios.spec import ScenarioSpec
+from repro.storage.address import ADDRESS_SCHEMA, content_address
 from repro.util.registry import BackendRegistry
 
 __all__ = [
@@ -29,10 +40,16 @@ __all__ = [
     "register_scenario",
     "resolve_scenario",
     "resolve_scenario_state",
+    "stream_address",
+    "stream_state",
 ]
 
 #: Registry of named forcing pathways (factories returning ScenarioSpec).
 SCENARIOS = BackendRegistry("forcing scenario", doc_hint="docs/api.md#scenarios")
+
+#: Stream addresses of named scenarios remembered (least recently used
+#: out).  One entry per ``(name, start_level, include_nugget)`` served.
+_STREAM_MEMO = 256
 
 
 def register_scenario(
@@ -94,6 +111,48 @@ def resolve_scenario_state(scenario, start_level: float = 2.5) -> dict:
     components.
     """
     return resolve_scenario(scenario, start_level=start_level).state_dict()
+
+
+def stream_state(scenario, start_level: float = 2.5, include_nugget: bool = True) -> dict:
+    """Canonical state of the synthesis stream a scenario reference names.
+
+    Everything that shapes the stream's random-draw schedule — the
+    resolved scenario and the nugget flag — and nothing that merely
+    *selects* from it (years, window, realization; the realization
+    enters at the chunk level, see
+    :func:`repro.storage.address.chunk_address`).
+    """
+    return {
+        "schema": ADDRESS_SCHEMA,
+        "kind": "stream",
+        "scenario": resolve_scenario_state(scenario, start_level),
+        "include_nugget": bool(include_nugget),
+    }
+
+
+def stream_address(scenario, start_level: float = 2.5, include_nugget: bool = True) -> str:
+    """Hex content-address of :func:`stream_state`.
+
+    A registered name (or alias) is resolved at ``float(start_level)``,
+    as :class:`~repro.serving.request.FieldRequest` does, and its address
+    is remembered; a :class:`ScenarioSpec` is canonicalised every time.
+    """
+    if not isinstance(scenario, str):
+        return content_address(stream_state(scenario, start_level, include_nugget))
+    # repr() keys the level exactly: -0.0 and 0.0 compare equal but
+    # reach the factory as different bases.
+    return _named_stream_address(
+        scenario, repr(float(start_level)), bool(include_nugget), SCENARIOS.version
+    )
+
+
+@lru_cache(maxsize=_STREAM_MEMO)
+def _named_stream_address(
+    name: str, start_level: str, include_nugget: bool, version: int
+) -> str:
+    # ``version`` only keys the memo: an entry made before a
+    # registration or removal is never looked up again.
+    return content_address(stream_state(name, float(start_level), include_nugget))
 
 
 def list_scenarios() -> dict[str, str]:

@@ -11,8 +11,9 @@ coalescing).  ``repro.serve(...)`` on the facade builds a service in one
 call.
 """
 
-from repro.serving.request import FieldRequest, chunk_address
+from repro.serving.request import FieldRequest
 from repro.serving.service import EmulationService
+from repro.storage.address import chunk_address
 
 __all__ = [
     "EmulationService",

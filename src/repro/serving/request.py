@@ -17,46 +17,26 @@ Two address granularities exist on purpose:
   synthesis stream the request draws from.  Chunks are cached per
   ``(stream, realization, year)`` and shared by every request shape that
   touches that year, whatever its year span or window.
+
+The request owns neither derivation: the stream address is
+:func:`repro.scenarios.registry.stream_address` and the chunk address
+:func:`repro.storage.address.chunk_address`, the same functions a
+campaign files its chunks with.  Both are pure functions of the
+request's values and both are memoised, so serving a request the cache
+or store already holds costs two memo lookups, a cache lookup and one
+copy — the scenario's factory runs only when a synthesis flight does.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 from repro.core.window import SpatialWindow
-from repro.scenarios.registry import resolve_scenario, resolve_scenario_state
+from repro.scenarios.registry import resolve_scenario, stream_address, stream_state
 from repro.scenarios.spec import ScenarioSpec
+from repro.storage.address import ADDRESS_SCHEMA, chunk_address, content_address
 
 __all__ = ["FieldRequest", "chunk_address"]
-
-#: Canonical-state schema version, folded into every address so a future
-#: layout change can never collide with old addresses.
-ADDRESS_SCHEMA = 1
-
-
-def _digest(payload: dict) -> str:
-    """Deterministic hex digest of a JSON-able payload."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def chunk_address(stream_address: str, realization: int, year: int) -> str:
-    """Content-address of one model-year chunk of one synthesis stream.
-
-    The triple ``(stream, realization, year)`` fully determines the
-    chunk's bits (see :class:`~repro.serving.service.EmulationService`'s
-    determinism contract), so the address is usable as a cache key, a
-    store shard name and a cross-process identity all at once.
-    """
-    return _digest({
-        "schema": ADDRESS_SCHEMA,
-        "kind": "chunk",
-        "stream": str(stream_address),
-        "realization": int(realization),
-        "year": int(year),
-    })
 
 
 @dataclass(frozen=True)
@@ -151,22 +131,15 @@ class FieldRequest:
     def stream_state(self) -> dict:
         """Canonical state of the synthesis stream the request draws from.
 
-        Everything that shapes the stream's random-draw schedule —
-        the resolved scenario and the nugget flag — and nothing that
-        merely *selects* from it (years, window, realization; the
-        realization enters at the chunk level instead, see
-        :func:`chunk_address`).
+        See :func:`repro.scenarios.registry.stream_state`: the resolved
+        scenario and the nugget flag, nothing that merely selects from
+        the stream.
         """
-        return {
-            "schema": ADDRESS_SCHEMA,
-            "kind": "stream",
-            "scenario": resolve_scenario_state(self.scenario, self.start_level),
-            "include_nugget": self.include_nugget,
-        }
+        return stream_state(self.scenario, self.start_level, self.include_nugget)
 
     def stream_address(self) -> str:
-        """Hex content-address of the synthesis stream family."""
-        return _digest(self.stream_state())
+        """Hex content-address of the synthesis stream family (memoised)."""
+        return stream_address(self.scenario, self.start_level, self.include_nugget)
 
     def chunk_addresses(self) -> dict[int, str]:
         """Mapping ``year -> chunk address`` for every requested year."""
@@ -195,4 +168,4 @@ class FieldRequest:
         primary names and the resolved spec all canonicalize identically,
         and field order cannot matter (keys are sorted before hashing).
         """
-        return _digest(self.canonical_state())
+        return content_address(self.canonical_state())

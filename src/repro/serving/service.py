@@ -49,7 +49,8 @@ from repro.api.facade import _resolve as _resolve_emulator
 from repro.core.emulator import ClimateEmulator
 from repro.core.generator import _member_rngs
 from repro.obs import MetricsRegistry, span
-from repro.serving.request import FieldRequest, chunk_address
+from repro.serving.request import FieldRequest
+from repro.storage.address import chunk_address
 from repro.storage.chunkstore import ChunkStore
 
 __all__ = ["EmulationService", "DEFAULT_CACHE_BYTES"]
@@ -329,7 +330,8 @@ class EmulationService:
             )
         if request.window is not None:
             request.window.validate_for(self.grid)
-        spec = request.resolve_spec()
+        # Two memo lookups on the hit path: the scenario is resolved only
+        # by the request that leads a synthesis flight (_run_flight).
         stream_addr = request.stream_address()
         addresses = {
             year: chunk_address(stream_addr, request.realization, year)
@@ -362,14 +364,10 @@ class EmulationService:
                     stream_addr, request.realization, max(missing) + 1
                 )
                 if role == "lead":
-                    self._run_flight(
-                        flight, stream_addr, spec, request.include_nugget
-                    )
+                    self._run_flight(flight, stream_addr, request)
                 elif role == "lead_after":
                     predecessor.done.wait()
-                    self._run_flight(
-                        flight, stream_addr, spec, request.include_nugget
-                    )
+                    self._run_flight(flight, stream_addr, request)
                 else:
                     self._metrics.add("serving.synthesis.coalesced_waits")
                     flight.done.wait()
@@ -464,9 +462,14 @@ class EmulationService:
             return "wait", successor, None
 
     def _run_flight(
-        self, flight: _Flight, stream_addr: str, spec, include_nugget: bool
+        self, flight: _Flight, stream_addr: str, request: FieldRequest
     ) -> None:
-        """Leader path: snapshot needs, synthesize, publish, hand over."""
+        """Leader path: snapshot needs, synthesize, publish, hand over.
+
+        The leader's request resolves the scenario: every request of the
+        flight shares its stream address, so any of them names the same
+        forcing and nugget flag.
+        """
         with self._lock:
             flight.running = True
             needs = dict(flight.needs)
@@ -477,7 +480,8 @@ class EmulationService:
         try:
             with flight_span:
                 results = self._synthesize(
-                    stream_addr, spec, include_nugget, needs
+                    stream_addr, request.resolve_spec(), request.include_nugget,
+                    needs,
                 )
                 flight_span.set(chunks=len(results))
         except BaseException as error:

@@ -61,6 +61,10 @@ class BackendRegistry:
         unknown-name error messages so the error itself says where the
         catalogue lives.
 
+    ``version`` counts the registrations and removals so far: a caller
+    that memoises what an entry's factory produced keys on it, and an
+    entry replaced or removed is never answered from the memo.
+
     Examples
     --------
     >>> registry = BackendRegistry("demo backend")
@@ -76,6 +80,7 @@ class BackendRegistry:
         self.doc_hint = doc_hint
         self._specs: dict[str, BackendSpec] = {}
         self._aliases: dict[str, str] = {}
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -139,6 +144,7 @@ class BackendRegistry:
         self._specs[key] = spec
         for akey in alias_keys:
             self._aliases[akey] = key
+        self.version += 1
         return factory
 
     def unregister(self, name: str) -> None:
@@ -149,6 +155,7 @@ class BackendRegistry:
         if spec is None:
             raise UnknownBackendError(self._unknown_message(name))
         self._aliases = {a: k for a, k in self._aliases.items() if k != key}
+        self.version += 1
 
     # ------------------------------------------------------------------ #
     # Resolution

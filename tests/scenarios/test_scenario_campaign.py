@@ -128,6 +128,16 @@ class TestBatchedSynthesis:
                 assert serial_run.to_dict() == batched_run.to_dict()
                 assert np.array_equal(serial_run.collected, batched_run.collected)
 
+    def test_unset_batch_size_is_capped_at_the_default_block(self, fitted_emulator):
+        from repro.scenarios.campaign import _DEFAULT_BATCH
+
+        manifest = run_campaign(fitted_emulator, ["ssp-low"], _DEFAULT_BATCH + 1,
+                                n_times=8, seed=3, collect="none")
+        assert manifest.batch_size == _DEFAULT_BATCH
+        assert [block["n_runs"] for block in manifest.batch_timings] == [
+            _DEFAULT_BATCH, 1,
+        ]
+
     def test_batched_output_files_bit_identical(self, fitted_emulator, tmp_path):
         """Run records, collected series and the chunks a campaign lands in
         its store never depend on batching or tuning."""
@@ -144,6 +154,10 @@ class TestBatchedSynthesis:
 
         default, records, collected, chunks = outputs("default")
         assert default.max_workers == 1 and default.executor == "thread"
+        # Unset, batch_size is min(n_realizations, 4); the loop below
+        # holds it to one-run blocks bit for bit.
+        assert default.batch_size == 3
+        assert [block["n_runs"] for block in default.batch_timings] == [3, 3]
         assert len(chunks) == 12 and len(collected) == 6
         for i, knobs in enumerate([
             {"max_workers": 1}, {"batch_size": 1},

@@ -119,3 +119,92 @@ class TestScenarioStateResolution:
             spec.annual_forcing(10),
             repro.SCENARIOS.create("overshoot").annual_forcing(10),
         )
+
+
+class TestStreamAddressMemo:
+    """The named-scenario memo never outlives the registration it saw."""
+
+    def test_overwrite_changes_the_next_address(self):
+        from repro.scenarios.components import GHGRamp
+        from repro.scenarios.registry import SCENARIOS, register_scenario
+
+        register_scenario(
+            "memo-overwrite", repro.ScenarioSpec("m", (GHGRamp(base=1.0),))
+        )
+        try:
+            first = FieldRequest("memo-overwrite").stream_address()
+            assert FieldRequest("memo-overwrite").stream_address() == first
+            register_scenario(
+                "memo-overwrite", repro.ScenarioSpec("m", (GHGRamp(base=1.5),)),
+                overwrite=True,
+            )
+            second = FieldRequest("memo-overwrite").stream_address()
+            assert second != first
+            assert second == FieldRequest(
+                repro.ScenarioSpec("m", (GHGRamp(base=1.5),))
+            ).stream_address()
+        finally:
+            SCENARIOS.unregister("memo-overwrite")
+
+    def test_unregistered_name_raises_instead_of_hitting_the_memo(self):
+        from repro.scenarios.registry import SCENARIOS, register_scenario
+        from repro.util.registry import UnknownBackendError
+
+        register_scenario("memo-gone", repro.SCENARIOS.create("ssp-low"))
+        FieldRequest("memo-gone").stream_address()
+        SCENARIOS.unregister("memo-gone")
+        with pytest.raises(UnknownBackendError, match="memo-gone"):
+            FieldRequest("memo-gone").stream_address()
+
+    def test_signed_zero_levels_keep_their_own_addresses(self):
+        # 0.0 == -0.0 (equal keys to a naive memo), but the factory builds
+        # GHGRamp(base=-0.0), whose canonical JSON differs.
+        for level in (0.0, -0.0, 0.0):
+            spec = repro.SCENARIOS.create("constant", start_level=level)
+            assert (
+                FieldRequest("constant", start_level=level).stream_address()
+                == FieldRequest(spec).stream_address()
+            )
+        assert (
+            FieldRequest("constant", start_level=0.0).stream_address()
+            != FieldRequest("constant", start_level=-0.0).stream_address()
+        )
+
+    def test_concurrent_lookups_return_fresh_derivations(self):
+        # More threads than cores and more keys than the chunk memo holds,
+        # so entries are evicted while other threads read and insert.
+        import sys
+        import threading
+
+        from repro.storage.address import (
+            _CHUNK_MEMO, ADDRESS_SCHEMA, content_address,
+        )
+
+        names = ["ssp-high", "ssp5-8.5", "ssp-low", "constant"]
+        streams = {name: FieldRequest(name).stream_address() for name in names}
+        wrong = []
+
+        def worker(offset):
+            for i in range(offset, offset + _CHUNK_MEMO + 512, 7):
+                name = names[i % len(names)]
+                if FieldRequest(name).stream_address() != streams[name]:
+                    wrong.append(name)
+                expected = content_address({
+                    "schema": ADDRESS_SCHEMA, "kind": "chunk",
+                    "stream": streams[name], "realization": i % 13, "year": i,
+                })
+                if chunk_address(streams[name], i % 13, i) != expected:
+                    wrong.append((name, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k * 97,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []

@@ -149,6 +149,49 @@ class TestBitExactness:
         assert not np.array_equal(first, again)
 
 
+class TestHitPathCost:
+    def test_hot_gets_run_neither_the_factory_nor_sha256(
+        self, fitted_emulator, monkeypatch
+    ):
+        import hashlib
+
+        from repro.scenarios.registry import SCENARIOS, register_scenario
+
+        factory_calls = []
+        high = SCENARIOS.resolve("ssp-high").factory
+
+        def counted(start_level: float = 2.5):
+            factory_calls.append(start_level)
+            return high(start_level)
+
+        register_scenario("hit-path-cost", counted)
+        try:
+            service = repro.serve(fitted_emulator, seed=0)
+            request = FieldRequest("hit-path-cost", realization=1, year_stop=2)
+            cold = service.get(request)
+            assert len(factory_calls) <= 2  # the address, then the flight
+
+            sha_calls = []
+            sha256 = hashlib.sha256
+
+            def counted_sha(*args, **kwargs):
+                sha_calls.append(args)
+                return sha256(*args, **kwargs)
+
+            monkeypatch.setattr(hashlib, "sha256", counted_sha)
+            del factory_calls[:]
+            for _ in range(20):
+                hot = service.get(
+                    FieldRequest("hit-path-cost", realization=1, year_stop=2)
+                )
+                assert np.array_equal(hot, cold)
+            assert factory_calls == []
+            assert sha_calls == []
+            assert service.stats()["request_hits"] == 20
+        finally:
+            SCENARIOS.unregister("hit-path-cost")
+
+
 class TestLiveStreams:
     """Paused streams: opened for ``_STREAM_HORIZON`` years at least, and
     at most ``_LIVE_STREAMS`` kept, least recently parked out first."""

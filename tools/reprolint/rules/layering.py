@@ -49,10 +49,6 @@ EXCEPTIONS: "dict[tuple[str, str], str]" = {
         "benchmarks/e2e harness imports the same module, so moving it is "
         "a benchmark-archetype change"
     ),
-    ("scenarios", "repro.serving.request"): (
-        "campaign chunks are keyed by the serving tier's own "
-        "FieldRequest canonicalisation so the two addresses cannot drift"
-    ),
 }
 
 _PREFIX = "src/repro/"
