@@ -23,8 +23,8 @@ The request owns neither derivation: the stream address is
 :func:`repro.storage.address.chunk_address`, the same functions a
 campaign files its chunks with.  Both are pure functions of the
 request's values and both are memoised, so serving a request the cache
-or store already holds costs two memo lookups, a cache lookup and one
-copy — the scenario's factory runs only when a synthesis flight does.
+or store already holds costs memo lookups, a cache lookup and one copy —
+the scenario's factory runs only when a synthesis flight does.
 """
 
 from __future__ import annotations

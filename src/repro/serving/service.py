@@ -330,8 +330,8 @@ class EmulationService:
             )
         if request.window is not None:
             request.window.validate_for(self.grid)
-        # Two memo lookups on the hit path: the scenario is resolved only
-        # by the request that leads a synthesis flight (_run_flight).
+        # Memo lookups only: the scenario is resolved by the request that
+        # leads a synthesis flight (_run_flight), never on a hit.
         stream_addr = request.stream_address()
         addresses = {
             year: chunk_address(stream_addr, request.realization, year)
