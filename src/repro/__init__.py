@@ -8,8 +8,8 @@ chunk store.  ``import repro`` loads every module below except
 :mod:`repro.stats`, the diagnostics a caller imports on demand.
 
 * :mod:`repro.api` — the public API layer: the versioned
-  :class:`EmulatorArtifact` persistence format, the backend registry
-  behind the named SHT backends, and the
+  :class:`EmulatorArtifact` persistence format, the
+  :class:`UnknownBackendError` every unknown name raises, and the
   :func:`fit` / :func:`save` / :func:`load` / :func:`emulate` /
   :func:`emulate_stream` facade re-exported here.
 * :mod:`repro.sht` — spherical harmonic transform substrate (Eqs. 3-8),
@@ -28,7 +28,7 @@ chunk store.  ``import repro`` loads every module below except
   ensembles.
 * :mod:`repro.scenarios` — the scenario engine: composable forcing
   components summed into named :class:`ScenarioSpec` pathways (resolved
-  through the :data:`SCENARIOS` registry) and the batched
+  through the :data:`SCENARIOS` dict) and the batched
   multi-scenario, multi-realization campaign runner :func:`run_campaign`.
 * :mod:`repro.serving` — the on-demand emulation service: content-addressed
   :class:`FieldRequest` objects served by :class:`EmulationService` from
@@ -72,7 +72,7 @@ from repro.core.window import SpatialWindow
 from repro.data.ensemble import ClimateEnsemble
 from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
 from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
-from repro.util.registry import BackendRegistry, UnknownBackendError
+from repro.util.registry import UnknownBackendError
 from repro.api.artifact import (
     SCHEMA_VERSION,
     ArtifactError,
@@ -92,7 +92,6 @@ from repro.tuning import MachineProfile, calibrate_machine
 
 __all__ = [
     "ArtifactError",
-    "BackendRegistry",
     "CampaignManifest",
     "ChunkStore",
     "ClimateEmulator",

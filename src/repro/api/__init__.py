@@ -1,10 +1,9 @@
-"""Public API layer: artifacts, backend registries and the facade.
+"""Public API layer: artifacts and the facade.
 
-This subpackage hosts the three pillars of the emulator's public surface:
+This subpackage hosts the emulator's public surface:
 
-* the :class:`BackendRegistry` mechanism behind the named SHT backends,
-  scenarios and forcing components, re-exported from the dependency-free
-  :mod:`repro.util.registry`.
+* :class:`UnknownBackendError`, the error every unknown name raises,
+  re-exported from the dependency-free :mod:`repro.util.registry`.
 * :mod:`repro.api.artifact` — the versioned, NPZ-backed
   :class:`EmulatorArtifact` that persists a fitted emulator (the
   "parameters replace petabytes" story made durable).
@@ -19,7 +18,7 @@ returns a nested dict of arrays and JSON-able metadata, and the classmethod
 
 from __future__ import annotations
 
-from repro.util.registry import BackendRegistry, BackendSpec, UnknownBackendError
+from repro.util.registry import UnknownBackendError
 from repro.api.artifact import (
     SCHEMA_VERSION,
     ArtifactError,
@@ -30,8 +29,6 @@ from repro.api.facade import emulate, emulate_stream, fit, load, save
 
 __all__ = [
     "ArtifactError",
-    "BackendRegistry",
-    "BackendSpec",
     "EmulatorArtifact",
     "SCHEMA_VERSION",
     "SchemaVersionError",

@@ -127,10 +127,10 @@ def emulate(
     ``annual_forcing`` accepts a raw annual array, a registered scenario
     name (``"ssp-high"``; see :func:`repro.list_scenarios`) or a
     :class:`~repro.scenarios.spec.ScenarioSpec`.  Bare names resolve at
-    the registry's default baseline (``start_level=2.5``); pass a spec
-    built with ``repro.SCENARIOS.create(name, start_level=...)`` for a
-    different baseline.  See :meth:`ClimateEmulator.emulate` for the
-    remaining parameters.
+    the registry's default baseline (``start_level=2.5``); for a
+    different baseline pass the spec
+    ``repro.scenarios.resolve_scenario(name, start_level=...)``.  See
+    :meth:`ClimateEmulator.emulate` for the remaining parameters.
 
     Returns
     -------

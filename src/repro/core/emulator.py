@@ -286,7 +286,8 @@ class ClimateEmulator:
             :class:`~repro.scenarios.spec.ScenarioSpec`.  A bare name is
             materialised at the registry's default baseline
             (``start_level=2.5``); for another baseline pass the spec,
-            e.g. ``repro.SCENARIOS.create("ssp-high", start_level=3.0)``.
+            e.g. ``resolve_scenario("ssp-high", start_level=3.0)`` from
+            :mod:`repro.scenarios`.
         rng:
             An int seed (member ``r`` draws from ``SeedSequence(rng,
             spawn_key=(r,))``), ``None`` for fresh entropy under the same

@@ -12,7 +12,7 @@ that replay layer:
   protocol; accepted directly by ``repro.emulate`` in place of a forcing
   array;
 * :mod:`repro.scenarios.registry` — the named pathway registry
-  (:data:`SCENARIOS`), pre-populated with the five original scenarios and
+  (:data:`SCENARIOS`, a dict), pre-populated with the five original scenarios and
   SSP-like low / medium / high / overshoot pathways; registering a new
   pathway needs no core edits;
 * :mod:`repro.scenarios.campaign` — :func:`run_campaign`, the
@@ -28,13 +28,11 @@ scenario must not pull in ``repro.api``.
 from __future__ import annotations
 
 from repro.scenarios.components import (
-    FORCING_COMPONENTS,
     AerosolOffset,
     GHGRamp,
     SolarCycle,
     Stabilisation,
     VolcanicEruption,
-    component_from_state,
 )
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.registry import (
@@ -42,26 +40,22 @@ from repro.scenarios.registry import (
     list_scenarios,
     register_scenario,
     resolve_scenario,
-    resolve_scenario_state,
 )
 
 __all__ = [
     "AerosolOffset",
     "CampaignManifest",
-    "FORCING_COMPONENTS",
     "GHGRamp",
     "SCENARIOS",
     "ScenarioSpec",
     "SolarCycle",
     "Stabilisation",
     "VolcanicEruption",
-    "component_from_state",
     "iter_chunk_arrays",
     "list_scenarios",
     "plan_campaign",
     "register_scenario",
     "resolve_scenario",
-    "resolve_scenario_state",
     "run_campaign",
 ]
 

@@ -10,10 +10,9 @@ table.  :class:`~repro.scenarios.spec.ScenarioSpec` holds a tuple of
 components and sums them.
 
 Every component serialises through the same ``state_dict()`` /
-``component_from_state()`` protocol the rest of the pipeline uses; the
-``kind`` tag is resolved through :data:`FORCING_COMPONENTS`, a
-:class:`~repro.util.registry.BackendRegistry`, so third-party components
-register themselves without edits here.
+``from_state()`` protocol the rest of the pipeline uses;
+:meth:`ForcingComponent.from_state` resolves the ``kind`` tag through
+``_FORCING_COMPONENTS``, a closed table of the five classes below.
 """
 
 from __future__ import annotations
@@ -24,23 +23,18 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.util.registry import BackendRegistry
+from repro.util.registry import UnknownBackendError
 
 __all__ = [
     "AerosolOffset",
-    "FORCING_COMPONENTS",
     "ForcingComponent",
     "GHGRamp",
     "HISTORICAL_VOLCANOES",
     "SolarCycle",
     "Stabilisation",
     "VolcanicEruption",
-    "component_from_state",
     "historical_pathway",
 ]
-
-#: Registry resolving a component ``kind`` tag to its dataclass.
-FORCING_COMPONENTS = BackendRegistry("forcing component")
 
 
 def _years(n_years: int) -> np.ndarray:
@@ -55,8 +49,8 @@ class ForcingComponent:
     """One additive term of a forcing pathway.
 
     Subclasses are frozen dataclasses of scalars, declare a unique
-    ``kind`` tag, register themselves in :data:`FORCING_COMPONENTS`, and
-    implement :meth:`annual_series`.
+    ``kind`` tag, are listed in ``_FORCING_COMPONENTS``, and implement
+    :meth:`annual_series`.
     """
 
     kind: ClassVar[str] = ""
@@ -80,30 +74,27 @@ class ForcingComponent:
     def from_state(cls, state: dict) -> "ForcingComponent":
         """Rebuild a component from :meth:`state_dict` output.
 
-        Dispatches on the ``kind`` tag through
-        :func:`component_from_state`; calling this on a concrete subclass
-        additionally asserts the rebuilt component is of that subclass.
+        Dispatches on the ``kind`` tag (an unknown tag raises
+        :class:`~repro.util.registry.UnknownBackendError` listing every
+        kind); calling this on a concrete subclass additionally asserts
+        the rebuilt component is of that subclass.
         """
-        component = component_from_state(state)
+        kind = state["kind"]
+        if kind not in _FORCING_COMPONENTS:
+            available = ", ".join(repr(k) for k in sorted(_FORCING_COMPONENTS))
+            raise UnknownBackendError(
+                f"unknown forcing component {kind!r}; available backends: {available}"
+            )
+        params = {key: value for key, value in state.items() if key != "kind"}
+        component = _FORCING_COMPONENTS[kind](**params)
         if not isinstance(component, cls):
             raise TypeError(
-                f"state kind {state.get('kind')!r} rebuilds a "
+                f"state kind {kind!r} rebuilds a "
                 f"{type(component).__name__}, not a {cls.__name__}"
             )
         return component
 
 
-def component_from_state(state: dict) -> ForcingComponent:
-    """Rebuild a component from :meth:`ForcingComponent.state_dict` output.
-
-    The ``kind`` tag is resolved through :data:`FORCING_COMPONENTS`, so an
-    unknown tag raises an error listing every registered component kind.
-    """
-    params = {key: value for key, value in state.items() if key != "kind"}
-    return FORCING_COMPONENTS.create(state["kind"], **params)
-
-
-@FORCING_COMPONENTS.register("ghg-ramp", description="(accelerating) greenhouse-gas ramp")
 @dataclass(frozen=True)
 class GHGRamp(ForcingComponent):
     """Greenhouse-gas growth ``base + rate * y * (1 + acceleration * y)``.
@@ -124,7 +115,6 @@ class GHGRamp(ForcingComponent):
         return self.base + self.rate * years * (1.0 + self.acceleration * years)
 
 
-@FORCING_COMPONENTS.register("volcanic-eruption", description="negative eruption excursion with exponential decay")
 @dataclass(frozen=True)
 class VolcanicEruption(ForcingComponent):
     """A short negative excursion starting at ``year_index``.
@@ -153,7 +143,6 @@ class VolcanicEruption(ForcingComponent):
         return self.magnitude * decay
 
 
-@FORCING_COMPONENTS.register("aerosol-offset", description="aerosol offset, optionally fading out")
 @dataclass(frozen=True)
 class AerosolOffset(ForcingComponent):
     """A (typically negative) aerosol term.
@@ -182,7 +171,6 @@ class AerosolOffset(ForcingComponent):
         return self.magnitude * fade
 
 
-@FORCING_COMPONENTS.register("solar-cycle", description="sinusoidal solar activity cycle")
 @dataclass(frozen=True)
 class SolarCycle(ForcingComponent):
     """Quasi-periodic solar variability ``amplitude * sin(2 pi (y + phase) / period)``."""
@@ -203,7 +191,6 @@ class SolarCycle(ForcingComponent):
         return self.amplitude * np.sin(phase)
 
 
-@FORCING_COMPONENTS.register("stabilisation", description="exponential approach to a stabilisation target")
 @dataclass(frozen=True)
 class Stabilisation(ForcingComponent):
     """Stabilisation-to-target: approach ``base + amplitude`` on ``timescale_years``.
@@ -234,6 +221,16 @@ class Stabilisation(ForcingComponent):
         years = _years(n_years)
         ramp = 1.0 - np.exp(-np.maximum(years - self.delay_years, 0.0) / self.timescale_years)
         return self.base + self.amplitude * ramp
+
+
+#: Component ``kind`` tag -> its dataclass.
+_FORCING_COMPONENTS = {
+    "ghg-ramp": GHGRamp,
+    "volcanic-eruption": VolcanicEruption,
+    "aerosol-offset": AerosolOffset,
+    "solar-cycle": SolarCycle,
+    "stabilisation": Stabilisation,
+}
 
 
 #: The three historical-like eruptions of the 1940-2022 reconstruction.

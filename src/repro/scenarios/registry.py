@@ -1,27 +1,30 @@
 """The named forcing-scenario registry.
 
-A :class:`~repro.util.registry.BackendRegistry` of factories producing
-:class:`~repro.scenarios.spec.ScenarioSpec` objects: five original
+:data:`SCENARIOS` is a plain dict from canonical name to the factory
+producing a :class:`~repro.scenarios.spec.ScenarioSpec`: five original
 pathways (historical, constant, linear-ramp, high-emissions,
 stabilisation) joined by SSP-like low / medium / high / overshoot
-pathways.  Registering a new pathway needs no edits to ``repro.core``.
+pathways.  :func:`register_scenario` adds one with no edits to
+``repro.core``; ``del SCENARIOS[name]`` removes one.
 
 Every factory takes ``start_level`` (the year-0 greenhouse-gas level in
-W m^-2, default 2.5) so one registered shape serves any baseline; an
-unknown name raises an error listing every registered scenario.
+W m^-2, default 2.5) so one registered shape serves any baseline.  A
+lookup ignores case and spaces and accepts aliases; an unknown name
+raises an error listing every registered scenario.
 
 The registry also names synthesis streams: :func:`stream_address` is the
 content-address of a resolved scenario plus the nugget flag, the key a
 campaign files its chunks under and a request looks them up by.  For a
-registered name it is remembered per ``(name, start_level,
-include_nugget)`` and registry version, so a served request that the
-cache or store answers never runs the scenario's factory, and a name
-registered again (or removed) is never answered from the memo.
+registered name it is remembered per ``(name, factory, start_level,
+include_nugget)``, so a served request that the cache or store answers
+never runs the scenario's factory, and a name registered again (or
+removed) is never answered from the memo.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from repro.scenarios.components import (
     AerosolOffset,
@@ -32,24 +35,42 @@ from repro.scenarios.components import (
 )
 from repro.scenarios.spec import ScenarioSpec
 from repro.storage.address import ADDRESS_SCHEMA, content_address
-from repro.util.registry import BackendRegistry
+from repro.util.registry import UnknownBackendError
 
 __all__ = [
     "SCENARIOS",
     "list_scenarios",
     "register_scenario",
     "resolve_scenario",
-    "resolve_scenario_state",
     "stream_address",
     "stream_state",
 ]
 
-#: Registry of named forcing pathways (factories returning ScenarioSpec).
-SCENARIOS = BackendRegistry("forcing scenario", doc_hint="docs/api.md#scenarios")
+
+class _Scenario(NamedTuple):
+    """A registered pathway: display name, factory and documentation."""
+
+    name: str
+    factory: Callable[..., ScenarioSpec]
+    description: str
+    aliases: tuple[str, ...]
+
+
+#: Named forcing pathways: canonical name -> its registration.
+SCENARIOS: dict[str, _Scenario] = {}
+
+#: Canonical alias -> canonical name of the pathway it spells.
+_ALIASES: dict[str, str] = {}
 
 #: Stream addresses of named scenarios remembered (least recently used
-#: out).  One entry per ``(name, start_level, include_nugget)`` served.
+#: out).  One entry per ``(name, factory, start_level, include_nugget)``
+#: served.
 _STREAM_MEMO = 256
+
+
+def _canonical(name) -> str:
+    """Case-insensitive, whitespace-free lookup key for a scenario name."""
+    return str(name).strip().lower().replace(" ", "")
 
 
 def register_scenario(
@@ -65,17 +86,75 @@ def register_scenario(
     The factory must accept ``start_level: float = 2.5`` and return a
     :class:`ScenarioSpec`.  A plain :class:`ScenarioSpec` may also be
     passed; it is wrapped in a constant factory ignoring ``start_level``.
+    ``aliases`` are extra names for the same pathway; an alias may never
+    shadow another pathway's name.  Registering a taken name or alias
+    raises unless ``overwrite=True``, and a rejected registration leaves
+    :data:`SCENARIOS` unchanged.
     """
+    if factory is None:
+        def decorator(func):
+            register_scenario(
+                name, func, description=description, aliases=aliases,
+                overwrite=overwrite,
+            )
+            return func
+        return decorator
     if isinstance(factory, ScenarioSpec):
         spec = factory
-        return SCENARIOS.register(
-            name, lambda start_level=2.5: spec,
-            description=description or spec.description,
-            aliases=aliases, overwrite=overwrite,
+        description = description or spec.description
+        factory = lambda start_level=2.5: spec
+
+    key = _canonical(name)
+    alias_keys = {_canonical(alias): str(alias) for alias in aliases}
+    alias_keys.pop(key, None)
+    # Validate every key before touching any state.
+    if not overwrite and (key in SCENARIOS or key in _ALIASES):
+        raise ValueError(
+            f"forcing scenario {name!r} is already registered; "
+            f"pass overwrite=True to replace it"
         )
-    return SCENARIOS.register(
-        name, factory, description=description, aliases=aliases, overwrite=overwrite
+    for akey, alias in alias_keys.items():
+        if akey in SCENARIOS:
+            raise ValueError(
+                f"forcing scenario alias {alias!r} would shadow the registered "
+                f"backend {SCENARIOS[akey].name!r}"
+            )
+        if not overwrite and akey in _ALIASES:
+            raise ValueError(f"forcing scenario alias {alias!r} is already registered")
+
+    # A stale alias pointing elsewhere would shadow the new name at
+    # lookup time (aliases are consulted first), so retire it.
+    _ALIASES.pop(key, None)
+    SCENARIOS[key] = _Scenario(
+        str(name), factory, description, tuple(str(a) for a in aliases)
     )
+    _ALIASES.update(dict.fromkeys(alias_keys, key))
+    return factory
+
+
+def _lookup(name) -> _Scenario:
+    """The registration ``name`` (or an alias) spells, in any case."""
+    key = _canonical(name)
+    entry = SCENARIOS.get(_ALIASES.get(key, key))
+    if entry is None:
+        names = sorted(registered.name for registered in SCENARIOS.values())
+        available = ", ".join(repr(n) for n in names) or "<none registered>"
+        raise UnknownBackendError(
+            f"unknown forcing scenario {str(name)!r}; available backends: "
+            f"{available} (see docs/api.md#scenarios)"
+        )
+    return entry
+
+
+def _build(factory, scenario, start_level: float) -> ScenarioSpec:
+    """Run a registered factory, checking that it built a spec."""
+    spec = factory(start_level=start_level)
+    if not isinstance(spec, ScenarioSpec):
+        raise TypeError(
+            f"scenario factory {scenario!r} returned {type(spec).__name__}, "
+            f"expected ScenarioSpec"
+        )
+    return spec
 
 
 def resolve_scenario(scenario, start_level: float = 2.5) -> ScenarioSpec:
@@ -89,28 +168,7 @@ def resolve_scenario(scenario, start_level: float = 2.5) -> ScenarioSpec:
     """
     if isinstance(scenario, ScenarioSpec):
         return scenario
-    spec = SCENARIOS.create(scenario, start_level=start_level)
-    if not isinstance(spec, ScenarioSpec):
-        raise TypeError(
-            f"scenario factory {scenario!r} returned {type(spec).__name__}, "
-            f"expected ScenarioSpec"
-        )
-    return spec
-
-
-def resolve_scenario_state(scenario, start_level: float = 2.5) -> dict:
-    """The canonical, JSON-able state of a scenario reference.
-
-    Request addressing (:meth:`repro.serving.FieldRequest.address
-    <repro.serving.request.FieldRequest.address>`) must give one address to
-    every spelling of the same pathway — a registered name, an alias, or
-    the :class:`ScenarioSpec` those resolve to.  This helper is that
-    normalisation: resolve through the registry (names and aliases land
-    on the same spec at the same ``start_level``) and return the spec's
-    ``state_dict()``, which is a pure function of the pathway's
-    components.
-    """
-    return resolve_scenario(scenario, start_level=start_level).state_dict()
+    return _build(_lookup(scenario).factory, scenario, start_level)
 
 
 def stream_state(scenario, start_level: float = 2.5, include_nugget: bool = True) -> dict:
@@ -121,11 +179,16 @@ def stream_state(scenario, start_level: float = 2.5, include_nugget: bool = True
     *selects* from it (years, window, realization; the realization
     enters at the chunk level, see
     :func:`repro.storage.address.chunk_address`).
+
+    Every spelling of one pathway — a registered name, an alias, or the
+    :class:`ScenarioSpec` those resolve to at ``start_level`` — gives one
+    state: the scenario enters as the resolved spec's ``state_dict()``,
+    a pure function of the pathway's components.
     """
     return {
         "schema": ADDRESS_SCHEMA,
         "kind": "stream",
-        "scenario": resolve_scenario_state(scenario, start_level),
+        "scenario": resolve_scenario(scenario, start_level).state_dict(),
         "include_nugget": bool(include_nugget),
     }
 
@@ -142,22 +205,25 @@ def stream_address(scenario, start_level: float = 2.5, include_nugget: bool = Tr
     # repr() keys the level exactly: -0.0 and 0.0 compare equal but
     # reach the factory as different bases.
     return _named_stream_address(
-        scenario, repr(float(start_level)), bool(include_nugget), SCENARIOS.version
+        scenario, _lookup(scenario).factory, repr(float(start_level)),
+        bool(include_nugget),
     )
 
 
 @lru_cache(maxsize=_STREAM_MEMO)
 def _named_stream_address(
-    name: str, start_level: str, include_nugget: bool, version: int
+    name: str, factory, start_level: str, include_nugget: bool
 ) -> str:
-    # ``version`` only keys the memo: an entry made before a
-    # registration or removal is never looked up again.
-    return content_address(stream_state(name, float(start_level), include_nugget))
+    # The memo holds ``factory``, so no other object can take its
+    # identity while this entry lives: a registration, an overwrite or a
+    # removal changes the key a name looks up, never the answer.
+    spec = _build(factory, name, float(start_level))
+    return content_address(stream_state(spec, include_nugget=include_nugget))
 
 
 def list_scenarios() -> dict[str, str]:
     """Mapping from registered scenario name to its one-line description."""
-    return SCENARIOS.describe()
+    return {entry.name: entry.description for entry in SCENARIOS.values()}
 
 
 # --------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.scenarios.components import ForcingComponent, component_from_state
+from repro.scenarios.components import ForcingComponent
 
 __all__ = ["ScenarioSpec"]
 
@@ -112,6 +112,7 @@ class ScenarioSpec:
             name=str(state["name"]),
             description=str(state.get("description", "")),
             components=tuple(
-                component_from_state(component) for component in state["components"]
+                ForcingComponent.from_state(component)
+                for component in state["components"]
             ),
         )

@@ -5,6 +5,7 @@ import pytest
 
 import repro
 from repro.core import ClimateEmulator, EmulatorConfig
+from repro.scenarios import resolve_scenario
 
 
 class TestTopLevelExports:
@@ -209,12 +210,12 @@ class TestScenarioForcingArguments:
                                           annual_forcing="stabilisation",
                                           rng=np.random.default_rng(8))
         by_array = fitted_emulator.emulate(1, n_times=3 * spy,
-                                           annual_forcing=repro.SCENARIOS.create("stabilisation").annual_forcing(3),
+                                           annual_forcing=resolve_scenario("stabilisation").annual_forcing(3),
                                            rng=np.random.default_rng(8))
         assert np.array_equal(by_name.data, by_array.data)
 
     def test_emulate_accepts_scenario_spec(self, fitted_emulator):
-        spec = repro.SCENARIOS.create("ssp-low", start_level=2.5)
+        spec = resolve_scenario("ssp-low", start_level=2.5)
         assert isinstance(spec, repro.ScenarioSpec)
         spy = fitted_emulator.training_summary.steps_per_year
         by_spec = fitted_emulator.emulate(1, n_times=2 * spy, annual_forcing=spec,

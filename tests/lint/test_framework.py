@@ -1,4 +1,4 @@
-"""Framework-level tests: pragmas, baseline discipline, engine, CLI."""
+"""Framework-level tests: pragmas, engine, CLI."""
 
 from __future__ import annotations
 
@@ -8,15 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from tools.reprolint import (
-    Baseline,
-    BaselineEntry,
-    Finding,
-    lint_paths,
-    lint_source,
-    parse_pragmas,
-)
-from tools.reprolint.baseline import BAD_BASELINE, STALE_BASELINE
+from tools.reprolint import lint_paths, lint_source, parse_pragmas
 from tools.reprolint.engine import SYNTAX_ERROR
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -66,65 +58,6 @@ class TestBadPragma:
         assert lint_source(source, "src/repro/core/example.py") == []
 
 
-def _finding(rule="determinism", path="src/repro/core/example.py",
-             snippet="t = time.time()"):
-    return Finding(rule=rule, path=path, line=3, message="m", snippet=snippet)
-
-
-class TestBaseline:
-    def test_matching_reasoned_entry_suppresses(self):
-        baseline = Baseline(
-            [BaselineEntry(rule="determinism", path="src/repro/core/example.py",
-                           contains="time.time()", reason="deferred to PR 7")],
-            "tools/reprolint/baseline.json",
-        )
-        kept, self_findings, suppressed = baseline.apply([_finding()])
-        assert (kept, self_findings, suppressed) == ([], [], 1)
-
-    def test_matching_is_by_snippet_not_line_number(self):
-        baseline = Baseline(
-            [BaselineEntry(rule="determinism", path="src/repro/core/example.py",
-                           contains="time.time()", reason="deferred")],
-            "b.json",
-        )
-        moved = Finding(rule="determinism", path="src/repro/core/example.py",
-                        line=99, message="m", snippet="t = time.time()")
-        kept, self_findings, suppressed = baseline.apply([moved])
-        assert (kept, self_findings, suppressed) == ([], [], 1)
-
-    def test_stale_entry_is_a_finding(self):
-        baseline = Baseline(
-            [BaselineEntry(rule="determinism", path="src/gone.py",
-                           contains="x", reason="old")],
-            "b.json",
-        )
-        kept, self_findings, suppressed = baseline.apply([])
-        assert suppressed == 0 and kept == []
-        assert [f.rule for f in self_findings] == [STALE_BASELINE]
-
-    def test_reasonless_entry_is_a_finding_and_suppresses_nothing(self):
-        baseline = Baseline(
-            [BaselineEntry(rule="determinism", path="src/repro/core/example.py",
-                           contains="time.time()", reason="")],
-            "b.json",
-        )
-        kept, self_findings, suppressed = baseline.apply([_finding()])
-        assert suppressed == 0
-        assert len(kept) == 1
-        assert [f.rule for f in self_findings] == [BAD_BASELINE]
-
-    def test_non_matching_finding_is_kept(self):
-        baseline = Baseline(
-            [BaselineEntry(rule="determinism", path="src/repro/core/example.py",
-                           contains="datetime.now", reason="deferred")],
-            "b.json",
-        )
-        kept, self_findings, _ = baseline.apply([_finding()])
-        assert len(kept) == 1
-        # ... and the now-unmatched entry is stale, so the run still fails.
-        assert [f.rule for f in self_findings] == [STALE_BASELINE]
-
-
 class TestEngine:
     def test_unparseable_file_is_a_syntax_error_finding(self, tmp_path):
         src = tmp_path / "src"
@@ -150,7 +83,7 @@ class TestEngine:
         assert payload["ok"] is True
         assert payload["scanned_files"] == 1
         assert payload["findings"] == []
-        assert "rules" in payload and "version" in payload
+        assert payload["version"] == 2 and "rules" in payload
 
 
 class TestCli:
@@ -167,8 +100,7 @@ class TestCli:
         (src / "bad.py").write_text("import time\nt = time.time()\n")
         out = tmp_path / "report.json"
         proc = self.run_cli(
-            "src", "--root", str(tmp_path), "--no-baseline",
-            "--output", str(out),
+            "src", "--root", str(tmp_path), "--output", str(out),
         )
         assert proc.returncode == 1
         assert "determinism" in proc.stdout

@@ -9,7 +9,6 @@ back: PR 5's float-sqrt band-limit recovery and an unlocked mutation of
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import subprocess
@@ -17,8 +16,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-from tools.reprolint import Baseline, lint_paths, lint_source
-from tools.reprolint.cli import DEFAULT_BASELINE, DEFAULT_PATHS, default_packages
+from tools.reprolint import lint_paths, lint_source
+from tools.reprolint.cli import DEFAULT_PATHS, default_packages
 from tools.reprolint.deadsymbols import dead_symbol_report, render_report
 from tools.reprolint.rules.layering import EXCEPTIONS, LAYERS
 
@@ -35,8 +34,7 @@ NOT_LOADED_BY_IMPORT = {
 
 class TestRepoTreeIsClean:
     def test_src_tools_benchmarks_lint_clean(self):
-        baseline = Baseline.load(DEFAULT_BASELINE, REPO_ROOT)
-        report = lint_paths(REPO_ROOT, DEFAULT_PATHS, baseline=baseline)
+        report = lint_paths(REPO_ROOT, DEFAULT_PATHS)
         assert report.scanned > 50  # the whole tree, not an empty glob
         rendered = "\n".join(f.render() for f in report.findings)
         assert report.ok, f"reprolint findings on the tree:\n{rendered}"
@@ -145,18 +143,6 @@ class TestRepoTreeIsClean:
         report = lint_paths(REPO_ROOT, ["src"], rules=["import-layering"])
         assert [f.rule for f in report.findings] == ["import-layering"]
         assert "matches no import any more" in report.findings[0].message
-
-    def test_baseline_stays_minimal_and_justified(self):
-        """Every baseline entry must carry a reason; staleness is enforced
-        at runtime (a non-matching entry fails the clean-tree test above
-        as ``stale-baseline``), so together the baseline can only shrink."""
-        payload = json.loads(DEFAULT_BASELINE.read_text(encoding="utf-8"))
-        assert set(payload) == {"entries"}
-        for entry in payload["entries"]:
-            assert entry.get("reason", "").strip(), (
-                f"baseline entry {entry} has no reason; grandfathered "
-                "findings must say why they are deferred"
-            )
 
 
 class TestAcceptanceRegressions:

@@ -5,17 +5,19 @@ import pytest
 
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.scenarios import (
-    FORCING_COMPONENTS,
     AerosolOffset,
     GHGRamp,
     ScenarioSpec,
     SolarCycle,
     Stabilisation,
     VolcanicEruption,
-    component_from_state,
     resolve_scenario,
 )
-from repro.scenarios.components import HISTORICAL_VOLCANOES, historical_pathway
+from repro.scenarios.components import (
+    HISTORICAL_VOLCANOES,
+    ForcingComponent,
+    historical_pathway,
+)
 from repro.util.registry import UnknownBackendError
 
 
@@ -101,7 +103,7 @@ class TestComponents:
             Stabilisation(base=2.5, amplitude=-1.0, timescale_years=20.0, delay_years=30.0),
         ]
         for component in components:
-            rebuilt = component_from_state(component.state_dict())
+            rebuilt = ForcingComponent.from_state(component.state_dict())
             assert rebuilt == component
             np.testing.assert_array_equal(
                 rebuilt.annual_series(40), component.annual_series(40)
@@ -109,11 +111,11 @@ class TestComponents:
 
     def test_unknown_kind_lists_registered_kinds(self):
         with pytest.raises(UnknownBackendError, match="ghg-ramp"):
-            component_from_state({"kind": "fusion-reactor", "power": 1.0})
+            ForcingComponent.from_state({"kind": "fusion-reactor", "power": 1.0})
 
-    def test_component_registry_is_extensible(self):
-        assert "stabilisation" in FORCING_COMPONENTS
-        assert len(FORCING_COMPONENTS) >= 5
+    def test_subclass_from_state_refuses_another_kind(self):
+        with pytest.raises(TypeError, match="GHGRamp, not a Stabilisation"):
+            Stabilisation.from_state(GHGRamp(base=1.0).state_dict())
 
 
 class TestScenarioSpec:

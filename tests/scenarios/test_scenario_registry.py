@@ -1,4 +1,4 @@
-"""Tests of the named scenario registry and its legacy-compatible entries."""
+"""Tests of the named scenario registry: its entries and its rules."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from repro.scenarios import (
     register_scenario,
     resolve_scenario,
 )
+from repro.scenarios import registry
 from repro.scenarios.components import historical_pathway
 from repro.util.registry import UnknownBackendError
 
@@ -26,9 +27,8 @@ def forcing(name: str, n_years: int, start_level: float = 2.5) -> np.ndarray:
 
 class TestRegistryContents:
     def test_all_pathways_registered(self):
-        names = SCENARIOS.names()
         for name in LEGACY_NAMES + SSP_NAMES:
-            assert name in names
+            assert SCENARIOS[name].name == name
 
     def test_list_scenarios_has_descriptions(self):
         catalogue = list_scenarios()
@@ -116,7 +116,7 @@ class TestResolutionAndRegistration:
             with pytest.raises(TypeError, match="ScenarioSpec"):
                 resolve_scenario("bad-factory")
         finally:
-            SCENARIOS.unregister("bad-factory")
+            del SCENARIOS["bad-factory"]
 
     def test_register_spec_directly(self):
         spec = ScenarioSpec(
@@ -129,7 +129,7 @@ class TestResolutionAndRegistration:
                 forcing("frozen-level", 5, start_level=99.0), np.full(5, 4.0)
             )
         finally:
-            SCENARIOS.unregister("frozen-level")
+            del SCENARIOS["frozen-level"]
 
     def test_new_scenario_needs_no_core_edits(self, fitted_emulator):
         """Register a pathway, then drive the emulator by name — zero core edits."""
@@ -155,4 +155,89 @@ class TestResolutionAndRegistration:
             )
             np.testing.assert_array_equal(out.data, expected.data)
         finally:
-            SCENARIOS.unregister("test-drawdown")
+            del SCENARIOS["test-drawdown"]
+
+
+@pytest.fixture
+def scratch_table():
+    """Put :data:`SCENARIOS` and its alias table back as they were."""
+    scenarios, aliases = dict(SCENARIOS), dict(registry._ALIASES)
+    yield
+    SCENARIOS.clear()
+    SCENARIOS.update(scenarios)
+    registry._ALIASES.clear()
+    registry._ALIASES.update(aliases)
+
+
+def ramp(level: float):
+    """A factory for a constant pathway at ``level``, whatever the start."""
+    return lambda start_level=2.5: ScenarioSpec("ramp", (GHGRamp(base=level),))
+
+
+def level_of(name: str) -> float:
+    return float(forcing(name, 1)[0])
+
+
+@pytest.mark.usefixtures("scratch_table")
+class TestRegistrationRules:
+    @pytest.mark.parametrize("spelling", ["demo-x", "DEMO-X", " Demo-X ", "demo - x"])
+    def test_lookups_ignore_case_and_whitespace(self, spelling):
+        register_scenario("Demo-X", ramp(1.0))
+        assert level_of(spelling) == 1.0
+        assert list_scenarios()["Demo-X"] == ""
+
+    @pytest.mark.parametrize("spelling", ["demo-fft", "DEMO-FFT", " demo - fft "])
+    def test_aliases_resolve_to_their_pathway(self, spelling):
+        register_scenario("demo-fast", ramp(1.0), aliases=("demo-fft",))
+        assert level_of(spelling) == 1.0
+        assert SCENARIOS["demo-fast"].aliases == ("demo-fft",)
+        assert "demo-fft" not in list_scenarios()
+
+    @pytest.mark.parametrize("taken", ["demo-x", "DEMO-X", "demo-x-alias"])
+    def test_a_taken_name_needs_overwrite(self, taken):
+        register_scenario("demo-x", ramp(1.0), aliases=("demo-x-alias",))
+        with pytest.raises(ValueError, match="already registered; pass overwrite=True"):
+            register_scenario(taken, ramp(2.0))
+        assert level_of(taken) == 1.0
+        register_scenario(taken, ramp(2.0), overwrite=True)
+        assert level_of(taken) == 2.0
+
+    def test_overwriting_an_alias_promotes_it_to_a_pathway(self):
+        register_scenario("demo-fast", ramp(1.0), aliases=("demo-fft",))
+        register_scenario("demo-fft", ramp(2.0), overwrite=True)
+        assert level_of("demo-fft") == 2.0
+        assert level_of("demo-fast") == 1.0
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_an_alias_may_not_shadow_a_name(self, overwrite):
+        before = dict(SCENARIOS), dict(registry._ALIASES)
+        with pytest.raises(ValueError, match="would shadow the registered backend 'ssp-high'"):
+            register_scenario("demo-mine", ramp(1.0), aliases=("SSP-High",),
+                              overwrite=overwrite)
+        assert (dict(SCENARIOS), dict(registry._ALIASES)) == before
+
+    @pytest.mark.parametrize("aliases", [("demo-alias-a",), ("demo-new", "demo-alias-a")])
+    def test_a_rejected_registration_changes_nothing(self, aliases):
+        register_scenario("demo-a", ramp(1.0), aliases=("demo-alias-a",))
+        before = dict(SCENARIOS), dict(registry._ALIASES)
+        with pytest.raises(ValueError, match="alias 'demo-alias-a' is already registered"):
+            register_scenario("demo-b", ramp(2.0), aliases=aliases)
+        assert (dict(SCENARIOS), dict(registry._ALIASES)) == before
+        assert level_of("demo-alias-a") == 1.0
+
+    @pytest.mark.parametrize("unknown", ["rcp-11.0", "demo-gone", "demo-gone-alias"])
+    def test_unknown_names_list_every_name(self, unknown):
+        register_scenario("demo-gone", ramp(1.0), aliases=("demo-gone-alias",))
+        del SCENARIOS["demo-gone"]
+        available = ", ".join(sorted(repr(name) for name in list_scenarios()))
+        with pytest.raises(UnknownBackendError) as excinfo:
+            resolve_scenario(unknown)
+        assert str(excinfo.value) == (
+            f"unknown forcing scenario {unknown!r}; available backends: "
+            f"{available} (see docs/api.md#scenarios)"
+        )
+
+    def test_the_unknown_name_error_is_a_value_error(self):
+        assert issubclass(UnknownBackendError, ValueError)
+        with pytest.raises(ValueError):
+            resolve_scenario("rcp-11.0")

@@ -5,7 +5,8 @@ import pytest
 
 import repro
 from repro.core.window import SpatialWindow
-from repro.scenarios.registry import resolve_scenario_state
+from repro.scenarios import resolve_scenario
+from repro.scenarios.registry import stream_state
 from repro.serving.request import FieldRequest, chunk_address
 
 
@@ -51,7 +52,7 @@ class TestAddressing:
     def test_aliases_and_specs_share_one_address(self):
         by_name = FieldRequest("ssp-high", realization=1)
         by_alias = FieldRequest("ssp5-8.5", realization=1)
-        by_spec = FieldRequest(repro.SCENARIOS.create("ssp-high"), realization=1)
+        by_spec = FieldRequest(resolve_scenario("ssp-high"), realization=1)
         assert by_name.address() == by_alias.address() == by_spec.address()
 
     def test_every_field_enters_the_address(self):
@@ -107,17 +108,17 @@ class TestAddressing:
 
 class TestScenarioStateResolution:
     def test_resolves_names_aliases_and_specs_identically(self):
-        by_name = resolve_scenario_state("ssp-medium")
-        by_alias = resolve_scenario_state("ssp2-4.5")
-        by_spec = resolve_scenario_state(repro.SCENARIOS.create("ssp-medium"))
+        by_name = stream_state("ssp-medium")
+        by_alias = stream_state("ssp2-4.5")
+        by_spec = stream_state(resolve_scenario("ssp-medium"))
         assert by_name == by_alias == by_spec
 
     def test_state_round_trips_through_spec(self):
-        state = resolve_scenario_state("overshoot")
+        state = stream_state("overshoot")["scenario"]
         spec = repro.ScenarioSpec.from_state(state)
         np.testing.assert_array_equal(
             spec.annual_forcing(10),
-            repro.SCENARIOS.create("overshoot").annual_forcing(10),
+            resolve_scenario("overshoot").annual_forcing(10),
         )
 
 
@@ -144,15 +145,15 @@ class TestStreamAddressMemo:
                 repro.ScenarioSpec("m", (GHGRamp(base=1.5),))
             ).stream_address()
         finally:
-            SCENARIOS.unregister("memo-overwrite")
+            del SCENARIOS["memo-overwrite"]
 
     def test_unregistered_name_raises_instead_of_hitting_the_memo(self):
         from repro.scenarios.registry import SCENARIOS, register_scenario
         from repro.util.registry import UnknownBackendError
 
-        register_scenario("memo-gone", repro.SCENARIOS.create("ssp-low"))
+        register_scenario("memo-gone", resolve_scenario("ssp-low"))
         FieldRequest("memo-gone").stream_address()
-        SCENARIOS.unregister("memo-gone")
+        del SCENARIOS["memo-gone"]
         with pytest.raises(UnknownBackendError, match="memo-gone"):
             FieldRequest("memo-gone").stream_address()
 
@@ -160,7 +161,7 @@ class TestStreamAddressMemo:
         # 0.0 == -0.0 (equal keys to a naive memo), but the factory builds
         # GHGRamp(base=-0.0), whose canonical JSON differs.
         for level in (0.0, -0.0, 0.0):
-            spec = repro.SCENARIOS.create("constant", start_level=level)
+            spec = resolve_scenario("constant", start_level=level)
             assert (
                 FieldRequest("constant", start_level=level).stream_address()
                 == FieldRequest(spec).stream_address()

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.core.window import SpatialWindow
+from repro.scenarios import resolve_scenario
 from repro.serving.request import FieldRequest
 from repro.serving.service import _LIVE_STREAMS, _STREAM_HORIZON, EmulationService
 from repro.storage.chunkstore import ChunkStore
@@ -56,7 +57,7 @@ class TestBitExactness:
         stats = service.stats()
         assert stats["request_hits"] == 1 and stats["request_misses"] == 1
 
-    @pytest.mark.parametrize("scenario", repro.SCENARIOS.names())
+    @pytest.mark.parametrize("scenario", sorted(repro.list_scenarios()))
     def test_every_scenario_serves_its_canonical_stream(self, fitted_emulator,
                                                         service, scenario):
         request = FieldRequest(scenario, realization=1, year_start=0, year_stop=2)
@@ -133,7 +134,7 @@ class TestBitExactness:
         served = service.get(FieldRequest("ssp-high", realization=0))
         by_alias = service.get(FieldRequest("ssp5-8.5", realization=0))
         by_spec = service.get(
-            FieldRequest(repro.SCENARIOS.create("ssp-high"), realization=0)
+            FieldRequest(resolve_scenario("ssp-high"), realization=0)
         )
         assert np.array_equal(served, by_alias)
         assert np.array_equal(served, by_spec)
@@ -158,7 +159,7 @@ class TestHitPathCost:
         from repro.scenarios.registry import SCENARIOS, register_scenario
 
         factory_calls = []
-        high = SCENARIOS.resolve("ssp-high").factory
+        high = SCENARIOS["ssp-high"].factory
 
         def counted(start_level: float = 2.5):
             factory_calls.append(start_level)
@@ -189,7 +190,7 @@ class TestHitPathCost:
             assert sha_calls == []
             assert service.stats()["request_hits"] == 20
         finally:
-            SCENARIOS.unregister("hit-path-cost")
+            del SCENARIOS["hit-path-cost"]
 
 
 class TestLiveStreams:

@@ -22,6 +22,7 @@ from repro.linalg import MixedPrecisionCholesky, tile_codes
 from repro.linalg.cholesky import CholeskyResult
 from repro.linalg.policies import VARIANTS
 from repro.linalg.precision import _PRECISIONS, Precision
+from repro.scenarios import resolve_scenario
 from repro.sht import Grid, SHTPlan, transform
 from repro.sht.quadrature import _exponential_sine_integral
 from repro.sht.realform import complex_from_real, real_from_complex
@@ -225,7 +226,7 @@ class TestDrawScheduleProperties:
         members = emulator.generator().generate_stream_multi(
             [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
              for r in realizations],
-            n_times, repro.SCENARIOS.create("ssp-high").annual_forcing(n_years),
+            n_times, resolve_scenario("ssp-high").annual_forcing(n_years),
             include_nugget=include_nugget,
         )
         subset = np.concatenate([c.data for c in members], axis=1)

@@ -72,13 +72,12 @@ def _entry(qualname: str, obj, *, methods: tuple[str, ...] = ()) -> str:
     return "\n".join(lines)
 
 
-def _catalogue(registry) -> str:
-    """A registry's live name -> description table."""
+def _catalogue(scenarios) -> str:
+    """The scenario table's live name -> description rows."""
     rows = ["| name | description |", "| --- | --- |"]
-    for name in registry.names():
-        spec = registry.resolve(name)
-        alias = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
-        rows.append(f"| `{name}`{alias} | {spec.description} |")
+    for entry in sorted(scenarios.values(), key=lambda entry: entry.name):
+        alias = f" (aliases: {', '.join(entry.aliases)})" if entry.aliases else ""
+        rows.append(f"| `{entry.name}`{alias} | {entry.description} |")
     return "\n".join(rows)
 
 
@@ -105,7 +104,7 @@ def generate() -> str:
     )
     from repro.storage.chunkstore import ChunkStore
     from repro.tuning import MachineProfile, calibrate_machine
-    from repro.util.registry import BackendRegistry, UnknownBackendError
+    from repro.util.registry import UnknownBackendError
 
     parts = [HEADER]
 
@@ -164,9 +163,6 @@ def generate() -> str:
                         methods=("save", "load", "to_emulator", "nbytes")))
 
     parts.append("## Registries\n")
-    parts.append(_entry("repro.BackendRegistry", BackendRegistry,
-                        methods=("register", "resolve", "create", "names",
-                                 "describe")))
     parts.append(_entry("repro.UnknownBackendError", UnknownBackendError))
 
     parts.append("## SHT plans\n")

@@ -6,7 +6,7 @@ corruption bugs: lock discipline around shared mutable state,
 ``SeedSequence``-only randomness, exact-integer index recovery, the
 ``state_dict``/``from_state`` pairing, validated storage writes, and a
 resolvable, documented public API.  See ``docs/analysis.md`` for the
-rule catalogue and the pragma/baseline workflow.
+rule catalogue and the pragma workflow.
 
 Run it as ``python -m tools.reprolint src tools benchmarks``; the
 test-suite gates it under ``tests/lint/`` and CI runs it as a dedicated
@@ -15,35 +15,24 @@ job.
 Public API (used by the tests and the docs snippets):
 
 * :func:`lint_paths` / :func:`lint_source` — run the analysis;
-* :data:`LINT_RULES` — the rule registry (a
-  :class:`repro.util.registry.BackendRegistry`);
-* :class:`Finding`, :class:`Report`, :class:`Baseline` — result model;
+* :data:`LINT_RULES` — the rule catalogue, a dict from rule id to class;
+* :class:`Finding`, :class:`Report` — result model;
 * :func:`dead_symbol_report` — the unused-public-symbol report.
 """
 
-from tools.reprolint.baseline import Baseline, BaselineEntry
 from tools.reprolint.deadsymbols import dead_symbol_report
 from tools.reprolint.engine import Report, collect_files, lint_paths, lint_source
 from tools.reprolint.model import Finding, ModuleUnit, parse_pragmas
-from tools.reprolint.rulebase import (
-    LINT_RULES,
-    ProjectContext,
-    Rule,
-    all_rule_ids,
-    create_rules,
-)
-import tools.reprolint.rules  # noqa: F401  (registers the built-in rules)
+from tools.reprolint.rulebase import ProjectContext, Rule
+from tools.reprolint.rules import LINT_RULES, create_rules
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LINT_RULES",
     "ModuleUnit",
     "ProjectContext",
     "Report",
     "Rule",
-    "all_rule_ids",
     "collect_files",
     "create_rules",
     "dead_symbol_report",

@@ -3,8 +3,7 @@
 Usage::
 
     python -m tools.reprolint [paths ...] [--format text|json]
-                              [--output FILE] [--baseline FILE]
-                              [--no-baseline] [--rule ID ...]
+                              [--output FILE] [--rule ID ...]
                               [--list-rules]
     python -m tools.reprolint --dead-public [packages ...]
 
@@ -12,7 +11,7 @@ Default paths are ``src tools benchmarks`` (tests are deliberately out
 of scope: they exercise hostile inputs on purpose); with
 ``--dead-public`` they are every package under ``src/repro`` plus
 ``src/repro/tuning.py``.  Exit status is 0
-when no non-baselined finding survives, 1 otherwise — which is what the
+when no finding survives, 1 otherwise — which is what the
 tier-1 pytest wrapper and the CI ``lint`` job gate on.  ``--output``
 writes the report to a file *as well as* honouring ``--format`` on
 stdout, so CI can upload the JSON artifact even on failure.
@@ -25,15 +24,14 @@ import json
 import sys
 from pathlib import Path
 
-from tools.reprolint.baseline import Baseline
 from tools.reprolint.deadsymbols import dead_symbol_report, render_report
 from tools.reprolint.engine import lint_paths
-from tools.reprolint.rulebase import LINT_RULES, REPO_ROOT
+from tools.reprolint.rulebase import REPO_ROOT
+from tools.reprolint.rules import LINT_RULES
 
 __all__ = ["main"]
 
 DEFAULT_PATHS = ("src", "tools", "benchmarks")
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 
 def default_packages(root: Path) -> "list[str]":
@@ -72,15 +70,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="also write the JSON report to FILE (written even on failure)",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE", default=str(DEFAULT_BASELINE),
-        help="baseline file of grandfathered findings "
-        "(default: tools/reprolint/baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline and report every finding",
-    )
-    parser.add_argument(
         "--rule", action="append", metavar="ID", default=None,
         help="run only the given rule id (repeatable)",
     )
@@ -96,8 +85,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for name, description in sorted(LINT_RULES.describe().items()):
-            print(f"{name:18s} {description}")
+        for rule_id, rule in sorted(LINT_RULES.items()):
+            print(f"{rule_id:18s} {rule.description}")
         return 0
 
     root = Path(args.root).resolve()
@@ -116,12 +105,7 @@ def main(argv: "list[str] | None" = None) -> int:
             print(render_report(report))
         return 0
 
-    baseline = None
-    if not args.no_baseline:
-        baseline = Baseline.load(Path(args.baseline), root)
-    report = lint_paths(
-        root, args.paths or DEFAULT_PATHS, rules=args.rule, baseline=baseline
-    )
+    report = lint_paths(root, args.paths or DEFAULT_PATHS, rules=args.rule)
 
     if args.output:
         Path(args.output).write_text(
@@ -134,7 +118,7 @@ def main(argv: "list[str] | None" = None) -> int:
         for finding in report.findings:
             print(finding.render())
         status = "clean" if report.ok else f"{len(report.findings)} finding(s)"
-        suppressed = report.suppressed_by_pragma + report.suppressed_by_baseline
+        suppressed = report.suppressed_by_pragma
         print(
             f"reprolint: {report.scanned} file(s), "
             f"{len(report.rule_ids)} rule(s), {status}"

@@ -1,4 +1,4 @@
-"""The analysis driver: collect files, run rules, apply pragmas and baseline.
+"""The analysis engine: collect files, run rules, apply pragmas.
 
 The pipeline is deliberately linear:
 
@@ -9,10 +9,7 @@ The pipeline is deliberately linear:
    crash;
 3. run every rule's per-module hook, then every rule's project hook;
 4. drop findings suppressed by a well-formed pragma (and emit
-   ``bad-pragma`` for malformed ones);
-5. drop findings matched by a justified baseline entry (and emit
-   ``stale-baseline`` / ``bad-baseline`` for entries that no longer
-   earn their place).
+   ``bad-pragma`` for malformed ones).
 
 What remains is the report; a non-empty report is a failed run.
 """
@@ -24,14 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from tools.reprolint.baseline import Baseline
 from tools.reprolint.model import BAD_PRAGMA, Finding, ModuleUnit
-from tools.reprolint.rulebase import (
-    LINT_RULES,
-    ProjectContext,
-    Rule,
-    create_rules,
-)
+from tools.reprolint.rulebase import ProjectContext
+from tools.reprolint.rules import LINT_RULES, create_rules
 
 __all__ = ["Report", "collect_files", "lint_paths", "lint_source"]
 
@@ -48,7 +40,6 @@ class Report:
     findings: list[Finding] = field(default_factory=list)
     scanned: int = 0
     suppressed_by_pragma: int = 0
-    suppressed_by_baseline: int = 0
     rule_ids: list[str] = field(default_factory=list)
 
     @property
@@ -57,12 +48,11 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": 2,
             "ok": self.ok,
             "scanned_files": self.scanned,
             "rules": self.rule_ids,
             "suppressed_by_pragma": self.suppressed_by_pragma,
-            "suppressed_by_baseline": self.suppressed_by_baseline,
             "findings": [finding.to_dict() for finding in self.findings],
         }
 
@@ -138,13 +128,12 @@ def lint_paths(
     paths: "Sequence[str | Path]",
     *,
     rules: "Iterable[str] | None" = None,
-    baseline: "Baseline | None" = None,
 ) -> Report:
     """Analyze ``paths`` under ``root`` and return the :class:`Report`."""
     root = Path(root).resolve()
     ctx = ProjectContext(root)
     active = create_rules(rules)
-    known = {rule.id for rule in active} | set(LINT_RULES.names())
+    known = set(LINT_RULES)
     report = Report(rule_ids=[rule.id for rule in active])
 
     units: list[ModuleUnit] = []
@@ -177,22 +166,13 @@ def lint_paths(
         else:
             report.findings.append(finding)
 
-    surviving: list[Finding] = []
     for unit in units:
         kept, pragma_findings, suppressed = _apply_pragmas(
             unit, per_unit[unit.relpath], known
         )
-        surviving.extend(kept)
-        surviving.extend(pragma_findings)
+        report.findings.extend(kept)
+        report.findings.extend(pragma_findings)
         report.suppressed_by_pragma += suppressed
-
-    if baseline is not None:
-        surviving_all = report.findings + surviving
-        kept, self_findings, suppressed = baseline.apply(surviving_all)
-        report.findings = kept + self_findings
-        report.suppressed_by_baseline = suppressed
-    else:
-        report.findings.extend(surviving)
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return report
@@ -206,13 +186,13 @@ def lint_source(
 ) -> list[Finding]:
     """Analyze one in-memory module; the unit-test / documentation helper.
 
-    Pragmas in ``source`` are honoured; no baseline is applied.  Rules
-    needing project context (``api-hygiene``) see a single-unit project.
+    Pragmas in ``source`` are honoured.  Rules needing project context
+    (``api-hygiene``) see a single-unit project.
     """
     unit = ModuleUnit(relpath, source, ast.parse(source, filename=relpath))
     ctx = ProjectContext(Path("."))
     active = create_rules(rules)
-    known = {rule.id for rule in active} | set(LINT_RULES.names())
+    known = set(LINT_RULES)
     findings: list[Finding] = []
     for rule in active:
         if rule.applies_to(unit.relpath):

@@ -1,11 +1,8 @@
-"""Rule interface and the rule registry.
+"""Rule interface and the helpers rules share.
 
-Rules register themselves in :data:`LINT_RULES` — a
-:class:`repro.util.registry.BackendRegistry`, the same mechanism the
-emulator uses for SHT backends and Cholesky precision variants — so
-adding a rule is one decorated class, no edits to the engine, and an
-unknown rule id in a pragma or a ``--rule`` filter produces an error
-that lists the whole catalogue.
+A rule is a :class:`Rule` subclass listed in
+:data:`tools.reprolint.rules.LINT_RULES`; an unknown rule id in a pragma
+or a ``--rule`` filter produces an error that lists the whole catalogue.
 
 A rule implements one (or both) of two hooks:
 
@@ -22,31 +19,14 @@ bind ``src/repro`` without outlawing seeded benchmarks.
 from __future__ import annotations
 
 import ast
-import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
+
+from tools.reprolint.model import Finding, ModuleUnit
+
+__all__ = ["ProjectContext", "REPO_ROOT", "Rule"]
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-_SRC = REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-from repro.util.registry import BackendRegistry, UnknownBackendError  # noqa: E402
-
-from tools.reprolint.model import Finding, ModuleUnit  # noqa: E402
-
-__all__ = [
-    "LINT_RULES",
-    "ProjectContext",
-    "REPO_ROOT",
-    "Rule",
-    "UnknownBackendError",
-    "all_rule_ids",
-    "create_rules",
-]
-
-#: Registry of every lint rule, keyed by rule id.
-LINT_RULES = BackendRegistry("reprolint rule", doc_hint="docs/analysis.md")
 
 
 class ProjectContext:
@@ -87,9 +67,11 @@ class ProjectContext:
 
 
 class Rule:
-    """Base class for lint rules; subclasses set ``id`` and ``hint``."""
+    """Base class for lint rules; subclasses set ``id``, ``description``, ``hint``."""
 
     id: str = ""
+    #: One-line statement of the invariant, printed by ``--list-rules``.
+    description: str = ""
     #: One-line remediation pointer appended to finding messages.
     hint: str = ""
 
@@ -106,26 +88,6 @@ class Rule:
         self, units: "list[ModuleUnit]", ctx: ProjectContext
     ) -> Iterable[Finding]:
         return ()
-
-
-def create_rules(ids: "Iterable[str] | None" = None) -> list[Rule]:
-    """Instantiate the requested rules (all registered rules by default).
-
-    Unknown ids raise :class:`UnknownBackendError` listing the catalogue.
-    """
-    names = list(ids) if ids is not None else LINT_RULES.names()
-    return [LINT_RULES.create(name) for name in names]
-
-
-def all_rule_ids() -> list[str]:
-    return LINT_RULES.names()
-
-
-def iter_functions(tree: ast.AST) -> "Iterator[ast.AST]":
-    """Every function/async-function definition in ``tree``, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def dotted_name(node: ast.AST) -> str:

@@ -27,7 +27,7 @@ import re
 from typing import Iterable
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule
+from tools.reprolint.rulebase import ProjectContext, Rule
 
 __all__ = ["ApiHygieneRule"]
 
@@ -118,15 +118,12 @@ def _resolve(ctx: ProjectContext, relpath: str, name: str, depth: int = 0) -> _R
     return resolution
 
 
-@LINT_RULES.register(
-    "api-hygiene",
-    description=(
-        "every repro.__all__ symbol must resolve, carry a docstring, and "
-        "appear in docs/api.md"
-    ),
-)
 class ApiHygieneRule(Rule):
     id = "api-hygiene"
+    description = (
+        "every repro.__all__ symbol must resolve, carry a docstring, and "
+        "appear in docs/api.md"
+    )
     hint = (
         "fix the export, add the docstring, or add the symbol to "
         "tools/gen_api_docs.py and regenerate docs/api.md"

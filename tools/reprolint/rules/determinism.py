@@ -26,7 +26,7 @@ import ast
 from typing import Iterable
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["DeterminismRule"]
 
@@ -39,15 +39,12 @@ _WALL_CLOCK = {"time.time", "time.time_ns"}
 _DATETIME_CALLS = {"now", "utcnow", "today", "fromtimestamp"}
 
 
-@LINT_RULES.register(
-    "determinism",
-    description=(
-        "src/repro must draw randomness from passed-in Generators/"
-        "SeedSequences and never read global entropy or the wall clock"
-    ),
-)
 class DeterminismRule(Rule):
     id = "determinism"
+    description = (
+        "src/repro must draw randomness from passed-in Generators/"
+        "SeedSequences and never read global entropy or the wall clock"
+    )
     hint = (
         "thread an np.random.Generator (seeded from a SeedSequence) through "
         "the call instead"

@@ -20,7 +20,7 @@ import ast
 from typing import Iterable
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["IndexRecoveryRule"]
 
@@ -34,15 +34,12 @@ def _contains_sqrt(node: ast.AST) -> "ast.Call | None":
     return None
 
 
-@LINT_RULES.register(
-    "index-recovery",
-    description=(
-        "int()/round() over a float sqrt silently corrupts recovered "
-        "indices; use math.isqrt or bandlimit_from_coeff_count"
-    ),
-)
 class IndexRecoveryRule(Rule):
     id = "index-recovery"
+    description = (
+        "int()/round() over a float sqrt silently corrupts recovered "
+        "indices; use math.isqrt or bandlimit_from_coeff_count"
+    )
     hint = (
         "use math.isqrt (exact for ints) or "
         "repro.sht.transform.bandlimit_from_coeff_count"

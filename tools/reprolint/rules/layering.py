@@ -22,7 +22,7 @@ import ast
 from typing import Iterable, Iterator
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule
+from tools.reprolint.rulebase import ProjectContext, Rule
 
 __all__ = ["EXCEPTIONS", "ImportLayeringRule", "LAYERS"]
 
@@ -107,15 +107,12 @@ def _exception_for(layer: str, module: str) -> "tuple[str, str] | None":
     return None
 
 
-@LINT_RULES.register(
-    "import-layering",
-    description=(
-        "src/repro layers import at module level only the layers the "
-        "architecture table allows"
-    ),
-)
 class ImportLayeringRule(Rule):
     id = "import-layering"
+    description = (
+        "src/repro layers import at module level only the layers the "
+        "architecture table allows"
+    )
     hint = (
         "import it inside the function that needs it, or move the code; "
         "a new edge means editing LAYERS in tools/reprolint/rules/"

@@ -28,7 +28,7 @@ import ast
 from typing import Iterable, Iterator
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["LockDisciplineRule"]
 
@@ -117,15 +117,12 @@ def _locked_lines(body: "list[ast.stmt]", lock_exprs: "set[str]") -> "set[int]":
     return lines
 
 
-@LINT_RULES.register(
-    "lock-discipline",
-    description=(
-        "shared mutable state of lock-owning classes/modules must be "
-        "accessed under the lock or from *_locked methods"
-    ),
-)
 class LockDisciplineRule(Rule):
     id = "lock-discipline"
+    description = (
+        "shared mutable state of lock-owning classes/modules must be "
+        "accessed under the lock or from *_locked methods"
+    )
     hint = (
         "wrap the access in `with self._lock:` (or the module lock), or name "
         "the helper `..._locked` if every caller already holds the lock"

@@ -29,7 +29,7 @@ import ast
 from typing import Iterable, Iterator
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["ManifestCommitRule"]
 
@@ -105,15 +105,12 @@ def _mutation_targets(stmt: ast.AST) -> Iterator[str]:
             yield attr
 
 
-@LINT_RULES.register(
-    "manifest-commit",
-    description=(
-        "chunk-store manifest state (mapping, token, on-disk write) mutates "
-        "only inside *_locked methods or a _flock_locked() transaction"
-    ),
-)
 class ManifestCommitRule(Rule):
     id = "manifest-commit"
+    description = (
+        "chunk-store manifest state (mapping, token, on-disk write) mutates "
+        "only inside *_locked methods or a _flock_locked() transaction"
+    )
     hint = (
         "route the mutation through a `*_locked` helper or wrap it in "
         "`with self._flock_locked():` so foreign commits are re-read first"

@@ -23,7 +23,7 @@ import ast
 from typing import Iterable
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["StateProtocolRule"]
 
@@ -35,15 +35,12 @@ def _is_classmethod(func: ast.FunctionDef) -> bool:
     )
 
 
-@LINT_RULES.register(
-    "state-protocol",
-    description=(
-        "a class defining state_dict must define a from_state classmethod "
-        "and vice versa"
-    ),
-)
 class StateProtocolRule(Rule):
     id = "state-protocol"
+    description = (
+        "a class defining state_dict must define a from_state classmethod "
+        "and vice versa"
+    )
     hint = (
         "add the missing half so the class round-trips through "
         "EmulatorArtifact like every other pipeline stage"

@@ -31,7 +31,7 @@ import ast
 from typing import Iterable
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["NonFiniteWriteRule"]
 
@@ -102,15 +102,12 @@ def _writes_arrays(call: ast.Call, values: dict) -> bool:
     return not _is_text(data, values)
 
 
-@LINT_RULES.register(
-    "nonfinite-write",
-    description=(
-        "storage/ shard writers must be dominated by a _require_finite-style "
-        "validation call"
-    ),
-)
 class NonFiniteWriteRule(Rule):
     id = "nonfinite-write"
+    description = (
+        "storage/ shard writers must be dominated by a _require_finite-style "
+        "validation call"
+    )
     hint = (
         "call _require_finite (directly or through the encode helper) before "
         "the write, so lossy encodings can never persist NaN/Inf silently"

@@ -19,7 +19,7 @@ import ast
 from typing import Iterable
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["BareExceptRule", "MutableDefaultRule"]
 
@@ -29,12 +29,9 @@ _MUTABLE_LITERALS = (
 _MUTABLE_CALLS = {"dict", "list", "set", "OrderedDict", "defaultdict", "deque"}
 
 
-@LINT_RULES.register(
-    "mutable-default",
-    description="default argument values must not be mutable containers",
-)
 class MutableDefaultRule(Rule):
     id = "mutable-default"
+    description = "default argument values must not be mutable containers"
     hint = "default to None and create the container inside the function"
 
     def check_module(
@@ -62,12 +59,9 @@ class MutableDefaultRule(Rule):
         return findings
 
 
-@LINT_RULES.register(
-    "bare-except",
-    description="no bare `except:` and no `except ...: pass` error swallowing",
-)
 class BareExceptRule(Rule):
     id = "bare-except"
+    description = "no bare `except:` and no `except ...: pass` error swallowing"
     hint = (
         "catch the narrowest exception type that the handler can actually "
         "handle, and never discard the error without acting on it"

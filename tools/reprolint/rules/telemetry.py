@@ -34,7 +34,7 @@ import re
 from typing import Iterable, Iterator
 
 from tools.reprolint.model import Finding, ModuleUnit
-from tools.reprolint.rulebase import LINT_RULES, ProjectContext, Rule, dotted_name
+from tools.reprolint.rulebase import ProjectContext, Rule, dotted_name
 
 __all__ = ["TelemetryHygieneRule"]
 
@@ -125,15 +125,12 @@ def _instruments(unit: ModuleUnit) -> Iterator[tuple]:
             yield name, kind, node
 
 
-@LINT_RULES.register(
-    "telemetry-hygiene",
-    description=(
-        "src/repro times hot paths through repro.obs spans only, and "
-        "instrument names are dotted lowercase with one kind per name"
-    ),
-)
 class TelemetryHygieneRule(Rule):
     id = "telemetry-hygiene"
+    description = (
+        "src/repro times hot paths through repro.obs spans only, and "
+        "instrument names are dotted lowercase with one kind per name"
+    )
     hint = (
         "time the region with repro.obs.span (its .seconds/.elapsed() "
         "replace manual perf_counter deltas), and keep instrument names "
