@@ -18,14 +18,15 @@ This script is the scenario-engine counterpart of the quickstart:
    ``EmulationService`` backed by a persistent ``ChunkStore`` — and show
    a request served cold (synthesized + stored) then hot (from cache),
 7. report where the serving time went: the service's own counters
-   (``service.stats()``) and the ``serve.get`` latency percentiles from
-   the metrics registry (``repro.obs.metrics_snapshot()``).
+   (``service.stats()``).
 
 Run with:  PYTHONPATH=src python examples/scenario_campaign.py
 
 Tracing: set ``REPRO_TRACE=trace.jsonl`` to record every span this
 script opens (fit, SHT, plan cache, campaign runs, serving, chunk
-store) and profile it with ``python tools/tracereport.py trace.jsonl``.
+store) and profile it with ``python tools/tracereport.py trace.jsonl``;
+the profile's ``serve.get`` row carries the request latency
+percentiles.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import tempfile
 import numpy as np
 
 import repro
-from repro.obs import metrics_snapshot
 from repro.scenarios import GHGRamp, Stabilisation
 from repro.storage import campaign_storage_report, format_bytes
 
@@ -146,9 +146,8 @@ def main() -> None:
         print(f"  chunk store:       {stats['store']['n_chunks']} chunks, "
               f"{format_bytes(stats['store']['encoded_bytes'])} on disk")
 
-        # 7. Where the serving time went: the service's own counters and
-        #    the request latency the ``serve.get`` span recorded.
-        latency = metrics_snapshot()["histograms"]["serve.get.seconds"]
+        # 7. Where the serving time went: the service's own counters
+        #    (latency percentiles come from a trace; see the docstring).
         print("\nServing telemetry:")
         print(f"  chunk cache:       {stats['chunk_cache']['hits']} hits, "
               f"{stats['chunk_cache']['misses']} misses, "
@@ -156,9 +155,6 @@ def main() -> None:
         print(f"  synthesis:         {stats['synthesis']['flights']} flights, "
               f"{stats['synthesis']['chunks']} chunks, "
               f"{stats['synthesis']['seconds']:.3f} s")
-        print(f"  serve.get latency: p50 {latency['p50'] * 1e3:.2f} ms, "
-              f"p99 {latency['p99'] * 1e3:.2f} ms "
-              f"over {latency['count']} requests")
 
 
 if __name__ == "__main__":

@@ -40,11 +40,10 @@ chunk store.  ``import repro`` loads every module below except
   artifact / campaign / serving storage reports.
 * :mod:`repro.stats` — statistical-consistency diagnostics between
   simulations and emulations.
-* :mod:`repro.obs` — the unified telemetry layer: a thread-safe metrics
-  registry plus hierarchical tracing spans instrumenting every hot path
-  (fit, both SHT directions, the plan cache, serving, chunk-store I/O
-  and campaigns), exported as JSON-lines traces for
-  ``tools/tracereport.py``.
+* :mod:`repro.obs` — the unified telemetry layer: hierarchical tracing
+  spans instrumenting every hot path (fit, both SHT directions, the
+  plan cache, serving, chunk-store I/O and campaigns), exported as
+  JSON-lines traces for ``tools/tracereport.py``.
 
 The paper's machine-scale cost model (Frontier, Alps, Leonardo, Summit)
 and its archive arithmetic are not part of the pipeline; the paper benches

@@ -10,11 +10,10 @@ Spans nest: each thread keeps its own stack, so a ``sht.forward`` span
 opened while ``fit.spectral`` is active records ``fit.spectral`` as its
 parent, and a span opened on a fresh thread is a root.
 
-Spans **always measure** (two ``perf_counter`` reads plus a duration
-histogram in the process-wide metrics registry, so ``sp.seconds`` and
-the ``<name>.seconds`` histograms work unconditionally), but they only
-**record trace events** while tracing is enabled (:func:`enable` /
-:func:`tracing` / the ``REPRO_TRACE`` environment variable).  Recording
+Spans **always measure** (two ``perf_counter`` reads, so ``sp.seconds``
+and ``sp.elapsed()`` work unconditionally), but they only **record
+trace events** while tracing is enabled (:func:`tracing` or the
+``REPRO_TRACE`` environment variable).  Recording
 appends one JSON object per span to an in-memory ring buffer
 (:func:`trace_records`) and, when a path was given, one line to a
 JSON-lines file that :mod:`tools.tracereport` aggregates.
@@ -44,14 +43,10 @@ import time
 from collections import deque
 from contextlib import contextmanager
 
-from repro.obs import metrics as _metrics
-
 __all__ = [
     "Span",
     "clear_trace",
-    "current_span",
     "disable",
-    "enable",
     "enabled",
     "span",
     "trace_records",
@@ -61,7 +56,9 @@ __all__ = [
 #: Retained in-memory trace records; older records drop off the front.
 TRACE_BUFFER = 100_000
 
-#: Environment variable that switches tracing on at import time.
+#: Environment variable that switches tracing on at import time: ``1`` /
+#: ``true`` / ``yes`` trace in memory, ``""`` / ``0`` / ``false`` / ``no``
+#: (any case) leave tracing off, and any other value is a trace file path.
 TRACE_ENV = "REPRO_TRACE"
 
 _IDS = itertools.count(1)
@@ -139,7 +136,6 @@ class Span:
             stack.pop()
         elif self in stack:  # pragma: no cover - unbalanced exit ordering
             stack.remove(self)
-        _metrics.observe(f"{self.name}.seconds", self.seconds)
         if _ENABLED:
             _record(self)
 
@@ -147,20 +143,13 @@ class Span:
 def span(name: str, **attrs) -> Span:
     """Open a span named ``name`` with the given attributes.
 
-    Its parent is the innermost open span on this thread.  Names follow
-    the metric convention (dotted lowercase); every span feeds a
-    ``<name>.seconds`` duration histogram in the process-wide registry.
+    Its parent is the innermost open span on this thread.  Names are
+    dotted lowercase (``sht.plan_cache.build``).
     """
     return Span(name, attrs)
 
 
-def current_span() -> "Span | None":
-    """The innermost open span on this thread, or ``None``."""
-    stack = getattr(_LOCAL, "stack", None)
-    return stack[-1] if stack else None
-
-
-def enable(trace_path: "str | os.PathLike | None" = None) -> None:
+def _enable(trace_path: "str | os.PathLike | None" = None) -> None:
     """Switch trace recording on, optionally writing a JSON-lines file.
 
     Without ``trace_path`` records only accumulate in the in-memory
@@ -168,7 +157,7 @@ def enable(trace_path: "str | os.PathLike | None" = None) -> None:
     line as it closes (line-buffered, so a crashed process still leaves
     a usable trace).  In a child process (a forked worker) the
     file is opened as ``<path>.<pid>`` so workers never share a file.
-    Calling :func:`enable` again replaces the previous sink.
+    Calling it again replaces the previous sink.
     """
     global _ENABLED, _FILE, _FILE_PATH, _FILE_PID
     with _SINK_LOCK:
@@ -232,7 +221,7 @@ def tracing(trace_path: "str | os.PathLike | None" = None):
         with tracing("trace.jsonl"):
             field = repro.emulate(emulator, n_times=4, seed=0)
     """
-    enable(trace_path)
+    _enable(trace_path)
     try:
         with _SINK_LOCK:
             path = _FILE_PATH
@@ -272,7 +261,9 @@ def _record(sp: Span) -> None:
 
 atexit.register(disable)
 
-_env = os.environ.get(TRACE_ENV)
-if _env:
-    enable(None if _env in {"1", "true", "yes"} else _env)
+_env = os.environ.get(TRACE_ENV, "")
+if _env.lower() in {"1", "true", "yes"}:
+    _enable()
+elif _env.lower() not in {"", "0", "false", "no"}:
+    _enable(_env)
 del _env

@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.api.facade import _resolve as _resolve_emulator
 from repro.core.generator import _check_chunk_size, _member_rngs, _member_seeds
-from repro.obs import counter_add, gauge_set, span
+from repro.obs import span
 from repro.scenarios.registry import resolve_scenario, stream_address
 from repro.scenarios.spec import ScenarioSpec
 from repro.storage.address import chunk_address
@@ -408,8 +408,6 @@ def _flush_store(
     nbytes = sum(array.nbytes for array in chunks.values())
     with span("campaign.store_flush", n_chunks=len(chunks), bytes=nbytes):
         store.put_many(chunks)
-    counter_add("campaign.store.chunks", len(chunks))
-    counter_add("campaign.store.bytes", nbytes)
 
 
 def _execute_batch(
@@ -710,8 +708,7 @@ def run_campaign(
         prediction.  The manifest's ``tuning`` header records the
         resolved knobs, who chose each, the pilot's per-block samples, and
         ``predicted_seconds`` (the pilot's elapsed time plus its best
-        seconds-per-run over the runs left) next to ``actual_seconds``;
-        both are mirrored on the ``tuning.campaign.*`` gauges.
+        seconds-per-run over the runs left) next to ``actual_seconds``.
     include_nugget:
         Include the truncation nugget in the emulations.
     collect:
@@ -854,7 +851,6 @@ def run_campaign(
             # An extrapolation of this campaign on this host: what the
             # pilot took plus its best rate over the runs still to go.
             predicted = pilot_span.seconds + rate * (len(plans) - len(records))
-            gauge_set("tuning.campaign.predicted_seconds", predicted)
             tuning_header = {
                 "executor": "thread",
                 "max_workers": 1,
@@ -873,7 +869,6 @@ def run_campaign(
 
     if tuning_header is not None:
         tuning_header["actual_seconds"] = float(total_span.seconds)
-        gauge_set("tuning.campaign.actual_seconds", float(total_span.seconds))
 
     store_header = None
     if store_obj is not None:

@@ -48,7 +48,7 @@ import numpy as np
 from repro.api.facade import _resolve as _resolve_emulator
 from repro.core.emulator import ClimateEmulator
 from repro.core.generator import _member_rngs
-from repro.obs import MetricsRegistry, span
+from repro.obs import span
 from repro.serving.request import FieldRequest
 from repro.storage.address import chunk_address
 from repro.storage.chunkstore import ChunkStore
@@ -69,16 +69,6 @@ _STREAM_HORIZON = 32
 _LIVE_STREAMS = 8
 
 
-def _service_registry() -> MetricsRegistry:
-    """A fresh per-instance metrics registry.
-
-    :class:`~repro.obs.MetricsRegistry` carries its own internal lock,
-    so hot paths count events on it without holding the service lock —
-    it is a thread-safe handle, not service-lock-protected state.
-    """
-    return MetricsRegistry()
-
-
 class _ChunkCache:
     """Bytes-capped LRU of content-addressed chunks.
 
@@ -88,7 +78,7 @@ class _ChunkCache:
     synthesis results reach waiters through the flight, not the cache.
     """
 
-    def __init__(self, max_bytes: "int | None", metrics: MetricsRegistry):
+    def __init__(self, max_bytes: "int | None"):
         if max_bytes is not None and (
             isinstance(max_bytes, bool)
             or not isinstance(max_bytes, (int, np.integer))
@@ -101,18 +91,17 @@ class _ChunkCache:
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.bytes = 0
-        # Hit/miss/eviction counts live on the owning service's metrics
-        # registry; ``bytes``/``entries`` stay real state because the
-        # eviction loop reads them.
-        self._metrics = metrics
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     def get(self, address: str) -> "np.ndarray | None":
         array = self._entries.get(address)
         if array is None:
-            self._metrics.add("serving.chunk_cache.misses")
+            self.misses += 1
             return None
         self._entries.move_to_end(address)
-        self._metrics.add("serving.chunk_cache.hits")
+        self.hits += 1
         return array
 
     def put(self, address: str, array: np.ndarray) -> None:
@@ -126,7 +115,7 @@ class _ChunkCache:
         while self.bytes > self.max_bytes and self._entries:
             _, evicted = self._entries.popitem(last=False)
             self.bytes -= evicted.nbytes
-            self._metrics.add("serving.chunk_cache.evictions")
+            self.evictions += 1
 
     def __contains__(self, address: str) -> bool:
         return address in self._entries
@@ -136,9 +125,9 @@ class _ChunkCache:
             "entries": len(self._entries),
             "bytes": self.bytes,
             "max_bytes": self.max_bytes,
-            "hits": int(self._metrics.counter("serving.chunk_cache.hits")),
-            "misses": int(self._metrics.counter("serving.chunk_cache.misses")),
-            "evictions": int(self._metrics.counter("serving.chunk_cache.evictions")),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
         }
 
 
@@ -231,11 +220,18 @@ class EmulationService:
             self._artifact_bytes = emulator.measured_artifact_bytes()
 
         self._lock = threading.Lock()
-        # Every counter of this service lives on a per-instance metrics
-        # registry (two services never conflate counts); ``stats()`` is
-        # the back-compat view over it.
-        self._metrics = _service_registry()
-        self._cache = _ChunkCache(cache_bytes, self._metrics)
+        # The counters stats() reports, in its key order; every update
+        # happens under the lock.
+        self._counts = {
+            "requests": 0, "request_hits": 0, "request_misses": 0,
+            "served_bytes": 0, "store_chunk_hits": 0,
+        }
+        self._synthesis = {
+            "flights": 0, "batched_flights": 0, "coalesced_realizations": 0,
+            "coalesced_waits": 0, "chunks": 0, "seconds": 0.0,
+            "stream_resumes": 0,
+        }
+        self._cache = _ChunkCache(cache_bytes)
         self._flights: dict[str, _Flight] = {}
         self._streams: "OrderedDict[tuple[str, int], _LiveStream]" = OrderedDict()
 
@@ -262,11 +258,6 @@ class EmulationService:
         """Root entropy; realization ``r`` uses spawn key ``(r,)``."""
         return self._seed
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """This service's metrics registry (:meth:`stats` is a view over it)."""
-        return self._metrics
-
     def stats(self) -> dict:
         """Hit/miss/bytes/synthesis counters across every tier.
 
@@ -276,34 +267,14 @@ class EmulationService:
         it once (``batched_flights`` / ``coalesced_realizations`` break
         that down).
         """
-        metrics = self._metrics
-
-        def count(name: str) -> int:
-            return int(metrics.counter(name))
-
         with self._lock:
             summary = {
                 "seed": self._seed,
                 "steps_per_year": self.steps_per_year,
                 "artifact_bytes": self._artifact_bytes,
-                "requests": count("serving.requests"),
-                "request_hits": count("serving.request_hits"),
-                "request_misses": count("serving.request_misses"),
-                "served_bytes": count("serving.served_bytes"),
-                "store_chunk_hits": count("serving.store_chunk_hits"),
+                **self._counts,
                 "chunk_cache": self._cache.stats(),
-                "synthesis": {
-                    "flights": count("serving.synthesis.flights"),
-                    "batched_flights": count("serving.synthesis.batched_flights"),
-                    "coalesced_realizations": count(
-                        "serving.synthesis.coalesced_realizations"
-                    ),
-                    "coalesced_waits": count("serving.synthesis.coalesced_waits"),
-                    "chunks": count("serving.synthesis.chunks"),
-                    "seconds": metrics.counter("serving.synthesis.seconds"),
-                    "stream_resumes": count("serving.synthesis.stream_resumes"),
-                    "live_streams": len(self._streams),
-                },
+                "synthesis": {**self._synthesis, "live_streams": len(self._streams)},
             }
         store = self._store
         summary["store"] = store.stats() if store is not None else None
@@ -337,7 +308,6 @@ class EmulationService:
             year: chunk_address(stream_addr, request.realization, year)
             for year in request.years
         }
-        self._metrics.add("serving.requests")
         with span(
             "serve.get",
             scenario=request.scenario,
@@ -345,21 +315,12 @@ class EmulationService:
             years=len(addresses),
         ) as sp:
             chunks: dict[int, np.ndarray] = {}
-            first_pass = True
-            while True:
-                missing = self._collect(addresses, chunks)
-                if first_pass:
-                    first_pass = False
-                    outcome = "miss" if missing else "hit"
-                    self._metrics.add(
-                        "serving.request_misses" if missing
-                        else "serving.request_hits"
-                    )
-                    sp.set(outcome=outcome)
-                if not missing:
-                    result = self._assemble(request, chunks)
-                    sp.set(bytes=result.nbytes)
-                    return result
+            missing = self._collect(addresses, chunks)
+            with self._lock:
+                self._counts["requests"] += 1
+                self._counts["request_misses" if missing else "request_hits"] += 1
+            sp.set(outcome="miss" if missing else "hit")
+            while missing:
                 role, flight, predecessor = self._join(
                     stream_addr, request.realization, max(missing) + 1
                 )
@@ -369,7 +330,6 @@ class EmulationService:
                     predecessor.done.wait()
                     self._run_flight(flight, stream_addr, request)
                 else:
-                    self._metrics.add("serving.synthesis.coalesced_waits")
                     flight.done.wait()
                 if flight.error is not None:
                     raise RuntimeError(
@@ -379,9 +339,13 @@ class EmulationService:
                     if year not in chunks and address in flight.results:
                         chunks[year] = flight.results[address]
                 # Anything still missing (a need that arrived after the
-                # leader's snapshot, or an eviction race) is retried: the
-                # next loop iteration re-checks every tier and, if
-                # needed, joins or leads a fresh flight.
+                # leader's snapshot, or an eviction race) is retried:
+                # every tier is re-checked and, if needed, a fresh
+                # flight joined or led.
+                missing = self._collect(addresses, chunks)
+            result = self._assemble(request, chunks)
+            sp.set(bytes=result.nbytes)
+            return result
 
     # ------------------------------------------------------------------ #
     # Tier lookups
@@ -411,8 +375,8 @@ class EmulationService:
                 continue
             array.setflags(write=False)
             chunks[year] = array
-            self._metrics.add("serving.store_chunk_hits")
             with self._lock:
+                self._counts["store_chunk_hits"] += 1
                 self._cache.put(addresses[year], array)
         return missing
 
@@ -420,7 +384,8 @@ class EmulationService:
         fields = np.concatenate([chunks[year] for year in request.years], axis=0)
         if request.window is not None:
             fields = np.ascontiguousarray(request.window.extract(fields))
-        self._metrics.add("serving.served_bytes", fields.nbytes)
+        with self._lock:
+            self._counts["served_bytes"] += fields.nbytes
         return fields
 
     # ------------------------------------------------------------------ #
@@ -435,7 +400,8 @@ class EmulationService:
         (synthesize now), ``"lead_after"`` (synthesize once
         ``predecessor`` finishes — the coalescing window: needs pooling
         into this flight while the predecessor runs become one batch) or
-        ``"wait"`` (an existing flight already covers the need).
+        ``"wait"`` (a pending flight takes the need, or a running one
+        already covers it).
         """
         with self._lock:
             head = self._flights.get(stream_addr)
@@ -444,22 +410,17 @@ class EmulationService:
                 flight.needs[realization] = stop
                 self._flights[stream_addr] = flight
                 return "lead", flight, None
-            if not head.running:
-                # Pending flight (its leader is about to run, or is a
-                # successor waiting on its predecessor): still open.
-                head.needs[realization] = max(head.needs.get(realization, 0), stop)
-                return "wait", head, None
-            if head.covers(realization, stop):
-                return "wait", head, None
-            successor = head.next
-            if successor is None:
-                successor = head.next = _Flight()
-                successor.needs[realization] = stop
-                return "lead_after", successor, head
-            successor.needs[realization] = max(
-                successor.needs.get(realization, 0), stop
-            )
-            return "wait", successor, None
+            if head.running and not head.covers(realization, stop):
+                if head.next is None:
+                    head.next = _Flight()
+                    head.next.needs[realization] = stop
+                    return "lead_after", head.next, head
+                head = head.next
+            # A pending flight (its leader is about to run, or is a
+            # successor waiting on its predecessor) is still open.
+            head.needs[realization] = max(head.needs.get(realization, 0), stop)
+            self._synthesis["coalesced_waits"] += 1
+            return "wait", head, None
 
     def _run_flight(
         self, flight: _Flight, stream_addr: str, request: FieldRequest
@@ -488,16 +449,14 @@ class EmulationService:
             flight.error = error
             raise
         finally:
-            metrics = self._metrics
-            metrics.add("serving.synthesis.flights")
-            metrics.add("serving.synthesis.chunks", len(results))
-            metrics.add("serving.synthesis.seconds", flight_span.elapsed())
-            if len(needs) > 1:
-                metrics.add("serving.synthesis.batched_flights")
-                metrics.add(
-                    "serving.synthesis.coalesced_realizations", len(needs) - 1
-                )
             with self._lock:
+                synthesis = self._synthesis
+                synthesis["flights"] += 1
+                synthesis["chunks"] += len(results)
+                synthesis["seconds"] += flight_span.elapsed()
+                if len(needs) > 1:
+                    synthesis["batched_flights"] += 1
+                    synthesis["coalesced_realizations"] += len(needs) - 1
                 for address, array in results.items():
                     self._cache.put(address, array)
                 flight.results = results
@@ -560,16 +519,14 @@ class EmulationService:
         key = (stream_addr, realizations[0]) if len(realizations) == 1 else None
         live = None
         if key is not None:
+            first_missing = jobs[realizations[0]][0]
             with self._lock:
                 live = self._streams.pop(key, None)
-            first_missing = jobs[realizations[0]][0]
-            if live is not None and (
-                live.next_year > first_missing or live.horizon < stop
-            ):
-                live = None
-        if live is not None:
-            self._metrics.add("serving.synthesis.stream_resumes")
-        else:
+                if live is None or live.next_year > first_missing or live.horizon < stop:
+                    live = None
+                else:
+                    self._synthesis["stream_resumes"] += 1
+        if live is None:
             horizon = max(stop, _STREAM_HORIZON)
             spy = self.steps_per_year
             iterator = self._emulator.generator().generate_stream_multi(

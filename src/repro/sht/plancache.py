@@ -37,7 +37,7 @@ import threading
 
 import numpy as np
 
-from repro.obs import get_registry, span
+from repro.obs import span
 from repro.sht.grid import Grid
 from repro.sht.transform import SHTPlan
 from repro.util.registry import UnknownBackendError
@@ -46,10 +46,7 @@ __all__ = ["clear_plan_cache", "get_plan", "plan_cache_stats"]
 
 _LOCK = threading.Lock()
 _CACHE: dict[tuple, SHTPlan] = {}
-
-#: Registry prefix for the cache's counters (hits/misses live on the
-#: process-wide metrics registry; ``plan_cache_stats`` is a view).
-_METRIC_PREFIX = "sht.plan_cache"
+_COUNTS = {"hits": 0, "misses": 0}
 
 
 def _plan_nbytes(plan) -> int:
@@ -120,28 +117,21 @@ def get_plan(sht_method: str, lmax: int, grid: Grid) -> SHTPlan:
     with _LOCK:
         plan = _CACHE.get(key)
         if plan is not None:
-            get_registry().add(f"{_METRIC_PREFIX}.hits")
+            _COUNTS["hits"] += 1
             return plan
-    with span(f"{_METRIC_PREFIX}.build", lmax=int(lmax)):
+    with span("sht.plan_cache.build", lmax=int(lmax)):
         built = SHTPlan(lmax=lmax, grid=grid)
     with _LOCK:
         plan = _CACHE.setdefault(key, built)
-        get_registry().add(
-            f"{_METRIC_PREFIX}.misses" if plan is built else f"{_METRIC_PREFIX}.hits"
-        )
+        _COUNTS["misses" if plan is built else "hits"] += 1
     return plan
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and reset the hit/miss counters.
-
-    The counters live on the process-wide metrics registry under
-    ``sht.plan_cache.``; resetting that prefix leaves every other
-    component's metrics alone.
-    """
+    """Drop every cached plan and reset the hit/miss counters."""
     with _LOCK:
         _CACHE.clear()
-        get_registry().reset(_METRIC_PREFIX)
+        _COUNTS.update(hits=0, misses=0)
 
 
 def plan_cache_stats() -> dict:
@@ -152,13 +142,12 @@ def plan_cache_stats() -> dict:
     tuples in insertion order; ``bytes`` is the measured ndarray
     footprint of every cached plan.
     """
-    registry = get_registry()
     with _LOCK:
         return {
             "size": len(_CACHE),
             "bytes": sum(_plan_nbytes(plan) for plan in _CACHE.values()),
-            "hits": int(registry.counter(f"{_METRIC_PREFIX}.hits")),
-            "misses": int(registry.counter(f"{_METRIC_PREFIX}.misses")),
+            "hits": _COUNTS["hits"],
+            "misses": _COUNTS["misses"],
             "pid": os.getpid(),
             "keys": list(_CACHE),
         }

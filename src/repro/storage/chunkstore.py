@@ -69,7 +69,7 @@ import zlib
 
 import numpy as np
 
-from repro.obs import counter_add, span
+from repro.obs import span
 from repro.util.numerics import NUMERICS_REVISION
 
 __all__ = ["ChunkStore"]
@@ -288,7 +288,8 @@ class ChunkStore:
         transaction; it records the live entries (``n_entries``) and the
         journal length (``journal_bytes``) left behind.  Raises
         ``TimeoutError`` after ``lock_timeout``; a lock older than
-        ``stale_lock_seconds`` is broken.  Caller holds the thread lock.
+        ``stale_lock_seconds`` is broken, and the span counts the breaks
+        (``stale_locks_broken``).  Caller holds the thread lock.
         """
         with span("chunkstore.commit") as sp:
             deadline = _deadline_clock() + self.lock_timeout
@@ -297,7 +298,7 @@ class ChunkStore:
                     fd = os.open(self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
                     break
                 except FileExistsError:
-                    if self._break_stale_lock_locked():
+                    if self._break_stale_lock_locked(sp):
                         continue
                     if _deadline_clock() >= deadline:
                         raise TimeoutError(
@@ -316,11 +317,12 @@ class ChunkStore:
                     os.unlink(self._lock_path)
                 sp.set(n_entries=len(self._chunks), journal_bytes=self._journal_offset)
 
-    def _break_stale_lock_locked(self) -> bool:
+    def _break_stale_lock_locked(self, commit_span) -> bool:
         """Remove ``manifest.lock`` if its holder looks dead; True if removed.
 
         Staleness is mtime age.  The unlink races other breakers
-        benignly (``FileNotFoundError``: someone else broke it).
+        benignly (``FileNotFoundError``: someone else broke it).  A break
+        is counted on ``commit_span`` as ``stale_locks_broken``.
         """
         try:
             age = _now() - os.stat(self._lock_path).st_mtime
@@ -330,7 +332,8 @@ class ChunkStore:
             return False
         with contextlib.suppress(FileNotFoundError):
             os.unlink(self._lock_path)
-        counter_add("chunkstore.lock_breaks")
+        broken = commit_span.attrs.get("stale_locks_broken", 0) + 1
+        commit_span.set(stale_locks_broken=broken)
         return True
 
     def _header_token(self, fd: "int | None" = None) -> "tuple | None":
@@ -341,8 +344,8 @@ class ChunkStore:
             return None
         return (st.st_ino, st.st_mtime_ns, st.st_size)
 
-    def _read_header_locked(self) -> int:
-        """Reset the view to the header's snapshot; returns the bytes read.
+    def _read_header_locked(self) -> None:
+        """Reset the view to the header's snapshot.
 
         A header that fails to parse raises: treating it as empty would
         let the next compaction drop every entry it held.
@@ -382,7 +385,6 @@ class ChunkStore:
         self._journal = os.path.join(self.root, header["journal"])
         self._journal_offset = 0
         self._journal_entries = 0
-        return len(raw)
 
     def _refresh_locked(self, *, writer: bool = False) -> int:
         """Catch the view up with the disk; returns the newly visible addresses.
@@ -394,10 +396,9 @@ class ChunkStore:
         no append is in flight) truncates it.
         """
         known = self._chunks
-        read = 0
         while True:
             if self._header_token() != self._manifest_token:
-                read += self._read_header_locked()
+                self._read_header_locked()
             try:
                 with open(self._journal, "rb") as handle:
                     handle.seek(self._journal_offset)
@@ -437,12 +438,8 @@ class ChunkStore:
                 f"code synthesises for the same requests — write to a fresh "
                 f"root, or read this one with the code that wrote it"
             )
-        read += len(tail)
         if self._chunks is not known:
             added = sum(1 for address in self._chunks if address not in known)
-        if read:
-            counter_add("chunkstore.refreshes")
-            counter_add("chunkstore.catch_up_bytes", read)
         return added
 
     def _dump_manifest_locked(self, chunks: "dict[str, dict]") -> None:
@@ -593,8 +590,6 @@ class ChunkStore:
         array = np.asarray(array, dtype=np.float64)
         with span("chunkstore.put", bytes=array.nbytes, encoding=self.encoding):
             entry = self._write_shard(address, array)
-        counter_add("chunkstore.writes")
-        counter_add("chunkstore.written_bytes", array.nbytes)
         with self._lock:
             self._commit_entries_locked({address: (entry, array)})
             return dict(self._chunks[address])
@@ -631,8 +626,6 @@ class ChunkStore:
                 address: (self._write_shard(address, array, validated=True), array)
                 for address, array in pending.items()
             }
-        counter_add("chunkstore.writes", len(pending))
-        counter_add("chunkstore.written_bytes", batch_bytes)
         with self._lock:
             return self._commit_entries_locked(staged)
 
@@ -692,8 +685,6 @@ class ChunkStore:
                 )
             decoded = _decode(payload, entry.get("scale"), entry.get("offset"))
             sp.set(bytes=decoded.nbytes)
-        counter_add("chunkstore.reads")
-        counter_add("chunkstore.read_bytes", decoded.nbytes)
         return decoded
 
     def entry(self, address: str) -> "dict | None":
@@ -759,12 +750,9 @@ class ChunkStore:
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(os.path.join(self.root, entry["file"]))
             remaining_bytes = sum(int(e["encoded_bytes"]) for e in kept.values())
-        pruned_bytes = sum(int(e["encoded_bytes"]) for e in doomed.values())
-        counter_add("chunkstore.pruned_chunks", len(doomed))
-        counter_add("chunkstore.pruned_bytes", pruned_bytes)
         return {
             "pruned_chunks": len(doomed),
-            "pruned_bytes": pruned_bytes,
+            "pruned_bytes": sum(int(e["encoded_bytes"]) for e in doomed.values()),
             "remaining_chunks": len(kept),
             "remaining_bytes": remaining_bytes,
         }
@@ -815,7 +803,6 @@ class ChunkStore:
                     except FileNotFoundError:
                         continue
                     removed += 1
-        counter_add("chunkstore.orphans_swept", removed)
         return removed
 
     # ------------------------------------------------------------------ #

@@ -600,35 +600,33 @@ class TestTelemetryHygiene:
                            rules=["telemetry-hygiene"]) == []
 
     def test_operational_obs_modules_are_inside_the_layer(self):
-        # The metrics and tracing modules are the telemetry layer: raw
-        # timers are their implementation.
+        # Every module of the obs package is the telemetry layer: raw
+        # timers are its implementation.
         source = """
             import time
 
             def sample():
                 return time.perf_counter()
         """
-        for relpath in ("src/repro/obs/tracing.py", "src/repro/obs/metrics.py"):
+        for relpath in ("src/repro/obs/tracing.py", "src/repro/obs/__init__.py"):
             assert lint_source(textwrap.dedent(source), relpath,
                                rules=["telemetry-hygiene"]) == [], relpath
 
     @pytest.mark.parametrize(
         "stmt",
         [
-            'counter_add("hits")',
-            'gauge_set("Serving.Queue.depth", 2)',
-            'metrics.observe("CamelName", 1.0)',
+            'with span("hits"):\n    pass',
             'with span("Serve.Get"):\n    pass',
-            'counter_add("docs.demo\\n")',
-            'observe(".leading.dot", 1.0)',
-            'get_registry().add("double..dot")',
+            'with span("docs.demo\\n"):\n    pass',
+            'with span(".leading.dot"):\n    pass',
+            'with span("double..dot"):\n    pass',
             'with repro.obs.span("Upper.case"):\n    pass',
         ],
     )
-    def test_malformed_instrument_name_fires(self, stmt):
+    def test_malformed_span_name_fires(self, stmt):
         source = (
-            "from repro.obs import counter_add, gauge_set, span\n"
-            f"def f(metrics):\n{textwrap.indent(textwrap.dedent(stmt), '    ')}\n"
+            "from repro.obs import span\n"
+            f"def f():\n{textwrap.indent(textwrap.dedent(stmt), '    ')}\n"
         )
         findings = lint_source(source, "src/repro/core/example.py",
                                rules=["telemetry-hygiene"])
@@ -637,79 +635,81 @@ class TestTelemetryHygiene:
 
     def test_module_prefix_fstrings_resolve(self):
         source = """
-            from repro.obs import counter_add
+            from repro.obs import span
 
             _PREFIX = "sht.plan_cache"
 
             def f():
-                counter_add(f"{_PREFIX}.hits")
+                with span(f"{_PREFIX}.build"):
+                    pass
         """
         assert run(source, rules=["telemetry-hygiene"]) == []
 
     def test_module_prefix_fstring_resolving_to_a_bad_name_fires(self):
         source = """
-            from repro.obs import counter_add
+            from repro.obs import span
 
             _PREFIX = "sht.plan_cache"
 
             def f():
-                counter_add(f"{_PREFIX}.Hits")
+                with span(f"{_PREFIX}.Build"):
+                    pass
         """
         findings = run(source, rules=["telemetry-hygiene"])
         assert rule_ids(findings) == ["telemetry-hygiene"]
-        assert "'sht.plan_cache.Hits'" in findings[0].message
+        assert "'sht.plan_cache.Build'" in findings[0].message
 
-    def test_unresolvable_fstrings_are_left_to_the_runtime(self):
-        source = """
-            from repro.obs import counter_add
-
-            def f(component):
-                counter_add(f"{component}.Hits")
-        """
-        assert run(source, rules=["telemetry-hygiene"]) == []
-
-    def test_cross_kind_collision_fires(self):
+    def test_unresolvable_fstrings_are_skipped(self):
         source = """
             from repro.obs import span
 
-            def f(metrics):
-                with span("serve.get"):
+            def f(component):
+                with span(f"{component}.Build"):
                     pass
-                metrics.add("serve.get.seconds")
+        """
+        assert run(source, rules=["telemetry-hygiene"]) == []
+
+    def test_well_named_spans_are_clean(self):
+        source = """
+            from repro.obs import span
+
+            def f(name):
+                with span("sht.inverse", lmax=48):
+                    pass
+                with span(name):  # dynamic names are not checked
+                    pass
+        """
+        assert run(source, rules=["telemetry-hygiene"]) == []
+
+    @pytest.mark.parametrize(
+        "name", ["a.b", "serve.get", "sht.plan_cache.build", "x_1.y_2.z_3"],
+    )
+    def test_dotted_lowercase_span_names_are_clean(self, name):
+        source = f"from repro.obs import span\nwith span({name!r}):\n    pass\n"
+        assert lint_source(source, "src/repro/core/example.py",
+                           rules=["telemetry-hygiene"]) == []
+
+    def test_a_span_reached_through_the_obs_module_is_checked(self):
+        source = """
+            from repro import obs
+
+            def f():
+                with obs.span("Serve.Get"):
+                    pass
         """
         findings = run(source, rules=["telemetry-hygiene"])
         assert rule_ids(findings) == ["telemetry-hygiene"]
-        assert "cross-kind" in findings[0].message
+        assert "'Serve.Get'" in findings[0].message
 
-    def test_cross_file_collision_fires(self, tmp_path):
-        from tools.reprolint import lint_paths
-
-        package = tmp_path / "src" / "repro"
-        package.mkdir(parents=True)
-        (package / "__init__.py").write_text("")
-        (package / "a.py").write_text(
-            "def f(metrics):\n    metrics.add('serving.queue.depth')\n"
-        )
-        (package / "b.py").write_text(
-            "def g(metrics):\n    metrics.set_gauge('serving.queue.depth', 2)\n"
-        )
-        report = lint_paths(tmp_path, ["src"], rules=["telemetry-hygiene"])
-        assert rule_ids(report.findings) == ["telemetry-hygiene"]
-
-    def test_well_named_instruments_are_clean(self):
-        source = """
-            from repro.obs import counter_add, gauge_set, observe, span
-
-            def f(metrics, name):
-                with span("sht.inverse", lmax=48):
-                    pass
-                counter_add("chunkstore.reads")
-                gauge_set("serving.queue.depth", 3)
-                observe("fit.analysis.seconds", 0.5)
-                metrics.add("serving.requests")
-                metrics.add(name)  # dynamic names are the runtime's job
-        """
-        assert run(source, rules=["telemetry-hygiene"]) == []
+    @pytest.mark.parametrize(
+        "call",
+        ['log.info("Hits")', 'spanner("Serve.Get")', 'self.span("Upper")',
+         'names.append("hits")'],
+    )
+    def test_strings_handed_to_other_calls_are_not_span_names(self, call):
+        source = f"def f(self, log, names):\n    {call}\n"
+        assert lint_source(source, "src/repro/core/example.py",
+                           rules=["telemetry-hygiene"]) == []
 
     def test_pragma_with_reason_suppresses(self):
         source = (

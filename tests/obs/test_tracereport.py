@@ -13,7 +13,7 @@ from repro.serving.request import FieldRequest
 from repro.serving.service import EmulationService
 from repro.sht.plancache import clear_plan_cache, get_plan
 from repro.storage.chunkstore import ChunkStore
-from tools.tracereport import aggregate, load_trace, main, render_table
+from tools.tracereport import _percentile, aggregate, load_trace, main, render_table
 
 
 @pytest.fixture(autouse=True)
@@ -88,6 +88,45 @@ class TestAggregate:
         assert row["mean_s"] == row["max_s"] == 0.5
 
 
+class TestPercentiles:
+    """Latency percentiles come from traces alone: nearest rank over
+    every recorded duration, whatever order the records arrive in."""
+
+    @pytest.mark.parametrize(
+        "q, expected",
+        [(0.0, 1.0), (0.25, 26.0), (0.5, 51.0), (0.9, 90.0), (0.99, 99.0),
+         (1.0, 100.0)],
+    )
+    def test_nearest_rank_over_one_to_a_hundred(self, q, expected):
+        ordered = [float(value) for value in range(1, 101)]
+        assert _percentile(ordered, q) == expected
+
+    def test_row_percentiles_do_not_depend_on_record_order(self):
+        durations = [float(value) for value in range(1, 101)]
+        shuffled = list(durations)
+        np.random.default_rng(0).shuffle(shuffled)
+        rows = [
+            aggregate([_record("op", i + 1, None, s) for i, s in enumerate(order)])
+            for order in (durations, shuffled)
+        ]
+        assert rows[0] == rows[1]
+        (row,) = rows[0]
+        assert (row["p50_s"], row["p90_s"], row["p99_s"], row["max_s"]) == (
+            51.0, 90.0, 99.0, 100.0,
+        )
+        assert row["mean_s"] == pytest.approx(50.5)
+
+    def test_percentiles_follow_every_duration_not_a_recent_window(self):
+        # A thousand slow calls followed by a thousand fast ones: the
+        # slow half still sets p90, and the mean counts every call.
+        records = [_record("op", i + 1, None, 1.0) for i in range(1000)]
+        records += [_record("op", i + 1001, None, 0.001) for i in range(1000)]
+        (row,) = aggregate(records)
+        assert row["calls"] == 2000
+        assert row["p90_s"] == row["max_s"] == 1.0
+        assert row["mean_s"] == pytest.approx((1000 * 1.0 + 1000 * 0.001) / 2000)
+
+
 class TestLoadTrace:
     def test_merges_numeric_pid_siblings_only(self, tmp_path):
         base = tmp_path / "trace.jsonl"
@@ -153,6 +192,27 @@ class TestRendering:
         payload = json.loads(capsys.readouterr().out)
         assert payload["spans"] == 1
         assert payload["rows"][0]["name"] == "solo"
+
+    @pytest.mark.parametrize(
+        "sort, expected",
+        [("self", ["slow", "busy", "alpha"]),
+         ("total", ["busy", "slow", "alpha"]),
+         ("calls", ["busy", "alpha", "slow"]),
+         ("name", ["alpha", "busy", "slow"])],
+    )
+    def test_main_sort_orders_rows(self, tmp_path, capsys, sort, expected):
+        # busy: 3 calls, 1.2 s total, 0.3 s self; slow: 1 call, 0.9 s;
+        # alpha: 2 calls, 0.2 s.
+        records = [
+            _record("busy", 1, None, 0.5), _record("busy", 2, None, 0.4),
+            _record("busy", 3, None, 0.3), _record("slow", 4, 1, 0.9),
+            _record("alpha", 5, None, 0.1), _record("alpha", 6, None, 0.1),
+        ]
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main([str(trace), "--json", "--sort", sort]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["name"] for row in rows] == expected
 
     def test_main_fails_on_empty_trace(self, tmp_path, capsys):
         trace = tmp_path / "empty.jsonl"

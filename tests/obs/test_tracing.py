@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 import threading
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -14,15 +16,17 @@ import pytest
 
 from repro.obs import (
     clear_trace,
-    current_span,
     disable,
-    enable,
     enabled,
-    get_registry,
     span,
     trace_records,
     tracing,
 )
+from repro.obs.tracing import _enable as enable
+
+# ``repro.obs.tracing`` the module, not the ``tracing()`` context
+# manager that ``repro.obs`` re-exports under the same name.
+tracing_module = importlib.import_module("repro.obs.tracing")
 
 
 @pytest.fixture(autouse=True)
@@ -39,13 +43,17 @@ class TestNesting:
     def test_spans_nest_within_a_thread(self):
         enable()
         with span("test_trace.outer") as outer:
-            with span("test_trace.inner") as inner:
-                assert current_span() is inner
-            assert current_span() is outer
-        assert current_span() is None
+            with span("test_trace.inner"):
+                pass
+            with span("test_trace.sibling"):  # inner has closed
+                pass
+        with span("test_trace.next_root"):  # outer has closed
+            pass
         records = {rec["name"]: rec for rec in trace_records()}
         assert records["test_trace.inner"]["parent_id"] == outer.span_id
+        assert records["test_trace.sibling"]["parent_id"] == outer.span_id
         assert records["test_trace.outer"]["parent_id"] is None
+        assert records["test_trace.next_root"]["parent_id"] is None
 
     def test_8_thread_nesting_keeps_parent_chains_thread_local(self):
         n_threads = 8
@@ -114,25 +122,25 @@ class TestNesting:
 
     def test_a_raising_body_still_closes_and_records_its_span(self):
         enable()
-        before = (get_registry().snapshot()["histograms"]
-                  .get("test_trace.failing.seconds", {"count": 0})["count"])
         with pytest.raises(RuntimeError, match="boom"):
             with span("test_trace.failing"):
                 raise RuntimeError("boom")
-        assert current_span() is None
-        assert [rec["name"] for rec in trace_records()] == ["test_trace.failing"]
-        after = get_registry().snapshot()["histograms"]["test_trace.failing.seconds"]
-        assert after["count"] == before + 1
+        with span("test_trace.after_failure"):  # the failed span was popped
+            pass
+        records = trace_records()
+        assert [rec["name"] for rec in records] == [
+            "test_trace.failing", "test_trace.after_failure",
+        ]
+        assert records[0]["seconds"] > 0.0
+        assert records[1]["parent_id"] is None
 
 
 class TestAlwaysMeasuring:
-    def test_seconds_and_histograms_work_while_disabled(self):
+    def test_seconds_work_while_disabled(self):
         assert not enabled()
         with span("test_trace.measured") as sp:
             pass
         assert sp.seconds > 0.0
-        summary = get_registry().snapshot()["histograms"]
-        assert summary["test_trace.measured.seconds"]["count"] >= 1
         assert trace_records() == []
 
     def test_set_and_elapsed(self):
@@ -145,6 +153,100 @@ class TestAlwaysMeasuring:
         with span("test_trace.chain") as sp:
             assert sp.set(a=1).set(b=2) is sp
         assert sp.attrs == {"a": 1, "b": 2}
+
+
+    def test_set_overrides_an_opening_attribute(self):
+        with span("test_trace.override", outcome="pending") as sp:
+            sp.set(outcome="hit")
+        assert sp.attrs == {"outcome": "hit"}
+
+    def test_elapsed_grows_and_seconds_covers_it(self):
+        with span("test_trace.clock") as sp:
+            first = sp.elapsed()
+            second = sp.elapsed()
+        assert 0.0 <= first <= second <= sp.seconds
+
+
+class TestConcurrency:
+    """Spans recorded from many threads at once are neither lost nor torn."""
+
+    N_THREADS = 8
+    PER_THREAD = 250
+
+    def _run_threads(self, work):
+        barrier = threading.Barrier(self.N_THREADS)
+
+        def run(index):
+            barrier.wait()
+            work(index)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(self.N_THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_every_span_from_8_threads_is_recorded_once(self):
+        enable()
+
+        def work(index):
+            for step in range(self.PER_THREAD):
+                with span("test_trace.concurrent", worker=index, step=step):
+                    pass
+
+        self._run_threads(work)
+        records = trace_records()
+        assert len(records) == self.N_THREADS * self.PER_THREAD
+        assert len({rec["span_id"] for rec in records}) == len(records)
+        seen = {(rec["attrs"]["worker"], rec["attrs"]["step"]) for rec in records}
+        assert seen == {(w, s) for w in range(self.N_THREADS)
+                        for s in range(self.PER_THREAD)}
+
+    def test_reads_during_writes_see_whole_records_in_close_order(self):
+        enable()
+        snapshots = []
+
+        def work(index):
+            for step in range(self.PER_THREAD):
+                with span("test_trace.written", step=step):
+                    pass
+                if index == 0 and step % 25 == 0:
+                    snapshots.append(trace_records())
+
+        self._run_threads(work)
+        final = trace_records()
+        for snapshot in snapshots:
+            # Each read is a prefix of the final buffer: nothing torn,
+            # nothing reordered, nothing later removed.
+            assert snapshot == final[: len(snapshot)]
+        assert [len(s) for s in snapshots] == sorted(len(s) for s in snapshots)
+
+    def test_toggling_while_8_threads_trace_never_raises(self):
+        stop = threading.Event()
+
+        def toggle():
+            while not stop.is_set():
+                enable()
+                disable()
+
+        toggler = threading.Thread(target=toggle)
+        toggler.start()
+        try:
+            def work(index):
+                for _ in range(self.PER_THREAD):
+                    with span("test_trace.toggled"):
+                        pass
+
+            self._run_threads(work)
+        finally:
+            stop.set()
+            toggler.join(timeout=60.0)
+        assert not toggler.is_alive()
+        records = trace_records()
+        assert len(records) <= self.N_THREADS * self.PER_THREAD
+        assert {rec["name"] for rec in records} <= {"test_trace.toggled"}
 
 
 class _Opaque:
@@ -254,6 +356,16 @@ class TestSinks:
         records.clear()
         assert len(trace_records()) == 1
 
+    def test_the_buffer_keeps_the_newest_records(self, monkeypatch):
+        monkeypatch.setattr(tracing_module, "_RECORDS", deque(maxlen=3))
+        enable()
+        for index in range(5):
+            with span(f"test_trace.ring_{index}"):
+                pass
+        assert [rec["name"] for rec in trace_records()] == [
+            "test_trace.ring_2", "test_trace.ring_3", "test_trace.ring_4",
+        ]
+
     def test_file_lines_follow_close_order(self, tmp_path):
         path = tmp_path / "order.jsonl"
         with tracing(path):
@@ -293,14 +405,30 @@ class TestEnvironmentSwitch:
         )
         return json.loads(done.stdout.strip().splitlines()[-1])
 
-    @pytest.mark.parametrize("value", ["1", "true", "yes"])
+    @pytest.mark.parametrize("value", ["1", "true", "yes", "TRUE", "Yes"])
     def test_truthy_values_trace_in_memory_only(self, value, tmp_path):
         state = self._probe(value, tmp_path)
         assert state == {"enabled": True, "names": ["test_trace.env"]}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["", "0", "false", "no", "FALSE", "No"])
+    def test_falsy_values_leave_tracing_off(self, value, tmp_path):
+        state = self._probe(value, tmp_path)
+        assert state == {"enabled": False, "names": []}
         assert list(tmp_path.iterdir()) == []
 
     def test_a_path_value_writes_that_file(self, tmp_path):
         state = self._probe("env_trace.jsonl", tmp_path)
         assert state["enabled"] is True
         lines = (tmp_path / "env_trace.jsonl").read_text().splitlines()
+        assert [json.loads(line)["name"] for line in lines] == ["test_trace.env"]
+
+    @pytest.mark.parametrize(
+        "value", ["0.jsonl", "no-trace.jsonl", "TRUE.trace"],
+    )
+    def test_values_that_only_begin_like_a_switch_are_paths(self, value, tmp_path):
+        state = self._probe(value, tmp_path)
+        assert state == {"enabled": True, "names": ["test_trace.env"]}
+        assert [p.name for p in tmp_path.iterdir()] == [value]
+        lines = (tmp_path / value).read_text().splitlines()
         assert [json.loads(line)["name"] for line in lines] == ["test_trace.env"]

@@ -298,6 +298,41 @@ class TestOutputDir:
                 assert chunk.dtype == np.float64
 
 
+    def test_store_flush_spans_account_for_every_stored_chunk(
+        self, fitted_emulator, tmp_path
+    ):
+        """One ``campaign.store_flush`` span per batch carries its chunk
+        count and raw bytes; a re-run flushes the same chunks again and
+        the store skips every one of them."""
+        root = tmp_path / "campaign-out"
+        repro.obs.clear_trace()
+        try:
+            with repro.obs.tracing():
+                manifest = run_campaign(
+                    fitted_emulator, ["ssp-low", "ssp-high"], 2, n_times=48,
+                    seed=7, collect="none", store=root, batch_size=2,
+                )
+                flushes = [r["attrs"] for r in repro.obs.trace_records()
+                           if r["name"] == "campaign.store_flush"]
+                repro.obs.clear_trace()
+                run_campaign(
+                    fitted_emulator, ["ssp-low", "ssp-high"], 2, n_times=48,
+                    seed=7, collect="none", store=root, batch_size=2,
+                )
+                rerun = repro.obs.trace_records()
+        finally:
+            repro.obs.clear_trace()
+        store = repro.ChunkStore(root)
+        addresses = [a for r in manifest.runs for a in r.chunk_addresses]
+        assert len(flushes) == 2  # one per same-scenario batch
+        assert sum(f["n_chunks"] for f in flushes) == len(addresses) == 8
+        assert sum(f["bytes"] for f in flushes) == sum(
+            store.get(a).nbytes for a in addresses
+        )
+        assert [r["attrs"] for r in rerun
+                if r["name"] == "campaign.store_flush"] == flushes
+        assert not [r for r in rerun if r["name"] == "chunkstore.put_many"]
+
 class TestIterChunkArrays:
     @pytest.fixture(scope="class")
     def written_manifest(self, fitted_emulator, tmp_path_factory):
@@ -414,17 +449,6 @@ class TestProgressHeartbeat:
         assert beats == [0] + np.cumsum(blocks).tolist()
         assert beats[-1] == manifest.n_runs == 6
         assert set(threads) == {threading.current_thread().name}
-
-    def test_heartbeat_publishes_no_gauges(self, fitted_emulator):
-        from repro.obs import metrics_snapshot
-
-        beats = []
-        run_campaign(fitted_emulator, ["ssp-low"], 2, n_times=8, seed=3,
-                     progress=beats.append)
-        run_campaign(fitted_emulator, ["ssp-low"], 2, n_times=8, seed=3)
-        assert beats[-1]["runs_done"] == 2
-        assert not [name for name in metrics_snapshot()["gauges"]
-                    if name.startswith("campaign.progress")]
 
 
 class TestFacade:

@@ -6,6 +6,7 @@ concatenated ``emulate_stream``) bit for bit on every path — and
 therefore member ``r`` of direct ``emulate(rng=seed)`` for every request.
 """
 
+import sys
 import threading
 import time
 
@@ -290,31 +291,39 @@ class TestCacheManagement:
 
 
 class TestTelemetry:
-    def test_every_get_feeds_the_latency_histogram(self, service):
-        def summary():
-            return repro.obs.metrics_snapshot()["histograms"].get(
-                "serve.get.seconds", {"count": 0})
-
-        before = summary()["count"]
+    def test_every_get_records_one_serve_get_span(self, service):
         request = FieldRequest("ssp-low", realization=0)
-        service.get(request)
-        service.get(request)
-        service.get(FieldRequest("ssp-high", realization=1))
-        after = summary()
-        assert after["count"] == before + 3
-        assert 0.0 < after["p50"] <= after["p99"] <= after["max"]
+        repro.obs.clear_trace()
+        with repro.obs.tracing():
+            service.get(request)
+            service.get(request)
+            service.get(FieldRequest("ssp-high", realization=1))
+        gets = [r for r in repro.obs.trace_records() if r["name"] == "serve.get"]
+        repro.obs.clear_trace()
+        assert [r["attrs"]["outcome"] for r in gets] == ["miss", "hit", "miss"]
+        assert all(r["seconds"] > 0.0 for r in gets)
 
-    def test_services_count_in_their_own_registries(self, fitted_emulator):
-        first = repro.serve(fitted_emulator, seed=0)
-        second = repro.serve(fitted_emulator, seed=0)
-        first.get(FieldRequest("ssp-low"))
-        first.get(FieldRequest("ssp-low"))
-        second.get(FieldRequest("ssp-low"))
-        assert first.stats()["requests"] == 2
-        assert second.stats()["requests"] == 1
-        assert first.metrics is not second.metrics
-        assert "serving.requests" not in repro.obs.metrics_snapshot()["counters"]
 
+    def test_stats_are_a_detached_snapshot(self, service):
+        service.get(FieldRequest("ssp-low", realization=0))
+        first = service.stats()
+        first["requests"] = -1
+        first["chunk_cache"]["hits"] = -1
+        first["synthesis"]["flights"] = -1
+        again = service.stats()
+        assert again["requests"] >= 1
+        assert again["chunk_cache"]["hits"] >= 0
+        assert again["synthesis"]["flights"] >= 1
+
+    def test_misses_and_hits_partition_the_requests(self, fitted_emulator):
+        service = repro.serve(fitted_emulator, seed=0)
+        cold = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
+        part = FieldRequest("ssp-low", realization=0, year_start=1, year_stop=3)
+        served = [service.get(r) for r in (cold, cold, part, part)]
+        stats = service.stats()
+        assert stats["requests"] == 4
+        assert (stats["request_misses"], stats["request_hits"]) == (2, 2)
+        assert stats["served_bytes"] == sum(a.nbytes for a in served)
 
 class TestPersistentTier:
     def test_write_through_then_read_through(self, fitted_emulator, tmp_path):
@@ -589,7 +598,7 @@ class TestConcurrency:
         for name in ("waiter-1", "waiter-2"):
             threads.append(threading.Thread(target=worker, args=(name, failed)))
             threads[-1].start()
-        wait_until(lambda: service.metrics.counter("serving.synthesis.coalesced_waits") == 2)
+        wait_until(lambda: service.stats()["synthesis"]["coalesced_waits"] == 2)
         threads.append(threading.Thread(target=worker, args=("successor", pooled)))
         threads[-1].start()
         wait_until(lambda: head().next is not None)
@@ -615,6 +624,36 @@ class TestConcurrency:
         assert service.stats()["synthesis"]["flights"] == flights + 1
         assert calls[-1] == {0: 2}
         assert service._flights == {}
+
+    def test_counts_stay_exact_under_8_threads(self, fitted_emulator):
+        service = repro.serve(fitted_emulator, seed=0)
+        request = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
+        nbytes = service.get(request).nbytes  # the one miss: now every get is hot
+        warm = service.stats()
+        n_threads, per_thread = 8, 200
+        barrier = threading.Barrier(n_threads)
+
+        def worker():
+            barrier.wait()
+            for _ in range(per_thread):
+                service.get(request)
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: lost updates show
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats, total = service.stats(), n_threads * per_thread
+        assert stats["requests"] == warm["requests"] + total
+        assert stats["request_hits"] == warm["request_hits"] + total
+        assert stats["chunk_cache"]["hits"] == warm["chunk_cache"]["hits"] + 2 * total
+        assert stats["served_bytes"] == warm["served_bytes"] + total * nbytes
 
     def test_stress_mixed_hit_miss_inflight(self, fitted_emulator):
         """Many threads, mixed request shapes, pinned against serial emulate."""

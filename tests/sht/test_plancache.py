@@ -157,6 +157,29 @@ class TestConcurrency:
         assert all(p is plans[0] for p in plans)
         assert plan_cache_stats()["size"] == 1
 
+    def test_hit_and_miss_counts_stay_exact_under_8_threads(self):
+        """Every lookup counts once: the one kept build is the only miss,
+        and a discarded duplicate build counts as a hit."""
+        grid = Grid.for_bandlimit(6)
+        n_threads, per_thread = 8, 50
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(
+                lambda _: [get_plan("fast", 6, grid) for _ in range(per_thread)],
+                range(n_threads),
+            ))
+        stats = plan_cache_stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] == n_threads * per_thread - 1
+
+    def test_clear_resets_the_counts(self):
+        grid = Grid.for_bandlimit(4)
+        get_plan("fast", 4, grid)
+        get_plan("fast", 4, grid)
+        assert (plan_cache_stats()["hits"], plan_cache_stats()["misses"]) == (1, 1)
+        clear_plan_cache()
+        stats = plan_cache_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (0, 0, 0)
+
     def test_concurrent_load_and_emulate_share_one_plan(
         self, fitted_emulator, tmp_path
     ):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.obs import get_registry, trace_records, tracing
+from repro.obs import clear_trace, trace_records, tracing
 from repro.storage import chunkstore
 from repro.storage.chunkstore import _CHUNK_ENCODINGS, ChunkStore
 from repro.util.numerics import NUMERICS_REVISION
@@ -233,7 +233,7 @@ class TestCommitCost:
     """A commit's disk work does not grow with the store (no clocks)."""
 
     def test_a_put_at_10k_entries_appends_one_line_and_nothing_else(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         entry = ChunkStore(tmp_path).put("0" * 64, np.ones(3))
         header_path = tmp_path / "manifest.json"
@@ -253,10 +253,16 @@ class TestCommitCost:
         assert grown.startswith(committed)
         assert line.endswith(b"\n") and line.count(b"\n") == 1
 
-        # The second handle catches up by reading exactly that line.
-        read = get_registry().counter("chunkstore.catch_up_bytes")
+        # The second handle catches up by reading exactly that line: no
+        # header re-read, and its journal offset moves by the line.
+        header_reads = []
+        read_header = reader._read_header_locked
+        monkeypatch.setattr(reader, "_read_header_locked",
+                            lambda: header_reads.append(1) or read_header())
+        offset = reader._journal_offset
         assert reader.refresh() == 1 and "new" in reader
-        assert get_registry().counter("chunkstore.catch_up_bytes") - read == len(line)
+        assert header_reads == []
+        assert reader._journal_offset - offset == len(line)
         assert reader.refresh() == 0
 
 
@@ -277,6 +283,60 @@ class TestCommitSpan:
         journal_bytes = [c["journal_bytes"] for c in commits]
         assert journal_bytes[2] > 0
         assert journal_bytes[:2] + journal_bytes[3:] == [0] * 5
+
+
+class TestSpanAttributes:
+    """The chunk-store spans carry the byte and chunk counts of their work."""
+
+    @pytest.fixture(autouse=True)
+    def empty_trace_buffer(self):
+        clear_trace()
+        yield
+        clear_trace()
+
+    @staticmethod
+    def _attrs(records, name):
+        return [r["attrs"] for r in records if r["name"] == name]
+
+    @pytest.mark.parametrize("encoding", _CHUNK_ENCODINGS)
+    def test_put_span_carries_the_float64_bytes(self, tmp_path, encoding):
+        store = ChunkStore(tmp_path, encoding=encoding)
+        with tracing():
+            store.put("aa11", np.arange(20.0).reshape(4, 5))
+            store.put("aa11", np.zeros((4, 5)))  # stored already: no write
+            puts = self._attrs(trace_records(), "chunkstore.put")
+        assert puts == [{"bytes": 160, "encoding": encoding}]
+
+    @pytest.mark.parametrize("encoding", _CHUNK_ENCODINGS)
+    def test_put_many_span_counts_only_new_chunks(self, tmp_path, encoding):
+        store = ChunkStore(tmp_path, encoding=encoding)
+        store.put("aa11", np.ones(3))
+        with tracing():
+            written = store.put_many({
+                "aa11": np.ones(3), "bb22": np.ones(4), "cc33": np.ones((2, 3)),
+            })
+            assert store.put_many({"bb22": np.ones(4)}) == 0
+            batches = self._attrs(trace_records(), "chunkstore.put_many")
+        assert written == 2
+        assert batches == [{"n_chunks": 2, "bytes": (4 + 6) * 8,
+                            "encoding": encoding}]
+
+    @pytest.mark.parametrize("encoding", _CHUNK_ENCODINGS)
+    def test_get_span_carries_the_decoded_bytes(self, tmp_path, encoding):
+        store = ChunkStore(tmp_path, encoding=encoding)
+        store.put("aa11", np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+        with tracing():
+            chunk = store.get("aa11")
+            assert store.get("ff99") is None  # a miss opens no read span
+            gets = self._attrs(trace_records(), "chunkstore.get")
+        assert gets == [{"bytes": chunk.nbytes, "encoding": encoding}]
+        assert chunk.nbytes == 96
+
+    def test_a_commit_without_a_stale_lock_counts_no_breaks(self, tmp_path):
+        with tracing():
+            ChunkStore(tmp_path).put("aa11", np.ones(3))
+            commits = self._attrs(trace_records(), "chunkstore.commit")
+        assert commits and all("stale_locks_broken" not in c for c in commits)
 
 
 class TestNonFiniteRejection:

@@ -14,6 +14,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.obs import trace_records, tracing
 from repro.storage.chunkstore import ChunkStore
 
 from faultfs import (  # the tests/storage directory is on sys.path (rootdir layout)
@@ -209,8 +210,12 @@ class TestStaleLockRecovery:
             tmp_path, encoding="float64",
             lock_timeout=2.0, stale_lock_seconds=30.0,
         )
-        recovering.put("cc33", payload_for("cc33"))
+        with tracing():
+            recovering.put("cc33", payload_for("cc33"))
+            commits = [r["attrs"] for r in trace_records()
+                       if r["name"] == "chunkstore.commit"]
         assert not lock.exists()  # broken, used, released
+        assert commits[-1]["stale_locks_broken"] == 1
         assert assert_store_consistent(tmp_path).addresses() == [
             "aa11", "bb22", "cc33",
         ]

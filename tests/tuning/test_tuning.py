@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro.data import Era5LikeConfig, Era5LikeGenerator
-from repro.obs import get_registry
 from repro.scenarios.campaign import run_campaign
 from repro.tuning import _pilot_batch_size, calibrate_machine
 
@@ -267,9 +266,6 @@ class TestCampaignIntegration:
         assert header["executor"] == "thread"
         assert isinstance(header["max_workers"], int)
         assert header["batch_size"] == manifest.batch_size
-        gauges = get_registry().snapshot()["gauges"]
-        assert gauges["tuning.campaign.predicted_seconds"] == header["predicted_seconds"]
-        assert gauges["tuning.campaign.actual_seconds"] == header["actual_seconds"]
 
     def test_pilot_blocks_never_straddle_a_scenario(self, emulator):
         manifest = run_campaign(

@@ -207,23 +207,16 @@ def generate() -> str:
 
     parts.append("## Telemetry\n")
     parts.append(
-        "The unified observability layer (`repro.obs`): a process-wide\n"
-        "metrics registry plus hierarchical tracing spans over every hot\n"
-        "path.  Every span feeds a `<name>.seconds` histogram, so latency\n"
-        "percentiles (`serve.get.seconds`, ...) are read from\n"
-        "`metrics_snapshot()`.  Telemetry is bit-inert — emitted arrays are\n"
-        "bit-identical with tracing on, off, or toggled mid-run.  See\n"
-        "[`observability.md`](observability.md) for the tour and\n"
-        "`tools/tracereport.py` for trace aggregation.\n"
+        "The unified observability layer (`repro.obs`): hierarchical\n"
+        "tracing spans over every hot path.  A trace aggregated by\n"
+        "`tools/tracereport.py` gives latency percentiles per span name.\n"
+        "Telemetry is bit-inert — emitted arrays are bit-identical with\n"
+        "tracing on, off, or toggled mid-run.  See\n"
+        "[`observability.md`](observability.md) for the tour.\n"
     )
     parts.append(_entry("repro.obs", repro.obs))
-    parts.append(_entry("repro.obs.MetricsRegistry", repro.obs.MetricsRegistry,
-                        methods=("add", "set_gauge", "observe", "counter",
-                                 "gauge", "snapshot", "reset")))
-    for name in ("span", "tracing", "enable", "disable", "enabled",
-                 "current_span", "trace_records", "clear_trace",
-                 "metrics_snapshot", "counter_add", "gauge_set", "observe",
-                 "reset_metrics", "get_registry"):
+    for name in ("span", "tracing", "disable", "enabled", "trace_records",
+                 "clear_trace"):
         parts.append(_entry(f"repro.obs.{name}", getattr(repro.obs, name)))
 
     parts.append("## Cholesky precision variants\n")

@@ -80,8 +80,8 @@ def load_trace(path: "str | Path") -> TraceRecords:
 
 
 def _percentile(ordered: "list[float]", q: float) -> float:
-    """Nearest-rank percentile over a pre-sorted sample (same convention
-    as :class:`repro.obs.MetricsRegistry` histogram summaries)."""
+    """Nearest-rank percentile over a pre-sorted sample: the sample at
+    rank ``round(q * (n - 1))``."""
     return ordered[int(round(q * (len(ordered) - 1)))]
 
 
