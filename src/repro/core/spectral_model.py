@@ -19,14 +19,13 @@ from scipy.linalg import LinAlgError
 from typing import Iterator
 
 from repro.core.var import _DiagonalVAR
-from repro.linalg.cholesky import CholeskyResult, MixedPrecisionCholesky
+from repro.linalg.cholesky import _ROW_FLOOR, CholeskyResult, MixedPrecisionCholesky
 from repro.linalg.flops import cholesky_flops
 from repro.linalg.policies import tile_codes
 from repro.linalg.precision import _PRECISIONS
 from repro.obs import span
 from repro.sht.grid import Grid
 from repro.sht.plancache import get_plan
-from repro.sht.realform import real_from_complex
 
 __all__ = ["SpectralStochasticModel"]
 
@@ -79,8 +78,8 @@ class SpectralStochasticModel:
     def spectral_series(self, standardized: np.ndarray) -> np.ndarray:
         """Real spectral coefficient series ``f_t`` for each ensemble member.
 
-        One forward-SHT pass over every member (the transform itself
-        works in blocks of slices).
+        One forward-SHT pass over every member, straight to the real form
+        (the transform itself works in blocks of slices).
 
         Parameters
         ----------
@@ -95,7 +94,7 @@ class SpectralStochasticModel:
         standardized = np.asarray(standardized, dtype=np.float64)
         if standardized.ndim == 3:
             standardized = standardized[None, ...]
-        return real_from_complex(self.plan.forward(standardized))
+        return self.plan.forward_realform(standardized)
 
     def truncation_residual(
         self, standardized: np.ndarray, spectral: np.ndarray
@@ -219,8 +218,8 @@ class SpectralStochasticModel:
 
         The normals and the nugget go into two scratch buffers reused every
         year: a paused serving stream (``B = 1``; up to ``_LIVE_STREAMS``)
-        holds ``(nt * k + nt * ntheta * nphi) * 8`` bytes of them and its VAR
-        history, and no reference to the fresh array of a year.
+        holds ``(max(nt, 32) * k + nt * ntheta * nphi) * 8`` bytes of them and
+        its VAR history, and no reference to the fresh array of a year.
 
         Parameters
         ----------
@@ -257,21 +256,24 @@ class SpectralStochasticModel:
             history = np.broadcast_to(init[-p:], (n_batch, p, k)).copy()
         else:
             history = None
-        z = np.empty((n_batch * nt, k))
+        # Zero rows up to the factor multiply's floor, so it never pads a copy.
+        z = np.zeros((max(n_batch * nt, _ROW_FLOOR), k))
         noise = np.empty((nt,) + self.grid.shape) if include_nugget else None
         for _ in range(n_years):
-            yield self._draw_year(rngs, z, noise, history)
+            yield self._draw_year(rngs, z, nt, noise, history)
 
-    def _draw_year(self, rngs, z, noise, history) -> np.ndarray:
+    def _draw_year(self, rngs, z, nt, noise, history) -> np.ndarray:
         """One year in a fresh array; normals and nugget go into the scratch ``z``
-        and ``noise``, and ``history`` (``None`` if ``P = 0``) advances in place."""
+        (rows past ``len(rngs) * nt`` stay zero) and ``noise``, and ``history``
+        (``None`` if ``P = 0``) advances in place."""
+        rows = len(rngs) * nt
         # Per-stream draws, stacked: stream b's generator sees the same
         # request sequence as in a batch of one.
-        with span("generate.draw", rows=len(z)):
-            for rng, rows in zip(rngs, np.split(z, len(rngs))):
-                rng.standard_normal(out=rows)
-        with span("generate.correlate", rows=len(z)):
-            xi = self.cholesky.correlate(z).reshape(len(rngs), -1, z.shape[1])
+        with span("generate.draw", rows=rows):
+            for rng, block in zip(rngs, np.split(z[:rows], len(rngs))):
+                rng.standard_normal(out=block)
+        with span("generate.correlate", rows=rows):
+            xi = self.cholesky.correlate(z)[:rows].reshape(len(rngs), nt, z.shape[1])
         with span("generate.var", var_order=self.var_order):
             series = self.var.simulate(xi, initial=history)
             if history is not None:

@@ -10,12 +10,12 @@ exponentially weighted history ``(1 - rho) sum_s rho^{s-1} x_{year - s}``
 and the harmonic terms capture the periodic (seasonal / diurnal) cycle.
 
 Because the regressors depend only on time (not on location), the fit for
-*all* locations reduces to one shared design matrix and a single
-least-squares solve per candidate ``rho``; the decay ``rho`` itself is
-profiled per location over a small grid, which is the "1D MLE per location
-with O(T) cost" strategy described in the paper.  Under the Gaussian
-residual model, minimising the residual sum of squares is exactly the
-profile maximum-likelihood estimate.
+*all* locations reduces to one shared design matrix per candidate ``rho``,
+its SVD and two products over all locations (``lstsq``'s minimum-norm
+solution); the decay ``rho`` itself is profiled per location over a small
+grid, which is the "1D MLE per location with O(T) cost" strategy described
+in the paper.  Under the Gaussian residual model, minimising the residual
+sum of squares is exactly the profile maximum-likelihood estimate.
 """
 
 from __future__ import annotations
@@ -227,7 +227,10 @@ class MeanTrendModel:
 
         for rho in rho_candidates:
             design = self.design_matrix(n_times, annual_forcing, rho)
-            coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+            # lstsq's minimum-norm solution, with its rcond=None rank cutoff.
+            u, sv, vt = np.linalg.svd(design, full_matrices=False)
+            keep = sv > np.finfo(np.float64).eps * max(design.shape) * sv[0]
+            coeffs = (vt[keep].T / sv[keep]) @ (u[:, keep].T @ target)
             resid = target - design @ coeffs
             sse = np.sum(resid ** 2, axis=0)
             improved = sse < best_sse

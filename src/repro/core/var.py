@@ -7,9 +7,6 @@ scalar AR(P) process while the innovations ``xi_t`` are allowed a full
 ``L^2 x L^2`` covariance ``U``.  The diagonal restriction is what keeps the
 temporal fit ``O(L^2 T)`` and leaves the heavy lifting to the single
 Cholesky factorisation of ``U``.
-
-A dense (non-diagonal) option is provided for small problems so the
-benchmark suite can quantify what the diagonal approximation gives up.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ class _DiagonalVAR:
             series = series[None, ...]
         if series.ndim != 3:
             raise ValueError("series must have shape (R, T, K)")
-        n_ens, n_times, n_comp = series.shape
+        _, n_times, n_comp = series.shape
         p = self.order
         if p == 0:
             self.coefficients = np.zeros((0, n_comp))
@@ -69,17 +66,15 @@ class _DiagonalVAR:
         if n_times <= p:
             raise ValueError(f"need more than order={p} time steps, got {n_times}")
 
-        # Build per-component normal equations, pooling ensembles.
-        # A[k] is (P, P), b[k] is (P,).
-        a = np.zeros((n_comp, p, p))
-        b = np.zeros((n_comp, p))
-        for r in range(n_ens):
-            x = series[r]
-            target = x[p:]  # (T-P, K)
-            lags = np.stack([x[p - q - 1: n_times - q - 1] for q in range(p)], axis=-1)
-            # lags: (T-P, K, P)
-            a += np.einsum("tkp,tkq->kpq", lags, lags)
-            b += np.einsum("tkp,tk->kp", lags, target)
+        # Per-component normal equations, pooling ensembles: A[k] is (P, P),
+        # b[k] is (P,), one reduction over members and time per lag pair.
+        lags = [series[:, p - q - 1:n_times - q - 1] for q in range(p)]
+        a = np.empty((n_comp, p, p))
+        b = np.empty((n_comp, p))
+        for i in range(p):
+            for j in range(i, p):
+                a[:, i, j] = a[:, j, i] = np.einsum("rtk,rtk->k", lags[i], lags[j])
+            b[:, i] = np.einsum("rtk,rtk->k", lags[i], series[:, p:])
         a += self.ridge * np.eye(p)[None, :, :]
         self.coefficients = np.linalg.solve(a, b[..., None])[..., 0].T  # (P, K)
         return self

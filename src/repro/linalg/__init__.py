@@ -14,7 +14,8 @@ machinery with NumPy and SciPy:
 * :mod:`repro.linalg.policies` — the paper's four tile-precision variants,
   DP, DP/SP, DP/SP/HP and DP/HP, as one closed table.
 * :mod:`repro.linalg.cholesky` — the tiled Cholesky factorisation: one
-  left-looking blocked loop in place (real mixed-precision execution), a
+  left-looking loop in place, blocked by row panel (a SYRK and a GEMM per
+  panel below, then the mixed-precision tile loop inside the panel), a
   factor held as lower row panels per stored precision, and the dense
   reference algorithm.
 

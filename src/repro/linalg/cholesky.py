@@ -3,12 +3,13 @@
 This is the numerical heart of the emulator's HPC layer: the covariance
 matrix of the spectral innovations is tiled, each tile is assigned a storage
 precision by one of the paper's four variants
-(:func:`~repro.linalg.policies.tile_codes`), and one left-looking blocked
-loop factors it in place (:func:`_factor_panels`).
-Updates accumulate in double precision but read tiles rounded to their
-storage precision, so the reduced-precision variants genuinely lose the
-corresponding mantissa bits — the accuracy ablations (paper Fig. 4) measure
-exactly that loss.
+(:func:`~repro.linalg.policies.tile_codes`), and one left-looking loop,
+blocked by row panel, factors it in place (:func:`_factor_panels`): the
+BLAS-3 update of a panel against the final columns to its left, then the
+tile loop inside the panel.  Updates accumulate in double precision but
+read tiles rounded to their storage precision, so the reduced-precision
+variants genuinely lose the corresponding mantissa bits — the accuracy
+ablations (paper Fig. 4) measure exactly that loss.
 
 The factor has one layout from fit to disk to load: lower row panels per
 stored precision (:func:`_panel_bounds`), plus one precision code per tile.
@@ -27,9 +28,9 @@ from itertools import groupby
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg import LinAlgError
 from scipy.linalg import cholesky as scipy_cholesky
-from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.blas import dgemm, dsyrk, dtrsm
 
 from repro.linalg.policies import _variant, tile_codes
 from repro.linalg.precision import _PRECISIONS, Precision
@@ -175,67 +176,97 @@ def _working_panels(n: int, tile_size: int) -> list:
 def _factor_panels(work: list, tile_size: int, codes: np.ndarray, jitter: float) -> list:
     """Overwrite the float64 row panels ``work`` with the factor; returns its panels.
 
-    Per tile column ``b``: per panel from tile row ``b`` down, one GEMM
-    against the columns to the left; the diagonal tile's POTRF (with the
-    relative ``jitter`` on its diagonal); per panel one TRSM for the tiles
-    below; then each tile not stored in double is rounded to its precision
-    (``codes``, row-major) in place, so later GEMMs read stored-precision
-    values and accumulate them in float64.  A panel is final after its last
-    tile column: it leaves ``work`` then, split by precision (:func:`_split`).
+    Per row panel: its columns minus their product with the final columns to
+    their left (one SYRK for the diagonal block, one GEMM per panel below);
+    then per tile column ``b`` of the panel, the same update against the
+    panel's columns left of ``b``, the diagonal tile's POTRF (:func:`_potrf`),
+    a TRSM for the tiles below and each tile not stored in double rounded to
+    its precision (``codes``) in place, so later updates read stored-precision
+    values, accumulated in float64.  Panels below are worked on as
+    Fortran-ordered copies of their rows in these columns, updated in place.
+    A finished panel leaves ``work``, split by precision (:func:`_split`).
 
     Every BLAS / LAPACK call goes through ``scipy.linalg``: numpy's and
     scipy's OpenBLAS pools spin against each other when calls alternate
-    (``tests/lint/test_one_blas.py``).
+    (``tests/lint/test_one_blas.py``).  A NaN or inf below the diagonal
+    reaches a later diagonal tile's POTRF, whose finite check raises
+    ``ValueError``.
     """
     nb, grid, n = tile_size, _code_grid(codes), work[-1][0].stop
     bounds = _panel_bounds(n, nb)
-    owner = [p for p, (first, last, _) in enumerate(bounds) for _ in range(first, last)]
     factor = []
-    for b in range(len(grid)):
-        c0, c1, p = b * nb, min(b * nb + nb, n), owner[b]
-        rows, panel = work[p]
-        tile_row = panel[c0 - rows.start:c1 - rows.start]
-        # The scipy wrappers take Fortran-ordered operands: slices of a
-        # panel's transpose reach them as column copies, not transposing ones.
-        below = [(rows_q, panel_q.T) for rows_q, panel_q in work[p:]]
-        if c0:
-            left = np.asfortranarray(tile_row.T[:c0])  # copied once, not per panel
-            for rows_q, wt in below:
-                r = slice(max(c0, rows_q.start) - rows_q.start, rows_q.stop - rows_q.start)
-                # panel_q[r, c0:c1] -= panel_q[r, :c0] @ tile_row[:, :c0].T
-                wt[c0:c1, r] = dgemm(-1.0, left, wt[:c0, r], 1.0, wt[c0:c1, r], trans_a=1)
-        # POTRF of the diagonal tile, symmetrised from its lower triangle.
-        a = np.tril(tile_row[:, c0:c1])
-        a = a + np.tril(a, -1).T
-        if jitter > 0:
-            a = a + np.eye(c1 - c0) * jitter * float(np.mean(np.diag(a)))
-        scale = float(np.mean(np.abs(np.diag(a)))) or 1.0
-        # Reduced-precision updates can push a diagonal tile slightly
-        # indefinite; retry with an escalating ridge (the paper's "minor
-        # perturbation along the diagonal" safeguard).
-        for ridge in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
-            try:
-                l = scipy_cholesky(a + np.eye(c1 - c0) * ridge * scale, lower=True)
-                break
-            except LinAlgError:
-                continue
-        else:
-            raise LinAlgError(f"diagonal tile {b} is not positive definite even with a 1e-2 ridge")
-        tile_row[:, c0:c1] = l.astype(_PRECISIONS[grid[b, b]].dtype)
-        for rows_q, wt in below:
-            r = slice(max(c1, rows_q.start) - rows_q.start, rows_q.stop - rows_q.start)
-            if r.start < r.stop:
-                # panel_q[r, c0:c1] = panel_q[r, c0:c1] @ inv(l).T
-                wt[c0:c1, r] = solve_triangular(tile_row[:, c0:c1], wt[c0:c1, r], lower=True)
-        for (q, code), run in groupby(range(b + 1, len(grid)), lambda i: (owner[i], grid[i, b])):
-            if _PRECISIONS[code] is not Precision.DOUBLE:
-                run, (rows_q, panel_q) = list(run), work[q]
-                block = panel_q[run[0] * nb - rows_q.start:(run[-1] + 1) * nb - rows_q.start]
-                block[:, c0:c1] = block[:, c0:c1].astype(_PRECISIONS[code].dtype)
-        if c1 == rows.stop:  # the panel is final
-            factor.append((rows, _split(grid, bounds[p], n, nb, panel)))
-            work[p] = None
+    for p, (first, last, rows) in enumerate(bounds):
+        panel = work[p][1][:rows.stop - rows.start]
+        lower = [(r.start, panel_q[:r.stop - r.start]) for r, panel_q in work[p + 1:]]
+        below = [(start, np.asfortranarray(panel_q[:, rows])) for start, panel_q in lower]
+        left = _syrk_update(panel, rows, 0, rows.start, rows.stop)
+        for (_, panel_q), (_, y) in zip(lower, below):
+            if left is not None:
+                # y -= panel_q[:, :rows.start] @ panel[:, :rows.start].T
+                dgemm(-1.0, panel_q[:, :rows.start].T, left, 1.0, y, trans_a=1, overwrite_c=1)
+        for b in range(first, last):
+            c0, c1 = b * nb, min(b * nb + nb, n)
+            j0, j1 = c0 - rows.start, c1 - rows.start
+            left = _syrk_update(panel, rows, rows.start, c0, c1)
+            tile = panel[j0:j1, c0:c1]
+            tile[...] = _potrf(tile, jitter, b).astype(_PRECISIONS[grid[b, b]].dtype)
+            l = np.asfortranarray(tile)
+            # The tiles below: the panel's own rows, in place, then the copies.
+            inside = [(c1, panel[j1:, rows])] if c1 < rows.stop else []
+            for start, x in inside + below:
+                if left is not None:
+                    # x[:, j0:j1] -= x[:, :j0] @ panel[j0:j1, rows.start:c0].T
+                    x[:, j0:j1] = dgemm(-1.0, x[:, :j0], left, 1.0, x[:, j0:j1], overwrite_c=1)
+                # x[:, j0:j1] = x[:, j0:j1] @ inv(l).T
+                x[:, j0:j1] = dtrsm(1.0, l, x[:, j0:j1], side=1, lower=1, trans_a=1, overwrite_b=1)
+                tiles = range(start // nb, start // nb + -(-len(x) // nb))
+                for code, run in groupby(tiles, lambda i: grid[i, b]):
+                    if _PRECISIONS[code] is not Precision.DOUBLE:
+                        run = list(run)
+                        part = x[run[0] * nb - start:(run[-1] + 1) * nb - start, j0:j1]
+                        part[...] = part.astype(_PRECISIONS[code].dtype)
+        for (_, panel_q), (_, y) in zip(lower, below):
+            panel_q[:, rows] = y
+        factor.append((rows, _split(grid, bounds[p], n, nb, work[p][1])))
+        work[p] = None
     return factor
+
+
+def _potrf(tile: np.ndarray, jitter: float, b: int) -> np.ndarray:
+    """Lower Cholesky factor of diagonal tile ``b`` from the lower triangle of
+    ``tile``, with the relative ``jitter`` on its diagonal."""
+    a = np.tril(tile)
+    diagonal = np.diag_indices(len(a))
+    if jitter > 0:
+        a[diagonal] += jitter * float(np.mean(a[diagonal]))
+    scale = float(np.mean(np.abs(a[diagonal]))) or 1.0
+    # Reduced-precision updates can push a diagonal tile slightly
+    # indefinite; retry with an escalating ridge (the paper's "minor
+    # perturbation along the diagonal" safeguard).
+    for ridge in (0.0, 1e-8, 1e-6, 1e-4, 1e-2):
+        shifted = a.copy()
+        shifted[diagonal] += ridge * scale
+        try:
+            return scipy_cholesky(shifted, lower=True)
+        except LinAlgError:
+            continue
+    raise LinAlgError(f"diagonal tile {b} is not positive definite even with a 1e-2 ridge")
+
+
+def _syrk_update(panel: np.ndarray, rows: slice, k0: int, c0: int, c1: int):
+    """The lower triangle of rows ``c0:c1`` of the row ``panel`` (factor rows
+    ``rows``) in columns ``c0:c1``, minus their product with columns
+    ``k0:c0``, by one SYRK.  Returns the Fortran-ordered transpose of those
+    rows in columns ``k0:c0``, or ``None`` when ``k0 == c0``."""
+    if k0 == c0:
+        return None
+    # The scipy wrappers take Fortran-ordered operands: slices of the
+    # panel's transpose reach them as column copies, not transposing ones.
+    wt, j0, j1 = panel.T, c0 - rows.start, c1 - rows.start
+    left = np.asfortranarray(wt[k0:c0, j0:j1])
+    # A Fortran-ordered upper triangle is the C-ordered lower one.
+    wt[c0:c1, j0:j1] = dsyrk(-1.0, left, 1.0, wt[c0:c1, j0:j1], trans=1)
+    return left
 
 
 # --------------------------------------------------------------------------- #
@@ -286,7 +317,8 @@ class CholeskyResult:
         One GEMM per row panel and stored precision over the whole stack
         (float32 panels multiply ``z`` rounded to float32), summed in float64.
         A row's bits do not depend on what is stacked with it — BLAS picks
-        other kernels for short stacks, hence the zero rows up to the floor.
+        other kernels for short stacks, hence the zero rows up to the floor,
+        copied on here unless the caller's stack has them (the year loop's).
         """
         m, n = z.shape
         if m < _ROW_FLOOR:
@@ -504,7 +536,9 @@ class MixedPrecisionCholesky:
             raise ValueError(f"matrix must be square, got shape {matrix.shape}")
         work = _working_panels(len(matrix), self.tile_size)
         for rows, panel in work:
-            panel[:rows.stop - rows.start] = np.tril(matrix[rows, :rows.stop], rows.start)
+            panel[:rows.stop - rows.start] = matrix[rows, :rows.stop]
+            diagonal = panel[:rows.stop - rows.start, rows]
+            diagonal[...] = np.tril(diagonal)
         return self.factorize_panels(work)
 
     def covariance_panels(self, samples: np.ndarray, ridge: float = 0.0) -> list:

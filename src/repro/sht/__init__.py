@@ -30,12 +30,14 @@ by ``idx = l*l + l + m`` for degree ``0 <= l < L`` and order ``-l <= m <= l``
 from repro.sht.grid import Grid
 from repro.sht.transform import SHTPlan
 from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
+from repro.sht.realform import complex_from_real
 from repro.sht.spectrum import spectrum_from_grid
 
 __all__ = [
     "Grid",
     "SHTPlan",
     "clear_plan_cache",
+    "complex_from_real",
     "get_plan",
     "plan_cache_stats",
     "spectrum_from_grid",

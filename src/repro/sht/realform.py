@@ -4,8 +4,8 @@ A real field has complex coefficients obeying the conjugate symmetry
 ``f_{l,-m} = (-1)^m conj(f_{l,m})``, i.e. exactly ``L^2`` real degrees of
 freedom.  The emulator's temporal model (the VAR and the innovation
 covariance ``U`` of Eq. 9) operates on the real vector ``f_t in R^{L^2}``;
-this module provides the orthogonal change of basis between the complex
-coefficient vector and that real vector:
+the orthogonal change of basis between the complex coefficient vector and
+that real vector is:
 
 * ``m = 0`` terms map to themselves (they are real);
 * for ``m > 0`` the pair ``(f_{l,m}, f_{l,-m})`` maps to
@@ -13,7 +13,10 @@ coefficient vector and that real vector:
 
 The scaling keeps the transformation orthogonal, so Euclidean norms (and
 therefore angular power spectra and Gaussian covariance structure) are
-preserved between the two representations.
+preserved between the two representations.  The transforms pack and unpack
+it themselves: ``SHTPlan.forward_realform`` analyses straight to the real
+form and ``SHTPlan.inverse_realform`` synthesises straight from it;
+:func:`complex_from_real` is the unpacking on its own.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from repro.sht.transform import bandlimit_from_coeff_count, degrees_and_orders
 
-__all__ = ["real_from_complex", "complex_from_real"]
+__all__ = ["complex_from_real"]
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -43,31 +46,6 @@ def _tables(lmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     for table in tables:
         table.setflags(write=False)
     return tables
-
-
-def real_from_complex(coeffs: np.ndarray) -> np.ndarray:
-    """Pack complex coefficient vector(s) into the real representation.
-
-    Parameters
-    ----------
-    coeffs:
-        Complex array of shape ``(..., L**2)`` with conjugate symmetry (the
-        negative-order entries are ignored; only ``m >= 0`` is read).
-
-    Returns
-    -------
-    numpy.ndarray
-        Real array of shape ``(..., L**2)``.
-    """
-    coeffs = np.asarray(coeffs)
-    lmax = bandlimit_from_coeff_count(coeffs.shape[-1])
-    zero, pos, neg, _ = _tables(lmax)
-    out = np.empty(coeffs.shape[:-1] + (lmax * lmax,), dtype=np.float64)
-    out[..., zero] = coeffs[..., zero].real
-    c = coeffs[..., pos]
-    out[..., pos] = _SQRT2 * c.real
-    out[..., neg] = _SQRT2 * c.imag
-    return out
 
 
 def complex_from_real(real_coeffs: np.ndarray) -> np.ndarray:

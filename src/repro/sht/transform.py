@@ -433,23 +433,34 @@ class SHTPlan:
         ``complex128`` ``(..., L**2)`` with the negative orders filled by
         ``f_{l,-m} = (-1)**m conj(f_{l,m})``.
         """
-        lmax = self.lmax
-        lead = k.shape[2:-1]
-        flat = k.reshape((lmax, -1, k.shape[-1]))
-        n_rows = flat.shape[1] // 2
-        n_half = self._sign.size
-        packed = np.empty((flat.shape[1], n_half))
-        for m, op in enumerate(self._ana_ops):
-            np.matmul(flat[m], op, out=packed[:, self._offsets[m]:self._offsets[m + 1]])
+        packed = self._analysis_gemms(k)
+        n_rows, n_half = packed.shape[0] // 2, self._sign.size
         both = np.empty((n_rows, 2 * n_half), dtype=np.complex128)
         both.real[:, :n_half] = packed[:n_rows]
         both.imag[:, :n_half] = packed[n_rows:]
         np.multiply(packed[:n_rows], self._sign, out=both.real[:, n_half:])
         np.multiply(packed[n_rows:], -self._sign, out=both.imag[:, n_half:])
-        return np.take(both, self._unpack, axis=1).reshape(lead + (self.n_coeffs,))
+        return np.take(both, self._unpack, axis=1).reshape(k.shape[2:-1] + (self.n_coeffs,))
 
-    def _analyze_block(self, data: np.ndarray) -> np.ndarray:
-        """One unblocked analysis pass: longitude stage plus GEMM contraction."""
+    def _contraction_to_realform(self, k: np.ndarray) -> np.ndarray:
+        """:meth:`wigner_contraction_forward` in the real packing, bit for bit:
+        the ``[re | im]`` rows of the packed output, ``sqrt(2)`` times for
+        ``m > 0``, gathered by ``_unpack`` (``(l, -m)`` reads ``(l, m)``'s ``im``)."""
+        packed = self._analysis_gemms(k)
+        packed[:, self._offsets[1]:] *= np.sqrt(2.0)
+        rows = np.concatenate(np.split(packed, 2), axis=1)
+        return np.take(rows, self._unpack, axis=1).reshape(k.shape[2:-1] + (self.n_coeffs,))
+
+    def _analysis_gemms(self, k: np.ndarray) -> np.ndarray:
+        """One analysis GEMM per order: the packed ``[re rows | im rows]``."""
+        flat = k.reshape((self.lmax, -1, k.shape[-1]))
+        packed = np.empty((flat.shape[1], self._sign.size))
+        for m, op in enumerate(self._ana_ops):
+            np.matmul(flat[m], op, out=packed[:, self._offsets[m]:self._offsets[m + 1]])
+        return packed
+
+    def _analyze_block(self, data: np.ndarray, contraction) -> np.ndarray:
+        """One unblocked analysis pass: longitude stage plus GEMM ``contraction``."""
         with span("sht.forward.fft", method=self._longitude_method):
             k = self.colatitude_fourier(self.longitude_fourier(data))
         n_slices = int(np.prod(k.shape[2:-1]))
@@ -457,7 +468,7 @@ class SHTPlan:
             "sht.forward.contraction",
             flops=sht_contraction_flops(self.lmax, n_slices, self.grid.ntheta),
         ):
-            return self.wigner_contraction_forward(k)
+            return contraction(k)
 
     def forward(self, data: np.ndarray) -> np.ndarray:
         """Full analysis: grid field(s) to spectral coefficients.
@@ -486,22 +497,35 @@ class SHTPlan:
             independently per leading slice.
         """
         data = np.asarray(data)
+        if np.iscomplexobj(data):
+            return self.forward(data.real) + 1j * self.forward(data.imag)
+        return self._analyze(self.wigner_contraction_forward, data, np.complex128)
+
+    def forward_realform(self, data: np.ndarray) -> np.ndarray:
+        """``forward(data)`` in the real packing, bit for bit, for real ``data``.
+
+        ``float64`` ``(..., L**2)`` in the packing the emulator's VAR carries,
+        gathered straight from the per-order GEMM output (the mirror of
+        :meth:`inverse_realform`); the rest is :meth:`forward`'s own code.
+        """
+        return self._analyze(self._contraction_to_realform, np.asarray(data), np.float64)
+
+    def _analyze(self, contraction, data: np.ndarray, dtype) -> np.ndarray:
+        """The analysis of real ``data`` in blocks of leading slices, under spans."""
         if data.shape[-2:] != self.grid.shape:
             raise ValueError(
                 f"field shape {data.shape[-2:]} does not match grid {self.grid.shape}"
             )
-        if np.iscomplexobj(data):
-            return self.forward(data.real) + 1j * self.forward(data.imag)
         lead = data.shape[:-2]
         n_flat = int(np.prod(lead))
         with span("sht.forward", lmax=self.lmax, slices=n_flat, bytes=data.nbytes):
             if n_flat <= _ANALYSIS_BLOCK:
-                return self._analyze_block(data)
+                return self._analyze_block(data, contraction)
             flat = data.reshape((n_flat,) + self.grid.shape)
-            coeffs = np.empty((n_flat, self.n_coeffs), dtype=np.complex128)
+            coeffs = np.empty((n_flat, self.n_coeffs), dtype=dtype)
             for start in range(0, n_flat, _ANALYSIS_BLOCK):
                 block = flat[start:start + _ANALYSIS_BLOCK]
-                coeffs[start:start + _ANALYSIS_BLOCK] = self._analyze_block(block)
+                coeffs[start:start + _ANALYSIS_BLOCK] = self._analyze_block(block, contraction)
             return coeffs.reshape(lead + (self.n_coeffs,))
 
     # ------------------------------------------------------------------ #

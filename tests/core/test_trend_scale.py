@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.scale import ScaleField
 from repro.core.trend import MeanTrendModel, TrendFit, distributed_lag_series
+from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.scenarios import resolve_scenario
 
 
@@ -171,6 +172,63 @@ class TestPredictOracle:
             model.predict(24, forcing, fit, t_start=24),
             _predict_oracle(model, 24, forcing, fit, t_start=24),
         )
+
+
+def _fit_oracle(model, data, forcing):
+    """The ``lstsq`` per candidate ``rho`` that ``MeanTrendModel.fit`` used to
+    run: ``(coefficients (p, n), rho (n,), sse (n,))`` over flat locations."""
+    data = np.asarray(data, dtype=np.float64)
+    target = data.mean(axis=0).reshape(data.shape[1], -1)
+    best = (None, np.zeros(target.shape[1]), np.full(target.shape[1], np.inf))
+    for rho in model.rho_grid if model.use_distributed_lag else (0.0,):
+        design = model.design_matrix(data.shape[1], forcing, rho)
+        coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
+        sse = np.sum((target - design @ coeffs) ** 2, axis=0)
+        improved = sse < best[2]
+        best_coeffs = coeffs.copy() if best[0] is None else best[0]
+        best_coeffs[:, improved] = coeffs[:, improved]
+        best[1][improved] = rho
+        best[2][improved] = sse[improved]
+        best = (best_coeffs, best[1], best[2])
+    return best
+
+
+class TestFitOracle:
+    """One SVD of the design per ``rho`` gives ``lstsq``'s minimum-norm
+    solution (same rank cutoff) to rounding, and the same ``rho`` everywhere."""
+
+    def _check(self, model, data, forcing):
+        fit = model.fit(data, forcing)
+        coeffs, rho, sse = _fit_oracle(model, data, forcing)
+        n_params = coeffs.shape[0]
+        ours = fit.coefficients.reshape(-1, n_params).T
+        assert np.max(np.abs(ours - coeffs)) <= 1e-12 * np.max(np.abs(coeffs))
+        assert np.array_equal(fit.rho.reshape(-1), rho)
+        dof = data.shape[1] - n_params
+        variance = fit.residual_variance.reshape(-1)
+        assert np.max(np.abs(variance - sse / dof)) <= 1e-12 * np.max(sse / dof)
+
+    def test_a_fitted_ensemble(self):
+        """Six years: with three or fewer, ``[1, x, d(rho)]`` spans the year
+        indicators for every ``rho``, the sums of squares tie and rounding
+        picks ``rho``."""
+        config = Era5LikeConfig(lmax=8, n_years=6, steps_per_year=24, n_ensemble=2,
+                                forcing_growth=1.0)
+        ensemble = Era5LikeGenerator(config, seed=43).generate()
+        model = MeanTrendModel(steps_per_year=ensemble.steps_per_year)
+        self._check(model, ensemble.data, ensemble.forcing_annual)
+        assert len(np.unique(model.fit_result.rho)) > 1
+
+    def test_a_rank_deficient_design_gets_the_minimum_norm_solution(self):
+        """Constant forcing makes the forcing and lagged-forcing columns
+        multiples of the intercept: rank ``p - 2``."""
+        local = np.random.default_rng(41)
+        model = MeanTrendModel(steps_per_year=12, n_harmonics=2, rho_grid=(0.5,))
+        forcing = np.full(4, 2.0)
+        design = model.design_matrix(48, forcing, 0.5)
+        assert np.linalg.matrix_rank(design) == design.shape[1] - 2
+        data = local.standard_normal((2, 48, 3, 5)) + 7.0
+        self._check(model, data, forcing)
 
 
 class TestScaleField:

@@ -126,6 +126,41 @@ class TestSimulateOracle:
         assert np.array_equal(var.simulate(short, initial=initial), expected_short)
 
 
+def _fit_oracle(series, order, ridge=1e-10):
+    """The ``(T, K, P)`` three-operand ``einsum`` ``_DiagonalVAR.fit`` used to
+    build its per-coefficient normal equations with, pooling members."""
+    series = np.asarray(series, dtype=np.float64)
+    series = series[None] if series.ndim == 2 else series
+    n_times, n_comp = series.shape[1:]
+    if order == 0:
+        return np.zeros((0, n_comp))
+    a, b = np.zeros((n_comp, order, order)), np.zeros((n_comp, order))
+    for x in series:
+        lags = np.stack([x[order - q - 1:n_times - q - 1] for q in range(order)], axis=-1)
+        a += np.einsum("tkp,tkq->kpq", lags, lags)
+        b += np.einsum("tkp,tk->kp", lags, x[order:])
+    a += ridge * np.eye(order)[None]
+    return np.linalg.solve(a, b[..., None])[..., 0].T
+
+
+class TestFitOracle:
+    """One reduction over members and time per lag pair builds the normal
+    equations the ``einsum`` did, to rounding."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("members", [None, 1, 3], ids=["2d", "one", "pooled"])
+    def test_equals_the_einsum(self, order, members):
+        local = np.random.default_rng(200 + order)
+        shape = (40, 7) if members is None else (members, 40, 7)
+        series = np.cumsum(local.standard_normal(shape), axis=-2) * 0.3
+        fitted = _DiagonalVAR(order=order).fit(series).coefficients
+        expected = _fit_oracle(series, order)
+        assert fitted.shape == expected.shape == (order, 7)
+        assert np.max(np.abs(fitted - expected), initial=0.0) <= 1e-12 * max(
+            np.max(np.abs(expected), initial=0.0), 1.0
+        )
+
+
 class TestSpectralStochasticModel:
     @pytest.fixture(scope="class")
     def fitted(self, request):

@@ -10,6 +10,7 @@ the bytes of one yielded ``(B, steps_per_year, ntheta, nphi)`` year.
 
 from __future__ import annotations
 
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -86,3 +87,29 @@ def test_a_streamed_year_allocates_a_bounded_amount_that_does_not_grow(year_emul
     assert max(peaks) <= MAX_OUTPUT_YEARS, peaks
     # Year 0 also builds the trend's rho groups; after it, every year costs the same.
     assert max(peaks[1:]) - peaks[1] < 0.05, peaks
+
+
+def test_a_year_shorter_than_the_row_floor_is_not_padded_by_a_copy(monkeypatch):
+    """``B = 1``, one year of steps: the normals stack is under the factor multiply's
+    32-row floor, and the year loop's zero-padded scratch hands it the floor's
+    height, so ``correlate`` concatenates nothing."""
+    from repro.linalg.cholesky import _ROW_FLOOR
+
+    generator = repro.load(ARTIFACT).generator()
+    assert generator.steps_per_year < _ROW_FLOOR
+    callers = []
+    concatenate = np.concatenate
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", spy)
+    forcing = resolve_scenario("ssp-high").annual_forcing(2)
+    stream = generator.generate_stream_multi(
+        _member_rngs(5, range(1)), 2 * generator.steps_per_year, forcing
+    )
+    for _ in range(2):
+        next(stream)
+    assert "_draw_year" in callers  # the spy sees the loop's own concatenate
+    assert "correlate" not in callers

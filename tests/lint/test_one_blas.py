@@ -2,11 +2,12 @@
 start calling two.
 
 numpy and scipy each bundle their own OpenBLAS with its own thread pool.
-``repro.linalg.cholesky._factor_panels`` makes every GEMM, POTRF and TRSM
-call, and ``MixedPrecisionCholesky.covariance_panels`` every SYRK and GEMM
-of the panel fill before it, through ``scipy.linalg``; one numpy product in
-either puts the second pool back and the two spin against each other
-(k = 2,304 on 2 cores: 0.277 s mixed against 0.114 s all through scipy).
+``repro.linalg.cholesky._factor_panels`` makes every SYRK, GEMM, POTRF and
+TRSM call, and ``MixedPrecisionCholesky.covariance_panels`` every SYRK and
+GEMM of the panel fill before it, through ``scipy.linalg``; one numpy
+product in either, or in any module function they call, puts the second
+pool back and the two spin against each other (k = 2,304 on 2 cores:
+0.277 s mixed against 0.114 s all through scipy).
 """
 
 from __future__ import annotations
@@ -21,13 +22,33 @@ CHOLESKY = REPO_ROOT / "src" / "repro" / "linalg" / "cholesky.py"
 _NUMPY_PRODUCTS = {"matmul", "dot", "vdot", "inner", "outer", "einsum", "tensordot"}
 
 
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def reachable(source: str, function: str) -> list[str]:
+    """``function`` and every module-level function it calls, transitively."""
+    tree = ast.parse(source)
+    module_functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    seen, pending = [], [function]
+    while pending:
+        name = pending.pop()
+        if name in seen:
+            continue
+        seen.append(name)
+        pending += [
+            node.func.id for node in ast.walk(_function(tree, name))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in module_functions
+        ]
+    return seen
+
+
 def numpy_blas_calls(source: str, function: str) -> list[int]:
     """Line numbers of ``@``, numpy products and ``np.linalg`` calls in ``function``."""
-    tree = ast.parse(source)
-    body = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == function
-    )
+    body = _function(ast.parse(source), function)
     lines = []
     for node in ast.walk(body):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
@@ -57,7 +78,25 @@ def test_detector_sees_the_calls_it_guards_against():
     assert calls("return np.tril(a) + np.eye(3)") == []
 
 
-@pytest.mark.parametrize("function", ["covariance_panels", "_factor_panels"])
-def test_the_fit_uses_only_scipy_blas(function):
-    lines = numpy_blas_calls(CHOLESKY.read_text(encoding="utf-8"), function)
-    assert not lines, f"numpy BLAS in {function} at {CHOLESKY.name} lines {lines}"
+def test_the_guard_follows_the_calls_into_helpers():
+    source = (
+        "def loop(a, b):\n    return step(a, b)\n\n"
+        "def step(a, b):\n    return inner(a) + b\n\n"
+        "def inner(a):\n    return a @ a\n"
+    )
+    assert reachable(source, "loop") == ["loop", "step", "inner"]
+    assert {f: numpy_blas_calls(source, f) for f in reachable(source, "loop")} == {
+        "loop": [], "step": [], "inner": [8],
+    }
+
+
+def test_the_loop_is_guarded_with_every_helper_it_calls():
+    helpers = set(reachable(CHOLESKY.read_text(encoding="utf-8"), "_factor_panels"))
+    assert {"_syrk_update", "_potrf", "_split", "_parts"} <= helpers
+
+
+@pytest.mark.parametrize("root", ["covariance_panels", "_factor_panels"])
+def test_the_fit_uses_only_scipy_blas(root):
+    source = CHOLESKY.read_text(encoding="utf-8")
+    found = {f: numpy_blas_calls(source, f) for f in reachable(source, root)}
+    assert not any(found.values()), f"numpy BLAS under {root} in {CHOLESKY.name}: {found}"

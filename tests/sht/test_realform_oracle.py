@@ -8,7 +8,8 @@ included, which ``==`` alone would not see.
 import numpy as np
 import pytest
 
-from repro.sht.realform import complex_from_real, real_from_complex
+from real_packing import real_from_complex  # tests/ is on sys.path (rootdir layout)
+from repro.sht.realform import complex_from_real
 from repro.sht.transform import coeff_index
 
 _SQRT2 = np.sqrt(2.0)

@@ -9,7 +9,8 @@ from direct_transform import (  # tests/sht is on sys.path (rootdir layout)
     synthesis_matrix,
 )
 from repro.sht import Grid, SHTPlan, spectrum_from_grid
-from repro.sht.realform import complex_from_real, real_from_complex
+from real_packing import real_from_complex  # tests/ is on sys.path (rootdir layout)
+from repro.sht.realform import complex_from_real
 from repro.sht.spectrum import angular_power_spectrum, red_spectrum, spectral_distance
 from repro.sht.transform import coeff_index
 

@@ -15,6 +15,7 @@ from reference_transform import (  # tests/sht is on sys.path (rootdir layout)
     wigner_contraction_inverse_reference,
 )
 from direct_transform import direct_forward, direct_inverse, legendre_normalized
+from real_packing import real_from_complex  # tests/ is on sys.path (rootdir layout)
 from repro.sht import Grid, SHTPlan, get_plan
 from repro.sht.realform import complex_from_real
 from repro.sht.transform import coeff_index, degrees_and_orders, _num_coeffs
@@ -460,7 +461,7 @@ class TestBatchedForward:
 
         fields = self._fields(small_plan, rng, (transform._ANALYSIS_BLOCK + 5,))
         blocked = small_plan.forward(fields)  # > _ANALYSIS_BLOCK leading slices
-        single_pass = small_plan._analyze_block(fields)
+        single_pass = small_plan._analyze_block(fields, small_plan.wigner_contraction_forward)
         np.testing.assert_array_equal(blocked, single_pass)
 
     def test_blocked_analysis_with_ragged_final_single_slice(self, small_plan, rng):
@@ -470,7 +471,9 @@ class TestBatchedForward:
         fields = self._fields(small_plan, rng, (transform._ANALYSIS_BLOCK + 1,))
         blocked = small_plan.forward(fields)
         np.testing.assert_array_equal(blocked[-1], small_plan.forward(fields[-1]))
-        np.testing.assert_array_equal(blocked, small_plan._analyze_block(fields))
+        np.testing.assert_array_equal(
+            blocked, small_plan._analyze_block(fields, small_plan.wigner_contraction_forward)
+        )
 
     def test_stacked_2d_batch_shape(self, small_plan, rng):
         fields = self._fields(small_plan, rng, (2, 3))
@@ -619,7 +622,9 @@ class TestSliceIdentityAtBenchmarkSize:
         np.testing.assert_array_equal(
             fields, plan.synthesis_from_fourier(plan.wigner_contraction_inverse(coeffs))
         )
-        np.testing.assert_array_equal(recovered, plan._analyze_block(fields))
+        np.testing.assert_array_equal(
+            recovered, plan._analyze_block(fields, plan.wigner_contraction_forward)
+        )
         for height in (1, 2, 31, 33, 35):
             for start in (0, total - height):
                 rows = slice(start, start + height)
@@ -687,7 +692,30 @@ class TestLongitudeStage:
 
 
 class TestRealformEntry:
-    """``inverse_realform`` is ``inverse(complex_from_real(.))`` without the detour."""
+    """``inverse_realform`` is ``inverse(complex_from_real(.))`` and
+    ``forward_realform`` is ``real_from_complex(forward(.))`` without the detour."""
+
+    @pytest.mark.parametrize("lmax", [1, 8, 33])
+    def test_forward_same_bits_as_the_complex_path(self, lmax):
+        from repro.sht import transform
+
+        plan = get_plan("fast", lmax, Grid.for_bandlimit(lmax))
+        rng = np.random.default_rng(300 + lmax)
+        # One slice, a batch, and more slices than one analysis block.
+        for lead in ((), (1,), (4, 9), (transform._ANALYSIS_BLOCK + 5,), (0,)):
+            fields = rng.standard_normal(lead + plan.grid.shape)
+            series = plan.forward_realform(fields)
+            expected = real_from_complex(plan.forward(fields))
+            assert series.dtype == np.float64 and series.shape == expected.shape
+            np.testing.assert_array_equal(series, expected)
+            np.testing.assert_array_equal(np.signbit(series), np.signbit(expected))
+        batch = rng.standard_normal((3,) + plan.grid.shape)
+        for b in range(3):
+            np.testing.assert_array_equal(
+                plan.forward_realform(batch)[b], plan.forward_realform(batch[b])
+            )
+        with pytest.raises(ValueError, match="grid"):
+            plan.forward_realform(batch[..., :-1])
 
     @pytest.mark.parametrize("lmax", [1, 2, 8, 33, 64])
     def test_same_bits_as_the_complex_path(self, lmax):

@@ -25,7 +25,8 @@ from repro.linalg.precision import _PRECISIONS, Precision
 from repro.scenarios import resolve_scenario
 from repro.sht import Grid, SHTPlan, transform
 from repro.sht.quadrature import _exponential_sine_integral
-from repro.sht.realform import complex_from_real, real_from_complex
+from real_packing import real_from_complex  # tests/ is on sys.path (rootdir layout)
+from repro.sht.realform import complex_from_real
 from repro.sht.spectrum import angular_power_spectrum
 
 _SETTINGS = settings(

@@ -97,6 +97,7 @@ def generate() -> str:
     from repro.scenarios.spec import ScenarioSpec
     from repro.serving.request import FieldRequest
     from repro.serving.service import EmulationService
+    from repro.sht import SHTPlan
     from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
     from repro.storage.accounting import (
         campaign_storage_report,
@@ -178,6 +179,9 @@ def generate() -> str:
         ("repro.clear_plan_cache", clear_plan_cache),
     ):
         parts.append(_entry(qualname, obj))
+    parts.append(_entry("repro.sht.SHTPlan", SHTPlan,
+                        methods=("forward", "forward_realform", "inverse",
+                                 "inverse_realform")))
 
     parts.append("## Scenarios\n")
     parts.append(
