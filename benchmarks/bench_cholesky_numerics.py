@@ -72,7 +72,7 @@ def test_cholesky_dag_structure(benchmark, bench_covariance):
 @pytest.mark.benchmark(group="cholesky-real")
 def test_dense_reference_throughput(benchmark, bench_covariance):
     """Baseline: LAPACK dense Cholesky of the same covariance (for context)."""
-    from repro.linalg import dense_cholesky
+    from repro.linalg.cholesky import dense_cholesky
 
     lower = benchmark(dense_cholesky, bench_covariance)
     n = bench_covariance.shape[0]

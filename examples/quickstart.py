@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 import repro
-from repro.linalg import VARIANTS
+from repro.linalg.policies import VARIANTS
 from repro.stats import consistency_report, field_moments
 from repro.storage import format_bytes
 

@@ -37,7 +37,7 @@ import tempfile
 import numpy as np
 
 import repro
-from repro.scenarios import GHGRamp, Stabilisation
+from repro.scenarios.components import GHGRamp, Stabilisation
 from repro.storage import campaign_storage_report, format_bytes
 
 

@@ -23,20 +23,18 @@ Modules
 * :mod:`repro.core.emulator` — the end-to-end :class:`ClimateEmulator` API.
 * :mod:`repro.core.window` — windowed (lat/lon) extraction from emulated
   chunks, used by the serving layer.
+
+The package exports the emulator, its configuration and the spatial
+window.  The model components (``MeanTrendModel``, ``ScaleField``,
+``SpectralStochasticModel``) are imported from their modules.
 """
 
 from repro.core.config import EmulatorConfig
-from repro.core.trend import MeanTrendModel
-from repro.core.scale import ScaleField
-from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.emulator import ClimateEmulator
 from repro.core.window import SpatialWindow
 
 __all__ = [
     "ClimateEmulator",
     "EmulatorConfig",
-    "MeanTrendModel",
-    "ScaleField",
     "SpatialWindow",
-    "SpectralStochasticModel",
 ]

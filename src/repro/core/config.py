@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
-import numpy as np
+from dataclasses import dataclass, fields
 
 from repro.linalg.policies import tile_codes
 from repro.sht.plancache import _check_sht_method
@@ -82,11 +80,6 @@ class EmulatorConfig:
     def n_coeffs(self) -> int:
         """Size of the spectral state vector, ``L**2``."""
         return self.lmax * self.lmax
-
-    def trend_design_size(self) -> int:
-        """Number of regressors in the mean-trend design matrix."""
-        base = 2 + (1 if self.use_distributed_lag else 0)
-        return base + 2 * self.n_harmonics
 
     def describe(self) -> dict:
         """A plain-dict summary (used by reports and examples)."""

@@ -54,10 +54,6 @@ class ScaleField:
         """Divide residual fields by the scale (broadcast over leading axes)."""
         return np.asarray(residuals, dtype=np.float64) / self.sigma
 
-    def unstandardize(self, fields: np.ndarray) -> np.ndarray:
-        """Multiply standardised fields by the scale."""
-        return np.asarray(fields, dtype=np.float64) * self.sigma
-
     @property
     def shape(self) -> tuple[int, ...]:
         """Spatial shape of the field."""

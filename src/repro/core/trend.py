@@ -71,26 +71,6 @@ class TrendFit:
         coeffs = self.coefficients.reshape(rho.size, -1)
         return values, [coeffs[index] for index in np.split(order, starts[1:])], np.argsort(order)
 
-    @property
-    def intercept(self) -> np.ndarray:
-        """``beta_0`` field."""
-        return self.coefficients[..., 0]
-
-    @property
-    def forcing_slope(self) -> np.ndarray:
-        """``beta_1`` field."""
-        return self.coefficients[..., 1]
-
-    def harmonic_amplitude(self, k: int = 1) -> np.ndarray:
-        """Amplitude ``sqrt(a_k^2 + b_k^2)`` of harmonic ``k``."""
-        names = self.regressor_names
-        try:
-            ia = names.index(f"cos{k}")
-            ib = names.index(f"sin{k}")
-        except ValueError as exc:
-            raise ValueError(f"harmonic {k} not in the model") from exc
-        return np.sqrt(self.coefficients[..., ia] ** 2 + self.coefficients[..., ib] ** 2)
-
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #

@@ -87,22 +87,6 @@ class _DiagonalVAR:
             raise RuntimeError("fit() must be called first")
         return self.coefficients
 
-    def predict_one_step(self, history: np.ndarray) -> np.ndarray:
-        """One-step prediction from the last ``P`` rows of ``history``.
-
-        ``history`` has shape ``(..., >=P, K)``; returns ``(..., K)``.
-        """
-        coeffs = self._require_fit()
-        p = self.order
-        if p == 0:
-            return np.zeros(history.shape[:-2] + history.shape[-1:])
-        recent = history[..., -p:, :]
-        # coefficient for lag q multiplies history at index -q-1
-        pred = np.zeros(history.shape[:-2] + (history.shape[-1],))
-        for q in range(p):
-            pred = pred + coeffs[q] * recent[..., -q - 1, :]
-        return pred
-
     def innovations(self, series: np.ndarray) -> np.ndarray:
         """Residuals ``xi_t = f_t - sum_p Phi_p f_{t-p}``.
 
@@ -175,21 +159,6 @@ class _DiagonalVAR:
         return out[0] if squeeze else out
 
     # ------------------------------------------------------------------ #
-    # Diagnostics
-    # ------------------------------------------------------------------ #
-    def spectral_radius(self) -> np.ndarray:
-        """Largest AR characteristic-root modulus per component.
-
-        Values below one indicate a stationary (stable) process; the
-        emulator checks this before generating long emulations.
-        """
-        coeffs = self._require_fit()
-        p, n_comp = coeffs.shape
-        if p == 0:
-            return np.zeros(n_comp)
-        return self._companion_radii(coeffs)
-
-    # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict:
@@ -212,15 +181,3 @@ class _DiagonalVAR:
         if coefficients is not None:
             var.coefficients = np.asarray(coefficients, dtype=np.float64)
         return var
-
-    @staticmethod
-    def _companion_radii(coeffs: np.ndarray) -> np.ndarray:
-        p, n_comp = coeffs.shape
-        radii = np.empty(n_comp)
-        for k in range(n_comp):
-            companion = np.zeros((p, p))
-            companion[0, :] = coeffs[:, k]
-            if p > 1:
-                companion[1:, :-1] = np.eye(p - 1)
-            radii[k] = np.max(np.abs(np.linalg.eigvals(companion)))
-        return radii

@@ -6,7 +6,8 @@ that replay layer:
 
 * :mod:`repro.scenarios.components` — additive forcing building blocks
   (GHG ramps, volcanic eruptions, aerosol offsets, the solar cycle,
-  stabilisation-to-target), each a small serialisable dataclass;
+  stabilisation-to-target), each a small serialisable dataclass, imported
+  from that module (the package does not re-export them);
 * :mod:`repro.scenarios.spec` — :class:`ScenarioSpec`, a named sum of
   components with the pipeline-wide ``state_dict()`` / ``from_state()``
   protocol; accepted directly by ``repro.emulate`` in place of a forcing
@@ -27,13 +28,6 @@ scenario must not pull in ``repro.api``.
 
 from __future__ import annotations
 
-from repro.scenarios.components import (
-    AerosolOffset,
-    GHGRamp,
-    SolarCycle,
-    Stabilisation,
-    VolcanicEruption,
-)
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.registry import (
     SCENARIOS,
@@ -43,14 +37,9 @@ from repro.scenarios.registry import (
 )
 
 __all__ = [
-    "AerosolOffset",
     "CampaignManifest",
-    "GHGRamp",
     "SCENARIOS",
     "ScenarioSpec",
-    "SolarCycle",
-    "Stabilisation",
-    "VolcanicEruption",
     "iter_chunk_arrays",
     "list_scenarios",
     "plan_campaign",

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.window import SpatialWindow
 from repro.scenarios.registry import resolve_scenario, stream_address, stream_state
 from repro.scenarios.spec import ScenarioSpec
@@ -84,10 +86,15 @@ class FieldRequest:
     start_level: float = 2.5
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "realization", int(self.realization))
-        object.__setattr__(self, "year_start", int(self.year_start))
-        stop = self.year_start + 1 if self.year_stop is None else int(self.year_stop)
-        object.__setattr__(self, "year_stop", stop)
+        if self.year_stop is None:
+            object.__setattr__(self, "year_stop", self.year_start + 1)
+        # A float or a ``bool`` is refused rather than truncated: ``2.5``
+        # would serve realization 2, and ``True`` realization 1.
+        for name in ("realization", "year_start", "year_stop"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "include_nugget", bool(self.include_nugget))
         object.__setattr__(self, "start_level", float(self.start_level))
         if not isinstance(self.scenario, (str, ScenarioSpec)):

@@ -167,10 +167,6 @@ class Grid:
         areas = self.cell_areas()
         return areas / areas.sum()
 
-    def data_points(self, ntime: int, nensemble: int = 1) -> int:
-        """Total data-point count ``R * T * N_theta * N_phi`` (paper II-B)."""
-        return nensemble * ntime * self.npoints
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Grid(ntheta={self.ntheta}, nphi={self.nphi}, "

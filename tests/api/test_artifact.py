@@ -23,8 +23,7 @@ from repro.api.artifact import (
 from repro.core import ClimateEmulator, EmulatorConfig
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.data import Era5LikeConfig, Era5LikeGenerator
-from repro.linalg import Precision
-from repro.linalg.precision import _PRECISIONS
+from repro.linalg.precision import _PRECISIONS, Precision
 from repro.storage import measured_artifact_report
 from repro.util.numerics import NUMERICS_REVISION
 from repro.util.registry import UnknownBackendError

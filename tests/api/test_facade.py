@@ -17,6 +17,22 @@ class TestTopLevelExports:
                      "emulate_stream", "get_plan"):
             assert hasattr(repro, name), name
 
+    def test_top_level_surface_is_pinned(self):
+        """``repro.__all__`` is exactly these names: dropping or adding a
+        public name is a deliberate edit here, not a side effect."""
+        assert repro.__all__ == [
+            "ArtifactError", "CampaignManifest", "ChunkStore", "ClimateEmulator",
+            "ClimateEnsemble", "EmulationService", "EmulatorArtifact", "EmulatorConfig",
+            "Era5LikeConfig", "Era5LikeGenerator", "FieldRequest", "MachineProfile",
+            "SCENARIOS", "SCHEMA_VERSION", "ScenarioSpec", "SchemaVersionError",
+            "SpatialWindow", "UnknownBackendError", "__version__", "calibrate_machine",
+            "clear_plan_cache", "emulate", "emulate_stream", "fit", "get_plan",
+            "iter_chunk_arrays", "list_scenarios", "load", "obs", "plan_cache_stats",
+            "register_scenario", "run_campaign", "save", "serve",
+        ]
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+
     def test_api_subpackage_exports(self):
         from repro import api
 
@@ -160,7 +176,7 @@ class TestEmulateStream:
             assert chunk.metadata["stream_offset"] == t_start
             reference = (
                 mean_full[t_start:t_start + spy][None, ...]
-                + fitted_emulator.scale.unstandardize(z)
+                + z * fitted_emulator.scale.sigma
             )
             assert np.array_equal(chunk.data, reference)
 

@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.core import ClimateEmulator, EmulatorConfig
-from repro.linalg import VARIANTS
+from repro.linalg.policies import VARIANTS
 from repro.scenarios import resolve_scenario
 from repro.stats import consistency_report
 
@@ -14,7 +14,6 @@ class TestEmulatorConfig:
     def test_defaults_valid(self):
         cfg = EmulatorConfig()
         assert cfg.n_coeffs == cfg.lmax ** 2
-        assert cfg.trend_design_size() == 3 + 2 * cfg.n_harmonics
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ from factor_state import (  # tests/ is on sys.path (rootdir layout)
 )
 from scipy.linalg.blas import dsyrk
 
-from repro.linalg import MixedPrecisionCholesky, VARIANTS, dense_cholesky, tile_codes
-from repro.linalg.cholesky import CholeskyResult
+from repro.linalg import MixedPrecisionCholesky, tile_codes
+from repro.linalg.cholesky import CholeskyResult, dense_cholesky
+from repro.linalg.policies import VARIANTS
 from repro.linalg.precision import _PRECISIONS, Precision
 
 
@@ -386,8 +387,9 @@ class TestStoredTiles:
         result = CholeskyResult.from_state(packed_state(lower, 64, variant))
         members = _panel_members(result.state_dict())
         assert sum(m.nbytes for m in members) == result.storage_bytes
+        short_name = {"DP": Precision.DOUBLE, "SP": Precision.SINGLE, "HP": Precision.HALF}
         assert {m.dtype for m in members} == {
-            p.dtype for p in _PRECISIONS if p.short_name in variant.split("/")
+            short_name[code].dtype for code in variant.split("/")
         }
 
     def test_storage_dtype_follows_precision(self, spd_matrix):

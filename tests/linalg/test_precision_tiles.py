@@ -4,8 +4,9 @@ tile-precision variants."""
 import numpy as np
 import pytest
 
-from repro.linalg import VARIANTS, Precision, cholesky_flops, tile_codes
-from repro.linalg.precision import _PRECISIONS, parse_precision
+from repro.linalg import cholesky_flops, tile_codes
+from repro.linalg.policies import VARIANTS
+from repro.linalg.precision import _PRECISIONS, Precision
 
 
 class TestPrecision:
@@ -17,34 +18,6 @@ class TestPrecision:
 
     def test_epsilon_ordering(self):
         assert Precision.DOUBLE.epsilon < Precision.SINGLE.epsilon < Precision.HALF.epsilon
-
-    def test_short_names(self):
-        assert Precision.DOUBLE.short_name == "DP"
-        assert Precision.HALF.short_name == "HP"
-
-    def test_convert_loses_precision(self):
-        values = np.array([1.0 + 1e-5, 2.0 + 1e-9])
-        half = Precision.HALF.convert_via(values)
-        assert half.dtype == np.float64
-        assert abs(half[0] - values[0]) > 0
-        assert np.max(np.abs(half - values)) < 1e-2
-
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("dp", Precision.DOUBLE),
-            ("FP32", Precision.SINGLE),
-            ("half", Precision.HALF),
-            ("s", Precision.SINGLE),
-            (Precision.HALF, Precision.HALF),
-        ],
-    )
-    def test_parse(self, name, expected):
-        assert parse_precision(name) is expected
-
-    def test_parse_unknown(self):
-        with pytest.raises(ValueError):
-            parse_precision("quad")
 
 
 class TestFlops:

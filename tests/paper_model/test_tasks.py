@@ -26,8 +26,9 @@ from benchmarks.paper_model.tasks import (
     syrk_flops,
     trsm_flops,
 )
-from repro.linalg import VARIANTS, MixedPrecisionCholesky, tile_codes
+from repro.linalg import MixedPrecisionCholesky, tile_codes
 from repro.linalg.flops import cholesky_flops
+from repro.linalg.policies import VARIANTS
 from repro.linalg.precision import _PRECISIONS
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

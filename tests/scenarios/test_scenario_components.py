@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from repro.data import Era5LikeConfig, Era5LikeGenerator
-from repro.scenarios import (
+from repro.scenarios import ScenarioSpec, resolve_scenario
+from repro.scenarios.components import (
+    HISTORICAL_VOLCANOES,
     AerosolOffset,
+    ForcingComponent,
     GHGRamp,
-    ScenarioSpec,
     SolarCycle,
     Stabilisation,
     VolcanicEruption,
-    resolve_scenario,
-)
-from repro.scenarios.components import (
-    HISTORICAL_VOLCANOES,
-    ForcingComponent,
     historical_pathway,
 )
 from repro.util.registry import UnknownBackendError

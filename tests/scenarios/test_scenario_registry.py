@@ -6,15 +6,13 @@ import pytest
 import repro
 from repro.scenarios import (
     SCENARIOS,
-    GHGRamp,
     ScenarioSpec,
-    Stabilisation,
     list_scenarios,
     register_scenario,
     resolve_scenario,
 )
 from repro.scenarios import registry
-from repro.scenarios.components import historical_pathway
+from repro.scenarios.components import GHGRamp, Stabilisation, historical_pathway
 from repro.util.registry import UnknownBackendError
 
 LEGACY_NAMES = ["historical", "constant", "linear-ramp", "high-emissions", "stabilisation"]

@@ -27,6 +27,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="realization"):
             FieldRequest("ssp-high", realization=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("realization", 2.5), ("realization", True), ("realization", np.float64(1.0)),
+        ("year_start", 1.9), ("year_start", False), ("year_stop", 3.2), ("year_stop", True),
+    ])
+    def test_rejects_non_integer_indices(self, field, value):
+        """A float or a bool is refused, not truncated to another request."""
+        with pytest.raises(ValueError, match=field):
+            FieldRequest("ssp-high", **{field: value})
+
+    def test_accepts_numpy_integers(self):
+        request = FieldRequest("ssp-high", realization=np.int64(2),
+                               year_start=np.int32(1), year_stop=np.uint8(3))
+        assert request == FieldRequest("ssp-high", realization=2, year_start=1, year_stop=3)
+        assert type(request.realization) is int and type(request.year_stop) is int
+
     def test_rejects_bad_scenario_type(self):
         with pytest.raises(TypeError, match="scenario"):
             FieldRequest(42)

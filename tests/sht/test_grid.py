@@ -77,10 +77,6 @@ class TestGridAreas:
         areas = grid.cell_areas()
         assert areas[0, 0] < areas[9, 0]
 
-    def test_data_points_counting(self):
-        grid = Grid(ntheta=10, nphi=20)
-        assert grid.data_points(ntime=5, nensemble=3) == 3 * 5 * 200
-
 
 class TestResolutionHelpers:
     def test_resolution_bandlimit_roundtrip(self):

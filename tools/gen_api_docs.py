@@ -86,7 +86,7 @@ def generate() -> str:
     from repro.api.artifact import EmulatorArtifact
     from repro.core.window import SpatialWindow
     from repro.data.era5_like import Era5LikeConfig, Era5LikeGenerator
-    from repro.linalg import VARIANTS, policies, tile_codes
+    from repro.linalg import policies, tile_codes
     from repro.scenarios.campaign import (
         CampaignManifest,
         iter_chunk_arrays,
@@ -227,7 +227,8 @@ def generate() -> str:
     parts.append(
         "The tile precision of the innovation covariance's Cholesky factor,\n"
         "selected via `EmulatorConfig.precision_variant` (in any case) from\n"
-        f"the closed table `repro.linalg.VARIANTS`: {', '.join(f'`{v}`' for v in VARIANTS)}.\n"
+        "the closed table `repro.linalg.policies.VARIANTS`: "
+        f"{', '.join(f'`{v}`' for v in policies.VARIANTS)}.\n"
         "Any other name is refused when the config is built.\n"
     )
     parts.append(f"```text\n{_doc(policies)}\n```\n")
