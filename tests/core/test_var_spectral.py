@@ -55,6 +55,27 @@ class TestDiagonalVAR:
         var = _DiagonalVAR(order=1).fit(members)
         assert np.max(np.abs(var.coefficients[0] - phi)) < 0.12
 
+    def test_fit_of_a_stationary_series_is_stationary(self, rng):
+        phi = np.array([0.5, 0.9])
+        series = self._simulate_ar(rng, phi, 500, 2)
+        for order in (1, 2):
+            coeffs = _DiagonalVAR(order=order).fit(series).coefficients
+            # Roots of z^P - phi_1 z^(P-1) - ... - phi_P, per component, are
+            # the eigenvalues of its companion matrix.
+            for k in range(coeffs.shape[1]):
+                roots = np.roots(np.concatenate([[1.0], -coeffs[:, k]]))
+                assert np.max(np.abs(roots)) < 1.0, (order, k)
+
+    def test_innovations_are_the_one_step_prediction_errors(self, rng):
+        var = _DiagonalVAR(order=2).fit(rng.standard_normal((1, 50, 3)))
+        series = rng.standard_normal((8, 3))
+        phi_1, phi_2 = var.coefficients
+        expected = np.array([
+            series[t] - phi_1 * series[t - 1] - phi_2 * series[t - 2]
+            for t in range(2, 8)
+        ])
+        assert np.allclose(var.innovations(series), expected, rtol=0, atol=1e-12)
+
     def test_errors(self, rng):
         with pytest.raises(RuntimeError):
             _DiagonalVAR(order=1).innovations(rng.standard_normal((10, 2)))

@@ -19,6 +19,15 @@ class TestPrecision:
     def test_epsilon_ordering(self):
         assert Precision.DOUBLE.epsilon < Precision.SINGLE.epsilon < Precision.HALF.epsilon
 
+    @pytest.mark.parametrize("precision", _PRECISIONS)
+    def test_storage_rounding_is_within_half_an_epsilon(self, precision):
+        values = np.linspace(1.0, 2.0, 1001) + 1e-9
+        stored = values.astype(precision.dtype).astype(np.float64)
+        rel = np.abs(stored - values) / values
+        assert np.max(rel) <= precision.epsilon / 2
+        if precision is not Precision.DOUBLE:
+            assert np.max(rel) > 0
+
 
 class TestFlops:
     def test_cholesky_total(self):
