@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.core.config import EmulatorConfig
-from repro.core.generator import EmulationGenerator, _member_rngs
+from repro.core.generator import EmulationGenerator, _checked_count, _member_rngs
 from repro.core.scale import ScaleField
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.core.trend import MeanTrendModel, TrendFit
@@ -227,9 +227,7 @@ class ClimateEmulator:
         assert self.training_summary is not None
         if n_times is None:
             n_times = self.training_summary.n_times
-        n_times = int(n_times)
-        if n_times < 1:
-            raise ValueError(f"n_times must be >= 1, got {n_times}")
+        n_times = _checked_count("n_times", n_times)
         if annual_forcing is None:
             forcing = self.training_summary.forcing_annual
         elif isinstance(annual_forcing, (str, ScenarioSpec)):
@@ -275,10 +273,11 @@ class ClimateEmulator:
         Parameters
         ----------
         n_realizations:
-            Number of emulation members.
+            Number of emulation members, a positive integer.
         n_times:
-            Emulation length (defaults to the training length); must be at
-            least 1 when given.
+            Emulation length (defaults to the training length), a
+            positive integer when given: a float or a ``bool`` count is
+            refused with ``ValueError``, not truncated.
         annual_forcing:
             Forcing trajectory (defaults to the training forcing, i.e. an
             in-sample emulation).  Accepts a raw annual array, a
@@ -332,7 +331,7 @@ class ClimateEmulator:
         assert self.training_summary is not None
         n_times, forcing = self._resolve_emulation_args(n_times, annual_forcing)
         return self.generator().generate_stream_multi(
-            _member_rngs(rng, range(n_realizations)),
+            _member_rngs(rng, range(_checked_count("n_realizations", n_realizations))),
             n_times=n_times,
             annual_forcing=forcing,
             include_nugget=include_nugget,

@@ -9,7 +9,9 @@ Given a fitted emulator, new realisations are produced by
 3. inverse spherical harmonic transform to the grid (``O(L^3 T)``),
 4. adding the truncation nugget ``epsilon_t ~ N(0, v^2)`` in place,
 5. re-applying the scale field ``sigma`` and the mean trend ``m_t``
-   (Eq. 1) in place, optionally under a different forcing scenario.
+   (Eq. 1) in place.  The forcing enters only here, so one standardized
+   year can be restored under several forcing scenarios (a campaign's
+   realization block draws each year once for all of them).
 
 Each step runs under a ``generate.*`` span (step 3: ``sht.inverse``).  Only
 the normals and the nugget reuse scratch: callers keep each year's array.
@@ -25,6 +27,7 @@ a field is a pure function of (artifact, seed, request).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -78,6 +81,20 @@ def _member_rngs(rng, realizations) -> "list[np.random.Generator]":
             f"got {type(rng).__name__}"
         )
     return [np.random.default_rng(seq) for seq in _member_seeds(rng, realizations)]
+
+
+def _checked_count(name: str, value) -> int:
+    """A positive integer count (``n_times``, ``n_realizations``, ...).
+
+    A float or a ``bool`` raises ``ValueError`` rather than being
+    truncated: ``n_times=24.9`` would otherwise run 24 steps and
+    ``n_realizations=True`` one member.  Numpy integers are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def _check_chunk_size(chunk_size: "int | None", steps_per_year: int) -> None:
@@ -137,9 +154,10 @@ class EmulationGenerator:
         :meth:`SpectralStochasticModel.generate_standardized_stream_multi
         <repro.core.spectral_model.SpectralStochasticModel.generate_standardized_stream_multi>`),
         and member ``b`` is bit-identical to the batch-of-one stream under
-        ``rngs[b]``.  All members share one ``annual_forcing`` (and hence
-        one mean trend), which is why :func:`repro.run_campaign` only
-        batches realizations of the same scenario together.
+        ``rngs[b]``.  The forcing enters only through the mean trend: this
+        is the one-forcing case of :meth:`_stream_under`, which
+        :func:`repro.run_campaign` uses to restore one block's
+        standardized years under every scenario of the campaign.
 
         Parameters
         ----------
@@ -168,6 +186,31 @@ class EmulationGenerator:
             chunk's first step; ``forcing_annual`` and ``start_year``
             start at the chunk's year.
         """
+        _check_chunk_size(chunk_size, self.steps_per_year)
+        years = self._stream_under(
+            rngs, n_times, [annual_forcing], include_nugget, start_year
+        )
+        # ``map`` keeps no reference to the one-entry tuple it unpacks; a
+        # generator expression's loop variable would hold it, and the
+        # year, across its yield.
+        return map(itemgetter(0), years)
+
+    def _stream_under(
+        self,
+        rngs: "list[np.random.Generator]",
+        n_times: int,
+        forcings: "list[np.ndarray]",
+        include_nugget: bool,
+        start_year: int,
+    ) -> "Iterator[tuple[ClimateEnsemble, ...]]":
+        """Yield each model year of ``len(rngs)`` streams under every forcing.
+
+        A year's standardized fields are drawn once and restored once per
+        entry of ``forcings``, so the tuple a year yields holds one
+        :class:`ClimateEnsemble` per forcing, in order, each exactly the
+        chunk :meth:`generate_stream_multi` yields under that forcing
+        alone.  Every forcing must cover the years the record needs.
+        """
         # Validate eagerly (this is a plain function returning a generator),
         # so bad arguments raise at the call site rather than at first next().
         rngs = list(rngs)
@@ -181,58 +224,68 @@ class EmulationGenerator:
         if n_times < 1:
             raise ValueError("n_times must be positive")
         spy = self.steps_per_year
-        _check_chunk_size(chunk_size, spy)
-        annual_forcing = np.asarray(annual_forcing, dtype=np.float64)
         n_years = -(-n_times // spy)
-        if len(annual_forcing) < n_years:
-            # A mid-stream failure would leave consumers with a silently
-            # truncated scenario, so the forcing horizon is checked up front.
-            raise ValueError(
-                f"forcing covers {len(annual_forcing)} years but {n_times} "
-                f"steps require {n_years}"
-            )
+        forcings = [np.asarray(forcing, dtype=np.float64) for forcing in forcings]
+        for forcing in forcings:
+            if len(forcing) < n_years:
+                # A mid-stream failure would leave consumers with a silently
+                # truncated scenario, so the forcing horizon is checked up front.
+                raise ValueError(
+                    f"forcing covers {len(forcing)} years but {n_times} "
+                    f"steps require {n_years}"
+                )
         years = self.spectral_model.generate_standardized_stream_multi(
             rngs, n_years, spy, include_nugget=include_nugget
         )
-        return self._wrap_years(
-            years, n_times, annual_forcing, include_nugget, start_year
-        )
+        return self._wrap_years(years, n_times, forcings, include_nugget, start_year)
 
     def _wrap_years(
         self,
         years: Iterator[np.ndarray],
         n_times: int,
-        annual_forcing: np.ndarray,
+        forcings: "list[np.ndarray]",
         include_nugget: bool,
         start_year: int,
-    ) -> Iterator[ClimateEnsemble]:
+    ) -> "Iterator[tuple[ClimateEnsemble, ...]]":
         """Restore trend and scale on whole years, then cut the record's steps.
         No name here (nor ``enumerate``'s cached tuple) holds a yielded year,
         so a paused stream keeps no reference to it."""
         spy = self.steps_per_year
         for year in range(-(-n_times // spy)):
             t_start = year * spy
-            yield ClimateEnsemble(
-                data=self._restore(next(years), annual_forcing, t_start)[:, :n_times - t_start],
-                grid=self.grid,
-                forcing_annual=annual_forcing[year:],
-                steps_per_year=spy,
-                start_year=start_year + year,
-                metadata={
-                    "source": "emulator",
-                    "include_nugget": include_nugget,
-                    "stream_offset": t_start,
-                    "stream_total_times": n_times,
-                },
+            yield tuple(
+                ClimateEnsemble(
+                    data=data[:, :n_times - t_start],
+                    grid=self.grid,
+                    forcing_annual=forcing[year:],
+                    steps_per_year=spy,
+                    start_year=start_year + year,
+                    metadata={
+                        "source": "emulator",
+                        "include_nugget": include_nugget,
+                        "stream_offset": t_start,
+                        "stream_total_times": n_times,
+                    },
+                )
+                for data, forcing in zip(
+                    self._restore(next(years), forcings, t_start), forcings
+                )
             )
 
-    def _restore(self, z: np.ndarray, annual_forcing: np.ndarray, t_start: int) -> np.ndarray:
-        """``z * sigma + m_t`` in place, member by member: IEEE addition
-        commutes, so these are the bits of ``m_t + z * sigma``."""
-        with span("generate.restore", t_start=t_start):
+    def _restore(
+        self, z: np.ndarray, forcings: "list[np.ndarray]", t_start: int
+    ) -> "list[np.ndarray]":
+        """``z * sigma + m_t`` under each forcing: ``z *= sigma`` once, then
+        a fresh ``z + m_t`` per forcing but the last, which is restored in
+        place.  These are the IEEE operations of ``m_t + z * sigma`` (addition
+        commutes), so every forcing's bits are those of a stream under it
+        alone."""
+        with span("generate.restore", t_start=t_start, n_forcings=len(forcings)):
             spy, fit = self.steps_per_year, self.trend_fit
-            mean = self.trend_model.predict(spy, annual_forcing, fit, t_start=t_start)
-            for b in range(len(z)):
-                z[b] *= self.scale.sigma
-                z[b] += mean
-        return z
+            z *= self.scale.sigma
+            restored = [
+                z + self.trend_model.predict(spy, forcing, fit, t_start=t_start)
+                for forcing in forcings[:-1]
+            ]
+            z += self.trend_model.predict(spy, forcings[-1], fit, t_start=t_start)
+        return restored + [z]

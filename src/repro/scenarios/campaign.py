@@ -10,16 +10,20 @@ emulator (or a saved artifact path) plus ``scenarios x realizations``, and
   the stream ``emulate(rng=seed)`` member ``r`` and
   :class:`~repro.serving.service.EmulationService` draw — so a campaign
   is bit-identical however its runs are blocked;
-* executes the runs in blocks of up to ``batch_size`` realizations of
-  one scenario, one block after another on the calling thread (the
-  parallelism is the BLAS threads inside a block);
-* drives every block through the one generation path,
-  :meth:`EmulationGenerator.generate_stream_multi
-  <repro.core.generator.EmulationGenerator.generate_stream_multi>`: each
-  run keeps its own generator, peak memory stays at one model year per
-  block regardless of scenario length, and the VAR recursion and the
-  ``O(L^3)`` inverse spherical-harmonic transform run once per block
-  with bit-identical output for every block size;
+* executes the runs in realization blocks: up to ``batch_size``
+  realizations of *every* scenario, one block after another on the
+  calling thread (the parallelism is the BLAS threads inside a block);
+* draws each model year of a block once, through the one generation
+  path (:meth:`EmulationGenerator.generate_stream_multi
+  <repro.core.generator.EmulationGenerator.generate_stream_multi>` and
+  its many-forcing case): the forcing enters only through the mean
+  trend, so realization ``r``'s standardized year — its draws, factor
+  multiply, VAR step, inverse SHT and nugget — is the same in every
+  scenario and is restored once per scenario.  Each run keeps its own
+  generator, output is bit-identical for every block size, and peak
+  memory stays at one model year per block (``scenarios x batch_size``
+  chunks, committed to the store as each year ends) regardless of
+  scenario length;
 * emits a :class:`CampaignManifest` recording, per run, the scenario, the
   seed spawn key, the chunk layout and the measured output bytes — the
   numbers :func:`repro.storage.accounting.campaign_storage_report` turns
@@ -42,7 +46,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.api.facade import _resolve as _resolve_emulator
-from repro.core.generator import _check_chunk_size, _member_rngs, _member_seeds
+from repro.core.generator import (
+    _check_chunk_size, _checked_count, _member_rngs, _member_seeds,
+)
 from repro.obs import span
 from repro.scenarios.registry import resolve_scenario, stream_address
 from repro.scenarios.spec import ScenarioSpec
@@ -63,8 +69,7 @@ _COLLECT_MODES = ("global-mean", "fields", "none")
 
 #: Realizations per block when ``batch_size`` is unset and nothing tunes
 #: it: ``min(n_realizations, _DEFAULT_BATCH)``.  Blocks are bit-inert;
-#: at L = 64 a block of 4 runs ~21 % faster per run than blocks of 1
-#: (docs/tuning.md).
+#: docs/tuning.md has the sweep behind the value.
 _DEFAULT_BATCH = 4
 
 
@@ -152,9 +157,11 @@ class CampaignManifest:
     #: Wall-clock seconds of the whole execution phase (planning through
     #: the last block), measured by the ``campaign.total`` span.
     total_wall_seconds: float = 0.0
-    #: One ``{"scenario", "n_runs", "wall_seconds"}`` entry per executed
-    #: block, in campaign order (sourced from the ``campaign.batch``
-    #: spans).
+    #: One ``{"scenario", "n_runs", "wall_seconds"}`` entry per scenario
+    #: of each executed realization block, in campaign (plan) order, so
+    #: consecutive entries partition ``runs``.  ``wall_seconds`` is the
+    #: whole block's (from its ``campaign.batch`` span): the scenarios of
+    #: a block share one draw.
     batch_timings: list[dict] = field(default_factory=list)
     #: Persistent-store header when the campaign wrote into a
     #: :class:`~repro.storage.chunkstore.ChunkStore`:
@@ -297,11 +304,11 @@ def plan_campaign(
             f"duplicate scenario names in campaign: {duplicates}; "
             f"rename one spec (ScenarioSpec.rename) to keep runs addressable"
         )
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be positive")
+    n_realizations = _checked_count("n_realizations", n_realizations)
+    n_times = _checked_count("n_times", n_times)
     if collect not in _COLLECT_MODES:
         raise ValueError(f"collect must be one of {_COLLECT_MODES}, got {collect!r}")
-    n_years = -(-int(n_times) // int(steps_per_year))
+    n_years = -(-n_times // int(steps_per_year))
     # Realization r draws by the one seeding rule whatever its scenario.
     children = _member_seeds(seed, range(n_realizations))
     plans: list[CampaignRunPlan] = []
@@ -319,7 +326,7 @@ def plan_campaign(
                 realization=realization,
                 seed=children[realization],
                 forcing=forcing,
-                n_times=int(n_times),
+                n_times=n_times,
                 include_nugget=include_nugget,
                 collect=collect,
                 store_root=store_root,
@@ -335,21 +342,23 @@ class _RunAccumulator:
     plan: CampaignRunPlan
     chunk_sizes: list[int] = field(default_factory=list)
     collected_parts: "list[np.ndarray]" = field(default_factory=list)
-    #: ``address -> float64 chunk`` staged for the campaign's store,
-    #: flushed once per execution block through ``put_many`` (one
-    #: manifest transaction per block, not per chunk).
-    store_chunks: "dict[str, np.ndarray]" = field(default_factory=dict)
     chunk_addresses: list[str] = field(default_factory=list)
     output_bytes: int = 0
 
     def add_chunk(
-        self, year: int, member: np.ndarray, global_means: "np.ndarray | None"
+        self,
+        year: int,
+        member: np.ndarray,
+        global_means: "np.ndarray | None",
+        staged: "dict[str, np.ndarray]",
     ) -> None:
         """Record model year ``year`` of this run.
 
         ``member`` is the run's ``(nt, ntheta, nphi)`` slice of the
         chunk; ``global_means`` its ``(nt,)`` area-weighted mean series or,
-        unless the block collects global means, ``None``."""
+        unless the block collects global means, ``None``.  A store-backed
+        run stages the chunk in ``staged`` (``address -> float64 chunk``),
+        the block's year that :func:`_flush_store` commits."""
         plan = self.plan
         self.chunk_sizes.append(member.shape[0])
         self.output_bytes += member.size * np.dtype(np.float32).itemsize
@@ -360,7 +369,7 @@ class _RunAccumulator:
             # contract.
             address = chunk_address(plan.stream_address, plan.realization, year)
             self.chunk_addresses.append(address)
-            self.store_chunks[address] = np.ascontiguousarray(
+            staged[address] = np.ascontiguousarray(
                 np.asarray(member, dtype=np.float64)
             )
         if plan.collect == "global-mean":
@@ -388,9 +397,9 @@ class _RunAccumulator:
 
 
 def _flush_store(
-    store: "ChunkStore | None", accs: "list[_RunAccumulator]"
+    store: "ChunkStore | None", chunks: "dict[str, np.ndarray]"
 ) -> None:
-    """Land an execution block's staged chunks in the store, one batch.
+    """Land one model year of an execution block in the store, one batch.
 
     ``put_many`` is one manifest transaction however many runs the block
     held, and it is idempotent under the store's first-writer-wins
@@ -398,95 +407,94 @@ def _flush_store(
     scenarios and realizations) re-derives the same content-addresses
     and skips the chunks it finds already stored.
     """
-    if store is None:
-        return
-    chunks: dict[str, np.ndarray] = {}
-    for acc in accs:
-        chunks.update(acc.store_chunks)
-    if not chunks:
+    if store is None or not chunks:
         return
     nbytes = sum(array.nbytes for array in chunks.values())
     with span("campaign.store_flush", n_chunks=len(chunks), bytes=nbytes):
         store.put_many(chunks)
 
 
-def _execute_batch(
+def _execute_block(
     emulator, plans: "list[CampaignRunPlan]", store: "ChunkStore | None" = None,
 ) -> "list[CampaignRunRecord]":
-    """Execute a block of same-scenario runs in one vectorized stream.
+    """Execute one realization block: the same realizations of every scenario.
 
-    Every plan keeps its own ``SeedSequence``-derived generator, so each
-    returned record is bit-identical whatever else shares the block (a
-    block of one is the same loop); only the shared data-independent
-    work (VAR recursion, inverse SHT, trend/scale restore) is amortised
-    across the block.  Each record's ``wall_seconds`` is the block's
-    wall time (the synthesis is shared, so a per-run share would be
-    fiction).
+    ``plans`` are the block's runs in plan order (scenario-major, as
+    :func:`_batch_plans` cuts them).  Realization ``r`` draws from
+    ``SeedSequence(seed, spawn_key=(r,))`` whatever its scenario, so each
+    model year's standardized fields are drawn once for the block and
+    restored once per scenario: every record is bit-identical whatever
+    else shares the block.  Each year's chunks are committed before the
+    next year is drawn, so the block holds one model year at a time.
+    Each record's ``wall_seconds`` is the block's wall time (the
+    synthesis is shared, so a per-run share would be fiction).
     """
     first = plans[0]
-    assert all(p.scenario == first.scenario for p in plans), (
-        "batched plans must share one scenario (one forcing / mean trend)"
-    )
-    with span("campaign.batch", scenario=first.scenario, n_runs=len(plans)) as sp:
+    n_scenarios = len({plan.scenario for plan in plans})
+    n_members = len(plans) // n_scenarios
+    accs = [_RunAccumulator(plan) for plan in plans]
+    groups = [accs[i:i + n_members] for i in range(0, len(accs), n_members)]
+    with span(
+        "campaign.batch", n_runs=len(plans), n_scenarios=n_scenarios,
+        realizations=[first.realization, first.realization + n_members],
+    ) as sp:
         # Every plan's seed is SeedSequence(seed, spawn_key=(realization,)).
         rngs = _member_rngs(
-            int(first.seed.entropy), [plan.realization for plan in plans]
+            int(first.seed.entropy), [acc.plan.realization for acc in groups[0]]
         )
-        accs = [_RunAccumulator(plan) for plan in plans]
-        stream = emulator.generator().generate_stream_multi(
+        stream = emulator.generator()._stream_under(
             rngs,
             n_times=first.n_times,
-            annual_forcing=first.forcing,
+            forcings=[group[0].plan.forcing for group in groups],
             include_nugget=first.include_nugget,
             start_year=emulator.training_summary.start_year,
         )
-        for year, chunk in enumerate(stream):
-            means = chunk.global_mean_series() if first.collect == "global-mean" else None
-            for b, acc in enumerate(accs):
-                acc.add_chunk(year, chunk.data[b], None if means is None else means[b])
-        _flush_store(store, accs)
+        n_years = -(-first.n_times // emulator.training_summary.steps_per_year)
+        for year in range(n_years):
+            _flush_store(store, _stage_year(next(stream), groups, year, first.collect))
         records = [acc.record() for acc in accs]
     for record in records:
         record.wall_seconds = sp.seconds
     return records
 
 
-def _checked_batch_size(batch_size) -> "int | None":
-    """``None`` or a positive integer; anything else raises.
+def _stage_year(
+    chunks, groups: "list[list[_RunAccumulator]]", year: int, collect: str
+) -> "dict[str, np.ndarray]":
+    """Record model year ``year`` of a block's runs, one chunk per scenario.
 
-    A float or a ``bool`` is refused rather than truncated: ``2.5``
-    would silently run blocks of 2, and ``True`` blocks of 1.
+    Returns the chunks staged for the store.  Nothing here outlives the
+    call, so the block drops the year once it is committed.
     """
-    if batch_size is None:
-        return None
-    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)):
-        raise ValueError(
-            f"batch_size must be a positive integer or None, got {batch_size!r}"
-        )
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-    return int(batch_size)
+    staged: "dict[str, np.ndarray]" = {}
+    for chunk, group in zip(chunks, groups):
+        means = chunk.global_mean_series() if collect == "global-mean" else None
+        for b, acc in enumerate(group):
+            acc.add_chunk(year, chunk.data[b], None if means is None else means[b], staged)
+    return staged
+
+
+def _checked_batch_size(batch_size) -> "int | None":
+    """``None`` or a positive integer; a float or a ``bool`` is refused
+    rather than truncated (``2.5`` would silently run blocks of 2)."""
+    return None if batch_size is None else _checked_count("batch_size", batch_size)
 
 
 def _batch_plans(
     plans: "list[CampaignRunPlan]", batch_size: int
 ) -> "list[list[CampaignRunPlan]]":
-    """Group plans into same-scenario blocks of at most ``batch_size``.
+    """Group plans into realization blocks: up to ``batch_size``
+    consecutive realizations of every scenario.
 
-    Plans are scenario-major (see :func:`plan_campaign`), so consecutive
-    runs of one scenario form each block.
+    A block holds its realizations for each scenario in plan order
+    (scenario-major, see :func:`plan_campaign`); blocks run in
+    realization order.
     """
-    blocks: list[list[CampaignRunPlan]] = []
+    first = min((plan.realization for plan in plans), default=0)
+    blocks: "dict[int, list[CampaignRunPlan]]" = {}
     for plan in plans:
-        if (
-            blocks
-            and len(blocks[-1]) < batch_size
-            and blocks[-1][0].scenario == plan.scenario
-        ):
-            blocks[-1].append(plan)
-        else:
-            blocks.append([plan])
-    return blocks
+        blocks.setdefault((plan.realization - first) // batch_size, []).append(plan)
+    return [blocks[key] for key in sorted(blocks)]
 
 
 def _resolve_reader_store(manifest, store) -> ChunkStore:
@@ -669,10 +677,11 @@ def run_campaign(
         Iterable of registered scenario names (or
         :class:`~repro.scenarios.spec.ScenarioSpec` objects).
     n_realizations:
-        Realisations generated per scenario.
+        Realisations generated per scenario, a positive integer (a float
+        or a ``bool`` is refused, not truncated).
     n_times:
-        Steps per run (training length by default).  Runs stream one
-        model year per chunk.
+        Steps per run (training length by default), a positive integer
+        like ``n_realizations``.  Runs stream one model year per chunk.
     seed:
         Root entropy; realization ``r`` draws from the ``SeedSequence``
         child with ``spawn_key == (r,)`` — the stream
@@ -687,23 +696,26 @@ def run_campaign(
         other value raises ``ValueError``.  The manifest header records
         ``1`` and ``"thread"``.
     batch_size:
-        Realizations of one scenario synthesised together per vectorized
-        block.  Unset, it is ``min(n_realizations, 4)``; under
+        Realizations per block: a block is up to ``batch_size``
+        consecutive realizations of *every* scenario, synthesised
+        together.  Unset, it is ``min(n_realizations, 4)``; under
         ``tune="auto"`` an unset value is chosen by the pilot instead.
         Batched runs keep their own per-run generators, so output is
-        bit-identical for every block size; the VAR recursion and the
-        ``O(L^3)`` inverse SHT run once per block instead of once per
-        run.  A float or a ``bool`` is refused, not truncated.
+        bit-identical for every block size.  A block draws each model
+        year's standardized fields once — the innovation draws, factor
+        multiply, VAR recursion, ``O(L^3)`` inverse SHT and nugget — and
+        restores them once per scenario.  A float or a ``bool`` is
+        refused, not truncated.
     tune:
         ``"auto"`` picks an unset ``batch_size`` by a *pilot*
-        (:mod:`repro.tuning`): it times the plan's first same-scenario
-        blocks — ``min(n_realizations, 32)`` runs first (twice: a
-        campaign's first block is cold), then half of that, halving only
-        while the halved block is measurably faster per run — and blocks
-        the remaining runs with the winner.  Pilot blocks are ordinary
-        blocks (their records and store commits are kept), and block
-        size is bit-inert, so tuned and untuned campaigns produce
-        identical runs.  A ``batch_size`` passed explicitly is
+        (:mod:`repro.tuning`): it times the plan's first realization
+        blocks — ``min(n_realizations, 32)`` realizations first (twice:
+        a campaign's first block is cold), then half of that, halving
+        only while the halved block is measurably faster per run — and
+        blocks the remaining realizations with the winner.  Pilot blocks
+        are ordinary blocks (their records and store commits are kept),
+        and block size is bit-inert, so tuned and untuned campaigns
+        produce identical runs.  A ``batch_size`` passed explicitly is
         **always** honoured; the first block is then timed only for the
         prediction.  The manifest's ``tuning`` header records the
         resolved knobs, who chose each, the pilot's per-block samples, and
@@ -728,12 +740,13 @@ def run_campaign(
         then be a whole number of years, because serving addresses
         chunks by model year.
 
-        Chunks are staged per execution block and committed with one
-        ``put_many`` transaction per block (safe against other
-        processes writing the same root; a re-run campaign finds its
-        addresses already stored and skips them).  The full float64
-        data is stored; :func:`iter_chunk_arrays` reads it back
-        manifest-driven.
+        Chunks are staged per model year of an execution block and
+        committed with one ``put_many`` transaction per block-year (safe
+        against other processes writing the same root; a re-run campaign
+        finds its addresses already stored and skips them), so a block
+        holds one year of ``scenarios x batch_size`` chunks at a time.
+        The full float64 data is stored; :func:`iter_chunk_arrays` reads
+        it back manifest-driven.
     progress:
         Optional callback for the structured progress heartbeat.  Once
         at start and after every completed execution block the campaign
@@ -764,11 +777,8 @@ def run_campaign(
     if emulator.training_summary is None or not emulator.is_fitted:
         raise RuntimeError("run_campaign needs a fitted emulator")
     summary = emulator.training_summary
-    if n_times is None:
-        n_times = summary.n_times
-    n_times = int(n_times)
-    if n_times < 1:
-        raise ValueError(f"n_times must be >= 1, got {n_times}")
+    n_realizations = _checked_count("n_realizations", n_realizations)
+    n_times = _checked_count("n_times", summary.n_times if n_times is None else n_times)
     batch_size = _checked_batch_size(batch_size)
 
     store_obj: "ChunkStore | None" = None
@@ -809,6 +819,7 @@ def run_campaign(
     }
 
     total_span = span("campaign.total", n_runs=len(plans))
+    n_scenarios = len(plans) // n_realizations
     tuning_header = None
     with total_span:
         heartbeat = _Heartbeat(len(plans), total_span, progress)
@@ -817,31 +828,37 @@ def run_campaign(
 
         def execute(block: "list[CampaignRunPlan]") -> float:
             """Run one block, record it, beat; returns its wall time."""
-            block_records = _execute_batch(emulator, block, store=store_obj)
+            block_records = _execute_block(emulator, block, store=store_obj)
             records.extend(block_records)
             seconds = float(block_records[0].wall_seconds)
-            batch_timings.append({
-                "scenario": block[0].scenario,
-                "n_runs": len(block),
-                "wall_seconds": seconds,
-            })
+            n_members = len(block) // n_scenarios
+            batch_timings.extend(
+                {"scenario": plan.scenario, "n_runs": n_members, "wall_seconds": seconds}
+                for plan in block[::n_members]
+            )
             heartbeat.update(len(block))
             return seconds
+
+        def remaining(size: int) -> "list[list[CampaignRunPlan]]":
+            """The realization blocks of size ``size`` not yet executed."""
+            done = len(records) // n_scenarios
+            return _batch_plans([p for p in plans if p.realization >= done], size)
 
         if tune == "auto":
             # The pilot: the plan's first blocks, executed and timed like
             # any other.  Their records and store commits are kept, so it
             # costs only the runs spent at a size that did not win.
             def time_block(size: int):
-                done = len(records)
-                if done == len(plans):
+                if len(records) == len(plans):
                     return None
-                block = _batch_plans(plans[done:done + size], size)[0]
-                return len(block), execute(block)
+                block = remaining(size)[0]
+                # A block of n realizations runs n of every scenario:
+                # per n runs it took its wall time over the scenarios.
+                return len(block) // n_scenarios, execute(block) / n_scenarios
 
             with span("tuning.pilot") as pilot_span:
                 batch_size, rate, samples = _pilot_batch_size(
-                    int(n_realizations), time_block, batch_size
+                    n_realizations, time_block, batch_size
                 )
                 pilot_span.set(
                     candidates=[s["batch_size"] for s in samples],
@@ -861,12 +878,16 @@ def run_campaign(
             }
 
         if batch_size is None:
-            batch_size = min(int(n_realizations), _DEFAULT_BATCH)
-        rest = _batch_plans(plans[len(records):], batch_size)
-        total_span.set(n_blocks=len(batch_timings) + len(rest))
+            batch_size = min(n_realizations, _DEFAULT_BATCH)
+        rest = remaining(batch_size)
+        total_span.set(n_blocks=len(batch_timings) // n_scenarios + len(rest))
         for block in rest:
             execute(block)
 
+    # Blocks ran in realization order; the manifest keeps plan order.
+    records.sort(key=lambda record: record.index)
+    order = {name: i for i, name in enumerate(dict.fromkeys(p.scenario for p in plans))}
+    batch_timings.sort(key=lambda entry: order[entry["scenario"]])
     if tuning_header is not None:
         tuning_header["actual_seconds"] = float(total_span.seconds)
 

@@ -6,9 +6,10 @@ campaign wall time is ``batch_size`` (one worker beat every thread and
 process pool on the sizes this package runs, so the pools are gone;
 ``docs/tuning.md`` has the sweep), and every candidate value is
 bit-inert — so instead of modelling the host, ``run_campaign(..., tune="auto")`` *pilots*: it runs
-the plan's first same-scenario blocks at the largest candidate size
-(twice: the first block of a campaign is cold), then at half of it, and
-so on while halving is measurably faster per run.  The blocks are real
+the plan's first realization blocks (a block is the same realizations of
+every scenario) at the largest candidate size (twice: the first block of
+a campaign is cold), then at half of it, and so on while halving is
+measurably faster per run.  The blocks are real
 work whose records and store commits are kept, so the pilot costs
 nothing but the runs spent at a non-winning size.
 
@@ -67,24 +68,26 @@ def _pilot_batch_size(
 ) -> "tuple[int, float, list[dict]]":
     """Pick a block size by timing real blocks, largest candidate first.
 
-    ``time_block(size)`` must execute the campaign's next same-scenario
-    block of at most ``size`` runs and return ``(n_runs, wall_seconds)``,
-    or ``None`` once no runs are left.  The search times the largest
-    candidate, ``min(n_realizations, 32)``, twice — a freshly loaded
-    emulator's first block pays one-off page faults on the dense factor
-    (2x a warm block at L = 64), so it is sampled but only its warm
-    repeat is compared — then halves while the halved block beats the
-    best seconds-per-run so far by more than the :data:`_FASTER_SHARE`
-    margin, and stops at the first candidate that does not (or at one
-    run, or when the plan is exhausted).  A ``batch_size`` the caller
+    ``time_block(size)`` must execute the campaign's next realization
+    block of at most ``size`` realizations and return ``(n, seconds)`` —
+    the realizations it held and its wall time per ``n`` runs (the
+    block's time over its scenario count) — or ``None`` once no runs are
+    left.  The search times the largest candidate,
+    ``min(n_realizations, 32)``, twice — a freshly loaded emulator's
+    first block meets cold caches and first-touch pages, so it is
+    sampled but only its warm repeat is compared — then halves while
+    the halved block beats the best seconds-per-run so far by more than
+    the :data:`_FASTER_SHARE` margin, and stops at the first candidate
+    that does not (or at one realization, or when the plan is
+    exhausted).  A ``batch_size`` the caller
     pinned is returned as is, after timing one block of it: the
     prediction still wants a measured seconds-per-run.
 
     Returns ``(batch_size, seconds_per_run, samples)``: the winner, the
     best measured rate, and one ``{"batch_size", "seconds_per_run"}``
-    sample per block timed, in order.  A sample is keyed by the runs the
-    block actually held, which is smaller than the candidate when a
-    scenario's tail was shorter.
+    sample per block timed, in order.  A sample is keyed by the
+    realizations the block actually held, which is smaller than the
+    candidate when the plan's last realizations were fewer.
     """
     search = batch_size is None
     size = min(int(n_realizations), _MAX_PILOT_BATCH) if search else int(batch_size)

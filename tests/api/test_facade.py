@@ -81,6 +81,24 @@ class TestNTimesValidation:
         with pytest.raises(ValueError, match="n_times"):
             list(fitted_emulator.emulate_stream(n_times=0))
 
+    @pytest.mark.parametrize("counts", [
+        {"n_times": 12.5}, {"n_times": 12.0}, {"n_times": True},
+        {"n_realizations": 2.0}, {"n_realizations": True},
+    ], ids=repr)
+    def test_float_and_bool_counts_are_refused(self, fitted_emulator, counts):
+        """``n_times=12.5`` returned 12 steps; a float ``n_realizations``
+        raised a bare ``TypeError`` from ``range``."""
+        (name,) = counts
+        with pytest.raises(ValueError, match=name):
+            repro.emulate(fitted_emulator, rng=0, **counts)
+        with pytest.raises(ValueError, match=name):
+            fitted_emulator.emulate_stream(rng=0, **counts)
+
+    def test_numpy_integer_counts_are_accepted(self, fitted_emulator):
+        out = repro.emulate(fitted_emulator, n_realizations=np.int64(2),
+                            n_times=np.int32(5), rng=0)
+        assert out.data.shape[:2] == (2, 5)
+
     def test_default_n_times_is_training_length(self, fitted_emulator):
         out = fitted_emulator.emulate(1, rng=np.random.default_rng(0))
         assert out.n_times == fitted_emulator.training_summary.n_times

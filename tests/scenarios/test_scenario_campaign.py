@@ -129,13 +129,21 @@ class TestBatchedSynthesis:
                 assert np.array_equal(serial_run.collected, batched_run.collected)
 
     def test_unset_batch_size_is_capped_at_the_default_block(self, fitted_emulator):
+        """Unset, a block is ``_DEFAULT_BATCH`` realizations of every scenario."""
         from repro.scenarios.campaign import _DEFAULT_BATCH
 
-        manifest = run_campaign(fitted_emulator, ["ssp-low"], _DEFAULT_BATCH + 1,
-                                n_times=8, seed=3, collect="none")
+        beats = []
+        manifest = run_campaign(fitted_emulator, ["ssp-low", "ssp-high"],
+                                _DEFAULT_BATCH + 1, n_times=8, seed=3,
+                                collect="none", progress=beats.append)
         assert manifest.batch_size == _DEFAULT_BATCH
+        # Per scenario of each block, in plan order ...
         assert [block["n_runs"] for block in manifest.batch_timings] == [
-            _DEFAULT_BATCH, 1,
+            _DEFAULT_BATCH, 1, _DEFAULT_BATCH, 1,
+        ]
+        # ... and two blocks ran, each over both scenarios.
+        assert [beat["runs_done"] for beat in beats] == [
+            0, 2 * _DEFAULT_BATCH, 2 * _DEFAULT_BATCH + 2,
         ]
 
     def test_batched_output_files_bit_identical(self, fitted_emulator, tmp_path):
@@ -143,7 +151,7 @@ class TestBatchedSynthesis:
         its store never depend on batching or tuning."""
         def outputs(sub_dir, **knobs):
             manifest = run_campaign(
-                fitted_emulator, ["ssp-low", "ssp-high"], 3, n_times=48, seed=7,
+                fitted_emulator, SCENARIO_NAMES, 5, n_times=48, seed=7,
                 store=tmp_path / sub_dir, **knobs,
             )
             store = repro.ChunkStore(tmp_path / sub_dir)
@@ -154,11 +162,12 @@ class TestBatchedSynthesis:
 
         default, records, collected, chunks = outputs("default")
         assert default.max_workers == 1 and default.executor == "thread"
-        # Unset, batch_size is min(n_realizations, 4); the loop below
-        # holds it to one-run blocks bit for bit.
-        assert default.batch_size == 3
-        assert [block["n_runs"] for block in default.batch_timings] == [3, 3]
-        assert len(chunks) == 12 and len(collected) == 6
+        # Unset, batch_size is min(n_realizations, 4): a block of four
+        # realizations of every scenario, then a ragged one of one.  The
+        # loop below holds it to one-realization blocks bit for bit.
+        assert default.batch_size == 4
+        assert [block["n_runs"] for block in default.batch_timings] == [4, 1] * 3
+        assert len(chunks) == 30 and len(collected) == 15
         for i, knobs in enumerate([
             {"max_workers": 1}, {"batch_size": 1},
             {"batch_size": 2}, {"batch_size": 3}, {"tune": "auto"},
@@ -173,17 +182,21 @@ class TestBatchedSynthesis:
             for chunk, other_chunk in zip(chunks, other_chunks):
                 np.testing.assert_array_equal(other_chunk, chunk)
 
-    def test_blocks_never_span_scenarios(self):
+    def test_blocks_hold_the_same_realizations_of_every_scenario(self):
         from repro.scenarios.campaign import _batch_plans, plan_campaign
 
         plans = plan_campaign(["ssp-low", "ssp-high"], 3, n_times=24,
                               steps_per_year=24, chunk_size=24)
         blocks = _batch_plans(plans, 2)
-        assert [len(b) for b in blocks] == [2, 1, 2, 1]
+        assert [len(b) for b in blocks] == [4, 2]
+        assert [[(p.scenario, p.realization) for p in b] for b in blocks] == [
+            [("ssp-low", 0), ("ssp-low", 1), ("ssp-high", 0), ("ssp-high", 1)],
+            [("ssp-low", 2), ("ssp-high", 2)],
+        ]
+        # Each block keeps plan order inside; together they cover every run once.
         for block in blocks:
-            assert len({p.scenario for p in block}) == 1
-        # Flattened blocks preserve campaign run order.
-        assert [p.index for b in blocks for p in b] == list(range(6))
+            assert [p.index for p in block] == sorted(p.index for p in block)
+        assert sorted(p.index for b in blocks for p in b) == list(range(6))
 
     @pytest.mark.parametrize(
         "knobs",
@@ -200,7 +213,7 @@ class TestBatchedSynthesis:
             with repro.obs.tracing():
                 manifest = run_campaign(
                     fitted_emulator, SCENARIO_NAMES, 2, n_times=48,
-                    seed=2024, collect="fields", batch_size=2,
+                    seed=2024, collect="fields", batch_size=1,
                     **knobs,
                 )
             records = repro.obs.trace_records()
@@ -209,8 +222,10 @@ class TestBatchedSynthesis:
         assert manifest.max_workers == 1 and manifest.executor == "thread"
         (total,) = [r for r in records if r["name"] == "campaign.total"]
         batches = [r for r in records if r["name"] == "campaign.batch"]
-        assert len(batches) == 3
+        # One block per realization, each over the three scenarios.
+        assert [b["attrs"]["realizations"] for b in batches] == [[0, 1], [1, 2]]
         for batch in batches:
+            assert batch["attrs"]["n_runs"] == batch["attrs"]["n_scenarios"] == 3
             assert batch["thread"] == threading.current_thread().name
             assert batch["parent_id"] == total["span_id"]
         for serial_run, run in zip(serial_manifest.runs, manifest.runs):
@@ -222,6 +237,61 @@ class TestBatchedSynthesis:
         for batch_size in (0, 2.5, True):
             with pytest.raises(ValueError, match="batch_size"):
                 run_campaign(fitted_emulator, ["constant"], batch_size=batch_size)
+
+    @pytest.mark.parametrize("counts", [
+        {"n_realizations": True}, {"n_realizations": 2.0},
+        {"n_realizations": np.float64(2)}, {"n_times": 24.9},
+        {"n_times": 48.0}, {"n_times": False},
+    ], ids=repr)
+    def test_counts_are_refused_not_truncated(self, fitted_emulator, counts):
+        """``n_times=24.9`` would run 24 steps and ``n_realizations=True``
+        one realization; a float ``n_realizations`` fell into ``range``."""
+        (name,) = counts
+        with pytest.raises(ValueError, match=name):
+            run_campaign(fitted_emulator, ["constant"], **counts)
+        with pytest.raises(ValueError, match=name):
+            plan_campaign(["constant"], **{"n_realizations": 1, "n_times": 24,
+                                           **counts}, steps_per_year=24)
+
+    def test_numpy_integer_counts_are_accepted(self, fitted_emulator):
+        manifest = run_campaign(fitted_emulator, ["constant"], np.int64(2),
+                                n_times=np.int32(8), seed=3)
+        assert manifest.n_runs == 2 and manifest.n_times == 8
+        assert type(manifest.runs[0].n_times) is int
+
+
+class TestOneDrawPerRealizationBlock:
+    """A block draws each model year once and restores it per scenario."""
+
+    @staticmethod
+    def _spans(fitted_emulator, scenarios):
+        spy = fitted_emulator.training_summary.steps_per_year
+        repro.obs.clear_trace()
+        try:
+            with repro.obs.tracing():
+                run_campaign(fitted_emulator, scenarios, 4, n_times=2 * spy,
+                             seed=5, batch_size=4, collect="none")
+                records = repro.obs.trace_records()
+        finally:
+            repro.obs.clear_trace()
+        return [r for r in records if r["name"].startswith("generate.")]
+
+    def test_three_scenarios_draw_once_per_block_year(self, fitted_emulator):
+        spans = self._spans(fitted_emulator, SCENARIO_NAMES)
+        # 3 scenarios x 4 realizations x 2 years: one block, two years,
+        # so two draws (one block per scenario drew six) ...
+        assert sum(r["name"] == "generate.draw" for r in spans) == 2
+        assert sum(r["name"] == "generate.correlate" for r in spans) == 2
+        assert sum(r["name"] == "generate.nugget" for r in spans) == 2
+        # ... and each year is restored under the three forcings.
+        restores = [r["attrs"] for r in spans if r["name"] == "generate.restore"]
+        assert [a["n_forcings"] for a in restores] == [3, 3]
+
+    def test_one_scenario_draws_as_before(self, fitted_emulator):
+        spans = self._spans(fitted_emulator, ["ssp-low"])
+        assert sum(r["name"] == "generate.draw" for r in spans) == 2
+        assert [r["attrs"]["n_forcings"] for r in spans
+                if r["name"] == "generate.restore"] == [1, 1]
 
 
 class TestManifest:
@@ -301,9 +371,9 @@ class TestOutputDir:
     def test_store_flush_spans_account_for_every_stored_chunk(
         self, fitted_emulator, tmp_path
     ):
-        """One ``campaign.store_flush`` span per batch carries its chunk
-        count and raw bytes; a re-run flushes the same chunks again and
-        the store skips every one of them."""
+        """One ``campaign.store_flush`` span per model year of a block
+        carries its chunk count and raw bytes; a re-run flushes the same
+        chunks again and the store skips every one of them."""
         root = tmp_path / "campaign-out"
         repro.obs.clear_trace()
         try:
@@ -324,7 +394,9 @@ class TestOutputDir:
             repro.obs.clear_trace()
         store = repro.ChunkStore(root)
         addresses = [a for r in manifest.runs for a in r.chunk_addresses]
-        assert len(flushes) == 2  # one per same-scenario batch
+        # One block (two realizations of both scenarios) over two years:
+        # one flush per year, each of scenarios x realizations chunks.
+        assert [f["n_chunks"] for f in flushes] == [4, 4]
         assert sum(f["n_chunks"] for f in flushes) == len(addresses) == 8
         assert sum(f["bytes"] for f in flushes) == sum(
             store.get(a).nbytes for a in addresses
@@ -332,6 +404,44 @@ class TestOutputDir:
         assert [r["attrs"] for r in rerun
                 if r["name"] == "campaign.store_flush"] == flushes
         assert not [r for r in rerun if r["name"] == "chunkstore.put_many"]
+
+class TestMemory:
+    """A store-backed campaign holds one model year of a block at a time."""
+
+    @pytest.fixture(scope="class")
+    def emulator_l32(self):
+        sims = repro.Era5LikeGenerator(
+            repro.Era5LikeConfig(lmax=32, n_years=2, steps_per_year=12,
+                                 n_ensemble=2),
+            seed=1,
+        ).generate()
+        return repro.fit(sims, repro.EmulatorConfig(
+            lmax=32, var_order=1, tile_size=64, rho_grid=(0.5,)
+        ))
+
+    def test_peak_does_not_grow_with_the_years(self, emulator_l32, tmp_path):
+        """Each year is committed before the next is drawn.  Flushed once
+        per block, the staged years made the traced peak grow with the
+        record: 7.7 MB at 2 years, 55.7 MB at 32 (24 steps a year)."""
+        import tracemalloc
+
+        spy = emulator_l32.training_summary.steps_per_year
+
+        def peak(n_years):
+            root = tmp_path / f"years-{n_years}"
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run_campaign(emulator_l32, ["ssp-low"], 4, n_times=n_years * spy,
+                             seed=1, collect="none", store=root)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm: plans, trend groups, first-touch caches
+        short, long = peak(2), peak(32)
+        assert long <= 1.2 * short, (short, long)
+
 
 class TestIterChunkArrays:
     @pytest.fixture(scope="class")
@@ -445,7 +555,10 @@ class TestProgressHeartbeat:
 
         manifest = run_campaign(fitted_emulator, ["ssp-low", "ssp-high"], 3,
                                 n_times=8, seed=3, progress=progress, **knobs)
-        blocks = [block["n_runs"] for block in manifest.batch_timings]
+        # A block runs the same realizations of both scenarios; its
+        # ``ssp-low`` entries are the blocks in execution order.
+        blocks = [2 * block["n_runs"] for block in manifest.batch_timings
+                  if block["scenario"] == "ssp-low"]
         assert beats == [0] + np.cumsum(blocks).tolist()
         assert beats[-1] == manifest.n_runs == 6
         assert set(threads) == {threading.current_thread().name}
