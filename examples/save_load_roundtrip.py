@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 import repro
-from repro.storage import format_bytes, measured_artifact_report
+from repro.storage import format_bytes
 
 
 def main() -> None:
@@ -55,10 +55,11 @@ def main() -> None:
         print(f"  ratio:           {raw_bytes / artifact_bytes:.1f}x smaller — and the "
               f"artifact regenerates unlimited members")
 
-        report = measured_artifact_report(emulator)
+        summary = emulator.storage_summary()
         print(f"  theoretical parameter bytes: "
-              f"{format_bytes(report['parameter_bytes'])} "
-              f"(format overhead {report['format_overhead_factor']:.2f}x)")
+              f"{format_bytes(summary['parameter_bytes'])} "
+              f"(format overhead "
+              f"{summary['measured_artifact_bytes'] / summary['parameter_bytes']:.2f}x)")
 
         # 3. Reload and verify bit-exactness.  The loaded emulator carries no
         #    raw training data, only fitted parameters + a training summary.

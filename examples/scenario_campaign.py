@@ -38,7 +38,7 @@ import numpy as np
 
 import repro
 from repro.scenarios.components import GHGRamp, Stabilisation
-from repro.storage import campaign_storage_report, format_bytes
+from repro.storage import format_bytes
 
 
 def main() -> None:
@@ -114,17 +114,18 @@ def main() -> None:
         manifest_path = batched.save(os.path.join(tmp_dir, "manifest.json"))
         print(f"\nManifest written: {os.path.basename(manifest_path)}")
 
-        # 5. The boost factor: emitted output volume per artifact byte.
-        report = campaign_storage_report(batched)
-        print("\nStorage accounting (the 'boosting' direction):")
-        print(f"  artifact:          {format_bytes(report['artifact_bytes'])}")
-        print(f"  campaign output:   {format_bytes(report['campaign_output_bytes'])} "
-              f"across {report['n_runs']} runs")
-        print(f"  boost factor:      {report['boost_factor']:.1f}x "
+        # 5. The boost factor: emitted output volume per artifact byte,
+        #    read from the manifest.
+        output = batched.total_output_bytes
+        print("\nStorage (the 'boosting' direction):")
+        print(f"  artifact:          {format_bytes(batched.artifact_bytes)}")
+        print(f"  campaign output:   {format_bytes(output)} "
+              f"across {batched.n_runs} runs")
+        print(f"  boost factor:      {output / batched.artifact_bytes:.1f}x "
               f"(grows with scenarios, realizations and record length)")
-        print(f"  campaign wall:     {report['wall_seconds']:.2f} s "
-              f"({report['runs_per_second']:.1f} runs/s, "
-              f"{format_bytes(int(report['output_bytes_per_second']))}/s)")
+        print(f"  campaign wall:     {batched.total_wall_seconds:.2f} s "
+              f"({batched.runs_per_second:.1f} runs/s, "
+              f"{format_bytes(int(batched.output_bytes_per_second))}/s)")
 
         # 6. The serving tier: the same artifact answers field requests
         #    on demand, write-through to a persistent chunk store.

@@ -35,9 +35,8 @@ chunk store.  ``import repro`` loads every module below except
   a bytes-capped chunk cache, an optional persistent
   :class:`ChunkStore`, or coalesced batched synthesis
   (built via :func:`serve`).
-* :mod:`repro.storage` — the chunk store and measured reports: the
-  persistent quantizable :class:`ChunkStore` tier and the measured
-  artifact / campaign / serving storage reports.
+* :mod:`repro.storage` — the chunk store: the persistent
+  :class:`ChunkStore` tier (lossless ``float64`` or quantized ``int16``).
 * :mod:`repro.stats` — statistical-consistency diagnostics between
   simulations and emulations.
 * :mod:`repro.obs` — the unified telemetry layer: hierarchical tracing

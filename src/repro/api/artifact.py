@@ -13,8 +13,7 @@ bytes for most of the save time).
 Round trips are bit-exact: a loaded emulator driven by the same seeded
 random generator reproduces the original's ``emulate()`` output exactly.
 The serialised size is also *measurable* (:meth:`EmulatorArtifact.nbytes`),
-which is what ``ClimateEmulator.storage_summary`` and
-:func:`repro.storage.accounting.measured_artifact_report` quote next to the
+which is what ``ClimateEmulator.storage_summary`` quotes next to the
 theoretical parameter counts.
 
 File layout

@@ -446,11 +446,11 @@ class ClimateEmulator:
             "n_parameters": self.parameter_count(),
         }
         if measure_artifact:
-            from repro.storage.accounting import measured_artifact_report
-
-            report = measured_artifact_report(self)
-            summary["measured_artifact_bytes"] = report["measured_artifact_bytes"]
-            summary["measured_compression_factor"] = report["measured_compression_factor"]
+            measured = self.measured_artifact_bytes()
+            summary["measured_artifact_bytes"] = measured
+            summary["measured_compression_factor"] = (
+                raw / measured if measured else float("inf")
+            )
         return summary
 
     def describe(self) -> dict:

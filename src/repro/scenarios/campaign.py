@@ -25,9 +25,9 @@ emulator (or a saved artifact path) plus ``scenarios x realizations``, and
   chunks, committed to the store as each year ends) regardless of
   scenario length;
 * emits a :class:`CampaignManifest` recording, per run, the scenario, the
-  seed spawn key, the chunk layout and the measured output bytes — the
-  numbers :func:`repro.storage.accounting.campaign_storage_report` turns
-  into the artifact-to-output "boost factor";
+  seed spawn key, the chunk layout and the measured output bytes — over
+  the manifest's ``artifact_bytes``, the artifact-to-output "boost
+  factor";
 * optionally lands every chunk in the persistent
   :class:`~repro.storage.chunkstore.ChunkStore` (``store=``), the one
   persistence tier: chunks are keyed by the same ``(stream, realization,
@@ -502,7 +502,8 @@ def _resolve_reader_store(manifest, store) -> ChunkStore:
 
     ``store=None`` opens the store the manifest records; a path opens
     that root with the manifest's recorded encoding (falling back to
-    lossless); a :class:`ChunkStore` instance is used as-is.
+    lossless); a :class:`ChunkStore` instance is used as-is.  A root
+    without a store header is refused, and a reader creates nothing.
     """
     if isinstance(store, ChunkStore):
         return store
@@ -512,8 +513,13 @@ def _resolve_reader_store(manifest, store) -> ChunkStore:
             "the manifest records no chunk_addresses — the campaign "
             "did not write into a store (run_campaign(store=...))"
         )
-    root = header["root"] if store is None else os.fspath(store)
-    return ChunkStore(str(root), str(header["encoding"]) if header else "float64")
+    root = str(header["root"] if store is None else os.fspath(store))
+    if not os.path.isfile(os.path.join(root, "manifest.json")):
+        raise ValueError(
+            f"no chunk store at {root}: it has no manifest.json (the "
+            f"root was moved or removed, or the path is wrong)"
+        )
+    return ChunkStore(root, str(header["encoding"]) if header else "float64")
 
 
 def iter_chunk_arrays(manifest, *, store=None):

@@ -33,7 +33,7 @@ bit-identical.  Consequently ``service.get(request)``:
   what synthesis produced, at full float64).
 
 A lossy (quantized) chunk store is the one opt-out: chunks served from
-an ``int16``/``float32`` store carry that tier's measured
+an ``int16`` store carry that tier's measured
 ``max_abs_error`` (see ``stats()["store"]``) instead of bit-equality.
 """
 

@@ -1,36 +1,22 @@
-"""The chunk store and measured reports.
+"""The chunk store.
 
 * :mod:`repro.storage.chunkstore` — :class:`ChunkStore`, the persistent,
-  crash-safe and optionally quantized tier every campaign writes and every
-  service reads.
+  crash-safe tier every campaign writes and every service reads
+  (lossless ``float64``, or the opt-in quantized ``int16``).
 * :mod:`repro.storage.address` — :func:`chunk_address`, the store's key,
   which campaigns and the serving tier both derive chunks' names with.
-* :mod:`repro.storage.accounting` — reports over the pipeline's own
-  objects: a fitted emulator's measured artifact bytes against its
-  training data, and the bytes a campaign or a service emits per artifact
-  byte.
+* :mod:`repro.storage.accounting` — :func:`format_bytes`, which the
+  examples print byte counts with.
 
-The paper's archive arithmetic (CMIP-class archive sizes, dollars per TB
-per year) is not part of the pipeline; the benches price it in
-``benchmarks/paper_model/archive.py``.
+The storage numbers are read from the objects that hold them:
+``ClimateEmulator.storage_summary()``, the campaign manifest and the
+``stats()`` of a store or a service.  The paper's archive arithmetic
+(CMIP-class archive sizes, dollars per TB per year) is not part of the
+pipeline; the benches price it in ``benchmarks/paper_model/archive.py``.
 """
 
-from repro.storage.accounting import (
-    campaign_storage_report,
-    cross_tier_storage_report,
-    format_bytes,
-    measured_artifact_report,
-    serving_storage_report,
-)
+from repro.storage.accounting import format_bytes
 from repro.storage.address import chunk_address
 from repro.storage.chunkstore import ChunkStore
 
-__all__ = [
-    "ChunkStore",
-    "campaign_storage_report",
-    "chunk_address",
-    "cross_tier_storage_report",
-    "format_bytes",
-    "measured_artifact_report",
-    "serving_storage_report",
-]
+__all__ = ["ChunkStore", "chunk_address", "format_bytes"]

@@ -3,19 +3,18 @@
 The system's single persistence layer.  The serving tier reads and
 write-throughs it, and campaigns (``run_campaign(store=...)``) write
 straight into it, so a chunk written once is served forever without
-re-synthesis — across processes and restarts.  Three encodings trade
-bytes for fidelity, and every ``get`` decodes back to ``float64``:
+re-synthesis — across processes and restarts.  Every ``get`` decodes
+back to ``float64``, from one of two encodings:
 
 * ``"float64"`` (default) — bit-lossless: ``get`` returns exactly the
   array that was ``put``.
-* ``"float32"`` — half the bytes; the rounding error is measured per
-  chunk and recorded in its entry.
 * ``"int16"`` — opt-in quantized tier: a per-chunk ``scale``/``offset``
   (midrange/halfrange affine map), a quarter of the bytes, the measured
   maximum absolute error recorded per chunk.
 
-Lossy encodings reject NaN/Inf with ``ValueError`` before any shard is
-written.  A store has one encoding for life, and refuses to open if it
+``int16`` rejects NaN/Inf with ``ValueError`` before any shard is
+written.  A store has one encoding for life, and refuses to open if its
+header names another encoding (or one this code does not write), if it
 holds chunks of another :data:`~repro.util.numerics.NUMERICS_REVISION`
 (not the bits this code synthesises for the same addresses) or if it is
 a schema-1 root (NPZ shards indexed by one rewritten manifest).
@@ -75,7 +74,7 @@ from repro.util.numerics import NUMERICS_REVISION
 __all__ = ["ChunkStore"]
 
 #: Supported chunk encodings, lossless first.
-_CHUNK_ENCODINGS = ("float64", "float32", "int16")
+_CHUNK_ENCODINGS = ("float64", "int16")
 
 _MANIFEST_SCHEMA = 2
 
@@ -110,10 +109,9 @@ def _require_finite(array: np.ndarray, encoding: str) -> None:
     """Reject non-finite chunks for lossy encodings, before anything is written.
 
     An ``int16`` encode of NaN/Inf would quantise against a non-finite
-    midrange (an all-zero payload behind ``offset = nan``), and a
-    ``float32`` encode's measured error would degenerate to NaN: both
-    are corruption dressed as a stored chunk.  ``float64`` round-trips
-    any bit pattern and stays permissive.
+    midrange (an all-zero payload behind ``offset = nan``): corruption
+    dressed as a stored chunk.  ``float64`` round-trips any bit pattern
+    and stays permissive.
     """
     if encoding != "float64" and not np.isfinite(array).all():
         raise ValueError(
@@ -121,16 +119,6 @@ def _require_finite(array: np.ndarray, encoding: str) -> None:
             f"{encoding!r} encoding cannot represent faithfully; store "
             f"non-finite chunks with the lossless 'float64' encoding"
         )
-    if encoding == "float32" and array.size:
-        peak = float(np.max(np.abs(array)))
-        if peak > float(np.finfo(np.float32).max):
-            # The cast would overflow finite values to inf — a
-            # non-finite stored payload dressed as a lossy round-trip.
-            raise ValueError(
-                f"chunk magnitude {peak:.6g} overflows the 'float32' "
-                f"encoding (max ~3.4e38); store it with 'float64' or the "
-                f"range-scaled 'int16' encoding"
-            )
 
 
 def _encode(array: np.ndarray, encoding: str, *, validated: bool = False):
@@ -145,10 +133,6 @@ def _encode(array: np.ndarray, encoding: str, *, validated: bool = False):
         _require_finite(array, encoding)
     if encoding == "float64":
         return array, None, None, 0.0
-    if encoding == "float32":
-        encoded = array.astype(np.float32)
-        err = float(np.max(np.abs(encoded.astype(np.float64) - array))) if array.size else 0.0
-        return encoded, None, None, err
     if encoding == "int16":
         lo = float(array.min()) if array.size else 0.0
         hi = float(array.max()) if array.size else 0.0
@@ -189,7 +173,7 @@ class ChunkStore:
         ``manifest.json`` header, its journal and shard files under
         ``chunks/``.
     encoding:
-        One of ``"float64"``, ``"float32"`` or ``"int16"``.  ``"float64"`` is lossless;
+        ``"float64"`` or ``"int16"``.  ``"float64"`` is lossless;
         ``"int16"`` is the opt-in quantized tier (4x smaller, measured
         ``max_abs_error`` recorded per chunk).  Reopening an existing
         store with a different encoding raises ``ValueError``.
@@ -371,6 +355,13 @@ class ChunkStore:
                 f"{_MANIFEST_SCHEMA} only (raw shards, a header and a journal; "
                 f"schema 1 was NPZ shards and one manifest): write to a fresh "
                 f"root, or read this one with the code that wrote it"
+            )
+        if header.get("encoding") not in _CHUNK_ENCODINGS:
+            raise ValueError(
+                f"store at {self.root} holds chunks of encoding "
+                f"{header.get('encoding')!r}, which this code does not "
+                f"support (it reads and writes {_CHUNK_ENCODINGS}): read "
+                f"this root with the code that wrote it"
             )
         if header.get("encoding") != self.encoding:
             raise ValueError(

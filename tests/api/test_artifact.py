@@ -24,7 +24,6 @@ from repro.core import ClimateEmulator, EmulatorConfig
 from repro.core.spectral_model import SpectralStochasticModel
 from repro.data import Era5LikeConfig, Era5LikeGenerator
 from repro.linalg.precision import _PRECISIONS, Precision
-from repro.storage import measured_artifact_report
 from repro.util.numerics import NUMERICS_REVISION
 from repro.util.registry import UnknownBackendError
 
@@ -473,12 +472,22 @@ class TestMeasurement:
         fitted_emulator.save(path)
         assert summary["measured_artifact_bytes"] == path.stat().st_size
 
-    def test_measured_artifact_report(self, fitted_emulator):
-        report = measured_artifact_report(fitted_emulator)
-        assert report["measured_artifact_bytes"] > 0
-        assert report["parameter_bytes"] == fitted_emulator.parameter_bytes()
-        assert report["raw_bytes_float32"] > 0
-        assert report["format_overhead_factor"] > 0
+    def test_storage_summary_quotes_parameter_and_raw_bytes(self, fitted_emulator):
+        summary = fitted_emulator.storage_summary()
+        assert set(summary) == {
+            "raw_bytes_float32", "parameter_bytes", "compression_factor",
+            "n_data_points", "n_parameters", "measured_artifact_bytes",
+            "measured_compression_factor",
+        }
+        assert summary["parameter_bytes"] == fitted_emulator.parameter_bytes()
+        assert summary["raw_bytes_float32"] == 4 * summary["n_data_points"] > 0
+        assert summary["measured_artifact_bytes"] == fitted_emulator.measured_artifact_bytes()
+        assert summary["measured_compression_factor"] == (
+            summary["raw_bytes_float32"] / summary["measured_artifact_bytes"]
+        )
+        cheap = fitted_emulator.storage_summary(measure_artifact=False)
+        assert cheap == {key: summary[key] for key in cheap}
+        assert "measured_artifact_bytes" not in cheap
 
     def test_nbytes_is_the_size_a_file_gets(self, variant_emulator, tmp_path):
         """Counted through a seekable sink, without holding the archive."""

@@ -7,10 +7,12 @@ serves the whole campaign with **zero** cold synthesis flights,
 bit-identical (float64 store) to direct emulation.  The suite also pins
 the reader-integrity contract for the store path of
 ``iter_chunk_arrays`` — corrupted-on-disk fixtures raise named errors,
-never yield corrupt members — and the cross-tier accounting.
+never yield corrupt members — and the storage numbers the store's and
+the service's ``stats()`` carry.
 """
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -18,10 +20,6 @@ import pytest
 from repro.scenarios.campaign import iter_chunk_arrays, run_campaign
 from repro.serving.request import FieldRequest, chunk_address
 from repro.serving.service import EmulationService
-from repro.storage.accounting import (
-    campaign_storage_report,
-    cross_tier_storage_report,
-)
 from repro.storage.chunkstore import ChunkStore
 
 SPY = 24  # steps_per_year of the shared fixture ensemble
@@ -156,6 +154,25 @@ class TestStoreReader:
         for (_, a), (_, b), (_, c) in zip(by_header, by_path, by_handle):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
+    @pytest.mark.parametrize("where", ["removed root", "mistyped store"])
+    def test_a_missing_root_is_refused_and_not_created(
+        self, fitted_emulator, tmp_path, where
+    ):
+        """Reading creates nothing: no store at the root is the error."""
+        root = tmp_path / "store"
+        manifest = run_campaign(fitted_emulator, ["constant"], n_times=SPY,
+                                seed=SEED, store=root, collect="none")
+        if where == "removed root":
+            shutil.rmtree(root)
+            missing, store = root, None
+        else:
+            missing = tmp_path / "stroe"
+            store = str(missing)
+        with pytest.raises(ValueError, match="no chunk store") as refusal:
+            list(iter_chunk_arrays(manifest.to_dict(), store=store))
+        assert str(missing) in str(refusal.value)
+        assert not missing.exists()
+
     def test_npz_manifest_cannot_be_read_from_a_store(
         self, fitted_emulator, store_root
     ):
@@ -235,23 +252,19 @@ class TestCorruptedOnDiskFixtures:
             list(iter_chunk_arrays(document, store=store))
 
 
-class TestCrossTierAccounting:
-    def test_campaign_report_gains_a_store_tier(self, store_manifest,
-                                                store_root):
-        report = campaign_storage_report(
-            store_manifest, store=ChunkStore(store_root)
-        )
-        tier = report["store"]
-        assert tier["encoding"] == "float64"
-        assert tier["n_chunks"] == len(SCENARIOS) * N_REALIZATIONS * N_YEARS
-        assert tier["max_abs_error"] == 0.0
-        assert tier["store_boost_factor"] > 1.0
-        # The manifest's own store header is enough — no handle needed.
-        assert campaign_storage_report(store_manifest)["store"][
-            "n_chunks"
-        ] == tier["n_chunks"]
+class TestStorageNumbers:
+    def test_store_stats_count_the_campaign_losslessly(self, store_manifest,
+                                                       store_root):
+        stats = ChunkStore(store_root).stats()
+        assert stats["root"] == str(store_root)
+        assert stats["encoding"] == "float64"
+        assert stats["lossless"] is True
+        assert stats["n_chunks"] == len(SCENARIOS) * N_REALIZATIONS * N_YEARS
+        assert stats["max_abs_error"] == 0.0
+        # The store re-serves more bytes than the artifact holds.
+        assert stats["decoded_bytes"] / store_manifest.artifact_bytes > 1.0
 
-    def test_cross_tier_report_shows_full_prewarming(
+    def test_a_service_over_the_prewarmed_root_synthesizes_nothing(
         self, fitted_emulator, store_manifest, store_root
     ):
         service = EmulationService(
@@ -260,14 +273,11 @@ class TestCrossTierAccounting:
         for scenario in SCENARIOS:
             service.get(FieldRequest(scenario, realization=0,
                                      year_start=0, year_stop=N_YEARS))
-        report = cross_tier_storage_report(store_manifest, service)
-        assert report["synthesized_chunks"] == 0
-        assert report["prewarmed_fraction"] == 1.0
-        assert report["store_lossless"] is True
-        assert report["store_max_abs_error"] == 0.0
-        assert report["cross_tier_boost_factor"] > 1.0
-        assert report["emitted_bytes"] == (
-            report["campaign_output_bytes"] + report["served_bytes"]
+        stats = service.stats()
+        assert stats["synthesis"]["chunks"] == 0
+        assert stats["store_chunk_hits"] == len(SCENARIOS) * N_YEARS
+        assert stats["store"]["lossless"] is True
+        assert stats["store"]["max_abs_error"] == 0.0
+        assert stats["served_bytes"] == len(SCENARIOS) * N_YEARS * SPY * (
+            service.grid.npoints * 8
         )
-        assert report["campaign"]["boost_factor"] > 1.0
-        assert report["serving"]["boost_factor"] > 0.0

@@ -10,7 +10,6 @@ import pytest
 import repro
 from repro.scenarios.campaign import iter_chunk_arrays, plan_campaign, run_campaign
 from repro.scenarios.registry import resolve_scenario
-from repro.storage.accounting import campaign_storage_report
 
 SCENARIO_NAMES = ["ssp-low", "ssp-medium", "ssp-high"]
 
@@ -498,18 +497,29 @@ class TestIterChunkArrays:
             list(iter_chunk_arrays(manifest))
 
 
-class TestStorageReport:
-    def test_boost_factor(self, serial_manifest):
-        report = campaign_storage_report(serial_manifest)
-        assert report["n_runs"] == 6
-        assert report["n_scenarios"] == 3
-        assert report["artifact_bytes"] == serial_manifest.artifact_bytes
-        assert report["campaign_output_bytes"] == serial_manifest.total_output_bytes
-        assert report["boost_factor"] == pytest.approx(
-            serial_manifest.total_output_bytes / serial_manifest.artifact_bytes
+class TestStorageNumbers:
+    def test_boost_and_throughput_are_read_from_the_manifest(
+        self, fitted_emulator, serial_manifest
+    ):
+        manifest = serial_manifest
+        assert manifest.n_runs == 6
+        assert manifest.scenario_names == SCENARIO_NAMES
+        assert manifest.artifact_bytes == fitted_emulator.measured_artifact_bytes()
+        # One small artifact emits more bytes than it holds.
+        assert manifest.total_output_bytes / manifest.artifact_bytes > 1.0
+        wall = manifest.total_wall_seconds
+        assert wall > 0.0
+        assert manifest.runs_per_second == manifest.n_runs / wall
+        assert manifest.output_bytes_per_second == manifest.total_output_bytes / wall
+        document = manifest.to_dict()
+        assert (document["n_runs"], document["scenarios"]) == (6, SCENARIO_NAMES)
+        assert document["artifact_bytes"] == manifest.artifact_bytes
+        assert document["total_output_bytes"] == manifest.total_output_bytes
+        assert document["timing"]["total_wall_seconds"] == wall
+        assert document["timing"]["runs_per_second"] == manifest.runs_per_second
+        assert document["timing"]["output_bytes_per_second"] == (
+            manifest.output_bytes_per_second
         )
-        # Accepts the JSON form of the manifest too.
-        assert campaign_storage_report(serial_manifest.to_dict()) == report
 
 
 class TestProgressHeartbeat:

@@ -363,23 +363,20 @@ class TestPersistentTier:
         # chunk-wide range keeps the error well below 0.01 K here.
         assert error < 1e-2
 
-    def test_serving_storage_report(self, fitted_emulator, tmp_path):
-        from repro.storage.accounting import serving_storage_report
-
+    def test_int16_service_stats_carry_the_store_error(self, fitted_emulator,
+                                                       tmp_path):
         store = ChunkStore(tmp_path / "store", encoding="int16")
         service = repro.serve(fitted_emulator, seed=0, store=store)
         service.get(FieldRequest("ssp-high", realization=0, year_start=0,
                                  year_stop=3))
-        report = serving_storage_report(service)
-        assert report["requests"] == 1
-        assert report["served_bytes"] == 3 * SPY * service.grid.npoints * 8
-        assert report["boost_factor"] == pytest.approx(
-            report["served_bytes"] / report["artifact_bytes"]
-        )
-        assert report["store_lossless"] is False
-        assert report["store_max_abs_error"] > 0.0
-        # Accepts the stats dict too.
-        assert serving_storage_report(service.stats()) == report
+        stats = service.stats()
+        assert stats["requests"] == 1
+        assert stats["served_bytes"] == 3 * SPY * service.grid.npoints * 8
+        assert stats["artifact_bytes"] == fitted_emulator.measured_artifact_bytes()
+        assert stats["store"]["encoding"] == "int16"
+        assert stats["store"]["lossless"] is False
+        assert stats["store"]["max_abs_error"] > 0.0
+        assert stats["store"] == store.stats()
 
 
 class TestFacade:

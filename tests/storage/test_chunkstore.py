@@ -28,16 +28,6 @@ class TestRoundTrip:
         assert store.lossless
         assert store.max_abs_error() == 0.0
 
-    def test_float32_round_trip_and_measured_error(self, tmp_path, payload):
-        store = ChunkStore(tmp_path, encoding="float32")
-        entry = store.put("aa11", payload)
-        decoded = store.get("aa11")
-        assert decoded.dtype == np.float64
-        measured = float(np.max(np.abs(decoded - payload)))
-        assert measured == entry["max_abs_error"]
-        assert measured <= np.max(np.abs(payload)) * np.finfo(np.float32).eps * 2
-        assert entry["encoded_bytes"] == payload.size * 4
-
     def test_int16_quantization_error_is_bounded_and_honest(self, tmp_path, payload):
         store = ChunkStore(tmp_path, encoding="int16")
         entry = store.put("aa11", payload)
@@ -82,6 +72,26 @@ class TestManifest:
         with pytest.raises(ValueError, match="encoding"):
             ChunkStore(tmp_path, encoding="int8")
         assert "int8" not in _CHUNK_ENCODINGS
+
+    def test_float32_encoding_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown chunk encoding 'float32'"):
+            ChunkStore(tmp_path / "store", encoding="float32")
+        assert _CHUNK_ENCODINGS == ("float64", "int16")
+        assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("encoding", _CHUNK_ENCODINGS)
+    def test_a_float32_root_is_refused_by_name(self, tmp_path, encoding):
+        """A header naming an encoding this code does not write refuses to open."""
+        os.makedirs(tmp_path / "chunks")
+        (tmp_path / "journal-0.jsonl").write_bytes(b"")
+        header = {"schema": 2, "encoding": "float32", "chunks": {},
+                  "numerics_revision": NUMERICS_REVISION,
+                  "journal": "journal-0.jsonl"}
+        (tmp_path / "manifest.json").write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="'float32', which this code "
+                                             "does not support") as refusal:
+            ChunkStore(tmp_path, encoding=encoding)
+        assert str(tmp_path) in str(refusal.value)
 
     def test_put_is_idempotent(self, tmp_path, payload):
         store = ChunkStore(tmp_path)
@@ -357,10 +367,9 @@ class TestNonFiniteRejection:
             for name in names
         ]
 
-    @pytest.mark.parametrize("encoding", ["int16", "float32"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_put_non_finite_raises_before_any_write(self, tmp_path, encoding, bad):
-        store = ChunkStore(tmp_path, encoding=encoding)
+    def test_put_non_finite_raises_before_any_write(self, tmp_path, bad):
+        store = ChunkStore(tmp_path, encoding="int16")
         chunk = np.array([[1.0, 2.0], [bad, 4.0]])
         with pytest.raises(ValueError, match="non-finite"):
             store.put("bad1", chunk)

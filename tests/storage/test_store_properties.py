@@ -1,15 +1,14 @@
-"""Property-based round-trip laws of the three chunk encodings.
+"""Property-based round-trip laws of the two chunk encodings.
 
 Hypothesis drives shapes, dtypes and magnitudes (including subnormals
 and 1e±200 extremes) through ``put``/``get`` and pins the contracts the
 rest of the system leans on:
 
 * ``float64`` is *bit*-lossless — any finite-or-not pattern round-trips;
-* ``float32``/``int16`` record a measured ``max_abs_error`` that really
-  bounds the observed reconstruction error, and the ``int16`` error
-  also respects the analytic half-step bound from its affine scale;
-* lossy encodings reject non-finite chunks *before* anything lands on
-  disk (the PR 5 corruption path stays closed).
+* ``int16`` records a measured ``max_abs_error`` that really bounds the
+  observed reconstruction error and respects the analytic half-step
+  bound from its affine scale;
+* ``int16`` rejects non-finite chunks *before* anything lands on disk.
 
 Each example gets a fresh store root under one ``tmp_path``, so the
 function-scoped-fixture health check is deliberately suppressed.
@@ -93,33 +92,13 @@ class TestFloat64Losslessness:
 
 
 class TestLossyErrorBounds:
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(
-        array=hnp.arrays(
-            np.float64,
-            hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
-            # Within float32 range; values beyond it are rejected (below).
-            elements=st.floats(min_value=-1e38, max_value=1e38,
-                               allow_nan=False, allow_infinity=False,
-                               allow_subnormal=True),
-        )
-    )
-    def test_float32_error_is_measured_exactly(self, tmp_path, array):
-        store = fresh_store(tmp_path, "float32")
+    def test_int16_stores_magnitudes_beyond_float32(self, tmp_path):
+        """The range-scaled tier keeps ±1e39, past float32's ~3.4e38."""
+        store = fresh_store(tmp_path, "int16")
+        array = np.array([-1e39, 1e39])
         entry = store.put("aa11", array)
-        decoded = store.get("aa11")
-        observed = float(np.max(np.abs(decoded - array))) if array.size else 0.0
-        assert entry["max_abs_error"] == observed
-        assert np.array_equal(decoded, array.astype(np.float32).astype(np.float64))
-
-    def test_float32_rejects_magnitudes_beyond_its_range(self, tmp_path):
-        store = fresh_store(tmp_path, "float32")
-        with pytest.raises(ValueError, match="overflows the 'float32'"):
-            store.put("aa11", np.array([1e39]))
-        assert len(store) == 0
-        # The same magnitudes are fine for the range-scaled int16 tier.
-        fresh_store(tmp_path, "int16").put("aa11", np.array([-1e39, 1e39]))
+        assert np.array_equal(store.get("aa11"), array)
+        assert entry["max_abs_error"] == 0.0
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -163,22 +142,21 @@ class TestNonFiniteRejection:
         array=hnp.arrays(
             np.float64,
             hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
-            # Healthy and encodable by both lossy tiers, so the poison
+            # Healthy and encodable by the lossy tier, so the poison
             # value is the only thing validation can object to.
             elements=st.floats(min_value=-1e30, max_value=1e30,
                                allow_nan=False, allow_infinity=False),
         ),
-        encoding=st.sampled_from(["float32", "int16"]),
         poison=st.sampled_from([np.nan, np.inf, -np.inf]),
         via_batch=st.booleans(),
     )
     def test_lossy_put_rejects_before_touching_disk(self, tmp_path, array,
-                                                    encoding, poison, via_batch):
+                                                    poison, via_batch):
         if not array.size:
             array = np.zeros(1)
         poisoned = array.copy()
         poisoned.flat[len(poisoned.flat) // 2] = poison
-        store = fresh_store(tmp_path, encoding)
+        store = fresh_store(tmp_path, "int16")
         with pytest.raises(ValueError, match="non-finite"):
             if via_batch:
                 # A poisoned batch must not strand its healthy chunks
@@ -205,7 +183,7 @@ class TestIdempotentPut:
         array=hnp.arrays(
             np.float64,
             hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6),
-            # Encodable by every tier (float32 rejects beyond ~3.4e38).
+            # Encodable by every tier.
             elements=st.floats(min_value=-1e38, max_value=1e38,
                                allow_nan=False, allow_infinity=False),
         ),

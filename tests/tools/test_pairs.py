@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -109,3 +111,40 @@ def test_main_reports_saved_lines(tmp_path, capsys):
     assert "| ms_per_field (ms) | 1.24 [1.205, 1.275] | 0.6 | 0.484 | 10/10 | better |" in out
     assert "parent: failed 0 of 100 operations" in out
     assert "change: failed 20 of 100 operations" in out
+
+
+def stub_harness(monkeypatch, returncode, stdout):
+    """``subprocess.run`` answering every harness run alike, ``check=`` honoured."""
+    def fake_run(command, **kwargs):
+        if kwargs.get("check") and returncode:
+            raise subprocess.CalledProcessError(returncode, command, stdout)
+        return subprocess.CompletedProcess(command, returncode, stdout, "boom")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+
+
+def test_a_run_that_exits_1_with_a_result_is_kept_and_counted(monkeypatch):
+    result = {"attempted": 10, "failed": 3,
+              "metrics": {"ms_per_field": {"value": 1.0, "unit": "ms"}}}
+    stub_harness(monkeypatch, 1, f"attempted 10 failed 3\n{json.dumps(result)}\n")
+    args = SimpleNamespace(pairs=2, workload="campaign_L64", seconds=1.0, seed=0)
+    records = pairs.run_pairs(Path("P"), Path("C"), args)
+    assert [r["result"] for r in records] == [result] * 4
+    assert pairs.failures(records) == {"parent": (6, 20), "change": (6, 20)}
+    report = pairs.render(pairs.summarize(records, DECLARED), records)
+    assert "change: failed 6 of 20 operations" in report
+    assert "FAILED SHARE WORSE" not in report
+
+
+def test_a_run_without_a_result_line_names_the_pair_side_and_exit(monkeypatch):
+    stub_harness(monkeypatch, 1, "Traceback (most recent call last):\n")
+    args = SimpleNamespace(pairs=1, workload="campaign_L64", seconds=1.0, seed=0)
+    with pytest.raises(RuntimeError, match="pair 1 parent: exit code 1 and no result"):
+        pairs.run_pairs(Path("P"), Path("C"), args)
+
+
+def test_a_larger_failed_share_on_the_change_is_marked():
+    records = canned(PARENT, [0.6] * 10, failed=(1, 2))
+    assert "FAILED SHARE WORSE: change 0.2 against parent 0.1" in pairs.render([], records)
+    records = canned(PARENT, [0.6] * 10, failed=(2, 2))
+    assert "FAILED SHARE WORSE" not in pairs.render([], records)

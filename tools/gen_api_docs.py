@@ -99,10 +99,6 @@ def generate() -> str:
     from repro.serving.service import EmulationService
     from repro.sht import SHTPlan
     from repro.sht.plancache import clear_plan_cache, get_plan, plan_cache_stats
-    from repro.storage.accounting import (
-        campaign_storage_report,
-        serving_storage_report,
-    )
     from repro.storage.chunkstore import ChunkStore
     from repro.tuning import MachineProfile, calibrate_machine
     from repro.util.registry import UnknownBackendError
@@ -135,15 +131,12 @@ def generate() -> str:
     parts.append(_entry("repro.ChunkStore", ChunkStore,
                         methods=("put", "get", "entry", "max_abs_error",
                                  "stats")))
-    parts.append(_entry("repro.storage.accounting.serving_storage_report",
-                        serving_storage_report))
 
     parts.append("## Campaign\n")
     for qualname, obj in (
         ("repro.run_campaign", run_campaign),
         ("repro.scenarios.campaign.plan_campaign", plan_campaign),
         ("repro.iter_chunk_arrays", iter_chunk_arrays),
-        ("repro.storage.accounting.campaign_storage_report", campaign_storage_report),
     ):
         parts.append(_entry(qualname, obj))
     parts.append(_entry("repro.CampaignManifest", CampaignManifest,

@@ -11,7 +11,9 @@ parent first in odd pairs and the change first in even ones (ABBA), so
 a drift of the host hits both sides alike.  The last line a run prints
 is the harness's JSON result.  ``--save`` keeps those results, one
 ``{"pair", "side", "result"}`` object a line, and ``--load`` reports on
-saved lines without running anything.
+saved lines without running anything.  A run that exits non-zero (the
+harness exits 1 when an operation failed) is kept when its last line is
+a result; only a run without one stops the tool.
 
 Per end-to-end metric of ``BENCHMARK.json`` the report gives the
 parent's median and quartiles (``benchmarks.e2e.common.quartiles``), the
@@ -20,7 +22,9 @@ the change is better, in the metric's ``better`` direction) and a
 verdict: ``better`` or ``worse`` when at least nine in ten pairs agree
 and the medians differ by more than the parent's interquartile range,
 ``no claim`` otherwise, and ``OUT OF BOUND`` when the change's median is
-worse than the parent's by more than the metric's bound.
+worse than the parent's by more than the metric's bound.  Each side's
+failed operations are summed, and the report is marked ``FAILED SHARE
+WORSE`` when the change fails a larger share than the parent.
 
 The tool writes nothing into the repository (the harness keeps its
 gitignored ``benchmarks/e2e/out/`` in each checkout it runs in).
@@ -50,13 +54,26 @@ AGREE_SHARE = 0.9
 
 
 def run_side(root: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One harness run in checkout ``root``; its JSON result line."""
+    """One harness run in checkout ``root``; its JSON result line.
+
+    The harness exits 1 when an operation failed and still prints its
+    result last, so any exit code with a result line is a run to count;
+    ``RuntimeError`` is raised only when the last line is not a result.
+    """
     command = [
         sys.executable, "-m", "benchmarks.e2e", "--workload", workload,
         "--seconds", str(seconds), "--trace", "0", "--seed", str(seed),
     ]
-    done = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if not isinstance(result, dict) or "metrics" not in result:
+        raise RuntimeError(f"exit code {done.returncode} and no result line; "
+                       f"stderr ends: {done.stderr.strip()[-500:]}")
+    return result
 
 
 def run_pairs(parent: Path, change: Path, args) -> "list[dict]":
@@ -66,7 +83,10 @@ def run_pairs(parent: Path, change: Path, args) -> "list[dict]":
         order = SIDES if pair % 2 == 1 else SIDES[::-1]
         for side in order:
             root = parent if side == "parent" else change
-            result = run_side(root, args.workload, args.seconds, args.seed)
+            try:
+                result = run_side(root, args.workload, args.seconds, args.seed)
+            except RuntimeError as exc:
+                raise RuntimeError(f"pair {pair} {side}: {exc}") from exc
             records.append({"pair": pair, "side": side, "result": result})
             print(f"pair {pair} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
     return records
@@ -133,8 +153,13 @@ def render(rows: "list[dict]", records: "list[dict]") -> str:
             f"[{p['q1']:.4g}, {p['q3']:.4g}] | {row['change']:.4g} | "
             f"{row['ratio']:.3f} | {row['wins']}/{row['n']} | {row['verdict']} |"
         )
+    shares = {}
     for side, (failed, attempted) in failures(records).items():
         lines.append(f"{side}: failed {failed} of {attempted} operations")
+        shares[side] = failed / attempted if attempted else 0.0
+    if shares["change"] > shares["parent"]:
+        lines.append(f"FAILED SHARE WORSE: change {shares['change']:.4g} "
+                     f"against parent {shares['parent']:.4g}")
     return "\n".join(lines)
 
 
