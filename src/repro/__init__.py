@@ -36,7 +36,7 @@ chunk store.  ``import repro`` loads every module below except
   :class:`ChunkStore`, or coalesced batched synthesis
   (built via :func:`serve`).
 * :mod:`repro.storage` — the chunk store: the persistent
-  :class:`ChunkStore` tier (lossless ``float64`` or quantized ``int16``).
+  :class:`ChunkStore` tier, lossless ``float64`` for campaigns and serving.
 * :mod:`repro.stats` — statistical-consistency diagnostics between
   simulations and emulations.
 * :mod:`repro.obs` — the unified telemetry layer: hierarchical tracing

@@ -238,14 +238,11 @@ def serve(
         for unlimited) — a pure capacity knob, so served bytes are
         identical for every setting.
     store:
-        A :class:`~repro.storage.chunkstore.ChunkStore`, or a directory
-        path (opened as a lossless float64 store).
+        A :class:`~repro.storage.chunkstore.ChunkStore` or a directory
+        path; a lossy (``int16``) store is refused.
     """
     # Imported lazily: the serving layer sits above the facade.
     from repro.serving.service import EmulationService
-    from repro.storage.chunkstore import ChunkStore
 
-    if store is not None and not isinstance(store, ChunkStore):
-        store = ChunkStore(store)
     with span("facade.serve", seed=seed):
         return EmulationService(source, seed=seed, cache_bytes=cache_bytes, store=store)

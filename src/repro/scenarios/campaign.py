@@ -33,8 +33,8 @@ emulator (or a saved artifact path) plus ``scenarios x realizations``, and
   persistence tier: chunks are keyed by the same ``(stream, realization,
   year)`` content-addresses the service uses, so a campaign *pre-warms*
   serving — every campaign chunk is later served from the store with
-  zero cold synthesis, bit-identical for a lossless (float64) store —
-  and :func:`iter_chunk_arrays` reads them back manifest-driven.
+  zero cold synthesis, bit-identical — and :func:`iter_chunk_arrays`
+  reads them back manifest-driven, the same ``float64`` bits.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.obs import span
 from repro.scenarios.registry import resolve_scenario, stream_address
 from repro.scenarios.spec import ScenarioSpec
 from repro.storage.address import chunk_address
-from repro.storage.chunkstore import ChunkStore
+from repro.storage.chunkstore import ChunkStore, _open_store, _read_chunk
 from repro.tuning import _pilot_batch_size
 
 __all__ = [
@@ -165,8 +165,8 @@ class CampaignManifest:
     batch_timings: list[dict] = field(default_factory=list)
     #: Persistent-store header when the campaign wrote into a
     #: :class:`~repro.storage.chunkstore.ChunkStore`:
-    #: ``{"root", "encoding", "stream_addresses": {scenario: address}}``.
-    #: ``None`` for store-less campaigns.
+    #: ``{"root", "grid": [ntheta, nphi], "stream_addresses": {scenario:
+    #: address}}``.  ``None`` for store-less campaigns.
     store: "dict | None" = None
     #: Autotuning header when the campaign ran with ``tune="auto"``:
     #: ``executor`` / ``max_workers`` / ``batch_size`` as resolved,
@@ -361,7 +361,7 @@ class _RunAccumulator:
         the block's year that :func:`_flush_store` commits."""
         plan = self.plan
         self.chunk_sizes.append(member.shape[0])
-        self.output_bytes += member.size * np.dtype(np.float32).itemsize
+        self.output_bytes += member.nbytes
         if plan.store_root is not None:
             # The full-precision float64 data is staged under the
             # serving address (stream, realization, year) — the store's
@@ -497,48 +497,24 @@ def _batch_plans(
     return [blocks[key] for key in sorted(blocks)]
 
 
-def _resolve_reader_store(manifest, store) -> ChunkStore:
-    """The :class:`ChunkStore` to read a campaign back from.
-
-    ``store=None`` opens the store the manifest records; a path opens
-    that root with the manifest's recorded encoding (falling back to
-    lossless); a :class:`ChunkStore` instance is used as-is.  A root
-    without a store header is refused, and a reader creates nothing.
-    """
-    if isinstance(store, ChunkStore):
-        return store
-    header = manifest.get("store") if isinstance(manifest, dict) else manifest.store
-    if store is None and not header:
-        raise ValueError(
-            "the manifest records no chunk_addresses — the campaign "
-            "did not write into a store (run_campaign(store=...))"
-        )
-    root = str(header["root"] if store is None else os.fspath(store))
-    if not os.path.isfile(os.path.join(root, "manifest.json")):
-        raise ValueError(
-            f"no chunk store at {root}: it has no manifest.json (the "
-            f"root was moved or removed, or the path is wrong)"
-        )
-    return ChunkStore(root, str(header["encoding"]) if header else "float64")
-
-
 def iter_chunk_arrays(manifest, *, store=None):
     """Load the stored chunks of a campaign back, manifest-driven.
 
     Yields ``(run, member)`` for every run: ``run`` is the manifest's
     run entry (a :class:`CampaignRunRecord`, or a plain dict when
     iterating a JSON-loaded manifest) and ``member`` is the run's
-    reassembled ``float32`` field array of shape
+    reassembled ``float64`` field array of shape
     ``(n_times, ntheta, nphi)``, fetched by the run's
-    ``chunk_addresses`` from the persistent store — the same bytes
-    ``FieldRequest`` serving resolves.
+    ``chunk_addresses`` from the persistent store — the bits
+    ``FieldRequest`` serving returns for the same chunks.  A caller that
+    wants ``float32`` casts.
 
-    Every chunk is validated against the manifest's recorded layout
-    before anything is yielded: chunk count and per-chunk length must
-    match ``chunk_sizes``, the chunks must tile ``n_times``
-    contiguously and spatial shapes must agree across chunks — a
-    missing, truncated or foreign chunk raises a ``ValueError`` naming
-    the run and chunk instead of silently yielding a corrupt record.
+    Every chunk is validated before anything is yielded: the chunk
+    count must match ``chunk_sizes``, the chunks must tile ``n_times``,
+    and each chunk must have the shape ``(chunk_size, ntheta, nphi)`` of
+    the grid the manifest records — a missing, truncated or foreign
+    chunk raises a ``ValueError`` naming it instead of silently yielding
+    a corrupt record.
 
     Parameters
     ----------
@@ -548,62 +524,60 @@ def iter_chunk_arrays(manifest, *, store=None):
     store:
         ``None`` (read the store the manifest records), a store root
         path, or an open :class:`~repro.storage.chunkstore.ChunkStore`.
+        A reader creates nothing: a root without a store is refused.
     """
-    reader_store = _resolve_reader_store(manifest, store)
+    header = (manifest.get("store") if isinstance(manifest, dict) else manifest.store) or {}
+    store = header.get("root") if store is None else store
+    unstored = (
+        "the manifest records no chunk_addresses — the campaign did not "
+        "write into a store (run_campaign(store=...))"
+    )
+    if store is None:
+        raise ValueError(unstored)
+    if isinstance(store, (str, os.PathLike)) and not os.path.isfile(
+        os.path.join(os.fspath(store), "manifest.json")
+    ):
+        raise ValueError(
+            f"no chunk store at {os.fspath(store)}: it has no manifest.json (the "
+            f"root was moved or removed, or the path is wrong)"
+        )
+    reader_store = _open_store(store)
+    grid = header.get("grid")
     runs = manifest["runs"] if isinstance(manifest, dict) else manifest.runs
     for run in runs:
         entry = run if isinstance(run, dict) else run.to_dict()
         addresses = [str(a) for a in entry.get("chunk_addresses", [])]
         chunk_sizes = [int(c) for c in entry["chunk_sizes"]]
         n_times = int(entry["n_times"])
-        label = (
-            f"run {entry['index']} ({entry['scenario']!r}, r{entry['realization']})"
-        )
+        label = f"run {entry['index']} ({entry['scenario']!r}, r{entry['realization']})"
         if not addresses:
-            raise ValueError(
-                f"{label}: the manifest records no chunk_addresses — "
-                f"the campaign did not write into a store "
-                f"(run_campaign(store=...))"
-            )
+            raise ValueError(f"{label}: {unstored}")
         if len(addresses) != len(chunk_sizes):
             raise ValueError(
                 f"{label}: the manifest records {len(addresses)} "
                 f"chunk_addresses but {len(chunk_sizes)} chunk_sizes; "
                 f"the manifest is corrupt"
             )
-        # Addresses are recorded in chunk order, so chunk j starts at the
-        # running offset of the manifest's chunk_sizes.
+        if sum(chunk_sizes) != n_times:
+            raise ValueError(
+                f"{label}: chunks cover {sum(chunk_sizes)} of {n_times} time steps"
+            )
+        if grid is None:
+            # A manifest written before the grid was recorded: the run's
+            # first stored chunk names it.
+            first = reader_store.entry(addresses[0])
+            grid = first["shape"][1:] if first is not None else []
         arrays = []
-        offset = 0
-        for j, address in enumerate(addresses):
-            array = reader_store.get(address)
+        for j, (address, steps) in enumerate(zip(addresses, chunk_sizes)):
+            array = _read_chunk(reader_store, address, (steps, *grid))
             if array is None:
                 raise ValueError(
-                    f"{label}: chunk {j} at t_start={offset} (address "
-                    f"{address[:12]}...) is not in the store at "
-                    f"{reader_store.root}; it was pruned or never committed"
-                )
-            if array.shape[0] != chunk_sizes[j]:
-                raise ValueError(
-                    f"{label}: chunk {j} at t_start={offset} holds "
-                    f"{array.shape[0]} time steps but the manifest records "
-                    f"{chunk_sizes[j]}; the chunk was truncated or rewritten "
-                    f"since the campaign ran"
-                )
-            if arrays and array.shape[1:] != arrays[0].shape[1:]:
-                raise ValueError(
-                    f"{label}: chunk {j} has spatial shape "
-                    f"{tuple(array.shape[1:])} but chunk 0 has "
-                    f"{tuple(arrays[0].shape[1:])}; chunks of one run "
-                    f"must share one grid"
+                    f"{label}: chunk {j} (address {address[:12]}...) is not in "
+                    f"the store at {reader_store.root}; it was pruned or never "
+                    f"committed"
                 )
             arrays.append(array)
-            offset += chunk_sizes[j]
-        if offset != n_times:
-            raise ValueError(
-                f"{label}: chunks cover {offset} of {n_times} time steps"
-            )
-        yield run, np.concatenate(arrays, axis=0).astype(np.float32)
+        yield run, np.concatenate(arrays, axis=0)
 
 
 class _Heartbeat:
@@ -664,7 +638,7 @@ def run_campaign(
     Determinism guarantee: every per-run output (the run records, the
     collected reductions, the stored chunks) is a pure function of
     ``(source, scenarios, n_realizations, n_times, seed, include_nugget,
-    collect, start_level, store encoding)``, and run ``(scenario, r)`` is
+    collect, start_level)``, and run ``(scenario, r)`` is
     member ``r`` of ``emulate(n_realizations=..., rng=seed)`` under the
     scenario's forcing.
     Realization ``r`` of every scenario always draws from the
@@ -736,15 +710,15 @@ def run_campaign(
     start_level:
         Baseline forcing handed to the scenario factories.
     store:
-        A :class:`~repro.storage.chunkstore.ChunkStore` (or a store root
-        path, opened lossless) the campaign lands every chunk in, keyed
-        by the serving tier's ``(stream, realization, year)``
-        content-addresses — so an
+        A :class:`~repro.storage.chunkstore.ChunkStore` or a store root
+        path the campaign lands every chunk in, keyed by the serving
+        tier's ``(stream, realization, year)`` content-addresses — so an
         :class:`~repro.serving.service.EmulationService` over the same
         root (same seed) serves every campaign chunk with **zero** cold
-        synthesis, bit-identical for a float64 store.  ``n_times`` must
-        then be a whole number of years, because serving addresses
-        chunks by model year.
+        synthesis, bit-identical.  A lossy (``int16``) store is refused
+        before anything is synthesized.  ``n_times`` must be a whole
+        number of years, because serving addresses chunks by model
+        year.
 
         Chunks are staged per model year of an execution block and
         committed with one ``put_many`` transaction per block-year (safe
@@ -787,18 +761,13 @@ def run_campaign(
     n_times = _checked_count("n_times", summary.n_times if n_times is None else n_times)
     batch_size = _checked_batch_size(batch_size)
 
-    store_obj: "ChunkStore | None" = None
-    if store is not None:
-        store_obj = (
-            store if isinstance(store, ChunkStore)
-            else ChunkStore(os.fspath(store))
+    if store is not None and n_times % summary.steps_per_year != 0:
+        raise ValueError(
+            f"store-backed campaigns must cover whole model years: "
+            f"n_times={n_times} is not a multiple of steps_per_year="
+            f"{summary.steps_per_year}"
         )
-        if n_times % summary.steps_per_year != 0:
-            raise ValueError(
-                f"store-backed campaigns must cover whole model years: "
-                f"n_times={n_times} is not a multiple of steps_per_year="
-                f"{summary.steps_per_year}"
-            )
+    store_obj = None if store is None else _open_store(store)
 
     plans = plan_campaign(
         scenarios, n_realizations,
@@ -901,7 +870,7 @@ def run_campaign(
     if store_obj is not None:
         store_header = {
             "root": store_obj.root,
-            "encoding": store_obj.encoding,
+            "grid": list(summary.grid.shape),
             "stream_addresses": {
                 plan.scenario: plan.stream_address
                 for plan in plans

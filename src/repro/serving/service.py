@@ -29,12 +29,10 @@ bit-identical.  Consequently ``service.get(request)``:
 
 * equals member ``r`` of ``emulator.emulate(..., rng=seed)`` (and the
   concatenated ``emulate_stream``) **bit for bit**, for every request;
-* is identical on the cold and cached paths (the cache stores exactly
-  what synthesis produced, at full float64).
-
-A lossy (quantized) chunk store is the one opt-out: chunks served from
-an ``int16`` store carry that tier's measured
-``max_abs_error`` (see ``stats()["store"]``) instead of bit-equality.
+* is identical on the cold, cached and stored paths (the cache and the
+  store hold exactly what synthesis produced, at full float64; a lossy
+  store is refused when the service opens it, and a stored chunk of
+  another shape raises before it is cached or served).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from repro.core.generator import _member_rngs
 from repro.obs import span
 from repro.serving.request import FieldRequest
 from repro.storage.address import chunk_address
-from repro.storage.chunkstore import ChunkStore
+from repro.storage.chunkstore import ChunkStore, _open_store, _read_chunk
 
 __all__ = ["EmulationService", "DEFAULT_CACHE_BYTES"]
 
@@ -184,10 +182,8 @@ class EmulationService:
         default 256 MiB).
     store:
         Optional persistent :class:`~repro.storage.chunkstore.ChunkStore`
-        used read-through/write-through.  A lossless (float64) store
-        preserves bit-exactness across processes; a quantized store
-        trades that for 4x smaller shards and reports its measured
-        ``max_abs_error``.
+        or store root path, used read-through/write-through: the same
+        bits across processes.  A lossy (``int16``) store is refused.
 
     Examples
     --------
@@ -203,17 +199,16 @@ class EmulationService:
         *,
         seed: int = 0,
         cache_bytes: "int | None" = DEFAULT_CACHE_BYTES,
-        store: "ChunkStore | None" = None,
+        store: "ChunkStore | str | os.PathLike | None" = None,
     ):
         emulator = _resolve_emulator(source)
         if not emulator.is_fitted or emulator.training_summary is None:
             raise RuntimeError("EmulationService needs a fitted emulator")
-        if store is not None and not isinstance(store, ChunkStore):
-            raise TypeError(f"store must be a ChunkStore, got {type(store).__name__}")
         self._emulator = emulator
         self._summary = emulator.training_summary
         self._seed = int(seed)
-        self._store = store
+        self._store = None if store is None else _open_store(store)
+        self._chunk_shape = (self.steps_per_year, *self.grid.shape)
         if isinstance(source, (str, os.PathLike)):
             self._artifact_bytes = os.path.getsize(os.fspath(source))
         else:
@@ -369,7 +364,8 @@ class EmulationService:
             return sorted(pending)
         missing: list[int] = []
         for year in sorted(pending):
-            array = store.get(addresses[year])  # disk read, outside the lock
+            # Disk read, outside the lock; checked before it is cached.
+            array = _read_chunk(store, addresses[year], self._chunk_shape)
             if array is None:
                 missing.append(year)
                 continue

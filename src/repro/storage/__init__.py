@@ -1,8 +1,8 @@
 """The chunk store.
 
 * :mod:`repro.storage.chunkstore` — :class:`ChunkStore`, the persistent,
-  crash-safe tier every campaign writes and every service reads
-  (lossless ``float64``, or the opt-in quantized ``int16``).
+  crash-safe tier every campaign writes and every service reads, opened
+  by one rule that refuses a lossy (``int16``) store.
 * :mod:`repro.storage.address` — :func:`chunk_address`, the store's key,
   which campaigns and the serving tier both derive chunks' names with.
 * :mod:`repro.storage.accounting` — :func:`format_bytes`, which the

@@ -839,3 +839,31 @@ class ChunkStore:
                 "compression_factor": decoded / encoded if encoded else float("inf"),
                 "max_abs_error": err,
             }
+
+
+def _open_store(store: "ChunkStore | str | os.PathLike") -> ChunkStore:
+    """The one way campaigns, their reader and serving open a store: a
+    handle, or a root path (opened ``float64``, created if missing).  A
+    lossy store is refused by name: its chunks read back other bits than
+    synthesis made, so one request would have two answers."""
+    if not isinstance(store, ChunkStore):
+        store = ChunkStore(os.fspath(store))
+    if not store.lossless:
+        raise ValueError(
+            f"chunk store at {store.root} is {store.encoding!r}-encoded: campaigns and "
+            f"serving refuse a lossy store; use a 'float64' root"
+        )
+    return store
+
+
+def _read_chunk(store: ChunkStore, address: str, shape: tuple) -> "np.ndarray | None":
+    """The one validated read: the stored ``float64`` chunk or ``None``; a
+    chunk of another ``(steps, ntheta, nphi)`` raises, naming both shapes."""
+    array = store.get(address)
+    if array is not None and array.shape != shape:
+        raise ValueError(
+            f"chunk {address} in the store at {store.root} has shape {array.shape}, "
+            f"not the {shape} this reader needs: the root holds chunks of "
+            f"another grid or length (another artifact wrote it, or it was rewritten)"
+        )
+    return array

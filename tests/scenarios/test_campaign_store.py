@@ -17,6 +17,7 @@ import shutil
 import numpy as np
 import pytest
 
+import repro
 from repro.scenarios.campaign import iter_chunk_arrays, run_campaign
 from repro.serving.request import FieldRequest, chunk_address
 from repro.serving.service import EmulationService
@@ -66,10 +67,14 @@ class TestCampaignWritesTheServingTier:
                     assert chunk_address(stream, realization, year) in store
         assert store.max_abs_error() == 0.0  # lossless by default
 
-    def test_manifest_records_the_store_tier(self, store_manifest, store_root):
+    def test_manifest_records_the_store_tier(self, fitted_emulator, store_manifest,
+                                             store_root):
         header = store_manifest.store
         assert header["root"] == str(store_root)
-        assert header["encoding"] == "float64"
+        # Every store is float64, so the header names no encoding; it
+        # records the grid the reader checks every chunk against.
+        assert "encoding" not in header
+        assert header["grid"] == list(fitted_emulator.training_summary.grid.shape)
         assert set(header["stream_addresses"]) == set(SCENARIOS)
         for run in store_manifest.runs:
             assert len(run.chunk_addresses) == N_YEARS
@@ -115,6 +120,23 @@ class TestCampaignWritesTheServingTier:
         ]
 
 
+class TestOneAnswerPerStoredChunk:
+    def test_reader_and_service_return_the_same_float64(
+        self, fitted_emulator, store_manifest, store_root
+    ):
+        service = repro.serve(fitted_emulator, seed=SEED, store=store_root)
+        for run, member in iter_chunk_arrays(store_manifest):
+            for year in range(N_YEARS):
+                served = service.get(FieldRequest(
+                    run.scenario, realization=run.realization,
+                    year_start=year, year_stop=year + 1,
+                ))
+                stored = member[year * SPY:(year + 1) * SPY]
+                assert member.dtype == served.dtype == np.float64
+                assert np.array_equal(stored, served)
+        assert service.stats()["synthesis"]["flights"] == 0
+
+
 class TestStoreCampaignValidation:
     def test_store_campaigns_cover_whole_years(self, fitted_emulator, tmp_path):
         with pytest.raises(ValueError, match="whole model years"):
@@ -150,9 +172,15 @@ class TestStoreReader:
         by_handle = list(iter_chunk_arrays(
             store_manifest, store=ChunkStore(store_root)
         ))
-        assert len(by_header) == len(by_path) == len(by_handle) == 4
-        for (_, a), (_, b), (_, c) in zip(by_header, by_path, by_handle):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
+        # A manifest written before the header dropped "encoding" and
+        # recorded "grid" still reads.
+        older = json.loads(json.dumps(store_manifest.to_dict()))
+        older["store"]["encoding"] = "float64"
+        del older["store"]["grid"]
+        by_older = list(iter_chunk_arrays(older))
+        assert len(by_header) == len(by_path) == len(by_handle) == len(by_older) == 4
+        for (_, a), (_, b), (_, c), (_, d) in zip(by_header, by_path, by_handle, by_older):
+            assert np.array_equal(a, b) and np.array_equal(a, c) and np.array_equal(a, d)
 
     @pytest.mark.parametrize("where", ["removed root", "mistyped store"])
     def test_a_missing_root_is_refused_and_not_created(
@@ -237,8 +265,12 @@ class TestCorruptedOnDiskFixtures:
         # Per-chunk lengths that disagree with the stored chunks.
         document = manifest.to_dict()
         document["runs"][0]["chunk_sizes"] = [SPY - 4, SPY + 4]
-        with pytest.raises(ValueError, match="truncated or rewritten"):
+        first = document["runs"][0]["chunk_addresses"][0]
+        with pytest.raises(ValueError, match="another grid or length") as refusal:
             list(iter_chunk_arrays(document, store=store))
+        assert first in str(refusal.value)
+        assert f"{(SPY, 9, 15)}" in str(refusal.value)
+        assert f"{(SPY - 4, 9, 15)}" in str(refusal.value)
         # Chunks that do not add up to the recorded run length.
         document = manifest.to_dict()
         document["runs"][0]["n_times"] = 3 * SPY
@@ -248,8 +280,10 @@ class TestCorruptedOnDiskFixtures:
         store.put("foreign", np.zeros((SPY, 3, 5)))
         document = manifest.to_dict()
         document["runs"][0]["chunk_addresses"][1] = "foreign"
-        with pytest.raises(ValueError, match="share one grid"):
+        with pytest.raises(ValueError, match="another grid") as refusal:
             list(iter_chunk_arrays(document, store=store))
+        assert "chunk foreign" in str(refusal.value)
+        assert f"{(SPY, 3, 5)}, not the {(SPY, 9, 15)}" in str(refusal.value)
 
 
 class TestStorageNumbers:

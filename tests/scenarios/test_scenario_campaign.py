@@ -301,7 +301,7 @@ class TestManifest:
 
     def test_output_bytes_measured(self, serial_manifest, fitted_emulator):
         grid = fitted_emulator.training_summary.grid
-        per_run = 48 * grid.npoints * 4  # float32
+        per_run = 48 * grid.npoints * 8  # the stored float64
         assert all(r.output_bytes == per_run for r in serial_manifest.runs)
         assert serial_manifest.total_output_bytes == 6 * per_run
         assert serial_manifest.artifact_bytes == fitted_emulator.measured_artifact_bytes()
@@ -456,11 +456,9 @@ class TestIterChunkArrays:
         assert len(loaded) == 4
         for record, member in loaded:
             assert member.shape[0] == record.n_times == 48
-            assert member.dtype == np.float32
-            # The reader yields the float32 casts of the collected fields.
-            np.testing.assert_array_equal(
-                member, record.collected.astype(np.float32)
-            )
+            assert member.dtype == np.float64
+            # The reader yields the stored float64: the collected fields.
+            np.testing.assert_array_equal(member, record.collected)
 
     def test_accepts_json_manifest_form(self, written_manifest):
         document = json.loads(written_manifest.to_json())
@@ -468,9 +466,7 @@ class TestIterChunkArrays:
         assert len(loaded) == 4
         for (run, member), record in zip(loaded, written_manifest.runs):
             assert run["scenario"] == record.scenario
-            np.testing.assert_array_equal(
-                member, record.collected.astype(np.float32)
-            )
+            np.testing.assert_array_equal(member, record.collected)
 
     def test_missing_shard_raises_instead_of_gapping(
         self, fitted_emulator, tmp_path

@@ -349,34 +349,105 @@ class TestPersistentTier:
         assert store.stats()["lossless"] is True
         assert store.max_abs_error() == 0.0
 
-    def test_quantized_store_reports_its_error(self, fitted_emulator, tmp_path):
-        store = ChunkStore(tmp_path / "qstore", encoding="int16")
-        service = repro.serve(fitted_emulator, seed=0, store=store)
-        request = FieldRequest("ssp-high", realization=0, year_start=0, year_stop=2)
-        service.get(request)  # synthesizes, write-through quantizes
-        fresh = repro.serve(fitted_emulator, seed=0, store=store)
-        served = fresh.get(request)
-        reference = canonical_stream(fitted_emulator, "ssp-high", 0, 2)
-        error = float(np.max(np.abs(served - reference)))
-        assert 0.0 < error <= store.max_abs_error() + 1e-15
-        # Temperature fields span O(100 K); int16 quantization of a
-        # chunk-wide range keeps the error well below 0.01 K here.
-        assert error < 1e-2
+    @pytest.mark.parametrize("entry", [
+        "serve-path", "serve-handle", "service", "campaign", "reader",
+    ])
+    def test_a_lossy_store_is_refused_by_name_before_any_work(
+        self, fitted_emulator, tmp_path, entry
+    ):
+        """One open rule: every entry point refuses an ``int16`` root,
+        naming the encoding, before it synthesizes or writes anything."""
+        root = tmp_path / "int16"
+        request = FieldRequest("ssp-low", realization=0)
+        address = request.chunk_addresses()[0]
+        quantized = ChunkStore(root, encoding="int16")
+        quantized.put(address, canonical_stream(fitted_emulator, "ssp-low", 0, 1))
 
-    def test_int16_service_stats_carry_the_store_error(self, fitted_emulator,
-                                                       tmp_path):
-        store = ChunkStore(tmp_path / "store", encoding="int16")
-        service = repro.serve(fitted_emulator, seed=0, store=store)
-        service.get(FieldRequest("ssp-high", realization=0, year_start=0,
-                                 year_stop=3))
+        def listing():
+            return sorted((p.name, p.stat().st_mtime_ns) for p in root.rglob("*"))
+
+        before = listing()
+        repro.obs.clear_trace()
+        with repro.obs.tracing(), pytest.raises(ValueError, match="int16"):
+            if entry == "serve-path":
+                repro.serve(fitted_emulator, store=root)
+            elif entry == "serve-handle":
+                repro.serve(fitted_emulator, store=quantized)
+            elif entry == "service":
+                EmulationService(fitted_emulator, store=quantized)
+            elif entry == "campaign":
+                repro.run_campaign(fitted_emulator, ["ssp-low"], n_times=SPY,
+                                   store=quantized, collect="none")
+            else:
+                manifest = repro.run_campaign(fitted_emulator, ["ssp-low"],
+                                              n_times=SPY, collect="none")
+                repro.obs.clear_trace()
+                list(repro.iter_chunk_arrays(manifest, store=root))
+        names = {record["name"] for record in repro.obs.trace_records()}
+        repro.obs.clear_trace()
+        assert not any(name.startswith(("generate.", "serve.")) for name in names)
+        assert "chunkstore.commit" not in names
+        assert listing() == before
+
+    def test_a_root_of_another_grid_is_refused_not_served(
+        self, fitted_emulator, pipeline, tmp_path
+    ):
+        """An L = 8 service and campaign reader over a root an L = 10
+        artifact wrote: the stored chunk raises, naming its address and
+        both shapes, and is never cached or concatenated."""
+        other = pipeline[1]
+        root = tmp_path / "store"
+        repro.run_campaign(other, ["ssp-low"], n_times=SPY, store=root, collect="none")
+        # First writer wins: this campaign finds its addresses stored.
+        manifest = repro.run_campaign(fitted_emulator, ["ssp-low"], n_times=SPY,
+                                      store=root, collect="none")
+        address = manifest.runs[0].chunk_addresses[0]
+        stored = (SPY, *other.training_summary.grid.shape)
+        wanted = (SPY, *fitted_emulator.training_summary.grid.shape)
+        assert stored != wanted
+
+        service = repro.serve(fitted_emulator, seed=0, store=root)
+        mixed = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
+        for read in (lambda: service.get(mixed),
+                     lambda: list(repro.iter_chunk_arrays(manifest))):
+            with pytest.raises(ValueError, match="another grid") as refusal:
+                read()
+            message = str(refusal.value)
+            assert address in message
+            assert f"{stored}, not the {wanted}" in message
         stats = service.stats()
-        assert stats["requests"] == 1
-        assert stats["served_bytes"] == 3 * SPY * service.grid.npoints * 8
-        assert stats["artifact_bytes"] == fitted_emulator.measured_artifact_bytes()
-        assert stats["store"]["encoding"] == "int16"
-        assert stats["store"]["lossless"] is False
-        assert stats["store"]["max_abs_error"] > 0.0
-        assert stats["store"] == store.stats()
+        assert stats["chunk_cache"]["entries"] == 0
+        assert stats["synthesis"]["flights"] == 0
+
+    def test_a_corrupt_shard_fails_its_request_only(self, fitted_emulator, tmp_path):
+        """A shard failing its CRC on read-through raises a ValueError
+        naming the shard; nothing is cached, and other requests serve."""
+        root = tmp_path / "store"
+        bad = FieldRequest("ssp-low", realization=0)
+        good = FieldRequest("ssp-low", realization=1)
+        writer = repro.serve(fitted_emulator, seed=0, store=root)
+        writer.get(bad)
+        writer.get(good)
+        store = ChunkStore(root)
+        shard = store.entry(bad.chunk_addresses()[0])["file"]
+        with open(root / shard, "r+b") as handle:
+            handle.seek(8)
+            byte = handle.read(1)
+            handle.seek(8)
+            handle.write(bytes([byte[0] ^ 0xFF]))
+
+        service = repro.serve(fitted_emulator, seed=0, store=root)
+        with pytest.raises(ValueError, match="fails its CRC-32") as refusal:
+            service.get(bad)
+        assert shard in str(refusal.value)
+        assert service.stats()["chunk_cache"]["entries"] == 0
+        assert np.array_equal(
+            service.get(good), canonical_stream(fitted_emulator, "ssp-low", 1, 1)
+        )
+        stats = service.stats()
+        assert stats["chunk_cache"]["entries"] == 1
+        assert stats["store_chunk_hits"] == 1
+        assert stats["synthesis"]["flights"] == 0
 
 
 class TestFacade:
@@ -621,6 +692,72 @@ class TestConcurrency:
         assert service.stats()["synthesis"]["flights"] == flights + 1
         assert calls[-1] == {0: 2}
         assert service._flights == {}
+
+    def test_a_failed_write_through_fails_only_its_leader(
+        self, fitted_emulator, tmp_path, monkeypatch
+    ):
+        """``put_many`` raises in the flight's write-through, after the
+        waiters were released: they get their arrays, the leader raises the
+        store error, no flight is left behind, and a retry is served from
+        the cache bit-identically."""
+
+        class StoreFault(Exception):
+            pass
+
+        service = repro.serve(fitted_emulator, seed=0, store=tmp_path / "store")
+        request = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
+        stream_addr = request.stream_address()
+        synthesize = service._synthesize
+        release = threading.Event()
+
+        def held(*args):
+            assert release.wait(30.0)
+            return synthesize(*args)
+
+        def fail(chunks):
+            raise StoreFault("disk full")
+
+        service._synthesize = held
+        monkeypatch.setattr(service._store, "put_many", fail)
+        outcomes = {}
+
+        def worker(name):
+            try:
+                outcomes[name] = service.get(request)
+            except BaseException as error:
+                outcomes[name] = error
+
+        def wait_until(condition):
+            deadline = time.monotonic() + 30.0
+            while not condition():
+                assert time.monotonic() < deadline, "the flight never reached the state"
+                time.sleep(0.001)
+
+        def head():
+            with service._lock:
+                return service._flights.get(stream_addr)
+
+        threads = [threading.Thread(target=worker, args=("leader",))]
+        threads[0].start()
+        wait_until(lambda: head() is not None and head().running)
+        for name in ("waiter-1", "waiter-2"):
+            threads.append(threading.Thread(target=worker, args=(name,)))
+            threads[-1].start()
+        wait_until(lambda: service.stats()["synthesis"]["coalesced_waits"] == 2)
+        release.set()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+
+        assert isinstance(outcomes["leader"], StoreFault)
+        reference = canonical_stream(fitted_emulator, "ssp-low", 0, 2)
+        for name in ("waiter-1", "waiter-2"):
+            assert np.array_equal(outcomes[name], reference), outcomes[name]
+        assert service._flights == {}
+        assert len(service._store) == 0
+        flights = service.stats()["synthesis"]["flights"]
+        assert np.array_equal(service.get(request), reference)
+        assert service.stats()["synthesis"]["flights"] == flights == 1
 
     def test_counts_stay_exact_under_8_threads(self, fitted_emulator):
         service = repro.serve(fitted_emulator, seed=0)
