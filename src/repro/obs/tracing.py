@@ -8,7 +8,9 @@ A span measures one timed region of the hot path::
 
 Spans nest: each thread keeps its own stack, so a ``sht.forward`` span
 opened while ``fit.spectral`` is active records ``fit.spectral`` as its
-parent, and a span opened on a fresh thread is a root.
+parent, and a span opened on a fresh thread is a root — unless that
+thread runs work an open span handed over (the SHT's second half), whose
+spans name the handing span as parent.
 
 Spans **always measure** (two ``perf_counter`` reads, so ``sp.seconds``
 and ``sp.elapsed()`` work unconditionally), but they only **record
@@ -147,6 +149,18 @@ def span(name: str, **attrs) -> Span:
     dotted lowercase (``sht.plan_cache.build``).
     """
     return Span(name, attrs)
+
+
+@contextmanager
+def _child_spans(parent: Span):
+    """Open this thread's spans as children of ``parent``, a span still open
+    on the thread that handed this work over, instead of as roots."""
+    stack = _stack()
+    stack.append(parent)
+    try:
+        yield
+    finally:
+        stack.remove(parent)
 
 
 def _enable(trace_path: "str | os.PathLike | None" = None) -> None:

@@ -54,6 +54,10 @@ once, which is the pre-computation strategy the paper describes.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +65,7 @@ from scipy import fft as _fft
 
 from repro.linalg.flops import sht_contraction_flops
 from repro.obs import span
+from repro.obs.tracing import _child_spans
 from repro.sht.grid import Grid, extended_colatitude_length
 from repro.sht.quadrature import _exponential_sine_integral
 from repro.sht.wigner import wigner_d_pi2_all
@@ -85,6 +90,28 @@ _SYNTHESIS_BLOCK = 32
 #: once.  Blocking never changes results: every stage is independent per
 #: leading slice.
 _ANALYSIS_BLOCK = 32
+
+#: On the FFT side a batch of at least this many leading slices runs as two halves
+#: at once (:meth:`SHTPlan._in_parts`); below it the gain was unreliable (L = 128, 2 CPUs).
+_SPLIT_MIN_SLICES = 16
+
+_JOBS: "dict[int, queue.SimpleQueue]" = {}  # the worker's queue, by process id
+_ON_WORKER = threading.local()
+if hasattr(os, "register_at_fork"):  # a forked child starts its own worker
+    os.register_at_fork(after_in_child=_JOBS.clear)
+
+
+def _work(jobs: queue.SimpleQueue) -> None:
+    """The process's one worker thread: runs each half handed to it."""
+    _ON_WORKER.busy = True
+    while True:
+        future, parent, run = jobs.get()
+        try:
+            with _child_spans(parent):
+                future.set_result(run())
+        except BaseException as error:  # the caller's future.result() raises it
+            future.set_exception(error)
+        del future, parent, run  # hold no batch while idle
 
 
 # --------------------------------------------------------------------------- #
@@ -223,7 +250,8 @@ class SHTPlan:
     ``L = 64``); on the FFT side nothing.  The Wigner-d tables the
     operators are built from are released when ``__post_init__``
     returns; everything is built eagerly, so shared cached plans stay
-    immutable.
+    immutable.  On the FFT side a batch of 16 or more slices runs as two
+    halves at once, one on a worker thread, with the unsplit bits.
     """
 
     lmax: int
@@ -518,15 +546,21 @@ class SHTPlan:
             )
         lead = data.shape[:-2]
         n_flat = int(np.prod(lead))
-        with span("sht.forward", lmax=self.lmax, slices=n_flat, bytes=data.nbytes):
-            if n_flat <= _ANALYSIS_BLOCK:
-                return self._analyze_block(data, contraction)
-            flat = data.reshape((n_flat,) + self.grid.shape)
-            coeffs = np.empty((n_flat, self.n_coeffs), dtype=dtype)
-            for start in range(0, n_flat, _ANALYSIS_BLOCK):
-                block = flat[start:start + _ANALYSIS_BLOCK]
-                coeffs[start:start + _ANALYSIS_BLOCK] = self._analyze_block(block, contraction)
+        flat = data.reshape((n_flat,) + self.grid.shape)
+        with span("sht.forward", lmax=self.lmax, slices=n_flat, bytes=data.nbytes) as sp:
+            coeffs = self._in_parts(sp, n_flat, (self.n_coeffs,), dtype, lambda a, b, out:
+                                    self._analysis_pass(contraction, flat[a:b], dtype, out))
             return coeffs.reshape(lead + (self.n_coeffs,))
+
+    def _analysis_pass(self, contraction, flat: np.ndarray, dtype, out) -> np.ndarray:
+        """The analysis of ``(n, ntheta, nphi)`` ``flat`` in blocks, into ``out`` if given."""
+        if len(flat) <= _ANALYSIS_BLOCK and out is None:
+            return self._analyze_block(flat, contraction)
+        out = np.empty((len(flat), self.n_coeffs), dtype=dtype) if out is None else out
+        for start in range(0, len(flat), _ANALYSIS_BLOCK):
+            block = flat[start:start + _ANALYSIS_BLOCK]
+            out[start:start + _ANALYSIS_BLOCK] = self._analyze_block(block, contraction)
+        return out
 
     # ------------------------------------------------------------------ #
     # Inverse (synthesis)
@@ -685,23 +719,49 @@ class SHTPlan:
             )
         lead = coeffs.shape[:-1]
         n_flat = int(np.prod(lead))
-        with span("sht.inverse", lmax=self.lmax, slices=n_flat, bytes=coeffs.nbytes):
-            with span(
-                "sht.inverse.contraction",
-                flops=sht_contraction_flops(self.lmax, n_flat, self.grid.ntheta),
-            ):
-                h = contraction(coeffs)
-            with span("sht.inverse.fft", slices=n_flat, method=self._longitude_method):
-                if n_flat <= _SYNTHESIS_BLOCK:
-                    return self.synthesis_from_fourier(h)
-                flat = h.reshape((self.lmax, 2, n_flat, h.shape[-1]))
-                out = np.empty((n_flat,) + self.grid.shape)
-                for start in range(0, n_flat, _SYNTHESIS_BLOCK):
-                    block = flat[:, :, start:start + _SYNTHESIS_BLOCK]
-                    out[start:start + _SYNTHESIS_BLOCK] = (
-                        self.synthesis_from_fourier(block)
-                    )
-                return out.reshape(lead + self.grid.shape)
+        flat = coeffs.reshape((n_flat, self.n_coeffs))
+        with span("sht.inverse", lmax=self.lmax, slices=n_flat, bytes=coeffs.nbytes) as sp:
+            fields = self._in_parts(sp, n_flat, self.grid.shape, np.float64, lambda a, b, out:
+                                    self._synthesis_pass(contraction, flat[a:b], out))
+            return fields.reshape(lead + self.grid.shape)
+
+    def _synthesis_pass(self, contraction, flat: np.ndarray, out) -> np.ndarray:
+        """:meth:`_synthesize` of ``(n, L**2)`` ``flat``, into ``out`` if given."""
+        with span(
+            "sht.inverse.contraction",
+            flops=sht_contraction_flops(self.lmax, len(flat), self.grid.ntheta),
+        ):
+            h = contraction(flat)
+        with span("sht.inverse.fft", slices=len(flat), method=self._longitude_method):
+            if len(flat) <= _SYNTHESIS_BLOCK and out is None:
+                return self.synthesis_from_fourier(h)
+            blocks = h.reshape((self.lmax, 2, len(flat), h.shape[-1]))
+            out = np.empty((len(flat),) + self.grid.shape) if out is None else out
+            for start in range(0, len(flat), _SYNTHESIS_BLOCK):
+                block = blocks[:, :, start:start + _SYNTHESIS_BLOCK]
+                out[start:start + _SYNTHESIS_BLOCK] = self.synthesis_from_fourier(block)
+            return out
+
+    def _in_parts(self, parent, n_flat: int, tail: tuple, dtype, run) -> np.ndarray:
+        """``run(start, stop, out)`` under span ``parent``: whole (``out=None``), or
+        two halves at once into one ``(n_flat, *tail)`` array, the second on the
+        worker, on the FFT side from ``_SPLIT_MIN_SLICES`` slices given two CPUs."""
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        split = (self._lon_syn is None and n_flat >= _SPLIT_MIN_SLICES
+                 and not getattr(_ON_WORKER, "busy", False) and (cpus or 1) > 1)
+        parent.set(parts=2 if split else 1)
+        if not split:
+            return run(0, n_flat, None)
+        jobs = _JOBS.setdefault(os.getpid(), fresh := queue.SimpleQueue())  # one winner
+        if jobs is fresh:
+            threading.Thread(target=_work, args=(jobs,), daemon=True).start()
+        out, half, future = np.empty((n_flat,) + tail, dtype=dtype), n_flat // 2, Future()
+        jobs.put((future, parent, lambda: run(half, n_flat, out[half:])))
+        try:
+            run(0, half, out[:half])
+        finally:
+            future.result()
+        return out
 
     # ------------------------------------------------------------------ #
     # Utilities

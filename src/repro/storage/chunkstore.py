@@ -364,10 +364,11 @@ class ChunkStore:
                 f"this root with the code that wrote it"
             )
         if header.get("encoding") != self.encoding:
+            if header.get("encoding") == "int16":
+                raise _lossy_refusal(self.root, "int16")
             raise ValueError(
-                f"store at {self.root} was created with encoding "
-                f"{header.get('encoding')!r}; reopen with that encoding "
-                f"instead of {self.encoding!r}"
+                f"store at {self.root} holds {header.get('encoding')!r} chunks; a "
+                f"store keeps one encoding for life, so it takes no {self.encoding!r} ones"
             )
         self._chunks = dict(header["chunks"])
         self._manifest_token = token
@@ -551,6 +552,9 @@ class ChunkStore:
         with self._flock_locked():
             self._refresh_locked(writer=True)
             record: dict[str, dict] = {}
+            for address, (_, array) in staged.items():
+                if address in self._chunks:
+                    self._check_stored_shape_locked(address, array)
             for address, (entry, array) in staged.items():
                 if address in self._chunks:
                     continue  # a foreign writer of the same content won
@@ -564,21 +568,34 @@ class ChunkStore:
                 self._append_journal_locked(record)
         return len(record)
 
+    def _check_stored_shape_locked(self, address: str, array: np.ndarray) -> None:
+        """A stored ``address`` is skipped only for an array of its shape; one
+        of another shape (another grid's chunk) raises, naming both shapes."""
+        stored = tuple(self._chunks[address]["shape"])
+        if stored != array.shape:
+            raise ValueError(
+                f"chunk {address} in the store at {self.root} has shape {stored}, "
+                f"not the {array.shape} being put: the root holds chunks of "
+                f"another grid or length (another artifact wrote it)"
+            )
+
     def put(self, address: str, array: np.ndarray) -> dict:
         """Persist one chunk; returns its entry.
 
         Idempotent: an address already in the store is left untouched,
         so concurrent writers of the same chunk cannot corrupt each
-        other.  For many chunks prefer :meth:`put_many`.
+        other; an array of another shape than the stored one raises
+        ``ValueError``.  For many chunks prefer :meth:`put_many`.
         """
         address = str(address)
+        array = np.asarray(array, dtype=np.float64)
         with self._lock:
             if address in self._chunks:
                 self._refresh_locked()  # a foreign prune may have dropped it
             entry = self._chunks.get(address)
             if entry is not None:
+                self._check_stored_shape_locked(address, array)
                 return dict(entry)
-        array = np.asarray(array, dtype=np.float64)
         with span("chunkstore.put", bytes=array.nbytes, encoding=self.encoding):
             entry = self._write_shard(address, array)
         with self._lock:
@@ -590,24 +607,27 @@ class ChunkStore:
 
         The serving write-through and the campaign store writer land
         every batch through this form.  Returns the number of chunks
-        actually written (addresses already present are skipped).
+        actually written (addresses already present are skipped; one
+        stored with another shape raises ``ValueError`` before any shard
+        is written).
         """
+        chunks = {
+            str(address): np.asarray(array, dtype=np.float64)
+            for address, array in chunks.items()
+        }
         with self._lock:
-            if any(str(address) in self._chunks for address in chunks):
+            if any(address in self._chunks for address in chunks):
                 self._refresh_locked()  # a foreign prune may have dropped some
-            pending = {
-                str(address): array
-                for address, array in chunks.items()
-                if str(address) not in self._chunks
-            }
+            pending = {}
+            for address, array in chunks.items():
+                if address in self._chunks:
+                    self._check_stored_shape_locked(address, array)
+                else:
+                    pending[address] = array
         if not pending:
             return 0
         # Validate the whole batch before writing anything, so a
         # non-finite chunk leaves no sibling behind as an orphan shard.
-        pending = {
-            address: np.asarray(array, dtype=np.float64)
-            for address, array in pending.items()
-        }
         for array in pending.values():
             _require_finite(array, self.encoding)
         batch_bytes = sum(array.nbytes for array in pending.values())
@@ -849,11 +869,15 @@ def _open_store(store: "ChunkStore | str | os.PathLike") -> ChunkStore:
     if not isinstance(store, ChunkStore):
         store = ChunkStore(os.fspath(store))
     if not store.lossless:
-        raise ValueError(
-            f"chunk store at {store.root} is {store.encoding!r}-encoded: campaigns and "
-            f"serving refuse a lossy store; use a 'float64' root"
-        )
+        raise _lossy_refusal(store.root, store.encoding)
     return store
+
+
+def _lossy_refusal(root: str, encoding: str) -> ValueError:
+    return ValueError(
+        f"chunk store at {root} holds chunks of the lossy {encoding!r} encoding, which "
+        f"campaigns, serving and the campaign reader refuse; use a 'float64' root"
+    )
 
 
 def _read_chunk(store: ChunkStore, address: str, shape: tuple) -> "np.ndarray | None":

@@ -11,9 +11,10 @@ import repro
 from repro.obs import disable, tracing
 from repro.serving.request import FieldRequest
 from repro.serving.service import EmulationService
+from repro.sht.grid import Grid
 from repro.sht.plancache import clear_plan_cache, get_plan
 from repro.storage.chunkstore import ChunkStore
-from tools.tracereport import _percentile, aggregate, load_trace, main, render_table
+from tools.tracereport import _percentile, aggregate, coverage, load_trace, main, render_table
 
 
 @pytest.fixture(autouse=True)
@@ -23,10 +24,10 @@ def clean_tracing():
     disable()
 
 
-def _record(name, span_id, parent_id, seconds, pid=100):
+def _record(name, span_id, parent_id, seconds, pid=100, start=0.0):
     return {
         "name": name, "span_id": span_id, "parent_id": parent_id,
-        "thread": 1, "pid": pid, "start": 0.0, "seconds": seconds,
+        "thread": 1, "pid": pid, "start": start, "seconds": seconds,
         "attrs": {},
     }
 
@@ -235,6 +236,68 @@ class TestRendering:
         payload = json.loads(capsys.readouterr().out)
         assert payload["spans"] == 1
         assert payload["skipped"] == 1
+
+
+class TestCoverage:
+    def test_the_union_of_direct_children_clipped_to_the_span(self):
+        records = [
+            _record("batch", 1, None, 1.0),
+            _record("half", 2, 1, 0.6, start=0.0),   # two halves overlap:
+            _record("half", 3, 1, 0.6, start=0.1),   # union [0, 0.7], not 1.2
+            _record("leaf", 4, 2, 0.5, start=0.0),   # a grandchild adds nothing
+            _record("tail", 5, 1, 0.1, start=0.8),
+            _record("late", 6, 1, 0.25, start=0.95),  # clipped at the parent's end
+            _record("batch", 7, None, 0.5, start=2.0),  # no children: nothing covered
+            _record("stray", 8, 7, 0.4, start=2.0, pid=200),  # another process's span 7
+        ]
+        rows = {row["name"]: row for row in coverage(records)}
+        batch = rows["batch"]
+        assert batch["calls"] == 2
+        assert batch["wall_s"] == pytest.approx(1.5)
+        assert batch["covered_s"] == pytest.approx(0.7 + 0.1 + 0.05)
+        assert batch["coverage"] == pytest.approx(0.85 / 1.5)
+        assert rows["half"]["covered_s"] == pytest.approx(0.5)
+        assert rows["leaf"]["coverage"] == 0.0
+        # Largest uncovered time first: 0.7 s of the halves, 0.65 s of batch.
+        assert [row["name"] for row in coverage(records)][:3] == ["half", "batch", "leaf"]
+
+    def test_a_span_of_no_duration_reads_zero(self):
+        (row,) = coverage([_record("instant", 1, None, 0.0)])
+        assert row["coverage"] == 0.0
+
+    def test_main_coverage_table_and_json(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps(r) + "\n" for r in [
+            _record("outer", 1, None, 1.0), _record("inner", 2, 1, 0.4),
+        ]))
+        assert main([str(trace), "--coverage"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["name", "calls", "wall_s", "covered_s", "coverage"]
+        assert lines[3].split()[0] == "outer" and lines[3].split()[-1] == "0.400000"
+        assert main([str(trace), "--coverage", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["name"] for row in rows] == ["outer", "inner"]
+
+    def test_a_split_transform_is_one_tree_its_halves_cover(self, tmp_path):
+        """At L = 128 a 64-slice inverse runs as two halves on two threads;
+        the trace has one root, and the union of the halves' stage spans
+        covers the root's wall (the best of three calls, for a busy host)."""
+        plan = get_plan("fast", 128, Grid.for_bandlimit(128))
+        coeffs = plan.random_coefficients(np.random.default_rng(0), shape=(64,))
+        shares = []
+        for attempt in range(3):
+            trace = tmp_path / f"split{attempt}.jsonl"
+            with tracing(trace):
+                plan.inverse(coeffs)
+            records = load_trace(trace)
+            roots = [r for r in records if r["parent_id"] is None]
+            assert [r["name"] for r in roots] == ["sht.inverse"]
+            if roots[0]["attrs"]["parts"] == 1:
+                pytest.skip("this process may run on one CPU: nothing is split")
+            assert len({r["thread"] for r in records}) == 2
+            rows = {row["name"]: row for row in coverage(records)}
+            shares.append(rows["sht.inverse"]["coverage"])
+        assert max(shares) >= 0.95, shares
 
 
 class TestLayerCoverage:

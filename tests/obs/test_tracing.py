@@ -108,6 +108,33 @@ class TestNesting:
         assert records["test_trace.worker"]["thread"] != records["test_trace.caller"]["thread"]
         assert records["test_trace.after"]["parent_id"] == caller.span_id
 
+    def test_work_handed_to_a_thread_records_under_the_handing_span(self):
+        """Under ``_child_spans(caller)`` another thread's spans name the
+        caller's open span as parent; afterwards its spans are roots again."""
+        enable()
+
+        def work(parent):
+            with tracing_module._child_spans(parent):
+                with span("test_trace.handed"):
+                    with span("test_trace.handed.inner"):
+                        pass
+            with span("test_trace.after_hand_over"):
+                pass
+
+        with span("test_trace.caller") as caller:
+            thread = threading.Thread(target=work, args=(caller,))
+            thread.start()
+            thread.join()
+            with span("test_trace.caller.own"):
+                pass
+        records = {rec["name"]: rec for rec in trace_records()}
+        handed = records["test_trace.handed"]
+        assert handed["parent_id"] == caller.span_id
+        assert handed["thread"] != records["test_trace.caller"]["thread"]
+        assert records["test_trace.handed.inner"]["parent_id"] == handed["span_id"]
+        assert records["test_trace.after_hand_over"]["parent_id"] is None
+        assert records["test_trace.caller.own"]["parent_id"] == caller.span_id
+
     def test_child_interval_lies_inside_its_parent(self):
         enable()
         with span("test_trace.parent"):

@@ -368,7 +368,7 @@ class TestPersistentTier:
 
         before = listing()
         repro.obs.clear_trace()
-        with repro.obs.tracing(), pytest.raises(ValueError, match="int16"):
+        with repro.obs.tracing(), pytest.raises(ValueError, match="int16") as refusal:
             if entry == "serve-path":
                 repro.serve(fitted_emulator, store=root)
             elif entry == "serve-handle":
@@ -388,6 +388,9 @@ class TestPersistentTier:
         assert not any(name.startswith(("generate.", "serve.")) for name in names)
         assert "chunkstore.commit" not in names
         assert listing() == before
+        # The advice is the refusal itself, never a reopen that is refused too.
+        message = str(refusal.value)
+        assert "the lossy 'int16' encoding" in message and "reopen" not in message
 
     def test_a_root_of_another_grid_is_refused_not_served(
         self, fitted_emulator, pipeline, tmp_path
@@ -398,9 +401,10 @@ class TestPersistentTier:
         other = pipeline[1]
         root = tmp_path / "store"
         repro.run_campaign(other, ["ssp-low"], n_times=SPY, store=root, collect="none")
-        # First writer wins: this campaign finds its addresses stored.
+        # The same campaign at L = 8, written to its own root: its manifest
+        # names the addresses the L = 10 root holds under another grid.
         manifest = repro.run_campaign(fitted_emulator, ["ssp-low"], n_times=SPY,
-                                      store=root, collect="none")
+                                      store=tmp_path / "own", collect="none")
         address = manifest.runs[0].chunk_addresses[0]
         stored = (SPY, *other.training_summary.grid.shape)
         wanted = (SPY, *fitted_emulator.training_summary.grid.shape)
@@ -409,7 +413,7 @@ class TestPersistentTier:
         service = repro.serve(fitted_emulator, seed=0, store=root)
         mixed = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
         for read in (lambda: service.get(mixed),
-                     lambda: list(repro.iter_chunk_arrays(manifest))):
+                     lambda: list(repro.iter_chunk_arrays(manifest, store=root))):
             with pytest.raises(ValueError, match="another grid") as refusal:
                 read()
             message = str(refusal.value)
@@ -418,6 +422,38 @@ class TestPersistentTier:
         stats = service.stats()
         assert stats["chunk_cache"]["entries"] == 0
         assert stats["synthesis"]["flights"] == 0
+
+    def test_a_campaign_over_a_root_of_another_grid_raises_and_writes_nothing(
+        self, fitted_emulator, pipeline, tmp_path
+    ):
+        """An L = 8 campaign over the root an L = 10 artifact wrote finds its
+        addresses stored with another shape: it raises, naming the address
+        and both shapes, before any shard or journal line is written.  A
+        same-grid re-run still skips every address without a word."""
+        other = pipeline[1]
+        root = tmp_path / "store"
+        written = repro.run_campaign(other, ["ssp-low"], n_times=SPY, store=root,
+                                     collect="none")
+
+        def contents():
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+        before = contents()
+        with pytest.raises(ValueError, match="another grid") as refusal:
+            repro.run_campaign(fitted_emulator, ["ssp-low"], n_times=SPY, store=root,
+                               collect="none")
+        message = str(refusal.value)
+        address = written.runs[0].chunk_addresses[0]
+        stored = (SPY, *other.training_summary.grid.shape)
+        wanted = (SPY, *fitted_emulator.training_summary.grid.shape)
+        assert address in message
+        assert f"{stored}, not the {wanted}" in message
+        assert contents() == before
+
+        rerun = repro.run_campaign(other, ["ssp-low"], n_times=SPY, store=root,
+                                   collect="none")
+        assert rerun.runs[0].chunk_addresses == written.runs[0].chunk_addresses
+        assert contents() == before
 
     def test_a_corrupt_shard_fails_its_request_only(self, fitted_emulator, tmp_path):
         """A shard failing its CRC on read-through raises a ValueError

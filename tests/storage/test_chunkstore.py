@@ -225,6 +225,27 @@ class TestPutMany:
         assert np.array_equal(store.get("cc33"), payload + 2.0)
         assert store.put_many({"aa11": payload}) == 0
 
+    def test_another_shape_at_a_stored_address_raises_and_writes_nothing(self, tmp_path):
+        """A stored address is skipped only for an array of its shape:
+        ``put`` and ``put_many`` refuse another one, naming the address
+        and both shapes, before any shard of the batch is written."""
+        store = ChunkStore(tmp_path)
+        chunk = np.full((6, 9, 15), 280.0)
+        store.put("aa11", chunk)
+
+        def files():
+            return sorted(p.relative_to(tmp_path) for p in (tmp_path / "chunks").rglob("*"))
+
+        before = files()
+        with pytest.raises(ValueError, match=r"aa11 .* \(6, 9, 15\), not the \(6, 11, 19\)"):
+            store.put("aa11", np.zeros((6, 11, 19)))
+        with pytest.raises(ValueError, match=r"aa11 .* \(6, 9, 15\), not the \(9, 15\)"):
+            store.put_many({"bb22": chunk + 1.0, "aa11": chunk[0]})
+        assert files() == before
+        assert store.addresses() == ["aa11"]
+        assert np.array_equal(store.get("aa11"), chunk)
+        assert store.put_many({"aa11": chunk + 5.0}) == 0  # same shape: skipped
+
     def test_manifest_merges_across_store_handles(self, tmp_path, payload):
         # Two handles on one directory (two services, or two processes):
         # a write from one must not clobber entries the other persisted

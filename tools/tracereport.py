@@ -14,6 +14,12 @@ Usage::
     PYTHONPATH=src python tools/tracereport.py trace.jsonl
     PYTHONPATH=src python tools/tracereport.py trace.jsonl --sort total
     PYTHONPATH=src python tools/tracereport.py trace.jsonl --json
+    PYTHONPATH=src python tools/tracereport.py trace.jsonl --coverage
+
+``--coverage`` prints, per span name, the share of its wall time that
+the union of its direct children's intervals covers: the part of a span
+its sub-spans attribute.  The union, not the sum, because children on
+two threads (the SHT's two halves) overlap.
 
 Forked worker processes write sibling files (``trace.jsonl.<pid>``);
 the report discovers and merges them automatically, attributing child
@@ -28,9 +34,10 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-__all__ = ["TraceRecords", "aggregate", "load_trace", "main", "render_table"]
+__all__ = ["TraceRecords", "aggregate", "coverage", "load_trace", "main", "render_table"]
 
 _COLUMNS = ("calls", "total_s", "self_s", "mean_s", "p50_s", "p90_s", "p99_s", "max_s")
+_COVERAGE_COLUMNS = ("calls", "wall_s", "covered_s", "coverage")
 _SORT_KEYS = {"self": "self_s", "total": "total_s", "calls": "calls", "name": "name"}
 
 
@@ -128,15 +135,63 @@ def aggregate(records: "list[dict]") -> list[dict]:
     return rows
 
 
-def render_table(rows: "list[dict]") -> str:
-    """Fixed-width text table of :func:`aggregate` rows."""
-    headers = ("name", *_COLUMNS)
+def _union_seconds(intervals: "list[tuple[float, float]]", lo: float, hi: float) -> float:
+    """Length of the union of ``intervals`` clipped to ``[lo, hi]``."""
+    union, reach = 0.0, lo
+    for start, stop in sorted(intervals):
+        stop = min(stop, hi)
+        if stop > reach:
+            union += stop - max(start, reach)
+            reach = stop
+    return union
+
+
+def coverage(records: "list[dict]") -> list[dict]:
+    """Per-name share of wall time covered by the span's direct children.
+
+    Each row carries ``name``/``calls``/``wall_s`` (the spans' summed
+    durations), ``covered_s`` (per span, the length of the union of its
+    direct children's intervals inside it, summed) and ``coverage``
+    (``covered_s / wall_s``; 0 for a span that took no time).  Sorted by
+    uncovered time, largest first.
+    """
+    children: "defaultdict[tuple, list]" = defaultdict(list)
+    for record in records:
+        if record.get("parent_id") is not None:
+            start = float(record["start"])
+            children[(record.get("pid"), record["parent_id"])].append(
+                (start, start + float(record["seconds"]))
+            )
+    calls: "defaultdict[str, int]" = defaultdict(int)
+    wall: "defaultdict[str, float]" = defaultdict(float)
+    covered: "defaultdict[str, float]" = defaultdict(float)
+    for record in records:
+        name, start = record["name"], float(record["start"])
+        stop = start + float(record["seconds"])
+        calls[name] += 1
+        wall[name] += stop - start
+        covered[name] += _union_seconds(
+            children.get((record.get("pid"), record.get("span_id")), []), start, stop
+        )
+    rows = [
+        {"name": name, "calls": calls[name], "wall_s": wall[name],
+         "covered_s": covered[name],
+         "coverage": covered[name] / wall[name] if wall[name] > 0 else 0.0}
+        for name in calls
+    ]
+    rows.sort(key=lambda row: (row["covered_s"] - row["wall_s"], row["name"]))
+    return rows
+
+
+def render_table(rows: "list[dict]", columns: "tuple[str, ...]" = _COLUMNS) -> str:
+    """Fixed-width text table of :func:`aggregate` (or :func:`coverage`) rows."""
+    headers = ("name", *columns)
     table = [headers]
     for row in rows:
         table.append((
             row["name"],
             str(row["calls"]),
-            *(f"{row[column]:.6f}" for column in _COLUMNS[1:]),
+            *(f"{row[column]:.6f}" for column in columns[1:]),
         ))
     widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
     lines = []
@@ -158,6 +213,8 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="only show the first N rows (0 = all)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit rows as JSON instead of a table")
+    parser.add_argument("--coverage", action="store_true",
+                        help="per name, the share of wall time its direct children cover")
     args = parser.parse_args(argv)
 
     records = load_trace(args.trace)
@@ -169,11 +226,14 @@ def main(argv: "list[str] | None" = None) -> int:
     if not records:
         print(f"{args.trace}: no span records", file=sys.stderr)
         return 1
-    rows = aggregate(records)
-    if args.sort != "self":
-        key = _SORT_KEYS[args.sort]
-        reverse = args.sort != "name"
-        rows.sort(key=lambda row: row[key], reverse=reverse)
+    if args.coverage:
+        rows = coverage(records)  # uncovered time first; --sort does not apply
+    else:
+        rows = aggregate(records)
+        if args.sort != "self":
+            key = _SORT_KEYS[args.sort]
+            reverse = args.sort != "name"
+            rows.sort(key=lambda row: row[key], reverse=reverse)
     if args.top > 0:
         rows = rows[: args.top]
     if args.as_json:
@@ -183,7 +243,7 @@ def main(argv: "list[str] | None" = None) -> int:
     else:
         torn = f", {skipped} corrupt skipped" if skipped else ""
         print(f"{len(records)} spans, {len(rows)} names{torn} — {args.trace}")
-        print(render_table(rows))
+        print(render_table(rows, _COVERAGE_COLUMNS if args.coverage else _COLUMNS))
     return 0
 
 
