@@ -95,15 +95,11 @@ _ANALYSIS_BLOCK = 32
 #: at once (:meth:`SHTPlan._in_parts`); below it the gain was unreliable (L = 128, 2 CPUs).
 _SPLIT_MIN_SLICES = 16
 
-_JOBS: "dict[int, queue.SimpleQueue]" = {}  # the worker's queue, by process id
-_ON_WORKER = threading.local()
-if hasattr(os, "register_at_fork"):  # a forked child starts its own worker
-    os.register_at_fork(after_in_child=_JOBS.clear)
+_WORKERS: "dict[int, tuple[threading.Lock, queue.SimpleQueue]]" = {}  # (idle, jobs) by pid
 
 
 def _work(jobs: queue.SimpleQueue) -> None:
     """The process's one worker thread: runs each half handed to it."""
-    _ON_WORKER.busy = True
     while True:
         future, parent, run = jobs.get()
         try:
@@ -251,7 +247,7 @@ class SHTPlan:
     operators are built from are released when ``__post_init__``
     returns; everything is built eagerly, so shared cached plans stay
     immutable.  On the FFT side a batch of 16 or more slices runs as two
-    halves at once, one on a worker thread, with the unsplit bits.
+    halves at once, one on the process's worker if idle, with the unsplit bits.
     """
 
     lmax: int
@@ -468,6 +464,7 @@ class SHTPlan:
         both.imag[:, :n_half] = packed[n_rows:]
         np.multiply(packed[:n_rows], self._sign, out=both.real[:, n_half:])
         np.multiply(packed[n_rows:], -self._sign, out=both.imag[:, n_half:])
+        del packed  # a lower peak, which a split half's worker holds in its own arena
         return np.take(both, self._unpack, axis=1).reshape(k.shape[2:-1] + (self.n_coeffs,))
 
     def _contraction_to_realform(self, k: np.ndarray) -> np.ndarray:
@@ -599,6 +596,7 @@ class SHTPlan:
         packed[:n_rows] += both[:, :n_half, 0]
         packed[n_rows:] += both[:, :n_half, 1]
         packed *= 0.5
+        del both  # a lower peak, which a split half's worker holds in its own arena
         return self._order_gemms(packed, lead)
 
     def _contraction_from_realform(self, series: np.ndarray) -> np.ndarray:
@@ -727,10 +725,8 @@ class SHTPlan:
 
     def _synthesis_pass(self, contraction, flat: np.ndarray, out) -> np.ndarray:
         """:meth:`_synthesize` of ``(n, L**2)`` ``flat``, into ``out`` if given."""
-        with span(
-            "sht.inverse.contraction",
-            flops=sht_contraction_flops(self.lmax, len(flat), self.grid.ntheta),
-        ):
+        flops = sht_contraction_flops(self.lmax, len(flat), self.grid.ntheta)
+        with span("sht.inverse.contraction", flops=flops):
             h = contraction(flat)
         with span("sht.inverse.fft", slices=len(flat), method=self._longitude_method):
             if len(flat) <= _SYNTHESIS_BLOCK and out is None:
@@ -743,24 +739,28 @@ class SHTPlan:
             return out
 
     def _in_parts(self, parent, n_flat: int, tail: tuple, dtype, run) -> np.ndarray:
-        """``run(start, stop, out)`` under span ``parent``: whole (``out=None``), or
-        two halves at once into one ``(n_flat, *tail)`` array, the second on the
-        worker, on the FFT side from ``_SPLIT_MIN_SLICES`` slices given two CPUs."""
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        split = (self._lon_syn is None and n_flat >= _SPLIT_MIN_SLICES
-                 and not getattr(_ON_WORKER, "busy", False) and (cpus or 1) > 1)
+        """``run(start, stop, out)`` under span ``parent``: whole (``out=None``) or, on the FFT
+        side from ``_SPLIT_MIN_SLICES`` slices given two CPUs and an idle worker (busy while it
+        runs), as two halves at once into one ``(n_flat, *tail)`` array, the second on it."""
+        split = self._lon_syn is None and n_flat >= _SPLIT_MIN_SLICES and (len(
+            os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) > 1
+        if split:
+            fresh = (threading.Lock(), queue.SimpleQueue())
+            idle, jobs = _WORKERS.setdefault(os.getpid(), fresh)  # one winner; a fork starts anew
+            if idle is fresh[0]:
+                threading.Thread(target=_work, args=(jobs,), daemon=True).start()
+            out, half, future = np.empty((n_flat,) + tail, dtype=dtype), n_flat // 2, Future()
+            split = idle.acquire(blocking=False)
         parent.set(parts=2 if split else 1)
         if not split:
             return run(0, n_flat, None)
-        jobs = _JOBS.setdefault(os.getpid(), fresh := queue.SimpleQueue())  # one winner
-        if jobs is fresh:
-            threading.Thread(target=_work, args=(jobs,), daemon=True).start()
-        out, half, future = np.empty((n_flat,) + tail, dtype=dtype), n_flat // 2, Future()
-        jobs.put((future, parent, lambda: run(half, n_flat, out[half:])))
         try:
+            jobs.put((future, parent, lambda: run(half, n_flat, out[half:])))
             run(0, half, out[:half])
         finally:
-            future.result()
+            future.exception()  # waits for the worker's half
+            idle.release()
+        future.result()  # raises the worker's error, if any
         return out
 
     # ------------------------------------------------------------------ #

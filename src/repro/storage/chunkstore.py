@@ -47,8 +47,9 @@ twice the entries appended since the last, so a commit's cost does not
 grow with the store.
 
 Readers ignore a torn last line; the next writer truncates it.  Shards
-are written lock-free *before* their record and re-checked inside the
-transaction against a concurrent ``prune``, and ``prune`` compacts
+are staged lock-free as ``.shard-*`` temp files and renamed into place
+inside the transaction, after its shape check and *before* their record,
+so a refused commit overwrites no committed shard; ``prune`` compacts
 before it unlinks, so a crash leaves only orphans (shards, retired or
 unpublished journals, temp files) for :meth:`ChunkStore.sweep_orphans`,
 never an entry pointing at a missing shard.  :meth:`ChunkStore.refresh`
@@ -121,16 +122,14 @@ def _require_finite(array: np.ndarray, encoding: str) -> None:
         )
 
 
-def _encode(array: np.ndarray, encoding: str, *, validated: bool = False):
+def _encode(array: np.ndarray, encoding: str):
     """Encode a float64 array; returns ``(payload, scale, offset, max_abs_error)``.
 
     Raises ``ValueError`` for non-finite input under a lossy encoding,
-    before any shard file is created.  ``validated=True`` skips the scan
-    for callers that already ran :func:`_require_finite` on the array.
+    before any shard file is created.
     """
     array = np.asarray(array, dtype=np.float64)
-    if not validated:
-        _require_finite(array, encoding)
+    _require_finite(array, encoding)
     if encoding == "float64":
         return array, None, None, 0.0
     if encoding == "int16":
@@ -499,18 +498,12 @@ class ChunkStore:
     # ------------------------------------------------------------------ #
     # Read / write
     # ------------------------------------------------------------------ #
-    def _write_shard(
-        self, address: str, array: np.ndarray, *, validated: bool = False
-    ) -> dict:
-        """Encode and write one raw shard file; returns its entry.
-
-        Encoding (and the non-finite rejection) runs before any file is
-        created, so a rejected chunk leaves nothing on disk.
+    def _stage_shard(self, address: str, array: np.ndarray) -> "tuple[dict, str]":
+        """Encode one ``float64`` chunk into a ``.shard-*`` temp file beside
+        its shard path; returns its entry and the temp path, which the
+        commit renames.  A rejected chunk creates no file.
         """
-        array = np.asarray(array, dtype=np.float64)
-        payload, scale, offset, err = _encode(
-            array, self.encoding, validated=validated
-        )
+        payload, scale, offset, err = _encode(array, self.encoding)
         payload = np.ascontiguousarray(payload)
         path = self._shard_path(address)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -518,10 +511,8 @@ class ChunkStore:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)
-            os.replace(tmp, path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            os.unlink(tmp)
             raise
         entry = {
             "file": os.path.relpath(path, self.root),
@@ -537,29 +528,48 @@ class ChunkStore:
         if scale is not None:
             entry["scale"] = float(scale)
             entry["offset"] = float(offset)
-        return entry
+        return entry, tmp
+
+    def _stage_and_commit(self, pending: "dict[str, np.ndarray]", stage_span) -> int:
+        """Stage every pending ``float64`` chunk under ``stage_span``, then
+        commit them in one transaction; temp files the commit did not rename
+        are removed, so a batch refused at any chunk leaves nothing behind."""
+        staged: dict[str, tuple] = {}
+        try:
+            with stage_span:
+                for address, array in pending.items():
+                    staged[address] = (*self._stage_shard(address, array), array)
+            with self._lock:
+                return self._commit_entries_locked(staged)
+        finally:
+            for _, tmp, _ in staged.values():
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
 
     def _commit_entries_locked(self, staged: "dict[str, tuple]") -> int:
-        """Transactionally add staged ``{address: (entry, float64 array)}``.
+        """Transactionally add staged ``{address: (entry, temp path, array)}``.
 
-        First-writer-wins against foreign commits.  Each surviving entry
-        re-checks its shard inside the transaction and rewrites it if a
-        concurrent ``prune``/``sweep_orphans`` unlinked it.  The record
-        is one journal line, unless the journal would then hold more
-        entries than the snapshot: then the commit compacts.  Returns
-        the number of entries this handle added.
+        First-writer-wins against foreign commits, after every address a
+        foreign writer committed meanwhile has passed the shape check, so
+        a refused batch renames no shard over a committed one.  Each
+        surviving entry's temp file is renamed to its shard path (staged
+        again first if a concurrent ``sweep_orphans`` reclaimed it).  The
+        record is one journal line, unless the journal would then hold
+        more entries than the snapshot: then the commit compacts.
+        Returns the number of entries this handle added.
         """
         with self._flock_locked():
             self._refresh_locked(writer=True)
             record: dict[str, dict] = {}
-            for address, (_, array) in staged.items():
+            for address, (_, _, array) in staged.items():
                 if address in self._chunks:
                     self._check_stored_shape_locked(address, array)
-            for address, (entry, array) in staged.items():
+            for address, (entry, tmp, array) in staged.items():
                 if address in self._chunks:
-                    continue  # a foreign writer of the same content won
-                if not os.path.exists(self._shard_path(address)):
-                    entry = self._write_shard(address, array, validated=True)
+                    continue  # a foreign writer of the same chunk won
+                if not os.path.exists(tmp):
+                    entry, tmp = self._stage_shard(address, array)
+                os.replace(tmp, self._shard_path(address))
                 record[address] = entry
             snapshot = len(self._chunks) - self._journal_entries
             if self._journal_entries + len(record) > snapshot:
@@ -596,10 +606,11 @@ class ChunkStore:
             if entry is not None:
                 self._check_stored_shape_locked(address, array)
                 return dict(entry)
-        with span("chunkstore.put", bytes=array.nbytes, encoding=self.encoding):
-            entry = self._write_shard(address, array)
+        self._stage_and_commit(
+            {address: array},
+            span("chunkstore.put", bytes=array.nbytes, encoding=self.encoding),
+        )
         with self._lock:
-            self._commit_entries_locked({address: (entry, array)})
             return dict(self._chunks[address])
 
     def put_many(self, chunks: "dict[str, np.ndarray]") -> int:
@@ -626,19 +637,11 @@ class ChunkStore:
                     pending[address] = array
         if not pending:
             return 0
-        # Validate the whole batch before writing anything, so a
-        # non-finite chunk leaves no sibling behind as an orphan shard.
-        for array in pending.values():
-            _require_finite(array, self.encoding)
         batch_bytes = sum(array.nbytes for array in pending.values())
-        with span("chunkstore.put_many", n_chunks=len(pending),
-                  bytes=batch_bytes, encoding=self.encoding):
-            staged = {
-                address: (self._write_shard(address, array, validated=True), array)
-                for address, array in pending.items()
-            }
-        with self._lock:
-            return self._commit_entries_locked(staged)
+        return self._stage_and_commit(pending, span(
+            "chunkstore.put_many", n_chunks=len(pending),
+            bytes=batch_bytes, encoding=self.encoding,
+        ))
 
     def get(self, address: str) -> "np.ndarray | None":
         """The decoded ``float64`` chunk, or ``None`` if absent.

@@ -5,7 +5,8 @@ On the FFT side of ``_longitude_by_gemm`` a batch of at least
 calling thread and one on the process's worker thread.  Each half is the
 unsplit code on fewer slices, so every entry point must return the bits
 of per-slice calls and of an unsplit call; the GEMM side never hands a
-half over; the worker serves many callers, itself, and a forked child.
+half over; a caller that finds the worker busy runs whole, so concurrent
+callers, the worker itself and a forked child all complete.
 """
 
 from __future__ import annotations
@@ -117,11 +118,13 @@ class _SpyQueue:
 def worker_spy(monkeypatch):
     plan = _plan(FFT_SIDE)
     plan.inverse(_inputs(plan, "inverse", transform._SPLIT_MIN_SLICES))  # starts the worker
-    jobs = transform._JOBS.get(os.getpid())
-    if jobs is None:
+    worker = transform._WORKERS.get(os.getpid())
+    if worker is None:
         pytest.skip("this process may run on one CPU: nothing is ever split")
+    idle, jobs = worker
     spy = _SpyQueue(jobs)
-    monkeypatch.setitem(transform._JOBS, os.getpid(), spy)
+    spy.idle = idle
+    monkeypatch.setitem(transform._WORKERS, os.getpid(), (idle, spy))
     return spy
 
 
@@ -167,13 +170,34 @@ class TestConcurrency:
         for got, want in zip(results, serial):
             assert np.array_equal(_bits(got), _bits(want))
 
+    def test_a_caller_that_finds_the_worker_busy_runs_whole(self, worker_spy):
+        """Concurrent callers never queue behind one another's halves."""
+        plan = _plan(FFT_SIDE)
+        coeffs = _inputs(plan, "inverse", 32)
+        assert worker_spy.idle.acquire(blocking=False)  # another caller's half is on it
+        try:
+            with tracing():
+                fields = plan.inverse(coeffs)
+        finally:
+            worker_spy.idle.release()
+        assert _parts("sht.inverse") == [1]
+        assert worker_spy.handed == 0
+        with tracing():
+            assert np.array_equal(_bits(fields), _bits(plan.inverse(coeffs)))
+        assert _parts("sht.inverse") == [1, 2]  # idle again: it splits
+        assert worker_spy.handed == 1
+
     def test_a_transform_called_on_the_worker_runs_unsplit_and_completes(self, worker_spy):
         plan = _plan(FFT_SIDE)
         coeffs = _inputs(plan, "inverse", 32)
         future = Future()
-        with tracing():
-            worker_spy.put((future, Span("test_split.caller", {}), lambda: plan.inverse(coeffs)))
-            fields = future.result(timeout=120)
+        assert worker_spy.idle.acquire(blocking=False)  # held while a half runs, as a caller does
+        try:
+            with tracing():
+                worker_spy.put((future, Span("test_split.caller", {}), lambda: plan.inverse(coeffs)))
+                fields = future.result(timeout=120)
+        finally:
+            worker_spy.idle.release()
         (record,) = [r for r in trace_records() if r["name"] == "sht.inverse"]
         assert record["attrs"]["parts"] == 1
         assert record["thread"] != threading.current_thread().name
@@ -207,7 +231,7 @@ def _digest(array):
 
 
 def _child_transform(plan, coeffs, results):
-    results.put((_digest(plan.inverse(coeffs)), os.getpid() in transform._JOBS))
+    results.put((_digest(plan.inverse(coeffs)), os.getpid() in transform._WORKERS))
 
 
 @pytest.mark.skipif(

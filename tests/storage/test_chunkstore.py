@@ -246,6 +246,24 @@ class TestPutMany:
         assert np.array_equal(store.get("aa11"), chunk)
         assert store.put_many({"aa11": chunk + 5.0}) == 0  # same shape: skipped
 
+    def test_a_stale_handle_overwrites_no_foreign_chunk_of_another_shape(self, tmp_path):
+        """A handle whose view predates another handle's commit learns of it
+        only inside its own transaction: the shape check runs there, before
+        any staged shard is renamed, so the other writer's chunk survives."""
+        stale = ChunkStore(tmp_path)
+        other = ChunkStore(tmp_path)
+        theirs = np.arange(6.0).reshape(2, 3)
+        other.put("aa11", theirs)
+        with pytest.raises(ValueError, match=r"aa11 .* \(2, 3\), not the \(4, 5\)"):
+            stale.put("aa11", np.ones((4, 5)))
+        with pytest.raises(ValueError, match=r"aa11 .* \(2, 3\), not the \(4, 5\)"):
+            stale.put_many({"bb22": np.ones((4, 5)), "aa11": np.ones((4, 5))})
+        files = sorted(p.name for p in (tmp_path / "chunks").rglob("*"))
+        assert files == ["aa", "aa11.bin"]  # no temp file, no sibling shard
+        assert np.array_equal(other.get("aa11"), theirs)
+        assert np.array_equal(ChunkStore(tmp_path).get("aa11"), theirs)
+        assert stale.addresses() == ["aa11"]
+
     def test_manifest_merges_across_store_handles(self, tmp_path, payload):
         # Two handles on one directory (two services, or two processes):
         # a write from one must not clobber entries the other persisted
