@@ -21,9 +21,10 @@ emulator (or a saved artifact path) plus ``scenarios x realizations``, and
   multiply, VAR step, inverse SHT and nugget — is the same in every
   scenario and is restored once per scenario.  Each run keeps its own
   generator, output is bit-identical for every block size, and peak
-  memory stays at one model year per block (``scenarios x batch_size``
-  chunks, committed to the store as each year ends) regardless of
-  scenario length;
+  memory stays bounded regardless of scenario length: a block holds one
+  model year (``scenarios x batch_size`` chunks) plus, store-backed, the
+  years staged for the next commit, which lands once they reach
+  :data:`_COMMIT_BYTES`;
 * emits a :class:`CampaignManifest` recording, per run, the scenario, the
   seed spawn key, the chunk layout and the measured output bytes — over
   the manifest's ``artifact_bytes``, the artifact-to-output "boost
@@ -71,6 +72,13 @@ _COLLECT_MODES = ("global-mean", "fields", "none")
 #: it: ``min(n_realizations, _DEFAULT_BATCH)``.  Blocks are bit-inert;
 #: docs/tuning.md has the sweep behind the value.
 _DEFAULT_BATCH = 4
+
+#: Bytes of staged chunks at which a store-backed block commits: years
+#: are staged until they reach it (or the block ends), then land in one
+#: ``put_many``.  Below one ``campaign_L64`` model year (12 chunks, about
+#: 19 MB), so a year that size still commits on its own; a block of small
+#: years commits every ~16 MiB instead of once a year.
+_COMMIT_BYTES = 16 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -358,7 +366,7 @@ class _RunAccumulator:
         chunk; ``global_means`` its ``(nt,)`` area-weighted mean series or,
         unless the block collects global means, ``None``.  A store-backed
         run stages the chunk in ``staged`` (``address -> float64 chunk``),
-        the block's year that :func:`_flush_store` commits."""
+        the block's years that :func:`_flush_store` commits next."""
         plan = self.plan
         self.chunk_sizes.append(member.shape[0])
         self.output_bytes += member.nbytes
@@ -399,10 +407,10 @@ class _RunAccumulator:
 def _flush_store(
     store: "ChunkStore | None", chunks: "dict[str, np.ndarray]"
 ) -> None:
-    """Land one model year of an execution block in the store, one batch.
+    """Land the staged years of an execution block in the store, one batch.
 
-    ``put_many`` is one manifest transaction however many runs the block
-    held, and it is idempotent under the store's first-writer-wins
+    ``put_many`` is one manifest transaction however many runs and years
+    the batch holds, and it is idempotent under the store's first-writer-wins
     commit protocol — a re-run campaign (or two campaigns sharing
     scenarios and realizations) re-derives the same content-addresses
     and skips the chunks it finds already stored.
@@ -424,8 +432,10 @@ def _execute_block(
     ``SeedSequence(seed, spawn_key=(r,))`` whatever its scenario, so each
     model year's standardized fields are drawn once for the block and
     restored once per scenario: every record is bit-identical whatever
-    else shares the block.  Each year's chunks are committed before the
-    next year is drawn, so the block holds one model year at a time.
+    else shares the block.  Store-backed, the years' chunks are staged
+    until they reach :data:`_COMMIT_BYTES` and then committed, and the
+    rest at the block's last year, so the block holds that budget plus
+    one model year at most.
     Each record's ``wall_seconds`` is the block's wall time (the
     synthesis is shared, so a per-run share would be fiction).
     """
@@ -450,8 +460,12 @@ def _execute_block(
             start_year=emulator.training_summary.start_year,
         )
         n_years = -(-first.n_times // emulator.training_summary.steps_per_year)
+        staged: "dict[str, np.ndarray]" = {}
         for year in range(n_years):
-            _flush_store(store, _stage_year(next(stream), groups, year, first.collect))
+            _stage_year(next(stream), groups, year, first.collect, staged)
+            if year == n_years - 1 or sum(a.nbytes for a in staged.values()) >= _COMMIT_BYTES:
+                _flush_store(store, staged)
+                staged = {}
         records = [acc.record() for acc in accs]
     for record in records:
         record.wall_seconds = sp.seconds
@@ -459,19 +473,18 @@ def _execute_block(
 
 
 def _stage_year(
-    chunks, groups: "list[list[_RunAccumulator]]", year: int, collect: str
-) -> "dict[str, np.ndarray]":
+    chunks, groups: "list[list[_RunAccumulator]]", year: int, collect: str,
+    staged: "dict[str, np.ndarray]",
+) -> None:
     """Record model year ``year`` of a block's runs, one chunk per scenario.
 
-    Returns the chunks staged for the store.  Nothing here outlives the
-    call, so the block drops the year once it is committed.
+    Store-backed runs add their chunks to ``staged``.  Nothing else here
+    outlives the call, so the block drops the year once it is committed.
     """
-    staged: "dict[str, np.ndarray]" = {}
     for chunk, group in zip(chunks, groups):
         means = chunk.global_mean_series() if collect == "global-mean" else None
         for b, acc in enumerate(group):
             acc.add_chunk(year, chunk.data[b], None if means is None else means[b], staged)
-    return staged
 
 
 def _checked_batch_size(batch_size) -> "int | None":
@@ -720,11 +733,13 @@ def run_campaign(
         number of years, because serving addresses chunks by model
         year.
 
-        Chunks are staged per model year of an execution block and
-        committed with one ``put_many`` transaction per block-year (safe
-        against other processes writing the same root; a re-run campaign
-        finds its addresses already stored and skips them), so a block
-        holds one year of ``scenarios x batch_size`` chunks at a time.
+        Chunks are staged model year by model year within an execution
+        block and committed with one ``put_many`` transaction once the
+        staged bytes reach ``_COMMIT_BYTES`` (16 MiB), and at the block's
+        last year (safe against other processes writing the same root; a
+        re-run campaign finds its addresses already stored and skips
+        them), so a block holds at most that budget plus one year of
+        ``scenarios x batch_size`` chunks, however long the record.
         The full float64 data is stored; :func:`iter_chunk_arrays` reads
         it back manifest-driven.
     progress:

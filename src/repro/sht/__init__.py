@@ -4,8 +4,9 @@ This subpackage implements the one spherical-harmonic transform the
 climate emulator uses, the FFT + Wigner-d plan of paper Section III-A.2
 (Eqs. 4-8), for real fields:
 
-* :mod:`repro.sht.wigner` — Wigner small-d matrices evaluated at ``pi/2``
-  (the ``Delta`` matrices) by a vectorised degree recursion.
+* :mod:`repro.sht.wigner` — the ``m', m >= 0`` quadrants of the Wigner
+  small-d matrices at ``pi/2`` (the ``Delta`` matrices) by a vectorised
+  degree recursion.
 * :mod:`repro.sht.quadrature` — the exact integrals ``I(q)`` of Eq. (8).
 * :mod:`repro.sht.grid` — equiangular latitude/longitude grids (ERA5-like)
   and the extended-colatitude construction of Eq. (6).

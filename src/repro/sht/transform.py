@@ -68,7 +68,7 @@ from repro.obs import span
 from repro.obs.tracing import _child_spans
 from repro.sht.grid import Grid, extended_colatitude_length
 from repro.sht.quadrature import _exponential_sine_integral
-from repro.sht.wigner import wigner_d_pi2_all
+from repro.sht.wigner import wigner_d_pi2_quadrants
 
 __all__ = [
     "bandlimit_from_coeff_count",
@@ -243,9 +243,12 @@ class SHTPlan:
     the GEMM side of :func:`_longitude_by_gemm` it also holds the
     longitude stage's real Fourier pair, ``2L x nphi`` for synthesis and
     ``nphi x 2L`` for analysis (``2 * 2L * nphi * 8`` bytes, 0.26 MB at
-    ``L = 64``); on the FFT side nothing.  The Wigner-d tables the
-    operators are built from are released when ``__post_init__``
-    returns; everything is built eagerly, so shared cached plans stay
+    ``L = 64``); on the FFT side nothing.  The operators are built from
+    the ``m', m >= 0`` quadrants of the Wigner-d tables
+    (:func:`~repro.sht.wigner.wigner_d_pi2_quadrants`, about
+    ``L^3 / 3`` values), released when ``__post_init__`` returns; a
+    build takes ~50 ms at ``L = 128`` and ~0.5 s at ``L = 256`` on a
+    2-core VM.  Everything is built eagerly, so shared cached plans stay
     immutable.  On the FFT side a batch of 16 or more slices runs as two
     halves at once, one on the process's worker if idle, with the unsplit bits.
     """
@@ -345,8 +348,7 @@ class SHTPlan:
         width = _round_up(ntheta)
         blocks = np.diff(self._offsets)  # slots per order, padding included
         table = np.zeros((lmax, lmax, lmax))
-        for ell, delta in enumerate(wigner_d_pi2_all(lmax)):
-            quadrant = delta[ell:, ell:]  # [m', m] for m', m >= 0
+        for ell, quadrant in enumerate(wigner_d_pi2_quadrants(lmax)):  # [m', m]
             norm = np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi))
             table[:ell + 1, ell, :ell + 1] = (norm * quadrant[:, :1] * quadrant).T
         index = np.arange(lmax)

@@ -10,13 +10,18 @@ Fourier representation of the Wigner small-d function,
        \\Delta^\\ell_{m',m} \\, \\Delta^\\ell_{m',n} \\, e^{-i m' \\beta},
    \\qquad \\Delta^\\ell_{m',m} \\equiv d^\\ell_{m',m}(\\pi/2).
 
-Only the :math:`\\Delta` matrices are therefore needed, and only at the
-fixed argument :math:`\\pi/2`.  :func:`wigner_d_pi2_all` builds all
+Only the :math:`\\Delta` matrices are therefore needed, only at the fixed
+argument :math:`\\pi/2`, and — since the plan folds the signed orders onto
+``m, m' >= 0`` through the matrices' symmetries — only their ``m', m >= 0``
+quadrant.  :func:`wigner_d_pi2_quadrants` builds those quadrants for all
 degrees ``0 .. L-1`` in one sweep of the stable degree recursion, reusing
-the two previous degrees; its cost is O(L^3) and matches the
-pre-computation strategy described in the paper (Section III-A.2).  The
-textbook sum formula and the Fourier form above, which it is tested
-against, live with the tests, in ``tests/sht/reference_transform.py``.
+the two previous degrees' quadrants: about ``L^3 / 3`` entries in all
+(5.6 MB at ``L = 128``), a quarter of the full ``(2l+1)^2`` matrices, with
+no temporary larger than one degree's quadrant.  This is the
+pre-computation the paper describes (Section III-A.2).  The full-matrix
+recursion, the textbook sum formula and the Fourier form above, which the
+quadrants are tested against, live with the tests, in
+``tests/sht/reference_transform.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["wigner_d_pi2_all"]
+__all__ = ["wigner_d_pi2_quadrants"]
 
 
 def _seed_top_row(j: int) -> np.ndarray:
@@ -37,30 +42,8 @@ def _seed_top_row(j: int) -> np.ndarray:
     return signs * vals
 
 
-def _seed_matrix(ell: int, lmax: int) -> np.ndarray:
-    """Seed values ``d^l_{m1,m2}(pi/2)`` for pairs with ``max(|m1|,|m2|) == l``.
-
-    Returns a ``(2*lmax + 1, 2*lmax + 1)`` array (indexed by ``m + lmax``)
-    with the seed entries filled in and zeros elsewhere.
-    """
-    out = np.zeros((2 * lmax + 1, 2 * lmax + 1), dtype=np.float64)
-    if ell > lmax:
-        raise ValueError("ell exceeds lmax")
-    top = _seed_top_row(ell)  # d^l_{l, n}, n = -l..l
-    n = np.arange(-ell, ell + 1)
-    alternating = np.where((ell + n) % 2 == 0, 1.0, -1.0)  # (-1)^(l - n)
-    lo, hi = lmax - ell, lmax + ell
-    # The border of the degree-l block; the rows (|m1| >= |m2|) are written
-    # last so they own the corners.
-    out[lo:hi + 1, hi] = alternating * top        # d_{m1,l} = (-1)^(m1-l) d_{l,m1}
-    out[lo:hi + 1, lo] = top[::-1]                # d_{m1,-l} = d_{l,-m1}
-    out[hi, lo:hi + 1] = top                      # d_{l,m2}
-    out[lo, lo:hi + 1] = alternating * top[::-1]  # d_{-l,m2} = (-1)^(l+m2) d_{l,-m2}
-    return out
-
-
-def wigner_d_pi2_all(lmax: int) -> list[np.ndarray]:
-    """All Wigner-d matrices at ``pi/2`` for degrees ``0 .. lmax - 1``.
+def wigner_d_pi2_quadrants(lmax: int) -> list[np.ndarray]:
+    """The ``m', m >= 0`` quadrants of the Wigner-d matrices at ``pi/2``.
 
     Parameters
     ----------
@@ -70,8 +53,8 @@ def wigner_d_pi2_all(lmax: int) -> list[np.ndarray]:
     Returns
     -------
     list of numpy.ndarray
-        ``L`` matrices; entry ``l`` has shape ``(2*l + 1, 2*l + 1)`` and is
-        indexed by ``[m1 + l, m2 + l]``.
+        ``L`` matrices; entry ``l`` has shape ``(l + 1, l + 1)`` and holds
+        ``d^l_{m',m}(pi/2)`` at ``[m', m]`` for ``0 <= m', m <= l``.
 
     Notes
     -----
@@ -85,55 +68,46 @@ def wigner_d_pi2_all(lmax: int) -> list[np.ndarray]:
          - (\\ell+1) \\sqrt{(\\ell^2 - m_1^2)(\\ell^2 - m_2^2)}
            \\, d^{\\ell-1}_{m_1 m_2},
 
-    seeded at ``l = max(|m1|, |m2|)`` with the closed-form sectoral values.
-    The recursion is stable at ``pi/2`` for the degrees used here (validated
-    against the exact formula in the test-suite).
+    seeded at ``l = max(m1, m2)`` with the closed-form sectoral values.  An
+    entry's recursion reads only the same ``(m1, m2)`` entry of the two
+    previous degrees, so the quadrant closes on itself.  Where degree
+    ``l - 2`` has no such entry (``max(m1, m2) = l - 1``) its factor
+    ``sqrt(((l-1)^2 - m_1^2)((l-1)^2 - m_2^2))`` is zero, and the term is
+    dropped.  The recursion is stable at ``pi/2`` for the degrees used here
+    (validated against the exact formula in the test-suite).
     """
     if lmax < 1:
         return []
-    big = 2 * lmax + 1
-    m = np.arange(-lmax, lmax + 1, dtype=np.float64)
-    m1 = m[:, None]
-    m2 = m[None, :]
-
-    prev2 = np.zeros((big, big), dtype=np.float64)  # degree l-2
-    prev1 = np.zeros((big, big), dtype=np.float64)  # degree l-1
-    results: list[np.ndarray] = []
-
-    for ell in range(0, lmax):
-        cur = np.zeros((big, big), dtype=np.float64)
+    m = np.arange(lmax, dtype=np.float64)
+    quadrants: list[np.ndarray] = []
+    for ell in range(lmax):
+        cur = np.empty((ell + 1, ell + 1), dtype=np.float64)
         if ell >= 2:
+            # The interior max(m1, m2) <= l - 1, where every denominator is > 0.
+            m1, m2 = m[:ell, None], m[None, :ell]
             lm1 = float(ell - 1)
             denom = lm1 * np.sqrt(
                 np.maximum((ell ** 2 - m1 ** 2), 0.0)
                 * np.maximum((ell ** 2 - m2 ** 2), 0.0)
             )
-            numer = (
-                -(2.0 * lm1 + 1.0) * m1 * m2 * prev1
-                - ell
+            numer = -(2.0 * lm1 + 1.0) * m1 * m2 * quadrants[ell - 1]
+            m1, m2 = m1[:-1], m2[:, :-1]
+            numer[:-1, :-1] -= (
+                ell
                 * np.sqrt(
                     np.maximum((lm1 ** 2 - m1 ** 2), 0.0)
                     * np.maximum((lm1 ** 2 - m2 ** 2), 0.0)
                 )
-                * prev2
+                * quadrants[ell - 2]
             )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rec = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
-            interior = (np.abs(m1) <= ell - 1) & (np.abs(m2) <= ell - 1)
-            cur[interior] = rec[interior]
+            np.divide(numer, denom, out=cur[:ell, :ell])
         elif ell == 1:
-            # Only the (0, 0) entry is "interior" at l=1: d^1_{0,0}(pi/2) = 0.
-            cur[lmax, lmax] = 0.0
-
-        # Boundary entries where max(|m1|, |m2|) == ell come from the seeds.
-        if ell >= 0:
-            seed = _seed_matrix(ell, lmax)
-            boundary = (np.maximum(np.abs(m1), np.abs(m2)) == ell) & (
-                np.abs(m1) <= ell
-            ) & (np.abs(m2) <= ell)
-            cur[boundary] = seed[boundary]
-
-        lo, hi = lmax - ell, lmax + ell + 1
-        results.append(cur[lo:hi, lo:hi].copy())
-        prev2, prev1 = prev1, cur
-    return results
+            cur[0, 0] = 0.0  # d^1_{0,0}(pi/2) = 0
+        # The border max(m1, m2) == l from the seeds; the row is written
+        # last so it owns the corner.
+        top = _seed_top_row(ell)[ell:]  # d^l_{l, n}, n = 0..l
+        alternating = np.where((ell + np.arange(ell + 1)) % 2 == 0, 1.0, -1.0)  # (-1)^(l - n)
+        cur[:, ell] = alternating * top  # d_{m1,l} = (-1)^(m1-l) d_{l,m1}
+        cur[ell] = top                   # d_{l,m2}
+        quadrants.append(cur)
+    return quadrants

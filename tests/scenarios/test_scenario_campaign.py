@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.scenarios import campaign
 from repro.scenarios.campaign import iter_chunk_arrays, plan_campaign, run_campaign
 from repro.scenarios.registry import resolve_scenario
 
@@ -368,11 +369,13 @@ class TestOutputDir:
 
 
     def test_store_flush_spans_account_for_every_stored_chunk(
-        self, fitted_emulator, tmp_path
+        self, fitted_emulator, tmp_path, monkeypatch
     ):
-        """One ``campaign.store_flush`` span per model year of a block
-        carries its chunk count and raw bytes; a re-run flushes the same
-        chunks again and the store skips every one of them."""
+        """One ``campaign.store_flush`` span per commit carries its chunk
+        count and raw bytes; a re-run flushes the same chunks again and the
+        store skips every one of them.  With the byte budget under one
+        year (as ``campaign_L64``'s years are) a block commits every year."""
+        monkeypatch.setattr(campaign, "_COMMIT_BYTES", 1)
         root = tmp_path / "campaign-out"
         repro.obs.clear_trace()
         try:
@@ -404,8 +407,67 @@ class TestOutputDir:
                 if r["name"] == "campaign.store_flush"] == flushes
         assert not [r for r in rerun if r["name"] == "chunkstore.put_many"]
 
+class TestGroupCommit:
+    """Store-backed blocks stage model years until ``_COMMIT_BYTES`` and
+    commit them in one ``put_many``, and the rest at the block's last
+    year; records and stored chunks are those of per-year commits."""
+
+    YEARS = 5
+    DEFAULT_BUDGET = campaign._COMMIT_BYTES
+    PUT_MANY = staticmethod(repro.ChunkStore.put_many)
+
+    def run(self, emulator, root, monkeypatch, budget):
+        monkeypatch.setattr(campaign, "_COMMIT_BYTES", budget)
+        calls = []
+
+        def spy(store, chunks):
+            calls.append(len(chunks))
+            return self.PUT_MANY(store, chunks)
+
+        monkeypatch.setattr(repro.ChunkStore, "put_many", spy)
+        steps = emulator.training_summary.steps_per_year
+        manifest = run_campaign(
+            emulator, ["ssp-low", "ssp-high"], 3, n_times=self.YEARS * steps,
+            seed=11, collect="fields", store=root, batch_size=2,
+        )
+        return manifest, calls
+
+    def test_commits_when_the_budget_is_reached_bit_identically(
+        self, fitted_emulator, tmp_path, monkeypatch
+    ):
+        yearly, yearly_calls = self.run(fitted_emulator, tmp_path / "yearly", monkeypatch, 1)
+        # Blocks: realizations {0, 1} (4 chunks a year) then {2} (2 a year).
+        assert yearly_calls == [4] * self.YEARS + [2] * self.YEARS
+        chunk_bytes = yearly.runs[0].output_bytes // self.YEARS
+        # 2.5 years of the first block: it commits after its third year
+        # and at its last; the second block reaches the budget at its last.
+        grouped, grouped_calls = self.run(
+            fitted_emulator, tmp_path / "grouped", monkeypatch, 10 * chunk_bytes
+        )
+        assert grouped_calls == [12, 8, 10]
+        _, default_calls = self.run(
+            fitted_emulator, tmp_path / "default", monkeypatch, self.DEFAULT_BUDGET
+        )
+        assert default_calls == [4 * self.YEARS, 2 * self.YEARS]
+
+        assert len(grouped.runs) == len(yearly.runs) == 6
+        for a, b in zip(grouped.runs, yearly.runs):
+            assert (a.scenario, a.realization, a.chunk_sizes, a.output_bytes) == (
+                b.scenario, b.realization, b.chunk_sizes, b.output_bytes
+            )
+            assert a.chunk_addresses == b.chunk_addresses
+            np.testing.assert_array_equal(a.collected, b.collected)
+        stores = [repro.ChunkStore(tmp_path / sub) for sub in ("yearly", "grouped", "default")]
+        addresses = [a for r in yearly.runs for a in r.chunk_addresses]
+        assert all(sorted(store.addresses()) == sorted(addresses) for store in stores)
+        for address in addresses:
+            reference = stores[0].get(address).tobytes()
+            assert all(store.get(address).tobytes() == reference for store in stores[1:])
+
+
 class TestMemory:
-    """A store-backed campaign holds one model year of a block at a time."""
+    """A store-backed campaign holds at most the commit budget plus one
+    model year of a block, however long the record."""
 
     @pytest.fixture(scope="class")
     def emulator_l32(self):
@@ -418,28 +480,51 @@ class TestMemory:
             lmax=32, var_order=1, tile_size=64, rho_grid=(0.5,)
         ))
 
-    def test_peak_does_not_grow_with_the_years(self, emulator_l32, tmp_path):
-        """Each year is committed before the next is drawn.  Flushed once
-        per block, the staged years made the traced peak grow with the
-        record: 7.7 MB at 2 years, 55.7 MB at 32 (24 steps a year)."""
+    @staticmethod
+    def peak(emulator, root, n_years):
         import tracemalloc
 
-        spy = emulator_l32.training_summary.steps_per_year
+        spy = emulator.training_summary.steps_per_year
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_campaign(emulator, ["ssp-low"], 4, n_times=n_years * spy,
+                         seed=1, collect="none", store=root)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
 
-        def peak(n_years):
-            root = tmp_path / f"years-{n_years}"
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                run_campaign(emulator_l32, ["ssp-low"], 4, n_times=n_years * spy,
-                             seed=1, collect="none", store=root)
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
-        peak(1)  # warm: plans, trend groups, first-touch caches
-        short, long = peak(2), peak(32)
+    def test_peak_does_not_grow_with_the_years(self, emulator_l32, tmp_path, monkeypatch):
+        """With the budget under one year each year is committed before the
+        next is drawn.  Flushed once per block, the staged years made the
+        traced peak grow with the record: 7.7 MB at 2 years, 55.7 MB at 32
+        (24 steps a year)."""
+        monkeypatch.setattr(campaign, "_COMMIT_BYTES", 1)
+        self.peak(emulator_l32, tmp_path / "warm", 1)  # plans, trend groups, first-touch caches
+        short = self.peak(emulator_l32, tmp_path / "2", 2)
+        long = self.peak(emulator_l32, tmp_path / "32", 32)
         assert long <= 1.2 * short, (short, long)
+
+    def test_a_long_record_commits_a_few_times_within_the_budget(
+        self, emulator_l32, tmp_path, monkeypatch
+    ):
+        """1 scenario x 4 realizations x 32 years at L = 32 (0.8 MB a year,
+        25.5 MB in all): at most four commits, and the traced peak over a
+        two-year run's stays within the budget plus one year."""
+        commits = []
+        put_many = repro.ChunkStore.put_many
+
+        def spy(store, chunks):
+            commits.append(sum(a.nbytes for a in chunks.values()))
+            return put_many(store, chunks)
+
+        self.peak(emulator_l32, tmp_path / "warm", 1)
+        short = self.peak(emulator_l32, tmp_path / "2", 2)
+        monkeypatch.setattr(repro.ChunkStore, "put_many", spy)
+        long = self.peak(emulator_l32, tmp_path / "32", 32)
+        year = sum(commits) // 32
+        assert len(commits) <= 4, commits
+        assert long <= short + campaign._COMMIT_BYTES + year, (short, long)
 
 
 class TestIterChunkArrays:

@@ -14,9 +14,11 @@ All arrays carry the signed orders ``-(L-1) .. L-1`` ascending on their
 ``m`` / ``m'`` axes, so order ``m`` sits at index ``m + L - 1``.
 
 The textbook oracles the production code is checked against live here
-too: :func:`wigner_d_explicit` (the Wigner sum formula with exact integer
-factorials), :func:`wigner_d_from_pi2` (its Fourier form from the ``pi/2``
-tables), :func:`integral_matrix` (the full ``I(m' + m'')`` matrix) and
+too: :func:`wigner_d_pi2_all` (the full ``(2l+1)^2`` matrices at ``pi/2``
+by the degree recursion, of which the plan's quadrants are the
+``m', m >= 0`` corner bit for bit), :func:`wigner_d_explicit` (the Wigner
+sum formula with exact integer factorials), :func:`wigner_d_from_pi2` (its
+Fourier form from the ``pi/2`` tables), :func:`integral_matrix` (the full ``I(m' + m'')`` matrix) and
 :func:`coeff_lm` (the inverse of ``coeff_index``), next to the one-shot
 wrappers :func:`sht_forward` / :func:`sht_inverse` (a throw-away plan per
 call).
@@ -31,7 +33,87 @@ import numpy as np
 from repro.sht.grid import Grid
 from repro.sht.quadrature import _exponential_sine_integral
 from repro.sht.transform import SHTPlan, bandlimit_from_coeff_count
-from repro.sht.wigner import wigner_d_pi2_all
+from repro.sht.wigner import _seed_top_row
+
+
+def _seed_matrix(ell: int, lmax: int) -> np.ndarray:
+    """Seed values ``d^l_{m1,m2}(pi/2)`` for pairs with ``max(|m1|,|m2|) == l``.
+
+    Returns a ``(2*lmax + 1, 2*lmax + 1)`` array (indexed by ``m + lmax``)
+    with the seed entries filled in and zeros elsewhere.
+    """
+    out = np.zeros((2 * lmax + 1, 2 * lmax + 1), dtype=np.float64)
+    if ell > lmax:
+        raise ValueError("ell exceeds lmax")
+    top = _seed_top_row(ell)  # d^l_{l, n}, n = -l..l
+    n = np.arange(-ell, ell + 1)
+    alternating = np.where((ell + n) % 2 == 0, 1.0, -1.0)  # (-1)^(l - n)
+    lo, hi = lmax - ell, lmax + ell
+    # The border of the degree-l block; the rows (|m1| >= |m2|) are written
+    # last so they own the corners.
+    out[lo:hi + 1, hi] = alternating * top        # d_{m1,l} = (-1)^(m1-l) d_{l,m1}
+    out[lo:hi + 1, lo] = top[::-1]                # d_{m1,-l} = d_{l,-m1}
+    out[hi, lo:hi + 1] = top                      # d_{l,m2}
+    out[lo, lo:hi + 1] = alternating * top[::-1]  # d_{-l,m2} = (-1)^(l+m2) d_{l,-m2}
+    return out
+
+
+def wigner_d_pi2_all(lmax: int) -> list[np.ndarray]:
+    """All Wigner-d matrices at ``pi/2`` for degrees ``0 .. lmax - 1``.
+
+    Entry ``l`` has shape ``(2*l + 1, 2*l + 1)`` and is indexed by
+    ``[m1 + l, m2 + l]``.  The three-term degree recursion of
+    :func:`repro.sht.wigner.wigner_d_pi2_quadrants` run on the full
+    ``(2L+1)^2`` grid of signed orders, every degree at once, with mask
+    scatters — the readable form the quadrants are pinned to bit for bit.
+    """
+    if lmax < 1:
+        return []
+    big = 2 * lmax + 1
+    m = np.arange(-lmax, lmax + 1, dtype=np.float64)
+    m1 = m[:, None]
+    m2 = m[None, :]
+
+    prev2 = np.zeros((big, big), dtype=np.float64)  # degree l-2
+    prev1 = np.zeros((big, big), dtype=np.float64)  # degree l-1
+    results: list[np.ndarray] = []
+
+    for ell in range(0, lmax):
+        cur = np.zeros((big, big), dtype=np.float64)
+        if ell >= 2:
+            lm1 = float(ell - 1)
+            denom = lm1 * np.sqrt(
+                np.maximum((ell ** 2 - m1 ** 2), 0.0)
+                * np.maximum((ell ** 2 - m2 ** 2), 0.0)
+            )
+            numer = (
+                -(2.0 * lm1 + 1.0) * m1 * m2 * prev1
+                - ell
+                * np.sqrt(
+                    np.maximum((lm1 ** 2 - m1 ** 2), 0.0)
+                    * np.maximum((lm1 ** 2 - m2 ** 2), 0.0)
+                )
+                * prev2
+            )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rec = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
+            interior = (np.abs(m1) <= ell - 1) & (np.abs(m2) <= ell - 1)
+            cur[interior] = rec[interior]
+        elif ell == 1:
+            # Only the (0, 0) entry is "interior" at l=1: d^1_{0,0}(pi/2) = 0.
+            cur[lmax, lmax] = 0.0
+
+        # Boundary entries where max(|m1|, |m2|) == ell come from the seeds.
+        seed = _seed_matrix(ell, lmax)
+        boundary = (np.maximum(np.abs(m1), np.abs(m2)) == ell) & (
+            np.abs(m1) <= ell
+        ) & (np.abs(m2) <= ell)
+        cur[boundary] = seed[boundary]
+
+        lo, hi = lmax - ell, lmax + ell + 1
+        results.append(cur[lo:hi, lo:hi].copy())
+        prev2, prev1 = prev1, cur
+    return results
 
 
 def wigner_d_explicit(ell: int, beta: float) -> np.ndarray:

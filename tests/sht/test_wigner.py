@@ -1,13 +1,16 @@
 """Tests of the Wigner small-d matrices at pi/2."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reference_transform import (  # tests/sht is on sys.path (rootdir layout)
     wigner_d_explicit,
     wigner_d_from_pi2,
+    wigner_d_pi2_all,
 )
-from repro.sht.wigner import wigner_d_pi2_all
+from repro.sht.wigner import wigner_d_pi2_quadrants
 
 
 class TestExplicitFormula:
@@ -74,3 +77,44 @@ class TestFourierRepresentation:
         rec = wigner_d_from_pi2(ell, beta)
         ref = wigner_d_explicit(ell, beta)
         assert np.max(np.abs(rec - ref)) < 1e-10
+
+
+class TestQuadrants:
+    """The plan's ``m', m >= 0`` quadrants are the full recursion's corner,
+    bit for bit, and the build never holds a full ``(2L+1)^2`` matrix."""
+
+    @pytest.mark.parametrize("lmax", [1, 2, 3, 8, 33, 64, 128])
+    def test_bit_identical_to_the_full_recursion(self, lmax):
+        quadrants = wigner_d_pi2_quadrants(lmax)
+        full = wigner_d_pi2_all(lmax)
+        assert len(quadrants) == lmax
+        for ell, (quadrant, delta) in enumerate(zip(quadrants, full)):
+            corner = delta[ell:, ell:]
+            assert quadrant.shape == (ell + 1, ell + 1)
+            assert np.array_equal(quadrant, corner)
+            assert np.array_equal(np.signbit(quadrant), np.signbit(corner))
+
+    @pytest.mark.parametrize("ell", [0, 1, 2, 5, 9])
+    def test_matches_explicit(self, ell):
+        quadrant = wigner_d_pi2_quadrants(ell + 1)[ell]
+        explicit = wigner_d_explicit(ell, np.pi / 2)[ell:, ell:]
+        assert np.max(np.abs(quadrant - explicit)) < 1e-12
+
+    def test_empty_when_lmax_zero(self):
+        assert wigner_d_pi2_quadrants(0) == []
+
+    def test_traced_peak_is_the_quadrants_plus_a_few_degrees(self):
+        """At L = 128 the quadrants are 5.7 MB; the build's temporaries are
+        about four of the last degree's quadrants.  One ``(2L+1)^2``
+        temporary (0.53 MB) kept beside them breaks the slack of six."""
+        lmax = 128
+        wigner_d_pi2_quadrants(4)  # imports and scipy's first-call set-up
+        tracemalloc.start()
+        try:
+            quadrants = wigner_d_pi2_quadrants(lmax)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(q.nbytes for q in quadrants)
+        assert returned == 8 * lmax * (lmax + 1) * (2 * lmax + 1) // 6
+        assert peak <= returned + 6 * 8 * lmax * lmax
