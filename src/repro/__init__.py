@@ -33,8 +33,8 @@ chunk store.  ``import repro`` loads every module below except
 * :mod:`repro.serving` — the on-demand emulation service: content-addressed
   :class:`FieldRequest` objects served by :class:`EmulationService` from
   a bytes-capped chunk cache, an optional persistent
-  :class:`ChunkStore`, or coalesced batched synthesis
-  (built via :func:`serve`).
+  :class:`ChunkStore`, or single-flight synthesis, one flight per
+  realization (built via :func:`serve`).
 * :mod:`repro.storage` — the chunk store: the persistent
   :class:`ChunkStore` tier, lossless ``float64`` for campaigns and serving.
 * :mod:`repro.stats` — statistical-consistency diagnostics between

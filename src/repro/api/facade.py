@@ -221,7 +221,8 @@ def serve(
     The service answers :class:`~repro.serving.request.FieldRequest`
     objects from a bytes-capped chunk cache, an optional persistent
     :class:`~repro.storage.chunkstore.ChunkStore`, or fresh synthesis —
-    with single-flight locking and same-scenario request coalescing.
+    with single-flight locking: one flight per ``(stream, realization)``,
+    so identical requests compute once and other realizations run at once.
     Realization ``r`` draws from ``SeedSequence(seed, spawn_key=(r,))``,
     so every served field is a pure function of ``(artifact, seed,
     request)``; see :mod:`repro.serving.service` for the bit-exactness

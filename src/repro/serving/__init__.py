@@ -6,8 +6,8 @@ wanted (scenario, realization, year range, optional spatial window) and
 :class:`EmulationService` serves it from the cheapest tier that has it —
 an in-process bytes-capped LRU of model-year chunks, an optional
 persistent :class:`~repro.storage.chunkstore.ChunkStore`, or synthesis
-through the batched streaming path (single-flight + same-scenario
-coalescing).  ``repro.serve(...)`` on the facade builds a service in one
+through the one streaming path (single flight, one flight per
+realization).  ``repro.serve(...)`` on the facade builds a service in one
 call.
 """
 

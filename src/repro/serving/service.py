@@ -12,9 +12,9 @@ already holds it.  Three tiers answer a request, cheapest first:
 3. synthesis through the one generation path,
    :meth:`EmulationGenerator.generate_stream_multi
    <repro.core.generator.EmulationGenerator.generate_stream_multi>` —
-   with single-flight locking (concurrent identical requests compute
-   once) and request coalescing (same-scenario requests pending while
-   a synthesis is in flight advance together as one batch).
+   one flight per ``(stream, realization)`` at a time: concurrent
+   requests for one realization's years compute once, and requests for
+   different realizations synthesize at once.
 
 Determinism contract
 --------------------
@@ -24,8 +24,8 @@ which ``emulate(rng=seed)`` member ``r`` and realization ``r`` of every
 :func:`repro.run_campaign` scenario follow too — through the one draw
 schedule, one model year at a time.  Year ``y`` depends only on years
 ``<= y``, so chunks are *prefix-compatible*: the same year served from a
-short request, a long request, a resumed stream or a coalesced batch is
-bit-identical.  Consequently ``service.get(request)``:
+short request, a long request or a resumed stream is bit-identical.
+Consequently ``service.get(request)``:
 
 * equals member ``r`` of ``emulator.emulate(..., rng=seed)`` (and the
   concatenated ``emulate_stream``) **bit for bit**, for every request;
@@ -130,28 +130,21 @@ class _ChunkCache:
 
 
 class _Flight:
-    """One in-flight synthesis for a scenario stream family.
+    """One in-flight synthesis of one realization's chunks, up to year ``stop``.
 
-    ``needs`` maps ``realization -> stop_year`` ("chunks ``[0, stop)``
-    must exist afterwards"); it stays open for coalescing until the
-    leader snapshots it at synthesis start (``running``).  Requests that
-    arrive while the leader is running pool into ``next`` — the
-    successor flight whose leader waits for this one, then synthesizes
-    the whole accumulated batch.
+    Requests for that realization that arrive while it runs wait on
+    ``done``.  One whose years it reaches reads ``results`` (or fails
+    with it); any other then re-checks every tier and leads the next
+    flight.
     """
 
-    __slots__ = ("needs", "running", "done", "results", "error", "next")
+    __slots__ = ("stop", "done", "results", "error")
 
-    def __init__(self):
-        self.needs: dict[int, int] = {}
-        self.running = False
+    def __init__(self, stop: int):
+        self.stop = stop
         self.done = threading.Event()
         self.results: dict[str, np.ndarray] = {}
         self.error: "BaseException | None" = None
-        self.next: "_Flight | None" = None
-
-    def covers(self, realization: int, stop: int) -> bool:
-        return self.needs.get(realization, 0) >= stop
 
 
 class _LiveStream:
@@ -222,12 +215,11 @@ class EmulationService:
             "served_bytes": 0, "store_chunk_hits": 0,
         }
         self._synthesis = {
-            "flights": 0, "batched_flights": 0, "coalesced_realizations": 0,
-            "coalesced_waits": 0, "chunks": 0, "seconds": 0.0,
+            "flights": 0, "coalesced_waits": 0, "chunks": 0, "seconds": 0.0,
             "stream_resumes": 0,
         }
         self._cache = _ChunkCache(cache_bytes)
-        self._flights: dict[str, _Flight] = {}
+        self._flights: dict[tuple[str, int], _Flight] = {}
         self._streams: "OrderedDict[tuple[str, int], _LiveStream]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
@@ -256,11 +248,10 @@ class EmulationService:
     def stats(self) -> dict:
         """Hit/miss/bytes/synthesis counters across every tier.
 
-        ``synthesis["flights"]`` counts synthesis passes: N concurrent
-        identical requests increment it once (single flight), and
-        same-scenario requests coalesced into one batch also increment
-        it once (``batched_flights`` / ``coalesced_realizations`` break
-        that down).
+        ``synthesis["flights"]`` counts synthesis passes, one realization
+        each: N concurrent identical requests increment it once (single
+        flight).  ``coalesced_waits`` counts the times a request waited
+        on another request's flight.
         """
         with self._lock:
             summary = {
@@ -315,28 +306,24 @@ class EmulationService:
                 self._counts["requests"] += 1
                 self._counts["request_misses" if missing else "request_hits"] += 1
             sp.set(outcome="miss" if missing else "hit")
+            key = (stream_addr, request.realization)
             while missing:
-                role, flight, predecessor = self._join(
-                    stream_addr, request.realization, max(missing) + 1
-                )
+                stop = missing[-1] + 1
+                role, flight = self._join(key, stop)
                 if role == "lead":
-                    self._run_flight(flight, stream_addr, request)
-                elif role == "lead_after":
-                    predecessor.done.wait()
-                    self._run_flight(flight, stream_addr, request)
+                    self._run_flight(flight, key, request, missing[0])
                 else:
                     flight.done.wait()
-                if flight.error is not None:
-                    raise RuntimeError(
-                        f"chunk synthesis failed for stream {stream_addr[:12]}..."
-                    ) from flight.error
+                    if flight.error is not None and flight.stop >= stop:
+                        raise RuntimeError(
+                            f"chunk synthesis failed for stream {stream_addr[:12]}..."
+                        ) from flight.error
                 for year, address in addresses.items():
                     if year not in chunks and address in flight.results:
                         chunks[year] = flight.results[address]
-                # Anything still missing (a need that arrived after the
-                # leader's snapshot, or an eviction race) is retried:
-                # every tier is re-checked and, if needed, a fresh
-                # flight joined or led.
+                # Anything still missing (years past the flight waited on,
+                # or an eviction race) is retried: every tier is re-checked
+                # and, if needed, a fresh flight joined or led.
                 missing = self._collect(addresses, chunks)
             result = self._assemble(request, chunks)
             sp.set(bytes=result.nbytes)
@@ -385,60 +372,43 @@ class EmulationService:
         return fields
 
     # ------------------------------------------------------------------ #
-    # Single-flight / coalescing
+    # Single flight
     # ------------------------------------------------------------------ #
-    def _join(
-        self, stream_addr: str, realization: int, stop: int
-    ) -> "tuple[str, _Flight, _Flight | None]":
-        """Join or create the flight covering ``chunks [0, stop)`` of ``r``.
+    def _join(self, key: "tuple[str, int]", stop: int) -> "tuple[str, _Flight]":
+        """Join the running flight of ``key`` or start one up to ``stop``.
 
-        Returns ``(role, flight, predecessor)`` with role ``"lead"``
-        (synthesize now), ``"lead_after"`` (synthesize once
-        ``predecessor`` finishes — the coalescing window: needs pooling
-        into this flight while the predecessor runs become one batch) or
-        ``"wait"`` (a pending flight takes the need, or a running one
-        already covers it).
+        Returns ``(role, flight)`` with role ``"lead"`` (a new flight the
+        caller must run, :meth:`_run_flight`) or ``"wait"`` (another
+        request's flight is running).
         """
         with self._lock:
-            head = self._flights.get(stream_addr)
-            if head is None:
-                flight = _Flight()
-                flight.needs[realization] = stop
-                self._flights[stream_addr] = flight
-                return "lead", flight, None
-            if head.running and not head.covers(realization, stop):
-                if head.next is None:
-                    head.next = _Flight()
-                    head.next.needs[realization] = stop
-                    return "lead_after", head.next, head
-                head = head.next
-            # A pending flight (its leader is about to run, or is a
-            # successor waiting on its predecessor) is still open.
-            head.needs[realization] = max(head.needs.get(realization, 0), stop)
+            flight = self._flights.get(key)
+            if flight is None:
+                flight = self._flights[key] = _Flight(stop)
+                return "lead", flight
             self._synthesis["coalesced_waits"] += 1
-            return "wait", head, None
+            return "wait", flight
 
     def _run_flight(
-        self, flight: _Flight, stream_addr: str, request: FieldRequest
+        self, flight: _Flight, key: "tuple[str, int]", request: FieldRequest,
+        first_missing: int,
     ) -> None:
-        """Leader path: snapshot needs, synthesize, publish, hand over.
+        """Leader path: synthesize, publish, write through.
 
         The leader's request resolves the scenario: every request of the
         flight shares its stream address, so any of them names the same
         forcing and nugget flag.
         """
-        with self._lock:
-            flight.running = True
-            needs = dict(flight.needs)
+        stream_addr, realization = key
         flight_span = span(
-            "serve.flight", stream=stream_addr[:12], realizations=len(needs)
+            "serve.flight", stream=stream_addr[:12], realization=realization
         )
         results: dict[str, np.ndarray] = {}
         try:
             with flight_span:
                 results = self._synthesize(
-                    stream_addr, request.resolve_spec(), request.include_nugget,
-                    needs,
+                    key, request.resolve_spec(), request.include_nugget,
+                    first_missing, flight.stop,
                 )
                 flight_span.set(chunks=len(results))
         except BaseException as error:
@@ -450,17 +420,10 @@ class EmulationService:
                 synthesis["flights"] += 1
                 synthesis["chunks"] += len(results)
                 synthesis["seconds"] += flight_span.elapsed()
-                if len(needs) > 1:
-                    synthesis["batched_flights"] += 1
-                    synthesis["coalesced_realizations"] += len(needs) - 1
                 for address, array in results.items():
                     self._cache.put(address, array)
                 flight.results = results
-                if self._flights.get(stream_addr) is flight:
-                    if flight.next is not None:
-                        self._flights[stream_addr] = flight.next
-                    else:
-                        del self._flights[stream_addr]
+                del self._flights[key]
             # Waiters are released before the write-through: they read
             # flight.results from memory, so persistence I/O (one batched
             # manifest write) never sits on their latency path.
@@ -472,62 +435,30 @@ class EmulationService:
     # ------------------------------------------------------------------ #
     # Synthesis
     # ------------------------------------------------------------------ #
-    def _missing_jobs(
-        self, stream_addr: str, needs: dict[int, int]
-    ) -> "dict[int, tuple[int, int]]":
-        """Per realization: ``(first_missing_year, stop)`` of real gaps."""
-        store = self._store
-        jobs: dict[int, tuple[int, int]] = {}
-        for realization, stop in sorted(needs.items()):
-            first_missing = None
-            for year in range(stop):
-                address = chunk_address(stream_addr, realization, year)
-                with self._lock:
-                    cached = address in self._cache
-                if cached or (store is not None and address in store):
-                    continue
-                first_missing = year
-                break
-            if first_missing is not None:
-                jobs[realization] = (first_missing, stop)
-        return jobs
-
     def _synthesize(
-        self, stream_addr: str, spec, include_nugget: bool, needs: dict[int, int]
+        self, key: "tuple[str, int]", spec, include_nugget: bool,
+        first_missing: int, stop: int,
     ) -> dict[str, np.ndarray]:
-        """Produce every missing chunk implied by ``needs``.
+        """Produce chunks up to ``stop`` of one realization's stream.
 
-        The realizations with real gaps advance together through the
-        one generation path (one VAR recursion + inverse SHT per year
-        chunk for the whole batch), each drawing only from its own
-        generator, so every member is bit-identical to its batch-of-one
-        stream.  A batch of one with a resumable live stream continues
-        from its pause point and is parked again afterwards; everything
-        else synthesizes the canonical stream from year 0.
+        A live stream paused at or before ``first_missing`` with a
+        horizon reaching ``stop`` continues from its pause point;
+        otherwise the canonical stream restarts from year 0 through the
+        one generation path.  Either way the stream is parked again
+        afterwards while its horizon lasts.
         """
-        jobs = self._missing_jobs(stream_addr, needs)
-        if not jobs:
-            return {}
-        realizations = sorted(jobs)
-        stop = max(job_stop for _, job_stop in jobs.values())
-        # Only a batch of one is parked: its key names the one stream a
-        # follow-up request for later years can resume.
-        key = (stream_addr, realizations[0]) if len(realizations) == 1 else None
-        live = None
-        if key is not None:
-            first_missing = jobs[realizations[0]][0]
-            with self._lock:
-                live = self._streams.pop(key, None)
-                if live is None or live.next_year > first_missing or live.horizon < stop:
-                    live = None
-                else:
-                    self._synthesis["stream_resumes"] += 1
+        stream_addr, realization = key
+        with self._lock:
+            live = self._streams.pop(key, None)
+            if live is None or live.next_year > first_missing or live.horizon < stop:
+                live = None
+            else:
+                self._synthesis["stream_resumes"] += 1
         if live is None:
             horizon = max(stop, _STREAM_HORIZON)
-            spy = self.steps_per_year
             iterator = self._emulator.generator().generate_stream_multi(
-                _member_rngs(self._seed, realizations),
-                n_times=horizon * spy,
+                _member_rngs(self._seed, [realization]),
+                n_times=horizon * self.steps_per_year,
                 annual_forcing=spec.annual_forcing(horizon),
                 include_nugget=include_nugget,
                 start_year=self._summary.start_year,
@@ -535,13 +466,11 @@ class EmulationService:
             live = _LiveStream(iterator, next_year=0, horizon=horizon)
         results: dict[str, np.ndarray] = {}
         while live.next_year < stop:
-            chunk = next(live.iterator)
-            for member, realization in enumerate(realizations):
-                array = np.ascontiguousarray(chunk.data[member])
-                array.setflags(write=False)
-                results[chunk_address(stream_addr, realization, live.next_year)] = array
+            array = np.ascontiguousarray(next(live.iterator).data[0])
+            array.setflags(write=False)
+            results[chunk_address(stream_addr, realization, live.next_year)] = array
             live.next_year += 1
-        if key is not None and live.next_year < live.horizon:
+        if live.next_year < live.horizon:
             with self._lock:
                 self._streams[key] = live
                 self._streams.move_to_end(key)

@@ -347,10 +347,14 @@ class SHTPlan:
         lmax, ntheta = self.lmax, self.grid.ntheta
         width = _round_up(ntheta)
         blocks = np.diff(self._offsets)  # slots per order, padding included
-        table = np.zeros((lmax, lmax, lmax))
+        # table[m, m:] is packed[starts[m]:starts[m + 1]]: only the degrees
+        # l >= m of each order are stored, half the (L, L, L) table.
+        starts = np.concatenate(([0], np.cumsum(lmax - np.arange(lmax))))
+        packed = np.zeros((starts[-1], lmax))
         for ell, quadrant in enumerate(wigner_d_pi2_quadrants(lmax)):  # [m', m]
             norm = np.sqrt((2.0 * ell + 1.0) / (4.0 * np.pi))
-            table[:ell + 1, ell, :ell + 1] = (norm * quadrant[:, :1] * quadrant).T
+            orders = np.arange(ell + 1)
+            packed[starts[orders] + ell - orders, :ell + 1] = (norm * quadrant[:, :1] * quadrant).T
         index = np.arange(lmax)
         plus = _exponential_sine_integral(index[:, None] + index[None, :]).real
         minus = _exponential_sine_integral(index[:, None] - index[None, :]).real
@@ -367,9 +371,10 @@ class SHTPlan:
             j = plus + parity_sign * minus
             j[:, 0] *= 0.5
             fold.append(transform @ (weight * j))
+        del plus, minus, j, cosine, sine  # the build's peak is `packed` plus the operators
         syn_ops, ana_ops = [], []
         for m in range(lmax):
-            rows = table[m, m:]
+            rows = packed[starts[m]:starts[m + 1]]
             syn = np.zeros((blocks[m], width))
             ana = np.zeros((width, blocks[m]))
             if m % 2:

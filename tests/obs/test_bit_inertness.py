@@ -186,9 +186,8 @@ class TestBackCompatPinning:
             "entries", "bytes", "max_bytes", "hits", "misses", "evictions",
         ]
         assert list(stats["synthesis"]) == [
-            "flights", "batched_flights", "coalesced_realizations",
-            "coalesced_waits", "chunks", "seconds", "stream_resumes",
-            "live_streams",
+            "flights", "coalesced_waits", "chunks", "seconds",
+            "stream_resumes", "live_streams",
         ]
         assert stats["store"] is None
         assert stats["synthesis"]["flights"] == 1

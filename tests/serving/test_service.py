@@ -36,6 +36,14 @@ def canonical_stream(emulator, scenario, realization, n_years, seed=0,
     return np.concatenate([c.data for c in chunks], axis=1)[0]
 
 
+def wait_until(condition):
+    """Poll ``condition`` for up to 30 s; the held flights must reach it."""
+    deadline = time.monotonic() + 30.0
+    while not condition():
+        assert time.monotonic() < deadline, "the flights never reached the state"
+        time.sleep(0.001)
+
+
 @pytest.fixture()
 def service(fitted_emulator):
     return repro.serve(fitted_emulator, seed=0)
@@ -602,61 +610,14 @@ class TestConcurrency:
                     expected[request.year_start * SPY:request.year_stop * SPY],
                 )
 
-    def test_same_scenario_requests_coalesce_into_batches(self, fitted_emulator):
-        service = repro.serve(fitted_emulator, seed=0)
-        n_threads = 6
-        requests = [
-            FieldRequest("ssp-low", realization=r, year_start=0, year_stop=2)
-            for r in range(n_threads)
-        ]
-        barrier = threading.Barrier(n_threads)
-        outputs = [None] * n_threads
-        synthesize = service._synthesize
-        held = []
-
-        def hold_first_flight(stream_addr, spec, include_nugget, needs):
-            # Synthesis at this size can finish before the next thread
-            # arrives; keep the first flight "running" until every other
-            # request has joined it or pooled into its successor.
-            if not held:
-                held.append(True)
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    with service._lock:
-                        successor = service._flights[stream_addr].next
-                    pooled = len(successor.needs) if successor is not None else 0
-                    if len(needs) + pooled == n_threads:
-                        break
-                    time.sleep(0.001)
-            return synthesize(stream_addr, spec, include_nugget, needs)
-
-        service._synthesize = hold_first_flight
-
-        def worker(i):
-            barrier.wait()
-            outputs[i] = service.get(requests[i])
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-        assert not any(t.is_alive() for t in threads)
-        stats = service.stats()["synthesis"]
-        # Whoever joined before the leader's snapshot rides the first
-        # flight; everything arriving while it runs pools into one
-        # successor batch — never one flight per request.
-        assert stats["flights"] <= 2
-        assert stats["chunks"] == 2 * n_threads
-        for realization, output in enumerate(outputs):
-            reference = canonical_stream(fitted_emulator, "ssp-low", realization, 2)
-            assert np.array_equal(output, reference)
-
-    def test_a_failed_leader_fails_its_waiters_and_hands_over(self, fitted_emulator):
-        """A leader raises while identical waiters are parked and another
-        realization has pooled into the successor flight: each waiter gets
-        a RuntimeError chained to the cause, the successor still serves
-        canonical bits, no flight is left behind, and the next identical
+    def test_a_failed_leader_fails_its_waiters_not_other_realizations(
+        self, fitted_emulator
+    ):
+        """A held leader raises while identical waiters are parked: each
+        waiter gets a RuntimeError chained to the cause.  A request for
+        another realization of the same stream, started while the leader
+        is held, runs its own flight and completes before the release with
+        canonical bits.  No flight is left behind, and the next identical
         request leads a fresh flight."""
 
         class SynthesisFault(Exception):
@@ -664,18 +625,18 @@ class TestConcurrency:
 
         service = repro.serve(fitted_emulator, seed=0)
         failed = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
-        pooled = FieldRequest("ssp-low", realization=1, year_start=0, year_stop=2)
+        other = FieldRequest("ssp-low", realization=1, year_start=0, year_stop=2)
         stream_addr = failed.stream_address()
         synthesize = service._synthesize
         release = threading.Event()
         calls = []
 
-        def fail_first_flight(addr, spec, include_nugget, needs):
-            calls.append(dict(needs))
+        def fail_first_flight(key, spec, include_nugget, first_missing, stop):
+            calls.append((key, first_missing, stop))
             if len(calls) == 1:
                 assert release.wait(30.0)
                 raise SynthesisFault("synthesis fault")
-            return synthesize(addr, spec, include_nugget, needs)
+            return synthesize(key, spec, include_nugget, first_missing, stop)
 
         service._synthesize = fail_first_flight
         outcomes = {}
@@ -686,26 +647,20 @@ class TestConcurrency:
             except BaseException as error:
                 outcomes[name] = error
 
-        def wait_until(condition):
-            deadline = time.monotonic() + 30.0
-            while not condition():
-                assert time.monotonic() < deadline, "the flights never reached the state"
-                time.sleep(0.001)
-
-        def head():
-            with service._lock:
-                return service._flights.get(stream_addr)
-
         threads = [threading.Thread(target=worker, args=("leader", failed))]
         threads[0].start()
-        wait_until(lambda: head() is not None and head().running)
+        wait_until(lambda: (stream_addr, 0) in service._flights)
         for name in ("waiter-1", "waiter-2"):
             threads.append(threading.Thread(target=worker, args=(name, failed)))
             threads[-1].start()
         wait_until(lambda: service.stats()["synthesis"]["coalesced_waits"] == 2)
-        threads.append(threading.Thread(target=worker, args=("successor", pooled)))
+        threads.append(threading.Thread(target=worker, args=("other", other)))
         threads[-1].start()
-        wait_until(lambda: head().next is not None)
+        threads[-1].join(timeout=30.0)
+        assert not threads[-1].is_alive(), "another realization queued behind the leader"
+        assert np.array_equal(
+            outcomes["other"], canonical_stream(fitted_emulator, "ssp-low", 1, 2)
+        )
         release.set()
         for t in threads:
             t.join(timeout=60.0)
@@ -715,10 +670,7 @@ class TestConcurrency:
         for name in ("waiter-1", "waiter-2"):
             assert isinstance(outcomes[name], RuntimeError), outcomes[name]
             assert outcomes[name].__cause__ is outcomes["leader"]
-        assert calls == [{0: 2}, {1: 2}]
-        assert np.array_equal(
-            outcomes["successor"], canonical_stream(fitted_emulator, "ssp-low", 1, 2)
-        )
+        assert calls == [((stream_addr, 0), 0, 2), ((stream_addr, 1), 0, 2)]
         assert service._flights == {}
 
         flights = service.stats()["synthesis"]["flights"]
@@ -726,7 +678,54 @@ class TestConcurrency:
             service.get(failed), canonical_stream(fitted_emulator, "ssp-low", 0, 2)
         )
         assert service.stats()["synthesis"]["flights"] == flights + 1
-        assert calls[-1] == {0: 2}
+        assert calls[-1] == ((stream_addr, 0), 0, 2)
+        assert service._flights == {}
+
+    def test_a_waiter_past_the_flight_leads_the_next_one_and_resumes(
+        self, fitted_emulator
+    ):
+        """While the flight for years [0, 2) of a realization runs, a
+        request for year 2 waits on it, then leads the next flight from
+        the first year it found missing: that flight resumes the stream
+        the first one parked and serves canonical bits."""
+        service = repro.serve(fitted_emulator, seed=0)
+        first = FieldRequest("ssp-low", realization=0, year_start=0, year_stop=2)
+        later = FieldRequest("ssp-low", realization=0, year_start=2, year_stop=3)
+        key = (first.stream_address(), 0)
+        synthesize = service._synthesize
+        release = threading.Event()
+        calls = []
+
+        def hold_first_flight(key, spec, include_nugget, first_missing, stop):
+            calls.append((key, first_missing, stop))
+            if len(calls) == 1:
+                assert release.wait(30.0)
+            return synthesize(key, spec, include_nugget, first_missing, stop)
+
+        service._synthesize = hold_first_flight
+        outcomes = {}
+
+        def worker(name, request):
+            outcomes[name] = service.get(request)
+
+        threads = [threading.Thread(target=worker, args=("first", first))]
+        threads[0].start()
+        wait_until(lambda: key in service._flights)
+        threads.append(threading.Thread(target=worker, args=("later", later)))
+        threads[-1].start()
+        wait_until(lambda: service.stats()["synthesis"]["coalesced_waits"] == 1)
+        release.set()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+
+        reference = canonical_stream(fitted_emulator, "ssp-low", 0, 3)
+        assert np.array_equal(outcomes["first"], reference[:2 * SPY])
+        assert np.array_equal(outcomes["later"], reference[2 * SPY:])
+        assert calls == [(key, 0, 2), (key, 2, 3)]
+        synthesis = service.stats()["synthesis"]
+        assert (synthesis["flights"], synthesis["stream_resumes"]) == (2, 1)
+        assert synthesis["chunks"] == 3
         assert service._flights == {}
 
     def test_a_failed_write_through_fails_only_its_leader(
@@ -763,19 +762,13 @@ class TestConcurrency:
             except BaseException as error:
                 outcomes[name] = error
 
-        def wait_until(condition):
-            deadline = time.monotonic() + 30.0
-            while not condition():
-                assert time.monotonic() < deadline, "the flight never reached the state"
-                time.sleep(0.001)
-
         def head():
             with service._lock:
-                return service._flights.get(stream_addr)
+                return service._flights.get((stream_addr, 0))
 
         threads = [threading.Thread(target=worker, args=("leader",))]
         threads[0].start()
-        wait_until(lambda: head() is not None and head().running)
+        wait_until(lambda: head() is not None)
         for name in ("waiter-1", "waiter-2"):
             threads.append(threading.Thread(target=worker, args=(name,)))
             threads[-1].start()

@@ -139,6 +139,25 @@ class TestPlanValidation:
         assert sum(a.nbytes for a in arrays) - operators <= 8 * 8 * width ** 2
         assert all(a.dtype != np.complex128 for a in arrays)
 
+    def test_build_peak_stays_near_the_operators(self):
+        """At L = 64 the build's traced peak is the operators plus each
+        order's degrees ``l >= m`` of the weighted Wigner-d table (~L^3 / 2
+        values): about 1.53 x the operator bytes.  The whole ``(L, L, L)``
+        table kept beside them reads about 2 x."""
+        import tracemalloc
+
+        lmax = 64
+        grid = Grid.for_bandlimit(lmax)
+        SHTPlan(lmax=8, grid=Grid.for_bandlimit(8))  # imports and scipy's first-call set-up
+        tracemalloc.start()
+        try:
+            plan = SHTPlan(lmax=lmax, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        operators = sum(op.nbytes for op in plan._syn_ops + plan._ana_ops)
+        assert peak <= 1.6 * operators
+
     def test_contraction_flops_count_the_executed_orders(self):
         """One complex multiply-add = 2: order m >= 0 multiplies L - m degrees
         against the grid's ntheta colatitudes (L + 1 when not given)."""

@@ -117,9 +117,9 @@ def generate() -> str:
     parts.append(
         "The on-demand emulation service: content-addressed\n"
         "`FieldRequest` objects answered from a bytes-capped chunk cache,\n"
-        "an optional persistent `ChunkStore`, or coalesced batched\n"
-        "synthesis.  See [`serving.md`](serving.md) for the tier design\n"
-        "and the determinism contract.\n"
+        "an optional persistent `ChunkStore`, or single-flight synthesis,\n"
+        "one flight per realization.  See [`serving.md`](serving.md) for\n"
+        "the tier design and the determinism contract.\n"
     )
     parts.append(_entry("repro.FieldRequest", FieldRequest,
                         methods=("address", "stream_address",
