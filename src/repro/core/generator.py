@@ -202,6 +202,9 @@ class EmulationGenerator:
         forcings: "list[np.ndarray]",
         include_nugget: bool,
         start_year: int,
+        first_year: int = 0,
+        start=None,
+        passed=None,
     ) -> "Iterator[tuple[ClimateEnsemble, ...]]":
         """Yield each model year of ``len(rngs)`` streams under every forcing.
 
@@ -209,7 +212,10 @@ class EmulationGenerator:
         entry of ``forcings``, so the tuple a year yields holds one
         :class:`ClimateEnsemble` per forcing, in order, each exactly the
         chunk :meth:`generate_stream_multi` yields under that forcing
-        alone.  Every forcing must cover the years the record needs.
+        alone.  Every forcing must cover the years the record needs.  Given
+        ``start``, the streams' ``_YearState`` at year ``first_year``, the
+        ``n_times``-step record yields from there; ``passed`` gets the
+        states at the start of each next year.
         """
         # Validate eagerly (this is a plain function returning a generator),
         # so bad arguments raise at the call site rather than at first next().
@@ -234,14 +240,15 @@ class EmulationGenerator:
                     f"forcing covers {len(forcing)} years but {n_times} "
                     f"steps require {n_years}"
                 )
-        years = self.spectral_model.generate_standardized_stream_multi(
-            rngs, n_years, spy, include_nugget=include_nugget
+        years = self.spectral_model._years_from(
+            rngs, n_years - first_year, spy, include_nugget, start, passed
         )
-        return self._wrap_years(years, n_times, forcings, include_nugget, start_year)
+        return self._wrap_years(years, first_year, n_times, forcings, include_nugget, start_year)
 
     def _wrap_years(
         self,
         years: Iterator[np.ndarray],
+        first_year: int,
         n_times: int,
         forcings: "list[np.ndarray]",
         include_nugget: bool,
@@ -251,7 +258,7 @@ class EmulationGenerator:
         No name here (nor ``enumerate``'s cached tuple) holds a yielded year,
         so a paused stream keeps no reference to it."""
         spy = self.steps_per_year
-        for year in range(-(-n_times // spy)):
+        for year in range(first_year, -(-n_times // spy)):
             t_start = year * spy
             yield tuple(
                 ClimateEnsemble(

@@ -12,11 +12,10 @@ as white noise when emulations are generated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-
-from typing import Iterator
 
 from repro.core.var import _DiagonalVAR
 from repro.linalg.cholesky import _ROW_FLOOR, CholeskyResult, MixedPrecisionCholesky
@@ -28,6 +27,20 @@ from repro.sht.grid import Grid
 from repro.sht.plancache import get_plan
 
 __all__ = ["SpectralStochasticModel"]
+
+
+class _YearState(NamedTuple):
+    """One member's stream at the start of a model year: its bit generator's
+    state and its ``(P, k)`` VAR history (``None`` if ``P = 0``).  A year
+    depends on the years before it only through these, and neither sees the
+    forcing, so they resume the stream bit for bit under any scenario."""
+
+    rng_state: dict
+    history: "np.ndarray | None"
+
+    @property
+    def nbytes(self) -> int:  # the history plus the generator's two 128-bit words
+        return 32 + (0 if self.history is None else self.history.nbytes)
 
 
 @dataclass
@@ -102,8 +115,8 @@ class SpectralStochasticModel:
         """Grid-space residual unexplained by the band-limited expansion.
 
         The reconstruction runs one ensemble member per inverse-SHT pass:
-        it only feeds a variance and runs beside the factor, so it keeps
-        one member's fields resident rather than the whole ensemble's.
+        it only feeds a variance, so it keeps one member's fields resident
+        rather than the whole ensemble's.
         The transform is independent per slice, so the result equals a
         one-pass reconstruction bit for bit.
         """
@@ -140,6 +153,12 @@ class SpectralStochasticModel:
             "fit.analysis", lmax=self.lmax, n_ensemble=n_ens, n_times=n_times
         ):
             spectral = self.spectral_series(standardized)  # (R, T, K)
+        # numpy's GEMMs before scipy's: the two OpenBLAS pools then never
+        # hand the cores back and forth.
+        with span("fit.truncation"):
+            self.nugget_std = self.truncation_residual(standardized, spectral).std(
+                axis=(0, 1), ddof=1
+            )
         with span("fit.var", var_order=self.var_order):
             self.var.fit(spectral)
             innovations = self.var.innovations(spectral)       # (R, T-P, K)
@@ -174,10 +193,6 @@ class SpectralStochasticModel:
                     f"rounding, so raise covariance_jitter to {_PRECISIONS[codes.max()].epsilon:.1e} "
                     "(the variant's lowest-precision unit roundoff) or more"
                 ) from error
-
-        with span("fit.truncation"):
-            truncation = self.truncation_residual(standardized, spectral)
-            self.nugget_std = truncation.std(axis=(0, 1), ddof=1)
         self.initial_state = spectral[:, -max(self.var_order, 1):, :].mean(axis=0)
         return self
 
@@ -217,9 +232,7 @@ class SpectralStochasticModel:
         ``rngs[b]`` whatever else shares the batch.
 
         The normals and the nugget go into two scratch buffers reused every
-        year: a paused serving stream (``B = 1``; up to ``_LIVE_STREAMS``)
-        holds ``(max(nt, 32) * k + nt * ntheta * nphi) * 8`` bytes of them and
-        its VAR history, and no reference to the fresh array of a year.
+        year; a paused stream holds them and its VAR history, not a year.
 
         Parameters
         ----------
@@ -236,6 +249,15 @@ class SpectralStochasticModel:
             ``float64`` fields of shape ``(B, steps_per_year, ntheta,
             nphi)``, one array per year, ``n_years`` in all.
         """
+        return self._years_from(rngs, n_years, steps_per_year, include_nugget)
+
+    def _years_from(
+        self, rngs, n_years, steps_per_year, include_nugget, start=None, passed=None
+    ) -> Iterator[np.ndarray]:
+        """The year loop, from the initial state or from ``start``, one
+        :class:`_YearState` per stream (the rngs are set to its states); each
+        year appends the streams' states at the start of the next to the list
+        ``passed``, if one is given."""
         if self.cholesky is None or self.nugget_std is None:
             raise RuntimeError("fit() must be called first")
         rngs = list(rngs)
@@ -247,25 +269,25 @@ class SpectralStochasticModel:
         nt = int(steps_per_year)
         p = self.var_order
         k = self.cholesky.n
-        if p > 0:
-            init = (
-                np.asarray(self.initial_state, dtype=np.float64)
-                if self.initial_state is not None
-                else np.zeros((p, k))
-            )
-            history = np.broadcast_to(init[-p:], (n_batch, p, k)).copy()
-        else:
-            history = None
+        if start is None:  # year 0: the fitted initial state
+            init = np.zeros((p, k)) if self.initial_state is None else self.initial_state
+            start = [
+                _YearState(rng.bit_generator.state, init[-p:] if p else None) for rng in rngs
+            ]
+        for rng, state in zip(rngs, start, strict=True):
+            rng.bit_generator.state = state.rng_state
+        history = None if p == 0 else np.array([s.history for s in start], dtype=np.float64)
         # Zero rows up to the factor multiply's floor, so it never pads a copy.
         z = np.zeros((max(n_batch * nt, _ROW_FLOOR), k))
         noise = np.empty((nt,) + self.grid.shape) if include_nugget else None
         for _ in range(n_years):
-            yield self._draw_year(rngs, z, nt, noise, history)
+            yield self._draw_year(rngs, z, nt, noise, history, passed)
 
-    def _draw_year(self, rngs, z, nt, noise, history) -> np.ndarray:
+    def _draw_year(self, rngs, z, nt, noise, history, passed) -> np.ndarray:
         """One year in a fresh array; normals and nugget go into the scratch ``z``
-        (rows past ``len(rngs) * nt`` stay zero) and ``noise``, and ``history``
-        (``None`` if ``P = 0``) advances in place."""
+        (rows past ``len(rngs) * nt`` stay zero) and ``noise``, ``history``
+        (``None`` if ``P = 0``) advances in place, and ``passed`` (if a list)
+        gets the streams' states at the start of the next year."""
         rows = len(rngs) * nt
         # Per-stream draws, stacked: stream b's generator sees the same
         # request sequence as in a batch of one.
@@ -286,6 +308,11 @@ class SpectralStochasticModel:
                     rng.standard_normal(out=noise)
                     noise *= self.nugget_std
                     fields[b] += noise
+        if passed is not None:
+            passed.append([
+                _YearState(rng.bit_generator.state, None if history is None else history[b].copy())
+                for b, rng in enumerate(rngs)
+            ])
         return fields
 
     # ------------------------------------------------------------------ #

@@ -14,7 +14,10 @@ already holds it.  Three tiers answer a request, cheapest first:
    <repro.core.generator.EmulationGenerator.generate_stream_multi>` —
    one flight per ``(stream, realization)`` at a time: concurrent
    requests for one realization's years compute once, and requests for
-   different realizations synthesize at once.
+   different realizations synthesize at once.  A flight starts at the
+   latest year whose start state (the member's bit generator and VAR
+   history, the same under every scenario) a bytes-capped memo holds,
+   so a cold year after served ones costs one year of synthesis.
 
 Determinism contract
 --------------------
@@ -24,7 +27,8 @@ which ``emulate(rng=seed)`` member ``r`` and realization ``r`` of every
 :func:`repro.run_campaign` scenario follow too — through the one draw
 schedule, one model year at a time.  Year ``y`` depends only on years
 ``<= y``, so chunks are *prefix-compatible*: the same year served from a
-short request, a long request or a resumed stream is bit-identical.
+short request, a long request or a stream resumed from a year-start
+state is bit-identical.
 Consequently ``service.get(request)``:
 
 * equals member ``r`` of ``emulator.emulate(..., rng=seed)`` (and the
@@ -56,19 +60,14 @@ __all__ = ["EmulationService", "DEFAULT_CACHE_BYTES"]
 #: Default in-memory chunk-cache budget (bytes).
 DEFAULT_CACHE_BYTES = 256 * 2**20
 
-#: Minimum horizon, in model years, a synthesis stream is opened with.
-#: Opening longer than requested costs nothing (streams are lazy) and
-#: lets a follow-up request for later years *resume* instead of
-#: restarting from year 0.  Output bits never depend on it.
-_STREAM_HORIZON = 32
-
-#: How many paused streams stay resumable (least recently parked first
-#: out).
-_LIVE_STREAMS = 8
+#: Budget of the year-start-state memo (bytes): 1,022 VAR(2) states at
+#: L = 32, 255 at L = 64.  Output bits never depend on it.
+_STATE_MEMO_BYTES = 16 * 2**20
 
 
-class _ChunkCache:
-    """Bytes-capped LRU of content-addressed chunks.
+class _LRU:
+    """Bytes-capped LRU of chunks or year-start states (anything with
+    ``nbytes``).
 
     Not thread-safe on its own: every access happens under the owning
     service's lock.  Eviction may drop the entry being inserted (a cache
@@ -87,27 +86,27 @@ class _ChunkCache:
                 f"unlimited, got {max_bytes!r}"
             )
         self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self._entries: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self.bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, address: str) -> "np.ndarray | None":
-        array = self._entries.get(address)
-        if array is None:
+    def get(self, key):
+        value = self._entries.get(key)
+        if value is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(address)
+        self._entries.move_to_end(key)
         self.hits += 1
-        return array
+        return value
 
-    def put(self, address: str, array: np.ndarray) -> None:
-        if address in self._entries:
-            self._entries.move_to_end(address)
+    def put(self, key, value) -> None:
+        if key in self._entries:
+            self._entries.move_to_end(key)
             return
-        self._entries[address] = array
-        self.bytes += array.nbytes
+        self._entries[key] = value
+        self.bytes += value.nbytes
         if self.max_bytes is None:
             return
         while self.bytes > self.max_bytes and self._entries:
@@ -115,8 +114,8 @@ class _ChunkCache:
             self.bytes -= evicted.nbytes
             self.evictions += 1
 
-    def __contains__(self, address: str) -> bool:
-        return address in self._entries
+    def __contains__(self, key) -> bool:
+        return key in self._entries
 
     def stats(self) -> dict:
         return {
@@ -145,17 +144,6 @@ class _Flight:
         self.done = threading.Event()
         self.results: dict[str, np.ndarray] = {}
         self.error: "BaseException | None" = None
-
-
-class _LiveStream:
-    """A paused canonical stream, resumable at ``next_year``."""
-
-    __slots__ = ("iterator", "next_year", "horizon")
-
-    def __init__(self, iterator, next_year: int, horizon: int):
-        self.iterator = iterator
-        self.next_year = next_year
-        self.horizon = horizon
 
 
 class EmulationService:
@@ -218,9 +206,11 @@ class EmulationService:
             "flights": 0, "coalesced_waits": 0, "chunks": 0, "seconds": 0.0,
             "stream_resumes": 0,
         }
-        self._cache = _ChunkCache(cache_bytes)
+        self._cache = _LRU(cache_bytes)
         self._flights: dict[tuple[str, int], _Flight] = {}
-        self._streams: "OrderedDict[tuple[str, int], _LiveStream]" = OrderedDict()
+        # Year-start states by (include_nugget, realization, year); no
+        # scenario, since the forcing enters only the mean.
+        self._states = _LRU(_STATE_MEMO_BYTES)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -251,7 +241,8 @@ class EmulationService:
         ``synthesis["flights"]`` counts synthesis passes, one realization
         each: N concurrent identical requests increment it once (single
         flight).  ``coalesced_waits`` counts the times a request waited
-        on another request's flight.
+        on another request's flight, and ``stream_resumes`` the flights
+        that started after year 0, from a remembered year-start state.
         """
         with self._lock:
             summary = {
@@ -260,7 +251,7 @@ class EmulationService:
                 "artifact_bytes": self._artifact_bytes,
                 **self._counts,
                 "chunk_cache": self._cache.stats(),
-                "synthesis": {**self._synthesis, "live_streams": len(self._streams)},
+                "synthesis": dict(self._synthesis),
             }
         store = self._store
         summary["store"] = store.stats() if store is not None else None
@@ -441,39 +432,39 @@ class EmulationService:
     ) -> dict[str, np.ndarray]:
         """Produce chunks up to ``stop`` of one realization's stream.
 
-        A live stream paused at or before ``first_missing`` with a
-        horizon reaching ``stop`` continues from its pause point;
-        otherwise the canonical stream restarts from year 0 through the
-        one generation path.  Either way the stream is parked again
-        afterwards while its horizon lasts.
+        The stream starts at the latest year at or before ``first_missing``
+        whose start state the memo holds (year 0 if none), through the one
+        generation path, and leaves the start state of every year after
+        the ones it passes in the memo.
         """
         stream_addr, realization = key
         with self._lock:
-            live = self._streams.pop(key, None)
-            if live is None or live.next_year > first_missing or live.horizon < stop:
-                live = None
-            else:
-                self._synthesis["stream_resumes"] += 1
-        if live is None:
-            horizon = max(stop, _STREAM_HORIZON)
-            iterator = self._emulator.generator().generate_stream_multi(
-                _member_rngs(self._seed, [realization]),
-                n_times=horizon * self.steps_per_year,
-                annual_forcing=spec.annual_forcing(horizon),
-                include_nugget=include_nugget,
-                start_year=self._summary.start_year,
+            first = next(
+                (year for year in range(first_missing, 0, -1)
+                 if (include_nugget, realization, year) in self._states),
+                0,
             )
-            live = _LiveStream(iterator, next_year=0, horizon=horizon)
+            start = None
+            if first:
+                start = [self._states.get((include_nugget, realization, first))]
+                self._synthesis["stream_resumes"] += 1
+        passed: list = []
+        years = self._emulator.generator()._stream_under(
+            _member_rngs(self._seed, [realization]),
+            n_times=stop * self.steps_per_year,
+            forcings=[spec.annual_forcing(stop)],
+            include_nugget=include_nugget,
+            start_year=self._summary.start_year,
+            first_year=first,
+            start=start,
+            passed=passed,
+        )
         results: dict[str, np.ndarray] = {}
-        while live.next_year < stop:
-            array = np.ascontiguousarray(next(live.iterator).data[0])
+        for year, (chunk,) in enumerate(years, start=first):
+            array = np.ascontiguousarray(chunk.data[0])
             array.setflags(write=False)
-            results[chunk_address(stream_addr, realization, live.next_year)] = array
-            live.next_year += 1
-        if live.next_year < live.horizon:
-            with self._lock:
-                self._streams[key] = live
-                self._streams.move_to_end(key)
-                while len(self._streams) > _LIVE_STREAMS:
-                    self._streams.popitem(last=False)
+            results[chunk_address(stream_addr, realization, year)] = array
+        with self._lock:
+            for year, (state,) in enumerate(passed, start=first + 1):
+                self._states.put((include_nugget, realization, year), state)
         return results

@@ -187,7 +187,7 @@ class TestBackCompatPinning:
         ]
         assert list(stats["synthesis"]) == [
             "flights", "coalesced_waits", "chunks", "seconds",
-            "stream_resumes", "live_streams",
+            "stream_resumes",
         ]
         assert stats["store"] is None
         assert stats["synthesis"]["flights"] == 1

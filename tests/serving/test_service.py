@@ -17,7 +17,8 @@ import repro
 from repro.core.window import SpatialWindow
 from repro.scenarios import resolve_scenario
 from repro.serving.request import FieldRequest
-from repro.serving.service import _LIVE_STREAMS, _STREAM_HORIZON, EmulationService
+from repro.serving import service as service_module
+from repro.serving.service import EmulationService
 from repro.storage.chunkstore import ChunkStore
 
 SPY = 24  # steps_per_year of the shared fixture ensemble
@@ -202,46 +203,81 @@ class TestHitPathCost:
             del SCENARIOS["hit-path-cost"]
 
 
-class TestLiveStreams:
-    """Paused streams: opened for ``_STREAM_HORIZON`` years at least, and
-    at most ``_LIVE_STREAMS`` kept, least recently parked out first."""
+class TestYearStateMemo:
+    """A flight starts from the latest year-start state the service
+    remembers for its (nugget flag, realization), under any scenario, and
+    leaves the start state of every year it passes."""
 
-    def test_live_streams_are_capped_least_recently_parked_first(
+    @staticmethod
+    def synthesized(service):
+        synthesis = service.stats()["synthesis"]
+        return synthesis["chunks"], synthesis["stream_resumes"]
+
+    def test_a_sweep_over_many_realizations_resumes_each_at_its_year(
         self, fitted_emulator, service
     ):
-        for realization in range(_LIVE_STREAMS + 2):
-            service.get(FieldRequest("ssp-low", realization=realization))
-        synthesis = service.stats()["synthesis"]
-        assert synthesis["live_streams"] == _LIVE_STREAMS
-        assert synthesis["stream_resumes"] == 0
-        newest, evicted = _LIVE_STREAMS + 1, 0
-        for realization, resumes in ((newest, 1), (evicted, 1)):
+        n_realizations, n_years = 10, 2
+        for realization in range(n_realizations):
+            for year in range(n_years):
+                service.get(FieldRequest("ssp-low", realization=realization,
+                                         year_start=year))
+        for realization in range(n_realizations):
+            chunks, resumes = self.synthesized(service)
             served = service.get(FieldRequest("ssp-low", realization=realization,
-                                              year_start=1, year_stop=2))
-            reference = canonical_stream(fitted_emulator, "ssp-low", realization, 2)
-            assert np.array_equal(served, reference[SPY:])
-            assert service.stats()["synthesis"]["stream_resumes"] == resumes
+                                              year_start=n_years))
+            assert self.synthesized(service) == (chunks + 1, resumes + 1)
+            reference = canonical_stream(fitted_emulator, "ssp-low", realization,
+                                         n_years + 1)
+            assert np.array_equal(served, reference[n_years * SPY:])
 
-    def test_a_request_past_the_horizon_restarts_bit_identically(
+    def test_year_40_after_years_0_to_39_synthesizes_one_chunk(
         self, fitted_emulator, service
     ):
-        def get(year_start, year_stop):
-            return service.get(FieldRequest("ssp-low", realization=0,
-                                            year_start=year_start,
-                                            year_stop=year_stop))
+        service.get(FieldRequest("ssp-medium", realization=1, year_start=0,
+                                 year_stop=40))
+        assert self.synthesized(service) == (40, 0)
+        served = service.get(FieldRequest("ssp-medium", realization=1, year_start=40))
+        assert self.synthesized(service) == (41, 1)
+        reference = canonical_stream(fitted_emulator, "ssp-medium", 1, 41)
+        assert np.array_equal(served, reference[40 * SPY:])
 
-        get(0, 1)
-        assert service.stats()["synthesis"]["live_streams"] == 1
-        get(1, _STREAM_HORIZON)  # resumes and runs the stream to its end
-        synthesis = service.stats()["synthesis"]
-        assert synthesis["stream_resumes"] == 1 and synthesis["live_streams"] == 0
-        past = get(_STREAM_HORIZON, _STREAM_HORIZON + 1)
-        synthesis = service.stats()["synthesis"]
-        assert synthesis["stream_resumes"] == 1 and synthesis["live_streams"] == 0
-        reference = canonical_stream(fitted_emulator, "ssp-low", 0,
-                                     _STREAM_HORIZON + 1)
-        assert np.array_equal(past, reference[_STREAM_HORIZON * SPY:])
-        assert np.array_equal(get(0, _STREAM_HORIZON + 1), reference)
+    def test_another_scenario_starts_from_the_memo_bit_identically(
+        self, fitted_emulator, service
+    ):
+        service.get(FieldRequest("ssp-low", realization=3, year_start=0, year_stop=3))
+        served = service.get(FieldRequest("ssp-high", realization=3, year_start=3))
+        assert self.synthesized(service) == (4, 1)
+        reference = canonical_stream(fitted_emulator, "ssp-high", 3, 4)
+        assert np.array_equal(served, reference[3 * SPY:])
+
+    def test_a_nugget_free_request_never_starts_from_a_nuggeted_state(
+        self, fitted_emulator, service
+    ):
+        service.get(FieldRequest("ssp-low", realization=2, year_start=0, year_stop=2))
+        served = service.get(FieldRequest("ssp-low", realization=2, year_start=2,
+                                          include_nugget=False))
+        assert self.synthesized(service) == (5, 0)
+        reference = canonical_stream(fitted_emulator, "ssp-low", 2, 3,
+                                     include_nugget=False)
+        assert np.array_equal(served, reference[2 * SPY:])
+
+    def test_the_memo_stays_under_its_bound_and_an_evicted_year_resynthesizes(
+        self, fitted_emulator, service, monkeypatch
+    ):
+        service.get(FieldRequest("ssp-low", realization=0))
+        state_bytes = service._states.bytes  # one year-start state
+        monkeypatch.setattr(service_module, "_STATE_MEMO_BYTES", 3 * state_bytes)
+        service = repro.serve(fitted_emulator, seed=0)
+        for year in range(8):
+            service.get(FieldRequest("ssp-low", realization=0, year_start=year))
+            assert service._states.bytes <= 3 * state_bytes
+        assert self.synthesized(service) == (8, 7)
+        # Only the start states of years 6, 7 and 8 are left: year 2 of
+        # another scenario restarts the stream at year 0.
+        served = service.get(FieldRequest("ssp-high", realization=0, year_start=2))
+        assert self.synthesized(service) == (11, 7)
+        reference = canonical_stream(fitted_emulator, "ssp-high", 0, 3)
+        assert np.array_equal(served, reference[2 * SPY:])
 
 
 class TestCacheManagement:

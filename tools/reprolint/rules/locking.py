@@ -14,7 +14,7 @@ the SHT plan cache) is small and checkable:
 ``__init__`` to a mutable container (dict/list/set literal or
 comprehension, ``dict()``/``OrderedDict()``/``deque()``-style builtin
 container calls, or an instantiation of a CamelCase class such as
-``_ChunkCache(...)``) is lock-protected for **reads and writes**; any
+``_LRU(...)``) is lock-protected for **reads and writes**; any
 *other* instance attribute written outside ``__init__`` (counters like
 ``self._hits += 1``) is lock-protected for **writes**.  Plain config
 attributes assigned once in ``__init__`` (``self.encoding = str(...)``)
@@ -51,7 +51,7 @@ def _is_lock_factory(call: ast.AST) -> bool:
 
 
 def _is_camelcase_instantiation(call: ast.AST) -> bool:
-    """Heuristic: a call to ``_ChunkCache``-like names builds a mutable object."""
+    """Heuristic: a call to ``_LRU``-like names builds a mutable object."""
     if not isinstance(call, ast.Call):
         return False
     name = dotted_name(call.func).split(".")[-1]
