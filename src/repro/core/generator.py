@@ -8,10 +8,11 @@ Given a fitted emulator, new realisations are produced by
    ``f_t``,
 3. inverse spherical harmonic transform to the grid (``O(L^3 T)``),
 4. adding the truncation nugget ``epsilon_t ~ N(0, v^2)`` in place,
-5. re-applying the scale field ``sigma`` and the mean trend ``m_t``
-   (Eq. 1) in place.  The forcing enters only here, so one standardized
-   year can be restored under several forcing scenarios (a campaign's
-   realization block draws each year once for all of them).
+5. re-applying the scale field ``sigma`` in place, then the mean trend
+   ``m_t`` (Eq. 1).  The forcing enters only ``m_t``, so one year's
+   ``sigma * Z_t`` can be restored under several forcing scenarios (a
+   campaign's realization block draws each year once for all of them, and
+   the service remembers it per realization-year).
 
 Each step runs under a ``generate.*`` span (step 3: ``sht.inverse``).  Only
 the normals and the nugget reuse scratch: callers keep each year's array.
@@ -202,9 +203,6 @@ class EmulationGenerator:
         forcings: "list[np.ndarray]",
         include_nugget: bool,
         start_year: int,
-        first_year: int = 0,
-        start=None,
-        passed=None,
     ) -> "Iterator[tuple[ClimateEnsemble, ...]]":
         """Yield each model year of ``len(rngs)`` streams under every forcing.
 
@@ -212,10 +210,7 @@ class EmulationGenerator:
         entry of ``forcings``, so the tuple a year yields holds one
         :class:`ClimateEnsemble` per forcing, in order, each exactly the
         chunk :meth:`generate_stream_multi` yields under that forcing
-        alone.  Every forcing must cover the years the record needs.  Given
-        ``start``, the streams' ``_YearState`` at year ``first_year``, the
-        ``n_times``-step record yields from there; ``passed`` gets the
-        states at the start of each next year.
+        alone.  Every forcing must cover the years the record needs.
         """
         # Validate eagerly (this is a plain function returning a generator),
         # so bad arguments raise at the call site rather than at first next().
@@ -240,25 +235,47 @@ class EmulationGenerator:
                     f"forcing covers {len(forcing)} years but {n_times} "
                     f"steps require {n_years}"
                 )
+        years = self._scaled_years(rngs, n_years, include_nugget)
+        return self._wrap_years(years, n_times, forcings, include_nugget, start_year)
+
+    def _scaled_years(
+        self,
+        rngs: "list[np.random.Generator]",
+        n_years: int,
+        include_nugget: bool,
+        first_year: int = 0,
+        start=None,
+        passed=None,
+    ) -> Iterator[np.ndarray]:
+        """Years ``first_year .. n_years - 1`` of the year loop, each yielded
+        as ``sigma * Z_t``: the scale is applied in place to the fresh array
+        the year was drawn in, and ``m_t`` is left to the caller.  Given
+        ``start``, the streams' ``_YearState`` at ``first_year``, the loop
+        resumes from there; ``passed`` gets the states at the start of each
+        next year.  ``map`` holds no yielded year."""
         years = self.spectral_model._years_from(
-            rngs, n_years - first_year, spy, include_nugget, start, passed
+            rngs, n_years - first_year, self.steps_per_year, include_nugget, start, passed
         )
-        return self._wrap_years(years, first_year, n_times, forcings, include_nugget, start_year)
+        return map(self._scale, years)
+
+    def _scale(self, z: np.ndarray) -> np.ndarray:
+        with span("generate.scale"):
+            z *= self.scale.sigma
+        return z
 
     def _wrap_years(
         self,
         years: Iterator[np.ndarray],
-        first_year: int,
         n_times: int,
         forcings: "list[np.ndarray]",
         include_nugget: bool,
         start_year: int,
     ) -> "Iterator[tuple[ClimateEnsemble, ...]]":
-        """Restore trend and scale on whole years, then cut the record's steps.
+        """Restore the trend on whole scaled years, then cut the record's steps.
         No name here (nor ``enumerate``'s cached tuple) holds a yielded year,
         so a paused stream keeps no reference to it."""
         spy = self.steps_per_year
-        for year in range(first_year, -(-n_times // spy)):
+        for year in range(-(-n_times // spy)):
             t_start = year * spy
             yield tuple(
                 ClimateEnsemble(
@@ -280,19 +297,20 @@ class EmulationGenerator:
             )
 
     def _restore(
-        self, z: np.ndarray, forcings: "list[np.ndarray]", t_start: int
+        self, zs: np.ndarray, forcings: "list[np.ndarray]", t_start: int
     ) -> "list[np.ndarray]":
-        """``z * sigma + m_t`` under each forcing: ``z *= sigma`` once, then
-        a fresh ``z + m_t`` per forcing but the last, which is restored in
-        place.  These are the IEEE operations of ``m_t + z * sigma`` (addition
-        commutes), so every forcing's bits are those of a stream under it
-        alone."""
+        """``sigma * Z_t + m_t`` under each forcing, from a year of
+        :meth:`_scaled_years`: a fresh ``zs + m_t`` per forcing but the last,
+        which is restored in place.  These are the IEEE operations of
+        ``m_t + z * sigma`` (addition commutes), so every forcing's bits are
+        those of a stream under it alone."""
         with span("generate.restore", t_start=t_start, n_forcings=len(forcings)):
-            spy, fit = self.steps_per_year, self.trend_fit
-            z *= self.scale.sigma
-            restored = [
-                z + self.trend_model.predict(spy, forcing, fit, t_start=t_start)
-                for forcing in forcings[:-1]
-            ]
-            z += self.trend_model.predict(spy, forcings[-1], fit, t_start=t_start)
-        return restored + [z]
+            restored = [zs + self._mean(forcing, t_start) for forcing in forcings[:-1]]
+            zs += self._mean(forcings[-1], t_start)
+        return restored + [zs]
+
+    def _mean(self, forcing: np.ndarray, t_start: int) -> np.ndarray:
+        """``m_t`` of the model year starting at step ``t_start``."""
+        return self.trend_model.predict(
+            self.steps_per_year, forcing, self.trend_fit, t_start=t_start
+        )

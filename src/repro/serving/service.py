@@ -3,21 +3,29 @@
 :class:`EmulationService` turns a fitted emulator artifact into a field
 *server*: callers hand it frozen :class:`~repro.serving.request.FieldRequest`
 objects and get back the requested array, synthesized only when no tier
-already holds it.  Three tiers answer a request, cheapest first:
+already holds it.  Four tiers answer a request, cheapest first:
 
 1. an in-process, bytes-capped LRU of model-year chunks (full grid, one
    entry per ``(scenario, realization, year)`` content-address);
 2. an optional persistent :class:`~repro.storage.chunkstore.ChunkStore`
    (read-through on miss, write-through on synthesis);
-3. synthesis through the one generation path,
+3. remembered terms of Eq. 1, a field being ``m_t + sigma * Z_t``: a
+   bytes-capped memo holds ``sigma * Z_t`` per ``(nugget flag,
+   realization, year)`` — the same under every scenario, since the
+   forcing enters only the mean — and ``m_t`` per ``(stream, year)``, so
+   a year another scenario already drew costs one addition;
+4. a draw through the one generation path (the year loop of
    :meth:`EmulationGenerator.generate_stream_multi
-   <repro.core.generator.EmulationGenerator.generate_stream_multi>` —
-   one flight per ``(stream, realization)`` at a time: concurrent
-   requests for one realization's years compute once, and requests for
-   different realizations synthesize at once.  A flight starts at the
-   latest year whose start state (the member's bit generator and VAR
-   history, the same under every scenario) a bytes-capped memo holds,
-   so a cold year after served ones costs one year of synthesis.
+   <repro.core.generator.EmulationGenerator.generate_stream_multi>`,
+   scale applied, the mean added here), which leaves each year's
+   ``sigma * Z_t`` in the memo.  A draw starts at the latest year whose
+   start state (the member's bit generator and VAR history, again the
+   same under every scenario) a second bytes-capped memo holds, so a
+   cold year after served ones costs one year of synthesis.
+
+Tiers 3 and 4 run in one flight per ``(stream, realization)`` at a time:
+concurrent requests for one realization's years compute once, and
+requests for different realizations synthesize at once.
 
 Determinism contract
 --------------------
@@ -64,10 +72,16 @@ DEFAULT_CACHE_BYTES = 256 * 2**20
 #: L = 32, 255 at L = 64.  Output bits never depend on it.
 _STATE_MEMO_BYTES = 16 * 2**20
 
+#: Budget of the memo of Eq. 1's two terms, ``sigma * Z_t`` per
+#: realization-year and ``m_t`` per stream-year (bytes).  Each term is one
+#: chunk's size, so it holds 42 terms at L = 32, 10 at L = 64.  Output bits
+#: never depend on it.
+_TERM_MEMO_BYTES = 16 * 2**20
+
 
 class _LRU:
-    """Bytes-capped LRU of chunks or year-start states (anything with
-    ``nbytes``).
+    """Bytes-capped LRU of chunks, year-start states or terms of Eq. 1
+    (anything with ``nbytes``).
 
     Not thread-safe on its own: every access happens under the owning
     service's lock.  Eviction may drop the entry being inserted (a cache
@@ -204,13 +218,15 @@ class EmulationService:
         }
         self._synthesis = {
             "flights": 0, "coalesced_waits": 0, "chunks": 0, "seconds": 0.0,
-            "stream_resumes": 0,
+            "stream_resumes": 0, "restored": 0,
         }
         self._cache = _LRU(cache_bytes)
         self._flights: dict[tuple[str, int], _Flight] = {}
-        # Year-start states by (include_nugget, realization, year); no
-        # scenario, since the forcing enters only the mean.
+        # Year-start states and sigma * Z_t by (include_nugget, realization,
+        # year): no scenario, since the forcing enters only the mean.  The
+        # term memo also holds m_t by (stream address, year).
         self._states = _LRU(_STATE_MEMO_BYTES)
+        self._terms = _LRU(_TERM_MEMO_BYTES)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -238,11 +254,18 @@ class EmulationService:
     def stats(self) -> dict:
         """Hit/miss/bytes/synthesis counters across every tier.
 
+        A request meets the tiers in the order chunk cache
+        (``chunk_cache``), store (``store_chunk_hits``, ``store``),
+        remembered terms (``term_memo``: ``sigma * Z_t`` and ``m_t``), draw
+        (``state_memo``: the year-start states a draw starts from).
+
         ``synthesis["flights"]`` counts synthesis passes, one realization
         each: N concurrent identical requests increment it once (single
-        flight).  ``coalesced_waits`` counts the times a request waited
-        on another request's flight, and ``stream_resumes`` the flights
-        that started after year 0, from a remembered year-start state.
+        flight).  ``chunks`` counts every chunk the flights produced and
+        ``restored`` those of them added up from remembered terms, with no
+        draw.  ``coalesced_waits`` counts the times a request waited on
+        another request's flight, and ``stream_resumes`` the draws that
+        started after year 0, from a remembered year-start state.
         """
         with self._lock:
             summary = {
@@ -251,6 +274,8 @@ class EmulationService:
                 "artifact_bytes": self._artifact_bytes,
                 **self._counts,
                 "chunk_cache": self._cache.stats(),
+                "term_memo": self._terms.stats(),
+                "state_memo": self._states.stats(),
                 "synthesis": dict(self._synthesis),
             }
         store = self._store
@@ -395,13 +420,15 @@ class EmulationService:
             "serve.flight", stream=stream_addr[:12], realization=realization
         )
         results: dict[str, np.ndarray] = {}
+        restored = 0
         try:
             with flight_span:
-                results = self._synthesize(
+                results, drawn = self._synthesize(
                     key, request.resolve_spec(), request.include_nugget,
                     first_missing, flight.stop,
                 )
-                flight_span.set(chunks=len(results))
+                restored = len(results) - drawn
+                flight_span.set(chunks=len(results), drawn=drawn, restored=restored)
         except BaseException as error:
             flight.error = error
             raise
@@ -410,6 +437,7 @@ class EmulationService:
                 synthesis = self._synthesis
                 synthesis["flights"] += 1
                 synthesis["chunks"] += len(results)
+                synthesis["restored"] += restored
                 synthesis["seconds"] += flight_span.elapsed()
                 for address, array in results.items():
                     self._cache.put(address, array)
@@ -429,42 +457,78 @@ class EmulationService:
     def _synthesize(
         self, key: "tuple[str, int]", spec, include_nugget: bool,
         first_missing: int, stop: int,
-    ) -> dict[str, np.ndarray]:
-        """Produce chunks up to ``stop`` of one realization's stream.
+    ) -> "tuple[dict[str, np.ndarray], int]":
+        """Produce the chunks from ``first_missing`` up to ``stop`` of one
+        realization's stream; returns them and how many were drawn.
 
-        The stream starts at the latest year at or before ``first_missing``
-        whose start state the memo holds (year 0 if none), through the one
-        generation path, and leaves the start state of every year after
-        the ones it passes in the memo.
+        A year whose ``sigma * Z_t`` the term memo holds is restored as
+        ``sigma * Z_t + m_t``.  The others are drawn in one pass from the
+        first of them to the last, through the one generation path; it
+        starts at the latest year at or before the first whose start state
+        the state memo holds (year 0 if none), yields every year it passes,
+        and leaves each year's ``sigma * Z_t`` and the start state of each
+        next year in the memos.
         """
         stream_addr, realization = key
+        memo_key = (include_nugget, realization)
         with self._lock:
-            first = next(
-                (year for year in range(first_missing, 0, -1)
-                 if (include_nugget, realization, year) in self._states),
-                0,
-            )
+            remembered = {}
+            for year in range(first_missing, stop):
+                zs = self._terms.get((*memo_key, year))
+                if zs is not None:
+                    remembered[year] = zs
+            to_draw = [year for year in range(first_missing, stop) if year not in remembered]
             start = None
-            if first:
-                start = [self._states.get((include_nugget, realization, first))]
-                self._synthesis["stream_resumes"] += 1
-        passed: list = []
-        years = self._emulator.generator()._stream_under(
-            _member_rngs(self._seed, [realization]),
-            n_times=stop * self.steps_per_year,
-            forcings=[spec.annual_forcing(stop)],
-            include_nugget=include_nugget,
-            start_year=self._summary.start_year,
-            first_year=first,
-            start=start,
-            passed=passed,
-        )
+            if to_draw:
+                first = next(
+                    (year for year in range(to_draw[0], 0, -1)
+                     if (*memo_key, year) in self._states),
+                    0,
+                )
+                if first:
+                    start = [self._states.get((*memo_key, first))]
+                    self._synthesis["stream_resumes"] += 1
+        generator = self._emulator.generator()
+        forcing = spec.annual_forcing(stop)
         results: dict[str, np.ndarray] = {}
-        for year, (chunk,) in enumerate(years, start=first):
-            array = np.ascontiguousarray(chunk.data[0])
-            array.setflags(write=False)
-            results[chunk_address(stream_addr, realization, year)] = array
-        with self._lock:
-            for year, (state,) in enumerate(passed, start=first + 1):
-                self._states.put((include_nugget, realization, year), state)
-        return results
+        passed: list = []
+        if to_draw:
+            draw_stop = to_draw[-1] + 1
+            years = generator._scaled_years(
+                _member_rngs(self._seed, [realization]), draw_stop, include_nugget,
+                first_year=first, start=start, passed=passed,
+            )
+            for year, zs in zip(range(first, draw_stop), years):
+                zs = zs[0]
+                zs.setflags(write=False)
+                with self._lock:
+                    self._terms.put((*memo_key, year), zs)
+                results[chunk_address(stream_addr, realization, year)] = self._add_mean(
+                    generator, forcing, stream_addr, year, zs
+                )
+            with self._lock:
+                for year, (state,) in enumerate(passed, start=first + 1):
+                    self._states.put((*memo_key, year), state)
+        drawn = len(results)
+        for year, zs in remembered.items():
+            address = chunk_address(stream_addr, realization, year)
+            if address not in results:
+                results[address] = self._add_mean(generator, forcing, stream_addr, year, zs)
+        return results, drawn
+
+    def _add_mean(self, generator, forcing, stream_addr: str, year: int, zs) -> np.ndarray:
+        """``sigma * Z_t + m_t`` of one year in a fresh read-only array, the
+        bits of the generator's own restore; ``m_t`` is computed once per
+        ``(stream, year)`` while the term memo holds it."""
+        t_start = year * self.steps_per_year
+        with span("generate.restore", t_start=t_start, n_forcings=1):
+            with self._lock:
+                mean = self._terms.get((stream_addr, year))
+            if mean is None:
+                mean = generator._mean(forcing, t_start)
+                mean.setflags(write=False)
+                with self._lock:
+                    self._terms.put((stream_addr, year), mean)
+            array = zs + mean
+        array.setflags(write=False)
+        return array

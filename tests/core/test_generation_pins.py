@@ -9,8 +9,8 @@ emulates, stores and serves at its ``numerics_revision``:
 * ``emulate(3, n_times=30, rng=7)`` (2.5 model years) with the nugget
   on and off;
 * every chunk of a ``run_campaign(..., store=)``, by address;
-* year 1 of a served realization, answered by resuming the live stream
-  parked by the request for year 0.
+* year 1 of a served realization, answered by resuming the stream from
+  the year-start state the request for year 0 left in the service's memo.
 
 The schema-2 and schema-3 fixtures use ``var_order = 1`` and one ``rho``;
 these pins cover the VAR(2) recursion and the ``rho`` grouping of the

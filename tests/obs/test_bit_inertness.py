@@ -8,7 +8,8 @@ Two contracts from the observability layer's charter:
 * **back-compat** — ``EmulationService.stats()`` and
   ``plan_cache_stats()`` keep their exact pre-telemetry keys and values
   (bar the plan cache's ``evictions`` / ``limit_bytes``, which went with
-  its byte cap).
+  its byte cap, and the service's ``term_memo`` / ``state_memo`` reports
+  and ``synthesis["restored"]``, which came with its memos).
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ class TestBackCompatPinning:
         assert list(stats) == [
             "seed", "steps_per_year", "artifact_bytes", "requests",
             "request_hits", "request_misses", "served_bytes",
-            "store_chunk_hits", "chunk_cache", "synthesis", "store",
+            "store_chunk_hits", "chunk_cache", "term_memo", "state_memo",
+            "synthesis", "store",
         ]
         assert stats["seed"] == 3
         assert stats["requests"] == 2
@@ -187,8 +189,10 @@ class TestBackCompatPinning:
         ]
         assert list(stats["synthesis"]) == [
             "flights", "coalesced_waits", "chunks", "seconds",
-            "stream_resumes",
+            "stream_resumes", "restored",
         ]
+        for memo in ("term_memo", "state_memo"):
+            assert list(stats[memo]) == list(stats["chunk_cache"])
         assert stats["store"] is None
         assert stats["synthesis"]["flights"] == 1
         assert isinstance(stats["synthesis"]["seconds"], float)

@@ -267,6 +267,9 @@ class TestYearStateMemo:
         service.get(FieldRequest("ssp-low", realization=0))
         state_bytes = service._states.bytes  # one year-start state
         monkeypatch.setattr(service_module, "_STATE_MEMO_BYTES", 3 * state_bytes)
+        # Three terms of Eq. 1 too, so year 2's sigma * Z is gone as well.
+        term_bytes = service._terms.bytes // 2  # one sigma * Z and one m_t
+        monkeypatch.setattr(service_module, "_TERM_MEMO_BYTES", 3 * term_bytes)
         service = repro.serve(fitted_emulator, seed=0)
         for year in range(8):
             service.get(FieldRequest("ssp-low", realization=0, year_start=year))
@@ -278,6 +281,143 @@ class TestYearStateMemo:
         assert self.synthesized(service) == (11, 7)
         reference = canonical_stream(fitted_emulator, "ssp-high", 0, 3)
         assert np.array_equal(served, reference[2 * SPY:])
+
+
+class TestTermMemo:
+    """A field is ``m_t + sigma * Z_t`` (Eq. 1) and the forcing enters only
+    ``m_t``: a realization-year's ``sigma * Z_t`` drawn under one scenario
+    is restored under another with one addition, and ``m_t`` is computed
+    once per (stream, year) for every realization."""
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        """The ``(n_years, start given)`` of every pass of the year loop."""
+        from repro.core.spectral_model import SpectralStochasticModel
+
+        calls = []
+        years_from = SpectralStochasticModel._years_from
+
+        def counted(self, rngs, n_years, *args):
+            calls.append((n_years, args[-2] is not None))
+            return years_from(self, rngs, n_years, *args)
+
+        monkeypatch.setattr(SpectralStochasticModel, "_years_from", counted)
+        return calls
+
+    @staticmethod
+    def synthesis(service):
+        synthesis = service.stats()["synthesis"]
+        return synthesis["chunks"], synthesis["restored"], synthesis["stream_resumes"]
+
+    def test_another_scenario_of_a_drawn_year_draws_nothing(
+        self, fitted_emulator, service, draws
+    ):
+        service.get(FieldRequest("ssp-low", realization=1, year_start=2))
+        assert draws == [(3, False)]
+        served = {}
+        for n, scenario in enumerate(("ssp-medium", "ssp-high"), start=1):
+            served[scenario] = service.get(FieldRequest(scenario, realization=1,
+                                                        year_start=2))
+            assert draws == [(3, False)]
+            assert self.synthesis(service) == (3 + n, n, 0)
+        for scenario, array in served.items():
+            reference = canonical_stream(fitted_emulator, scenario, 1, 3)
+            assert np.array_equal(array, reference[2 * SPY:])
+
+    def test_a_nugget_flag_never_uses_the_other_flags_terms(
+        self, fitted_emulator, service, draws
+    ):
+        for include_nugget in (True, False):
+            service.get(FieldRequest("ssp-low", realization=2,
+                                     include_nugget=include_nugget))
+        served = {
+            include_nugget: service.get(FieldRequest(
+                "ssp-high", realization=2, include_nugget=include_nugget))
+            for include_nugget in (False, True)
+        }
+        # Two draws, one per flag; each ssp-high year used its own flag's term.
+        assert draws == [(1, False), (1, False)]
+        assert self.synthesis(service) == (4, 2, 0)
+        for include_nugget, array in served.items():
+            reference = canonical_stream(fitted_emulator, "ssp-high", 2, 1,
+                                         include_nugget=include_nugget)
+            assert np.array_equal(array, reference)
+
+    def test_remembered_years_are_restored_and_the_rest_drawn_from_their_state(
+        self, fitted_emulator, service, draws
+    ):
+        service.get(FieldRequest("ssp-low", realization=4, year_start=0, year_stop=2))
+        served = service.get(FieldRequest("ssp-high", realization=4, year_start=0,
+                                          year_stop=4))
+        # Years 0-1 restored; years 2-3 drawn in one pass from year 2's state.
+        assert draws == [(2, False), (2, True)]
+        assert self.synthesis(service) == (6, 2, 1)
+        assert np.array_equal(served, canonical_stream(fitted_emulator, "ssp-high", 4, 4))
+
+    def test_the_mean_is_computed_once_per_stream_year(
+        self, fitted_emulator, service, monkeypatch
+    ):
+        from repro.core.trend import MeanTrendModel
+
+        t_starts = []
+        predict = MeanTrendModel.predict
+
+        def counted(self, n_times, annual_forcing, fit=None, t_start=0):
+            t_starts.append(t_start)
+            return predict(self, n_times, annual_forcing, fit, t_start)
+
+        monkeypatch.setattr(MeanTrendModel, "predict", counted)
+        for realization in range(5):
+            service.get(FieldRequest("ssp-medium", realization=realization,
+                                     year_start=0, year_stop=2))
+        assert t_starts == [0, SPY]
+        monkeypatch.setattr(MeanTrendModel, "predict", predict)
+        for realization in range(5):
+            served = service.get(FieldRequest("ssp-medium", realization=realization,
+                                              year_start=0, year_stop=2))
+            assert np.array_equal(
+                served, canonical_stream(fitted_emulator, "ssp-medium", realization, 2)
+            )
+
+    def test_a_restored_chunk_is_written_through(self, fitted_emulator, tmp_path):
+        service = repro.serve(fitted_emulator, seed=0, store=tmp_path / "store")
+        service.get(FieldRequest("ssp-low", realization=3, year_start=1))
+        restored = service.get(FieldRequest("ssp-high", realization=3, year_start=1))
+        assert service.stats()["synthesis"]["restored"] == 1
+
+        fresh = repro.serve(fitted_emulator, seed=0, store=tmp_path / "store")
+        stored = fresh.get(FieldRequest("ssp-high", realization=3, year_start=1))
+        stats = fresh.stats()
+        assert stats["synthesis"]["flights"] == 0
+        assert stats["store_chunk_hits"] == 1
+        assert np.array_equal(stored, restored)
+        assert np.array_equal(
+            stored, canonical_stream(fitted_emulator, "ssp-high", 3, 2)[SPY:]
+        )
+
+    def test_the_memo_stays_under_its_bound_and_an_evicted_year_is_drawn_again(
+        self, fitted_emulator, service, monkeypatch, draws
+    ):
+        service.get(FieldRequest("ssp-low", realization=0))
+        term_bytes = service._terms.bytes // 2  # one sigma * Z and one m_t
+        monkeypatch.setattr(service_module, "_TERM_MEMO_BYTES", 4 * term_bytes)
+        service = repro.serve(fitted_emulator, seed=0)
+        del draws[:]
+        for year in range(6):
+            service.get(FieldRequest("ssp-low", realization=0, year_start=year))
+            assert service._terms.bytes <= 4 * term_bytes
+        assert service.stats()["term_memo"]["evictions"] > 0
+        # Year 5's sigma * Z is remembered and year 0's evicted: drawn again.
+        served = {
+            year: service.get(FieldRequest("ssp-high", realization=0, year_start=year))
+            for year in (5, 0)
+        }
+        assert len(draws) == 7
+        assert draws[-1] == (1, False)
+        assert service.stats()["synthesis"]["restored"] == 1
+        for year, array in served.items():
+            reference = canonical_stream(fitted_emulator, "ssp-high", 0, year + 1)
+            assert np.array_equal(array, reference[year * SPY:])
 
 
 class TestCacheManagement:
