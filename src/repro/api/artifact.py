@@ -29,6 +29,16 @@ mixed panel as its tiles per stored precision
 ``allow_pickle`` is never used, so artifacts are safe to load from
 untrusted sources.
 
+Every member's array data starts 64-byte aligned in the file: the local
+zip header's extra field is padded (``np.lib.format`` pads the ``.npy``
+header itself), which any zip reader skips, so the file stays a plain
+``.npz``.  A load maps the file once and adopts the aligned matrices as
+read-only views of the mapping, each checked against its zip CRC-32
+first; no schema records the alignment, so older files, whose members
+are not aligned, load by reading as before.  :meth:`EmulatorArtifact.save`
+writes a temporary file and renames it over the destination, so it never
+rewrites the bytes a loaded emulator maps.
+
 Schema 1 stored the dense ``spectral_model/covariance`` beside one deflated
 ``spectral_model/cholesky/tiles/<i>_<j>`` member per tile; schema 2 dropped
 the covariance and packed the tiles into one ``tiles_<precision>`` buffer
@@ -40,10 +50,15 @@ the panels and codes alone.  :meth:`EmulatorArtifact.load` reads all four
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import mmap
 import os
+import secrets
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,6 +90,16 @@ META_KEY = "__repro_artifact__"
 
 #: Identifies the file format inside the metadata block.
 FORMAT_NAME = "repro-emulator-artifact"
+
+#: Alignment of every member's array data in a saved file, in bytes.
+_ALIGN = 64
+
+#: Bytes of the zip64 extra field a member written with ``force_zip64`` gets.
+_ZIP64_SIZES = struct.calcsize("<HHQQ")
+
+#: Zip extra-field id of the padding that aligns a member's data (the id
+#: Android's ``zipalign`` gives the same padding).
+_PAD_EXTRA_ID = 0xD935
 
 
 class ArtifactError(ValueError):
@@ -138,46 +163,128 @@ class _ByteCounter(io.RawIOBase):
 
 
 def _npy_header(member) -> tuple:
-    """``(shape, fortran_order, dtype)`` of an ``.npy`` stream, left at its data."""
+    """``(shape, fortran_order, dtype, data bytes)`` of an ``.npy`` stream,
+    left at its data."""
     version = np.lib.format.read_magic(member)
     if version == (1, 0):
-        return np.lib.format.read_array_header_1_0(member)
-    return np.lib.format.read_array_header_2_0(member)
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+    else:
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(member)
+    if dtype.hasobject:
+        raise ValueError("holds Python objects")
+    return shape, fortran, dtype, int(np.prod(shape)) * dtype.itemsize
 
 
-def _read_arrays(archive: np.lib.npyio.NpzFile, keys: list, adopted: bool) -> dict:
-    """The arrays of ``keys``, read CRC-checked.
+def _write_member(archive: zipfile.ZipFile, fh, name: str, array: np.ndarray) -> None:
+    """Store ``array`` as member ``<name>.npy`` with its data 64-byte aligned.
 
-    With ``adopted`` (schemas 3 and 4, which store the panels), matrices,
-    which a load keeps as they are (the factor's double-precision panels
-    among them), are views of one block: with a buffer each, scattered
-    through the heap, the panels cost a ``campaign_L64`` round ~25 k page
-    faults where one block costs ~8 k.  Every other member has a buffer of its own, so what a load
-    unpacks (a mixed-precision panel's tiles, every tile of schemas 1 and
-    2) is freed once it is.
+    The local header's extra field is padded so that the ``.npy`` header,
+    which ``np.lib.format`` pads to a multiple of 64 bytes itself, ends on
+    a multiple of 64 in the file.  The data is written from the array's
+    own buffer.
     """
-    headers = {}
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(array))
+    if not array.flags.c_contiguous:
+        array = array.T if array.flags.f_contiguous else np.ascontiguousarray(array)
+    info = zipfile.ZipInfo(f"{name}.npy")
+    # ``fh`` sits where zipfile writes the local header: its fixed part, the
+    # name, the extra field (here the padding), then the zip64 sizes that
+    # ``force_zip64`` appends to it.
+    local = zipfile.sizeFileHeader + len(info.filename.encode("utf-8")) + _ZIP64_SIZES
+    pad = -(fh.tell() + local) % _ALIGN
+    if pad:
+        pad += _ALIGN if pad < 4 else 0  # an extra field is at least its 4-byte id and size
+        info.extra = struct.pack("<HH", _PAD_EXTRA_ID, pad - 4) + bytes(pad - 4)
+    with archive.open(info, "w", force_zip64=True) as member:
+        member.write(header.getvalue())
+        member.write(array.reshape(-1).view(np.uint8))
+
+
+def _map(handle) -> "np.ndarray | None":
+    """The whole file as a read-only ``uint8`` array over one ``mmap``, or
+    ``None`` where the file system cannot map it."""
+    try:
+        return np.frombuffer(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ), np.uint8)
+    except (OSError, ValueError):
+        return None
+
+
+def _mapped_member(handle, info: zipfile.ZipInfo, mapping, adopted: bool) -> "tuple | None":
+    """``(shape, fortran_order, dtype, data)`` of a stored matrix a load
+    adopts (``adopted``: schemas 3 and 4) whose data starts 64-byte aligned,
+    ``data`` a view of ``mapping`` checked against the member's CRC-32;
+    ``None`` for a member to read instead.
+
+    The local header is parsed from the file, not taken from the central
+    directory: the two extra fields can differ.
+    """
+    if mapping is None or not adopted or info.compress_type != zipfile.ZIP_STORED:
+        return None
+    handle.seek(info.header_offset)
+    fixed = handle.read(zipfile.sizeFileHeader)
+    if len(fixed) < zipfile.sizeFileHeader or fixed[:4] != zipfile.stringFileHeader:
+        raise ValueError("has no local header")
+    name_length, extra_length = struct.unpack(zipfile.structFileHeader, fixed)[-2:]
+    start = info.header_offset + zipfile.sizeFileHeader + name_length + extra_length
+    handle.seek(start)
+    shape, fortran, dtype, size = _npy_header(handle)
+    offset, end = handle.tell(), start + info.compress_size
+    if len(shape) < 2 or offset % _ALIGN:
+        return None
+    if offset + size > end or end > len(mapping):
+        raise ValueError("is truncated")
+    if zlib.crc32(mapping[start:end]) != info.CRC:
+        raise ValueError("fails its CRC-32 check")
+    return shape, fortran, dtype, mapping[offset:offset + size]
+
+
+def _read_arrays(handle, archive: zipfile.ZipFile, mapping, keys: list, adopted: bool) -> dict:
+    """The arrays of ``keys``, CRC-checked.
+
+    With ``adopted`` (schemas 3 and 4, which store the panels), the
+    matrices, which a load keeps as they are (the factor's double-precision
+    panels among them), are read-only views of ``mapping``, the file's one
+    ``mmap``, when their data starts 64-byte aligned (as
+    :meth:`EmulatorArtifact.save` writes every member), each checked against its zip CRC-32 over the
+    mapped bytes: nothing is copied, and processes that load one file share
+    its pages.  Matrices written unaligned (``np.savez``: numpy's matmul
+    takes no BLAS path for unaligned operands) are read, CRC-checked by
+    ``zipfile``, into views of one block: with a buffer each, scattered
+    through the heap, the panels cost a ``campaign_L64`` round ~25 k page
+    faults where one block costs ~8 k.  Every other member is read into a
+    buffer of its own, so what a load unpacks (a mixed-precision panel's
+    tiles, every tile of schemas 1 and 2) is freed once it is, and no
+    mapped page of it stays resident.
+    """
+    members, unread = {}, {}
     for key in keys:
-        with archive.zip.open(f"{key}.npy") as member:
-            shape, fortran, dtype = _npy_header(member)
-        if dtype.hasobject:
-            raise ValueError(f"{key!r} holds Python objects")
-        size = int(np.prod(shape)) * dtype.itemsize
-        headers[key] = shape, fortran, dtype, size, adopted and len(shape) > 1
-    pad = lambda size: -(-size // 64) * 64  # noqa: E731
-    block = np.empty(sum(pad(h[3]) for h in headers.values() if h[4]), np.uint8)
-    arrays, offset = {}, 0
-    for key, (shape, fortran, dtype, size, in_block) in headers.items():
-        if in_block:
+        info = archive.getinfo(f"{key}.npy")
+        try:
+            members[key] = _mapped_member(handle, info, mapping, adopted)
+            if members[key] is None:
+                with archive.open(info) as stream:
+                    members[key] = unread[key] = _npy_header(stream)
+        except ValueError as exc:
+            raise ValueError(f"{key!r} {exc}") from exc
+    in_block = lambda shape: adopted and len(shape) > 1  # noqa: E731
+    pad = lambda size: -(-size // _ALIGN) * _ALIGN  # noqa: E731
+    block = np.empty(sum(pad(size) for shape, _, _, size in unread.values() if in_block(shape)), np.uint8)
+    offset = 0
+    for key, (shape, fortran, dtype, size) in unread.items():
+        if in_block(shape):
             raw, offset = block[offset:offset + size], offset + pad(size)
         else:
             raw = np.empty(size, np.uint8)
-        with archive.zip.open(f"{key}.npy") as member:
-            _npy_header(member)
-            for start in range(0, size, 1 << 18):
-                chunk = memoryview(raw)[start:start + (1 << 18)]
-                if member.readinto(chunk) < len(chunk):
+        with archive.open(f"{key}.npy") as stream:
+            _npy_header(stream)
+            for at in range(0, size, 1 << 18):
+                chunk = memoryview(raw)[at:at + (1 << 18)]
+                if stream.readinto(chunk) < len(chunk):
                     raise ValueError(f"{key!r} is truncated")
+        members[key] = shape, fortran, dtype, raw
+    arrays = {}
+    for key, (shape, fortran, dtype, raw) in members.items():
         array = raw.view(dtype)
         arrays[key] = array.reshape(shape[::-1]).T if fortran else array.reshape(shape)
     return arrays
@@ -258,18 +365,35 @@ class EmulatorArtifact:
             "source_version": str(self.source_version),
             "state": meta_tree,
         }
-        payload = np.frombuffer(
+        arrays[META_KEY] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
-        np.savez(fh, **arrays, **{META_KEY: payload})
+        with zipfile.ZipFile(fh, "w") as archive:
+            for name, array in arrays.items():
+                _write_member(archive, fh, name, array)
         return fh
 
     def save(self, path: "str | os.PathLike") -> str:
-        """Write the artifact to ``path`` (exact path, no ``.npz`` appended)."""
-        path = Path(path)
-        with open(path, "wb") as fh:
-            self._write(fh)
-        return str(path)
+        """Write the artifact to ``path`` (exact path, no ``.npz`` appended).
+
+        The archive is written to a temporary ``.<name>.<token>.tmp`` beside
+        the destination, which then replaces ``path`` in one rename: a
+        process that maps the file ``path`` named before keeps its bytes,
+        and a save that fails leaves ``path`` as it was.
+        """
+        target = os.path.realpath(path)  # replace a symlink's target, not the link
+        directory, name = os.path.split(target)
+        tmp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                self._write(fh)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+        return str(Path(path))
 
     def tobytes(self) -> bytes:
         """The serialised artifact as an in-memory byte string."""
@@ -284,10 +408,19 @@ class EmulatorArtifact:
     def load(cls, path: "str | os.PathLike") -> "EmulatorArtifact":
         """Read an artifact written by :meth:`save`.
 
+        The matrices of a file :meth:`save` wrote (the factor's
+        double-precision panels among them) are read-only views of one
+        ``mmap`` of the file, each checked against its zip CRC-32 over the
+        mapped bytes; every other member, and every member of a file
+        written before the members were aligned, is read into memory,
+        CRC-checked as it is read.  Replace a file that a running process
+        loaded with :meth:`save` or ``mv``, never by copying over it.
+
         Raises
         ------
         ArtifactError
-            When the file is not an emulator artifact.
+            When the file is not an emulator artifact, or a member fails
+            its CRC-32 check (the message names the member).
         SchemaVersionError
             When the artifact's schema version is neither
             :data:`SCHEMA_VERSION` nor the older versions 1 to 3, which
@@ -295,31 +428,33 @@ class EmulatorArtifact:
             skipped).
         """
         path = Path(path)
-        # Open the file ourselves: np.load(path) can leak its file handle
-        # when the zip directory is corrupt (it opens the file before the
-        # NpzFile takes ownership), and the handle is ours to close either way.
         try:
             handle = open(path, "rb")
         except OSError as exc:
             raise ArtifactError(f"cannot read {path} as an NPZ artifact: {exc}") from exc
         with handle:
+            if handle.read(len(np.lib.format.MAGIC_PREFIX)) == np.lib.format.MAGIC_PREFIX:
+                raise ArtifactError(
+                    f"{path} is a plain array file, not a {FORMAT_NAME} archive"
+                )
             try:
-                archive = np.load(handle, allow_pickle=False)
+                archive = zipfile.ZipFile(handle)
             except (OSError, ValueError, zipfile.BadZipFile) as exc:
                 raise ArtifactError(
                     f"cannot read {path} as an NPZ artifact: {exc}"
                 ) from exc
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                # np.load returns a bare array for .npy files without raising.
-                raise ArtifactError(
-                    f"{path} is a plain array file, not a {FORMAT_NAME} archive"
-                )
-            if META_KEY not in archive.files:
+            keys = [name[:-4] for name in archive.namelist() if name.endswith(".npy")]
+            if META_KEY not in keys:
                 raise ArtifactError(
                     f"{path} is an NPZ file but not a {FORMAT_NAME} "
                     f"(missing the {META_KEY!r} metadata member)"
                 )
-            meta = json.loads(bytes(np.asarray(archive[META_KEY])).decode("utf-8"))
+            mapping = _map(handle)
+            try:
+                meta = _read_arrays(handle, archive, mapping, [META_KEY], adopted=False)[META_KEY]
+                meta = json.loads(bytes(meta).decode("utf-8"))
+            except (OSError, ValueError, zipfile.BadZipFile) as exc:
+                raise ArtifactError(f"{path} has a damaged member: {exc}") from exc
             if meta.get("format") != FORMAT_NAME:
                 raise ArtifactError(
                     f"{path} declares format {meta.get('format')!r}, "
@@ -334,11 +469,10 @@ class EmulatorArtifact:
                     f"repro version"
                 )
             try:
-                arrays = _read_arrays(archive, [
-                    key for key in archive.files if key not in (META_KEY, _SCHEMA_1_COVARIANCE)
+                arrays = _read_arrays(handle, archive, mapping, [
+                    key for key in keys if key not in (META_KEY, _SCHEMA_1_COVARIANCE)
                 ], adopted=version >= 3)
             except (OSError, ValueError, zipfile.BadZipFile) as exc:
-                # Stored members are CRC-checked as they are read.
                 raise ArtifactError(f"{path} has a damaged member: {exc}") from exc
         state = cls._unflatten(arrays, meta.get("state", {}))
         return cls(

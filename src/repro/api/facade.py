@@ -85,6 +85,14 @@ def save(emulator: ClimateEmulator, path: "str | os.PathLike") -> str:
     the mixed-precision variants) — so a :func:`load` round trip
     rebuilds an emulator that emulates bit-exactly as this one.  The
     innovation covariance is not stored: the factor is the model.
+
+    Each member's array data starts 64-byte aligned, so :func:`load` can
+    map it.  The save is atomic: the archive is written to a temporary
+    file beside ``path`` that then replaces it in one rename, so an
+    emulator loaded from the old file, even one a running service maps,
+    keeps its bytes, and a failed save leaves ``path`` as it was.  Replace
+    a live artifact this way (or with ``mv``), never by copying over it:
+    ``cp`` rewrites the file in place, under the processes that map it.
     """
     with span("facade.save"):
         return emulator.save(path)
@@ -95,7 +103,12 @@ def load(path: "str | os.PathLike") -> ClimateEmulator:
 
     The loaded emulator emulates without the raw training ensemble and is
     bit-exactly equivalent to the emulator that was saved: under the same
-    seeded generator both produce identical output.  Loading reuses the
+    seeded generator both produce identical output.  The factor's panels
+    and the other matrices of a file :func:`save` wrote are read-only views
+    of one ``mmap`` of it, each checked against its zip CRC-32 first (a
+    damaged member raises :class:`ArtifactError` naming it), so nothing is
+    copied and processes loading one file share its pages; files written
+    before members were aligned are read into memory.  Loading reuses the
     process-wide SHT plan cache (:func:`repro.sht.plancache.get_plan`),
     so repeated loads of artifacts sharing ``(lmax, grid)``
     rebuild the transform tables only once per process.

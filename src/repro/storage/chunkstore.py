@@ -213,6 +213,10 @@ class ChunkStore:
         self._manifest_path = os.path.join(self.root, "manifest.json")
         self._lock_path = os.path.join(self.root, "manifest.lock")
         os.makedirs(os.path.join(self.root, "chunks"), exist_ok=True)
+        # The ``chunks/<ab>`` directories this handle made or found; nothing
+        # removes one, so each is created once per handle.
+        self._shard_dirs: set[str] = set()
+        self._shard_dirs_lock = threading.Lock()
         # The view: the live entries, and how far it has read which
         # header and journal.
         self._chunks: dict[str, dict] = {}
@@ -506,8 +510,12 @@ class ChunkStore:
         payload, scale, offset, err = _encode(array, self.encoding)
         payload = np.ascontiguousarray(payload)
         path = self._shard_path(address)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".shard-")
+        directory = os.path.dirname(path)
+        with self._shard_dirs_lock:  # not ``_lock``: a commit re-stages under it
+            if directory not in self._shard_dirs:
+                os.makedirs(directory, exist_ok=True)
+                self._shard_dirs.add(directory)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".shard-")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(payload)

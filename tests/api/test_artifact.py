@@ -2,7 +2,12 @@
 
 import gc
 import hashlib
+import io
 import json
+import mmap
+import os
+import re
+import struct
 import tracemalloc
 import weakref
 import zipfile
@@ -304,6 +309,50 @@ class TestSchemas:
                 }[name[-4:]]
 
 
+def held_bytes(root: np.ndarray) -> int:
+    """The memory an array root holds: a heap block its size; a mapping of a
+    file (an array over a ``memoryview`` of an ``mmap``) its resident pages,
+    the ``Rss`` of the mapping in ``/proc/self/smaps``."""
+    if not isinstance(root.base, memoryview):
+        return root.nbytes
+    address, inside = root.ctypes.data, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            bounds = re.match(r"([0-9a-f]+)-([0-9a-f]+) ", line)
+            if bounds:
+                inside = int(bounds[1], 16) <= address < int(bounds[2], 16)
+            elif inside and line.startswith("Rss:"):
+                return int(line.split()[1]) * 1024
+    raise AssertionError("the mapping is not in /proc/self/smaps")
+
+
+def data_offsets(path) -> dict[str, int]:
+    """Where each member's array data starts in the file, from its local
+    zip header and its ``.npy`` header."""
+    raw = Path(path).read_bytes()
+    offsets = {}
+    with zipfile.ZipFile(path) as archive:
+        for info in archive.infolist():
+            name_length, extra_length = struct.unpack_from("<HH", raw, info.header_offset + 26)
+            start = info.header_offset + 30 + name_length + extra_length
+            stream = io.BytesIO(raw[start:start + info.compress_size])
+            np.lib.format.read_magic(stream)
+            np.lib.format.read_array_header_1_0(stream)
+            offsets[info.filename] = start + stream.tell()
+    return offsets
+
+
+def is_mapped(emulator: ClimateEmulator) -> bool:
+    """Whether the emulator's factor panels are read-only views of a mapping."""
+    panels = [panel for _, parts in emulator.spectral_model.cholesky.panels for _, panel in parts]
+    for panel in panels:
+        while isinstance(panel.base, np.ndarray):
+            panel = panel.base
+        if not isinstance(panel.base, memoryview) or not isinstance(panel.base.obj, mmap.mmap):
+            return False
+    return not any(panel.flags.writeable for panel in panels)
+
+
 class TestMemory:
     """Traced with tracemalloc at L = 32 (no timing): from fit to disk to load
     the factor is its row panels, never a ``k x k`` array.  ``dense`` is the
@@ -360,11 +409,11 @@ class TestMemory:
     @pytest.mark.parametrize("variant, jitter", [("DP", 1e-6), ("DP/SP/HP", 1e-2)])
     def test_load_to_first_chunk_never_holds_a_dense_factor(self, l32_ensemble, tmp_path, variant, jitter):
         """Traced from ``repro.load`` through one generated chunk.  A DP load
-        adopts the matrices it reads as the panels, views of one block; a
-        mixed-precision load fills new panels from the tiles it reads and
-        keeps none of them, float16 or other.  Either way what stays resident
-        is the panels plus the rest of the artifact, and the first chunk adds
-        its own working set and nothing of the factor's size.
+        adopts the matrices it maps as the panels, views of one mapping of
+        the file; a mixed-precision load fills new panels from the tiles it
+        reads and keeps none of them, float16 or other.  Either way what stays
+        resident is the panels plus the rest of the artifact, and the first
+        chunk adds its own working set and nothing of the factor's size.
         """
         fitted = self.fit(l32_ensemble, precision_variant=variant, covariance_jitter=jitter)
         repro.save(fitted, tmp_path / "l32.npz")
@@ -383,18 +432,34 @@ class TestMemory:
         roots = {}
         for _, parts in loaded.spectral_model.cholesky.panels:
             for _, panel in parts:
-                while panel.base is not None:
+                while isinstance(panel.base, np.ndarray):
                     panel = panel.base
                 roots[id(panel)] = panel
         if variant == "DP":
-            assert len(roots) == 1  # one block, not one buffer each
+            assert len(roots) == 1 and is_mapped(loaded)  # one mapping, not one buffer each
         # The panels keep nothing else alive: no tile they were filled from
-        # (float16 or other), only the block's few small non-factor matrices.
-        assert sum(root.nbytes for root in roots.values()) < self.panel_bytes(loaded) + 0.05 * self.DENSE
+        # (float16 or other), only the file's few small non-factor matrices.
+        assert sum(held_bytes(root) for root in roots.values()) < self.panel_bytes(loaded) + 0.05 * self.DENSE
         assert self.panel_bytes(loaded) <= 0.55 * self.DENSE
         assert resident < self.panel_bytes(loaded) + 0.05 * self.DENSE
         assert load_peak <= 0.65 * self.DENSE
         assert chunk_peak < resident + 0.1 * self.DENSE + chunk.data.nbytes
+
+    def test_a_dp_load_maps_the_factor_and_copies_nothing(self, l32_ensemble, tmp_path):
+        """The factor is a read-only view of the file's one mapping: what the
+        load allocates stays below 5 % of the panels' bytes."""
+        emulator = self.fit(l32_ensemble)
+        repro.save(emulator, tmp_path / "l32.npz")
+        panel_bytes = self.panel_bytes(emulator)
+        del emulator
+        tracemalloc.start()
+        try:
+            loaded = repro.load(tmp_path / "l32.npz")
+            resident, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert is_mapped(loaded)
+        assert resident < 0.05 * panel_bytes
 
     @pytest.mark.parametrize("write", [write_schema_1, write_schema_2])
     def test_an_older_schema_load_keeps_one_copy_of_the_factor(self, l32_ensemble, tmp_path, write):
@@ -452,6 +517,15 @@ class TestCorruptFactor:
         with pytest.raises(ArtifactError, match="panel_0_fp64"):
             repro.load(tmp_path / "damaged.npz")
 
+    def test_flipped_header_byte_is_an_artifact_error(self, fitted_emulator, tmp_path):
+        fitted_emulator.save(tmp_path / "whole.npz")
+        damaged = bytearray((tmp_path / "whole.npz").read_bytes())
+        name = "spectral_model/cholesky/panel_0_fp64.npy"
+        damaged[data_offsets(tmp_path / "whole.npz")[name] - 1] ^= 0xFF  # ends the .npy header
+        (tmp_path / "damaged.npz").write_bytes(damaged)
+        with pytest.raises(ArtifactError, match="panel_0_fp64"):
+            repro.load(tmp_path / "damaged.npz")
+
     @pytest.mark.parametrize("suffix", ["nugget_std", "cholesky/panel_0_fp64"])
     def test_missing_member_is_an_artifact_error(self, fitted_emulator, tmp_path, suffix):
         fitted_emulator.save(tmp_path / "whole.npz")
@@ -461,6 +535,107 @@ class TestCorruptFactor:
             np.savez(fh, **arrays)
         with pytest.raises(ArtifactError, match=suffix.rpartition("/")[2]):
             repro.load(tmp_path / "edited.npz")
+
+
+class TestMappedLoad:
+    def test_every_member_starts_64_byte_aligned_and_np_load_reads_it(self, variant_emulator, tmp_path):
+        repro.save(variant_emulator, tmp_path / "emulator.npz")
+        offsets = data_offsets(tmp_path / "emulator.npz")
+        assert len(offsets) > 10 and all(offset % 64 == 0 for offset in offsets.values())
+        arrays, _ = variant_emulator.to_artifact()._flatten()
+        with np.load(tmp_path / "emulator.npz") as archive:
+            assert set(archive.files) == {*arrays, META_KEY}
+            for key, array in arrays.items():
+                assert archive[key].dtype == array.dtype and np.array_equal(archive[key], array)
+
+    def test_mapped_and_read_loads_generate_the_same_bits(self, fitted_emulator, tmp_path):
+        """A file ``np.savez`` writes (unaligned) is read, one ``save`` writes
+        is mapped; both emulate, store and serve the same bits."""
+        fitted_emulator.save(tmp_path / "mapped.npz")
+        rewrite_member(tmp_path / "mapped.npz", tmp_path / "read.npz", META_KEY, lambda a: a)
+        assert is_mapped(repro.load(tmp_path / "mapped.npz"))
+        assert not is_mapped(repro.load(tmp_path / "read.npz"))
+        outputs = []
+        for name in ("mapped", "read"):
+            path, root = tmp_path / f"{name}.npz", tmp_path / f"{name}_store"
+            emulated = repro.load(path).emulate(2, n_times=30, rng=7).data
+            manifest = repro.run_campaign(
+                path, ["ssp-low", "ssp-high"], n_realizations=2, n_times=48, seed=3,
+                batch_size=2, max_workers=1, collect="global-mean", store=root,
+            )
+            store = repro.ChunkStore(root)
+            runs = [(run.to_dict(), run.collected) for run in manifest.runs]
+            chunks = [store.get(a) for run in manifest.runs for a in run.chunk_addresses]
+            service = repro.serve(path, seed=3)
+            served = [
+                service.get(repro.FieldRequest("ssp-medium", realization=r, year_start=y))
+                for r, y in ((1, 0), (1, 1), (0, 1))
+            ]
+            outputs.append((emulated, runs, chunks, served))
+        (emulated, runs, chunks, served), other = outputs
+        assert np.array_equal(emulated, other[0])
+        assert [r for r, _ in runs] == [r for r, _ in other[1]] and len(chunks) == 2 * 2 * 2
+        for got, expected in zip(
+            [c for _, c in runs] + chunks + served, [c for _, c in other[1]] + other[2] + other[3]
+        ):
+            assert np.array_equal(got, expected)
+
+class TestAtomicSave:
+    def test_saving_over_a_mapped_artifact_leaves_its_emulator_intact(
+        self, fitted_emulator, variant_emulator, tmp_path
+    ):
+        path = tmp_path / "emulator.npz"
+        fitted_emulator.save(path)
+        mapped = repro.load(path)
+        assert is_mapped(mapped)
+        before = mapped.emulate(2, n_times=30, rng=5).data
+        repro.save(variant_emulator, path)
+        assert np.array_equal(mapped.emulate(2, n_times=30, rng=5).data, before)
+        assert np.array_equal(
+            repro.load(path).emulate(2, n_times=30, rng=5).data,
+            variant_emulator.emulate(2, n_times=30, rng=5).data,
+        )
+        assert os.listdir(tmp_path) == ["emulator.npz"]
+        # The replacement gets the mode a plain ``open(path, "wb")`` gives.
+        with open(tmp_path / "plain", "wb"):
+            pass
+        assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_a_save_that_fails_midway_leaves_the_old_file_and_no_temporary(
+        self, fitted_emulator, variant_emulator, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "emulator.npz"
+        fitted_emulator.save(path)
+        write = EmulatorArtifact._write
+
+        def fails_halfway(artifact, fh):
+            write(artifact, fh)
+            fh.truncate(fh.tell() // 2)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(EmulatorArtifact, "_write", fails_halfway)
+        with pytest.raises(OSError, match="No space"):
+            repro.save(variant_emulator, path)
+        assert os.listdir(tmp_path) == ["emulator.npz"]
+        assert np.array_equal(
+            repro.load(path).emulate(2, n_times=30, rng=5).data,
+            fitted_emulator.emulate(2, n_times=30, rng=5).data,
+        )
+
+    def test_a_mapped_emulator_saves_over_its_own_file(self, fitted_emulator, tmp_path):
+        """The save reads the state from the very file it replaces."""
+        path = tmp_path / "emulator.npz"
+        fitted_emulator.save(path)
+        written = members(path)
+        repro.save(repro.load(path), path)
+        assert members(path) == written
+
+    def test_saving_through_a_symlink_replaces_its_target(self, fitted_emulator, tmp_path):
+        (tmp_path / "v1.npz").write_bytes(b"")
+        (tmp_path / "current.npz").symlink_to("v1.npz")
+        fitted_emulator.save(tmp_path / "current.npz")
+        assert (tmp_path / "current.npz").is_symlink()
+        assert repro.load(tmp_path / "v1.npz").config == fitted_emulator.config
 
 
 class TestMeasurement:

@@ -314,6 +314,17 @@ class TestCommitCost:
         assert reader._journal_offset - offset == len(line)
         assert reader.refresh() == 0
 
+    def test_a_handle_creates_each_shard_directory_once(self, tmp_path, monkeypatch):
+        made = []
+        makedirs = os.makedirs
+        store = ChunkStore(tmp_path)
+        monkeypatch.setattr(chunkstore.os, "makedirs",
+                            lambda path, **kw: made.append(path) or makedirs(path, **kw))
+        store.put_many({"aa01": np.ones(3), "aa02": np.ones(3), "bb01": np.ones(3)})
+        store.put("aa03", np.ones(3))
+        assert sorted(os.path.basename(path) for path in made) == ["aa", "bb"]
+        assert np.array_equal(ChunkStore(tmp_path).get("aa03"), np.ones(3))
+
 
 class TestCommitSpan:
     def test_every_transaction_is_one_commit_span(self, tmp_path):
